@@ -175,9 +175,10 @@ func (t *sharedTracker) beginPut(k, val int) {
 	tk.mu.Unlock()
 }
 
-// settlePut records val's detectable verdict. It reports a violation when
-// a fail-verdict value had already been observed by a read.
-func (t *sharedTracker) settlePut(k, val int, linearized bool) (violation bool) {
+// settlePut records val's detectable verdict. Like the checks below it
+// returns "" or why the outcome is a violation: here, a fail-verdict value
+// that a read had already observed.
+func (t *sharedTracker) settlePut(k, val int, linearized bool) (why string) {
 	tk := &t.keys[k]
 	tk.mu.Lock()
 	defer tk.mu.Unlock()
@@ -185,10 +186,13 @@ func (t *sharedTracker) settlePut(k, val int, linearized bool) (violation bool) 
 	if linearized {
 		ws.status = writeLinearized
 		tk.settledNonzero++
-		return false
+		return ""
 	}
 	ws.status = writeFailed
-	return ws.observed
+	if ws.observed {
+		return "its verdict says not linearized, but a read already returned its value"
+	}
+	return ""
 }
 
 // beginDel / settleDel track deletions (writes of zero).
@@ -221,24 +225,32 @@ func (t *sharedTracker) readBegin(k int) readPre {
 	return pre
 }
 
-// checkRead validates a linearized read response against the registry,
-// reporting whether it is a detectability violation.
-func (t *sharedTracker) checkRead(k, resp int, pre readPre) (violation bool) {
+// Why a nonzero value read from a key convicts, in reads and the final sweep.
+const (
+	whyPhantom       = "want a registered write's value: no PUT of this key ever carried it"
+	whyFailedVisible = "want a value whose write linearized: this one's verdict was not linearized"
+)
+
+// checkRead validates a linearized read response against the registry.
+func (t *sharedTracker) checkRead(k, resp int, pre readPre) (why string) {
 	if resp == 0 {
-		return pre.zeroConvicts
+		if pre.zeroConvicts {
+			return "want nonzero: a nonzero write had settled linearized before the read began and no DEL was ever begun"
+		}
+		return ""
 	}
 	tk := &t.keys[k]
 	tk.mu.Lock()
 	defer tk.mu.Unlock()
 	ws, ok := tk.vals[resp]
 	if !ok {
-		return true // value from nowhere
+		return whyPhantom
 	}
 	if ws.status == writeFailed {
-		return true // a definitely-not-linearized write became visible
+		return whyFailedVisible
 	}
 	ws.observed = true
-	return false
+	return ""
 }
 
 // checkReadStale validates a read served from a replica's applied view
@@ -251,7 +263,7 @@ func (t *sharedTracker) checkRead(k, resp int, pre readPre) (violation bool) {
 // a violation just as it would be at the primary. Observed values are
 // marked, so a later fail verdict on a replica-served value still
 // convicts.
-func (t *sharedTracker) checkReadStale(k, resp int) (violation bool) {
+func (t *sharedTracker) checkReadStale(k, resp int) (why string) {
 	return t.checkRead(k, resp, readPre{zeroConvicts: false})
 }
 
@@ -260,29 +272,37 @@ func (t *sharedTracker) checkReadStale(k, resp int) (violation bool) {
 // linearized deletion, and a nonzero value must be a registered write that
 // did not fail. (A still-in-flight value here means some verdict never
 // settled — the run already fails on its indefinite count.)
-func (t *sharedTracker) checkFinal(k, resp int) (violation bool) {
+func (t *sharedTracker) checkFinal(k, resp int) (why string) {
 	tk := &t.keys[k]
 	tk.mu.Lock()
 	defer tk.mu.Unlock()
-	if resp == 0 {
-		return tk.settledNonzero > 0 && !tk.delLinearized
+	switch ws, ok := tk.vals[resp]; {
+	case resp == 0 && tk.settledNonzero > 0 && !tk.delLinearized:
+		return fmt.Sprintf("want nonzero: %d nonzero writes linearized and no DEL did", tk.settledNonzero)
+	case resp == 0:
+		return ""
+	case !ok:
+		return whyPhantom
+	case ws.status == writeFailed:
+		return whyFailedVisible
 	}
-	ws, ok := tk.vals[resp]
-	return !ok || ws.status == writeFailed
+	return ""
 }
 
 // verify folds one worker's operation outcomes into the run's violation
-// and indefinite counters, via the per-key write registry in shared (zipf)
-// mode or the per-process expected-value map in uniform mode. The key
-// index k always indexes the global key list; uniform mode ignores it.
+// log and indefinite counter, via the per-key write registry in shared
+// (zipf) mode or the per-process expected-value map in uniform mode. The
+// key index k always indexes the global key list.
 type verify struct {
-	tr                     *sharedTracker // shared mode
-	exp                    map[string]int // uniform mode
-	violations, indefinite *atomic.Uint64
+	worker     int
+	tr         *sharedTracker // shared mode
+	exp        map[string]int // uniform mode
+	log        *violationLog
+	indefinite *atomic.Uint64
 }
 
-func newVerify(tr *sharedTracker, violations, indefinite *atomic.Uint64) *verify {
-	v := &verify{tr: tr, violations: violations, indefinite: indefinite}
+func newVerify(worker int, tr *sharedTracker, log *violationLog, indefinite *atomic.Uint64) *verify {
+	v := &verify{worker: worker, tr: tr, log: log, indefinite: indefinite}
 	if tr == nil {
 		v.exp = make(map[string]int)
 	}
@@ -297,17 +317,18 @@ func (v *verify) readBegin(k int) readPre {
 }
 
 func (v *verify) get(k int, key string, pre readPre, out runtime.Outcome[int]) {
+	v.log.note(k, opRecord{worker: v.worker, op: "GET", out: out})
 	if !out.Status.Linearized() {
 		return
 	}
 	if v.tr != nil {
-		if v.tr.checkRead(k, out.Resp, pre) {
-			v.violations.Add(1)
+		if why := v.tr.checkRead(k, out.Resp, pre); why != "" {
+			v.log.convict(k, "GET by w%d got %d (verdict %s, crashes %d): %s", v.worker, out.Resp, out.Status, out.Crashes, why)
 		}
 		return
 	}
 	if out.Resp != v.exp[key] {
-		v.violations.Add(1)
+		v.log.convict(k, "GET by its owner w%d got %d, want %d (verdict %s, crashes %d)", v.worker, out.Resp, v.exp[key], out.Status, out.Crashes)
 	}
 }
 
@@ -318,22 +339,7 @@ func (v *verify) beginPut(k, val int) {
 }
 
 func (v *verify) put(k int, key string, val int, out runtime.Outcome[int]) {
-	if v.tr == nil {
-		apply(out, key, val, v.exp, v.violations, v.indefinite)
-		return
-	}
-	switch out.Status {
-	case runtime.StatusOK, runtime.StatusRecovered:
-		if v.tr.settlePut(k, val, true) {
-			v.violations.Add(1)
-		}
-	case runtime.StatusFailed, runtime.StatusNotInvoked:
-		if v.tr.settlePut(k, val, false) {
-			v.violations.Add(1)
-		}
-	default:
-		v.indefinite.Add(1)
-	}
+	v.settle(k, key, "PUT", val, out)
 }
 
 func (v *verify) beginDel(k int) {
@@ -343,16 +349,30 @@ func (v *verify) beginDel(k int) {
 }
 
 func (v *verify) del(k int, key string, out runtime.Outcome[int]) {
-	if v.tr == nil {
-		apply(out, key, 0, v.exp, v.violations, v.indefinite)
-		return
-	}
+	v.settle(k, key, "DEL", 0, out)
+}
+
+// settle folds one mutation's verdict into the owner's expectation (uniform
+// mode) or the write registry (shared mode); a DEL is a write of 0.
+func (v *verify) settle(k int, key, op string, val int, out runtime.Outcome[int]) {
+	v.log.note(k, opRecord{worker: v.worker, op: op, val: val, out: out})
 	switch out.Status {
-	case runtime.StatusOK, runtime.StatusRecovered:
-		v.tr.settleDel(k, true)
-	case runtime.StatusFailed, runtime.StatusNotInvoked:
-		v.tr.settleDel(k, false)
+	case runtime.StatusOK, runtime.StatusRecovered, runtime.StatusFailed, runtime.StatusNotInvoked:
 	default:
 		v.indefinite.Add(1)
+		return
+	}
+	linearized := out.Status.Linearized()
+	switch {
+	case v.tr == nil:
+		if linearized {
+			v.exp[key] = val
+		} // else definitely not linearized: the expectation stands
+	case op == "DEL":
+		v.tr.settleDel(k, linearized)
+	default:
+		if why := v.tr.settlePut(k, val, linearized); why != "" {
+			v.log.convict(k, "PUT %d by w%d (verdict %s, crashes %d): %s", val, v.worker, out.Status, out.Crashes, why)
+		}
 	}
 }

@@ -142,11 +142,11 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 	defer prober.Close() //nolint:errcheck
 
 	var (
-		violations, indefinite atomic.Uint64
-		cycles                 atomic.Uint64
-		replicaServed          atomic.Uint64 // recovered-window replays, summed per node just before its death
-		stop                   = make(chan struct{})
-		stormErr               error
+		indefinite    atomic.Uint64
+		cycles        atomic.Uint64
+		replicaServed atomic.Uint64 // recovered-window replays, summed per node just before its death
+		stop          = make(chan struct{})
+		stormErr      error
 	)
 	start := time.Now()
 	deadline := start.Add(cfg.dur)
@@ -281,6 +281,7 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 	hardErrs := make([]error, procs)
 	expected := make([]map[string]int, procs)
 	names := keyNames(cfg.keys)
+	violations := newViolationLog(names)
 	var tracker *sharedTracker
 	if cfg.shared() {
 		tracker = newSharedTracker(cfg.keys)
@@ -304,7 +305,7 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 			c := clients[pid]
 			rng := cfg.workerRNG(pid)
 			ch := cfg.chooserFor(pid, rng)
-			v := newVerify(tracker, &violations, &indefinite)
+			v := newVerify(pid, tracker, violations, &indefinite)
 			nextVal := 0
 			newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
 			var entries []shardkv.KV
@@ -392,28 +393,10 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 	// Final sweep over the last promoted primary: the replicated store
 	// must match every owner's expectation exactly (uniform) or the write
 	// registry (shared), failovers included.
-	if tracker != nil {
-		for k, key := range names {
-			got, err := clients[0].GetRetry(key)
-			if err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
-			if tracker.checkFinal(k, got) {
-				violations.Add(1)
-			}
-		}
-	} else {
-		for pid, exp := range expected {
-			for _, key := range ownKeys(pid, procs, cfg.keys) {
-				got, err := clients[pid].GetRetry(key)
-				if err != nil {
-					return fmt.Errorf("sweep worker %d: %w", pid, err)
-				}
-				if got != exp[key] {
-					violations.Add(1)
-				}
-			}
-		}
+	if err := finalSweep(violations, tracker, expected, func(pid int, key string) (int, error) {
+		return clients[pid].GetRetry(key)
+	}); err != nil {
+		return err
 	}
 	var resumes uint64
 	for _, c := range clients {

@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"detectable/internal/nvm"
-	"detectable/internal/runtime"
 	"detectable/internal/shardkv"
 )
 
@@ -142,8 +141,9 @@ func main() {
 func run(cfg *wlCfg) error {
 	spec := cfg.spec
 	s := shardkv.New(cfg.shards, cfg.procs)
-	var violations, indefinite atomic.Uint64
+	var indefinite atomic.Uint64
 	names := keyNames(cfg.keys)
+	violations := newViolationLog(names)
 	var tracker *sharedTracker
 	if cfg.shared() {
 		tracker = newSharedTracker(cfg.keys)
@@ -187,7 +187,7 @@ func run(cfg *wlCfg) error {
 			defer wg.Done()
 			rng := cfg.workerRNG(pid)
 			ch := cfg.chooserFor(pid, rng)
-			v := newVerify(tracker, &violations, &indefinite)
+			v := newVerify(pid, tracker, violations, &indefinite)
 			nextVal := 0
 			newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
 			var entries []shardkv.KV
@@ -240,24 +240,9 @@ func run(cfg *wlCfg) error {
 	close(stop)
 	storm.Wait()
 
-	// Final sweep: every owner's expectation must hold exactly (uniform),
-	// or every key's settled value must be explained by the write registry
-	// (shared).
-	if tracker != nil {
-		for k, key := range names {
-			if tracker.checkFinal(k, s.GetRetry(0, key)) {
-				violations.Add(1)
-			}
-		}
-	} else {
-		for pid, exp := range expected {
-			for _, key := range ownKeys(pid, cfg.procs, cfg.keys) {
-				if got := s.GetRetry(pid, key); got != exp[key] {
-					violations.Add(1)
-				}
-			}
-		}
-	}
+	finalSweep(violations, tracker, expected, func(pid int, key string) (int, error) { //nolint:errcheck
+		return s.GetRetry(pid, key), nil
+	})
 
 	report(snaps, cfg, elapsed)
 	if n := indefinite.Load(); n > 0 {
@@ -268,27 +253,6 @@ func run(cfg *wlCfg) error {
 	}
 	fmt.Println("detectability: every operation resolved to a definite outcome, zero violations")
 	return nil
-}
-
-// apply folds one mutation outcome into the owner's expected value for key.
-func apply(out runtime.Outcome[int], key string, val int, exp map[string]int, violations, indefinite *atomic.Uint64) {
-	switch out.Status {
-	case runtime.StatusOK, runtime.StatusRecovered:
-		exp[key] = val
-	case runtime.StatusFailed, runtime.StatusNotInvoked:
-		// Definitely not linearized: the expectation stands.
-	default:
-		indefinite.Add(1)
-	}
-}
-
-// ownKeys returns pid's disjoint slice of the key space.
-func ownKeys(pid, procs, keys int) []string {
-	var own []string
-	for k := pid; k < keys; k += procs {
-		own = append(own, fmt.Sprintf("key-%d", k))
-	}
-	return own
 }
 
 func report(snaps []shardkv.StatsSnapshot, cfg *wlCfg, elapsed time.Duration) {

@@ -127,6 +127,7 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	// expectations cannot exist.
 	tracker := newSharedTracker(cfg.keys)
 	names := keyNames(cfg.keys)
+	violations := newViolationLog(names)
 	for _, key := range names {
 		if _, err := writers[0].PutRetry(key, 0); err != nil {
 			return fmt.Errorf("zeroing %s: %w", key, err)
@@ -134,12 +135,12 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	}
 
 	var (
-		violations, indefinite atomic.Uint64
-		writeOps, readOps      atomic.Uint64
-		replicaReads           atomic.Uint64
-		promoted               atomic.Bool
-		stop                   = make(chan struct{})
-		stormErr               error
+		indefinite        atomic.Uint64
+		writeOps, readOps atomic.Uint64
+		replicaReads      atomic.Uint64
+		promoted          atomic.Bool
+		stop              = make(chan struct{})
+		stormErr          error
 	)
 	start := time.Now()
 
@@ -207,7 +208,7 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 			c := writers[pid]
 			rng := cfg.workerRNG(pid)
 			ch := cfg.chooserFor(pid, rng)
-			v := newVerify(tracker, &violations, &indefinite)
+			v := newVerify(pid, tracker, violations, &indefinite)
 			nextVal := 0
 			newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
 			for {
@@ -278,8 +279,8 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 					time.Sleep(20 * time.Millisecond)
 					continue
 				}
-				if tracker.checkReadStale(k, out.Resp) {
-					violations.Add(1)
+				if why := tracker.checkReadStale(k, out.Resp); why != "" {
+					violations.convict(k, "GET by reader %d (on a replica: %v) got %d: %s", rid, rc.OnReplica(), out.Resp, why)
 				}
 				readOps.Add(1)
 				if rc.OnReplica() {
@@ -309,14 +310,10 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	// Final sweep at the promoted primary: every settled value explained by
 	// the registry, the strict (non-stale) check — the write tier's state
 	// is the authority the replicas were a bounded-stale prefix of.
-	for k, key := range names {
-		got, err := writers[0].GetRetry(key)
-		if err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-		if tracker.checkFinal(k, got) {
-			violations.Add(1)
-		}
+	if err := finalSweep(violations, tracker, nil, func(_ int, key string) (int, error) {
+		return writers[0].GetRetry(key)
+	}); err != nil {
+		return err
 	}
 	for _, c := range writers {
 		c.Close() //nolint:errcheck

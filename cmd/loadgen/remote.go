@@ -70,7 +70,7 @@ func runRemote(addr string, cfg *wlCfg) error {
 		}()
 	}
 
-	var violations, indefinite atomic.Uint64
+	var indefinite atomic.Uint64
 	hardErrs := make([]error, procs)
 	clients := make([]*client.Client, procs)
 	for p := range clients {
@@ -81,6 +81,7 @@ func runRemote(addr string, cfg *wlCfg) error {
 	}
 
 	names := keyNames(cfg.keys)
+	violations := newViolationLog(names)
 	var tracker *sharedTracker
 	if cfg.shared() {
 		tracker = newSharedTracker(cfg.keys)
@@ -104,7 +105,7 @@ func runRemote(addr string, cfg *wlCfg) error {
 			c := clients[pid]
 			rng := cfg.workerRNG(pid)
 			ch := cfg.chooserFor(pid, rng)
-			v := newVerify(tracker, &violations, &indefinite)
+			v := newVerify(pid, tracker, violations, &indefinite)
 			nextVal := 0
 			newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
 			var entries []shardkv.KV
@@ -193,28 +194,10 @@ func runRemote(addr string, cfg *wlCfg) error {
 	// expectation exactly (uniform) or every key's settled value must be
 	// explained by the write registry (shared), connection kills and shard
 	// crashes included.
-	if tracker != nil {
-		for k, key := range names {
-			got, err := clients[0].GetRetry(key)
-			if err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
-			if tracker.checkFinal(k, got) {
-				violations.Add(1)
-			}
-		}
-	} else {
-		for pid, exp := range expected {
-			for _, key := range ownKeys(pid, procs, cfg.keys) {
-				got, err := clients[pid].GetRetry(key)
-				if err != nil {
-					return fmt.Errorf("sweep worker %d: %w", pid, err)
-				}
-				if got != exp[key] {
-					violations.Add(1)
-				}
-			}
-		}
+	if err := finalSweep(violations, tracker, expected, func(pid int, key string) (int, error) {
+		return clients[pid].GetRetry(key)
+	}); err != nil {
+		return err
 	}
 
 	snaps := make([]shardkv.StatsSnapshot, numShards)

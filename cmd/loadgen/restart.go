@@ -98,10 +98,10 @@ func runRestartStorm(bin, dataDir string, cfg *wlCfg,
 	}
 
 	var (
-		violations, indefinite atomic.Uint64
-		cycles                 atomic.Uint64
-		stop                   = make(chan struct{})
-		stormErr               error
+		indefinite atomic.Uint64
+		cycles     atomic.Uint64
+		stop       = make(chan struct{})
+		stormErr   error
 	)
 	start := time.Now()
 	deadline := start.Add(cfg.dur)
@@ -143,6 +143,7 @@ func runRestartStorm(bin, dataDir string, cfg *wlCfg,
 	hardErrs := make([]error, procs)
 	expected := make([]map[string]int, procs)
 	names := keyNames(cfg.keys)
+	violations := newViolationLog(names)
 	var tracker *sharedTracker
 	if cfg.shared() {
 		tracker = newSharedTracker(cfg.keys)
@@ -169,7 +170,7 @@ func runRestartStorm(bin, dataDir string, cfg *wlCfg,
 			c := clients[pid]
 			rng := cfg.workerRNG(pid)
 			ch := cfg.chooserFor(pid, rng)
-			v := newVerify(tracker, &violations, &indefinite)
+			v := newVerify(pid, tracker, violations, &indefinite)
 			nextVal := 0
 			newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
 			var entries []shardkv.KV
@@ -257,28 +258,10 @@ func runRestartStorm(bin, dataDir string, cfg *wlCfg,
 	// Final sweep over the final server incarnation: the durably recovered
 	// store must match every owner's expectation exactly (uniform) or the
 	// write registry (shared), SIGKILLs included.
-	if tracker != nil {
-		for k, key := range names {
-			got, err := clients[0].GetRetry(key)
-			if err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
-			if tracker.checkFinal(k, got) {
-				violations.Add(1)
-			}
-		}
-	} else {
-		for pid, exp := range expected {
-			for _, key := range ownKeys(pid, procs, cfg.keys) {
-				got, err := clients[pid].GetRetry(key)
-				if err != nil {
-					return fmt.Errorf("sweep worker %d: %w", pid, err)
-				}
-				if got != exp[key] {
-					violations.Add(1)
-				}
-			}
-		}
+	if err := finalSweep(violations, tracker, expected, func(pid int, key string) (int, error) {
+		return clients[pid].GetRetry(key)
+	}); err != nil {
+		return err
 	}
 	var resumes uint64
 	for _, c := range clients {

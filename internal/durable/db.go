@@ -58,8 +58,8 @@ type shardFile struct {
 	mu    sync.Mutex
 	log   *Log
 	snap  string
-	state map[string]int64
-	enc   []byte // reusable put-record scratch, guarded by mu
+	state map[string]*int64 // see shardFile.set
+	enc   []byte            // reusable put-record scratch, guarded by mu
 }
 
 // sessionsFile is the session layer's durable state.
@@ -136,7 +136,7 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	for i := 0; i < shards; i++ {
 		sf := &shardFile{
 			snap:  filepath.Join(dir, fmt.Sprintf("shard-%03d.snap", i)),
-			state: make(map[string]int64),
+			state: make(map[string]*int64),
 		}
 		replay := func(rec []byte) error { return sf.apply(rec) }
 		if err := ReplaySnapshotFs(fsys, sf.snap, replay); err != nil {
@@ -220,8 +220,27 @@ func (sf *shardFile) apply(rec []byte) error {
 	if !ok {
 		return fmt.Errorf("malformed put record")
 	}
-	sf.state[key] = val
+	sf.set(key, val, false) // decodePut's key is a fresh string
 	return nil
+}
+
+// set mirrors key := val. transient says the key may alias a buffer the
+// caller will reuse (journalPut's keys alias the connection's frame
+// buffer). The mirror must never store such a key, and assigning to an
+// existing string key of a Go map does store it: the runtime replaces the
+// stored key with the new, equal one, which then turns to garbage with the
+// next request, and the next snapshot writes it out. So values sit behind
+// pointers: an existing entry is updated in place — no re-keying, no clone
+// — and only a key's first put inserts, a clone if the key is transient.
+func (sf *shardFile) set(key string, val int64, transient bool) {
+	if p := sf.state[key]; p != nil {
+		*p = val
+		return
+	}
+	if transient {
+		key = strings.Clone(key)
+	}
+	sf.state[key] = &val
 }
 
 func encodePut(dst []byte, key string, val int64) []byte {
@@ -257,7 +276,7 @@ func (db *DB) RangeShard(i int, fn func(key string, val int64)) {
 	sort.Strings(keys)
 	vals := make([]int64, len(keys))
 	for j, k := range keys {
-		vals[j] = sf.state[k]
+		vals[j] = *sf.state[k]
 	}
 	sf.mu.Unlock()
 	for j, k := range keys {
@@ -287,16 +306,13 @@ func (b ShardBacking) Sync() error { return b.db.shards[b.i].log.Sync() }
 // journalPut appends one persisted root to shard i's log and mirror,
 // compacting when the log crosses the threshold. The caller's key may
 // alias a transient buffer (the server decodes keys zero-copy out of the
-// connection frame), so the mirror clones it on first insert — the only
-// place this layer retains a key.
+// connection frame); the mirror clones it on first insert — the only place
+// this layer retains a key — and never stores it afterwards (shardFile.set).
 func (db *DB) journalPut(i int, key string, val int64) {
 	sf := db.shards[i]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	if _, ok := sf.state[key]; !ok {
-		key = strings.Clone(key)
-	}
-	sf.state[key] = val
+	sf.set(key, val, true)
 	sf.enc = encodePut(sf.enc[:0], key, val)
 	if err := sf.log.Append(sf.enc); err != nil {
 		// The append never reached the file: the mirror and the log disagree
@@ -323,7 +339,7 @@ func (sf *shardFile) writeSnapshot(fsys Fs) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if err := emit(encodePut(nil, k, sf.state[k])); err != nil {
+			if err := emit(encodePut(nil, k, *sf.state[k])); err != nil {
 				return err
 			}
 		}

@@ -28,7 +28,7 @@ type groupCommit struct {
 	running  bool
 	interval time.Duration
 	cur      *epoch
-	freeBufs [][]byte // recycled epoch buffers
+	freeBufs [][]byte      // recycled epoch buffers
 	stopc    chan struct{} // closed by Stop: interrupts the batching window
 	stopped  chan struct{}
 	epochs   uint64 // anchored epochs

@@ -34,7 +34,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				req := uint64(w*per + i + 1)
-				db.ShardBacking(int(req) % 2).Persist(fmt.Sprintf("k%03d", req), int64(req))
+				db.ShardBacking(int(req)%2).Persist(fmt.Sprintf("k%03d", req), int64(req))
 				if err := db.CommitOutcome(1, req, []byte{byte(req)}); err != nil {
 					errs <- err
 				}
@@ -211,7 +211,7 @@ func TestGroupCommitTornEpochTail(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				req := uint64(w*per + i + 1)
-				db.ShardBacking(int(req) % 2).Persist(keyFor(req), int64(req))
+				db.ShardBacking(int(req)%2).Persist(keyFor(req), int64(req))
 				if err := db.CommitOutcome(1, req, []byte{byte(req)}); err != nil {
 					t.Errorf("CommitOutcome(%d): %v", req, err)
 				}

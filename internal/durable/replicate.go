@@ -174,7 +174,7 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			enc = encodePut(enc[:0], k, sf.state[k])
+			enc = encodePut(enc[:0], k, *sf.state[k])
 			if !sub.stageSnap(shdr[:], enc) {
 				sf.mu.Unlock()
 				return sub // closed mid-snapshot; stop staging

@@ -348,7 +348,7 @@ func TestSnapshotLargerThanSubLimit(t *testing.T) {
 	}
 	reply := make([]byte, 256)
 	for i := 0; i < 64; i++ {
-		pdb.ShardBacking(i % testShards).Persist(fmt.Sprintf("key-%04d", i), int64(i))
+		pdb.ShardBacking(i%testShards).Persist(fmt.Sprintf("key-%04d", i), int64(i))
 		if err := pdb.CommitOutcome(1, uint64(i+1), reply); err != nil {
 			t.Fatalf("CommitOutcome: %v", err)
 		}

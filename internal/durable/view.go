@@ -105,7 +105,9 @@ func (db *DB) ViewSeq() uint64 { return db.view.seq.Load() }
 func (db *DB) MirrorGet(i int, key string) (int64, bool) {
 	sf := db.shards[i]
 	sf.mu.Lock()
-	val, ok := sf.state[key]
-	sf.mu.Unlock()
-	return val, ok
+	defer sf.mu.Unlock()
+	if p := sf.state[key]; p != nil {
+		return *p, true
+	}
+	return 0, false
 }

@@ -37,7 +37,7 @@ func TestRingWrapBoundaries(t *testing.T) {
 			t.Fatalf("Dropped() = %d, want %d", l.Dropped(), wantDropped)
 		}
 	}
-	boundaries := map[int]bool{cap - 1: true, cap: true, cap + 1: true, 3*cap: true, 3*cap + 1: true}
+	boundaries := map[int]bool{cap - 1: true, cap: true, cap + 1: true, 3 * cap: true, 3*cap + 1: true}
 	for n := 1; n <= 3*cap+1; n++ {
 		l.Return(0, n-1)
 		if boundaries[n] {

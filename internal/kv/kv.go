@@ -8,12 +8,17 @@
 // PutRetry re-invokes on fail for always-succeeds semantics (the NRL
 // transformation of Section 6).
 //
-// Key resolution is lock-free: the key → register table is an atomic
-// pointer to an immutable copy-on-write map, so the crash-free hot path of
-// an existing key (the only path a skewed workload exercises in steady
-// state) is one atomic load plus one map lookup — no locks, no allocation.
-// Only the first write of a new key and Restore serialize, on a creation
-// mutex that publishes a successor table.
+// A register holds only what belongs to the key — the shared word R and a
+// packed array of 2N²+N bits. The per-process state of Algorithm 1 (RDp and
+// the announcements) is one rw.Procs table per store, shared by all its
+// registers, since a process runs one operation at a time.
+//
+// Key resolution is lock-free: the key → register table is an insert-only
+// hash table of atomic slots, so the crash-free hot path of an existing key
+// (the only path a skewed workload exercises in steady state) is one atomic
+// load plus a short probe — no locks, no allocation. Only the first write
+// of a new key and Restore serialize, on a creation mutex, at O(1)
+// amortised cost per key.
 package kv
 
 import (
@@ -27,14 +32,19 @@ import (
 // Store is an N-process recoverable key-value store with int values.
 // Missing keys read as the zero value.
 type Store struct {
-	sys *runtime.System
-	tbl keyTable
+	sys   *runtime.System
+	procs *rw.Procs[int]
+	tbl   keyTable
 }
 
 // New allocates an empty store in sys's memory space with the lock-free
-// copy-on-write key table.
+// key table.
 func New(sys *runtime.System) *Store {
-	return &Store{sys: sys, tbl: newCowTable()}
+	return newStore(sys, newCowTable())
+}
+
+func newStore(sys *runtime.System, tbl keyTable) *Store {
+	return &Store{sys: sys, procs: rw.NewProcs(sys, runtime.EncodeInt), tbl: tbl}
 }
 
 // NewLocked allocates a store using the pre-PR 8 RWMutex key table. It
@@ -42,7 +52,7 @@ func New(sys *runtime.System) *Store {
 // (every operation pays a read-lock on the shared table); production
 // callers want New.
 func NewLocked(sys *runtime.System) *Store {
-	return &Store{sys: sys, tbl: newLockedTable()}
+	return newStore(sys, newLockedTable())
 }
 
 // Put writes key := val as process pid and returns the detectable outcome.
@@ -99,12 +109,11 @@ func (s *Store) GetArmed(pid int, key string, plan nvm.CrashPlan) runtime.Outcom
 // Restoring a key that already has a register panics — recovery must run
 // before the store serves operations.
 func (s *Store) Restore(key string, val int) {
-	s.tbl.restore(key, rw.NewInt(s.sys, val))
+	s.tbl.restore(key, s.procs.NewRegister(val))
 }
 
 // Keys returns the keys ever written, sorted, for tests and tooling. The
-// sort runs over a point-in-time table view, outside any critical section —
-// with the copy-on-write table no lock is held at all.
+// sort runs over a point-in-time table view, outside any critical section.
 func (s *Store) Keys() []string {
 	view := s.tbl.view()
 	out := make([]string, 0, len(view))
@@ -134,5 +143,7 @@ func (s *Store) reg(key string) *rw.Register[int] {
 	if reg, ok := s.tbl.lookup(key); ok {
 		return reg
 	}
-	return s.tbl.create(key, func() *rw.Register[int] { return rw.NewInt(s.sys, 0) })
+	return s.tbl.create(key, s.newRegister)
 }
+
+func (s *Store) newRegister() *rw.Register[int] { return s.procs.NewRegister(0) }

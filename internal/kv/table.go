@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,15 +11,17 @@ import (
 
 // keyTable resolves key → register on every operation. Two implementations:
 //
-//   - cowTable (the default): an atomic pointer to an immutable map. The
-//     read path — every crash-free Get/Put on an existing key — is one
-//     atomic load plus one map lookup, no locks and no allocation. Writers
-//     that introduce a *new* key (or Restore during recovery) serialize on
-//     a creation mutex, clone the current table, and publish the successor;
-//     readers never observe a partially built table.
+//   - cowTable (the default): an insert-only open-addressed hash table
+//     whose slots are atomic pointers. The read path — every crash-free
+//     Get/Put on an existing key — is one atomic load of the slot array,
+//     one hash and a short probe, no locks and no allocation. Writers that
+//     introduce a *new* key (or Restore during recovery) serialize on a
+//     creation mutex and publish the entry with one atomic store; the
+//     array doubles, copy-on-write, when it is half full, so creating a
+//     key costs O(1) amortised.
 //   - lockedTable: the pre-PR 8 RWMutex-guarded map, kept only so the
 //     benchmark sweep (BENCH_PR8.json) can measure the seed baseline the
-//     copy-on-write table replaced. Production callers never pick it.
+//     lock-free table replaced. Production callers never pick it.
 //
 // Both give the same semantics: lookups of concurrent first-writes may miss
 // and fall into create, which double-checks under the mutex, so exactly one
@@ -38,68 +41,104 @@ type keyTable interface {
 	view() map[string]*rw.Register[int]
 }
 
-// cowTable is the lock-free copy-on-write key table. The published map is
-// immutable: mutators clone it under mu and atomically swap the pointer.
-// Creating the N-th key therefore costs an O(N) clone — a one-time,
-// amortized cost paid off the steady-state path (keys are created once,
-// operated on forever), which is exactly the trade a skewed workload wants:
-// the hot path of a hot key shares nothing with key creation.
+// cowTable is the lock-free key table. Keys are never removed, so a probe
+// sequence only ever gains entries: a reader walks from the key's home slot
+// to the first empty one and either meets the key or proves it was absent
+// when the walk began. An entry is immutable once published. Growth copies
+// the entries into an array twice the size and swaps the array pointer;
+// a reader still on the old array misses only keys created after it loaded
+// the pointer, and a miss falls into create, which looks again under mu.
 type cowTable struct {
-	table atomic.Pointer[map[string]*rw.Register[int]]
-	mu    sync.Mutex // serializes clone-and-publish (first writes, restores)
+	seed  maphash.Seed
+	slots atomic.Pointer[[]atomic.Pointer[tableEntry]] // len is a power of two, at most half full
+	mu    sync.Mutex                                   // serializes inserts (first writes, restores)
+	n     int                                          // entries; guarded by mu
 }
 
+type tableEntry struct {
+	key string
+	reg *rw.Register[int]
+}
+
+const minTableSlots = 16
+
 func newCowTable() *cowTable {
-	t := &cowTable{}
-	m := make(map[string]*rw.Register[int])
-	t.table.Store(&m)
+	t := &cowTable{seed: maphash.MakeSeed()}
+	slots := make([]atomic.Pointer[tableEntry], minTableSlots)
+	t.slots.Store(&slots)
 	return t
 }
 
 func (t *cowTable) lookup(key string) (*rw.Register[int], bool) {
-	reg, ok := (*t.table.Load())[key]
-	return reg, ok
+	slots := *t.slots.Load()
+	if e := slots[t.probe(slots, key)].Load(); e != nil {
+		return e.reg, true
+	}
+	return nil, false
+}
+
+// probe returns the index of key's slot in slots: the one holding key, or
+// the empty one where the walk from key's home slot ends.
+func (t *cowTable) probe(slots []atomic.Pointer[tableEntry], key string) uint64 {
+	mask := uint64(len(slots) - 1)
+	i := maphash.String(t.seed, key) & mask
+	for {
+		if e := slots[i].Load(); e == nil || e.key == key {
+			return i
+		}
+		i = (i + 1) & mask
+	}
 }
 
 func (t *cowTable) create(key string, alloc func() *rw.Register[int]) *rw.Register[int] {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := *t.table.Load()
-	if reg, ok := cur[key]; ok {
+	if reg, ok := t.lookup(key); ok {
 		// Lost the creation race: another first-writer published this key
 		// between our lookup miss and taking the mutex.
 		return reg
 	}
 	reg := alloc()
-	t.publish(cur, strings.Clone(key), reg)
+	t.insert(&tableEntry{key: strings.Clone(key), reg: reg})
 	return reg
 }
 
 func (t *cowTable) restore(key string, reg *rw.Register[int]) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := *t.table.Load()
-	if _, ok := cur[key]; ok {
+	if _, ok := t.lookup(key); ok {
 		panic("kv: Restore of a key that already has a register")
 	}
-	t.publish(cur, strings.Clone(key), reg)
+	t.insert(&tableEntry{key: strings.Clone(key), reg: reg})
 }
 
-// publish swaps in a successor table holding cur plus key → reg. Callers
-// hold mu.
-func (t *cowTable) publish(cur map[string]*rw.Register[int], key string, reg *rw.Register[int]) {
-	next := make(map[string]*rw.Register[int], len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
+// insert publishes e, whose key is absent, doubling the array first if e
+// would leave it more than half full. Callers hold mu.
+func (t *cowTable) insert(e *tableEntry) {
+	slots := *t.slots.Load()
+	if t.n++; 2*t.n > len(slots) {
+		grown := make([]atomic.Pointer[tableEntry], 2*len(slots))
+		for i := range slots {
+			if old := slots[i].Load(); old != nil {
+				grown[t.probe(grown, old.key)].Store(old)
+			}
+		}
+		grown[t.probe(grown, e.key)].Store(e)
+		t.slots.Store(&grown)
+		return
 	}
-	next[key] = reg
-	t.table.Store(&next)
+	slots[t.probe(slots, e.key)].Store(e)
 }
 
 func (t *cowTable) view() map[string]*rw.Register[int] {
-	// The published map is immutable, so the current pointer IS a
-	// point-in-time snapshot — no copy, no lock.
-	return *t.table.Load()
+	slots := *t.slots.Load()
+	out := make(map[string]*rw.Register[int], len(slots)/2)
+	for i := range slots {
+		if e := slots[i].Load(); e != nil {
+			out[e.key] = e.reg
+		}
+	}
+	return out
 }
 
 // lockedTable is the seed RWMutex key table, retained as the benchmark

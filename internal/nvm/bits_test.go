@@ -1,0 +1,198 @@
+package nvm
+
+import (
+	"sync"
+	"testing"
+)
+
+var allModels = []Model{ModelPrivateCache, ModelSharedCacheRaw, ModelSharedCacheAuto}
+
+// keeps reports whether an unflushed store survives a crash under m.
+func keeps(m Model) bool { return m != ModelSharedCacheRaw }
+
+// TestBitsCrashPerModel: each bit reverts, on its own, to its last flushed
+// value. Raw loses unflushed bits — set or cleared — and keeps flushed
+// ones; the private-cache model and the flush-after-write transformation
+// keep everything.
+func TestBitsCrashPerModel(t *testing.T) {
+	for _, m := range allModels {
+		t.Run(m.String(), func(t *testing.T) {
+			sp := NewSpaceModel(m)
+			b := NewBits(sp, 130) // three words
+			ctx := sp.Ctx(0, nil)
+			b.Store(ctx, 3, true)
+			b.Flush(ctx, 3) // 3: flushed 1
+			b.Store(ctx, 4, true)
+			b.Flush(ctx, 4)
+			b.Store(ctx, 4, false)  // 4: flushed 1, then cleared unflushed
+			b.Store(ctx, 5, true)   // 5: set unflushed, same word as the flushed 3
+			b.Store(ctx, 129, true) // 129: set unflushed, last word
+			for _, i := range []int{3, 5, 129} {
+				if !b.Load(ctx, i) {
+					t.Fatalf("bit %d not visible through the cache", i)
+				}
+			}
+			sp.Crash()
+			want := map[int]bool{3: true, 4: !keeps(m), 5: keeps(m), 129: keeps(m), 6: false, 128: false}
+			for i, w := range want {
+				if got := b.Peek(i); got != w {
+					t.Errorf("bit %d = %v after crash, want %v", i, got, w)
+				}
+				if got := b.PeekPersisted(i); got != w {
+					t.Errorf("bit %d persisted = %v after crash, want %v", i, got, w)
+				}
+			}
+			// The array stays usable in the new epoch.
+			ctx = sp.Ctx(0, nil)
+			b.Store(ctx, 6, true)
+			if !b.Load(ctx, 6) {
+				t.Fatalf("store after crash lost")
+			}
+		})
+	}
+}
+
+// TestBitsAreCells: every bit is a cell of its own — a distinct CellID from
+// one contiguous reservation, visible to a crash plan at the primitive —
+// and every primitive on a bit is a step, a statistic and a crash point.
+func TestBitsAreCells(t *testing.T) {
+	for _, m := range allModels {
+		t.Run(m.String(), func(t *testing.T) {
+			sp := NewSpaceModel(m)
+			before := NewWord(sp, 0)
+			const n = 70
+			b := NewBits(sp, n)
+			after := NewWord(sp, 0)
+			if got := sp.CellCount(); got != n+2 {
+				t.Fatalf("CellCount = %d, want %d", got, n+2)
+			}
+
+			var seen []int
+			rec := planFunc(func(ctx *Ctx, _ OpKind) bool { seen = append(seen, ctx.CellID()); return false })
+			ctx := sp.Ctx(0, rec)
+			before.Load(ctx)
+			for i := 0; i < n; i++ {
+				b.Load(ctx, i)
+			}
+			after.Load(ctx)
+			ids := map[int]bool{}
+			for k, id := range seen {
+				if ids[id] {
+					t.Fatalf("primitive %d reuses CellID %d", k, id)
+				}
+				ids[id] = true
+				if k >= 1 && k <= n && id != b.CellID(k-1) {
+					t.Fatalf("bit %d reported CellID %d, want %d", k-1, id, b.CellID(k-1))
+				}
+			}
+			if len(ids) != n+2 || b.CellID(n-1)-b.CellID(0) != n-1 {
+				t.Fatalf("saw %d distinct cells, want %d contiguous", len(ids), n+2)
+			}
+
+			// A crash before the k-th store leaves exactly k-1 bits set, and
+			// the statistics count one store (and under the transformation
+			// one flush) per bit.
+			perStore := uint64(1)
+			if m == ModelSharedCacheAuto {
+				perStore = 2
+			}
+			const k = 5
+			sp.Stats().Reset()
+			ctx = sp.Ctx(0, CrashAtStep(perStore*(k-1)+1))
+			func() {
+				defer func() {
+					if _, ok := recover().(Crashed); !ok {
+						t.Fatalf("no Crashed panic at store %d", k)
+					}
+				}()
+				for i := 0; i < n; i++ {
+					b.Store(ctx, i, true)
+				}
+			}()
+			if got := sp.Stats().Stores(); got != k-1 {
+				t.Fatalf("stores = %d, want %d", got, k-1)
+			}
+			if m == ModelSharedCacheAuto && sp.Stats().Flushes() != k-1 {
+				t.Fatalf("flushes = %d, want %d", sp.Stats().Flushes(), k-1)
+			}
+			for i := 0; i < n; i++ {
+				if want := i < k-1 && keeps(m); b.Peek(i) != want {
+					t.Fatalf("bit %d = %v after crash before store %d", i, b.Peek(i), k)
+				}
+			}
+		})
+	}
+}
+
+// planFunc adapts a function to CrashPlan.
+type planFunc func(*Ctx, OpKind) bool
+
+func (f planFunc) CrashBefore(ctx *Ctx, kind OpKind) bool { return f(ctx, kind) }
+
+// TestBitsNeighboursUndisturbed: 8 writers flip their own bits of one word
+// concurrently (run under -race in CI) while crashes land in between. A
+// writer always reads back what it stored within the same attempt, and no
+// store ever disturbs a neighbour, under any model.
+func TestBitsNeighboursUndisturbed(t *testing.T) {
+	for _, m := range allModels {
+		t.Run(m.String(), func(t *testing.T) {
+			const writers, rounds = 8, 2000
+			sp := NewSpaceModel(m)
+			b := NewBits(sp, 2*writers) // writer w owns bit 2w; odd bits are never written
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						func() {
+							defer func() {
+								if x := recover(); x != nil {
+									if _, ok := x.(Crashed); !ok {
+										panic(x)
+									}
+								}
+							}()
+							ctx := sp.Ctx(w, nil)
+							v := !b.Load(ctx, 2*w)
+							b.Store(ctx, 2*w, v)
+							if r%3 == 0 {
+								b.Flush(ctx, 2*w)
+							}
+							if b.Load(ctx, 2*w) != v {
+								t.Errorf("writer %d: bit %d does not read back %v", w, 2*w, v)
+							}
+							if b.Load(ctx, 2*w+1) {
+								t.Errorf("bit %d was never written but reads 1", 2*w+1)
+							}
+						}()
+						if w == 0 && r%100 == 99 {
+							sp.Crash()
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			ctx := sp.Ctx(0, nil)
+			for w := 0; w < writers; w++ {
+				b.Store(ctx, 2*w, w%2 == 0)
+			}
+			for i := 0; i < 2*writers; i++ {
+				if want := i%4 == 0; b.Peek(i) != want {
+					t.Errorf("bit %d = %v, want %v", i, b.Peek(i), want)
+				}
+			}
+		})
+	}
+}
+
+func TestBitsIndexOutOfRange(t *testing.T) {
+	sp := NewSpace()
+	b := NewBits(sp, 10)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Store past Len did not panic")
+		}
+	}()
+	b.Store(sp.Ctx(0, nil), 10, true) // inside the word, outside the array
+}

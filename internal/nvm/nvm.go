@@ -9,6 +9,11 @@
 //     cache. Values reach NVM only via Flush (or a CAS, which persists by
 //     definition in our simulation). A crash reverts unflushed stores.
 //
+// Two further cell shapes store state at the paper's granularity, under
+// either model: Bits packs an array of one-bit cells (Algorithm 1's toggle
+// bits) 64 to a word, and Private is a word with a single owning process
+// (the announcement structure Ann_p, RD_p), stored without atomics.
+//
 // Every primitive operation takes a *Ctx, the per-operation execution
 // context. The Ctx carries the epoch at which the operation started; when
 // the system crashes the epoch advances and the next primitive performed by

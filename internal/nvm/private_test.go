@@ -1,0 +1,108 @@
+package nvm
+
+import "testing"
+
+type privRec struct{ A, B, C int }
+
+// TestPrivateCrashPerModel: the owner-only word reverts to its last flushed
+// value exactly where a CachedCell would — raw loses an unflushed store,
+// the private-cache model and the flush-after-write transformation keep it
+// — although no other goroutine ever touches it: the owner applies the
+// revert at its next primitive in a later epoch.
+func TestPrivateCrashPerModel(t *testing.T) {
+	for _, m := range allModels {
+		t.Run(m.String(), func(t *testing.T) {
+			sp := NewSpaceModel(m)
+			p := NewPrivate(sp, privRec{A: 1})
+			ctx := sp.Ctx(0, nil)
+			p.Store(ctx, privRec{A: 2})
+			p.Flush(ctx)
+			p.Store(ctx, privRec{A: 3}) // unflushed
+			if got := p.Load(ctx); got.A != 3 {
+				t.Fatalf("Load = %+v, want the unflushed store visible", got)
+			}
+			sp.Crash()
+			sp.Crash() // a second crash before the owner runs again changes nothing
+			want := 2
+			if keeps(m) {
+				want = 3
+			}
+			if got := p.Peek(); got.A != want {
+				t.Fatalf("Peek after crash = %+v, want A=%d", got, want)
+			}
+			ctx = sp.Ctx(0, nil)
+			if got := p.Load(ctx); got.A != want {
+				t.Fatalf("Load after crash = %+v, want A=%d", got, want)
+			}
+			// A flush in the new epoch persists the reverted value, not the
+			// lost one.
+			p.Flush(ctx)
+			sp.Crash()
+			if got := p.Peek(); got.A != want {
+				t.Fatalf("after flush+crash = %+v, want A=%d", got, want)
+			}
+			// A store in the new epoch without a prior load replaces it.
+			ctx = sp.Ctx(0, nil)
+			p.Store(ctx, privRec{A: 9})
+			if got := p.Load(ctx); got.A != 9 {
+				t.Fatalf("Load = %+v, want A=9", got)
+			}
+		})
+	}
+}
+
+// TestPrivateIsACell: an owner-only word's primitives are steps, statistics
+// and crash points like any cell's, it has a CellID of its own, and storing
+// a struct it has never held allocates nothing.
+func TestPrivateIsACell(t *testing.T) {
+	for _, m := range allModels {
+		t.Run(m.String(), func(t *testing.T) {
+			sp := NewSpaceModel(m)
+			a, p := NewWord(sp, 0), NewPrivate(sp, privRec{})
+			var seen []int
+			ctx := sp.Ctx(0, planFunc(func(ctx *Ctx, _ OpKind) bool { seen = append(seen, ctx.CellID()); return false }))
+			a.Load(ctx)
+			p.Load(ctx)
+			if len(seen) != 2 || seen[0] == seen[1] || seen[1] != sp.CellCount() {
+				t.Fatalf("CellIDs %v, want two distinct ids ending at CellCount %d", seen, sp.CellCount())
+			}
+
+			sp.Stats().Reset()
+			ctx = sp.Ctx(0, CrashAtStep(2))
+			p.Load(ctx) // step 1
+			func() {
+				defer func() {
+					if _, ok := recover().(Crashed); !ok {
+						t.Fatalf("no Crashed panic at step 2")
+					}
+				}()
+				p.Store(ctx, privRec{A: 5}) // step 2: dies before storing
+			}()
+			if got := p.Peek(); got.A != 0 {
+				t.Fatalf("store landed despite the crash before it: %+v", got)
+			}
+			if st := sp.Stats(); st.Loads() != 1 || st.Stores() != 0 {
+				t.Fatalf("stats loads=%d stores=%d, want 1/0", st.Loads(), st.Stores())
+			}
+
+			ctx = sp.Ctx(0, nil)
+			i := 0
+			if allocs := testing.AllocsPerRun(200, func() {
+				i++
+				p.Store(ctx, privRec{A: i, B: i, C: i})
+				if p.Load(ctx).A != i {
+					t.Fatal("lost store")
+				}
+			}); allocs != 0 {
+				t.Fatalf("store of a fresh struct allocates %v/op, want 0", allocs)
+			}
+			wantFlushes := uint64(0)
+			if m == ModelSharedCacheAuto {
+				wantFlushes = 201 // AllocsPerRun runs the function once to warm up
+			}
+			if got := sp.Stats().Flushes(); got != wantFlushes {
+				t.Fatalf("flushes = %d, want %d", got, wantFlushes)
+			}
+		})
+	}
+}

@@ -138,9 +138,14 @@ func (s *Space) register(c crashable) {
 
 // noteCell records a cell allocation and returns its space-local identity
 // (1-based), which Ctx.CellID exposes to schedule explorers.
-func (s *Space) noteCell() int {
+func (s *Space) noteCell() int { return s.noteCells(1) }
+
+// noteCells reserves k contiguous cell identities for a packed array
+// (Bits) and returns the first.
+func (s *Space) noteCells(k int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cells++
-	return s.cells
+	first := s.cells + 1
+	s.cells += k
+	return first
 }

@@ -146,7 +146,7 @@ func (o *CAS[V]) makeCasBody(pid int) func(*nvm.Ctx) bool {
 		if mutant != MutantDropRDPersist {
 			o.rd[pid].Store(ctx, newvec>>uint(pid)&1 == 1) // line 33
 		}
-		ann.SetCP(ctx, 1) // line 34
+		ann.SetCP(ctx, 1)                                                   // line 34
 		res := o.c.CompareAndSwap(ctx, cur, Pair[V]{Val: new, Vec: newvec}) // line 35
 		ann.SetResult(ctx, res)                                             // line 36
 		return res                                                          // line 37

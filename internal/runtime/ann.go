@@ -19,24 +19,29 @@ import (
 // Definition 1, which Theorem 2 proves necessary for detectable
 // implementations of doubly-perturbing objects.
 //
-// The paper has a single Ann_p per process; this implementation allocates
-// one per (process, object) pair, which is equivalent because a process
-// runs at most one recoverable operation at a time.
+// The paper has a single Ann_p per process, written and read by p alone,
+// so the three fields are owner-only words (nvm.Private): plain storage,
+// each access still one primitive. An object that serves one process at a
+// time per pid may allocate one Ann per process for all its instances —
+// internal/rw's process table does, one per kv store — or one per
+// (process, object) pair; the two are equivalent because a process runs at
+// most one recoverable operation at a time and Announce resets Resp and CP
+// before every one of them.
 type Ann[R comparable] struct {
 	// Op holds the announced operation's key ("" when idle).
-	Op nvm.CASRegister[string]
+	Op *nvm.Private[string]
 	// Resp holds the persisted response, ⊥ until the operation persists it.
-	Resp nvm.CASRegister[nvm.Maybe[R]]
+	Resp *nvm.Private[nvm.Maybe[R]]
 	// CP is the checkpoint counter.
-	CP nvm.CASRegister[int]
+	CP *nvm.Private[int]
 }
 
 // NewAnn allocates an announcement structure in sp.
 func NewAnn[R comparable](sp *nvm.Space) *Ann[R] {
 	return &Ann[R]{
-		Op:   nvm.NewWord(sp, ""),
-		Resp: nvm.NewWord(sp, nvm.None[R]()),
-		CP:   nvm.NewWord(sp, 0),
+		Op:   nvm.NewPrivate(sp, ""),
+		Resp: nvm.NewPrivate(sp, nvm.None[R]()),
+		CP:   nvm.NewPrivate(sp, 0),
 	}
 }
 

@@ -16,6 +16,13 @@ const (
 	// stale raised bit and wrongly conclude its write was linearized —
 	// claiming Ack for a write that never reached R.
 	MutantSkipToggleClear
+	// MutantSkipAnnounceReset announces the operation's name but skips the
+	// caller-side reset of Ann_p.resp to ⊥ and Ann_p.CP to 0. Ann_p and RDp
+	// are per process, so the reset is all that separates an operation from
+	// the previous one's leftovers — on any register of the table: a write
+	// that crashes early then finds the last write's response and claims
+	// Ack, or finds CP = 2 and finishes a write that never reached R.
+	MutantSkipAnnounceReset
 )
 
 // mutant is read on the operation path; it is written only by tests, before

@@ -81,7 +81,7 @@ func TestQuickToggleDiscipline(t *testing.T) {
 			if out.Status.Linearized() {
 				toggle = 1 - toggle
 			}
-			if reg.tp[0].Peek() != toggle {
+			if reg.PeekT(0) != toggle {
 				return false
 			}
 		}

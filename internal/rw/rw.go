@@ -5,8 +5,21 @@
 // the current value, the process that last wrote it, and the index of the
 // toggle-bit array that write used — plus a 3-dimensional boolean array
 // A[N][N][2] of per-process toggle bits. Each process p owns two private
-// non-volatile cells: RDp (recovery data) and Tp (which of p's two
+// non-volatile variables: RDp (recovery data) and Tp (which of p's two
 // toggle-bit arrays the next write uses).
+//
+// The state is stored at the paper's granularity. What belongs to a
+// register — R, A and, because it says which of p's arrays *this*
+// register's next write uses, T — is a Register: one word for R and one
+// packed nvm.Bits array of 2N²+N bits. What the model gives a process once
+// — RDp and the announcement Ann_p — lives in a process table, Procs, shared
+// by every register allocated from it (internal/kv allocates one per
+// store). Sharing RDp between registers is sound because recovery uses it
+// only at checkpoint ≥ 1, and the operation that set the checkpoint (line
+// 6) wrote RDp first (line 4): a stale RDp left by an operation on another
+// register is read at line 14 but never acted on, since Announce reset the
+// checkpoint to 0 and the response to ⊥ before the body ran, and a crash
+// inside Announce is StatusNotInvoked and runs no recovery at all.
 //
 // The toggle bits solve the ABA problem that bounded space exposes: a
 // recovering process p that reads the same triple from R as before the
@@ -49,80 +62,110 @@ type recoveryData[V comparable] struct {
 	QToggle int
 }
 
-// Register is an N-process detectable read/write register over value domain
-// V. All exported methods are safe for concurrent use by distinct
-// processes; a single process must not run two operations concurrently.
-type Register[V comparable] struct {
+// Procs is the per-process half of Algorithm 1 for one system: for each of
+// the N processes its private RDp, its write and read announcements, and
+// its pre-built operation closures. Any number of registers share one
+// table (NewRegister); a process runs one operation at a time, so one RDp
+// and one Ann_p per process serve them all.
+type Procs[V comparable] struct {
 	sys *runtime.System
-	n   int
 	enc func(V) int
+	p   []*proc[V]
+}
 
+// proc is process pid's entry in the table. Only pid touches it.
+type proc[V comparable] struct {
+	pid  int
+	rd   *nvm.Private[recoveryData[V]]
+	wAnn *runtime.Ann[int]
+	rAnn *runtime.Ann[V]
+
+	// The pending operation's target register and write value, staged by
+	// WriteOp/ReadOp before the operation starts so the closures below are
+	// built once per process and the hot path allocates nothing. They are
+	// volatile helper state standing for the operation's arguments, which
+	// the system hands to body and recovery function alike. Plain stores on
+	// purpose: two operations run concurrently as one pid are a data race
+	// the race detector reports.
+	reg *Register[V]
+	val V
+
+	// write's descriptor has a one-element Args slice overwritten in place
+	// by every WriteOp; the history log copies Args on retention, which
+	// keeps the aliasing invisible.
+	write runtime.Op[int]
+	read  runtime.Op[V]
+}
+
+// NewProcs allocates a process table in sys's memory space. enc encodes
+// values for history logging (use runtime.EncodeInt for V = int).
+func NewProcs[V comparable](sys *runtime.System, enc func(V) int) *Procs[V] {
+	sp := sys.Space()
+	ps := &Procs[V]{sys: sys, enc: enc}
+	for pid := 0; pid < sys.N(); pid++ {
+		p := &proc[V]{
+			pid:  pid,
+			rd:   nvm.NewPrivate(sp, recoveryData[V]{}),
+			wAnn: runtime.NewAnn[int](sp),
+			rAnn: runtime.NewAnn[V](sp),
+		}
+		p.write = runtime.Op[int]{
+			Desc:     spec.NewOp(spec.MethodWrite, 0),
+			Announce: func(ctx *nvm.Ctx) { announce(ctx, p.wAnn, "write") },
+			Body:     p.writeBody,
+			Recover:  p.writeRecover,
+			Encode:   runtime.EncodeInt,
+		}
+		p.read = runtime.Op[V]{
+			Desc:     spec.NewOp(spec.MethodRead),
+			Announce: func(ctx *nvm.Ctx) { announce(ctx, p.rAnn, "read") },
+			Body:     p.readBody,
+			Recover:  p.readRecover,
+			Encode:   enc,
+		}
+		ps.p = append(ps.p, p)
+	}
+	return ps
+}
+
+// announce is the caller-side announcement (see MutantSkipAnnounceReset).
+func announce[R comparable](ctx *nvm.Ctx, ann *runtime.Ann[R], op string) {
+	if mutant == MutantSkipAnnounceReset {
+		ann.Op.Store(ctx, op)
+		return
+	}
+	ann.Announce(ctx, op)
+}
+
+// Register is an N-process detectable read/write register over value domain
+// V: the shared word R and the register's bit array. All exported methods
+// are safe for concurrent use by distinct processes; a single process must
+// not run two operations concurrently — on this register or on any other
+// register of the same process table.
+type Register[V comparable] struct {
+	procs *Procs[V]
 	// r is the shared register R, initially ⟨vinit, 0, 0⟩ — attributing the
 	// initial value to a write by process 0 using toggle array 0.
 	r nvm.CASRegister[Triple[V]]
-	// a[i][p][b] is the toggle bit through which writer p coordinates with
-	// process i using p's toggle array b.
-	a [][][2]nvm.CASRegister[bool]
-	// rd[p] and tp[p] are p's private non-volatile variables.
-	rd []nvm.CASRegister[recoveryData[V]]
-	tp []nvm.CASRegister[int]
+	// bits holds A[N][N][2] followed by T[N]; see toggle and tp.
+	bits *nvm.Bits
+}
 
-	wAnn []*runtime.Ann[int]
-	rAnn []*runtime.Ann[V]
-
-	// Cached per-process operation closures, so building an Op on the hot
-	// path allocates nothing. The closures are stateless across calls: the
-	// pending write value travels through wVals[p], written by WriteOp
-	// before the operation starts (it is volatile helper state — recovery
-	// never reads it, exactly as the paper's recovery functions take no
-	// arguments beyond the announcement). wDescs[p] is p's reusable write
-	// descriptor: its one-element Args slice is overwritten by every WriteOp
-	// of p, so the whole hot path allocates nothing; the history log copies
-	// Args on retention, which keeps the aliasing invisible.
-	wVals    []V
-	wDescs   []spec.Operation
-	wAnnFn   []func(*nvm.Ctx)
-	wBodyFn  []func(*nvm.Ctx) int
-	wRecovFn []func(*nvm.Ctx) (int, bool)
-	readOps  []runtime.Op[V]
+// NewRegister allocates a register initialized to vinit that shares ps's
+// per-process state.
+func (ps *Procs[V]) NewRegister(vinit V) *Register[V] {
+	sp, n := ps.sys.Space(), len(ps.p)
+	return &Register[V]{
+		procs: ps,
+		r:     nvm.NewWord(sp, Triple[V]{Val: vinit, Q: 0, Toggle: 0}),
+		bits:  nvm.NewBits(sp, 2*n*n+n),
+	}
 }
 
 // New allocates a detectable register in sys's memory space, initialized to
-// vinit. enc encodes values for history logging (use runtime.EncodeInt for
-// V = int).
+// vinit: a process table of its own plus one register.
 func New[V comparable](sys *runtime.System, vinit V, enc func(V) int) *Register[V] {
-	sp := sys.Space()
-	n := sys.N()
-	reg := &Register[V]{
-		sys: sys,
-		n:   n,
-		enc: enc,
-		r:   nvm.NewWord(sp, Triple[V]{Val: vinit, Q: 0, Toggle: 0}),
-	}
-	reg.a = make([][][2]nvm.CASRegister[bool], n)
-	for i := 0; i < n; i++ {
-		reg.a[i] = make([][2]nvm.CASRegister[bool], n)
-		for p := 0; p < n; p++ {
-			reg.a[i][p][0] = nvm.NewWord(sp, false)
-			reg.a[i][p][1] = nvm.NewWord(sp, false)
-		}
-	}
-	for p := 0; p < n; p++ {
-		reg.rd = append(reg.rd, nvm.NewWord(sp, recoveryData[V]{}))
-		reg.tp = append(reg.tp, nvm.NewWord(sp, 0))
-		reg.wAnn = append(reg.wAnn, runtime.NewAnn[int](sp))
-		reg.rAnn = append(reg.rAnn, runtime.NewAnn[V](sp))
-	}
-	reg.wVals = make([]V, n)
-	reg.wDescs = make([]spec.Operation, n)
-	for p := 0; p < n; p++ {
-		reg.wDescs[p] = spec.NewOp(spec.MethodWrite, 0)
-		reg.wAnnFn = append(reg.wAnnFn, reg.makeWriteAnnounce(p))
-		reg.wBodyFn = append(reg.wBodyFn, reg.makeWriteBody(p))
-		reg.wRecovFn = append(reg.wRecovFn, reg.makeWriteRecover(p))
-		reg.readOps = append(reg.readOps, reg.makeReadOp(p))
-	}
-	return reg
+	return NewProcs(sys, enc).NewRegister(vinit)
 }
 
 // NewInt allocates a detectable register over int values.
@@ -130,122 +173,122 @@ func NewInt(sys *runtime.System, vinit int) *Register[int] {
 	return New(sys, vinit, runtime.EncodeInt)
 }
 
+// toggle is the index of A[i][p][b], the bit through which writer p
+// coordinates with process i using p's toggle array b. Writer-major, so the
+// N bits a write raises (lines 9–10) sit in one word.
+func (reg *Register[V]) toggle(i, p, b int) int {
+	return (2*p+b)*len(reg.procs.p) + i
+}
+
+// tp is the index of T_p, p's private toggle index for this register.
+func (reg *Register[V]) tp(p int) int {
+	n := len(reg.procs.p)
+	return 2*n*n + p
+}
+
 // Write performs a detectable Write(val) as process pid, following the
 // crash-recovery protocol. plans optionally inject deterministic crashes.
 func (reg *Register[V]) Write(pid int, val V, plans ...nvm.CrashPlan) runtime.Outcome[int] {
-	return runtime.Execute(reg.sys, pid, reg.WriteOp(pid, val), plans...)
+	return runtime.Execute(reg.procs.sys, pid, reg.WriteOp(pid, val), plans...)
 }
 
 // Read performs a detectable Read() as process pid.
 func (reg *Register[V]) Read(pid int, plans ...nvm.CrashPlan) runtime.Outcome[V] {
-	return runtime.Execute(reg.sys, pid, reg.ReadOp(pid), plans...)
+	return runtime.Execute(reg.procs.sys, pid, reg.ReadOp(pid), plans...)
 }
 
 // WriteOp builds the recoverable Write operation instance for pid. Exposed
-// so schedule-driven tests and the NRL wrapper can run it directly. The
-// closures and the descriptor are pre-built per process, so the hot path
-// allocates nothing: val is staged in wVals[pid] (read once by the body)
-// and the descriptor's argument slot is overwritten in place — Desc.Args
-// stays valid only until pid's next WriteOp, and the history log copies it
-// on retention.
+// so schedule-driven tests and the NRL wrapper can run it directly. The Op
+// is pre-built per process, so the hot path allocates nothing: the target
+// register and val are staged in pid's table entry and the descriptor's
+// argument slot is overwritten in place. The Op therefore stays valid only
+// until pid's next WriteOp or ReadOp on any register of the table.
 func (reg *Register[V]) WriteOp(pid int, val V) runtime.Op[int] {
-	reg.wVals[pid] = val
-	reg.wDescs[pid].Args[0] = reg.enc(val)
-	return runtime.Op[int]{
-		Desc:     reg.wDescs[pid],
-		Announce: reg.wAnnFn[pid],
-		Body:     reg.wBodyFn[pid],
-		Recover:  reg.wRecovFn[pid],
-		Encode:   runtime.EncodeInt,
-	}
+	p := reg.procs.p[pid]
+	p.reg, p.val = reg, val
+	p.write.Desc.Args[0] = reg.procs.enc(val)
+	return p.write
 }
 
-func (reg *Register[V]) makeWriteAnnounce(pid int) func(*nvm.Ctx) {
-	ann := reg.wAnn[pid]
-	return func(ctx *nvm.Ctx) { ann.Announce(ctx, "write") }
+func (p *proc[V]) writeBody(ctx *nvm.Ctx) int {
+	reg, pid := p.reg, p.pid
+	t := reg.r.Load(ctx) // line 1
+	if mutant != MutantSkipToggleClear {
+		reg.bits.Store(ctx, reg.toggle(pid, t.Q, 1-t.Toggle), false) // line 2
+	}
+	mtoggle := b2i(reg.bits.Load(ctx, reg.tp(pid))) // line 3
+	p.rd.Store(ctx, recoveryData[V]{                // line 4
+		MToggle: mtoggle, QVal: t.Val, Q: t.Q, QToggle: t.Toggle,
+	})
+	if reg.r.Load(ctx) == t { // line 5
+		p.wAnn.SetCP(ctx, 1)                                             // line 6
+		reg.r.Store(ctx, Triple[V]{Val: p.val, Q: pid, Toggle: mtoggle}) // line 7
+	}
+	return p.finishWrite(ctx, mtoggle) // lines 8-13
 }
 
-func (reg *Register[V]) makeWriteBody(pid int) func(*nvm.Ctx) int {
-	ann := reg.wAnn[pid]
-	return func(ctx *nvm.Ctx) int {
-		val := reg.wVals[pid] // the staged argument
-		t := reg.r.Load(ctx)  // line 1
-		if mutant != MutantSkipToggleClear {
-			reg.a[pid][t.Q][1-t.Toggle].Store(ctx, false) // line 2
-		}
-		mtoggle := reg.tp[pid].Load(ctx) // line 3
-		reg.rd[pid].Store(ctx, recoveryData[V]{       // line 4
-			MToggle: mtoggle, QVal: t.Val, Q: t.Q, QToggle: t.Toggle,
-		})
-		if reg.r.Load(ctx) == t { // line 5
-			ann.SetCP(ctx, 1)                                              // line 6
-			reg.r.Store(ctx, Triple[V]{Val: val, Q: pid, Toggle: mtoggle}) // line 7
-		}
-		return reg.finishWrite(ctx, pid, mtoggle, ann) // lines 8-13
+func (p *proc[V]) writeRecover(ctx *nvm.Ctx) (int, bool) {
+	reg := p.reg
+	d := p.rd.Load(ctx)                 // line 14
+	if r := p.wAnn.Result(ctx); r.Set { // line 15
+		return spec.Ack, true // line 16
 	}
-}
-
-func (reg *Register[V]) makeWriteRecover(pid int) func(*nvm.Ctx) (int, bool) {
-	ann := reg.wAnn[pid]
-	return func(ctx *nvm.Ctx) (int, bool) {
-		d := reg.rd[pid].Load(ctx)       // line 14
-		if r := ann.Result(ctx); r.Set { // line 15
-			return spec.Ack, true // line 16
+	switch p.wAnn.GetCP(ctx) {
+	case 0: // line 17
+		return 0, false // line 18
+	case 1: // line 19
+		if reg.r.Load(ctx) == (Triple[V]{Val: d.QVal, Q: d.Q, Toggle: d.QToggle}) &&
+			!reg.bits.Load(ctx, reg.toggle(p.pid, d.Q, 1-d.QToggle)) { // line 20
+			return 0, false // line 21
 		}
-		switch ann.GetCP(ctx) {
-		case 0: // line 17
-			return 0, false // line 18
-		case 1: // line 19
-			if reg.r.Load(ctx) == (Triple[V]{Val: d.QVal, Q: d.Q, Toggle: d.QToggle}) &&
-				!reg.a[pid][d.Q][1-d.QToggle].Load(ctx) { // line 20
-				return 0, false // line 21
-			}
-		}
-		return reg.finishWrite(ctx, pid, d.MToggle, ann), true // lines 22-27
 	}
+	return p.finishWrite(ctx, d.MToggle), true // lines 22-27
 }
 
 // finishWrite is the common tail of Write (lines 8–13) and Write.Recover
 // (lines 22–27): persist checkpoint 2, raise all of pid's toggle bits for
 // the used array, switch the private toggle index, persist the response.
-func (reg *Register[V]) finishWrite(ctx *nvm.Ctx, pid, mtoggle int, ann *runtime.Ann[int]) int {
-	ann.SetCP(ctx, 2)            // line 8 / 22
-	for i := 0; i < reg.n; i++ { // lines 9-10 / 23-24
-		reg.a[i][pid][mtoggle].Store(ctx, true)
+func (p *proc[V]) finishWrite(ctx *nvm.Ctx, mtoggle int) int {
+	reg := p.reg
+	p.wAnn.SetCP(ctx, 2)                    // line 8 / 22
+	for i := 0; i < len(reg.procs.p); i++ { // lines 9-10 / 23-24
+		reg.bits.Store(ctx, reg.toggle(i, p.pid, mtoggle), true)
 	}
-	reg.tp[pid].Store(ctx, 1-mtoggle) // line 11 / 25
-	ann.SetResult(ctx, spec.Ack)      // line 12 / 26
-	return spec.Ack                   // line 13 / 27
+	reg.bits.Store(ctx, reg.tp(p.pid), mtoggle == 0) // line 11 / 25: T_p := 1 - mtoggle
+	p.wAnn.SetResult(ctx, spec.Ack)                  // line 12 / 26
+	return spec.Ack                                  // line 13 / 27
 }
 
 // ReadOp returns the recoverable Read operation instance for pid. Per the
 // paper, the recovery function re-invokes Read when no response was
 // persisted; it never returns fail (a read has no effect on the object).
 // Reads take no argument, so the whole Op is pre-built per process and the
-// crash-free read path allocates nothing.
+// crash-free read path allocates nothing; like WriteOp it stages the target
+// register and stays valid until pid's next WriteOp or ReadOp.
 func (reg *Register[V]) ReadOp(pid int) runtime.Op[V] {
-	return reg.readOps[pid]
+	p := reg.procs.p[pid]
+	p.reg = reg
+	return p.read
 }
 
-func (reg *Register[V]) makeReadOp(pid int) runtime.Op[V] {
-	ann := reg.rAnn[pid]
-	body := func(ctx *nvm.Ctx) V {
-		t := reg.r.Load(ctx)
-		ann.SetResult(ctx, t.Val)
-		return t.Val
+func (p *proc[V]) readBody(ctx *nvm.Ctx) V {
+	t := p.reg.r.Load(ctx)
+	p.rAnn.SetResult(ctx, t.Val)
+	return t.Val
+}
+
+func (p *proc[V]) readRecover(ctx *nvm.Ctx) (V, bool) {
+	if r := p.rAnn.Result(ctx); r.Set {
+		return r.Val, true
 	}
-	return runtime.Op[V]{
-		Desc:     spec.NewOp(spec.MethodRead),
-		Announce: func(ctx *nvm.Ctx) { ann.Announce(ctx, "read") },
-		Body:     body,
-		Recover: func(ctx *nvm.Ctx) (V, bool) {
-			if r := ann.Result(ctx); r.Set {
-				return r.Val, true
-			}
-			return body(ctx), true
-		},
-		Encode: reg.enc,
+	return p.readBody(ctx), true
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 // PeekTriple returns the shared register's current triple without a Ctx,
@@ -253,7 +296,10 @@ func (reg *Register[V]) makeReadOp(pid int) runtime.Op[V] {
 func (reg *Register[V]) PeekTriple() Triple[V] { return reg.r.Peek() }
 
 // PeekToggle returns toggle bit A[i][p][b] without a Ctx, for tests.
-func (reg *Register[V]) PeekToggle(i, p, b int) bool { return reg.a[i][p][b].Peek() }
+func (reg *Register[V]) PeekToggle(i, p, b int) bool { return reg.bits.Peek(reg.toggle(i, p, b)) }
+
+// PeekT returns T_p without a Ctx, for tests.
+func (reg *Register[V]) PeekT(p int) int { return b2i(reg.bits.Peek(reg.tp(p))) }
 
 // N returns the number of processes the register was allocated for.
-func (reg *Register[V]) N() int { return reg.n }
+func (reg *Register[V]) N() int { return len(reg.procs.p) }

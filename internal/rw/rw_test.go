@@ -86,7 +86,7 @@ func TestWriteSetsToggleBitsAndFlipsT(t *testing.T) {
 			t.Fatalf("A[%d][1][0] = 0 after write with toggle 0", i)
 		}
 	}
-	if got := reg.tp[1].Peek(); got != 1 {
+	if got := reg.PeekT(1); got != 1 {
 		t.Fatalf("T_1 = %d after first write, want 1", got)
 	}
 }

@@ -124,3 +124,47 @@ func TestAllocPinServedMultiPut(t *testing.T) {
 		t.Fatalf("warm served MPUT allocates %v/op, want 0", allocs)
 	}
 }
+
+// The served counterparts of shardkv's rotating pins: 64 keys in rotation
+// and a fresh value per PUT, so no cache of the previous value can stand in
+// for an allocation-free path. A served GET allocates nothing; a served PUT
+// allocates at most the box of the register's new triple.
+func TestAllocPinServedRotating(t *testing.T) {
+	store := shardkv.New(4, 2)
+	srv := New(store)
+	ls, err := srv.NewLoopbackSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = "rot-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+	}
+	payload := make([]byte, 0, 64)
+	i := 0
+	put := func() {
+		payload = AppendPut(payload[:0], ls.NextID(), 0, keys[i%len(keys)], i+1)
+		i++
+		if reply := ls.Handle(payload); len(reply) == 0 || reply[0] != StatusOK {
+			t.Fatalf("PUT reply %v", reply)
+		}
+	}
+	get := func() {
+		payload = AppendGet(payload[:0], ls.NextID(), 0, keys[i%len(keys)])
+		i++
+		if reply := ls.Handle(payload); len(reply) == 0 || reply[0] != StatusOK {
+			t.Fatalf("GET reply %v", reply)
+		}
+	}
+	for n := 0; n < 4*shardkv.DefaultRingCapacity+2*Window; n++ {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs > 1 {
+		t.Fatalf("served PUT of fresh values allocates %v/op, want ≤ 1 (R's triple)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, get); allocs != 0 {
+		t.Fatalf("served GET over %d keys allocates %v/op, want 0", len(keys), allocs)
+	}
+}

@@ -353,16 +353,17 @@ func (srv *Server) handleConn(conn net.Conn) {
 		if err := WriteFrame(bw, reply); err != nil {
 			return
 		}
+		if closing {
+			// Before the ack leaves: a client that has seen it may count
+			// on the slot being free again.
+			srv.endSession(sess)
+		}
 		if closing || fatal || br.Buffered() == 0 {
 			if err := bw.Flush(); err != nil {
 				return
 			}
 		}
-		if closing {
-			srv.endSession(sess)
-			return
-		}
-		if fatal {
+		if closing || fatal {
 			return
 		}
 	}

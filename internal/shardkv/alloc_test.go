@@ -67,3 +67,72 @@ func TestAllocPinMultiPutWith(t *testing.T) {
 		t.Fatalf("warm MultiPutWith allocates %v/op, want 0", allocs)
 	}
 }
+
+// The same pin for a batch large enough to fan out: the helpers are started
+// through a method value bound once per scratch, so the parallel path
+// allocates nothing either, on any number of cores.
+func TestAllocPinMultiPutFanOut(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the parallel fan-out path")
+	}
+	s := New(8, 2, Parallel(4))
+	entries := make([]KV, 2*minFanOut)
+	for i, k := range pinKeys(len(entries)) {
+		entries[i] = KV{Key: k, Val: i}
+	}
+	var sc BatchScratch
+	for i := 0; i < 2*DefaultRingCapacity/len(entries)*8+2; i++ {
+		s.MultiPutWith(&sc, 0, entries)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.MultiPutWith(&sc, 0, entries)
+	}); allocs != 0 {
+		t.Fatalf("warm fanned-out MultiPutWith allocates %v/op, want 0", allocs)
+	}
+}
+
+// pinKeys returns n distinct keys for the rotating pins below.
+func pinKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = "rot-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+	}
+	return keys
+}
+
+// The single-key pins above PUT and GET one key with one value, which a
+// one-value cache in front of an allocation also satisfies. These rotate 64
+// keys and write a value never written before on every op: a Get allocates
+// nothing, and a Put allocates exactly what it must — the box of the shared
+// word R's new triple — because the announcements and RD_p are owner-only
+// words that store their values in place.
+func TestAllocPinRotatingGet(t *testing.T) {
+	s := New(4, 2)
+	keys := pinKeys(64)
+	for i, k := range keys {
+		s.PutRetry(0, k, i+1)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.Get(0, keys[i%len(keys)])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("crash-free Get over %d keys allocates %v/op, want 0", len(keys), allocs)
+	}
+}
+
+func TestAllocPinRotatingPut(t *testing.T) {
+	s := New(4, 2)
+	keys := pinKeys(64)
+	i := 0
+	put := func() {
+		s.Put(0, keys[i%len(keys)], i+1) // a fresh value every op
+		i++
+	}
+	for n := 0; n < 4*DefaultRingCapacity; n++ {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs > 1 {
+		t.Fatalf("crash-free Put of fresh values over %d keys allocates %v/op, want ≤ 1 (R's triple)", len(keys), allocs)
+	}
+}

@@ -13,7 +13,7 @@ import (
 // worker served its shard.
 func TestParallelMultiPutAlignsWithEntries(t *testing.T) {
 	s := New(8, 2, Parallel(8))
-	entries := make([]KV, 200)
+	entries := make([]KV, 2*minFanOut)
 	for i := range entries {
 		entries[i] = KV{Key: fmt.Sprintf("k-%d", i), Val: i * 11}
 	}
@@ -42,7 +42,7 @@ func TestParallelMultiPutAlignsWithEntries(t *testing.T) {
 // TestParallelEqualsSerial pins that the parallel fan-out and the serial
 // path compute identical results and stats for the same batch.
 func TestParallelEqualsSerial(t *testing.T) {
-	entries := make([]KV, 100)
+	entries := make([]KV, 2*minFanOut)
 	for i := range entries {
 		entries[i] = KV{Key: fmt.Sprintf("k-%d", i%37), Val: i}
 	}
@@ -64,7 +64,7 @@ func TestParallelEqualsSerial(t *testing.T) {
 // deterministic crash to exactly one shard's group under the fan-out.
 func TestParallelPlansRouteToShards(t *testing.T) {
 	s := New(4, 2, Parallel(4))
-	entries := make([]KV, 64)
+	entries := make([]KV, minFanOut)
 	for i := range entries {
 		entries[i] = KV{Key: fmt.Sprintf("k-%d", i), Val: i}
 	}
@@ -97,8 +97,8 @@ func TestRaceParallelBatches(t *testing.T) {
 	const (
 		shards  = 8
 		procs   = 4
-		rounds  = 30
-		perProc = 16
+		rounds  = 10
+		perProc = minFanOut // smaller batches run serially on the caller
 	)
 	s := New(shards, procs, Parallel(shards))
 	stop := make(chan struct{})
