@@ -34,7 +34,7 @@
 // (BENCH_PR8.json) can measure both sides through the same served path.
 //
 // With -group-commit (the default when durable), concurrent commits
-// coalesce into epochs sharing one fsync pair: every mutating reply is
+// coalesce into epochs sharing one fsync: every mutating reply is
 // released on its epoch's boundary, after the fsync that anchors it, so
 // detectability is never weakened — N writers just split the cost of the
 // barrier instead of each paying it. -epoch-interval adds a batching
@@ -66,7 +66,7 @@ func main() {
 	procs := flag.Int("procs", 8, "process slots (max concurrent non-observer sessions)")
 	data := flag.String("data", "", "durable data directory (empty = in-memory only; state dies with the process)")
 	dur := flag.Duration("dur", 0, "serve duration (0 = until SIGINT/SIGTERM)")
-	groupCommit := flag.Bool("group-commit", true, "coalesce concurrent commits into epochs sharing one fsync pair")
+	groupCommit := flag.Bool("group-commit", true, "coalesce concurrent commits into epochs sharing one fsync")
 	epochInterval := flag.Duration("epoch-interval", 0, "group-commit batching window (0 = anchor epochs immediately)")
 	lockedTable := flag.Bool("locked-keytable", false, "use the RWMutex-guarded key table instead of the lock-free copy-on-write one (benchmark baseline)")
 	replicaOf := flag.String("replica-of", "", "start as a warm standby replicating from the primary at this address (requires -data)")

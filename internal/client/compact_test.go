@@ -45,8 +45,8 @@ func TestRePutThenCompactKeepsKeys(t *testing.T) {
 	if _, err := c.Get("zzzzzzzzzzzzzzzzzzzz"); err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	if err := db.CompactShard(0); err != nil {
-		t.Fatalf("CompactShard: %v", err)
+	if err := db.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
 	c.Close() //nolint:errcheck
 	srv.Close()

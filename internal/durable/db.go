@@ -12,26 +12,32 @@ import (
 	"sync/atomic"
 )
 
-// DefaultCompactAt is the per-log byte threshold past which the next
-// append triggers a compaction: the live state is written to a fresh
-// snapshot and the log is reset.
+// DefaultCompactAt is the write-ahead log's byte threshold: the anchor
+// that finds the log past it compacts — the live state is written to fresh
+// snapshots and the log is reset.
 const DefaultCompactAt = 1 << 20
 
-// Record kinds. Shard logs and shard snapshots hold only recPut; the
-// sessions log holds the session-lifecycle kinds, and the sessions
-// snapshot additionally a recNextSID high-water mark.
+// manifestVersion is the on-disk layout this package reads and writes: one
+// wal.log per data directory. Version 1 kept one shard-NNN.log per shard
+// and a sessions.log; it is refused at open, not upgraded.
+const manifestVersion = 2
+
+// Record kinds. The write-ahead log holds recPutAt and the four session
+// kinds; shard snapshots hold only recPut, the sessions snapshot the
+// session kinds.
 const (
 	recPut     = 0x01 // u16 key, i64 val — one durable root persisted
 	recHello   = 0x02 // u64 sid, i64 pid — session opened
 	recOutcome = 0x03 // u64 sid, u64 reqID, u32 len, reply — verdict persisted
 	recEnd     = 0x04 // u64 sid — session closed
 	recNextSID = 0x05 // u64 next — session-ID high-water mark
+	recPutAt   = 0x06 // u32 shard, then a recPut record — a put journaled for that shard
 )
 
-// manifest pins the store geometry a data directory was created with. A
-// reopen under different geometry is refused: shard routing (hash mod
-// shards) and session process slots are only meaningful under the original
-// one.
+// manifest pins the layout version and store geometry a data directory was
+// created with. A reopen under different geometry is refused: shard routing
+// (hash mod shards) and session process slots are only meaningful under the
+// original one.
 type manifest struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
@@ -52,37 +58,39 @@ type SessionState struct {
 	Window map[uint64][]byte
 }
 
-// shardFile is one shard's durable state: the record log, the snapshot
-// path, and the live key→value mirror the next compaction writes.
+// shardFile is one shard's durable state: the snapshot path and the live
+// key→value mirror the next compaction writes. mu also orders the shard's
+// puts in the write-ahead log.
 type shardFile struct {
 	mu    sync.Mutex
-	log   *Log
 	snap  string
 	state map[string]*int64 // see shardFile.set
-	enc   []byte            // reusable put-record scratch, guarded by mu
+	enc   []byte            // reusable put-at record scratch, guarded by mu
 }
 
-// sessionsFile is the session layer's durable state.
+// sessionsFile is the session layer's durable state. mu is the anchor lock:
+// session records are appended to the write-ahead log, made durable and
+// folded into the mirror under it, so the mirror holds durable records only
+// and no session record is ever left staged when it is released.
 type sessionsFile struct {
 	mu      sync.Mutex
-	log     *Log
 	snap    string
 	state   map[uint64]*SessionState
 	nextSID uint64
 	window  int
-	enc     []byte
 }
 
-// DB is one open durable data directory: per-shard record logs and
-// snapshots plus the sessions log. It implements the commit protocol of
-// docs/DURABILITY.md: mutations are journaled into shard logs as they
-// linearize, and CommitOutcome orders "shard records durable" strictly
-// before "outcome record durable" so no released verdict can outlive its
-// effect across a crash.
+// DB is one open durable data directory: the write-ahead log plus the
+// per-shard and sessions snapshots. It implements the commit protocol of
+// docs/DURABILITY.md: mutations are journaled into the log as they
+// linearize, an outcome record is appended behind the puts it depends on,
+// and recovery accepts only a valid prefix of the log — so no released
+// verdict can outlive its effect across a crash.
 type DB struct {
 	fs        Fs
 	dir       string
 	unlock    func() // releases the exclusive lock on the data directory
+	wal       *Log
 	shards    []*shardFile
 	sessions  sessionsFile
 	procs     int
@@ -133,37 +141,41 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 		state:  make(map[uint64]*SessionState),
 		window: window,
 	}
+	// Snapshots first, then one scan of the log over them.
 	for i := 0; i < shards; i++ {
 		sf := &shardFile{
 			snap:  filepath.Join(dir, fmt.Sprintf("shard-%03d.snap", i)),
 			state: make(map[string]*int64),
 		}
-		replay := func(rec []byte) error { return sf.apply(rec) }
-		if err := ReplaySnapshotFs(fsys, sf.snap, replay); err != nil {
-			db.closePartial()
+		if err := ReplaySnapshotFs(fsys, sf.snap, sf.apply); err != nil {
+			unlock()
 			return nil, err
 		}
-		log, err := OpenLogFs(fsys, filepath.Join(dir, fmt.Sprintf("shard-%03d.log", i)), replay)
-		if err != nil {
-			db.closePartial()
-			return nil, err
-		}
-		sf.log = log
 		db.shards = append(db.shards, sf)
 	}
-	ss := &db.sessions
-	replay := func(rec []byte) error { return ss.apply(rec) }
-	if err := ReplaySnapshotFs(fsys, ss.snap, replay); err != nil {
-		db.closePartial()
+	if err := ReplaySnapshotFs(fsys, db.sessions.snap, db.sessions.apply); err != nil {
+		unlock()
 		return nil, err
 	}
-	log, err := OpenLogFs(fsys, filepath.Join(dir, "sessions.log"), replay)
-	if err != nil {
-		db.closePartial()
+	if db.wal, err = OpenLogFs(fsys, filepath.Join(dir, "wal.log"), db.replay); err != nil {
+		unlock()
 		return nil, err
 	}
-	ss.log = log
 	return db, nil
+}
+
+// replay folds one write-ahead-log record into the mirrors, dispatching by
+// kind.
+func (db *DB) replay(rec []byte) error {
+	if len(rec) > 0 && rec[0] == recPutAt {
+		shard, key, val, err := decodePutAt(rec, len(db.shards))
+		if err != nil {
+			return err
+		}
+		db.shards[shard].set(key, val, false) // decodePutAt's key is a fresh string
+		return nil
+	}
+	return db.sessions.apply(rec)
 }
 
 // checkManifest creates the geometry manifest on first open and verifies
@@ -172,7 +184,7 @@ func checkManifest(fsys Fs, dir string, shards, procs int) (uint64, error) {
 	path := filepath.Join(dir, "MANIFEST")
 	data, err := fsys.ReadFile(path)
 	if os.IsNotExist(err) {
-		data, _ = json.Marshal(manifest{Version: 1, Shards: shards, Procs: procs})
+		data, _ = json.Marshal(manifest{Version: manifestVersion, Shards: shards, Procs: procs})
 		return 0, AtomicWriteFileFs(fsys, path, append(data, '\n'))
 	}
 	if err != nil {
@@ -182,6 +194,10 @@ func checkManifest(fsys Fs, dir string, shards, procs int) (uint64, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return 0, fmt.Errorf("durable: corrupt MANIFEST in %s: %w", dir, err)
 	}
+	if m.Version != manifestVersion {
+		return 0, fmt.Errorf("durable: %s is a version %d data directory, this build reads and writes version %d only (one wal.log in place of version 1's shard-NNN.log and sessions.log) and has no upgrader",
+			dir, m.Version, manifestVersion)
+	}
 	if m.Shards != shards || m.Procs != procs {
 		return 0, fmt.Errorf("durable: %s was created with shards=%d procs=%d, refusing to open with shards=%d procs=%d",
 			dir, m.Shards, m.Procs, shards, procs)
@@ -189,33 +205,18 @@ func checkManifest(fsys Fs, dir string, shards, procs int) (uint64, error) {
 	return m.Generation, nil
 }
 
-func (db *DB) closePartial() {
-	for _, sf := range db.shards {
-		if sf.log != nil {
-			sf.log.Close()
-		}
-	}
-	if db.sessions.log != nil {
-		db.sessions.log.Close()
-	}
-	db.unlock()
-}
-
-// NumShards returns the number of shard logs.
+// NumShards returns the shard count.
 func (db *DB) NumShards() int { return len(db.shards) }
 
 // Procs returns the process-slot count the directory was created for.
 func (db *DB) Procs() int { return db.procs }
 
-// SetCompactThreshold overrides the per-log compaction threshold, for
-// tests that want compactions after a handful of records.
+// SetCompactThreshold overrides the write-ahead log's compaction threshold,
+// for tests that want compactions after a handful of records.
 func (db *DB) SetCompactThreshold(bytes int64) { db.compactAt = bytes }
 
-// apply folds one shard record into the mirror.
+// apply folds one shard-snapshot record into the mirror.
 func (sf *shardFile) apply(rec []byte) error {
-	if len(rec) < 1 || rec[0] != recPut {
-		return fmt.Errorf("unexpected shard record kind")
-	}
 	key, val, ok := decodePut(rec)
 	if !ok {
 		return fmt.Errorf("malformed put record")
@@ -240,7 +241,8 @@ func (sf *shardFile) set(key string, val int64, transient bool) {
 	if transient {
 		key = strings.Clone(key)
 	}
-	sf.state[key] = &val
+	v := val // &val would move the parameter to the heap on every call
+	sf.state[key] = &v
 }
 
 func encodePut(dst []byte, key string, val int64) []byte {
@@ -251,7 +253,7 @@ func encodePut(dst []byte, key string, val int64) []byte {
 }
 
 func decodePut(rec []byte) (key string, val int64, ok bool) {
-	if len(rec) < 3 {
+	if len(rec) < 3 || rec[0] != recPut {
 		return "", 0, false
 	}
 	n := int(binary.BigEndian.Uint16(rec[1:]))
@@ -261,6 +263,33 @@ func decodePut(rec []byte) (key string, val int64, ok bool) {
 	key = string(rec[3 : 3+n])
 	val = int64(binary.BigEndian.Uint64(rec[3+n:]))
 	return key, val, true
+}
+
+// encodePutAt appends the write-ahead-log form of a put: the shard it was
+// journaled for, then the put record. The replication tap forwards these
+// bytes as they are (ReplShardRec).
+func encodePutAt(dst []byte, shard int, key string, val int64) []byte {
+	dst = append(dst, recPutAt)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(shard))
+	return encodePut(dst, key, val)
+}
+
+// decodePutAt decodes a put-at record and checks its shard index against
+// the geometry: a record for a shard this store does not have is refused,
+// at recovery as on the replication stream.
+func decodePutAt(rec []byte, shards int) (shard int, key string, val int64, err error) {
+	if len(rec) < 5 || rec[0] != recPutAt {
+		return 0, "", 0, fmt.Errorf("malformed put-at record")
+	}
+	s := binary.BigEndian.Uint32(rec[1:])
+	if s >= uint32(shards) {
+		return 0, "", 0, fmt.Errorf("put-at record for shard %d of %d", s, shards)
+	}
+	key, val, ok := decodePut(rec[5:])
+	if !ok {
+		return 0, "", 0, fmt.Errorf("malformed put record")
+	}
+	return int(s), key, val, nil
 }
 
 // RangeShard calls fn for every durable root recovered in shard i, in
@@ -284,10 +313,10 @@ func (db *DB) RangeShard(i int, fn func(key string, val int64)) {
 	}
 }
 
-// ShardBacking adapts one shard's record log to internal/nvm's Backing
-// seam: Persist journals one durable root, Sync is that shard's
-// durability barrier. Obtain one from DB.ShardBacking and hand it to
-// nvm.Space.SetBacking.
+// ShardBacking adapts one shard's share of the write-ahead log to
+// internal/nvm's Backing seam: Persist journals one durable root, Sync is
+// the log's durability barrier. Obtain one from DB.ShardBacking and hand it
+// to nvm.Space.SetBacking.
 type ShardBacking struct {
 	db *DB
 	i  int
@@ -297,36 +326,33 @@ type ShardBacking struct {
 func (db *DB) ShardBacking(i int) ShardBacking { return ShardBacking{db: db, i: i} }
 
 // Persist implements nvm.Backing: it appends one persisted root to the
-// shard's log, buffered until the next Sync or CommitOutcome barrier.
+// write-ahead log, buffered until the next Sync or CommitOutcome barrier.
 func (b ShardBacking) Persist(key string, val int64) { b.db.journalPut(b.i, key, val) }
 
 // Sync implements nvm.Backing.
-func (b ShardBacking) Sync() error { return b.db.shards[b.i].log.Sync() }
+func (b ShardBacking) Sync() error { return b.db.Sync() }
 
-// journalPut appends one persisted root to shard i's log and mirror,
-// compacting when the log crosses the threshold. The caller's key may
-// alias a transient buffer (the server decodes keys zero-copy out of the
-// connection frame); the mirror clones it on first insert — the only place
-// this layer retains a key — and never stores it afterwards (shardFile.set).
+// journalPut appends one persisted root to shard i's mirror and, as a
+// put-at record, to the write-ahead log. It only stages — no disk, no
+// compaction — so the shard lock is never held across I/O. The caller's key
+// may alias a transient buffer (the server decodes keys zero-copy out of
+// the connection frame); the mirror clones it on first insert — the only
+// place this layer retains a key — and never stores it afterwards
+// (shardFile.set).
 func (db *DB) journalPut(i int, key string, val int64) {
 	sf := db.shards[i]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	sf.set(key, val, true)
-	sf.enc = encodePut(sf.enc[:0], key, val)
-	if err := sf.log.Append(sf.enc); err != nil {
-		// The append never reached the file: the mirror and the log disagree
+	sf.enc = encodePutAt(sf.enc[:0], i, key, val)
+	if err := db.wal.Append(sf.enc); err != nil {
+		// The append never reached the log: the mirror and the log disagree
 		// and no later Sync can make the verdict durable. This is the one
 		// unrecoverable case; fail loudly rather than serve non-durable
 		// verdicts as durable.
 		panic(fmt.Sprintf("durable: shard %d append failed: %v", i, err))
 	}
-	db.repl.tapShard(i, sf.enc)
-	if sf.log.Size() >= db.compactAt {
-		if err := db.compactShardLocked(sf); err != nil {
-			panic(fmt.Sprintf("durable: shard %d compaction failed: %v", i, err))
-		}
-	}
+	db.repl.tapShard(sf.enc)
 }
 
 // writeSnapshot writes sf's mirror to a fresh snapshot, one put record per
@@ -338,43 +364,15 @@ func (sf *shardFile) writeSnapshot(fsys Fs) error {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		var enc []byte
 		for _, k := range keys {
-			if err := emit(encodePut(nil, k, *sf.state[k])); err != nil {
+			enc = encodePut(enc[:0], k, *sf.state[k])
+			if err := emit(enc); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-}
-
-// compactShardLocked snapshots sf and resets its log. Called with sf.mu
-// held; a crash between the snapshot rename and the reset merely replays
-// records the snapshot already contains (puts are last-wins).
-func (db *DB) compactShardLocked(sf *shardFile) error {
-	if err := sf.writeSnapshot(db.fs); err != nil {
-		return err
-	}
-	return sf.log.Reset()
-}
-
-// CompactShard forces a compaction of shard i, for tests and shutdown.
-func (db *DB) CompactShard(i int) error {
-	sf := db.shards[i]
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	return db.compactShardLocked(sf)
-}
-
-// SyncShards is the all-shards durability barrier: every mutation
-// journaled before the call is durable when it returns. Clean logs cost
-// nothing.
-func (db *DB) SyncShards() error {
-	for i, sf := range db.shards {
-		if err := sf.log.Sync(); err != nil {
-			return fmt.Errorf("durable: sync shard %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // ---- sessions ----
@@ -476,57 +474,100 @@ func (db *DB) NextSID() uint64 {
 	return db.sessions.nextSID
 }
 
-// AppendHello durably records a new session (sid, pid) — synced before
-// returning, so a client never holds a session ID a restart would forget.
-// The in-memory mirror is updated only after the record is durable: a
-// failed append must not leave a phantom session for the next compaction
-// to persist.
-func (db *DB) AppendHello(sid uint64, pid int) error {
+// stageRec appends rec to dst in the form anchor takes: u32 length, then
+// the record.
+func stageRec(dst, rec []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec)))
+	return append(dst, rec...)
+}
+
+// stageOutcome is stageRec of the (sid, reqID, reply) outcome record,
+// encoded in place.
+func stageOutcome(dst []byte, sid, reqID uint64, reply []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(21+len(reply)))
+	return appendOutcomeRec(dst, sid, reqID, reply)
+}
+
+// stageSID is stageRec of a kind + sid record (recEnd, recNextSID).
+func stageSID(dst []byte, kind byte, sid uint64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, 1+8)
+	dst = append(dst, kind)
+	return binary.BigEndian.AppendUint64(dst, sid)
+}
+
+// eachStaged calls fn for every record of a stageRec concatenation. The
+// callers build these themselves, so a truncated one is a bug, not input.
+func eachStaged(b []byte, fn func(rec []byte) error) error {
+	for len(b) > 0 {
+		if len(b) < 4 || len(b)-4 < int(binary.BigEndian.Uint32(b)) {
+			return fmt.Errorf("durable: truncated staged record")
+		}
+		n := 4 + int(binary.BigEndian.Uint32(b))
+		if err := fn(b[4:n]); err != nil {
+			return err
+		}
+		b = b[n:]
+	}
+	return nil
+}
+
+// anchor is the commit path, the only one: a group-commit epoch, a
+// per-mutation commit (an epoch of one), a hello, a next-sid mark, an end, a
+// replicated barrier on a standby and a bare Sync all come through here.
+// recs — a stageRec concatenation of session records, possibly empty — are
+// appended to the write-ahead log behind every put journaled so far and the
+// log is made durable with one write and one fsync, whatever number of
+// shards those puts touched. Recovery accepts only a valid prefix of the
+// log, so an outcome record on disk implies the puts ahead of it are on
+// disk, under any kernel write-back order. Only then are the records folded
+// into the sessions mirror and handed, with a barrier, to the replication
+// tap; anchor returns once every gating standby has acknowledged that
+// barrier. The anchor that finds the log past the threshold compacts it.
+func (db *DB) anchor(recs []byte) error {
 	ss := &db.sessions
 	ss.mu.Lock()
-	ss.enc = append(ss.enc[:0], recHello)
-	ss.enc = binary.BigEndian.AppendUint64(ss.enc, sid)
-	ss.enc = binary.BigEndian.AppendUint64(ss.enc, uint64(int64(pid)))
-	if err := ss.log.Append(ss.enc); err != nil {
+	var held []byte
+	if MutantOutcomeFirst {
+		held = db.wal.holdBack()
+	}
+	err := eachStaged(recs, db.wal.Append)
+	if err == nil {
+		err = db.wal.Sync()
+	}
+	if MutantOutcomeFirst && err == nil {
+		db.wal.restage(held)
+		err = db.wal.Sync()
+	}
+	if err == nil {
+		err = eachStaged(recs, func(rec []byte) error {
+			db.repl.tapSess(rec)
+			return ss.apply(rec)
+		})
+	}
+	if err != nil {
 		ss.mu.Unlock()
 		return err
 	}
-	if sid > ss.nextSID {
-		ss.nextSID = sid
-	}
-	// Tentatively mirror before the barrier (a compaction barrier must
-	// snapshot the new session); roll back on failure so a refused session
-	// cannot linger as a phantom the next compaction persists.
-	created := false
-	if _, ok := ss.state[sid]; !ok {
-		ss.state[sid] = &SessionState{SID: sid, PID: pid, Window: make(map[uint64][]byte)}
-		created = true
-	}
-	if err := db.syncOrCompactSessionsLocked(); err != nil {
-		if created {
-			delete(ss.state, sid)
-		}
-		ss.mu.Unlock()
-		return err
-	}
-	db.repl.tapSess(ss.enc)
+	// Every barrier sequence is allocated under ss.mu, so barriers sit on
+	// the stream in sequence order.
 	seq := db.repl.tapBarrier()
+	full := db.wal.Size() >= db.compactAt
 	ss.mu.Unlock()
+	if full {
+		if err := db.Compact(); err != nil {
+			return err
+		}
+	}
 	db.repl.waitBarrier(seq)
 	return nil
 }
 
-// syncOrCompactSessionsLocked is the sessions-log durability barrier with
-// bounded growth: past the threshold it compacts (the snapshot
-// write+rename is itself the barrier) instead of syncing, so session
-// churn — hellos, ends, observer ID burns — cannot grow the log without
-// bound even when no mutating commit ever runs. Called with ss.mu held.
-func (db *DB) syncOrCompactSessionsLocked() error {
-	ss := &db.sessions
-	if ss.log.Size() >= db.compactAt {
-		return db.compactSessionsLocked()
-	}
-	return ss.log.Sync()
+// AppendHello durably records a new session (sid, pid) — synced before
+// returning, so a client never holds a session ID a restart would forget.
+func (db *DB) AppendHello(sid uint64, pid int) error {
+	rec := binary.BigEndian.AppendUint64([]byte{recHello}, sid)
+	rec = binary.BigEndian.AppendUint64(rec, uint64(int64(pid)))
+	return db.anchor(stageRec(nil, rec))
 }
 
 // NoteSID durably raises the session-ID high-water mark to at least sid
@@ -535,101 +576,30 @@ func (db *DB) syncOrCompactSessionsLocked() error {
 // reissued after a restart (a stale observer resuming a recycled ID would
 // attach to a stranger's session).
 func (db *DB) NoteSID(sid uint64) error {
-	ss := &db.sessions
-	ss.mu.Lock()
-	if sid <= ss.nextSID {
-		ss.mu.Unlock()
+	if sid <= db.NextSID() {
 		return nil
 	}
-	ss.enc = append(ss.enc[:0], recNextSID)
-	ss.enc = binary.BigEndian.AppendUint64(ss.enc, sid)
-	if err := ss.log.Append(ss.enc); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	// Raise the mirror before the barrier: a compaction must snapshot the
-	// raised mark, and burning an ID that fails to sync is always safe.
-	ss.nextSID = sid
-	if err := db.syncOrCompactSessionsLocked(); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	db.repl.tapSess(ss.enc)
-	seq := db.repl.tapBarrier()
-	ss.mu.Unlock()
-	db.repl.waitBarrier(seq)
-	return nil
+	return db.anchor(stageSID(nil, recNextSID, sid))
 }
 
 // AppendEnd durably records the end of session sid, releasing it from
 // future recoveries.
-func (db *DB) AppendEnd(sid uint64) error {
-	ss := &db.sessions
-	ss.mu.Lock()
-	delete(ss.state, sid)
-	ss.enc = append(ss.enc[:0], recEnd)
-	ss.enc = binary.BigEndian.AppendUint64(ss.enc, sid)
-	if err := ss.log.Append(ss.enc); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	if err := db.syncOrCompactSessionsLocked(); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	db.repl.tapSess(ss.enc)
-	seq := db.repl.tapBarrier()
-	ss.mu.Unlock()
-	db.repl.waitBarrier(seq)
-	return nil
-}
+func (db *DB) AppendEnd(sid uint64) error { return db.anchor(stageSID(nil, recEnd, sid)) }
 
-// CommitOutcome makes one released verdict durable: shard effects first,
-// then the (sid, reqID, reply) outcome record, then the sessions-log
-// barrier. The ordering is the durability contract: an outcome record on
-// disk implies its effects are on disk, so a replayed verdict never
-// promises a lost write. Returns only after both barriers — directly when
-// group commit is off, or on the epoch boundary when it is on (the commit
-// coalesces with every other commit in flight and they share one fsync
-// pair; see groupcommit.go).
+// CommitOutcome makes one released verdict durable: the (sid, reqID, reply)
+// outcome record goes into the write-ahead log behind the effects already
+// journaled there and the log is synced. The position is the durability
+// contract: an outcome record on disk implies its effects are on disk, so a
+// replayed verdict never promises a lost write. Returns only after the
+// barrier — its own when group commit is off, or the epoch's when it is on
+// (the commit coalesces with every other commit in flight and they share
+// one fsync; see groupcommit.go).
 func (db *DB) CommitOutcome(sid, reqID uint64, reply []byte) error {
 	if e := db.gc.join(sid, reqID, reply); e != nil {
 		<-e.done
 		return e.err
 	}
-	return db.commitOutcomeSync(sid, reqID, reply)
-}
-
-// commitOutcomeSync is the per-mutation commit path: one shard barrier and
-// one sessions barrier per released verdict.
-func (db *DB) commitOutcomeSync(sid, reqID uint64, reply []byte) error {
-	if !MutantOutcomeFirst {
-		if err := db.SyncShards(); err != nil {
-			return err
-		}
-	}
-	ss := &db.sessions
-	ss.mu.Lock()
-	ss.noteOutcome(sid, reqID, reply)
-	ss.enc = appendOutcomeRec(ss.enc[:0], sid, reqID, reply)
-	if err := ss.log.Append(ss.enc); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	if err := db.syncOrCompactSessionsLocked(); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	db.repl.tapSess(ss.enc)
-	seq := db.repl.tapBarrier()
-	ss.mu.Unlock()
-	if MutantOutcomeFirst {
-		if err := db.SyncShards(); err != nil {
-			return err
-		}
-	}
-	db.repl.waitBarrier(seq)
-	return nil
+	return db.anchor(stageOutcome(nil, sid, reqID, reply))
 }
 
 // appendOutcomeRec appends one encoded recOutcome payload to dst.
@@ -641,12 +611,10 @@ func appendOutcomeRec(dst []byte, sid, reqID uint64, reply []byte) []byte {
 	return append(dst, reply...)
 }
 
-// compactSessionsLocked writes the live sessions (and the next-SID
-// high-water mark) to a fresh snapshot and resets the log. Called with
-// ss.mu held.
-func (db *DB) compactSessionsLocked() error {
-	ss := &db.sessions
-	err := WriteSnapshotFs(db.fs, ss.snap, func(emit func(rec []byte) error) error {
+// writeSnapshot writes the live sessions (and the next-SID high-water mark)
+// to a fresh snapshot. Called with ss.mu held.
+func (ss *sessionsFile) writeSnapshot(fsys Fs) error {
+	return WriteSnapshotFs(fsys, ss.snap, func(emit func(rec []byte) error) error {
 		enc := binary.BigEndian.AppendUint64([]byte{recNextSID}, ss.nextSID)
 		if err := emit(enc); err != nil {
 			return err
@@ -671,12 +639,7 @@ func (db *DB) compactSessionsLocked() error {
 			}
 			sort.Slice(reqs, func(i, j int) bool { return reqs[i] < reqs[j] })
 			for _, id := range reqs {
-				enc = enc[:0]
-				enc = append(enc, recOutcome)
-				enc = binary.BigEndian.AppendUint64(enc, s.SID)
-				enc = binary.BigEndian.AppendUint64(enc, id)
-				enc = binary.BigEndian.AppendUint32(enc, uint32(len(s.Window[id])))
-				enc = append(enc, s.Window[id]...)
+				enc = appendOutcomeRec(enc[:0], s.SID, id, s.Window[id])
 				if err := emit(enc); err != nil {
 					return err
 				}
@@ -684,40 +647,46 @@ func (db *DB) compactSessionsLocked() error {
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	return ss.log.Reset()
 }
 
-// CompactSessions forces a sessions compaction, for tests.
-func (db *DB) CompactSessions() error {
-	db.sessions.mu.Lock()
-	defer db.sessions.mu.Unlock()
-	return db.compactSessionsLocked()
-}
-
-// Sync flushes every log — the shutdown barrier.
-func (db *DB) Sync() error {
-	if err := db.SyncShards(); err != nil {
-		return err
-	}
-	return db.sessions.log.Sync()
-}
-
-// Close stops group commit (draining any in-flight epoch), syncs, and
-// closes every file. The DB must not be used afterwards.
-func (db *DB) Close() error {
-	db.StopGroupCommit()
-	var first error
+// Compact writes every shard's mirror, then the sessions mirror, to fresh
+// snapshots and resets the write-ahead log. It takes the shard locks in
+// index order and then the sessions lock, so nothing is staged or anchored
+// meanwhile: the snapshots hold everything the log held (and any put still
+// staged in memory), which is what makes dropping the log safe. A crash on
+// the way leaves some snapshots new, the rest old and the log intact;
+// replaying it over either is harmless — puts are last-wins, hellos
+// idempotent, and the log on disk already held every session record the
+// sessions snapshot reflects.
+func (db *DB) Compact() error {
 	for _, sf := range db.shards {
-		if err := sf.log.Close(); err != nil && first == nil {
-			first = err
+		sf.mu.Lock()
+		defer sf.mu.Unlock()
+	}
+	ss := &db.sessions
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for _, sf := range db.shards {
+		if err := sf.writeSnapshot(db.fs); err != nil {
+			return err
 		}
 	}
-	if err := db.sessions.log.Close(); err != nil && first == nil {
-		first = err
+	if err := ss.writeSnapshot(db.fs); err != nil {
+		return err
 	}
+	return db.wal.Reset()
+}
+
+// Sync is the durability barrier without a record: every mutation
+// journaled before the call is durable (on the standby too) when it
+// returns. A clean log costs no fsync.
+func (db *DB) Sync() error { return db.anchor(nil) }
+
+// Close stops group commit (draining any in-flight epoch), syncs, and
+// closes the log. The DB must not be used afterwards.
+func (db *DB) Close() error {
+	db.StopGroupCommit()
+	err := db.wal.Close()
 	db.unlock()
-	return first
+	return err
 }

@@ -180,10 +180,11 @@ func TestRecoveryIdempotence(t *testing.T) {
 	}
 	db.AppendHello(3, 1)
 	db.CommitOutcome(3, 9, []byte("reply-nine"))
+	db.ShardBacking(0).Persist("k", 50) // the record the tear below cuts
 	db.Close()
 
 	// Tear the log tail so recovery also exercises the truncation path.
-	path := filepath.Join(dir, "shard-000.log")
+	path := filepath.Join(dir, "wal.log")
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)-3], 0o644)
 
@@ -207,7 +208,8 @@ func TestRecoveryIdempotence(t *testing.T) {
 }
 
 // TestShardCompaction drives the log over a tiny threshold and checks the
-// snapshot+log pair still recovers the exact state.
+// snapshot+log pair still recovers the exact state. Journaling alone never
+// compacts; the Sync that anchors the puts does.
 func TestShardCompaction(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := Open(dir, 1, 1, 4)
@@ -223,7 +225,7 @@ func TestShardCompaction(t *testing.T) {
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("no snapshot written despite threshold: %v", err)
 	}
-	if st, _ := os.Stat(filepath.Join(dir, "shard-000.log")); st.Size() >= 256+64 {
+	if st, _ := os.Stat(filepath.Join(dir, "wal.log")); st.Size() >= 256+64 {
 		t.Fatalf("log did not reset at compaction: %d bytes", st.Size())
 	}
 	got := shardState(t, dir, 1, 1, 0)
@@ -239,7 +241,7 @@ func TestTruncatedSnapshot(t *testing.T) {
 	db, _ := Open(dir, 1, 1, 4)
 	db.ShardBacking(0).Persist("aa", 1)
 	db.ShardBacking(0).Persist("bb", 2)
-	db.CompactShard(0)
+	db.Compact()
 	db.ShardBacking(0).Persist("cc", 3) // post-snapshot, lives in the log
 	db.Sync()
 	db.Close()
@@ -297,7 +299,7 @@ func TestSessionsCompactionKeepsNextSID(t *testing.T) {
 	db, _ := Open(dir, 1, 2, 4)
 	db.AppendHello(7, 0)
 	db.AppendEnd(7)
-	if err := db.CompactSessions(); err != nil {
+	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()

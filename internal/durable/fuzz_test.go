@@ -17,8 +17,8 @@ func frame(payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// validSessionsLog returns the bytes of a well-formed sessions log:
-// hello, outcome, next-sid, end.
+// validSessionsLog returns the framed session records of a well-formed
+// write-ahead log: hello, outcome, next-sid, end.
 func validSessionsLog() []byte {
 	var out []byte
 	rec := append([]byte{recHello}, binary.BigEndian.AppendUint64(nil, 1)...)
@@ -86,37 +86,45 @@ func FuzzOpenLog(f *testing.F) {
 	})
 }
 
-// FuzzOpenDB plants fuzz bytes in a valid data directory's shard and
-// sessions logs: Open must never panic — it either recovers (and then the
-// recovered state is stable: an immediate reopen yields the same
-// StateHash) or refuses with an error.
+// FuzzOpenDB plants fuzz bytes as a valid data directory's write-ahead log:
+// Open must never panic — it either recovers, truncating at the first torn
+// or CRC-bad frame (and then the recovered state is stable: an immediate
+// reopen yields the same StateHash), or refuses with an error.
 func FuzzOpenDB(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	shardRec := frame(encodePut(nil, "k", 7))
-	f.Add(shardRec, validSessionsLog())
-	mut := append([]byte(nil), shardRec...)
-	mut[len(mut)-1] ^= 0x01
-	f.Add(mut, validSessionsLog()[:9])
-	f.Add(binary.BigEndian.AppendUint32(nil, 0xffffffff), frame([]byte{recHello}))
+	putAt := func(shard int, key string, val int64) []byte {
+		return frame(encodePutAt(nil, shard, key, val))
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-	f.Fuzz(func(t *testing.T, shardBytes, sessionBytes []byte) {
+	f.Add([]byte{})
+	f.Add(cat(putAt(0, "k", 7), validSessionsLog()))
+	mut := putAt(0, "k", 7)
+	mut[len(mut)-1] ^= 0x01
+	f.Add(cat(mut, validSessionsLog()[:9]))
+	f.Add(cat(binary.BigEndian.AppendUint32(nil, 0xffffffff), frame([]byte{recHello})))
+	// A well-framed put-at for a shard the store does not have.
+	f.Add(cat(putAt(0, "k", 7), putAt(2, "k", 8)))
+	// Session records between two puts: one scan dispatches by kind.
+	f.Add(cat(putAt(0, "k", 7), validSessionsLog(), putAt(1, "j", 9)))
+	// A torn epoch tail: the puts of an epoch, then its outcome cut short.
+	epoch := cat(validSessionsLog()[:25], putAt(0, "k", 1), putAt(1, "j", 1), frame(appendOutcomeRec(nil, 1, 2, []byte("k=1"))))
+	f.Add(epoch[:len(epoch)-7])
+
+	f.Fuzz(func(t *testing.T, walBytes []byte) {
 		dir := t.TempDir()
 		db, err := Open(dir, 2, 2, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		db.ShardBacking(0).Persist("seed", 1)
-		if err := db.SyncShards(); err != nil {
-			t.Fatal(err)
-		}
 		if err := db.AppendHello(1, 0); err != nil {
 			t.Fatal(err)
 		}
-		db.Close()
-		if err := os.WriteFile(filepath.Join(dir, "shard-000.log"), shardBytes, 0o644); err != nil {
+		if err := db.Compact(); err != nil { // the seed state lives in the snapshots
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "sessions.log"), sessionBytes, 0o644); err != nil {
+		db.Close()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), walBytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
 

@@ -13,7 +13,7 @@ import (
 // TestGroupCommitCoalesces drives many concurrent commits through the
 // epoch pipeline and checks both halves of the contract: every committed
 // verdict survives a reopen, and the commits shared materially fewer
-// epochs (fsync pairs) than there were commits.
+// epochs (fsyncs) than there were commits.
 func TestGroupCommitCoalesces(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, 2, 8, 256)
@@ -151,7 +151,7 @@ func TestLogSyncFailurePoisons(t *testing.T) {
 }
 
 // TestGroupCommitEpochFailureFailsAllWaiters injects an fsync failure into
-// the sessions log: every commit parked on the failing epoch must see the
+// the write-ahead log: every commit parked on the failing epoch must see the
 // error, and later commits must keep failing (the log is poisoned, so the
 // pipeline can never again claim durability).
 func TestGroupCommitEpochFailureFailsAllWaiters(t *testing.T) {
@@ -162,7 +162,7 @@ func TestGroupCommitEpochFailureFailsAllWaiters(t *testing.T) {
 	}
 	db.AppendHello(1, 0)
 	boom := errors.New("injected EIO")
-	db.sessions.log.syncFn = func(File) error { return boom }
+	db.wal.syncFn = func(File) error { return boom }
 	db.StartGroupCommit(5 * time.Millisecond)
 
 	const n = 4
@@ -190,11 +190,10 @@ func TestGroupCommitEpochFailureFailsAllWaiters(t *testing.T) {
 
 // TestGroupCommitTornEpochTail is the crash-at-epoch-boundary recovery
 // property at the storage layer: for ANY byte-level truncation of the
-// sessions log (a torn tail mid-epoch), recovery yields a state where
+// write-ahead log (a torn tail mid-epoch), recovery yields a state where
 // every surviving outcome record's effect is present in its shard — the
 // outcome-implies-effect invariant cannot be widened by group commit,
-// because shard logs are fsynced strictly before epoch records are even
-// written.
+// because an epoch's records sit in the log behind the puts they depend on.
 func TestGroupCommitTornEpochTail(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, 2, 8, 256)
@@ -224,7 +223,7 @@ func TestGroupCommitTornEpochTail(t *testing.T) {
 		t.Fatal("commit errors above")
 	}
 
-	logBytes, err := os.ReadFile(filepath.Join(dir, "sessions.log"))
+	logBytes, err := os.ReadFile(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestGroupCommitTornEpochTail(t *testing.T) {
 	for cut := 0; cut <= len(logBytes); cut += step {
 		copyDir := t.TempDir()
 		copyTree(t, dir, copyDir)
-		if err := os.Truncate(filepath.Join(copyDir, "sessions.log"), int64(cut)); err != nil {
+		if err := os.Truncate(filepath.Join(copyDir, "wal.log"), int64(cut)); err != nil {
 			t.Fatal(err)
 		}
 		db2, err := Open(copyDir, 2, 8, 256)

@@ -1,10 +1,10 @@
 // Package durable is the file-backed persistence substrate behind the
 // simulated NVM spaces: an on-disk data directory holding one append-only
-// CRC-framed record log (plus a periodically compacted snapshot) per shard
-// and one for the session layer, so that the paper's persist ordering maps
-// onto write+fsync ordering and the whole process — not just a simulated
-// epoch — can be killed and restarted without losing a single detectable
-// verdict.
+// CRC-framed write-ahead log shared by every shard and the session layer
+// (plus periodically compacted per-shard and sessions snapshots), so that
+// the paper's persist ordering maps onto position in that log and the whole
+// process — not just a simulated epoch — can be killed and restarted
+// without losing a single detectable verdict.
 //
 // The layering is deliberate: internal/nvm defines the pluggable Backing
 // seam a Space forwards its logical persists through, this package supplies
@@ -56,9 +56,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // memory — they do not reach the kernel until the next Sync — so a batch
 // of records costs one write plus one fsync, and a record can never become
 // durable (or even reach the page cache) before the barrier that is
-// supposed to order it. All methods are safe for concurrent use; the mutex
-// is held across fsync, so an Append that completed before a Sync call
-// began is durable when that Sync returns.
+// supposed to order it. All methods are safe for concurrent use.
+//
+// Append never waits for the disk: a barrier takes the staged batch under
+// mu and does its write and fsync under bmu alone, so records keep staging
+// (into the other of two buffers) while the previous batch is on its way
+// to the medium. Barriers are serialised by bmu, which is why an Append
+// that returned before a Sync call began is durable when that Sync returns:
+// its record is either in the batch of a barrier that finishes first or in
+// this one's.
 //
 // A failed barrier poisons the log: after a write or fsync error every
 // subsequent Append and Sync fails with the original error. Retrying an
@@ -66,17 +72,23 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // dirty pages while reporting the error, so a later "successful" fsync
 // would claim durability for data that never reached the disk.
 type Log struct {
-	mu    sync.Mutex
-	f     File
-	path  string
-	size  int64  // bytes of valid, framed records in the file
-	buf   []byte // framed records staged since the last flush
-	dirty bool   // flushed to the file since the last fsync
-	err   error  // sticky poison from a failed write or fsync
+	bmu  sync.Mutex // serialises barriers; held across file I/O, taken before mu
+	f    File
+	path string
 	// syncFn is the fsync implementation, replaceable by fault-injection
 	// tests; nil means File.Sync.
 	syncFn func(File) error
+
+	mu    sync.Mutex
+	size  int64  // bytes of framed records at file offsets, the batch in flight included
+	buf   []byte // framed records staged since the last barrier took its batch
+	spare []byte // the last batch's buffer, back from the barrier for reuse
+	err   error  // sticky poison from a failed write or fsync
 }
+
+// maxSpare bounds the staging buffer a barrier hands back for reuse, so one
+// wide batch does not pin its high-water mark in both buffers for good.
+const maxSpare = 32 << 10
 
 // OpenLog opens the record log at path on the real filesystem. See
 // OpenLogFs.
@@ -220,47 +232,42 @@ func appendFrame(dst, payload []byte) []byte {
 // since the last barrier) syncs nothing. A failed barrier poisons the log
 // permanently — see the Log doc comment.
 func (l *Log) Sync() error {
+	l.bmu.Lock()
+	defer l.bmu.Unlock()
+	return l.barrier()
+}
+
+// barrier takes the staged batch and makes it durable: one WriteAt, one
+// fsync, neither under mu. Called with l.bmu held.
+func (l *Log) barrier() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-// flushLocked writes the staged records to the file in one vectored
-// append. Called with l.mu held.
-func (l *Log) flushLocked() error {
-	if l.err != nil {
-		return l.err
-	}
-	if len(l.buf) == 0 {
-		return nil
-	}
-	if _, err := l.f.WriteAt(l.buf, l.size); err != nil {
-		// The file offset the staged records were meant for may now hold a
-		// partial write; nothing after this point can be trusted durable.
-		l.poison(err)
-		return l.err
-	}
-	l.size += int64(len(l.buf))
-	l.buf = l.buf[:0]
-	l.dirty = true
-	return nil
-}
-
-func (l *Log) syncLocked() error {
-	if err := l.flushLocked(); err != nil {
+	if l.err != nil || len(l.buf) == 0 {
+		err := l.err
+		l.mu.Unlock()
 		return err
 	}
-	if !l.dirty {
-		return nil
+	batch, off := l.buf, l.size
+	l.buf, l.spare = l.spare[:0], nil
+	l.size += int64(len(batch))
+	l.mu.Unlock()
+
+	// A failed write may have left part of the batch at its offset, and the
+	// kernel may drop dirty pages on a failed fsync (fsyncgate), so neither
+	// is retried: nothing after this point can be trusted durable.
+	_, err := l.f.WriteAt(batch, off)
+	if err == nil {
+		err = l.fsync()
 	}
-	if err := l.fsync(); err != nil {
-		// fsyncgate semantics: the kernel may drop dirty pages on a failed
-		// fsync, so retrying could report durability for data that is gone.
-		// Poison instead of retrying.
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
 		l.poison(err)
 		return l.err
 	}
-	l.dirty = false
+	if cap(batch) <= maxSpare {
+		l.spare = batch[:0]
+	}
 	return nil
 }
 
@@ -289,9 +296,13 @@ func (l *Log) Size() int64 {
 
 // Reset truncates the log to empty, discarding staged records — the
 // tail-discard half of a compaction, called only after the compacted
-// snapshot is durably in place (a crash between the snapshot rename and
-// this truncate merely replays records the snapshot already contains).
+// snapshots are durably in place (a crash between the last snapshot rename
+// and this truncate merely replays records the snapshots already contain).
+// Unlike a barrier it holds mu across its I/O: the caller has already shut
+// every appender out.
 func (l *Log) Reset() error {
+	l.bmu.Lock()
+	defer l.bmu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -303,7 +314,6 @@ func (l *Log) Reset() error {
 	}
 	l.size = 0
 	l.buf = l.buf[:0]
-	l.dirty = false
 	if err := l.fsync(); err != nil {
 		l.poison(err)
 		return l.err
@@ -314,9 +324,9 @@ func (l *Log) Reset() error {
 // Close syncs and closes the file. A poisoned log still closes its file
 // but reports the poison error.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.syncLocked(); err != nil {
+	l.bmu.Lock()
+	defer l.bmu.Unlock()
+	if err := l.barrier(); err != nil {
 		l.f.Close()
 		return err
 	}

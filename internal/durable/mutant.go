@@ -6,11 +6,27 @@ package durable
 // it actually detects the bug class it exists for. Production code never
 // sets them; cmd/simsweep -mutant and the mutation tests do.
 
-// MutantOutcomeFirst inverts the commit protocol's fsync ordering: the
-// outcome record is appended and synced into the sessions log BEFORE the
-// shard logs holding its effects are synced. A crash in the inverted window
-// leaves a durable verdict whose write is gone — on recovery the client
-// would be promised an effect the store lost, the exact violation the
-// "shards strictly before outcome" ordering rules out. The simio sweep must
-// catch this within its crash-point enumeration.
+// MutantOutcomeFirst inverts the commit protocol's ordering: the anchor
+// holds the staged puts back, writes and syncs its outcome records in front
+// of them, and only then lets the puts follow. A crash in the inverted
+// window leaves a durable verdict whose write is gone — on recovery the
+// client would be promised an effect the store lost, the exact violation
+// "an outcome sits behind the puts it depends on" rules out. The simio sweep
+// must catch this within its crash-point enumeration.
 var MutantOutcomeFirst bool
+
+// holdBack removes and returns the staged, framed records. Mutant only.
+func (l *Log) holdBack() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	held := append([]byte(nil), l.buf...)
+	l.buf = l.buf[:0]
+	return held
+}
+
+// restage stages framed records holdBack removed. Mutant only.
+func (l *Log) restage(framed []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf = append(l.buf, framed...)
+}

@@ -21,7 +21,7 @@ func TestStopGroupCommitRacesFailingEpochFsync(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.AppendHello(1, 0)
-		db.sessions.log.syncFn = func(File) error { return boom }
+		db.wal.syncFn = func(File) error { return boom }
 		db.StartGroupCommit(time.Millisecond)
 
 		const n = 8
@@ -55,7 +55,7 @@ func TestStopGroupCommitRacesFailingEpochFsync(t *testing.T) {
 }
 
 // TestPoisonedLogRejectsAfterGroupCommitRestart: once an epoch fsync has
-// failed, the sessions log is poisoned for good — restarting group commit
+// failed, the write-ahead log is poisoned for good — restarting group commit
 // must not launder the failure into fresh durability claims.
 func TestPoisonedLogRejectsAfterGroupCommitRestart(t *testing.T) {
 	db, err := Open(t.TempDir(), 1, 4, 16)
@@ -65,7 +65,7 @@ func TestPoisonedLogRejectsAfterGroupCommitRestart(t *testing.T) {
 	db.AppendHello(1, 0)
 	boom := errors.New("injected EIO")
 	fail := true
-	db.sessions.log.syncFn = func(f File) error {
+	db.wal.syncFn = func(f File) error {
 		if fail {
 			return boom
 		}

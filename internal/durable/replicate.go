@@ -2,17 +2,17 @@ package durable
 
 // Primary/backup replication over the durable layer (docs/REPLICATION.md).
 //
-// The primary taps every record it makes durable — shard puts as they are
-// journaled, session records as they are appended — into per-subscriber
+// The primary taps every write-ahead-log record — put-at records as they
+// are journaled, session records as they are anchored — into per-subscriber
 // buffers, and marks each fsync boundary with a barrier message carrying a
 // monotone sequence number. A synchronous subscriber gates verdict release:
-// the commit paths (AppendHello, NoteSID, AppendEnd, CommitOutcome, and the
-// group-commit epoch anchor) wait for the backup to acknowledge the barrier
-// before returning, so group commit and replication share one fsync
-// boundary — an epoch's verdicts are released only after that epoch is
-// durable on both nodes. A subscriber that stalls past the ack timeout is
-// dropped and its waiters released (replication degrades; durability on the
-// primary is never weakened).
+// the commit path (DB.anchor, under AppendHello, NoteSID, AppendEnd,
+// CommitOutcome and the group-commit epoch) waits for the backup to
+// acknowledge the barrier before returning, so group commit and replication
+// share one fsync boundary — an epoch's verdicts are released only after
+// that epoch is durable on both nodes. A subscriber that stalls past the
+// ack timeout is dropped and its waiters released (replication degrades;
+// durability on the primary is never weakened).
 //
 // A new subscriber first receives a fuzzy snapshot — every shard mirror in
 // sorted key order, then the sessions mirror — bracketed by SnapBegin /
@@ -27,13 +27,14 @@ package durable
 // nor counts as a laggard.
 //
 // The apply side (Replica) keeps the backup's own disk crash-consistent:
-// shard puts are journaled eagerly (early effects are harmless — the
-// primary's own commit protocol already tolerates effects without
-// outcomes), but session records are staged in memory until a barrier
-// arrives, then appended and fsynced in the invariant order (shard barrier
-// first, then sessions). A crash-prefix image of the backup's data
-// directory therefore satisfies the same outcome-implies-effect invariant
-// as the primary's, which internal/simio checks byte-for-byte.
+// put-at records are journaled into the backup's write-ahead log eagerly
+// (early effects are harmless — the primary's own commit protocol already
+// tolerates effects without outcomes), but session records are staged in
+// memory until a barrier arrives and then go through the backup's own
+// DB.anchor — appended behind those puts, one write, one fsync. A
+// crash-prefix image of the backup's data directory therefore satisfies
+// the same outcome-implies-effect invariant as the primary's, which
+// internal/simio checks byte-for-byte.
 
 import (
 	"encoding/binary"
@@ -55,11 +56,11 @@ const (
 	// u32 procs, u32 window. The backup verifies geometry and fencing
 	// before applying anything.
 	ReplSnapBegin byte = 0x01
-	// ReplShardRec is one shard record: u32 shard index, then a raw
-	// recPut record exactly as it sits in the shard log.
+	// ReplShardRec is one put-at record exactly as it sits in the
+	// write-ahead log: recPutAt, u32 shard index, then the recPut record.
 	ReplShardRec byte = 0x02
-	// ReplSessRec is one raw sessions-log record (recHello, recOutcome,
-	// recEnd, or recNextSID).
+	// ReplSessRec is one raw session record of the write-ahead log
+	// (recHello, recOutcome, recEnd, or recNextSID).
 	ReplSessRec byte = 0x03
 	// ReplSnapEnd closes a snapshot: u64 barrier sequence. It is itself a
 	// barrier, and the point where the backup ends live sessions absent
@@ -120,6 +121,8 @@ type ReplSub struct {
 	acked     uint64
 	closed    bool
 	err       error
+	timer     *time.Timer // wakes timed-out awaitAck waiters (wakeByLocked)
+	wakeAt    time.Time   // when timer next fires; zero when it is not armed
 }
 
 // Subscribe registers a replication subscriber and stages a fuzzy snapshot
@@ -163,10 +166,8 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 	// interleave with the snapshot; both sides are last-wins/idempotent,
 	// so the interleaving converges to the primary's state.
 	var enc []byte
+	kindShard := [1]byte{ReplShardRec}
 	for i, sf := range db.shards {
-		var shdr [5]byte
-		shdr[0] = ReplShardRec
-		binary.BigEndian.PutUint32(shdr[1:], uint32(i))
 		sf.mu.Lock()
 		keys := make([]string, 0, len(sf.state))
 		for k := range sf.state {
@@ -174,8 +175,8 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			enc = encodePut(enc[:0], k, *sf.state[k])
-			if !sub.stageSnap(shdr[:], enc) {
+			enc = encodePutAt(enc[:0], i, k, *sf.state[k])
+			if !sub.stageSnap(kindShard[:], enc) {
 				sf.mu.Unlock()
 				return sub // closed mid-snapshot; stop staging
 			}
@@ -264,29 +265,26 @@ func (db *DB) ReplStatus() (seq, acked uint64, subs int) {
 
 // ---- primary-side tap ----
 
-// tapShard stages one shard put record to every subscriber. Called with
-// the shard's mu held, immediately after the log append succeeds.
-func (r *replState) tapShard(shard int, rec []byte) {
-	if r.nsubs.Load() == 0 {
-		return
+// tapShard stages one put-at record to every subscriber. Called with the
+// shard's mu held, immediately after the log append succeeds.
+func (r *replState) tapShard(rec []byte) {
+	if r.nsubs.Load() != 0 {
+		kind := [1]byte{ReplShardRec}
+		r.tapMsg(kind[:], rec)
 	}
-	var hdr [5]byte
-	hdr[0] = ReplShardRec
-	binary.BigEndian.PutUint32(hdr[1:], uint32(shard))
-	r.tapMsg(hdr[:], rec)
 }
 
-// tapSess stages one sessions-log record to every subscriber. Called with
-// sessions.mu held, immediately after the log append succeeds.
+// tapSess stages one session record to every subscriber. Called from
+// DB.anchor with sessions.mu held, after the barrier that made it durable.
 func (r *replState) tapSess(rec []byte) {
-	if r.nsubs.Load() == 0 {
-		return
+	if r.nsubs.Load() != 0 {
+		kind := [1]byte{ReplSessRec}
+		r.tapMsg(kind[:], rec)
 	}
-	r.tapMsg([]byte{ReplSessRec}, rec)
 }
 
 // tapBarrier allocates the next barrier sequence and stages the barrier
-// message. Called with sessions.mu held after a successful sessions
+// message. Called from DB.anchor with sessions.mu held after a successful
 // barrier — every barrier sequence is allocated under that lock, so the
 // stream order of barriers matches sequence order.
 func (r *replState) tapBarrier() uint64 {
@@ -344,25 +342,41 @@ func (r *replState) waitBarrier(seq uint64) {
 	if r.nsync.Load() == 0 {
 		return
 	}
+	// One gating subscriber is the deployment there is; only a second one
+	// costs a slice.
+	var first *ReplSub
+	var more []*ReplSub
 	r.mu.Lock()
-	var waits []*ReplSub
 	for sub := range r.subs {
-		if sub.syncAck && sub.isGating() {
-			waits = append(waits, sub)
+		if !sub.syncAck || !sub.isGating() {
+			continue
+		}
+		if first == nil {
+			first = sub
+		} else {
+			more = append(more, sub)
 		}
 	}
 	r.mu.Unlock()
+	if first == nil {
+		return
+	}
 	timeout := time.Duration(r.ackTimeout.Load())
 	if timeout == 0 {
 		timeout = DefaultReplAckTimeout
 	}
-	for _, sub := range waits {
-		if !sub.awaitAck(seq, timeout) {
-			// The backup stalled past the timeout: drop it so one dead
-			// replica cannot wedge the primary. Detectability on the
-			// primary is unaffected; replication has degraded.
-			sub.fail(fmt.Errorf("durable: replication ack for barrier %d timed out after %v", seq, timeout))
-		}
+	first.awaitAckOrDrop(seq, timeout)
+	for _, sub := range more {
+		sub.awaitAckOrDrop(seq, timeout)
+	}
+}
+
+// awaitAckOrDrop waits for the ack of barrier seq and drops a backup that
+// stalls past the timeout, so one dead replica cannot wedge the primary.
+// Detectability on the primary is unaffected; replication has degraded.
+func (s *ReplSub) awaitAckOrDrop(seq uint64, timeout time.Duration) {
+	if !s.awaitAck(seq, timeout) {
+		s.fail(fmt.Errorf("durable: replication ack for barrier %d timed out after %v", seq, timeout))
 	}
 }
 
@@ -500,18 +514,36 @@ func (s *ReplSub) awaitAck(seq uint64, timeout time.Duration) bool {
 	if s.acked >= seq {
 		return true
 	}
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		expired = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	for s.acked < seq && !s.closed && !expired {
+	deadline := time.Now().Add(timeout)
+	for s.acked < seq && !s.closed && time.Now().Before(deadline) {
+		s.wakeByLocked(deadline)
 		s.cond.Wait()
 	}
 	return s.acked >= seq
+}
+
+// wakeByLocked makes sure the subscription's one timer broadcasts no later
+// than deadline, so a timed wait allocates nothing once the timer exists.
+// Every waiter calls it before each cond.Wait, and wake clears wakeAt when
+// it fires, so whoever is still waiting re-arms it for their own deadline
+// and the earliest one always wins. Called with s.mu held.
+func (s *ReplSub) wakeByLocked(deadline time.Time) {
+	if !s.wakeAt.IsZero() && !deadline.Before(s.wakeAt) {
+		return
+	}
+	s.wakeAt = deadline
+	if d := time.Until(deadline); s.timer == nil {
+		s.timer = time.AfterFunc(d, s.wake)
+	} else {
+		s.timer.Reset(d)
+	}
+}
+
+func (s *ReplSub) wake() {
+	s.mu.Lock()
+	s.wakeAt = time.Time{}
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // Close cleanly tears the subscription down: pending bytes already staged
@@ -538,6 +570,9 @@ func (s *ReplSub) closeLocked(err error) {
 		return
 	}
 	s.closed = true
+	if s.timer != nil {
+		s.timer.Stop()
+	}
 	if err == nil {
 		err = errReplSubClosed
 	}
@@ -582,7 +617,7 @@ func (db *DB) SetGeneration(gen uint64) error {
 	if gen < cur {
 		return fmt.Errorf("durable: generation may only advance (have %d, asked for %d)", cur, gen)
 	}
-	m := manifest{Version: 1, Shards: len(db.shards), Procs: db.procs, Generation: gen}
+	m := manifest{Version: manifestVersion, Shards: len(db.shards), Procs: db.procs, Generation: gen}
 	data, _ := json.Marshal(m)
 	if err := AtomicWriteFileFs(db.fs, filepath.Join(db.dir, "MANIFEST"), append(data, '\n')); err != nil {
 		return err
@@ -593,16 +628,16 @@ func (db *DB) SetGeneration(gen uint64) error {
 
 // ---- replica (apply side) ----
 
-// Replica applies a replication stream to a warm-standby DB. Shard records
-// are journaled to the backup's own logs as they arrive; session records
-// are staged in memory and appended+fsynced only when a barrier arrives —
+// Replica applies a replication stream to a warm-standby DB. Put-at records
+// are journaled to the backup's own write-ahead log as they arrive; session
+// records are staged in memory and anchored only when a barrier arrives —
 // and, during a snapshot, only at SnapEnd, so an outcome can never be
 // anchored (or acked) before the snapshot hello that makes it
 // recoverable — preserving outcome-implies-effect on the backup's disk.
 // Not safe for concurrent use; feed it one stream.
 type Replica struct {
 	db        *DB
-	staged    []byte    // u32-length-prefixed session records awaiting a barrier
+	staged    []byte    // session records awaiting a barrier, as DB.anchor takes them
 	viewStage []viewPut // shard puts awaiting barrier publication to the read view
 	inSnap    bool
 	snapSids  map[uint64]struct{} // sessions asserted live by the snapshot in progress
@@ -651,24 +686,13 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		return 0, false, nil
 
 	case ReplShardRec:
-		if len(body) < 4 {
-			return 0, false, fmt.Errorf("durable: malformed shard record message")
-		}
-		shard := int(binary.BigEndian.Uint32(body))
-		rec := body[4:]
-		if shard < 0 || shard >= len(rp.db.shards) {
-			return 0, false, fmt.Errorf("durable: shard record for shard %d of %d", shard, len(rp.db.shards))
-		}
-		if len(rec) < 1 || rec[0] != recPut {
-			return 0, false, fmt.Errorf("durable: unexpected shard record kind")
-		}
-		key, val, ok := decodePut(rec)
-		if !ok {
-			return 0, false, fmt.Errorf("durable: malformed replicated put record")
+		shard, key, val, err := decodePutAt(body, len(rp.db.shards))
+		if err != nil {
+			return 0, false, fmt.Errorf("durable: replicated %w", err)
 		}
 		rp.db.journalPut(shard, key, val)
 		// Stage for the read view; published only when the covering barrier
-		// is durable here (decodePut copied the key, so it is owned).
+		// is durable here (decodePutAt copied the key, so it is owned).
 		rp.viewStage = append(rp.viewStage, viewPut{shard: shard, key: key, val: val})
 		return 0, false, nil
 
@@ -680,8 +704,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		if rp.inSnap && kind == recHello {
 			rp.snapSids[sid] = struct{}{}
 		}
-		rp.staged = binary.BigEndian.AppendUint32(rp.staged, uint32(len(body)))
-		rp.staged = append(rp.staged, body...)
+		rp.staged = stageRec(rp.staged, body)
 		return 0, false, nil
 
 	case ReplSnapEnd:
@@ -697,11 +720,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		// here.
 		for _, sid := range rp.db.liveSIDs() {
 			if _, ok := rp.snapSids[sid]; !ok {
-				var end [9]byte
-				end[0] = recEnd
-				binary.BigEndian.PutUint64(end[1:], sid)
-				rp.staged = binary.BigEndian.AppendUint32(rp.staged, uint32(len(end)))
-				rp.staged = append(rp.staged, end[:]...)
+				rp.staged = stageSID(rp.staged, recEnd, sid)
 			}
 		}
 		rp.inSnap = false
@@ -723,7 +742,9 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 			// snapshot's hellos are guaranteed to be in the stage too.
 			return 0, false, nil
 		}
-		if err := rp.db.applyReplBarrier(rp.staged); err != nil {
+		// The backup is itself a tappable primary: anchoring here also feeds
+		// its own subscribers (a chained replica) the same records and barrier.
+		if err := rp.db.anchor(rp.staged); err != nil {
 			return 0, false, err
 		}
 		rp.staged = rp.staged[:0]
@@ -740,7 +761,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 	}
 }
 
-// checkSessRec validates the shape of one sessions-log record before it is
+// checkSessRec validates the shape of one session record before it is
 // staged — a malformed record must never reach the backup's log, where it
 // would poison every future recovery.
 func checkSessRec(rec []byte) (kind byte, sid uint64, err error) {
@@ -777,51 +798,4 @@ func (db *DB) liveSIDs() []uint64 {
 	}
 	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
 	return sids
-}
-
-// applyReplBarrier anchors one replicated barrier on the backup's disk:
-// shard logs synced first, then every staged session record appended to
-// the sessions log and folded into the mirror, then the sessions barrier —
-// the same order the primary's commit paths use, so the backup's crash
-// images satisfy the same invariants. staged is a concatenation of
-// u32-length-prefixed session records already validated by checkSessRec.
-func (db *DB) applyReplBarrier(staged []byte) error {
-	if err := db.SyncShards(); err != nil {
-		return err
-	}
-	ss := &db.sessions
-	ss.mu.Lock()
-	for off := 0; off < len(staged); {
-		if off+4 > len(staged) {
-			ss.mu.Unlock()
-			return fmt.Errorf("durable: truncated staged session record")
-		}
-		n := int(binary.BigEndian.Uint32(staged[off:]))
-		off += 4
-		if off+n > len(staged) {
-			ss.mu.Unlock()
-			return fmt.Errorf("durable: truncated staged session record")
-		}
-		rec := staged[off : off+n]
-		off += n
-		if err := ss.log.Append(rec); err != nil {
-			ss.mu.Unlock()
-			return err
-		}
-		if err := ss.apply(rec); err != nil {
-			ss.mu.Unlock()
-			return err
-		}
-		db.repl.tapSess(rec)
-	}
-	if err := db.syncOrCompactSessionsLocked(); err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	// The backup is itself a tappable primary: its own subscribers (a
-	// chained replica) see the same records and barriers.
-	seq := db.repl.tapBarrier()
-	ss.mu.Unlock()
-	db.repl.waitBarrier(seq)
-	return nil
 }

@@ -1,0 +1,229 @@
+package durable
+
+import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// readTree returns every file of the flat directory dir by name.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree[e.Name()] = data
+	}
+	return tree
+}
+
+// TestOpenRefusesVersion1Directory builds, by hand, a data directory as the
+// version 1 layout left it — one log per shard and a sessions log under a
+// version 1 MANIFEST — and checks that Open refuses it by naming both
+// versions and leaves every byte of it alone: there is no upgrader and no
+// second reader to fall into.
+func TestOpenRefusesVersion1Directory(t *testing.T) {
+	dir := t.TempDir()
+	hello := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{recHello}, 1), 0)
+	v1 := map[string][]byte{
+		"MANIFEST":      []byte(`{"version":1,"shards":2,"procs":2}` + "\n"),
+		"LOCK":          {},
+		"shard-000.log": frame(encodePut(nil, "k", 7)),
+		"shard-001.log": {},
+		"sessions.log":  append(frame(hello), frame(appendOutcomeRec(nil, 1, 1, []byte("k=7")))...),
+	}
+	for name, data := range v1 {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(dir, 2, 2, 4)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open accepted a version 1 data directory")
+	}
+	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("refusal %q does not name both versions", err)
+	}
+	if got := readTree(t, dir); !reflect.DeepEqual(got, v1) {
+		t.Fatalf("the refused directory was modified:\n got %q\nwant %q", got, v1)
+	}
+}
+
+// TestWALRecoveryDispatch pins what one scan of a hand-built write-ahead log
+// recovers: records dispatch by kind in log order, a torn epoch tail is cut
+// at the first bad frame (keeping the puts, dropping the outcome), and a
+// well-framed put-at for a shard the store does not have is refused.
+func TestWALRecoveryDispatch(t *testing.T) {
+	hello := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{recHello}, 1), 0)
+	outcome := frame(appendOutcomeRec(nil, 1, 1, []byte("k=2")))
+	wal := bytes.Join([][]byte{
+		frame(encodePutAt(nil, 0, "k", 1)),
+		frame(hello), // a session record between two puts
+		frame(encodePutAt(nil, 1, "j", 5)),
+		frame(encodePutAt(nil, 0, "k", 2)),
+		outcome,
+	}, nil)
+
+	open := func(wal []byte) (*DB, error) {
+		dir := t.TempDir()
+		db, err := Open(dir, 2, 2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Open(dir, 2, 2, 4)
+	}
+	state := func(db *DB) (kv map[string]int64, window map[uint64][]byte) {
+		kv = map[string]int64{}
+		for i := 0; i < db.NumShards(); i++ {
+			db.RangeShard(i, func(k string, v int64) { kv[k] = v })
+		}
+		for _, s := range db.Sessions() {
+			window = s.Window
+		}
+		return kv, window
+	}
+
+	db, err := open(wal)
+	if err != nil {
+		t.Fatalf("intact log: %v", err)
+	}
+	kv, window := state(db)
+	db.Close()
+	if !reflect.DeepEqual(kv, map[string]int64{"k": 2, "j": 5}) || string(window[1]) != "k=2" {
+		t.Fatalf("intact log recovered %v / %q", kv, window)
+	}
+
+	db, err = open(wal[:len(wal)-3])
+	if err != nil {
+		t.Fatalf("torn epoch tail: %v", err)
+	}
+	kv, window = state(db)
+	size := db.wal.Size()
+	db.Close()
+	if !reflect.DeepEqual(kv, map[string]int64{"k": 2, "j": 5}) || len(window) != 0 {
+		t.Fatalf("torn epoch tail recovered %v / %q, want both puts and no outcome", kv, window)
+	}
+	if want := int64(len(wal) - len(outcome)); size != want {
+		t.Fatalf("torn tail left %d log bytes, want the %d-byte valid prefix", size, want)
+	}
+
+	if db, err = open(append(wal, frame(encodePutAt(nil, 2, "k", 9))...)); err == nil {
+		db.Close()
+		t.Fatal("Open accepted a put-at record for shard 2 of 2")
+	}
+}
+
+// TestAppendDoesNotWaitForTheBarrier holds a barrier's fsync open and
+// checks that a record can still be staged meanwhile — with one log, a Sync
+// that held the staging lock across its I/O would stall every shard's
+// journalPut — and that the next barrier makes that record durable.
+func TestAppendDoesNotWaitForTheBarrier(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.log")
+	l, err := OpenLog(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFsync, release := make(chan struct{}), make(chan struct{})
+	first := true // syncFn runs under the log's barrier lock
+	l.syncFn = func(f File) error {
+		if first {
+			first = false
+			close(inFsync)
+			<-release
+		}
+		return f.Sync()
+	}
+	if err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- l.Sync() }()
+	<-inFsync
+	if err := l.Append([]byte("second")); err != nil { // hangs here if Append waits for the disk
+		t.Fatal(err)
+	}
+	if got, want := l.Size(), int64(2*frameHeader+len("first")+len("second")); got != want {
+		t.Fatalf("Size with a batch in flight = %d, want %d", got, want)
+	}
+	close(release)
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if got := collect(t, path); len(got) != 2 || string(got[0]) != "first" || string(got[1]) != "second" {
+		t.Fatalf("replayed %q, want first then second", got)
+	}
+}
+
+// TestAllocPinCommitOutcomeSyncSubscriber pins the allocations of a warm
+// CommitOutcome on the path every served mutation takes — a group-commit
+// epoch gated by a sync subscriber's ack: the epoch and its broadcast
+// channel, and the window's copy of the reply. Waiting for the ack
+// allocates nothing (no slice of subscribers, no timer per wait).
+func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on channel hand-off")
+	}
+	db, err := Open(t.TempDir(), 2, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.StartGroupCommit(0)
+	sub := db.Subscribe(0, true)
+	defer sub.Close()
+	go func() { // the standby: acknowledge every barrier
+		for {
+			chunk, err := sub.Next()
+			if err != nil {
+				return
+			}
+			for len(chunk) > 0 {
+				n := 4 + int(binary.BigEndian.Uint32(chunk))
+				if kind := chunk[4]; kind == ReplBarrier || kind == ReplSnapEnd {
+					sub.Ack(binary.BigEndian.Uint64(chunk[5:]))
+				}
+				chunk = chunk[n:]
+			}
+		}
+	}()
+	if err := db.AppendHello(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	req, reply := uint64(0), []byte("reply-ok")
+	commit := func() {
+		req++
+		db.ShardBacking(int(req%2)).Persist("key", int64(req))
+		if err := db.CommitOutcome(1, req, reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // fill the window, grow every buffer, engage the gate
+		commit()
+	}
+	if _, _, subs := db.ReplStatus(); subs != 1 || db.repl.nsync.Load() != 1 {
+		t.Fatalf("the subscriber is not gating commits (subs=%d nsync=%d)", subs, db.repl.nsync.Load())
+	}
+	if got := testing.AllocsPerRun(200, commit); got > 3 {
+		t.Fatalf("warm CommitOutcome with a sync subscriber: %.1f allocs/op, want ≤ 3", got)
+	}
+}

@@ -43,7 +43,7 @@ const (
 
 // standbySIDBase offsets observer session IDs issued while in standby so
 // they can never collide with the data-session IDs recovered from the
-// replicated sessions log at promotion.
+// replicated session records at promotion.
 const standbySIDBase = uint64(1) << 63
 
 // replicaDialTimeout bounds the standby's dial + handshake with the

@@ -553,10 +553,11 @@ func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply
 	}
 	if !fatal && len(reply) > 0 && reply[0] == StatusOK && !closing {
 		if db := srv.db.Load(); db != nil && !sess.observer && mutates(op) {
-			// The durability barrier before release: the shard logs holding
-			// this request's linearized mutations are synced, then the
-			// outcome record — in that order, so a replayed verdict can
-			// never outlive its effect. Only then may the reply leave.
+			// The durability barrier before release: the outcome record goes
+			// into the write-ahead log behind this request's linearized
+			// mutations and the log is synced — in that order, so a replayed
+			// verdict can never outlive its effect. Only then may the reply
+			// leave.
 			// Read-only replies skip it: they have no effect to anchor, a
 			// never-delivered read simply re-executes fresh after a
 			// restart, and the in-memory window still covers

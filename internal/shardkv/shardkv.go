@@ -84,7 +84,7 @@ func LockedKeyTable() Option {
 	return func(o *options) { o.lockedTable = true }
 }
 
-// Durable backs every shard's space with one shard log of db (making the
+// Durable backs every shard's space with db's write-ahead log (making the
 // space a file-backed persistent space: linearized mutations are journaled
 // at verdict time) and restores each shard's recovered state before the
 // store serves its first operation. db's geometry must match the store's

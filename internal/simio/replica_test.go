@@ -18,7 +18,7 @@ import (
 	"detectable/internal/durable"
 )
 
-// Sessions-log record kinds as they appear inside ReplSessRec messages.
+// Session record kinds as they appear inside ReplSessRec messages.
 // Mirrored here because the on-disk kinds are internal to durable; they
 // are a stable format (docs/DURABILITY.md).
 const (

@@ -41,8 +41,8 @@ type SweepConfig struct {
 	Group  bool // group-commit epochs instead of per-mutation fsync
 	// EpochBatch > 1 adds a multi-member epoch phase (Group only): that
 	// many concurrent commits share one anchor, so crash points inside the
-	// shard-sync → outcome-fold → sessions-sync sequence carry several
-	// parked verdicts at once.
+	// anchor's one write and one fsync carry several parked verdicts at
+	// once, and its torn variants cut between them.
 	EpochBatch int
 	CompactAt  int64         // compaction threshold; 0 keeps the durable default
 	MaxImages  int           // per-crash-point image cap; 0 = unlimited
@@ -214,9 +214,9 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 		}
 	}
 
-	// Multi-member epoch: several commits parked on one anchor, so the
-	// shard-sync → outcome-fold → sessions-sync sequence is crossed with
-	// multiple in-flight verdicts.
+	// Multi-member epoch: several commits parked on one anchor, so its one
+	// write carries the puts and outcome records of multiple in-flight
+	// verdicts.
 	if cfg.Group && cfg.EpochBatch > 1 {
 		db.StopGroupCommit()
 		_, before := db.GroupCommitStats()

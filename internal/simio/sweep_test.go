@@ -1,6 +1,7 @@
 package simio
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -45,26 +46,95 @@ func TestSweepSyncPath(t *testing.T) {
 }
 
 // TestSweepGroupCommit runs the same exhaustion over group-commit epochs,
-// including a multi-member epoch whose anchor (shard sync → outcome fold →
-// sessions sync) is crossed with several parked verdicts at once.
+// including a multi-member epoch whose anchor (one write, one fsync) is
+// crossed and torn with several parked verdicts at once.
 func TestSweepGroupCommit(t *testing.T) {
 	res := runSweep(t, SweepConfig{Ops: 4, Shards: 2, Window: 64, Group: true, EpochBatch: 3, MaxImages: 4096})
 	requireClean(t, res)
 }
 
-// TestSweepCompaction forces snapshot compaction inside the workload so the
-// atomic-replace sequence (tmp write → fsync → rename → dir sync) is
-// crash-enumerated too, including torn snapshot tails and resurrected
-// pre-compaction logs.
+// TestSweepCompaction forces a compaction at every anchor so the whole
+// sequence — each shard snapshot's atomic replace (tmp write → fsync →
+// rename → dir sync), then the sessions snapshot's, then the log reset — is
+// crash-enumerated too, including torn snapshot tails and a pre-compaction
+// log replayed over newer snapshots.
 func TestSweepCompaction(t *testing.T) {
 	res := runSweep(t, SweepConfig{Ops: 6, Shards: 2, Window: 8, CompactAt: 1, MaxImages: 2048})
 	requireClean(t, res)
 }
 
-// TestSweepCatchesMutant seeds the classic ordering bug — outcome record
-// fsynced before the shard effect it promises — and requires the sweep to
-// convict it. This is the test of the test: if the enumerator or the
-// checker went soft, the mutant would slip through and this fails.
+// TestCompactionSweepReachesHalfSnapshottedImages checks that the
+// compaction sweep really visits the images the one-log layout adds: a
+// crash part-way through a compaction that leaves a shard snapshot new, the
+// sessions snapshot old and the write-ahead log intact — recovery replays
+// the whole log over a snapshot that is already ahead of it — and that
+// every such image passes the sweep's checks.
+func TestCompactionSweepReachesHalfSnapshottedImages(t *testing.T) {
+	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8, Ops: 6, Keys: 2, CompactAt: 1}
+	fsim := New()
+	rel, err := runWorkload(fsim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := fsim.Journal()
+	// The image holding exactly what is durable after the first k ops is the
+	// first one the enumeration visits.
+	durableAt := func(k int) (img Image) {
+		EnumerateImages(journal, k, nil, 1, func(i Image) bool { img = i.Clone(); return false })
+		return img
+	}
+	shardSnap, sessSnap, wal := cfg.Dir+"/shard-000.snap", cfg.Dir+"/sessions.snap", cfg.Dir+"/wal.log"
+
+	compactions, found := 0, 0
+	for start, op := range journal {
+		if op.Kind != OpCreate || op.Path != shardSnap+".tmp" {
+			continue
+		}
+		// A compaction runs from here to the fsync behind the log's truncate.
+		end := start
+		for end < len(journal) && journal[end].Kind != OpTruncate {
+			end++
+		}
+		for end < len(journal) && journal[end].Kind != OpFsync {
+			end++
+		}
+		if end == len(journal) {
+			t.Fatalf("compaction starting at op %d never resets the log", start)
+		}
+		compactions++
+		before, after := durableAt(start), durableAt(end+1)
+		if bytes.Equal(before.Files[shardSnap], after.Files[shardSnap]) ||
+			bytes.Equal(before.Files[sessSnap], after.Files[sessSnap]) || len(before.Files[wal]) == 0 {
+			continue // this compaction changed too little to tell old from new
+		}
+		if len(after.Files[wal]) != 0 {
+			t.Fatalf("compaction ending at op %d left %d log bytes", end, len(after.Files[wal]))
+		}
+		for k := start + 1; k <= end; k++ {
+			EnumerateImages(journal, k, RecordAwareCuts, 0, func(img Image) bool {
+				if bytes.Equal(img.Files[shardSnap], after.Files[shardSnap]) &&
+					bytes.Equal(img.Files[sessSnap], before.Files[sessSnap]) &&
+					bytes.Equal(img.Files[wal], before.Files[wal]) {
+					found++
+					if v := checkImage(cfg, img, rel, k); v != nil {
+						t.Errorf("crash point %d (compaction %d–%d): %s", k, start, end, v.Detail)
+					}
+				}
+				return !t.Failed()
+			})
+		}
+	}
+	t.Logf("%d compactions, %d images with shard 0's snapshot new, the sessions snapshot old and the log intact", compactions, found)
+	if found == 0 {
+		t.Fatal("the compaction sweep never reached a half-snapshotted image")
+	}
+}
+
+// TestSweepCatchesMutant seeds the classic ordering bug — the outcome
+// record written and synced in front of the shard effect it promises — and
+// requires the sweep to convict it. This is the test of the test: if the
+// enumerator or the checker went soft, the mutant would slip through and
+// this fails.
 func TestSweepCatchesMutant(t *testing.T) {
 	durable.MutantOutcomeFirst = true
 	defer func() { durable.MutantOutcomeFirst = false }()
