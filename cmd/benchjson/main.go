@@ -29,7 +29,6 @@ import (
 	"os"
 	goruntime "runtime"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +37,7 @@ import (
 	"detectable/internal/server"
 	"detectable/internal/shardkv"
 	"detectable/internal/simio"
+	"detectable/internal/workload"
 )
 
 // Result is one benchmark's recorded numbers.
@@ -150,7 +150,7 @@ func run(out, in, label, note string, check, checkOnly bool, shards int, wireCon
 	}
 
 	if !skipWire {
-		conns, err := parseConns(wireConns)
+		conns, err := workload.ParseConns(wireConns)
 		if err != nil {
 			return err
 		}
@@ -321,16 +321,4 @@ func gate(pins map[string]float64) error {
 		}
 	}
 	return nil
-}
-
-func parseConns(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -wireconns element %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -20,8 +20,8 @@
 //
 // Against a durable server, mutation replies wait for the commit barrier,
 // so -getpct 10 (write-heavy) with -rate exposes the fsync schedule
-// directly: per-mutation fsync charges every put a sync, group commit
-// amortizes one sync across an epoch.
+// directly: group commit amortizes one sync across an epoch, and a lone
+// connection pays one per put.
 //
 // Usage:
 //
@@ -35,10 +35,10 @@
 // benches that (still over real TCP), so the binary is runnable with no
 // external daemon — smoke tests use it. -server-bin instead spawns a real
 // kvserverd (durable when -data is given or defaulted to a temp dir) and
-// benches the full served path; -server-args passes extra flags through,
-// which is how the BENCH_PR6.json group-commit-vs-per-mutation-fsync runs
-// are produced. -json appends this run's phases under -label into a JSON
-// document, merging with the file's existing runs.
+// benches the full served path through internal/harness, which reaps the
+// child on every exit path; -server-args passes extra flags through. -json
+// appends this run's phases under -label into a JSON document, merging with
+// the file's existing runs.
 package main
 
 import (
@@ -46,18 +46,15 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
-	"os/exec"
 	goruntime "runtime"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"detectable/internal/client"
+	"detectable/internal/harness"
 	"detectable/internal/server"
 	"detectable/internal/shardkv"
 	"detectable/internal/workload"
@@ -84,20 +81,82 @@ func main() {
 	label := flag.String("label", "run", "run name for -json")
 	seed := flag.Int64("seed", 1, "randomness seed")
 	flag.Parse()
-	var err error
-	if *readReplica {
-		var connCounts []int
-		if connCounts, err = parseConns(*connsFlag); err == nil {
-			err = runReadReplicaBench(*serverBin, *dataDir, *serverArgs, *shards, connCounts,
-				*dur, *keys, *dist, *theta, *seed, *jsonOut)
-		}
-	} else {
-		err = run(*addr, *selftest, *serverBin, *dataDir, *serverArgs, *shards, *replica, *connsFlag,
-			*dur, *keys, *getPct, *dist, *theta, *mput, *rate, *jsonOut, *label, *seed)
+	w := load{
+		dur: *dur, keys: *keys, getPct: *getPct, dist: *dist, theta: *theta,
+		mput: *mput, rate: *rate, seed: *seed,
+	}
+	srv := &serverSpec{bin: *serverBin, dataDir: *dataDir, args: *serverArgs, shards: *shards}
+	connCounts, err := workload.ParseConns(*connsFlag)
+	switch {
+	case err != nil:
+	case *readReplica:
+		err = runReadReplicaBench(srv, connCounts, w, *jsonOut)
+	default:
+		err = run(*addr, *selftest, srv, *replica, connCounts, w, *jsonOut, *label)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvbench:", err)
 		os.Exit(1)
+	}
+}
+
+// load is what every measured connection does: the operation mix, the key
+// distribution and the load model.
+type load struct {
+	dur    time.Duration
+	keys   int
+	getPct int
+	dist   string
+	theta  float64
+	mput   int     // > 0: each write is an MPUT of this many entries
+	rate   float64 // > 0: paced requests/sec per connection
+	seed   int64
+}
+
+// section starts this load's -json section.
+func (w load) section(serverArgs string) *runSection {
+	return &runSection{
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		Go:         goruntime.Version(),
+		GetPct:     w.getPct,
+		Dist:       w.dist,
+		Theta:      w.theta,
+		MPut:       w.mput,
+		Keys:       w.keys,
+		DurSec:     w.dur.Seconds(),
+		ServerArgs: serverArgs,
+	}
+}
+
+// serverSpec is the kvserverd a -server-bin run spawns.
+type serverSpec struct {
+	bin, dataDir, args string
+	shards             int
+	temp               bool // dataDir is a temp dir start made
+}
+
+// start spawns the server (with a warm standby behind it when standby is
+// set) through internal/harness, in a fresh temp directory when -data named
+// none.
+func (sp *serverSpec) start(procs int, standby bool) (_ *harness.Cluster, err error) {
+	if sp.dataDir == "" {
+		if sp.dataDir, err = os.MkdirTemp("", "kvbench-data-"); err != nil {
+			return nil, err
+		}
+		sp.temp = true
+	}
+	return harness.Start(harness.Config{
+		Name: "kvbench", Bin: sp.bin, Dir: sp.dataDir,
+		Shards: sp.shards, Procs: procs, ServerArgs: sp.args,
+	}, standby)
+}
+
+// rmTemp removes a temp data directory unless the run failed — the
+// cluster's Close has then said where the data was retained. Deferred ahead
+// of Close, so that it runs after it.
+func (sp *serverSpec) rmTemp(errp *error) {
+	if sp.temp && *errp == nil {
+		os.RemoveAll(sp.dataDir)
 	}
 }
 
@@ -136,21 +195,16 @@ type jsonDoc struct {
 	Runs   map[string]*runSection `json:"runs"`
 }
 
-func run(addr string, selftest bool, serverBin, dataDir, serverArgs string, shards int, replica bool, connsFlag string,
-	dur time.Duration, keys, getPct int, dist string, theta float64, mput int, rate float64,
-	jsonOut, label string, seed int64) error {
-	connCounts, err := parseConns(connsFlag)
-	if err != nil {
-		return err
+func run(addr string, selftest bool, srv *serverSpec, replica bool, connCounts []int,
+	w load, jsonOut, label string) (err error) {
+	if w.dist != "uniform" && w.dist != "zipf" {
+		return fmt.Errorf("unknown -dist %q (want uniform or zipf)", w.dist)
 	}
-	if dist != "uniform" && dist != "zipf" {
-		return fmt.Errorf("unknown -dist %q (want uniform or zipf)", dist)
-	}
-	if theta < 0 {
-		return fmt.Errorf("need -theta ≥ 0 (got %g)", theta)
+	if w.theta < 0 {
+		return fmt.Errorf("need -theta ≥ 0 (got %g)", w.theta)
 	}
 	modes := 0
-	for _, on := range []bool{addr != "", selftest, serverBin != ""} {
+	for _, on := range []bool{addr != "", selftest, srv.bin != ""} {
 		if on {
 			modes++
 		}
@@ -158,77 +212,42 @@ func run(addr string, selftest bool, serverBin, dataDir, serverArgs string, shar
 	if modes != 1 {
 		return fmt.Errorf("exactly one of -addr, -selftest and -server-bin is required")
 	}
-	if replica && serverBin == "" {
+	if replica && srv.bin == "" {
 		return fmt.Errorf("-replica needs -server-bin (the bench spawns the standby itself)")
 	}
-	if keys < 1 || getPct < 0 || getPct > 100 || mput < 0 || rate < 0 {
+	if w.keys < 1 || w.getPct < 0 || w.getPct > 100 || w.mput < 0 || w.rate < 0 {
 		return fmt.Errorf("need keys ≥ 1, 0 ≤ getpct ≤ 100, mput ≥ 0, rate ≥ 0")
 	}
 
-	maxConns := 0
-	for _, n := range connCounts {
-		if n > maxConns {
-			maxConns = n
-		}
-	}
+	maxConns := slices.Max(connCounts)
 	switch {
 	case selftest:
-		srv := server.New(shardkv.New(shards, maxConns))
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
+		s := server.New(shardkv.New(srv.shards, maxConns))
+		if err := s.Listen("127.0.0.1:0"); err != nil {
 			return err
 		}
-		defer srv.Close()
-		addr = srv.Addr().String()
-		fmt.Printf("selftest server: addr=%s shards=%d procs=%d\n", addr, shards, maxConns)
-	case serverBin != "":
-		if dataDir == "" {
-			d, err := os.MkdirTemp("", "kvbench-data-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(d)
-			dataDir = d
-		}
-		a, stop, err := spawnServer(serverBin, dataDir, serverArgs, shards, maxConns)
-		if err != nil {
+		defer s.Close()
+		addr = s.Addr().String()
+		fmt.Printf("selftest server: addr=%s shards=%d procs=%d\n", addr, srv.shards, maxConns)
+	case srv.bin != "":
+		var cluster *harness.Cluster
+		if cluster, err = srv.start(maxConns, replica); err != nil {
 			return err
 		}
-		defer stop()
-		addr = a
-		fmt.Printf("spawned server: addr=%s shards=%d procs=%d data=%s args=%q\n", addr, shards, maxConns, dataDir, serverArgs)
+		defer srv.rmTemp(&err)
+		defer cluster.Close(&err)
+		addr, _ = cluster.Addrs()
+		fmt.Printf("spawned server: addr=%s shards=%d procs=%d data=%s args=%q\n", addr, srv.shards, maxConns, srv.dataDir, srv.args)
 		if replica {
-			rd, err := os.MkdirTemp("", "kvbench-replica-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(rd)
-			_, stopR, err := spawnServer(serverBin, rd, serverArgs+" -replica-of "+addr, shards, maxConns)
-			if err != nil {
-				return fmt.Errorf("spawning replica: %w", err)
-			}
-			defer stopR()
-			if err := waitReplicaSynced(addr, 15*time.Second); err != nil {
-				return fmt.Errorf("replica never synced: %w", err)
-			}
 			fmt.Printf("replica attached: every mutation reply now waits for both nodes' fsync\n")
 		}
 	}
 
 	fmt.Printf("target=%s dur=%s keys=%d getpct=%d dist=%s theta=%g mput=%d rate=%.0f/conn\n",
-		addr, dur, keys, getPct, dist, theta, mput, rate)
-	sec := &runSection{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Go:         goruntime.Version(),
-		GetPct:     getPct,
-		Dist:       dist,
-		Theta:      theta,
-		MPut:       mput,
-		Keys:       keys,
-		DurSec:     dur.Seconds(),
-		ServerArgs: serverArgs,
-	}
+		addr, w.dur, w.keys, w.getPct, w.dist, w.theta, w.mput, w.rate)
+	sec := w.section(srv.args)
 	for _, n := range connCounts {
-		r, err := benchPhase(addr, n, dur, keys, getPct, dist, theta, mput, rate, seed)
+		r, err := benchPhase(addr, n, w)
 		if err != nil {
 			return fmt.Errorf("conns=%d: %w", n, err)
 		}
@@ -240,12 +259,9 @@ func run(addr string, selftest bool, serverBin, dataDir, serverArgs string, shar
 	return nil
 }
 
-// benchPhase runs one stream per connection for dur and prints one report
-// line. With rate > 0, each stream issues requests on a fixed schedule and
-// measures latency from the intended start time (coordinated-omission
-// corrected); with rate == 0 it is a closed loop timing only service time.
-func benchPhase(addr string, conns int, dur time.Duration, keys, getPct int, dist string, theta float64,
-	mput int, rate float64, seed int64) (phaseResult, error) {
+// benchPhase runs one stream per connection for w.dur and prints one
+// report line.
+func benchPhase(addr string, conns int, w load) (phaseResult, error) {
 	clients := make([]*client.Client, conns)
 	for i := range clients {
 		c, err := client.Dial(addr)
@@ -255,51 +271,74 @@ func benchPhase(addr string, conns int, dur time.Duration, keys, getPct int, dis
 		defer c.Close()
 		clients[i] = c
 	}
-
 	// Warm the key space on one connection before timing anything:
 	// creating a key's register is a one-time allocation of the paper's
 	// announce structure — O(procs²) NVM cells, milliseconds at high slot
 	// counts — and billing it to the measured window would swamp the
 	// serving costs (fsync schedule, batching) the bench compares.
-	{
-		const chunk = 64
-		warm := make([]shardkv.KV, 0, chunk)
-		for k := 0; k < keys; k += chunk {
-			warm = warm[:0]
-			for j := k; j < keys && j < k+chunk; j++ {
-				warm = append(warm, shardkv.KV{Key: "bench-" + strconv.Itoa(j), Val: 0})
-			}
-			if _, err := clients[0].MultiPut(warm); err != nil {
-				return phaseResult{}, fmt.Errorf("key-space warm-up: %w", err)
-			}
+	if err := warmKeys(clients[0], w.keys); err != nil {
+		return phaseResult{}, err
+	}
+	lats, elapsed, err := drive(clients, w)
+	if err != nil {
+		return phaseResult{}, err
+	}
+	r, err := summarize(lats, elapsed)
+	if err != nil {
+		return phaseResult{}, err
+	}
+	r.RatePerConn = w.rate
+	fmt.Printf("conns=%d ops=%d throughput=%.0f ops/sec p50=%s p99=%s max=%s\n",
+		conns, r.Ops, r.Throughput,
+		time.Duration(r.P50Ns), time.Duration(r.P99Ns), time.Duration(r.MaxNs))
+	return r, nil
+}
+
+// warmKeys creates every key's register in MPUT chunks, with a nonzero
+// value so that reads land on live registers.
+func warmKeys(c *client.Client, keys int) error {
+	const chunk = 64
+	warm := make([]shardkv.KV, 0, chunk)
+	for k := 0; k < keys; k += chunk {
+		warm = warm[:0]
+		for j := k; j < keys && j < k+chunk; j++ {
+			warm = append(warm, shardkv.KV{Key: "bench-" + strconv.Itoa(j), Val: j + 1})
+		}
+		if _, err := c.MultiPut(warm); err != nil {
+			return fmt.Errorf("key-space warm-up: %w", err)
 		}
 	}
+	return nil
+}
 
+// drive runs one operation stream per client for w.dur and returns every
+// connection's latencies plus the window's length. With w.rate > 0, each
+// stream issues requests on a fixed schedule and measures latency from the
+// intended start time (coordinated-omission corrected); with w.rate == 0 it
+// is a closed loop timing only service time.
+func drive(clients []*client.Client, w load) ([][]time.Duration, time.Duration, error) {
 	var interval time.Duration
-	if rate > 0 {
-		interval = time.Duration(float64(time.Second) / rate)
+	if w.rate > 0 {
+		interval = time.Duration(float64(time.Second) / w.rate)
 	}
-	lats := make([][]time.Duration, conns) // per-worker, merged after the run
-	errs := make([]error, conns)
+	lats := make([][]time.Duration, len(clients)) // per-worker, merged after the run
+	errs := make([]error, len(clients))
 	start := time.Now()
-	deadline := start.Add(dur)
+	deadline := start.Add(w.dur)
 	var wg sync.WaitGroup
 	for i, c := range clients {
 		wg.Add(1)
-		go func(i int, c *client.Client) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(workload.WorkerSeed(seed, conns, i)))
+			rng := rand.New(rand.NewSource(workload.WorkerSeed(w.seed, len(clients), i)))
 			// nextKey is the phase's key chooser: Zipfian rank draw ("bench-0"
 			// hottest, concentrating the stream on a few shards) or uniform.
-			nextKey := func() string { return "bench-" + strconv.Itoa(rng.Intn(keys)) }
-			if dist == "zipf" {
-				z := workload.NewZipf(rng, keys, theta)
+			nextKey := func() string { return "bench-" + strconv.Itoa(rng.Intn(w.keys)) }
+			if w.dist == "zipf" {
+				z := workload.NewZipf(rng, w.keys, w.theta)
 				nextKey = func() string { return "bench-" + strconv.Itoa(z.Next()) }
 			}
-			var entries []shardkv.KV
-			if mput > 0 {
-				entries = make([]shardkv.KV, mput)
-			}
+			entries := make([]shardkv.KV, w.mput)
 			for k := 0; ; k++ {
 				// The intended start is the schedule slot in paced mode —
 				// never pushed back by a slow predecessor — and "now" in
@@ -318,9 +357,9 @@ func benchPhase(addr string, conns int, dur time.Duration, keys, getPct int, dis
 				}
 				var err error
 				switch {
-				case rng.Intn(100) < getPct:
+				case rng.Intn(100) < w.getPct:
 					_, err = c.Get(nextKey())
-				case mput > 0:
+				case w.mput > 0:
 					for j := range entries {
 						entries[j] = shardkv.KV{Key: nextKey(), Val: rng.Int()}
 					}
@@ -334,16 +373,20 @@ func benchPhase(addr string, conns int, dur time.Duration, keys, getPct int, dis
 				}
 				lats[i] = append(lats[i], time.Since(intended))
 			}
-		}(i, c)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return phaseResult{}, err
+			return nil, 0, err
 		}
 	}
+	return lats, elapsed, nil
+}
 
+// summarize merges the connections' latencies into one phase's numbers.
+func summarize(lats [][]time.Duration, elapsed time.Duration) (phaseResult, error) {
 	var all []time.Duration
 	for _, l := range lats {
 		all = append(all, l...)
@@ -351,20 +394,15 @@ func benchPhase(addr string, conns int, dur time.Duration, keys, getPct int, dis
 	if len(all) == 0 {
 		return phaseResult{}, fmt.Errorf("no operations completed")
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	r := phaseResult{
-		Conns:       conns,
-		RatePerConn: rate,
-		Ops:         len(all),
-		Throughput:  float64(len(all)) / elapsed.Seconds(),
-		P50Ns:       int64(percentile(all, 50)),
-		P99Ns:       int64(percentile(all, 99)),
-		MaxNs:       int64(all[len(all)-1]),
-	}
-	fmt.Printf("conns=%d ops=%d throughput=%.0f ops/sec p50=%s p99=%s max=%s\n",
-		conns, r.Ops, r.Throughput,
-		time.Duration(r.P50Ns), time.Duration(r.P99Ns), time.Duration(r.MaxNs))
-	return r, nil
+	slices.Sort(all)
+	return phaseResult{
+		Conns:      len(lats),
+		Ops:        len(all),
+		Throughput: float64(len(all)) / elapsed.Seconds(),
+		P50Ns:      int64(percentile(all, 50)),
+		P99Ns:      int64(percentile(all, 99)),
+		MaxNs:      int64(all[len(all)-1]),
+	}, nil
 }
 
 // mergeJSON folds sec under label into the JSON document at path, keeping
@@ -387,85 +425,6 @@ func mergeJSON(path, label string, sec *runSection) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// spawnServer launches a kvserverd on a fresh loopback port and returns
-// its address plus a stop function (SIGTERM, SIGKILL+reap if it lingers —
-// the bench must never leak the child).
-func spawnServer(bin, dataDir, extraArgs string, shards, procs int) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	args := []string{
-		"-addr", addr,
-		"-shards", strconv.Itoa(shards),
-		"-procs", strconv.Itoa(procs),
-		"-data", dataDir,
-	}
-	args = append(args, strings.Fields(extraArgs)...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return "", nil, err
-	}
-	stop := func() {
-		cmd.Process.Signal(syscall.SIGTERM) //nolint:errcheck
-		done := make(chan struct{})
-		go func() { cmd.Wait(); close(done) }() //nolint:errcheck
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			cmd.Process.Kill() //nolint:errcheck
-			<-done
-		}
-	}
-
-	up := time.Now().Add(10 * time.Second)
-	for {
-		conn, err := net.DialTimeout("tcp", addr, 250*time.Millisecond)
-		if err == nil {
-			conn.Close()
-			return addr, stop, nil
-		}
-		if time.Now().After(up) {
-			stop()
-			return "", nil, fmt.Errorf("spawned server never came up: %w", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// waitReplicaSynced polls the primary until a replica stream is attached
-// and has acked every replication barrier, so the measured window never
-// includes the initial snapshot transfer.
-func waitReplicaSynced(addr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var lastErr error
-	for {
-		obs, err := client.DialObserver(addr)
-		if err == nil {
-			st, serr := obs.ServerStats()
-			obs.Close() //nolint:errcheck
-			if serr == nil && st.Replicas >= 1 && st.ReplSeq > 0 && st.ReplAcked >= st.ReplSeq {
-				return nil
-			}
-			if serr == nil {
-				err = fmt.Errorf("replicas=%d seq=%d acked=%d", st.Replicas, st.ReplSeq, st.ReplAcked)
-			} else {
-				err = serr
-			}
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return lastErr
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
 // percentile returns the p-th percentile of sorted latencies.
 func percentile(sorted []time.Duration, p int) time.Duration {
 	i := (len(sorted)*p + 99) / 100
@@ -473,20 +432,4 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 		i--
 	}
 	return sorted[i]
-}
-
-// parseConns parses "1,4,16" into connection counts.
-func parseConns(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -conns element %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-conns is empty")
-	}
-	return out, nil
 }

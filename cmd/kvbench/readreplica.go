@@ -3,17 +3,11 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	goruntime "runtime"
-	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"detectable/internal/client"
-	"detectable/internal/shardkv"
-	"detectable/internal/workload"
 )
 
 // runReadReplicaBench measures read-replica scaling (docs/REPLICATION.md
@@ -31,108 +25,58 @@ import (
 // the second node adds read capacity: the split phase's aggregate
 // throughput must beat the primary-only phase at the same per-node
 // connection count, and the replica must have served a nonzero share.
-func runReadReplicaBench(bin, dataDir, serverArgs string, shards int, connCounts []int,
-	dur time.Duration, keys int, dist string, theta float64, seed int64, jsonOut string) error {
-	if bin == "" {
+func runReadReplicaBench(srv *serverSpec, connCounts []int, w load, jsonOut string) (err error) {
+	if srv.bin == "" {
 		return fmt.Errorf("-read-replica needs -server-bin (the bench spawns both nodes itself)")
-	}
-	if dataDir == "" {
-		d, err := os.MkdirTemp("", "kvbench-rr-data-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(d)
-		dataDir = d
 	}
 	// Read-only sessions lease no process slot, so the slot budget only
 	// covers the warm-up client and the background writer.
-	const procs = 4
-	addr, stop, err := spawnServer(bin, dataDir, serverArgs, shards, procs)
+	cluster, err := srv.start(4, true)
 	if err != nil {
 		return err
 	}
-	defer stop()
-	rd, err := os.MkdirTemp("", "kvbench-rr-replica-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(rd)
-	raddr, stopR, err := spawnServer(bin, rd, serverArgs+" -replica-of "+addr, shards, procs)
-	if err != nil {
-		return fmt.Errorf("spawning replica: %w", err)
-	}
-	defer stopR()
-	if err := waitReplicaSynced(addr, 15*time.Second); err != nil {
-		return fmt.Errorf("replica never synced: %w", err)
-	}
+	defer srv.rmTemp(&err)
+	defer cluster.Close(&err)
+	addr, raddr := cluster.Addrs()
 	fmt.Printf("read-replica bench: primary=%s replica=%s dur=%s keys=%d dist=%s theta=%g\n",
-		addr, raddr, dur, keys, dist, theta)
+		addr, raddr, w.dur, w.keys, w.dist, w.theta)
 
-	// Warm every key with a nonzero value so reads land on live registers,
-	// then let the replica ack the warm-up barriers before measuring.
+	// Warm every key, then let the replica ack the warm-up barriers before
+	// measuring.
 	warmClient, err := client.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer warmClient.Close() //nolint:errcheck
-	if err := warmKeys(warmClient, keys); err != nil {
+	if err := warmKeys(warmClient, w.keys); err != nil {
 		return err
 	}
-	if err := waitReplicaSynced(addr, 15*time.Second); err != nil {
+	if err := cluster.WaitSynced(15 * time.Second); err != nil {
 		return fmt.Errorf("replica never caught up after warm-up: %w", err)
 	}
 
-	newSection := func() *runSection {
-		return &runSection{
-			Generated:  time.Now().UTC().Format(time.RFC3339),
-			Go:         goruntime.Version(),
-			GetPct:     100,
-			Dist:       dist,
-			Theta:      theta,
-			Keys:       keys,
-			DurSec:     dur.Seconds(),
-			ServerArgs: serverArgs,
-		}
-	}
-	primaryOnly, split := newSection(), newSection()
+	// The measured traffic is GET-only and closed-loop, whatever the flags say.
+	w.getPct, w.mput, w.rate = 100, 0, 0
+	primaryOnly, split := w.section(srv.args), w.section(srv.args)
 	for _, n := range connCounts {
-		r, err := withWriteLoad(addr, seed, func() (phaseResult, error) {
-			return benchReadPhase(addr, raddr, n, 0, dur, keys, dist, theta, seed)
-		})
-		if err != nil {
-			return fmt.Errorf("primary-only conns=%d: %w", n, err)
+		for _, ph := range []struct {
+			sec    *runSection
+			rconns int
+		}{{primaryOnly, 0}, {split, n}} {
+			r, err := withWriteLoad(addr, w.seed, func() (phaseResult, error) {
+				return benchReadPhase(addr, raddr, n, ph.rconns, w)
+			})
+			if err != nil {
+				return fmt.Errorf("read conns=%d+%d: %w", n, ph.rconns, err)
+			}
+			ph.sec.Phases = append(ph.sec.Phases, r)
 		}
-		primaryOnly.Phases = append(primaryOnly.Phases, r)
-		r, err = withWriteLoad(addr, seed, func() (phaseResult, error) {
-			return benchReadPhase(addr, raddr, n, n, dur, keys, dist, theta, seed)
-		})
-		if err != nil {
-			return fmt.Errorf("split conns=%d+%d: %w", n, n, err)
-		}
-		split.Phases = append(split.Phases, r)
 	}
 	if jsonOut != "" {
 		if err := mergeJSON(jsonOut, "read-primary-only", primaryOnly); err != nil {
 			return err
 		}
 		return mergeJSON(jsonOut, "read-replica", split)
-	}
-	return nil
-}
-
-// warmKeys creates every key's register with a nonzero value, off the
-// measured window (see benchPhase's warm-up comment).
-func warmKeys(c *client.Client, keys int) error {
-	const chunk = 64
-	warm := make([]shardkv.KV, 0, chunk)
-	for k := 0; k < keys; k += chunk {
-		warm = warm[:0]
-		for j := k; j < keys && j < k+chunk; j++ {
-			warm = append(warm, shardkv.KV{Key: "bench-" + strconv.Itoa(j), Val: j + 1})
-		}
-		if _, err := c.MultiPut(warm); err != nil {
-			return fmt.Errorf("key-space warm-up: %w", err)
-		}
 	}
 	return nil
 }
@@ -172,10 +116,8 @@ func withWriteLoad(primary string, seed int64, phase func() (phaseResult, error)
 // benchReadPhase drives pconns closed-loop GET streams at the primary and
 // rconns at the replica, all over read-only sessions, and reports the
 // aggregate plus the replica's share.
-func benchReadPhase(primary, replica string, pconns, rconns int, dur time.Duration,
-	keys int, dist string, theta float64, seed int64) (phaseResult, error) {
-	conns := pconns + rconns
-	clients := make([]*client.Client, conns)
+func benchReadPhase(primary, replica string, pconns, rconns int, w load) (phaseResult, error) {
+	clients := make([]*client.Client, pconns+rconns)
 	for i := range clients {
 		target := primary
 		if i >= pconns {
@@ -188,65 +130,17 @@ func benchReadPhase(primary, replica string, pconns, rconns int, dur time.Durati
 		defer c.Close() //nolint:errcheck
 		clients[i] = c
 	}
-
-	lats := make([][]time.Duration, conns)
-	errs := make([]error, conns)
-	var replicaOps atomic.Int64
-	start := time.Now()
-	deadline := start.Add(dur)
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		wg.Add(1)
-		go func(i int, c *client.Client) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workload.WorkerSeed(seed, conns, i)))
-			nextKey := func() string { return "bench-" + strconv.Itoa(rng.Intn(keys)) }
-			if dist == "zipf" {
-				z := workload.NewZipf(rng, keys, theta)
-				nextKey = func() string { return "bench-" + strconv.Itoa(z.Next()) }
-			}
-			onReplica := i >= pconns
-			for {
-				op := time.Now()
-				if !op.Before(deadline) {
-					return
-				}
-				if _, err := c.Get(nextKey()); err != nil {
-					errs[i] = err
-					return
-				}
-				lats[i] = append(lats[i], time.Since(op))
-				if onReplica {
-					replicaOps.Add(1)
-				}
-			}
-		}(i, c)
+	lats, elapsed, err := drive(clients, w)
+	if err != nil {
+		return phaseResult{}, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return phaseResult{}, err
-		}
+	r, err := summarize(lats, elapsed)
+	if err != nil {
+		return phaseResult{}, err
 	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
-		return phaseResult{}, fmt.Errorf("no operations completed")
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	r := phaseResult{
-		Conns:        conns,
-		ReplicaConns: rconns,
-		ReplicaOps:   int(replicaOps.Load()),
-		Ops:          len(all),
-		Throughput:   float64(len(all)) / elapsed.Seconds(),
-		P50Ns:        int64(percentile(all, 50)),
-		P99Ns:        int64(percentile(all, 99)),
-		MaxNs:        int64(all[len(all)-1]),
+	r.ReplicaConns = rconns
+	for _, l := range lats[pconns:] {
+		r.ReplicaOps += len(l)
 	}
 	fmt.Printf("reads: primary-conns=%d replica-conns=%d ops=%d (replica %d) throughput=%.0f ops/sec p50=%s p99=%s\n",
 		pconns, rconns, r.Ops, r.ReplicaOps, r.Throughput,

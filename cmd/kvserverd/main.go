@@ -17,7 +17,7 @@
 // Usage:
 //
 //	kvserverd [-addr :7070] [-shards 4] [-procs 8] [-data dir] [-dur 0]
-//	          [-group-commit] [-epoch-interval 0] [-locked-keytable]
+//	          [-epoch-interval 0]
 //	          [-replica-of addr] [-promote] [-v]
 //
 // With -replica-of the daemon starts as a warm standby (requires -data):
@@ -29,17 +29,15 @@
 // generation and exits — promoting a standby into the serving primary, or
 // fencing a node that is already primary.
 //
-// -locked-keytable swaps each shard's lock-free copy-on-write key table
-// for the RWMutex-guarded baseline; it exists only so benchmark sweeps
-// (BENCH_PR8.json) can measure both sides through the same served path.
-//
-// With -group-commit (the default when durable), concurrent commits
-// coalesce into epochs sharing one fsync: every mutating reply is
+// A durable daemon commits through group-commit epochs: concurrent commits
+// coalesce into epochs sharing one fsync, and every mutating reply is
 // released on its epoch's boundary, after the fsync that anchors it, so
 // detectability is never weakened — N writers just split the cost of the
-// barrier instead of each paying it. -epoch-interval adds a batching
-// window before each epoch anchors, trading reply latency for wider
-// batches; 0 anchors as soon as the committer is free.
+// barrier instead of each paying it (a lone writer's epoch is the
+// per-mutation schedule; BENCH_PR6.json records the comparison).
+// -epoch-interval adds a batching window before each epoch anchors, trading
+// reply latency for wider batches; 0 anchors as soon as the committer is
+// free.
 //
 // -dur 0 serves until SIGINT/SIGTERM; a positive duration serves for that
 // long and exits (used by smoke tests). On shutdown the daemon prints the
@@ -66,9 +64,7 @@ func main() {
 	procs := flag.Int("procs", 8, "process slots (max concurrent non-observer sessions)")
 	data := flag.String("data", "", "durable data directory (empty = in-memory only; state dies with the process)")
 	dur := flag.Duration("dur", 0, "serve duration (0 = until SIGINT/SIGTERM)")
-	groupCommit := flag.Bool("group-commit", true, "coalesce concurrent commits into epochs sharing one fsync")
 	epochInterval := flag.Duration("epoch-interval", 0, "group-commit batching window (0 = anchor epochs immediately)")
-	lockedTable := flag.Bool("locked-keytable", false, "use the RWMutex-guarded key table instead of the lock-free copy-on-write one (benchmark baseline)")
 	replicaOf := flag.String("replica-of", "", "start as a warm standby replicating from the primary at this address (requires -data)")
 	promote := flag.Bool("promote", false, "admin verb: ask the server at -addr to promote (standby → primary, primary → fenced) and exit")
 	verbose := flag.Bool("v", false, "print the per-shard breakdown on shutdown")
@@ -80,7 +76,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*addr, *shards, *procs, *data, *dur, *groupCommit, *epochInterval, *lockedTable, *replicaOf, *verbose); err != nil {
+	if err := run(*addr, *shards, *procs, *data, *dur, *epochInterval, *replicaOf, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "kvserverd:", err)
 		os.Exit(1)
 	}
@@ -102,7 +98,7 @@ func runPromote(addr string) error {
 	return nil
 }
 
-func run(addr string, shards, procs int, data string, dur time.Duration, groupCommit bool, epochInterval time.Duration, lockedTable bool, replicaOf string, verbose bool) error {
+func run(addr string, shards, procs int, data string, dur time.Duration, epochInterval time.Duration, replicaOf string, verbose bool) error {
 	if shards < 1 || procs < 1 {
 		return fmt.Errorf("need shards ≥ 1 and procs ≥ 1 (got shards=%d procs=%d)", shards, procs)
 	}
@@ -115,9 +111,6 @@ func run(addr string, shards, procs int, data string, dur time.Duration, groupCo
 		err error
 	)
 	opts := []shardkv.Option{}
-	if lockedTable {
-		opts = append(opts, shardkv.LockedKeyTable())
-	}
 	if data != "" {
 		if db, err = durable.Open(data, shards, procs, server.Window); err != nil {
 			return err
@@ -128,9 +121,7 @@ func run(addr string, shards, procs int, data string, dur time.Duration, groupCo
 	var srv *server.Server
 	if replicaOf != "" {
 		srv = server.NewStandby(db, func() *shardkv.Store { return shardkv.New(shards, procs, opts...) })
-		if groupCommit {
-			db.StartGroupCommit(epochInterval)
-		}
+		db.StartGroupCommit(epochInterval)
 		if err := srv.StartReplication(replicaOf); err != nil {
 			return err
 		}
@@ -150,9 +141,7 @@ func run(addr string, shards, procs int, data string, dur time.Duration, groupCo
 				db.RangeShard(i, func(string, int64) { keys++ })
 			}
 			fmt.Printf("kvserverd: recovered data=%s keys=%d sessions=%d\n", data, keys, srv.Sessions())
-			if groupCommit {
-				db.StartGroupCommit(epochInterval)
-			}
+			db.StartGroupCommit(epochInterval)
 		}
 	}
 	if err := srv.Listen(addr); err != nil {
@@ -163,7 +152,7 @@ func run(addr string, shards, procs int, data string, dur time.Duration, groupCo
 			srv.Addr(), shards, procs, replicaOf)
 	} else {
 		fmt.Printf("kvserverd: serving addr=%s shards=%d procs=%d durable=%v group-commit=%v\n",
-			srv.Addr(), shards, procs, db != nil, db != nil && groupCommit)
+			srv.Addr(), shards, procs, db != nil, db != nil)
 	}
 
 	if dur > 0 {

@@ -124,7 +124,8 @@ func keyNames(keys int) []string {
 //     observed value is also convicted (the verdict lied);
 //   - a linearized read of 0 is a violation only when it is provably
 //     stale: some nonzero write to the key had already SETTLED linearized
-//     before the read began and no deletion was ever begun. Writes merely
+//     before the read began and no deletion had begun by the time the read
+//     returned (a DEL registers before it is issued). Writes merely
 //     concurrent with the read never convict — the check stays sound under
 //     races, it only refuses to miss the steady-state lost update.
 //
@@ -233,15 +234,17 @@ const (
 
 // checkRead validates a linearized read response against the registry.
 func (t *sharedTracker) checkRead(k, resp int, pre readPre) (why string) {
+	tk := &t.keys[k]
+	tk.mu.Lock()
+	defer tk.mu.Unlock()
 	if resp == 0 {
-		if pre.zeroConvicts {
+		// A DEL registers before it is issued, so one that explains this
+		// zero has begun by now even if it began after the snapshot.
+		if pre.zeroConvicts && !tk.delBegun {
 			return "want nonzero: a nonzero write had settled linearized before the read began and no DEL was ever begun"
 		}
 		return ""
 	}
-	tk := &t.keys[k]
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
 	ws, ok := tk.vals[resp]
 	if !ok {
 		return whyPhantom
@@ -338,27 +341,24 @@ func (v *verify) beginPut(k, val int) {
 	}
 }
 
-func (v *verify) put(k int, key string, val int, out runtime.Outcome[int]) {
-	v.settle(k, key, "PUT", val, out)
-}
-
 func (v *verify) beginDel(k int) {
 	if v.tr != nil {
 		v.tr.beginDel(k)
 	}
 }
 
-func (v *verify) del(k int, key string, out runtime.Outcome[int]) {
-	v.settle(k, key, "DEL", 0, out)
+// definite reports whether a verdict says for certain if the operation
+// linearized — the paper's contract for every crashed operation.
+func definite(s runtime.Status) bool {
+	return s.Linearized() || s == runtime.StatusFailed || s == runtime.StatusNotInvoked
 }
 
-// settle folds one mutation's verdict into the owner's expectation (uniform
-// mode) or the write registry (shared mode); a DEL is a write of 0.
+// settle folds one mutation's verdict (op is "PUT" or "DEL", a write of 0)
+// into the owner's expectation (uniform mode) or the write registry (shared
+// mode).
 func (v *verify) settle(k int, key, op string, val int, out runtime.Outcome[int]) {
 	v.log.note(k, opRecord{worker: v.worker, op: op, val: val, out: out})
-	switch out.Status {
-	case runtime.StatusOK, runtime.StatusRecovered, runtime.StatusFailed, runtime.StatusNotInvoked:
-	default:
+	if !definite(out.Status) {
 		v.indefinite.Add(1)
 		return
 	}

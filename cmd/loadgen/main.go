@@ -35,6 +35,11 @@
 // loopback port first, so the full wire path is exercised with no external
 // daemon.
 //
+// -restart-storm, -failover-storm and -read-replica spawn their own durable
+// kvserverd processes (through internal/harness) and break them beside the
+// workload. Every mode runs the one worker loop of storm.go beside its
+// fault schedule; docs/TESTING.md tabulates what each mode declares.
+//
 // Usage:
 //
 //	loadgen [-mix read-heavy|write-heavy|mixed|crash-storm] [-procs 4]
@@ -46,13 +51,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"detectable/internal/nvm"
 	"detectable/internal/shardkv"
 )
 
@@ -138,121 +139,29 @@ func main() {
 	}
 }
 
+// run is the in-process mode: every worker drives the store directly as
+// its own process, beside the per-shard crash storm of the crash-storm mix.
 func run(cfg *wlCfg) error {
-	spec := cfg.spec
 	s := shardkv.New(cfg.shards, cfg.procs)
-	var indefinite atomic.Uint64
-	names := keyNames(cfg.keys)
-	violations := newViolationLog(names)
-	var tracker *sharedTracker
-	if cfg.shared() {
-		tracker = newSharedTracker(cfg.keys)
-		// Zero the shared key space first: registry verification classifies
-		// every observed value, so a value left by an earlier run against
-		// the same store would read as a phantom.
-		for _, key := range names {
-			s.PutRetry(0, key, 0)
-		}
+	targets := make([]target, cfg.procs)
+	for pid := range targets {
+		targets[pid] = storeTarget{s, pid}
 	}
-
-	// Per-shard crash storm: fail one random shard at a time; the others
-	// keep serving.
-	stop := make(chan struct{})
-	var storm sync.WaitGroup
-	if spec.stormEvery > 0 {
-		storm.Add(1)
-		go func() {
-			defer storm.Done()
-			rng := rand.New(rand.NewSource(cfg.seed ^ 0x5707))
-			tick := time.NewTicker(spec.stormEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					s.CrashShard(rng.Intn(cfg.shards))
-				}
-			}
-		}()
+	st, err := newStorm(cfg, targets, cfg.shared())
+	if err != nil {
+		return err
 	}
-
-	expected := make([]map[string]int, cfg.procs)
-	start := time.Now()
-	deadline := start.Add(cfg.dur)
-	var wg sync.WaitGroup
-	for p := 0; p < cfg.procs; p++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			rng := cfg.workerRNG(pid)
-			ch := cfg.chooserFor(pid, rng)
-			v := newVerify(pid, tracker, violations, &indefinite)
-			nextVal := 0
-			newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
-			var entries []shardkv.KV
-			var ki []int
-			for time.Now().Before(deadline) {
-				k := ch.next()
-				key := names[k]
-				var plan nvm.CrashPlan
-				if spec.planEvery > 0 && rng.Intn(spec.planEvery) == 0 {
-					plan = nvm.CrashAtStep(uint64(1 + rng.Intn(14)))
-				}
-				switch r := rng.Intn(100); {
-				case r < spec.getPct:
-					pre := v.readBegin(k)
-					v.get(k, key, pre, s.Get(pid, key, plan))
-				case r < spec.getPct+spec.putPct:
-					if cfg.mput > 0 {
-						entries, ki = entries[:0], ki[:0]
-						for j := 0; j < cfg.mput; j++ {
-							kk := ch.next()
-							val := newVal()
-							entries = append(entries, shardkv.KV{Key: names[kk], Val: val})
-							ki = append(ki, kk)
-							v.beginPut(kk, val)
-						}
-						for j, out := range s.MultiPut(pid, entries) {
-							v.put(ki[j], entries[j].Key, entries[j].Val, out)
-						}
-					} else {
-						val := newVal()
-						v.beginPut(k, val)
-						v.put(k, key, val, s.Put(pid, key, val, plan))
-					}
-				default:
-					v.beginDel(k)
-					v.del(k, key, s.Del(pid, key, plan))
-				}
-			}
-			expected[pid] = v.exp
-		}(p)
+	if err := st.runWorkers(cfg.spec, shardCrashes(cfg, cfg.shards, func(i int) error {
+		s.CrashShard(i)
+		return nil
+	})); err != nil {
+		return err
 	}
-	wg.Wait()
 	// Snapshot throughput over the measured window only; the verification
-	// sweep below is bookkeeping, not serving.
-	elapsed := time.Since(start)
-	snaps := make([]shardkv.StatsSnapshot, cfg.shards)
-	for i := range snaps {
-		snaps[i] = s.StatsFor(i)
-	}
-	close(stop)
-	storm.Wait()
-
-	finalSweep(violations, tracker, expected, func(pid int, key string) (int, error) { //nolint:errcheck
-		return s.GetRetry(pid, key), nil
-	})
-
-	report(snaps, cfg, elapsed)
-	if n := indefinite.Load(); n > 0 {
-		return fmt.Errorf("%d operations ended without a definite outcome", n)
-	}
-	if n := violations.Load(); n > 0 {
-		return fmt.Errorf("%d detectability violations (lost or duplicated effects)", n)
-	}
-	fmt.Println("detectability: every operation resolved to a definite outcome, zero violations")
-	return nil
+	// sweep in finish is bookkeeping, not serving.
+	snaps := s.Snapshots()
+	return st.finish(func() { report(snaps, cfg, st.elapsed) },
+		"every operation resolved to a definite outcome, zero violations")
 }
 
 func report(snaps []shardkv.StatsSnapshot, cfg *wlCfg, elapsed time.Duration) {
@@ -264,12 +173,7 @@ func report(snaps []shardkv.StatsSnapshot, cfg *wlCfg, elapsed time.Duration) {
 	for _, st := range snaps {
 		total = total.Add(st)
 	}
-	distDesc := cfg.dist
-	if cfg.shared() {
-		distDesc = fmt.Sprintf("zipf(theta=%g)", cfg.theta)
-	}
-	fmt.Printf("mix=%s dist=%s mput=%d procs=%d shards=%d elapsed=%s\n",
-		cfg.mixName, distDesc, cfg.mput, cfg.procs, len(snaps), elapsed.Round(time.Millisecond))
+	fmt.Printf("%s elapsed=%s\n", cfg.descr(len(snaps)), elapsed.Round(time.Millisecond))
 	fmt.Printf("aggregate: %d ops (%.0f ops/sec) — gets=%d puts=%d dels=%d\n",
 		total.Ops(), float64(total.Ops())/secs, total.Gets, total.Puts, total.Dels)
 	fmt.Printf("verdicts:  ok=%d recovered=%d failed=%d not-invoked=%d retries=%d\n",

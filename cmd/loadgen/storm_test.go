@@ -1,0 +1,214 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"detectable/internal/runtime"
+	"detectable/internal/shardkv"
+)
+
+// fakeStore is a correct in-memory register map behind fakeTargets, unless
+// a fault is switched on: dropAcked acks every PUT without applying it (the
+// old value keeps being served), twoFaced applies every PUT and answers
+// "failed" (the verdict and the next read disagree about one operation).
+type fakeStore struct {
+	mu                  sync.Mutex
+	vals                map[string]int
+	dropAcked, twoFaced bool
+
+	want    int            // each target reports once, after this many operations
+	reached sync.WaitGroup // one Done per target
+}
+
+// fakeTarget is one worker's handle; log is the operation stream it was
+// asked to run.
+type fakeTarget struct {
+	st  *fakeStore
+	log []string
+}
+
+func newFakes(procs, want int) (*fakeStore, []target) {
+	st := &fakeStore{vals: map[string]int{}, want: want}
+	st.reached.Add(procs)
+	targets := make([]target, procs)
+	for p := range targets {
+		targets[p] = &fakeTarget{st: st}
+	}
+	return st, targets
+}
+
+func (t *fakeTarget) note(format string, args ...any) {
+	t.log = append(t.log, fmt.Sprintf(format, args...))
+	if len(t.log) == t.st.want {
+		t.st.reached.Done()
+	}
+}
+
+func ok(resp int) (runtime.Outcome[int], error) {
+	return runtime.Outcome[int]{Status: runtime.StatusOK, Resp: resp}, nil
+}
+
+func (t *fakeTarget) Get(key string, plan ...uint32) (runtime.Outcome[int], error) {
+	t.note("GET %s %v", key, plan)
+	t.st.mu.Lock()
+	defer t.st.mu.Unlock()
+	return ok(t.st.vals[key])
+}
+
+func (t *fakeTarget) put(key string, val int) (runtime.Outcome[int], error) {
+	t.st.mu.Lock()
+	defer t.st.mu.Unlock()
+	if !t.st.dropAcked {
+		t.st.vals[key] = val
+	}
+	if t.st.twoFaced {
+		return runtime.Outcome[int]{Status: runtime.StatusFailed}, nil
+	}
+	return ok(0)
+}
+
+func (t *fakeTarget) Put(key string, val int, plan ...uint32) (runtime.Outcome[int], error) {
+	t.note("PUT %s %d %v", key, val, plan)
+	return t.put(key, val)
+}
+
+func (t *fakeTarget) Del(key string, plan ...uint32) (runtime.Outcome[int], error) {
+	t.note("DEL %s %v", key, plan)
+	t.st.mu.Lock()
+	defer t.st.mu.Unlock()
+	delete(t.st.vals, key)
+	return ok(0)
+}
+
+func (t *fakeTarget) MultiPut(entries []shardkv.KV) ([]runtime.Outcome[int], error) {
+	t.note("MPUT %v", entries)
+	outs := make([]runtime.Outcome[int], len(entries))
+	for i, e := range entries {
+		outs[i], _ = t.put(e.Key, e.Val)
+	}
+	return outs, nil
+}
+
+func (t *fakeTarget) GetRetry(key string) (int, error) {
+	t.st.mu.Lock()
+	defer t.st.mu.Unlock()
+	return t.st.vals[key], nil
+}
+
+func (t *fakeTarget) PutRetry(key string, val int) (int, error) {
+	t.st.mu.Lock()
+	defer t.st.mu.Unlock()
+	t.st.vals[key] = val
+	return 1, nil
+}
+
+// lockedBuffer lets concurrent workers' convictions land in one buffer.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// fakeStorm runs the worker loop over fakes until every worker has been
+// asked for want operations, and returns the streams they saw.
+func fakeStorm(t *testing.T, cfg wlCfg, want int, fault func(*fakeStore)) (st *storm, streams [][]string, printed string) {
+	t.Helper()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	store, targets := newFakes(cfg.procs, want)
+	if fault != nil {
+		fault(store)
+	}
+	st, err := newStorm(&cfg, targets, cfg.shared())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf lockedBuffer
+	st.violations.w = &buf
+	if err := st.runWorkers(cfg.spec, func(time.Time) error {
+		store.reached.Wait()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range targets {
+		streams = append(streams, tg.(*fakeTarget).log[:want])
+	}
+	return st, streams, buf.buf.String()
+}
+
+// TestWorkerStreamIsPureFunctionOfSeedProcsPid: the operations a worker is
+// asked to run — op, key, value, planned crash step, batch contents — depend
+// on (seed, procs, pid) and the workload flags alone, so a failing storm
+// replays; and each of the three actually keys the stream.
+func TestWorkerStreamIsPureFunctionOfSeedProcsPid(t *testing.T) {
+	const want = 300
+	for _, cfg := range []wlCfg{
+		{mixName: "crash-storm", dist: "uniform", procs: 2, shards: 1, keys: 16, seed: 7},
+		{mixName: "crash-storm", dist: "zipf", theta: 0.99, mput: 3, procs: 3, shards: 1, keys: 16, seed: 7},
+	} {
+		_, first, _ := fakeStorm(t, cfg, want, nil)
+		_, again, _ := fakeStorm(t, cfg, want, nil)
+		for pid := range first {
+			if !slices.Equal(first[pid], again[pid]) {
+				t.Errorf("%s/%s: worker %d drew two different streams from one (seed, procs, pid)", cfg.mixName, cfg.dist, pid)
+			}
+		}
+		if slices.Equal(first[0], first[1]) {
+			t.Errorf("%s/%s: workers 0 and 1 drew the same stream", cfg.mixName, cfg.dist)
+		}
+		reseeded, widened := cfg, cfg
+		reseeded.seed++
+		widened.procs++
+		for what, other := range map[string]wlCfg{"seed": reseeded, "procs": widened} {
+			if _, streams, _ := fakeStorm(t, other, want, nil); slices.Equal(first[0], streams[0]) {
+				t.Errorf("%s/%s: worker 0's stream ignores the %s", cfg.mixName, cfg.dist, what)
+			}
+		}
+	}
+}
+
+// TestWorkerLoopMustConvict: a target that lies is caught by the loop's
+// verifier, in both verifier modes, with the key's trail printed — a server
+// that acks a PUT and goes on serving the old value, and one whose answers
+// about a single PUT disagree (verdict "failed", then its value in a read).
+func TestWorkerLoopMustConvict(t *testing.T) {
+	faults := map[string]func(*fakeStore){
+		"acked PUT dropped":         func(s *fakeStore) { s.dropAcked = true },
+		"failed PUT's value served": func(s *fakeStore) { s.twoFaced = true },
+	}
+	for name, fault := range faults {
+		for _, dist := range []string{"uniform", "zipf"} {
+			// read-heavy has no DELs, which could explain away a served zero.
+			cfg := wlCfg{mixName: "read-heavy", dist: dist, theta: 0.99, procs: 2, shards: 1, keys: 4, seed: 1}
+			st, _, printed := fakeStorm(t, cfg, 400, fault)
+			err := st.finish(func() {}, "unreachable")
+			if st.violations.Load() == 0 || err == nil || !strings.Contains(err.Error(), "detectability violations") {
+				t.Errorf("%s (%s): %d violations, finish = %v; want a conviction", name, dist, st.violations.Load(), err)
+				continue
+			}
+			for _, part := range []string{"violation: key-", "operations on key-", "oldest first:", " → "} {
+				if !strings.Contains(printed, part) {
+					t.Errorf("%s (%s): the conviction's printout lacks %q:\n%s", name, dist, part, printed)
+				}
+			}
+		}
+	}
+	// The same loop over an honest fake convicts nothing.
+	st, _, printed := fakeStorm(t, wlCfg{mixName: "mixed", dist: "zipf", theta: 0.99, procs: 2, shards: 1, keys: 4, seed: 1}, 400, nil)
+	if err := st.finish(func() {}, "every operation resolved to a definite outcome, zero violations"); err != nil {
+		t.Errorf("honest fake: finish = %v\n%s", err, printed)
+	}
+}

@@ -26,10 +26,10 @@ func TestViolationPrintout(t *testing.T) {
 	v := newVerify(3, tr, log, &indefinite)
 	for i := 1; i <= 9; i++ {
 		v.beginPut(1, 100+i)
-		v.put(1, names[1], 100+i, runtime.Outcome[int]{Status: runtime.StatusOK})
+		v.settle(1, names[1], "PUT", 100+i, runtime.Outcome[int]{Status: runtime.StatusOK})
 	}
 	v.beginDel(1)
-	v.del(1, names[1], runtime.Outcome[int]{Status: runtime.StatusFailed, Crashes: 2})
+	v.settle(1, names[1], "DEL", 0, runtime.Outcome[int]{Status: runtime.StatusFailed, Crashes: 2})
 	if err := finalSweep(log, tr, nil, func(int, string) (int, error) { return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestViolationPrintout(t *testing.T) {
 	v.get(0, names[0], v.readBegin(0), runtime.Outcome[int]{Status: runtime.StatusRecovered, Resp: 555, Crashes: 1})
 	v.beginPut(0, 7)
 	v.get(0, names[0], v.readBegin(0), runtime.Outcome[int]{Status: runtime.StatusOK, Resp: 7})
-	v.put(0, names[0], 7, runtime.Outcome[int]{Status: runtime.StatusFailed, Crashes: 1})
+	v.settle(0, names[0], "PUT", 7, runtime.Outcome[int]{Status: runtime.StatusFailed, Crashes: 1})
 	out = buf.String()
 	for _, want := range []string{
 		"key-0: GET by w3 got 555 (verdict recovered, crashes 1): want a registered write's value",
@@ -67,10 +67,24 @@ func TestViolationPrintout(t *testing.T) {
 		}
 	}
 
+	// A zero read convicts only if no DEL had begun by the time it returned:
+	// one begun after the read's snapshot can still have linearized first.
+	fresh := newSharedTracker(len(names))
+	fresh.beginPut(0, 8)
+	fresh.settlePut(0, 8, true)
+	pre := fresh.readBegin(0)
+	if why := fresh.checkRead(0, 0, pre); why == "" {
+		t.Errorf("a zero read after a settled PUT, with no DEL begun, was not convicted")
+	}
+	fresh.beginDel(0)
+	if why := fresh.checkRead(0, 0, pre); why != "" {
+		t.Errorf("a zero read was convicted although a DEL had begun before it returned: %s", why)
+	}
+
 	// Uniform mode: the owner's expectation is the want.
 	buf.Reset()
 	u := newVerify(0, nil, log, &indefinite)
-	u.put(0, names[0], 42, runtime.Outcome[int]{Status: runtime.StatusOK})
+	u.settle(0, names[0], "PUT", 42, runtime.Outcome[int]{Status: runtime.StatusOK})
 	u.get(0, names[0], readPre{}, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: 41})
 	if want := "key-0: GET by its owner w0 got 41, want 42 (verdict ok, crashes 0)"; !strings.Contains(buf.String(), want) {
 		t.Errorf("printout lacks %q:\n%s", want, buf.String())

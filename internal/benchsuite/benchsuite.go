@@ -72,17 +72,11 @@ func ShardKV(shards, procs int) func(b *testing.B) {
 // draw keys from a seeded Zipfian distribution over a 256-key space spread
 // across shards partitions, with a 3:1 get:put mix — the hot-key regime
 // where one shard absorbs most of the traffic and the key table's read
-// path dominates. locked selects the RWMutex-guarded seed key table
-// instead of the lock-free copy-on-write one, so the trajectory records
-// both sides of the comparison.
-func ShardKVZipf(shards, procs int, theta float64, locked bool) func(b *testing.B) {
+// path dominates.
+func ShardKVZipf(shards, procs int, theta float64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
-		var opts []shardkv.Option
-		if locked {
-			opts = append(opts, shardkv.LockedKeyTable())
-		}
-		s := shardkv.New(shards, procs, opts...)
+		s := shardkv.New(shards, procs)
 		keys := make([]string, 256)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("key-%d", i)
@@ -115,18 +109,13 @@ func ShardKVZipf(shards, procs int, theta float64, locked bool) func(b *testing.
 // replaced: procs concurrent readers resolve Zipfian-drawn keys through
 // Store.Peek, so the measured cost is one table lookup plus a plain
 // register load — nothing else. Under skew every reader hits the same few
-// map entries; the RWMutex table serializes them on the lock word's cache
-// line while the copy-on-write table is one uncontended atomic load, which
-// is the regression gate BENCH_PR8.json pins.
-func KeyTableReadZipf(procs int, theta float64, locked bool) func(b *testing.B) {
+// table entries; the copy-on-write table answers each with one uncontended
+// atomic load where the RWMutex map it replaced serialized them on the lock
+// word's cache line (the comparison on record in BENCH_PR8.json).
+func KeyTableReadZipf(procs int, theta float64) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
-		sys := ringSystem(procs)
-		mk := kv.New
-		if locked {
-			mk = kv.NewLocked
-		}
-		s := mk(sys)
+		s := kv.New(ringSystem(procs))
 		keys := make([]string, 256)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("key-%d", i)
@@ -243,17 +232,17 @@ func Curated() []Named {
 			Bench: ShardKVMultiPut(shards),
 		})
 	}
+	// "/table=lockfree" is what is left of the sweep over both key tables:
+	// benchjson's allocCeilings and the committed trajectory key on it.
 	for _, theta := range []float64{0.9, 1.2} {
-		for _, table := range []string{"lockfree", "locked"} {
-			out = append(out, Named{
-				Name:  fmt.Sprintf("BenchmarkShardKVZipf/theta=%g/table=%s", theta, table),
-				Bench: ShardKVZipf(4, 8, theta, table == "locked"),
-			})
-			out = append(out, Named{
-				Name:  fmt.Sprintf("BenchmarkKeyTableReadZipf/theta=%g/table=%s", theta, table),
-				Bench: KeyTableReadZipf(8, theta, table == "locked"),
-			})
-		}
+		out = append(out, Named{
+			Name:  fmt.Sprintf("BenchmarkShardKVZipf/theta=%g/table=lockfree", theta),
+			Bench: ShardKVZipf(4, 8, theta),
+		})
+		out = append(out, Named{
+			Name:  fmt.Sprintf("BenchmarkKeyTableReadZipf/theta=%g/table=lockfree", theta),
+			Bench: KeyTableReadZipf(8, theta),
+		})
 	}
 	for _, shards := range []int{1, 8} {
 		out = append(out, Named{

@@ -34,25 +34,12 @@ import (
 type Store struct {
 	sys   *runtime.System
 	procs *rw.Procs[int]
-	tbl   keyTable
+	tbl   *cowTable
 }
 
-// New allocates an empty store in sys's memory space with the lock-free
-// key table.
+// New allocates an empty store in sys's memory space.
 func New(sys *runtime.System) *Store {
-	return newStore(sys, newCowTable())
-}
-
-func newStore(sys *runtime.System, tbl keyTable) *Store {
-	return &Store{sys: sys, procs: rw.NewProcs(sys, runtime.EncodeInt), tbl: tbl}
-}
-
-// NewLocked allocates a store using the pre-PR 8 RWMutex key table. It
-// exists solely as the measured baseline of the BENCH_PR8.json skew sweep
-// (every operation pays a read-lock on the shared table); production
-// callers want New.
-func NewLocked(sys *runtime.System) *Store {
-	return newStore(sys, newLockedTable())
+	return &Store{sys: sys, procs: rw.NewProcs(sys, runtime.EncodeInt), tbl: newCowTable()}
 }
 
 // Put writes key := val as process pid and returns the detectable outcome.

@@ -9,40 +9,17 @@ import (
 	"detectable/internal/rw"
 )
 
-// keyTable resolves key → register on every operation. Two implementations:
+// cowTable resolves key → register on every operation: an insert-only
+// open-addressed hash table whose slots are atomic pointers. The read path
+// — every crash-free Get/Put on an existing key — is one atomic load of the
+// slot array, one hash and a short probe, no locks and no allocation.
+// Writers that introduce a *new* key (or Restore during recovery)
+// serialize on a creation mutex and publish the entry with one atomic
+// store; the array doubles, copy-on-write, when it is half full, so
+// creating a key costs O(1) amortised. (The RWMutex-guarded map it replaced
+// is measured against it in BENCH_PR8.json.)
 //
-//   - cowTable (the default): an insert-only open-addressed hash table
-//     whose slots are atomic pointers. The read path — every crash-free
-//     Get/Put on an existing key — is one atomic load of the slot array,
-//     one hash and a short probe, no locks and no allocation. Writers that
-//     introduce a *new* key (or Restore during recovery) serialize on a
-//     creation mutex and publish the entry with one atomic store; the
-//     array doubles, copy-on-write, when it is half full, so creating a
-//     key costs O(1) amortised.
-//   - lockedTable: the pre-PR 8 RWMutex-guarded map, kept only so the
-//     benchmark sweep (BENCH_PR8.json) can measure the seed baseline the
-//     lock-free table replaced. Production callers never pick it.
-//
-// Both give the same semantics: lookups of concurrent first-writes may miss
-// and fall into create, which double-checks under the mutex, so exactly one
-// register is ever allocated per key.
-type keyTable interface {
-	// lookup returns key's register without creating it.
-	lookup(key string) (*rw.Register[int], bool)
-	// create returns key's register, allocating it via alloc under the
-	// creation mutex if this is the key's first use. The stored key is
-	// cloned (callers may pass a transient buffer; see Store.reg).
-	create(key string, alloc func() *rw.Register[int]) *rw.Register[int]
-	// restore installs a recovered register and panics if key exists
-	// (recovery must run before the store serves operations).
-	restore(key string, reg *rw.Register[int])
-	// view returns a point-in-time key → register mapping the caller may
-	// read freely but must not mutate.
-	view() map[string]*rw.Register[int]
-}
-
-// cowTable is the lock-free key table. Keys are never removed, so a probe
-// sequence only ever gains entries: a reader walks from the key's home slot
+// Keys are never removed, so a probe sequence only ever gains entries: a reader walks from the key's home slot
 // to the first empty one and either meets the key or proves it was absent
 // when the walk began. An entry is immutable once published. Growth copies
 // the entries into an array twice the size and swaps the array pointer;
@@ -69,6 +46,7 @@ func newCowTable() *cowTable {
 	return t
 }
 
+// lookup returns key's register without creating it.
 func (t *cowTable) lookup(key string) (*rw.Register[int], bool) {
 	slots := *t.slots.Load()
 	if e := slots[t.probe(slots, key)].Load(); e != nil {
@@ -90,6 +68,10 @@ func (t *cowTable) probe(slots []atomic.Pointer[tableEntry], key string) uint64 
 	}
 }
 
+// create returns key's register, allocating it via alloc under the creation
+// mutex if this is the key's first use, so exactly one register is ever
+// allocated per key. The stored key is cloned (callers may pass a transient
+// buffer; see Store.reg).
 func (t *cowTable) create(key string, alloc func() *rw.Register[int]) *rw.Register[int] {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -103,6 +85,8 @@ func (t *cowTable) create(key string, alloc func() *rw.Register[int]) *rw.Regist
 	return reg
 }
 
+// restore installs a recovered register and panics if key exists (recovery
+// must run before the store serves operations).
 func (t *cowTable) restore(key string, reg *rw.Register[int]) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -130,6 +114,8 @@ func (t *cowTable) insert(e *tableEntry) {
 	slots[t.probe(slots, e.key)].Store(e)
 }
 
+// view returns a point-in-time key → register mapping the caller may read
+// freely but must not mutate.
 func (t *cowTable) view() map[string]*rw.Register[int] {
 	slots := *t.slots.Load()
 	out := make(map[string]*rw.Register[int], len(slots)/2)
@@ -137,57 +123,6 @@ func (t *cowTable) view() map[string]*rw.Register[int] {
 		if e := slots[i].Load(); e != nil {
 			out[e.key] = e.reg
 		}
-	}
-	return out
-}
-
-// lockedTable is the seed RWMutex key table, retained as the benchmark
-// baseline (Store option Locked / shardkv.LockedKeyTable / kvserverd
-// -locked-keytable). Every operation — including crash-free reads of hot
-// keys — takes the read lock, which is the serialization the skew sweep in
-// BENCH_PR8.json measures against the copy-on-write table.
-type lockedTable struct {
-	mu   sync.RWMutex
-	regs map[string]*rw.Register[int]
-}
-
-func newLockedTable() *lockedTable {
-	return &lockedTable{regs: make(map[string]*rw.Register[int])}
-}
-
-func (t *lockedTable) lookup(key string) (*rw.Register[int], bool) {
-	t.mu.RLock()
-	reg, ok := t.regs[key]
-	t.mu.RUnlock()
-	return reg, ok
-}
-
-func (t *lockedTable) create(key string, alloc func() *rw.Register[int]) *rw.Register[int] {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if reg, ok := t.regs[key]; ok {
-		return reg
-	}
-	reg := alloc()
-	t.regs[strings.Clone(key)] = reg
-	return reg
-}
-
-func (t *lockedTable) restore(key string, reg *rw.Register[int]) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.regs[key]; ok {
-		panic("kv: Restore of a key that already has a register")
-	}
-	t.regs[strings.Clone(key)] = reg
-}
-
-func (t *lockedTable) view() map[string]*rw.Register[int] {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[string]*rw.Register[int], len(t.regs))
-	for k, v := range t.regs {
-		out[k] = v
 	}
 	return out
 }

@@ -60,14 +60,14 @@ func TestCowViewIsImmutableSnapshot(t *testing.T) {
 	}
 }
 
-// TestLockedStoreEquivalence: the retained RWMutex baseline must give the
-// same observable behavior as the copy-on-write store — it exists so the
-// BENCH_PR8 sweep compares implementations, not semantics.
+// TestLockedStoreEquivalence pins the store's observable behavior over the
+// copy-on-write table (the name and the one-row table are what is left of
+// the comparison with the retired RWMutex baseline, BENCH_PR8.json).
 func TestLockedStoreEquivalence(t *testing.T) {
 	for _, mk := range []struct {
 		name string
 		new  func(*runtime.System) *Store
-	}{{"cow", New}, {"locked", NewLocked}} {
+	}{{"cow", New}} {
 		t.Run(mk.name, func(t *testing.T) {
 			sys := runtime.NewSystem(2)
 			s := mk.new(sys)
@@ -91,13 +91,13 @@ func TestLockedStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestRestorePanicsOnExistingKey pins the recovery contract for both
-// tables: Restore must refuse a key that already has a register.
+// TestRestorePanicsOnExistingKey pins the recovery contract: Restore must
+// refuse a key that already has a register.
 func TestRestorePanicsOnExistingKey(t *testing.T) {
 	for _, mk := range []struct {
 		name string
 		new  func(*runtime.System) *Store
-	}{{"cow", New}, {"locked", NewLocked}} {
+	}{{"cow", New}} {
 		t.Run(mk.name, func(t *testing.T) {
 			sys := runtime.NewSystem(1)
 			s := mk.new(sys)

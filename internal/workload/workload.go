@@ -12,8 +12,11 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Zipf draws ranks in [0, n) with probability P(r) ∝ 1/(r+1)^theta: rank 0
@@ -104,4 +107,18 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// ParseConns parses a connection-count sweep such as "1,4,16", the -conns
+// flag of the bench binaries.
+func ParseConns(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad connection count %q in %q", part, s)
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }

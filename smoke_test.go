@@ -1,9 +1,12 @@
 package detectable_test
 
 import (
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -49,45 +52,82 @@ func TestMainsSmoke(t *testing.T) {
 	}
 }
 
+var (
+	kvserverdOnce sync.Once
+	kvserverdBin  string
+	kvserverdErr  error
+)
+
+// kvserverd builds the daemon once for the three storm smokes (TestMain
+// removes it) and skips the calling test under -short.
+func kvserverd(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("spawns server processes; skipped in -short mode")
+	}
+	kvserverdOnce.Do(func() {
+		var dir string
+		if dir, kvserverdErr = os.MkdirTemp("", "smoke-kvserverd-"); kvserverdErr != nil {
+			return
+		}
+		kvserverdBin = filepath.Join(dir, "kvserverd")
+		if out, err := exec.Command("go", "build", "-o", kvserverdBin, "./cmd/kvserverd").CombinedOutput(); err != nil {
+			kvserverdErr = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if kvserverdErr != nil {
+		t.Fatalf("build kvserverd: %v", kvserverdErr)
+	}
+	return kvserverdBin
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if kvserverdBin != "" {
+		os.RemoveAll(filepath.Dir(kvserverdBin))
+	}
+	os.Exit(code)
+}
+
+// storm runs one loadgen storm mode against the shared kvserverd and
+// requires its zero-violations verdict.
+func storm(t *testing.T, args ...string) {
+	t.Helper()
+	args = append([]string{"run", "./cmd/loadgen", "-server-bin", kvserverd(t), "-data", filepath.Join(t.TempDir(), "data")}, args...)
+	out, err := exec.Command("go", args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go %v failed: %v\n%s", args, err, out)
+	}
+	if !strings.Contains(string(out), "zero violations") {
+		t.Fatalf("go %v did not report zero violations:\n%s", args, out)
+	}
+}
+
 // TestRestartStormSmoke runs a short whole-process crash-restart cycle:
 // loadgen -restart-storm SIGKILLs a durable kvserverd mid-workload and
 // fails on any cross-restart detectability violation. The CI wire-smoke
 // job runs the full-length version; this pins the mode into the ordinary
 // test gate.
 func TestRestartStormSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns server processes; skipped in -short mode")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "kvserverd")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/kvserverd").CombinedOutput(); err != nil {
-		t.Fatalf("build kvserverd: %v\n%s", err, out)
-	}
-	// Two storms: the default per-mutation commit schedule, and group
-	// commit pinned at a tiny epoch interval so SIGKILLs land on live
-	// epoch boundaries with parked replies — the release-on-epoch
+	// Two storms: the daemon's default schedule (an epoch anchors as soon
+	// as the committer is free), and a tiny epoch interval so SIGKILLs land
+	// on live epoch boundaries with parked replies — the release-on-epoch
 	// invariant under a real whole-process crash.
 	variants := []struct {
 		name       string
 		serverArgs string
 	}{
-		{"per-mutation", "-group-commit=false"},
+		{"default", "-epoch-interval 0"},
 		{"group-commit", "-epoch-interval 2ms"},
 	}
+	kvserverd(t) // build before the variants race for it
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
-			out, err := exec.Command("go", "run", "./cmd/loadgen",
-				"-restart-storm", "-server-bin", bin, "-data", filepath.Join(dir, "data-"+v.name),
+			storm(t, "-restart-storm",
 				"-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8",
 				"-dur", "1s", "-restarts", "2", "-restart-every", "400ms",
-				"-server-args", v.serverArgs).CombinedOutput()
-			if err != nil {
-				t.Fatalf("restart-storm (%s) failed: %v\n%s", v.name, err, out)
-			}
-			if !strings.Contains(string(out), "zero violations") {
-				t.Fatalf("restart-storm (%s) did not report zero violations:\n%s", v.name, out)
-			}
+				"-server-args", v.serverArgs)
 		})
 	}
 }
@@ -99,23 +139,19 @@ func TestRestartStormSmoke(t *testing.T) {
 // window. The CI wire-smoke job runs the full-length version; this pins
 // the mode into the ordinary test gate.
 func TestFailoverStormSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns server processes; skipped in -short mode")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "kvserverd")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/kvserverd").CombinedOutput(); err != nil {
-		t.Fatalf("build kvserverd: %v\n%s", err, out)
-	}
-	out, err := exec.Command("go", "run", "./cmd/loadgen",
-		"-failover-storm", "-server-bin", bin, "-data", filepath.Join(dir, "nodes"),
+	storm(t, "-failover-storm",
 		"-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8",
 		"-dur", "2s", "-failovers", "2", "-failover-every", "500ms",
-		"-server-args", "-epoch-interval 2ms").CombinedOutput()
-	if err != nil {
-		t.Fatalf("failover-storm failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "zero violations") {
-		t.Fatalf("failover-storm did not report zero violations:\n%s", out)
-	}
+		"-server-args", "-epoch-interval 2ms")
+}
+
+// TestReadReplicaStormSmoke runs a short read-replica storm: writers at the
+// primary, bounded-stale verified readers at the standby, one
+// SIGKILL+promote a third of the way in with the readers live. loadgen
+// fails unless violations are zero and at least one read was served by a
+// replica.
+func TestReadReplicaStormSmoke(t *testing.T) {
+	storm(t, "-read-replica",
+		"-procs", "2", "-readers", "2", "-max-lag", "64", "-shards", "2", "-keys", "8",
+		"-dur", "2s", "-server-args", "-epoch-interval 2ms")
 }
