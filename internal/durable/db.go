@@ -69,9 +69,10 @@ type shardFile struct {
 }
 
 // sessionsFile is the session layer's durable state. mu is the anchor lock:
-// session records are appended to the write-ahead log, made durable and
-// folded into the mirror under it, so the mirror holds durable records only
-// and no session record is ever left staged when it is released.
+// session records are appended to the write-ahead log, streamed to the
+// standby, made durable and folded into the mirror under it, so the mirror
+// holds durable records only and no session record is ever left staged when
+// it is released.
 type sessionsFile struct {
 	mu      sync.Mutex
 	snap    string
@@ -519,10 +520,18 @@ func eachStaged(b []byte, fn func(rec []byte) error) error {
 // log is made durable with one write and one fsync, whatever number of
 // shards those puts touched. Recovery accepts only a valid prefix of the
 // log, so an outcome record on disk implies the puts ahead of it are on
-// disk, under any kernel write-back order. Only then are the records folded
-// into the sessions mirror and handed, with a barrier, to the replication
-// tap; anchor returns once every gating standby has acknowledged that
-// barrier. The anchor that finds the log past the threshold compacts it.
+// disk, under any kernel write-back order.
+//
+// A replicated epoch's two fsyncs overlap: the records and their barrier go
+// to the replication tap before the local fsync starts, so the standby
+// writes and fsyncs the epoch while this node does. Every put ahead of the
+// barrier on the stream was appended to the log before the barrier was
+// tapped, so it is in the batch this fsync covers (or an earlier one). The
+// commit mark that follows the fsync is what lets the standby show the epoch
+// to readers; a failed fsync never sends it. Only then are the records folded
+// into the sessions mirror, and anchor returns once every gating standby has
+// acknowledged the barrier — a verdict is released after both fsyncs, as
+// before. The anchor that finds the log past the threshold compacts it.
 func (db *DB) anchor(recs []byte) error {
 	ss := &db.sessions
 	ss.mu.Lock()
@@ -531,7 +540,12 @@ func (db *DB) anchor(recs []byte) error {
 		held = db.wal.holdBack()
 	}
 	err := eachStaged(recs, db.wal.Append)
+	var seq uint64
 	if err == nil {
+		// Every barrier sequence is allocated under ss.mu, so barriers sit on
+		// the stream in sequence order, each followed by its commit mark.
+		_ = eachStaged(recs, db.repl.tapSess) // tapSess never fails
+		seq = db.repl.tapBarrier()
 		err = db.wal.Sync()
 	}
 	if MutantOutcomeFirst && err == nil {
@@ -539,18 +553,13 @@ func (db *DB) anchor(recs []byte) error {
 		err = db.wal.Sync()
 	}
 	if err == nil {
-		err = eachStaged(recs, func(rec []byte) error {
-			db.repl.tapSess(rec)
-			return ss.apply(rec)
-		})
+		db.repl.tapCommit(seq)
+		err = eachStaged(recs, ss.apply)
 	}
 	if err != nil {
 		ss.mu.Unlock()
 		return err
 	}
-	// Every barrier sequence is allocated under ss.mu, so barriers sit on
-	// the stream in sequence order.
-	seq := db.repl.tapBarrier()
 	full := db.wal.Size() >= db.compactAt
 	ss.mu.Unlock()
 	if full {

@@ -15,6 +15,14 @@ package durable
 // must catch this within its crash-point enumeration.
 var MutantOutcomeFirst bool
 
+// MutantPublishAtBarrier drops the commit gate of the replica's read view:
+// an epoch's puts are published the moment its barrier is anchored on the
+// standby, without waiting for the commit mark. The standby fsyncs an epoch
+// while the primary does, so a reader then sees values the primary has not
+// fsynced — and, if the primary crashes there and restarts, never had. The
+// simio replica sweep must catch this.
+var MutantPublishAtBarrier bool
+
 // holdBack removes and returns the staged, framed records. Mutant only.
 func (l *Log) holdBack() []byte {
 	l.mu.Lock()

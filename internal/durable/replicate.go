@@ -4,37 +4,45 @@ package durable
 //
 // The primary taps every write-ahead-log record — put-at records as they
 // are journaled, session records as they are anchored — into per-subscriber
-// buffers, and marks each fsync boundary with a barrier message carrying a
-// monotone sequence number. A synchronous subscriber gates verdict release:
-// the commit path (DB.anchor, under AppendHello, NoteSID, AppendEnd,
-// CommitOutcome and the group-commit epoch) waits for the backup to
-// acknowledge the barrier before returning, so group commit and replication
-// share one fsync boundary — an epoch's verdicts are released only after
-// that epoch is durable on both nodes. A subscriber that stalls past the
-// ack timeout is dropped and its waiters released (replication degrades;
-// durability on the primary is never weakened).
+// buffers. A commit epoch goes onto the stream as its session records and a
+// barrier message carrying a monotone sequence number *before* the primary's
+// own fsync starts, and as a commit mark with the same sequence once that
+// fsync has returned: the two nodes' fsyncs of one epoch run side by side.
+// A synchronous subscriber gates verdict release: the commit path
+// (DB.anchor, under AppendHello, NoteSID, AppendEnd, CommitOutcome and the
+// group-commit epoch) waits for the backup to acknowledge the barrier before
+// returning, so group commit and replication share one epoch boundary — an
+// epoch's verdicts are released only after that epoch is durable on both
+// nodes. A subscriber that stalls past the ack timeout is dropped and its
+// waiters released (replication degrades; durability on the primary is
+// never weakened).
 //
 // A new subscriber first receives a fuzzy snapshot — every shard mirror in
 // sorted key order, then the sessions mirror — bracketed by SnapBegin /
 // SnapEnd, then the live tap. Puts are last-wins and session records
 // idempotent, so applying the snapshot over any backup prefix converges;
-// SnapEnd doubles as the reconciliation point for sessions the backup saw
-// end while it was disconnected (snapshots can only assert liveness, never
-// deletion). Snapshot bytes are exempt from the subscriber's backlog
-// limit (bootstrap must work for states larger than the limit), and a
-// syncAck subscription starts gating commits only once its SnapEnd is
-// acked — until then the bootstrapping replica neither delays verdicts
-// nor counts as a laggard.
+// SnapEnd is also where the backup reconciles what a snapshot cannot say —
+// absence. A backup may be behind the primary (it missed a session's end)
+// or, since it fsyncs an epoch while the primary does, a whole epoch ahead
+// of a primary that crashed before its own fsync returned; either way
+// SnapEnd makes the snapshot authoritative (Replica.reconcile). Snapshot
+// bytes are exempt from the subscriber's backlog limit (bootstrap must work
+// for states larger than the limit), and a syncAck subscription starts
+// gating commits only once its SnapEnd is acked — until then the
+// bootstrapping replica neither delays verdicts nor counts as a laggard.
 //
 // The apply side (Replica) keeps the backup's own disk crash-consistent:
 // put-at records are journaled into the backup's write-ahead log eagerly
 // (early effects are harmless — the primary's own commit protocol already
-// tolerates effects without outcomes), but session records are staged in
+// tolerates effects without outcomes; a snapshot's puts alone wait for
+// SnapEnd, behind its reconciliation), but session records are staged in
 // memory until a barrier arrives and then go through the backup's own
 // DB.anchor — appended behind those puts, one write, one fsync. A
 // crash-prefix image of the backup's data directory therefore satisfies
 // the same outcome-implies-effect invariant as the primary's, which
-// internal/simio checks byte-for-byte.
+// internal/simio checks byte-for-byte. The barrier is acknowledged as soon
+// as it is anchored; the epoch's puts reach the read view (view.go) only
+// when its commit mark arrives.
 
 import (
 	"encoding/binary"
@@ -42,7 +50,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,14 +73,19 @@ const (
 	// (recHello, recOutcome, recEnd, or recNextSID).
 	ReplSessRec byte = 0x03
 	// ReplSnapEnd closes a snapshot: u64 barrier sequence. It is itself a
-	// barrier, and the point where the backup ends live sessions absent
-	// from the snapshot.
+	// barrier, and the point where the backup drops whatever it holds that
+	// the snapshot and the records tapped beside it did not assert.
 	ReplSnapEnd byte = 0x04
-	// ReplBarrier marks one primary fsync boundary: u64 sequence.
+	// ReplBarrier closes one commit epoch: u64 sequence. It is sent before
+	// the primary's fsync of that epoch starts.
 	ReplBarrier byte = 0x05
 	// ReplAck flows backup→primary: u64 sequence, acknowledging that
 	// every record up to that barrier is durable on the backup.
 	ReplAck byte = 0x06
+	// ReplCommit says the primary's own fsync of the epoch closed by the
+	// barrier (or SnapEnd) of this sequence has returned: u64 sequence. The
+	// backup may show that epoch to readers from here on.
+	ReplCommit byte = 0x07
 )
 
 // DefaultReplSubLimit bounds a subscriber's pending live-tap backlog; a
@@ -97,6 +112,7 @@ type replState struct {
 	nsubs      atomic.Int32  // registered subscribers (fast-path gate for taps)
 	nsync      atomic.Int32  // gating subscribers: sync subs whose snapshot barrier is acked
 	seq        atomic.Uint64 // barrier sequence; bumped only under sessions.mu
+	committed  atomic.Uint64 // last sequence fsynced here; stored only under sessions.mu
 	ackTimeout atomic.Int64  // nanoseconds; 0 = DefaultReplAckTimeout
 
 	mu   sync.Mutex
@@ -223,14 +239,30 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 	// gating threshold: acking it is what turns a syncAck subscription
 	// into a commit gate (Ack).
 	seq := r.seq.Add(1)
-	var ehdr [9]byte
-	ehdr[0] = ReplSnapEnd
-	binary.BigEndian.PutUint64(ehdr[1:], seq)
 	sub.mu.Lock()
 	sub.snapSeq = seq
 	sub.mu.Unlock()
-	sub.stageSnap(ehdr[:], nil)
+	sub.stageSnap(seqMsg(ReplSnapEnd, seq), nil)
+	// A shard mirror holds puts that are journaled but not yet fsynced, and
+	// so does the snapshot. Every one of them was appended to the log before
+	// it was staged, so one barrier here (free on a clean log) makes all of
+	// the snapshot durable on this node, and SnapEnd gets its commit mark
+	// like any other epoch.
+	if err := db.wal.Sync(); err != nil {
+		sub.fail(err)
+		return sub
+	}
+	r.committed.Store(seq)
+	sub.stageSnap(seqMsg(ReplCommit, seq), nil)
 	return sub
+}
+
+// seqMsg encodes a kind + u64 sequence message (SnapEnd, Barrier, Commit).
+func seqMsg(kind byte, seq uint64) []byte {
+	var msg [9]byte
+	msg[0] = kind
+	binary.BigEndian.PutUint64(msg[1:], seq)
+	return msg[:]
 }
 
 // SetReplAckTimeout overrides how long commits wait for a synchronous
@@ -238,11 +270,14 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 func (db *DB) SetReplAckTimeout(d time.Duration) { db.repl.ackTimeout.Store(int64(d)) }
 
 // ReplStatus reports the replication high-water marks: the latest barrier
-// sequence issued, the lowest sequence acknowledged by every synchronous
-// subscriber (0 when there are none), and the subscriber count.
+// sequence anchored on this node (its own fsync returned — not merely
+// allocated and streamed), the lowest sequence acknowledged by every
+// synchronous subscriber (0 when there are none; a standby fsyncs an epoch
+// beside the primary, so this may run one ahead of seq), and the subscriber
+// count.
 func (db *DB) ReplStatus() (seq, acked uint64, subs int) {
 	r := &db.repl
-	seq = r.seq.Load()
+	seq = r.committed.Load()
 	r.mu.Lock()
 	first := true
 	for sub := range r.subs {
@@ -275,27 +310,38 @@ func (r *replState) tapShard(rec []byte) {
 }
 
 // tapSess stages one session record to every subscriber. Called from
-// DB.anchor with sessions.mu held, after the barrier that made it durable.
-func (r *replState) tapSess(rec []byte) {
+// DB.anchor with sessions.mu held, once the epoch's records are appended to
+// the log and before its fsync. The error is always nil (eachStaged's
+// callback shape).
+func (r *replState) tapSess(rec []byte) error {
 	if r.nsubs.Load() != 0 {
 		kind := [1]byte{ReplSessRec}
 		r.tapMsg(kind[:], rec)
 	}
+	return nil
 }
 
 // tapBarrier allocates the next barrier sequence and stages the barrier
-// message. Called from DB.anchor with sessions.mu held after a successful
-// barrier — every barrier sequence is allocated under that lock, so the
-// stream order of barriers matches sequence order.
+// message. Called from DB.anchor with sessions.mu held, behind the epoch's
+// session records and before its fsync — every barrier sequence is
+// allocated under that lock, so the stream order of barriers matches
+// sequence order.
 func (r *replState) tapBarrier() uint64 {
 	seq := r.seq.Add(1)
 	if r.nsubs.Load() != 0 {
-		var hdr [9]byte
-		hdr[0] = ReplBarrier
-		binary.BigEndian.PutUint64(hdr[1:], seq)
-		r.tapMsg(hdr[:], nil)
+		r.tapMsg(seqMsg(ReplBarrier, seq), nil)
 	}
 	return seq
+}
+
+// tapCommit records that epoch seq is fsynced on this node and stages its
+// commit mark. Called from DB.anchor with sessions.mu held, after the fsync
+// returned without error; a failed fsync never gets here.
+func (r *replState) tapCommit(seq uint64) {
+	r.committed.Store(seq)
+	if r.nsubs.Load() != 0 {
+		r.tapMsg(seqMsg(ReplCommit, seq), nil)
+	}
 }
 
 func (r *replState) tapMsg(hdr, rec []byte) {
@@ -306,27 +352,63 @@ func (r *replState) tapMsg(hdr, rec []byte) {
 			dead = append(dead, sub)
 		}
 	}
+	var lost []gateState
 	for _, sub := range dead {
-		r.dropLocked(sub)
+		if g, wasGating := r.dropLocked(sub); wasGating {
+			lost = append(lost, g)
+		}
 	}
 	r.mu.Unlock()
+	for _, g := range lost {
+		g.logLost(r.seq.Load())
+	}
 }
 
-func (r *replState) dropLocked(sub *ReplSub) {
+// dropLocked forgets sub. When sub was gating commits, it also returns the
+// state it stopped gating in, for the caller to log once r.mu is released.
+func (r *replState) dropLocked(sub *ReplSub) (g gateState, wasGating bool) {
 	if _, ok := r.subs[sub]; !ok {
-		return
+		return g, false
 	}
 	delete(r.subs, sub)
 	r.nsubs.Add(-1)
-	if sub.syncAck && sub.disengage() {
-		r.nsync.Add(-1)
+	if sub.syncAck {
+		if g, wasGating = sub.disengage(); wasGating {
+			r.nsync.Add(-1)
+		}
 	}
+	return g, wasGating
 }
 
 func (r *replState) unregister(sub *ReplSub) {
 	r.mu.Lock()
-	r.dropLocked(sub)
+	g, wasGating := r.dropLocked(sub)
 	r.mu.Unlock()
+	if wasGating {
+		g.logLost(r.seq.Load())
+	}
+}
+
+// gateState is what a log line says about a gating subscriber: the barrier
+// it had acknowledged, its live-tap backlog, and why it closed (nil while
+// it is open).
+type gateState struct {
+	acked   uint64
+	backlog int
+	cause   error
+}
+
+// logLost reports that commits are no longer gated by this subscriber: an
+// ack timeout, a backlog overflow, or its connection going away. Verdicts
+// are released on the primary's fsync alone until a standby has
+// bootstrapped again.
+func (g gateState) logLost(seq uint64) {
+	cause := "subscription closed"
+	if g.cause != nil {
+		cause = g.cause.Error()
+	}
+	slog.Warn("replication degraded: sync standby no longer gates commits",
+		"cause", cause, "seq", seq, "acked", g.acked, "backlog_bytes", g.backlog)
 }
 
 // waitBarrier blocks until every gating subscriber — a synchronous one
@@ -464,14 +546,27 @@ func (s *ReplSub) Ack(seq uint64) {
 		s.acked = seq
 		s.cond.Broadcast()
 	}
-	if s.syncAck && !s.gating && !s.closed && s.snapSeq != 0 && s.acked >= s.snapSeq {
+	engaged := s.syncAck && !s.gating && !s.closed && s.snapSeq != 0 && s.acked >= s.snapSeq
+	var g gateState
+	if engaged {
 		// closeLocked always precedes unregistration, so engaging here
 		// (under s.mu, on a live sub) pairs exactly once with the
 		// disengage in dropLocked.
 		s.gating = true
 		s.r.nsync.Add(1)
+		g = s.gateStateLocked()
 	}
 	s.mu.Unlock()
+	if engaged {
+		slog.Info("replication: sync standby bootstrapped, commits now wait for its acks",
+			"seq", s.r.seq.Load(), "acked", g.acked, "backlog_bytes", g.backlog)
+	}
+}
+
+// gateStateLocked snapshots what the log lines report. Called with s.mu
+// held.
+func (s *ReplSub) gateStateLocked() gateState {
+	return gateState{acked: s.acked, backlog: len(s.buf) - s.snapBytes, cause: s.err}
 }
 
 // SnapSeq returns the barrier sequence of the subscription's snapshot
@@ -490,14 +585,15 @@ func (s *ReplSub) isGating() bool {
 	return s.gating
 }
 
-// disengage clears gating, returning whether it was engaged. Called from
-// dropLocked (r.mu held; r.mu → s.mu is the tap path's lock order).
-func (s *ReplSub) disengage() bool {
+// disengage clears gating, returning whether it was engaged and the state
+// it was in. Called from dropLocked (r.mu held; r.mu → s.mu is the tap
+// path's lock order).
+func (s *ReplSub) disengage() (gateState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g := s.gating
+	was := s.gating
 	s.gating = false
-	return g
+	return s.gateStateLocked(), was
 }
 
 func (s *ReplSub) ackedSeq() uint64 {
@@ -634,13 +730,27 @@ func (db *DB) SetGeneration(gen uint64) error {
 // and, during a snapshot, only at SnapEnd, so an outcome can never be
 // anchored (or acked) before the snapshot hello that makes it
 // recoverable — preserving outcome-implies-effect on the backup's disk.
+// A snapshot's puts are journaled at SnapEnd too, behind the reconciliation
+// that may have to end a session first. An anchored epoch's puts wait in
+// viewStage for the epoch's commit mark before they reach the read view.
 // Not safe for concurrent use; feed it one stream.
 type Replica struct {
-	db        *DB
-	staged    []byte    // session records awaiting a barrier, as DB.anchor takes them
-	viewStage []viewPut // shard puts awaiting barrier publication to the read view
+	db     *DB
+	staged []byte // session records awaiting a barrier, as DB.anchor takes them
+	// viewStage holds, in stream order, the shard puts not yet published to
+	// the read view; held marks where each anchored, not yet committed epoch
+	// ends in it. The primary sends an epoch's commit mark before the next
+	// barrier, so held rarely exceeds one entry; both slices are reused.
+	viewStage []viewPut
+	held      []heldEpoch
 	inSnap    bool
-	snapSids  map[uint64]struct{} // sessions asserted live by the snapshot in progress
+}
+
+// heldEpoch is one epoch anchored and acknowledged here whose commit mark
+// has not arrived: viewStage[:end] is what publishing it shows.
+type heldEpoch struct {
+	seq uint64
+	end int
 }
 
 // NewReplica returns an applier feeding db. The DB must not be serving —
@@ -676,11 +786,11 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 			}
 		}
 		rp.inSnap = true
-		rp.snapSids = make(map[uint64]struct{})
 		rp.staged = rp.staged[:0] // a torn previous stream's stage never applies
 		rp.viewStage = rp.viewStage[:0]
-		// The incoming snapshot supersedes the read view; until SnapEnd
-		// publishes it, the applied mark is 0 and staleness-bounded readers
+		rp.held = rp.held[:0]
+		// The incoming snapshot supersedes the read view; until SnapEnd's
+		// commit mark publishes it, the applied mark is 0 and staleness-bounded readers
 		// fall back to the primary rather than read a mid-bootstrap state.
 		rp.db.resetView()
 		return 0, false, nil
@@ -690,19 +800,22 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		if err != nil {
 			return 0, false, fmt.Errorf("durable: replicated %w", err)
 		}
-		rp.db.journalPut(shard, key, val)
-		// Stage for the read view; published only when the covering barrier
-		// is durable here (decodePutAt copied the key, so it is owned).
+		// Journaled as it arrives, except during a snapshot: those puts may
+		// overwrite the effect of an outcome this backup has to drop first
+		// (reconcile), so they wait for SnapEnd in the view stage, which
+		// holds them anyway.
+		if !rp.inSnap {
+			rp.db.journalPut(shard, key, val)
+		}
+		// Stage for the read view; published only when the covering epoch is
+		// durable here and committed on the primary (decodePutAt copied the
+		// key, so it is owned).
 		rp.viewStage = append(rp.viewStage, viewPut{shard: shard, key: key, val: val})
 		return 0, false, nil
 
 	case ReplSessRec:
-		kind, sid, err := checkSessRec(body)
-		if err != nil {
+		if err := checkSessRec(body); err != nil {
 			return 0, false, err
-		}
-		if rp.inSnap && kind == recHello {
-			rp.snapSids[sid] = struct{}{}
 		}
 		rp.staged = stageRec(rp.staged, body)
 		return 0, false, nil
@@ -714,17 +827,10 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		if !rp.inSnap {
 			return 0, false, fmt.Errorf("durable: SnapEnd without SnapBegin")
 		}
-		// Reconcile deletions: a session live on the backup but absent
-		// from the snapshot ended while the backup was disconnected.
-		// Snapshots can only assert liveness, so the end is synthesized
-		// here.
-		for _, sid := range rp.db.liveSIDs() {
-			if _, ok := rp.snapSids[sid]; !ok {
-				rp.staged = stageSID(rp.staged, recEnd, sid)
-			}
+		if err := rp.reconcile(); err != nil {
+			return 0, false, err
 		}
 		rp.inSnap = false
-		rp.snapSids = nil
 		fallthrough
 
 	case ReplBarrier:
@@ -743,59 +849,178 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 			return 0, false, nil
 		}
 		// The backup is itself a tappable primary: anchoring here also feeds
-		// its own subscribers (a chained replica) the same records and barrier.
+		// its own subscribers (a chained replica) the same records, a barrier
+		// and — once it is durable here — a commit mark.
 		if err := rp.db.anchor(rp.staged); err != nil {
 			return 0, false, err
 		}
 		rp.staged = rp.staged[:0]
 		seq = binary.BigEndian.Uint64(body)
-		// The barrier is durable on this node: publish its shard puts to the
-		// read view atomically, so a replica GET sees either all of a commit
-		// epoch's effects or none of them.
-		rp.db.publishView(rp.viewStage, seq)
-		rp.viewStage = rp.viewStage[:0]
+		// The epoch is durable on this node and is acknowledged now, but the
+		// primary's own fsync of it may still be running — or may fail. Its
+		// puts stay out of the read view until the commit mark.
+		rp.held = append(rp.held, heldEpoch{seq: seq, end: len(rp.viewStage)})
+		if MutantPublishAtBarrier {
+			rp.publishThrough(seq)
+		}
 		return seq, true, nil
+
+	case ReplCommit:
+		if len(body) != 8 {
+			return 0, false, fmt.Errorf("durable: malformed commit mark")
+		}
+		// A commit mark for an epoch not held here — its barrier arrived
+		// mid-snapshot, where SnapEnd stands in for it — publishes nothing.
+		rp.publishThrough(binary.BigEndian.Uint64(body))
+		return 0, false, nil
 
 	default:
 		return 0, false, fmt.Errorf("durable: unexpected replication message kind 0x%02x", msg[0])
 	}
 }
 
+// publishThrough publishes to the read view every held epoch whose sequence
+// is at most seq — one atomic step, so a reader sees whole epochs only — and
+// keeps what was staged behind them for the epochs to come.
+func (rp *Replica) publishThrough(seq uint64) {
+	n := 0
+	for n < len(rp.held) && rp.held[n].seq <= seq {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	last := rp.held[n-1]
+	rp.db.publishView(rp.viewStage[:last.end], last.seq)
+	rest := copy(rp.viewStage, rp.viewStage[last.end:])
+	clear(rp.viewStage[rest:]) // drop the key strings the tail still references
+	rp.viewStage = rp.viewStage[:rest]
+	rp.held = rp.held[:copy(rp.held, rp.held[n:])]
+	for i := range rp.held {
+		rp.held[i].end -= last.end
+	}
+}
+
+// reconcile runs at SnapEnd, ahead of the anchor that applies the stage. A
+// snapshot can assert that a session, an outcome or a key exists, never
+// that one does not, and this backup may hold any of the three where the
+// primary does not: a session that ended while the backup was disconnected;
+// or — the backup fsyncs an epoch while the primary does — the outcomes and
+// puts of an epoch the primary lost by crashing before its own fsync
+// returned. Left alone, a later promotion would replay a verdict whose
+// effect the snapshot overwrote, or serve a value no linearized write
+// produced. So whatever the snapshot and the records tapped beside it did
+// not assert is dropped, durably.
+//
+// Order keeps the backup's disk crash-consistent throughout. First the
+// stale sessions — one the snapshot does not open, or one holding an
+// outcome the snapshot does not repeat — are ended with an anchor of their
+// own (one more fsync, only when there are any); the snapshot's own hello
+// and outcomes, later in the stage, open the second kind again. Only then
+// are the snapshot's puts journaled, and a zero (the durable-root "absent")
+// for every key they did not mention, so no prefix of the log shows a
+// verdict above a value that no longer carries its effect. A crash between
+// the two anchors leaves the ended sessions missing from a backup that had
+// not acknowledged SnapEnd, and so was not a synced standby either way.
+func (rp *Replica) reconcile() error {
+	helloed := make(map[uint64]struct{})
+	type outcomeID struct{ sid, req uint64 }
+	asserted := make(map[outcomeID]struct{})
+	maxReq := make(map[uint64]uint64)
+	if err := eachStaged(rp.staged, func(rec []byte) error {
+		sid := binary.BigEndian.Uint64(rec[1:]) // checkSessRec vetted every record
+		switch rec[0] {
+		case recHello:
+			helloed[sid] = struct{}{}
+		case recOutcome:
+			req := binary.BigEndian.Uint64(rec[9:])
+			asserted[outcomeID{sid, req}] = struct{}{}
+			if req > maxReq[sid] {
+				maxReq[sid] = req
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	ss := &rp.db.sessions
+	var staleSIDs []uint64
+	ss.mu.Lock()
+	for sid, s := range ss.state {
+		_, live := helloed[sid]
+		stale := !live
+		for req := range s.Window {
+			// An unasserted outcome the asserted ones will evict anyway is
+			// merely old, not stale.
+			if _, ok := asserted[outcomeID{sid, req}]; !ok && req+uint64(ss.window) > maxReq[sid] {
+				stale = true
+			}
+		}
+		if stale {
+			staleSIDs = append(staleSIDs, sid)
+		}
+	}
+	ss.mu.Unlock()
+	if len(staleSIDs) > 0 {
+		// Sorted, like the keys below: a deterministic log for the
+		// crash-prefix sweeps.
+		slices.Sort(staleSIDs)
+		var ends []byte
+		for _, sid := range staleSIDs {
+			ends = stageSID(ends, recEnd, sid)
+		}
+		if err := rp.db.anchor(ends); err != nil {
+			return err
+		}
+	}
+
+	assertedKeys := make([]map[string]struct{}, len(rp.db.shards))
+	for i := range assertedKeys {
+		assertedKeys[i] = make(map[string]struct{})
+	}
+	for _, p := range rp.viewStage {
+		rp.db.journalPut(p.shard, p.key, p.val)
+		assertedKeys[p.shard][p.key] = struct{}{}
+	}
+	for i, sf := range rp.db.shards {
+		var stale []string
+		sf.mu.Lock()
+		for key, val := range sf.state {
+			if _, ok := assertedKeys[i][key]; !ok && *val != 0 {
+				stale = append(stale, key)
+			}
+		}
+		sf.mu.Unlock()
+		sort.Strings(stale)
+		for _, key := range stale {
+			rp.db.journalPut(i, key, 0)
+		}
+	}
+	return nil
+}
+
 // checkSessRec validates the shape of one session record before it is
 // staged — a malformed record must never reach the backup's log, where it
 // would poison every future recovery.
-func checkSessRec(rec []byte) (kind byte, sid uint64, err error) {
+func checkSessRec(rec []byte) error {
 	if len(rec) < 1 {
-		return 0, 0, fmt.Errorf("durable: empty replicated session record")
+		return fmt.Errorf("durable: empty replicated session record")
 	}
 	switch rec[0] {
 	case recHello:
 		if len(rec) != 17 {
-			return 0, 0, fmt.Errorf("durable: malformed replicated hello record")
+			return fmt.Errorf("durable: malformed replicated hello record")
 		}
 	case recOutcome:
 		if len(rec) < 21 || len(rec) != 21+int(binary.BigEndian.Uint32(rec[17:])) {
-			return 0, 0, fmt.Errorf("durable: malformed replicated outcome record")
+			return fmt.Errorf("durable: malformed replicated outcome record")
 		}
 	case recEnd, recNextSID:
 		if len(rec) != 9 {
-			return 0, 0, fmt.Errorf("durable: malformed replicated session record")
+			return fmt.Errorf("durable: malformed replicated session record")
 		}
 	default:
-		return 0, 0, fmt.Errorf("durable: unexpected replicated session record kind 0x%02x", rec[0])
+		return fmt.Errorf("durable: unexpected replicated session record kind 0x%02x", rec[0])
 	}
-	return rec[0], binary.BigEndian.Uint64(rec[1:]), nil
-}
-
-// liveSIDs returns the sids currently live in the sessions mirror.
-func (db *DB) liveSIDs() []uint64 {
-	ss := &db.sessions
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	sids := make([]uint64, 0, len(ss.state))
-	for sid := range ss.state {
-		sids = append(sids, sid)
-	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-	return sids
+	return nil
 }

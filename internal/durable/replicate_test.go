@@ -76,12 +76,18 @@ func drain(t *testing.T, sub *durable.ReplSub) [][]byte {
 			}
 			t.Fatalf("Next: %v", err)
 		}
-		for len(chunk) > 0 {
-			n := int(binary.BigEndian.Uint32(chunk))
-			msgs = append(msgs, append([]byte(nil), chunk[4:4+n]...))
-			chunk = chunk[4+n:]
-		}
+		msgs = append(msgs, splitFrames(chunk)...)
 	}
+}
+
+// splitFrames copies the messages out of one chunk of framed stream bytes.
+func splitFrames(chunk []byte) (msgs [][]byte) {
+	for len(chunk) > 0 {
+		n := int(binary.BigEndian.Uint32(chunk))
+		msgs = append(msgs, append([]byte(nil), chunk[4:4+n]...))
+		chunk = chunk[4+n:]
+	}
+	return msgs
 }
 
 func applyAll(t *testing.T, rep *durable.Replica, msgs [][]byte) {

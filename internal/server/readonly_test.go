@@ -7,6 +7,7 @@ package server
 
 import (
 	"testing"
+	"time"
 
 	"detectable/internal/runtime"
 )
@@ -132,11 +133,12 @@ func TestReadOnlyStandbyServesAppliedReads(t *testing.T) {
 		t.Fatalf("planned-crash GET answered %x, want ErrObserver", reply[0])
 	}
 
-	// The lag stat: the standby's applied mark must have caught the
-	// primary's committed barrier seq. The primary's observer HELLO burns
-	// a durable sid — one more barrier — so sample the primary first; the
-	// synchronous subscription guarantees the standby applied that barrier
-	// before the HELLO reply was released.
+	// The lag stat. The primary's observer HELLO burns a durable sid — one
+	// more epoch — and its reply is released once that epoch is fsynced on
+	// both nodes; the commit mark that lets the standby show the epoch to
+	// readers is still on its way then, so the standby's applied mark is
+	// bounded-stale: it reaches the primary's committed mark shortly, and
+	// never passes it.
 	pc := dialRaw(t, addr1)
 	defer pc.c.Close()
 	if reply := pc.roundTrip(t, EncodeHello(0, HelloFlagObserver)); reply[0] != StatusOK {
@@ -146,12 +148,23 @@ func TestReadOnlyStandbyServesAppliedReads(t *testing.T) {
 	if papplied != pseq {
 		t.Fatalf("primary reports applied=%d != its own seq=%d", papplied, pseq)
 	}
-	role, _, applied := statsApplied(t, ro, 7)
-	if role != RoleStandby {
-		t.Fatalf("standby reports role %d", role)
-	}
-	if applied != pseq {
-		t.Fatalf("standby applied=%d, primary committed seq=%d — lag stat broken", applied, pseq)
+	deadline := time.Now().Add(2 * time.Second)
+	for reqID := uint64(7); ; reqID++ {
+		role, _, applied := statsApplied(t, ro, reqID)
+		if role != RoleStandby {
+			t.Fatalf("standby reports role %d", role)
+		}
+		// The primary is idle, so pseq is still its committed mark.
+		if applied > pseq {
+			t.Fatalf("standby applied=%d is past the primary's committed seq=%d", applied, pseq)
+		}
+		if applied == pseq {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby applied=%d never reached the primary's committed seq=%d — lag stat broken", applied, pseq)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

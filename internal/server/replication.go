@@ -8,8 +8,9 @@ package server
 // durable.Repl* messages as length-prefixed wire frames and reads only
 // durable.ReplAck frames back. The subscription is synchronous: every
 // commit on the primary waits for the replica's barrier ack before its
-// verdict is released, so group commit and replication share one fsync
-// boundary.
+// verdict is released, so group commit and replication share one epoch
+// boundary — and the two nodes fsync an epoch side by side, the barrier
+// leaving the primary before its own fsync starts.
 //
 // A standby (NewStandby) owns a warm durable.DB it feeds from the
 // primary's stream and serves no data sessions until Promote: promotion
@@ -301,7 +302,9 @@ func (st *standbyState) replicateOnce(addr string) error {
 		// The ack is sent only after Apply returned — i.e. after the
 		// barrier's records are fsynced on our disk. That is the
 		// epoch-aligned ack rule: the primary releases the epoch's
-		// verdicts knowing they are durable on both nodes.
+		// verdicts once this ack and its own fsync are both in, knowing
+		// they are durable on both nodes. Readers here see the epoch
+		// only when the primary's commit mark follows.
 		ackBuf = durable.AppendReplAck(ackBuf[:0], seq)
 		if err := WriteFrame(conn, ackBuf); err != nil {
 			return err
@@ -384,13 +387,14 @@ func (srv *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.W
 }
 
 // appendServerStatsReply appends the node-status reply: role, fencing
-// generation, recovered-window replays served, the replication barrier
-// high-water and min-acked sequences, the attached replica count, and the
-// applied mark — on a standby, the primary-stream barrier its read view
-// has applied through (the replica's side of the replication-lag bound:
-// lag = primary's seq − replica's applied, comparable when the two report
-// the same generation); on a primary, its own seq (applied ≡ committed).
-// Reads only atomics — safe under any lock.
+// generation, recovered-window replays served, the sequence of the last
+// epoch anchored on this node's own disk (its committed mark) and the
+// min-acked sequence (which a standby fsyncing beside the primary can put
+// one ahead of it), the attached replica count, and the applied mark — on
+// a standby, the primary-stream barrier its read view has applied through
+// (the replica's side of the replication-lag bound: lag = primary's seq −
+// replica's applied ≥ 0, comparable when the two report the same
+// generation); on a primary, its own seq (applied ≡ committed).
 func (srv *Server) appendServerStatsReply(dst []byte) []byte {
 	role := RolePrimary
 	var gen, seq, acked, applied uint64

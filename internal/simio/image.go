@@ -226,6 +226,14 @@ func EnumerateImages(journal []Op, k int, cuts CutFunc, max int, visit func(Imag
 	return visited, capped
 }
 
+// DurableImage returns the image holding exactly what is durable after the
+// first k ops of journal, with no unsynced byte written back — the first
+// one EnumerateImages visits.
+func DurableImage(journal []Op, k int) (img Image) {
+	EnumerateImages(journal, k, nil, 1, func(i Image) bool { img = i.Clone(); return false })
+	return img
+}
+
 // CountImages returns how many images EnumerateImages would visit at crash
 // point k with no cap.
 func CountImages(journal []Op, k int, cuts CutFunc) int {

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"detectable/internal/durable"
@@ -26,60 +28,99 @@ const (
 	sessRecEnd     = 0x04
 )
 
-func TestReplicaApplyCrashPrefixes(t *testing.T) {
-	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8}
+// replStep is one anchoring operation of the replicated workload: the
+// primary's journal length around it and what it put on the stream.
+type replStep struct {
+	pre, post int
+	msgs      [][]byte
+}
 
-	// Primary: live-tap subscription opened before the workload, so the
-	// stream carries every record and every barrier in commit order.
-	pfs := New()
+// runReplicatedWorkload drives a primary with a live-tap subscription opened
+// before the workload, so the stream carries every record, every barrier and
+// every commit mark in commit order, and returns it step by step. Step 0 is
+// the (empty) bootstrap snapshot.
+func runReplicatedWorkload(t *testing.T, cfg SweepConfig) (pfs *Fs, pdb *durable.DB, steps []replStep) {
+	t.Helper()
+	pfs = New()
 	pdb, err := durable.OpenFs(pfs, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
 	if err != nil {
 		t.Fatalf("primary open: %v", err)
 	}
 	sub := pdb.Subscribe(0, false)
-	if err := pdb.AppendHello(1, 0); err != nil {
-		t.Fatal(err)
+	step := func(op func() error) {
+		t.Helper()
+		st := replStep{pre: pfs.Ops()}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		st.post = pfs.Ops()
+		// Every step stages at least a barrier, so Next does not block.
+		chunk, err := sub.Next()
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		st.msgs = splitFrames(chunk)
+		steps = append(steps, st)
 	}
-	if err := pdb.AppendHello(2, 1); err != nil {
-		t.Fatal(err)
-	}
+	step(func() error { return nil })
+	step(func() error { return pdb.AppendHello(1, 0) })
+	step(func() error { return pdb.AppendHello(2, 1) })
 	reqs := map[uint64]uint64{}
 	commit := func(sid uint64, i int) {
 		shard := i % cfg.Shards
 		key := fmt.Sprintf("s%d-k%d", shard, (i/cfg.Shards)%2)
 		val := int64(i + 1)
-		pdb.ShardBacking(shard).Persist(key, val)
-		reqs[sid]++
-		if err := pdb.CommitOutcome(sid, reqs[sid], encodeReply(key, val)); err != nil {
-			t.Fatalf("commit %d: %v", i, err)
-		}
+		step(func() error {
+			pdb.ShardBacking(shard).Persist(key, val)
+			reqs[sid]++
+			return pdb.CommitOutcome(sid, reqs[sid], encodeReply(key, val))
+		})
 	}
 	i := 0
 	for ; i < 8; i++ {
 		commit(1+uint64(i%2), i)
 	}
-	if err := pdb.AppendHello(3, 2); err != nil {
-		t.Fatal(err)
-	}
+	step(func() error { return pdb.AppendHello(3, 2) })
 	commit(3, i)
-	if err := pdb.AppendEnd(3); err != nil {
-		t.Fatal(err)
-	}
+	step(func() error { return pdb.AppendEnd(3) })
 	sub.Close()
-	var msgs [][]byte
+	return pfs, pdb, steps
+}
+
+// splitFrames copies the messages out of one chunk of framed stream bytes.
+func splitFrames(chunk []byte) (msgs [][]byte) {
+	for len(chunk) > 0 {
+		n := int(binary.BigEndian.Uint32(chunk))
+		msgs = append(msgs, append([]byte(nil), chunk[4:4+n]...))
+		chunk = chunk[4+n:]
+	}
+	return msgs
+}
+
+// drainSnapshot subscribes to a quiescent db and returns the snapshot
+// stream a re-connecting standby would receive.
+func drainSnapshot(t *testing.T, db *durable.DB) (msgs [][]byte) {
+	t.Helper()
+	sub := db.Subscribe(0, false)
+	sub.Close()
 	for {
 		chunk, err := sub.Next()
+		if errors.Is(err, io.EOF) {
+			return msgs
+		}
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
 			t.Fatalf("Next: %v", err)
 		}
-		for len(chunk) > 0 {
-			n := int(binary.BigEndian.Uint32(chunk))
-			msgs = append(msgs, append([]byte(nil), chunk[4:4+n]...))
-			chunk = chunk[4+n:]
-		}
+		msgs = append(msgs, splitFrames(chunk)...)
+	}
+}
+
+func TestReplicaApplyCrashPrefixes(t *testing.T) {
+	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8}
+	_, pdb, steps := runReplicatedWorkload(t, cfg)
+	var msgs [][]byte
+	for _, st := range steps {
+		msgs = append(msgs, st.msgs...)
 	}
 
 	// Backup: apply the stream, tracking each verdict's release point in
@@ -162,4 +203,201 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 		}
 	}
 	t.Logf("backup journal: %d ops, %d images checked", len(journal), images)
+}
+
+// standbyAheadSweep model-checks the state the overlapped epoch adds: the
+// standby has anchored and acknowledged BARRIER(N) while the primary's disk
+// is any crash prefix before its own fsync of N. At every such point it
+// checks that standby readers were shown nothing the primary's disk lacks,
+// and then both ways the story can continue:
+//
+//   - the standby is promoted: every crash image of its disk at that point
+//     recovers with N's verdict and effect both present, and no outcome
+//     without its effect;
+//   - the primary restarts from each admissible image of its disk and
+//     bootstraps the standby again: afterwards the two hold the same
+//     sessions (no stale outcome) and the same keys (absent ≡ 0; no key the
+//     primary lacks), the view shows the primary's state, and every crash
+//     prefix of what the re-bootstrap wrote on the standby still recovers
+//     with no outcome above a lost effect.
+//
+// Violations go to report.
+func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
+	t.Helper()
+	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8}
+	pfs, pdb, steps := runReplicatedWorkload(t, cfg)
+	pdb.Close()
+	pjournal := pfs.Journal()
+
+	open := func(fsim *Fs) *durable.DB {
+		t.Helper()
+		db, err := durable.OpenFs(fsim, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return db
+	}
+	apply := func(rep *durable.Replica, m []byte) bool {
+		t.Helper()
+		_, barrier, err := rep.Apply(m)
+		if err != nil {
+			t.Fatalf("Apply (kind 0x%02x): %v", m[0], err)
+		}
+		return barrier
+	}
+	// standbyThrough returns a fresh standby that applied the stream up to
+	// and including step n's barrier, and nothing behind it.
+	standbyThrough := func(n int) (*Fs, *durable.DB) {
+		bfs := New()
+		bdb := open(bfs)
+		rep := bdb.NewReplica()
+		for _, st := range steps[:n] {
+			for _, m := range st.msgs {
+				apply(rep, m)
+			}
+		}
+		for _, m := range steps[n].msgs {
+			apply(rep, m)
+			if m[0] == durable.ReplBarrier {
+				break
+			}
+		}
+		return bfs, bdb
+	}
+	// sameKeys reports every key that reads differently through a and b,
+	// a missing key reading as zero.
+	sameKeys := func(when string, a, b func(shard int, key string) (int64, bool), dbs ...*durable.DB) {
+		for shard := 0; shard < cfg.Shards; shard++ {
+			keys := map[string]bool{}
+			for _, db := range dbs {
+				db.RangeShard(shard, func(key string, _ int64) { keys[key] = true })
+			}
+			for key := range keys {
+				av, _ := a(shard, key)
+				bv, _ := b(shard, key)
+				if av != bv {
+					report("%s: %s reads %d and %d", when, key, av, bv)
+				}
+			}
+		}
+	}
+
+	// The main line: one standby applies the whole stream.
+	bfs := New()
+	bdb := open(bfs)
+	rep := bdb.NewReplica()
+	var rel []released
+	for n, st := range steps {
+		for _, m := range st.msgs {
+			if m[0] == durable.ReplSessRec && m[1] == sessRecOutcome {
+				if key, val, ok := decodeReply(m[22:]); ok {
+					rel = append(rel, released{
+						sid: binary.BigEndian.Uint64(m[2:]), req: binary.BigEndian.Uint64(m[10:]),
+						key: key, val: val, endedAt: math.MaxInt,
+					})
+				}
+			}
+			if m[0] == durable.ReplSessRec && m[1] == sessRecEnd {
+				for j := range rel {
+					if rel[j].sid == binary.BigEndian.Uint64(m[2:]) {
+						rel[j].endedAt = 0
+					}
+				}
+			}
+			if !apply(rep, m) || m[0] != durable.ReplBarrier {
+				continue
+			}
+			seq := binary.BigEndian.Uint64(m[1:])
+			when := fmt.Sprintf("step %d, barrier %d acknowledged, before the primary's commit mark", n, seq)
+
+			// What a standby reader sees is what the primary's disk holds
+			// before its fsync of this epoch.
+			disk := open(FromImage(DurableImage(pjournal, st.pre)))
+			if bdb.ViewSeq() >= seq {
+				report("%s: the view's applied mark is already %d", when, bdb.ViewSeq())
+			}
+			sameKeys(when+": standby view vs primary disk", bdb.ViewGet, disk.MirrorGet, bdb, disk)
+			disk.Close()
+
+			// Continuation A: promote the standby from its disk as it is.
+			at := bfs.Ops()
+			EnumerateImages(bfs.Journal(), at, RecordAwareCuts, 6, func(img Image) bool {
+				if v := checkImage(cfg, img, rel, at); v != nil {
+					report("%s: promoted standby: %s", when, v.Detail)
+				}
+				return true
+			})
+
+			// Continuation B: the primary crashes before its fsync of this
+			// epoch returns, restarts, and bootstraps the standby again.
+			for k := st.pre; k < st.post; k++ {
+				if pjournal[k].Kind == OpFsync {
+					break // past here the epoch is on the primary's disk
+				}
+				EnumerateImages(pjournal, k+1, RecordAwareCuts, 8, func(img Image) bool {
+					rpdb := open(FromImage(img))
+					snap := drainSnapshot(t, rpdb)
+					sfs, sdb := standbyThrough(n)
+					from := sfs.Ops()
+					rep2, acked := sdb.NewReplica(), false
+					for _, m := range snap {
+						acked = apply(rep2, m) || acked
+					}
+					then := fmt.Sprintf("%s, primary restarted from crash point %d and bootstrapped the standby again", when, k+1)
+					if !acked {
+						report("%s: SnapEnd never acknowledged", then)
+					}
+					sameKeys(then+": primary vs standby", rpdb.MirrorGet, sdb.MirrorGet, rpdb, sdb)
+					sameKeys(then+": primary vs standby view", rpdb.MirrorGet, sdb.ViewGet, rpdb, sdb)
+					if ps, ss := rpdb.Sessions(), sdb.Sessions(); !reflect.DeepEqual(ps, ss) {
+						report("%s: sessions differ: primary %+v, standby %+v", then, ps, ss)
+					}
+					if committed, _, _ := rpdb.ReplStatus(); sdb.ViewSeq() > committed {
+						report("%s: applied mark %d is past the primary's committed mark %d", then, sdb.ViewSeq(), committed)
+					}
+					sdb.Close()
+					rpdb.Close()
+					sjournal := sfs.Journal()
+					for kk := from; kk <= len(sjournal); kk++ {
+						EnumerateImages(sjournal, kk, RecordAwareCuts, 4, func(img Image) bool {
+							if v := checkImage(cfg, img, nil, kk); v != nil {
+								report("%s: standby crash point %d: %s", then, kk, v.Detail)
+							}
+							return true
+						})
+					}
+					return true
+				})
+			}
+		}
+	}
+	bdb.Close()
+}
+
+// TestStandbyAheadCrashPrefixes: the overlapped epoch is safe at every
+// point where the standby is ahead of the primary's disk.
+func TestStandbyAheadCrashPrefixes(t *testing.T) {
+	standbyAheadSweep(t, t.Errorf)
+}
+
+// TestStandbyAheadSweepConvictsPublishAtBarrier is the test of the test: a
+// replica that publishes an epoch at its barrier, without waiting for the
+// primary's commit mark, shows readers values the primary's disk lacks, and
+// the sweep must say so.
+func TestStandbyAheadSweepConvictsPublishAtBarrier(t *testing.T) {
+	durable.MutantPublishAtBarrier = true
+	defer func() { durable.MutantPublishAtBarrier = false }()
+	var convictions []string
+	standbyAheadSweep(t, func(format string, args ...any) {
+		convictions = append(convictions, fmt.Sprintf(format, args...))
+	})
+	if len(convictions) == 0 {
+		t.Fatal("publish-at-barrier mutant survived the standby-ahead sweep undetected")
+	}
+	for _, c := range convictions {
+		if strings.Contains(c, "standby view vs primary disk") {
+			return
+		}
+	}
+	t.Fatalf("mutant convicted, but not for showing readers what the primary's disk lacks: %s", convictions[0])
 }

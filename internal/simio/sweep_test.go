@@ -77,12 +77,7 @@ func TestCompactionSweepReachesHalfSnapshottedImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	journal := fsim.Journal()
-	// The image holding exactly what is durable after the first k ops is the
-	// first one the enumeration visits.
-	durableAt := func(k int) (img Image) {
-		EnumerateImages(journal, k, nil, 1, func(i Image) bool { img = i.Clone(); return false })
-		return img
-	}
+	durableAt := func(k int) Image { return DurableImage(journal, k) }
 	shardSnap, sessSnap, wal := cfg.Dir+"/shard-000.snap", cfg.Dir+"/sessions.snap", cfg.Dir+"/wal.log"
 
 	compactions, found := 0, 0
