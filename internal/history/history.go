@@ -22,12 +22,17 @@
 //     a hot shard's processes stop contending on one counter — trading
 //     cross-stripe real-time order for a deterministic per-writer-ordered
 //     interleaving (see Events). Production paths (internal/shardkv)
-//     default to the sharded form.
+//     default to the sharded form. A slot is 40 pointer-free bytes (lock,
+//     sequence number, one word of bit fields, two payload words): the
+//     ring owns no heap beyond its slots, the collector never scans them,
+//     and Event values exist only in the snapshot Events builds. The
+//     price is arity: a ring records Invokes of at most two arguments.
 //   - ModeOff: events are discarded. Benchmark floors use this.
 package history
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,18 +118,44 @@ func (e Event) String() string {
 	}
 }
 
-// slot is one ring entry. seq is the event's global sequence number
-// (0 while empty); all fields are guarded by the slot's own mutex, so an
-// append contends only with a reader or with the rare append that wrapped
-// around onto the same slot. args is the slot-owned argument buffer the
-// stored event's Op.Args points into: appends copy the caller's args here
-// (callers may reuse their backing arrays, see Invoke) and reuse it on
-// wrap-around, so a steady-state ring appends without allocating.
-type slot struct {
-	mu   sync.Mutex
+// record is one ring event packed into four pointer-free words, so a ring's
+// slots are a noscan span the collector never walks and an append never
+// touches the heap. seq is the event's global sequence number (0 while
+// empty), meta the bit fields below, and w an Invoke's (at most two)
+// arguments or a Return's / RecoverReturn's response.
+type record struct {
 	seq  uint64
-	ev   Event
-	args []int
+	meta uint64
+	w    [maxRingArgs]int64
+}
+
+// maxRingArgs is how many arguments a ring record holds; metaArgcBits must
+// be able to count them.
+const maxRingArgs = 2
+
+// Bit fields of record.meta, low to high. The method is an index into the
+// log's interned method table (KindInvoke only); a pid is a process index
+// and must fit 32 bits.
+const (
+	metaKindBits   = 3
+	metaFailBits   = 1
+	metaArgcBits   = 2
+	metaMethodBits = 16
+	metaPIDBits    = 32
+
+	metaKindShift   = 0
+	metaFailShift   = metaKindShift + metaKindBits
+	metaArgcShift   = metaFailShift + metaFailBits
+	metaMethodShift = metaArgcShift + metaArgcBits
+	metaPIDShift    = metaMethodShift + metaMethodBits
+)
+
+// slot is one ring entry: a record guarded by the slot's own mutex, so an
+// append contends only with a reader or with the rare append that wrapped
+// around onto the same slot.
+type slot struct {
+	mu sync.Mutex
+	record
 }
 
 // stripe is one sub-ring: a private ticket plus its slots. The ticket sits
@@ -154,6 +185,12 @@ type Log struct {
 	// Per-stripe tickets increase, so seq is monotone within a stripe (and
 	// therefore per pid); Events merges stripes by seq.
 	stripes []stripe
+
+	// methods interns the method names of ring records: a copy-on-write
+	// table the append path scans without a lock (a program has a handful
+	// of methods), extended under methodsMu on first sight of a name.
+	methods   atomic.Pointer[[]string]
+	methodsMu sync.Mutex
 }
 
 // MaxRingStripes bounds the stripe count of a sharded ring; beyond the
@@ -185,6 +222,7 @@ func NewShardedRing(capacity, stripes int) *Log {
 		n <<= 1
 	}
 	l := &Log{mode: ModeRing, stripes: make([]stripe, k)}
+	l.methods.Store(new([]string))
 	for i := range l.stripes {
 		l.stripes[i].slots = make([]slot, n)
 		l.stripes[i].mask = uint64(n - 1)
@@ -214,26 +252,26 @@ func (l *Log) Stripes() int { return len(l.stripes) }
 // Invoke records the start of op by pid. op.Args is copied: the caller may
 // reuse its backing array after Invoke returns (object implementations
 // keep per-process argument buffers to make their hot paths
-// allocation-free).
+// allocation-free). A ring log panics on more than two arguments.
 func (l *Log) Invoke(pid int, op spec.Operation) {
-	l.append(Event{Kind: KindInvoke, PID: pid, Op: op})
+	l.append(&Event{Kind: KindInvoke, PID: pid, Op: op})
 }
 
 // Return records a crash-free completion with response resp by pid.
 func (l *Log) Return(pid, resp int) {
-	l.append(Event{Kind: KindReturn, PID: pid, Resp: resp})
+	l.append(&Event{Kind: KindReturn, PID: pid, Resp: resp})
 }
 
 // Crash records a system-wide crash-failure.
 func (l *Log) Crash() {
-	l.append(Event{Kind: KindCrash})
+	l.append(&Event{Kind: KindCrash})
 }
 
 // RecoverReturn records the completion of pid's recovery function. fail
 // reports the distinguished fail verdict; otherwise resp is the recovered
 // response of the linearized operation.
 func (l *Log) RecoverReturn(pid, resp int, fail bool) {
-	l.append(Event{Kind: KindRecoverReturn, PID: pid, Resp: resp, Fail: fail})
+	l.append(&Event{Kind: KindRecoverReturn, PID: pid, Resp: resp, Fail: fail})
 }
 
 // Events returns a snapshot copy of the retained events in recording
@@ -339,76 +377,122 @@ func (l *Log) String() string {
 	return b.String()
 }
 
-func (l *Log) append(e Event) {
+// append takes the event by pointer so the inlined recorders build it once,
+// in their caller's frame, instead of copying 72 bytes per call.
+func (l *Log) append(e *Event) {
 	switch l.mode {
 	case ModeOff:
 		l.discarded.Add(1)
 	case ModeRing:
+		// Pack first: the caller's argument slice is read, never retained
+		// (it may alias a per-process scratch the caller overwrites on its
+		// next operation), and only three words are copied under the lock.
+		meta := uint64(e.Kind)<<metaKindShift | uint64(uint32(e.PID))<<metaPIDShift
+		if e.Fail {
+			meta |= 1 << metaFailShift
+		}
+		w := [maxRingArgs]int64{int64(e.Resp)} // an Invoke has no response: its arguments go here
+		if e.Kind == KindInvoke {
+			args := e.Op.Args
+			if len(args) > maxRingArgs {
+				panic(fmt.Sprintf("history: ring log holds at most %d arguments, %s has %d (use ModeFull)",
+					maxRingArgs, e.Op.Method, len(args)))
+			}
+			meta |= uint64(len(args))<<metaArgcShift | l.intern(e.Op.Method)<<metaMethodShift
+			for i, a := range args {
+				w[i] = int64(a)
+			}
+		}
 		k := uint64(len(l.stripes))
 		idx := uint64(uint(e.PID)) & (k - 1)
 		st := &l.stripes[idx]
 		t := st.ticket.Add(1)
 		s := &st.slots[(t-1)&st.mask]
 		s.mu.Lock()
-		s.seq = (t-1)*k + idx + 1
-		// Copy the caller's args into the slot-owned buffer (reused across
-		// wrap-arounds): the caller may alias a per-process scratch it will
-		// overwrite on its next operation.
-		args := s.args
-		s.ev = e
-		if len(e.Op.Args) > 0 {
-			s.args = append(args[:0], e.Op.Args...)
-			s.ev.Op.Args = s.args
-		} else {
-			s.args = args
-			s.ev.Op.Args = nil
-		}
+		s.record = record{seq: (t-1)*k + idx + 1, meta: meta, w: w}
 		s.mu.Unlock()
 	default:
 		if len(e.Op.Args) > 0 {
 			e.Op.Args = append([]int(nil), e.Op.Args...)
 		}
 		l.mu.Lock()
-		l.events = append(l.events, e)
+		l.events = append(l.events, *e)
 		l.mu.Unlock()
 	}
 }
 
-// ringSnapshot collects the filled slots of every stripe and orders them
-// by sequence number. Appends racing the snapshot may leave holes (a
-// reserved ticket whose slot write has not landed); the snapshot simply
-// omits them.
-func (l *Log) ringSnapshot() []Event {
-	type tagged struct {
-		seq uint64
-		ev  Event
+// unpack rebuilds the event r encodes; an Invoke gets a fresh Args slice
+// and its method name from methods.
+func (r record) unpack(methods []string) Event {
+	field := func(shift, bits uint) uint64 { return r.meta >> shift & (1<<bits - 1) }
+	e := Event{
+		Kind: Kind(field(metaKindShift, metaKindBits)),
+		PID:  int(int32(field(metaPIDShift, metaPIDBits))),
+		Fail: field(metaFailShift, metaFailBits) != 0,
 	}
+	if e.Kind != KindInvoke {
+		e.Resp = int(r.w[0])
+		return e
+	}
+	e.Op.Method = methods[field(metaMethodShift, metaMethodBits)]
+	if argc := field(metaArgcShift, metaArgcBits); argc > 0 {
+		e.Op.Args = make([]int, argc)
+		for i := range e.Op.Args {
+			e.Op.Args[i] = int(r.w[i])
+		}
+	}
+	return e
+}
+
+// intern returns method's index in the log's method table, adding it on
+// first sight. The hit path is one atomic load and a scan; the table is
+// copy-on-write so a scan never sees a slice being grown.
+func (l *Log) intern(method string) uint64 {
+	if i := slices.Index(*l.methods.Load(), method); i >= 0 {
+		return uint64(i)
+	}
+	l.methodsMu.Lock()
+	defer l.methodsMu.Unlock()
+	old := *l.methods.Load()
+	if i := slices.Index(old, method); i >= 0 {
+		return uint64(i)
+	}
+	if len(old) == 1<<metaMethodBits {
+		panic(fmt.Sprintf("history: ring log cannot intern more than %d method names", len(old)))
+	}
+	grown := append(old[:len(old):len(old)], method)
+	l.methods.Store(&grown)
+	return uint64(len(old))
+}
+
+// ringSnapshot collects the filled slots of every stripe, orders them by
+// sequence number and unpacks them. Appends racing the snapshot may leave
+// holes (a reserved ticket whose slot write has not landed); the snapshot
+// simply omits them.
+func (l *Log) ringSnapshot() []Event {
 	n := l.Len()
 	if n == 0 {
 		return nil
 	}
-	tags := make([]tagged, 0, n)
+	recs := make([]record, 0, n)
 	for i := range l.stripes {
 		st := &l.stripes[i]
 		for j := range st.slots {
 			s := &st.slots[j]
 			s.mu.Lock()
 			if s.seq != 0 {
-				ev := s.ev
-				if len(ev.Op.Args) > 0 {
-					// The stored args alias the slot's reusable buffer; the
-					// snapshot must own its copy or a wrap-around would mutate it.
-					ev.Op.Args = append([]int(nil), ev.Op.Args...)
-				}
-				tags = append(tags, tagged{seq: s.seq, ev: ev})
+				recs = append(recs, s.record)
 			}
 			s.mu.Unlock()
 		}
 	}
-	sort.Slice(tags, func(a, b int) bool { return tags[a].seq < tags[b].seq })
-	out := make([]Event, len(tags))
-	for i, t := range tags {
-		out[i] = t.ev
+	sort.Slice(recs, func(a, b int) bool { return recs[a].seq < recs[b].seq })
+	// Loaded after the slots were read: every method index a collected
+	// record holds was interned before its slot was written.
+	methods := *l.methods.Load()
+	out := make([]Event, len(recs))
+	for i, r := range recs {
+		out[i] = r.unpack(methods)
 	}
 	return out
 }

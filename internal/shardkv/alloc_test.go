@@ -30,12 +30,11 @@ func TestAllocPinCrashFreeGetRetry(t *testing.T) {
 
 // A crash-free Put no longer allocates even the abstract operation's
 // argument list: the register reuses a per-process descriptor and the
-// history ring copies the args into slot-owned buffers. The warm-up loop
-// wraps the shard's history ring so every slot's args buffer exists before
-// measuring.
+// history ring packs the args into its slot's own words. The warm-up only
+// creates the key and runs past any first-operation set-up.
 func TestAllocPinCrashFreePut(t *testing.T) {
 	s := New(4, 2)
-	for i := 0; i < DefaultRingCapacity; i++ {
+	for i := 0; i < 8; i++ {
 		s.Put(0, "pin-key", 7)
 	}
 	if allocs := testing.AllocsPerRun(500, func() {
@@ -45,9 +44,26 @@ func TestAllocPinCrashFreePut(t *testing.T) {
 	}
 }
 
+// The same pin with nothing warmed but the key itself: a ring slot owns no
+// heap to set up, so the ring's first lap — where a served node spends its
+// first thousands of operations — allocates nothing either.
+func TestAllocPinColdRingPut(t *testing.T) {
+	s := New(4, 2)
+	s.Put(0, "pin-key", 7)
+	if allocs := testing.AllocsPerRun(500, func() {
+		s.Put(0, "pin-key", 7)
+	}); allocs != 0 {
+		t.Fatalf("crash-free Put on a cold history ring allocates %v/op, want 0", allocs)
+	}
+	if d := s.System(s.ShardFor("pin-key")).Log().Dropped(); d != 0 {
+		t.Fatalf("history ring wrapped (%d dropped): the pin must measure its first lap", d)
+	}
+}
+
 // A warm batched put over caller-owned scratch allocates nothing: grouping
-// arrays, outcome slice, fan-out workers and history records all reuse
-// session- or slot-owned storage.
+// arrays, outcome slice and fan-out workers reuse session-owned storage and
+// a history record is three words in its ring slot. The first call creates
+// the keys and sizes the scratch; nothing else needs warming.
 func TestAllocPinMultiPutWith(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the parallel fan-out path")
@@ -58,7 +74,7 @@ func TestAllocPinMultiPutWith(t *testing.T) {
 		entries[i] = KV{Key: "pin-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26)), Val: i}
 	}
 	var sc BatchScratch
-	for i := 0; i < 2*DefaultRingCapacity/len(entries)*8; i++ {
+	for i := 0; i < 2; i++ {
 		s.MultiPutWith(&sc, 0, entries)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -81,7 +97,7 @@ func TestAllocPinMultiPutFanOut(t *testing.T) {
 		entries[i] = KV{Key: k, Val: i}
 	}
 	var sc BatchScratch
-	for i := 0; i < 2*DefaultRingCapacity/len(entries)*8+2; i++ {
+	for i := 0; i < 2; i++ {
 		s.MultiPutWith(&sc, 0, entries)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -129,7 +145,7 @@ func TestAllocPinRotatingPut(t *testing.T) {
 		s.Put(0, keys[i%len(keys)], i+1) // a fresh value every op
 		i++
 	}
-	for n := 0; n < 4*DefaultRingCapacity; n++ {
+	for n := 0; n < 2*len(keys); n++ { // the first lap creates the keys
 		put()
 	}
 	if allocs := testing.AllocsPerRun(1000, put); allocs > 1 {

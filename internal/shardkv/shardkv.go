@@ -46,7 +46,8 @@ type options struct {
 
 // HistoryMode overrides the per-shard history retention. Production stores
 // default to a bounded ring (history.ModeRing, DefaultRingCapacity events
-// per shard) so the log never serializes or grows without bound;
+// per shard, 40 bytes each and nothing on the heap besides) so the log
+// never serializes or grows without bound;
 // verification harnesses pass history.ModeFull to keep complete logs for
 // the durable-linearizability checker, and benchmark floors may pass
 // history.ModeOff. capacity is the ring size (ignored for the other
