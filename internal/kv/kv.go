@@ -8,10 +8,14 @@
 // PutRetry re-invokes on fail for always-succeeds semantics (the NRL
 // transformation of Section 6).
 //
-// A register holds only what belongs to the key — the shared word R and a
-// packed array of 2N²+N bits. The per-process state of Algorithm 1 (RDp and
-// the announcements) is one rw.Procs table per store, shared by all its
-// registers, since a process runs one operation at a time.
+// A register holds only what belongs to the key — the shared word R and
+// 2N²+N bits — and is an element of a chunk, not an allocation: the store's
+// rw.Procs table hands registers out of slabs of up to 64, for first writes
+// and Restore alike, so what a key owns on the heap beyond its share of a
+// chunk is the boxes of R's triple, its table entry and its cloned name.
+// The per-process state of Algorithm 1 (RDp and the announcements) is that
+// one table per store, shared by all its registers, since a process runs
+// one operation at a time.
 //
 // Key resolution is lock-free: the key → register table is an insert-only
 // hash table of atomic slots, so the crash-free hot path of an existing key

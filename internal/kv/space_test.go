@@ -7,58 +7,119 @@ import (
 
 	"detectable/internal/history"
 	"detectable/internal/runtime"
+	"detectable/internal/rw"
 	"detectable/internal/space"
 )
 
-// bytesPerRegister measures the heap a store of n processes holds per key:
-// HeapInuse growth over `keys` first writes (register, bit array, R and its
-// boxes, table entry, cloned key), after a collection on each side.
-func bytesPerRegister(n, keys int) float64 {
-	sys := runtime.NewSystem(n)
-	sys.SetHistory(history.NewOff())
-	s := New(sys)
+// liveGrowth reports what build leaves on the heap: live bytes (HeapAlloc)
+// and live objects (Mallocs − Frees), each read after a full collection.
+// Unlike HeapInuse, which moves a span (8 KiB) at a time, both count what
+// was allocated and nothing else.
+func liveGrowth(build func() any) (bytes, objects int64) {
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.GC() // twice: what a sync.Pool drops survives one collection as its victim cache
+	goruntime.ReadMemStats(&before)
+	keep := build()
+	goruntime.GC()
+	goruntime.ReadMemStats(&after)
+	goruntime.KeepAlive(keep)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc),
+		int64(after.Mallocs-after.Frees) - int64(before.Mallocs-before.Frees)
+}
+
+func benchKeys(keys int) []string {
 	names := make([]string, keys)
 	for i := range names {
 		names[i] = fmt.Sprintf("bench-%d", i)
 	}
-	var before, after goruntime.MemStats
-	goruntime.GC()
-	goruntime.ReadMemStats(&before)
-	for i, k := range names {
-		s.Put(0, k, i+1)
-	}
-	goruntime.GC()
-	goruntime.ReadMemStats(&after)
-	goruntime.KeepAlive(s)
-	return float64(int64(after.HeapInuse)-int64(before.HeapInuse)) / float64(keys)
+	return names
 }
+
+// perKey measures the heap a store of n processes holds per key, in bytes
+// and in objects, once fill has installed every name: the key's share of
+// its register chunk, R's boxes, the table entry and slot, the cloned key.
+func perKey(n, keys int, fill func(s *Store, i int, key string)) (bytes, objects float64) {
+	sys := runtime.NewSystem(n)
+	sys.SetHistory(history.NewOff())
+	s := New(sys)
+	names := benchKeys(keys)
+	b, o := liveGrowth(func() any {
+		for i, k := range names {
+			fill(s, i, k)
+		}
+		return s
+	})
+	// The names outlive the second reading: freed in between, they would be
+	// subtracted from it — 32 B and one object per key.
+	goruntime.KeepAlive(names)
+	return float64(b) / float64(keys), float64(o) / float64(keys)
+}
+
+func firstPut(s *Store, i int, key string) { s.Put(0, key, i+1) }
 
 // TestSpacePinBytesPerRegister: at kvserverd's N = 8 a key costs at most
-// 1 KiB of heap (it was 15 KB when every toggle bit was a cell of its own
-// and every register carried N copies of the per-process state).
+// 184 B and 4.2 objects of live heap, table entry, table slot and cloned key
+// included (it reads 177 B and 3.1; 256 B and 9.0 when a register was seven
+// allocations; 15 KB when every toggle bit was a cell of its own). What is
+// left per key outside the chunks: the table entry, the cloned key and the
+// boxes of R's triple — one after a key's first write, two from its second.
 func TestSpacePinBytesPerRegister(t *testing.T) {
-	got := bytesPerRegister(8, 4096)
-	t.Logf("N=8: %.0f B/register", got)
-	if got > 1024 {
-		t.Fatalf("a register at N=8 holds %.0f B of heap, want ≤ 1024", got)
+	bytes, objects := perKey(8, 4096, firstPut)
+	t.Logf("N=8: %.0f B and %.2f objects per key", bytes, objects)
+	if bytes > 184 {
+		t.Fatalf("a key at N=8 holds %.0f B of live heap, want ≤ 184", bytes)
+	}
+	if objects > 4.2 {
+		t.Fatalf("a key at N=8 holds %.2f live objects, want ≤ 4.2", objects)
 	}
 }
 
-// TestSpaceShapeBitsNotCells prints measured bytes per register beside the
+// TestSpaceShapeBitsNotCells prints measured bytes per key beside the
 // paper's accounting (space.RW: 2N² toggle bits + R's tag; the per-process
 // terms are per store now, not per register). The shared part grows as
-// O(N²) bits: from N = 2 to N = 16 the bit array grows by 65 bytes and a
-// register by no more than twice that.
+// O(N²) bits and as nothing else: from N = 2 to N = 16 a register's bits
+// grow from 10 to 528, 65 bytes — 76 as allocated, because the N = 16
+// chunk's 4224 B array lands in Go's 4864 B size class — and a key by no
+// more than that plus a word.
 func TestSpaceShapeBitsNotCells(t *testing.T) {
 	measured := map[int]float64{}
 	for _, n := range []int{2, 4, 8, 16} {
-		measured[n] = bytesPerRegister(n, 4096)
+		measured[n], _ = perKey(n, 4096, firstPut)
 		p := space.RW(n, 64)
-		t.Logf("N=%2d: measured %4.0f B/register; accounting: shared %4d bits = %3d B per register, %3d bits = %2d B per process (whole system %4d B)",
+		t.Logf("N=%2d: measured %4.0f B/key; accounting: shared %4d bits = %3d B per register, %3d bits = %2d B per process (whole system %4d B)",
 			n, measured[n], p.SharedBits, (p.SharedBits+7)/8,
 			p.PrivateBitsPerProc+p.AuxBitsPerProc, (p.PrivateBitsPerProc+p.AuxBitsPerProc+7)/8, (p.Total(n)+7)/8)
 	}
-	if grow := measured[16] - measured[2]; grow > 2*65+16 {
-		t.Fatalf("a register grows by %.0f B from N=2 to N=16; the bit array grows by 65", grow)
+	if grow := measured[16] - measured[2]; grow > 76+8 {
+		t.Fatalf("a key grows by %.0f B from N=2 to N=16; the bit array grows by 76", grow)
+	}
+}
+
+// TestSpacePinStandaloneRegister: chunks start at one element, so a system
+// holding a single rw.NewInt register — explore, model, the ladder's rw
+// rung — pays nothing for the slab. Process table included, it is 6920 B
+// at N = 8, below PR 16's 7008 (the table's words lost their second
+// object), and 1920 B at N = 2, eight above PR 16's 1912: the bit offset
+// moves a lone Register from the 32 B size class to 48, the narrower
+// triple moves its box from 24 B to 16.
+func TestSpacePinStandaloneRegister(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact byte counts; race instrumentation adds a few objects")
+	}
+	for n, want := range map[int]int64{2: 1920, 8: 7008} {
+		// The least of three: a runtime allocation that lands between the
+		// two readings (a timer, a thread) can only add.
+		bytes := int64(1 << 62)
+		for try := 0; try < 3; try++ {
+			sys := runtime.NewSystem(n)
+			sys.SetHistory(history.NewOff())
+			b, _ := liveGrowth(func() any { return rw.NewInt(sys, 0) })
+			bytes = min(bytes, b)
+		}
+		t.Logf("N=%d: %d B", n, bytes)
+		if bytes > want {
+			t.Errorf("one register and its process table at N=%d hold %d B, want ≤ %d", n, bytes, want)
+		}
 	}
 }

@@ -137,9 +137,9 @@ func runNaturalSoloRW(t *testing.T, init, val, crashAfter int) (string, int, int
 	out := reg.Write(0, val, nvm.CrashAtStep(uint64(3+crashAfter+1)))
 	tr := reg.PeekTriple()
 	if out.Status == runtime.StatusFailed {
-		return "fail", tr.Val, tr.Q, tr.Toggle
+		return "fail", tr.Val, int(tr.Q), int(tr.Toggle)
 	}
-	return "ack", tr.Val, tr.Q, tr.Toggle
+	return "ack", tr.Val, int(tr.Q), int(tr.Toggle)
 }
 
 func TestCrossValidationRW(t *testing.T) {

@@ -73,9 +73,7 @@ func (b *Bits) CellID(i int) int { return b.base + i }
 // and makes sure the last crash's revert has been applied. end releases the
 // lock and records the primitive.
 func (b *Bits) begin(ctx *Ctx, kind OpKind, i int) {
-	if uint(i) >= uint(b.n) {
-		panic("nvm: bit index out of range")
-	}
+	b.check(i)
 	ctx.pre(kind, b.base+i)
 	c := b.cache
 	if c == nil {
@@ -94,6 +92,15 @@ func (b *Bits) begin(ctx *Ctx, kind OpKind, i int) {
 		c.mu.Lock()
 		b.settle(ctx.start)
 		c.mu.Unlock()
+	}
+}
+
+// check panics unless i names one of the array's bits. Every entry point
+// runs it: when several objects share an array (rw hands registers out of
+// one per chunk), a stray index is a neighbour's bit, not padding.
+func (b *Bits) check(i int) {
+	if uint(i) >= uint(b.n) {
+		panic("nvm: bit index out of range")
 	}
 }
 
@@ -140,6 +147,7 @@ func (b *Bits) Store(ctx *Ctx, i int, v bool) {
 // Flush persists bit i's current value. Under the private-cache model it
 // only validates the epoch, like Cell.Flush.
 func (b *Bits) Flush(ctx *Ctx, i int) {
+	b.check(i)
 	c := b.cache
 	if c == nil {
 		ctx.CheckAlive()
@@ -166,6 +174,7 @@ func (b *Bits) onCrash() {
 // Peek returns bit i's current logical value without a Ctx, for test
 // assertions and checkers.
 func (b *Bits) Peek(i int) bool {
+	b.check(i)
 	if c := b.cache; c != nil {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
@@ -179,6 +188,7 @@ func (b *Bits) Peek(i int) bool {
 // PeekPersisted returns bit i's value in NVM without a Ctx: the last
 // flushed value under the shared-cache models, the current one otherwise.
 func (b *Bits) PeekPersisted(i int) bool {
+	b.check(i)
 	c := b.cache
 	if c == nil {
 		return b.Peek(i)

@@ -196,3 +196,42 @@ func TestBitsIndexOutOfRange(t *testing.T) {
 	}()
 	b.Store(sp.Ctx(0, nil), 10, true) // inside the word, outside the array
 }
+
+// mustPanicOutOfRange runs f and fails unless it panics.
+func mustPanicOutOfRange(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s past Len did not panic", what)
+		}
+	}()
+	f()
+}
+
+// Flush, Peek and PeekPersisted check the index like the primitives do:
+// index 10 of a 10-bit array is inside the word, so nothing but the check
+// stands between it and a bit that, in a shared array, is someone else's.
+func TestBitsFlushIndexOutOfRange(t *testing.T) {
+	for _, m := range allModels {
+		sp := NewSpaceModel(m)
+		b := NewBits(sp, 10)
+		mustPanicOutOfRange(t, m.String()+": Flush", func() { b.Flush(sp.Ctx(0, nil), 10) })
+		mustPanicOutOfRange(t, m.String()+": Flush", func() { b.Flush(sp.Ctx(0, nil), -1) })
+	}
+}
+
+func TestBitsPeekIndexOutOfRange(t *testing.T) {
+	for _, m := range allModels {
+		b := NewBits(NewSpaceModel(m), 10)
+		mustPanicOutOfRange(t, m.String()+": Peek", func() { b.Peek(10) })
+		mustPanicOutOfRange(t, m.String()+": Peek", func() { b.Peek(-1) })
+	}
+}
+
+func TestBitsPeekPersistedIndexOutOfRange(t *testing.T) {
+	for _, m := range allModels {
+		b := NewBits(NewSpaceModel(m), 10)
+		mustPanicOutOfRange(t, m.String()+": PeekPersisted", func() { b.PeekPersisted(10) })
+		mustPanicOutOfRange(t, m.String()+": PeekPersisted", func() { b.PeekPersisted(-1) })
+	}
+}

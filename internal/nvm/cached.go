@@ -33,9 +33,20 @@ type CachedCell[T comparable] struct {
 // NewCachedCell allocates a shared-cache cell holding init inside sp and
 // registers it for crash handling.
 func NewCachedCell[T comparable](sp *Space, init T) *CachedCell[T] {
-	c := &CachedCell[T]{persisted: init, cached: newWordStorage(init), id: sp.noteCell()}
+	c := &CachedCell[T]{persisted: init, id: sp.noteCell()}
+	c.cached.start(init, newBox(init))
 	sp.register(c)
 	return c
+}
+
+// cachedCells is one NewWords array of shared-cache cells, registered for
+// crash handling as a whole.
+type cachedCells[T comparable] []CachedCell[T]
+
+func (cs cachedCells[T]) onCrash() {
+	for i := range cs {
+		cs[i].onCrash()
+	}
 }
 
 var _ CASRegister[int] = (*CachedCell[int])(nil)
@@ -140,6 +151,14 @@ func (c *CachedCell[T]) Peek() T {
 	return c.cached.load()
 }
 
+// Init implements CASRegister.
+func (c *CachedCell[T]) Init(v T) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cached.store(v)
+	c.persisted = v
+}
+
 // PeekPersisted returns the cell's persisted value without a Ctx, for test
 // assertions about post-crash NVM contents.
 func (c *CachedCell[T]) PeekPersisted() T {
@@ -169,6 +188,9 @@ func (a *AutoPersist[T]) Load(ctx *Ctx) T { return a.inner.Load(ctx) }
 
 // Peek returns the underlying register's current logical value.
 func (a *AutoPersist[T]) Peek() T { return a.inner.Peek() }
+
+// Init sets the underlying register's initial value.
+func (a *AutoPersist[T]) Init(v T) { a.inner.Init(v) }
 
 // Store writes the underlying register and immediately persists it.
 func (a *AutoPersist[T]) Store(ctx *Ctx, v T) {

@@ -100,6 +100,29 @@ func TestSpaceCellCount(t *testing.T) {
 	}
 }
 
+// TestSpaceSpare: a slab's cells are counted as its elements are handed
+// out, while their identities are reserved — and stay — where the slab was
+// allocated.
+func TestSpaceSpare(t *testing.T) {
+	sp := NewSpace()
+	NewCell(sp, 0)
+	slab := NewBits(sp, 8)
+	sp.Spare(8)
+	if got := sp.CellCount(); got != 1 {
+		t.Fatalf("CellCount = %d with the slab spare, want 1", got)
+	}
+	sp.Spare(-3)
+	if got := sp.CellCount(); got != 4 {
+		t.Fatalf("CellCount = %d with three bits handed out, want 4", got)
+	}
+	if got := slab.CellID(0); got != 2 {
+		t.Fatalf("slab bit 0 is cell %d, want 2", got)
+	}
+	if next := NewBits(sp, 1).CellID(0); next != 10 {
+		t.Fatalf("the cell after the slab is cell %d, want 10", next)
+	}
+}
+
 func TestCrashedError(t *testing.T) {
 	var err error = Crashed{PID: 1}
 	if err.Error() == "" {

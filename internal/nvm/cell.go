@@ -28,6 +28,12 @@ type CASRegister[T comparable] interface {
 	// is intended for test assertions and checkers; algorithm code must use
 	// Load.
 	Peek() T
+	// Init sets the register's initial value — cached and persisted alike —
+	// without a Ctx: no primitive runs and nothing is counted. It belongs
+	// to allocation (a word handed out of a NewWords array that must start
+	// on another value than the array's); call it before the register is
+	// shared.
+	Init(v T)
 }
 
 // NewWord allocates a CAS-capable memory word in sp according to sp's
@@ -42,17 +48,45 @@ type CASRegister[T comparable] interface {
 //     needed).
 //
 // All algorithm packages allocate their shared and private non-volatile
-// variables through NewWord, so the same algorithm code runs under every
-// model.
+// variables through NewWord or NewWords, so the same algorithm code runs
+// under every model.
 func NewWord[T comparable](sp *Space, init T) CASRegister[T] {
-	switch sp.Model() {
-	case ModelSharedCacheAuto:
-		return NewAutoPersist[T](NewCachedCell(sp, init))
-	case ModelSharedCacheRaw:
-		return NewCachedCell(sp, init)
-	default:
-		return NewCell(sp, init)
+	return NewWords(sp, 1, init)[0]
+}
+
+// NewWords allocates n words as NewWord does, all holding init, in one
+// piece: one array of the model's cell type, one reservation of n
+// contiguous cell identities, one crash registration and — for a boxed T —
+// one immutable box of init that every word starts on. A word that must
+// start on another value takes it through Init. The returned slice only
+// carries the words out; callers may drop it once they hold the elements.
+func NewWords[T comparable](sp *Space, n int, init T) []CASRegister[T] {
+	out := make([]CASRegister[T], n)
+	base, box := sp.noteCells(n), newBox(init)
+	if sp.Model() == ModelPrivateCache {
+		cells := make([]Cell[T], n)
+		for i := range cells {
+			cells[i].id = base + i
+			cells[i].w.start(init, box)
+			out[i] = &cells[i]
+		}
+		return out
 	}
+	cells := make(cachedCells[T], n)
+	for i := range cells {
+		cells[i].id, cells[i].persisted = base+i, init
+		cells[i].cached.start(init, box)
+		out[i] = &cells[i]
+	}
+	sp.register(cells)
+	if sp.Model() == ModelSharedCacheAuto {
+		auto := make([]AutoPersist[T], n)
+		for i := range auto {
+			auto[i].inner = out[i]
+			out[i] = &auto[i]
+		}
+	}
+	return out
 }
 
 // Cell is an atomic non-volatile memory word in the private-cache model:
@@ -76,7 +110,9 @@ type Cell[T comparable] struct {
 // NewCell allocates a cell holding init inside sp. The Space records the
 // allocation for space accounting; Cells need no crash handling.
 func NewCell[T comparable](sp *Space, init T) *Cell[T] {
-	return &Cell[T]{w: newWordStorage(init), id: sp.noteCell()}
+	c := &Cell[T]{id: sp.noteCell()}
+	c.w.start(init, newBox(init))
+	return c
 }
 
 var _ CASRegister[int] = (*Cell[int])(nil)
@@ -138,8 +174,7 @@ func (c *Cell[T]) Peek() T {
 	return c.w.load()
 }
 
-// Poke overwrites the cell's value without a Ctx. It is intended for test
-// setup only.
-func (c *Cell[T]) Poke(v T) {
+// Init implements CASRegister.
+func (c *Cell[T]) Init(v T) {
 	c.w.store(v)
 }

@@ -1,6 +1,9 @@
 package nvm
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // crashable is implemented by memory components with volatile state that a
 // system-wide crash discards.
@@ -55,7 +58,10 @@ type Space struct {
 
 	mu         sync.Mutex
 	crashables []crashable
-	cells      int
+	cells      int // cell identities reserved so far
+	// spare counts the reserved cells no object uses yet: the free
+	// elements of a slab. Atomic, so handing one out takes no lock.
+	spare atomic.Int64
 }
 
 // NewSpace returns an empty memory system under the private-cache model.
@@ -123,12 +129,21 @@ func (s *Space) Crash() uint64 {
 }
 
 // CellCount returns the number of memory cells allocated in the space, used
-// by the space-accounting experiments.
+// by the space-accounting experiments. Cells a slab allocator holds in
+// reserve (Spare) are not counted until they are handed out.
 func (s *Space) CellCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cells
+	return s.cells - int(s.spare.Load())
 }
+
+// Spare moves delta cells between "in use" and "spare". An allocator that
+// takes cells from the space a slab at a time (rw.Procs: one NewWords and
+// one NewBits per chunk of registers) declares the slab spare when it
+// allocates it and takes each element's cells back with a negative delta
+// when it hands the element out, so CellCount stays exact whatever the
+// slab's fill. Identities are reserved at allocation and never move.
+func (s *Space) Spare(delta int) { s.spare.Add(int64(delta)) }
 
 func (s *Space) register(c crashable) {
 	s.mu.Lock()
@@ -140,8 +155,8 @@ func (s *Space) register(c crashable) {
 // (1-based), which Ctx.CellID exposes to schedule explorers.
 func (s *Space) noteCell() int { return s.noteCells(1) }
 
-// noteCells reserves k contiguous cell identities for a packed array
-// (Bits) and returns the first.
+// noteCells reserves k contiguous cell identities for an array (Bits,
+// NewWords) and returns the first.
 func (s *Space) noteCells(k int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,51 +6,119 @@ import (
 	"unsafe"
 )
 
-// word is the lock-free storage engine shared by Cell and CachedCell. It
-// holds one value of T and supports atomic load / store / compare-and-swap
-// with *value* semantics (CAS compares by ==, exactly like the mutex-guarded
+// word is the lock-free storage engine inside Cell and CachedCell. It holds
+// one value of T and supports atomic load / store / compare-and-swap with
+// *value* semantics (CAS compares by ==, exactly like the mutex-guarded
 // field it replaces).
 //
-// Two implementations exist, chosen once per cell at allocation time:
+// It is one struct with two representations, fixed when the word is
+// initialized and told apart by p (p == nil ⇔ packed):
 //
-//   - bitsWord packs T into an atomic.Int64 when T is a boolean or
-//     fixed-width integer kind. For those kinds bitwise equality coincides
-//     with value equality, so the hardware CAS implements value CAS
-//     directly, and every primitive is a single atomic instruction with no
-//     allocation.
-//   - ptrWord keeps the value behind an atomic.Pointer[T] and implements
-//     CAS with a load/compare/pointer-CAS loop. Published values are
-//     immutable, so readers never race with writers. A one-slot cache of
-//     the previously displaced value makes the common alternating patterns
-//     of the announcement structure (⊥ / response, "read" / "write")
+//   - packed: T is a boolean or fixed-width integer kind and lives in bits.
+//     For those kinds bitwise equality coincides with value equality, so
+//     the hardware CAS implements value CAS directly, and every primitive
+//     is a single atomic instruction with no allocation.
+//   - boxed: any other T lives behind p, and CAS is a load/compare/
+//     pointer-CAS loop. Published boxes are immutable, so readers never
+//     race with writers and any number of words may share one (NewWords
+//     starts a whole array on a single box). prev, a one-slot cache of the
+//     previously displaced box, makes the common alternating patterns
+//     (⊥ / response, "read" / "write", R's triple under one writer)
 //     allocation-free after warm-up.
 //
-// The word itself never checks epochs or plans — Cell/CachedCell drive the
-// Ctx bookkeeping around it.
-type word[T comparable] interface {
-	load() T
-	store(v T)
-	cas(old, new T) bool
+// The word lives in its cell, not behind it: a cell is one object, plus the
+// boxes of a boxed T. The word itself never checks epochs or plans —
+// Cell/CachedCell drive the Ctx bookkeeping around it.
+type word[T comparable] struct {
+	bits    atomic.Int64
+	p, prev atomic.Pointer[T]
 }
 
-// newWordStorage picks the storage engine for T, initialized to init.
-func newWordStorage[T comparable](init T) word[T] {
+// newBox returns the box a word of T starts on holding init, or nil when T
+// packs.
+func newBox[T comparable](init T) *T {
 	if packable[T]() {
-		w := &bitsWord[T]{}
-		w.bits.Store(pack(init))
-		return w
+		return nil
 	}
-	w := &ptrWord[T]{}
-	v := init
-	w.p.Store(&v)
-	return w
+	box := new(T) // not &init: an escaping parameter is heap-allocated on the packed path too
+	*box = init
+	return box
+}
+
+// start sets the word's first value: box (from newBox, possibly shared with
+// other words) for a boxed T, init's bits otherwise.
+func (w *word[T]) start(init T, box *T) {
+	if box == nil {
+		w.bits.Store(pack(init))
+		return
+	}
+	w.p.Store(box)
+}
+
+func (w *word[T]) load() T {
+	if p := w.p.Load(); p != nil {
+		return *p
+	}
+	return unpack[T](w.bits.Load())
+}
+
+// box returns a pointer holding v, reusing the displaced-value cache when
+// it already holds v (pointers are immutable once published, so reuse is
+// safe — and value-CAS semantics are pointer-identity-agnostic).
+func (w *word[T]) box(v T) *T {
+	if pv := w.prev.Load(); pv != nil && *pv == v {
+		return pv
+	}
+	next := new(T)
+	*next = v
+	return next
+}
+
+func (w *word[T]) store(v T) {
+	for {
+		cur := w.p.Load()
+		if cur == nil {
+			w.bits.Store(pack(v))
+			return
+		}
+		if *cur == v {
+			// Value-identical store: the register's state is unchanged, so
+			// installing a new box would be observationally equivalent.
+			return
+		}
+		if w.p.CompareAndSwap(cur, w.box(v)) {
+			w.prev.Store(cur)
+			return
+		}
+	}
+}
+
+func (w *word[T]) cas(old, new T) bool {
+	for {
+		cur := w.p.Load()
+		if cur == nil {
+			return w.bits.CompareAndSwap(pack(old), pack(new))
+		}
+		if *cur != old {
+			return false
+		}
+		if old == new {
+			return true // identity swap: state unchanged
+		}
+		if w.p.CompareAndSwap(cur, w.box(new)) {
+			w.prev.Store(cur)
+			return true
+		}
+		// The pointer moved under us; the value may still equal old
+		// (another writer installed a different box), so retry.
+	}
 }
 
 // packable reports whether values of T can be represented inside an int64
 // such that bitwise equality coincides with value equality: boolean and
 // fixed-width integer kinds. Strings (compared by content, represented by
 // pointer+length), floats (NaN ≠ NaN, -0.0 == 0.0) and composite kinds
-// (padding bytes) are excluded and served by ptrWord.
+// (padding bytes) are excluded and boxed.
 func packable[T comparable]() bool {
 	switch reflect.TypeFor[T]().Kind() {
 	case reflect.Bool,
@@ -73,71 +141,4 @@ func pack[T comparable](v T) int64 {
 // unpack is the inverse of pack.
 func unpack[T comparable](b int64) T {
 	return *(*T)(unsafe.Pointer(&b))
-}
-
-// bitsWord is the packed engine: one atomic integer, zero allocations.
-type bitsWord[T comparable] struct{ bits atomic.Int64 }
-
-func (w *bitsWord[T]) load() T   { return unpack[T](w.bits.Load()) }
-func (w *bitsWord[T]) store(v T) { w.bits.Store(pack(v)) }
-func (w *bitsWord[T]) cas(old, new T) bool {
-	return w.bits.CompareAndSwap(pack(old), pack(new))
-}
-
-// ptrWord is the boxed engine: the current value lives behind an atomic
-// pointer and published boxes are immutable.
-type ptrWord[T comparable] struct {
-	p atomic.Pointer[T]
-	// prev caches the most recently displaced box. Cells that alternate
-	// between a small set of values (the announcement response cycling
-	// between ⊥ and a response, toggle strings, …) hit it and avoid
-	// allocating a fresh box on every store.
-	prev atomic.Pointer[T]
-}
-
-func (w *ptrWord[T]) load() T { return *w.p.Load() }
-
-// box returns a pointer holding v, reusing the displaced-value cache when
-// it already holds v (pointers are immutable once published, so reuse is
-// safe — and value-CAS semantics are pointer-identity-agnostic).
-func (w *ptrWord[T]) box(v T) *T {
-	if pv := w.prev.Load(); pv != nil && *pv == v {
-		return pv
-	}
-	next := new(T)
-	*next = v
-	return next
-}
-
-func (w *ptrWord[T]) store(v T) {
-	for {
-		cur := w.p.Load()
-		if *cur == v {
-			// Value-identical store: the register's state is unchanged, so
-			// installing a new box would be observationally equivalent.
-			return
-		}
-		if w.p.CompareAndSwap(cur, w.box(v)) {
-			w.prev.Store(cur)
-			return
-		}
-	}
-}
-
-func (w *ptrWord[T]) cas(old, new T) bool {
-	for {
-		cur := w.p.Load()
-		if *cur != old {
-			return false
-		}
-		if old == new {
-			return true // identity swap: state unchanged
-		}
-		if w.p.CompareAndSwap(cur, w.box(new)) {
-			w.prev.Store(cur)
-			return true
-		}
-		// The pointer moved under us; the value may still equal old
-		// (another writer installed a different box), so retry.
-	}
 }

@@ -10,12 +10,25 @@
 //
 // The state is stored at the paper's granularity. What belongs to a
 // register — R, A and, because it says which of p's arrays *this*
-// register's next write uses, T — is a Register: one word for R and one
-// packed nvm.Bits array of 2N²+N bits. What the model gives a process once
-// — RDp and the announcement Ann_p — lives in a process table, Procs, shared
-// by every register allocated from it (internal/kv allocates one per
-// store). Sharing RDp between registers is sound because recovery uses it
-// only at checkpoint ≥ 1, and the operation that set the checkpoint (line
+// register's next write uses, T — is a Register: one word for R and a run
+// of 2N²+N bits. What the model gives a process once — RDp and the
+// announcement Ann_p — lives in a process table, Procs, shared by every
+// register allocated from it (internal/kv allocates one per store).
+//
+// A register is an element of a chunk, not an allocation. The process
+// table hands registers out of slabs of up to 64: one array of Register
+// structs, one nvm.NewWords array holding their R words and one nvm.Bits
+// array in which register i owns bits [i·(2N²+N), (i+1)·(2N²+N)) — densely
+// packed, so a register's bits may straddle machine words and share them
+// with its neighbours'. Nothing about the algorithm changes: every word
+// and every bit is still a cell with its own identity, step, statistic and
+// crash point, and a register's own heap beyond the chunk is the boxes of
+// R's triple, which Go needs because it has no 128-bit CAS. The tag those
+// boxes carry is the paper's: Q is 32 bits and Toggle 8 where the paper
+// needs ⌈log N⌉ and 1, so a boxed ⟨int, q, b⟩ is 16 bytes.
+//
+// Sharing RDp between registers is sound because recovery uses it only at
+// checkpoint ≥ 1, and the operation that set the checkpoint (line
 // 6) wrote RDp first (line 4): a stale RDp left by an operation on another
 // register is read at line 14 but never acted on, since Announce reset the
 // checkpoint to 0 and the response to ⊥ before the body ran, and a crash
@@ -39,6 +52,8 @@
 package rw
 
 import (
+	"sync"
+
 	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 	"detectable/internal/spec"
@@ -49,17 +64,15 @@ import (
 // array index that write used.
 type Triple[V comparable] struct {
 	Val    V
-	Q      int
-	Toggle int
+	Q      int32
+	Toggle int8
 }
 
 // recoveryData is the private non-volatile RDp record persisted at line 4:
 // the toggle index of p's in-progress write plus the triple p read from R.
 type recoveryData[V comparable] struct {
-	MToggle int
-	QVal    V
-	Q       int
-	QToggle int
+	MToggle int8
+	R       Triple[V]
 }
 
 // Procs is the per-process half of Algorithm 1 for one system: for each of
@@ -71,7 +84,18 @@ type Procs[V comparable] struct {
 	sys *runtime.System
 	enc func(V) int
 	p   []*proc[V]
+
+	// The register slab (see NewRegister): the elements of the newest
+	// chunk not handed out yet, and that chunk's size.
+	mu    sync.Mutex
+	free  []Register[V]
+	chunk int
 }
+
+// maxChunk caps the chunk size, which doubles from 1: a table with one
+// register (New) allocates exactly one, and a store of many wastes at most
+// 63 registers' worth of chunk.
+const maxChunk = 64
 
 // proc is process pid's entry in the table. Only pid touches it.
 type proc[V comparable] struct {
@@ -138,27 +162,55 @@ func announce[R comparable](ctx *nvm.Ctx, ann *runtime.Ann[R], op string) {
 }
 
 // Register is an N-process detectable read/write register over value domain
-// V: the shared word R and the register's bit array. All exported methods
-// are safe for concurrent use by distinct processes; a single process must
-// not run two operations concurrently — on this register or on any other
-// register of the same process table.
+// V: the shared word R and the register's run of its chunk's bit array. All
+// exported methods are safe for concurrent use by distinct processes; a
+// single process must not run two operations concurrently — on this
+// register or on any other register of the same process table.
 type Register[V comparable] struct {
 	procs *Procs[V]
 	// r is the shared register R, initially ⟨vinit, 0, 0⟩ — attributing the
 	// initial value to a write by process 0 using toggle array 0.
 	r nvm.CASRegister[Triple[V]]
-	// bits holds A[N][N][2] followed by T[N]; see toggle and tp.
+	// bits is the chunk's bit array; this register's A[N][N][2] followed
+	// by T[N] start at bit off of it; see toggle and tp.
 	bits *nvm.Bits
+	off  int
 }
 
-// NewRegister allocates a register initialized to vinit that shares ps's
-// per-process state.
+// regBits is the number of bits a register owns: A[N][N][2] and T[N].
+func (ps *Procs[V]) regBits() int {
+	n := len(ps.p)
+	return 2*n*n + n
+}
+
+// NewRegister hands out a register initialized to vinit that shares ps's
+// per-process state. Registers come out of chunks whose size doubles from
+// 1 to maxChunk, so creating one allocates nothing most of the time; its
+// 2N²+N+1 cells count in the Space from this call on, not from the chunk's
+// allocation.
 func (ps *Procs[V]) NewRegister(vinit V) *Register[V] {
-	sp, n := ps.sys.Space(), len(ps.p)
-	return &Register[V]{
-		procs: ps,
-		r:     nvm.NewWord(sp, Triple[V]{Val: vinit, Q: 0, Toggle: 0}),
-		bits:  nvm.NewBits(sp, 2*n*n+n),
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if len(ps.free) == 0 {
+		ps.grow()
+	}
+	reg := &ps.free[0]
+	ps.free = ps.free[1:]
+	ps.sys.Space().Spare(-(ps.regBits() + 1))
+	reg.r.Init(Triple[V]{Val: vinit})
+	return reg
+}
+
+// grow allocates the next chunk, all of it spare. Callers hold mu.
+func (ps *Procs[V]) grow() {
+	ps.chunk = min(max(2*ps.chunk, 1), maxChunk)
+	sp, per := ps.sys.Space(), ps.regBits()
+	words := nvm.NewWords(sp, ps.chunk, Triple[V]{})
+	bits := nvm.NewBits(sp, ps.chunk*per)
+	sp.Spare(ps.chunk * (per + 1))
+	ps.free = make([]Register[V], ps.chunk)
+	for i := range ps.free {
+		ps.free[i] = Register[V]{procs: ps, r: words[i], bits: bits, off: i * per}
 	}
 }
 
@@ -177,13 +229,13 @@ func NewInt(sys *runtime.System, vinit int) *Register[int] {
 // coordinates with process i using p's toggle array b. Writer-major, so the
 // N bits a write raises (lines 9–10) sit in one word.
 func (reg *Register[V]) toggle(i, p, b int) int {
-	return (2*p+b)*len(reg.procs.p) + i
+	return reg.off + (2*p+b)*len(reg.procs.p) + i
 }
 
 // tp is the index of T_p, p's private toggle index for this register.
 func (reg *Register[V]) tp(p int) int {
 	n := len(reg.procs.p)
-	return 2*n*n + p
+	return reg.off + 2*n*n + p
 }
 
 // Write performs a detectable Write(val) as process pid, following the
@@ -214,15 +266,13 @@ func (p *proc[V]) writeBody(ctx *nvm.Ctx) int {
 	reg, pid := p.reg, p.pid
 	t := reg.r.Load(ctx) // line 1
 	if mutant != MutantSkipToggleClear {
-		reg.bits.Store(ctx, reg.toggle(pid, t.Q, 1-t.Toggle), false) // line 2
+		reg.bits.Store(ctx, reg.toggle(pid, int(t.Q), int(1-t.Toggle)), false) // line 2
 	}
-	mtoggle := b2i(reg.bits.Load(ctx, reg.tp(pid))) // line 3
-	p.rd.Store(ctx, recoveryData[V]{                // line 4
-		MToggle: mtoggle, QVal: t.Val, Q: t.Q, QToggle: t.Toggle,
-	})
-	if reg.r.Load(ctx) == t { // line 5
-		p.wAnn.SetCP(ctx, 1)                                             // line 6
-		reg.r.Store(ctx, Triple[V]{Val: p.val, Q: pid, Toggle: mtoggle}) // line 7
+	mtoggle := b2i(reg.bits.Load(ctx, reg.tp(pid)))          // line 3
+	p.rd.Store(ctx, recoveryData[V]{MToggle: mtoggle, R: t}) // line 4
+	if reg.r.Load(ctx) == t {                                // line 5
+		p.wAnn.SetCP(ctx, 1)                                                    // line 6
+		reg.r.Store(ctx, Triple[V]{Val: p.val, Q: int32(pid), Toggle: mtoggle}) // line 7
 	}
 	return p.finishWrite(ctx, mtoggle) // lines 8-13
 }
@@ -237,8 +287,8 @@ func (p *proc[V]) writeRecover(ctx *nvm.Ctx) (int, bool) {
 	case 0: // line 17
 		return 0, false // line 18
 	case 1: // line 19
-		if reg.r.Load(ctx) == (Triple[V]{Val: d.QVal, Q: d.Q, Toggle: d.QToggle}) &&
-			!reg.bits.Load(ctx, reg.toggle(p.pid, d.Q, 1-d.QToggle)) { // line 20
+		if reg.r.Load(ctx) == d.R &&
+			!reg.bits.Load(ctx, reg.toggle(p.pid, int(d.R.Q), int(1-d.R.Toggle))) { // line 20
 			return 0, false // line 21
 		}
 	}
@@ -248,11 +298,11 @@ func (p *proc[V]) writeRecover(ctx *nvm.Ctx) (int, bool) {
 // finishWrite is the common tail of Write (lines 8–13) and Write.Recover
 // (lines 22–27): persist checkpoint 2, raise all of pid's toggle bits for
 // the used array, switch the private toggle index, persist the response.
-func (p *proc[V]) finishWrite(ctx *nvm.Ctx, mtoggle int) int {
+func (p *proc[V]) finishWrite(ctx *nvm.Ctx, mtoggle int8) int {
 	reg := p.reg
 	p.wAnn.SetCP(ctx, 2)                    // line 8 / 22
 	for i := 0; i < len(reg.procs.p); i++ { // lines 9-10 / 23-24
-		reg.bits.Store(ctx, reg.toggle(i, p.pid, mtoggle), true)
+		reg.bits.Store(ctx, reg.toggle(i, p.pid, int(mtoggle)), true)
 	}
 	reg.bits.Store(ctx, reg.tp(p.pid), mtoggle == 0) // line 11 / 25: T_p := 1 - mtoggle
 	p.wAnn.SetResult(ctx, spec.Ack)                  // line 12 / 26
@@ -284,7 +334,7 @@ func (p *proc[V]) readRecover(ctx *nvm.Ctx) (V, bool) {
 	return p.readBody(ctx), true
 }
 
-func b2i(b bool) int {
+func b2i(b bool) int8 {
 	if b {
 		return 1
 	}
@@ -295,11 +345,29 @@ func b2i(b bool) int {
 // for test assertions and checkers.
 func (reg *Register[V]) PeekTriple() Triple[V] { return reg.r.Peek() }
 
-// PeekToggle returns toggle bit A[i][p][b] without a Ctx, for tests.
-func (reg *Register[V]) PeekToggle(i, p, b int) bool { return reg.bits.Peek(reg.toggle(i, p, b)) }
+// PeekToggle returns toggle bit A[i][p][b] without a Ctx, for tests. Like
+// PeekT it panics on an index outside the register: the next bit over is a
+// chunk neighbour's.
+func (reg *Register[V]) PeekToggle(i, p, b int) bool {
+	reg.checkPID(i)
+	reg.checkPID(p)
+	if b != 0 && b != 1 {
+		panic("rw: toggle array index out of range")
+	}
+	return reg.bits.Peek(reg.toggle(i, p, b))
+}
 
 // PeekT returns T_p without a Ctx, for tests.
-func (reg *Register[V]) PeekT(p int) int { return b2i(reg.bits.Peek(reg.tp(p))) }
+func (reg *Register[V]) PeekT(p int) int {
+	reg.checkPID(p)
+	return int(b2i(reg.bits.Peek(reg.tp(p))))
+}
+
+func (reg *Register[V]) checkPID(p int) {
+	if uint(p) >= uint(len(reg.procs.p)) {
+		panic("rw: process index out of range")
+	}
+}
 
 // N returns the number of processes the register was allocated for.
 func (reg *Register[V]) N() int { return len(reg.procs.p) }

@@ -182,7 +182,7 @@ func TestABARecoveryNotFooled(t *testing.T) {
 		t.Fatalf("ABA: status %v, want recovered (p's write WAS linearized)", out.Status)
 	}
 	// R must still hold q's last write; p's recovery only finishes bookkeeping.
-	if got := reg.PeekTriple(); got != (Triple[int]{Val: initVal, Q: q, Toggle: 0}) {
+	if got := reg.PeekTriple(); got != (Triple[int]{Val: initVal, Q: int32(q), Toggle: 0}) {
 		t.Fatalf("R = %+v", got)
 	}
 	rep := checkDL(t, sys, initVal)
@@ -215,7 +215,7 @@ func TestABAFailWhenNotLinearized(t *testing.T) {
 	if out.Status != runtime.StatusFailed {
 		t.Fatalf("status %v, want failed (p never wrote R)", out.Status)
 	}
-	if got := reg.PeekTriple(); got != (Triple[int]{Val: initVal, Q: q, Toggle: 0}) {
+	if got := reg.PeekTriple(); got != (Triple[int]{Val: initVal, Q: int32(q), Toggle: 0}) {
 		t.Fatalf("R = %+v", got)
 	}
 	checkDL(t, sys, initVal)
@@ -243,7 +243,7 @@ func TestOverwrittenWriteLinearizesBeforeConcurrent(t *testing.T) {
 		t.Fatalf("status %v, want ok", out.Status)
 	}
 	// p must not have overwritten q's value.
-	if got := reg.PeekTriple(); got != (Triple[int]{Val: 7, Q: q, Toggle: 0}) {
+	if got := reg.PeekTriple(); got != (Triple[int]{Val: 7, Q: int32(q), Toggle: 0}) {
 		t.Fatalf("R = %+v, want q's write to survive", got)
 	}
 	// The history (p.write(5) linearized before q.write(7), read sees 7)
