@@ -1,17 +1,22 @@
-// Benchmark harness: one benchmark (family) per experiment row in
-// EXPERIMENTS.md. Run with:
+// Benchmarks of the objects and of the composed structures, one family per
+// question (the E-numbers are the experiments internal/model/explore.go and
+// the cmd/ doc comments name). Run with:
 //
 //	go test -bench=. -benchmem
+//
+// The served stack is measured by bench/ (BENCHMARK.json), layer by layer;
+// a family lives here only when no rung of bench/ladder.go times its body.
 package detectable_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"detectable/internal/baseline"
-	"detectable/internal/benchsuite"
 	"detectable/internal/counter"
+	"detectable/internal/history"
 	"detectable/internal/linearize"
 	"detectable/internal/maxreg"
 	"detectable/internal/model"
@@ -21,60 +26,114 @@ import (
 	"detectable/internal/rcas"
 	"detectable/internal/runtime"
 	"detectable/internal/rw"
+	"detectable/internal/shardkv"
 	"detectable/internal/spec"
+	"detectable/internal/workload"
 )
+
+// ringSystem returns an N-process system with the production history
+// configuration (a bounded ring, internal/shardkv's default) rather than
+// the unbounded full log verification tests keep, whose growth would be
+// billed to the measured operations.
+func ringSystem(procs int) *runtime.System {
+	sys := runtime.NewSystem(procs)
+	sys.SetHistory(history.NewRing(shardkv.DefaultRingCapacity))
+	return sys
+}
+
+// eachProc runs work(pid, n) on procs goroutines at once, n = b.N/procs + 1
+// iterations each, and times the lot.
+func eachProc(b *testing.B, procs int, work func(pid, n int)) {
+	var wg sync.WaitGroup
+	each := b.N/procs + 1
+	b.ResetTimer()
+	for p := 0; p < procs; p++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			work(pid, each)
+		}(p)
+	}
+	wg.Wait()
+}
+
+// benchKeys pre-creates n registers through process 0 and returns their keys.
+func benchKeys(s *shardkv.Store, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+		s.PutRetry(0, keys[i], 0)
+	}
+	return keys
+}
 
 // --- Sharded KV store: throughput scaling with shard count ---
 
-// BenchmarkShardKV sweeps the shard count under a fixed set of concurrent
-// processes hammering a shared key space (3:1 put:get). With one shard all
-// processes contend on a single system's space; more shards split the keys
-// across independent NVM spaces, so throughput should rise with the count.
-// The body lives in internal/benchsuite, shared with cmd/benchjson so the
-// BENCH_*.json trajectory records exactly these numbers.
-func BenchmarkShardKV(b *testing.B) {
+// shardKVMix is the mixed-workload body: 8 concurrent processes hammer a
+// 64-key space spread over shards partitions with a 3:1 put:get mix
+// (always-succeeds NRL semantics).
+func shardKVMix(shards int) func(b *testing.B) {
 	const procs = 8
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), benchsuite.ShardKV(shards, procs))
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		s := shardkv.New(shards, procs)
+		keys := benchKeys(s, 64)
+		eachProc(b, procs, func(pid, n int) {
+			for i := 0; i < n; i++ {
+				k := keys[(i*7+pid*13)%len(keys)]
+				if i%4 == 0 {
+					s.GetRetry(pid, k)
+				} else {
+					s.PutRetry(pid, k, i)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkShardKVZipf sweeps hot-key skew: a Zipfian chooser concentrates
-// 8 processes on a few shared keys of one shard, the regime the lock-free
-// copy-on-write key table exists for (its comparison with the seed's
-// RWMutex table is on record in BENCH_PR8.json; "table=lockfree" keeps the
-// trajectory's benchmark names). The body lives in internal/benchsuite,
-// shared with cmd/benchjson.
+// BenchmarkShardKV sweeps the shard count under a fixed set of concurrent
+// processes hammering a shared key space. With one shard all processes
+// contend on a single system's space; more shards split the keys across
+// independent NVM spaces, so throughput should rise with the count (on a
+// box with the cores for it).
+func BenchmarkShardKV(b *testing.B) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), shardKVMix(shards))
+	}
+}
+
+// shardKVZipf is the skewed-workload body: 8 concurrent processes draw keys
+// from a seeded Zipfian distribution over a 256-key space on 4 shards, with
+// a 3:1 get:put mix — the hot-key regime where one shard absorbs most of
+// the traffic and the key table's read path dominates.
+func shardKVZipf(theta float64) func(b *testing.B) {
+	const shards, procs = 4, 8
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		s := shardkv.New(shards, procs)
+		keys := benchKeys(s, 256)
+		eachProc(b, procs, func(pid, n int) {
+			rng := rand.New(rand.NewSource(workload.WorkerSeed(1, procs, pid)))
+			z := workload.NewZipf(rng, len(keys), theta)
+			for i := 0; i < n; i++ {
+				k := keys[z.Next()]
+				if i%4 == 0 {
+					s.PutRetry(pid, k, i)
+				} else {
+					s.GetRetry(pid, k)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkShardKVZipf sweeps hot-key skew at 8 processes, where
+// bench/ladder.go's shardkv.mix_zipf_2p_ns rung runs 2 (the lock-free key
+// table's comparison with the seed's RWMutex table is a row of the
+// recorded-verdicts table in docs/PERFORMANCE.md).
 func BenchmarkShardKVZipf(b *testing.B) {
 	for _, theta := range []float64{0.9, 1.2} {
-		b.Run(fmt.Sprintf("theta=%g/table=lockfree", theta), benchsuite.ShardKVZipf(4, 8, theta))
-	}
-}
-
-// BenchmarkKeyTableReadZipf isolates the key-table read path itself:
-// concurrent Peek streams over Zipfian-drawn keys.
-func BenchmarkKeyTableReadZipf(b *testing.B) {
-	for _, theta := range []float64{0.9, 1.2} {
-		b.Run(fmt.Sprintf("theta=%g/table=lockfree", theta), benchsuite.KeyTableReadZipf(8, theta))
-	}
-}
-
-// BenchmarkShardKVMultiPut measures the batched write path: one process
-// putting 64-entry batches grouped (and fanned out in parallel) across
-// the shards.
-func BenchmarkShardKVMultiPut(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), benchsuite.ShardKVMultiPut(shards))
-	}
-}
-
-// BenchmarkServedMultiPut measures the whole served MPUT request path
-// (decode, batch fan-out, reply encode, outcome window) via a loopback
-// session — the allocation-free serving promise, end to end minus the
-// socket.
-func BenchmarkServedMultiPut(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), benchsuite.ServedMultiPut(shards))
+		b.Run(fmt.Sprintf("theta=%g", theta), shardKVZipf(theta))
 	}
 }
 
@@ -107,20 +166,46 @@ func BenchmarkCASPlain(b *testing.B) {
 	}
 }
 
-// BenchmarkCASDetectableContended sweeps the process count on one object
-// (body shared with cmd/benchjson via internal/benchsuite; it uses the
-// production ring-history configuration).
+// casContended is the contended detectable-CAS body: procs processes
+// read-CAS-increment one shared object.
+func casContended(procs int) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		o := rcas.NewInt(ringSystem(procs), 0)
+		eachProc(b, procs, func(pid, n int) {
+			for i := 0; i < n; i++ {
+				out := o.Read(pid)
+				o.Cas(pid, out.Resp, out.Resp+1)
+			}
+		})
+	}
+}
+
+// BenchmarkCASDetectableContended sweeps the process count on one object.
 func BenchmarkCASDetectableContended(b *testing.B) {
 	for _, procs := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("procs=%d", procs), benchsuite.CASDetectableContended(procs))
+		b.Run(fmt.Sprintf("procs=%d", procs), casContended(procs))
 	}
 }
 
 // --- E9: time overhead of detectability (register family) ---
 
+// writeDetectable is the solo write body on an N-process register: the
+// write cost grows with N, one toggle-bit store per process.
+func writeDetectable(procs int) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		reg := rw.NewInt(ringSystem(procs), 0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			reg.Write(0, i)
+		}
+	}
+}
+
 func BenchmarkWriteDetectable(b *testing.B) {
 	for _, procs := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("N=%d", procs), benchsuite.WriteDetectable(procs))
+		b.Run(fmt.Sprintf("N=%d", procs), writeDetectable(procs))
 	}
 }
 
@@ -312,6 +397,40 @@ func BenchmarkLinearizeCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !linearize.Check(spec.Register{}, recs) {
 			b.Fatal("history rejected")
+		}
+	}
+}
+
+// --- Allocation churn ceilings on the contended bodies ---
+
+// TestAllocCeilings guards the contended bodies above against per-operation
+// allocation churn coming back. The ceilings are loose on purpose — the
+// bodies read 0, 0, 0, 1 and 1 allocs/op, a truncated mean over 8 racing
+// goroutines — because the exact 0-alloc promises of the served path are
+// AllocsPerRun pins beside the code they pin (TestAllocPin* in internal/kv,
+// shardkv and server), which a multi-goroutine body cannot be.
+func TestAllocCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five benchmarks for a second each; skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on goroutine spawn and hand-off")
+	}
+	for _, tc := range []struct {
+		name    string
+		body    func(b *testing.B)
+		ceiling int64
+	}{
+		{"ShardKV/shards=1", shardKVMix(1), 6},
+		{"ShardKV/shards=8", shardKVMix(8), 6},
+		{"ShardKVZipf/theta=1.2", shardKVZipf(1.2), 1},
+		{"CASDetectableContended/procs=8", casContended(8), 8},
+		{"WriteDetectable/N=8", writeDetectable(8), 8},
+	} {
+		if got := testing.Benchmark(tc.body).AllocsPerOp(); got > tc.ceiling {
+			t.Errorf("%s: %d allocs/op, ceiling %d", tc.name, got, tc.ceiling)
+		} else {
+			t.Logf("%s: %d allocs/op (ceiling %d)", tc.name, got, tc.ceiling)
 		}
 	}
 }

@@ -27,7 +27,7 @@
 //
 //	kvbench -addr host:port [-conns 1,4] [-dur 2s] [-keys 512] [-getpct 50]
 //	        [-dist uniform|zipf] [-theta 0.99]
-//	        [-rate 2000] [-mput 16] [-json out.json -label run]
+//	        [-rate 2000] [-mput 16]
 //	kvbench -selftest [-shards 4] ...
 //	kvbench -server-bin ./kvserverd [-data dir] [-server-args "-epoch-interval 2ms"] ...
 //
@@ -36,20 +36,23 @@
 // external daemon — smoke tests use it. -server-bin instead spawns a real
 // kvserverd (durable when -data is given or defaulted to a temp dir) and
 // benches the full served path through internal/harness, which reaps the
-// child on every exit path; -server-args passes extra flags through. -json
-// appends this run's phases under -label into a JSON document, merging with
-// the file's existing runs.
+// child on every exit path; -server-args passes extra flags through.
+//
+// kvbench only prints: a machine line (CPUs, GOMAXPROCS, Go version, the
+// data directory's filesystem) and one line per connection count. The
+// repository's record of performance is bench/ + BENCHMARK.json.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	goruntime "runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -67,8 +70,6 @@ func main() {
 	dataDir := flag.String("data", "", "durable data directory for -server-bin (empty = fresh temp dir)")
 	serverArgs := flag.String("server-args", "", "extra kvserverd flags for -server-bin, space-separated")
 	shards := flag.Int("shards", 4, "shards for the -selftest or -server-bin server")
-	replica := flag.Bool("replica", false, "with -server-bin: also spawn a warm standby replicating from the primary, so the bench measures the synchronous-replication serving path")
-	readReplica := flag.Bool("read-replica", false, "with -server-bin: bench GET throughput through read-only sessions, primary-only vs split across primary+standby (BENCH_PR10)")
 	connsFlag := flag.String("conns", "1,4", "comma-separated connection counts to bench")
 	dur := flag.Duration("dur", 2*time.Second, "measured duration per connection count")
 	keys := flag.Int("keys", 512, "key-space size")
@@ -77,8 +78,6 @@ func main() {
 	theta := flag.Float64("theta", 0.99, "Zipfian skew exponent for -dist zipf")
 	mput := flag.Int("mput", 0, "batch writes: each write is an MPUT of this many entries (0 = single puts)")
 	rate := flag.Float64("rate", 0, "paced mode: requests/sec per connection, latency from intended start (0 = closed loop)")
-	jsonOut := flag.String("json", "", "merge this run's results into this JSON file under -label")
-	label := flag.String("label", "run", "run name for -json")
 	seed := flag.Int64("seed", 1, "randomness seed")
 	flag.Parse()
 	w := load{
@@ -86,18 +85,27 @@ func main() {
 		mput: *mput, rate: *rate, seed: *seed,
 	}
 	srv := &serverSpec{bin: *serverBin, dataDir: *dataDir, args: *serverArgs, shards: *shards}
-	connCounts, err := workload.ParseConns(*connsFlag)
-	switch {
-	case err != nil:
-	case *readReplica:
-		err = runReadReplicaBench(srv, connCounts, w, *jsonOut)
-	default:
-		err = run(*addr, *selftest, srv, *replica, connCounts, w, *jsonOut, *label)
+	connCounts, err := parseConns(*connsFlag)
+	if err == nil {
+		err = run(*addr, *selftest, srv, connCounts, w)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvbench:", err)
 		os.Exit(1)
 	}
+}
+
+// parseConns parses a connection-count sweep such as "1,4,16".
+func parseConns(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad connection count %q in %q", part, s)
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }
 
 // load is what every measured connection does: the operation mix, the key
@@ -113,21 +121,6 @@ type load struct {
 	seed   int64
 }
 
-// section starts this load's -json section.
-func (w load) section(serverArgs string) *runSection {
-	return &runSection{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Go:         goruntime.Version(),
-		GetPct:     w.getPct,
-		Dist:       w.dist,
-		Theta:      w.theta,
-		MPut:       w.mput,
-		Keys:       w.keys,
-		DurSec:     w.dur.Seconds(),
-		ServerArgs: serverArgs,
-	}
-}
-
 // serverSpec is the kvserverd a -server-bin run spawns.
 type serverSpec struct {
 	bin, dataDir, args string
@@ -135,10 +128,9 @@ type serverSpec struct {
 	temp               bool // dataDir is a temp dir start made
 }
 
-// start spawns the server (with a warm standby behind it when standby is
-// set) through internal/harness, in a fresh temp directory when -data named
-// none.
-func (sp *serverSpec) start(procs int, standby bool) (_ *harness.Cluster, err error) {
+// start spawns the server through internal/harness, in a fresh temp
+// directory when -data named none.
+func (sp *serverSpec) start(procs int) (_ *harness.Cluster, err error) {
 	if sp.dataDir == "" {
 		if sp.dataDir, err = os.MkdirTemp("", "kvbench-data-"); err != nil {
 			return nil, err
@@ -148,7 +140,7 @@ func (sp *serverSpec) start(procs int, standby bool) (_ *harness.Cluster, err er
 	return harness.Start(harness.Config{
 		Name: "kvbench", Bin: sp.bin, Dir: sp.dataDir,
 		Shards: sp.shards, Procs: procs, ServerArgs: sp.args,
-	}, standby)
+	}, false)
 }
 
 // rmTemp removes a temp data directory unless the run failed — the
@@ -160,43 +152,7 @@ func (sp *serverSpec) rmTemp(errp *error) {
 	}
 }
 
-// phaseResult is one connection count's measurement. ReplicaConns and
-// ReplicaOps appear only in -read-replica phases: how many of the
-// connections targeted the standby and how many operations it served.
-type phaseResult struct {
-	Conns        int     `json:"conns"`
-	ReplicaConns int     `json:"replica_conns,omitempty"`
-	ReplicaOps   int     `json:"replica_ops,omitempty"`
-	RatePerConn  float64 `json:"rate_per_conn,omitempty"`
-	Ops          int     `json:"ops"`
-	Throughput   float64 `json:"throughput_ops_sec"`
-	P50Ns        int64   `json:"p50_ns"`
-	P99Ns        int64   `json:"p99_ns"`
-	MaxNs        int64   `json:"max_ns"`
-}
-
-// runSection is one labeled run in the -json document.
-type runSection struct {
-	Generated  string        `json:"generated"`
-	Go         string        `json:"go"`
-	GetPct     int           `json:"getpct"`
-	Dist       string        `json:"dist,omitempty"`
-	Theta      float64       `json:"theta,omitempty"`
-	MPut       int           `json:"mput,omitempty"`
-	Keys       int           `json:"keys"`
-	DurSec     float64       `json:"dur_sec"`
-	ServerArgs string        `json:"server_args,omitempty"`
-	Phases     []phaseResult `json:"phases"`
-}
-
-// jsonDoc is the whole -json file: labeled runs over one served workload.
-type jsonDoc struct {
-	Schema string                 `json:"schema"`
-	Runs   map[string]*runSection `json:"runs"`
-}
-
-func run(addr string, selftest bool, srv *serverSpec, replica bool, connCounts []int,
-	w load, jsonOut, label string) (err error) {
+func run(addr string, selftest bool, srv *serverSpec, connCounts []int, w load) (err error) {
 	if w.dist != "uniform" && w.dist != "zipf" {
 		return fmt.Errorf("unknown -dist %q (want uniform or zipf)", w.dist)
 	}
@@ -211,9 +167,6 @@ func run(addr string, selftest bool, srv *serverSpec, replica bool, connCounts [
 	}
 	if modes != 1 {
 		return fmt.Errorf("exactly one of -addr, -selftest and -server-bin is required")
-	}
-	if replica && srv.bin == "" {
-		return fmt.Errorf("-replica needs -server-bin (the bench spawns the standby itself)")
 	}
 	if w.keys < 1 || w.getPct < 0 || w.getPct > 100 || w.mput < 0 || w.rate < 0 {
 		return fmt.Errorf("need keys ≥ 1, 0 ≤ getpct ≤ 100, mput ≥ 0, rate ≥ 0")
@@ -231,67 +184,103 @@ func run(addr string, selftest bool, srv *serverSpec, replica bool, connCounts [
 		fmt.Printf("selftest server: addr=%s shards=%d procs=%d\n", addr, srv.shards, maxConns)
 	case srv.bin != "":
 		var cluster *harness.Cluster
-		if cluster, err = srv.start(maxConns, replica); err != nil {
+		if cluster, err = srv.start(maxConns); err != nil {
 			return err
 		}
 		defer srv.rmTemp(&err)
 		defer cluster.Close(&err)
 		addr, _ = cluster.Addrs()
 		fmt.Printf("spawned server: addr=%s shards=%d procs=%d data=%s args=%q\n", addr, srv.shards, maxConns, srv.dataDir, srv.args)
-		if replica {
-			fmt.Printf("replica attached: every mutation reply now waits for both nodes' fsync\n")
-		}
 	}
 
+	fmt.Println(machineLine(srv.dataDir))
 	fmt.Printf("target=%s dur=%s keys=%d getpct=%d dist=%s theta=%g mput=%d rate=%.0f/conn\n",
 		addr, w.dur, w.keys, w.getPct, w.dist, w.theta, w.mput, w.rate)
-	sec := w.section(srv.args)
 	for _, n := range connCounts {
-		r, err := benchPhase(addr, n, w)
-		if err != nil {
+		if err := benchPhase(addr, n, w); err != nil {
 			return fmt.Errorf("conns=%d: %w", n, err)
 		}
-		sec.Phases = append(sec.Phases, r)
-	}
-	if jsonOut != "" {
-		return mergeJSON(jsonOut, label, sec)
 	}
 	return nil
 }
 
+// machineLine says where the numbers below it were measured: a throughput
+// without its machine is not comparable with anything. dataDir is the
+// spawned server's data directory, empty when the server is not ours.
+func machineLine(dataDir string) string {
+	line := fmt.Sprintf("machine: cpus=%d gomaxprocs=%d go=%s os=%s/%s",
+		goruntime.NumCPU(), goruntime.GOMAXPROCS(0), goruntime.Version(), goruntime.GOOS, goruntime.GOARCH)
+	if fs := fsType(dataDir); fs != "" {
+		line += " data-fs=" + fs
+	}
+	return line
+}
+
+// fsType names the filesystem dir is on — the type of the longest mount
+// point in /proc/mounts that contains it — or "" where that cannot be read.
+func fsType(dir string) string {
+	if dir == "" {
+		return ""
+	}
+	mounts, err := os.ReadFile("/proc/mounts")
+	if err != nil {
+		return ""
+	}
+	if abs, err := filepath.Abs(dir); err == nil {
+		dir = abs
+	}
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real
+	}
+	best, fs := "", ""
+	for _, line := range strings.Split(string(mounts), "\n") {
+		f := strings.Fields(line) // device, mount point, type, ...
+		if len(f) < 3 || len(f[1]) < len(best) {
+			continue
+		}
+		if mp := f[1]; mp == "/" || dir == mp || strings.HasPrefix(dir, mp+"/") {
+			best, fs = mp, f[2]
+		}
+	}
+	return fs
+}
+
 // benchPhase runs one stream per connection for w.dur and prints one
 // report line.
-func benchPhase(addr string, conns int, w load) (phaseResult, error) {
+func benchPhase(addr string, conns int, w load) error {
 	clients := make([]*client.Client, conns)
 	for i := range clients {
 		c, err := client.Dial(addr)
 		if err != nil {
-			return phaseResult{}, fmt.Errorf("dial %d: %w", i, err)
+			return fmt.Errorf("dial %d: %w", i, err)
 		}
 		defer c.Close()
 		clients[i] = c
 	}
-	// Warm the key space on one connection before timing anything:
-	// creating a key's register is a one-time allocation of the paper's
-	// announce structure — O(procs²) NVM cells, milliseconds at high slot
-	// counts — and billing it to the measured window would swamp the
-	// serving costs (fsync schedule, batching) the bench compares.
+	// Warm the key space on one connection before timing anything, so that
+	// the measured window holds only steady-state operations: reads of live
+	// registers and overwrites of existing keys. Creating a key is cheap
+	// (137 NVM cells in ~126 B at 8 slots) but it is a different path: an
+	// insert into the shard's key table, now and then a doubling of it.
 	if err := warmKeys(clients[0], w.keys); err != nil {
-		return phaseResult{}, err
+		return err
 	}
 	lats, elapsed, err := drive(clients, w)
 	if err != nil {
-		return phaseResult{}, err
+		return err
 	}
-	r, err := summarize(lats, elapsed)
-	if err != nil {
-		return phaseResult{}, err
+	var all []time.Duration
+	for _, l := range lats {
+		all = append(all, l...)
 	}
-	r.RatePerConn = w.rate
+	if len(all) == 0 {
+		return fmt.Errorf("no operations completed")
+	}
+	slices.Sort(all)
 	fmt.Printf("conns=%d ops=%d throughput=%.0f ops/sec p50=%s p99=%s max=%s\n",
-		conns, r.Ops, r.Throughput,
-		time.Duration(r.P50Ns), time.Duration(r.P99Ns), time.Duration(r.MaxNs))
-	return r, nil
+		conns, len(all), float64(len(all))/elapsed.Seconds(),
+		percentile(all, 50), percentile(all, 99), all[len(all)-1])
+	return nil
 }
 
 // warmKeys creates every key's register in MPUT chunks, with a nonzero
@@ -383,46 +372,6 @@ func drive(clients []*client.Client, w load) ([][]time.Duration, time.Duration, 
 		}
 	}
 	return lats, elapsed, nil
-}
-
-// summarize merges the connections' latencies into one phase's numbers.
-func summarize(lats [][]time.Duration, elapsed time.Duration) (phaseResult, error) {
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
-		return phaseResult{}, fmt.Errorf("no operations completed")
-	}
-	slices.Sort(all)
-	return phaseResult{
-		Conns:      len(lats),
-		Ops:        len(all),
-		Throughput: float64(len(all)) / elapsed.Seconds(),
-		P50Ns:      int64(percentile(all, 50)),
-		P99Ns:      int64(percentile(all, 99)),
-		MaxNs:      int64(all[len(all)-1]),
-	}, nil
-}
-
-// mergeJSON folds sec under label into the JSON document at path, keeping
-// any runs already recorded there.
-func mergeJSON(path, label string, sec *runSection) error {
-	doc := &jsonDoc{Schema: "detectable-served-bench/v1", Runs: map[string]*runSection{}}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, doc); err != nil {
-			return fmt.Errorf("parsing existing %s: %w", path, err)
-		}
-		if doc.Runs == nil {
-			doc.Runs = map[string]*runSection{}
-		}
-	}
-	doc.Runs[label] = sec
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // percentile returns the p-th percentile of sorted latencies.

@@ -34,7 +34,8 @@
 // released on its epoch's boundary, after the fsync that anchors it, so
 // detectability is never weakened — N writers just split the cost of the
 // barrier instead of each paying it (a lone writer's epoch is the
-// per-mutation schedule; BENCH_PR6.json records the comparison).
+// per-mutation schedule; docs/PERFORMANCE.md §"Recorded verdicts" has the
+// comparison).
 // -epoch-interval adds a batching window before each epoch anchors, trading
 // reply latency for wider batches; 0 anchors as soon as the committer is
 // free.

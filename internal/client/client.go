@@ -226,7 +226,7 @@ func (c *Client) connectTo(addr string) error {
 	bw := bufio.NewWriter(conn)
 	// Freshly encoded on purpose: connect runs inside call's resume loop,
 	// where the pending request still aliases the c.enc scratch.
-	if err := server.WriteFrame(bw, server.EncodeHello(c.session, flags)); err != nil {
+	if err := server.WriteFrame(bw, server.AppendHello(nil, c.session, flags)); err != nil {
 		conn.Close()
 		return err
 	}
@@ -679,7 +679,7 @@ func (c *Client) CrashShard(i int) error {
 	if i >= 0 {
 		shard = uint32(i)
 	}
-	payload, err := c.call(server.EncodeCrash(c.id(), shard))
+	payload, err := c.call(server.AppendCrash(nil, c.id(), shard))
 	if err != nil {
 		return err
 	}
@@ -692,7 +692,7 @@ func (c *Client) CrashShard(i int) error {
 
 // Stats fetches a point-in-time snapshot of every shard's counters.
 func (c *Client) Stats() ([]shardkv.StatsSnapshot, error) {
-	payload, err := c.call(server.EncodeStats(c.id()))
+	payload, err := c.call(server.AppendStats(nil, c.id()))
 	if err != nil {
 		return nil, err
 	}
@@ -717,7 +717,7 @@ func (c *Client) Stats() ([]shardkv.StatsSnapshot, error) {
 // fences the node (ErrNotPrimary for every later data op). Admin tools
 // issue it over an observer session.
 func (c *Client) Promote() (uint64, error) {
-	payload, err := c.call(server.EncodePromote(c.id()))
+	payload, err := c.call(server.AppendPromote(nil, c.id()))
 	if err != nil {
 		return 0, err
 	}
@@ -752,7 +752,7 @@ type ServerStatus struct {
 
 // ServerStats fetches the node's replication status.
 func (c *Client) ServerStats() (ServerStatus, error) {
-	payload, err := c.call(server.EncodeServerStats(c.id()))
+	payload, err := c.call(server.AppendServerStats(nil, c.id()))
 	if err != nil {
 		return ServerStatus{}, err
 	}
@@ -782,7 +782,7 @@ func (c *Client) Close() error {
 			return nil // session unreachable; nothing left to release cleanly
 		}
 	}
-	_, err := c.call(server.EncodeClose(c.id()))
+	_, err := c.call(server.AppendClose(nil, c.id()))
 	c.KillConn()
 	if _, ok := err.(*WireError); err != nil && !ok {
 		return err

@@ -17,7 +17,7 @@ import (
 // serialize on a creation mutex and publish the entry with one atomic
 // store; the array doubles, copy-on-write, when it is half full, so
 // creating a key costs O(1) amortised. (The RWMutex-guarded map it replaced
-// is measured against it in BENCH_PR8.json.)
+// is measured against it in docs/PERFORMANCE.md §"Recorded verdicts".)
 //
 // Keys are never removed, so a probe sequence only ever gains entries: a reader walks from the key's home slot
 // to the first empty one and either meets the key or proves it was absent

@@ -62,7 +62,8 @@ func TestCowViewIsImmutableSnapshot(t *testing.T) {
 
 // TestLockedStoreEquivalence pins the store's observable behavior over the
 // copy-on-write table (the name and the one-row table are what is left of
-// the comparison with the retired RWMutex baseline, BENCH_PR8.json).
+// the comparison with the retired RWMutex baseline, whose numbers are in
+// docs/PERFORMANCE.md §"Recorded verdicts").
 func TestLockedStoreEquivalence(t *testing.T) {
 	for _, mk := range []struct {
 		name string
@@ -117,7 +118,7 @@ func TestRestorePanicsOnExistingKey(t *testing.T) {
 
 // TestAllocPinLookup: resolving an existing key is one atomic load plus a
 // map lookup — zero allocations. This is the kv-layer half of the
-// crash-free Get pin benchjson gates in CI.
+// crash-free Get pin (shardkv.TestAllocPinCrashFreeGet is the other).
 func TestAllocPinLookup(t *testing.T) {
 	sys := runtime.NewSystem(1)
 	s := New(sys)

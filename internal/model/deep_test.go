@@ -19,7 +19,8 @@ func TestRWThreeProcsNoCrash(t *testing.T) {
 
 // TestRWThreeProcsOneCrashDeep is the full three-writer exploration with a
 // crash budget: 13.6M states, ~80s. Opt in with DETECTABLE_DEEP_TESTS=1;
-// the verified result is recorded in EXPERIMENTS.md (E1).
+// a run that ends without a violation is experiment E1 (explore.go) at
+// N = 3, and the test logs its state and configuration counts.
 func TestRWThreeProcsOneCrashDeep(t *testing.T) {
 	if os.Getenv("DETECTABLE_DEEP_TESTS") == "" {
 		t.Skip("set DETECTABLE_DEEP_TESTS=1 to run the 13.6M-state exploration")

@@ -3,10 +3,16 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"strconv"
 	"testing"
 
+	"detectable/internal/durable"
+	"detectable/internal/runtime"
 	"detectable/internal/shardkv"
+	"detectable/internal/simio"
 )
 
 // Allocation pins for the wire layer: encoding a frame into a warm
@@ -46,7 +52,7 @@ func TestAllocPinWriteFrameBuffered(t *testing.T) {
 }
 
 func TestAllocPinReadFrameInto(t *testing.T) {
-	frame := EncodePut(7, 0, "pin-key", 99)
+	frame := AppendPut(nil, 7, 0, "pin-key", 99)
 	var wire bytes.Buffer
 	WriteFrame(&wire, frame)
 	raw := wire.Bytes()
@@ -164,5 +170,89 @@ func TestAllocPinServedRotating(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, get); allocs != 0 {
 		t.Fatalf("served GET over %d keys allocates %v/op, want 0", len(keys), allocs)
+	}
+}
+
+// The replica GET path end to end, minus the socket: a genuine standby
+// server over a durable DB whose applied view was populated through the
+// real replication stream (Subscribe → Replica.Apply, published on COMMIT),
+// serving a read-only session — executeReadOnly → ViewGet → reply encode →
+// window record allocate nothing once warm.
+func TestAllocPinReplicaGet(t *testing.T) {
+	const shards, procs, keys = 4, 2, 64
+	pdb, err := durable.OpenFs(simio.New(), "/data", shards, procs, Window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := pdb.Subscribe(0, false)
+	if err := pdb.AppendHello(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		key := "pin-" + strconv.Itoa(i)
+		pdb.ShardBacking(shardkv.ShardIndex(key, shards)).Persist(key, int64(i+1))
+		if err := pdb.CommitOutcome(1, uint64(i+1), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub.Close()
+
+	rdb, err := durable.OpenFs(simio.New(), "/data", shards, procs, Window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := rdb.NewReplica()
+	for {
+		chunk, err := sub.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(chunk) > 0 {
+			n := int(binary.BigEndian.Uint32(chunk))
+			if _, _, err := rp.Apply(chunk[4 : 4+n]); err != nil {
+				t.Fatal(err)
+			}
+			chunk = chunk[4+n:]
+		}
+	}
+
+	srv := NewStandby(rdb, func() *shardkv.Store {
+		return shardkv.New(shards, procs) // promotion never happens in the pin
+	})
+	// A loopback session of the kind a standby serves (readonly.go):
+	// slotless and GET-only.
+	srv.mu.Lock()
+	srv.nextSID++
+	sid := srv.nextSID
+	srv.mu.Unlock()
+	if err := rdb.NoteSID(sid); err != nil {
+		t.Fatal(err)
+	}
+	ls := &LoopbackSession{
+		srv:     srv,
+		sess:    &session{id: sid, pid: -1, readOnly: true, gen: 1, cache: make(map[uint64][]byte, Window+1)},
+		scratch: GetFrameBuf(),
+		nextID:  1,
+	}
+	defer ls.Close()
+
+	payload := AppendGet(nil, 0, 0, "pin-7")
+	get := func() []byte {
+		PatchReqID(payload, ls.NextID())
+		return ls.Handle(payload)
+	}
+	for i := 0; i < 2*Window; i++ { // settles the outcome window's recycled entries
+		get()
+	}
+	// The reply is the value streamed from the primary, so the view served it.
+	want := appendOutcomeReply(nil, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: 8})
+	if reply := get(); !bytes.Equal(reply, want) {
+		t.Fatalf("replica GET pin-7 = %x, want %x", reply, want)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { get() }); allocs != 0 {
+		t.Fatalf("warm replica GET allocates %v/op, want 0", allocs)
 	}
 }

@@ -7,10 +7,10 @@ import (
 
 // LoopbackSession drives the server's full request path — header decode,
 // classify, execute, reply encode, outcome-window record — without a
-// socket. Benchmarks and allocation gates use it to measure exactly the
-// per-request serving cost (cmd/benchjson pins the MPUT path at zero
-// allocations per op with it); the framing layer it skips is covered by
-// its own pins.
+// socket. Benchmarks and allocation pins use it to measure exactly the
+// per-request serving cost (TestAllocPinServedMultiPut pins the MPUT path
+// at zero allocations per op with it); the framing layer it skips is
+// covered by its own pins.
 //
 // The session it wraps leases a real process slot but is not registered
 // with the server's session table, so it cannot be resumed or reaped;
@@ -37,24 +37,6 @@ func (srv *Server) NewLoopbackSession() (*LoopbackSession, error) {
 	if db := srv.db.Load(); db != nil {
 		if err := db.AppendHello(sid, pid); err != nil {
 			srv.store.Load().ReleaseProc(pid)
-			return nil, err
-		}
-	}
-	return &LoopbackSession{srv: srv, sess: sess, scratch: GetFrameBuf(), nextID: 1}, nil
-}
-
-// NewReadOnlyLoopbackSession returns a loopback session in read-only mode:
-// slotless and GET-only, the session kind a standby serves (readonly.go).
-// Works on a primary or a standby server; cmd/benchjson uses it against a
-// standby to pin the replica GET path allocation-free.
-func (srv *Server) NewReadOnlyLoopbackSession() (*LoopbackSession, error) {
-	srv.mu.Lock()
-	srv.nextSID++
-	sid := srv.nextSID
-	srv.mu.Unlock()
-	sess := &session{id: sid, pid: -1, readOnly: true, gen: 1, cache: make(map[uint64][]byte, Window+1)}
-	if db := srv.db.Load(); db != nil {
-		if err := db.NoteSID(sid); err != nil {
 			return nil, err
 		}
 	}

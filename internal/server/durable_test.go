@@ -95,7 +95,7 @@ func (rc *rawConn) roundTrip(t *testing.T, req []byte) []byte {
 // flag.
 func (rc *rawConn) hello(t *testing.T, sid uint64) (uint64, bool) {
 	t.Helper()
-	reply := rc.roundTrip(t, EncodeHello(sid, 0))
+	reply := rc.roundTrip(t, AppendHello(nil, sid, 0))
 	r := NewReader(reply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("HELLO rejected: code %d %q", code, r.Key())
@@ -301,7 +301,7 @@ func TestRestartSlotAccounting(t *testing.T) {
 		t.Fatalf("after recovering 2 sessions on 2 slots: %d free, want 0", free)
 	}
 	rc := dialRaw(t, addr)
-	reply := rc.roundTrip(t, EncodeHello(0, 0))
+	reply := rc.roundTrip(t, AppendHello(nil, 0, 0))
 	if reply[0] != ErrSlotsExhausted {
 		t.Fatalf("third session admitted over a full recovered house: code %d", reply[0])
 	}
@@ -310,7 +310,7 @@ func TestRestartSlotAccounting(t *testing.T) {
 	if _, resumed := rc2.hello(t, sidA); !resumed {
 		t.Fatal("recovered session did not resume")
 	}
-	rc2.roundTrip(t, EncodeClose(1))
+	rc2.roundTrip(t, AppendClose(nil, 1))
 	// The CLOSE reply is flushed before the handler runs endSession; wait
 	// for the slot release rather than racing it.
 	deadline := time.Now().Add(2 * time.Second)
@@ -385,7 +385,7 @@ func TestObserverSIDNotReissuedAfterRestart(t *testing.T) {
 	rcData := dialRaw(t, addr)
 	dataSID, _ := rcData.hello(t, 0)
 	rcObs := dialRaw(t, addr)
-	obsReply := rcObs.roundTrip(t, EncodeHello(0, HelloFlagObserver))
+	obsReply := rcObs.roundTrip(t, AppendHello(nil, 0, HelloFlagObserver))
 	r := NewReader(obsReply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("observer HELLO rejected: %d", code)
@@ -402,7 +402,7 @@ func TestObserverSIDNotReissuedAfterRestart(t *testing.T) {
 	defer st2.kill(t)
 	// The observer session itself is gone (not recoverable)...
 	rc := dialRaw(t, addr)
-	reply := rc.roundTrip(t, EncodeHello(obsSID, HelloFlagObserver))
+	reply := rc.roundTrip(t, AppendHello(nil, obsSID, HelloFlagObserver))
 	if reply[0] != ErrUnknownSession {
 		t.Fatalf("observer resume after restart: code %d, want unknown-session", reply[0])
 	}

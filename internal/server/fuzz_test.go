@@ -74,7 +74,7 @@ func FuzzDecodeReply(f *testing.F) {
 	f.Add(appendOutcomeReply(nil, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: 7}))
 	f.Add(appendOutcomesReply(nil, []runtime.Outcome[int]{{Status: runtime.StatusRecovered, Resp: -1, Crashes: 2}}))
 	f.Add(appendHelloOK(nil, 42, 3, true))
-	f.Add(encodeErr(ErrStaleRequest, "stale"))
+	f.Add(appendErr(nil, ErrStaleRequest, "stale"))
 	f.Add([]byte{StatusOK, 0xff, 0xff}) // batched reply claiming 65535 entries
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		check := func(r *Reader) {

@@ -15,7 +15,7 @@ import (
 // helloReadOnly opens a read-only session on rc, asserting admission.
 func helloReadOnly(t *testing.T, rc *rawConn) {
 	t.Helper()
-	reply := rc.roundTrip(t, EncodeHello(0, HelloFlagReadOnly))
+	reply := rc.roundTrip(t, AppendHello(nil, 0, HelloFlagReadOnly))
 	if reply[0] != StatusOK {
 		t.Fatalf("read-only HELLO rejected: code %d", reply[0])
 	}
@@ -25,7 +25,7 @@ func helloReadOnly(t *testing.T, rc *rawConn) {
 // outcome reply.
 func getOutcome(t *testing.T, rc *rawConn, reqID uint64, key string) runtime.Outcome[int] {
 	t.Helper()
-	reply := rc.roundTrip(t, EncodeGet(reqID, 0, key))
+	reply := rc.roundTrip(t, AppendGet(nil, reqID, 0, key))
 	r := NewReader(reply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("GET %q rejected: %s", key, ErrName(code))
@@ -41,7 +41,7 @@ func getOutcome(t *testing.T, rc *rawConn, reqID uint64, key string) runtime.Out
 // statsApplied drives SERVER-STATS and returns (role, seq, applied).
 func statsApplied(t *testing.T, rc *rawConn, reqID uint64) (role byte, seq, applied uint64) {
 	t.Helper()
-	reply := rc.roundTrip(t, EncodeServerStats(reqID))
+	reply := rc.roundTrip(t, AppendServerStats(nil, reqID))
 	r := NewReader(reply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("SERVER-STATS rejected: %s", ErrName(code))
@@ -83,7 +83,7 @@ func TestReadOnlyStandbyServesAppliedReads(t *testing.T) {
 		key string
 		val int
 	}{{"alpha", 41}, {"beta", 7}, {"gamma", 0}} {
-		if reply := rc.roundTrip(t, EncodePut(uint64(i+1), 0, kv.key, kv.val)); reply[0] != StatusOK {
+		if reply := rc.roundTrip(t, AppendPut(nil, uint64(i+1), 0, kv.key, kv.val)); reply[0] != StatusOK {
 			t.Fatalf("PUT %s rejected: %x", kv.key, reply)
 		}
 	}
@@ -101,7 +101,7 @@ func TestReadOnlyStandbyServesAppliedReads(t *testing.T) {
 	}
 
 	// MGET: one status, a count, then one outcome per key.
-	reply := ro.roundTrip(t, EncodeMGet(3, []string{"beta", "alpha"}))
+	reply := ro.roundTrip(t, AppendMGet(nil, 3, []string{"beta", "alpha"}))
 	r := NewReader(reply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("MGET rejected: %s", ErrName(code))
@@ -122,14 +122,14 @@ func TestReadOnlyStandbyServesAppliedReads(t *testing.T) {
 
 	// Mutations on the standby: refused with not-primary so a failover
 	// client rotates to the primary (a read-only client never sends them).
-	if reply := ro.roundTrip(t, EncodePut(4, 0, "alpha", 99)); reply[0] != ErrNotPrimary {
+	if reply := ro.roundTrip(t, AppendPut(nil, 4, 0, "alpha", 99)); reply[0] != ErrNotPrimary {
 		t.Fatalf("standby read-only PUT answered %x, want ErrNotPrimary", reply[0])
 	}
-	if reply := ro.roundTrip(t, EncodeDel(5, 0, "alpha")); reply[0] != ErrNotPrimary {
+	if reply := ro.roundTrip(t, AppendDel(nil, 5, 0, "alpha")); reply[0] != ErrNotPrimary {
 		t.Fatalf("standby read-only DEL answered %x, want ErrNotPrimary", reply[0])
 	}
 	// Crash plans need a process identity; a slotless read has none.
-	if reply := ro.roundTrip(t, EncodeGet(6, 1, "alpha")); reply[0] != ErrObserver {
+	if reply := ro.roundTrip(t, AppendGet(nil, 6, 1, "alpha")); reply[0] != ErrObserver {
 		t.Fatalf("planned-crash GET answered %x, want ErrObserver", reply[0])
 	}
 
@@ -141,7 +141,7 @@ func TestReadOnlyStandbyServesAppliedReads(t *testing.T) {
 	// never passes it.
 	pc := dialRaw(t, addr1)
 	defer pc.c.Close()
-	if reply := pc.roundTrip(t, EncodeHello(0, HelloFlagObserver)); reply[0] != StatusOK {
+	if reply := pc.roundTrip(t, AppendHello(nil, 0, HelloFlagObserver)); reply[0] != StatusOK {
 		t.Fatalf("observer hello on primary rejected: %x", reply)
 	}
 	_, pseq, papplied := statsApplied(t, pc, 1)
@@ -182,7 +182,7 @@ func TestReadOnlyOnPrimaryServesLiveStore(t *testing.T) {
 
 	w := dialRaw(t, addr)
 	w.hello(t, 0)
-	if reply := w.roundTrip(t, EncodePut(1, 0, "k", 12)); reply[0] != StatusOK {
+	if reply := w.roundTrip(t, AppendPut(nil, 1, 0, "k", 12)); reply[0] != StatusOK {
 		t.Fatalf("PUT rejected: %x", reply)
 	}
 	defer w.c.Close()
@@ -193,7 +193,7 @@ func TestReadOnlyOnPrimaryServesLiveStore(t *testing.T) {
 	if out := getOutcome(t, ro, 1, "k"); out.Status != runtime.StatusOK || out.Resp != 12 {
 		t.Fatalf("primary read-only GET = %v/%d, want OK/12", out.Status, out.Resp)
 	}
-	if reply := ro.roundTrip(t, EncodePut(2, 0, "k", 99)); reply[0] != ErrObserver {
+	if reply := ro.roundTrip(t, AppendPut(nil, 2, 0, "k", 99)); reply[0] != ErrObserver {
 		t.Fatalf("primary read-only PUT answered %x, want ErrObserver", reply[0])
 	}
 }
@@ -210,7 +210,7 @@ func TestReadOnlyRefusedOnFenced(t *testing.T) {
 	}
 	rc := dialRaw(t, addr)
 	defer rc.c.Close()
-	if reply := rc.roundTrip(t, EncodeHello(0, HelloFlagReadOnly)); reply[0] != ErrNotPrimary {
+	if reply := rc.roundTrip(t, AppendHello(nil, 0, HelloFlagReadOnly)); reply[0] != ErrNotPrimary {
 		t.Fatalf("fenced node answered read-only HELLO with %x, want ErrNotPrimary", reply[0])
 	}
 }

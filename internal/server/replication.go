@@ -275,7 +275,7 @@ func (st *standbyState) replicateOnce(addr string) error {
 	}
 
 	conn.SetDeadline(time.Now().Add(replicaDialTimeout))
-	if err := writeFrame(EncodeHello(0, HelloFlagReplica)); err != nil {
+	if err := writeFrame(AppendHello(nil, 0, HelloFlagReplica)); err != nil {
 		return err
 	}
 	reply, err := ReadFrame(br)
@@ -330,7 +330,7 @@ func (st *standbyState) replicateOnce(addr string) error {
 func (srv *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	db := srv.db.Load()
 	if db == nil || srv.standby.Load() != nil || srv.fenced.Load() {
-		WriteFrame(bw, encodeErr(ErrNotPrimary, "replication needs a serving durable primary"))
+		WriteFrame(bw, appendErr(nil, ErrNotPrimary, "replication needs a serving durable primary"))
 		bw.Flush()
 		return
 	}

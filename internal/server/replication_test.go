@@ -57,7 +57,7 @@ func waitSynced(t *testing.T, pdb *durable.DB) {
 // serverStats drives OP-SERVER-STATS on an open raw connection.
 func serverStats(t *testing.T, rc *rawConn, reqID uint64) (role byte, gen, replays uint64) {
 	t.Helper()
-	reply := rc.roundTrip(t, EncodeServerStats(reqID))
+	reply := rc.roundTrip(t, AppendServerStats(nil, reqID))
 	r := NewReader(reply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("SERVER-STATS rejected: %s", ErrName(code))
@@ -82,14 +82,14 @@ func TestReplicationByteIdenticalReplayAcrossPromotion(t *testing.T) {
 	// A standby refuses ordinary sessions until promoted — clients must
 	// fail over to the primary, never read from a stale window.
 	rcS := dialRaw(t, addr2)
-	if reply := rcS.roundTrip(t, EncodeHello(0, 0)); reply[0] != ErrNotPrimary {
+	if reply := rcS.roundTrip(t, AppendHello(nil, 0, 0)); reply[0] != ErrNotPrimary {
 		t.Fatalf("standby accepted a session: reply %x", reply)
 	}
 	rcS.c.Close()
 
 	// An observer CAN poll the standby, and sees its role.
 	rcO := dialRaw(t, addr2)
-	if reply := rcO.roundTrip(t, EncodeHello(0, HelloFlagObserver)); reply[0] != StatusOK {
+	if reply := rcO.roundTrip(t, AppendHello(nil, 0, HelloFlagObserver)); reply[0] != StatusOK {
 		t.Fatalf("observer hello on standby rejected: %x", reply)
 	}
 	if role, gen, _ := serverStats(t, rcO, 1); role != RoleStandby || gen != 0 {
@@ -106,7 +106,7 @@ func TestReplicationByteIdenticalReplayAcrossPromotion(t *testing.T) {
 	if resumed {
 		t.Fatal("fresh session reported resumed")
 	}
-	put := EncodePut(1, 0, "alpha", 41)
+	put := AppendPut(nil, 1, 0, "alpha", 41)
 	original := rc.roundTrip(t, put)
 	if original[0] != StatusOK {
 		t.Fatalf("PUT rejected: %x", original)
@@ -149,7 +149,7 @@ func TestReplicationByteIdenticalReplayAcrossPromotion(t *testing.T) {
 	}
 
 	// The replicated effect is really in the promoted store.
-	getReply := rc2.roundTrip(t, EncodeGet(3, 0, "alpha"))
+	getReply := rc2.roundTrip(t, AppendGet(nil, 3, 0, "alpha"))
 	r := NewReader(getReply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("GET rejected: %s", ErrName(code))
@@ -184,7 +184,7 @@ func TestFencedPrimaryRefusesSessions(t *testing.T) {
 	// A fresh HELLO must bounce with the retryable not-primary code before
 	// any session state is created.
 	rcN := dialRaw(t, addr)
-	if reply := rcN.roundTrip(t, EncodeHello(0, 0)); reply[0] != ErrNotPrimary {
+	if reply := rcN.roundTrip(t, AppendHello(nil, 0, 0)); reply[0] != ErrNotPrimary {
 		t.Fatalf("fenced node answered a fresh HELLO with %x, want not-primary", reply)
 	}
 	rcN.c.Close()
@@ -192,7 +192,7 @@ func TestFencedPrimaryRefusesSessions(t *testing.T) {
 	// Resuming the pre-fencing sid bounces the same way — the promoted
 	// replica holds the session now.
 	rcR := dialRaw(t, addr)
-	if reply := rcR.roundTrip(t, EncodeHello(sid, 0)); reply[0] != ErrNotPrimary {
+	if reply := rcR.roundTrip(t, AppendHello(nil, sid, 0)); reply[0] != ErrNotPrimary {
 		t.Fatalf("fenced node answered a resume with %x, want not-primary", reply)
 	}
 	rcR.c.Close()
@@ -208,7 +208,7 @@ func TestFencedPrimaryRefusesSessions(t *testing.T) {
 	// Observers still work: stats and admin ops are how the fenced node is
 	// inspected and drained.
 	rcO := dialRaw(t, addr)
-	if reply := rcO.roundTrip(t, EncodeHello(0, HelloFlagObserver)); reply[0] != StatusOK {
+	if reply := rcO.roundTrip(t, AppendHello(nil, 0, HelloFlagObserver)); reply[0] != StatusOK {
 		t.Fatalf("observer HELLO on fenced node rejected: %x", reply)
 	}
 	if role, _, _ := serverStats(t, rcO, 1); role != RoleFenced {
@@ -246,7 +246,7 @@ func TestReapThenResumeRefusedOnPromotedReplica(t *testing.T) {
 
 	rc := dialRaw(t, addr1)
 	sid, _ := rc.hello(t, 0)
-	if reply := rc.roundTrip(t, EncodePut(1, 0, "beta", 7)); reply[0] != StatusOK {
+	if reply := rc.roundTrip(t, AppendPut(nil, 1, 0, "beta", 7)); reply[0] != StatusOK {
 		t.Fatalf("PUT rejected: %x", reply)
 	}
 	rc.c.Close() // detach; the reaper will END the session
@@ -278,7 +278,7 @@ func TestReapThenResumeRefusedOnPromotedReplica(t *testing.T) {
 
 	// Resume on the primary: clean refusal.
 	rcA := dialRaw(t, addr1)
-	if reply := rcA.roundTrip(t, EncodeHello(sid, 0)); reply[0] != ErrUnknownSession {
+	if reply := rcA.roundTrip(t, AppendHello(nil, sid, 0)); reply[0] != ErrUnknownSession {
 		t.Fatalf("reaped resume on primary: reply %x, want unknown-session", reply)
 	}
 	rcA.c.Close()
@@ -292,7 +292,7 @@ func TestReapThenResumeRefusedOnPromotedReplica(t *testing.T) {
 	// Resume on the promoted replica: the same clean refusal — the END
 	// replicated, so the sid cannot come back from the dead.
 	rc2 := dialRaw(t, sb.srv.Addr().String())
-	if reply := rc2.roundTrip(t, EncodeHello(sid, 0)); reply[0] != ErrUnknownSession {
+	if reply := rc2.roundTrip(t, AppendHello(nil, sid, 0)); reply[0] != ErrUnknownSession {
 		t.Fatalf("reaped resume on replica: reply %x, want unknown-session", reply)
 	}
 	rc2.c.Close()

@@ -27,7 +27,7 @@ func rawDial(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 // ID.
 func hello(t *testing.T, conn net.Conn, br *bufio.Reader, sid uint64) uint64 {
 	t.Helper()
-	if err := server.WriteFrame(conn, server.EncodeHello(sid, 0)); err != nil {
+	if err := server.WriteFrame(conn, server.AppendHello(nil, sid, 0)); err != nil {
 		t.Fatalf("hello write: %v", err)
 	}
 	payload, err := server.ReadFrame(br)
@@ -57,7 +57,7 @@ func frameBytes(payload []byte) []byte {
 // replaying the request ID again must return the byte-identical reply —
 // the persisted original verdict.
 func TestResumeKillAtEveryByte(t *testing.T) {
-	payload := server.EncodePut(1, 0, "k", 9)
+	payload := server.AppendPut(nil, 1, 0, "k", 9)
 	frame := frameBytes(payload)
 
 	for cut := 1; cut <= len(frame); cut++ {
@@ -195,14 +195,14 @@ func TestStaleRequestID(t *testing.T) {
 
 	// Jump the request ID far ahead, then ask for an evicted one.
 	for _, reqID := range []uint64{1, 1 + server.Window} {
-		if err := server.WriteFrame(conn, server.EncodePut(reqID, 0, "k", 1)); err != nil {
+		if err := server.WriteFrame(conn, server.AppendPut(nil, reqID, 0, "k", 1)); err != nil {
 			t.Fatalf("put %d: %v", reqID, err)
 		}
 		if _, err := server.ReadFrame(br); err != nil {
 			t.Fatalf("put %d reply: %v", reqID, err)
 		}
 	}
-	if err := server.WriteFrame(conn, server.EncodePut(1, 0, "k", 2)); err != nil {
+	if err := server.WriteFrame(conn, server.AppendPut(nil, 1, 0, "k", 2)); err != nil {
 		t.Fatalf("stale put: %v", err)
 	}
 	reply, err := server.ReadFrame(br)

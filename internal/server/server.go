@@ -324,13 +324,13 @@ func (srv *Server) handleConn(conn net.Conn) {
 	}
 	r := NewReader(payload)
 	if op := r.U8(); op != OpHello {
-		WriteFrame(bw, encodeErr(ErrBadRequest, "first frame must be HELLO"))
+		WriteFrame(bw, appendErr(nil, ErrBadRequest, "first frame must be HELLO"))
 		bw.Flush()
 		return
 	}
 	sid, flags := r.U64(), r.U8()
 	if r.Err || r.Rest() != 0 {
-		WriteFrame(bw, encodeErr(ErrBadRequest, "malformed HELLO"))
+		WriteFrame(bw, appendErr(nil, ErrBadRequest, "malformed HELLO"))
 		bw.Flush()
 		return
 	}
@@ -376,7 +376,7 @@ func (srv *Server) attach(conn net.Conn, sid uint64, flags byte) (*session, uint
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	if srv.closed {
-		return nil, 0, encodeErr(ErrBadRequest, "server shutting down")
+		return nil, 0, appendErr(nil, ErrBadRequest, "server shutting down")
 	}
 	observer := flags&HelloFlagObserver != 0
 	readOnly := flags&HelloFlagReadOnly != 0
@@ -388,7 +388,7 @@ func (srv *Server) attach(conn net.Conn, sid uint64, flags byte) (*session, uint
 		// promotion, so the lookup below could not tell the two apart.
 		// Read-only sessions ARE admitted: the standby is a read replica
 		// (executeReadOnly serves GETs from the applied view).
-		return nil, 0, encodeErr(ErrNotPrimary, "standby: not serving until promoted")
+		return nil, 0, appendErr(nil, ErrNotPrimary, "standby: not serving until promoted")
 	}
 	if !observer && srv.fenced.Load() {
 		// Refuses read-only sessions too: a fenced ex-primary's state is
@@ -401,7 +401,7 @@ func (srv *Server) attach(conn net.Conn, sid uint64, flags byte) (*session, uint
 		// with not-primary and its resume over there would die on
 		// unknown-session. Refusing the HELLO itself sends the client to
 		// the next failover address before any state is created.
-		return nil, 0, encodeErr(ErrNotPrimary, "fenced: this node was demoted")
+		return nil, 0, appendErr(nil, ErrNotPrimary, "fenced: this node was demoted")
 	}
 
 	if sid == 0 {
@@ -409,7 +409,7 @@ func (srv *Server) attach(conn net.Conn, sid uint64, flags byte) (*session, uint
 		if !observer && !readOnly {
 			p, ok := srv.store.Load().AcquireProc()
 			if !ok {
-				return nil, 0, encodeErr(ErrSlotsExhausted, "every process slot is leased")
+				return nil, 0, appendErr(nil, ErrSlotsExhausted, "every process slot is leased")
 			}
 			pid = p
 		}
@@ -438,7 +438,7 @@ func (srv *Server) attach(conn net.Conn, sid uint64, flags byte) (*session, uint
 				if !sess.slotless() {
 					srv.store.Load().ReleaseProc(pid)
 				}
-				return nil, 0, encodeErr(ErrBadRequest, "durable session record failed")
+				return nil, 0, appendErr(nil, ErrBadRequest, "durable session record failed")
 			}
 		}
 		srv.sessions[sess.id] = sess
@@ -447,7 +447,7 @@ func (srv *Server) attach(conn net.Conn, sid uint64, flags byte) (*session, uint
 
 	sess, ok := srv.sessions[sid]
 	if !ok {
-		return nil, 0, encodeErr(ErrUnknownSession, "no such session")
+		return nil, 0, appendErr(nil, ErrUnknownSession, "no such session")
 	}
 	sess.mu.Lock()
 	if sess.conn != nil {

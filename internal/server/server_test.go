@@ -240,7 +240,7 @@ func TestIdleSessionReaped(t *testing.T) {
 	defer c2.Close()
 	conn, br := rawDial(t, srv.Addr().String())
 	defer conn.Close()
-	if err := server.WriteFrame(conn, server.EncodeHello(sid, 0)); err != nil {
+	if err := server.WriteFrame(conn, server.AppendHello(nil, sid, 0)); err != nil {
 		t.Fatalf("resume write: %v", err)
 	}
 	reply, err := server.ReadFrame(br)

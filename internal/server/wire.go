@@ -198,8 +198,8 @@ func appendKey(b []byte, key string) []byte {
 
 // The Append* request encoders append one encoded request to dst and
 // return the extended slice; callers on the hot path (internal/client)
-// reuse one per-session scratch buffer so encoding allocates nothing. The
-// Encode* forms allocate a fresh slice, for tests and one-shot tooling.
+// reuse one per-session scratch buffer so encoding allocates nothing; a nil
+// dst allocates a fresh slice, for cold paths and tests.
 
 // AppendHello appends a session-open (session 0) or session-resume request.
 func AppendHello(dst []byte, session uint64, flags byte) []byte {
@@ -208,30 +208,15 @@ func AppendHello(dst []byte, session uint64, flags byte) []byte {
 	return append(dst, flags)
 }
 
-// EncodeHello encodes a session-open (session 0) or session-resume request.
-func EncodeHello(session uint64, flags byte) []byte {
-	return AppendHello(nil, session, flags)
-}
-
 // AppendGet appends a single-key read; plan > 0 injects a server-side
 // planned crash before that primitive step.
 func AppendGet(dst []byte, reqID uint64, plan uint32, key string) []byte {
 	return appendKeyed(dst, OpGet, reqID, plan, key)
 }
 
-// EncodeGet encodes a single-key read.
-func EncodeGet(reqID uint64, plan uint32, key string) []byte {
-	return AppendGet(nil, reqID, plan, key)
-}
-
 // AppendDel appends a single-key delete.
 func AppendDel(dst []byte, reqID uint64, plan uint32, key string) []byte {
 	return appendKeyed(dst, OpDel, reqID, plan, key)
-}
-
-// EncodeDel encodes a single-key delete.
-func EncodeDel(reqID uint64, plan uint32, key string) []byte {
-	return AppendDel(nil, reqID, plan, key)
 }
 
 func appendKeyed(dst []byte, op byte, reqID uint64, plan uint32, key string) []byte {
@@ -247,11 +232,6 @@ func AppendPut(dst []byte, reqID uint64, plan uint32, key string, val int) []byt
 	return binary.BigEndian.AppendUint64(dst, uint64(int64(val)))
 }
 
-// EncodePut encodes a single-key write.
-func EncodePut(reqID uint64, plan uint32, key string, val int) []byte {
-	return AppendPut(nil, reqID, plan, key, val)
-}
-
 // AppendMGet appends a batched read.
 func AppendMGet(dst []byte, reqID uint64, keys []string) []byte {
 	dst = append(dst, OpMGet)
@@ -261,11 +241,6 @@ func AppendMGet(dst []byte, reqID uint64, keys []string) []byte {
 		dst = appendKey(dst, k)
 	}
 	return dst
-}
-
-// EncodeMGet encodes a batched read.
-func EncodeMGet(reqID uint64, keys []string) []byte {
-	return AppendMGet(nil, reqID, keys)
 }
 
 // AppendMPut appends a batched write.
@@ -280,21 +255,11 @@ func AppendMPut(dst []byte, reqID uint64, entries []shardkv.KV) []byte {
 	return dst
 }
 
-// EncodeMPut encodes a batched write.
-func EncodeMPut(reqID uint64, entries []shardkv.KV) []byte {
-	return AppendMPut(nil, reqID, entries)
-}
-
 // AppendCrash appends a shard-crash injection (CrashAllShards = storm all).
 func AppendCrash(dst []byte, reqID uint64, shard uint32) []byte {
 	dst = append(dst, OpCrash)
 	dst = binary.BigEndian.AppendUint64(dst, reqID)
 	return binary.BigEndian.AppendUint32(dst, shard)
-}
-
-// EncodeCrash encodes a shard-crash injection.
-func EncodeCrash(reqID uint64, shard uint32) []byte {
-	return AppendCrash(nil, reqID, shard)
 }
 
 // AppendStats appends a per-shard stats request.
@@ -303,17 +268,11 @@ func AppendStats(dst []byte, reqID uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, reqID)
 }
 
-// EncodeStats encodes a per-shard stats request.
-func EncodeStats(reqID uint64) []byte { return AppendStats(nil, reqID) }
-
 // AppendClose appends a session-close request.
 func AppendClose(dst []byte, reqID uint64) []byte {
 	dst = append(dst, OpClose)
 	return binary.BigEndian.AppendUint64(dst, reqID)
 }
-
-// EncodeClose encodes a session-close request.
-func EncodeClose(reqID uint64) []byte { return AppendClose(nil, reqID) }
 
 // AppendPromote appends a promotion request.
 func AppendPromote(dst []byte, reqID uint64) []byte {
@@ -321,28 +280,17 @@ func AppendPromote(dst []byte, reqID uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, reqID)
 }
 
-// EncodePromote encodes a promotion request.
-func EncodePromote(reqID uint64) []byte { return AppendPromote(nil, reqID) }
-
 // AppendServerStats appends a node-status request.
 func AppendServerStats(dst []byte, reqID uint64) []byte {
 	dst = append(dst, OpServerStats)
 	return binary.BigEndian.AppendUint64(dst, reqID)
 }
 
-// EncodeServerStats encodes a node-status request.
-func EncodeServerStats(reqID uint64) []byte { return AppendServerStats(nil, reqID) }
-
 // appendErr appends an error reply.
 func appendErr(dst []byte, code byte, msg string) []byte {
 	dst = append(dst, code)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(msg)))
 	return append(dst, msg...)
-}
-
-// encodeErr encodes an error reply into a fresh slice (cold paths only).
-func encodeErr(code byte, msg string) []byte {
-	return appendErr(nil, code, msg)
 }
 
 // appendHelloOK appends a successful HELLO reply: the session ID, the

@@ -3,10 +3,10 @@ package shardkv
 import "testing"
 
 // The allocation pins of the hot-path overhaul: crash-free operations on
-// the atomic fast path must not allocate. These are the same promises
-// cmd/benchjson -check enforces in CI; a failure here means a change
-// reintroduced per-op allocation (an escaping closure, a fresh Ctx, an
-// unbounded history append, …).
+// the atomic fast path must not allocate. CI runs every TestAllocPin* at
+// GOMAXPROCS 1, 2 and 8; a failure here means a change reintroduced per-op
+// allocation (an escaping closure, a fresh Ctx, an unbounded history
+// append, …).
 
 func TestAllocPinCrashFreeGet(t *testing.T) {
 	s := New(4, 2)

@@ -1,5 +1,5 @@
 // Package workload generates the key-access distributions the load
-// generator, the served benchmark and the curated benchmark suite share:
+// generator, kvbench, bench/ and the root benchmarks share:
 // seeded, replayable Zipfian hot-key skew plus uniform traffic as its
 // theta=0 degenerate case, and splitmix-style seed derivation so every
 // worker of every sweep configuration draws from an independent stream.
@@ -12,11 +12,8 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 )
 
 // Zipf draws ranks in [0, n) with probability P(r) ∝ 1/(r+1)^theta: rank 0
@@ -107,18 +104,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// ParseConns parses a connection-count sweep such as "1,4,16", the -conns
-// flag of the bench binaries.
-func ParseConns(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad connection count %q in %q", part, s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -29,12 +29,10 @@ func TestMainsSmoke(t *testing.T) {
 		{"configspace", []string{"run", "./cmd/configspace", "-maxn", "3"}},
 		{"perturb", []string{"run", "./cmd/perturb", "-domain", "2", "-depth", "4"}},
 		{"spacetable", []string{"run", "./cmd/spacetable"}},
-		{"crashstorm", []string{"run", "./cmd/crashstorm", "-procs", "2", "-rounds", "2", "-ops", "3"}},
 		{"loadgen", []string{"run", "./cmd/loadgen", "-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8", "-dur", "200ms"}},
 		{"kvserverd", []string{"run", "./cmd/kvserverd", "-addr", "127.0.0.1:0", "-shards", "2", "-procs", "2", "-dur", "300ms"}},
 		{"kvbench", []string{"run", "./cmd/kvbench", "-selftest", "-shards", "2", "-conns", "1,2", "-dur", "150ms", "-keys", "32"}},
 		{"loadgen-remote", []string{"run", "./cmd/loadgen", "-remote", "self", "-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8", "-dur", "300ms"}},
-		{"benchjson-gate", []string{"run", "./cmd/benchjson", "-checkonly"}},
 		{"explore", []string{"run", "./cmd/explore", "-objects", "rcas,maxreg", "-procs", "2", "-ops", "1", "-crashes", "1", "-preempt", "1", "-budget", "10s"}},
 		{"explore-list", []string{"run", "./cmd/explore", "-list"}},
 	}
