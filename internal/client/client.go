@@ -49,8 +49,7 @@ type Client struct {
 	addrs    []string
 	addrIdx  int
 	nprimary int
-	observer bool
-	readonly bool
+	flags    byte // the HELLO flags naming the session's kind, sent on every (re)connect
 
 	// redial policy for transparent resumption. redialWait is the CAP of
 	// the capped-exponential backoff, not a fixed sleep.
@@ -82,14 +81,14 @@ type Client struct {
 }
 
 // Dial opens a new session against addr, leasing one process slot.
-func Dial(addr string) (*Client, error) { return dial([]string{addr}, false) }
+func Dial(addr string) (*Client, error) { return dial([]string{addr}, 0, 1) }
 
 // DialFailover opens a session against the first address in addrs that
 // accepts it as primary. On later connection loss — or an ErrNotPrimary
 // rejection after a demotion — the redial loop rotates through the
 // remaining addresses, so a resumed session lands on the promoted replica
 // and replays its outcome window there.
-func DialFailover(addrs []string) (*Client, error) { return dial(addrs, false) }
+func DialFailover(addrs []string) (*Client, error) { return dial(addrs, 0, len(addrs)) }
 
 // DialFailoverWithReplicas opens a session like DialFailover, but marks
 // the second address set as known replicas: connect prefers the primary
@@ -100,38 +99,34 @@ func DialFailoverWithReplicas(primaries, replicas []string) (*Client, error) {
 	addrs := make([]string, 0, len(primaries)+len(replicas))
 	addrs = append(addrs, primaries...)
 	addrs = append(addrs, replicas...)
-	c, err := dialOpts(addrs, false, false, len(primaries))
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	return dial(addrs, 0, len(primaries))
 }
 
 // DialObserver opens a slot-less observer session: it may only issue
 // CrashShard, Stats, ServerStats, Promote and Close. Storm drivers and
 // stats pollers use it so they do not occupy a process identity.
-func DialObserver(addr string) (*Client, error) { return dial([]string{addr}, true) }
+func DialObserver(addr string) (*Client, error) {
+	return dial([]string{addr}, server.HelloFlagObserver, 1)
+}
 
 // DialReadOnly opens a slot-less GET-only session (HelloFlagReadOnly): it
 // may issue Get, MultiGet, ServerStats, Promote and Close, and is the one
 // session kind a warm standby accepts — reads are served from the
 // replica's barrier-consistent applied state, bounded-stale but never
-// phantom. Mutation methods fail locally. DialReadPreference builds the
-// replica-preferring, staleness-bounded router on top of this.
+// phantom. What the kind is never served (mutations, chaos ops) fails
+// locally with the server's own observer-session error, as it does on an
+// observer session. DialReadPreference builds the replica-preferring,
+// staleness-bounded router on top of this.
 func DialReadOnly(addr string) (*Client, error) {
-	return dialOpts([]string{addr}, false, true, 1)
+	return dial([]string{addr}, server.HelloFlagReadOnly, 1)
 }
 
-func dial(addrs []string, observer bool) (*Client, error) {
-	return dialOpts(addrs, observer, false, len(addrs))
-}
-
-func dialOpts(addrs []string, observer, readonly bool, nprimary int) (*Client, error) {
+func dial(addrs []string, flags byte, nprimary int) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("client: no addresses to dial")
 	}
 	c := &Client{
-		addrs: addrs, nprimary: nprimary, observer: observer, readonly: readonly,
+		addrs: addrs, nprimary: nprimary, flags: flags,
 		maxRedials: 8, redialWait: 50 * time.Millisecond,
 	}
 	if err := c.connect(); err != nil {
@@ -215,18 +210,11 @@ func (c *Client) connectTo(addr string) error {
 	if err != nil {
 		return err
 	}
-	var flags byte
-	if c.observer {
-		flags |= server.HelloFlagObserver
-	}
-	if c.readonly {
-		flags |= server.HelloFlagReadOnly
-	}
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	// Freshly encoded on purpose: connect runs inside call's resume loop,
 	// where the pending request still aliases the c.enc scratch.
-	if err := server.WriteFrame(bw, server.AppendHello(nil, c.session, flags)); err != nil {
+	if err := server.WriteFrame(bw, server.AppendHello(nil, c.session, c.flags)); err != nil {
 		conn.Close()
 		return err
 	}
@@ -245,10 +233,10 @@ func (c *Client) connectTo(addr string) error {
 	if c.callTimeout > 0 {
 		conn.SetReadDeadline(time.Time{})
 	}
-	r := server.NewReader(payload)
-	if code := r.U8(); code != server.StatusOK {
+	r, err := replyBody(payload)
+	if err != nil {
 		conn.Close()
-		return &WireError{Code: code, Msg: r.Key()} // error body is u16-length text, same shape as a key
+		return err
 	}
 	sid := r.U64()
 	pid := int(int32(r.U32()))
@@ -361,71 +349,98 @@ func checkBatch(n int) error {
 	return nil
 }
 
-// call sends one pre-encoded request and returns the reply payload,
-// transparently reconnecting, resuming the session and re-issuing the
-// same bytes (same request ID) on connection failure. An ErrNotPrimary
-// reply — the node was demoted under this session — rotates to the next
-// failover address and retries there. Retries back off exponentially
-// (jittered, capped at the redial wait) BEFORE each attempt, so a failed
-// final attempt returns immediately instead of sleeping one last time.
-func (c *Client) call(req []byte) ([]byte, error) {
-	if len(req) > server.MaxFrame {
-		// Deterministic local failure: redialing cannot shrink the frame.
-		return nil, fmt.Errorf("client: request of %d bytes exceeds the %d-byte frame limit", len(req), server.MaxFrame)
+// replyBody checks a reply's status byte: StatusOK leaves the reader at the
+// body, any other status is the server's error reply.
+func replyBody(payload []byte) (server.Reader, error) {
+	r := server.NewReader(payload)
+	if code := r.U8(); code != server.StatusOK {
+		return server.Reader{}, &WireError{Code: code, Msg: r.Key()} // error body is u16-length text, same shape as a key
+	}
+	return *r, nil
+}
+
+// resumable runs attempt — frames written and their replies read on the
+// current connection — until it succeeds, transparently reconnecting and
+// resuming the session on connection failure. An ErrNotPrimary reply —
+// the node was demoted under this session — rotates to the next failover
+// address and retries there; any other error reply is the answer. Retries
+// back off exponentially (jittered, capped at the redial wait) BEFORE each
+// attempt, so a failed final attempt returns immediately instead of
+// sleeping one last time.
+//
+// An op the session's kind can never be served (server.RefusedByKind)
+// fails here with the error the server would send, before any bytes leave:
+// a read-only client never rotates a doomed mutation through its failover
+// set burning redial budget on guaranteed rejections.
+func (c *Client) resumable(op byte, attempt func() error) error {
+	if server.RefusedByKind(c.flags, op) {
+		return &WireError{Code: server.ErrObserver, Msg: "refused locally: not allowed on this session kind"}
 	}
 	var lastErr error
-	for attempt := 0; attempt <= c.maxRedials; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.backoff(attempt))
+	for n := 0; n <= c.maxRedials; n++ {
+		if n > 0 {
+			time.Sleep(c.backoff(n))
 		}
 		if c.conn == nil {
 			if err := c.connect(); err != nil {
 				if we, ok := err.(*WireError); ok && we.Code != server.ErrNotPrimary {
-					return nil, err // protocol rejection: retrying cannot help
+					return err // protocol rejection: retrying cannot help
 				}
 				// ErrNotPrimary is retryable: a standby not yet promoted.
 				lastErr = err
 				continue
 			}
 		}
-		err := server.WriteFrame(c.bw, req)
+		err := attempt()
 		if err == nil {
-			err = c.bw.Flush()
+			return nil
 		}
-		if err == nil {
-			if c.killNext {
-				c.killNext = false
-				c.conn.Close() // reply is lost; the resume path below recovers it
+		if we, ok := err.(*WireError); ok {
+			if we.Code != server.ErrNotPrimary {
+				return err
 			}
-			var payload []byte
-			if payload, err = c.readReply(); err == nil {
-				if len(payload) > 0 && payload[0] == server.ErrNotPrimary {
-					// Demoted (fenced) under us: fail over and re-issue.
-					r := server.NewReader(payload)
-					r.U8()
-					lastErr = &WireError{Code: server.ErrNotPrimary, Msg: r.Key()}
-					c.nextAddr()
-					c.KillConn()
-					continue
-				}
-				return payload, nil
-			}
+			c.nextAddr() // demoted (fenced) under us: fail over and re-issue
 		}
 		c.KillConn()
 		lastErr = err
 	}
-	return nil, fmt.Errorf("client: request not resumable after %d redials: %w", c.maxRedials, lastErr)
+	return fmt.Errorf("client: request not resumable after %d redials: %w", c.maxRedials, lastErr)
+}
+
+// call sends one pre-encoded request, re-issuing the same bytes (same
+// request ID) across resumes, and returns a reader over the body of its
+// successful reply.
+func (c *Client) call(req []byte) (r server.Reader, err error) {
+	if len(req) > server.MaxFrame {
+		// Deterministic local failure: redialing cannot shrink the frame.
+		return r, fmt.Errorf("client: request of %d bytes exceeds the %d-byte frame limit", len(req), server.MaxFrame)
+	}
+	err = c.resumable(req[0], func() error {
+		if err := server.WriteFrame(c.bw, req); err != nil {
+			return err
+		}
+		if err := c.bw.Flush(); err != nil {
+			return err
+		}
+		if c.killNext {
+			c.killNext = false
+			c.conn.Close() // reply is lost; the resume path recovers it
+		}
+		payload, err := c.readReply()
+		if err != nil {
+			return err
+		}
+		r, err = replyBody(payload)
+		return err
+	})
+	return r, err
 }
 
 // callOutcome runs a single-operation request and decodes its verdict.
 func (c *Client) callOutcome(req []byte) (runtime.Outcome[int], error) {
-	payload, err := c.call(req)
+	r, err := c.call(req)
 	if err != nil {
 		return runtime.Outcome[int]{}, err
-	}
-	r := server.NewReader(payload)
-	if code := r.U8(); code != server.StatusOK {
-		return runtime.Outcome[int]{}, &WireError{Code: code, Msg: r.Key()}
 	}
 	out := r.Outcome()
 	if r.Err || r.Rest() != 0 {
@@ -462,22 +477,8 @@ func (c *Client) Get(key string, plan ...uint32) (runtime.Outcome[int], error) {
 	return c.callOutcome(c.enc)
 }
 
-// errReadOnly is the local refusal for mutations on a read-only session:
-// failing before any bytes leave means a GET-only client never rotates a
-// doomed mutation through its failover set burning redial budget on
-// guaranteed rejections.
-func (c *Client) errReadOnly() error {
-	if !c.readonly {
-		return nil
-	}
-	return fmt.Errorf("client: mutation on a read-only session")
-}
-
 // Put writes key := val and returns its detectable outcome.
 func (c *Client) Put(key string, val int, plan ...uint32) (runtime.Outcome[int], error) {
-	if err := c.errReadOnly(); err != nil {
-		return runtime.Outcome[int]{}, err
-	}
 	if err := checkKey(key); err != nil {
 		return runtime.Outcome[int]{}, err
 	}
@@ -487,9 +488,6 @@ func (c *Client) Put(key string, val int, plan ...uint32) (runtime.Outcome[int],
 
 // Del removes key and returns its detectable outcome.
 func (c *Client) Del(key string, plan ...uint32) (runtime.Outcome[int], error) {
-	if err := c.errReadOnly(); err != nil {
-		return runtime.Outcome[int]{}, err
-	}
 	if err := checkKey(key); err != nil {
 		return runtime.Outcome[int]{}, err
 	}
@@ -540,11 +538,11 @@ func (c *Client) PutRetry(key string, val int) (int, error) {
 	}
 }
 
-// decodeOutcomes decodes a batched reply.
-func decodeOutcomes(payload []byte) ([]runtime.Outcome[int], error) {
-	r := server.NewReader(payload)
-	if code := r.U8(); code != server.StatusOK {
-		return nil, &WireError{Code: code, Msg: r.Key()}
+// callOutcomes runs a batched request and decodes its verdicts.
+func (c *Client) callOutcomes(req []byte) ([]runtime.Outcome[int], error) {
+	r, err := c.call(req)
+	if err != nil {
+		return nil, err
 	}
 	outs := make([]runtime.Outcome[int], int(r.U16()))
 	for i := range outs {
@@ -567,19 +565,12 @@ func (c *Client) MultiGet(keys []string) ([]runtime.Outcome[int], error) {
 		}
 	}
 	c.enc = server.AppendMGet(c.enc[:0], c.id(), keys)
-	payload, err := c.call(c.enc)
-	if err != nil {
-		return nil, err
-	}
-	return decodeOutcomes(payload)
+	return c.callOutcomes(c.enc)
 }
 
 // MultiPut writes a batch of entries in one frame; outcomes align with
 // entries.
 func (c *Client) MultiPut(entries []shardkv.KV) ([]runtime.Outcome[int], error) {
-	if err := c.errReadOnly(); err != nil {
-		return nil, err
-	}
 	if err := checkBatch(len(entries)); err != nil {
 		return nil, err
 	}
@@ -589,11 +580,7 @@ func (c *Client) MultiPut(entries []shardkv.KV) ([]runtime.Outcome[int], error) 
 		}
 	}
 	c.enc = server.AppendMPut(c.enc[:0], c.id(), entries)
-	payload, err := c.call(c.enc)
-	if err != nil {
-		return nil, err
-	}
-	return decodeOutcomes(payload)
+	return c.callOutcomes(c.enc)
 }
 
 // PipelinePut issues one PUT frame per entry back-to-back before reading
@@ -604,9 +591,6 @@ func (c *Client) MultiPut(entries []shardkv.KV) ([]runtime.Outcome[int], error) 
 // connection loss the unanswered suffix is re-issued after resume, so
 // every entry still gets a definite exactly-once verdict.
 func (c *Client) PipelinePut(entries []shardkv.KV) ([]runtime.Outcome[int], error) {
-	if err := c.errReadOnly(); err != nil {
-		return nil, err
-	}
 	if len(entries) > server.Window {
 		return nil, fmt.Errorf("client: pipeline of %d exceeds the %d-request window", len(entries), server.Window)
 	}
@@ -621,55 +605,35 @@ func (c *Client) PipelinePut(entries []shardkv.KV) ([]runtime.Outcome[int], erro
 	}
 	outs := make([]runtime.Outcome[int], len(entries))
 	done := 0
-	for attempt := 0; attempt <= c.maxRedials; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.backoff(attempt))
-		}
-		if c.conn == nil {
-			if err := c.connect(); err != nil {
-				if we, ok := err.(*WireError); ok && we.Code != server.ErrNotPrimary {
-					return nil, err
-				}
-				continue
-			}
-		}
-		err := func() error {
-			for i := done; i < len(entries); i++ {
-				if err := server.WriteFrame(c.bw, c.enc[offs[i]:offs[i+1]]); err != nil {
-					return err
-				}
-			}
-			if err := c.bw.Flush(); err != nil {
+	err := c.resumable(server.OpPut, func() error {
+		for i := done; i < len(entries); i++ {
+			if err := server.WriteFrame(c.bw, c.enc[offs[i]:offs[i+1]]); err != nil {
 				return err
 			}
-			for done < len(entries) {
-				payload, err := c.readReply()
-				if err != nil {
-					return err
-				}
-				r := server.NewReader(payload)
-				if code := r.U8(); code != server.StatusOK {
-					return &WireError{Code: code, Msg: r.Key()}
-				}
-				outs[done] = r.Outcome()
-				done++
-			}
-			return nil
-		}()
-		if err == nil {
-			return outs, nil
 		}
-		if we, ok := err.(*WireError); ok {
-			if we.Code != server.ErrNotPrimary {
-				return nil, err
-			}
-			// Demoted mid-pipeline: treat like a lost connection — fail
-			// over and re-issue the unanswered suffix from done.
-			c.nextAddr()
+		if err := c.bw.Flush(); err != nil {
+			return err
 		}
-		c.KillConn()
+		// A lost connection — or a demotion mid-pipeline — re-issues the
+		// unanswered suffix from done.
+		for done < len(entries) {
+			payload, err := c.readReply()
+			if err != nil {
+				return err
+			}
+			r, err := replyBody(payload)
+			if err != nil {
+				return err
+			}
+			outs[done] = r.Outcome()
+			done++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("client: pipeline not resumable after %d redials", c.maxRedials)
+	return outs, nil
 }
 
 // CrashShard injects a crash into shard i, or into every shard when i < 0
@@ -679,26 +643,15 @@ func (c *Client) CrashShard(i int) error {
 	if i >= 0 {
 		shard = uint32(i)
 	}
-	payload, err := c.call(server.AppendCrash(nil, c.id(), shard))
-	if err != nil {
-		return err
-	}
-	r := server.NewReader(payload)
-	if code := r.U8(); code != server.StatusOK {
-		return &WireError{Code: code, Msg: r.Key()}
-	}
-	return nil
+	_, err := c.call(server.AppendCrash(nil, c.id(), shard))
+	return err
 }
 
 // Stats fetches a point-in-time snapshot of every shard's counters.
 func (c *Client) Stats() ([]shardkv.StatsSnapshot, error) {
-	payload, err := c.call(server.AppendStats(nil, c.id()))
+	r, err := c.call(server.AppendStats(nil, c.id()))
 	if err != nil {
 		return nil, err
-	}
-	r := server.NewReader(payload)
-	if code := r.U8(); code != server.StatusOK {
-		return nil, &WireError{Code: code, Msg: r.Key()}
 	}
 	snaps := make([]shardkv.StatsSnapshot, int(r.U16()))
 	for i := range snaps {
@@ -717,13 +670,9 @@ func (c *Client) Stats() ([]shardkv.StatsSnapshot, error) {
 // fences the node (ErrNotPrimary for every later data op). Admin tools
 // issue it over an observer session.
 func (c *Client) Promote() (uint64, error) {
-	payload, err := c.call(server.AppendPromote(nil, c.id()))
+	r, err := c.call(server.AppendPromote(nil, c.id()))
 	if err != nil {
 		return 0, err
-	}
-	r := server.NewReader(payload)
-	if code := r.U8(); code != server.StatusOK {
-		return 0, &WireError{Code: code, Msg: r.Key()}
 	}
 	gen := r.U64()
 	if r.Err || r.Rest() != 0 {
@@ -732,41 +681,16 @@ func (c *Client) Promote() (uint64, error) {
 	return gen, nil
 }
 
-// ServerStatus is a point-in-time snapshot of a node's replication role
-// and progress, served from atomics on any node — primary, standby or
-// fenced — so pollers can watch a failover without being rejected.
-type ServerStatus struct {
-	Role             byte   // server.RolePrimary / RoleStandby / RoleFenced
-	Generation       uint64 // fencing generation from the MANIFEST
-	RecoveredReplays uint64 // replays served from a recovered outcome window
-	ReplSeq          uint64 // last replication barrier sequence staged
-	ReplAcked        uint64 // min barrier acked across sync subscribers
-	Replicas         uint64 // currently attached replica streams
-	// ReplApplied is the node's applied mark: on a standby, the primary
-	// barrier sequence its read view has applied through; on a primary,
-	// its own ReplSeq (applied ≡ committed). The replication lag a reader
-	// risks is primary.ReplSeq − replica.ReplApplied, comparable when both
-	// report the same Generation.
-	ReplApplied uint64
-}
+// ServerStatus is the SERVER-STATS reply; the wire layer owns its layout.
+type ServerStatus = server.ServerStatus
 
 // ServerStats fetches the node's replication status.
 func (c *Client) ServerStats() (ServerStatus, error) {
-	payload, err := c.call(server.AppendServerStats(nil, c.id()))
+	r, err := c.call(server.AppendServerStats(nil, c.id()))
 	if err != nil {
 		return ServerStatus{}, err
 	}
-	r := server.NewReader(payload)
-	if code := r.U8(); code != server.StatusOK {
-		return ServerStatus{}, &WireError{Code: code, Msg: r.Key()}
-	}
-	st := ServerStatus{Role: r.U8()}
-	st.Generation = r.U64()
-	st.RecoveredReplays = r.U64()
-	st.ReplSeq = r.U64()
-	st.ReplAcked = r.U64()
-	st.Replicas = r.U64()
-	st.ReplApplied = r.U64()
+	st := r.ServerStatus()
 	if r.Err || r.Rest() != 0 {
 		return ServerStatus{}, fmt.Errorf("client: malformed SERVER-STATS reply")
 	}

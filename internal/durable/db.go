@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -299,11 +301,7 @@ func decodePutAt(rec []byte, shards int) (shard int, key string, val int64, err 
 func (db *DB) RangeShard(i int, fn func(key string, val int64)) {
 	sf := db.shards[i]
 	sf.mu.Lock()
-	keys := make([]string, 0, len(sf.state))
-	for k := range sf.state {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sf.sortedKeys()
 	vals := make([]int64, len(keys))
 	for j, k := range keys {
 		vals[j] = *sf.state[k]
@@ -356,17 +354,17 @@ func (db *DB) journalPut(i int, key string, val int64) {
 	db.repl.tapShard(sf.enc)
 }
 
+// sortedKeys returns the mirror's keys in sorted order — the one order
+// every walk of a shard uses (snapshot, bootstrap stream, restore), so each
+// is a deterministic function of the state. Called with sf.mu held.
+func (sf *shardFile) sortedKeys() []string { return slices.Sorted(maps.Keys(sf.state)) }
+
 // writeSnapshot writes sf's mirror to a fresh snapshot, one put record per
 // key in sorted order. Called with sf.mu held.
 func (sf *shardFile) writeSnapshot(fsys Fs) error {
 	return WriteSnapshotFs(fsys, sf.snap, func(emit func(rec []byte) error) error {
-		keys := make([]string, 0, len(sf.state))
-		for k := range sf.state {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		var enc []byte
-		for _, k := range keys {
+		for _, k := range sf.sortedKeys() {
 			enc = encodePut(enc[:0], k, *sf.state[k])
 			if err := emit(enc); err != nil {
 				return err
@@ -620,42 +618,32 @@ func appendOutcomeRec(dst []byte, sid, reqID uint64, reply []byte) []byte {
 	return append(dst, reply...)
 }
 
-// writeSnapshot writes the live sessions (and the next-SID high-water mark)
-// to a fresh snapshot. Called with ss.mu held.
-func (ss *sessionsFile) writeSnapshot(fsys Fs) error {
-	return WriteSnapshotFs(fsys, ss.snap, func(emit func(rec []byte) error) error {
-		enc := binary.BigEndian.AppendUint64([]byte{recNextSID}, ss.nextSID)
-		if err := emit(enc); err != nil {
+// emit yields the sessions state as records — the next-SID high-water
+// mark, then per live session in SID order its hello and its window's
+// outcomes in request order — to fn, stopping at fn's first error. It is
+// what a compaction snapshot holds and what a bootstrap snapshot streams.
+// Called with ss.mu held; fn must not retain rec.
+func (ss *sessionsFile) emit(fn func(rec []byte) error) error {
+	enc := binary.BigEndian.AppendUint64([]byte{recNextSID}, ss.nextSID)
+	if err := fn(enc); err != nil {
+		return err
+	}
+	for _, sid := range slices.Sorted(maps.Keys(ss.state)) {
+		s := ss.state[sid]
+		enc = append(enc[:0], recHello)
+		enc = binary.BigEndian.AppendUint64(enc, s.SID)
+		enc = binary.BigEndian.AppendUint64(enc, uint64(int64(s.PID)))
+		if err := fn(enc); err != nil {
 			return err
 		}
-		sids := make([]uint64, 0, len(ss.state))
-		for sid := range ss.state {
-			sids = append(sids, sid)
-		}
-		sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-		for _, sid := range sids {
-			s := ss.state[sid]
-			enc = enc[:0]
-			enc = append(enc, recHello)
-			enc = binary.BigEndian.AppendUint64(enc, s.SID)
-			enc = binary.BigEndian.AppendUint64(enc, uint64(int64(s.PID)))
-			if err := emit(enc); err != nil {
+		for _, id := range slices.Sorted(maps.Keys(s.Window)) {
+			enc = appendOutcomeRec(enc[:0], s.SID, id, s.Window[id])
+			if err := fn(enc); err != nil {
 				return err
 			}
-			reqs := make([]uint64, 0, len(s.Window))
-			for id := range s.Window {
-				reqs = append(reqs, id)
-			}
-			sort.Slice(reqs, func(i, j int) bool { return reqs[i] < reqs[j] })
-			for _, id := range reqs {
-				enc = appendOutcomeRec(enc[:0], s.SID, id, s.Window[id])
-				if err := emit(enc); err != nil {
-					return err
-				}
-			}
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // Compact writes every shard's mirror, then the sessions mirror, to fresh
@@ -680,7 +668,7 @@ func (db *DB) Compact() error {
 			return err
 		}
 	}
-	if err := ss.writeSnapshot(db.fs); err != nil {
+	if err := WriteSnapshotFs(db.fs, ss.snap, ss.emit); err != nil {
 		return err
 	}
 	return db.wal.Reset()

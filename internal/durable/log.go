@@ -333,12 +333,6 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// WriteSnapshot atomically replaces the snapshot at path on the real
-// filesystem. See WriteSnapshotFs.
-func WriteSnapshot(path string, emit func(append func(rec []byte) error) error) error {
-	return WriteSnapshotFs(OS, path, emit)
-}
-
 // WriteSnapshotFs atomically replaces the snapshot at path with the framed
 // records produced by emit: records go to a temporary file, which is
 // synced, renamed over path, and the parent directory synced — so a crash
@@ -354,13 +348,8 @@ func WriteSnapshotFs(fsys Fs, path string, emit func(append func(rec []byte) err
 	})
 }
 
-// AtomicWriteFile atomically replaces path with data, fsyncing contents
+// AtomicWriteFileFs atomically replaces path with data, fsyncing contents
 // before the rename and the directory after it (the MANIFEST writer).
-func AtomicWriteFile(path string, data []byte) error {
-	return AtomicWriteFileFs(OS, path, data)
-}
-
-// AtomicWriteFileFs is AtomicWriteFile through an explicit Fs.
 func AtomicWriteFileFs(fsys Fs, path string, data []byte) error {
 	return atomicReplace(fsys, path, func(f File) error {
 		_, err := f.Write(data)
@@ -394,12 +383,6 @@ func atomicReplace(fsys Fs, path string, fill func(f File) error) error {
 		return err
 	}
 	return fsys.SyncDir(filepath.Dir(path))
-}
-
-// ReplaySnapshot streams the snapshot at path on the real filesystem. See
-// ReplaySnapshotFs.
-func ReplaySnapshot(path string, fn func(rec []byte) error) error {
-	return ReplaySnapshotFs(OS, path, fn)
 }
 
 // ReplaySnapshotFs streams the valid record prefix of the snapshot at path

@@ -185,12 +185,7 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 	kindShard := [1]byte{ReplShardRec}
 	for i, sf := range db.shards {
 		sf.mu.Lock()
-		keys := make([]string, 0, len(sf.state))
-		for k := range sf.state {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sf.sortedKeys() {
 			enc = encodePutAt(enc[:0], i, k, *sf.state[k])
 			if !sub.stageSnap(kindShard[:], enc) {
 				sf.mu.Unlock()
@@ -203,35 +198,13 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 	kindSess := [1]byte{ReplSessRec}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	enc = append(enc[:0], recNextSID)
-	enc = binary.BigEndian.AppendUint64(enc, ss.nextSID)
-	if !sub.stageSnap(kindSess[:], enc) {
+	if ss.emit(func(rec []byte) error {
+		if !sub.stageSnap(kindSess[:], rec) {
+			return errReplSubClosed // closed mid-snapshot; stop staging
+		}
+		return nil
+	}) != nil {
 		return sub
-	}
-	sids := make([]uint64, 0, len(ss.state))
-	for sid := range ss.state {
-		sids = append(sids, sid)
-	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-	for _, sid := range sids {
-		s := ss.state[sid]
-		enc = append(enc[:0], recHello)
-		enc = binary.BigEndian.AppendUint64(enc, s.SID)
-		enc = binary.BigEndian.AppendUint64(enc, uint64(int64(s.PID)))
-		if !sub.stageSnap(kindSess[:], enc) {
-			return sub
-		}
-		reqs := make([]uint64, 0, len(s.Window))
-		for id := range s.Window {
-			reqs = append(reqs, id)
-		}
-		sort.Slice(reqs, func(i, j int) bool { return reqs[i] < reqs[j] })
-		for _, id := range reqs {
-			enc = appendOutcomeRec(enc[:0], s.SID, id, s.Window[id])
-			if !sub.stageSnap(kindSess[:], enc) {
-				return sub
-			}
-		}
 	}
 	// The snapshot close is a barrier in its own right; its sequence is
 	// allocated under ss.mu like every other barrier, so barrier order on
@@ -792,7 +765,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		// The incoming snapshot supersedes the read view; until SnapEnd's
 		// commit mark publishes it, the applied mark is 0 and staleness-bounded readers
 		// fall back to the primary rather than read a mid-bootstrap state.
-		rp.db.resetView()
+		rp.db.ResetView()
 		return 0, false, nil
 
 	case ReplShardRec:

@@ -68,12 +68,13 @@ func (db *DB) publishView(stage []viewPut, seq uint64) {
 	v.seq.Store(seq)
 }
 
-// resetView empties the read view and zeroes the applied mark. Called when
+// ResetView empties the read view and zeroes the applied mark. Called when
 // a new snapshot stream begins: the incoming snapshot supersedes whatever
 // the view held, and until its SnapEnd's commit mark publishes, the replica
 // has no consistent state to serve — a zero applied mark is what trips the
-// client's staleness fallback to the primary for the duration.
-func (db *DB) resetView() {
+// client's staleness fallback to the primary for the duration. And called
+// at promotion: the node's reads come from its store from then on.
+func (db *DB) ResetView() {
 	v := &db.view
 	v.mu.Lock()
 	v.shards = nil

@@ -278,6 +278,3 @@ func EncodeBool(v bool) int {
 	}
 	return spec.False
 }
-
-// EncodeAck encodes a value-free acknowledgment response.
-func EncodeAck(struct{}) int { return spec.Ack }

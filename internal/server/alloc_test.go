@@ -173,13 +173,13 @@ func TestAllocPinServedRotating(t *testing.T) {
 	}
 }
 
-// The replica GET path end to end, minus the socket: a genuine standby
-// server over a durable DB whose applied view was populated through the
-// real replication stream (Subscribe → Replica.Apply, published on COMMIT),
-// serving a read-only session — executeReadOnly → ViewGet → reply encode →
-// window record allocate nothing once warm.
-func TestAllocPinReplicaGet(t *testing.T) {
-	const shards, procs, keys = 4, 2, 64
+// streamedStandby returns a genuine standby server (never listening, never
+// replicating again) whose DB was fed through the real replication stream
+// from a primary that committed keys "pin-0" … "pin-<keys-1>" = 1 … keys
+// under session 1 (pid 0): the applied view holds them, and promotion
+// would recover that session.
+func streamedStandby(t *testing.T, shards, procs, keys int) (*Server, *durable.DB) {
+	t.Helper()
 	pdb, err := durable.OpenFs(simio.New(), "/data", shards, procs, Window)
 	if err != nil {
 		t.Fatal(err)
@@ -218,24 +218,23 @@ func TestAllocPinReplicaGet(t *testing.T) {
 			chunk = chunk[4+n:]
 		}
 	}
+	return NewStandby(rdb, func() *shardkv.Store {
+		return shardkv.New(shards, procs, shardkv.Durable(rdb))
+	}), rdb
+}
 
-	srv := NewStandby(rdb, func() *shardkv.Store {
-		return shardkv.New(shards, procs) // promotion never happens in the pin
-	})
+// The replica GET path end to end, minus the socket: a genuine standby
+// server over a durable DB whose applied view was populated through the
+// real replication stream (Subscribe → Replica.Apply, published on COMMIT),
+// serving a read-only session — execute → readKey → ViewGet → reply encode →
+// window record allocate nothing once warm.
+func TestAllocPinReplicaGet(t *testing.T) {
+	srv, _ := streamedStandby(t, 4, 2, 64)
 	// A loopback session of the kind a standby serves (readonly.go):
 	// slotless and GET-only.
-	srv.mu.Lock()
-	srv.nextSID++
-	sid := srv.nextSID
-	srv.mu.Unlock()
-	if err := rdb.NoteSID(sid); err != nil {
+	ls, err := srv.newLoopback(kindReadOnly)
+	if err != nil {
 		t.Fatal(err)
-	}
-	ls := &LoopbackSession{
-		srv:     srv,
-		sess:    &session{id: sid, pid: -1, readOnly: true, gen: 1, cache: make(map[uint64][]byte, Window+1)},
-		scratch: GetFrameBuf(),
-		nextID:  1,
 	}
 	defer ls.Close()
 

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"encoding/binary"
-	"errors"
-)
+import "encoding/binary"
 
 // LoopbackSession drives the server's full request path — header decode,
 // classify, execute, reply encode, outcome-window record — without a
@@ -24,21 +21,16 @@ type LoopbackSession struct {
 
 // NewLoopbackSession leases a process slot and returns a loopback session
 // over srv. Callers must Close it.
-func (srv *Server) NewLoopbackSession() (*LoopbackSession, error) {
-	pid, ok := srv.store.Load().AcquireProc()
-	if !ok {
-		return nil, errors.New("server: every process slot is leased")
-	}
+func (srv *Server) NewLoopbackSession() (*LoopbackSession, error) { return srv.newLoopback(kindData) }
+
+// newLoopback is NewLoopbackSession for any kind; the slotless ones are
+// what tests pin the standby's serving path with.
+func (srv *Server) newLoopback(k kind) (*LoopbackSession, error) {
 	srv.mu.Lock()
-	srv.nextSID++
-	sid := srv.nextSID
+	sess, err := srv.newSession(k)
 	srv.mu.Unlock()
-	sess := &session{id: sid, pid: pid, gen: 1, cache: make(map[uint64][]byte, Window+1)}
-	if db := srv.db.Load(); db != nil {
-		if err := db.AppendHello(sid, pid); err != nil {
-			srv.store.Load().ReleaseProc(pid)
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return &LoopbackSession{srv: srv, sess: sess, scratch: GetFrameBuf(), nextID: 1}, nil
 }
@@ -72,7 +64,7 @@ func (ls *LoopbackSession) PID() int { return ls.sess.pid }
 
 // Close releases the session's process slot (if any) and scratch buffer.
 func (ls *LoopbackSession) Close() {
-	if !ls.sess.slotless() {
+	if ls.sess.pid >= 0 {
 		ls.srv.store.Load().ReleaseProc(ls.sess.pid)
 	}
 	PutFrameBuf(ls.scratch)

@@ -6,11 +6,14 @@ import (
 	"io"
 	"testing"
 
+	"detectable/internal/history"
 	"detectable/internal/runtime"
+	"detectable/internal/shardkv"
 )
 
-// Fuzz harnesses for the wire layer (wire.go): frame decoding and reply
-// decoding against malformed, truncated and adversarial input. CI runs each
+// Fuzz harnesses for the wire layer (wire.go): frame decoding, reply
+// decoding and the server's request path (handle) against malformed,
+// truncated and adversarial input. CI runs each
 // briefly (-fuzz -fuzztime) on top of the committed seed corpus, and the
 // seeds themselves run as ordinary unit cases on every `go test`.
 
@@ -119,6 +122,99 @@ func FuzzDecodeReply(f *testing.F) {
 		}
 		check(r)
 	})
+}
+
+// FuzzHandle feeds arbitrary request payloads to handle on a loopback
+// session of each kind: no panic; fatal only with bad-request; a cell the
+// admit table refuses answers exactly the table's code; and every reply
+// decodes as what its status and opcode say it is.
+func FuzzHandle(f *testing.F) {
+	for _, mo := range matrixOps {
+		f.Add(mo.frame(1))
+	}
+	f.Add(AppendHello(nil, 1, 0))                             // a HELLO after the first frame
+	f.Add([]byte{OpMGet, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff}) // an MGET claiming 65535 keys
+	f.Add(AppendPut(nil, 1, 0, "key", 7)[:15])                // a PUT cut inside its key
+	f.Add(AppendGet(nil, 1, 3, "pin-7"))                      // a crash plan
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// A fresh node per input (PROMOTE fences it), with small rings.
+		srv := New(shardkv.New(2, 3, shardkv.HistoryMode(history.ModeRing, 64)))
+		for k := kind(0); k < numKinds; k++ {
+			ls, err := srv.newLoopback(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			role := srv.role()
+			reply, closing, fatal := srv.handle(ls.sess, payload, ls.scratch)
+			ls.Close()
+			if len(reply) == 0 {
+				t.Fatal("empty reply")
+			}
+			if fatal && reply[0] != ErrBadRequest {
+				t.Fatalf("fatal with status %s", ErrName(reply[0]))
+			}
+			var op byte
+			if len(payload) > 0 {
+				op = payload[0]
+			}
+			c, isOp := classOf(op)
+			if want := admit[c][role][k]; isOp && !fatal && want != StatusOK && reply[0] != want {
+				t.Fatalf("op 0x%02x on a %s session answered %x, the table says %s", op, kindNames[k], reply, ErrName(want))
+			}
+			r := NewReader(reply[1:])
+			switch {
+			case reply[0] == ErrObserver || reply[0] == ErrNotPrimary:
+				planned := op == OpGet && k == kindReadOnly // the one refusal the body decides
+				if want := admit[c][role][k]; !isOp || want != reply[0] && !planned {
+					t.Fatalf("op 0x%02x on a %s session refused with %s, the table says %s", op, kindNames[k], ErrName(reply[0]), ErrName(want))
+				}
+				fallthrough
+			case reply[0] != StatusOK:
+				r.Key()
+			case op == OpGet || op == OpPut || op == OpDel:
+				r.Outcome()
+			case op == OpMGet || op == OpMPut:
+				for n := r.U16(); n > 0 && !r.Err; n-- {
+					r.Outcome()
+				}
+			case op == OpStats:
+				for n := r.U16(); n > 0 && !r.Err; n-- {
+					r.Snapshot()
+				}
+			case op == OpPromote:
+				r.U64()
+			case op == OpServerStats:
+				r.ServerStatus()
+			case op != OpCrash && op != OpClose:
+				t.Fatalf("op 0x%02x served: %x", op, reply)
+			}
+			if r.Err || r.Rest() != 0 || closing != (op == OpClose && reply[0] == StatusOK) {
+				t.Fatalf("op 0x%02x: reply %x does not decode as its body (closing=%v)", op, reply, closing)
+			}
+		}
+	})
+}
+
+// TestServerStatusGolden pins the SERVER-STATS reply's bytes: both
+// directions live in wire.go, and a field added there must not move these.
+func TestServerStatusGolden(t *testing.T) {
+	st := ServerStatus{Role: RoleStandby, Generation: 2, RecoveredReplays: 3, ReplSeq: 0x0405, ReplAcked: 6, Replicas: 7, ReplApplied: 1 << 56}
+	golden := []byte{
+		StatusOK, 1,
+		0, 0, 0, 0, 0, 0, 0, 2,
+		0, 0, 0, 0, 0, 0, 0, 3,
+		0, 0, 0, 0, 0, 0, 4, 5,
+		0, 0, 0, 0, 0, 0, 0, 6,
+		0, 0, 0, 0, 0, 0, 0, 7,
+		1, 0, 0, 0, 0, 0, 0, 0,
+	}
+	if got := appendServerStatus(nil, st); !bytes.Equal(got, golden) {
+		t.Fatalf("SERVER-STATS reply\n got  %x\n want %x", got, golden)
+	}
+	r := NewReader(golden[1:])
+	if got := r.ServerStatus(); got != st || r.Err || r.Rest() != 0 {
+		t.Fatalf("decoded %+v (err=%v rest=%d), want %+v", got, r.Err, r.Rest(), st)
+	}
 }
 
 // TestReadFrameIntoReuse pins the grow-only buffer contract the fuzz target

@@ -3,11 +3,12 @@ package server
 // Read-only (GET-only) sessions — the serving half of the read-replica
 // design (docs/REPLICATION.md §read replicas).
 //
-// A read-only session leases no process slot and may issue only GET, MGET,
-// CLOSE and the admin ops. That restriction is exactly what lets a standby
-// serve it: the paper's detectability guarantees attach to mutations —
-// each needs a definite, durable, exactly-once verdict — while a read
-// carries no outcome window and no recovery obligation. A read answered
+// A read-only session leases no process slot and is admitted to reads and
+// the always-served ops only (the read-only column of admit.go's table).
+// That restriction is exactly what lets a standby serve it: the paper's
+// detectability guarantees attach to mutations — each needs a definite,
+// durable, exactly-once verdict — while a read carries no outcome window
+// and no recovery obligation. A read answered
 // from the replica's barrier-consistent applied view is bounded-stale but
 // can never be a phantom (every value in the view was journaled, hence
 // linearized, on the primary) and never a resurrected failed write (a
@@ -19,88 +20,22 @@ package server
 //     barriers at a time, so a GET observes a prefix of the primary's
 //     commit order, never a mid-snapshot or mid-epoch state
 //   - primary: the live store (Peek), the same visibility a sloted GET has
-//
-// Mutations are refused with ErrNotPrimary on a standby (the client
-// rotates to the primary) and ErrObserver on a primary (the session kind,
-// not the node, is what forbids them — rotating would not help).
 
-import (
-	"detectable/internal/runtime"
-	"detectable/internal/shardkv"
-)
+import "detectable/internal/shardkv"
 
 // readKey resolves key against this node's committed state. Missing keys
 // read as zero, the durable-root convention shared with kv.Store.
 func (srv *Server) readKey(key string) int {
 	if st := srv.standby.Load(); st != nil {
-		val, _ := st.db.ViewGet(shardkv.ShardIndex(key, st.db.NumShards()), key)
-		return int(val)
+		val, ok := st.db.ViewGet(shardkv.ShardIndex(key, st.db.NumShards()), key)
+		if ok || srv.standby.Load() != nil {
+			return int(val)
+		}
+		// Promoted under this read: promotion dropped the view after
+		// installing the store, so the miss says nothing — read the store.
 	}
 	if store := srv.store.Load(); store != nil {
 		return store.Peek(key)
 	}
 	return 0
-}
-
-// executeReadOnly decodes and serves one request on a read-only session.
-// Called with the session lock held, after the fenced check; replies are
-// recorded in the in-memory outcome window by handle like any other, so
-// connection-level resume replays them verbatim.
-func (srv *Server) executeReadOnly(sess *session, op byte, r *Reader, dst []byte) (reply []byte, closing, fatal bool) {
-	bad := func(msg string) ([]byte, bool, bool) { return appendErr(dst, ErrBadRequest, msg), false, true }
-
-	switch op {
-	case OpGet:
-		plan := r.U32()
-		key := r.KeyRef()
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed GET/DEL")
-		}
-		if plan != 0 {
-			// Crash plans drive a shard's recovery machinery, which needs a
-			// process identity; a slotless read has none.
-			return appendErr(dst, ErrObserver, "crash plan on read-only session"), false, false
-		}
-		out := runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(key)}
-		return appendOutcomeReply(dst, out), false, false
-
-	case OpMGet:
-		n := int(r.U16())
-		if n > MaxBatch {
-			return bad("MGET batch too large")
-		}
-		keys := sess.keys[:0]
-		for i := 0; i < n; i++ {
-			keys = append(keys, r.KeyRef())
-		}
-		sess.keys = keys
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed MGET")
-		}
-		dst = append(dst, StatusOK)
-		dst = append(dst, byte(len(keys)>>8), byte(len(keys)))
-		for _, k := range keys {
-			dst = appendOutcome(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(k)})
-		}
-		return dst, false, false
-
-	case OpPut, OpDel, OpMPut:
-		if srv.standby.Load() != nil {
-			// Same refusal a data session would hear: the client fails over
-			// to the primary and mutates there.
-			return appendErr(dst, ErrNotPrimary, "standby serves reads only; mutations need the primary"), false, false
-		}
-		return appendErr(dst, ErrObserver, "mutation on read-only session"), false, false
-
-	case OpClose:
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed CLOSE")
-		}
-		return appendAck(dst), true, false
-
-	default:
-		// CRASH and STATS drive the store; a standby has none and a
-		// read-only session has no business injecting crashes anywhere.
-		return appendErr(dst, ErrObserver, "operation not allowed on read-only session"), false, false
-	}
 }

@@ -24,7 +24,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -71,9 +70,6 @@ type standbyState struct {
 	promoteOnce sync.Once
 	promoteErr  error
 	promoteGen  uint64
-
-	barriers uint64 // barriers applied (diagnostics; guarded by mu)
-	resyncs  uint64 // snapshots received (initial sync + every reconnect)
 }
 
 // NewStandby returns a warm-standby server over db: it serves only
@@ -180,6 +176,11 @@ func (srv *Server) promoteStandby(st *standbyState) (uint64, error) {
 	srv.db.Store(db)
 	srv.wasStandby = st
 	srv.standby.Store(nil)
+	// Reads go to the store from here on (readKey); the applied view would
+	// otherwise stay reachable, a second copy of every key, for the rest of
+	// the node's life. Dropped after the role flips: readKey re-checks the
+	// role on a miss.
+	db.ResetView()
 	return gen, nil
 }
 
@@ -292,9 +293,6 @@ func (st *standbyState) replicateOnce(addr string) error {
 	conn.SetDeadline(time.Time{})
 
 	rep := st.db.NewReplica()
-	st.mu.Lock()
-	st.resyncs++
-	st.mu.Unlock()
 	var readBuf, ackBuf []byte
 	for {
 		msg, err := ReadFrameInto(br, &readBuf)
@@ -308,9 +306,6 @@ func (st *standbyState) replicateOnce(addr string) error {
 		if !barrier {
 			continue
 		}
-		st.mu.Lock()
-		st.barriers++
-		st.mu.Unlock()
 		// The ack is sent only after Apply returned — i.e. after the
 		// barrier's records are fsynced on our disk. That is the
 		// epoch-aligned ack rule: the primary releases the epoch's
@@ -329,7 +324,7 @@ func (st *standbyState) replicateOnce(addr string) error {
 // stream or the peer dies.
 func (srv *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	db := srv.db.Load()
-	if db == nil || srv.standby.Load() != nil || srv.fenced.Load() {
+	if db == nil || srv.role() != RolePrimary {
 		WriteFrame(bw, appendErr(nil, ErrNotPrimary, "replication needs a serving durable primary"))
 		bw.Flush()
 		return
@@ -398,38 +393,24 @@ func (srv *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.W
 	<-done
 }
 
-// appendServerStatsReply appends the node-status reply: role, fencing
-// generation, recovered-window replays served, the sequence of the last
-// epoch anchored on this node's own disk (its committed mark) and the
-// min-acked sequence (which a standby fsyncing beside the primary can put
-// one ahead of it), the attached replica count, and the applied mark — on
-// a standby, the primary-stream barrier its read view has applied through
-// (the replica's side of the replication-lag bound: lag = primary's seq −
-// replica's applied ≥ 0, comparable when the two report the same
-// generation); on a primary, its own seq (applied ≡ committed).
-func (srv *Server) appendServerStatsReply(dst []byte) []byte {
-	role := RolePrimary
-	var gen, seq, acked, applied uint64
-	if st := srv.standby.Load(); st != nil {
-		role = RoleStandby
-		gen = st.db.Generation()
-		seq, acked, _ = st.db.ReplStatus()
-		applied = st.db.ViewSeq()
-	} else {
-		if srv.fenced.Load() {
-			role = RoleFenced
-		}
-		if db := srv.db.Load(); db != nil {
-			gen = db.Generation()
-			seq, acked, _ = db.ReplStatus()
-			applied = seq
-		}
+// status is the node's SERVER-STATS reply (ServerStatus, wire.go), from
+// atomics only: it is served under a session lock on every role.
+func (srv *Server) status() ServerStatus {
+	st := ServerStatus{Role: srv.role(), RecoveredReplays: srv.recoveredReplays.Load(), Replicas: uint64(srv.replicas.Load())}
+	db := srv.db.Load()
+	if sb := srv.standby.Load(); sb != nil {
+		db = sb.db // promotion installs this same DB as srv.db
 	}
-	dst = append(dst, StatusOK, role)
-	for _, v := range [...]uint64{gen, srv.recoveredReplays.Load(), seq, acked, uint64(srv.replicas.Load()), applied} {
-		dst = binary.BigEndian.AppendUint64(dst, v)
+	if db == nil {
+		return st
 	}
-	return dst
+	st.Generation = db.Generation()
+	st.ReplSeq, st.ReplAcked, _ = db.ReplStatus()
+	st.ReplApplied = st.ReplSeq
+	if st.Role == RoleStandby {
+		st.ReplApplied = db.ViewSeq()
+	}
+	return st
 }
 
 // StopReplication halts a standby's replication loop without promoting it:

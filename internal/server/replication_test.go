@@ -112,7 +112,25 @@ func TestReplicationByteIdenticalReplayAcrossPromotion(t *testing.T) {
 		t.Fatalf("PUT rejected: %x", original)
 	}
 	rc.c.Close() // no END: the session stays live in the durable state
-	st1.kill(t)  // primary is gone
+
+	// A read-only session born on the standby reads the replicated value
+	// out of the applied view, once the PUT's commit mark has published it.
+	rcRO := dialRaw(t, addr2)
+	defer rcRO.c.Close()
+	helloReadOnly(t, rcRO)
+	alphaShard := shardkv.ShardIndex("alpha", sb.db.NumShards())
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, ok := sb.db.ViewGet(alphaShard, "alpha"); ok && v == 41 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the standby's view never published alpha")
+		}
+	}
+	if out := getOutcome(t, rcRO, 1, "alpha"); out.Resp != 41 {
+		t.Fatalf("standby read-only GET alpha = %d, want 41", out.Resp)
+	}
+	st1.kill(t) // primary is gone
 
 	gen, err := sb.srv.Promote()
 	if err != nil {
@@ -126,6 +144,14 @@ func TestReplicationByteIdenticalReplayAcrossPromotion(t *testing.T) {
 	}
 	if g := sb.db.Generation(); g != gen {
 		t.Fatalf("MANIFEST generation %d, want %d", g, gen)
+	}
+	// Promotion drops the view — the store holds every key now — and the
+	// session born on the standby reads the promoted store instead.
+	if v, ok := sb.db.ViewGet(alphaShard, "alpha"); ok {
+		t.Fatalf("promoted node still holds a read view: alpha = %d", v)
+	}
+	if out := getOutcome(t, rcRO, 2, "alpha"); out.Resp != 41 {
+		t.Fatalf("read-only GET alpha after promotion = %d, want 41", out.Resp)
 	}
 
 	// Resume the primary's session on the replica and re-issue the same

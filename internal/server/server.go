@@ -207,17 +207,7 @@ func (srv *Server) reapLoop(ttl time.Duration) {
 		}
 		srv.mu.Unlock()
 		for _, sess := range expired {
-			if !sess.slotless() {
-				// The durable END is appended after the session left the
-				// table, so a resume that raced past this point was already
-				// refused with unknown-session; replication ships the END on
-				// the same barrier, so a promoted replica refuses it too —
-				// a reaped sid can never come back as a stale session.
-				if db := srv.db.Load(); db != nil {
-					db.AppendEnd(sess.id) //nolint:errcheck
-				}
-				srv.store.Load().ReleaseProc(sess.pid)
-			}
+			srv.retire(sess)
 		}
 	}
 }
@@ -267,7 +257,7 @@ func (srv *Server) Close() error {
 			sess.conn.Close()
 		}
 		sess.mu.Unlock()
-		if !sess.slotless() {
+		if sess.pid >= 0 {
 			srv.store.Load().ReleaseProc(sess.pid)
 		}
 	}
@@ -334,7 +324,7 @@ func (srv *Server) handleConn(conn net.Conn) {
 		bw.Flush()
 		return
 	}
-	if flags&HelloFlagReplica != 0 {
+	if flags == HelloFlagReplica {
 		srv.serveReplication(conn, br, bw)
 		return
 	}
@@ -369,6 +359,46 @@ func (srv *Server) handleConn(conn net.Conn) {
 	}
 }
 
+// newSession mints a session of kind k: a data session leases a process
+// slot and is journaled with it; a slotless one only burns its ID. Called
+// with srv.mu held. errSlotsExhausted is the one error that is the
+// caller's, not the log's.
+func (srv *Server) newSession(k kind) (*session, error) {
+	pid := -1
+	if k == kindData {
+		p, ok := srv.store.Load().AcquireProc()
+		if !ok {
+			return nil, errSlotsExhausted
+		}
+		pid = p
+	}
+	srv.nextSID++
+	sess := &session{id: srv.nextSID, pid: pid, kind: k, gen: 1, cache: make(map[uint64][]byte, Window+1)}
+	if db := srv.db.Load(); db != nil {
+		// The session must be durable before the client learns its ID:
+		// a restart may otherwise greet the resume with unknown-session
+		// and strand the client's in-flight request. Slotless sessions
+		// are not recoverable (no slot, no window) but still burn their
+		// ID durably, or a restart would reissue it and a stale
+		// observer's resume would attach to a stranger's session. On
+		// failure the ID stays burned in memory too: the append may
+		// have reached the log even when the sync failed, and reusing
+		// the ID could durably bind it to two different pids.
+		var err error
+		if pid < 0 {
+			err = db.NoteSID(sess.id)
+		} else if err = db.AppendHello(sess.id, pid); err != nil {
+			srv.store.Load().ReleaseProc(pid)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
+}
+
+var errSlotsExhausted = errors.New("server: every process slot is leased")
+
 // attach creates (sid 0) or resumes a session and binds conn to it,
 // kicking any connection previously attached. It returns the session (nil
 // on error), the attach generation and the HELLO reply.
@@ -378,76 +408,41 @@ func (srv *Server) attach(conn net.Conn, sid uint64, flags byte) (*session, uint
 	if srv.closed {
 		return nil, 0, appendErr(nil, ErrBadRequest, "server shutting down")
 	}
-	observer := flags&HelloFlagObserver != 0
-	readOnly := flags&HelloFlagReadOnly != 0
-	if !observer && !readOnly && srv.standby.Load() != nil {
-		// A standby serves no data sessions — and critically, a client
-		// resuming the old primary's sid here must hear not-primary (try
-		// the next address), never unknown-session (fatal to the client):
-		// the standby's table does not hold replicated sessions until
-		// promotion, so the lookup below could not tell the two apart.
-		// Read-only sessions ARE admitted: the standby is a read replica
-		// (executeReadOnly serves GETs from the applied view).
-		return nil, 0, appendErr(nil, ErrNotPrimary, "standby: not serving until promoted")
+	k, ok := kindOf(flags)
+	if !ok {
+		return nil, 0, appendErr(nil, ErrBadRequest, "HELLO flags must name exactly one session kind")
 	}
-	if !observer && srv.fenced.Load() {
-		// Refuses read-only sessions too: a fenced ex-primary's state is
-		// frozen at demotion with no lag bound, so reads belong to the
-		// promoted node.
-		// A fenced ex-primary must neither mint nor resume data sessions:
-		// every verdict now belongs to the promoted replica. Minting one
-		// here would lease a slot and durably burn a sid that the promoted
-		// node has never heard of — the client's first data op would bounce
-		// with not-primary and its resume over there would die on
-		// unknown-session. Refusing the HELLO itself sends the client to
-		// the next failover address before any state is created.
-		return nil, 0, appendErr(nil, ErrNotPrimary, "fenced: this node was demoted")
+	// Admitted on the kind the HELLO claims, before any lookup and before
+	// any state exists. A client resuming the old primary's sid on a
+	// standby must hear not-primary (try the next address), never
+	// unknown-session (fatal to the client): the standby's table does not
+	// hold replicated sessions until promotion, so the lookup below could
+	// not tell the two apart. And a fenced ex-primary that minted a data
+	// session would lease a slot and durably burn a sid the promoted node
+	// has never heard of, stranding the client there on unknown-session.
+	role := srv.role()
+	if code := admit[classHello][role][k]; code != StatusOK {
+		return nil, 0, appendRefusal(nil, code, role)
 	}
 
 	if sid == 0 {
-		pid := -1
-		if !observer && !readOnly {
-			p, ok := srv.store.Load().AcquireProc()
-			if !ok {
-				return nil, 0, appendErr(nil, ErrSlotsExhausted, "every process slot is leased")
-			}
-			pid = p
+		sess, err := srv.newSession(k)
+		if errors.Is(err, errSlotsExhausted) {
+			return nil, 0, appendErr(nil, ErrSlotsExhausted, "every process slot is leased")
+		} else if err != nil {
+			return nil, 0, appendErr(nil, ErrBadRequest, "durable session record failed")
 		}
-		srv.nextSID++
-		sess := &session{
-			id: srv.nextSID, pid: pid, observer: observer, readOnly: readOnly,
-			conn: conn, gen: 1, cache: make(map[uint64][]byte, Window+1),
-		}
-		if db := srv.db.Load(); db != nil {
-			// The session must be durable before the client learns its ID:
-			// a restart may otherwise greet the resume with unknown-session
-			// and strand the client's in-flight request. Observer sessions
-			// are not recoverable (no slot, no window) but still burn their
-			// ID durably, or a restart would reissue it and a stale
-			// observer's resume would attach to a stranger's session. On
-			// failure the ID stays burned in memory too: the append may
-			// have reached the log even when the sync failed, and reusing
-			// the ID could durably bind it to two different pids.
-			var err error
-			if sess.slotless() {
-				err = db.NoteSID(sess.id)
-			} else {
-				err = db.AppendHello(sess.id, pid)
-			}
-			if err != nil {
-				if !sess.slotless() {
-					srv.store.Load().ReleaseProc(pid)
-				}
-				return nil, 0, appendErr(nil, ErrBadRequest, "durable session record failed")
-			}
-		}
+		sess.conn = conn
 		srv.sessions[sess.id] = sess
-		return sess, 1, appendHelloOK(nil, sess.id, pid, false)
+		return sess, 1, appendHelloOK(nil, sess.id, sess.pid, false)
 	}
 
 	sess, ok := srv.sessions[sid]
 	if !ok {
 		return nil, 0, appendErr(nil, ErrUnknownSession, "no such session")
+	}
+	if sess.kind != k {
+		return nil, 0, appendErr(nil, ErrBadRequest, "resume must name the kind the session was opened with")
 	}
 	sess.mu.Lock()
 	if sess.conn != nil {
@@ -479,14 +474,27 @@ func (srv *Server) endSession(sess *session) {
 	_, live := srv.sessions[sess.id]
 	delete(srv.sessions, sess.id)
 	srv.mu.Unlock()
-	if live && !sess.slotless() {
-		if db := srv.db.Load(); db != nil {
-			// Best-effort: a lost END record only means the session is
-			// recovered once more after a restart and reaped by the idle TTL.
-			db.AppendEnd(sess.id) //nolint:errcheck
-		}
-		srv.store.Load().ReleaseProc(sess.pid)
+	if live {
+		srv.retire(sess)
 	}
+}
+
+// retire gives back what a session that has left the table held: its
+// durable record and its process slot (a slotless session holds neither).
+// The END is appended after the session left the table, so a resume that
+// raced past that point was already refused with unknown-session;
+// replication ships the END on the same barrier, so a promoted replica
+// refuses it too — a retired sid can never come back as a stale session.
+// Best-effort: a lost END record only means the session is recovered once
+// more after a restart and reaped by the idle TTL.
+func (srv *Server) retire(sess *session) {
+	if sess.pid < 0 {
+		return
+	}
+	if db := srv.db.Load(); db != nil {
+		db.AppendEnd(sess.id) //nolint:errcheck
+	}
+	srv.store.Load().ReleaseProc(sess.pid)
 }
 
 // handle processes one request frame under the session lock. The
@@ -547,12 +555,13 @@ func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply
 		return appendErr((*scratch)[:0], ErrStaleRequest, "request ID fell out of the outcome window"), false, false
 	}
 
-	reply, closing, fatal = srv.execute(sess, op, r, (*scratch)[:0])
+	c, _ := classOf(op) // an op of no class gets no further than execute's decode
+	reply, closing, fatal = srv.execute(sess, op, c, r, (*scratch)[:0])
 	if cap(reply) > cap(*scratch) {
 		*scratch = reply // keep the grown buffer for the next frame
 	}
 	if !fatal && len(reply) > 0 && reply[0] == StatusOK && !closing {
-		if db := srv.db.Load(); db != nil && !sess.observer && mutates(op) {
+		if db := srv.db.Load(); db != nil && c == classWrite {
 			// The durability barrier before release: the outcome record goes
 			// into the write-ahead log behind this request's linearized
 			// mutations and the log is synced — in that order, so a replayed
@@ -571,117 +580,82 @@ func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply
 	return reply, closing, fatal
 }
 
-// mutates reports whether op can linearize effects that must be durable
-// before its verdict is released.
-func mutates(op byte) bool {
-	return op == OpPut || op == OpDel || op == OpMPut
-}
-
-// execute decodes the op-specific body, runs it as the session's process
-// and appends the reply to dst. Called with the session lock held.
-func (srv *Server) execute(sess *session, op byte, r *Reader, dst []byte) (reply []byte, closing, fatal bool) {
-	bad := func(msg string) ([]byte, bool, bool) { return appendErr(dst, ErrBadRequest, msg), false, true }
-	data := func() bool { return !sess.observer } // data ops need a process slot
-
-	if op == OpServerStats {
-		// Node status is served everywhere — primaries, standbys, fenced
-		// ex-primaries — from atomics only (no srv.mu: attach holds srv.mu
-		// before session locks, and execute runs under a session lock).
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed SERVER-STATS")
-		}
-		return srv.appendServerStatsReply(dst), false, false
-	}
-	if srv.fenced.Load() && op != OpClose {
-		// A fenced ex-primary serves no data: every verdict now belongs to
-		// the promoted replica. The client redials its other addresses.
-		return appendErr(dst, ErrNotPrimary, "fenced: this node was demoted"), false, false
-	}
-	if sess.readOnly {
-		// Read-only sessions bypass the store (they hold no process slot)
-		// and are the one session kind a standby serves: GETs are answered
-		// from committed state — the replica's applied view, or the durable
-		// mirror / live store on a primary (readonly.go).
-		return srv.executeReadOnly(sess, op, r, dst)
-	}
-	store := srv.store.Load()
-	if store == nil && op != OpClose {
-		// A standby has no store until promotion installs one: observer
-		// sessions may only poll SERVER-STATS, PROMOTE and CLOSE here.
-		return appendErr(dst, ErrNotPrimary, "standby: not serving until promoted"), false, false
-	}
-
+// execute decodes the op-specific body, asks the admit table whether this
+// node serves this opcode to this kind of session, runs it and appends the
+// reply to dst. Decode comes first: a frame that does not parse is
+// bad-request and connection-fatal for every kind on every role, so no
+// refusal can mask it. Called with the session lock held, hence no srv.mu
+// anywhere below (attach holds srv.mu before session locks).
+func (srv *Server) execute(sess *session, op byte, c class, r *Reader, dst []byte) (reply []byte, closing, fatal bool) {
+	var (
+		plan, shard uint32
+		key         string
+		val         int
+	)
 	switch op {
 	case OpGet, OpDel:
-		plan := r.U32()
-		key := r.KeyRef()
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed GET/DEL")
-		}
-		if !data() {
-			return appendErr(dst, ErrObserver, "data operation on observer session"), false, false
-		}
-		var out runtime.Outcome[int]
-		if op == OpGet {
-			out = store.Get(sess.pid, key, planOf(plan)...)
-		} else {
-			out = store.Del(sess.pid, key, planOf(plan)...)
-		}
-		return appendOutcomeReply(dst, out), false, false
-
+		plan, key = r.U32(), r.KeyRef()
 	case OpPut:
-		plan := r.U32()
-		key := r.KeyRef()
-		val := int(r.I64())
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed PUT")
-		}
-		if !data() {
-			return appendErr(dst, ErrObserver, "data operation on observer session"), false, false
-		}
-		return appendOutcomeReply(dst, store.Put(sess.pid, key, val, planOf(plan)...)), false, false
-
+		plan, key, val = r.U32(), r.KeyRef(), int(r.I64())
 	case OpMGet:
-		n := int(r.U16())
-		if n > MaxBatch {
-			return bad("MGET batch too large")
+		sess.keys = sess.keys[:0]
+		for n := r.batchLen(); n > 0; n-- {
+			sess.keys = append(sess.keys, r.KeyRef())
 		}
-		keys := sess.keys[:0]
-		for i := 0; i < n; i++ {
-			keys = append(keys, r.KeyRef())
-		}
-		sess.keys = keys
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed MGET")
-		}
-		if !data() {
-			return appendErr(dst, ErrObserver, "data operation on observer session"), false, false
-		}
-		return appendOutcomesReply(dst, store.MultiGetWith(&sess.batch, sess.pid, keys)), false, false
-
 	case OpMPut:
-		n := int(r.U16())
-		if n > MaxBatch {
-			return bad("MPUT batch too large")
+		sess.entries = sess.entries[:0]
+		for n := r.batchLen(); n > 0; n-- {
+			sess.entries = append(sess.entries, shardkv.KV{Key: r.KeyRef(), Val: int(r.I64())})
 		}
-		entries := sess.entries[:0]
-		for i := 0; i < n; i++ {
-			entries = append(entries, shardkv.KV{Key: r.KeyRef(), Val: int(r.I64())})
-		}
-		sess.entries = entries
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed MPUT")
-		}
-		if !data() {
-			return appendErr(dst, ErrObserver, "data operation on observer session"), false, false
-		}
-		return appendOutcomesReply(dst, store.MultiPutWith(&sess.batch, sess.pid, entries)), false, false
-
 	case OpCrash:
-		shard := r.U32()
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed CRASH")
+		shard = r.U32()
+	case OpStats, OpClose, OpServerStats:
+	default:
+		// PROMOTE never gets here (handle runs it outside the session
+		// lock); a mid-stream HELLO and a byte that is no opcode do.
+		r.Err = true
+	}
+	if r.Err || r.Rest() != 0 {
+		return appendErr(dst, ErrBadRequest, "malformed request"), false, true
+	}
+
+	role := srv.role()
+	if code := admit[c][role][sess.kind]; code != StatusOK {
+		return appendRefusal(dst, code, role), false, false
+	}
+
+	// Admitted. Only a read still looks at the kind: a slotless session
+	// reads committed state (readonly.go) where a data session runs the
+	// detectable operation as its process.
+	store := srv.store.Load()
+	switch op {
+	case OpGet:
+		if sess.kind == kindData {
+			return appendOutcomeReply(dst, store.Get(sess.pid, key, planOf(plan)...)), false, false
 		}
+		if plan != 0 {
+			// Crash plans drive a shard's recovery machinery, which needs a
+			// process identity; a slotless read has none.
+			return appendErr(dst, ErrObserver, "crash plan on a slotless session"), false, false
+		}
+		return appendOutcomeReply(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(key)}), false, false
+	case OpMGet:
+		if sess.kind == kindData {
+			return appendOutcomesReply(dst, store.MultiGetWith(&sess.batch, sess.pid, sess.keys)), false, false
+		}
+		dst = append(dst, StatusOK)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(sess.keys)))
+		for _, k := range sess.keys {
+			dst = appendOutcome(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(k)})
+		}
+		return dst, false, false
+	case OpPut:
+		return appendOutcomeReply(dst, store.Put(sess.pid, key, val, planOf(plan)...)), false, false
+	case OpDel:
+		return appendOutcomeReply(dst, store.Del(sess.pid, key, planOf(plan)...)), false, false
+	case OpMPut:
+		return appendOutcomesReply(dst, store.MultiPutWith(&sess.batch, sess.pid, sess.entries)), false, false
+	case OpCrash:
 		if shard == CrashAllShards {
 			store.Crash()
 		} else if int(shard) < store.NumShards() {
@@ -690,22 +664,14 @@ func (srv *Server) execute(sess *session, op byte, r *Reader, dst []byte) (reply
 			return appendErr(dst, ErrBadRequest, "shard out of range"), false, false
 		}
 		return appendAck(dst), false, false
-
 	case OpStats:
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed STATS")
-		}
 		return appendStatsReply(dst, store.Snapshots()), false, false
-
+	case OpServerStats:
+		return appendServerStatus(dst, srv.status()), false, false
 	case OpClose:
-		if r.Err || r.Rest() != 0 {
-			return bad("malformed CLOSE")
-		}
 		return appendAck(dst), true, false
-
-	default:
-		return bad("unknown opcode")
 	}
+	panic("server: execute ran an opcode its decode switch refuses")
 }
 
 // planOf maps the wire's plan field to a crash plan: 0 is none, p > 0

@@ -14,10 +14,9 @@ import (
 // outcome cache plays Ann_p — the persistent record from which a
 // reconnecting client learns whether its interrupted request linearized.
 type session struct {
-	id       uint64
-	pid      int  // leased process slot; -1 for observer and read-only sessions
-	observer bool // admin-only session: no slot, no data ops
-	readOnly bool // GET-only session: no slot, reads served from committed state
+	id   uint64
+	pid  int  // leased process slot; -1 for the slotless kinds
+	kind kind // fixed at HELLO; what it admits is the admit table's business (admit.go)
 
 	// mu serializes everything below AND the execution of the session's
 	// requests: a session is one process of the model, and a process runs
@@ -55,10 +54,6 @@ type session struct {
 	entries []shardkv.KV
 	batch   shardkv.BatchScratch
 }
-
-// slotless reports whether the session holds no process slot (observer and
-// read-only sessions), so teardown paths know not to release one.
-func (s *session) slotless() bool { return s.observer || s.readOnly }
 
 // lookup returns the cached reply for reqID and how the ID classifies:
 // replay (cached), fresh (execute it), or stale (older than the window).

@@ -40,9 +40,8 @@ const (
 
 	// OpPromote promotes a standby to primary (or fences an active
 	// primary); reply is StatusOK + u64 generation. OpServerStats reports
-	// the node's role, generation and replication marks. Both are admin
-	// ops: allowed on observer sessions, on standbys and on fenced
-	// primaries (see replication.go).
+	// the node's role, generation and replication marks. Both are served
+	// to every kind of session on every node (admit.go's always class).
 	OpPromote     byte = 0x0A
 	OpServerStats byte = 0x0B
 )
@@ -55,32 +54,33 @@ const (
 	ErrUnknownSession byte = 0x02 // HELLO named a session the server does not hold
 	ErrStaleRequest   byte = 0x03 // reqID older than the session's outcome window
 	ErrSlotsExhausted byte = 0x04 // every process slot is leased
-	ErrObserver       byte = 0x05 // data operation on an observer session
+	ErrObserver       byte = 0x05 // the session's kind is never served this operation (admit.go)
 	ErrNotPrimary     byte = 0x06 // node is a standby or a fenced ex-primary; redial another address
 )
 
-// HelloFlagObserver requests a session without a process slot: it may only
-// issue CRASH/STATS/CLOSE/PROMOTE/SERVER-STATS. Storm drivers and stats
-// pollers use it so they do not occupy one of the store's N process
-// identities.
-const HelloFlagObserver byte = 0x01
+// HELLO flags. A HELLO names exactly one kind of peer — no flag is a data
+// session, which leases one of the store's N process identities — and what
+// each kind is admitted to, on which node, is the admit table's business
+// (admit.go; docs/PROTOCOL.md §"Who may do what, where"), not restated here.
+const (
+	// HelloFlagObserver requests a session without a process slot, for
+	// storm drivers and stats pollers: the table's observer column.
+	HelloFlagObserver byte = 0x01
 
-// HelloFlagReplica turns the connection into a replication stream: the
-// server replies with a HELLO-OK and then streams durable.Repl* messages
-// (docs/REPLICATION.md) instead of serving requests; the peer sends only
-// durable.ReplAck frames back.
-const HelloFlagReplica byte = 0x02
+	// HelloFlagReplica turns the connection into a replication stream:
+	// the server replies with a HELLO-OK and then streams durable.Repl*
+	// messages (docs/REPLICATION.md) instead of serving requests; the peer
+	// sends only durable.ReplAck frames back.
+	HelloFlagReplica byte = 0x02
 
-// HelloFlagReadOnly requests a GET-only session without a process slot: it
-// may issue GET/MGET (answered from committed state — on a standby, the
-// replica's barrier-consistent applied view), plus CLOSE/PROMOTE/
-// SERVER-STATS. Unlike every other session kind it is admitted on a
-// standby, which is what turns the warm replica into a read replica:
-// reads carry no outcome window, so the paper's detectability guarantees
-// are untouched by serving them from a bounded-stale copy
-// (docs/REPLICATION.md §read replicas). Mutations are refused —
-// ErrNotPrimary on a standby, ErrObserver on a primary.
-const HelloFlagReadOnly byte = 0x04
+	// HelloFlagReadOnly requests a session without a process slot whose
+	// reads are answered from committed state — the one kind a standby
+	// serves, which is what turns the warm replica into a read replica:
+	// reads carry no outcome window, so the paper's detectability
+	// guarantees are untouched by serving them from a bounded-stale copy
+	// (docs/REPLICATION.md §read replicas). The table's read-only column.
+	HelloFlagReadOnly byte = 0x04
+)
 
 // CrashAllShards as the shard field of OpCrash storms every shard.
 const CrashAllShards = ^uint32(0)
@@ -349,6 +349,34 @@ func appendStatsReply(dst []byte, snaps []shardkv.StatsSnapshot) []byte {
 	return dst
 }
 
+// ServerStatus is the SERVER-STATS reply: a point-in-time snapshot of a
+// node's replication role and progress, served on any node — primary,
+// standby or fenced — so pollers can watch a failover without being
+// refused. On the wire: the role byte, then the u64 fields in this order.
+type ServerStatus struct {
+	Role             byte   // RolePrimary / RoleStandby / RoleFenced
+	Generation       uint64 // fencing generation from the MANIFEST
+	RecoveredReplays uint64 // replays served from a recovered outcome window
+	ReplSeq          uint64 // last epoch anchored on this node's own disk (its committed mark)
+	ReplAcked        uint64 // min barrier acked across sync subscribers; may run one ahead of ReplSeq
+	Replicas         uint64 // currently attached replica streams
+	// ReplApplied is the node's applied mark: on a standby, the primary
+	// barrier sequence its read view has applied through; on a primary,
+	// its own ReplSeq (applied ≡ committed). The replication lag a reader
+	// risks is primary.ReplSeq − replica.ReplApplied ≥ 0, comparable when
+	// both report the same Generation.
+	ReplApplied uint64
+}
+
+// appendServerStatus appends the node-status reply.
+func appendServerStatus(dst []byte, st ServerStatus) []byte {
+	dst = append(dst, StatusOK, st.Role)
+	for _, v := range [...]uint64{st.Generation, st.RecoveredReplays, st.ReplSeq, st.ReplAcked, st.Replicas, st.ReplApplied} {
+		dst = binary.BigEndian.AppendUint64(dst, v)
+	}
+	return dst
+}
+
 // Reader is a cursor over a frame payload. Reads past the end set Err and
 // return zero values, so decode sequences check the error once at the end.
 type Reader struct {
@@ -409,6 +437,17 @@ func (r *Reader) U64() uint64 {
 	return binary.BigEndian.Uint64(v)
 }
 
+// batchLen reads an MGET/MPUT entry count; one above MaxBatch sets Err and
+// reads as zero.
+func (r *Reader) batchLen() int {
+	n := int(r.U16())
+	if n > MaxBatch {
+		r.Err = true
+		return 0
+	}
+	return n
+}
+
 // I64 reads a big-endian two's-complement int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
@@ -452,6 +491,14 @@ func (r *Reader) Snapshot() shardkv.StatsSnapshot {
 		Gets: r.U64(), Puts: r.U64(), Dels: r.U64(),
 		OK: r.U64(), Recovered: r.U64(), Failed: r.U64(), NotInvoked: r.U64(),
 		CrashesSeen: r.U64(), CrashesInjected: r.U64(), Retries: r.U64(),
+	}
+}
+
+// ServerStatus reads one encoded node status.
+func (r *Reader) ServerStatus() ServerStatus {
+	return ServerStatus{
+		Role: r.U8(), Generation: r.U64(), RecoveredReplays: r.U64(),
+		ReplSeq: r.U64(), ReplAcked: r.U64(), Replicas: r.U64(), ReplApplied: r.U64(),
 	}
 }
 

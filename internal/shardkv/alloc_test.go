@@ -91,7 +91,8 @@ func TestAllocPinMultiPutFanOut(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the parallel fan-out path")
 	}
-	s := New(8, 2, Parallel(4))
+	s := New(8, 2)
+	s.parallel = 4
 	entries := make([]KV, 2*minFanOut)
 	for i, k := range pinKeys(len(entries)) {
 		entries[i] = KV{Key: k, Val: i}

@@ -12,7 +12,8 @@ import (
 // outcome alignment: outs[i] is entry i's verdict, regardless of which
 // worker served its shard.
 func TestParallelMultiPutAlignsWithEntries(t *testing.T) {
-	s := New(8, 2, Parallel(8))
+	s := New(8, 2)
+	s.parallel = 8
 	entries := make([]KV, 2*minFanOut)
 	for i := range entries {
 		entries[i] = KV{Key: fmt.Sprintf("k-%d", i), Val: i * 11}
@@ -46,8 +47,10 @@ func TestParallelEqualsSerial(t *testing.T) {
 	for i := range entries {
 		entries[i] = KV{Key: fmt.Sprintf("k-%d", i%37), Val: i}
 	}
-	par := New(4, 1, Parallel(4))
-	ser := New(4, 1, Parallel(1))
+	par := New(4, 1)
+	par.parallel = 4
+	ser := New(4, 1)
+	ser.parallel = 1
 	po := par.MultiPut(0, entries)
 	so := ser.MultiPut(0, entries)
 	for i := range entries {
@@ -63,7 +66,8 @@ func TestParallelEqualsSerial(t *testing.T) {
 // TestParallelPlansRouteToShards pins that a ShardPlans map still routes a
 // deterministic crash to exactly one shard's group under the fan-out.
 func TestParallelPlansRouteToShards(t *testing.T) {
-	s := New(4, 2, Parallel(4))
+	s := New(4, 2)
+	s.parallel = 4
 	entries := make([]KV, minFanOut)
 	for i := range entries {
 		entries[i] = KV{Key: fmt.Sprintf("k-%d", i), Val: i}
@@ -100,7 +104,8 @@ func TestRaceParallelBatches(t *testing.T) {
 		rounds  = 10
 		perProc = minFanOut // smaller batches run serially on the caller
 	)
-	s := New(shards, procs, Parallel(shards))
+	s := New(shards, procs)
+	s.parallel = shards
 	stop := make(chan struct{})
 	stormDone := make(chan struct{})
 	go func() { // crash storm, paced so retries can make progress

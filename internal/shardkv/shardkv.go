@@ -40,7 +40,6 @@ type Option func(*options)
 type options struct {
 	historyMode history.Mode
 	historyCap  int
-	parallel    int
 	db          *durable.DB
 }
 
@@ -57,20 +56,6 @@ func HistoryMode(m history.Mode, capacity int) Option {
 		o.historyMode = m
 		if capacity > 0 {
 			o.historyCap = capacity
-		}
-	}
-}
-
-// Parallel bounds the number of per-shard worker goroutines one batched
-// call (MultiGet/MultiPut/MultiPutRetry) may fan out to. The default is
-// GOMAXPROCS; 1 serializes batches shard-by-shard as before. Parallelism
-// never splits one shard's group: a batch runs at most one goroutine per
-// shard, preserving the one-operation-at-a-time-per-process rule inside
-// each shard's system.
-func Parallel(n int) Option {
-	return func(o *options) {
-		if n >= 1 {
-			o.parallel = n
 		}
 	}
 }
@@ -157,7 +142,7 @@ type Store struct {
 	shards   []*shard
 	procs    int
 	slots    *slotPool
-	parallel int
+	parallel int // worker goroutines one batched call may fan out to: GOMAXPROCS at New
 }
 
 // New allocates a store of shards independent partitions, each a fresh
@@ -174,7 +159,6 @@ func NewModel(shards, procs int, m nvm.Model, opts ...Option) *Store {
 	o := options{
 		historyMode: history.ModeRing,
 		historyCap:  DefaultRingCapacity,
-		parallel:    goruntime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -182,7 +166,7 @@ func NewModel(shards, procs int, m nvm.Model, opts ...Option) *Store {
 	if o.db != nil && o.db.NumShards() != shards {
 		panic("shardkv: durable store geometry does not match the shard count")
 	}
-	s := &Store{procs: procs, slots: newSlotPool(procs), parallel: o.parallel}
+	s := &Store{procs: procs, slots: newSlotPool(procs), parallel: goruntime.GOMAXPROCS(0)}
 	for i := 0; i < shards; i++ {
 		sys := runtime.NewSystemModel(procs, m)
 		switch o.historyMode {
