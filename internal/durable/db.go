@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // DefaultCompactAt is the write-ahead log's byte threshold: the anchor
@@ -60,14 +61,15 @@ type SessionState struct {
 	Window map[uint64][]byte
 }
 
-// shardFile is one shard's durable state: the snapshot path and the live
-// key→value mirror the next compaction writes. mu also orders the shard's
-// puts in the write-ahead log.
+// shardFile is one shard's durable state: the snapshot path and the key
+// table (table.go), whose journaled values are the live mirror the next
+// compaction writes. mu orders the shard's puts in the write-ahead log and
+// serializes the table's inserts.
 type shardFile struct {
-	mu    sync.Mutex
-	snap  string
-	state map[string]*int64 // see shardFile.set
-	enc   []byte            // reusable put-at record scratch, guarded by mu
+	mu   sync.Mutex
+	snap string
+	tab  table
+	enc  []byte // reusable put-at record scratch, guarded by mu
 }
 
 // sessionsFile is the session layer's durable state. mu is the anchor lock:
@@ -100,7 +102,7 @@ type DB struct {
 	compactAt int64
 	gc        groupCommit
 	repl      replState     // primary/backup replication hub (replicate.go)
-	view      replView      // replica read view, published per barrier (view.go)
+	view      viewState     // replica read view, published per commit mark (view.go)
 	gen       atomic.Uint64 // fencing generation mirrored from the MANIFEST
 }
 
@@ -139,6 +141,7 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 
 	db := &DB{fs: fsys, dir: dir, unlock: unlock, procs: procs, compactAt: DefaultCompactAt}
 	db.gen.Store(gen)
+	db.view.gen.Store(1) // a fresh entry's zero viewGen is never current
 	db.sessions = sessionsFile{
 		snap:   filepath.Join(dir, "sessions.snap"),
 		state:  make(map[uint64]*SessionState),
@@ -146,10 +149,8 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	}
 	// Snapshots first, then one scan of the log over them.
 	for i := 0; i < shards; i++ {
-		sf := &shardFile{
-			snap:  filepath.Join(dir, fmt.Sprintf("shard-%03d.snap", i)),
-			state: make(map[string]*int64),
-		}
+		sf := &shardFile{snap: filepath.Join(dir, fmt.Sprintf("shard-%03d.snap", i))}
+		sf.tab.init()
 		if err := ReplaySnapshotFs(fsys, sf.snap, sf.apply); err != nil {
 			unlock()
 			return nil, err
@@ -175,7 +176,7 @@ func (db *DB) replay(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		db.shards[shard].set(key, val, false) // decodePutAt's key is a fresh string
+		db.shards[shard].set(key, val)
 		return nil
 	}
 	return db.sessions.apply(rec)
@@ -224,28 +225,24 @@ func (sf *shardFile) apply(rec []byte) error {
 	if !ok {
 		return fmt.Errorf("malformed put record")
 	}
-	sf.set(key, val, false) // decodePut's key is a fresh string
+	sf.set(key, val)
 	return nil
 }
 
-// set mirrors key := val. transient says the key may alias a buffer the
-// caller will reuse (journalPut's keys alias the connection's frame
-// buffer). The mirror must never store such a key, and assigning to an
-// existing string key of a Go map does store it: the runtime replaces the
-// stored key with the new, equal one, which then turns to garbage with the
-// next request, and the next snapshot writes it out. So values sit behind
-// pointers: an existing entry is updated in place — no re-keying, no clone
-// — and only a key's first put inserts, a clone if the key is transient.
-func (sf *shardFile) set(key string, val int64, transient bool) {
-	if p := sf.state[key]; p != nil {
-		*p = val
-		return
+// entryOf returns key's entry, inserting it on the key's first use. Called
+// with sf.mu held (recovery runs before the DB is shared).
+func (sf *shardFile) entryOf(key string) *entry {
+	if e := sf.tab.lookup(key); e != nil {
+		return e
 	}
-	if transient {
-		key = strings.Clone(key)
-	}
-	v := val // &val would move the parameter to the heap on every call
-	sf.state[key] = &v
+	return sf.tab.insert(key)
+}
+
+// set mirrors key := val and returns key's entry. Called with sf.mu held.
+func (sf *shardFile) set(key string, val int64) *entry {
+	e := sf.entryOf(key)
+	e.journaled, e.inLog = val, true
+	return e
 }
 
 func encodePut(dst []byte, key string, val int64) []byte {
@@ -255,6 +252,9 @@ func encodePut(dst []byte, key string, val int64) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(val))
 }
 
+// decodePut decodes a put record without copying: key aliases rec and is
+// valid only as long as rec's bytes are. Every caller hands it to the key
+// table, which clones a key it inserts.
 func decodePut(rec []byte) (key string, val int64, ok bool) {
 	if len(rec) < 3 || rec[0] != recPut {
 		return "", 0, false
@@ -263,7 +263,9 @@ func decodePut(rec []byte) (key string, val int64, ok bool) {
 	if len(rec) != 3+n+8 {
 		return "", 0, false
 	}
-	key = string(rec[3 : 3+n])
+	if n > 0 {
+		key = unsafe.String(&rec[3], n)
+	}
 	val = int64(binary.BigEndian.Uint64(rec[3+n:]))
 	return key, val, true
 }
@@ -301,14 +303,14 @@ func decodePutAt(rec []byte, shards int) (shard int, key string, val int64, err 
 func (db *DB) RangeShard(i int, fn func(key string, val int64)) {
 	sf := db.shards[i]
 	sf.mu.Lock()
-	keys := sf.sortedKeys()
-	vals := make([]int64, len(keys))
-	for j, k := range keys {
-		vals[j] = *sf.state[k]
+	es := sf.sorted()
+	vals := make([]int64, len(es))
+	for j, e := range es {
+		vals[j] = e.journaled
 	}
 	sf.mu.Unlock()
-	for j, k := range keys {
-		fn(k, vals[j])
+	for j, e := range es {
+		fn(e.key, vals[j])
 	}
 }
 
@@ -332,17 +334,16 @@ func (b ShardBacking) Persist(key string, val int64) { b.db.journalPut(b.i, key,
 func (b ShardBacking) Sync() error { return b.db.Sync() }
 
 // journalPut appends one persisted root to shard i's mirror and, as a
-// put-at record, to the write-ahead log. It only stages — no disk, no
-// compaction — so the shard lock is never held across I/O. The caller's key
-// may alias a transient buffer (the server decodes keys zero-copy out of
-// the connection frame); the mirror clones it on first insert — the only
-// place this layer retains a key — and never stores it afterwards
-// (shardFile.set).
-func (db *DB) journalPut(i int, key string, val int64) {
+// put-at record, to the write-ahead log, and returns the key's entry. It
+// only stages — no disk, no compaction — so the shard lock is never held
+// across I/O. The caller's key may alias a transient buffer (the server
+// decodes keys zero-copy out of the connection frame); only the key table
+// retains a key, as a clone made at the key's first put (table.insert).
+func (db *DB) journalPut(i int, key string, val int64) *entry {
 	sf := db.shards[i]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	sf.set(key, val, true)
+	e := sf.set(key, val)
 	sf.enc = encodePutAt(sf.enc[:0], i, key, val)
 	if err := db.wal.Append(sf.enc); err != nil {
 		// The append never reached the log: the mirror and the log disagree
@@ -352,20 +353,31 @@ func (db *DB) journalPut(i int, key string, val int64) {
 		panic(fmt.Sprintf("durable: shard %d append failed: %v", i, err))
 	}
 	db.repl.tapShard(sf.enc)
+	return e
 }
 
-// sortedKeys returns the mirror's keys in sorted order — the one order
-// every walk of a shard uses (snapshot, bootstrap stream, restore), so each
-// is a deterministic function of the state. Called with sf.mu held.
-func (sf *shardFile) sortedKeys() []string { return slices.Sorted(maps.Keys(sf.state)) }
+// sorted returns the mirror — the entries holding a journaled value — in
+// key order, the one order every walk of a shard uses (snapshot, bootstrap
+// stream, restore), so each is a deterministic function of the state.
+// Called with sf.mu held.
+func (sf *shardFile) sorted() []*entry {
+	es := make([]*entry, 0, sf.tab.n)
+	for e := range sf.tab.all() {
+		if e.inLog {
+			es = append(es, e)
+		}
+	}
+	slices.SortFunc(es, func(a, b *entry) int { return strings.Compare(a.key, b.key) })
+	return es
+}
 
 // writeSnapshot writes sf's mirror to a fresh snapshot, one put record per
 // key in sorted order. Called with sf.mu held.
 func (sf *shardFile) writeSnapshot(fsys Fs) error {
 	return WriteSnapshotFs(fsys, sf.snap, func(emit func(rec []byte) error) error {
 		var enc []byte
-		for _, k := range sf.sortedKeys() {
-			enc = encodePut(enc[:0], k, *sf.state[k])
+		for _, e := range sf.sorted() {
+			enc = encodePut(enc[:0], e.key, e.journaled)
 			if err := emit(enc); err != nil {
 				return err
 			}

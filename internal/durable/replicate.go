@@ -185,8 +185,8 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 	kindShard := [1]byte{ReplShardRec}
 	for i, sf := range db.shards {
 		sf.mu.Lock()
-		for _, k := range sf.sortedKeys() {
-			enc = encodePutAt(enc[:0], i, k, *sf.state[k])
+		for _, e := range sf.sorted() {
+			enc = encodePutAt(enc[:0], i, e.key, e.journaled)
 			if !sub.stageSnap(kindShard[:], enc) {
 				sf.mu.Unlock()
 				return sub // closed mid-snapshot; stop staging
@@ -769,6 +769,8 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		return 0, false, nil
 
 	case ReplShardRec:
+		// The key aliases msg; the key table clones it if it is new, so a
+		// put of a key this node already has allocates nothing.
 		shard, key, val, err := decodePutAt(body, len(rp.db.shards))
 		if err != nil {
 			return 0, false, fmt.Errorf("durable: replicated %w", err)
@@ -777,13 +779,18 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		// overwrite the effect of an outcome this backup has to drop first
 		// (reconcile), so they wait for SnapEnd in the view stage, which
 		// holds them anyway.
-		if !rp.inSnap {
-			rp.db.journalPut(shard, key, val)
+		var e *entry
+		if rp.inSnap {
+			sf := rp.db.shards[shard]
+			sf.mu.Lock()
+			e = sf.entryOf(key)
+			sf.mu.Unlock()
+		} else {
+			e = rp.db.journalPut(shard, key, val)
 		}
 		// Stage for the read view; published only when the covering epoch is
-		// durable here and committed on the primary (decodePutAt copied the
-		// key, so it is owned).
-		rp.viewStage = append(rp.viewStage, viewPut{shard: shard, key: key, val: val})
+		// durable here and committed on the primary.
+		rp.viewStage = append(rp.viewStage, viewPut{e: e, val: val, shard: shard})
 		return 0, false, nil
 
 	case ReplSessRec:
@@ -865,9 +872,7 @@ func (rp *Replica) publishThrough(seq uint64) {
 	}
 	last := rp.held[n-1]
 	rp.db.publishView(rp.viewStage[:last.end], last.seq)
-	rest := copy(rp.viewStage, rp.viewStage[last.end:])
-	clear(rp.viewStage[rest:]) // drop the key strings the tail still references
-	rp.viewStage = rp.viewStage[:rest]
+	rp.viewStage = rp.viewStage[:copy(rp.viewStage, rp.viewStage[last.end:])]
 	rp.held = rp.held[:copy(rp.held, rp.held[n:])]
 	for i := range rp.held {
 		rp.held[i].end -= last.end
@@ -947,21 +952,18 @@ func (rp *Replica) reconcile() error {
 		}
 	}
 
-	assertedKeys := make([]map[string]struct{}, len(rp.db.shards))
-	for i := range assertedKeys {
-		assertedKeys[i] = make(map[string]struct{})
-	}
 	for _, p := range rp.viewStage {
-		rp.db.journalPut(p.shard, p.key, p.val)
-		assertedKeys[p.shard][p.key] = struct{}{}
+		rp.db.journalPut(p.shard, p.e.key, p.val)
+		p.e.asserted = true
 	}
 	for i, sf := range rp.db.shards {
 		var stale []string
 		sf.mu.Lock()
-		for key, val := range sf.state {
-			if _, ok := assertedKeys[i][key]; !ok && *val != 0 {
-				stale = append(stale, key)
+		for e := range sf.tab.all() {
+			if !e.asserted && e.inLog && e.journaled != 0 {
+				stale = append(stale, e.key)
 			}
+			e.asserted = false
 		}
 		sf.mu.Unlock()
 		sort.Strings(stale)

@@ -1,0 +1,375 @@
+package durable
+
+// The key table (table.go) and what rests on it: the index against a map,
+// lookups beside inserts, the bytes and objects a key costs on either role,
+// the allocation-free apply path, and the read view's whole-epoch
+// publication (view.go).
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	goruntime "runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+func tableKeys(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("bench-%d", i)
+	}
+	return names
+}
+
+// TestTableAgainstMap inserts through every doubling of the index and a few
+// chunk boundaries and checks that each key resolves to one entry that never
+// moves, that absent keys miss, and that the walk yields insertion order.
+func TestTableAgainstMap(t *testing.T) {
+	var tab table
+	tab.init()
+	names := tableKeys(5 * minTableSlots * chunkLen / 7) // not a power of two, not a chunk multiple
+	want := make(map[string]*entry)
+	for i, k := range names {
+		if tab.lookup(k) != nil {
+			t.Fatalf("%q found before its insert", k)
+		}
+		scratch := []byte(k) // the table must clone, not keep, its argument
+		e := tab.insert(string(scratch))
+		scratch[0] = 'X'
+		e.journaled = int64(i)
+		want[k] = e
+		if i%97 == 0 {
+			for k, e := range want {
+				if got := tab.lookup(k); got != e {
+					t.Fatalf("after %d inserts %q resolves to %p, want %p", i+1, k, got, e)
+				}
+			}
+		}
+	}
+	if tab.lookup("absent") != nil || tab.lookup("") != nil {
+		t.Fatal("an absent key resolved to an entry")
+	}
+	i := 0
+	for e := range tab.all() {
+		if e.key != names[i] || e.journaled != int64(i) {
+			t.Fatalf("walk position %d holds %q=%d, want %q=%d", i, e.key, e.journaled, names[i], i)
+		}
+		i++
+	}
+	if i != len(names) {
+		t.Fatalf("walk yielded %d entries, want %d", i, len(names))
+	}
+	if slots := len(*tab.slots.Load()); 3*slots < 4*len(names) || 3*slots >= 8*len(names) {
+		t.Fatalf("%d slots for %d entries, want at most three quarters full and more than three eighths", slots, len(names))
+	}
+}
+
+// TestTableLookupBesideInsert: readers resolve keys lock-free while the
+// owner inserts; a key seen once is seen for good, with the same entry. Run
+// under -race it also checks the publication order of chunk, key and slot.
+func TestTableLookupBesideInsert(t *testing.T) {
+	var tab table
+	tab.init()
+	names := tableKeys(4096)
+	var inserted atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := make([]*entry, len(names))
+			for done := false; !done; {
+				done = inserted.Load() == int64(len(names))
+				for i, k := range names {
+					e := tab.lookup(k)
+					switch {
+					case e == nil && (seen[i] != nil || int64(i) < inserted.Load() && tab.lookup(k) == nil):
+						t.Errorf("%q lost", k)
+						return
+					case e != nil && seen[i] != nil && e != seen[i]:
+						t.Errorf("%q moved", k)
+						return
+					case e != nil && e.key != k:
+						t.Errorf("%q resolved to the entry of %q", k, e.key)
+						return
+					}
+					seen[i] = e
+				}
+			}
+		}()
+	}
+	for _, k := range names {
+		tab.insert(k)
+		inserted.Add(1)
+	}
+	wg.Wait()
+}
+
+// liveGrowth reports what build leaves on the heap: live bytes (HeapAlloc)
+// and live objects (Mallocs − Frees), each read after a full collection —
+// internal/kv's space_test.go has the same helper for a register.
+func liveGrowth(build func() any) (bytes, objects int64) {
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	keep := build()
+	goruntime.GC()
+	goruntime.ReadMemStats(&after)
+	goruntime.KeepAlive(keep)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc),
+		int64(after.Mallocs-after.Frees) - int64(before.Mallocs-before.Frees)
+}
+
+// openQuiet opens a DB in a temporary directory whose fsyncs are no-ops and
+// which never compacts: for tests that count bytes, allocations or
+// interleavings, not durability.
+func openQuiet(t *testing.T, shards int) *DB {
+	t.Helper()
+	db, err := Open(t.TempDir(), shards, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	db.wal.syncFn = func(File) error { return nil }
+	db.SetCompactThreshold(math.MaxInt64)
+	return db
+}
+
+// journalAll journals names[i] := i+1 round-robin over db's shards, with a
+// barrier every 128 puts so the log's two staging buffers stay small.
+func journalAll(t *testing.T, db *DB, names []string) {
+	t.Helper()
+	for i, k := range names {
+		db.journalPut(i%len(db.shards), k, int64(i+1))
+		if i%128 == 127 {
+			if err := db.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// streamOf returns the messages of a closed subscription.
+func streamOf(t *testing.T, sub *ReplSub) (msgs [][]byte) {
+	t.Helper()
+	for {
+		chunk, err := sub.Next()
+		if errors.Is(err, io.EOF) {
+			return msgs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(chunk) > 0 {
+			n := 4 + int(binary.BigEndian.Uint32(chunk))
+			msgs = append(msgs, append([]byte(nil), chunk[4:n]...))
+			chunk = chunk[n:]
+		}
+	}
+}
+
+// TestSpacePinBytesPerKey: at the benchmark's geometry — 4096 keys over 4
+// shards — a key costs a durable node at most 72 B and 1.2 objects of live
+// heap, on the primary (fed by journalPut) and on the standby (fed the
+// primary's live stream, view published) alike: a 40 B entry in a chunk of
+// 51, the 16 B cloned name, and 8 B of index — 2048 slots for a shard's
+// 1024 keys; 5.3 B with the index three quarters full, 10.7 B right after
+// it doubled. It read 77 B and 1.5
+// objects on the primary and 145 B and 2.5 on the standby when the mirror
+// was a map of boxed values and the view a second map. The first 256 keys
+// bring the log's and the stage's buffers to their working size and are not
+// measured.
+func TestSpacePinBytesPerKey(t *testing.T) {
+	const shards, warmed, keys = 4, 256, 4096 - 256
+	all := tableKeys(warmed + keys)
+	warm, names := all[:warmed], all[warmed:]
+	check := func(t *testing.T, build func() any) {
+		t.Helper()
+		bytes, objects := liveGrowth(build)
+		b, o := float64(bytes)/keys, float64(objects)/keys
+		t.Logf("%.1f B and %.2f objects per key", b, o)
+		if b > 72 {
+			t.Errorf("a key holds %.1f B of live heap, want ≤ 72", b)
+		}
+		if o > 1.2 {
+			t.Errorf("a key holds %.2f live objects, want ≤ 1.2", o)
+		}
+	}
+
+	t.Run("primary", func(t *testing.T) {
+		db := openQuiet(t, shards)
+		journalAll(t, db, warm)
+		check(t, func() any { journalAll(t, db, names); return db })
+		for i, k := range names {
+			if v, ok := db.MirrorGet(i%shards, k); !ok || v != int64(i+1) {
+				t.Fatalf("mirror holds %s=%d (ok=%v), want %d", k, v, ok, i+1)
+			}
+		}
+	})
+
+	t.Run("standby", func(t *testing.T) {
+		pdb := openQuiet(t, shards)
+		sub := pdb.Subscribe(0, false)
+		journalAll(t, pdb, warm)
+		journalAll(t, pdb, names)
+		sub.Close()
+		seq, _, _ := pdb.ReplStatus()
+		msgs := streamOf(t, sub)
+		first := slices.IndexFunc(msgs, func(m []byte) bool {
+			return m[0] == ReplShardRec && bytes.HasSuffix(m[:len(m)-8], []byte(names[0]))
+		})
+
+		bdb := openQuiet(t, shards)
+		rp := bdb.NewReplica()
+		apply := func(msgs [][]byte) {
+			for i, m := range msgs {
+				if _, _, err := rp.Apply(m); err != nil {
+					t.Fatalf("Apply msg %d (kind 0x%02x): %v", i, m[0], err)
+				}
+			}
+		}
+		apply(msgs[:first]) // the empty snapshot and the warm-up epoch
+		check(t, func() any { apply(msgs[first:]); return bdb })
+		goruntime.KeepAlive(msgs) // freed before the second reading, the stream would be subtracted from it
+		if got := bdb.ViewSeq(); got != seq {
+			t.Fatalf("applied mark %d, want the primary's committed %d", got, seq)
+		}
+		for i, k := range names {
+			if v, ok := bdb.ViewGet(i%shards, k); !ok || v != int64(i+1) {
+				t.Fatalf("view holds %s=%d (ok=%v), want %d", k, v, ok, i+1)
+			}
+		}
+	})
+	goruntime.KeepAlive(all) // likewise: 16 B and one object per key
+}
+
+// TestAllocPinReplicaApply: a streamed put of a key the standby already has,
+// its barrier and its commit mark apply, anchor and publish without one
+// allocation — the key is decoded in place and resolved to its entry, the
+// stage holds (entry, value). Decoding used to copy the key out of every
+// record.
+func TestAllocPinReplicaApply(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	db := openQuiet(t, 2)
+	rp := db.NewReplica()
+	seq := uint64(0)
+	put := append([]byte{ReplShardRec}, encodePutAt(nil, 1, "key", 0)...)
+	barrier, commit := []byte{ReplBarrier, 8: 0}, []byte{ReplCommit, 8: 0}
+	epoch := func() {
+		seq++
+		binary.BigEndian.PutUint64(put[len(put)-8:], seq)
+		binary.BigEndian.PutUint64(barrier[1:], seq)
+		binary.BigEndian.PutUint64(commit[1:], seq)
+		for _, m := range [][]byte{put, barrier, commit} {
+			if _, _, err := rp.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ { // insert the key, grow every buffer
+		epoch()
+	}
+	if got := testing.AllocsPerRun(200, epoch); got != 0 {
+		t.Fatalf("applying a put of an existing key, its barrier and its commit mark: %.1f allocs, want 0", got)
+	}
+	if v, ok := db.ViewGet(1, "key"); !ok || uint64(v) != seq || db.ViewSeq() != seq {
+		t.Fatalf("view holds key=%d (ok=%v) at mark %d, want %d at %d", v, ok, db.ViewSeq(), seq, seq)
+	}
+}
+
+// TestViewPublishesWholeEpochs: readers spin on ViewGet over two keys that
+// every epoch writes together (with a run of other puts between the two, in
+// alternating order, so a torn publication has room to show) while the
+// applier publishes thousands of epochs and now and then resets the view.
+// Epoch e writes the value e under barrier sequence e. A reader must never
+// see one key from epoch e and then the other from an earlier one, never
+// observe ViewSeq() ≥ e and then miss a put of e, and between a reset and
+// the next publication never see anything but misses at mark zero.
+func TestViewPublishesWholeEpochs(t *testing.T) {
+	const epochs, resetEvery, filler = 3000, 500, 16
+	db := openQuiet(t, 2)
+	rp := db.NewReplica()
+
+	// phase counts up: ≡ 0 (mod 3) the applier publishes and does not reset,
+	// ≡ 1 a reset is under way, ≡ 2 the reset has returned and nothing has
+	// been published since. A reader trusts a check only if phase did not
+	// move across it.
+	var phase atomic.Uint64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; !stop.Load(); i++ {
+				first, second := "a", "b"
+				if i%2 == 1 {
+					first, second = second, first
+				}
+				p := phase.Load()
+				seq := db.ViewSeq()
+				v1, ok1 := db.ViewGet(int(first[0]-'a'), first)
+				v2, ok2 := db.ViewGet(int(second[0]-'a'), second)
+				if phase.Load() != p {
+					continue
+				}
+				switch {
+				case p%3 == 0 && ok1 && (!ok2 || v2 < v1):
+					t.Errorf("torn epoch: %s=%d, then %s=%d (ok=%v)", first, v1, second, v2, ok2)
+					return
+				case p%3 == 0 && seq > 0 && (!ok1 || uint64(v1) < seq):
+					t.Errorf("applied mark %d, then %s=%d (ok=%v)", seq, first, v1, ok1)
+					return
+				case p%3 == 2 && (seq != 0 || ok1 || ok2):
+					t.Errorf("after a reset: mark %d, %s=%d (ok=%v), %s=%d (ok=%v)", seq, first, v1, ok1, second, v2, ok2)
+					return
+				}
+			}
+		}()
+	}
+
+	var msg []byte
+	put := func(key string, val int64) {
+		msg = encodePutAt(append(msg[:0], ReplShardRec), int(key[0]-'a'), key, val)
+		if _, _, err := rp.Apply(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := int64(1); e <= epochs && !t.Failed(); e++ {
+		first, second := "a", "b"
+		if e%2 == 1 {
+			first, second = second, first
+		}
+		put(first, e)
+		for f := 0; f < filler; f++ {
+			put(string(rune('a'+f%2))+"-filler-"+string(rune('a'+f)), e)
+		}
+		put(second, e)
+		for _, kind := range []byte{ReplBarrier, ReplCommit} {
+			if _, _, err := rp.Apply(seqMsg(kind, uint64(e))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e%resetEvery == 0 {
+			phase.Add(1)
+			db.ResetView()
+			phase.Add(1)
+			time.Sleep(time.Millisecond) // let the readers look at the empty view
+			phase.Add(1)
+		}
+	}
+}

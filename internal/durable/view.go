@@ -4,21 +4,29 @@ package durable
 // replicas).
 //
 // A standby serving GET traffic must never expose a half-applied state:
-// the shard mirrors advance record-by-record as the stream arrives (eager
+// the journaled values advance record-by-record as the stream arrives (eager
 // journaling keeps the backup's disk crash-consistent), so reading them
 // directly could observe the middle of a snapshot transfer or a partial
 // commit epoch. Nor may it expose an epoch only this node has fsynced: the
 // standby anchors an epoch while the primary's own fsync of it is still
 // running, and that fsync can fail, or the primary can crash under it and
-// come back without the epoch. So shard puts accumulate in a per-stream
-// stage and are published to the read view only when the epoch that covers
-// them — a barrier, or SnapEnd for an entire bootstrap snapshot — is
-// durable on this node *and* its commit mark says it is durable on the
-// primary (Replica.publishThrough). Every put ahead of a barrier on the
-// stream is in the log batch that commit mark vouches for. Between commit
-// marks the view is immutable, so every read observes a prefix of the
-// primary's commit order: bounded-stale, never torn, never a value the
-// primary failed to commit.
+// come back without the epoch. So a key's entry (table.go) holds two values:
+// the one last journaled, and the one applied — what a GET reads. Streamed
+// puts accumulate in a per-stream stage as (entry, value) and are stored
+// into the applied words only when the epoch that covers them — a barrier,
+// or SnapEnd for an entire bootstrap snapshot — is durable on this node
+// *and* its commit mark says it is durable on the primary
+// (Replica.publishThrough). Every put ahead of a barrier on the stream is
+// in the log batch that commit mark vouches for. Between commit marks the
+// view is immutable, so every read observes a prefix of the primary's
+// commit order: bounded-stale, never torn, never a value the primary failed
+// to commit.
+//
+// A publication is one step to readers without a lock they would have to
+// write: the stores sit inside a sequence counter's odd phase, and a GET
+// that finds the counter odd, or changed across its two loads, reads again.
+// A reader that has seen any put of an epoch therefore read it after the
+// epoch's last store, and sees all of it from then on.
 //
 // ViewSeq is the primary-stream barrier sequence the view has applied
 // through — the replica's "applied" mark that OpServerStats reports next
@@ -26,46 +34,46 @@ package durable
 // to check against their staleness budget. It never exceeds that mark.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// viewPut is one staged shard put awaiting publication. The key is already
-// owned (decodePut copies it out of the stream frame).
+// viewPut is one staged shard put awaiting publication: the key's entry and
+// the value the commit mark will show. shard is kept for a snapshot's puts,
+// which reconcile journals at SnapEnd.
 type viewPut struct {
-	shard int
-	key   string
+	e     *entry
 	val   int64
+	shard int
 }
 
-// replView is the barrier-consistent applied-state view replica reads are
-// served from. Writers (the single replication-apply goroutine) publish
-// whole epochs under mu; readers take the read lock, so a GET never
-// observes an epoch half-applied.
-type replView struct {
-	mu     sync.RWMutex
-	shards []map[string]int64
-	seq    atomic.Uint64 // primary barrier sequence applied through
+// viewState is what the applied view keeps beside the entries.
+type viewState struct {
+	mu  sync.Mutex    // serializes publishView and ResetView; readers never take it
+	ver atomic.Uint64 // odd while a publication or a reset is storing
+	// gen is the view's generation. An entry's applied value counts only
+	// while the entry's viewGen equals it, so raising it empties the view.
+	gen atomic.Uint32
+	seq atomic.Uint64 // primary barrier sequence applied through
 }
 
-// publishView folds the staged puts of the epochs committed through seq
-// into the read view and raises the applied mark to seq. The map updates
-// complete before the seq store, so a reader that observes ViewSeq() ≥ seq
-// also observes every put those epochs covered.
+// publishView stores the staged puts of the epochs committed through seq
+// into their entries and raises the applied mark to seq, as one step to
+// readers. The mark is stored after the values, so a reader that observes
+// ViewSeq() ≥ seq also observes every put those epochs covered.
 func (db *DB) publishView(stage []viewPut, seq uint64) {
 	v := &db.view
 	v.mu.Lock()
-	if v.shards == nil {
-		v.shards = make([]map[string]int64, len(db.shards))
-		for i := range v.shards {
-			v.shards[i] = make(map[string]int64)
-		}
-	}
+	v.ver.Add(1)
+	gen := v.gen.Load()
 	for _, p := range stage {
-		v.shards[p.shard][p.key] = p.val
+		p.e.applied.Store(p.val)
+		p.e.viewGen.Store(gen)
 	}
-	v.mu.Unlock()
 	v.seq.Store(seq)
+	v.ver.Add(1)
+	v.mu.Unlock()
 }
 
 // ResetView empties the read view and zeroes the applied mark. Called when
@@ -77,25 +85,36 @@ func (db *DB) publishView(stage []viewPut, seq uint64) {
 func (db *DB) ResetView() {
 	v := &db.view
 	v.mu.Lock()
-	v.shards = nil
-	v.mu.Unlock()
+	v.ver.Add(1)
 	v.seq.Store(0)
+	v.gen.Add(1)
+	v.ver.Add(1)
+	v.mu.Unlock()
 }
 
 // ViewGet reads key from shard i's barrier-consistent applied view.
-// Missing keys (including the whole view before the first barrier
+// Missing keys (including the whole view before the first commit mark
 // publishes) read as (0, false) — the durable-root convention that a key
-// never written holds zero. Safe for concurrent use; allocation-free.
+// never written holds zero. Safe for concurrent use; lock-free and
+// allocation-free.
 func (db *DB) ViewGet(i int, key string) (int64, bool) {
-	v := &db.view
-	v.mu.RLock()
-	if v.shards == nil {
-		v.mu.RUnlock()
+	e := db.shards[i].tab.lookup(key)
+	if e == nil {
 		return 0, false
 	}
-	val, ok := v.shards[i][key]
-	v.mu.RUnlock()
-	return val, ok
+	v := &db.view
+	for {
+		if ver := v.ver.Load(); ver&1 == 0 {
+			val, ok := e.applied.Load(), e.viewGen.Load() == v.gen.Load()
+			if v.ver.Load() == ver {
+				if !ok {
+					val = 0 // a value of an older generation
+				}
+				return val, ok
+			}
+		}
+		runtime.Gosched() // a publication is storing; let it finish
+	}
 }
 
 // ViewSeq returns the primary-stream barrier sequence the read view has
@@ -104,15 +123,17 @@ func (db *DB) ViewGet(i int, key string) (int64, bool) {
 // standby's applied mark.
 func (db *DB) ViewSeq() uint64 { return db.view.seq.Load() }
 
-// MirrorGet reads key from shard i's durable mirror — the primary-side
-// counterpart of ViewGet, used to serve read-only sessions on a durable
-// primary where the mirror IS the committed state.
+// MirrorGet reads the value last journaled for key in shard i: the state a
+// reopen of this directory would recover once the log is synced. Nothing
+// serves from it — a primary's read-only sessions Peek the store, a
+// standby's read ViewGet; it is the reader the replica and crash-image tests
+// compare a view, a peer or a recovered image with.
 func (db *DB) MirrorGet(i int, key string) (int64, bool) {
 	sf := db.shards[i]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	if p := sf.state[key]; p != nil {
-		return *p, true
+	if e := sf.tab.lookup(key); e != nil && e.inLog {
+		return e.journaled, true
 	}
 	return 0, false
 }
