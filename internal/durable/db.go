@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"detectable/internal/keytab"
 )
 
 // DefaultCompactAt is the write-ahead log's byte threshold: the anchor
@@ -62,14 +64,37 @@ type SessionState struct {
 }
 
 // shardFile is one shard's durable state: the snapshot path and the key
-// table (table.go), whose journaled values are the live mirror the next
-// compaction writes. mu orders the shard's puts in the write-ahead log and
-// serializes the table's inserts.
+// table (internal/keytab), whose journaled values are the live mirror the
+// next compaction writes. Everything this layer keeps per key is one entry
+// of that table, 32 pointer-free bytes with the reference to the key's name.
+// mu orders the shard's puts in the write-ahead log and serializes the
+// table's inserts.
 type shardFile struct {
 	mu   sync.Mutex
 	snap string
-	tab  table
+	tab  keytab.Table[entry]
 	enc  []byte // reusable put-at record scratch, guarded by mu
+}
+
+// entry is what one key of one shard holds. Code that needs the key's name
+// as well (viewPut) holds the entry's number in the table and asks the table
+// for both.
+type entry struct {
+	// journaled is the value last appended to the write-ahead log for the
+	// key (or recovered from disk), meaningful once inLog is set: what
+	// compaction, the bootstrap snapshot, RangeShard, StateHash, reconcile
+	// and MirrorGet read. Guarded by the shard's mu, like the append.
+	journaled int64
+	// applied is the value the replica read view shows for the key, valid
+	// while viewGen equals the view's generation (view.go). Written only by
+	// Replica.publishThrough, at a commit mark.
+	applied atomic.Int64
+	viewGen atomic.Uint32
+	inLog   bool // journaled holds a value; guarded by the shard's mu
+	// asserted is Replica.reconcile's mark: the incoming snapshot named this
+	// key. Set and cleared within one reconcile and touched by nothing else;
+	// a DB is fed by one Replica at a time.
+	asserted bool
 }
 
 // sessionsFile is the session layer's durable state. mu is the anchor lock:
@@ -150,7 +175,6 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	// Snapshots first, then one scan of the log over them.
 	for i := 0; i < shards; i++ {
 		sf := &shardFile{snap: filepath.Join(dir, fmt.Sprintf("shard-%03d.snap", i))}
-		sf.tab.init()
 		if err := ReplaySnapshotFs(fsys, sf.snap, sf.apply); err != nil {
 			unlock()
 			return nil, err
@@ -229,20 +253,21 @@ func (sf *shardFile) apply(rec []byte) error {
 	return nil
 }
 
-// entryOf returns key's entry, inserting it on the key's first use. Called
-// with sf.mu held (recovery runs before the DB is shared).
-func (sf *shardFile) entryOf(key string) *entry {
-	if e := sf.tab.lookup(key); e != nil {
-		return e
+// entryOf returns key's entry and its number, inserting it on the key's
+// first use. Called with sf.mu held (recovery runs before the DB is shared).
+func (sf *shardFile) entryOf(key string) (uint32, *entry) {
+	if n, e := sf.tab.Lookup(key); e != nil {
+		return n, e
 	}
-	return sf.tab.insert(key)
+	return sf.tab.Insert(key, entry{})
 }
 
-// set mirrors key := val and returns key's entry. Called with sf.mu held.
-func (sf *shardFile) set(key string, val int64) *entry {
-	e := sf.entryOf(key)
+// set mirrors key := val and returns the number of key's entry. Called with
+// sf.mu held.
+func (sf *shardFile) set(key string, val int64) uint32 {
+	n, e := sf.entryOf(key)
 	e.journaled, e.inLog = val, true
-	return e
+	return n
 }
 
 func encodePut(dst []byte, key string, val int64) []byte {
@@ -254,7 +279,7 @@ func encodePut(dst []byte, key string, val int64) []byte {
 
 // decodePut decodes a put record without copying: key aliases rec and is
 // valid only as long as rec's bytes are. Every caller hands it to the key
-// table, which clones a key it inserts.
+// table, which copies the bytes of a key it inserts.
 func decodePut(rec []byte) (key string, val int64, ok bool) {
 	if len(rec) < 3 || rec[0] != recPut {
 		return "", 0, false
@@ -303,14 +328,10 @@ func decodePutAt(rec []byte, shards int) (shard int, key string, val int64, err 
 func (db *DB) RangeShard(i int, fn func(key string, val int64)) {
 	sf := db.shards[i]
 	sf.mu.Lock()
-	es := sf.sorted()
-	vals := make([]int64, len(es))
-	for j, e := range es {
-		vals[j] = e.journaled
-	}
+	roots := sf.sorted()
 	sf.mu.Unlock()
-	for j, e := range es {
-		fn(e.key, vals[j])
+	for _, r := range roots {
+		fn(r.key, r.val)
 	}
 }
 
@@ -334,16 +355,16 @@ func (b ShardBacking) Persist(key string, val int64) { b.db.journalPut(b.i, key,
 func (b ShardBacking) Sync() error { return b.db.Sync() }
 
 // journalPut appends one persisted root to shard i's mirror and, as a
-// put-at record, to the write-ahead log, and returns the key's entry. It
-// only stages — no disk, no compaction — so the shard lock is never held
-// across I/O. The caller's key may alias a transient buffer (the server
+// put-at record, to the write-ahead log, and returns the number of the key's
+// entry. It only stages — no disk, no compaction — so the shard lock is never
+// held across I/O. The caller's key may alias a transient buffer (the server
 // decodes keys zero-copy out of the connection frame); only the key table
-// retains a key, as a clone made at the key's first put (table.insert).
-func (db *DB) journalPut(i int, key string, val int64) *entry {
+// retains a key, as bytes it copies at the key's first put.
+func (db *DB) journalPut(i int, key string, val int64) uint32 {
 	sf := db.shards[i]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	e := sf.set(key, val)
+	n := sf.set(key, val)
 	sf.enc = encodePutAt(sf.enc[:0], i, key, val)
 	if err := db.wal.Append(sf.enc); err != nil {
 		// The append never reached the log: the mirror and the log disagree
@@ -353,22 +374,29 @@ func (db *DB) journalPut(i int, key string, val int64) *entry {
 		panic(fmt.Sprintf("durable: shard %d append failed: %v", i, err))
 	}
 	db.repl.tapShard(sf.enc)
-	return e
+	return n
+}
+
+// root is one key of the mirror and the value journaled for it. The key is
+// the table's own copy of the name (keytab.Table.Name), so it costs nothing.
+type root struct {
+	key string
+	val int64
 }
 
 // sorted returns the mirror — the entries holding a journaled value — in
 // key order, the one order every walk of a shard uses (snapshot, bootstrap
 // stream, restore), so each is a deterministic function of the state.
 // Called with sf.mu held.
-func (sf *shardFile) sorted() []*entry {
-	es := make([]*entry, 0, sf.tab.n)
-	for e := range sf.tab.all() {
+func (sf *shardFile) sorted() []root {
+	roots := make([]root, 0, sf.tab.Len())
+	for n, e := range sf.tab.All() {
 		if e.inLog {
-			es = append(es, e)
+			roots = append(roots, root{sf.tab.Name(n), e.journaled})
 		}
 	}
-	slices.SortFunc(es, func(a, b *entry) int { return strings.Compare(a.key, b.key) })
-	return es
+	slices.SortFunc(roots, func(a, b root) int { return strings.Compare(a.key, b.key) })
+	return roots
 }
 
 // writeSnapshot writes sf's mirror to a fresh snapshot, one put record per
@@ -376,8 +404,8 @@ func (sf *shardFile) sorted() []*entry {
 func (sf *shardFile) writeSnapshot(fsys Fs) error {
 	return WriteSnapshotFs(fsys, sf.snap, func(emit func(rec []byte) error) error {
 		var enc []byte
-		for _, e := range sf.sorted() {
-			enc = encodePut(enc[:0], e.key, e.journaled)
+		for _, r := range sf.sorted() {
+			enc = encodePut(enc[:0], r.key, r.val)
 			if err := emit(enc); err != nil {
 				return err
 			}

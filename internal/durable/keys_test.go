@@ -1,9 +1,9 @@
 package durable
 
-// The key table (table.go) and what rests on it: the index against a map,
-// lookups beside inserts, the bytes and objects a key costs on either role,
-// the allocation-free apply path, and the read view's whole-epoch
-// publication (view.go).
+// What rests on a shard's key table (internal/keytab, which has the table's
+// own suite): the bytes and objects a key costs on either role, the
+// allocation-free apply path, the release of a bootstrap snapshot's stage,
+// and the read view's whole-epoch publication (view.go).
 
 import (
 	"bytes"
@@ -26,90 +26,6 @@ func tableKeys(n int) []string {
 		names[i] = fmt.Sprintf("bench-%d", i)
 	}
 	return names
-}
-
-// TestTableAgainstMap inserts through every doubling of the index and a few
-// chunk boundaries and checks that each key resolves to one entry that never
-// moves, that absent keys miss, and that the walk yields insertion order.
-func TestTableAgainstMap(t *testing.T) {
-	var tab table
-	tab.init()
-	names := tableKeys(5 * minTableSlots * chunkLen / 7) // not a power of two, not a chunk multiple
-	want := make(map[string]*entry)
-	for i, k := range names {
-		if tab.lookup(k) != nil {
-			t.Fatalf("%q found before its insert", k)
-		}
-		scratch := []byte(k) // the table must clone, not keep, its argument
-		e := tab.insert(string(scratch))
-		scratch[0] = 'X'
-		e.journaled = int64(i)
-		want[k] = e
-		if i%97 == 0 {
-			for k, e := range want {
-				if got := tab.lookup(k); got != e {
-					t.Fatalf("after %d inserts %q resolves to %p, want %p", i+1, k, got, e)
-				}
-			}
-		}
-	}
-	if tab.lookup("absent") != nil || tab.lookup("") != nil {
-		t.Fatal("an absent key resolved to an entry")
-	}
-	i := 0
-	for e := range tab.all() {
-		if e.key != names[i] || e.journaled != int64(i) {
-			t.Fatalf("walk position %d holds %q=%d, want %q=%d", i, e.key, e.journaled, names[i], i)
-		}
-		i++
-	}
-	if i != len(names) {
-		t.Fatalf("walk yielded %d entries, want %d", i, len(names))
-	}
-	if slots := len(*tab.slots.Load()); 3*slots < 4*len(names) || 3*slots >= 8*len(names) {
-		t.Fatalf("%d slots for %d entries, want at most three quarters full and more than three eighths", slots, len(names))
-	}
-}
-
-// TestTableLookupBesideInsert: readers resolve keys lock-free while the
-// owner inserts; a key seen once is seen for good, with the same entry. Run
-// under -race it also checks the publication order of chunk, key and slot.
-func TestTableLookupBesideInsert(t *testing.T) {
-	var tab table
-	tab.init()
-	names := tableKeys(4096)
-	var inserted atomic.Int64
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			seen := make([]*entry, len(names))
-			for done := false; !done; {
-				done = inserted.Load() == int64(len(names))
-				for i, k := range names {
-					e := tab.lookup(k)
-					switch {
-					case e == nil && (seen[i] != nil || int64(i) < inserted.Load() && tab.lookup(k) == nil):
-						t.Errorf("%q lost", k)
-						return
-					case e != nil && seen[i] != nil && e != seen[i]:
-						t.Errorf("%q moved", k)
-						return
-					case e != nil && e.key != k:
-						t.Errorf("%q resolved to the entry of %q", k, e.key)
-						return
-					}
-					seen[i] = e
-				}
-			}
-		}()
-	}
-	for _, k := range names {
-		tab.insert(k)
-		inserted.Add(1)
-	}
-	wg.Wait()
 }
 
 // liveGrowth reports what build leaves on the heap: live bytes (HeapAlloc)
@@ -177,16 +93,17 @@ func streamOf(t *testing.T, sub *ReplSub) (msgs [][]byte) {
 }
 
 // TestSpacePinBytesPerKey: at the benchmark's geometry — 4096 keys over 4
-// shards — a key costs a durable node at most 72 B and 1.2 objects of live
+// shards — a key costs a durable node at most 56 B and 0.2 objects of live
 // heap, on the primary (fed by journalPut) and on the standby (fed the
-// primary's live stream, view published) alike: a 40 B entry in a chunk of
-// 51, the 16 B cloned name, and 8 B of index — 2048 slots for a shard's
-// 1024 keys; 5.3 B with the index three quarters full, 10.7 B right after
-// it doubled. It read 77 B and 1.5
-// objects on the primary and 145 B and 2.5 on the standby when the mirror
-// was a map of boxed values and the view a second map. The first 256 keys
-// bring the log's and the stage's buffers to their working size and are not
-// measured.
+// primary's live stream, view published) alike: a 32 B pointer-free entry
+// in a chunk of 63, its name's ten bytes in a 1 KiB block (10.5 B with the
+// last block's unused end), and 8 B of index — 2048 slots for a shard's 1024
+// keys; 5.3 B with the index three quarters full, 10.7 B right after it
+// doubled. It reads 50.5 B and 0.02 objects; 65 B and 1.02 when the entry held
+// a string header and the name was a clone of its own; 77 B and 1.5 objects
+// on the primary and 145 B and 2.5 on the standby when the mirror was a map
+// of boxed values and the view a second map. The first 256 keys bring the
+// log's and the stage's buffers to their working size and are not measured.
 func TestSpacePinBytesPerKey(t *testing.T) {
 	const shards, warmed, keys = 4, 256, 4096 - 256
 	all := tableKeys(warmed + keys)
@@ -196,11 +113,11 @@ func TestSpacePinBytesPerKey(t *testing.T) {
 		bytes, objects := liveGrowth(build)
 		b, o := float64(bytes)/keys, float64(objects)/keys
 		t.Logf("%.1f B and %.2f objects per key", b, o)
-		if b > 72 {
-			t.Errorf("a key holds %.1f B of live heap, want ≤ 72", b)
+		if b > 56 {
+			t.Errorf("a key holds %.1f B of live heap, want ≤ 56", b)
 		}
-		if o > 1.2 {
-			t.Errorf("a key holds %.2f live objects, want ≤ 1.2", o)
+		if o > 0.2 {
+			t.Errorf("a key holds %.2f live objects, want ≤ 0.2", o)
 		}
 	}
 
@@ -251,39 +168,113 @@ func TestSpacePinBytesPerKey(t *testing.T) {
 	goruntime.KeepAlive(all) // likewise: 16 B and one object per key
 }
 
-// TestAllocPinReplicaApply: a streamed put of a key the standby already has,
-// its barrier and its commit mark apply, anchor and publish without one
-// allocation — the key is decoded in place and resolved to its entry, the
-// stage holds (entry, value). Decoding used to copy the key out of every
-// record.
-func TestAllocPinReplicaApply(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	db := openQuiet(t, 2)
-	rp := db.NewReplica()
-	seq := uint64(0)
-	put := append([]byte{ReplShardRec}, encodePutAt(nil, 1, "key", 0)...)
+// epochOfOne returns a function that applies one epoch to rp — a put of a
+// key in shard 1, its barrier, its commit mark, under sequence numbers from
+// first — reusing its three messages, so that whatever allocates is Apply.
+func epochOfOne(t *testing.T, rp *Replica, key string, first uint64) (epoch func(), seq *uint64) {
+	seq = new(uint64)
+	*seq = first - 1
+	put := append([]byte{ReplShardRec}, encodePutAt(nil, 1, key, 0)...)
 	barrier, commit := []byte{ReplBarrier, 8: 0}, []byte{ReplCommit, 8: 0}
-	epoch := func() {
-		seq++
-		binary.BigEndian.PutUint64(put[len(put)-8:], seq)
-		binary.BigEndian.PutUint64(barrier[1:], seq)
-		binary.BigEndian.PutUint64(commit[1:], seq)
+	return func() {
+		*seq++
+		binary.BigEndian.PutUint64(put[len(put)-8:], *seq)
+		binary.BigEndian.PutUint64(barrier[1:], *seq)
+		binary.BigEndian.PutUint64(commit[1:], *seq)
 		for _, m := range [][]byte{put, barrier, commit} {
 			if _, _, err := rp.Apply(m); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}, seq
+}
+
+// TestAllocPinReplicaApply: a streamed put of a key the standby already has,
+// its barrier and its commit mark apply, anchor and publish without one
+// allocation — the key is decoded in place and resolved to its entry, the
+// stage holds (shard, entry number, value). Decoding used to copy the key
+// out of every record.
+func TestAllocPinReplicaApply(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
 	}
+	db := openQuiet(t, 2)
+	epoch, seq := epochOfOne(t, db.NewReplica(), "key", 1)
 	for i := 0; i < 8; i++ { // insert the key, grow every buffer
 		epoch()
 	}
 	if got := testing.AllocsPerRun(200, epoch); got != 0 {
 		t.Fatalf("applying a put of an existing key, its barrier and its commit mark: %.1f allocs, want 0", got)
 	}
-	if v, ok := db.ViewGet(1, "key"); !ok || uint64(v) != seq || db.ViewSeq() != seq {
-		t.Fatalf("view holds key=%d (ok=%v) at mark %d, want %d at %d", v, ok, db.ViewSeq(), seq, seq)
+	if v, ok := db.ViewGet(1, "key"); !ok || uint64(v) != *seq || db.ViewSeq() != *seq {
+		t.Fatalf("view holds key=%d (ok=%v) at mark %d, want %d at %d", v, ok, db.ViewSeq(), *seq, *seq)
+	}
+}
+
+// TestSnapshotStageReleased: a standby that bootstraps from a snapshot stages
+// one put per key of the store until SnapEnd's commit mark publishes them,
+// and gives that stage back then: bootstrapped from a 4096-key snapshot it
+// holds, once published, no more than a chunk (2 KiB) above what a standby
+// fed the same keys live holds — before, 64 KiB more, until the Replica was
+// dropped — and applies the epochs that follow without allocating.
+func TestSnapshotStageReleased(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const shards, keys = 4, 4096
+	names := tableKeys(keys)
+	pdb := openQuiet(t, shards)
+	sub := pdb.Subscribe(0, false)
+	journalAll(t, pdb, names)
+	if err := pdb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	sub.Close()
+	live := streamOf(t, sub) // an empty snapshot, then every key in epochs of 128
+	liveSeq, _, _ := pdb.ReplStatus()
+	sub = pdb.Subscribe(0, false)
+	sub.Close()
+	snap := streamOf(t, sub) // every key between SnapBegin and SnapEnd, one commit mark
+	if n := len(snap); n < keys || snap[n-2][0] != ReplSnapEnd || snap[n-1][0] != ReplCommit {
+		t.Fatalf("the snapshot stream is %d messages ending 0x%02x 0x%02x", n, snap[n-2][0], snap[n-1][0])
+	}
+	seq, _, _ := pdb.ReplStatus()
+
+	held := func(msgs [][]byte, seq uint64) (int64, *Replica) {
+		db := openQuiet(t, shards)
+		var rp *Replica
+		bytes, _ := liveGrowth(func() any {
+			rp = db.NewReplica()
+			for i, m := range msgs {
+				if _, _, err := rp.Apply(m); err != nil {
+					t.Fatalf("Apply msg %d (kind 0x%02x): %v", i, m[0], err)
+				}
+			}
+			return rp
+		})
+		if got := db.ViewSeq(); got != seq {
+			t.Fatalf("applied mark %d, want the primary's committed %d", got, seq)
+		}
+		return bytes, rp
+	}
+	fedLive, _ := held(live, liveSeq)
+	bootstrapped, rp := held(snap, seq)
+	goruntime.KeepAlive(live)
+	goruntime.KeepAlive(snap)
+	t.Logf("fed live %d B, bootstrapped %d B; the snapshot's stage was %d B", fedLive, bootstrapped, keys*16)
+	if bootstrapped > fedLive+2048 {
+		t.Errorf("a bootstrapped standby holds %d B, one fed the same keys live %d B: more than a chunk apart", bootstrapped, fedLive)
+	}
+	if cap(rp.viewStage) > 128 {
+		t.Errorf("the stage keeps room for %d puts after the snapshot was published", cap(rp.viewStage))
+	}
+
+	epoch, _ := epochOfOne(t, rp, names[1], seq+1)
+	for i := 0; i < 8; i++ { // grow the stage back to what an epoch of one needs
+		epoch()
+	}
+	if got := testing.AllocsPerRun(200, epoch); got != 0 {
+		t.Fatalf("applying an epoch after the stage was released: %.1f allocs, want 0", got)
 	}
 }
 

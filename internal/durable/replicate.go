@@ -185,8 +185,8 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 	kindShard := [1]byte{ReplShardRec}
 	for i, sf := range db.shards {
 		sf.mu.Lock()
-		for _, e := range sf.sorted() {
-			enc = encodePutAt(enc[:0], i, e.key, e.journaled)
+		for _, r := range sf.sorted() {
+			enc = encodePutAt(enc[:0], i, r.key, r.val)
 			if !sub.stageSnap(kindShard[:], enc) {
 				sf.mu.Unlock()
 				return sub // closed mid-snapshot; stop staging
@@ -717,6 +717,9 @@ type Replica struct {
 	viewStage []viewPut
 	held      []heldEpoch
 	inSnap    bool
+	// snapStaged: viewStage grew to hold a bootstrap snapshot, one put per
+	// key, and the epoch that publishes it has not been committed yet.
+	snapStaged bool
 }
 
 // heldEpoch is one epoch anchored and acknowledged here whose commit mark
@@ -769,7 +772,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		return 0, false, nil
 
 	case ReplShardRec:
-		// The key aliases msg; the key table clones it if it is new, so a
+		// The key aliases msg; the key table copies it if it is new, so a
 		// put of a key this node already has allocates nothing.
 		shard, key, val, err := decodePutAt(body, len(rp.db.shards))
 		if err != nil {
@@ -779,18 +782,18 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		// overwrite the effect of an outcome this backup has to drop first
 		// (reconcile), so they wait for SnapEnd in the view stage, which
 		// holds them anyway.
-		var e *entry
+		var n uint32
 		if rp.inSnap {
 			sf := rp.db.shards[shard]
 			sf.mu.Lock()
-			e = sf.entryOf(key)
+			n, _ = sf.entryOf(key)
 			sf.mu.Unlock()
 		} else {
-			e = rp.db.journalPut(shard, key, val)
+			n = rp.db.journalPut(shard, key, val)
 		}
 		// Stage for the read view; published only when the covering epoch is
 		// durable here and committed on the primary.
-		rp.viewStage = append(rp.viewStage, viewPut{e: e, val: val, shard: shard})
+		rp.viewStage = append(rp.viewStage, viewPut{shard: uint32(shard), n: n, val: val})
 		return 0, false, nil
 
 	case ReplSessRec:
@@ -810,7 +813,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		if err := rp.reconcile(); err != nil {
 			return 0, false, err
 		}
-		rp.inSnap = false
+		rp.inSnap, rp.snapStaged = false, true
 		fallthrough
 
 	case ReplBarrier:
@@ -872,7 +875,14 @@ func (rp *Replica) publishThrough(seq uint64) {
 	}
 	last := rp.held[n-1]
 	rp.db.publishView(rp.viewStage[:last.end], last.seq)
-	rp.viewStage = rp.viewStage[:copy(rp.viewStage, rp.viewStage[last.end:])]
+	if rest := rp.viewStage[last.end:]; rp.snapStaged {
+		// SnapEnd's epoch is the oldest held, so this published the snapshot.
+		// A stage sized for every key of the store is not kept for epochs
+		// that carry a handful; it grows back to what those need.
+		rp.viewStage, rp.snapStaged = append([]viewPut(nil), rest...), false
+	} else {
+		rp.viewStage = rp.viewStage[:copy(rp.viewStage, rest)]
+	}
 	rp.held = rp.held[:copy(rp.held, rp.held[n:])]
 	for i := range rp.held {
 		rp.held[i].end -= last.end
@@ -953,15 +963,16 @@ func (rp *Replica) reconcile() error {
 	}
 
 	for _, p := range rp.viewStage {
-		rp.db.journalPut(p.shard, p.e.key, p.val)
-		p.e.asserted = true
+		tab := &rp.db.shards[p.shard].tab
+		rp.db.journalPut(int(p.shard), tab.Name(p.n), p.val)
+		tab.At(p.n).asserted = true
 	}
 	for i, sf := range rp.db.shards {
 		var stale []string
 		sf.mu.Lock()
-		for e := range sf.tab.all() {
+		for n, e := range sf.tab.All() {
 			if !e.asserted && e.inLog && e.journaled != 0 {
-				stale = append(stale, e.key)
+				stale = append(stale, sf.tab.Name(n))
 			}
 			e.asserted = false
 		}

@@ -10,11 +10,11 @@ package durable
 // commit epoch. Nor may it expose an epoch only this node has fsynced: the
 // standby anchors an epoch while the primary's own fsync of it is still
 // running, and that fsync can fail, or the primary can crash under it and
-// come back without the epoch. So a key's entry (table.go) holds two values:
+// come back without the epoch. So a key's entry (db.go) holds two values:
 // the one last journaled, and the one applied — what a GET reads. Streamed
-// puts accumulate in a per-stream stage as (entry, value) and are stored
-// into the applied words only when the epoch that covers them — a barrier,
-// or SnapEnd for an entire bootstrap snapshot — is durable on this node
+// puts accumulate in a per-stream stage as (shard, entry number, value) and
+// are stored into the applied words only when the epoch that covers them —
+// a barrier, or SnapEnd for an entire bootstrap snapshot — is durable here
 // *and* its commit mark says it is durable on the primary
 // (Replica.publishThrough). Every put ahead of a barrier on the stream is
 // in the log batch that commit mark vouches for. Between commit marks the
@@ -39,13 +39,13 @@ import (
 	"sync/atomic"
 )
 
-// viewPut is one staged shard put awaiting publication: the key's entry and
-// the value the commit mark will show. shard is kept for a snapshot's puts,
-// which reconcile journals at SnapEnd.
+// viewPut is one staged shard put awaiting publication: the key's entry, as
+// its shard and its number in that shard's table — which name the key too,
+// for the snapshot's puts that reconcile journals at SnapEnd — and the value
+// the commit mark will show. 16 bytes.
 type viewPut struct {
-	e     *entry
-	val   int64
-	shard int
+	shard, n uint32
+	val      int64
 }
 
 // viewState is what the applied view keeps beside the entries.
@@ -68,8 +68,9 @@ func (db *DB) publishView(stage []viewPut, seq uint64) {
 	v.ver.Add(1)
 	gen := v.gen.Load()
 	for _, p := range stage {
-		p.e.applied.Store(p.val)
-		p.e.viewGen.Store(gen)
+		e := db.shards[p.shard].tab.At(p.n)
+		e.applied.Store(p.val)
+		e.viewGen.Store(gen)
 	}
 	v.seq.Store(seq)
 	v.ver.Add(1)
@@ -98,7 +99,7 @@ func (db *DB) ResetView() {
 // never written holds zero. Safe for concurrent use; lock-free and
 // allocation-free.
 func (db *DB) ViewGet(i int, key string) (int64, bool) {
-	e := db.shards[i].tab.lookup(key)
+	_, e := db.shards[i].tab.Lookup(key)
 	if e == nil {
 		return 0, false
 	}
@@ -132,7 +133,7 @@ func (db *DB) MirrorGet(i int, key string) (int64, bool) {
 	sf := db.shards[i]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	if e := sf.tab.lookup(key); e != nil && e.inLog {
+	if _, e := sf.tab.Lookup(key); e != nil && e.inLog {
 		return e.journaled, true
 	}
 	return 0, false

@@ -96,7 +96,7 @@ func TestRestoreThroughChunks(t *testing.T) {
 	}
 	before := sys.Space().Stats().Total()
 	for i, k := range names {
-		reg, ok := s.tbl.lookup(k)
+		reg, ok := s.lookup(k)
 		if !ok {
 			t.Fatalf("%s missing after Restore", k)
 		}

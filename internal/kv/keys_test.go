@@ -11,8 +11,9 @@ import (
 
 // TestCowCreateRace: concurrent first-writers of the same key must resolve
 // to exactly one register (the creation mutex double-checks), and
-// concurrent creators of distinct keys must all be retained across the
-// copy-on-write republications.
+// concurrent creators of distinct keys must all be retained across the key
+// table's copy-on-write republications (index, chunk directory, name
+// blocks: internal/keytab).
 func TestCowCreateRace(t *testing.T) {
 	const procs = 8
 	sys := runtime.NewSystem(procs)
@@ -32,8 +33,8 @@ func TestCowCreateRace(t *testing.T) {
 	if got := len(s.Keys()); got != 1+procs*50 {
 		t.Fatalf("retained %d keys, want %d", got, 1+procs*50)
 	}
-	r1, ok1 := s.tbl.lookup("shared")
-	r2, ok2 := s.tbl.lookup("shared")
+	r1, ok1 := s.lookup("shared")
+	r2, ok2 := s.lookup("shared")
 	if !ok1 || !ok2 || r1 != r2 {
 		t.Fatalf("shared key resolved to distinct registers")
 	}
@@ -41,22 +42,6 @@ func TestCowCreateRace(t *testing.T) {
 		if got := s.Peek(fmt.Sprintf("own-%d-49", p)); got != 49 {
 			t.Fatalf("own-%d-49 = %d, want 49", p, got)
 		}
-	}
-}
-
-// TestCowViewIsImmutableSnapshot: a view taken before later creates must
-// not observe them (the published map is never mutated in place).
-func TestCowViewIsImmutableSnapshot(t *testing.T) {
-	sys := runtime.NewSystem(1)
-	s := New(sys)
-	s.Put(0, "a", 1)
-	view := s.tbl.view()
-	s.Put(0, "b", 2)
-	if _, ok := view["b"]; ok {
-		t.Fatalf("old view observed a key created after the snapshot")
-	}
-	if _, ok := s.tbl.view()["b"]; !ok {
-		t.Fatalf("new view missing the created key")
 	}
 }
 
@@ -116,15 +101,15 @@ func TestRestorePanicsOnExistingKey(t *testing.T) {
 	}
 }
 
-// TestAllocPinLookup: resolving an existing key is one atomic load plus a
-// map lookup — zero allocations. This is the kv-layer half of the
+// TestAllocPinLookup: resolving an existing key is a hash and a short probe
+// of the key table — zero allocations. This is the kv-layer half of the
 // crash-free Get pin (shardkv.TestAllocPinCrashFreeGet is the other).
 func TestAllocPinLookup(t *testing.T) {
 	sys := runtime.NewSystem(1)
 	s := New(sys)
 	s.Put(0, "hot", 1)
 	if allocs := testing.AllocsPerRun(500, func() {
-		if _, ok := s.tbl.lookup("hot"); !ok {
+		if _, ok := s.lookup("hot"); !ok {
 			t.Fatal("hot key missing")
 		}
 	}); allocs != 0 {

@@ -11,23 +11,26 @@
 // A register holds only what belongs to the key — the shared word R and
 // 2N²+N bits — and is an element of a chunk, not an allocation: the store's
 // rw.Procs table hands registers out of slabs of up to 64, for first writes
-// and Restore alike, so what a key owns on the heap beyond its share of a
-// chunk is the boxes of R's triple, its table entry and its cloned name.
-// The per-process state of Algorithm 1 (RDp and the announcements) is that
-// one table per store, shared by all its registers, since a process runs
-// one operation at a time.
+// and Restore alike. A key is one entry of the store's key table
+// (internal/keytab) and that entry is the register's 16-byte handle beside
+// the name's reference, itself an element of a chunk, with the name's bytes
+// in table-owned storage — so what a key owns on the heap beyond its share
+// of those chunks is the boxes of R's triple. The per-process state of
+// Algorithm 1 (RDp and the announcements) is that one table per store,
+// shared by all its registers, since a process runs one operation at a time.
 //
-// Key resolution is lock-free: the key → register table is an insert-only
-// hash table of atomic slots, so the crash-free hot path of an existing key
-// (the only path a skewed workload exercises in steady state) is one atomic
-// load plus a short probe — no locks, no allocation. Only the first write
-// of a new key and Restore serialize, on a creation mutex, at O(1)
-// amortised cost per key.
+// Key resolution is lock-free: the crash-free hot path of an existing key
+// (the only path a skewed workload exercises in steady state) is a hash and
+// a short probe — no locks, no allocation. Only the first write of a new
+// key and Restore serialize, on a creation mutex, at O(1) amortised cost per
+// key.
 package kv
 
 import (
 	"sort"
+	"sync"
 
+	"detectable/internal/keytab"
 	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 	"detectable/internal/rw"
@@ -38,12 +41,13 @@ import (
 type Store struct {
 	sys   *runtime.System
 	procs *rw.Procs[int]
-	tbl   *cowTable
+	mu    sync.Mutex // serializes inserts into tbl: first writes and restores
+	tbl   keytab.Table[rw.Register[int]]
 }
 
 // New allocates an empty store in sys's memory space.
 func New(sys *runtime.System) *Store {
-	return &Store{sys: sys, procs: rw.NewProcs(sys, runtime.EncodeInt), tbl: newCowTable()}
+	return &Store{sys: sys, procs: rw.NewProcs(sys, runtime.EncodeInt)}
 }
 
 // Put writes key := val as process pid and returns the detectable outcome.
@@ -100,16 +104,17 @@ func (s *Store) GetArmed(pid int, key string, plan nvm.CrashPlan) runtime.Outcom
 // Restoring a key that already has a register panics — recovery must run
 // before the store serves operations.
 func (s *Store) Restore(key string, val int) {
-	s.tbl.restore(key, s.procs.NewRegister(val))
+	if _, created := s.create(key, val); !created {
+		panic("kv: Restore of a key that already has a register")
+	}
 }
 
-// Keys returns the keys ever written, sorted, for tests and tooling. The
-// sort runs over a point-in-time table view, outside any critical section.
+// Keys returns the keys ever written, sorted, for tests and tooling: the
+// entries present when the call began, taken without the creation mutex.
 func (s *Store) Keys() []string {
-	view := s.tbl.view()
-	out := make([]string, 0, len(view))
-	for k := range view {
-		out = append(out, k)
+	out := make([]string, 0, s.tbl.Len())
+	for n := range s.tbl.All() {
+		out = append(out, s.tbl.Name(n))
 	}
 	sort.Strings(out)
 	return out
@@ -117,24 +122,44 @@ func (s *Store) Keys() []string {
 
 // Peek returns key's current value without a Ctx, for tests.
 func (s *Store) Peek(key string) int {
-	reg, ok := s.tbl.lookup(key)
+	reg, ok := s.lookup(key)
 	if !ok {
 		return 0
 	}
 	return reg.PeekTriple().Val
 }
 
+// lookup returns key's register without creating it.
+func (s *Store) lookup(key string) (rw.Register[int], bool) {
+	if _, reg := s.tbl.Lookup(key); reg != nil {
+		return *reg, true
+	}
+	return rw.Register[int]{}, false
+}
+
 // reg returns (creating if needed) the register backing key. Register
 // creation is treated as metadata management, not a recoverable operation:
 // it allocates NVM cells but performs no primitives. The caller's key may
 // alias a transient buffer (the server decodes keys zero-copy out of the
-// connection frame), so the create path clones it — the only place this
-// layer retains a key.
-func (s *Store) reg(key string) *rw.Register[int] {
-	if reg, ok := s.tbl.lookup(key); ok {
+// connection frame); the table copies the bytes of a key it inserts — the
+// only place this layer retains a key.
+func (s *Store) reg(key string) rw.Register[int] {
+	if reg, ok := s.lookup(key); ok {
 		return reg
 	}
-	return s.tbl.create(key, s.newRegister)
+	reg, _ := s.create(key, 0)
+	return reg
 }
 
-func (s *Store) newRegister() *rw.Register[int] { return s.procs.NewRegister(0) }
+// create returns key's register, allocating it with initial value val under
+// the creation mutex if key has none — so exactly one register is ever
+// allocated per key — and reports whether it did.
+func (s *Store) create(key string, val int) (rw.Register[int], bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if reg, ok := s.lookup(key); ok {
+		return reg, false // e.g. lost the race with another first writer
+	}
+	_, reg := s.tbl.Insert(key, s.procs.NewRegister(val))
+	return *reg, true
+}

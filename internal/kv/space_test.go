@@ -38,7 +38,8 @@ func benchKeys(keys int) []string {
 
 // perKey measures the heap a store of n processes holds per key, in bytes
 // and in objects, once fill has installed every name: the key's share of
-// its register chunk, R's boxes, the table entry and slot, the cloned key.
+// its register chunk, R's boxes, and its share of the key table — entry
+// chunk, name block, index.
 func perKey(n, keys int, fill func(s *Store, i int, key string)) (bytes, objects float64) {
 	sys := runtime.NewSystem(n)
 	sys.SetHistory(history.NewOff())
@@ -59,19 +60,21 @@ func perKey(n, keys int, fill func(s *Store, i int, key string)) (bytes, objects
 func firstPut(s *Store, i int, key string) { s.Put(0, key, i+1) }
 
 // TestSpacePinBytesPerRegister: at kvserverd's N = 8 a key costs at most
-// 184 B and 4.2 objects of live heap, table entry, table slot and cloned key
-// included (it reads 177 B and 3.1; 256 B and 9.0 when a register was seven
-// allocations; 15 KB when every toggle bit was a cell of its own). What is
-// left per key outside the chunks: the table entry, the cloned key and the
-// boxes of R's triple — one after a key's first write, two from its second.
+// 128 B and 1.5 objects of live heap, its table entry, its name and its
+// index slot included (it reads 122 B and 1.11; 177 B and 3.07 when the
+// entry and the name were objects of their own beside a 40-byte Register
+// struct; 256 B and 9.0 when a register was seven allocations; 15 KB when
+// every toggle bit was a cell of its own). What is left per key outside the
+// chunks: the boxes of R's triple — one after a key's first write, two from
+// its second. docs/PERFORMANCE.md §"Space: what a key owns" has the sites.
 func TestSpacePinBytesPerRegister(t *testing.T) {
 	bytes, objects := perKey(8, 4096, firstPut)
 	t.Logf("N=8: %.0f B and %.2f objects per key", bytes, objects)
-	if bytes > 184 {
-		t.Fatalf("a key at N=8 holds %.0f B of live heap, want ≤ 184", bytes)
+	if bytes > 128 {
+		t.Fatalf("a key at N=8 holds %.0f B of live heap, want ≤ 128", bytes)
 	}
-	if objects > 4.2 {
-		t.Fatalf("a key at N=8 holds %.2f live objects, want ≤ 4.2", objects)
+	if objects > 1.5 {
+		t.Fatalf("a key at N=8 holds %.2f live objects, want ≤ 1.5", objects)
 	}
 }
 
@@ -96,30 +99,59 @@ func TestSpaceShapeBitsNotCells(t *testing.T) {
 	}
 }
 
+// leastOf5 is the least live growth of five builds: a runtime allocation
+// that lands between the two readings (a timer, a thread) can only add.
+func leastOf5(n int, build func(sys *runtime.System) any) int64 {
+	bytes := int64(1 << 62)
+	for try := 0; try < 5; try++ {
+		sys := runtime.NewSystem(n)
+		sys.SetHistory(history.NewOff())
+		b, _ := liveGrowth(func() any { return build(sys) })
+		bytes = min(bytes, b)
+	}
+	return bytes
+}
+
 // TestSpacePinStandaloneRegister: chunks start at one element, so a system
 // holding a single rw.NewInt register — explore, model, the ladder's rw
-// rung — pays nothing for the slab. Process table included, it is 6920 B
-// at N = 8, below PR 16's 7008 (the table's words lost their second
-// object), and 1920 B at N = 2, eight above PR 16's 1912: the bit offset
-// moves a lone Register from the 32 B size class to 48, the narrower
-// triple moves its box from 24 B to 16.
+// rung — pays nothing for the slab. Process table and the holder's 16-byte
+// handle included, it is 6920 B at N = 8 and 1920 B at N = 2, what it was
+// when the register was a 40-byte struct behind a pointer: the chunk's
+// header took that struct's place and the handle the place of the slice
+// that carried the word out of nvm.NewWords.
 func TestSpacePinStandaloneRegister(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact byte counts; race instrumentation adds a few objects")
 	}
-	for n, want := range map[int]int64{2: 1920, 8: 7008} {
-		// The least of three: a runtime allocation that lands between the
-		// two readings (a timer, a thread) can only add.
-		bytes := int64(1 << 62)
-		for try := 0; try < 3; try++ {
-			sys := runtime.NewSystem(n)
-			sys.SetHistory(history.NewOff())
-			b, _ := liveGrowth(func() any { return rw.NewInt(sys, 0) })
-			bytes = min(bytes, b)
-		}
+	for n, want := range map[int]int64{2: 1920, 8: 6920} {
+		bytes := leastOf5(n, func(sys *runtime.System) any { return rw.NewInt(sys, 0) })
 		t.Logf("N=%d: %d B", n, bytes)
 		if bytes > want {
 			t.Errorf("one register and its process table at N=%d hold %d B, want ≤ %d", n, bytes, want)
+		}
+	}
+}
+
+// TestSpacePinSmallStore: the key table starts as small as the chunks do —
+// a 4-slot index, a one-entry chunk, an 8-byte name block — so a store
+// holding one key, which is what the explorer and the sweeps build by the
+// thousand, costs no more than it did with a 16-slot table, an entry object
+// and a cloned name: 7184 B at N = 8 and 2168 B at N = 2 then, process table
+// and all, 7160 and 2144 now. The key is restored, not put: a first
+// operation also fills sync.Pools whose size follows GOMAXPROCS.
+func TestSpacePinSmallStore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact byte counts; race instrumentation adds a few objects")
+	}
+	for n, want := range map[int]int64{2: 2168, 8: 7184} {
+		bytes := leastOf5(n, func(sys *runtime.System) any {
+			s := New(sys)
+			s.Restore("bench-0", 1)
+			return s
+		})
+		t.Logf("N=%d: %d B", n, bytes)
+		if bytes > want {
+			t.Errorf("a store of one key at N=%d holds %d B, want ≤ %d", n, bytes, want)
 		}
 	}
 }

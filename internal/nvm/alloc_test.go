@@ -7,9 +7,10 @@ import (
 
 // A word lives in its cell: a cell of a packable kind is one object, a cell
 // of any other kind two (the cell and the box of its value), and an array
-// of n words three whatever n (the cells, the slice that carries them out,
-// one box they all start on). A Cell is 40 bytes whatever T: mutex, packed
-// bits, live box, displaced box, identity.
+// of n words two whatever n (the cells and one box they all start on; one
+// for a packable kind — Words carries the array out by value, not in a
+// slice of one interface per word). A Cell is 40 bytes whatever T: mutex,
+// packed bits, live box, displaced box, identity.
 func TestAllocPinCellObjects(t *testing.T) {
 	type triple struct {
 		Val int
@@ -24,8 +25,8 @@ func TestAllocPinCellObjects(t *testing.T) {
 	}{
 		{"NewCell[int]", 1, func() { NewCell(sp, 7) }},
 		{"NewCell[struct]", 2, func() { NewCell(sp, triple{Val: 7}) }},
-		{"NewWords[struct](64)", 3, func() { NewWords(sp, 64, triple{Val: 7}) }},
-		{"NewWords[int](64)", 2, func() { NewWords(sp, 64, 7) }},
+		{"NewWords[struct](64)", 2, func() { NewWords(sp, 64, triple{Val: 7}) }},
+		{"NewWords[int](64)", 1, func() { NewWords(sp, 64, 7) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.build); got != c.want {
 			t.Errorf("%s allocates %v objects, want %v", c.name, got, c.want)
@@ -46,11 +47,11 @@ func TestWordsShareOneBox(t *testing.T) {
 			if got := sp.CellCount(); got != 3 {
 				t.Fatalf("CellCount = %d, want 3", got)
 			}
-			ws[1].Init("restored")
+			ws.At(1).Init("restored")
 			ctx := sp.Ctx(0, nil)
-			ws[2].Store(ctx, "stored")
+			ws.At(2).Store(ctx, "stored")
 			for i, want := range []string{"init", "restored", "stored"} {
-				if got := ws[i].Load(ctx); got != want {
+				if got := ws.At(i).Load(ctx); got != want {
 					t.Errorf("word %d = %q, want %q", i, got, want)
 				}
 			}
@@ -64,8 +65,8 @@ func TestWordsShareOneBox(t *testing.T) {
 			if !keeps(m) {
 				want[2] = "init"
 			}
-			for i := range ws {
-				if got := ws[i].Peek(); got != want[i] {
+			for i := range want {
+				if got := ws.At(i).Peek(); got != want[i] {
 					t.Errorf("word %d = %q after crash, want %q", i, got, want[i])
 				}
 			}

@@ -40,12 +40,16 @@ func NewCachedCell[T comparable](sp *Space, init T) *CachedCell[T] {
 }
 
 // cachedCells is one NewWords array of shared-cache cells, registered for
-// crash handling as a whole.
-type cachedCells[T comparable] []CachedCell[T]
+// crash handling as a whole, and under ModelSharedCacheAuto the
+// flush-after-write wrapper of each.
+type cachedCells[T comparable] struct {
+	cells []CachedCell[T]
+	auto  []AutoPersist[T]
+}
 
-func (cs cachedCells[T]) onCrash() {
-	for i := range cs {
-		cs[i].onCrash()
+func (cs *cachedCells[T]) onCrash() {
+	for i := range cs.cells {
+		cs.cells[i].onCrash()
 	}
 }
 

@@ -51,42 +51,58 @@ type CASRegister[T comparable] interface {
 // variables through NewWord or NewWords, so the same algorithm code runs
 // under every model.
 func NewWord[T comparable](sp *Space, init T) CASRegister[T] {
-	return NewWords(sp, 1, init)[0]
+	return NewWords(sp, 1, init).At(0)
+}
+
+// Words is one NewWords array. It holds the model's concrete cells, not an
+// interface per word: At builds word i's CASRegister on demand, so an
+// object whose words are elements of a chunk (rw.Procs) keeps one Words per
+// chunk and an index per object.
+type Words[T comparable] struct {
+	cells  []Cell[T]       // the words under ModelPrivateCache
+	cached *cachedCells[T] // the words under the shared-cache models
+}
+
+// At returns word i.
+func (w Words[T]) At(i int) CASRegister[T] {
+	switch {
+	case w.cached == nil:
+		return &w.cells[i]
+	case w.cached.auto != nil:
+		return &w.cached.auto[i]
+	}
+	return &w.cached.cells[i]
 }
 
 // NewWords allocates n words as NewWord does, all holding init, in one
 // piece: one array of the model's cell type, one reservation of n
 // contiguous cell identities, one crash registration and — for a boxed T —
 // one immutable box of init that every word starts on. A word that must
-// start on another value takes it through Init. The returned slice only
-// carries the words out; callers may drop it once they hold the elements.
-func NewWords[T comparable](sp *Space, n int, init T) []CASRegister[T] {
-	out := make([]CASRegister[T], n)
+// start on another value takes it through Init.
+func NewWords[T comparable](sp *Space, n int, init T) Words[T] {
 	base, box := sp.noteCells(n), newBox(init)
 	if sp.Model() == ModelPrivateCache {
 		cells := make([]Cell[T], n)
 		for i := range cells {
 			cells[i].id = base + i
 			cells[i].w.start(init, box)
-			out[i] = &cells[i]
 		}
-		return out
+		return Words[T]{cells: cells}
 	}
-	cells := make(cachedCells[T], n)
-	for i := range cells {
-		cells[i].id, cells[i].persisted = base+i, init
-		cells[i].cached.start(init, box)
-		out[i] = &cells[i]
+	cs := &cachedCells[T]{cells: make([]CachedCell[T], n)}
+	for i := range cs.cells {
+		c := &cs.cells[i]
+		c.id, c.persisted = base+i, init
+		c.cached.start(init, box)
 	}
-	sp.register(cells)
+	sp.register(cs)
 	if sp.Model() == ModelSharedCacheAuto {
-		auto := make([]AutoPersist[T], n)
-		for i := range auto {
-			auto[i].inner = out[i]
-			out[i] = &auto[i]
+		cs.auto = make([]AutoPersist[T], n)
+		for i := range cs.auto {
+			cs.auto[i].inner = &cs.cells[i]
 		}
 	}
-	return out
+	return Words[T]{cached: cs}
 }
 
 // Cell is an atomic non-volatile memory word in the private-cache model:

@@ -31,7 +31,7 @@ func TestChunkNeighbourEquivalence(t *testing.T) {
 				chunked.SetHistory(history.NewOff())
 				alone.SetHistory(history.NewOff())
 				table := NewProcs(chunked, runtime.EncodeInt)
-				var a, b [regs]*Register[int]
+				var a, b [regs]Register[int]
 				for i := range a {
 					a[i] = table.NewRegister(0)
 					b[i] = NewInt(alone, 0)
@@ -59,12 +59,12 @@ func TestChunkNeighbourEquivalence(t *testing.T) {
 							i, p, bit := rng.Intn(n), rng.Intn(n), rng.Intn(2)
 							for _, side := range []struct {
 								sys *runtime.System
-								reg *Register[int]
+								reg Register[int]
 							}{{chunked, a[j]}, {alone, b[j]}} {
 								ctx := side.sys.Space().Ctx(pid, nil)
-								side.reg.r.Flush(ctx)
-								side.reg.bits.Flush(ctx, side.reg.toggle(i, p, bit))
-								side.reg.bits.Flush(ctx, side.reg.tp(p))
+								side.reg.r().Flush(ctx)
+								side.reg.bits().Flush(ctx, side.reg.toggle(i, p, bit))
+								side.reg.bits().Flush(ctx, side.reg.tp(p))
 							}
 						default:
 							val := rng.Intn(1000)
@@ -95,7 +95,7 @@ func perTableCells(n int) int {
 	return sys.Space().CellCount()
 }
 
-func requireSameState(t *testing.T, round, j int, a, b *Register[int]) {
+func requireSameState(t *testing.T, round, j int, a, b Register[int]) {
 	t.Helper()
 	if ta, tb := a.PeekTriple(), b.PeekTriple(); ta != tb {
 		t.Fatalf("round %d: register %d: R = %+v chunked, %+v standalone", round, j, ta, tb)

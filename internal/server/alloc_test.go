@@ -196,26 +196,41 @@ func streamedStandby(t *testing.T, shards, procs, keys int) (*Server, *durable.D
 		}
 	}
 	sub.Close()
+	return standbyFrom(t, shards, procs, streamOf(t, sub))
+}
 
-	rdb, err := durable.OpenFs(simio.New(), "/data", shards, procs, Window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := rdb.NewReplica()
+// streamOf returns the messages of a closed replication subscription.
+func streamOf(t *testing.T, sub *durable.ReplSub) (msgs [][]byte) {
+	t.Helper()
 	for {
 		chunk, err := sub.Next()
 		if errors.Is(err, io.EOF) {
-			break
+			return msgs
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		for len(chunk) > 0 {
-			n := int(binary.BigEndian.Uint32(chunk))
-			if _, _, err := rp.Apply(chunk[4 : 4+n]); err != nil {
-				t.Fatal(err)
-			}
-			chunk = chunk[4+n:]
+			n := 4 + int(binary.BigEndian.Uint32(chunk))
+			msgs = append(msgs, append([]byte(nil), chunk[4:n]...))
+			chunk = chunk[n:]
+		}
+	}
+}
+
+// standbyFrom returns a standby server over a fresh simulated disk whose DB
+// was fed msgs, a replication stream or a prefix of one, through
+// Replica.Apply.
+func standbyFrom(t *testing.T, shards, procs int, msgs [][]byte) (*Server, *durable.DB) {
+	t.Helper()
+	rdb, err := durable.OpenFs(simio.New(), "/data", shards, procs, Window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := rdb.NewReplica()
+	for i, m := range msgs {
+		if _, _, err := rp.Apply(m); err != nil {
+			t.Fatalf("Apply msg %d (kind 0x%02x): %v", i, m[0], err)
 		}
 	}
 	return NewStandby(rdb, func() *shardkv.Store {

@@ -13,7 +13,7 @@ import (
 // Register is a bounded-space detectable read/write register over int
 // values (the paper's Algorithm 1).
 type Register struct {
-	inner *rw.Register[int]
+	inner rw.Register[int]
 	sys   *System
 }
 
