@@ -7,13 +7,16 @@
 //
 // Exit status is nonzero when violations are found — unless
 // -expect-violation inverts the sense, which CI uses to prove the sweep
-// still convicts a seeded ordering mutant (-mutant outcome-first).
+// still convicts a seeded mutant (-mutant outcome-first: an outcome written
+// ahead of its effect; -mutant rewrite-no-dirsync with -compact-at: a
+// compaction that skips its directory sync).
 //
 // Usage:
 //
 //	simsweep -ops 8 -group -epoch-batch 4            # exhaust a workload
 //	simsweep -budget 60s -max-images 8192            # budgeted deep sweep
 //	simsweep -mutant outcome-first -expect-violation # CI mutant gate
+//	simsweep -mutant rewrite-no-dirsync -compact-at 1 -expect-violation
 //	simsweep -out /tmp/failures                      # dump convicting images
 package main
 
@@ -41,7 +44,7 @@ func main() {
 		maxImages  = flag.Int("max-images", 0, "cap on byte images per crash point (0 = unlimited)")
 		budget     = flag.Duration("budget", 0, "wall-clock budget for the sweep (0 = unlimited)")
 		out        = flag.String("out", "", "directory to write convicting byte images into")
-		mutant     = flag.String("mutant", "", "seed an ordering mutant: outcome-first")
+		mutant     = flag.String("mutant", "", "seed a mutant: outcome-first or rewrite-no-dirsync")
 		expectViol = flag.Bool("expect-violation", false, "invert exit status: fail when the sweep finds NOTHING")
 		verbose    = flag.Bool("v", false, "log per-point enumeration details")
 	)
@@ -51,8 +54,10 @@ func main() {
 	case "":
 	case "outcome-first":
 		durable.MutantOutcomeFirst = true
+	case "rewrite-no-dirsync":
+		durable.MutantRewriteNoDirSync = true
 	default:
-		fmt.Fprintf(os.Stderr, "simsweep: unknown -mutant %q (want outcome-first)\n", *mutant)
+		fmt.Fprintf(os.Stderr, "simsweep: unknown -mutant %q (want outcome-first or rewrite-no-dirsync)\n", *mutant)
 		os.Exit(2)
 	}
 	if *epochBatch > 1 {
@@ -84,11 +89,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("simsweep: %d fs ops, %d crash points, %d byte images recovered (each ×3) in %v\n",
-		res.Ops, res.Points, res.Images, time.Since(start).Round(time.Millisecond))
-	if res.CappedPoints > 0 {
-		fmt.Printf("simsweep: %d crash points hit the per-point image cap (coverage incomplete)\n", res.CappedPoints)
-	}
+	fmt.Printf("simsweep: %d fs ops, %d crash points (%d cut short by -max-images), %d byte images recovered (each ×3) in %v\n",
+		res.Ops, res.Points, res.CappedPoints, res.Images, time.Since(start).Round(time.Millisecond))
 	if res.BudgetHit {
 		fmt.Printf("simsweep: wall-clock budget exhausted after %d/%d crash points\n", res.Points, res.Ops+1)
 	}

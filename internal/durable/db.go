@@ -17,21 +17,23 @@ import (
 	"detectable/internal/keytab"
 )
 
-// DefaultCompactAt is the write-ahead log's byte threshold: the anchor
-// that finds the log past it compacts — the live state is written to fresh
-// snapshots and the log is reset.
+// DefaultCompactAt is the write-ahead log's compaction threshold: the anchor
+// that finds this many bytes in the log beyond what its last rewrite wrote
+// (the whole log, if it has not been rewritten since the open) compacts — the
+// live state is written out as a fresh log that replaces the old one.
 const DefaultCompactAt = 1 << 20
 
-// manifestVersion is the on-disk layout this package reads and writes: one
-// wal.log per data directory. Version 1 kept one shard-NNN.log per shard
-// and a sessions.log; it is refused at open, not upgraded.
-const manifestVersion = 2
+// manifestVersion is the on-disk layout this package reads and writes: a
+// data directory is MANIFEST, LOCK and wal.log. Version 1 kept one
+// shard-NNN.log per shard and a sessions.log, version 2 compacted into
+// shard-NNN.snap and sessions.snap beside the log; both are refused at open,
+// not upgraded.
+const manifestVersion = 3
 
 // Record kinds. The write-ahead log holds recPutAt and the four session
-// kinds; shard snapshots hold only recPut, the sessions snapshot the
-// session kinds.
+// kinds.
 const (
-	recPut     = 0x01 // u16 key, i64 val — one durable root persisted
+	recPut     = 0x01 // u16 key, i64 val — one durable root persisted; only inside a recPutAt
 	recHello   = 0x02 // u64 sid, i64 pid — session opened
 	recOutcome = 0x03 // u64 sid, u64 reqID, u32 len, reply — verdict persisted
 	recEnd     = 0x04 // u64 sid — session closed
@@ -63,17 +65,16 @@ type SessionState struct {
 	Window map[uint64][]byte
 }
 
-// shardFile is one shard's durable state: the snapshot path and the key
-// table (internal/keytab), whose journaled values are the live mirror the
-// next compaction writes. Everything this layer keeps per key is one entry
+// shardFile is one shard's durable state: the key table (internal/keytab),
+// whose journaled values are the live mirror the next compaction writes.
+// Everything this layer keeps per key is one entry
 // of that table, 32 pointer-free bytes with the reference to the key's name.
 // mu orders the shard's puts in the write-ahead log and serializes the
 // table's inserts.
 type shardFile struct {
-	mu   sync.Mutex
-	snap string
-	tab  keytab.Table[entry]
-	enc  []byte // reusable put-at record scratch, guarded by mu
+	mu  sync.Mutex
+	tab keytab.Table[entry]
+	enc []byte // reusable put-at record scratch, guarded by mu
 }
 
 // entry is what one key of one shard holds. Code that needs the key's name
@@ -104,14 +105,13 @@ type entry struct {
 // it is released.
 type sessionsFile struct {
 	mu      sync.Mutex
-	snap    string
 	state   map[uint64]*SessionState
 	nextSID uint64
 	window  int
 }
 
-// DB is one open durable data directory: the write-ahead log plus the
-// per-shard and sessions snapshots. It implements the commit protocol of
+// DB is one open durable data directory: the write-ahead log and the mirrors
+// of what it holds. It implements the commit protocol of
 // docs/DURABILITY.md: mutations are journaled into the log as they
 // linearize, an outcome record is appended behind the puts it depends on,
 // and recovery accepts only a valid prefix of the log — so no released
@@ -138,12 +138,13 @@ func Open(dir string, shards, procs, window int) (*DB, error) {
 
 // OpenFs opens (creating if needed) the data directory at dir for a store
 // of the given geometry, recovering all shard state and session windows
-// from disk. Torn or corrupted log tails are truncated to the last valid
-// prefix. window bounds each recovered session's outcome window (use
-// server.Window). Reopening a directory created under a different
-// geometry is an error. All I/O goes through fsys — the OS for real
-// deployments, internal/simio's simulated filesystem under the
-// crash-prefix model checker.
+// from one scan of the write-ahead log. A torn or corrupted log tail is
+// truncated to the last valid prefix, and the temporary file a crash left
+// behind mid-compaction — as large as the state — is removed. window bounds
+// each recovered session's outcome window (use server.Window). Reopening a
+// directory created under a different geometry is an error. All I/O goes
+// through fsys — the OS for real deployments, internal/simio's simulated
+// filesystem under the crash-prefix model checker.
 func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	if shards < 1 || procs < 1 {
 		return nil, fmt.Errorf("durable: need shards ≥ 1 and procs ≥ 1 (got %d, %d)", shards, procs)
@@ -167,23 +168,15 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	db := &DB{fs: fsys, dir: dir, unlock: unlock, procs: procs, compactAt: DefaultCompactAt}
 	db.gen.Store(gen)
 	db.view.gen.Store(1) // a fresh entry's zero viewGen is never current
-	db.sessions = sessionsFile{
-		snap:   filepath.Join(dir, "sessions.snap"),
-		state:  make(map[uint64]*SessionState),
-		window: window,
-	}
-	// Snapshots first, then one scan of the log over them.
+	db.sessions = sessionsFile{state: make(map[uint64]*SessionState), window: window}
 	for i := 0; i < shards; i++ {
-		sf := &shardFile{snap: filepath.Join(dir, fmt.Sprintf("shard-%03d.snap", i))}
-		if err := ReplaySnapshotFs(fsys, sf.snap, sf.apply); err != nil {
+		db.shards = append(db.shards, &shardFile{})
+	}
+	for _, name := range []string{"wal.log.tmp", "MANIFEST.tmp"} {
+		if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
 			unlock()
 			return nil, err
 		}
-		db.shards = append(db.shards, sf)
-	}
-	if err := ReplaySnapshotFs(fsys, db.sessions.snap, db.sessions.apply); err != nil {
-		unlock()
-		return nil, err
 	}
 	if db.wal, err = OpenLogFs(fsys, filepath.Join(dir, "wal.log"), db.replay); err != nil {
 		unlock()
@@ -223,7 +216,7 @@ func checkManifest(fsys Fs, dir string, shards, procs int) (uint64, error) {
 		return 0, fmt.Errorf("durable: corrupt MANIFEST in %s: %w", dir, err)
 	}
 	if m.Version != manifestVersion {
-		return 0, fmt.Errorf("durable: %s is a version %d data directory, this build reads and writes version %d only (one wal.log in place of version 1's shard-NNN.log and sessions.log) and has no upgrader",
+		return 0, fmt.Errorf("durable: %s is a version %d data directory, this build reads and writes version %d only (every record in one wal.log; versions 1 and 2 kept some in other files) and has no upgrader",
 			dir, m.Version, manifestVersion)
 	}
 	if m.Shards != shards || m.Procs != procs {
@@ -243,16 +236,6 @@ func (db *DB) Procs() int { return db.procs }
 // for tests that want compactions after a handful of records.
 func (db *DB) SetCompactThreshold(bytes int64) { db.compactAt = bytes }
 
-// apply folds one shard-snapshot record into the mirror.
-func (sf *shardFile) apply(rec []byte) error {
-	key, val, ok := decodePut(rec)
-	if !ok {
-		return fmt.Errorf("malformed put record")
-	}
-	sf.set(key, val)
-	return nil
-}
-
 // entryOf returns key's entry and its number, inserting it on the key's
 // first use. Called with sf.mu held (recovery runs before the DB is shared).
 func (sf *shardFile) entryOf(key string) (uint32, *entry) {
@@ -270,56 +253,39 @@ func (sf *shardFile) set(key string, val int64) uint32 {
 	return n
 }
 
-func encodePut(dst []byte, key string, val int64) []byte {
+// encodePutAt appends the write-ahead-log form of a put: the shard it was
+// journaled for, then the put itself. The replication tap forwards these
+// bytes as they are (ReplShardRec).
+func encodePutAt(dst []byte, shard int, key string, val int64) []byte {
+	dst = append(dst, recPutAt)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(shard))
 	dst = append(dst, recPut)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(key)))
 	dst = append(dst, key...)
 	return binary.BigEndian.AppendUint64(dst, uint64(val))
 }
 
-// decodePut decodes a put record without copying: key aliases rec and is
-// valid only as long as rec's bytes are. Every caller hands it to the key
-// table, which copies the bytes of a key it inserts.
-func decodePut(rec []byte) (key string, val int64, ok bool) {
-	if len(rec) < 3 || rec[0] != recPut {
-		return "", 0, false
-	}
-	n := int(binary.BigEndian.Uint16(rec[1:]))
-	if len(rec) != 3+n+8 {
-		return "", 0, false
-	}
-	if n > 0 {
-		key = unsafe.String(&rec[3], n)
-	}
-	val = int64(binary.BigEndian.Uint64(rec[3+n:]))
-	return key, val, true
-}
-
-// encodePutAt appends the write-ahead-log form of a put: the shard it was
-// journaled for, then the put record. The replication tap forwards these
-// bytes as they are (ReplShardRec).
-func encodePutAt(dst []byte, shard int, key string, val int64) []byte {
-	dst = append(dst, recPutAt)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(shard))
-	return encodePut(dst, key, val)
-}
-
 // decodePutAt decodes a put-at record and checks its shard index against
 // the geometry: a record for a shard this store does not have is refused,
-// at recovery as on the replication stream.
+// at recovery as on the replication stream. It does not copy: key aliases
+// rec and is valid only as long as rec's bytes are. Every caller hands it to
+// the key table, which copies the bytes of a key it inserts.
 func decodePutAt(rec []byte, shards int) (shard int, key string, val int64, err error) {
-	if len(rec) < 5 || rec[0] != recPutAt {
+	if len(rec) < 8 || rec[0] != recPutAt || rec[5] != recPut {
 		return 0, "", 0, fmt.Errorf("malformed put-at record")
 	}
 	s := binary.BigEndian.Uint32(rec[1:])
 	if s >= uint32(shards) {
 		return 0, "", 0, fmt.Errorf("put-at record for shard %d of %d", s, shards)
 	}
-	key, val, ok := decodePut(rec[5:])
-	if !ok {
-		return 0, "", 0, fmt.Errorf("malformed put record")
+	n := int(binary.BigEndian.Uint16(rec[6:]))
+	if len(rec) != 8+n+8 {
+		return 0, "", 0, fmt.Errorf("malformed put-at record")
 	}
-	return int(s), key, val, nil
+	if n > 0 {
+		key = unsafe.String(&rec[8], n)
+	}
+	return int(s), key, int64(binary.BigEndian.Uint64(rec[8+n:])), nil
 }
 
 // RangeShard calls fn for every durable root recovered in shard i, in
@@ -385,7 +351,7 @@ type root struct {
 }
 
 // sorted returns the mirror — the entries holding a journaled value — in
-// key order, the one order every walk of a shard uses (snapshot, bootstrap
+// key order, the one order every walk of a shard uses (compaction, bootstrap
 // stream, restore), so each is a deterministic function of the state.
 // Called with sf.mu held.
 func (sf *shardFile) sorted() []root {
@@ -399,70 +365,77 @@ func (sf *shardFile) sorted() []root {
 	return roots
 }
 
-// writeSnapshot writes sf's mirror to a fresh snapshot, one put record per
-// key in sorted order. Called with sf.mu held.
-func (sf *shardFile) writeSnapshot(fsys Fs) error {
-	return WriteSnapshotFs(fsys, sf.snap, func(emit func(rec []byte) error) error {
-		var enc []byte
-		for _, r := range sf.sorted() {
-			enc = encodePut(enc[:0], r.key, r.val)
-			if err := emit(enc); err != nil {
-				return err
-			}
+// emit yields the mirror of sf, shard i, as put-at records in key order to
+// fn, stopping at fn's first error: the shard's part of a compacted log and
+// of a bootstrap snapshot. Called with sf.mu held; fn must not retain rec.
+func (sf *shardFile) emit(i int, fn func(rec []byte) error) error {
+	for _, r := range sf.sorted() {
+		sf.enc = encodePutAt(sf.enc[:0], i, r.key, r.val)
+		if err := fn(sf.enc); err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // ---- sessions ----
 
-// apply folds one session record into the mirror. Hello records are
-// idempotent (a compaction crash can replay a log over a snapshot that
-// already contains the session); outcome records are last-wins.
-func (ss *sessionsFile) apply(rec []byte) error {
+// parseSessRec decodes one session record, checking its shape: the one
+// decoder behind recovery, the live commit path and the replication stream.
+// sid is the session (for recNextSID, the mark), pid is a hello's process
+// slot, req and reply an outcome's; reply aliases rec.
+func parseSessRec(rec []byte) (kind byte, sid, req uint64, pid int, reply []byte, err error) {
 	if len(rec) < 1 {
-		return fmt.Errorf("empty session record")
+		return 0, 0, 0, 0, nil, fmt.Errorf("empty session record")
 	}
-	switch rec[0] {
+	kind = rec[0]
+	want := 1 + 8
+	switch kind {
 	case recHello:
-		if len(rec) != 1+8+8 {
-			return fmt.Errorf("malformed hello record")
+		want = 1 + 8 + 8
+	case recOutcome:
+		if want = 1 + 8 + 8 + 4; len(rec) >= want {
+			want += int(binary.BigEndian.Uint32(rec[17:]))
 		}
-		sid := binary.BigEndian.Uint64(rec[1:])
-		pid := int(int64(binary.BigEndian.Uint64(rec[9:])))
-		if sid > ss.nextSID {
-			ss.nextSID = sid
-		}
+	case recEnd, recNextSID:
+	default:
+		return 0, 0, 0, 0, nil, fmt.Errorf("unexpected session record kind 0x%02x", kind)
+	}
+	if len(rec) != want {
+		return 0, 0, 0, 0, nil, fmt.Errorf("malformed session record of kind 0x%02x: %d bytes, want %d", kind, len(rec), want)
+	}
+	sid = binary.BigEndian.Uint64(rec[1:])
+	switch kind {
+	case recHello:
+		pid = int(int64(binary.BigEndian.Uint64(rec[9:])))
+	case recOutcome:
+		req, reply = binary.BigEndian.Uint64(rec[9:]), rec[21:]
+	}
+	return kind, sid, req, pid, reply, nil
+}
+
+// apply folds one session record into the mirror. Hello records are
+// idempotent (a bootstrap snapshot may repeat a session the standby already
+// holds); outcome records are last-wins.
+func (ss *sessionsFile) apply(rec []byte) error {
+	kind, sid, req, pid, reply, err := parseSessRec(rec)
+	if err != nil {
+		return err
+	}
+	switch kind {
+	case recHello:
+		ss.nextSID = max(ss.nextSID, sid)
 		if _, ok := ss.state[sid]; !ok {
 			ss.state[sid] = &SessionState{SID: sid, PID: pid, Window: make(map[uint64][]byte)}
 		}
+	case recNextSID:
+		ss.nextSID = max(ss.nextSID, sid)
 	case recOutcome:
-		if len(rec) < 1+8+8+4 {
-			return fmt.Errorf("malformed outcome record")
-		}
-		sid := binary.BigEndian.Uint64(rec[1:])
-		req := binary.BigEndian.Uint64(rec[9:])
-		n := int(binary.BigEndian.Uint32(rec[17:]))
-		if len(rec) != 21+n {
-			return fmt.Errorf("malformed outcome record body")
-		}
 		// An outcome for an absent session (END raced the outcome into the
 		// log, or the hello sits past a truncated prefix) is ignorable.
-		ss.noteOutcome(sid, req, rec[21:])
+		ss.noteOutcome(sid, req, reply)
 	case recEnd:
-		if len(rec) != 1+8 {
-			return fmt.Errorf("malformed end record")
-		}
-		delete(ss.state, binary.BigEndian.Uint64(rec[1:]))
-	case recNextSID:
-		if len(rec) != 1+8 {
-			return fmt.Errorf("malformed next-sid record")
-		}
-		if next := binary.BigEndian.Uint64(rec[1:]); next > ss.nextSID {
-			ss.nextSID = next
-		}
-	default:
-		return fmt.Errorf("unexpected session record kind 0x%02x", rec[0])
+		delete(ss.state, sid)
 	}
 	return nil
 }
@@ -569,7 +542,8 @@ func eachStaged(b []byte, fn func(rec []byte) error) error {
 // to readers; a failed fsync never sends it. Only then are the records folded
 // into the sessions mirror, and anchor returns once every gating standby has
 // acknowledged the barrier — a verdict is released after both fsyncs, as
-// before. The anchor that finds the log past the threshold compacts it.
+// before. The anchor that finds the threshold's worth of bytes appended to
+// the log compacts it.
 func (db *DB) anchor(recs []byte) error {
 	ss := &db.sessions
 	ss.mu.Lock()
@@ -598,10 +572,12 @@ func (db *DB) anchor(recs []byte) error {
 		ss.mu.Unlock()
 		return err
 	}
-	full := db.wal.Size() >= db.compactAt
+	full := db.wal.Appended() >= db.compactAt
 	ss.mu.Unlock()
 	if full {
-		if err := db.Compact(); err != nil {
+		// Another anchor may have seen the same full log; compact re-tests
+		// under its locks, so only the first of them rewrites.
+		if err := db.compact(db.compactAt); err != nil {
 			return err
 		}
 	}
@@ -660,8 +636,8 @@ func appendOutcomeRec(dst []byte, sid, reqID uint64, reply []byte) []byte {
 
 // emit yields the sessions state as records — the next-SID high-water
 // mark, then per live session in SID order its hello and its window's
-// outcomes in request order — to fn, stopping at fn's first error. It is
-// what a compaction snapshot holds and what a bootstrap snapshot streams.
+// outcomes in request order — to fn, stopping at fn's first error: the
+// sessions' part of a compacted log and of a bootstrap snapshot.
 // Called with ss.mu held; fn must not retain rec.
 func (ss *sessionsFile) emit(fn func(rec []byte) error) error {
 	enc := binary.BigEndian.AppendUint64([]byte{recNextSID}, ss.nextSID)
@@ -686,16 +662,19 @@ func (ss *sessionsFile) emit(fn func(rec []byte) error) error {
 	return nil
 }
 
-// Compact writes every shard's mirror, then the sessions mirror, to fresh
-// snapshots and resets the write-ahead log. It takes the shard locks in
-// index order and then the sessions lock, so nothing is staged or anchored
-// meanwhile: the snapshots hold everything the log held (and any put still
-// staged in memory), which is what makes dropping the log safe. A crash on
-// the way leaves some snapshots new, the rest old and the log intact;
-// replaying it over either is harmless — puts are last-wins, hellos
-// idempotent, and the log on disk already held every session record the
-// sessions snapshot reflects.
-func (db *DB) Compact() error {
+// Compact rewrites the write-ahead log as the state it adds up to: every
+// shard's mirror as put-at records in shard and key order, then the sessions
+// mirror — the bootstrap stream's order, an outcome behind the puts it depends
+// on. It takes the shard locks in index order and then the sessions lock, so
+// nothing is staged or anchored meanwhile and the new log holds everything
+// the old one did, and any put still staged in memory. A crash on the way
+// leaves the old log or the new one (Log.Rewrite), and they recover to the
+// same state.
+func (db *DB) Compact() error { return db.compact(0) }
+
+// compact is Compact once Log.Appended has reached threshold, tested under
+// Compact's locks.
+func (db *DB) compact(threshold int64) error {
 	for _, sf := range db.shards {
 		sf.mu.Lock()
 		defer sf.mu.Unlock()
@@ -703,15 +682,17 @@ func (db *DB) Compact() error {
 	ss := &db.sessions
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	for _, sf := range db.shards {
-		if err := sf.writeSnapshot(db.fs); err != nil {
-			return err
+	if db.wal.Appended() < threshold {
+		return nil
+	}
+	return db.wal.Rewrite(func(add func(rec []byte) error) error {
+		for i, sf := range db.shards {
+			if err := sf.emit(i, add); err != nil {
+				return err
+			}
 		}
-	}
-	if err := WriteSnapshotFs(db.fs, ss.snap, ss.emit); err != nil {
-		return err
-	}
-	return db.wal.Reset()
+		return ss.emit(add)
+	})
 }
 
 // Sync is the durability barrier without a record: every mutation

@@ -3,9 +3,14 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -207,9 +212,10 @@ func TestRecoveryIdempotence(t *testing.T) {
 	}
 }
 
-// TestShardCompaction drives the log over a tiny threshold and checks the
-// snapshot+log pair still recovers the exact state. Journaling alone never
-// compacts; the Sync that anchors the puts does.
+// TestShardCompaction drives the log over a tiny threshold and checks that
+// the rewritten wal.log — the only record file there is — recovers the exact
+// state and has shrunk to the state's size. Journaling alone never compacts;
+// the Sync that anchors the puts does.
 func TestShardCompaction(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := Open(dir, 1, 1, 4)
@@ -221,12 +227,23 @@ func TestShardCompaction(t *testing.T) {
 	db.Sync()
 	db.Close()
 
-	snap := filepath.Join(dir, "shard-000.snap")
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("no snapshot written despite threshold: %v", err)
+	// The state as a log: the roots in key order, then the sessions' records
+	// (here only the session-ID mark).
+	want := bytes.Join([][]byte{
+		frame(encodePutAt(nil, 0, "cold", -1)),
+		frame(encodePutAt(nil, 0, "hot", 99)),
+		frame(binary.BigEndian.AppendUint64([]byte{recNextSID}, 0)),
+	}, nil)
+	tree := readTree(t, dir)
+	if !bytes.Equal(tree["wal.log"], want) {
+		t.Fatalf("compacted log is %d bytes, want the %d bytes of the state:\n got %x\nwant %x",
+			len(tree["wal.log"]), len(want), tree["wal.log"], want)
 	}
-	if st, _ := os.Stat(filepath.Join(dir, "wal.log")); st.Size() >= 256+64 {
-		t.Fatalf("log did not reset at compaction: %d bytes", st.Size())
+	delete(tree, "wal.log")
+	delete(tree, "MANIFEST")
+	delete(tree, "LOCK")
+	if len(tree) != 0 {
+		t.Fatalf("a data directory is MANIFEST, LOCK and wal.log; this one also holds %v", slices.Collect(maps.Keys(tree)))
 	}
 	got := shardState(t, dir, 1, 1, 0)
 	if !reflect.DeepEqual(got, map[string]int64{"hot": 99, "cold": -1}) {
@@ -234,31 +251,260 @@ func TestShardCompaction(t *testing.T) {
 	}
 }
 
-// TestTruncatedSnapshot cuts the snapshot file mid-record: recovery keeps
-// its valid prefix and still layers the log on top.
-func TestTruncatedSnapshot(t *testing.T) {
+// TestTruncatedCompactedLog breaks a record in the compacted part of the log:
+// recovery keeps the valid prefix in front of it, and the records appended
+// since the compaction, intact but behind the break, are dropped with it.
+func TestTruncatedCompactedLog(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := Open(dir, 1, 1, 4)
 	db.ShardBacking(0).Persist("aa", 1)
 	db.ShardBacking(0).Persist("bb", 2)
 	db.Compact()
-	db.ShardBacking(0).Persist("cc", 3) // post-snapshot, lives in the log
+	db.ShardBacking(0).Persist("cc", 3) // appended behind the compacted state
 	db.Sync()
 	db.Close()
 
-	snap := filepath.Join(dir, "shard-000.snap")
-	data, err := os.ReadFile(snap)
+	path := filepath.Join(dir, "wal.log")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.WriteFile(snap, data[:len(data)-4], 0o644)
+	// The compacted state is sorted (aa, bb): the last byte of bb's frame.
+	aa := len(frame(encodePutAt(nil, 0, "aa", 1)))
+	data[2*aa-1] ^= 0xFF
+	os.WriteFile(path, data, 0o644)
 
 	got := shardState(t, dir, 1, 1, 0)
-	// Snapshot records are sorted (aa, bb); cutting the tail loses bb but
-	// keeps the aa prefix, and the log's cc still applies.
-	want := map[string]int64{"aa": 1, "cc": 3}
-	if !reflect.DeepEqual(got, want) {
+	if want := map[string]int64{"aa": 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	if st, _ := os.Stat(path); st.Size() != int64(aa) {
+		t.Fatalf("log not truncated to its valid prefix: %d bytes, want %d", st.Size(), aa)
+	}
+}
+
+// faultFs is the real filesystem with one injectable failure on the path a
+// compaction takes, and a count of the compactions that got as far as their
+// rename.
+type faultFs struct {
+	Fs
+	failAt   string // "write", "fsync", "rename" or "syncdir"; "" fails nothing
+	rewrites int    // renames onto wal.log
+}
+
+var errInjected = errors.New("injected EIO")
+
+func (f *faultFs) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
+	file, err := f.Fs.OpenFile(path, flag, perm)
+	if err == nil && strings.HasSuffix(path, "wal.log.tmp") {
+		return faultFile{file, f}, nil
+	}
+	return file, err
+}
+
+func (f *faultFs) Rename(oldpath, newpath string) error {
+	if f.failAt == "rename" {
+		return errInjected
+	}
+	if filepath.Base(newpath) == "wal.log" {
+		f.rewrites++
+	}
+	return f.Fs.Rename(oldpath, newpath)
+}
+
+func (f *faultFs) SyncDir(dir string) error {
+	if f.failAt == "syncdir" {
+		return errInjected
+	}
+	return f.Fs.SyncDir(dir)
+}
+
+// faultFile is the temporary file of a rewrite.
+type faultFile struct {
+	File
+	fs *faultFs
+}
+
+func (f faultFile) Write(p []byte) (int, error) {
+	if f.fs.failAt == "write" {
+		return 0, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f faultFile) Sync() error {
+	if f.fs.failAt == "fsync" {
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+// TestRewriteFailsAtEachStep fails a compaction at each of its steps. Up to
+// and including the rename the log is exactly as it was: the put staged
+// before the compaction is made durable by the next Sync, the temporary file
+// is gone, and a reopen recovers everything. From the directory sync on the
+// log is poisoned, as by a failed barrier — the new log is in place but may
+// not be durably so, and nothing more may be acknowledged on it.
+func TestRewriteFailsAtEachStep(t *testing.T) {
+	for _, step := range []string{"write", "fsync", "rename", "syncdir"} {
+		t.Run(step, func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := &faultFs{Fs: OS}
+			db, err := OpenFs(fsys, dir, 1, 1, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.AppendHello(1, 0); err != nil {
+				t.Fatal(err)
+			}
+			db.ShardBacking(0).Persist("staged", 7) // in memory only when the compaction starts
+
+			fsys.failAt = step
+			if err := db.Compact(); !errors.Is(err, errInjected) {
+				t.Fatalf("Compact = %v, want the injected error", err)
+			}
+			fsys.failAt = ""
+			err = db.Sync()
+			if step == "syncdir" {
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("Sync after a failed directory sync = %v, want the log poisoned by the injected error", err)
+				}
+				if err := db.Compact(); !errors.Is(err, errInjected) {
+					t.Fatalf("Compact on a poisoned log = %v, want the injected error", err)
+				}
+			} else if err != nil {
+				t.Fatalf("Sync after a compaction that failed at its %s: %v", step, err)
+			}
+			db.Close()
+
+			tree := readTree(t, dir)
+			if _, left := tree["wal.log.tmp"]; left {
+				t.Fatal("the failed compaction left wal.log.tmp behind")
+			}
+			db2, err := Open(dir, 1, 1, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			got := map[string]int64{}
+			db2.RangeShard(0, func(k string, v int64) { got[k] = v })
+			if ss := db2.Sessions(); got["staged"] != 7 || len(ss) != 1 || ss[0].SID != 1 {
+				t.Fatalf("recovered %v and sessions %v, want staged=7 and session 1", got, ss)
+			}
+		})
+	}
+}
+
+// TestCompactThresholdCountsAppendedBytes: the threshold counts bytes
+// appended since the last rewrite, so a state larger than the threshold
+// compacts once per threshold of appended bytes — not at every anchor, which
+// is what comparing the size of a log that is never smaller than the state
+// would do. A log not rewritten since its open counts whole: a node that
+// restarts before it has appended a threshold's worth still compacts, once,
+// so a crash loop cannot grow the log without bound.
+func TestCompactThresholdCountsAppendedBytes(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &faultFs{Fs: OS}
+	db, err := OpenFs(fsys, dir, 1, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		db.ShardBacking(0).Persist(fmt.Sprintf("k%02d", i), 1)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rec := int64(len(frame(encodePutAt(nil, 0, "k00", 1))))
+	if st, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil || st.Size() < 20*rec {
+		t.Fatalf("the compacted log: %v, %v; want a state of at least %d bytes", st, err, 20*rec)
+	}
+	db.SetCompactThreshold(10 * rec)
+	fsys.rewrites = 0
+	anchors := func(db *DB, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			db.ShardBacking(0).Persist("k00", int64(i))
+			if err := db.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	anchors(db, 100)
+	if fsys.rewrites != 10 {
+		t.Fatalf("100 anchors of one record each at a threshold of 10 records compacted %d times, want 10", fsys.rewrites)
+	}
+	anchors(db, 5)
+	db.Close()
+
+	// Five records behind a state of 64: under the threshold as appended
+	// bytes, over it as a log nobody has rewritten since the open.
+	db, err = OpenFs(fsys, dir, 1, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetCompactThreshold(10 * rec)
+	anchors(db, 1)
+	if fsys.rewrites != 11 {
+		t.Fatalf("the first anchor after a reopen left the recovered log alone (%d rewrites, want 11)", fsys.rewrites)
+	}
+	anchors(db, 9)
+	if fsys.rewrites != 11 {
+		t.Fatalf("9 records appended since that rewrite compacted (%d rewrites, want 11 still)", fsys.rewrites)
+	}
+	anchors(db, 1)
+	if fsys.rewrites != 12 {
+		t.Fatalf("the 10th record appended since that rewrite did not compact (%d rewrites, want 12)", fsys.rewrites)
+	}
+}
+
+// TestFullLogCompactsOnce: two anchors — the committer's and a handler's
+// AppendHello — can both find the log full before either compacts. The
+// trigger is tested again under the compaction's locks, so the second does
+// not rewrite the whole state a second time for nothing.
+func TestFullLogCompactsOnce(t *testing.T) {
+	fsys := &faultFs{Fs: OS}
+	db, err := OpenFs(fsys, t.TempDir(), 1, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.ShardBacking(0).Persist("k", 1)
+	const threshold = 8 // bytes; the one record above is past it
+	for i, want := range []int{1, 1} {
+		if err := db.compact(threshold); err != nil {
+			t.Fatal(err)
+		}
+		if fsys.rewrites != want {
+			t.Fatalf("after anchor %d found the log full: %d rewrites, want %d", i+1, fsys.rewrites, want)
+		}
+	}
+}
+
+// TestOpenRemovesLeftoverTemporaries: a crash mid-compaction leaves a
+// wal.log.tmp as large as the state, and one mid-promotion a MANIFEST.tmp;
+// the next open removes both and recovers from the log as if they had never
+// been there.
+func TestOpenRemovesLeftoverTemporaries(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := Open(dir, 1, 1, 4)
+	db.ShardBacking(0).Persist("k", 1)
+	db.Sync()
+	db.Close()
+	for _, name := range []string{"wal.log.tmp", "MANIFEST.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), frame(encodePutAt(nil, 0, "k", 9)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := shardState(t, dir, 1, 1, 0); !reflect.DeepEqual(got, map[string]int64{"k": 1}) {
+		t.Fatalf("recovered %v", got)
+	}
+	tree := readTree(t, dir)
+	for _, name := range []string{"wal.log.tmp", "MANIFEST.tmp"} {
+		if _, left := tree[name]; left {
+			t.Errorf("Open left %s in the data directory", name)
+		}
 	}
 }
 
@@ -354,6 +600,80 @@ func TestOpenReusableAfterClose(t *testing.T) {
 		t.Fatalf("reopen after close: %v", err)
 	}
 	db2.Close()
+}
+
+// failOpenFs fails every OpenFile after the first left and counts them all.
+type failOpenFs struct {
+	Fs
+	left, calls int
+}
+
+func (f *failOpenFs) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
+	if f.calls++; f.calls > f.left {
+		return nil, errInjected
+	}
+	return f.Fs.OpenFile(path, flag, perm)
+}
+
+// TestOpenFailsCleanlyAtEveryOpenFile fails an open at each of its OpenFile
+// calls in turn, first of a fresh directory and then of one with a log. The
+// injection points are counted off a clean open rather than written down, so
+// the test follows the layout: a fresh directory is the MANIFEST's temporary
+// file, the probe for wal.log and its creation; a reopen is wal.log alone.
+// Every failed open returns the injected error and gives the lock back, and
+// whatever it left behind opens to the state that was there before it.
+func TestOpenFailsCleanlyAtEveryOpenFile(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		seed  bool
+		opens int
+	}{{"fresh", false, 3}, {"reopen", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			prepare := func() (dir string, want string) {
+				dir = t.TempDir()
+				if !tc.seed {
+					return dir, ""
+				}
+				db, err := Open(dir, 2, 2, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				db.ShardBacking(1).Persist("k", 7)
+				if err := db.AppendHello(1, 0); err != nil {
+					t.Fatal(err)
+				}
+				return dir, db.StateHash()
+			}
+			dir, _ := prepare()
+			clean := &failOpenFs{Fs: OS, left: 1 << 30}
+			db, err := OpenFs(clean, dir, 2, 2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+			if clean.calls != tc.opens {
+				t.Fatalf("a clean open made %d OpenFile calls, want %d", clean.calls, tc.opens)
+			}
+			for k := 0; k < clean.calls; k++ {
+				dir, want := prepare()
+				if _, err := OpenFs(&failOpenFs{Fs: OS, left: k}, dir, 2, 2, 4); !errors.Is(err, errInjected) {
+					t.Fatalf("open with OpenFile call %d failing: %v, want the injected error", k+1, err)
+				}
+				db, err := Open(dir, 2, 2, 4)
+				if err != nil {
+					t.Fatalf("open after one that failed at OpenFile call %d: %v", k+1, err)
+				}
+				if tc.seed && db.StateHash() != want {
+					t.Errorf("state changed by an open that failed at OpenFile call %d", k+1)
+				}
+				db.Close()
+				if names := slices.Sorted(maps.Keys(readTree(t, dir))); !slices.Equal(names, []string{"LOCK", "MANIFEST", "wal.log"}) {
+					t.Errorf("directory after the retry is %v", names)
+				}
+			}
+		})
+	}
 }
 
 func TestManifestGeometryMismatch(t *testing.T) {

@@ -86,8 +86,8 @@ func FuzzOpenLog(f *testing.F) {
 	})
 }
 
-// FuzzOpenDB plants fuzz bytes as a valid data directory's write-ahead log:
-// Open must never panic — it either recovers, truncating at the first torn
+// FuzzOpenDB plants fuzz bytes behind the compacted write-ahead log of a
+// valid data directory: Open must never panic — it either recovers, truncating at the first torn
 // or CRC-bad frame (and then the recovered state is stable: an immediate
 // reopen yields the same StateHash), or refuses with an error.
 func FuzzOpenDB(f *testing.F) {
@@ -120,13 +120,18 @@ func FuzzOpenDB(f *testing.F) {
 		if err := db.AppendHello(1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Compact(); err != nil { // the seed state lives in the snapshots
+		if err := db.Compact(); err != nil { // the seed state is the log's compacted head
 			t.Fatal(err)
 		}
 		db.Close()
-		if err := os.WriteFile(filepath.Join(dir, "wal.log"), walBytes, 0o644); err != nil {
+		wal, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := wal.Write(walBytes); err != nil {
+			t.Fatal(err)
+		}
+		wal.Close()
 
 		db1, err := Open(dir, 2, 2, 16)
 		if err != nil {

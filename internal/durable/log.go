@@ -1,8 +1,8 @@
 // Package durable is the file-backed persistence substrate behind the
 // simulated NVM spaces: an on-disk data directory holding one append-only
-// CRC-framed write-ahead log shared by every shard and the session layer
-// (plus periodically compacted per-shard and sessions snapshots), so that
-// the paper's persist ordering maps onto position in that log and the whole
+// CRC-framed write-ahead log shared by every shard and the session layer —
+// the only file of records there is; a compaction rewrites it — so that the
+// paper's persist ordering maps onto position in that log and the whole
 // process — not just a simulated epoch — can be killed and restarted
 // without losing a single detectable verdict.
 //
@@ -22,6 +22,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -31,7 +32,7 @@ import (
 	"sync"
 )
 
-// Record framing: every record in a log or snapshot file is
+// Record framing: every record in a log file is
 //
 //	u32(len(payload)) u32(crc32c(payload)) payload
 //
@@ -73,7 +74,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // would claim durability for data that never reached the disk.
 type Log struct {
 	bmu  sync.Mutex // serialises barriers; held across file I/O, taken before mu
-	f    File
+	fs   Fs
+	f    File // replaced by Rewrite, under bmu and mu
 	path string
 	// syncFn is the fsync implementation, replaceable by fault-injection
 	// tests; nil means File.Sync.
@@ -81,6 +83,7 @@ type Log struct {
 
 	mu    sync.Mutex
 	size  int64  // bytes of framed records at file offsets, the batch in flight included
+	base  int64  // size the last rewrite left; 0 until there has been one since the open
 	buf   []byte // framed records staged since the last barrier took its batch
 	spare []byte // the last batch's buffer, back from the barrier for reuse
 	err   error  // sticky poison from a failed write or fsync
@@ -121,7 +124,7 @@ func OpenLogFs(fsys Fs, path string, fn func(rec []byte) error) (*Log, error) {
 			return nil, err
 		}
 	}
-	l := &Log{f: f, path: path}
+	l := &Log{fs: fsys, f: f, path: path}
 	valid, err := scanRecords(f, fn)
 	if err != nil {
 		f.Close()
@@ -271,8 +274,8 @@ func (l *Log) barrier() error {
 	return nil
 }
 
-// poison records the first write/fsync failure; every later Append, Sync,
-// and Reset returns it. Called with l.mu held.
+// poison records the first write/fsync failure; every later Append, Sync
+// and Rewrite returns it. Called with l.mu held.
 func (l *Log) poison(cause error) {
 	if l.err == nil {
 		l.err = fmt.Errorf("durable: log %s poisoned by failed barrier: %w", filepath.Base(l.path), cause)
@@ -287,20 +290,38 @@ func (l *Log) fsync() error {
 	return l.f.Sync()
 }
 
-// Size returns the log's valid byte length, counting staged records.
-func (l *Log) Size() int64 {
+// Appended returns how many bytes of records, staged ones included, the log
+// holds beyond what its last rewrite wrote — what a compaction threshold
+// counts. The size itself would not do: a rewritten log is as large as the
+// state, so a state past the threshold would be rewritten at every barrier.
+// A log not rewritten since it was opened counts whole (recovery cannot tell
+// the state from the tail behind it), so a node that keeps restarting before
+// it has appended a threshold's worth still compacts and the log stays
+// bounded.
+func (l *Log) Appended() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.size + int64(len(l.buf))
+	return l.size + int64(len(l.buf)) - l.base
 }
 
-// Reset truncates the log to empty, discarding staged records — the
-// tail-discard half of a compaction, called only after the compacted
-// snapshots are durably in place (a crash between the last snapshot rename
-// and this truncate merely replays records the snapshots already contain).
-// Unlike a barrier it holds mu across its I/O: the caller has already shut
-// every appender out.
-func (l *Log) Reset() error {
+// rewriteChunk is Rewrite's write buffer: the new file takes the records in
+// writes of this size, not one per record.
+const rewriteChunk = 64 << 10
+
+// Rewrite replaces the whole log with the records emit produces — a
+// compaction — by the crash-atomic sequence the MANIFEST is written with: the
+// records go to path.tmp through a buffer, that file is fsynced and renamed
+// over the log, and the directory is synced. A crash leaves the old log or
+// the new one, each a valid prefix of records, never a mix.
+//
+// The caller has shut every appender out and emit covers every record staged
+// here, so what is staged is dropped with the old file. Rewrite holds both
+// locks across its I/O: nothing can be appended, let alone made durable and
+// acknowledged, between the rename and the directory sync, where a crash may
+// still resurrect the old log. An error before the rename leaves the log
+// exactly as it was, staged records included, and the next Sync makes them
+// durable; an error at or after it poisons the log as a failed barrier does.
+func (l *Log) Rewrite(emit func(add func(rec []byte) error) error) error {
 	l.bmu.Lock()
 	defer l.bmu.Unlock()
 	l.mu.Lock()
@@ -308,17 +329,44 @@ func (l *Log) Reset() error {
 	if l.err != nil {
 		return l.err
 	}
-	if err := l.f.Truncate(0); err != nil {
+	var size int64
+	if err := replaceFile(l.fs, l.path, func(f File) error {
+		w := bufio.NewWriterSize(f, rewriteChunk)
+		var enc []byte
+		if err := emit(func(rec []byte) error {
+			enc = appendFrame(enc[:0], rec)
+			size += int64(len(enc))
+			_, err := w.Write(enc)
+			return err
+		}); err != nil {
+			return err
+		}
+		return w.Flush()
+	}); err != nil {
+		return err
+	}
+	var err error
+	if !MutantRewriteNoDirSync {
+		err = l.fs.SyncDir(filepath.Dir(l.path))
+	}
+	var f File
+	if err == nil {
+		f, err = l.fs.OpenFile(l.path, os.O_RDWR, 0o644)
+	}
+	if err != nil {
 		l.poison(err)
 		return l.err
 	}
-	l.size = 0
-	l.buf = l.buf[:0]
-	if err := l.fsync(); err != nil {
-		l.poison(err)
-		return l.err
-	}
+	l.f.Close() // the replaced file's handle
+	l.f, l.size, l.base, l.buf = f, size, size, l.buf[:0]
 	return nil
+}
+
+// Reset rewrites the log to empty, discarding staged records. Nothing in
+// this module calls it: bench/ladder.go clears its scratch log with it
+// between timed loops.
+func (l *Log) Reset() error {
+	return l.Rewrite(func(func([]byte) error) error { return nil })
 }
 
 // Close syncs and closes the file. A poisoned log still closes its file
@@ -333,71 +381,42 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// WriteSnapshotFs atomically replaces the snapshot at path with the framed
-// records produced by emit: records go to a temporary file, which is
-// synced, renamed over path, and the parent directory synced — so a crash
-// anywhere leaves either the old snapshot or the new one, never a mix.
-func WriteSnapshotFs(fsys Fs, path string, emit func(append func(rec []byte) error) error) error {
-	return atomicReplace(fsys, path, func(f File) error {
-		var enc []byte
-		return emit(func(rec []byte) error {
-			enc = appendFrame(enc[:0], rec)
-			_, err := f.Write(enc)
-			return err
-		})
-	})
-}
-
 // AtomicWriteFileFs atomically replaces path with data, fsyncing contents
 // before the rename and the directory after it (the MANIFEST writer).
 func AtomicWriteFileFs(fsys Fs, path string, data []byte) error {
-	return atomicReplace(fsys, path, func(f File) error {
+	if err := replaceFile(fsys, path, func(f File) error {
 		_, err := f.Write(data)
 		return err
-	})
-}
-
-// atomicReplace is the shared crash-atomic replacement sequence: write a
-// temporary file via fill, fsync it, rename it over path, fsync the
-// parent directory. Contents are durable before the rename can be, so a
-// crash leaves either the complete old file or the complete new one.
-func atomicReplace(fsys Fs, path string, fill func(f File) error) error {
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	werr := fill(f)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		fsys.Remove(tmp)
-		return werr
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
+	}); err != nil {
 		return err
 	}
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// ReplaySnapshotFs streams the valid record prefix of the snapshot at path
-// through fn. A missing snapshot is not an error (no compaction has
-// happened yet); a truncated or corrupted one yields its valid prefix,
-// mirroring log recovery.
-func ReplaySnapshotFs(fsys Fs, path string, fn func(rec []byte) error) error {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if os.IsNotExist(err) {
-		return nil
-	}
+// replaceFile is the first half of the crash-atomic replacement sequence:
+// write path.tmp via fill, fsync it, rename it over path. Contents are
+// durable before the rename can be, so once the caller has fsynced the
+// parent directory a crash leaves either the complete old file or the
+// complete new one. An error means the rename did not happen: path is
+// untouched and the temporary file is removed.
+func replaceFile(fsys Fs, path string, fill func(f File) error) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	_, err = scanRecords(f, fn)
+	err = fill(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
 	return err
 }

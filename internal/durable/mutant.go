@@ -23,6 +23,13 @@ var MutantOutcomeFirst bool
 // simio replica sweep must catch this.
 var MutantPublishAtBarrier bool
 
+// MutantRewriteNoDirSync drops the last step of a compaction: the rewritten
+// log is renamed over the old one and appended to without the directory
+// having been synced. Verdicts anchored in the new file are then released
+// while a crash may still resurrect the old log, which never held them. The
+// simio sweep must catch this as a released verdict lost.
+var MutantRewriteNoDirSync bool
+
 // holdBack removes and returns the staged, framed records. Mutant only.
 func (l *Log) holdBack() []byte {
 	l.mu.Lock()

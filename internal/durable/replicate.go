@@ -181,29 +181,28 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 	// outcome-implies-effect order. Concurrent commits tap records that
 	// interleave with the snapshot; both sides are last-wins/idempotent,
 	// so the interleaving converges to the primary's state.
-	var enc []byte
-	kindShard := [1]byte{ReplShardRec}
+	stageAs := func(kind byte) func(rec []byte) error {
+		hdr := []byte{kind}
+		return func(rec []byte) error {
+			if !sub.stageSnap(hdr, rec) {
+				return errReplSubClosed // closed mid-snapshot; stop staging
+			}
+			return nil
+		}
+	}
+	stageShard := stageAs(ReplShardRec)
 	for i, sf := range db.shards {
 		sf.mu.Lock()
-		for _, r := range sf.sorted() {
-			enc = encodePutAt(enc[:0], i, r.key, r.val)
-			if !sub.stageSnap(kindShard[:], enc) {
-				sf.mu.Unlock()
-				return sub // closed mid-snapshot; stop staging
-			}
-		}
+		err := sf.emit(i, stageShard)
 		sf.mu.Unlock()
+		if err != nil {
+			return sub
+		}
 	}
 	ss := &db.sessions
-	kindSess := [1]byte{ReplSessRec}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.emit(func(rec []byte) error {
-		if !sub.stageSnap(kindSess[:], rec) {
-			return errReplSubClosed // closed mid-snapshot; stop staging
-		}
-		return nil
-	}) != nil {
+	if ss.emit(stageAs(ReplSessRec)) != nil {
 		return sub
 	}
 	// The snapshot close is a barrier in its own right; its sequence is
@@ -797,8 +796,10 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		return 0, false, nil
 
 	case ReplSessRec:
-		if err := checkSessRec(body); err != nil {
-			return 0, false, err
+		// A malformed record must never reach the backup's log, where it
+		// would poison every future recovery.
+		if _, _, _, _, _, err := parseSessRec(body); err != nil {
+			return 0, false, fmt.Errorf("durable: replicated %w", err)
 		}
 		rp.staged = stageRec(rp.staged, body)
 		return 0, false, nil
@@ -916,12 +917,14 @@ func (rp *Replica) reconcile() error {
 	asserted := make(map[outcomeID]struct{})
 	maxReq := make(map[uint64]uint64)
 	if err := eachStaged(rp.staged, func(rec []byte) error {
-		sid := binary.BigEndian.Uint64(rec[1:]) // checkSessRec vetted every record
-		switch rec[0] {
+		kind, sid, req, _, _, err := parseSessRec(rec)
+		if err != nil {
+			return err
+		}
+		switch kind {
 		case recHello:
 			helloed[sid] = struct{}{}
 		case recOutcome:
-			req := binary.BigEndian.Uint64(rec[9:])
 			asserted[outcomeID{sid, req}] = struct{}{}
 			if req > maxReq[sid] {
 				maxReq[sid] = req
@@ -981,32 +984,6 @@ func (rp *Replica) reconcile() error {
 		for _, key := range stale {
 			rp.db.journalPut(i, key, 0)
 		}
-	}
-	return nil
-}
-
-// checkSessRec validates the shape of one session record before it is
-// staged — a malformed record must never reach the backup's log, where it
-// would poison every future recovery.
-func checkSessRec(rec []byte) error {
-	if len(rec) < 1 {
-		return fmt.Errorf("durable: empty replicated session record")
-	}
-	switch rec[0] {
-	case recHello:
-		if len(rec) != 17 {
-			return fmt.Errorf("durable: malformed replicated hello record")
-		}
-	case recOutcome:
-		if len(rec) < 21 || len(rec) != 21+int(binary.BigEndian.Uint32(rec[17:])) {
-			return fmt.Errorf("durable: malformed replicated outcome record")
-		}
-	case recEnd, recNextSID:
-		if len(rec) != 9 {
-			return fmt.Errorf("durable: malformed replicated session record")
-		}
-	default:
-		return fmt.Errorf("durable: unexpected replicated session record kind 0x%02x", rec[0])
 	}
 	return nil
 }

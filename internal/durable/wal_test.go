@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,36 +29,51 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 	return tree
 }
 
-// TestOpenRefusesVersion1Directory builds, by hand, a data directory as the
-// version 1 layout left it — one log per shard and a sessions log under a
-// version 1 MANIFEST — and checks that Open refuses it by naming both
-// versions and leaves every byte of it alone: there is no upgrader and no
-// second reader to fall into.
+// TestOpenRefusesVersion1Directory builds, by hand, a data directory as each
+// older layout left it — version 1: one log per shard and a sessions log;
+// version 2: one write-ahead log with shard and sessions snapshots beside it
+// — and checks that Open refuses it by naming both versions and leaves every
+// byte of it alone: there is no upgrader and no second reader to fall into.
 func TestOpenRefusesVersion1Directory(t *testing.T) {
-	dir := t.TempDir()
 	hello := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{recHello}, 1), 0)
-	v1 := map[string][]byte{
-		"MANIFEST":      []byte(`{"version":1,"shards":2,"procs":2}` + "\n"),
-		"LOCK":          {},
-		"shard-000.log": frame(encodePut(nil, "k", 7)),
-		"shard-001.log": {},
-		"sessions.log":  append(frame(hello), frame(appendOutcomeRec(nil, 1, 1, []byte("k=7")))...),
-	}
-	for name, data := range v1 {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
+	outcome := frame(appendOutcomeRec(nil, 1, 1, []byte("k=7")))
+	// A bare put, the record of the older layouts' per-shard files: what a
+	// put-at record holds behind its kind byte and shard index.
+	encodePut := func(key string, val int64) []byte { return encodePutAt(nil, 0, key, val)[5:] }
+	for version, old := range map[int]map[string][]byte{
+		1: {
+			"MANIFEST":      []byte(`{"version":1,"shards":2,"procs":2}` + "\n"),
+			"LOCK":          {},
+			"shard-000.log": frame(encodePut("k", 7)),
+			"shard-001.log": {},
+			"sessions.log":  append(frame(hello), outcome...),
+		},
+		2: {
+			"MANIFEST":       []byte(`{"version":2,"shards":2,"procs":2}` + "\n"),
+			"LOCK":           {},
+			"shard-000.snap": frame(encodePut("k", 6)),
+			"sessions.snap":  frame(hello),
+			"wal.log":        append(frame(encodePutAt(nil, 0, "k", 7)), outcome...),
+			"wal.log.tmp":    frame(hello), // not even a leftover temporary is touched
+		},
+	} {
+		dir := t.TempDir()
+		for name, data := range old {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	db, err := Open(dir, 2, 2, 4)
-	if err == nil {
-		db.Close()
-		t.Fatal("Open accepted a version 1 data directory")
-	}
-	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("refusal %q does not name both versions", err)
-	}
-	if got := readTree(t, dir); !reflect.DeepEqual(got, v1) {
-		t.Fatalf("the refused directory was modified:\n got %q\nwant %q", got, v1)
+		db, err := Open(dir, 2, 2, 4)
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open accepted a version %d data directory", version)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("version %d ", version)) || !strings.Contains(err.Error(), "version 3") {
+			t.Fatalf("refusal %q does not name version %d and version 3", err, version)
+		}
+		if got := readTree(t, dir); !reflect.DeepEqual(got, old) {
+			t.Fatalf("the refused version %d directory was modified:\n got %q\nwant %q", version, got, old)
+		}
 	}
 }
 
@@ -114,7 +130,7 @@ func TestWALRecoveryDispatch(t *testing.T) {
 		t.Fatalf("torn epoch tail: %v", err)
 	}
 	kv, window = state(db)
-	size := db.wal.Size()
+	size := db.wal.Appended() // never rewritten: the whole recovered log
 	db.Close()
 	if !reflect.DeepEqual(kv, map[string]int64{"k": 2, "j": 5}) || len(window) != 0 {
 		t.Fatalf("torn epoch tail recovered %v / %q, want both puts and no outcome", kv, window)
@@ -158,8 +174,8 @@ func TestAppendDoesNotWaitForTheBarrier(t *testing.T) {
 	if err := l.Append([]byte("second")); err != nil { // hangs here if Append waits for the disk
 		t.Fatal(err)
 	}
-	if got, want := l.Size(), int64(2*frameHeader+len("first")+len("second")); got != want {
-		t.Fatalf("Size with a batch in flight = %d, want %d", got, want)
+	if got, want := l.Appended(), int64(2*frameHeader+len("first")+len("second")); got != want {
+		t.Fatalf("Appended with a batch in flight = %d, want %d", got, want)
 	}
 	close(release)
 	if err := <-synced; err != nil {

@@ -10,12 +10,12 @@ import (
 	"detectable/internal/runtime"
 )
 
-// TestDifferentialFastVsArmed pins the PR 3 dual-path contract: the same
-// operation sequence must behave identically through the lock-free fast
-// path (nil plan) and through the armed-plan mutex path (a NeverCrash plan
-// forces Ctx.fast() off on every primitive). Each harness runs a
-// deterministic round-robin sequence over 3 processes on two fresh
-// instances, one per path, and the test demands identical per-operation
+// TestDifferentialFastVsArmed pins that arming a plan changes nothing but
+// the hooks: a primitive has one body, so the same operation sequence must
+// behave identically with a nil plan and with a NeverCrash plan consulted
+// before every primitive. Each harness runs a deterministic round-robin
+// sequence over 3 processes on two fresh instances, one armed and one not,
+// and the test demands identical per-operation
 // responses and statuses, an event-identical history, and equal
 // linearizability verdicts and detectability reports.
 func TestDifferentialFastVsArmed(t *testing.T) {

@@ -42,7 +42,7 @@ type Instance struct {
 	Sys *runtime.System
 	Obj spec.Object
 	// Run executes one program operation as pid with plan armed on every
-	// attempt (pass nil to take the crash-free lock-free fast path, as the
+	// attempt (pass nil to run without hooks, as production does and the
 	// differential tests do). It returns the operation's encoded response
 	// and detectable status.
 	Run   func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status)

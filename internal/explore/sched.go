@@ -14,10 +14,10 @@ import (
 // scheduler.
 //
 // Mechanism: every operation is executed via runtime.ExecuteArmed with a
-// per-process schedPlan. An armed plan forces the PR 3 lock-free fast path
-// off (Ctx.fast() is false), so every primitive of every attempt goes
-// through Ctx.pre, which consults the plan while no cell lock is held. The
-// plan parks the process there — before the primitive executes, which is
+// per-process schedPlan. Every primitive of every attempt goes through
+// Ctx.pre, which consults the plan while no cell lock is held, and is
+// otherwise the code an unarmed attempt runs — the explorer checks the
+// cells that ship. The plan parks the process there — before the primitive executes, which is
 // exactly the crash-point granularity of the paper's model — and waits for
 // the scheduler to resume it. Processes additionally park once before each
 // operation of their program, so invocation logging is serialized too. At

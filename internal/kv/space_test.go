@@ -61,7 +61,7 @@ func firstPut(s *Store, i int, key string) { s.Put(0, key, i+1) }
 
 // TestSpacePinBytesPerRegister: at kvserverd's N = 8 a key costs at most
 // 128 B and 1.5 objects of live heap, its table entry, its name and its
-// index slot included (it reads 122 B and 1.11; 177 B and 3.07 when the
+// index slot included (it reads 116 B and 1.11; 177 B and 3.07 when the
 // entry and the name were objects of their own beside a 40-byte Register
 // struct; 256 B and 9.0 when a register was seven allocations; 15 KB when
 // every toggle bit was a cell of its own). What is left per key outside the
@@ -115,7 +115,7 @@ func leastOf5(n int, build func(sys *runtime.System) any) int64 {
 // TestSpacePinStandaloneRegister: chunks start at one element, so a system
 // holding a single rw.NewInt register — explore, model, the ladder's rw
 // rung — pays nothing for the slab. Process table and the holder's 16-byte
-// handle included, it is 6920 B at N = 8 and 1920 B at N = 2, what it was
+// handle included, it is 6904 B at N = 8 and 1904 B at N = 2, no more than
 // when the register was a 40-byte struct behind a pointer: the chunk's
 // header took that struct's place and the handle the place of the slice
 // that carried the word out of nvm.NewWords.
@@ -137,7 +137,7 @@ func TestSpacePinStandaloneRegister(t *testing.T) {
 // holding one key, which is what the explorer and the sweeps build by the
 // thousand, costs no more than it did with a 16-slot table, an entry object
 // and a cloned name: 7184 B at N = 8 and 2168 B at N = 2 then, process table
-// and all, 7160 and 2144 now. The key is restored, not put: a first
+// and all, 7144 and 2128 now. The key is restored, not put: a first
 // operation also fills sync.Pools whose size follows GOMAXPROCS.
 func TestSpacePinSmallStore(t *testing.T) {
 	if raceEnabled {

@@ -9,8 +9,8 @@ import (
 // of any other kind two (the cell and the box of its value), and an array
 // of n words two whatever n (the cells and one box they all start on; one
 // for a packable kind — Words carries the array out by value, not in a
-// slice of one interface per word). A Cell is 40 bytes whatever T: mutex,
-// packed bits, live box, displaced box, identity.
+// slice of one interface per word). A Cell is 32 bytes whatever T: packed
+// bits, live box, displaced box, identity — and no lock.
 func TestAllocPinCellObjects(t *testing.T) {
 	type triple struct {
 		Val int
@@ -32,8 +32,8 @@ func TestAllocPinCellObjects(t *testing.T) {
 			t.Errorf("%s allocates %v objects, want %v", c.name, got, c.want)
 		}
 	}
-	if size := unsafe.Sizeof(Cell[triple]{}); size > 40 {
-		t.Errorf("a Cell of a three-field struct is %d B, want ≤ 40", size)
+	if size := unsafe.Sizeof(Cell[triple]{}); size > 32 {
+		t.Errorf("a Cell of a three-field struct is %d B, want ≤ 32", size)
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 // reach NVM only when explicitly flushed. A system-wide crash discards the
 // cached value, reverting the cell to its last flushed value.
 //
-// The cached value lives in an atomic word, so crash-free Load/Store/CAS
-// attempts run concurrently under a shared read-lock; only Flush, the
-// crash revert and plan-armed (instrumented) attempts take the exclusive
-// lock. The read-lock is what preserves the crash ordering invariant: a
-// store serialized before the revert completes before the revert wipes it,
-// and a store serialized after acquires the lock after the epoch advanced,
-// re-validates it and dies instead of resurrecting the lost value.
+// The cached value lives in an atomic word, so Load/Store/CAS attempts run
+// concurrently under a shared read-lock; only Flush and the crash revert
+// take the exclusive lock. The read-lock is what preserves the crash
+// ordering invariant: a store serialized before the revert completes before
+// the revert wipes it, and a store serialized after acquires the lock after
+// the epoch advanced, re-validates it and dies instead of resurrecting the
+// lost value.
 //
 // Algorithms written for the private-cache model are generally incorrect on
 // raw CachedCells (tests exploit this to demonstrate why the flush
@@ -56,47 +56,35 @@ func (cs *cachedCells[T]) onCrash() {
 var _ CASRegister[int] = (*CachedCell[int])(nil)
 var _ crashable = (*CachedCell[int])(nil)
 
+// rlock takes the shared lock a primitive runs under and re-validates the
+// epoch inside it: a primitive serialized after a crash's revert dies here.
+func (c *CachedCell[T]) rlock(ctx *Ctx) {
+	c.mu.RLock()
+	if !ctx.alive() {
+		c.mu.RUnlock()
+		ctx.CheckAlive() // unwinds with Crashed
+	}
+}
+
 // Load atomically reads the cached value.
 func (c *CachedCell[T]) Load(ctx *Ctx) T {
 	ctx.pre(KindLoad, c.id)
-	if ctx.fast() {
-		c.mu.RLock()
-		if !ctx.alive() {
-			c.mu.RUnlock()
-			ctx.CheckAlive() // unwinds with Crashed
-		}
-		v := c.cached.load()
-		c.mu.RUnlock()
-		ctx.count(KindLoad)
-		return v
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctx.enter(KindLoad)
-	return c.cached.load()
+	c.rlock(ctx)
+	v := c.cached.load()
+	c.mu.RUnlock()
+	ctx.count(KindLoad)
+	return v
 }
 
 // Store atomically writes the cached value. The store is volatile until the
 // cell is flushed.
 func (c *CachedCell[T]) Store(ctx *Ctx, v T) {
 	ctx.pre(KindStore, c.id)
-	if ctx.fast() {
-		c.mu.RLock()
-		if !ctx.alive() {
-			c.mu.RUnlock()
-			ctx.CheckAlive()
-		}
-		c.cached.store(v)
-		c.dirty.Store(true)
-		c.mu.RUnlock()
-		ctx.count(KindStore)
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctx.enter(KindStore)
+	c.rlock(ctx)
 	c.cached.store(v)
 	c.dirty.Store(true)
+	c.mu.RUnlock()
+	ctx.count(KindStore)
 }
 
 // CompareAndSwap atomically replaces the cached value with new if it equals
@@ -104,28 +92,14 @@ func (c *CachedCell[T]) Store(ctx *Ctx, v T) {
 // volatile until flushed.
 func (c *CachedCell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
 	ctx.pre(KindCAS, c.id)
-	if ctx.fast() {
-		c.mu.RLock()
-		if !ctx.alive() {
-			c.mu.RUnlock()
-			ctx.CheckAlive()
-		}
-		ok := c.cached.cas(old, new)
-		if ok {
-			c.dirty.Store(true)
-		}
-		c.mu.RUnlock()
-		ctx.count(KindCAS)
-		return ok
+	c.rlock(ctx)
+	ok := c.cached.cas(old, new)
+	if ok {
+		c.dirty.Store(true)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctx.enter(KindCAS)
-	if !c.cached.cas(old, new) {
-		return false
-	}
-	c.dirty.Store(true)
-	return true
+	c.mu.RUnlock()
+	ctx.count(KindCAS)
+	return ok
 }
 
 // Flush persists the cached value to NVM.

@@ -1,7 +1,5 @@
 package nvm
 
-import "sync"
-
 // Register is the read/write primitive interface shared by both memory
 // models. Algorithms are written against Register (or CASRegister) so the
 // same code runs under the private-cache model (Cell), the raw shared-cache
@@ -109,16 +107,14 @@ func NewWords[T comparable](sp *Space, n int, init T) Words[T] {
 // every primitive is applied directly to NVM, so a system-wide crash
 // preserves the cell's value.
 //
-// Crash-free attempts (no crash plan armed on the Ctx) take a lock-free
-// fast path: the value lives in an atomic word, the epoch is validated in
-// Ctx.pre, and the primitive is a single atomic instruction. Plan-armed
-// attempts fall back to the original mutex-serialized path so
-// schedule-driven tests observe unchanged interleavings. Both paths operate
-// on the same atomic word, so they compose safely when mixed.
+// The value lives in an atomic word and a primitive is Ctx.pre — where the
+// epoch is validated and the crash plan, step hooks and the explorer's
+// parking run — then one atomic instruction on that word, then the count. A
+// crash reverts nothing here, so no lock orders a primitive against it, and
+// arming a plan changes nothing but the hooks.
 //
 // Use NewCell to allocate one inside a Space.
 type Cell[T comparable] struct {
-	mu sync.Mutex
 	w  word[T]
 	id int
 }
@@ -136,45 +132,26 @@ var _ CASRegister[int] = (*Cell[int])(nil)
 // Load atomically reads the cell.
 func (c *Cell[T]) Load(ctx *Ctx) T {
 	ctx.pre(KindLoad, c.id)
-	if ctx.fast() {
-		v := c.w.load()
-		ctx.count(KindLoad)
-		return v
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctx.enter(KindLoad)
-	return c.w.load()
+	v := c.w.load()
+	ctx.count(KindLoad)
+	return v
 }
 
 // Store atomically writes the cell. In the private-cache model the value is
 // persisted immediately.
 func (c *Cell[T]) Store(ctx *Ctx, v T) {
 	ctx.pre(KindStore, c.id)
-	if ctx.fast() {
-		c.w.store(v)
-		ctx.count(KindStore)
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctx.enter(KindStore)
 	c.w.store(v)
+	ctx.count(KindStore)
 }
 
 // CompareAndSwap atomically replaces the cell's value with new if it equals
 // old, reporting whether the swap happened.
 func (c *Cell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
 	ctx.pre(KindCAS, c.id)
-	if ctx.fast() {
-		ok := c.w.cas(old, new)
-		ctx.count(KindCAS)
-		return ok
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctx.enter(KindCAS)
-	return c.w.cas(old, new)
+	ok := c.w.cas(old, new)
+	ctx.count(KindCAS)
+	return ok
 }
 
 // Flush is a no-op: private-cache primitives persist immediately. It still

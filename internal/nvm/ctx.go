@@ -46,11 +46,11 @@ func (c *Ctx) Steps() uint64 { return c.steps }
 // loads of the same cell). It is 0 outside a CrashPlan.CrashBefore call.
 func (c *Ctx) CellID() int { return c.cell }
 
-// pre runs the bookkeeping that precedes every primitive while NO cell lock
-// is held: it advances the step counter, consults the crash plan (whose
-// hooks may run arbitrary code, including other processes' operations — the
-// deterministic-interleaving mechanism used by schedule-driven tests) and
-// fails fast on a stale epoch.
+// pre runs the bookkeeping that precedes every primitive of every attempt,
+// plan or no plan, while NO cell lock is held: it advances the step counter,
+// consults the crash plan (whose hooks may run arbitrary code, including
+// other processes' operations — the deterministic-interleaving mechanism
+// used by schedule-driven tests) and fails fast on a stale epoch.
 func (c *Ctx) pre(kind OpKind, cell int) {
 	c.steps++
 	c.cell = cell
@@ -63,11 +63,11 @@ func (c *Ctx) pre(kind OpKind, cell int) {
 	c.CheckAlive()
 }
 
-// enter validates the epoch while the cell lock is held and records the
-// primitive. The under-lock check guarantees the crash ordering invariant:
-// a store serialized before a crash-revert completes before the revert
-// wipes it, and a store serialized after the revert observes the advanced
-// epoch and panics instead of resurrecting lost state.
+// enter validates the epoch while a cell's exclusive lock is held (Flush)
+// and records the primitive. The under-lock check guarantees the crash
+// ordering invariant: a flush serialized before a crash-revert completes
+// before the revert, and one serialized after it observes the advanced epoch
+// and panics instead of persisting a value the crash already discarded.
 func (c *Ctx) enter(kind OpKind) {
 	if cur := c.epoch.Current(); cur != c.start {
 		panic(Crashed{PID: c.pid, StartEpoch: c.start, ObservedEpoch: cur})
@@ -87,18 +87,12 @@ func (c *Ctx) CheckAlive() {
 	}
 }
 
-// fast reports whether the context may take the lock-free fast path: no
-// crash plan is armed, so no deterministic injection hooks need to observe
-// this attempt's primitives. Instrumented (plan-armed) attempts keep the
-// original mutex path so schedule-driven tests see unchanged behavior.
-func (c *Ctx) fast() bool { return c.plan == nil }
-
-// alive is CheckAlive without the panic, for fast paths that must release
-// a lock before unwinding.
+// alive is CheckAlive without the panic, for primitives that must release a
+// read-lock before unwinding.
 func (c *Ctx) alive() bool { return c.epoch.Current() == c.start }
 
-// count records the primitive in the shared statistics. Fast paths call it
-// after the atomic operation; the mutex path records inside enter instead.
+// count records the primitive in the shared statistics, after the atomic
+// operation; Flush records inside enter instead.
 func (c *Ctx) count(kind OpKind) {
 	if c.stats != nil {
 		c.stats.record(kind)

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// The fast-path sweep: atomic-word cells must honor every CrashPlan step
-// exactly as the instrumented mutex path does. For a fixed program of
-// primitives we inject a crash before every step k and assert that (a) the
-// crash fires as a Crashed panic at that primitive, (b) exactly the first
-// k-1 primitives landed, and (c) the epoch advanced once.
+// The crash-step sweep: atomic-word cells must honor every CrashPlan step.
+// For a fixed program of primitives we inject a crash before every step k
+// and assert that (a) the crash fires as a Crashed panic at that primitive,
+// (b) exactly the first k-1 primitives landed, and (c) the epoch advanced
+// once.
 
 // cellProgram is a deterministic sequence of primitives over three cells of
 // different word engines: int (packed), string and a struct (boxed). It
@@ -93,7 +93,7 @@ func TestFastPathCellsHonorEveryCrashStep(t *testing.T) {
 
 // TestFastPathCachedCellVolatileUntilFlush sweeps every crash step of a
 // store→flush→store program on CachedCells and asserts the shared-cache
-// semantics survive the atomic fast path: unflushed effects are lost,
+// semantics hold on the atomic word: unflushed effects are lost,
 // flushed effects persist, and the cached value reverts on crash. The
 // crash is a full system crash (Space.Crash, which reverts caches)
 // injected deterministically before step k via a StepHook — exactly the
@@ -147,9 +147,9 @@ func TestFastPathCachedCellVolatileUntilFlush(t *testing.T) {
 	}
 }
 
-// TestFastPathConcurrentMixedPlans exercises plan-armed (mutex path) and
-// plan-free (atomic path) operations on the same cells concurrently: the
-// two paths share the same atomic word, so no update may be lost.
+// TestFastPathConcurrentMixedPlans runs plan-armed and plan-free operations
+// on the same cells concurrently: both are the same atomic instruction on
+// the same word, so no update may be lost.
 func TestFastPathConcurrentMixedPlans(t *testing.T) {
 	const (
 		procs = 4
@@ -236,8 +236,8 @@ func TestPtrWordValueCache(t *testing.T) {
 	}
 }
 
-// TestFastPathStatsStillCount pins that the lock-free path records
-// primitive statistics exactly like the mutex path.
+// TestFastPathStatsStillCount pins that every primitive records its
+// statistic.
 func TestFastPathStatsStillCount(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, 0)

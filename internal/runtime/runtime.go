@@ -160,8 +160,8 @@ func Execute[R comparable](s *System, pid int, op Op[R], plans ...nvm.CrashPlan)
 // announcement+body attempt and every recovery re-entry, however many
 // crashes interrupt it. Controlled-scheduler harnesses (internal/explore)
 // use it so that every primitive of every attempt consults the plan — an
-// attempt with a nil plan would take the lock-free fast path and become
-// invisible to the scheduler.
+// attempt with a nil plan runs the same primitives but has no hook for the
+// scheduler to park it at.
 func ExecuteArmed[R comparable](s *System, pid int, op Op[R], plan nvm.CrashPlan) Outcome[R] {
 	return execute(s, pid, op, nil, plan)
 }

@@ -2,6 +2,7 @@ package simio
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,23 +54,43 @@ func TestSweepGroupCommit(t *testing.T) {
 	requireClean(t, res)
 }
 
-// TestSweepCompaction forces a compaction at every anchor so the whole
-// sequence — each shard snapshot's atomic replace (tmp write → fsync →
-// rename → dir sync), then the sessions snapshot's, then the log reset — is
-// crash-enumerated too, including torn snapshot tails and a pre-compaction
-// log replayed over newer snapshots.
+// TestSweepCompaction forces a compaction at every anchor so the rewrite —
+// the new log written to a temporary file, fsynced, renamed over the old one,
+// the directory synced — is crash-enumerated too, including torn temporary
+// files and the old log resurrected by a rename that never became durable.
 func TestSweepCompaction(t *testing.T) {
 	res := runSweep(t, SweepConfig{Ops: 6, Shards: 2, Window: 8, CompactAt: 1, MaxImages: 2048})
 	requireClean(t, res)
 }
 
-// TestCompactionSweepReachesHalfSnapshottedImages checks that the
-// compaction sweep really visits the images the one-log layout adds: a
-// crash part-way through a compaction that leaves a shard snapshot new, the
-// sessions snapshot old and the write-ahead log intact — recovery replays
-// the whole log over a snapshot that is already ahead of it — and that
-// every such image passes the sweep's checks.
-func TestCompactionSweepReachesHalfSnapshottedImages(t *testing.T) {
+// compactions returns, for every compaction in journal, the indices of its
+// first op (the temporary file's creation) and its last (the directory sync
+// behind the rename).
+func compactions(t *testing.T, journal []Op, tmp string) (spans [][2]int) {
+	t.Helper()
+	for start, op := range journal {
+		if op.Kind != OpCreate || op.Path != tmp {
+			continue
+		}
+		end := start
+		for end < len(journal) && journal[end].Kind != OpSyncDir {
+			end++
+		}
+		if end == len(journal) {
+			t.Fatalf("compaction starting at op %d never syncs the directory", start)
+		}
+		spans = append(spans, [2]int{start, end})
+	}
+	return spans
+}
+
+// TestCompactionSweepReachesBothLogs checks what makes a rewrite safe, image
+// by image: at every crash point inside every compaction of the sweep's
+// workload, every admissible image holds a wal.log byte-equal to the old
+// log's durable image or to the new one — never a mix — and passes the
+// sweep's checks; and the sweep really visits the image that needs the
+// directory sync, the old log resurrected behind a rename already issued.
+func TestCompactionSweepReachesBothLogs(t *testing.T) {
 	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8, Ops: 6, Keys: 2, CompactAt: 1}
 	fsim := New()
 	rel, err := runWorkload(fsim, cfg)
@@ -77,51 +98,68 @@ func TestCompactionSweepReachesHalfSnapshottedImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	journal := fsim.Journal()
-	durableAt := func(k int) Image { return DurableImage(journal, k) }
-	shardSnap, sessSnap, wal := cfg.Dir+"/shard-000.snap", cfg.Dir+"/sessions.snap", cfg.Dir+"/wal.log"
+	wal := cfg.Dir + "/wal.log"
 
-	compactions, found := 0, 0
-	for start, op := range journal {
-		if op.Kind != OpCreate || op.Path != shardSnap+".tmp" {
-			continue
-		}
-		// A compaction runs from here to the fsync behind the log's truncate.
-		end := start
-		for end < len(journal) && journal[end].Kind != OpTruncate {
-			end++
-		}
-		for end < len(journal) && journal[end].Kind != OpFsync {
-			end++
-		}
-		if end == len(journal) {
-			t.Fatalf("compaction starting at op %d never resets the log", start)
-		}
-		compactions++
-		before, after := durableAt(start), durableAt(end+1)
-		if bytes.Equal(before.Files[shardSnap], after.Files[shardSnap]) ||
-			bytes.Equal(before.Files[sessSnap], after.Files[sessSnap]) || len(before.Files[wal]) == 0 {
-			continue // this compaction changed too little to tell old from new
-		}
-		if len(after.Files[wal]) != 0 {
-			t.Fatalf("compaction ending at op %d left %d log bytes", end, len(after.Files[wal]))
+	spans := compactions(t, journal, wal+".tmp")
+	images, resurrected := 0, 0
+	for _, span := range spans {
+		start, end := span[0], span[1]
+		before, after := DurableImage(journal, start).Files[wal], DurableImage(journal, end+1).Files[wal]
+		renamed := start
+		for journal[renamed].Kind != OpRename {
+			renamed++
 		}
 		for k := start + 1; k <= end; k++ {
 			EnumerateImages(journal, k, RecordAwareCuts, 0, func(img Image) bool {
-				if bytes.Equal(img.Files[shardSnap], after.Files[shardSnap]) &&
-					bytes.Equal(img.Files[sessSnap], before.Files[sessSnap]) &&
-					bytes.Equal(img.Files[wal], before.Files[wal]) {
-					found++
-					if v := checkImage(cfg, img, rel, k); v != nil {
-						t.Errorf("crash point %d (compaction %d–%d): %s", k, start, end, v.Detail)
+				images++
+				switch got := img.Files[wal]; {
+				case bytes.Equal(got, before):
+					if k > renamed && !bytes.Equal(before, after) {
+						resurrected++
 					}
+				case bytes.Equal(got, after):
+				default:
+					t.Errorf("crash point %d (compaction %d–%d): wal.log is neither the old log nor the new:\n got %x\n old %x\n new %x",
+						k, start, end, got, before, after)
+				}
+				if v := checkImage(cfg, img, rel, k); v != nil {
+					t.Errorf("crash point %d (compaction %d–%d): %s", k, start, end, v.Detail)
 				}
 				return !t.Failed()
 			})
 		}
 	}
-	t.Logf("%d compactions, %d images with shard 0's snapshot new, the sessions snapshot old and the log intact", compactions, found)
-	if found == 0 {
-		t.Fatal("the compaction sweep never reached a half-snapshotted image")
+	t.Logf("%d compactions, %d images inside them, %d with the old log resurrected behind the rename", len(spans), images, resurrected)
+	if len(spans) == 0 || resurrected == 0 {
+		t.Fatal("the compaction sweep never reached an old log resurrected by an unsynced rename")
+	}
+}
+
+// TestCompactionIsFiveOps reads the cost of a compaction off the journal: one
+// create, one write per 64 KiB of state, one fsync, one rename and one
+// directory sync, whatever the shard count.
+func TestCompactionIsFiveOps(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		cfg := SweepConfig{Dir: "/data", Shards: shards, Procs: 3, Window: 8, Ops: 6, Keys: 2, CompactAt: 1}
+		fsim := New()
+		if _, err := runWorkload(fsim, cfg); err != nil {
+			t.Fatal(err)
+		}
+		journal := fsim.Journal()
+		spans := compactions(t, journal, cfg.Dir+"/wal.log.tmp")
+		if len(spans) == 0 {
+			t.Fatalf("%d shards: no compaction in the journal", shards)
+		}
+		for _, span := range spans {
+			var kinds []OpKind
+			for _, op := range journal[span[0] : span[1]+1] {
+				kinds = append(kinds, op.Kind)
+			}
+			if want := []OpKind{OpCreate, OpWrite, OpFsync, OpRename, OpSyncDir}; !slices.Equal(kinds, want) {
+				t.Fatalf("%d shards: the compaction at op %d journals %v, want %v", shards, span[0], kinds, want)
+			}
+		}
+		t.Logf("%d shards: %d compactions of 5 fs ops each (1 fsync, 1 directory sync)", shards, len(spans))
 	}
 }
 
@@ -163,5 +201,23 @@ func TestSweepCatchesMutantUnderGroupCommit(t *testing.T) {
 	res := runSweep(t, SweepConfig{Ops: 4, Shards: 2, Window: 64, Group: true, EpochBatch: 3, MaxImages: 2048})
 	if len(res.Violations) == 0 {
 		t.Fatal("outcome-before-effect mutant survived the group-commit sweep undetected")
+	}
+}
+
+// TestSweepCatchesRewriteWithoutDirSync seeds a compaction that skips its
+// directory sync: verdicts anchored in the rewritten log are released while a
+// crash can still bring back the old log, which never held them.
+func TestSweepCatchesRewriteWithoutDirSync(t *testing.T) {
+	durable.MutantRewriteNoDirSync = true
+	defer func() { durable.MutantRewriteNoDirSync = false }()
+
+	res := runSweep(t, SweepConfig{Ops: 4, Shards: 2, Window: 64, CompactAt: 1, MaxImages: 2048})
+	if len(res.Violations) == 0 {
+		t.Fatal("the rewrite without a directory sync survived the sweep undetected")
+	}
+	for _, v := range res.Violations {
+		if !strings.Contains(v.Detail, "released effect lost") && !strings.Contains(v.Detail, "released verdict lost") {
+			t.Fatalf("mutant convicted, but not for losing a released verdict: %s", v.Detail)
+		}
 	}
 }
