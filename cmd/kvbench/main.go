@@ -29,14 +29,14 @@
 //	        [-dist uniform|zipf] [-theta 0.99]
 //	        [-rate 2000] [-mput 16]
 //	kvbench -selftest [-shards 4] ...
-//	kvbench -server-bin ./kvserverd [-data dir] [-server-args "-epoch-interval 2ms"] ...
+//	kvbench -server-bin ./kvserverd [-data dir] ...
 //
 // -selftest starts an in-process non-durable server on a loopback port and
 // benches that (still over real TCP), so the binary is runnable with no
 // external daemon — smoke tests use it. -server-bin instead spawns a real
 // kvserverd (durable when -data is given or defaulted to a temp dir) and
 // benches the full served path through internal/harness, which reaps the
-// child on every exit path; -server-args passes extra flags through.
+// child on every exit path.
 //
 // kvbench only prints: a machine line (CPUs, GOMAXPROCS, Go version, the
 // data directory's filesystem) and one line per connection count. The
@@ -68,7 +68,6 @@ func main() {
 	selftest := flag.Bool("selftest", false, "start an in-process server on a loopback port and bench it")
 	serverBin := flag.String("server-bin", "", "spawn this kvserverd binary on a loopback port and bench it")
 	dataDir := flag.String("data", "", "durable data directory for -server-bin (empty = fresh temp dir)")
-	serverArgs := flag.String("server-args", "", "extra kvserverd flags for -server-bin, space-separated")
 	shards := flag.Int("shards", 4, "shards for the -selftest or -server-bin server")
 	connsFlag := flag.String("conns", "1,4", "comma-separated connection counts to bench")
 	dur := flag.Duration("dur", 2*time.Second, "measured duration per connection count")
@@ -84,7 +83,7 @@ func main() {
 		dur: *dur, keys: *keys, getPct: *getPct, dist: *dist, theta: *theta,
 		mput: *mput, rate: *rate, seed: *seed,
 	}
-	srv := &serverSpec{bin: *serverBin, dataDir: *dataDir, args: *serverArgs, shards: *shards}
+	srv := &serverSpec{bin: *serverBin, dataDir: *dataDir, shards: *shards}
 	connCounts, err := parseConns(*connsFlag)
 	if err == nil {
 		err = run(*addr, *selftest, srv, connCounts, w)
@@ -123,9 +122,9 @@ type load struct {
 
 // serverSpec is the kvserverd a -server-bin run spawns.
 type serverSpec struct {
-	bin, dataDir, args string
-	shards             int
-	temp               bool // dataDir is a temp dir start made
+	bin, dataDir string
+	shards       int
+	temp         bool // dataDir is a temp dir start made
 }
 
 // start spawns the server through internal/harness, in a fresh temp
@@ -139,7 +138,7 @@ func (sp *serverSpec) start(procs int) (_ *harness.Cluster, err error) {
 	}
 	return harness.Start(harness.Config{
 		Name: "kvbench", Bin: sp.bin, Dir: sp.dataDir,
-		Shards: sp.shards, Procs: procs, ServerArgs: sp.args,
+		Shards: sp.shards, Procs: procs,
 	}, false)
 }
 
@@ -190,7 +189,7 @@ func run(addr string, selftest bool, srv *serverSpec, connCounts []int, w load) 
 		defer srv.rmTemp(&err)
 		defer cluster.Close(&err)
 		addr, _ = cluster.Addrs()
-		fmt.Printf("spawned server: addr=%s shards=%d procs=%d data=%s args=%q\n", addr, srv.shards, maxConns, srv.dataDir, srv.args)
+		fmt.Printf("spawned server: addr=%s shards=%d procs=%d data=%s\n", addr, srv.shards, maxConns, srv.dataDir)
 	}
 
 	fmt.Println(machineLine(srv.dataDir))
@@ -260,7 +259,7 @@ func benchPhase(addr string, conns int, w load) error {
 	// Warm the key space on one connection before timing anything, so that
 	// the measured window holds only steady-state operations: reads of live
 	// registers and overwrites of existing keys. Creating a key is cheap
-	// (137 NVM cells in ~126 B at 8 slots) but it is a different path: an
+	// (137 NVM cells in ~116 B at 8 slots) but it is a different path: an
 	// insert into the shard's key table, now and then a doubling of it.
 	if err := warmKeys(clients[0], w.keys); err != nil {
 		return err

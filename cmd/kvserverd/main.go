@@ -17,7 +17,6 @@
 // Usage:
 //
 //	kvserverd [-addr :7070] [-shards 4] [-procs 8] [-data dir] [-dur 0]
-//	          [-epoch-interval 0]
 //	          [-replica-of addr] [-promote] [-v]
 //
 // With -replica-of the daemon starts as a warm standby (requires -data):
@@ -29,16 +28,13 @@
 // generation and exits — promoting a standby into the serving primary, or
 // fencing a node that is already primary.
 //
-// A durable daemon commits through group-commit epochs: concurrent commits
-// coalesce into epochs sharing one fsync, and every mutating reply is
-// released on its epoch's boundary, after the fsync that anchors it, so
-// detectability is never weakened — N writers just split the cost of the
-// barrier instead of each paying it (a lone writer's epoch is the
-// per-mutation schedule; docs/PERFORMANCE.md §"Recorded verdicts" has the
-// comparison).
-// -epoch-interval adds a batching window before each epoch anchors, trading
-// reply latency for wider batches; 0 anchors as soon as the committer is
-// free.
+// A durable daemon commits through group-commit epochs: commits that arrive
+// while an epoch's fsync is in flight coalesce into the next epoch, which
+// shares one fsync, and every mutating reply is released on its epoch's
+// boundary, after the fsync that anchors it, so detectability is never
+// weakened — N writers just split the cost of the barrier instead of each
+// paying it (a lone writer's epoch is one write and one fsync;
+// docs/PERFORMANCE.md §"Recorded verdicts" has the comparison).
 //
 // -dur 0 serves until SIGINT/SIGTERM; a positive duration serves for that
 // long and exits (used by smoke tests). On shutdown the daemon prints the
@@ -65,7 +61,6 @@ func main() {
 	procs := flag.Int("procs", 8, "process slots (max concurrent non-observer sessions)")
 	data := flag.String("data", "", "durable data directory (empty = in-memory only; state dies with the process)")
 	dur := flag.Duration("dur", 0, "serve duration (0 = until SIGINT/SIGTERM)")
-	epochInterval := flag.Duration("epoch-interval", 0, "group-commit batching window (0 = anchor epochs immediately)")
 	replicaOf := flag.String("replica-of", "", "start as a warm standby replicating from the primary at this address (requires -data)")
 	promote := flag.Bool("promote", false, "admin verb: ask the server at -addr to promote (standby → primary, primary → fenced) and exit")
 	verbose := flag.Bool("v", false, "print the per-shard breakdown on shutdown")
@@ -77,7 +72,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*addr, *shards, *procs, *data, *dur, *epochInterval, *replicaOf, *verbose); err != nil {
+	if err := run(*addr, *shards, *procs, *data, *dur, *replicaOf, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "kvserverd:", err)
 		os.Exit(1)
 	}
@@ -99,7 +94,7 @@ func runPromote(addr string) error {
 	return nil
 }
 
-func run(addr string, shards, procs int, data string, dur time.Duration, epochInterval time.Duration, replicaOf string, verbose bool) error {
+func run(addr string, shards, procs int, data string, dur time.Duration, replicaOf string, verbose bool) error {
 	if shards < 1 || procs < 1 {
 		return fmt.Errorf("need shards ≥ 1 and procs ≥ 1 (got shards=%d procs=%d)", shards, procs)
 	}
@@ -122,7 +117,6 @@ func run(addr string, shards, procs int, data string, dur time.Duration, epochIn
 	var srv *server.Server
 	if replicaOf != "" {
 		srv = server.NewStandby(db, func() *shardkv.Store { return shardkv.New(shards, procs, opts...) })
-		db.StartGroupCommit(epochInterval)
 		if err := srv.StartReplication(replicaOf); err != nil {
 			return err
 		}
@@ -142,7 +136,6 @@ func run(addr string, shards, procs int, data string, dur time.Duration, epochIn
 				db.RangeShard(i, func(string, int64) { keys++ })
 			}
 			fmt.Printf("kvserverd: recovered data=%s keys=%d sessions=%d\n", data, keys, srv.Sessions())
-			db.StartGroupCommit(epochInterval)
 		}
 	}
 	if err := srv.Listen(addr); err != nil {
@@ -168,7 +161,6 @@ func run(addr string, shards, procs int, data string, dur time.Duration, epochIn
 		return err
 	}
 	if db != nil {
-		db.StopGroupCommit()
 		if err := db.Sync(); err != nil {
 			return err
 		}

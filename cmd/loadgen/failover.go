@@ -28,7 +28,7 @@ import (
 // counters to end above zero, proving at least one verdict was served
 // from replicated state.
 func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
-	failovers int, failoverEvery time.Duration, serverArgs string) (err error) {
+	failovers int, failoverEvery time.Duration) (err error) {
 	if failovers < 1 {
 		return fmt.Errorf("need -failovers ≥ 1 (got %d)", failovers)
 	}
@@ -40,7 +40,7 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 	// and one for the storm's persistent prober.
 	cluster, err := harness.Start(harness.Config{
 		Name: "failover-storm", Bin: bin, Dir: baseDir,
-		Shards: cfg.shards, Procs: cfg.procs + 2, ServerArgs: serverArgs,
+		Shards: cfg.shards, Procs: cfg.procs + 2,
 	}, true)
 	if err != nil {
 		return err

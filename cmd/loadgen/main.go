@@ -96,7 +96,6 @@ func main() {
 	dataDir := flag.String("data", "", "durable data directory for -restart-storm (empty = fresh temp dir)")
 	restarts := flag.Int("restarts", 5, "minimum SIGKILL/restart cycles for -restart-storm")
 	restartEvery := flag.Duration("restart-every", 700*time.Millisecond, "delay between SIGKILLs for -restart-storm")
-	serverArgs := flag.String("server-args", "", "extra kvserverd flags for -restart-storm/-failover-storm, space-separated (e.g. \"-epoch-interval 2ms\")")
 	failoverStorm := flag.Bool("failover-storm", false, "primary/backup failover mode: spawn a durable primary plus a replicating standby (-server-bin, -data) and SIGKILL/promote mid-workload")
 	failovers := flag.Int("failovers", 3, "minimum SIGKILL/promote cycles for -failover-storm")
 	failoverEvery := flag.Duration("failover-every", 900*time.Millisecond, "delay between primary SIGKILLs for -failover-storm")
@@ -123,11 +122,11 @@ func main() {
 	case nServerModes > 0 && *remote != "":
 		err = fmt.Errorf("-restart-storm/-failover-storm/-read-replica spawn their own servers; drop -remote")
 	case *readReplica:
-		err = runReadReplicaStorm(*serverBin, *dataDir, &cfg, *readerProcs, *maxLag, *serverArgs)
+		err = runReadReplicaStorm(*serverBin, *dataDir, &cfg, *readerProcs, *maxLag)
 	case *failoverStorm:
-		err = runFailoverStorm(*serverBin, *dataDir, &cfg, *failovers, *failoverEvery, *serverArgs)
+		err = runFailoverStorm(*serverBin, *dataDir, &cfg, *failovers, *failoverEvery)
 	case *restartStorm:
-		err = runRestartStorm(*serverBin, *dataDir, &cfg, *restarts, *restartEvery, *serverArgs)
+		err = runRestartStorm(*serverBin, *dataDir, &cfg, *restarts, *restartEvery)
 	case *remote != "":
 		err = runRemote(*remote, &cfg)
 	default:

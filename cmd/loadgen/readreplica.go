@@ -24,7 +24,7 @@ import (
 // — plus proof of work: at least one read must actually have been served
 // by a replica.
 func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
-	readers int, maxLag uint64, serverArgs string) (err error) {
+	readers int, maxLag uint64) (err error) {
 	if readers < 1 {
 		return fmt.Errorf("need -readers ≥ 1 (got %d)", readers)
 	}
@@ -35,7 +35,7 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 		baseDir, bin, cfg.procs, readers, maxLag)
 	cluster, err := harness.Start(harness.Config{
 		Name: "read-replica", Bin: bin, Dir: baseDir,
-		Shards: cfg.shards, Procs: cfg.procs, ServerArgs: serverArgs,
+		Shards: cfg.shards, Procs: cfg.procs,
 	}, true)
 	if err != nil {
 		return err

@@ -19,7 +19,7 @@ import (
 // not. The bar is unchanged from every other mix: zero detectability
 // violations, now across whole-process crash/restart boundaries.
 func runRestartStorm(bin, dataDir string, cfg *wlCfg,
-	restarts int, restartEvery time.Duration, serverArgs string) (err error) {
+	restarts int, restartEvery time.Duration) (err error) {
 	if restarts < 1 {
 		return fmt.Errorf("need -restarts ≥ 1 (got %d)", restarts)
 	}
@@ -29,7 +29,7 @@ func runRestartStorm(bin, dataDir string, cfg *wlCfg,
 	fmt.Printf("restart-storm: data=%s server=%s restarts≥%d every=%s\n", dataDir, bin, restarts, restartEvery)
 	cluster, err := harness.Start(harness.Config{
 		Name: "restart-storm", Bin: bin, Dir: dataDir,
-		Shards: cfg.shards, Procs: cfg.procs, ServerArgs: serverArgs,
+		Shards: cfg.shards, Procs: cfg.procs,
 	}, false)
 	if err != nil {
 		return err

@@ -1,5 +1,5 @@
 // Command simsweep model-checks the durable recovery path: it runs a
-// group-commit workload against the simulated filesystem (internal/simio),
+// durable workload against the simulated filesystem (internal/simio),
 // enumerates every crash point × torn-write byte image the persistence
 // model admits, recovers from each, and checks detectability
 // (outcome-implies-effect, released-verdict survival) plus the hash-pinned
@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	simsweep -ops 8 -group -epoch-batch 4            # exhaust a workload
+//	simsweep -ops 8 -epoch-batch 4                   # exhaust a workload
 //	simsweep -budget 60s -max-images 8192            # budgeted deep sweep
 //	simsweep -mutant outcome-first -expect-violation # CI mutant gate
 //	simsweep -mutant rewrite-no-dirsync -compact-at 1 -expect-violation
@@ -38,8 +38,7 @@ func main() {
 		window     = flag.Int("window", 64, "outcome window size")
 		ops        = flag.Int("ops", 6, "committed mutations in the workload")
 		keys       = flag.Int("keys", 2, "distinct keys per shard")
-		group      = flag.Bool("group", false, "commit through group-commit epochs")
-		epochBatch = flag.Int("epoch-batch", 0, "members of an explicit multi-member epoch (implies -group)")
+		epochBatch = flag.Int("epoch-batch", 0, "members of an explicit multi-member epoch (0 = none)")
 		compactAt  = flag.Int64("compact-at", 0, "compaction threshold in bytes (0 = durable default)")
 		maxImages  = flag.Int("max-images", 0, "cap on byte images per crash point (0 = unlimited)")
 		budget     = flag.Duration("budget", 0, "wall-clock budget for the sweep (0 = unlimited)")
@@ -60,9 +59,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simsweep: unknown -mutant %q (want outcome-first or rewrite-no-dirsync)\n", *mutant)
 		os.Exit(2)
 	}
-	if *epochBatch > 1 {
-		*group = true
-	}
 
 	cfg := simio.SweepConfig{
 		Shards:     *shards,
@@ -70,7 +66,6 @@ func main() {
 		Window:     *window,
 		Ops:        *ops,
 		Keys:       *keys,
-		Group:      *group,
 		EpochBatch: *epochBatch,
 		CompactAt:  *compactAt,
 		MaxImages:  *maxImages,

@@ -14,10 +14,15 @@ import (
 )
 
 // countingFs counts the file fsyncs a node issues through the durable.Fs
-// seam (directory syncs are not fsyncs of data and are not counted).
+// seam (directory syncs are not fsyncs of data and are not counted). Once
+// hold is armed, the next fsync is counted, reports on held and waits for
+// release before it reaches the disk.
 type countingFs struct {
 	durable.Fs
-	fsyncs atomic.Int64
+	fsyncs  atomic.Int64
+	hold    atomic.Bool
+	held    chan struct{}
+	release chan struct{}
 }
 
 func (c *countingFs) OpenFile(path string, flag int, perm os.FileMode) (durable.File, error) {
@@ -35,6 +40,10 @@ type countingFile struct {
 
 func (f countingFile) Sync() error {
 	f.fs.fsyncs.Add(1)
+	if f.fs.hold.CompareAndSwap(true, false) {
+		f.fs.held <- struct{}{}
+		<-f.fs.release
+	}
 	return f.File.Sync()
 }
 
@@ -43,8 +52,8 @@ const (
 	pinProcs  = 4
 )
 
-// pinNode is one durable node of the pinned stack: group commit on, its
-// fsyncs counted from before the directory exists.
+// pinNode is one durable node of the pinned stack, its fsyncs counted from
+// before the directory exists.
 type pinNode struct {
 	fs  countingFs
 	db  *durable.DB
@@ -54,12 +63,12 @@ type pinNode struct {
 func (n *pinNode) open(t *testing.T) {
 	t.Helper()
 	n.fs.Fs = durable.OS
+	n.fs.held, n.fs.release = make(chan struct{}), make(chan struct{})
 	db, err := durable.OpenFs(&n.fs, t.TempDir(), pinShards, pinProcs, server.Window)
 	if err != nil {
 		t.Fatalf("durable.OpenFs: %v", err)
 	}
 	n.db = db
-	db.StartGroupCommit(0)
 	t.Cleanup(func() {
 		if n.srv != nil {
 			n.srv.Close()
@@ -124,7 +133,8 @@ func allShardsBatch(r int) []shardkv.KV {
 // TestFsyncCountPins pins what one operation costs the disk, on the served
 // stack as kvserverd runs it: a commit epoch is one fsync on the primary and
 // one on a sync standby however many shards it touched, a session's hello
-// and end are one each, and a GET is none.
+// and end are one each, a GET is none, and the PUTs of several sessions that
+// arrive while an fsync is in flight share the next one.
 func TestFsyncCountPins(t *testing.T) {
 	p := startPinPrimary(t)
 	nodes := []*pinNode{p}
@@ -172,6 +182,37 @@ func TestFsyncCountPins(t *testing.T) {
 		})
 		step(phase+" PUT", 1, func() error { _, err := c.Put("pin-0", round); return err })
 		step(phase+" GET", 0, func() error { _, err := c.Get("pin-0"); return err })
+
+		more := make([]*client.Client, pinProcs-1)
+		for i := range more {
+			step(fmt.Sprintf("%s hello of session %d", phase, i+2), 1, func() (err error) {
+				more[i], err = client.Dial(p.srv.Addr().String())
+				return err
+			})
+		}
+		step(fmt.Sprintf("%s a PUT held in its fsync, %d sessions' PUTs behind it", phase, len(more)), 2, func() error {
+			errs := make(chan error, 1+len(more))
+			p.fs.hold.Store(true)
+			go func() { _, err := c.Put("pin-0", round); errs <- err }()
+			<-p.fs.held
+			_, staged := p.db.GroupCommitStats()
+			for i, m := range more {
+				go func() { _, err := m.Put(fmt.Sprintf("pin-%d", i+1), round); errs <- err }()
+			}
+			for _, now := p.db.GroupCommitStats(); now < staged+uint64(len(more)); _, now = p.db.GroupCommitStats() {
+				time.Sleep(time.Millisecond)
+			}
+			p.fs.release <- struct{}{}
+			for range 1 + len(more) {
+				if err := <-errs; err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		for i, m := range more {
+			step(fmt.Sprintf("%s end of session %d", phase, i+2), 1, m.Close)
+		}
 		step(phase+" end", 1, c.Close)
 	}
 	pins("primary alone:")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"maps"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"detectable/internal/keytab"
@@ -166,6 +168,7 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	}
 
 	db := &DB{fs: fsys, dir: dir, unlock: unlock, procs: procs, compactAt: DefaultCompactAt}
+	db.gc.cond.L = &db.gc.mu
 	db.gen.Store(gen)
 	db.view.gen.Store(1) // a fresh entry's zero viewGen is never current
 	db.sessions = sessionsFile{state: make(map[uint64]*SessionState), window: window}
@@ -442,8 +445,11 @@ func (ss *sessionsFile) apply(rec []byte) error {
 
 // noteOutcome folds one (sid, reqID, reply) verdict into the mirror:
 // window insert, high-water bump, eviction past the window bound. The
-// single definition keeps live commits and recovery replay in lockstep.
-// Must be called with ss.mu held.
+// single definition keeps live commits and recovery replay in lockstep. The
+// bound is a distance below the high-water mark, so an ID near 2^64 cannot
+// wrap past it and evict the high-water outcome itself — a compaction, which
+// writes the window and not the mark, would lose the mark with it. Must be
+// called with ss.mu held.
 func (ss *sessionsFile) noteOutcome(sid, reqID uint64, reply []byte) {
 	s, ok := ss.state[sid]
 	if !ok {
@@ -454,7 +460,7 @@ func (ss *sessionsFile) noteOutcome(sid, reqID uint64, reply []byte) {
 		s.MaxID = reqID
 	}
 	for id := range s.Window {
-		if id+uint64(ss.window) <= s.MaxID {
+		if s.MaxID-id >= uint64(ss.window) {
 			delete(s.Window, id)
 		}
 	}
@@ -523,9 +529,9 @@ func eachStaged(b []byte, fn func(rec []byte) error) error {
 	return nil
 }
 
-// anchor is the commit path, the only one: a group-commit epoch, a
-// per-mutation commit (an epoch of one), a hello, a next-sid mark, an end, a
-// replicated barrier on a standby and a bare Sync all come through here.
+// anchor makes one epoch durable (groupcommit.go): the epoch's leader is its
+// one caller, and every durable step — an outcome, a hello, a next-sid mark,
+// an end, a replicated barrier on a standby, a bare Sync — rides an epoch.
 // recs — a stageRec concatenation of session records, possibly empty — are
 // appended to the write-ahead log behind every put journaled so far and the
 // log is made durable with one write and one fsync, whatever number of
@@ -575,8 +581,8 @@ func (db *DB) anchor(recs []byte) error {
 	full := db.wal.Appended() >= db.compactAt
 	ss.mu.Unlock()
 	if full {
-		// Another anchor may have seen the same full log; compact re-tests
-		// under its locks, so only the first of them rewrites.
+		// An explicit Compact may rewrite the log before this one takes
+		// its locks; compact re-tests under them, so only one rewrites.
 		if err := db.compact(db.compactAt); err != nil {
 			return err
 		}
@@ -588,9 +594,12 @@ func (db *DB) anchor(recs []byte) error {
 // AppendHello durably records a new session (sid, pid) — synced before
 // returning, so a client never holds a session ID a restart would forget.
 func (db *DB) AppendHello(sid uint64, pid int) error {
-	rec := binary.BigEndian.AppendUint64([]byte{recHello}, sid)
-	rec = binary.BigEndian.AppendUint64(rec, uint64(int64(pid)))
-	return db.anchor(stageRec(nil, rec))
+	return db.commit(func(recs []byte) []byte {
+		recs = binary.BigEndian.AppendUint32(recs, 1+8+8)
+		recs = append(recs, recHello)
+		recs = binary.BigEndian.AppendUint64(recs, sid)
+		return binary.BigEndian.AppendUint64(recs, uint64(int64(pid)))
+	})
 }
 
 // NoteSID durably raises the session-ID high-water mark to at least sid
@@ -602,27 +611,24 @@ func (db *DB) NoteSID(sid uint64) error {
 	if sid <= db.NextSID() {
 		return nil
 	}
-	return db.anchor(stageSID(nil, recNextSID, sid))
+	return db.commit(func(recs []byte) []byte { return stageSID(recs, recNextSID, sid) })
 }
 
 // AppendEnd durably records the end of session sid, releasing it from
 // future recoveries.
-func (db *DB) AppendEnd(sid uint64) error { return db.anchor(stageSID(nil, recEnd, sid)) }
+func (db *DB) AppendEnd(sid uint64) error {
+	return db.commit(func(recs []byte) []byte { return stageSID(recs, recEnd, sid) })
+}
 
 // CommitOutcome makes one released verdict durable: the (sid, reqID, reply)
 // outcome record goes into the write-ahead log behind the effects already
 // journaled there and the log is synced. The position is the durability
 // contract: an outcome record on disk implies its effects are on disk, so a
 // replayed verdict never promises a lost write. Returns only after the
-// barrier — its own when group commit is off, or the epoch's when it is on
-// (the commit coalesces with every other commit in flight and they share
-// one fsync; see groupcommit.go).
+// barrier of the epoch the commit rode, which it shares with every other
+// durable step in flight (groupcommit.go).
 func (db *DB) CommitOutcome(sid, reqID uint64, reply []byte) error {
-	if e := db.gc.join(sid, reqID, reply); e != nil {
-		<-e.done
-		return e.err
-	}
-	return db.anchor(stageOutcome(nil, sid, reqID, reply))
+	return db.commit(func(recs []byte) []byte { return stageOutcome(recs, sid, reqID, reply) })
 }
 
 // appendOutcomeRec appends one encoded recOutcome payload to dst.
@@ -685,25 +691,29 @@ func (db *DB) compact(threshold int64) error {
 	if db.wal.Appended() < threshold {
 		return nil
 	}
-	return db.wal.Rewrite(func(add func(rec []byte) error) error {
+	start, before := time.Now(), db.wal.length()
+	if err := db.wal.Rewrite(func(add func(rec []byte) error) error {
 		for i, sf := range db.shards {
 			if err := sf.emit(i, add); err != nil {
 				return err
 			}
 		}
 		return ss.emit(add)
-	})
+	}); err != nil {
+		return err
+	}
+	slog.Info("durable: write-ahead log compacted", "path", db.wal.path,
+		"bytes_before", before, "bytes_after", db.wal.length(), "duration", time.Since(start))
+	return nil
 }
 
 // Sync is the durability barrier without a record: every mutation
 // journaled before the call is durable (on the standby too) when it
 // returns. A clean log costs no fsync.
-func (db *DB) Sync() error { return db.anchor(nil) }
+func (db *DB) Sync() error { return db.commit(nil) }
 
-// Close stops group commit (draining any in-flight epoch), syncs, and
-// closes the log. The DB must not be used afterwards.
+// Close syncs and closes the log. The DB must not be used afterwards.
 func (db *DB) Close() error {
-	db.StopGroupCommit()
 	err := db.wal.Close()
 	db.unlock()
 	return err

@@ -459,10 +459,11 @@ func TestCompactThresholdCountsAppendedBytes(t *testing.T) {
 	}
 }
 
-// TestFullLogCompactsOnce: two anchors — the committer's and a handler's
-// AppendHello — can both find the log full before either compacts. The
-// trigger is tested again under the compaction's locks, so the second does
-// not rewrite the whole state a second time for nothing.
+// TestFullLogCompactsOnce: an anchor finds the log full under the sessions
+// lock and compacts after releasing it, so another compaction — an explicit
+// Compact — can rewrite the log in between. The trigger is tested again
+// under the compaction's locks, so the second does not rewrite the whole
+// state a second time for nothing.
 func TestFullLogCompactsOnce(t *testing.T) {
 	fsys := &faultFs{Fs: OS}
 	db, err := OpenFs(fsys, t.TempDir(), 1, 1, 4)

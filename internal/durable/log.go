@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -275,10 +276,12 @@ func (l *Log) barrier() error {
 }
 
 // poison records the first write/fsync failure; every later Append, Sync
-// and Rewrite returns it. Called with l.mu held.
+// and Rewrite returns it. The first failure is also the operator's one
+// signal that this node has stopped committing. Called with l.mu held.
 func (l *Log) poison(cause error) {
 	if l.err == nil {
 		l.err = fmt.Errorf("durable: log %s poisoned by failed barrier: %w", filepath.Base(l.path), cause)
+		slog.Error("durable: write-ahead log poisoned, every later commit fails", "path", l.path, "cause", cause)
 	}
 }
 
@@ -302,6 +305,13 @@ func (l *Log) Appended() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.size + int64(len(l.buf)) - l.base
+}
+
+// length returns the bytes of records the log holds, staged ones included.
+func (l *Log) length() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.size + int64(len(l.buf))
 }
 
 // rewriteChunk is Rewrite's write buffer: the new file takes the records in

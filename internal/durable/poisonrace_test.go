@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// TestStopGroupCommitRacesFailingEpochFsync races StopGroupCommit against
-// commits parked on an epoch whose fsync fails: every commit must observe
-// the injected error — whether its epoch was anchored by the committer,
-// drained by the stop, or pushed onto the synchronous path after it — and
-// nothing may deadlock. Run under -race, this also checks the stop/fail
-// handoff for data races.
-func TestStopGroupCommitRacesFailingEpochFsync(t *testing.T) {
+// TestConcurrentCommitsRaceFailingEpochs races concurrent durable steps of
+// every kind across successive epochs of a log whose fsync fails: the first
+// epoch fails its fsync and poisons the log, every later one fails at the
+// append. Every caller must observe the injected error, whichever epoch it
+// rode and whether it led or joined it, and nothing may deadlock. Run under
+// -race, this also checks the leader hand-off for data races.
+func TestConcurrentCommitsRaceFailingEpochs(t *testing.T) {
 	boom := errors.New("injected EIO")
 	for round := 0; round < 20; round++ {
 		db, err := Open(t.TempDir(), 1, 4, 16)
@@ -21,11 +21,18 @@ func TestStopGroupCommitRacesFailingEpochFsync(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.AppendHello(1, 0)
+		db.ShardBacking(0).Persist("k", 1) // whichever epoch is first has an fsync to fail
 		db.wal.syncFn = func(File) error { return boom }
-		db.StartGroupCommit(time.Millisecond)
+		epochs0, _ := db.GroupCommitStats()
 
-		const n = 8
-		errs := make(chan error, n)
+		const n, per = 8, 3
+		steps := []func(i, j int) error{
+			func(i, j int) error { return db.CommitOutcome(1, uint64(i*per+j+1), []byte("x")) },
+			func(i, j int) error { return db.Sync() },
+			func(i, j int) error { return db.NoteSID(uint64(100 + i*per + j)) },
+			func(i, j int) error { return db.AppendEnd(uint64(200 + i)) },
+		}
+		errs := make(chan error, n*per)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for i := 0; i < n; i++ {
@@ -33,35 +40,42 @@ func TestStopGroupCommitRacesFailingEpochFsync(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				errs <- db.CommitOutcome(1, uint64(i+1), []byte("x"))
+				for j := 0; j < per; j++ {
+					errs <- steps[(i+j)%len(steps)](i, j)
+				}
 			}(i)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			db.StopGroupCommit()
-		}()
 		close(start)
-		wg.Wait()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: commits racing failing epochs deadlocked", round)
+		}
 		close(errs)
 		for err := range errs {
 			if !errors.Is(err, boom) {
-				t.Fatalf("round %d: commit racing stop = %v, want wrapped %v", round, err, boom)
+				t.Fatalf("round %d: commit racing failing epochs = %v, want wrapped %v", round, err, boom)
 			}
 		}
-		db.StopGroupCommit()
+		if epochs, _ := db.GroupCommitStats(); epochs-epochs0 < per {
+			t.Fatalf("round %d: %d epochs for %d sequential steps per caller", round, epochs-epochs0, per)
+		}
+		db.Close()
 	}
 }
 
 // TestPoisonedLogRejectsAfterGroupCommitRestart: once an epoch fsync has
-// failed, the write-ahead log is poisoned for good — restarting group commit
-// must not launder the failure into fresh durability claims.
+// failed, the write-ahead log is poisoned for good — the epochs led after it,
+// even once the kernel "recovers", must not launder the failure into fresh
+// durability claims.
 func TestPoisonedLogRejectsAfterGroupCommitRestart(t *testing.T) {
 	db, err := Open(t.TempDir(), 1, 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	db.AppendHello(1, 0)
 	boom := errors.New("injected EIO")
 	fail := true
@@ -71,22 +85,17 @@ func TestPoisonedLogRejectsAfterGroupCommitRestart(t *testing.T) {
 		}
 		return f.Sync()
 	}
-	db.StartGroupCommit(time.Millisecond)
 	if err := db.CommitOutcome(1, 1, []byte("x")); !errors.Is(err, boom) {
 		t.Fatalf("poisoning commit = %v, want wrapped %v", err, boom)
 	}
-	db.StopGroupCommit()
 
-	// The kernel "recovers" and group commit is restarted — but the first
-	// failure already voided the log's durability story.
+	// The kernel "recovers" — but the first failure already voided the log's
+	// durability story for every epoch after it.
 	fail = false
-	db.StartGroupCommit(time.Millisecond)
 	if err := db.CommitOutcome(1, 2, []byte("y")); !errors.Is(err, boom) {
-		t.Fatalf("commit after restart on poisoned log = %v, want wrapped %v", err, boom)
+		t.Fatalf("commit in the next epoch on a poisoned log = %v, want wrapped %v", err, boom)
 	}
-	db.StopGroupCommit()
-	// The synchronous path stays poisoned too.
-	if err := db.CommitOutcome(1, 3, []byte("z")); !errors.Is(err, boom) {
-		t.Fatalf("sync commit on poisoned log = %v, want wrapped %v", err, boom)
+	if err := db.Sync(); !errors.Is(err, boom) {
+		t.Fatalf("Sync on a poisoned log = %v, want wrapped %v", err, boom)
 	}
 }

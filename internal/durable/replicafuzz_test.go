@@ -1,0 +1,94 @@
+package durable_test
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"detectable/internal/durable"
+	"detectable/internal/simio"
+)
+
+// FuzzReplicaApply feeds a replication stream — u32-length-framed messages,
+// the bytes a standby reads off the wire — to a standby's Replica. Whatever
+// the bytes, Apply must not panic, the read view must never be published
+// past the highest commit mark applied, and the standby's directory must
+// recover what the live standby holds: closing and reopening it gives the
+// same StateHash, with a compaction at every anchor on the way. The seeds are a real primary's streams, live and
+// snapshot, and truncated, reordered and duplicated variants of them.
+func FuzzReplicaApply(f *testing.F) {
+	pdb := openSim(f, simio.New())
+	live := pdb.Subscribe(0, false)
+	workload(f, pdb)
+	live.Close()
+	msgs := drain(f, live)
+	snap := pdb.Subscribe(0, false)
+	snap.Close()
+	resync := drain(f, snap)
+	pdb.Close()
+
+	stream := func(msgs ...[]byte) []byte {
+		var b []byte
+		for _, m := range msgs {
+			b = binary.BigEndian.AppendUint32(b, uint32(len(m)))
+			b = append(b, m...)
+		}
+		return b
+	}
+	full := stream(msgs...)
+	f.Add(full)
+	f.Add(stream(resync...))
+	f.Add(stream(msgs[:len(msgs)/2]...))                             // cut mid-stream
+	f.Add(full[:len(full)-3])                                        // torn last frame
+	f.Add(stream(append(append([][]byte{}, msgs...), msgs...)...))   // the whole stream twice
+	f.Add(stream(append(append([][]byte{}, resync...), msgs...)...)) // a snapshot, then a stale live stream
+	for i, m := range msgs {
+		if m[0] != durable.ReplBarrier {
+			continue
+		}
+		// The barrier ahead of the records it closes, and its commit mark
+		// ahead of the barrier.
+		swapped := append([][]byte{}, msgs...)
+		swapped[i-1], swapped[i] = swapped[i], swapped[i-1]
+		f.Add(stream(swapped...))
+		if i+1 < len(msgs) && msgs[i+1][0] == durable.ReplCommit {
+			early := append([][]byte{}, msgs...)
+			early[i], early[i+1] = early[i+1], early[i]
+			f.Add(stream(early...))
+		}
+		// The barrier twice.
+		f.Add(stream(append(append(append([][]byte{}, msgs[:i+1]...), m), msgs[i+1:]...)...))
+		break
+	}
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		fsim := simio.New()
+		db := openSim(t, fsim)
+		db.SetCompactThreshold(1)
+		rep := db.NewReplica()
+		var committed uint64
+		for len(stream) >= 4 {
+			n := binary.BigEndian.Uint32(stream)
+			if uint64(n) > uint64(len(stream)-4) {
+				break
+			}
+			msg := stream[4 : 4+n]
+			stream = stream[4+n:]
+			_, _, err := rep.Apply(msg)
+			if err == nil && len(msg) == 9 && msg[0] == durable.ReplCommit {
+				committed = max(committed, binary.BigEndian.Uint64(msg[1:]))
+			}
+			if seq := db.ViewSeq(); seq > committed {
+				t.Fatalf("read view published through %d, highest commit mark applied is %d", seq, committed)
+			}
+		}
+		want := db.StateHash()
+		if err := db.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		db = openSim(t, fsim)
+		defer db.Close()
+		if got := db.StateHash(); got != want {
+			t.Fatalf("reopened standby hash %s, live standby %s", got, want)
+		}
+	})
+}

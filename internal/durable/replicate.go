@@ -9,13 +9,12 @@ package durable
 // own fsync starts, and as a commit mark with the same sequence once that
 // fsync has returned: the two nodes' fsyncs of one epoch run side by side.
 // A synchronous subscriber gates verdict release: the commit path
-// (DB.anchor, under AppendHello, NoteSID, AppendEnd, CommitOutcome and the
-// group-commit epoch) waits for the backup to acknowledge the barrier before
-// returning, so group commit and replication share one epoch boundary — an
-// epoch's verdicts are released only after that epoch is durable on both
-// nodes. A subscriber that stalls past the ack timeout is dropped and its
-// waiters released (replication degrades; durability on the primary is
-// never weakened).
+// (DB.anchor, which every durable step reaches through its epoch) waits for
+// the backup to acknowledge the barrier before returning, so group commit
+// and replication share one epoch boundary — an epoch's verdicts are
+// released only after that epoch is durable on both nodes. A subscriber
+// that stalls past the ack timeout is dropped and its waiters released
+// (replication degrades; durability on the primary is never weakened).
 //
 // A new subscriber first receives a fuzzy snapshot — every shard mirror in
 // sorted key order, then the sessions mirror — bracketed by SnapBegin /
@@ -36,8 +35,8 @@ package durable
 // (early effects are harmless — the primary's own commit protocol already
 // tolerates effects without outcomes; a snapshot's puts alone wait for
 // SnapEnd, behind its reconciliation), but session records are staged in
-// memory until a barrier arrives and then go through the backup's own
-// DB.anchor — appended behind those puts, one write, one fsync. A
+// memory until a barrier arrives and then ride an epoch of the backup's
+// own — appended behind those puts, one write, one fsync. A
 // crash-prefix image of the backup's data directory therefore satisfies
 // the same outcome-implies-effect invariant as the primary's, which
 // internal/simio checks byte-for-byte. The barrier is acknowledged as soon
@@ -835,7 +834,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		// The backup is itself a tappable primary: anchoring here also feeds
 		// its own subscribers (a chained replica) the same records, a barrier
 		// and — once it is durable here — a commit mark.
-		if err := rp.db.anchor(rp.staged); err != nil {
+		if err := rp.db.commit(func(recs []byte) []byte { return append(recs, rp.staged...) }); err != nil {
 			return 0, false, err
 		}
 		rp.staged = rp.staged[:0]
@@ -943,7 +942,7 @@ func (rp *Replica) reconcile() error {
 		for req := range s.Window {
 			// An unasserted outcome the asserted ones will evict anyway is
 			// merely old, not stale.
-			if _, ok := asserted[outcomeID{sid, req}]; !ok && req+uint64(ss.window) > maxReq[sid] {
+			if _, ok := asserted[outcomeID{sid, req}]; !ok && (req > maxReq[sid] || maxReq[sid]-req < uint64(ss.window)) {
 				stale = true
 			}
 		}
@@ -960,7 +959,7 @@ func (rp *Replica) reconcile() error {
 		for _, sid := range staleSIDs {
 			ends = stageSID(ends, recEnd, sid)
 		}
-		if err := rp.db.anchor(ends); err != nil {
+		if err := rp.db.commit(func(recs []byte) []byte { return append(recs, ends...) }); err != nil {
 			return err
 		}
 	}

@@ -23,7 +23,7 @@ const (
 	testWindow = 8
 )
 
-func openSim(t *testing.T, fsim *simio.Fs) *durable.DB {
+func openSim(t testing.TB, fsim *simio.Fs) *durable.DB {
 	t.Helper()
 	db, err := durable.OpenFs(fsim, "/data", testShards, testProcs, testWindow)
 	if err != nil {
@@ -35,7 +35,7 @@ func openSim(t *testing.T, fsim *simio.Fs) *durable.DB {
 // workload drives a representative mix through db: two long-lived
 // sessions committing puts across both shards, an observer-ID burn, and
 // a third session that ends durably.
-func workload(t *testing.T, db *durable.DB) {
+func workload(t testing.TB, db *durable.DB) {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -65,7 +65,7 @@ func workload(t *testing.T, db *durable.DB) {
 
 // drain collects the stream staged on a closed (or closing) subscription
 // and splits it into messages.
-func drain(t *testing.T, sub *durable.ReplSub) [][]byte {
+func drain(t testing.TB, sub *durable.ReplSub) [][]byte {
 	t.Helper()
 	var msgs [][]byte
 	for {

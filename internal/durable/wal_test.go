@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // readTree returns every file of the flat directory dir by name.
@@ -191,10 +192,10 @@ func TestAppendDoesNotWaitForTheBarrier(t *testing.T) {
 }
 
 // TestAllocPinCommitOutcomeSyncSubscriber pins the allocations of a warm
-// CommitOutcome on the path every served mutation takes — a group-commit
-// epoch gated by a sync subscriber's ack: the epoch and its broadcast
-// channel, and the window's copy of the reply. Waiting for the ack
-// allocates nothing (no slice of subscribers, no timer per wait).
+// CommitOutcome on the path every served mutation takes — an epoch gated by
+// a sync subscriber's ack. It reads 1, the window's copy of the reply: the
+// epoch is recycled with its buffer, and waiting for the ack allocates
+// nothing (no slice of subscribers, no timer per wait).
 func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on channel hand-off")
@@ -204,7 +205,6 @@ func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.StartGroupCommit(0)
 	sub := db.Subscribe(0, true)
 	defer sub.Close()
 	go func() { // the standby: acknowledge every barrier
@@ -222,6 +222,14 @@ func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 			}
 		}
 	}()
+	// The gate engages once the standby has acked its snapshot's barrier. A
+	// lone committer never parks before that, so on one CPU it has to wait
+	// for the standby here.
+	for deadline := time.Now().Add(10 * time.Second); db.repl.nsync.Load() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the subscriber never acked its snapshot's barrier")
+		}
+	}
 	if err := db.AppendHello(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +241,7 @@ func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 64; i++ { // fill the window, grow every buffer, engage the gate
+	for i := 0; i < 64; i++ { // fill the window, grow every buffer
 		commit()
 	}
 	if _, _, subs := db.ReplStatus(); subs != 1 || db.repl.nsync.Load() != 1 {

@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -100,12 +99,11 @@ func (n *node) end(graceful bool) {
 
 // Config describes the servers a Cluster spawns.
 type Config struct {
-	Name       string // prefixes Close's diagnostics ("restart-storm")
-	Bin        string // kvserverd binary
-	Dir        string // a lone primary serves from Dir itself, a pair from Dir/node-N
-	Shards     int
-	Procs      int
-	ServerArgs string // extra kvserverd flags, space-separated
+	Name   string // prefixes Close's diagnostics ("restart-storm")
+	Bin    string // kvserverd binary
+	Dir    string // a lone primary serves from Dir itself, a pair from Dir/node-N
+	Shards int
+	Procs  int
 }
 
 // Cluster is a durable primary and, when started with one, a warm standby
@@ -184,7 +182,6 @@ func (c *Cluster) newNode(addr, dir, replicaOf string) (*node, error) {
 		"-procs", strconv.Itoa(c.cfg.Procs),
 		"-data", dir,
 	}
-	args = append(args, strings.Fields(c.cfg.ServerArgs)...)
 	if replicaOf != "" {
 		args = append(args, "-replica-of", replicaOf)
 	}

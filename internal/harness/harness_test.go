@@ -53,7 +53,7 @@ func start(t *testing.T, standby bool) *Cluster {
 	t.Helper()
 	c, err := Start(Config{
 		Name: t.Name(), Bin: kvserverd(t), Dir: t.TempDir(),
-		Shards: 2, Procs: 2, ServerArgs: "-epoch-interval 1ms",
+		Shards: 2, Procs: 2,
 	}, standby)
 	if err != nil {
 		t.Fatal(err)

@@ -213,7 +213,6 @@ func TestGroupCommitReleasedVerdictsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	addr := reserveAddr(t)
 	st1 := startDurable(t, dir, addr)
-	st1.db.StartGroupCommit(500 * time.Microsecond)
 
 	const perConn = 8
 	type connState struct {
@@ -250,8 +249,8 @@ func TestGroupCommitReleasedVerdictsSurviveRestart(t *testing.T) {
 		t.FailNow()
 	}
 	epochs, commits := st1.db.GroupCommitStats()
-	if commits != 2*perConn {
-		t.Fatalf("group commit anchored %d outcomes, want %d", commits, 2*perConn)
+	if commits != 2+2*perConn {
+		t.Fatalf("epochs carried %d durable steps, want 2 hellos and %d outcomes", commits, 2*perConn)
 	}
 	if epochs == 0 || epochs > commits {
 		t.Fatalf("epochs=%d commits=%d: not coalescing", epochs, commits)
@@ -260,7 +259,6 @@ func TestGroupCommitReleasedVerdictsSurviveRestart(t *testing.T) {
 
 	st2 := startDurable(t, dir, addr)
 	defer st2.kill(t)
-	st2.db.StartGroupCommit(500 * time.Microsecond)
 	for ci, cs := range states {
 		rc := dialRaw(t, addr)
 		if _, resumed := rc.hello(t, cs.sid); !resumed {

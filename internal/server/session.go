@@ -73,7 +73,7 @@ func (s *session) classify(reqID uint64) (reply []byte, class idClass) {
 	if reqID > s.maxID {
 		return nil, idFresh
 	}
-	if reqID+Window <= s.maxID {
+	if s.maxID-reqID >= Window { // a distance: reqID+Window may wrap
 		return nil, idStale
 	}
 	if reqID <= s.recoveredMax {
@@ -96,7 +96,7 @@ func (s *session) record(reqID uint64, reply []byte) {
 		s.maxID = reqID // a resumed pre-crash read may record out of order
 	}
 	for id := range s.cache {
-		if id+Window <= s.maxID {
+		if s.maxID-id >= Window {
 			// Keep evicted buffers for reuse; the window bounds the live
 			// entries, so Window spares also bound the free list.
 			if len(s.free) < Window {

@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"detectable/internal/durable"
@@ -36,13 +39,12 @@ type SweepConfig struct {
 	Shards int
 	Procs  int
 	Window int
-	Ops    int  // committed mutations in the main workload phase
-	Keys   int  // distinct keys per shard (values stay monotone per key)
-	Group  bool // group-commit epochs instead of per-mutation fsync
-	// EpochBatch > 1 adds a multi-member epoch phase (Group only): that
-	// many concurrent commits share one anchor, so crash points inside the
-	// anchor's one write and one fsync carry several parked verdicts at
-	// once, and its torn variants cut between them.
+	Ops    int // committed mutations in the main workload phase
+	Keys   int // distinct keys per shard (values stay monotone per key)
+	// EpochBatch > 1 adds a multi-member epoch phase: that many concurrent
+	// commits share one anchor, so crash points inside the anchor's one
+	// write and one fsync carry several parked verdicts at once, and its
+	// torn variants cut between them.
 	EpochBatch int
 	CompactAt  int64         // compaction threshold; 0 keeps the durable default
 	MaxImages  int           // per-crash-point image cap; 0 = unlimited
@@ -139,19 +141,17 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 }
 
 // runWorkload drives the commit protocol through every durability-relevant
-// path: session hellos, journaled puts, per-mutation or epoch commits, a
-// multi-member epoch, observer-ID burns, a session end, compaction (when
-// CompactAt is small), and a clean close.
+// path: session hellos, journaled puts, epochs of one commit, a multi-member
+// epoch, observer-ID burns, a session end, compaction (when CompactAt is
+// small), and a clean close.
 func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
-	db, err := durable.OpenFs(fsim, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
+	gate := &gateFs{Fs: fsim, entered: make(chan struct{}), release: make(chan struct{})}
+	db, err := durable.OpenFs(gate, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
 	if err != nil {
 		return nil, fmt.Errorf("simio: workload open: %w", err)
 	}
 	if cfg.CompactAt > 0 {
 		db.SetCompactThreshold(cfg.CompactAt)
-	}
-	if cfg.Group {
-		db.StartGroupCommit(0)
 	}
 	if err := db.AppendHello(1, 0); err != nil {
 		return nil, err
@@ -160,18 +160,25 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 		return nil, err
 	}
 
-	var rel []released
-	reqs := map[uint64]uint64{}
+	var (
+		mu   sync.Mutex // the epoch batch commits from several goroutines
+		rel  []released
+		reqs = map[uint64]uint64{}
+	)
 	commit := func(sid uint64, i int) error {
 		shard := i % cfg.Shards
 		key := fmt.Sprintf("s%d-k%d", shard, (i/cfg.Shards)%cfg.Keys)
 		val := int64(i + 1) // monotone per key: i strictly increases
 		db.ShardBacking(shard).Persist(key, val)
+		mu.Lock()
 		reqs[sid]++
 		req := reqs[sid]
+		mu.Unlock()
 		if err := db.CommitOutcome(sid, req, encodeReply(key, val)); err != nil {
 			return fmt.Errorf("simio: workload commit %d: %w", i, err)
 		}
+		mu.Lock()
+		defer mu.Unlock()
 		rel = append(rel, released{
 			sid: sid, req: req, key: key, val: val,
 			releasedAt: fsim.Ops(), endedAt: math.MaxInt,
@@ -216,54 +223,29 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 
 	// Multi-member epoch: several commits parked on one anchor, so its one
 	// write carries the puts and outcome records of multiple in-flight
-	// verdicts.
-	if cfg.Group && cfg.EpochBatch > 1 {
-		db.StopGroupCommit()
-		_, before := db.GroupCommitStats()
-		db.StartGroupCommit(time.Hour) // anchor only on the explicit drain
-		var (
-			mu  sync.Mutex
-			wg  sync.WaitGroup
-			wee error
-		)
-		for b := 0; b < cfg.EpochBatch; b++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				shard := i % cfg.Shards
-				key := fmt.Sprintf("s%d-k%d", shard, (i/cfg.Shards)%cfg.Keys)
-				val := int64(i + 1)
-				db.ShardBacking(shard).Persist(key, val)
-				mu.Lock()
-				reqs[1]++
-				req := reqs[1]
-				mu.Unlock()
-				err := db.CommitOutcome(1, req, encodeReply(key, val))
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					wee = err
-					return
-				}
-				rel = append(rel, released{
-					sid: 1, req: req, key: key, val: val,
-					releasedAt: fsim.Ops(), endedAt: math.MaxInt,
-				})
-			}(i + b)
+	// verdicts. The gate holds one commit's fsync open; the batch journals
+	// its puts and joins the next epoch behind it meanwhile, and once the
+	// gate opens that epoch's leader anchors the whole batch.
+	if cfg.EpochBatch > 1 {
+		epochs0, commits0 := db.GroupCommitStats()
+		errs := make(chan error, 1+cfg.EpochBatch)
+		gate.armed.Store(true)
+		go func() { errs <- commit(1, i) }()
+		<-gate.entered
+		for b := 1; b <= cfg.EpochBatch; b++ {
+			go func() { errs <- commit(1, i+b) }()
 		}
-		// Wait for every member to park in the epoch, then drain: one
-		// anchor carries the whole batch.
-		for {
-			_, commits := db.GroupCommitStats()
-			if commits >= before+uint64(cfg.EpochBatch) {
-				break
-			}
+		for _, n := db.GroupCommitStats(); n < commits0+1+uint64(cfg.EpochBatch); _, n = db.GroupCommitStats() {
 			time.Sleep(100 * time.Microsecond)
 		}
-		db.StopGroupCommit()
-		wg.Wait()
-		if wee != nil {
-			return nil, fmt.Errorf("simio: epoch batch commit: %w", wee)
+		gate.release <- struct{}{}
+		for range 1 + cfg.EpochBatch {
+			if err := <-errs; err != nil {
+				return nil, err
+			}
+		}
+		if epochs, _ := db.GroupCommitStats(); epochs-epochs0 != 2 {
+			return nil, fmt.Errorf("simio: the held commit and a batch of %d rode %d epochs, want 2", cfg.EpochBatch, epochs-epochs0)
 		}
 	}
 
@@ -271,6 +253,37 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 		return nil, fmt.Errorf("simio: workload close: %w", err)
 	}
 	return rel, nil
+}
+
+// gateFs is the simulated filesystem with a one-shot gate on the write-ahead
+// log's fsync: once armed, the next such fsync reports on entered and waits
+// for release before it reaches the simulation.
+type gateFs struct {
+	*Fs
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateFs) OpenFile(path string, flag int, perm os.FileMode) (durable.File, error) {
+	f, err := g.Fs.OpenFile(path, flag, perm)
+	if err != nil || filepath.Base(path) != "wal.log" {
+		return f, err
+	}
+	return gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	durable.File
+	g *gateFs
+}
+
+func (f gateFile) Sync() error {
+	if f.g.armed.CompareAndSwap(true, false) {
+		f.g.entered <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Sync()
 }
 
 // encodeReply encodes the (key, value) a commit promised, parseable so the

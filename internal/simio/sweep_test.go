@@ -35,7 +35,7 @@ func requireClean(t *testing.T, res *SweepResult) {
 }
 
 // TestSweepSyncPath exhausts every crash point × torn-write variant of a
-// per-mutation-fsync workload: recovery must always succeed, every
+// single-writer workload, one epoch per commit: recovery must always succeed, every
 // recovered outcome must carry its effect, every released verdict must
 // survive, and recovery must be hash-pure and replay-idempotent.
 func TestSweepSyncPath(t *testing.T) {
@@ -46,11 +46,11 @@ func TestSweepSyncPath(t *testing.T) {
 	}
 }
 
-// TestSweepGroupCommit runs the same exhaustion over group-commit epochs,
-// including a multi-member epoch whose anchor (one write, one fsync) is
-// crossed and torn with several parked verdicts at once.
+// TestSweepGroupCommit runs the same exhaustion with a multi-member epoch
+// added, whose anchor (one write, one fsync) is crossed and torn with several
+// parked verdicts at once.
 func TestSweepGroupCommit(t *testing.T) {
-	res := runSweep(t, SweepConfig{Ops: 4, Shards: 2, Window: 64, Group: true, EpochBatch: 3, MaxImages: 4096})
+	res := runSweep(t, SweepConfig{Ops: 4, Shards: 2, Window: 64, EpochBatch: 3, MaxImages: 4096})
 	requireClean(t, res)
 }
 
@@ -193,12 +193,12 @@ func TestSweepCatchesMutant(t *testing.T) {
 }
 
 // TestSweepCatchesMutantUnderGroupCommit: the same mutant must also be
-// caught when commits ride epochs.
+// caught when several commits ride one epoch.
 func TestSweepCatchesMutantUnderGroupCommit(t *testing.T) {
 	durable.MutantOutcomeFirst = true
 	defer func() { durable.MutantOutcomeFirst = false }()
 
-	res := runSweep(t, SweepConfig{Ops: 4, Shards: 2, Window: 64, Group: true, EpochBatch: 3, MaxImages: 2048})
+	res := runSweep(t, SweepConfig{Ops: 4, Shards: 2, Window: 64, EpochBatch: 3, MaxImages: 2048})
 	if len(res.Violations) == 0 {
 		t.Fatal("outcome-before-effect mutant survived the group-commit sweep undetected")
 	}

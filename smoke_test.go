@@ -107,27 +107,14 @@ func storm(t *testing.T, args ...string) {
 // job runs the full-length version; this pins the mode into the ordinary
 // test gate.
 func TestRestartStormSmoke(t *testing.T) {
-	// Two storms: the daemon's default schedule (an epoch anchors as soon
-	// as the committer is free), and a tiny epoch interval so SIGKILLs land
-	// on live epoch boundaries with parked replies — the release-on-epoch
-	// invariant under a real whole-process crash.
-	variants := []struct {
-		name       string
-		serverArgs string
-	}{
-		{"default", "-epoch-interval 0"},
-		{"group-commit", "-epoch-interval 2ms"},
-	}
-	kvserverd(t) // build before the variants race for it
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			t.Parallel()
-			storm(t, "-restart-storm",
-				"-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8",
-				"-dur", "1s", "-restarts", "2", "-restart-every", "400ms",
-				"-server-args", v.serverArgs)
-		})
-	}
+	// One storm on the daemon's default schedule: every epoch anchors as
+	// soon as the caller that opened it can write, so there is no epoch
+	// interval left to vary.
+	t.Run("default", func(t *testing.T) {
+		storm(t, "-restart-storm",
+			"-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8",
+			"-dur", "1s", "-restarts", "2", "-restart-every", "400ms")
+	})
 }
 
 // TestFailoverStormSmoke runs a short primary/backup failover cycle:
@@ -139,8 +126,7 @@ func TestRestartStormSmoke(t *testing.T) {
 func TestFailoverStormSmoke(t *testing.T) {
 	storm(t, "-failover-storm",
 		"-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8",
-		"-dur", "2s", "-failovers", "2", "-failover-every", "500ms",
-		"-server-args", "-epoch-interval 2ms")
+		"-dur", "2s", "-failovers", "2", "-failover-every", "500ms")
 }
 
 // TestReadReplicaStormSmoke runs a short read-replica storm: writers at the
@@ -151,5 +137,5 @@ func TestFailoverStormSmoke(t *testing.T) {
 func TestReadReplicaStormSmoke(t *testing.T) {
 	storm(t, "-read-replica",
 		"-procs", "2", "-readers", "2", "-max-lag", "64", "-shards", "2", "-keys", "8",
-		"-dur", "2s", "-server-args", "-epoch-interval 2ms")
+		"-dur", "2s")
 }
