@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"detectable/internal/counter"
-	"detectable/internal/history"
 	"detectable/internal/maxreg"
 	"detectable/internal/nvm"
 	"detectable/internal/queue"
@@ -317,7 +316,7 @@ func shardkvHarness() Harness {
 	return Harness{
 		Name: "shardkv",
 		Build: func(procs int) *Instance {
-			store := shardkv.New(1, procs, shardkv.HistoryMode(history.ModeFull, 0))
+			store := shardkv.New(1, procs, shardkv.FullHistory())
 			return &Instance{
 				Sys: store.System(0), Obj: spec.Register{},
 				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {

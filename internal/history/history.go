@@ -21,13 +21,15 @@
 //     real-time append order; NewShardedRing stripes the ticket by pid so
 //     a hot shard's processes stop contending on one counter — trading
 //     cross-stripe real-time order for a deterministic per-writer-ordered
-//     interleaving (see Events). Production paths (internal/shardkv)
-//     default to the sharded form. A slot is 40 pointer-free bytes (lock,
-//     sequence number, one word of bit fields, two payload words): the
-//     ring owns no heap beyond its slots, the collector never scans them,
-//     and Event values exist only in the snapshot Events builds. The
+//     interleaving (see Events). No served path keeps a ring; the
+//     benchmark ladder still times one. A slot is 40 pointer-free bytes
+//     (lock, sequence number, one word of bit fields, two payload words):
+//     the ring owns no heap beyond its slots, the collector never scans
+//     them, and Event values exist only in the snapshot Events builds. The
 //     price is arity: a ring records Invokes of at most two arguments.
-//   - ModeOff: events are discarded. Benchmark floors use this.
+//   - ModeOff: events are discarded without a trace — an append returns
+//     before it writes anything, so Appended, Dropped and Len read 0.
+//     Served stores (internal/shardkv) and benchmark floors use this.
 package history
 
 import (
@@ -176,9 +178,6 @@ type Log struct {
 	mu     sync.Mutex
 	events []Event
 
-	// ModeOff state: a discard counter.
-	discarded atomic.Uint64
-
 	// ModeRing state: one or more sub-rings. An append picks its stripe by
 	// the event's PID, takes one ticket there, and derives a globally
 	// unique sequence number seq = (ticket-1)*len(stripes) + stripeIdx + 1.
@@ -296,7 +295,7 @@ func (l *Log) Events() []Event {
 }
 
 // Appended returns the total number of events ever appended, including
-// events a ring has since overwritten and events an off log discarded.
+// events a ring has since overwritten. An off log counts nothing: 0.
 func (l *Log) Appended() uint64 {
 	switch l.mode {
 	case ModeRing:
@@ -305,8 +304,6 @@ func (l *Log) Appended() uint64 {
 			t += l.stripes[i].ticket.Load()
 		}
 		return t
-	case ModeOff:
-		return l.discarded.Load()
 	default:
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -314,23 +311,17 @@ func (l *Log) Appended() uint64 {
 	}
 }
 
-// Dropped returns how many appended events are no longer retained.
+// Dropped returns how many appended events a ring has overwritten (0 for
+// full and off logs).
 func (l *Log) Dropped() uint64 {
-	switch l.mode {
-	case ModeRing:
-		var d uint64
-		for i := range l.stripes {
-			st := &l.stripes[i]
-			if t := st.ticket.Load(); t > uint64(len(st.slots)) {
-				d += t - uint64(len(st.slots))
-			}
+	var d uint64
+	for i := range l.stripes {
+		st := &l.stripes[i]
+		if t := st.ticket.Load(); t > uint64(len(st.slots)) {
+			d += t - uint64(len(st.slots))
 		}
-		return d
-	case ModeOff:
-		return l.discarded.Load()
-	default:
-		return 0
 	}
+	return d
 }
 
 // Len returns the number of retained events.
@@ -382,7 +373,9 @@ func (l *Log) String() string {
 func (l *Log) append(e *Event) {
 	switch l.mode {
 	case ModeOff:
-		l.discarded.Add(1)
+		// Nothing is written, not even a counter: a hot shard's processes
+		// share no cache line through their log.
+		return
 	case ModeRing:
 		// Pack first: the caller's argument slice is read, never retained
 		// (it may alias a per-process scratch the caller overwrites on its

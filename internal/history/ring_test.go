@@ -55,11 +55,13 @@ func TestOffModeDiscards(t *testing.T) {
 	l := NewOff()
 	l.Invoke(1, spec.NewOp(spec.MethodRead))
 	l.Return(1, 7)
+	l.Crash()
+	l.RecoverReturn(1, 0, true)
 	if l.Len() != 0 || l.Events() != nil || l.String() != "" {
 		t.Fatalf("off log retained events")
 	}
-	if l.Appended() != 2 || l.Dropped() != 2 {
-		t.Fatalf("appended/dropped = %d/%d, want 2/2", l.Appended(), l.Dropped())
+	if l.Appended() != 0 || l.Dropped() != 0 {
+		t.Fatalf("appended/dropped = %d/%d, want 0/0: an off log counts nothing", l.Appended(), l.Dropped())
 	}
 }
 

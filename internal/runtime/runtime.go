@@ -129,12 +129,12 @@ func (s *System) Space() *nvm.Space { return s.space }
 // Log returns the system's history log.
 func (s *System) Log() *history.Log { return s.log }
 
-// SetHistory replaces the system's history log — e.g. with a ring
-// (history.NewRing) on production paths where an unbounded full log would
-// serialize and grow without limit, or with history.NewOff for benchmark
-// floors. Call it before the first operation executes; events already
-// recorded in the previous log are not carried over. The crash hook is
-// re-installed so system-wide crashes land in the new log.
+// SetHistory replaces the system's history log — e.g. with history.NewOff
+// on served paths (internal/shardkv), where nothing reads a history and an
+// unbounded full log would serialize and grow without limit, or in
+// benchmark floors. Call it before the first operation executes; events
+// already recorded in the previous log are not carried over. The crash hook
+// is re-installed so system-wide crashes land in the new log.
 func (s *System) SetHistory(l *history.Log) {
 	s.log = l
 	s.space.Epoch().SetAdvanceHook(l.Crash)

@@ -96,7 +96,7 @@ func TestAllocPinRecordRecyclesWindowEntries(t *testing.T) {
 // The full served MPUT path — header decode, zero-copy key decode, batch
 // fan-out, reply encode, window record — allocates nothing once warm. The
 // warm-up loop settles the outcome window's recycled entry buffers (two
-// laps of it); the history ring needs none, its slots own no heap.
+// laps of it); the shards record no history.
 func TestAllocPinServedMultiPut(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the parallel fan-out path")

@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"detectable/internal/history"
 	"detectable/internal/runtime"
 	"detectable/internal/shardkv"
 )
@@ -137,8 +136,8 @@ func FuzzHandle(f *testing.F) {
 	f.Add(AppendPut(nil, 1, 0, "key", 7)[:15])                // a PUT cut inside its key
 	f.Add(AppendGet(nil, 1, 3, "pin-7"))                      // a crash plan
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// A fresh node per input (PROMOTE fences it), with small rings.
-		srv := New(shardkv.New(2, 3, shardkv.HistoryMode(history.ModeRing, 64)))
+		// A fresh node per input (PROMOTE fences it).
+		srv := New(shardkv.New(2, 3))
 		for k := kind(0); k < numKinds; k++ {
 			ls, err := srv.newLoopback(k)
 			if err != nil {

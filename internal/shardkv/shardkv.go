@@ -1,8 +1,13 @@
 // Package shardkv composes the paper's single-object detectable primitives
 // into a hash-partitioned key-value store: S independent shards, each backed
-// by its own runtime.System (and therefore its own simulated NVM space,
-// failure epoch and history log) and an internal/kv store built from the
-// bounded-space detectable registers of Algorithm 1.
+// by its own runtime.System (and therefore its own simulated NVM space and
+// failure epoch) and an internal/kv store built from the bounded-space
+// detectable registers of Algorithm 1.
+//
+// A served shard records no history: its log is history.ModeOff, so a store
+// holds nothing beyond the state the algorithm needs. Only verification
+// harnesses keep complete history.ModeFull logs (FullHistory), for the
+// durable-linearizability checker.
 //
 // The partitioning move mirrors how disaggregated-memory systems scale a
 // shared substrate across endpoints: because shards share no memory cells,
@@ -29,35 +34,25 @@ import (
 	"detectable/internal/runtime"
 )
 
-// DefaultRingCapacity is the per-shard history ring size production stores
-// keep for diagnostics. Each shard is an independent system, so the ring
-// holds the last events of that shard only.
+// DefaultRingCapacity is the history ring size the benchmark ladder times
+// its history rungs on. No store keeps a ring: a served shard records
+// nothing.
 const DefaultRingCapacity = 4096
 
 // Option configures a Store at allocation time.
 type Option func(*options)
 
 type options struct {
-	historyMode history.Mode
-	historyCap  int
+	fullHistory bool
 	db          *durable.DB
 }
 
-// HistoryMode overrides the per-shard history retention. Production stores
-// default to a bounded ring (history.ModeRing, DefaultRingCapacity events
-// per shard, 40 bytes each and nothing on the heap besides) so the log
-// never serializes or grows without bound;
-// verification harnesses pass history.ModeFull to keep complete logs for
-// the durable-linearizability checker, and benchmark floors may pass
-// history.ModeOff. capacity is the ring size (ignored for the other
-// modes; 0 means DefaultRingCapacity).
-func HistoryMode(m history.Mode, capacity int) Option {
-	return func(o *options) {
-		o.historyMode = m
-		if capacity > 0 {
-			o.historyCap = capacity
-		}
-	}
+// FullHistory makes every shard keep a complete history.ModeFull log, for
+// verification harnesses that replay it through the durable-linearizability
+// checker. Without it a shard records nothing (history.ModeOff): nothing on
+// a served node reads a history.
+func FullHistory() Option {
+	return func(o *options) { o.fullHistory = true }
 }
 
 // Durable backs every shard's space with db's write-ahead log (making the
@@ -156,10 +151,7 @@ func NewModel(shards, procs int, m nvm.Model, opts ...Option) *Store {
 	if shards < 1 {
 		panic("shardkv: need at least one shard")
 	}
-	o := options{
-		historyMode: history.ModeRing,
-		historyCap:  DefaultRingCapacity,
-	}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -169,13 +161,7 @@ func NewModel(shards, procs int, m nvm.Model, opts ...Option) *Store {
 	s := &Store{procs: procs, slots: newSlotPool(procs), parallel: goruntime.GOMAXPROCS(0)}
 	for i := 0; i < shards; i++ {
 		sys := runtime.NewSystemModel(procs, m)
-		switch o.historyMode {
-		case history.ModeRing:
-			// Stripe the diagnostic ring by process so a hot shard's
-			// appends stop serializing on one ticket (history clamps the
-			// stripe count and splits the capacity).
-			sys.SetHistory(history.NewShardedRing(o.historyCap, procs))
-		case history.ModeOff:
+		if !o.fullHistory {
 			sys.SetHistory(history.NewOff())
 		}
 		sh := &shard{sys: sys, store: kv.New(sys)}

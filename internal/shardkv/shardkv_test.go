@@ -6,8 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"detectable/internal/history"
+	"detectable/internal/linearize"
 	"detectable/internal/nvm"
 	"detectable/internal/runtime"
+	"detectable/internal/spec"
 )
 
 // keyOnShard returns a key that hashes to the wanted shard.
@@ -85,6 +88,44 @@ func TestCrashShardIsolation(t *testing.T) {
 	}
 	if e := s.System(0).Space().Epoch().Current(); e == 0 {
 		t.Fatal("victim shard epoch did not advance")
+	}
+}
+
+// TestServedStoreRecordsNothing: a default store's shards log nothing —
+// through puts, gets, a batch, a planned crash and an injected one — while
+// a FullHistory store records every event kind, and the checker accepts it.
+func TestServedStoreRecordsNothing(t *testing.T) {
+	s := New(4, 2)
+	k := keyOnShard(t, s, 0)
+	s.Put(0, k, 1)
+	s.Get(1, k)
+	s.MultiPut(0, []KV{{Key: k, Val: 2}, {Key: keyOnShard(t, s, 1), Val: 3}})
+	s.Put(0, k, 9, nvm.CrashAtStep(10))
+	s.CrashShard(2)
+	for i := 0; i < s.NumShards(); i++ {
+		if l := s.System(i).Log(); l.Mode() != history.ModeOff || l.Len() != 0 {
+			t.Fatalf("shard %d log is %v holding %d events, want off and empty", i, l.Mode(), l.Len())
+		}
+	}
+
+	full := New(1, 2, FullHistory())
+	full.Put(0, "k", 1)
+	full.Get(1, "k")
+	full.Put(0, "k", 9, nvm.CrashAtStep(10)) // crashes before it lands: a fail verdict
+	full.CrashShard(0)
+	full.Get(1, "k")
+	l := full.System(0).Log()
+	seen := map[history.Kind]bool{}
+	for _, e := range l.Events() {
+		seen[e.Kind] = true
+	}
+	for _, kind := range []history.Kind{history.KindInvoke, history.KindReturn, history.KindCrash, history.KindRecoverReturn} {
+		if !seen[kind] {
+			t.Fatalf("FullHistory log has no kind-%d event:\n%s", kind, l)
+		}
+	}
+	if ok, _, err := linearize.CheckLog(spec.Register{}, l); err != nil || !ok {
+		t.Fatalf("FullHistory log rejected (ok=%v, err=%v):\n%s", ok, err, l)
 	}
 }
 
