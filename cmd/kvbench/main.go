@@ -259,7 +259,7 @@ func benchPhase(addr string, conns int, w load) error {
 	// Warm the key space on one connection before timing anything, so that
 	// the measured window holds only steady-state operations: reads of live
 	// registers and overwrites of existing keys. Creating a key is cheap
-	// (137 NVM cells in ~116 B at 8 slots) but it is a different path: an
+	// (137 NVM cells in ~80 B at 8 slots) but it is a different path: an
 	// insert into the shard's key table, now and then a doubling of it.
 	if err := warmKeys(clients[0], w.keys); err != nil {
 		return err
@@ -343,17 +343,20 @@ func drive(clients []*client.Client, w load) ([][]time.Duration, time.Duration, 
 				if !intended.Before(deadline) {
 					return
 				}
+				// A register holds a signed value of 64 − (⌈log₂N⌉+1)
+				// bits and the server refuses any other, so a PUT value is
+				// an Int31: in the domain of every server with N ≤ 2^31.
 				var err error
 				switch {
 				case rng.Intn(100) < w.getPct:
 					_, err = c.Get(nextKey())
 				case w.mput > 0:
 					for j := range entries {
-						entries[j] = shardkv.KV{Key: nextKey(), Val: rng.Int()}
+						entries[j] = shardkv.KV{Key: nextKey(), Val: int(rng.Int31())}
 					}
 					_, err = c.MultiPut(entries)
 				default:
-					_, err = c.Put(nextKey(), rng.Int())
+					_, err = c.Put(nextKey(), int(rng.Int31()))
 				}
 				if err != nil {
 					errs[i] = err

@@ -17,6 +17,7 @@ import (
 	"unsafe"
 
 	"detectable/internal/keytab"
+	"detectable/internal/rw"
 )
 
 // DefaultCompactAt is the write-ahead log's compaction threshold: the anchor
@@ -192,7 +193,7 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 // kind.
 func (db *DB) replay(rec []byte) error {
 	if len(rec) > 0 && rec[0] == recPutAt {
-		shard, key, val, err := decodePutAt(rec, len(db.shards))
+		shard, key, val, err := decodePutAt(rec, len(db.shards), db.procs)
 		if err != nil {
 			return err
 		}
@@ -268,12 +269,15 @@ func encodePutAt(dst []byte, shard int, key string, val int64) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(val))
 }
 
-// decodePutAt decodes a put-at record and checks its shard index against
-// the geometry: a record for a shard this store does not have is refused,
-// at recovery as on the replication stream. It does not copy: key aliases
-// rec and is valid only as long as rec's bytes are. Every caller hands it to
-// the key table, which copies the bytes of a key it inserts.
-func decodePutAt(rec []byte, shards int) (shard int, key string, val int64, err error) {
+// decodePutAt decodes a put-at record and checks it against the geometry:
+// a record for a shard this store does not have is refused, and so is a
+// value no register of a procs-process store can hold (rw.DomainOf) — a
+// build that accepted any int64 may have journaled one — at recovery as on
+// the replication stream, so neither reaches a log or a restore. It does
+// not copy: key aliases rec and is valid only as long as rec's bytes are.
+// Every caller hands it to the key table, which copies the bytes of a key
+// it inserts.
+func decodePutAt(rec []byte, shards, procs int) (shard int, key string, val int64, err error) {
 	if len(rec) < 8 || rec[0] != recPutAt || rec[5] != recPut {
 		return 0, "", 0, fmt.Errorf("malformed put-at record")
 	}
@@ -288,7 +292,11 @@ func decodePutAt(rec []byte, shards int) (shard int, key string, val int64, err 
 	if n > 0 {
 		key = unsafe.String(&rec[8], n)
 	}
-	return int(s), key, int64(binary.BigEndian.Uint64(rec[8+n:])), nil
+	val = int64(binary.BigEndian.Uint64(rec[8+n:]))
+	if dom := rw.DomainOf(procs); !dom.Contains(int(val)) {
+		return 0, "", 0, fmt.Errorf("put-at record holds %d for key %q, outside the value domain %v of a %d-process store", val, key, dom, procs)
+	}
+	return int(s), key, val, nil
 }
 
 // RangeShard calls fn for every durable root recovered in shard i, in

@@ -41,6 +41,8 @@ func FuzzReplicaApply(f *testing.F) {
 	f.Add(full[:len(full)-3])                                        // torn last frame
 	f.Add(stream(append(append([][]byte{}, msgs...), msgs...)...))   // the whole stream twice
 	f.Add(stream(append(append([][]byte{}, resync...), msgs...)...)) // a snapshot, then a stale live stream
+	wide, _ := widenLastPut(msgs)
+	f.Add(stream(wide...)) // a value outside the register domain
 	for i, m := range msgs {
 		if m[0] != durable.ReplBarrier {
 			continue

@@ -771,8 +771,10 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 
 	case ReplShardRec:
 		// The key aliases msg; the key table copies it if it is new, so a
-		// put of a key this node already has allocates nothing.
-		shard, key, val, err := decodePutAt(body, len(rp.db.shards))
+		// put of a key this node already has allocates nothing. A value
+		// outside the register domain is refused here: journaled, it would
+		// make this node's directory unopenable.
+		shard, key, val, err := decodePutAt(body, len(rp.db.shards), rp.db.procs)
 		if err != nil {
 			return 0, false, fmt.Errorf("durable: replicated %w", err)
 		}

@@ -552,3 +552,48 @@ func TestReplicaRejectsGeometryMismatch(t *testing.T) {
 		t.Fatal("geometry mismatch accepted")
 	}
 }
+
+// widenLastPut returns a copy of msgs whose last shard record, which no
+// later put overwrites, carries a value outside the register domain of a
+// testProcs-process store ([−2^60, 2^60)): bit 62 of its 8-byte value, the
+// message's tail, is set.
+func widenLastPut(msgs [][]byte) (out [][]byte, at int) {
+	out = append([][]byte{}, msgs...)
+	for i := len(out) - 1; i >= 0; i-- {
+		if out[i][0] == durable.ReplShardRec {
+			w := append([]byte(nil), out[i]...)
+			w[len(w)-8] ^= 0x40
+			out[i] = w
+			return out, i
+		}
+	}
+	panic("stream holds no shard record")
+}
+
+// TestReplicaRefusesOutOfDomainValue: a replicated put whose value no
+// register of the store can hold (from a primary built before the domain
+// was enforced, or a malformed stream) is refused before it is journaled,
+// so the standby's directory still opens.
+func TestReplicaRefusesOutOfDomainValue(t *testing.T) {
+	pdb := openSim(t, simio.New())
+	live := pdb.Subscribe(0, false)
+	workload(t, pdb)
+	live.Close()
+	msgs, at := widenLastPut(drain(t, live))
+	pdb.Close()
+
+	fsim := simio.New()
+	db := openSim(t, fsim)
+	rep := db.NewReplica()
+	applyAll(t, rep, msgs[:at])
+	if _, _, err := rep.Apply(msgs[at]); err == nil {
+		t.Fatal("a replicated value outside the register domain was accepted")
+	}
+	for _, m := range msgs[at+1:] { // a standby drops the stream here; a later barrier must not anchor the wide put either
+		rep.Apply(m)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	openSim(t, fsim).Close()
+}

@@ -146,6 +146,51 @@ func TestWALRecoveryDispatch(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesOutOfDomainValue: a build that accepted any int64 may have
+// journaled a value no register of the store can hold (at N = 8 a register
+// holds [−2^59, 2^59)). Open refuses such a directory, naming the key and
+// the domain, and leaves its log alone; replay refuses the record itself,
+// so a wide value a later put replaced is refused too.
+func TestOpenRefusesOutOfDomainValue(t *testing.T) {
+	const procs = 8
+	build := func(recs ...[]byte) string {
+		dir := t.TempDir()
+		db, err := Open(dir, 2, procs, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		var wal []byte
+		for _, rec := range recs {
+			wal = append(wal, frame(rec)...)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	dir := build(encodePutAt(nil, 0, "narrow", 1<<59-1), encodePutAt(nil, 1, "wide", 1<<62))
+	before := readTree(t, dir)
+	for try := 0; try < 2; try++ { // the refusal released the directory's lock
+		db, err := Open(dir, 2, procs, 4)
+		if err == nil {
+			db.Close()
+			t.Fatal("Open accepted a journaled value outside the register domain")
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"wide"`) || !strings.Contains(msg, "[-2^59, 2^59)") {
+			t.Fatalf("refusal %q does not name the key and the domain", msg)
+		}
+	}
+	if got := readTree(t, dir); !reflect.DeepEqual(got, before) {
+		t.Fatal("the refused directory was modified")
+	}
+
+	if db, err := Open(build(encodePutAt(nil, 1, "wide", -1<<62), encodePutAt(nil, 1, "wide", -1<<59)), 2, procs, 4); err == nil {
+		db.Close()
+		t.Fatal("Open accepted a replaced journaled value outside the register domain")
+	}
+}
+
 // TestAppendDoesNotWaitForTheBarrier holds a barrier's fsync open and
 // checks that a record can still be staged meanwhile — with one log, a Sync
 // that held the staging lock across its I/O would stall every shard's

@@ -14,8 +14,9 @@
 // and Restore alike. A key is one entry of the store's key table
 // (internal/keytab) and that entry is the register's 16-byte handle beside
 // the name's reference, itself an element of a chunk, with the name's bytes
-// in table-owned storage — so what a key owns on the heap beyond its share
-// of those chunks is the boxes of R's triple. The per-process state of
+// in table-owned storage. R is one packed word in its chunk's array, so a
+// key owns nothing on the heap beyond its share of those chunks, and
+// overwriting its value allocates nothing. The per-process state of
 // Algorithm 1 (RDp and the announcements) is that one table per store,
 // shared by all its registers, since a process runs one operation at a time.
 //
@@ -36,18 +37,19 @@ import (
 	"detectable/internal/rw"
 )
 
-// Store is an N-process recoverable key-value store with int values.
-// Missing keys read as the zero value.
+// Store is an N-process recoverable key-value store with int values, those
+// of rw.DomainOf(N): Put and Restore panic on any other. Missing keys read
+// as the zero value.
 type Store struct {
 	sys   *runtime.System
-	procs *rw.Procs[int]
+	procs *rw.Procs
 	mu    sync.Mutex // serializes inserts into tbl: first writes and restores
-	tbl   keytab.Table[rw.Register[int]]
+	tbl   keytab.Table[rw.Register]
 }
 
 // New allocates an empty store in sys's memory space.
 func New(sys *runtime.System) *Store {
-	return &Store{sys: sys, procs: rw.NewProcs(sys, runtime.EncodeInt)}
+	return &Store{sys: sys, procs: rw.NewProcs(sys)}
 }
 
 // Put writes key := val as process pid and returns the detectable outcome.
@@ -130,11 +132,11 @@ func (s *Store) Peek(key string) int {
 }
 
 // lookup returns key's register without creating it.
-func (s *Store) lookup(key string) (rw.Register[int], bool) {
+func (s *Store) lookup(key string) (rw.Register, bool) {
 	if _, reg := s.tbl.Lookup(key); reg != nil {
 		return *reg, true
 	}
-	return rw.Register[int]{}, false
+	return rw.Register{}, false
 }
 
 // reg returns (creating if needed) the register backing key. Register
@@ -143,7 +145,7 @@ func (s *Store) lookup(key string) (rw.Register[int], bool) {
 // alias a transient buffer (the server decodes keys zero-copy out of the
 // connection frame); the table copies the bytes of a key it inserts — the
 // only place this layer retains a key.
-func (s *Store) reg(key string) rw.Register[int] {
+func (s *Store) reg(key string) rw.Register {
 	if reg, ok := s.lookup(key); ok {
 		return reg
 	}
@@ -154,7 +156,7 @@ func (s *Store) reg(key string) rw.Register[int] {
 // create returns key's register, allocating it with initial value val under
 // the creation mutex if key has none — so exactly one register is ever
 // allocated per key — and reports whether it did.
-func (s *Store) create(key string, val int) (rw.Register[int], bool) {
+func (s *Store) create(key string, val int) (rw.Register, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if reg, ok := s.lookup(key); ok {

@@ -38,8 +38,7 @@ func benchKeys(keys int) []string {
 
 // perKey measures the heap a store of n processes holds per key, in bytes
 // and in objects, once fill has installed every name: the key's share of
-// its register chunk, R's boxes, and its share of the key table — entry
-// chunk, name block, index.
+// its register chunk and of the key table — entry chunk, name block, index.
 func perKey(n, keys int, fill func(s *Store, i int, key string)) (bytes, objects float64) {
 	sys := runtime.NewSystem(n)
 	sys.SetHistory(history.NewOff())
@@ -60,21 +59,22 @@ func perKey(n, keys int, fill func(s *Store, i int, key string)) (bytes, objects
 func firstPut(s *Store, i int, key string) { s.Put(0, key, i+1) }
 
 // TestSpacePinBytesPerRegister: at kvserverd's N = 8 a key costs at most
-// 128 B and 1.5 objects of live heap, its table entry, its name and its
-// index slot included (it reads 116 B and 1.11; 177 B and 3.07 when the
-// entry and the name were objects of their own beside a 40-byte Register
-// struct; 256 B and 9.0 when a register was seven allocations; 15 KB when
-// every toggle bit was a cell of its own). What is left per key outside the
-// chunks: the boxes of R's triple — one after a key's first write, two from
-// its second. docs/PERFORMANCE.md §"Space: what a key owns" has the sites.
+// 88 B and 0.2 objects of live heap, its table entry, its name and its
+// index slot included (it reads 80 B and 0.09; 116 B and 1.11 when R was a
+// 32-byte cell pointing to a 16-byte box of its triple; 177 B and 3.07 when
+// the entry and the name were objects of their own beside a 40-byte
+// Register struct; 256 B and 9.0 when a register was seven allocations;
+// 15 KB when every toggle bit was a cell of its own). A key owns no object:
+// what it counts is its share of the chunks. docs/PERFORMANCE.md §"Space:
+// what a key owns" has the sites.
 func TestSpacePinBytesPerRegister(t *testing.T) {
 	bytes, objects := perKey(8, 4096, firstPut)
 	t.Logf("N=8: %.0f B and %.2f objects per key", bytes, objects)
-	if bytes > 128 {
-		t.Fatalf("a key at N=8 holds %.0f B of live heap, want ≤ 128", bytes)
+	if bytes > 88 {
+		t.Fatalf("a key at N=8 holds %.0f B of live heap, want ≤ 88", bytes)
 	}
-	if objects > 1.5 {
-		t.Fatalf("a key at N=8 holds %.2f live objects, want ≤ 1.5", objects)
+	if objects > 0.2 {
+		t.Fatalf("a key at N=8 holds %.2f live objects, want ≤ 0.2", objects)
 	}
 }
 
@@ -115,15 +115,14 @@ func leastOf5(n int, build func(sys *runtime.System) any) int64 {
 // TestSpacePinStandaloneRegister: chunks start at one element, so a system
 // holding a single rw.NewInt register — explore, model, the ladder's rw
 // rung — pays nothing for the slab. Process table and the holder's 16-byte
-// handle included, it is 6904 B at N = 8 and 1904 B at N = 2, no more than
-// when the register was a 40-byte struct behind a pointer: the chunk's
-// header took that struct's place and the handle the place of the slice
-// that carried the word out of nvm.NewWords.
+// handle included, it is 6392 B at N = 8 and 1776 B at N = 2 (6904 and 1904
+// when R was a 32-byte cell over a boxed triple and RD_p held the triple
+// unpacked).
 func TestSpacePinStandaloneRegister(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact byte counts; race instrumentation adds a few objects")
 	}
-	for n, want := range map[int]int64{2: 1920, 8: 6920} {
+	for n, want := range map[int]int64{2: 1792, 8: 6408} {
 		bytes := leastOf5(n, func(sys *runtime.System) any { return rw.NewInt(sys, 0) })
 		t.Logf("N=%d: %d B", n, bytes)
 		if bytes > want {
@@ -135,15 +134,16 @@ func TestSpacePinStandaloneRegister(t *testing.T) {
 // TestSpacePinSmallStore: the key table starts as small as the chunks do —
 // a 4-slot index, a one-entry chunk, an 8-byte name block — so a store
 // holding one key, which is what the explorer and the sweeps build by the
-// thousand, costs no more than it did with a 16-slot table, an entry object
+// thousand, costs less than it did with a 16-slot table, an entry object
 // and a cloned name: 7184 B at N = 8 and 2168 B at N = 2 then, process table
-// and all, 7144 and 2128 now. The key is restored, not put: a first
-// operation also fills sync.Pools whose size follows GOMAXPROCS.
+// and all, 6616 and 1984 now that R is one packed word. The key is
+// restored, not put: a first operation also fills sync.Pools whose size
+// follows GOMAXPROCS.
 func TestSpacePinSmallStore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact byte counts; race instrumentation adds a few objects")
 	}
-	for n, want := range map[int]int64{2: 2168, 8: 7184} {
+	for n, want := range map[int]int64{2: 2000, 8: 6632} {
 		bytes := leastOf5(n, func(sys *runtime.System) any {
 			s := New(sys)
 			s.Restore("bench-0", 1)

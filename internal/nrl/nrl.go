@@ -21,7 +21,7 @@ import (
 // internally when a crash left the previous attempt un-linearized.
 type Register struct {
 	sys   *runtime.System
-	inner rw.Register[int]
+	inner rw.Register
 }
 
 // NewRegister allocates an NRL register initialized to vinit.

@@ -10,7 +10,9 @@ import (
 // of n words two whatever n (the cells and one box they all start on; one
 // for a packable kind — Words carries the array out by value, not in a
 // slice of one interface per word). A Cell is 32 bytes whatever T: packed
-// bits, live box, displaced box, identity — and no lock.
+// bits, live box, displaced box, identity — and no lock. The cell NewWords
+// gives a packable kind under the private-cache model is 16: bits and
+// identity.
 func TestAllocPinCellObjects(t *testing.T) {
 	type triple struct {
 		Val int
@@ -34,6 +36,12 @@ func TestAllocPinCellObjects(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(Cell[triple]{}); size > 32 {
 		t.Errorf("a Cell of a three-field struct is %d B, want ≤ 32", size)
+	}
+	if size := unsafe.Sizeof(packedCell[int64]{}); size != 16 {
+		t.Errorf("a packed cell is %d B, want 16", size)
+	}
+	if _, ok := NewWords(sp, 1, int64(7)).At(0).(*packedCell[int64]); !ok {
+		t.Error("NewWords of a packable kind under the private-cache model does not hand out packed cells")
 	}
 }
 

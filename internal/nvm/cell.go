@@ -1,5 +1,7 @@
 package nvm
 
+import "sync/atomic"
+
 // Register is the read/write primitive interface shared by both memory
 // models. Algorithms are written against Register (or CASRegister) so the
 // same code runs under the private-cache model (Cell), the raw shared-cache
@@ -37,7 +39,8 @@ type CASRegister[T comparable] interface {
 // NewWord allocates a CAS-capable memory word in sp according to sp's
 // memory model:
 //
-//   - ModelPrivateCache: a Cell — every primitive persists immediately.
+//   - ModelPrivateCache: a Cell — every primitive persists immediately;
+//     for a packable T, the 16-byte packedCell.
 //   - ModelSharedCacheAuto: a CachedCell wrapped in the flush-after-write
 //     transformation of Izraelevitz et al. (Section 6 of the paper).
 //   - ModelSharedCacheRaw: a bare CachedCell — primitives are volatile
@@ -57,14 +60,17 @@ func NewWord[T comparable](sp *Space, init T) CASRegister[T] {
 // object whose words are elements of a chunk (rw.Procs) keeps one Words per
 // chunk and an index per object.
 type Words[T comparable] struct {
-	cells  []Cell[T]       // the words under ModelPrivateCache
+	packed []packedCell[T] // the words of a packable T under ModelPrivateCache
+	cells  []Cell[T]       // the words of any other T under ModelPrivateCache
 	cached *cachedCells[T] // the words under the shared-cache models
 }
 
 // At returns word i.
 func (w Words[T]) At(i int) CASRegister[T] {
 	switch {
-	case w.cached == nil:
+	case w.packed != nil:
+		return &w.packed[i]
+	case w.cells != nil:
 		return &w.cells[i]
 	case w.cached.auto != nil:
 		return &w.cached.auto[i]
@@ -76,9 +82,20 @@ func (w Words[T]) At(i int) CASRegister[T] {
 // piece: one array of the model's cell type, one reservation of n
 // contiguous cell identities, one crash registration and — for a boxed T —
 // one immutable box of init that every word starts on. A word that must
-// start on another value takes it through Init.
+// start on another value takes it through Init. Under ModelPrivateCache a
+// packable T gets packedCells, 16 bytes each; the representation follows
+// from T alone.
 func NewWords[T comparable](sp *Space, n int, init T) Words[T] {
-	base, box := sp.noteCells(n), newBox(init)
+	base := sp.noteCells(n)
+	if sp.Model() == ModelPrivateCache && packable[T]() {
+		cells := make([]packedCell[T], n)
+		for i := range cells {
+			cells[i].id = base + i
+			cells[i].bits.Store(pack(init))
+		}
+		return Words[T]{packed: cells}
+	}
+	box := newBox(init)
 	if sp.Model() == ModelPrivateCache {
 		cells := make([]Cell[T], n)
 		for i := range cells {
@@ -171,3 +188,47 @@ func (c *Cell[T]) Peek() T {
 func (c *Cell[T]) Init(v T) {
 	c.w.store(v)
 }
+
+// packedCell is a Cell for a packable T: the word is its value's bits and
+// nothing else — no box pointers — so a cell is 16 bytes with its
+// identity. Each primitive is the Cell's: Ctx.pre, one atomic instruction,
+// the count. NewWords hands these out; a Cell of the same T behaves alike.
+type packedCell[T comparable] struct {
+	bits atomic.Int64
+	id   int
+}
+
+var _ CASRegister[int] = (*packedCell[int])(nil)
+
+// Load atomically reads the cell.
+func (c *packedCell[T]) Load(ctx *Ctx) T {
+	ctx.pre(KindLoad, c.id)
+	v := unpack[T](c.bits.Load())
+	ctx.count(KindLoad)
+	return v
+}
+
+// Store atomically writes the cell, persisting it.
+func (c *packedCell[T]) Store(ctx *Ctx, v T) {
+	ctx.pre(KindStore, c.id)
+	c.bits.Store(pack(v))
+	ctx.count(KindStore)
+}
+
+// CompareAndSwap atomically replaces the cell's value with new if it equals
+// old: for a packable kind, bitwise equality is value equality.
+func (c *packedCell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
+	ctx.pre(KindCAS, c.id)
+	ok := c.bits.CompareAndSwap(pack(old), pack(new))
+	ctx.count(KindCAS)
+	return ok
+}
+
+// Flush is a no-op that validates the epoch, like Cell.Flush.
+func (c *packedCell[T]) Flush(ctx *Ctx) { ctx.CheckAlive() }
+
+// Peek implements CASRegister.
+func (c *packedCell[T]) Peek() T { return unpack[T](c.bits.Load()) }
+
+// Init implements CASRegister.
+func (c *packedCell[T]) Init(v T) { c.bits.Store(pack(v)) }

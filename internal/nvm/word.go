@@ -22,13 +22,16 @@ import (
 //     pointer-CAS loop. Published boxes are immutable, so readers never
 //     race with writers and any number of words may share one (NewWords
 //     starts a whole array on a single box). prev, a one-slot cache of the
-//     previously displaced box, makes the common alternating patterns
-//     (⊥ / response, "read" / "write", R's triple under one writer)
+//     previously displaced box, makes a value that alternates with the one
+//     before it (a CAS object's ⟨value, writer⟩ pair under one writer)
 //     allocation-free after warm-up.
 //
 // The word lives in its cell, not behind it: a cell is one object, plus the
 // boxes of a boxed T. The word itself never checks epochs or plans —
-// Cell/CachedCell drive the Ctx bookkeeping around it.
+// Cell/CachedCell drive the Ctx bookkeeping around it. Algorithm 1's R
+// needs no box: internal/rw packs its triple ⟨v, q, b⟩ into one int64, and
+// under ModelPrivateCache NewWords gives a packable T a packedCell, which
+// holds the bits alone.
 type word[T comparable] struct {
 	bits    atomic.Int64
 	p, prev atomic.Pointer[T]

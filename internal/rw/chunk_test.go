@@ -30,8 +30,8 @@ func TestChunkNeighbourEquivalence(t *testing.T) {
 				chunked, alone := runtime.NewSystemModel(n, m), runtime.NewSystemModel(n, m)
 				chunked.SetHistory(history.NewOff())
 				alone.SetHistory(history.NewOff())
-				table := NewProcs(chunked, runtime.EncodeInt)
-				var a, b [regs]Register[int]
+				table := NewProcs(chunked)
+				var a, b [regs]Register
 				for i := range a {
 					a[i] = table.NewRegister(0)
 					b[i] = NewInt(alone, 0)
@@ -59,7 +59,7 @@ func TestChunkNeighbourEquivalence(t *testing.T) {
 							i, p, bit := rng.Intn(n), rng.Intn(n), rng.Intn(2)
 							for _, side := range []struct {
 								sys *runtime.System
-								reg Register[int]
+								reg Register
 							}{{chunked, a[j]}, {alone, b[j]}} {
 								ctx := side.sys.Space().Ctx(pid, nil)
 								side.reg.r().Flush(ctx)
@@ -91,11 +91,11 @@ func TestChunkNeighbourEquivalence(t *testing.T) {
 // holding a table and no register.
 func perTableCells(n int) int {
 	sys := runtime.NewSystem(n)
-	NewProcs(sys, runtime.EncodeInt)
+	NewProcs(sys)
 	return sys.Space().CellCount()
 }
 
-func requireSameState(t *testing.T, round, j int, a, b Register[int]) {
+func requireSameState(t *testing.T, round, j int, a, b Register) {
 	t.Helper()
 	if ta, tb := a.PeekTriple(), b.PeekTriple(); ta != tb {
 		t.Fatalf("round %d: register %d: R = %+v chunked, %+v standalone", round, j, ta, tb)
@@ -119,7 +119,7 @@ func requireSameState(t *testing.T, round, j int, a, b Register[int]) {
 // the register instead of reading it.
 func TestPeekOutsideRegisterPanics(t *testing.T) {
 	const n = 3
-	table := NewProcs(runtime.NewSystem(n), runtime.EncodeInt)
+	table := NewProcs(runtime.NewSystem(n))
 	table.NewRegister(0)
 	reg := table.NewRegister(0) // second chunk, first element: a neighbour follows
 	table.NewRegister(0)

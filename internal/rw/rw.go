@@ -23,11 +23,14 @@
 // owns bits [i·(2N²+N), (i+1)·(2N²+N)) — densely packed, so a register's
 // bits may straddle machine words and share them with its neighbours'.
 // Nothing about the algorithm changes: every word and every bit is still a
-// cell with its own identity, step, statistic and crash point, and a
-// register's own heap beyond the chunk is the boxes of R's triple, which Go
-// needs because it has no 128-bit CAS. The tag those boxes carry is the
-// paper's: Q is 32 bits and Toggle 8 where the paper needs ⌈log N⌉ and 1,
-// so a boxed ⟨int, q, b⟩ is 16 bytes.
+// cell with its own identity, step, statistic and crash point.
+//
+// R is one 64-bit word, as the paper sizes it: the value in the high bits,
+// then q in ⌈log₂N⌉ bits and b in one. A write stores a word and a line-5
+// or line-20 comparison compares two, so a register owns no heap beyond its
+// chunk and an operation allocates nothing. The price is the value domain:
+// a register holds the signed integers of 64 − (⌈log₂N⌉+1) bits, [−2^59,
+// 2^59) at N = 8 (Domain), and panics on any other before a primitive runs.
 //
 // Sharing RDp between registers is sound because recovery uses it only at
 // checkpoint ≥ 1, and the operation that set the checkpoint (line
@@ -54,6 +57,8 @@
 package rw
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 
 	"detectable/internal/nvm"
@@ -63,18 +68,56 @@ import (
 
 // Triple is the content of the shared register R: the application value,
 // the identifier of the process that last wrote it, and the toggle-bit
-// array index that write used.
-type Triple[V comparable] struct {
-	Val    V
+// array index that write used. R holds it packed (Domain.pack); PeekTriple
+// unpacks it.
+type Triple struct {
+	Val    int
 	Q      int32
 	Toggle int8
 }
 
+// Domain is the set of values an N-process register holds: the signed
+// integers of 64 − (⌈log₂N⌉+1) bits, what R's word leaves beside the tag
+// ⟨q, b⟩ — [−2^62, 2^62) at N = 1, [−2^59, 2^59) at N = 8.
+type Domain struct {
+	tag uint8 // ⌈log₂N⌉+1: the bits of q and b
+}
+
+// DomainOf returns the value domain of an n-process register.
+func DomainOf(n int) Domain { return Domain{tag: uint8(bits.Len(uint(n-1)) + 1)} }
+
+// Contains reports whether v is in the domain.
+func (d Domain) Contains(v int) bool { return int64(v)<<d.tag>>d.tag == int64(v) }
+
+// Max returns the domain's largest value; its least is −Max()−1.
+func (d Domain) Max() int { return 1<<(63-d.tag) - 1 }
+
+// String returns the domain as a half-open interval, "[-2^59, 2^59)".
+func (d Domain) String() string { return fmt.Sprintf("[-2^%d, 2^%d)", 63-d.tag, 63-d.tag) }
+
+// pack returns R's word for ⟨v, q, b⟩: v above the tag, q in the tag's
+// high ⌈log₂N⌉ bits, b in its lowest. It is injective on the domain, so two
+// words are equal exactly when their triples are.
+func (d Domain) pack(v, q int, b int8) int64 { return int64(v)<<d.tag | int64(q)<<1 | int64(b) }
+
+// unpack is pack's inverse.
+func (d Domain) unpack(w int64) Triple {
+	mask := int32(1)<<(d.tag-1) - 1
+	return Triple{Val: int(w >> d.tag), Q: int32(w>>1) & mask, Toggle: int8(w & 1)}
+}
+
+// mustContain panics unless v is in the domain.
+func (d Domain) mustContain(v int) {
+	if !d.Contains(v) {
+		panic(fmt.Sprintf("rw: value %d is outside the register domain %v", v, d))
+	}
+}
+
 // recoveryData is the private non-volatile RDp record persisted at line 4:
-// the toggle index of p's in-progress write plus the triple p read from R.
-type recoveryData[V comparable] struct {
+// the toggle index of p's in-progress write plus R's word as p read it.
+type recoveryData struct {
 	MToggle int8
-	R       Triple[V]
+	R       int64
 }
 
 // Procs is the per-process half of Algorithm 1 for one system: for each of
@@ -82,39 +125,39 @@ type recoveryData[V comparable] struct {
 // its pre-built operation closures. Any number of registers share one
 // table (NewRegister); a process runs one operation at a time, so one RDp
 // and one Ann_p per process serve them all.
-type Procs[V comparable] struct {
+type Procs struct {
 	sys *runtime.System
-	enc func(V) int
-	p   []*proc[V]
+	dom Domain
+	p   []*proc
 
 	// The register slab (see NewRegister): the newest chunk, the index of
 	// its first element not handed out yet and its size.
 	mu         sync.Mutex
-	last       *chunk[V]
+	last       *chunk
 	next, size int32
 }
 
 // chunk is one slab of registers: what they share. Register i's R is word i
 // and its bits start at bit i·regBits of bits.
-type chunk[V comparable] struct {
-	procs *Procs[V]
-	words nvm.Words[Triple[V]]
+type chunk struct {
+	procs *Procs
+	words nvm.Words[int64]
 	bits  *nvm.Bits
 }
 
 // maxChunk caps the chunk size, which doubles from 1: a table with one
-// register (New) allocates exactly one, and a store of many wastes at most
-// 63 registers' worth of chunk.
+// register (NewInt) allocates exactly one, and a store of many wastes at
+// most 63 registers' worth of chunk.
 const maxChunk = 64
 
 // proc is process pid's entry in the table. Only pid touches it. (pid and i
 // are 32 bits wide and adjacent so that the struct stays in the 192-byte size
 // class; there are N of these per store.)
-type proc[V comparable] struct {
+type proc struct {
 	pid, i int32 // i: see c
-	rd     *nvm.Private[recoveryData[V]]
+	rd     *nvm.Private[recoveryData]
 	wAnn   *runtime.Ann[int]
-	rAnn   *runtime.Ann[V]
+	rAnn   *runtime.Ann[int]
 
 	// The pending operation's target register ⟨c, i⟩ and write value,
 	// staged by WriteOp/ReadOp before the operation starts so the closures
@@ -123,27 +166,26 @@ type proc[V comparable] struct {
 	// arguments, which the system hands to body and recovery function
 	// alike. Plain stores on purpose: two operations run concurrently as
 	// one pid are a data race the race detector reports.
-	c   *chunk[V]
-	val V
+	c   *chunk
+	val int
 
 	// write's descriptor has a one-element Args slice overwritten in place
 	// by every WriteOp; the history log copies Args on retention, which
 	// keeps the aliasing invisible.
 	write runtime.Op[int]
-	read  runtime.Op[V]
+	read  runtime.Op[int]
 }
 
-// NewProcs allocates a process table in sys's memory space. enc encodes
-// values for history logging (use runtime.EncodeInt for V = int).
-func NewProcs[V comparable](sys *runtime.System, enc func(V) int) *Procs[V] {
+// NewProcs allocates a process table in sys's memory space.
+func NewProcs(sys *runtime.System) *Procs {
 	sp := sys.Space()
-	ps := &Procs[V]{sys: sys, enc: enc}
+	ps := &Procs{sys: sys, dom: DomainOf(sys.N())}
 	for pid := 0; pid < sys.N(); pid++ {
-		p := &proc[V]{
+		p := &proc{
 			pid:  int32(pid),
-			rd:   nvm.NewPrivate(sp, recoveryData[V]{}),
+			rd:   nvm.NewPrivate(sp, recoveryData{}),
 			wAnn: runtime.NewAnn[int](sp),
-			rAnn: runtime.NewAnn[V](sp),
+			rAnn: runtime.NewAnn[int](sp),
 		}
 		p.write = runtime.Op[int]{
 			Desc:     spec.NewOp(spec.MethodWrite, 0),
@@ -152,12 +194,12 @@ func NewProcs[V comparable](sys *runtime.System, enc func(V) int) *Procs[V] {
 			Recover:  p.writeRecover,
 			Encode:   runtime.EncodeInt,
 		}
-		p.read = runtime.Op[V]{
+		p.read = runtime.Op[int]{
 			Desc:     spec.NewOp(spec.MethodRead),
 			Announce: func(ctx *nvm.Ctx) { announce(ctx, p.rAnn, "read") },
 			Body:     p.readBody,
 			Recover:  p.readRecover,
-			Encode:   enc,
+			Encode:   runtime.EncodeInt,
 		}
 		ps.p = append(ps.p, p)
 	}
@@ -165,7 +207,7 @@ func NewProcs[V comparable](sys *runtime.System, enc func(V) int) *Procs[V] {
 }
 
 // announce is the caller-side announcement (see MutantSkipAnnounceReset).
-func announce[R comparable](ctx *nvm.Ctx, ann *runtime.Ann[R], op string) {
+func announce(ctx *nvm.Ctx, ann *runtime.Ann[int], op string) {
 	if mutant == MutantSkipAnnounceReset {
 		ann.Op.Store(ctx, op)
 		return
@@ -173,97 +215,93 @@ func announce[R comparable](ctx *nvm.Ctx, ann *runtime.Ann[R], op string) {
 	ann.Announce(ctx, op)
 }
 
-// Register is an N-process detectable read/write register over value domain
-// V: element i of a chunk, that is the chunk's word i — the shared word R —
-// and the i-th run of the chunk's bit array. It is a handle, 16 bytes,
-// passed and stored by value; copies name the same register. All exported
-// methods are safe for concurrent use by distinct processes; a single
-// process must not run two operations concurrently — on this register or on
-// any other register of the same process table.
-type Register[V comparable] struct {
-	c *chunk[V]
+// Register is an N-process detectable read/write register over the values
+// of DomainOf(N): element i of a chunk, that is the chunk's word i — the
+// shared word R — and the i-th run of the chunk's bit array. It is a
+// handle, 16 bytes, passed and stored by value; copies name the same
+// register. All exported methods are safe for concurrent use by distinct
+// processes; a single process must not run two operations concurrently —
+// on this register or on any other register of the same process table.
+type Register struct {
+	c *chunk
 	i int
 }
 
 // r is the shared register R, initially ⟨vinit, 0, 0⟩ — attributing the
 // initial value to a write by process 0 using toggle array 0.
-func (reg Register[V]) r() nvm.CASRegister[Triple[V]] { return reg.c.words.At(reg.i) }
+func (reg Register) r() nvm.CASRegister[int64] { return reg.c.words.At(reg.i) }
 
 // bits is the chunk's bit array; this register's A[N][N][2] followed by
 // T[N] start at bit i·regBits of it; see toggle and tp.
-func (reg Register[V]) bits() *nvm.Bits { return reg.c.bits }
+func (reg Register) bits() *nvm.Bits { return reg.c.bits }
 
 // regBits is the number of bits a register owns: A[N][N][2] and T[N].
-func (ps *Procs[V]) regBits() int {
+func (ps *Procs) regBits() int {
 	n := len(ps.p)
 	return 2*n*n + n
 }
 
 // NewRegister hands out a register initialized to vinit that shares ps's
-// per-process state. Registers come out of chunks whose size doubles from
-// 1 to maxChunk, so creating one allocates nothing most of the time; its
-// 2N²+N+1 cells count in the Space from this call on, not from the chunk's
-// allocation.
-func (ps *Procs[V]) NewRegister(vinit V) Register[V] {
+// per-process state; it panics if vinit is outside the domain. Registers
+// come out of chunks whose size doubles from 1 to maxChunk, so creating one
+// allocates nothing most of the time; its 2N²+N+1 cells count in the Space
+// from this call on, not from the chunk's allocation.
+func (ps *Procs) NewRegister(vinit int) Register {
+	ps.dom.mustContain(vinit)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if ps.next == ps.size {
 		ps.grow()
 	}
-	reg := Register[V]{c: ps.last, i: int(ps.next)}
+	reg := Register{c: ps.last, i: int(ps.next)}
 	ps.next++
 	ps.sys.Space().Spare(-(ps.regBits() + 1))
-	reg.r().Init(Triple[V]{Val: vinit})
+	reg.r().Init(ps.dom.pack(vinit, 0, 0))
 	return reg
 }
 
 // grow allocates the next chunk, all of it spare. Callers hold mu.
-func (ps *Procs[V]) grow() {
+func (ps *Procs) grow() {
 	ps.size = min(max(2*ps.size, 1), maxChunk)
 	sp, per := ps.sys.Space(), ps.regBits()
-	ps.last = &chunk[V]{
+	ps.last = &chunk{
 		procs: ps,
-		words: nvm.NewWords(sp, int(ps.size), Triple[V]{}),
+		words: nvm.NewWords(sp, int(ps.size), int64(0)),
 		bits:  nvm.NewBits(sp, int(ps.size)*per),
 	}
 	ps.next = 0
 	sp.Spare(int(ps.size) * (per + 1))
 }
 
-// New allocates a detectable register in sys's memory space, initialized to
-// vinit: a process table of its own plus one register.
-func New[V comparable](sys *runtime.System, vinit V, enc func(V) int) Register[V] {
-	return NewProcs(sys, enc).NewRegister(vinit)
-}
-
-// NewInt allocates a detectable register over int values.
-func NewInt(sys *runtime.System, vinit int) Register[int] {
-	return New(sys, vinit, runtime.EncodeInt)
+// NewInt allocates a detectable register in sys's memory space, initialized
+// to vinit: a process table of its own plus one register.
+func NewInt(sys *runtime.System, vinit int) Register {
+	return NewProcs(sys).NewRegister(vinit)
 }
 
 // toggle is the index of A[i][p][b], the bit through which writer p
 // coordinates with process i using p's toggle array b. Writer-major, so the
 // N bits a write raises (lines 9–10) sit in one word.
-func (reg Register[V]) toggle(i, p, b int) int {
+func (reg Register) toggle(i, p, b int) int {
 	ps := reg.c.procs
 	return reg.i*ps.regBits() + (2*p+b)*len(ps.p) + i
 }
 
 // tp is the index of T_p, p's private toggle index for this register: T is
 // the last N bits of the register's run.
-func (reg Register[V]) tp(p int) int {
+func (reg Register) tp(p int) int {
 	ps := reg.c.procs
 	return (reg.i+1)*ps.regBits() - len(ps.p) + p
 }
 
 // Write performs a detectable Write(val) as process pid, following the
 // crash-recovery protocol. plans optionally inject deterministic crashes.
-func (reg Register[V]) Write(pid int, val V, plans ...nvm.CrashPlan) runtime.Outcome[int] {
+func (reg Register) Write(pid int, val int, plans ...nvm.CrashPlan) runtime.Outcome[int] {
 	return runtime.Execute(reg.c.procs.sys, pid, reg.WriteOp(pid, val), plans...)
 }
 
 // Read performs a detectable Read() as process pid.
-func (reg Register[V]) Read(pid int, plans ...nvm.CrashPlan) runtime.Outcome[V] {
+func (reg Register) Read(pid int, plans ...nvm.CrashPlan) runtime.Outcome[int] {
 	return runtime.Execute(reg.c.procs.sys, pid, reg.ReadOp(pid), plans...)
 }
 
@@ -272,36 +310,41 @@ func (reg Register[V]) Read(pid int, plans ...nvm.CrashPlan) runtime.Outcome[V] 
 // is pre-built per process, so the hot path allocates nothing: the target
 // register and val are staged in pid's table entry and the descriptor's
 // argument slot is overwritten in place. The Op therefore stays valid only
-// until pid's next WriteOp or ReadOp on any register of the table.
-func (reg Register[V]) WriteOp(pid int, val V) runtime.Op[int] {
-	p := reg.c.procs.p[pid]
+// until pid's next WriteOp or ReadOp on any register of the table. Like an
+// out-of-range pid, a val outside the register's domain panics here, before
+// any primitive runs.
+func (reg Register) WriteOp(pid int, val int) runtime.Op[int] {
+	ps := reg.c.procs
+	p := ps.p[pid]
+	ps.dom.mustContain(val)
 	p.stage(reg)
 	p.val = val
-	p.write.Desc.Args[0] = reg.c.procs.enc(val)
+	p.write.Desc.Args[0] = val
 	return p.write
 }
 
 // stage makes reg the target of pid's next operation; reg returns it.
-func (p *proc[V]) stage(reg Register[V]) { p.c, p.i = reg.c, int32(reg.i) }
-func (p *proc[V]) reg() Register[V]      { return Register[V]{c: p.c, i: int(p.i)} }
+func (p *proc) stage(reg Register) { p.c, p.i = reg.c, int32(reg.i) }
+func (p *proc) reg() Register      { return Register{c: p.c, i: int(p.i)} }
 
-func (p *proc[V]) writeBody(ctx *nvm.Ctx) int {
-	reg, pid := p.reg(), int(p.pid)
+func (p *proc) writeBody(ctx *nvm.Ctx) int {
+	reg, pid, dom := p.reg(), int(p.pid), p.c.procs.dom
 	r, bits := reg.r(), reg.bits()
-	t := r.Load(ctx) // line 1
+	w := r.Load(ctx) // line 1
 	if mutant != MutantSkipToggleClear {
+		t := dom.unpack(w)
 		bits.Store(ctx, reg.toggle(pid, int(t.Q), int(1-t.Toggle)), false) // line 2
 	}
-	mtoggle := b2i(bits.Load(ctx, reg.tp(pid)))              // line 3
-	p.rd.Store(ctx, recoveryData[V]{MToggle: mtoggle, R: t}) // line 4
-	if r.Load(ctx) == t {                                    // line 5
-		p.wAnn.SetCP(ctx, 1)                                                // line 6
-		r.Store(ctx, Triple[V]{Val: p.val, Q: int32(pid), Toggle: mtoggle}) // line 7
+	mtoggle := b2i(bits.Load(ctx, reg.tp(pid)))           // line 3
+	p.rd.Store(ctx, recoveryData{MToggle: mtoggle, R: w}) // line 4
+	if r.Load(ctx) == w {                                 // line 5
+		p.wAnn.SetCP(ctx, 1)                        // line 6
+		r.Store(ctx, dom.pack(p.val, pid, mtoggle)) // line 7
 	}
 	return p.finishWrite(ctx, mtoggle) // lines 8-13
 }
 
-func (p *proc[V]) writeRecover(ctx *nvm.Ctx) (int, bool) {
+func (p *proc) writeRecover(ctx *nvm.Ctx) (int, bool) {
 	reg, pid := p.reg(), int(p.pid)
 	d := p.rd.Load(ctx)                 // line 14
 	if r := p.wAnn.Result(ctx); r.Set { // line 15
@@ -311,8 +354,9 @@ func (p *proc[V]) writeRecover(ctx *nvm.Ctx) (int, bool) {
 	case 0: // line 17
 		return 0, false // line 18
 	case 1: // line 19
+		t := p.c.procs.dom.unpack(d.R)
 		if reg.r().Load(ctx) == d.R &&
-			!reg.bits().Load(ctx, reg.toggle(pid, int(d.R.Q), int(1-d.R.Toggle))) { // line 20
+			!reg.bits().Load(ctx, reg.toggle(pid, int(t.Q), int(1-t.Toggle))) { // line 20
 			return 0, false // line 21
 		}
 	}
@@ -322,7 +366,7 @@ func (p *proc[V]) writeRecover(ctx *nvm.Ctx) (int, bool) {
 // finishWrite is the common tail of Write (lines 8–13) and Write.Recover
 // (lines 22–27): persist checkpoint 2, raise all of pid's toggle bits for
 // the used array, switch the private toggle index, persist the response.
-func (p *proc[V]) finishWrite(ctx *nvm.Ctx, mtoggle int8) int {
+func (p *proc) finishWrite(ctx *nvm.Ctx, mtoggle int8) int {
 	reg, pid := p.reg(), int(p.pid)
 	bits := reg.bits()
 	p.wAnn.SetCP(ctx, 2)           // line 8 / 22
@@ -340,19 +384,19 @@ func (p *proc[V]) finishWrite(ctx *nvm.Ctx, mtoggle int8) int {
 // Reads take no argument, so the whole Op is pre-built per process and the
 // crash-free read path allocates nothing; like WriteOp it stages the target
 // register and stays valid until pid's next WriteOp or ReadOp.
-func (reg Register[V]) ReadOp(pid int) runtime.Op[V] {
+func (reg Register) ReadOp(pid int) runtime.Op[int] {
 	p := reg.c.procs.p[pid]
 	p.stage(reg)
 	return p.read
 }
 
-func (p *proc[V]) readBody(ctx *nvm.Ctx) V {
-	t := p.reg().r().Load(ctx)
-	p.rAnn.SetResult(ctx, t.Val)
-	return t.Val
+func (p *proc) readBody(ctx *nvm.Ctx) int {
+	v := p.c.procs.dom.unpack(p.reg().r().Load(ctx)).Val
+	p.rAnn.SetResult(ctx, v)
+	return v
 }
 
-func (p *proc[V]) readRecover(ctx *nvm.Ctx) (V, bool) {
+func (p *proc) readRecover(ctx *nvm.Ctx) (int, bool) {
 	if r := p.rAnn.Result(ctx); r.Set {
 		return r.Val, true
 	}
@@ -368,12 +412,12 @@ func b2i(b bool) int8 {
 
 // PeekTriple returns the shared register's current triple without a Ctx,
 // for test assertions and checkers.
-func (reg Register[V]) PeekTriple() Triple[V] { return reg.r().Peek() }
+func (reg Register) PeekTriple() Triple { return reg.c.procs.dom.unpack(reg.r().Peek()) }
 
 // PeekToggle returns toggle bit A[i][p][b] without a Ctx, for tests. Like
 // PeekT it panics on an index outside the register: the next bit over is a
 // chunk neighbour's.
-func (reg Register[V]) PeekToggle(i, p, b int) bool {
+func (reg Register) PeekToggle(i, p, b int) bool {
 	reg.checkPID(i)
 	reg.checkPID(p)
 	if b != 0 && b != 1 {
@@ -383,16 +427,16 @@ func (reg Register[V]) PeekToggle(i, p, b int) bool {
 }
 
 // PeekT returns T_p without a Ctx, for tests.
-func (reg Register[V]) PeekT(p int) int {
+func (reg Register) PeekT(p int) int {
 	reg.checkPID(p)
 	return int(b2i(reg.bits().Peek(reg.tp(p))))
 }
 
-func (reg Register[V]) checkPID(p int) {
+func (reg Register) checkPID(p int) {
 	if uint(p) >= uint(reg.N()) {
 		panic("rw: process index out of range")
 	}
 }
 
 // N returns the number of processes the register was allocated for.
-func (reg Register[V]) N() int { return len(reg.c.procs.p) }
+func (reg Register) N() int { return len(reg.c.procs.p) }

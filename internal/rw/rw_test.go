@@ -66,13 +66,13 @@ func TestWriteUpdatesAttribution(t *testing.T) {
 	reg := NewInt(sys, 0)
 	reg.Write(2, 9)
 	tr := reg.PeekTriple()
-	if tr != (Triple[int]{Val: 9, Q: 2, Toggle: 0}) {
+	if tr != (Triple{Val: 9, Q: 2, Toggle: 0}) {
 		t.Fatalf("R = %+v, want {9 2 0}", tr)
 	}
 	// The second write by 2 must use the other toggle array.
 	reg.Write(2, 4)
 	tr = reg.PeekTriple()
-	if tr != (Triple[int]{Val: 4, Q: 2, Toggle: 1}) {
+	if tr != (Triple{Val: 4, Q: 2, Toggle: 1}) {
 		t.Fatalf("R = %+v, want {4 2 1}", tr)
 	}
 }
@@ -182,7 +182,7 @@ func TestABARecoveryNotFooled(t *testing.T) {
 		t.Fatalf("ABA: status %v, want recovered (p's write WAS linearized)", out.Status)
 	}
 	// R must still hold q's last write; p's recovery only finishes bookkeeping.
-	if got := reg.PeekTriple(); got != (Triple[int]{Val: initVal, Q: int32(q), Toggle: 0}) {
+	if got := reg.PeekTriple(); got != (Triple{Val: initVal, Q: int32(q), Toggle: 0}) {
 		t.Fatalf("R = %+v", got)
 	}
 	rep := checkDL(t, sys, initVal)
@@ -215,7 +215,7 @@ func TestABAFailWhenNotLinearized(t *testing.T) {
 	if out.Status != runtime.StatusFailed {
 		t.Fatalf("status %v, want failed (p never wrote R)", out.Status)
 	}
-	if got := reg.PeekTriple(); got != (Triple[int]{Val: initVal, Q: int32(q), Toggle: 0}) {
+	if got := reg.PeekTriple(); got != (Triple{Val: initVal, Q: int32(q), Toggle: 0}) {
 		t.Fatalf("R = %+v", got)
 	}
 	checkDL(t, sys, initVal)
@@ -243,7 +243,7 @@ func TestOverwrittenWriteLinearizesBeforeConcurrent(t *testing.T) {
 		t.Fatalf("status %v, want ok", out.Status)
 	}
 	// p must not have overwritten q's value.
-	if got := reg.PeekTriple(); got != (Triple[int]{Val: 7, Q: int32(q), Toggle: 0}) {
+	if got := reg.PeekTriple(); got != (Triple{Val: 7, Q: int32(q), Toggle: 0}) {
 		t.Fatalf("R = %+v, want q's write to survive", got)
 	}
 	// The history (p.write(5) linearized before q.write(7), read sees 7)
@@ -423,20 +423,6 @@ func TestManyProcessesSequential(t *testing.T) {
 		t.Fatalf("read = %d, want %d", out.Resp, n)
 	}
 	checkDL(t, sys, 0)
-}
-
-func TestStringValues(t *testing.T) {
-	sys := runtime.NewSystem(2)
-	vals := map[string]int{"": 0, "a": 1, "b": 2}
-	reg := New(sys, "", func(s string) int { return vals[s] })
-	reg.Write(0, "a")
-	if out := reg.Read(1); out.Resp != "a" {
-		t.Fatalf("read = %q", out.Resp)
-	}
-	ok, _, err := linearize.CheckLog(spec.Register{}, sys.Log())
-	if err != nil || !ok {
-		t.Fatalf("history check: ok=%v err=%v", ok, err)
-	}
 }
 
 func TestRepeatedFailedWritesNoGhosts(t *testing.T) {

@@ -131,8 +131,8 @@ func TestAllocPinServedMultiPut(t *testing.T) {
 
 // The served counterparts of shardkv's rotating pins: 64 keys in rotation
 // and a fresh value per PUT, so no cache of the previous value can stand in
-// for an allocation-free path. A served GET allocates nothing; a served PUT
-// allocates at most the box of the register's new triple.
+// for an allocation-free path. Neither a served GET nor a served PUT
+// allocates: the register's R is one packed word.
 func TestAllocPinServedRotating(t *testing.T) {
 	store := shardkv.New(4, 2)
 	srv := New(store)
@@ -165,8 +165,8 @@ func TestAllocPinServedRotating(t *testing.T) {
 	for n := 0; n < 2*Window; n++ { // creates the keys, settles the outcome window
 		put()
 	}
-	if allocs := testing.AllocsPerRun(1000, put); allocs > 1 {
-		t.Fatalf("served PUT of fresh values allocates %v/op, want ≤ 1 (R's triple)", allocs)
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Fatalf("served PUT of fresh values allocates %v/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, get); allocs != 0 {
 		t.Fatalf("served GET over %d keys allocates %v/op, want 0", len(keys), allocs)

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"detectable/internal/durable"
+	"detectable/internal/rw"
 	"detectable/internal/shardkv"
 )
 
@@ -83,6 +84,7 @@ func NewStandby(db *durable.DB, newStore func() *shardkv.Store) *Server {
 		idleTTL:  DefaultIdleTimeout,
 		stop:     make(chan struct{}),
 		nextSID:  standbySIDBase,
+		dom:      rw.DomainOf(db.Procs()),
 	}
 	srv.standby.Store(&standbyState{
 		db:       db,

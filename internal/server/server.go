@@ -30,6 +30,7 @@ import (
 	"detectable/internal/durable"
 	"detectable/internal/nvm"
 	"detectable/internal/runtime"
+	"detectable/internal/rw"
 	"detectable/internal/shardkv"
 )
 
@@ -54,6 +55,10 @@ type Server struct {
 	replicas         atomic.Int64                 // attached replication streams
 	recoveredReplays atomic.Uint64                // replays served from a recovered outcome window
 
+	// dom is the store's register value domain: a PUT or MPUT value outside
+	// it is refused at decode, a malformed field like any other.
+	dom rw.Domain
+
 	mu          sync.Mutex
 	ln          net.Listener
 	sessions    map[uint64]*session
@@ -72,6 +77,7 @@ func New(store *shardkv.Store) *Server {
 		sessions: make(map[uint64]*session),
 		idleTTL:  DefaultIdleTimeout,
 		stop:     make(chan struct{}),
+		dom:      rw.DomainOf(store.Procs()),
 	}
 	srv.store.Store(store)
 	return srv
@@ -596,7 +602,7 @@ func (srv *Server) execute(sess *session, op byte, c class, r *Reader, dst []byt
 	case OpGet, OpDel:
 		plan, key = r.U32(), r.KeyRef()
 	case OpPut:
-		plan, key, val = r.U32(), r.KeyRef(), int(r.I64())
+		plan, key, val = r.U32(), r.KeyRef(), r.value(srv.dom)
 	case OpMGet:
 		sess.keys = sess.keys[:0]
 		for n := r.batchLen(); n > 0; n-- {
@@ -605,7 +611,7 @@ func (srv *Server) execute(sess *session, op byte, c class, r *Reader, dst []byt
 	case OpMPut:
 		sess.entries = sess.entries[:0]
 		for n := r.batchLen(); n > 0; n-- {
-			sess.entries = append(sess.entries, shardkv.KV{Key: r.KeyRef(), Val: int(r.I64())})
+			sess.entries = append(sess.entries, shardkv.KV{Key: r.KeyRef(), Val: r.value(srv.dom)})
 		}
 	case OpCrash:
 		shard = r.U32()

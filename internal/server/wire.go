@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"detectable/internal/runtime"
+	"detectable/internal/rw"
 	"detectable/internal/shardkv"
 )
 
@@ -450,6 +451,18 @@ func (r *Reader) batchLen() int {
 
 // I64 reads a big-endian two's-complement int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
+
+// value reads a PUT or MPUT value: an I64 that must lie in dom, the value
+// domain of the store's registers. One outside it sets Err and reads as
+// zero, so the request is refused before any of it executes.
+func (r *Reader) value(dom rw.Domain) int {
+	v := int(r.I64())
+	if !dom.Contains(v) {
+		r.Err = true
+		return 0
+	}
+	return v
+}
 
 // Key reads a u16-length-prefixed key.
 func (r *Reader) Key() string {

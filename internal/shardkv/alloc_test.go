@@ -129,11 +129,11 @@ func pinKeys(n int) []string {
 }
 
 // The single-key pins above PUT and GET one key with one value, which a
-// one-value cache in front of an allocation also satisfies. These rotate 64
-// keys and write a value never written before on every op: a Get allocates
-// nothing, and a Put allocates exactly what it must — the box of the shared
-// word R's new triple — because the announcements and RD_p are owner-only
-// words that store their values in place.
+// one-value cache in front of an allocation also satisfies (a word storing
+// the value it holds returns early). These rotate 64 keys and write a value
+// never written before on every op, and neither a Get nor a Put allocates:
+// R is one packed word, and the announcements and RD_p are owner-only words
+// that store their values in place.
 func TestAllocPinRotatingGet(t *testing.T) {
 	s := New(4, 2)
 	keys := pinKeys(64)
@@ -160,7 +160,44 @@ func TestAllocPinRotatingPut(t *testing.T) {
 	for n := 0; n < 2*len(keys); n++ { // the first lap creates the keys
 		put()
 	}
-	if allocs := testing.AllocsPerRun(1000, put); allocs > 1 {
-		t.Fatalf("crash-free Put of fresh values over %d keys allocates %v/op, want ≤ 1 (R's triple)", len(keys), allocs)
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Fatalf("crash-free Put of fresh values over %d keys allocates %v/op, want 0", len(keys), allocs)
+	}
+}
+
+// TestAllocPinPutFreshValues: a Put and a 16-entry MultiPut of existing
+// keys write a new value every iteration and allocate nothing — where a
+// register's R was a boxed triple, each fresh value cost a box.
+func TestAllocPinPutFreshValues(t *testing.T) {
+	s := New(4, 8)
+	entries := make([]KV, 16)
+	for i, k := range pinKeys(len(entries)) {
+		entries[i] = KV{Key: k, Val: i + 1}
+	}
+	var sc BatchScratch
+	s.MultiPutWith(&sc, 0, entries) // creates the keys and sizes the scratch
+	v := len(entries)
+	if allocs := testing.AllocsPerRun(500, func() {
+		v++
+		s.Put(0, entries[v%len(entries)].Key, v)
+	}); allocs != 0 {
+		t.Fatalf("a Put of a fresh value allocates %v/op, want 0", allocs)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the batched path")
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		for i := range entries {
+			v++
+			entries[i].Val = v
+		}
+		s.MultiPutWith(&sc, 0, entries)
+	}); allocs != 0 {
+		t.Fatalf("a 16-entry MultiPut of fresh values allocates %v/op, want 0", allocs)
+	}
+	for _, e := range entries {
+		if got := s.Peek(e.Key); got != e.Val {
+			t.Fatalf("%s = %d, want %d", e.Key, got, e.Val)
+		}
 	}
 }

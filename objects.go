@@ -13,16 +13,20 @@ import (
 // Register is a bounded-space detectable read/write register over int
 // values (the paper's Algorithm 1).
 type Register struct {
-	inner rw.Register[int]
+	inner rw.Register
 	sys   *System
 }
 
-// NewRegister allocates a detectable register initialized to init.
+// NewRegister allocates a detectable register initialized to init, which
+// must lie in the domain Write states.
 func (s *System) NewRegister(init int) *Register {
 	return &Register{inner: rw.NewInt(s.inner, init), sys: s}
 }
 
-// Write performs a detectable write as process pid.
+// Write performs a detectable write as process pid. The register stores its
+// value and the last writer's ⌈log₂N⌉+1-bit tag in one 64-bit word, so val
+// must be a signed integer of 64 − (⌈log₂N⌉+1) bits — [−2^59, 2^59) at
+// N = 8; Write panics on any other value before the operation starts.
 func (r *Register) Write(pid, val int, plans ...CrashPlan) Outcome[int] {
 	return wrap(r.inner.Write(pid, val, unwrapPlans(plans)...))
 }
