@@ -1,7 +1,8 @@
 // Package keytab is the key table of the two layers that keep something per
-// key — internal/kv (the key's register) and internal/durable (the key's
-// journaled and replica-applied values): an insert-only hash table,
-// Table[E], in which a key is one entry and an entry is no allocation.
+// key — internal/kv (the key's number, which is its register's) and
+// internal/durable (the key's journaled and replica-applied values): an
+// insert-only hash table, Table[E], in which a key is one entry and an entry
+// is no allocation.
 //
 //   - The index is open-addressed 4-byte entry numbers (0 is empty), a power
 //     of two long, at most three quarters full, doubled into a fresh array.
@@ -32,6 +33,7 @@ import (
 	"iter"
 	"math"
 	"math/bits"
+	"reflect"
 	"sync/atomic"
 	"unsafe"
 )
@@ -60,6 +62,7 @@ type Table[E any] struct {
 type dir[E any] struct {
 	chunks [][]slot[E]
 	names  [][]byte
+	full   uint32 // chunkLen[E](), worked out once per table
 }
 
 // slot is one entry: where its name is and the caller's E.
@@ -78,27 +81,60 @@ const (
 )
 
 // chunkLen is how many entries a full chunk holds: as many as fit the 2 KiB
-// size class beside the 8-byte header the runtime puts in front of an object
-// with pointers — 85 of kv's 24-byte slots, 63 of durable's 32-byte ones. A
-// constant in each instantiation.
-func chunkLen[E any]() uint32 { return uint32(max(1, (2048-8)/unsafe.Sizeof(slot[E]{}))) }
+// size class — beside the 8-byte header the runtime puts in front of an
+// object over 512 B only when the object holds pointers. kv's 8-byte slots
+// and durable's 32-byte ones hold none: 256 and 64 to a chunk.
+func chunkLen[E any]() uint32 {
+	room := uintptr(2048)
+	if pointerful(reflect.TypeFor[slot[E]]()) {
+		room -= 8
+	}
+	return uint32(max(1, room/unsafe.Sizeof(slot[E]{})))
+}
+
+// pointerful reports whether a value of t holds a pointer the collector
+// scans.
+func pointerful(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && pointerful(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if pointerful(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
 
 // locate returns the chunk and the index in it of entry number n ≥ 1, and
-// the chunk's length: chunks 0 … small-1 hold 1, 2, 4 … entries, the largest
-// power of two a full chunk has room for, and every later chunk is full.
-func locate[E any](n uint32) (c, i, size uint32) {
-	full := chunkLen[E]()
+// the chunk's length, in a table whose full chunks hold full entries:
+// chunks 0 … small-1 hold 1, 2, 4 … entries, the largest power of two a
+// full chunk has room for, and every later chunk is full.
+func locate(n, full uint32) (c, i, size uint32) {
 	small := uint32(bits.Len32(full))
 	if n < 1<<small {
 		c = uint32(bits.Len32(n)) - 1
 		return c, n - 1<<c, 1 << c
 	}
 	n -= 1 << small
+	if full&(full-1) == 0 {
+		// full is a variable, so n/full would be a hardware divide on every
+		// lookup; a pointer-free slot of 8, 16 or 32 bytes makes it a power
+		// of two, and a shift.
+		return small + n>>(small-1), n & (full - 1), full
+	}
 	return small + n/full, n % full, full
 }
 
 func (d *dir[E]) slot(n uint32) *slot[E] {
-	c, i, _ := locate[E](n)
+	c, i, _ := locate(n, d.full)
 	return &d.chunks[c][i]
 }
 
@@ -206,20 +242,22 @@ func (t *Table[E]) Insert(key string, e E) (uint32, *E) {
 // has to.
 func (t *Table[E]) room(n uint32, size int32) *dir[E] {
 	d := t.dir.Load()
-	c, i, chunk := locate[E](n)
+	if d == nil {
+		d = &dir[E]{full: chunkLen[E]()} // entry 1's, published below with its chunk
+	}
+	c, i, chunk := locate(n, d.full)
 	newChunk, newBlock := i == 0, size > t.free
-	if n == 1 || newChunk && int(c) == len(d.chunks) || newBlock && int(t.blocks) == len(d.names) {
-		next := new(dir[E])
-		if d != nil {
-			*next = *d
+	if newChunk && int(c) == len(d.chunks) || newBlock && int(t.blocks) == len(d.names) {
+		if n > 1 {
+			next := *d
+			d = &next
 		}
-		if newChunk && int(c) == len(next.chunks) {
-			next.chunks = doubled(next.chunks)
+		if newChunk && int(c) == len(d.chunks) {
+			d.chunks = doubled(d.chunks)
 		}
-		if newBlock && int(t.blocks) == len(next.names) {
-			next.names = doubled(next.names)
+		if newBlock && int(t.blocks) == len(d.names) {
+			d.names = doubled(d.names)
 		}
-		d = next
 		t.dir.Store(d)
 	}
 	if newChunk {

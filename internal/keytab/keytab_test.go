@@ -1,11 +1,11 @@
 package keytab
 
-// One suite for both instantiations of the table. The two entry types below
-// have the shapes of the real ones — internal/kv's is a register handle
-// (a pointer and an index, 16 bytes, scanned), internal/durable's is five
-// pointer-free words and flags, two of them atomics (24 bytes, noscan) — so
-// each case runs over a 24-byte pointerful slot and a 32-byte pointer-free
-// one.
+// One suite for every shape of entry. Two have the shapes of the real ones —
+// internal/kv's is empty (entry n is register n−1, so the slot is the name
+// reference alone: 8 bytes, noscan), internal/durable's is five pointer-free
+// words and flags, two of them atomics (24 bytes; a 32-byte noscan slot) —
+// and a third, a handle of a pointer and an index, keeps a 24-byte slot the
+// collector scans under test.
 
 import (
 	"fmt"
@@ -22,6 +22,8 @@ type handle struct {
 	i int
 }
 
+type empty = struct{}
+
 type words struct {
 	journaled int64
 	applied   atomic.Int64
@@ -31,27 +33,33 @@ type words struct {
 }
 
 // shape is what a case needs to know about an entry type: how to make the
-// i-th value and how to read i back out of one.
+// value inserted i-th and how to read i back out of entry number n. An
+// empty entry holds nothing, so its i is its number's, as in internal/kv.
 type shape[E any] struct {
 	make func(i int) E
-	read func(e *E) int
+	read func(n uint32, e *E) int
 }
 
 var (
 	handles = shape[handle]{
 		make: func(i int) handle { return handle{c: new(int), i: i} },
-		read: func(e *handle) int { return e.i },
+		read: func(_ uint32, e *handle) int { return e.i },
 	}
 	wordses = shape[words]{
 		make: func(i int) words { return words{journaled: int64(i), inLog: true} },
-		read: func(e *words) int { return int(e.journaled) },
+		read: func(_ uint32, e *words) int { return int(e.journaled) },
+	}
+	empties = shape[empty]{
+		make: func(int) empty { return empty{} },
+		read: func(n uint32, _ *empty) int { return int(n) - 1 },
 	}
 )
 
-// both runs a generic case once per entry type.
-func both(t *testing.T, h func(*testing.T, shape[handle]), w func(*testing.T, shape[words])) {
+// each runs a generic case once per entry type.
+func each(t *testing.T, h func(*testing.T, shape[handle]), w func(*testing.T, shape[words]), e func(*testing.T, shape[empty])) {
 	t.Run("handle", func(t *testing.T) { h(t, handles) })
 	t.Run("words", func(t *testing.T) { w(t, wordses) })
+	t.Run("empty", func(t *testing.T) { e(t, empties) })
 }
 
 func tableKeys(n int) []string {
@@ -62,15 +70,18 @@ func tableKeys(n int) []string {
 	return names
 }
 
-// TestSlotSizes: a full chunk of either shape is the 2 KiB size class — 85
-// pointerful 24-byte slots and the runtime's 8-byte header, 63 pointer-free
-// 32-byte ones.
+// TestSlotSizes: a full chunk of any shape is the 2 KiB size class — 256
+// of kv's 8-byte slots and 64 of durable's 32-byte ones, both pointer-free,
+// exactly; 85 pointerful 24-byte slots beside the runtime's 8-byte header.
 func TestSlotSizes(t *testing.T) {
+	if size, n := unsafe.Sizeof(slot[empty]{}), chunkLen[empty](); size != 8 || n != 256 {
+		t.Errorf("a slot holding nothing is %d B, %d to a chunk; want 8 and 256", size, n)
+	}
+	if size, n := unsafe.Sizeof(slot[words]{}), chunkLen[words](); size != 32 || n != 64 {
+		t.Errorf("a slot holding durable's words is %d B, %d to a chunk; want 32 and 64", size, n)
+	}
 	if size, n := unsafe.Sizeof(slot[handle]{}), chunkLen[handle](); size != 24 || n != 85 {
 		t.Errorf("a slot holding a 16-byte handle is %d B, %d to a chunk; want 24 and 85", size, n)
-	}
-	if size, n := unsafe.Sizeof(slot[words]{}), chunkLen[words](); size != 32 || n != 63 {
-		t.Errorf("a slot holding durable's words is %d B, %d to a chunk; want 32 and 63", size, n)
 	}
 }
 
@@ -78,14 +89,14 @@ func TestSlotSizes(t *testing.T) {
 // power of two a full chunk has room for, then full chunks, every element
 // exactly once and in order.
 func TestLocate(t *testing.T) {
-	both(t, testLocate[handle], testLocate[words])
+	each(t, testLocate[handle], testLocate[words], testLocate[empty])
 }
 
 func testLocate[E any](t *testing.T, _ shape[E]) {
 	n, size := uint32(1), uint32(1)
 	for c := uint32(0); c < 70; c++ {
 		for i := uint32(0); i < size; i++ {
-			if gc, gi, gsize := locate[E](n); gc != c || gi != i || gsize != size {
+			if gc, gi, gsize := locate(n, chunkLen[E]()); gc != c || gi != i || gsize != size {
 				t.Fatalf("locate(%d) = chunk %d element %d of %d, want %d, %d of %d", n, gc, gi, gsize, c, i, size)
 			}
 			n++
@@ -100,7 +111,7 @@ func testLocate[E any](t *testing.T, _ shape[E]) {
 // chunk boundaries and checks that each key resolves to one entry that never
 // moves, that absent keys miss, and that the walk yields insertion order.
 func TestTableAgainstMap(t *testing.T) {
-	both(t, testAgainstMap[handle], testAgainstMap[words])
+	each(t, testAgainstMap[handle], testAgainstMap[words], testAgainstMap[empty])
 }
 
 func testAgainstMap[E any](t *testing.T, sh shape[E]) {
@@ -141,8 +152,8 @@ func testAgainstMap[E any](t *testing.T, sh shape[E]) {
 	}
 	i := 0
 	for n, e := range tab.All() {
-		if n != uint32(i+1) || tab.Name(n) != names[i] || sh.read(e) != i {
-			t.Fatalf("walk position %d yields entry %d %q=%d, want %q=%d", i, n, tab.Name(n), sh.read(e), names[i], i)
+		if n != uint32(i+1) || tab.Name(n) != names[i] || sh.read(n, e) != i {
+			t.Fatalf("walk position %d yields entry %d %q=%d, want %q=%d", i, n, tab.Name(n), sh.read(n, e), names[i], i)
 		}
 		i++
 	}
@@ -155,12 +166,12 @@ func testAgainstMap[E any](t *testing.T, sh shape[E]) {
 }
 
 // TestTableLookupBesideInsert: readers resolve keys lock-free while the
-// owner inserts — 4096 keys, eleven index doublings, 69 chunks, some twenty
-// name blocks; a key seen once is seen for good, with the same entry. Run under
-// -race it also checks the publication order of directory, entry, name bytes
-// and slot.
+// owner inserts — 4096 keys, eleven index doublings, 24 to 70 chunks by
+// shape, some twenty name blocks; a key seen once is seen for good, with the
+// same entry. Run under -race it also checks the publication order of
+// directory, entry, name bytes and slot.
 func TestTableLookupBesideInsert(t *testing.T) {
-	both(t, testLookupBesideInsert[handle], testLookupBesideInsert[words])
+	each(t, testLookupBesideInsert[handle], testLookupBesideInsert[words], testLookupBesideInsert[empty])
 }
 
 func testLookupBesideInsert[E any](t *testing.T, sh shape[E]) {
@@ -189,8 +200,8 @@ func testLookupBesideInsert[E any](t *testing.T, sh shape[E]) {
 					case e != nil && seen[i] != nil && e != seen[i]:
 						t.Errorf("%q moved", k)
 						return
-					case e != nil && (tab.Name(n) != k || sh.read(e) != i || n != uint32(i+1)):
-						t.Errorf("%q resolved to entry %d %q=%d", k, n, tab.Name(n), sh.read(e))
+					case e != nil && (tab.Name(n) != k || sh.read(n, e) != i || n != uint32(i+1)):
+						t.Errorf("%q resolved to entry %d %q=%d", k, n, tab.Name(n), sh.read(n, e))
 						return
 					}
 					seen[i] = e
@@ -214,7 +225,7 @@ func testLookupBesideInsert[E any](t *testing.T, sh shape[E]) {
 // four times (4 → 8 → 16 → 32 → 64 slots) and the first six chunks and
 // seven name blocks appear, over and over.
 func TestLookupRacesIndexDoublings(t *testing.T) {
-	both(t, testRacesDoublings[handle], testRacesDoublings[words])
+	each(t, testRacesDoublings[handle], testRacesDoublings[words], testRacesDoublings[empty])
 }
 
 func testRacesDoublings[E any](t *testing.T, sh shape[E]) {
@@ -234,8 +245,8 @@ func testRacesDoublings[E any](t *testing.T, sh shape[E]) {
 						t.Errorf("round %d: %q lost across a doubling", round, names[0])
 						return
 					}
-					if e != nil && (n != 1 || sh.read(e) != 0) {
-						t.Errorf("round %d: %q resolved to entry %d = %d", round, names[0], n, sh.read(e))
+					if e != nil && (n != 1 || sh.read(n, e) != 0) {
+						t.Errorf("round %d: %q resolved to entry %d = %d", round, names[0], n, sh.read(n, e))
 						return
 					}
 					found = e != nil
@@ -257,7 +268,7 @@ func testRacesDoublings[E any](t *testing.T, sh shape[E]) {
 // none inserted while it runs (internal/kv's Keys relies on it, without the
 // creation mutex).
 func TestAllIsPointInTime(t *testing.T) {
-	both(t, testAllPointInTime[handle], testAllPointInTime[words])
+	each(t, testAllPointInTime[handle], testAllPointInTime[words], testAllPointInTime[empty])
 }
 
 func testAllPointInTime[E any](t *testing.T, sh shape[E]) {
@@ -281,7 +292,7 @@ func testAllPointInTime[E any](t *testing.T, sh shape[E]) {
 // the longest key and one byte more, keys that differ only in their last
 // byte or only in length, and names around a block boundary.
 func TestNames(t *testing.T) {
-	both(t, testNames[handle], testNames[words])
+	each(t, testNames[handle], testNames[words], testNames[empty])
 }
 
 func testNames[E any](t *testing.T, sh shape[E]) {
@@ -326,7 +337,7 @@ func testNames[E any](t *testing.T, sh shape[E]) {
 
 	for i, k := range names {
 		n, e := tab.Lookup(k)
-		if n != uint32(i+1) || e == nil || sh.read(e) != i || tab.Name(n) != k {
+		if n != uint32(i+1) || e == nil || sh.read(n, e) != i || tab.Name(n) != k {
 			t.Fatalf("key %d (%d bytes) resolves to entry %d", i, len(k), n)
 		}
 	}
@@ -362,7 +373,7 @@ func testNames[E any](t *testing.T, sh shape[E]) {
 // is a handful of small objects — under 200 bytes in all — and one of
 // 100 000 keys resolves every one of them.
 func TestOneKeyAndManyKeys(t *testing.T) {
-	both(t, testOneAndMany[handle], testOneAndMany[words])
+	each(t, testOneAndMany[handle], testOneAndMany[words], testOneAndMany[empty])
 }
 
 func testOneAndMany[E any](t *testing.T, sh shape[E]) {
@@ -373,7 +384,7 @@ func testOneAndMany[E any](t *testing.T, sh shape[E]) {
 		t.Fatalf("a one-key table holds %d slots, %d chunks (first of %d), %d name blocks (first of %d B)",
 			len(*one.slots.Load()), len(d.chunks), len(d.chunks[0]), len(d.names), len(d.names[0]))
 	}
-	if n, e := one.Lookup("only"); n != 1 || sh.read(e) != 0 {
+	if n, e := one.Lookup("only"); n != 1 || sh.read(n, e) != 0 {
 		t.Fatal("the only key does not resolve")
 	}
 
@@ -387,12 +398,12 @@ func testOneAndMany[E any](t *testing.T, sh shape[E]) {
 		tab.Insert(k, sh.make(i))
 	}
 	for i, k := range names {
-		if n, e := tab.Lookup(k); n != uint32(i+1) || sh.read(e) != i {
+		if n, e := tab.Lookup(k); n != uint32(i+1) || sh.read(n, e) != i {
 			t.Fatalf("%q resolves to entry %d", k, n)
 		}
 	}
 	d = tab.dir.Load()
-	last, _, _ := locate[E](many)
+	last, _, _ := locate(many, chunkLen[E]())
 	chunks := int(last) + 1
 	if d.chunks[chunks-1] == nil || len(d.chunks) > chunks && d.chunks[chunks] != nil || len(d.chunks) >= 2*chunks {
 		t.Fatalf("%d entries do not fill %d chunks of a directory of %d", many, chunks, len(d.chunks))
@@ -409,7 +420,7 @@ func testOneAndMany[E any](t *testing.T, sh shape[E]) {
 // TestAllocPinLookup: resolving a key — present or absent — allocates
 // nothing, and neither do At and Name.
 func TestAllocPinLookup(t *testing.T) {
-	both(t, testAllocPinLookup[handle], testAllocPinLookup[words])
+	each(t, testAllocPinLookup[handle], testAllocPinLookup[words], testAllocPinLookup[empty])
 }
 
 func testAllocPinLookup[E any](t *testing.T, sh shape[E]) {
@@ -424,7 +435,7 @@ func testAllocPinLookup[E any](t *testing.T, sh shape[E]) {
 		if e == nil || miss != nil {
 			t.Fatal("wrong resolution")
 		}
-		sink += sh.read(tab.At(n)) + len(tab.Name(n))
+		sink += sh.read(n, tab.At(n)) + len(tab.Name(n))
 	}); allocs != 0 {
 		t.Fatalf("lookup allocates %v/op, want 0", allocs)
 	}
@@ -434,7 +445,7 @@ func testAllocPinLookup[E any](t *testing.T, sh shape[E]) {
 // chunk, a name block, the index, a directory array: under 0.1 objects per
 // key over 4096 keys, none of them the key's own.
 func TestAllocPinInsert(t *testing.T) {
-	both(t, testAllocPinInsert[handle], testAllocPinInsert[words])
+	each(t, testAllocPinInsert[handle], testAllocPinInsert[words], testAllocPinInsert[empty])
 }
 
 func testAllocPinInsert[E any](t *testing.T, sh shape[E]) {
@@ -465,6 +476,7 @@ func FuzzTableAgainstMap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		fuzzAgainstMap(t, in, handles)
 		fuzzAgainstMap(t, in, wordses)
+		fuzzAgainstMap(t, in, empties)
 	})
 }
 
@@ -478,8 +490,8 @@ func fuzzAgainstMap[E any](t *testing.T, in []byte, sh shape[E]) {
 		if op == 2 {
 			i := 0
 			for n, e := range tab.All() {
-				if tab.Name(n) != order[i] || sh.read(e) != i {
-					t.Fatalf("walk position %d yields %q=%d, want %q", i, tab.Name(n), sh.read(e), order[i])
+				if tab.Name(n) != order[i] || sh.read(n, e) != i {
+					t.Fatalf("walk position %d yields %q=%d, want %q", i, tab.Name(n), sh.read(n, e), order[i])
 				}
 				i++
 			}
@@ -498,7 +510,7 @@ func fuzzAgainstMap[E any](t *testing.T, in []byte, sh shape[E]) {
 		in = in[1+size:]
 		n, e := tab.Lookup(key)
 		pos, present := ref[key]
-		if present != (e != nil) || present && (n != uint32(pos+1) || sh.read(e) != pos || tab.Name(n) != key) {
+		if present != (e != nil) || present && (n != uint32(pos+1) || sh.read(n, e) != pos || tab.Name(n) != key) {
 			t.Fatalf("lookup of %q: entry %d, map says present=%v at %d", key, n, present, pos)
 		}
 		if op == 0 && !present {

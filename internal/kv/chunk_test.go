@@ -79,8 +79,8 @@ func TestConcurrentFirstWritesWhileReading(t *testing.T) {
 // as first writes. 4096 restored keys read back their recovered values in
 // the state a fresh register has — written by process 0 with toggle array
 // 0, every toggle bit clear — hold 137 cells each and the bytes per key of
-// 4096 first puts: the recovered value costs the one box a first put's
-// value costs.
+// 4096 first puts: a restore and a first put make the same entry and the
+// same register.
 func TestRestoreThroughChunks(t *testing.T) {
 	const n, keys = 8, 4096
 	sys := runtime.NewSystem(n)

@@ -12,19 +12,21 @@
 // 2N²+N bits — and is an element of a chunk, not an allocation: the store's
 // rw.Procs table hands registers out of slabs of up to 64, for first writes
 // and Restore alike. A key is one entry of the store's key table
-// (internal/keytab) and that entry is the register's 16-byte handle beside
-// the name's reference, itself an element of a chunk, with the name's bytes
-// in table-owned storage. R is one packed word in its chunk's array, so a
-// key owns nothing on the heap beyond its share of those chunks, and
-// overwriting its value allocates nothing. The per-process state of
-// Algorithm 1 (RDp and the announcements) is that one table per store,
-// shared by all its registers, since a process runs one operation at a time.
+// (internal/keytab), and a key is its number: entry n and register n−1 are
+// created together, in the same order, under one mutex, so the entry holds
+// nothing but the name's 6-byte reference — an 8-byte element of a chunk,
+// with the name's bytes in table-owned storage — and the register is
+// procs.At(n−1). R is one packed word in its chunk's array, so a key owns
+// nothing on the heap beyond its share of those chunks, and overwriting
+// its value allocates nothing. The per-process state of Algorithm 1 (RDp
+// and the announcements) is that one table per store, shared by all its
+// registers, since a process runs one operation at a time.
 //
 // Key resolution is lock-free: the crash-free hot path of an existing key
-// (the only path a skewed workload exercises in steady state) is a hash and
-// a short probe — no locks, no allocation. Only the first write of a new
-// key and Restore serialize, on a creation mutex, at O(1) amortised cost per
-// key.
+// (the only path a skewed workload exercises in steady state) is a hash, a
+// short probe and the register's chunk — no locks, no allocation. Only the
+// first write of a new key and Restore serialize, on a creation mutex, at
+// O(1) amortised cost per key.
 package kv
 
 import (
@@ -43,8 +45,8 @@ import (
 type Store struct {
 	sys   *runtime.System
 	procs *rw.Procs
-	mu    sync.Mutex // serializes inserts into tbl: first writes and restores
-	tbl   keytab.Table[rw.Register]
+	mu    sync.Mutex             // serializes creation: NewRegister, then the insert into tbl
+	tbl   keytab.Table[struct{}] // entry n is the key of register n−1
 }
 
 // New allocates an empty store in sys's memory space.
@@ -133,8 +135,8 @@ func (s *Store) Peek(key string) int {
 
 // lookup returns key's register without creating it.
 func (s *Store) lookup(key string) (rw.Register, bool) {
-	if _, reg := s.tbl.Lookup(key); reg != nil {
-		return *reg, true
+	if n, _ := s.tbl.Lookup(key); n != 0 {
+		return s.procs.At(int(n) - 1), true
 	}
 	return rw.Register{}, false
 }
@@ -155,13 +157,19 @@ func (s *Store) reg(key string) rw.Register {
 
 // create returns key's register, allocating it with initial value val under
 // the creation mutex if key has none — so exactly one register is ever
-// allocated per key — and reports whether it did.
+// allocated per key — and reports whether it did. The register is handed
+// out before the entry that names it is published, so a reader that meets
+// entry n finds register n−1; the two numberings are one, and create
+// panics if they ever part.
 func (s *Store) create(key string, val int) (rw.Register, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if reg, ok := s.lookup(key); ok {
 		return reg, false // e.g. lost the race with another first writer
 	}
-	_, reg := s.tbl.Insert(key, s.procs.NewRegister(val))
-	return *reg, true
+	reg := s.procs.NewRegister(val)
+	if n, _ := s.tbl.Insert(key, struct{}{}); s.procs.At(int(n)-1) != reg {
+		panic("kv: key number and register number differ")
+	}
+	return reg, true
 }

@@ -59,19 +59,20 @@ func perKey(n, keys int, fill func(s *Store, i int, key string)) (bytes, objects
 func firstPut(s *Store, i int, key string) { s.Put(0, key, i+1) }
 
 // TestSpacePinBytesPerRegister: at kvserverd's N = 8 a key costs at most
-// 88 B and 0.2 objects of live heap, its table entry, its name and its
-// index slot included (it reads 80 B and 0.09; 116 B and 1.11 when R was a
-// 32-byte cell pointing to a 16-byte box of its triple; 177 B and 3.07 when
-// the entry and the name were objects of their own beside a 40-byte
-// Register struct; 256 B and 9.0 when a register was seven allocations;
-// 15 KB when every toggle bit was a cell of its own). A key owns no object:
-// what it counts is its share of the chunks. docs/PERFORMANCE.md §"Space:
-// what a key owns" has the sites.
+// 64 B and 0.2 objects of live heap, its table entry, its name and its
+// index slot included (it reads 56 B and 0.09; 80 B when the entry held the
+// register's 16-byte handle and R's word its 8-byte cell ID; 116 B and 1.11
+// when R was a 32-byte cell pointing to a 16-byte box of its triple; 177 B
+// and 3.07 when the entry and the name were objects of their own beside a
+// 40-byte Register struct; 256 B and 9.0 when a register was seven
+// allocations; 15 KB when every toggle bit was a cell of its own). A key
+// owns no object: what it counts is its share of the chunks.
+// docs/PERFORMANCE.md §"Space: what a key owns" has the sites.
 func TestSpacePinBytesPerRegister(t *testing.T) {
 	bytes, objects := perKey(8, 4096, firstPut)
 	t.Logf("N=8: %.0f B and %.2f objects per key", bytes, objects)
-	if bytes > 88 {
-		t.Fatalf("a key at N=8 holds %.0f B of live heap, want ≤ 88", bytes)
+	if bytes > 64 {
+		t.Fatalf("a key at N=8 holds %.0f B of live heap, want ≤ 64", bytes)
 	}
 	if objects > 0.2 {
 		t.Fatalf("a key at N=8 holds %.2f live objects, want ≤ 0.2", objects)

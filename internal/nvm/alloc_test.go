@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -10,9 +11,10 @@ import (
 // of n words two whatever n (the cells and one box they all start on; one
 // for a packable kind — Words carries the array out by value, not in a
 // slice of one interface per word). A Cell is 32 bytes whatever T: packed
-// bits, live box, displaced box, identity — and no lock. The cell NewWords
-// gives a packable kind under the private-cache model is 16: bits and
-// identity.
+// bits, live box, displaced box, identity — and no lock. Under the
+// private-cache model NewWords stores a packable kind as its bits alone: 64
+// words are one 512-byte array of atomic.Int64, pointer-free, each word's
+// identity its index.
 func TestAllocPinCellObjects(t *testing.T) {
 	type triple struct {
 		Val int
@@ -27,6 +29,7 @@ func TestAllocPinCellObjects(t *testing.T) {
 	}{
 		{"NewCell[int]", 1, func() { NewCell(sp, 7) }},
 		{"NewCell[struct]", 2, func() { NewCell(sp, triple{Val: 7}) }},
+		{"NewWord[int]", 1, func() { NewWord(sp, 7) }},
 		{"NewWords[struct](64)", 2, func() { NewWords(sp, 64, triple{Val: 7}) }},
 		{"NewWords[int](64)", 1, func() { NewWords(sp, 64, 7) }},
 	} {
@@ -37,11 +40,70 @@ func TestAllocPinCellObjects(t *testing.T) {
 	if size := unsafe.Sizeof(Cell[triple]{}); size > 32 {
 		t.Errorf("a Cell of a three-field struct is %d B, want ≤ 32", size)
 	}
-	if size := unsafe.Sizeof(packedCell[int64]{}); size != 16 {
-		t.Errorf("a packed cell is %d B, want 16", size)
+	ws := NewWords(sp, 64, int64(0))
+	if ws.packed == nil || ws.cells != nil || ws.cached != nil {
+		t.Fatal("NewWords of a packable kind under the private-cache model is not stored as bare bits")
 	}
-	if _, ok := NewWords(sp, 1, int64(7)).At(0).(*packedCell[int64]); !ok {
-		t.Error("NewWords of a packable kind under the private-cache model does not hand out packed cells")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const arrays = 100
+	for range arrays {
+		NewWords(sp, 64, int64(0))
+	}
+	runtime.ReadMemStats(&after)
+	if objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; objects != arrays || bytes != 512*arrays {
+		t.Errorf("%d arrays of 64 packed words allocate %d objects and %d B, want %d and %d", arrays, objects, bytes, arrays, 512*arrays)
+	}
+}
+
+// TestWordsAreCells: word i of a NewWords array is cell base+i — the
+// identity a crash plan sees (ctx.CellID) for every Load, Store and CAS on
+// it, under every model and for a packed and a boxed kind alike. The
+// schedule explorer's commute relation reads these identities: two
+// processes' primitives on different words commute.
+func TestWordsAreCells(t *testing.T) {
+	for _, m := range allModels {
+		t.Run(m.String(), func(t *testing.T) {
+			sp := NewSpaceModel(m)
+			NewWord(sp, 0) // the arrays do not start at cell 1
+			base := sp.CellCount() + 1
+			ints := NewWords(sp, 5, int64(0))
+			strs := NewWords(sp, 5, "")
+			var seen []int
+			ctx := sp.Ctx(0, planFunc(func(ctx *Ctx, _ OpKind) bool { seen = append(seen, ctx.CellID()); return false }))
+			for i := 0; i < 5; i++ {
+				for w, prims := range map[int]func(){
+					base + i: func() {
+						ints.Load(ctx, i)
+						ints.Store(ctx, i, int64(i+1))
+						ints.CompareAndSwap(ctx, i, int64(i+1), int64(i+2))
+					},
+					base + 5 + i: func() {
+						strs.Load(ctx, i)
+						strs.Store(ctx, i, "a")
+						strs.CompareAndSwap(ctx, i, "a", "b")
+					},
+				} {
+					seen = seen[:0]
+					prims()
+					want := 3
+					if m == ModelSharedCacheAuto {
+						want = 5 // a flush follows the store and the CAS
+					}
+					if len(seen) != want {
+						t.Fatalf("cell %d: %d primitives seen, want %d", w, len(seen), want)
+					}
+					for k, id := range seen {
+						if id != w {
+							t.Fatalf("cell %d: primitive %d reported CellID %d", w, k, id)
+						}
+					}
+				}
+				if ints.Peek(i) != int64(i+2) || strs.Peek(i) != "b" {
+					t.Fatalf("word %d holds %d and %q, want %d and \"b\"", i, ints.Peek(i), strs.Peek(i), i+2)
+				}
+			}
+		})
 	}
 }
 
@@ -55,11 +117,11 @@ func TestWordsShareOneBox(t *testing.T) {
 			if got := sp.CellCount(); got != 3 {
 				t.Fatalf("CellCount = %d, want 3", got)
 			}
-			ws.At(1).Init("restored")
+			ws.Init(1, "restored")
 			ctx := sp.Ctx(0, nil)
-			ws.At(2).Store(ctx, "stored")
+			ws.Store(ctx, 2, "stored")
 			for i, want := range []string{"init", "restored", "stored"} {
-				if got := ws.At(i).Load(ctx); got != want {
+				if got := ws.Load(ctx, i); got != want {
 					t.Errorf("word %d = %q, want %q", i, got, want)
 				}
 			}
@@ -74,7 +136,7 @@ func TestWordsShareOneBox(t *testing.T) {
 				want[2] = "init"
 			}
 			for i := range want {
-				if got := ws.At(i).Peek(); got != want[i] {
+				if got := ws.Peek(i); got != want[i] {
 					t.Errorf("word %d = %q after crash, want %q", i, got, want[i])
 				}
 			}

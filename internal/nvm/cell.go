@@ -39,8 +39,7 @@ type CASRegister[T comparable] interface {
 // NewWord allocates a CAS-capable memory word in sp according to sp's
 // memory model:
 //
-//   - ModelPrivateCache: a Cell — every primitive persists immediately;
-//     for a packable T, the 16-byte packedCell.
+//   - ModelPrivateCache: a Cell — every primitive persists immediately.
 //   - ModelSharedCacheAuto: a CachedCell wrapped in the flush-after-write
 //     transformation of Izraelevitz et al. (Section 6 of the paper).
 //   - ModelSharedCacheRaw: a bare CachedCell — primitives are volatile
@@ -52,48 +51,41 @@ type CASRegister[T comparable] interface {
 // variables through NewWord or NewWords, so the same algorithm code runs
 // under every model.
 func NewWord[T comparable](sp *Space, init T) CASRegister[T] {
-	return NewWords(sp, 1, init).At(0)
-}
-
-// Words is one NewWords array. It holds the model's concrete cells, not an
-// interface per word: At builds word i's CASRegister on demand, so an
-// object whose words are elements of a chunk (rw.Procs) keeps one Words per
-// chunk and an index per object.
-type Words[T comparable] struct {
-	packed []packedCell[T] // the words of a packable T under ModelPrivateCache
-	cells  []Cell[T]       // the words of any other T under ModelPrivateCache
-	cached *cachedCells[T] // the words under the shared-cache models
-}
-
-// At returns word i.
-func (w Words[T]) At(i int) CASRegister[T] {
-	switch {
-	case w.packed != nil:
-		return &w.packed[i]
-	case w.cells != nil:
-		return &w.cells[i]
-	case w.cached.auto != nil:
-		return &w.cached.auto[i]
+	if sp.Model() == ModelPrivateCache {
+		return NewCell(sp, init)
 	}
-	return &w.cached.cells[i]
+	ws := NewWords(sp, 1, init)
+	return ws.cell(0)
+}
+
+// Words is one NewWords array, addressed by index: word i is cell base+i,
+// as bit i of a Bits array is, and its primitives are the methods below
+// with i as their first argument. It holds the model's concrete storage,
+// one field per representation, and no interface or identity per word, so
+// an object whose words are elements of a chunk (rw.Procs) keeps one Words
+// per chunk and an index per object.
+type Words[T comparable] struct {
+	packed []atomic.Int64  // a packable T under ModelPrivateCache: the bits alone
+	cells  []Cell[T]       // any other T under ModelPrivateCache
+	cached *cachedCells[T] // the words under the shared-cache models
+	base   int             // CellID of word 0
 }
 
 // NewWords allocates n words as NewWord does, all holding init, in one
-// piece: one array of the model's cell type, one reservation of n
-// contiguous cell identities, one crash registration and — for a boxed T —
-// one immutable box of init that every word starts on. A word that must
-// start on another value takes it through Init. Under ModelPrivateCache a
-// packable T gets packedCells, 16 bytes each; the representation follows
-// from T alone.
+// piece: one array of the model's storage, one reservation of n contiguous
+// cell identities, one crash registration and — for a boxed T — one
+// immutable box of init that every word starts on. A word that must start
+// on another value takes it through Init. Under ModelPrivateCache a
+// packable T is stored as its bits alone, 8 bytes a word; the
+// representation follows from T alone.
 func NewWords[T comparable](sp *Space, n int, init T) Words[T] {
 	base := sp.noteCells(n)
 	if sp.Model() == ModelPrivateCache && packable[T]() {
-		cells := make([]packedCell[T], n)
-		for i := range cells {
-			cells[i].id = base + i
-			cells[i].bits.Store(pack(init))
+		words := make([]atomic.Int64, n)
+		for i := range words {
+			words[i].Store(pack(init))
 		}
-		return Words[T]{packed: cells}
+		return Words[T]{packed: words, base: base}
 	}
 	box := newBox(init)
 	if sp.Model() == ModelPrivateCache {
@@ -102,7 +94,7 @@ func NewWords[T comparable](sp *Space, n int, init T) Words[T] {
 			cells[i].id = base + i
 			cells[i].w.start(init, box)
 		}
-		return Words[T]{cells: cells}
+		return Words[T]{cells: cells, base: base}
 	}
 	cs := &cachedCells[T]{cells: make([]CachedCell[T], n)}
 	for i := range cs.cells {
@@ -117,7 +109,83 @@ func NewWords[T comparable](sp *Space, n int, init T) Words[T] {
 			cs.auto[i].inner = &cs.cells[i]
 		}
 	}
-	return Words[T]{cached: cs}
+	return Words[T]{cached: cs, base: base}
+}
+
+// cell returns word i of a boxed or shared-cache array: a cell of its own
+// that carries its identity.
+func (w *Words[T]) cell(i int) CASRegister[T] {
+	switch {
+	case w.cells != nil:
+		return &w.cells[i]
+	case w.cached.auto != nil:
+		return &w.cached.auto[i]
+	}
+	return &w.cached.cells[i]
+}
+
+// Load atomically reads word i. A packed word's primitives are a Cell's —
+// Ctx.pre, one atomic instruction, the count — on bits whose identity is
+// base+i.
+func (w *Words[T]) Load(ctx *Ctx, i int) T {
+	if w.packed == nil {
+		return w.cell(i).Load(ctx)
+	}
+	ctx.pre(KindLoad, w.base+i)
+	v := unpack[T](w.packed[i].Load())
+	ctx.count(KindLoad)
+	return v
+}
+
+// Store atomically writes word i.
+func (w *Words[T]) Store(ctx *Ctx, i int, v T) {
+	if w.packed == nil {
+		w.cell(i).Store(ctx, v)
+		return
+	}
+	ctx.pre(KindStore, w.base+i)
+	w.packed[i].Store(pack(v))
+	ctx.count(KindStore)
+}
+
+// CompareAndSwap atomically replaces word i's value with new if it equals
+// old, reporting whether the swap happened. For a packed kind bitwise
+// equality is value equality, so the hardware CAS is the value CAS.
+func (w *Words[T]) CompareAndSwap(ctx *Ctx, i int, old, new T) bool {
+	if w.packed == nil {
+		return w.cell(i).CompareAndSwap(ctx, old, new)
+	}
+	ctx.pre(KindCAS, w.base+i)
+	ok := w.packed[i].CompareAndSwap(pack(old), pack(new))
+	ctx.count(KindCAS)
+	return ok
+}
+
+// Flush persists word i: a no-op that validates the epoch under the
+// private-cache model, like Cell.Flush.
+func (w *Words[T]) Flush(ctx *Ctx, i int) {
+	if w.packed == nil {
+		w.cell(i).Flush(ctx)
+		return
+	}
+	ctx.CheckAlive()
+}
+
+// Peek returns word i's current value without a Ctx; see CASRegister.
+func (w *Words[T]) Peek(i int) T {
+	if w.packed == nil {
+		return w.cell(i).Peek()
+	}
+	return unpack[T](w.packed[i].Load())
+}
+
+// Init sets word i's initial value without a Ctx; see CASRegister.
+func (w *Words[T]) Init(i int, v T) {
+	if w.packed == nil {
+		w.cell(i).Init(v)
+		return
+	}
+	w.packed[i].Store(pack(v))
 }
 
 // Cell is an atomic non-volatile memory word in the private-cache model:
@@ -188,47 +256,3 @@ func (c *Cell[T]) Peek() T {
 func (c *Cell[T]) Init(v T) {
 	c.w.store(v)
 }
-
-// packedCell is a Cell for a packable T: the word is its value's bits and
-// nothing else — no box pointers — so a cell is 16 bytes with its
-// identity. Each primitive is the Cell's: Ctx.pre, one atomic instruction,
-// the count. NewWords hands these out; a Cell of the same T behaves alike.
-type packedCell[T comparable] struct {
-	bits atomic.Int64
-	id   int
-}
-
-var _ CASRegister[int] = (*packedCell[int])(nil)
-
-// Load atomically reads the cell.
-func (c *packedCell[T]) Load(ctx *Ctx) T {
-	ctx.pre(KindLoad, c.id)
-	v := unpack[T](c.bits.Load())
-	ctx.count(KindLoad)
-	return v
-}
-
-// Store atomically writes the cell, persisting it.
-func (c *packedCell[T]) Store(ctx *Ctx, v T) {
-	ctx.pre(KindStore, c.id)
-	c.bits.Store(pack(v))
-	ctx.count(KindStore)
-}
-
-// CompareAndSwap atomically replaces the cell's value with new if it equals
-// old: for a packable kind, bitwise equality is value equality.
-func (c *packedCell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
-	ctx.pre(KindCAS, c.id)
-	ok := c.bits.CompareAndSwap(pack(old), pack(new))
-	ctx.count(KindCAS)
-	return ok
-}
-
-// Flush is a no-op that validates the epoch, like Cell.Flush.
-func (c *packedCell[T]) Flush(ctx *Ctx) { ctx.CheckAlive() }
-
-// Peek implements CASRegister.
-func (c *packedCell[T]) Peek() T { return unpack[T](c.bits.Load()) }
-
-// Init implements CASRegister.
-func (c *packedCell[T]) Init(v T) { c.bits.Store(pack(v)) }

@@ -30,8 +30,8 @@ import (
 // boxes of a boxed T. The word itself never checks epochs or plans —
 // Cell/CachedCell drive the Ctx bookkeeping around it. Algorithm 1's R
 // needs no box: internal/rw packs its triple ⟨v, q, b⟩ into one int64, and
-// under ModelPrivateCache NewWords gives a packable T a packedCell, which
-// holds the bits alone.
+// under ModelPrivateCache NewWords stores a packable T as its bits alone,
+// one atomic.Int64 per word, its identity implied by its index.
 type word[T comparable] struct {
 	bits    atomic.Int64
 	p, prev atomic.Pointer[T]

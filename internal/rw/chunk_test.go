@@ -62,7 +62,7 @@ func TestChunkNeighbourEquivalence(t *testing.T) {
 								reg Register
 							}{{chunked, a[j]}, {alone, b[j]}} {
 								ctx := side.sys.Space().Ctx(pid, nil)
-								side.reg.r().Flush(ctx)
+								side.reg.r().Flush(ctx, side.reg.i)
 								side.reg.bits().Flush(ctx, side.reg.toggle(i, p, bit))
 								side.reg.bits().Flush(ctx, side.reg.tp(p))
 							}

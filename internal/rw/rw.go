@@ -15,15 +15,19 @@
 // announcement Ann_p — lives in a process table, Procs, shared by every
 // register allocated from it (internal/kv allocates one per store).
 //
-// A register is an element of a chunk, not an allocation, and a Register
-// is the 16-byte handle ⟨chunk, index⟩ that names it — a value, kept
-// wherever its owner keeps it (internal/kv: in the key's table entry). The
-// process table hands registers out of slabs of up to 64: one nvm.NewWords
-// array holding their R words and one nvm.Bits array in which register i
-// owns bits [i·(2N²+N), (i+1)·(2N²+N)) — densely packed, so a register's
-// bits may straddle machine words and share them with its neighbours'.
-// Nothing about the algorithm changes: every word and every bit is still a
-// cell with its own identity, step, statistic and crash point.
+// A register is an element of a chunk, not an allocation, and it has a
+// number: the process table numbers its registers 0, 1, 2 … in NewRegister
+// order, and At(n) finds register n without a lock, so an owner keeps the
+// number and nothing else (internal/kv: a key's entry number in its table
+// is its register's number plus one). Chunks hold 1, 2, 4 … 64 registers,
+// then 64 each, so finding one is arithmetic and one load through the chunk
+// directory. A chunk is one nvm.NewWords array holding its registers' R
+// words — register i's R is word i, cell base+i — and one nvm.Bits array in
+// which register i owns bits [i·(2N²+N), (i+1)·(2N²+N)) — densely packed,
+// so a register's bits may straddle machine words and share them with its
+// neighbours'. Nothing about the algorithm changes: every word and every
+// bit is still a cell with its own identity, step, statistic and crash
+// point.
 //
 // R is one 64-bit word, as the paper sizes it: the value in the high bits,
 // then q in ⌈log₂N⌉ bits and b in one. A write stores a word and a line-5
@@ -60,6 +64,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"detectable/internal/nvm"
 	"detectable/internal/runtime"
@@ -127,18 +132,22 @@ type recoveryData struct {
 // and one Ann_p per process serve them all.
 type Procs struct {
 	sys *runtime.System
-	dom Domain
 	p   []*proc
+	dom Domain
 
-	// The register slab (see NewRegister): the newest chunk, the index of
-	// its first element not handed out yet and its size.
-	mu         sync.Mutex
-	last       *chunk
-	next, size int32
+	// The registers (see NewRegister and At): n of them handed out, in
+	// chunk 0 and, from the second chunk on, the directory of every chunk,
+	// republished doubled when full. NewRegister fills the chunk, lists it
+	// and initializes the register before it stores n, so At, which loads n
+	// first, finds everything behind a number it accepts.
+	n     atomic.Int32
+	mu    sync.Mutex // serializes NewRegister
+	first *chunk
+	dir   atomic.Pointer[[]*chunk]
 }
 
-// chunk is one slab of registers: what they share. Register i's R is word i
-// and its bits start at bit i·regBits of bits.
+// chunk is one slab of registers: what they share. Its register i's R is
+// word i and its bits start at bit i·regBits of bits.
 type chunk struct {
 	procs *Procs
 	words nvm.Words[int64]
@@ -146,9 +155,24 @@ type chunk struct {
 }
 
 // maxChunk caps the chunk size, which doubles from 1: a table with one
-// register (NewInt) allocates exactly one, and a store of many wastes at
-// most 63 registers' worth of chunk.
-const maxChunk = 64
+// register (NewInt) allocates exactly one chunk and no directory, and a
+// store of many wastes at most 63 registers' worth of chunk.
+const (
+	maxChunkBits = 6
+	maxChunk     = 1 << maxChunkBits
+)
+
+// locate returns the chunk of register number n and its index there:
+// chunks 0 … maxChunkBits hold 1, 2, 4 … maxChunk registers, the 2·maxChunk−1
+// registers numbered first, and every later chunk holds maxChunk.
+func locate(n int) (c, i int) {
+	if n < 2*maxChunk-1 {
+		c = bits.Len(uint(n+1)) - 1
+		return c, n + 1 - 1<<c
+	}
+	n -= 2*maxChunk - 1
+	return maxChunkBits + 1 + n/maxChunk, n % maxChunk
+}
 
 // proc is process pid's entry in the table. Only pid touches it. (pid and i
 // are 32 bits wide and adjacent so that the struct stays in the 192-byte size
@@ -217,19 +241,21 @@ func announce(ctx *nvm.Ctx, ann *runtime.Ann[int], op string) {
 
 // Register is an N-process detectable read/write register over the values
 // of DomainOf(N): element i of a chunk, that is the chunk's word i — the
-// shared word R — and the i-th run of the chunk's bit array. It is a
-// handle, 16 bytes, passed and stored by value; copies name the same
-// register. All exported methods are safe for concurrent use by distinct
-// processes; a single process must not run two operations concurrently —
-// on this register or on any other register of the same process table.
+// shared word R — and the i-th run of the chunk's bit array. The value
+// ⟨chunk, i⟩ is what NewRegister and At return; copies name the same
+// register, and two are equal exactly when they name the same one. All
+// exported methods are safe for concurrent use by distinct processes; a
+// single process must not run two operations concurrently — on this
+// register or on any other register of the same process table.
 type Register struct {
 	c *chunk
 	i int
 }
 
-// r is the shared register R, initially ⟨vinit, 0, 0⟩ — attributing the
-// initial value to a write by process 0 using toggle array 0.
-func (reg Register) r() nvm.CASRegister[int64] { return reg.c.words.At(reg.i) }
+// r is the chunk's word array, in which word reg.i is the shared register
+// R, initially ⟨vinit, 0, 0⟩ — attributing the initial value to a write by
+// process 0 using toggle array 0.
+func (reg Register) r() *nvm.Words[int64] { return &reg.c.words }
 
 // bits is the chunk's bit array; this register's A[N][N][2] followed by
 // T[N] start at bit i·regBits of it; see toggle and tp.
@@ -241,36 +267,75 @@ func (ps *Procs) regBits() int {
 	return 2*n*n + n
 }
 
-// NewRegister hands out a register initialized to vinit that shares ps's
-// per-process state; it panics if vinit is outside the domain. Registers
-// come out of chunks whose size doubles from 1 to maxChunk, so creating one
-// allocates nothing most of the time; its 2N²+N+1 cells count in the Space
-// from this call on, not from the chunk's allocation.
+// NewRegister hands out the next register, numbered in call order from 0
+// and initialized to vinit, that shares ps's per-process state; it panics
+// if vinit is outside the domain. Registers come out of chunks whose size
+// doubles from 1 to maxChunk, so creating one allocates nothing most of the
+// time; its 2N²+N+1 cells count in the Space from this call on, not from
+// the chunk's allocation.
 func (ps *Procs) NewRegister(vinit int) Register {
 	ps.dom.mustContain(vinit)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if ps.next == ps.size {
-		ps.grow()
+	n := int(ps.n.Load())
+	c, i := locate(n)
+	if i == 0 {
+		ps.grow(c)
 	}
-	reg := Register{c: ps.last, i: int(ps.next)}
-	ps.next++
+	reg := Register{c: ps.chunk(c), i: i}
 	ps.sys.Space().Spare(-(ps.regBits() + 1))
-	reg.r().Init(ps.dom.pack(vinit, 0, 0))
+	reg.r().Init(i, ps.dom.pack(vinit, 0, 0))
+	ps.n.Store(int32(n + 1))
 	return reg
 }
 
-// grow allocates the next chunk, all of it spare. Callers hold mu.
-func (ps *Procs) grow() {
-	ps.size = min(max(2*ps.size, 1), maxChunk)
-	sp, per := ps.sys.Space(), ps.regBits()
-	ps.last = &chunk{
-		procs: ps,
-		words: nvm.NewWords(sp, int(ps.size), int64(0)),
-		bits:  nvm.NewBits(sp, int(ps.size)*per),
+// At returns register number n, the one the (n+1)-th NewRegister handed
+// out. It takes no lock and allocates nothing, and may run beside a
+// NewRegister; it panics if register n has not been handed out.
+func (ps *Procs) At(n int) Register {
+	if uint(n) >= uint(ps.n.Load()) {
+		panic("rw: register number not handed out")
 	}
-	ps.next = 0
-	sp.Spare(int(ps.size) * (per + 1))
+	c, i := locate(n)
+	return Register{c: ps.chunk(c), i: i}
+}
+
+// chunk returns chunk number c, one NewRegister has listed.
+func (ps *Procs) chunk(c int) *chunk {
+	if c == 0 {
+		return ps.first
+	}
+	return (*ps.dir.Load())[c]
+}
+
+// grow allocates chunk number c, all of it spare, and lists it: chunk 0 in
+// first, any later one in the directory, which the second chunk creates.
+// Callers hold mu.
+func (ps *Procs) grow(c int) {
+	size := 1 << min(c, maxChunkBits)
+	sp, per := ps.sys.Space(), ps.regBits()
+	ch := &chunk{
+		procs: ps,
+		words: nvm.NewWords(sp, size, int64(0)),
+		bits:  nvm.NewBits(sp, size*per),
+	}
+	sp.Spare(size * (per + 1))
+	if c == 0 {
+		ps.first = ch
+		return
+	}
+	var dir []*chunk
+	if d := ps.dir.Load(); d != nil {
+		dir = *d
+	}
+	if c >= len(dir) {
+		grown := make([]*chunk, 2*c)
+		copy(grown, dir)
+		grown[0] = ps.first
+		ps.dir.Store(&grown)
+		dir = grown
+	}
+	dir[c] = ch
 }
 
 // NewInt allocates a detectable register in sys's memory space, initialized
@@ -330,16 +395,16 @@ func (p *proc) reg() Register      { return Register{c: p.c, i: int(p.i)} }
 func (p *proc) writeBody(ctx *nvm.Ctx) int {
 	reg, pid, dom := p.reg(), int(p.pid), p.c.procs.dom
 	r, bits := reg.r(), reg.bits()
-	w := r.Load(ctx) // line 1
+	w := r.Load(ctx, reg.i) // line 1
 	if mutant != MutantSkipToggleClear {
 		t := dom.unpack(w)
 		bits.Store(ctx, reg.toggle(pid, int(t.Q), int(1-t.Toggle)), false) // line 2
 	}
 	mtoggle := b2i(bits.Load(ctx, reg.tp(pid)))           // line 3
 	p.rd.Store(ctx, recoveryData{MToggle: mtoggle, R: w}) // line 4
-	if r.Load(ctx) == w {                                 // line 5
-		p.wAnn.SetCP(ctx, 1)                        // line 6
-		r.Store(ctx, dom.pack(p.val, pid, mtoggle)) // line 7
+	if r.Load(ctx, reg.i) == w {                          // line 5
+		p.wAnn.SetCP(ctx, 1)                               // line 6
+		r.Store(ctx, reg.i, dom.pack(p.val, pid, mtoggle)) // line 7
 	}
 	return p.finishWrite(ctx, mtoggle) // lines 8-13
 }
@@ -355,7 +420,7 @@ func (p *proc) writeRecover(ctx *nvm.Ctx) (int, bool) {
 		return 0, false // line 18
 	case 1: // line 19
 		t := p.c.procs.dom.unpack(d.R)
-		if reg.r().Load(ctx) == d.R &&
+		if reg.r().Load(ctx, reg.i) == d.R &&
 			!reg.bits().Load(ctx, reg.toggle(pid, int(t.Q), int(1-t.Toggle))) { // line 20
 			return 0, false // line 21
 		}
@@ -391,7 +456,8 @@ func (reg Register) ReadOp(pid int) runtime.Op[int] {
 }
 
 func (p *proc) readBody(ctx *nvm.Ctx) int {
-	v := p.c.procs.dom.unpack(p.reg().r().Load(ctx)).Val
+	reg := p.reg()
+	v := p.c.procs.dom.unpack(reg.r().Load(ctx, reg.i)).Val
 	p.rAnn.SetResult(ctx, v)
 	return v
 }
@@ -412,7 +478,7 @@ func b2i(b bool) int8 {
 
 // PeekTriple returns the shared register's current triple without a Ctx,
 // for test assertions and checkers.
-func (reg Register) PeekTriple() Triple { return reg.c.procs.dom.unpack(reg.r().Peek()) }
+func (reg Register) PeekTriple() Triple { return reg.c.procs.dom.unpack(reg.r().Peek(reg.i)) }
 
 // PeekToggle returns toggle bit A[i][p][b] without a Ctx, for tests. Like
 // PeekT it panics on an index outside the register: the next bit over is a
