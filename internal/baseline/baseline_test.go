@@ -166,6 +166,32 @@ func TestSeqCASLostRaceFails(t *testing.T) {
 	checkCASDL(t, sys, 0)
 }
 
+// TestSeqCASEqualValueRaceSucceeds: q's CAS of 0 to 0 re-tags C between
+// p's read and p's swap. The value is still 0, so p's CAS of 0 to 5 must
+// succeed — a single-shot swap failed it, the rare violation
+// TestSeqCASConcurrentStorm caught.
+func TestSeqCASEqualValueRaceSucceeds(t *testing.T) {
+	sys := runtime.NewSystem(2)
+	o := NewSeqCAS(sys, 0, runtime.EncodeInt)
+	p, q := 0, 1
+	hook := &nvm.StepHook{
+		Step: 9, // before p's CAS primitive
+		Fn: func() {
+			if out := o.Cas(q, 0, 0); !out.Resp {
+				t.Error("q's cas(0, 0) failed")
+			}
+		},
+	}
+	out := o.Cas(p, 0, 5, hook)
+	if out.Status != runtime.StatusOK || !out.Resp {
+		t.Fatalf("outcome %+v, want ok true", out)
+	}
+	if got := o.PeekVal(); got != 5 {
+		t.Fatalf("C = %d, want 5", got)
+	}
+	checkCASDL(t, sys, 0)
+}
+
 func TestSeqCASRandomSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {

@@ -80,16 +80,18 @@ func (o *SeqCAS[V]) CasOp(pid int, old, new V) runtime.Op[bool] {
 			s := o.seq[pid].Load(ctx) + 1
 			o.seq[pid].Store(ctx, s) // persist fresh sequence number
 			cur := o.c.Load(ctx)
-			if cur.Val != old {
-				ann.SetResult(ctx, false)
-				return false
+			for cur.Val == old {
+				// Help the current tag's owner detect a future overwrite.
+				o.help[pid][cur.P].Store(ctx, cur.Seq)
+				ann.SetCP(ctx, 1)
+				if o.c.CompareAndSwap(ctx, cur, Tagged[V]{Val: new, P: pid, Seq: s}) {
+					ann.SetResult(ctx, true)
+					return true
+				}
+				cur = o.c.Load(ctx) // a swap that lost only to a re-tag of old must retry
 			}
-			// Help the current tag's owner detect a future overwrite.
-			o.help[pid][cur.P].Store(ctx, cur.Seq)
-			ann.SetCP(ctx, 1)
-			res := o.c.CompareAndSwap(ctx, cur, Tagged[V]{Val: new, P: pid, Seq: s})
-			ann.SetResult(ctx, res)
-			return res
+			ann.SetResult(ctx, false)
+			return false
 		},
 		Recover: func(ctx *nvm.Ctx) (bool, bool) {
 			if r := ann.Result(ctx); r.Set {

@@ -93,13 +93,13 @@ func TestAllocPinRecordRecyclesWindowEntries(t *testing.T) {
 	}
 }
 
-// The full served MPUT path — header decode, zero-copy key decode, batch
-// fan-out, reply encode, window record — allocates nothing once warm. The
-// warm-up loop settles the outcome window's recycled entry buffers (two
-// laps of it); the shards record no history.
+// The full served MPUT path — header decode, zero-copy key decode, the
+// batch's entry loop, reply encode, window record — allocates nothing once
+// warm. The warm-up loop settles the outcome window's recycled entry
+// buffers (two laps of it); the shards record no history.
 func TestAllocPinServedMultiPut(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates on the parallel fan-out path")
+		t.Skip("under -race sync.Pool drops a quarter of its Puts: a 64-entry batch reallocates ~16 pooled contexts")
 	}
 	store := shardkv.New(8, 2)
 	srv := New(store)

@@ -46,7 +46,7 @@ type session struct {
 	recoveredMax uint64
 
 	// Batch scratch, guarded by mu like everything execute touches: the
-	// decoded key/entry slices and the store-level batch working set are
+	// decoded key/entry slices and the store's batch outcome slice are
 	// session-owned and reused across requests, so a warm session serves
 	// MGET/MPUT without allocating. The decoded keys alias the connection's
 	// frame buffer and never outlive the request.

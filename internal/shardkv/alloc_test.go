@@ -71,13 +71,13 @@ func TestSpacePinEmptyStore(t *testing.T) {
 	}
 }
 
-// A warm batched put over caller-owned scratch allocates nothing: grouping
-// arrays, outcome slice and fan-out workers reuse session-owned storage and
-// a shard records no history. The first call creates the keys and sizes the
-// scratch; nothing else needs warming.
+// A warm batched put over caller-owned scratch allocates nothing: the
+// outcome slice is session-owned storage and a shard records no history.
+// The first call creates the keys and sizes the scratch; nothing else needs
+// warming.
 func TestAllocPinMultiPutWith(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates on the parallel fan-out path")
+		t.Skip("under -race sync.Pool drops a quarter of its Puts: a 64-entry batch reallocates ~16 pooled contexts")
 	}
 	s := New(8, 2)
 	entries := make([]KV, 64)
@@ -92,30 +92,6 @@ func TestAllocPinMultiPutWith(t *testing.T) {
 		s.MultiPutWith(&sc, 0, entries)
 	}); allocs != 0 {
 		t.Fatalf("warm MultiPutWith allocates %v/op, want 0", allocs)
-	}
-}
-
-// The same pin for a batch large enough to fan out: the helpers are started
-// through a method value bound once per scratch, so the parallel path
-// allocates nothing either, on any number of cores.
-func TestAllocPinMultiPutFanOut(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates on the parallel fan-out path")
-	}
-	s := New(8, 2)
-	s.parallel = 4
-	entries := make([]KV, 2*minFanOut)
-	for i, k := range pinKeys(len(entries)) {
-		entries[i] = KV{Key: k, Val: i}
-	}
-	var sc BatchScratch
-	for i := 0; i < 2; i++ {
-		s.MultiPutWith(&sc, 0, entries)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		s.MultiPutWith(&sc, 0, entries)
-	}); allocs != 0 {
-		t.Fatalf("warm fanned-out MultiPutWith allocates %v/op, want 0", allocs)
 	}
 }
 
@@ -184,7 +160,7 @@ func TestAllocPinPutFreshValues(t *testing.T) {
 		t.Fatalf("a Put of a fresh value allocates %v/op, want 0", allocs)
 	}
 	if raceEnabled {
-		t.Skip("race instrumentation allocates on the batched path")
+		t.Skip("under -race sync.Pool drops a quarter of its Puts: a 16-entry batch reallocates ~4 pooled contexts")
 	}
 	if allocs := testing.AllocsPerRun(500, func() {
 		for i := range entries {

@@ -1,10 +1,14 @@
 package shardkv
 
 import (
+	"encoding/binary"
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"detectable/internal/durable"
 	"detectable/internal/nvm"
+	"detectable/internal/runtime"
 )
 
 func openDB(t *testing.T, dir string, shards, procs int) *durable.DB {
@@ -44,6 +48,61 @@ func TestDurableRestoreAcrossReopen(t *testing.T) {
 		}
 		if got := s2.GetRetry(0, key(t, i)); got != want {
 			t.Fatalf("key %d after restart = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestMultiPutJournalsInEntryOrder pins that a batch is a loop: one MPUT
+// appends its put-at records to the write-ahead log in entry order, so a
+// torn MPUT leaves a prefix of its entries. The entries walk the shards
+// backwards, twice, so that any grouping by shard would reorder them.
+func TestMultiPutJournalsInEntryOrder(t *testing.T) {
+	const shards = 4
+	dir := t.TempDir()
+	db := openDB(t, dir, shards, 2)
+	s := New(shards, 2, Durable(db))
+	var onShard [shards][]string
+	for i, full := 0, 0; full < shards; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		sh := s.ShardFor(k)
+		if onShard[sh] = append(onShard[sh], k); len(onShard[sh]) == 2 {
+			full++
+		}
+	}
+	var entries []KV
+	for round := 0; round < 2; round++ {
+		for sh := shards - 1; sh >= 0; sh-- {
+			entries = append(entries, KV{Key: onShard[sh][round], Val: len(entries)})
+		}
+	}
+	for i, out := range s.MultiPut(0, entries) {
+		if out.Status != runtime.StatusOK {
+			t.Fatalf("entry %d outcome %+v", i, out)
+		}
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	var journaled []string
+	wal, err := durable.OpenLog(filepath.Join(dir, "wal.log"), func(rec []byte) error {
+		if rec[0] == 0x06 { // put-at: u32 shard, 0x01, u16 key length, key, i64 value
+			n := int(binary.BigEndian.Uint16(rec[6:]))
+			journaled = append(journaled, string(rec[8:8+n]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	if len(journaled) != len(entries) {
+		t.Fatalf("log holds %d put-at records, want %d", len(journaled), len(entries))
+	}
+	for i, e := range entries {
+		if journaled[i] != e.Key {
+			t.Fatalf("record %d journals %q, want entry %d's %q (log order %q)", i, journaled[i], i, e.Key, journaled)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"detectable/internal/nvm"
@@ -12,9 +13,10 @@ import (
 
 // TestRaceStress is a short stress run aimed at the race detector:
 // concurrent processes mixing single-key and batched operations over a
-// shared key space, a storm goroutine crashing random single shards, and a
-// peeker reading stats and values — every cross-goroutine surface of the
-// store, racing at once.
+// shared key space — among them batches that span every shard — a storm
+// goroutine crashing random single shards, and a peeker reading stats and
+// values: every cross-goroutine surface of the store, racing at once. The
+// stats must count exactly the operations issued, a batch's one per entry.
 func TestRaceStress(t *testing.T) {
 	const (
 		procs  = 4
@@ -25,6 +27,11 @@ func TestRaceStress(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
+	spanning := make([]string, shards) // one key on every shard
+	for sh := range spanning {
+		spanning[sh] = keyOnShard(t, s, sh)
+	}
+	var issued atomic.Uint64
 
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
@@ -63,33 +70,48 @@ func TestRaceStress(t *testing.T) {
 		go func(pid int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(pid)))
+			span := make([]KV, len(spanning))
+			ops := 0
 			for i := 0; i < 150; i++ {
 				key := keys[rng.Intn(len(keys))]
 				var plan nvm.CrashPlan
 				if rng.Intn(6) == 0 {
 					plan = nvm.CrashAtStep(uint64(1 + rng.Intn(12)))
 				}
-				switch rng.Intn(5) {
+				switch rng.Intn(6) {
 				case 0:
 					s.Get(pid, key, plan)
+					ops++
 				case 1:
 					s.Del(pid, key, plan)
+					ops++
 				case 2:
-					s.MultiPut(pid, []KV{
+					ops += len(s.MultiPut(pid, []KV{
 						{Key: keys[rng.Intn(len(keys))], Val: i},
 						{Key: keys[rng.Intn(len(keys))], Val: i + 1},
-					})
+					}))
 				case 3:
-					s.MultiGet(pid, keys[:4])
+					ops += len(s.MultiGet(pid, keys[:4]))
+				case 4: // every shard in one batch, each way
+					for j, k := range spanning {
+						span[j] = KV{Key: k, Val: pid*1000 + i}
+					}
+					ops += len(s.MultiPut(pid, span))
+					ops += len(s.MultiGet(pid, spanning))
 				default:
 					s.Put(pid, key, pid*1000+i, plan)
+					ops++
 				}
 			}
+			issued.Add(uint64(ops))
 		}(p)
 	}
 	wg.Wait()
 	close(stop)
 	aux.Wait()
+	if got, want := s.TotalStats().Ops(), issued.Load(); got != want {
+		t.Fatalf("stats count %d operations, %d were issued", got, want)
+	}
 }
 
 // TestRaceStressHotKey is the skew regime under the race detector: every

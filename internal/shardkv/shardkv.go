@@ -21,10 +21,14 @@
 // epoch (interrupting only the operations routed there — the other shards
 // keep serving), while Crash storms every shard. Per-shard Stats record
 // operations, verdicts, crash interruptions and recoveries.
+//
+// A batch (MultiGet, MultiPut) is no new object: it is its process running
+// one detectable operation per entry, in entry order, on the caller. A
+// durable store therefore journals an MPUT's puts in entry order, and a
+// process killed mid-batch leaves the effects of a prefix of its entries.
 package shardkv
 
 import (
-	goruntime "runtime"
 	"sort"
 
 	"detectable/internal/durable"
@@ -134,20 +138,14 @@ func (sh *shard) delRetry(pid int, key string) int {
 // concurrently on any mix of shards; a single process must not run two
 // operations concurrently (the usual per-process rule of the model).
 type Store struct {
-	shards   []*shard
-	procs    int
-	slots    *slotPool
-	parallel int // worker goroutines one batched call may fan out to: GOMAXPROCS at New
+	shards []*shard
+	procs  int
+	slots  *slotPool
 }
 
 // New allocates a store of shards independent partitions, each a fresh
 // runtime.System of procs processes under the private-cache model.
 func New(shards, procs int, opts ...Option) *Store {
-	return NewModel(shards, procs, nvm.ModelPrivateCache, opts...)
-}
-
-// NewModel is New with an explicit memory model for every shard's space.
-func NewModel(shards, procs int, m nvm.Model, opts ...Option) *Store {
 	if shards < 1 {
 		panic("shardkv: need at least one shard")
 	}
@@ -158,9 +156,9 @@ func NewModel(shards, procs int, m nvm.Model, opts ...Option) *Store {
 	if o.db != nil && o.db.NumShards() != shards {
 		panic("shardkv: durable store geometry does not match the shard count")
 	}
-	s := &Store{procs: procs, slots: newSlotPool(procs), parallel: goruntime.GOMAXPROCS(0)}
+	s := &Store{procs: procs, slots: newSlotPool(procs)}
 	for i := 0; i < shards; i++ {
-		sys := runtime.NewSystemModel(procs, m)
+		sys := runtime.NewSystem(procs)
 		if !o.fullHistory {
 			sys.SetHistory(history.NewOff())
 		}
