@@ -114,6 +114,70 @@ func TestRaceStress(t *testing.T) {
 	}
 }
 
+// TestRaceParallelBatches hammers batched calls across the shards from
+// every process while a storm goroutine crashes shards in turn — concurrent
+// batches racing each other and the crash storm on each shard. A put entry
+// the storm interrupted is re-issued through PutRetry until it linearizes,
+// so every process's keys must end on its last round's value.
+func TestRaceParallelBatches(t *testing.T) {
+	const (
+		shards  = 8
+		procs   = 4
+		rounds  = 10
+		perProc = 2 * shards
+	)
+	s := New(shards, procs)
+	stop := make(chan struct{})
+	stormDone := make(chan struct{})
+	go func() { // crash storm, paced so retries can make progress
+		defer close(stormDone)
+		i := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i++; i%500 == 0 {
+				s.CrashShard((i / 500) % shards)
+			}
+		}
+	}()
+	var workers sync.WaitGroup
+	for p := 0; p < procs; p++ {
+		workers.Add(1)
+		go func(pid int) {
+			defer workers.Done()
+			var sc BatchScratch
+			entries := make([]KV, perProc)
+			keys := make([]string, perProc)
+			for r := 0; r < rounds; r++ {
+				for i := range entries {
+					entries[i] = KV{Key: fmt.Sprintf("p%d-%d", pid, i), Val: r}
+					keys[i] = entries[i].Key
+				}
+				for i, out := range s.MultiPutWith(&sc, pid, entries) {
+					if !out.Status.Linearized() {
+						s.PutRetry(pid, entries[i].Key, entries[i].Val)
+					}
+				}
+				s.MultiGetWith(&sc, pid, keys)
+			}
+		}(p)
+	}
+	workers.Wait()
+	close(stop)
+	<-stormDone
+
+	for p := 0; p < procs; p++ {
+		for i := 0; i < perProc; i++ {
+			if got := s.Peek(fmt.Sprintf("p%d-%d", p, i)); got != rounds-1 {
+				t.Fatalf("p%d-%d = %d, want %d", p, i, got, rounds-1)
+			}
+		}
+	}
+}
+
 // TestRaceStressHotKey is the skew regime under the race detector: every
 // process hammers one shard through a Zipfian chooser whose rank-0 key
 // absorbs most of the traffic, mixing PutRetry and Get on the shared hot
