@@ -35,7 +35,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]byte{[]byte("alpha"), {}, []byte("gamma-longer-record")}
+	want := [][]byte{[]byte("alpha"), []byte("gamma-longer-record")}
 	for _, rec := range want {
 		if err := l.Append(rec); err != nil {
 			t.Fatal(err)

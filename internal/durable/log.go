@@ -38,9 +38,11 @@ import (
 //	u32(len(payload)) u32(crc32c(payload)) payload
 //
 // with big-endian integers. A record whose length field runs past the end
-// of the file (a torn append) or whose CRC does not match (a corrupted
-// tail) ends the valid prefix: recovery keeps everything before it and
-// truncates the rest, exactly once, on open.
+// of the file (a torn append) or exceeds MaxRecord (the 0xFF pad a barrier
+// leaves ahead of the records), whose CRC does not match (a corrupted tail)
+// or whose payload is empty (a run of zeros, which no writer frames) ends
+// the valid prefix: recovery keeps everything before it and truncates the
+// rest, exactly once, on open.
 const (
 	// FrameHeader is the framed-record header size: u32 length + u32 CRC.
 	FrameHeader = 8
@@ -68,16 +70,23 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // its record is either in the batch of a barrier that finishes first or in
 // this one's.
 //
+// The file runs ahead of its records: a barrier whose batch would end past
+// alloc also writes 0xFF pad up to the next padChunk boundary, before the
+// same fsync, so later barriers overwrite blocks the file already has and
+// their fsyncs flush data without committing a size change. Close trims the
+// pad.
+//
 // A failed barrier poisons the log: after a write or fsync error every
 // subsequent Append and Sync fails with the original error. Retrying an
 // fsync that already failed is not safe — the kernel may have dropped the
 // dirty pages while reporting the error, so a later "successful" fsync
 // would claim durability for data that never reached the disk.
 type Log struct {
-	bmu  sync.Mutex // serialises barriers; held across file I/O, taken before mu
-	fs   Fs
-	f    File // replaced by Rewrite, under bmu and mu
-	path string
+	bmu   sync.Mutex // serialises barriers; held across file I/O, taken before mu
+	fs    Fs
+	f     File  // replaced by Rewrite, under bmu and mu
+	alloc int64 // bytes of the file written, records and pad; guarded by bmu
+	path  string
 	// syncFn is the fsync implementation, replaceable by fault-injection
 	// tests; nil means File.Sync.
 	syncFn func(File) error
@@ -93,6 +102,20 @@ type Log struct {
 // maxSpare bounds the staging buffer a barrier hands back for reuse, so one
 // wide batch does not pin its high-water mark in both buffers for good.
 const maxSpare = 32 << 10
+
+// padChunk is the granularity the file grows by: a barrier that would end
+// past alloc pads the file to the next multiple of it.
+const padChunk = 64 << 10
+
+// pad is what a barrier writes beyond its batch. Its bytes read as a frame
+// header whose length exceeds MaxRecord, so the valid prefix ends at the
+// first of them whatever the reader's version.
+var pad = func() (p [padChunk]byte) {
+	for i := range p {
+		p[i] = 0xFF
+	}
+	return p
+}()
 
 // OpenLog opens the record log at path on the real filesystem. See
 // OpenLogFs.
@@ -147,14 +170,14 @@ func OpenLogFs(fsys Fs, path string, fn func(rec []byte) error) (*Log, error) {
 			return nil, err
 		}
 	}
-	l.size = valid
+	l.size, l.alloc = valid, valid
 	return l, nil
 }
 
 // scanRecords reads framed records from the start of f, calling fn for
 // each valid one, and returns the byte offset of the end of the valid
-// prefix. Corruption (bad CRC, impossible length, short tail) is not an
-// error: it just ends the prefix.
+// prefix. Corruption (bad CRC, impossible length, short tail, an empty
+// frame) is not an error: it just ends the prefix.
 func scanRecords(f File, fn func(rec []byte) error) (int64, error) {
 	data, err := readAll(f)
 	if err != nil {
@@ -177,13 +200,15 @@ func scanRecords(f File, fn func(rec []byte) error) (int64, error) {
 
 // nextRecord decodes the first framed record in b, returning the payload
 // and the total framed size, or (nil, 0) when b starts with a torn,
-// corrupted or absent record.
+// corrupted, empty or absent record. An empty frame is eight zero bytes
+// (crc32c of nothing is 0): what a page of an append that reached the disk
+// before the page in front of it leaves, never a record.
 func nextRecord(b []byte) ([]byte, int64) {
 	if len(b) < frameHeader {
 		return nil, 0
 	}
 	n := binary.BigEndian.Uint32(b)
-	if n > MaxRecord || int64(len(b)) < frameHeader+int64(n) {
+	if n == 0 || n > MaxRecord || int64(len(b)) < frameHeader+int64(n) {
 		return nil, 0
 	}
 	want := binary.BigEndian.Uint32(b[4:])
@@ -209,10 +234,11 @@ func readAll(f File) ([]byte, error) {
 
 // Append frames payload and stages it at the end of the log. The record
 // stays in memory until the next Sync; callers must not release an effect
-// that depends on it before that barrier.
+// that depends on it before that barrier. An empty payload is refused:
+// recovery reads an empty frame as the end of the records.
 func (l *Log) Append(payload []byte) error {
-	if len(payload) > MaxRecord {
-		return fmt.Errorf("durable: record of %d bytes exceeds MaxRecord", len(payload))
+	if err := checkRecord(payload); err != nil {
+		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -220,6 +246,17 @@ func (l *Log) Append(payload []byte) error {
 		return l.err
 	}
 	l.buf = appendFrame(l.buf, payload)
+	return nil
+}
+
+// checkRecord refuses a payload recovery could not read back.
+func checkRecord(payload []byte) error {
+	switch {
+	case len(payload) == 0:
+		return fmt.Errorf("durable: empty record")
+	case len(payload) > MaxRecord:
+		return fmt.Errorf("durable: record of %d bytes exceeds MaxRecord", len(payload))
+	}
 	return nil
 }
 
@@ -241,8 +278,9 @@ func (l *Log) Sync() error {
 	return l.barrier()
 }
 
-// barrier takes the staged batch and makes it durable: one WriteAt, one
-// fsync, neither under mu. Called with l.bmu held.
+// barrier takes the staged batch and makes it durable: one WriteAt, a
+// second one of pad when the batch ends past alloc, one fsync, none of them
+// under mu. Called with l.bmu held.
 func (l *Log) barrier() error {
 	l.mu.Lock()
 	if l.err != nil || len(l.buf) == 0 {
@@ -259,6 +297,12 @@ func (l *Log) barrier() error {
 	// kernel may drop dirty pages on a failed fsync (fsyncgate), so neither
 	// is retried: nothing after this point can be trusted durable.
 	_, err := l.f.WriteAt(batch, off)
+	if end := off + int64(len(batch)); err == nil && end > l.alloc {
+		l.alloc = (end + padChunk - 1) / padChunk * padChunk
+		if end < l.alloc {
+			_, err = l.f.WriteAt(pad[:l.alloc-end], end)
+		}
+	}
 	if err == nil {
 		err = l.fsync()
 	}
@@ -344,6 +388,9 @@ func (l *Log) Rewrite(emit func(add func(rec []byte) error) error) error {
 		w := bufio.NewWriterSize(f, rewriteChunk)
 		var enc []byte
 		if err := emit(func(rec []byte) error {
+			if err := checkRecord(rec); err != nil {
+				return err
+			}
 			enc = appendFrame(enc[:0], rec)
 			size += int64(len(enc))
 			_, err := w.Write(enc)
@@ -368,7 +415,7 @@ func (l *Log) Rewrite(emit func(add func(rec []byte) error) error) error {
 		return l.err
 	}
 	l.f.Close() // the replaced file's handle
-	l.f, l.size, l.base, l.buf = f, size, size, l.buf[:0]
+	l.f, l.size, l.base, l.alloc, l.buf = f, size, size, size, l.buf[:0]
 	return nil
 }
 
@@ -379,16 +426,21 @@ func (l *Log) Reset() error {
 	return l.Rewrite(func(func([]byte) error) error { return nil })
 }
 
-// Close syncs and closes the file. A poisoned log still closes its file
-// but reports the poison error.
+// Close syncs the log, trims the pad and closes the file, so a cleanly
+// closed log is exactly its records. The trim is not synced: a crash that
+// loses it leaves pad, which the next open truncates. A poisoned log still
+// closes its file but reports the poison error.
 func (l *Log) Close() error {
 	l.bmu.Lock()
 	defer l.bmu.Unlock()
-	if err := l.barrier(); err != nil {
-		l.f.Close()
-		return err
+	err := l.barrier()
+	if err == nil && l.alloc > l.size {
+		err = l.f.Truncate(l.size)
 	}
-	return l.f.Close()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // AtomicWriteFileFs atomically replaces path with data, fsyncing contents

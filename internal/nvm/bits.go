@@ -9,8 +9,10 @@ import (
 // the paper's granularity for Algorithm 1's toggle bits, which are counted
 // in bits, not machine words. Packing changes the storage only: every bit
 // is still one logical cell with its own CellID, and every Load, Store and
-// Flush of a bit is one primitive with its own step, statistic and crash
-// point, exactly as if the bit were a Cell[bool].
+// Flush of a bit is one primitive with its own step, statistic and —
+// whenever a plan is armed — crash point, exactly as if the bit were a
+// Cell[bool]. SetRun, the stores of a run of adjacent bits, is one atomic
+// Or per word when no plan is armed and no cache is in the way.
 //
 // The array follows its Space's memory model through one code path:
 //
@@ -119,7 +121,7 @@ func (b *Bits) end(ctx *Ctx, kind OpKind) {
 	if c := b.cache; c != nil {
 		c.mu.RUnlock()
 	}
-	ctx.count(kind)
+	ctx.count(kind, 1)
 }
 
 // Load atomically reads bit i.
@@ -142,6 +144,34 @@ func (b *Bits) Store(ctx *Ctx, i int, v bool) {
 	if c := b.cache; c != nil && c.auto {
 		b.Flush(ctx, i)
 	}
+}
+
+// SetRun stores 1 into the n bits i, i+1 … i+n−1: n Store primitives and
+// n steps. With a crash plan armed, or under a shared-cache model, it is
+// exactly n Stores, each with its own crash point; otherwise nothing can
+// crash between them or see them land one by one, so it raises them with
+// one atomic Or per word the run touches.
+func (b *Bits) SetRun(ctx *Ctx, i, n int) {
+	if ctx.plan != nil || b.cache != nil {
+		for k := i; k < i+n; k++ {
+			b.Store(ctx, k, true)
+		}
+		return
+	}
+	if n <= 0 {
+		return
+	}
+	b.check(i)
+	b.check(i + n - 1)
+	ctx.steps += uint64(n)
+	ctx.CheckAlive()
+	for k, end := i, i+n; k < end; {
+		lo := k & 63
+		w := min(64-lo, end-k)
+		b.words[k>>6].Or(^uint64(0) >> (64 - w) << lo)
+		k += w
+	}
+	ctx.count(KindStore, uint64(n))
 }
 
 // Flush persists bit i's current value. Under the private-cache model it

@@ -235,3 +235,79 @@ func TestBitsPeekPersistedIndexOutOfRange(t *testing.T) {
 		mustPanicOutOfRange(t, m.String()+": PeekPersisted", func() { b.PeekPersisted(-1) })
 	}
 }
+
+// TestSetRun: a run from bit 60 of 8 bits straddles two words and sets
+// exactly bits 60–67, as 8 stores and 8 steps, under every model.
+func TestSetRun(t *testing.T) {
+	for _, m := range allModels {
+		t.Run(m.String(), func(t *testing.T) {
+			sp := NewSpaceModel(m)
+			b := NewBits(sp, 130)
+			ctx := sp.Ctx(0, nil)
+			b.SetRun(ctx, 60, 8)
+			for i := 0; i < 130; i++ {
+				if want := i >= 60 && i < 68; b.Peek(i) != want {
+					t.Errorf("bit %d = %v, want %v", i, b.Peek(i), want)
+				}
+			}
+			if got := sp.Stats().Stores(); got != 8 {
+				t.Errorf("stores = %d, want 8", got)
+			}
+			if got := ctx.Steps(); m != ModelSharedCacheAuto && got != 8 {
+				t.Errorf("steps = %d, want 8", got)
+			}
+		})
+	}
+}
+
+// TestSetRunCrashesBetweenBits: with a plan armed every bit of the run is
+// its own crash point, so a crash before the k-th store leaves the first
+// k−1 bits set and counts k−1 stores.
+func TestSetRunCrashesBetweenBits(t *testing.T) {
+	const k = 4
+	sp := NewSpace()
+	b := NewBits(sp, 130)
+	ctx := sp.AcquireCtx(0, CrashAtStep(k))
+	func() {
+		defer func() {
+			if _, ok := recover().(Crashed); !ok {
+				t.Fatal("no Crashed panic inside the run")
+			}
+		}()
+		b.SetRun(ctx, 60, 8)
+	}()
+	sp.ReleaseCtx(ctx)
+	for i := 58; i < 70; i++ {
+		if want := i >= 60 && i < 60+k-1; b.Peek(i) != want {
+			t.Errorf("bit %d = %v after a crash before store %d, want %v", i, b.Peek(i), k, want)
+		}
+	}
+	if got := sp.Stats().Stores(); got != k-1 {
+		t.Errorf("stores = %d, want %d", got, k-1)
+	}
+}
+
+// TestAcquiredCtxCountsAtRelease: a pooled context's primitives reach the
+// shared Stats at ReleaseCtx, all of them and only once.
+func TestAcquiredCtxCountsAtRelease(t *testing.T) {
+	sp := NewSpace()
+	c := NewCell(sp, 0)
+	b := NewBits(sp, 64)
+	ctx := sp.AcquireCtx(0, nil)
+	c.Store(ctx, 1)
+	c.Load(ctx)
+	c.CompareAndSwap(ctx, 1, 2)
+	b.SetRun(ctx, 0, 5)
+	if got := sp.Stats().Total(); got != 0 {
+		t.Fatalf("Stats counted %d primitives before ReleaseCtx", got)
+	}
+	sp.ReleaseCtx(ctx)
+	if st := sp.Stats(); st.Stores() != 6 || st.Loads() != 1 || st.CASes() != 1 {
+		t.Fatalf("stats = %d/%d/%d, want 6 stores, 1 load, 1 CAS", st.Stores(), st.Loads(), st.CASes())
+	}
+	again := sp.AcquireCtx(0, nil)
+	sp.ReleaseCtx(again)
+	if got := sp.Stats().Total(); got != 8 {
+		t.Fatalf("a recycled context added its predecessor's counts again: total %d, want 8", got)
+	}
+}

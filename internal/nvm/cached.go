@@ -72,7 +72,7 @@ func (c *CachedCell[T]) Load(ctx *Ctx) T {
 	c.rlock(ctx)
 	v := c.cached.load()
 	c.mu.RUnlock()
-	ctx.count(KindLoad)
+	ctx.count(KindLoad, 1)
 	return v
 }
 
@@ -84,7 +84,7 @@ func (c *CachedCell[T]) Store(ctx *Ctx, v T) {
 	c.cached.store(v)
 	c.dirty.Store(true)
 	c.mu.RUnlock()
-	ctx.count(KindStore)
+	ctx.count(KindStore, 1)
 }
 
 // CompareAndSwap atomically replaces the cached value with new if it equals
@@ -98,7 +98,7 @@ func (c *CachedCell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
 		c.dirty.Store(true)
 	}
 	c.mu.RUnlock()
-	ctx.count(KindCAS)
+	ctx.count(KindCAS, 1)
 	return ok
 }
 

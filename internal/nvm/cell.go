@@ -133,7 +133,7 @@ func (w *Words[T]) Load(ctx *Ctx, i int) T {
 	}
 	ctx.pre(KindLoad, w.base+i)
 	v := unpack[T](w.packed[i].Load())
-	ctx.count(KindLoad)
+	ctx.count(KindLoad, 1)
 	return v
 }
 
@@ -145,7 +145,7 @@ func (w *Words[T]) Store(ctx *Ctx, i int, v T) {
 	}
 	ctx.pre(KindStore, w.base+i)
 	w.packed[i].Store(pack(v))
-	ctx.count(KindStore)
+	ctx.count(KindStore, 1)
 }
 
 // CompareAndSwap atomically replaces word i's value with new if it equals
@@ -157,7 +157,7 @@ func (w *Words[T]) CompareAndSwap(ctx *Ctx, i int, old, new T) bool {
 	}
 	ctx.pre(KindCAS, w.base+i)
 	ok := w.packed[i].CompareAndSwap(pack(old), pack(new))
-	ctx.count(KindCAS)
+	ctx.count(KindCAS, 1)
 	return ok
 }
 
@@ -218,7 +218,7 @@ var _ CASRegister[int] = (*Cell[int])(nil)
 func (c *Cell[T]) Load(ctx *Ctx) T {
 	ctx.pre(KindLoad, c.id)
 	v := c.w.load()
-	ctx.count(KindLoad)
+	ctx.count(KindLoad, 1)
 	return v
 }
 
@@ -227,7 +227,7 @@ func (c *Cell[T]) Load(ctx *Ctx) T {
 func (c *Cell[T]) Store(ctx *Ctx, v T) {
 	ctx.pre(KindStore, c.id)
 	c.w.store(v)
-	ctx.count(KindStore)
+	ctx.count(KindStore, 1)
 }
 
 // CompareAndSwap atomically replaces the cell's value with new if it equals
@@ -235,7 +235,7 @@ func (c *Cell[T]) Store(ctx *Ctx, v T) {
 func (c *Cell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
 	ctx.pre(KindCAS, c.id)
 	ok := c.w.cas(old, new)
-	ctx.count(KindCAS)
+	ctx.count(KindCAS, 1)
 	return ok
 }
 

@@ -11,7 +11,11 @@ package nvm
 //     Crashed if a crash happened since the attempt began;
 //   - consults the crash plan (if any) so deterministic tests can inject a
 //     system-wide crash immediately before a chosen primitive step;
-//   - counts primitive steps and updates shared statistics.
+//   - counts primitive steps and statistics: a context from NewCtx or
+//     Space.Ctx adds each primitive to the shared Stats as it happens, one
+//     from Space.AcquireCtx keeps its counts and Space.ReleaseCtx adds
+//     them once, so an operation makes no shared read-modify-write for its
+//     bookkeeping.
 type Ctx struct {
 	pid   int
 	epoch *Epoch
@@ -19,8 +23,10 @@ type Ctx struct {
 	plan  CrashPlan
 	stats *Stats
 
-	steps uint64
-	cell  int
+	steps  uint64
+	cell   int
+	local  bool      // counts wait in counts for ReleaseCtx
+	counts [4]uint64 // primitives so far, indexed by OpKind-1; see local
 }
 
 // NewCtx returns a context for one attempt by process pid, bound to the
@@ -72,9 +78,7 @@ func (c *Ctx) enter(kind OpKind) {
 	if cur := c.epoch.Current(); cur != c.start {
 		panic(Crashed{PID: c.pid, StartEpoch: c.start, ObservedEpoch: cur})
 	}
-	if c.stats != nil {
-		c.stats.record(kind)
-	}
+	c.count(kind, 1)
 }
 
 // CheckAlive panics with Crashed if a system crash happened since the
@@ -91,11 +95,13 @@ func (c *Ctx) CheckAlive() {
 // read-lock before unwinding.
 func (c *Ctx) alive() bool { return c.epoch.Current() == c.start }
 
-// count records the primitive in the shared statistics, after the atomic
-// operation; Flush records inside enter instead.
-func (c *Ctx) count(kind OpKind) {
-	if c.stats != nil {
-		c.stats.record(kind)
+// count records n primitives of one kind, after the atomic operation;
+// Flush records inside enter instead.
+func (c *Ctx) count(kind OpKind, n uint64) {
+	if c.local {
+		c.counts[kind-1] += n
+	} else if c.stats != nil {
+		c.stats.add(kind, n)
 	}
 }
 

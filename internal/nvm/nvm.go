@@ -23,7 +23,10 @@
 //
 // Crash points therefore sit between primitive operations, which is
 // precisely the granularity of the abstract model in the paper: primitives
-// themselves are atomic.
+// themselves are atomic. Every primitive is its own crash point whenever a
+// plan is armed; with none armed, Bits.SetRun lands a run of bit stores
+// with one atomic instruction per word, since nothing can crash between
+// them at a point a test chose.
 package nvm
 
 // OpKind identifies the primitive a Ctx is about to perform. Crash plans

@@ -49,7 +49,7 @@ func (p *Private[T]) settle(now uint64) {
 func (p *Private[T]) Load(ctx *Ctx) T {
 	ctx.pre(KindLoad, p.id)
 	p.settle(ctx.start)
-	ctx.count(KindLoad)
+	ctx.count(KindLoad, 1)
 	return p.v
 }
 
@@ -58,7 +58,7 @@ func (p *Private[T]) Load(ctx *Ctx) T {
 func (p *Private[T]) Store(ctx *Ctx, v T) {
 	ctx.pre(KindStore, p.id)
 	p.v, p.at = v, ctx.start
-	ctx.count(KindStore)
+	ctx.count(KindStore, 1)
 	if p.auto {
 		p.Flush(ctx)
 	}
@@ -74,7 +74,7 @@ func (p *Private[T]) Flush(ctx *Ctx) {
 	ctx.pre(KindFlush, p.id)
 	p.settle(ctx.start)
 	p.persisted = p.v
-	ctx.count(KindFlush)
+	ctx.count(KindFlush, 1)
 }
 
 // Peek returns the word's current logical value without a Ctx, for test

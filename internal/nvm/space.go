@@ -97,16 +97,24 @@ func (s *Space) Ctx(pid int, plan CrashPlan) *Ctx {
 var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
 
 // AcquireCtx is Ctx drawing from a pool; pair it with ReleaseCtx once the
-// attempt has completed and the context can no longer be referenced.
+// attempt has completed, crashed or not, and the context can no longer be
+// referenced. The context counts its primitives itself: they reach Stats
+// at ReleaseCtx, not before.
 func (s *Space) AcquireCtx(pid int, plan CrashPlan) *Ctx {
 	c := ctxPool.Get().(*Ctx)
-	c.pid, c.epoch, c.start, c.plan, c.stats, c.steps, c.cell = pid, &s.epoch, s.epoch.Current(), plan, &s.stats, 0, 0
+	*c = Ctx{pid: pid, epoch: &s.epoch, start: s.epoch.Current(), plan: plan, stats: &s.stats, local: true}
 	return c
 }
 
-// ReleaseCtx returns a plan-free context to the pool. Plan-armed contexts
-// are dropped for the garbage collector instead (see AcquireCtx).
+// ReleaseCtx adds the context's primitives to Stats, one atomic add per
+// kind it made, and returns a plan-free context to the pool. Plan-armed
+// contexts are dropped for the garbage collector instead (see ctxPool).
 func (s *Space) ReleaseCtx(c *Ctx) {
+	for k, n := range c.counts {
+		if n != 0 {
+			s.stats.add(OpKind(k+1), n)
+		}
+	}
 	if c.plan == nil {
 		ctxPool.Put(c)
 	}

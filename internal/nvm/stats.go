@@ -12,16 +12,17 @@ type Stats struct {
 	flushes atomic.Uint64
 }
 
-func (s *Stats) record(kind OpKind) {
+// add records n primitives of one kind.
+func (s *Stats) add(kind OpKind, n uint64) {
 	switch kind {
 	case KindLoad:
-		s.loads.Add(1)
+		s.loads.Add(n)
 	case KindStore:
-		s.stores.Add(1)
+		s.stores.Add(n)
 	case KindCAS:
-		s.cas.Add(1)
+		s.cas.Add(n)
 	case KindFlush:
-		s.flushes.Add(1)
+		s.flushes.Add(n)
 	}
 }
 

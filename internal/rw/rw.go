@@ -26,8 +26,8 @@
 // which register i owns bits [i·(2N²+N), (i+1)·(2N²+N)) — densely packed,
 // so a register's bits may straddle machine words and share them with its
 // neighbours'. Nothing about the algorithm changes: every word and every
-// bit is still a cell with its own identity, step, statistic and crash
-// point.
+// bit is still a cell with its own identity, step, statistic and —
+// whenever a plan is armed — crash point.
 //
 // R is one 64-bit word, as the paper sizes it: the value in the high bits,
 // then q in ⌈log₂N⌉ bits and b in one. A write stores a word and a line-5
@@ -346,7 +346,7 @@ func NewInt(sys *runtime.System, vinit int) Register {
 
 // toggle is the index of A[i][p][b], the bit through which writer p
 // coordinates with process i using p's toggle array b. Writer-major, so the
-// N bits a write raises (lines 9–10) sit in one word.
+// N bits a write raises (lines 9–10) are adjacent: one SetRun.
 func (reg Register) toggle(i, p, b int) int {
 	ps := reg.c.procs
 	return reg.i*ps.regBits() + (2*p+b)*len(ps.p) + i
@@ -431,16 +431,17 @@ func (p *proc) writeRecover(ctx *nvm.Ctx) (int, bool) {
 // finishWrite is the common tail of Write (lines 8–13) and Write.Recover
 // (lines 22–27): persist checkpoint 2, raise all of pid's toggle bits for
 // the used array, switch the private toggle index, persist the response.
+// The N toggle bits are adjacent (see toggle), so lines 9–10 are one
+// SetRun: N stores and N steps, each its own crash point whenever a plan
+// is armed, one atomic Or per word they span when none is.
 func (p *proc) finishWrite(ctx *nvm.Ctx, mtoggle int8) int {
 	reg, pid := p.reg(), int(p.pid)
 	bits := reg.bits()
-	p.wAnn.SetCP(ctx, 2)           // line 8 / 22
-	for i := 0; i < reg.N(); i++ { // lines 9-10 / 23-24
-		bits.Store(ctx, reg.toggle(i, pid, int(mtoggle)), true)
-	}
-	bits.Store(ctx, reg.tp(pid), mtoggle == 0) // line 11 / 25: T_p := 1 - mtoggle
-	p.wAnn.SetResult(ctx, spec.Ack)            // line 12 / 26
-	return spec.Ack                            // line 13 / 27
+	p.wAnn.SetCP(ctx, 2)                                        // line 8 / 22
+	bits.SetRun(ctx, reg.toggle(0, pid, int(mtoggle)), reg.N()) // lines 9-10 / 23-24
+	bits.Store(ctx, reg.tp(pid), mtoggle == 0)                  // line 11 / 25: T_p := 1 - mtoggle
+	p.wAnn.SetResult(ctx, spec.Ack)                             // line 12 / 26
+	return spec.Ack                                             // line 13 / 27
 }
 
 // ReadOp returns the recoverable Read operation instance for pid. Per the

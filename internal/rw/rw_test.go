@@ -449,3 +449,50 @@ func ExampleRegister() {
 	fmt.Println(out.Resp)
 	// Output: 41
 }
+
+// countingPlan counts the primitives an attempt starts, and crashes where
+// its inner plan says.
+type countingPlan struct {
+	inner nvm.CrashPlan
+	calls *uint64
+}
+
+func (p countingPlan) CrashBefore(ctx *nvm.Ctx, kind nvm.OpKind) bool {
+	*p.calls++
+	return p.inner != nil && p.inner.CrashBefore(ctx, kind)
+}
+
+// TestWritePrimitiveCounts pins the Space.Stats deltas at N = 8: 21 per
+// crash-free Write and 5 per Read, and, for a Write crashed before its
+// k-th primitive, every primitive the body completed plus every one of its
+// recovery's — counted per attempt and added when the attempt's context
+// is released, crashed or not.
+func TestWritePrimitiveCounts(t *testing.T) {
+	sys := runtime.NewSystem(8)
+	reg := NewInt(sys, 0)
+	st := sys.Space().Stats()
+	for i := 0; i < 3; i++ {
+		before := st.Total()
+		reg.Write(i%8, i+1)
+		if got := st.Total() - before; got != 21 {
+			t.Fatalf("crash-free write %d made %d primitives, want 21", i, got)
+		}
+		before = st.Total()
+		reg.Read(i % 8)
+		if got := st.Total() - before; got != 5 {
+			t.Fatalf("read %d made %d primitives, want 5", i, got)
+		}
+	}
+	for k := uint64(1); k <= 21; k++ {
+		var calls uint64
+		before := st.Total()
+		out := reg.Write(0, int(k), countingPlan{nvm.CrashAtStep(k), &calls}, countingPlan{nil, &calls})
+		if out.Crashes != 1 {
+			t.Fatalf("k=%d: %d crashes, want 1", k, out.Crashes)
+		}
+		// The crashed primitive consulted the plan but never ran.
+		if got, want := st.Total()-before, calls-1; got != want {
+			t.Fatalf("write crashed before primitive %d counted %d primitives, want %d", k, got, want)
+		}
+	}
+}

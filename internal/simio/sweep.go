@@ -400,14 +400,15 @@ func checkImage(cfg SweepConfig, img Image, rel []released, k int) *Violation {
 // RecordAwareCuts is the CutFunc for durable's file formats: for framed
 // record streams it tears at every record boundary (a clean
 // record-granularity tear), inside each frame header, and mid-payload (a
-// CRC-failing tear); for unframed files (MANIFEST) it falls back to a few
-// representative byte cuts.
+// CRC-failing tear) — up to where the reader's valid prefix ends, at a
+// barrier's 0xFF pad or an empty frame; for unframed files (MANIFEST) it
+// falls back to a few representative byte cuts.
 func RecordAwareCuts(path string, data []byte) []int {
 	var cuts []int
 	off := 0
 	for off+durable.FrameHeader <= len(data) {
 		n := int(binary.BigEndian.Uint32(data[off:]))
-		if n > durable.MaxRecord || off+durable.FrameHeader+n > len(data) {
+		if n == 0 || n > durable.MaxRecord || off+durable.FrameHeader+n > len(data) {
 			break
 		}
 		end := off + durable.FrameHeader + n
