@@ -86,8 +86,8 @@ type shardFile struct {
 type entry struct {
 	// journaled is the value last appended to the write-ahead log for the
 	// key (or recovered from disk), meaningful once inLog is set: what
-	// compaction, the bootstrap snapshot, RangeShard, StateHash, reconcile
-	// and MirrorGet read. Guarded by the shard's mu, like the append.
+	// compaction, the bootstrap, RangeShard, StateHash and MirrorGet read.
+	// Guarded by the shard's mu, like the append.
 	journaled int64
 	// applied is the value the replica read view shows for the key, valid
 	// while viewGen equals the view's generation (view.go). Written only by
@@ -95,10 +95,6 @@ type entry struct {
 	applied atomic.Int64
 	viewGen atomic.Uint32
 	inLog   bool // journaled holds a value; guarded by the shard's mu
-	// asserted is Replica.reconcile's mark: the incoming snapshot named this
-	// key. Set and cleared within one reconcile and touched by nothing else;
-	// a DB is fed by one Replica at a time.
-	asserted bool
 }
 
 // sessionsFile is the session layer's durable state. mu is the anchor lock:
@@ -186,21 +182,34 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 		unlock()
 		return nil, err
 	}
+	db.wal.tap = db.repl.tapRecords
 	return db, nil
 }
 
 // replay folds one write-ahead-log record into the mirrors, dispatching by
-// kind.
+// kind. Called where nothing else touches them: at open, and under lockAll.
 func (db *DB) replay(rec []byte) error {
-	if len(rec) > 0 && rec[0] == recPutAt {
-		shard, key, val, err := decodePutAt(rec, len(db.shards), db.procs)
-		if err != nil {
-			return err
-		}
-		db.shards[shard].set(key, val)
-		return nil
+	if rec[0] != recPutAt {
+		return db.sessions.apply(rec)
 	}
-	return db.sessions.apply(rec)
+	shard, key, val, err := decodePutAt(rec, len(db.shards), db.procs)
+	if err == nil {
+		db.shards[shard].set(key, val)
+	}
+	return err
+}
+
+// fold is replay for a DB in service: DB.anchor folds the records of the
+// epoch it made durable with sessions.mu held, and a put — only a standby's
+// epochs carry puts, each checked on arrival — takes its shard's lock.
+func (db *DB) fold(rec []byte) error {
+	if rec[0] != recPutAt {
+		return db.sessions.apply(rec)
+	}
+	sf := db.shards[binary.BigEndian.Uint32(rec[1:])]
+	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	return db.replay(rec)
 }
 
 // checkManifest creates the geometry manifest on first open and verifies
@@ -258,8 +267,7 @@ func (sf *shardFile) set(key string, val int64) uint32 {
 }
 
 // encodePutAt appends the write-ahead-log form of a put: the shard it was
-// journaled for, then the put itself. The replication tap forwards these
-// bytes as they are (ReplShardRec).
+// journaled for, then the put itself.
 func encodePutAt(dst []byte, shard int, key string, val int64) []byte {
 	dst = append(dst, recPutAt)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(shard))
@@ -350,7 +358,6 @@ func (db *DB) journalPut(i int, key string, val int64) uint32 {
 		// verdicts as durable.
 		panic(fmt.Sprintf("durable: shard %d append failed: %v", i, err))
 	}
-	db.repl.tapShard(sf.enc)
 	return n
 }
 
@@ -362,8 +369,8 @@ type root struct {
 }
 
 // sorted returns the mirror — the entries holding a journaled value — in
-// key order, the one order every walk of a shard uses (compaction, bootstrap
-// stream, restore), so each is a deterministic function of the state.
+// key order, the one order every walk of a shard uses (compaction and
+// bootstrap, restore), so each is a deterministic function of the state.
 // Called with sf.mu held.
 func (sf *shardFile) sorted() []root {
 	roots := make([]root, 0, sf.tab.Len())
@@ -377,8 +384,8 @@ func (sf *shardFile) sorted() []root {
 }
 
 // emit yields the mirror of sf, shard i, as put-at records in key order to
-// fn, stopping at fn's first error: the shard's part of a compacted log and
-// of a bootstrap snapshot. Called with sf.mu held; fn must not retain rec.
+// fn, stopping at fn's first error: the shard's part of emitState. Called
+// with sf.mu held; fn must not retain rec.
 func (sf *shardFile) emit(i int, fn func(rec []byte) error) error {
 	for _, r := range sf.sorted() {
 		sf.enc = encodePutAt(sf.enc[:0], i, r.key, r.val)
@@ -426,8 +433,7 @@ func parseSessRec(rec []byte) (kind byte, sid, req uint64, pid int, reply []byte
 }
 
 // apply folds one session record into the mirror. Hello records are
-// idempotent (a bootstrap snapshot may repeat a session the standby already
-// holds); outcome records are last-wins.
+// idempotent and outcome records last-wins.
 func (ss *sessionsFile) apply(rec []byte) error {
 	kind, sid, req, pid, reply, err := parseSessRec(rec)
 	if err != nil {
@@ -500,64 +506,30 @@ func (db *DB) NextSID() uint64 {
 	return db.sessions.nextSID
 }
 
-// stageRec appends rec to dst in the form anchor takes: u32 length, then
-// the record.
-func stageRec(dst, rec []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec)))
-	return append(dst, rec...)
-}
-
-// stageOutcome is stageRec of the (sid, reqID, reply) outcome record,
-// encoded in place.
+// stageOutcome appends the framed (sid, reqID, reply) outcome record to
+// dst, encoded in place.
 func stageOutcome(dst []byte, sid, reqID uint64, reply []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(21+len(reply)))
-	return appendOutcomeRec(dst, sid, reqID, reply)
+	start := len(dst)
+	return sealFrame(appendOutcomeRec(append(dst, make([]byte, frameHeader)...), sid, reqID, reply), start)
 }
 
-// stageSID is stageRec of a kind + sid record (recEnd, recNextSID).
+// stageSID appends a framed kind + sid record (recEnd, recNextSID) to dst.
 func stageSID(dst []byte, kind byte, sid uint64) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, 1+8)
-	dst = append(dst, kind)
-	return binary.BigEndian.AppendUint64(dst, sid)
+	start := len(dst)
+	dst = append(append(dst, make([]byte, frameHeader)...), kind)
+	return sealFrame(binary.BigEndian.AppendUint64(dst, sid), start)
 }
 
-// eachStaged calls fn for every record of a stageRec concatenation. The
-// callers build these themselves, so a truncated one is a bug, not input.
-func eachStaged(b []byte, fn func(rec []byte) error) error {
-	for len(b) > 0 {
-		if len(b) < 4 || len(b)-4 < int(binary.BigEndian.Uint32(b)) {
-			return fmt.Errorf("durable: truncated staged record")
-		}
-		n := 4 + int(binary.BigEndian.Uint32(b))
-		if err := fn(b[4:n]); err != nil {
-			return err
-		}
-		b = b[n:]
-	}
-	return nil
-}
-
-// anchor makes one epoch durable (groupcommit.go): the epoch's leader is its
-// one caller, and every durable step — an outcome, a hello, a next-sid mark,
-// an end, a replicated barrier on a standby, a bare Sync — rides an epoch.
-// recs — a stageRec concatenation of session records, possibly empty — are
-// appended to the write-ahead log behind every put journaled so far and the
-// log is made durable with one write and one fsync, whatever number of
-// shards those puts touched. Recovery accepts only a valid prefix of the
-// log, so an outcome record on disk implies the puts ahead of it are on
-// disk, under any kernel write-back order.
-//
-// A replicated epoch's two fsyncs overlap: the records and their barrier go
-// to the replication tap before the local fsync starts, so the standby
-// writes and fsyncs the epoch while this node does. Every put ahead of the
-// barrier on the stream was appended to the log before the barrier was
-// tapped, so it is in the batch this fsync covers (or an earlier one). The
-// commit mark that follows the fsync is what lets the standby show the epoch
-// to readers; a failed fsync never sends it. Only then are the records folded
-// into the sessions mirror, and anchor returns once every gating standby has
-// acknowledged the barrier — a verdict is released after both fsyncs, as
-// before. The anchor that finds the threshold's worth of bytes appended to
-// the log compacts it.
+// anchor makes one epoch durable (groupcommit.go; the epoch's leader is its
+// one caller): recs — framed records, possibly none — are staged behind every
+// put journaled so far and the log is made durable with one write and one
+// fsync. Recovery accepts only a valid prefix of the log, so an outcome on
+// disk implies the puts ahead of it are on disk. The batch and the epoch's
+// barrier go to the replication tap before the fsync starts, so a standby
+// fsyncs the epoch while this node does, and the commit mark after it; only
+// then are the records folded into the mirrors, and anchor returns once
+// every gating standby has acknowledged the barrier. The anchor that finds
+// the threshold's worth of bytes appended to the log compacts it.
 func (db *DB) anchor(recs []byte) error {
 	ss := &db.sessions
 	ss.mu.Lock()
@@ -565,22 +537,23 @@ func (db *DB) anchor(recs []byte) error {
 	if MutantOutcomeFirst {
 		held = db.wal.holdBack()
 	}
-	err := eachStaged(recs, db.wal.Append)
+	err := db.wal.stageFramed(recs)
 	var seq uint64
 	if err == nil {
 		// Every barrier sequence is allocated under ss.mu, so barriers sit on
-		// the stream in sequence order, each followed by its commit mark.
-		_ = eachStaged(recs, db.repl.tapSess) // tapSess never fails
-		seq = db.repl.tapBarrier()
-		err = db.wal.Sync()
+		// the stream in sequence order, each behind its batch and followed by
+		// its commit mark.
+		seq = db.repl.seq.Add(1)
+		err = db.wal.syncMarked(func() { db.repl.tapBarrier(seq) })
 	}
 	if MutantOutcomeFirst && err == nil {
-		db.wal.restage(held)
-		err = db.wal.Sync()
+		if err = db.wal.stageFramed(held); err == nil {
+			err = db.wal.Sync()
+		}
 	}
 	if err == nil {
 		db.repl.tapCommit(seq)
-		err = eachStaged(recs, ss.apply)
+		err = eachFrame(recs, db.fold)
 	}
 	if err != nil {
 		ss.mu.Unlock()
@@ -603,10 +576,10 @@ func (db *DB) anchor(recs []byte) error {
 // returning, so a client never holds a session ID a restart would forget.
 func (db *DB) AppendHello(sid uint64, pid int) error {
 	return db.commit(func(recs []byte) []byte {
-		recs = binary.BigEndian.AppendUint32(recs, 1+8+8)
-		recs = append(recs, recHello)
+		start := len(recs)
+		recs = append(append(recs, make([]byte, frameHeader)...), recHello)
 		recs = binary.BigEndian.AppendUint64(recs, sid)
-		return binary.BigEndian.AppendUint64(recs, uint64(int64(pid)))
+		return sealFrame(binary.BigEndian.AppendUint64(recs, uint64(int64(pid))), start)
 	})
 }
 
@@ -651,8 +624,8 @@ func appendOutcomeRec(dst []byte, sid, reqID uint64, reply []byte) []byte {
 // emit yields the sessions state as records — the next-SID high-water
 // mark, then per live session in SID order its hello and its window's
 // outcomes in request order — to fn, stopping at fn's first error: the
-// sessions' part of a compacted log and of a bootstrap snapshot.
-// Called with ss.mu held; fn must not retain rec.
+// sessions' part of emitState. Called with ss.mu held; fn must not retain
+// rec.
 func (ss *sessionsFile) emit(fn func(rec []byte) error) error {
 	enc := binary.BigEndian.AppendUint64([]byte{recNextSID}, ss.nextSID)
 	if err := fn(enc); err != nil {
@@ -676,43 +649,57 @@ func (ss *sessionsFile) emit(fn func(rec []byte) error) error {
 	return nil
 }
 
-// Compact rewrites the write-ahead log as the state it adds up to: every
-// shard's mirror as put-at records in shard and key order, then the sessions
-// mirror — the bootstrap stream's order, an outcome behind the puts it depends
-// on. It takes the shard locks in index order and then the sessions lock, so
-// nothing is staged or anchored meanwhile and the new log holds everything
-// the old one did, and any put still staged in memory. A crash on the way
-// leaves the old log or the new one (Log.Rewrite), and they recover to the
-// same state.
+// Compact rewrites the write-ahead log as the state it adds up to
+// (emitState). It holds lockAll, so nothing is staged or anchored meanwhile
+// and the new log holds everything the old one did, and any put still staged
+// in memory. A crash on the way leaves the old log or the new one
+// (Log.Rewrite), and they recover to the same state.
 func (db *DB) Compact() error { return db.compact(0) }
 
 // compact is Compact once Log.Appended has reached threshold, tested under
 // Compact's locks.
 func (db *DB) compact(threshold int64) error {
-	for _, sf := range db.shards {
-		sf.mu.Lock()
-		defer sf.mu.Unlock()
-	}
-	ss := &db.sessions
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
+	defer db.lockAll()()
 	if db.wal.Appended() < threshold {
 		return nil
 	}
 	start, before := time.Now(), db.wal.length()
-	if err := db.wal.Rewrite(func(add func(rec []byte) error) error {
-		for i, sf := range db.shards {
-			if err := sf.emit(i, add); err != nil {
-				return err
-			}
-		}
-		return ss.emit(add)
-	}); err != nil {
+	if err := db.wal.Rewrite(db.emitState); err != nil {
 		return err
 	}
 	slog.Info("durable: write-ahead log compacted", "path", db.wal.path,
 		"bytes_before", before, "bytes_after", db.wal.length(), "duration", time.Since(start))
 	return nil
+}
+
+// lockAll takes every shard's lock in index order, then the sessions lock,
+// and returns the function that releases them: in between nothing is
+// journaled, anchored or tapped.
+func (db *DB) lockAll() (unlock func()) {
+	for _, sf := range db.shards {
+		sf.mu.Lock()
+	}
+	db.sessions.mu.Lock()
+	return func() {
+		db.sessions.mu.Unlock()
+		for _, sf := range db.shards {
+			sf.mu.Unlock()
+		}
+	}
+}
+
+// emitState yields the state the log adds up to as records to fn, stopping
+// at fn's first error: every shard's mirror as put-at records in shard and
+// key order, then the sessions mirror, an outcome behind the puts it depends
+// on. It is what a compaction writes and what a bootstrap carries
+// (replicate.go). Called under lockAll; fn must not retain rec.
+func (db *DB) emitState(fn func(rec []byte) error) error {
+	for i, sf := range db.shards {
+		if err := sf.emit(i, fn); err != nil {
+			return err
+		}
+	}
+	return db.sessions.emit(fn)
 }
 
 // Sync is the durability barrier without a record: every mutation

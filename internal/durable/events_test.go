@@ -113,3 +113,55 @@ func TestCompactionLogsOnce(t *testing.T) {
 		t.Fatalf("compaction line %v carries no duration", l)
 	}
 }
+
+// TestBootstrapLogsOnce: a standby whose log a bootstrap replaces reports it
+// as one INFO line with the generation, the records and bytes it installed
+// and how long that took.
+func TestBootstrapLogsOnce(t *testing.T) {
+	lines := captureLog(t)
+	pdb := openQuiet(t, 2)
+	if err := pdb.SetGeneration(3); err != nil {
+		t.Fatal(err)
+	}
+	journalAll(t, pdb, tableKeys(10))
+	if err := pdb.AppendHello(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	sub := pdb.Subscribe(0, false)
+	sub.Close()
+	msgs := streamOf(t, sub)
+	records, size := 0, 0
+	for _, m := range msgs {
+		if m[0] == ReplLog {
+			size += len(m) - 1
+			eachFrame(m[1:], func([]byte) error { records++; return nil })
+		}
+	}
+
+	bdb := openQuiet(t, 2)
+	rp := bdb.NewReplica()
+	for i, m := range msgs {
+		if _, _, err := rp.Apply(m); err != nil {
+			t.Fatalf("Apply msg %d (kind 0x%02x): %v", i, m[0], err)
+		}
+	}
+	var installed []map[string]any
+	for _, l := range lines() {
+		if strings.Contains(l["msg"].(string), "bootstrap installed") {
+			installed = append(installed, l)
+		}
+	}
+	if len(installed) != 1 {
+		t.Fatalf("%d bootstrap lines, want exactly 1: %v", len(installed), installed)
+	}
+	l := installed[0]
+	if l["level"] != "INFO" || l["path"] != bdb.wal.path || l["generation"] != float64(3) {
+		t.Fatalf("bootstrap line %v: want level INFO, path %s, generation 3", l, bdb.wal.path)
+	}
+	if l["records"] != float64(records) || l["bytes"] != float64(size) || records != 12 {
+		t.Fatalf("bootstrap line %v: want %d records (10 puts, the mark, a hello) in %d bytes", l, records, size)
+	}
+	if _, ok := l["duration"].(float64); !ok {
+		t.Fatalf("bootstrap line %v carries no duration", l)
+	}
+}

@@ -6,7 +6,7 @@ import (
 )
 
 // Group commit is a leader chain. Every durable step — CommitOutcome,
-// AppendHello, NoteSID, AppendEnd, Sync, a replica's barrier and reconcile —
+// AppendHello, NoteSID, AppendEnd, Sync, a standby's replicated batch —
 // stages its records into the open epoch. The step that opens an epoch leads
 // it: it waits until the previous epoch's anchor has returned, closes its
 // epoch to joiners, runs DB.anchor once for every member and wakes them.
@@ -27,8 +27,8 @@ type groupCommit struct {
 	commits uint64    // steps that rode them
 }
 
-// epoch is one batch: its members' records (a stageRec concatenation, what
-// DB.anchor takes) and the anchor's verdict, which they all share. The last
+// epoch is one batch: its members' records (framed, what DB.anchor takes)
+// and the anchor's verdict, which they all share. The last
 // member to collect the verdict hands the epoch, buffer included, to the next
 // one, so a warm commit allocates none.
 type epoch struct {

@@ -2,7 +2,7 @@ package durable
 
 // What rests on a shard's key table (internal/keytab, which has the table's
 // own suite): the bytes and objects a key costs on either role, the
-// allocation-free apply path, the release of a bootstrap snapshot's stage,
+// allocation-free apply path, the release of a bootstrap's stage,
 // and the read view's whole-epoch publication (view.go).
 
 import (
@@ -141,7 +141,7 @@ func TestSpacePinBytesPerKey(t *testing.T) {
 		seq, _, _ := pdb.ReplStatus()
 		msgs := streamOf(t, sub)
 		first := slices.IndexFunc(msgs, func(m []byte) bool {
-			return m[0] == ReplShardRec && bytes.HasSuffix(m[:len(m)-8], []byte(names[0]))
+			return m[0] == ReplLog && bytes.Contains(m, []byte(names[0]))
 		})
 
 		bdb := openQuiet(t, shards)
@@ -153,7 +153,7 @@ func TestSpacePinBytesPerKey(t *testing.T) {
 				}
 			}
 		}
-		apply(msgs[:first]) // the empty snapshot and the warm-up epoch
+		apply(msgs[:first]) // the empty bootstrap and the warm-up epochs
 		check(t, func() any { apply(msgs[first:]); return bdb })
 		goruntime.KeepAlive(msgs) // freed before the second reading, the stream would be subtracted from it
 		if got := bdb.ViewSeq(); got != seq {
@@ -174,11 +174,12 @@ func TestSpacePinBytesPerKey(t *testing.T) {
 func epochOfOne(t *testing.T, rp *Replica, key string, first uint64) (epoch func(), seq *uint64) {
 	seq = new(uint64)
 	*seq = first - 1
-	put := append([]byte{ReplShardRec}, encodePutAt(nil, 1, key, 0)...)
+	put := appendFrame([]byte{ReplLog}, encodePutAt(nil, 1, key, 0))
 	barrier, commit := []byte{ReplBarrier, 8: 0}, []byte{ReplCommit, 8: 0}
 	return func() {
 		*seq++
 		binary.BigEndian.PutUint64(put[len(put)-8:], *seq)
+		sealFrame(put, 1)
 		binary.BigEndian.PutUint64(barrier[1:], *seq)
 		binary.BigEndian.PutUint64(commit[1:], *seq)
 		for _, m := range [][]byte{put, barrier, commit} {
@@ -211,9 +212,9 @@ func TestAllocPinReplicaApply(t *testing.T) {
 	}
 }
 
-// TestSnapshotStageReleased: a standby that bootstraps from a snapshot stages
-// one put per key of the store until SnapEnd's commit mark publishes them,
-// and gives that stage back then: bootstrapped from a 4096-key snapshot it
+// TestSnapshotStageReleased: a standby that bootstraps stages one put per key
+// of the store until the bootstrap's commit mark publishes them, and gives
+// that stage back then: bootstrapped from a 4096-key state it
 // holds, once published, no more than a chunk (2 KiB) above what a standby
 // fed the same keys live holds — before, 64 KiB more, until the Replica was
 // dropped — and applies the epochs that follow without allocating.
@@ -230,13 +231,13 @@ func TestSnapshotStageReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub.Close()
-	live := streamOf(t, sub) // an empty snapshot, then every key in epochs of 128
+	live := streamOf(t, sub) // an empty bootstrap, then every key in epochs of 128
 	liveSeq, _, _ := pdb.ReplStatus()
 	sub = pdb.Subscribe(0, false)
 	sub.Close()
-	snap := streamOf(t, sub) // every key between SnapBegin and SnapEnd, one commit mark
-	if n := len(snap); n < keys || snap[n-2][0] != ReplSnapEnd || snap[n-1][0] != ReplCommit {
-		t.Fatalf("the snapshot stream is %d messages ending 0x%02x 0x%02x", n, snap[n-2][0], snap[n-1][0])
+	snap := streamOf(t, sub) // every key between SnapBegin and its barrier, one commit mark
+	if n := len(snap); n < 4 || snap[0][0] != ReplSnapBegin || snap[1][0] != ReplLog || snap[n-2][0] != ReplBarrier || snap[n-1][0] != ReplCommit {
+		t.Fatalf("the bootstrap stream is %d messages, not SnapBegin, records, barrier, commit mark", n)
 	}
 	seq, _, _ := pdb.ReplStatus()
 
@@ -261,12 +262,12 @@ func TestSnapshotStageReleased(t *testing.T) {
 	bootstrapped, rp := held(snap, seq)
 	goruntime.KeepAlive(live)
 	goruntime.KeepAlive(snap)
-	t.Logf("fed live %d B, bootstrapped %d B; the snapshot's stage was %d B", fedLive, bootstrapped, keys*16)
+	t.Logf("fed live %d B, bootstrapped %d B; the bootstrap's stage was %d B", fedLive, bootstrapped, keys*16)
 	if bootstrapped > fedLive+2048 {
 		t.Errorf("a bootstrapped standby holds %d B, one fed the same keys live %d B: more than a chunk apart", bootstrapped, fedLive)
 	}
 	if cap(rp.viewStage) > 128 {
-		t.Errorf("the stage keeps room for %d puts after the snapshot was published", cap(rp.viewStage))
+		t.Errorf("the stage keeps room for %d puts after the bootstrap was published", cap(rp.viewStage))
 	}
 
 	epoch, _ := epochOfOne(t, rp, names[1], seq+1)
@@ -333,9 +334,10 @@ func TestViewPublishesWholeEpochs(t *testing.T) {
 		}()
 	}
 
-	var msg []byte
+	var msg, rec []byte
 	put := func(key string, val int64) {
-		msg = encodePutAt(append(msg[:0], ReplShardRec), int(key[0]-'a'), key, val)
+		rec = encodePutAt(rec[:0], int(key[0]-'a'), key, val)
+		msg = appendFrame(append(msg[:0], ReplLog), rec)
 		if _, _, err := rp.Apply(msg); err != nil {
 			t.Fatal(err)
 		}

@@ -90,6 +90,10 @@ type Log struct {
 	// syncFn is the fsync implementation, replaceable by fault-injection
 	// tests; nil means File.Sync.
 	syncFn func(File) error
+	// tap, when set, receives every batch as it leaves the staging buffer,
+	// and the staged records a Rewrite takes into the new file instead:
+	// every record in file order, under bmu (replicate.go). Set at open.
+	tap func(framed []byte)
 
 	mu    sync.Mutex
 	size  int64  // bytes of framed records at file offsets, the batch in flight included
@@ -249,6 +253,19 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
+// stageFramed stages records that are framed already — an epoch's records,
+// a replicated batch — as they are. The caller framed them itself or checked
+// every frame.
+func (l *Log) stageFramed(framed []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	l.buf = append(l.buf, framed...)
+	return nil
+}
+
 // checkRecord refuses a payload recovery could not read back.
 func checkRecord(payload []byte) error {
 	switch {
@@ -262,9 +279,32 @@ func checkRecord(payload []byte) error {
 
 // appendFrame appends one framed record to dst.
 func appendFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+	return sealFrame(append(append(dst, make([]byte, frameHeader)...), payload...), len(dst))
+}
+
+// sealFrame fills in the frame header reserved at dst[start:] for the
+// payload appended behind it, so a record can be encoded in place.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// eachFrame calls fn for every record of framed, a run of whole frames, and
+// fails on the first frame that is torn, corrupted or empty.
+func eachFrame(framed []byte, fn func(rec []byte) error) error {
+	for len(framed) > 0 {
+		rec, n := nextRecord(framed)
+		if n == 0 {
+			return fmt.Errorf("durable: torn or corrupted record frame")
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+		framed = framed[n:]
+	}
+	return nil
 }
 
 // Sync is the durability barrier: every Append that returned before Sync
@@ -272,26 +312,43 @@ func appendFrame(dst, payload []byte) []byte {
 // flushed in one coalesced write, then fsynced. A clean log (no appends
 // since the last barrier) syncs nothing. A failed barrier poisons the log
 // permanently — see the Log doc comment.
-func (l *Log) Sync() error {
+func (l *Log) Sync() error { return l.syncMarked(nil) }
+
+// syncMarked is Sync that calls mark once the batch has gone to the tap and
+// before it is written, a clean log included: where DB.anchor puts an
+// epoch's barrier on the replication stream, ahead of its own fsync.
+func (l *Log) syncMarked(mark func()) error {
 	l.bmu.Lock()
 	defer l.bmu.Unlock()
-	return l.barrier()
+	return l.barrier(mark)
 }
 
-// barrier takes the staged batch and makes it durable: one WriteAt, a
-// second one of pad when the batch ends past alloc, one fsync, none of them
-// under mu. Called with l.bmu held.
-func (l *Log) barrier() error {
+// barrier takes the staged batch, hands it to the tap, calls mark (when not
+// nil) and makes the batch durable: one WriteAt, a second one of pad when
+// the batch ends past alloc, one fsync, none of them under mu. Called with
+// l.bmu held.
+func (l *Log) barrier(mark func()) error {
 	l.mu.Lock()
-	if l.err != nil || len(l.buf) == 0 {
+	if l.err != nil {
 		err := l.err
 		l.mu.Unlock()
 		return err
 	}
 	batch, off := l.buf, l.size
-	l.buf, l.spare = l.spare[:0], nil
-	l.size += int64(len(batch))
+	if len(batch) > 0 {
+		l.buf, l.spare = l.spare[:0], nil
+		l.size += int64(len(batch))
+	}
 	l.mu.Unlock()
+	if l.tap != nil {
+		l.tap(batch)
+	}
+	if mark != nil {
+		mark()
+	}
+	if len(batch) == 0 {
+		return nil
+	}
 
 	// A failed write may have left part of the batch at its offset, and the
 	// kernel may drop dirty pages on a failed fsync (fsyncgate), so neither
@@ -363,16 +420,18 @@ func (l *Log) length() int64 {
 const rewriteChunk = 64 << 10
 
 // Rewrite replaces the whole log with the records emit produces — a
-// compaction — by the crash-atomic sequence the MANIFEST is written with: the
-// records go to path.tmp through a buffer, that file is fsynced and renamed
-// over the log, and the directory is synced. A crash leaves the old log or
-// the new one, each a valid prefix of records, never a mix.
+// compaction, a standby's bootstrap — by the crash-atomic sequence the
+// MANIFEST is written with: the records go to path.tmp through a buffer, that
+// file is fsynced and renamed over the log, and the directory is synced. A
+// crash leaves the old log or the new one, each a valid prefix of records,
+// never a mix.
 //
 // The caller has shut every appender out and emit covers every record staged
-// here, so what is staged is dropped with the old file. Rewrite holds both
-// locks across its I/O: nothing can be appended, let alone made durable and
-// acknowledged, between the rename and the directory sync, where a crash may
-// still resurrect the old log. An error before the rename leaves the log
+// here, so what is staged is dropped with the old file — and handed to the
+// tap, which has not seen it in any batch. Rewrite holds both locks across
+// its I/O: nothing can be appended, let alone made durable and acknowledged,
+// between the rename and the directory sync, where a crash may still
+// resurrect the old log. An error before the rename leaves the log
 // exactly as it was, staged records included, and the next Sync makes them
 // durable; an error at or after it poisons the log as a failed barrier does.
 func (l *Log) Rewrite(emit func(add func(rec []byte) error) error) error {
@@ -415,6 +474,9 @@ func (l *Log) Rewrite(emit func(add func(rec []byte) error) error) error {
 		return l.err
 	}
 	l.f.Close() // the replaced file's handle
+	if l.tap != nil && len(l.buf) > 0 {
+		l.tap(l.buf)
+	}
 	l.f, l.size, l.base, l.alloc, l.buf = f, size, size, size, l.buf[:0]
 	return nil
 }
@@ -433,7 +495,7 @@ func (l *Log) Reset() error {
 func (l *Log) Close() error {
 	l.bmu.Lock()
 	defer l.bmu.Unlock()
-	err := l.barrier()
+	err := l.barrier(nil)
 	if err == nil && l.alloc > l.size {
 		err = l.f.Truncate(l.size)
 	}

@@ -38,10 +38,3 @@ func (l *Log) holdBack() []byte {
 	l.buf = l.buf[:0]
 	return held
 }
-
-// restage stages framed records holdBack removed. Mutant only.
-func (l *Log) restage(framed []byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf = append(l.buf, framed...)
-}

@@ -6,7 +6,7 @@ package durable_test
 // hold the primary's fsync open with a gate and check the two things that
 // must stay true there: the standby's read view never shows what the
 // primary's disk lacks, and a primary that lost the epoch and came back
-// takes the standby with it at the next SnapEnd.
+// takes the standby with it at the next bootstrap.
 
 import (
 	"os"
@@ -165,15 +165,15 @@ func TestViewNeverAheadOfPrimaryFsync(t *testing.T) {
 	}
 }
 
-// TestSnapEndMakesSnapshotAuthoritative: the standby anchors an epoch — a
-// bumped value, a new key, a new outcome — that the primary then loses by
-// crashing before its own fsync returns. When the restarted primary
-// bootstraps the standby again, SnapEnd must leave the two nodes equal:
-// every key reads the same (absent ≡ 0) and the sessions match, live and
-// after reopening each data directory. Otherwise a later promotion replays
-// a verdict whose effect the snapshot overwrote, or serves a value no
+// TestBootstrapReplacesStandbyState: the standby anchors an epoch — a bumped
+// value, a new key, a new outcome — that the primary then loses by crashing
+// before its own fsync returns. When the restarted primary bootstraps the
+// standby again, the bootstrap must leave the two nodes equal: every key
+// reads the same (absent ≡ 0) and the sessions match, live and after
+// reopening each data directory. Otherwise a later promotion replays a
+// verdict whose effect the bootstrap overwrote, or serves a value no
 // linearized write produced.
-func TestSnapEndMakesSnapshotAuthoritative(t *testing.T) {
+func TestBootstrapReplacesStandbyState(t *testing.T) {
 	g := newGateFs()
 	pdb, err := durable.OpenFs(g, "/data", testShards, testProcs, testWindow)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestSnapEndMakesSnapshotAuthoritative(t *testing.T) {
 		acked = acked || barrier
 	}
 	if !acked {
-		t.Fatal("re-bootstrap never acknowledged SnapEnd")
+		t.Fatal("re-bootstrap never acknowledged its barrier")
 	}
 
 	same := func(when string, p, b *durable.DB) {
@@ -258,12 +258,12 @@ func TestSnapEndMakesSnapshotAuthoritative(t *testing.T) {
 			t.Errorf("%s: sessions differ:\nprimary %+v\nstandby %+v", when, ps, bs)
 		}
 	}
-	same("after the SnapEnd ack", pdb2, bdb)
+	same("after the bootstrap ack", pdb2, bdb)
 	if _, ok := bdb.ViewGet(1, "n"); ok {
-		t.Error("after the SnapEnd ack: the lost epoch's key is visible to standby readers")
+		t.Error("after the bootstrap ack: the lost epoch's key is visible to standby readers")
 	}
 	if v, _ := bdb.ViewGet(0, "k"); v != 1 {
-		t.Errorf("after the SnapEnd ack: view k=%d, want 1", v)
+		t.Errorf("after the bootstrap ack: view k=%d, want 1", v)
 	}
 
 	if err := pdb2.Close(); err != nil {

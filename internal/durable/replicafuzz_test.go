@@ -13,8 +13,9 @@ import (
 // the bytes, Apply must not panic, the read view must never be published
 // past the highest commit mark applied, and the standby's directory must
 // recover what the live standby holds: closing and reopening it gives the
-// same StateHash, with a compaction at every anchor on the way. The seeds are a real primary's streams, live and
-// snapshot, and truncated, reordered and duplicated variants of them.
+// same StateHash, with a compaction at every anchor on the way. The seeds
+// are a real primary's streams, live and bootstrap, truncated, reordered,
+// duplicated and corrupted variants of them, and hand-made shapes.
 func FuzzReplicaApply(f *testing.F) {
 	pdb := openSim(f, simio.New())
 	live := pdb.Subscribe(0, false)
@@ -61,6 +62,30 @@ func FuzzReplicaApply(f *testing.F) {
 		f.Add(stream(append(append(append([][]byte{}, msgs[:i+1]...), m), msgs[i+1:]...)...))
 		break
 	}
+	for i, m := range msgs {
+		if m[0] != durable.ReplLog || i < 4 {
+			continue
+		}
+		// A record whose checksum does not match its bytes.
+		bad := append([]byte(nil), m...)
+		bad[len(bad)-1] ^= 1
+		f.Add(stream(append(append(append([][]byte{}, msgs[:i]...), bad), msgs[i+1:]...)...))
+		// Live records with no bootstrap ahead of them.
+		f.Add(stream(msgs[i:]...))
+		// A bootstrap cut before its barrier, then the live stream.
+		f.Add(stream(append(append([][]byte{}, resync[:2]...), msgs[i:]...)...))
+		break
+	}
+	// A bootstrap whose records come one per message.
+	split := [][]byte{resync[0]}
+	for b := resync[1][1:]; len(b) > 0; {
+		n := 8 + int(binary.BigEndian.Uint32(b))
+		split = append(split, append([]byte{durable.ReplLog}, b[:n]...))
+		b = b[n:]
+	}
+	f.Add(stream(append(split, resync[2:]...)...))
+	// The kinds an older stream carried a record in, one record each.
+	f.Add(stream(resync[0], []byte{0x02, 0x06}, []byte{0x03, 0x04, 0, 0, 0, 0, 0, 0, 0, 1}, []byte{0x04, 0, 0, 0, 0, 0, 0, 0, 1}))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fsim := simio.New()

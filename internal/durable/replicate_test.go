@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"testing"
 	"time"
@@ -133,9 +134,9 @@ func TestReplicationLiveTapConverges(t *testing.T) {
 }
 
 // TestReplicationSnapshotResync subscribes after the workload ran, so the
-// whole state arrives as a fuzzy snapshot, and checks the SnapEnd
-// reconciliation: a session the backup still believes live but the
-// snapshot no longer asserts must be ended.
+// whole state arrives as a bootstrap, and checks that it replaces what the
+// backup held: a session the backup still believes live but the primary
+// has ended must be gone.
 func TestReplicationSnapshotResync(t *testing.T) {
 	pdb := openSim(t, simio.New())
 	sub1 := pdb.Subscribe(0, false)
@@ -154,7 +155,7 @@ func TestReplicationSnapshotResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reconnect: snapshot-only stream (no records tapped after Close).
+	// Reconnect: bootstrap-only stream (no records tapped after Close).
 	sub2 := pdb.Subscribe(0, false)
 	sub2.Close()
 	snap := drain(t, sub2)
@@ -164,10 +165,10 @@ func TestReplicationSnapshotResync(t *testing.T) {
 	}
 	for _, s := range bdb.Sessions() {
 		if s.SID == 2 {
-			t.Fatalf("session 2 still live on the backup after SnapEnd reconciliation")
+			t.Fatalf("session 2 still live on the backup after the bootstrap")
 		}
 	}
-	// Idempotence of the snapshot itself.
+	// Idempotence of the bootstrap itself.
 	applyAll(t, bdb.NewReplica(), snap)
 	if got, want := bdb.StateHash(), pdb.StateHash(); got != want {
 		t.Fatalf("snapshot re-apply diverged: %s, want %s", got, want)
@@ -185,8 +186,8 @@ func db2More(db *durable.DB) error {
 // TestReplicationKillAtEveryFrame is the stream-interruption sweep: for
 // every prefix of the replication stream, a backup that applied exactly
 // that prefix, crashed (close + recover its own data directory) and then
-// re-synced from a fresh primary snapshot must converge to the primary's
-// StateHash — and applying the resync snapshot twice must change nothing.
+// re-synced from a fresh primary bootstrap must converge to the primary's
+// StateHash — and applying the resync bootstrap twice must change nothing.
 // Cuts inside a frame equal the previous frame boundary by construction
 // (the wire delivers whole frames or nothing), so sweeping frame
 // boundaries covers every byte.
@@ -198,7 +199,7 @@ func TestReplicationKillAtEveryFrame(t *testing.T) {
 	msgs := drain(t, sub)
 	want := pdb.StateHash()
 
-	// One resync snapshot reused for every cut: the primary is quiescent,
+	// One resync bootstrap reused for every cut: the primary is quiescent,
 	// so each subscription would stage identical state.
 	rsub := pdb.Subscribe(0, false)
 	rsub.Close()
@@ -209,8 +210,8 @@ func TestReplicationKillAtEveryFrame(t *testing.T) {
 		bdb := openSim(t, bfs)
 		applyAll(t, bdb.NewReplica(), msgs[:cut])
 		// Crash the backup: recovery must accept whatever prefix its own
-		// logs hold (torn tails truncate, staged-but-unbarriered session
-		// records never reached the medium).
+		// log holds (torn tails truncate, records whose barrier never came
+		// never reached the medium).
 		if err := bdb.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
 		}
@@ -228,7 +229,7 @@ func TestReplicationKillAtEveryFrame(t *testing.T) {
 }
 
 // TestSyncAckGatesCommit pins the semi-synchronous contract: once a
-// syncAck subscriber has acknowledged its snapshot barrier, a commit does
+// syncAck subscriber has acknowledged its bootstrap barrier, a commit does
 // not return until the commit's barrier is acknowledged; acking (or
 // closing the subscription) releases it.
 func TestSyncAckGatesCommit(t *testing.T) {
@@ -303,15 +304,15 @@ func TestSyncAckTimeoutDropsLaggard(t *testing.T) {
 }
 
 // TestBootstrappingSubscriberDoesNotGate pins the gating threshold: a
-// syncAck subscriber that has not yet acknowledged its snapshot barrier
+// syncAck subscriber that has not yet acknowledged its bootstrap barrier
 // neither delays commits nor gets dropped as a laggard — a replica whose
-// initial snapshot transfer outlives the ack timeout must stay attached
-// and become the commit gate only once its SnapEnd ack arrives.
+// bootstrap transfer outlives the ack timeout must stay attached and become
+// the commit gate only once its bootstrap ack arrives.
 func TestBootstrappingSubscriberDoesNotGate(t *testing.T) {
 	db := openSim(t, simio.New())
 	defer db.Close()
 	db.SetReplAckTimeout(100 * time.Millisecond)
-	sub := db.Subscribe(0, true) // snapshot staged, nothing acked yet
+	sub := db.Subscribe(0, true) // bootstrap staged, nothing acked yet
 	defer sub.Close()
 
 	start := time.Now()
@@ -325,7 +326,7 @@ func TestBootstrappingSubscriberDoesNotGate(t *testing.T) {
 		t.Fatalf("bootstrapping subscriber was dropped: subs=%d", subs)
 	}
 
-	// Acking the snapshot barrier engages the gate: the next commit blocks
+	// Acking the bootstrap barrier engages the gate: the next commit blocks
 	// until its own barrier is acked.
 	sub.Ack(sub.SnapSeq())
 	done := make(chan error, 1)
@@ -342,9 +343,9 @@ func TestBootstrappingSubscriberDoesNotGate(t *testing.T) {
 }
 
 // TestSnapshotLargerThanSubLimit pins bootstrap for states bigger than
-// the subscriber's backlog limit: the snapshot must stage in full (exempt
+// the subscriber's backlog limit: the bootstrap must stage in full (exempt
 // from the limit) and replicate a converged backup, where before the
-// exemption the subscription tore itself down mid-snapshot and every
+// exemption the subscription tore itself down mid-bootstrap and every
 // resync died the same way.
 func TestSnapshotLargerThanSubLimit(t *testing.T) {
 	pdb := openSim(t, simio.New())
@@ -360,18 +361,12 @@ func TestSnapshotLargerThanSubLimit(t *testing.T) {
 		}
 	}
 
-	const limit = 1 << 10 // far below the staged snapshot's size
+	const limit = 1 << 10 // far below the staged bootstrap's size
 	sub := pdb.Subscribe(limit, false)
 	sub.Close()
 	msgs := drain(t, sub)
-	var snapEnds int
-	for _, m := range msgs {
-		if m[0] == durable.ReplSnapEnd {
-			snapEnds++
-		}
-	}
-	if snapEnds != 1 {
-		t.Fatalf("snapshot did not stage to completion: %d SnapEnd messages in %d", snapEnds, len(msgs))
+	if n := len(msgs); n < 4 || msgs[n-2][0] != durable.ReplBarrier || msgs[n-1][0] != durable.ReplCommit {
+		t.Fatalf("the bootstrap did not stage to completion: %d messages", len(msgs))
 	}
 
 	bdb := openSim(t, simio.New())
@@ -382,48 +377,52 @@ func TestSnapshotLargerThanSubLimit(t *testing.T) {
 	}
 }
 
-// Sessions-log record kinds as they ride inside ReplSessRec messages —
-// a stable on-disk format (docs/DURABILITY.md), mirrored here to craft
-// streams whose interleaving a live primary cannot be forced to produce.
+// Session record kinds of the write-ahead log — a stable on-disk format
+// (docs/DURABILITY.md), mirrored here to craft streams by hand.
 const (
 	sessRecHello   = 0x02
 	sessRecOutcome = 0x03
+	recPutAt       = 0x06
 )
 
-// TestInSnapshotBarrierDeferred pins the snapshot/barrier interleaving
-// rule: a barrier that arrives mid-snapshot must neither anchor the staged
-// records nor be acked — the staged outcomes may precede their snapshot
-// hellos, and anchoring them hello-less writes records recovery silently
-// drops, so a crash-then-promote would lose a verdict the primary believed
-// durable on both nodes. Everything defers to SnapEnd.
-func TestInSnapshotBarrierDeferred(t *testing.T) {
-	snapBegin := func(gen uint64) []byte {
-		msg := make([]byte, 21)
-		msg[0] = durable.ReplSnapBegin
-		binary.BigEndian.PutUint64(msg[1:], gen)
-		binary.BigEndian.PutUint32(msg[9:], testShards)
-		binary.BigEndian.PutUint32(msg[13:], testProcs)
-		binary.BigEndian.PutUint32(msg[17:], testWindow)
-		return msg
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// logMsg returns a ReplLog message carrying recs, framed as the log frames
+// them.
+func logMsg(recs ...[]byte) []byte {
+	msg := []byte{durable.ReplLog}
+	for _, rec := range recs {
+		msg = binary.BigEndian.AppendUint32(msg, uint32(len(rec)))
+		msg = binary.BigEndian.AppendUint32(msg, crc32.Checksum(rec, castagnoli))
+		msg = append(msg, rec...)
 	}
-	barrier := func(kind byte, seq uint64) []byte {
-		msg := make([]byte, 9)
-		msg[0] = kind
-		binary.BigEndian.PutUint64(msg[1:], seq)
-		return msg
-	}
-	hello := func(sid uint64, pid int64) []byte {
-		msg := []byte{durable.ReplSessRec, sessRecHello}
-		msg = binary.BigEndian.AppendUint64(msg, sid)
-		return binary.BigEndian.AppendUint64(msg, uint64(pid))
-	}
-	outcome := func(sid, req uint64, reply string) []byte {
-		msg := []byte{durable.ReplSessRec, sessRecOutcome}
-		msg = binary.BigEndian.AppendUint64(msg, sid)
-		msg = binary.BigEndian.AppendUint64(msg, req)
-		msg = binary.BigEndian.AppendUint32(msg, uint32(len(reply)))
-		return append(msg, reply...)
-	}
+	return msg
+}
+
+func snapBegin(gen uint64, shards uint32) []byte {
+	msg := make([]byte, 21)
+	msg[0] = durable.ReplSnapBegin
+	binary.BigEndian.PutUint64(msg[1:], gen)
+	binary.BigEndian.PutUint32(msg[9:], shards)
+	binary.BigEndian.PutUint32(msg[13:], testProcs)
+	binary.BigEndian.PutUint32(msg[17:], testWindow)
+	return msg
+}
+
+func seqMsg(kind byte, seq uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte{kind}, seq)
+}
+
+// TestBootstrapInstalledAtItsBarrier: a bootstrap replaces the standby's
+// state at its barrier and not before. A standby that crashes with the
+// bootstrap's records received and its barrier not recovers what it held;
+// one that has acknowledged the barrier recovers the bootstrap and nothing
+// of what it held before.
+func TestBootstrapInstalledAtItsBarrier(t *testing.T) {
+	hello := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{sessRecHello}, 9), 0)
+	outcome := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{sessRecOutcome}, 9), 1)
+	outcome = append(binary.BigEndian.AppendUint32(outcome, 7), "verdict"...)
+	boot := [][]byte{snapBegin(0, testShards), logMsg(hello, outcome)}
 	apply := func(rep *durable.Replica, msg []byte) (uint64, bool) {
 		t.Helper()
 		seq, b, err := rep.Apply(msg)
@@ -433,59 +432,58 @@ func TestInSnapshotBarrierDeferred(t *testing.T) {
 		return seq, b
 	}
 
-	// The primary taps an outcome for sid 9 while the snapshot is still in
-	// its shard section (sid 9's hello arrives only in the later sessions
-	// section), then an epoch barrier for it.
+	// The standby holds a primary's workload, then receives a bootstrap of
+	// a different state and crashes before its barrier.
+	pdb := openSim(t, simio.New())
+	live := pdb.Subscribe(0, false)
+	workload(t, pdb)
+	live.Close()
+	pdb.Close()
 	fsim := simio.New()
 	bdb := openSim(t, fsim)
+	applyAll(t, bdb.NewReplica(), drain(t, live))
+	before := bdb.StateHash()
 	rep := bdb.NewReplica()
-	apply(rep, snapBegin(0))
-	apply(rep, outcome(9, 1, "verdict"))
-	if seq, b := apply(rep, barrier(durable.ReplBarrier, 1)); b {
-		t.Fatalf("mid-snapshot barrier anchored and acked (seq=%d)", seq)
+	for _, m := range boot {
+		if seq, b := apply(rep, m); b {
+			t.Fatalf("a bootstrap record was acknowledged (seq=%d)", seq)
+		}
 	}
-	// Crash before SnapEnd: the deferred records must not be on disk.
 	if err := bdb.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	bdb = openSim(t, fsim)
-	if n := len(bdb.Sessions()); n != 0 {
-		t.Fatalf("crash mid-snapshot recovered %d sessions, want 0", n)
+	if got := bdb.StateHash(); got != before {
+		t.Fatalf("a crash before the bootstrap's barrier recovered %s, want the state before it %s", got, before)
 	}
 
-	// Re-sync with the same interleaving carried through SnapEnd: the
-	// barrier is still deferred, and SnapEnd anchors tapped outcome and
-	// snapshot hello together.
+	// The whole bootstrap, barrier included.
 	rep = bdb.NewReplica()
-	apply(rep, snapBegin(0))
-	apply(rep, outcome(9, 1, "verdict"))
-	if _, b := apply(rep, barrier(durable.ReplBarrier, 1)); b {
-		t.Fatal("mid-snapshot barrier acked on re-sync")
+	for _, m := range boot {
+		apply(rep, m)
 	}
-	apply(rep, hello(9, 0))
-	apply(rep, outcome(9, 1, "verdict"))
-	seq, b := apply(rep, barrier(durable.ReplSnapEnd, 2))
-	if !b || seq != 2 {
-		t.Fatalf("SnapEnd: seq=%d barrier=%v, want 2/true", seq, b)
+	if seq, b := apply(rep, seqMsg(durable.ReplBarrier, 2)); !b || seq != 2 {
+		t.Fatalf("bootstrap barrier: seq=%d barrier=%v, want 2/true", seq, b)
 	}
 	check := func(db *durable.DB, when string) {
 		t.Helper()
 		ss := db.Sessions()
-		if len(ss) != 1 || ss[0].SID != 9 {
-			t.Fatalf("%s: sessions %+v, want exactly sid 9", when, ss)
+		if len(ss) != 1 || ss[0].SID != 9 || string(ss[0].Window[1]) != "verdict" {
+			t.Fatalf("%s: sessions %+v, want exactly sid 9 holding its verdict", when, ss)
 		}
-		if got := string(ss[0].Window[1]); got != "verdict" {
-			t.Fatalf("%s: window[1] = %q, want %q", when, got, "verdict")
+		for i := 0; i < testShards; i++ {
+			db.RangeShard(i, func(key string, val int64) {
+				t.Fatalf("%s: shard %d holds %s=%d, which the bootstrap does not", when, i, key, val)
+			})
 		}
 	}
-	check(bdb, "after SnapEnd")
-	// The verdict the SnapEnd ack promised survives a crash + promotion.
+	check(bdb, "after the barrier")
 	if err := bdb.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	bdb = openSim(t, fsim)
 	defer bdb.Close()
-	check(bdb, "after crash")
+	check(bdb, "after a crash")
 }
 
 // TestGenerationFencing pins the fencing arithmetic: generations only
@@ -515,59 +513,58 @@ func TestGenerationFencing(t *testing.T) {
 		t.Fatalf("generation after reopen = %d, want 2", g)
 	}
 
-	snapBegin := func(gen uint64) []byte {
-		msg := make([]byte, 21)
-		msg[0] = durable.ReplSnapBegin
-		binary.BigEndian.PutUint64(msg[1:], gen)
-		binary.BigEndian.PutUint32(msg[9:], testShards)
-		binary.BigEndian.PutUint32(msg[13:], testProcs)
-		binary.BigEndian.PutUint32(msg[17:], testWindow)
-		return msg
-	}
 	rep := db.NewReplica()
-	if _, _, err := rep.Apply(snapBegin(1)); !errors.Is(err, durable.ErrStalePrimary) {
+	if _, _, err := rep.Apply(snapBegin(1, testShards)); !errors.Is(err, durable.ErrStalePrimary) {
 		t.Fatalf("stale primary (gen 1 < 2) accepted: err=%v", err)
 	}
 	// A newer primary advances the replica's own fencing generation.
-	if _, _, err := rep.Apply(snapBegin(5)); err != nil {
+	if _, _, err := rep.Apply(snapBegin(5, testShards)); err != nil {
 		t.Fatalf("newer primary refused: %v", err)
 	}
 	if g := db.Generation(); g != 5 {
-		t.Fatalf("replica generation = %d after gen-5 snapshot, want 5", g)
+		t.Fatalf("replica generation = %d after a gen-5 bootstrap, want 5", g)
 	}
 }
 
-// TestReplicaRejectsGeometryMismatch: a snapshot whose shard/proc/window
+// TestReplicaRejectsGeometryMismatch: a bootstrap whose shard/proc/window
 // geometry differs from the backup's must be refused before any record
 // applies.
 func TestReplicaRejectsGeometryMismatch(t *testing.T) {
 	db := openSim(t, simio.New())
 	defer db.Close()
-	msg := make([]byte, 21)
-	msg[0] = durable.ReplSnapBegin
-	binary.BigEndian.PutUint32(msg[9:], testShards+1)
-	binary.BigEndian.PutUint32(msg[13:], testProcs)
-	binary.BigEndian.PutUint32(msg[17:], testWindow)
-	if _, _, err := db.NewReplica().Apply(msg); err == nil {
+	if _, _, err := db.NewReplica().Apply(snapBegin(0, testShards+1)); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
 }
 
-// widenLastPut returns a copy of msgs whose last shard record, which no
-// later put overwrites, carries a value outside the register domain of a
-// testProcs-process store ([−2^60, 2^60)): bit 62 of its 8-byte value, the
-// message's tail, is set.
+// widenLastPut returns a copy of msgs in which the last put-at record, which
+// no later put overwrites, carries a value outside the register domain of a
+// testProcs-process store ([−2^60, 2^60)) — bit 62 of its 8-byte value, the
+// record's tail, is set, and its frame's CRC is the one for the new bytes —
+// and the index of the message carrying it.
 func widenLastPut(msgs [][]byte) (out [][]byte, at int) {
 	out = append([][]byte{}, msgs...)
 	for i := len(out) - 1; i >= 0; i-- {
-		if out[i][0] == durable.ReplShardRec {
-			w := append([]byte(nil), out[i]...)
-			w[len(w)-8] ^= 0x40
-			out[i] = w
-			return out, i
+		if out[i][0] != durable.ReplLog {
+			continue
 		}
+		last := -1 // offset of the last put-at frame in the message
+		for off := 1; off < len(out[i]); off += 8 + int(binary.BigEndian.Uint32(out[i][off:])) {
+			if out[i][off+8] == recPutAt {
+				last = off
+			}
+		}
+		if last < 0 {
+			continue
+		}
+		w := append([]byte(nil), out[i]...)
+		rec := w[last+8 : last+8+int(binary.BigEndian.Uint32(w[last:]))]
+		rec[len(rec)-8] ^= 0x40
+		binary.BigEndian.PutUint32(w[last+4:], crc32.Checksum(rec, castagnoli))
+		out[i] = w
+		return out, i
 	}
-	panic("stream holds no shard record")
+	panic("stream holds no put-at record")
 }
 
 // TestReplicaRefusesOutOfDomainValue: a replicated put whose value no
@@ -596,4 +593,110 @@ func TestReplicaRefusesOutOfDomainValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	openSim(t, fsim).Close()
+}
+
+// TestCompactionShipsStagedPuts: a compaction takes the puts staged since the
+// last barrier straight into the new file, in no batch of the old one; the
+// log hands them to the tap all the same, so a standby that applies the
+// stream of a primary compacting all the time still holds every one of them.
+func TestCompactionShipsStagedPuts(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pdb := openSim(t, simio.New())
+	defer pdb.Close()
+	pdb.SetCompactThreshold(256)
+	sub := pdb.Subscribe(0, false)
+	must(pdb.AppendHello(1, 0))
+	for i := 0; i < 48; i++ {
+		pdb.ShardBacking(i%testShards).Persist(fmt.Sprintf("staged-%d", i), int64(i+1))
+		if i%3 == 0 {
+			must(pdb.Compact()) // with the put staged
+		}
+		must(pdb.CommitOutcome(1, uint64(i+1), []byte("ok")))
+	}
+	sub.Close()
+
+	bdb := openSim(t, simio.New())
+	defer bdb.Close()
+	applyAll(t, bdb.NewReplica(), drain(t, sub))
+	for i := 0; i < 48; i++ {
+		key := fmt.Sprintf("staged-%d", i)
+		if v, ok := bdb.MirrorGet(i%testShards, key); !ok || v != int64(i+1) {
+			t.Errorf("the standby holds %s=%d (ok=%v), the primary %d", key, v, ok, i+1)
+		}
+	}
+	if got, want := bdb.StateHash(), pdb.StateHash(); got != want {
+		t.Fatalf("standby hash %s, primary %s", got, want)
+	}
+}
+
+// TestLargeBatchSplitsAtRecords: an epoch, and a bootstrap, larger than a
+// stream message reach the standby as several ReplLog messages, each
+// within MaxReplMsg (the wire's frame limit) and cut between records, and
+// the standby converges.
+func TestLargeBatchSplitsAtRecords(t *testing.T) {
+	pdb := openSim(t, simio.New())
+	defer pdb.Close()
+	sub := pdb.Subscribe(0, false)
+	long := fmt.Sprintf("%01000d", 0)
+	for i := 0; i < 1500; i++ { // 1.5 MB of records in one batch
+		pdb.ShardBacking(i%testShards).Persist(fmt.Sprintf("%s-%d", long, i), int64(i))
+	}
+	if err := pdb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	sub.Close()
+	boot := pdb.Subscribe(0, false)
+	boot.Close()
+	for name, msgs := range map[string][][]byte{"epoch": drain(t, sub), "bootstrap": drain(t, boot)} {
+		logs := 0
+		for _, m := range msgs {
+			if len(m) > durable.MaxReplMsg {
+				t.Fatalf("%s: a %d-byte stream message, past the %d-byte limit", name, len(m), durable.MaxReplMsg)
+			}
+			if m[0] == durable.ReplLog {
+				logs++
+			}
+		}
+		if logs < 2 {
+			t.Fatalf("%s: %d ReplLog messages, want the batch split", name, logs)
+		}
+		bdb := openSim(t, simio.New())
+		applyAll(t, bdb.NewReplica(), msgs)
+		if got, want := bdb.StateHash(), pdb.StateHash(); got != want {
+			t.Fatalf("%s: standby hash %s, primary %s", name, got, want)
+		}
+		bdb.Close()
+	}
+}
+
+// TestBootstrapDropsChainedSubscribers: a standby whose log a bootstrap
+// replaces drops its own subscribers with an error, so they bootstrap again
+// from the new log instead of following a stream the old one began.
+func TestBootstrapDropsChainedSubscribers(t *testing.T) {
+	pdb := openSim(t, simio.New())
+	defer pdb.Close()
+	workload(t, pdb)
+	boot := pdb.Subscribe(0, false)
+	boot.Close()
+
+	bdb := openSim(t, simio.New())
+	defer bdb.Close()
+	chained := bdb.Subscribe(0, false)
+	applyAll(t, bdb.NewReplica(), drain(t, boot))
+	if _, _, subs := bdb.ReplStatus(); subs != 0 {
+		t.Fatalf("%d subscribers still attached to the bootstrapped standby", subs)
+	}
+	for { // what was staged drains first, then the close shows
+		if _, err := chained.Next(); err != nil {
+			if errors.Is(err, io.EOF) {
+				t.Fatal("the chained subscription closed cleanly; want the bootstrap's error")
+			}
+			break
+		}
+	}
 }

@@ -3,24 +3,18 @@ package durable
 // The replica's applied-state read view (docs/REPLICATION.md §read
 // replicas).
 //
-// A standby serving GET traffic must never expose a half-applied state:
-// the journaled values advance record-by-record as the stream arrives (eager
-// journaling keeps the backup's disk crash-consistent), so reading them
-// directly could observe the middle of a snapshot transfer or a partial
-// commit epoch. Nor may it expose an epoch only this node has fsynced: the
-// standby anchors an epoch while the primary's own fsync of it is still
-// running, and that fsync can fail, or the primary can crash under it and
-// come back without the epoch. So a key's entry (db.go) holds two values:
-// the one last journaled, and the one applied — what a GET reads. Streamed
-// puts accumulate in a per-stream stage as (shard, entry number, value) and
-// are stored into the applied words only when the epoch that covers them —
-// a barrier, or SnapEnd for an entire bootstrap snapshot — is durable here
-// *and* its commit mark says it is durable on the primary
-// (Replica.publishThrough). Every put ahead of a barrier on the stream is
-// in the log batch that commit mark vouches for. Between commit marks the
-// view is immutable, so every read observes a prefix of the primary's
-// commit order: bounded-stale, never torn, never a value the primary failed
-// to commit.
+// A standby serving GET traffic must never expose an epoch only this node
+// has fsynced: it anchors an epoch while the primary's own fsync of it is
+// still running, and that fsync can fail, or the primary can crash under it
+// and come back without the epoch. So a key's entry (db.go) holds two
+// values: the one last journaled, and the one applied — what a GET reads.
+// Streamed puts accumulate in a per-stream stage as (shard, entry number,
+// value) and are stored into the applied words only when the epoch that
+// covers them — a barrier's, or a whole bootstrap's — is durable here *and*
+// its commit mark says it is durable on the primary
+// (Replica.publishThrough). Between commit marks the view is immutable, so
+// every read observes a prefix of the primary's commit order:
+// bounded-stale, never torn, never a value the primary failed to commit.
 //
 // A publication is one step to readers without a lock they would have to
 // write: the stores sit inside a sequence counter's odd phase, and a GET
@@ -40,9 +34,8 @@ import (
 )
 
 // viewPut is one staged shard put awaiting publication: the key's entry, as
-// its shard and its number in that shard's table — which name the key too,
-// for the snapshot's puts that reconcile journals at SnapEnd — and the value
-// the commit mark will show. 16 bytes.
+// its shard and its number in that shard's table, and the value the commit
+// mark will show. 16 bytes.
 type viewPut struct {
 	shard, n uint32
 	val      int64
@@ -78,10 +71,10 @@ func (db *DB) publishView(stage []viewPut, seq uint64) {
 }
 
 // ResetView empties the read view and zeroes the applied mark. Called when
-// a new snapshot stream begins: the incoming snapshot supersedes whatever
-// the view held, and until its SnapEnd's commit mark publishes, the replica
-// has no consistent state to serve — a zero applied mark is what trips the
-// client's staleness fallback to the primary for the duration. And called
+// a bootstrap begins: it supersedes whatever the view held, and until its
+// commit mark publishes, the replica has no consistent state to serve — a
+// zero applied mark is what trips the client's staleness fallback to the
+// primary for the duration. And called
 // at promotion: the node's reads come from its store from then on.
 func (db *DB) ResetView() {
 	v := &db.view
@@ -119,7 +112,7 @@ func (db *DB) ViewGet(i int, key string) (int64, bool) {
 }
 
 // ViewSeq returns the primary-stream barrier sequence the read view has
-// applied through: 0 until the bootstrap snapshot's commit mark publishes,
+// applied through: 0 until the bootstrap's commit mark publishes,
 // monotone within one stream. OpServerStats reports it as the
 // standby's applied mark.
 func (db *DB) ViewSeq() uint64 { return db.view.seq.Load() }

@@ -101,9 +101,9 @@ func TestViewBarrierAtomicityAndSeqMonotonic(t *testing.T) {
 }
 
 // TestViewResetOnSnapshot: a replica that reconnects receives a fresh
-// snapshot; SnapBegin must drop the stale view and zero the applied mark
+// bootstrap; SnapBegin must drop the stale view and zero the applied mark
 // (readers fall back to the primary during the resync window) before the
-// rebuilt view is republished barrier by barrier.
+// rebuilt view is republished at the bootstrap's commit mark.
 func TestViewResetOnSnapshot(t *testing.T) {
 	pdb := openSim(t, simio.New())
 	sub := pdb.Subscribe(0, false)
@@ -128,8 +128,8 @@ func TestViewResetOnSnapshot(t *testing.T) {
 		t.Fatal("applied mark still zero after first sync")
 	}
 
-	// Reconnect: a second full stream from a fresh subscription (snapshot
-	// head included). Mid-snapshot the view must read empty at mark zero.
+	// Reconnect: a second full stream from a fresh subscription (bootstrap
+	// included). Mid-bootstrap the view must read empty at mark zero.
 	sub2 := pdb.Subscribe(0, false)
 	sub2.Close()
 	msgs2 := drain(t, sub2)
@@ -138,10 +138,10 @@ func TestViewResetOnSnapshot(t *testing.T) {
 		t.Fatalf("Apply SnapBegin: %v", err)
 	}
 	if got := rdb.ViewSeq(); got != 0 {
-		t.Fatalf("applied mark %d mid-snapshot, want 0 (stale view must not serve)", got)
+		t.Fatalf("applied mark %d mid-bootstrap, want 0 (stale view must not serve)", got)
 	}
 	if _, ok := rdb.ViewGet(shard, "k"); ok {
-		t.Fatal("stale view still serving mid-snapshot")
+		t.Fatal("stale view still serving mid-bootstrap")
 	}
 	applyAll(t, rp, msgs2[1:])
 	if v, ok := rdb.ViewGet(shard, "k"); !ok || v != 7 {

@@ -260,19 +260,19 @@ func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 			}
 			for len(chunk) > 0 {
 				n := 4 + int(binary.BigEndian.Uint32(chunk))
-				if kind := chunk[4]; kind == ReplBarrier || kind == ReplSnapEnd {
+				if chunk[4] == ReplBarrier {
 					sub.Ack(binary.BigEndian.Uint64(chunk[5:]))
 				}
 				chunk = chunk[n:]
 			}
 		}
 	}()
-	// The gate engages once the standby has acked its snapshot's barrier. A
+	// The gate engages once the standby has acked its bootstrap's barrier. A
 	// lone committer never parks before that, so on one CPU it has to wait
 	// for the standby here.
 	for deadline := time.Now().Add(10 * time.Second); db.repl.nsync.Load() != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the subscriber never acked its snapshot's barrier")
+			t.Fatal("the subscriber never acked its bootstrap's barrier")
 		}
 	}
 	if err := db.AppendHello(1, 0); err != nil {

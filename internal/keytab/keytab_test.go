@@ -29,7 +29,6 @@ type words struct {
 	applied   atomic.Int64
 	viewGen   atomic.Uint32
 	inLog     bool
-	asserted  bool
 }
 
 // shape is what a case needs to know about an entry type: how to make the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -162,18 +163,13 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 	var db2 *durable.DB
 	var srv2 *Server
 	if promote {
-		// The DEL's outcome is the stream's last session record: a standby
-		// that got everything before it has journaled the DEL's put-at
-		// record, as it arrived, and staged no verdict for it.
+		// The DEL's outcome is the stream's last session record. Torn off
+		// the batch that carries it, the standby anchors the DEL's put-at
+		// record, if any, and no verdict for it — the standby's image of the
+		// primary's torn tail.
 		msgs := streamOf(t, sub)
 		if c.torn {
-			last := -1
-			for i, m := range msgs {
-				if m[0] == durable.ReplSessRec {
-					last = i
-				}
-			}
-			msgs = msgs[:last]
+			msgs = dropLastOutcome(msgs)
 		}
 		srv2, db2 = standbyFrom(t, 2, 2, msgs)
 		if err := srv2.Listen(addr); err != nil {
@@ -277,4 +273,31 @@ func TestKnownHole1AResendAnswersFailedOverItsEffect(t *testing.T) {
 	}
 	t.Fatalf("1A no longer reproduces (re-sent DEL → %v, crashes %d; GET → %d): delete this skip and DURABILITY.md §Open",
 		resent.Status, resent.Crashes, got.Resp)
+}
+
+// dropLastOutcome returns a copy of a replication stream whose last outcome
+// record is cut out of the ReplLog message carrying it; the frames around it
+// keep their own checksums.
+func dropLastOutcome(msgs [][]byte) [][]byte {
+	const recOutcome = 0x03
+	out := append([][]byte{}, msgs...)
+	for i := len(out) - 1; i >= 0; i-- {
+		m := out[i]
+		if m[0] != durable.ReplLog {
+			continue
+		}
+		last := -1
+		for off := 1; off < len(m); off += 8 + int(binary.BigEndian.Uint32(m[off:])) {
+			if m[off+8] == recOutcome {
+				last = off
+			}
+		}
+		if last < 0 {
+			continue
+		}
+		end := last + 8 + int(binary.BigEndian.Uint32(m[last:]))
+		out[i] = append(append([]byte(nil), m[:last]...), m[end:]...)
+		return out
+	}
+	panic("stream holds no outcome record")
 }

@@ -4,13 +4,14 @@ package server
 // (docs/REPLICATION.md).
 //
 // A replica connects like any client but sets HelloFlagReplica: after the
-// HELLO-OK the connection becomes a replication stream — the server writes
-// durable.Repl* messages as length-prefixed wire frames and reads only
-// durable.ReplAck frames back. The subscription is synchronous: every
-// commit on the primary waits for the replica's barrier ack before its
-// verdict is released, so group commit and replication share one epoch
-// boundary — and the two nodes fsync an epoch side by side, the barrier
-// leaving the primary before its own fsync starts.
+// HELLO-OK the connection becomes a replication stream — the server ships
+// its write-ahead log as durable.Repl* messages in length-prefixed wire
+// frames, a bootstrap that replaces the standby's log and then the live
+// records, and reads only durable.ReplAck frames back. The subscription is
+// synchronous: every commit on the primary waits for the replica's barrier
+// ack before its verdict is released, so group commit and replication share
+// one epoch boundary — and the two nodes fsync an epoch side by side, the
+// barrier leaving the primary before its own fsync starts.
 //
 // A standby (NewStandby) owns a warm durable.DB it feeds from the
 // primary's stream and serves no data sessions until Promote: promotion
@@ -46,6 +47,10 @@ const (
 // they can never collide with the data-session IDs recovered from the
 // replicated session records at promotion.
 const standbySIDBase = uint64(1) << 63
+
+// Every stream message fits one wire frame: a negative difference would not
+// compile.
+const _ = uint(MaxFrame - durable.MaxReplMsg)
 
 // replicaDialTimeout bounds the standby's dial + handshake with the
 // primary; replicaRetryMin/Max bound its reconnect backoff.
@@ -201,9 +206,9 @@ func (st *standbyState) stopReplication() {
 // StartReplication starts the standby's replication loop against the
 // primary at addr: connect with HelloFlagReplica, apply the stream, ack
 // every barrier, reconnect with backoff on any error (each reconnect
-// re-syncs via the primary's snapshot — applies are idempotent, so the
-// overlap converges). The loop stops at Promote/Close, or permanently if
-// the primary turns out to be stale (lower generation than this replica).
+// begins with a fresh bootstrap, which replaces whatever this node held).
+// The loop stops at Promote/Close, or permanently if the primary turns out
+// to be stale (lower generation than this replica).
 func (srv *Server) StartReplication(addr string) error {
 	st := srv.standby.Load()
 	if st == nil {
@@ -265,9 +270,10 @@ func (st *standbyState) replicateOnce(addr string) error {
 		conn.Close()
 	}()
 
-	// The stream is many small messages (an MPUT×64 epoch is ~67): read
-	// them through a buffer, not with two read syscalls each, and send a
-	// frame — header and payload — as one write.
+	// The stream is many small messages (an epoch is its records, its
+	// barrier and its commit mark): read them through a buffer, not with
+	// two read syscalls each, and send a frame — header and payload — as
+	// one write.
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriterSize(conn, 64) // all it sends: a 14-byte HELLO, 13-byte acks
 	writeFrame := func(payload []byte) error {

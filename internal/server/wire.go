@@ -69,9 +69,10 @@ const (
 	HelloFlagObserver byte = 0x01
 
 	// HelloFlagReplica turns the connection into a replication stream:
-	// the server replies with a HELLO-OK and then streams durable.Repl*
-	// messages (docs/REPLICATION.md) instead of serving requests; the peer
-	// sends only durable.ReplAck frames back.
+	// the server replies with a HELLO-OK and then ships its write-ahead log
+	// as durable.Repl* messages — a bootstrap, then the live records with
+	// their barriers and commit marks (docs/REPLICATION.md) — instead of
+	// serving requests; the peer sends only durable.ReplAck frames back.
 	HelloFlagReplica byte = 0x02
 
 	// HelloFlagReadOnly requests a session without a process slot whose

@@ -20,13 +20,26 @@ import (
 	"detectable/internal/durable"
 )
 
-// Session record kinds as they appear inside ReplSessRec messages.
-// Mirrored here because the on-disk kinds are internal to durable; they
-// are a stable format (docs/DURABILITY.md).
+// Session record kinds as they appear inside ReplLog messages. Mirrored
+// here because the on-disk kinds are internal to durable; they are a stable
+// format (docs/DURABILITY.md).
 const (
 	sessRecOutcome = 0x03
 	sessRecEnd     = 0x04
 )
+
+// eachRec calls fn for every record a ReplLog message carries; other
+// messages carry none.
+func eachRec(m []byte, fn func(rec []byte)) {
+	if m[0] != durable.ReplLog {
+		return
+	}
+	for b := m[1:]; len(b) > 0; {
+		n := 8 + int(binary.BigEndian.Uint32(b))
+		fn(b[8:n])
+		b = b[n:]
+	}
+}
 
 // replStep is one anchoring operation of the replicated workload: the
 // primary's journal length around it and what it put on the stream.
@@ -38,7 +51,7 @@ type replStep struct {
 // runReplicatedWorkload drives a primary with a live-tap subscription opened
 // before the workload, so the stream carries every record, every barrier and
 // every commit mark in commit order, and returns it step by step. Step 0 is
-// the (empty) bootstrap snapshot.
+// the (empty) bootstrap.
 func runReplicatedWorkload(t *testing.T, cfg SweepConfig) (pfs *Fs, pdb *durable.DB, steps []replStep) {
 	t.Helper()
 	pfs = New()
@@ -97,9 +110,9 @@ func splitFrames(chunk []byte) (msgs [][]byte) {
 	return msgs
 }
 
-// drainSnapshot subscribes to a quiescent db and returns the snapshot
+// drainBootstrap subscribes to a quiescent db and returns the bootstrap
 // stream a re-connecting standby would receive.
-func drainSnapshot(t *testing.T, db *durable.DB) (msgs [][]byte) {
+func drainBootstrap(t *testing.T, db *durable.DB) (msgs [][]byte) {
 	t.Helper()
 	sub := db.Subscribe(0, false)
 	sub.Close()
@@ -136,8 +149,7 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 	var rel, pending []released
 	endPending := map[uint64]bool{}
 	for _, m := range msgs {
-		if m[0] == durable.ReplSessRec && len(m) > 1 {
-			rec := m[1:]
+		eachRec(m, func(rec []byte) {
 			switch rec[0] {
 			case sessRecOutcome:
 				sid := binary.BigEndian.Uint64(rec[1:])
@@ -150,7 +162,7 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 			case sessRecEnd:
 				endPending[binary.BigEndian.Uint64(rec[1:])] = true
 			}
-		}
+		})
 		preOps := bfs.Ops()
 		_, barrier, err := rep.Apply(m)
 		if err != nil {
@@ -289,21 +301,23 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 	var rel []released
 	for n, st := range steps {
 		for _, m := range st.msgs {
-			if m[0] == durable.ReplSessRec && m[1] == sessRecOutcome {
-				if key, val, ok := decodeReply(m[22:]); ok {
-					rel = append(rel, released{
-						sid: binary.BigEndian.Uint64(m[2:]), req: binary.BigEndian.Uint64(m[10:]),
-						key: key, val: val, endedAt: math.MaxInt,
-					})
-				}
-			}
-			if m[0] == durable.ReplSessRec && m[1] == sessRecEnd {
-				for j := range rel {
-					if rel[j].sid == binary.BigEndian.Uint64(m[2:]) {
-						rel[j].endedAt = 0
+			eachRec(m, func(rec []byte) {
+				switch rec[0] {
+				case sessRecOutcome:
+					if key, val, ok := decodeReply(rec[21:]); ok {
+						rel = append(rel, released{
+							sid: binary.BigEndian.Uint64(rec[1:]), req: binary.BigEndian.Uint64(rec[9:]),
+							key: key, val: val, endedAt: math.MaxInt,
+						})
+					}
+				case sessRecEnd:
+					for j := range rel {
+						if rel[j].sid == binary.BigEndian.Uint64(rec[1:]) {
+							rel[j].endedAt = 0
+						}
 					}
 				}
-			}
+			})
 			if !apply(rep, m) || m[0] != durable.ReplBarrier {
 				continue
 			}
@@ -336,7 +350,7 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 				}
 				EnumerateImages(pjournal, k+1, RecordAwareCuts, 8, func(img Image) bool {
 					rpdb := open(FromImage(img))
-					snap := drainSnapshot(t, rpdb)
+					snap := drainBootstrap(t, rpdb)
 					sfs, sdb := standbyThrough(n)
 					from := sfs.Ops()
 					rep2, acked := sdb.NewReplica(), false
@@ -345,7 +359,7 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 					}
 					then := fmt.Sprintf("%s, primary restarted from crash point %d and bootstrapped the standby again", when, k+1)
 					if !acked {
-						report("%s: SnapEnd never acknowledged", then)
+						report("%s: the bootstrap's barrier never acknowledged", then)
 					}
 					sameKeys(then+": primary vs standby", rpdb.MirrorGet, sdb.MirrorGet, rpdb, sdb)
 					sameKeys(then+": primary vs standby view", rpdb.MirrorGet, sdb.ViewGet, rpdb, sdb)
@@ -400,4 +414,106 @@ func TestStandbyAheadSweepConvictsPublishAtBarrier(t *testing.T) {
 		}
 	}
 	t.Fatalf("mutant convicted, but not for showing readers what the primary's disk lacks: %s", convictions[0])
+}
+
+// TestBootstrapCrashImages: a standby holding a primary's workload receives
+// the bootstrap of another state. At every crash point of the install — the
+// temporary file's create, write and fsync, the rename, the directory sync —
+// its disk recovers to the state it held before or to the bootstrap's, never
+// a mix; and no acknowledgement leaves before the directory sync: from the
+// point the barrier is acknowledged on, every image recovers the bootstrap.
+func TestBootstrapCrashImages(t *testing.T) {
+	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8}
+	open := func(fsim *Fs) *durable.DB {
+		t.Helper()
+		db, err := durable.OpenFs(fsim, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return db
+	}
+	_, pdb, steps := runReplicatedWorkload(t, cfg)
+	pdb.Close()
+	bfs := New()
+	bdb := open(bfs)
+	rep := bdb.NewReplica()
+	for _, st := range steps {
+		for _, m := range st.msgs {
+			if _, _, err := rep.Apply(m); err != nil {
+				t.Fatalf("Apply (kind 0x%02x): %v", m[0], err)
+			}
+		}
+	}
+	before := bdb.StateHash()
+
+	// Another primary's state: other keys, another session.
+	qdb := open(New())
+	if err := qdb.AppendHello(7, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		qdb.ShardBacking(i%cfg.Shards).Persist(fmt.Sprintf("other-%d", i), int64(100+i))
+	}
+	if err := qdb.CommitOutcome(7, 1, encodeReply("other-5", 105)); err != nil {
+		t.Fatal(err)
+	}
+	boot := drainBootstrap(t, qdb)
+	after := qdb.StateHash()
+	qdb.Close()
+	if before == after {
+		t.Fatal("the bootstrap's state is the one the standby holds; nothing to tell apart")
+	}
+
+	from, ackAt := bfs.Ops(), -1
+	rep = bdb.NewReplica()
+	for _, m := range boot {
+		_, barrier, err := rep.Apply(m)
+		if err != nil {
+			t.Fatalf("Apply (kind 0x%02x): %v", m[0], err)
+		}
+		if barrier {
+			ackAt = bfs.Ops()
+		}
+	}
+	if ackAt < 0 {
+		t.Fatal("the bootstrap's barrier was never acknowledged")
+	}
+	if got := bdb.StateHash(); got != after {
+		t.Fatalf("the live standby holds %s after the bootstrap, want %s", got, after)
+	}
+	bdb.Close()
+
+	journal := bfs.Journal()
+	seen := map[OpKind]bool{}
+	for _, op := range journal[from:ackAt] {
+		seen[op.Kind] = true
+	}
+	for _, k := range []OpKind{OpCreate, OpWrite, OpFsync, OpRename, OpSyncDir} {
+		if !seen[k] {
+			t.Fatalf("the install did no %v before its acknowledgement", k)
+		}
+	}
+	images := 0
+	for k := from; k <= ackAt; k++ {
+		EnumerateImages(journal, k, RecordAwareCuts, 8, func(img Image) bool {
+			images++
+			db, err := durable.OpenFs(FromImage(img), cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
+			if err != nil {
+				t.Errorf("crash point %d: open: %v", k, err)
+				return false
+			}
+			got := db.StateHash()
+			db.Close()
+			switch {
+			case got == after:
+			case got == before && k < ackAt:
+			case got == before:
+				t.Errorf("crash point %d: the barrier is acknowledged and the disk recovers the state before the bootstrap", k)
+			default:
+				t.Errorf("crash point %d: recovered %s, neither the state before the bootstrap nor the bootstrap's", k, got)
+			}
+			return true
+		})
+	}
+	t.Logf("install: %d ops, %d images checked", ackAt-from, images)
 }
