@@ -5,7 +5,10 @@
 //	go test -bench=. -benchmem
 //
 // The served stack is measured by bench/ (BENCHMARK.json), layer by layer;
-// a family lives here only when no rung of bench/ladder.go times its body.
+// a family lives here only when no rung of bench/ladder.go times its body,
+// and its doc comment names the question it answers that no rung does.
+// Every object runs on a system built the way a served shard is built
+// (shardSystem), except the history the checker benchmark must record.
 package detectable_test
 
 import (
@@ -14,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"detectable/internal/baseline"
 	"detectable/internal/counter"
 	"detectable/internal/history"
 	"detectable/internal/linearize"
@@ -31,13 +33,13 @@ import (
 	"detectable/internal/workload"
 )
 
-// ringSystem returns an N-process system with the production history
-// configuration (a bounded ring, internal/shardkv's default) rather than
-// the unbounded full log verification tests keep, whose growth would be
-// billed to the measured operations.
-func ringSystem(procs int) *runtime.System {
-	sys := runtime.NewSystem(procs)
-	sys.SetHistory(history.NewRing(shardkv.DefaultRingCapacity))
+// shardSystem returns an N-process system under model m, built the way
+// shardkv.New builds a shard: its history records nothing, so no log growth
+// is billed to the measured operations (the unbounded full log of a bare
+// runtime.NewSystem is for verification).
+func shardSystem(procs int, m nvm.Model) *runtime.System {
+	sys := runtime.NewSystemModel(procs, m)
+	sys.SetHistory(history.NewOff())
 	return sys
 }
 
@@ -95,7 +97,7 @@ func shardKVMix(shards int) func(b *testing.B) {
 // processes hammering a shared key space. With one shard all processes
 // contend on a single system's space; more shards split the keys across
 // independent NVM spaces, so throughput should rise with the count (on a
-// box with the cores for it).
+// box with the cores for it). The ladder runs one store geometry.
 func BenchmarkShardKV(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), shardKVMix(shards))
@@ -137,29 +139,16 @@ func BenchmarkShardKVZipf(b *testing.B) {
 	}
 }
 
-// --- E9: time overhead of detectability (CAS family) ---
+// --- E9: time overhead of detectability ---
+//
+// The comparison with the sequence-number objects of [3] and [4] and with
+// plain cells is recorded in docs/PERFORMANCE.md §"E9"; the families below
+// keep the sweeps no rung of bench/ladder.go runs.
 
+// BenchmarkCASDetectable times a solo Algorithm 2 CAS: the KV serves
+// Algorithm 1 only, so no rung runs an rcas object.
 func BenchmarkCASDetectable(b *testing.B) {
-	sys := runtime.NewSystem(1)
-	o := rcas.NewInt(sys, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Cas(0, i, i+1)
-	}
-}
-
-func BenchmarkCASBaselineSeq(b *testing.B) {
-	sys := runtime.NewSystem(1)
-	o := baseline.NewSeqCAS(sys, 0, runtime.EncodeInt)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Cas(0, i, i+1)
-	}
-}
-
-func BenchmarkCASPlain(b *testing.B) {
-	sys := runtime.NewSystem(1)
-	o := baseline.NewPlainCAS(sys, 0)
+	o := rcas.NewInt(shardSystem(1, nvm.ModelPrivateCache), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Cas(0, i, i+1)
@@ -171,7 +160,7 @@ func BenchmarkCASPlain(b *testing.B) {
 func casContended(procs int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
-		o := rcas.NewInt(ringSystem(procs), 0)
+		o := rcas.NewInt(shardSystem(procs, nvm.ModelPrivateCache), 0)
 		eachProc(b, procs, func(pid, n int) {
 			for i := 0; i < n; i++ {
 				out := o.Read(pid)
@@ -181,21 +170,20 @@ func casContended(procs int) func(b *testing.B) {
 	}
 }
 
-// BenchmarkCASDetectableContended sweeps the process count on one object.
+// BenchmarkCASDetectableContended sweeps the process count on one object:
+// the cost of contention on a single CAS, which no rung provokes.
 func BenchmarkCASDetectableContended(b *testing.B) {
 	for _, procs := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("procs=%d", procs), casContended(procs))
 	}
 }
 
-// --- E9: time overhead of detectability (register family) ---
-
 // writeDetectable is the solo write body on an N-process register: the
 // write cost grows with N, one toggle-bit store per process.
 func writeDetectable(procs int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
-		reg := rw.NewInt(ringSystem(procs), 0)
+		reg := rw.NewInt(shardSystem(procs, nvm.ModelPrivateCache), 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			reg.Write(0, i)
@@ -203,43 +191,20 @@ func writeDetectable(procs int) func(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteDetectable sweeps N, the growth of an Algorithm 1 write
+// with the process count; the rw.write_ns rung times N = 8 alone.
 func BenchmarkWriteDetectable(b *testing.B) {
 	for _, procs := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("N=%d", procs), writeDetectable(procs))
 	}
 }
 
-func BenchmarkWriteBaselineSeq(b *testing.B) {
-	sys := runtime.NewSystem(8)
-	reg := baseline.NewSeqRegister(sys, 0, runtime.EncodeInt)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reg.Write(0, i)
-	}
-}
-
-func BenchmarkWritePlain(b *testing.B) {
-	sys := runtime.NewSystem(8)
-	reg := baseline.NewPlainRegister(sys, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reg.Write(0, i)
-	}
-}
-
-func BenchmarkReadDetectable(b *testing.B) {
-	sys := runtime.NewSystem(8)
-	reg := rw.NewInt(sys, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reg.Read(0)
-	}
-}
-
 // --- E5: max register (no auxiliary state) ---
 
+// BenchmarkMaxRegisterWrite times Algorithm 3's write, an object no rung
+// runs.
 func BenchmarkMaxRegisterWrite(b *testing.B) {
-	sys := runtime.NewSystem(4)
+	sys := shardSystem(4, nvm.ModelPrivateCache)
 	m := maxreg.New(sys)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -247,11 +212,12 @@ func BenchmarkMaxRegisterWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxRegisterRead sweeps N for Algorithm 3's read, a double
+// collect of one cell per process.
 func BenchmarkMaxRegisterRead(b *testing.B) {
 	for _, procs := range []int{2, 8, 32} {
 		b.Run(fmt.Sprintf("N=%d", procs), func(b *testing.B) {
-			sys := runtime.NewSystem(procs)
-			m := maxreg.New(sys)
+			m := maxreg.New(shardSystem(procs, nvm.ModelPrivateCache))
 			m.WriteMax(0, 7)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -263,8 +229,10 @@ func BenchmarkMaxRegisterRead(b *testing.B) {
 
 // --- Composed structures (E1/E2 applications) ---
 
+// BenchmarkQueueEnqDeq times the detectable queue, whose auxiliary state
+// is unbounded by Theorem 2; no rung runs it.
 func BenchmarkQueueEnqDeq(b *testing.B) {
-	sys := runtime.NewSystem(2)
+	sys := shardSystem(2, nvm.ModelPrivateCache)
 	q := queue.New(sys)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -273,8 +241,10 @@ func BenchmarkQueueEnqDeq(b *testing.B) {
 	}
 }
 
+// BenchmarkCounterInc times a counter composed from detectable CAS; no rung
+// runs a composed object.
 func BenchmarkCounterInc(b *testing.B) {
-	sys := runtime.NewSystem(1)
+	sys := shardSystem(1, nvm.ModelPrivateCache)
 	c := counter.New(sys)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -284,8 +254,10 @@ func BenchmarkCounterInc(b *testing.B) {
 
 // --- Recovery cost: one planned crash plus the recovery pass ---
 
+// BenchmarkRecoveryCAS times a CAS that crashes and recovers every time;
+// every rung is crash-free.
 func BenchmarkRecoveryCAS(b *testing.B) {
-	sys := runtime.NewSystem(1)
+	sys := shardSystem(1, nvm.ModelPrivateCache)
 	o := rcas.NewInt(sys, 0)
 	cur := 0
 	b.ResetTimer()
@@ -297,8 +269,10 @@ func BenchmarkRecoveryCAS(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoveryWrite times a register write that crashes and recovers
+// every time.
 func BenchmarkRecoveryWrite(b *testing.B) {
-	sys := runtime.NewSystem(1)
+	sys := shardSystem(1, nvm.ModelPrivateCache)
 	reg := rw.NewInt(sys, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -308,6 +282,8 @@ func BenchmarkRecoveryWrite(b *testing.B) {
 
 // --- E8: shared-cache model overhead (flush-after-write transformation) ---
 
+// BenchmarkSharedCacheOverhead times Section 6's flush-after-write
+// transformation against the private-cache model every rung runs.
 func BenchmarkSharedCacheOverhead(b *testing.B) {
 	models := map[string]nvm.Model{
 		"private-cache":      nvm.ModelPrivateCache,
@@ -315,7 +291,7 @@ func BenchmarkSharedCacheOverhead(b *testing.B) {
 	}
 	for name, m := range models {
 		b.Run(name, func(b *testing.B) {
-			sys := runtime.NewSystemModel(1, m)
+			sys := shardSystem(1, m)
 			o := rcas.NewInt(sys, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -327,6 +303,8 @@ func BenchmarkSharedCacheOverhead(b *testing.B) {
 
 // --- E3: Theorem 1 configuration-space exploration ---
 
+// BenchmarkConfigSpace times Theorem 1's configuration count, a model
+// experiment with no object to serve.
 func BenchmarkConfigSpace(b *testing.B) {
 	for _, n := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
@@ -341,6 +319,8 @@ func BenchmarkConfigSpace(b *testing.B) {
 
 // --- E4: Theorem 2 exhaustive check (with auxiliary state, clean) ---
 
+// BenchmarkExhaustiveDetectabilityCheck times Theorem 2's model check of a
+// 2-process CAS machine with up to two crashes.
 func BenchmarkExhaustiveDetectabilityCheck(b *testing.B) {
 	m := &model.CASMachine{
 		N:          2,
@@ -357,6 +337,8 @@ func BenchmarkExhaustiveDetectabilityCheck(b *testing.B) {
 
 // --- E6: doubly-perturbing witness search ---
 
+// BenchmarkPerturbSearch times the search for a doubly-perturbing witness
+// (Definition 3, Theorem 2's premise) per object type.
 func BenchmarkPerturbSearch(b *testing.B) {
 	objs := []spec.Object{spec.Register{}, spec.CAS{}, spec.Queue{}, spec.MaxRegister{}}
 	for _, obj := range objs {
@@ -370,8 +352,9 @@ func BenchmarkPerturbSearch(b *testing.B) {
 
 // --- Checker cost (infrastructure) ---
 
+// BenchmarkLinearizeCheck times the durable-linearizability checker on a
+// fixed 18-operation register history, which only a full log records.
 func BenchmarkLinearizeCheck(b *testing.B) {
-	// A fixed 18-operation concurrent register history.
 	sys := runtime.NewSystem(3)
 	reg := rw.NewInt(sys, 0)
 	var wg sync.WaitGroup
@@ -405,7 +388,8 @@ func BenchmarkLinearizeCheck(b *testing.B) {
 
 // TestAllocCeilings guards the contended bodies above against per-operation
 // allocation churn coming back. The ceilings are loose on purpose — the
-// bodies read 0, 0, 0, 1 and 1 allocs/op, a truncated mean over 8 racing
+// bodies read 0, 0, 0, 1 and 0 allocs/op at GOMAXPROCS 2 and 8 (the
+// contended CAS reads 2 at GOMAXPROCS 1), a truncated mean over racing
 // goroutines — because the exact 0-alloc promises of the served path are
 // AllocsPerRun pins beside the code they pin (TestAllocPin* in internal/kv,
 // shardkv and server), which a multi-goroutine body cannot be.

@@ -56,8 +56,8 @@
 //
 // Everything is bounded: R stores the value plus ⌈log N⌉+1 bits, A stores
 // 2N² bits, and each process persists one value and ⌈log N⌉+2 bits — in
-// contrast to the unbounded sequence numbers of Attiya et al. [3]
-// (implemented in internal/baseline for comparison).
+// contrast to the unbounded sequence numbers of Attiya et al. [3], whose
+// time docs/PERFORMANCE.md §"E9" records and whose space internal/space does.
 package rw
 
 import (

@@ -38,9 +38,8 @@ import (
 	"detectable/internal/runtime"
 )
 
-// DefaultRingCapacity is the history ring size the benchmark ladder times
-// its history rungs on. No store keeps a ring: a served shard records
-// nothing.
+// DefaultRingCapacity is the history ring size of bench/ladder.go, its
+// only user. No store keeps a ring: a served shard records nothing.
 const DefaultRingCapacity = 4096
 
 // Option configures a Store at allocation time.

@@ -111,7 +111,7 @@ func MaxReg(n, valueBits int) Profile {
 func SeqRegister(n, valueBits int, ops uint64) Profile {
 	s := seqBits(ops)
 	return Profile{
-		Impl: "baseline.SeqRegister [3]",
+		Impl: "Attiya et al. register [3]",
 		// R = ⟨value, writer id, seq⟩.
 		SharedBits:        valueBits + log2(n) + s,
 		SharedBeyondValue: log2(n) + s,
@@ -127,7 +127,7 @@ func SeqRegister(n, valueBits int, ops uint64) Profile {
 func SeqCAS(n, valueBits int, ops uint64) Profile {
 	s := seqBits(ops)
 	return Profile{
-		Impl: "baseline.SeqCAS [4]",
+		Impl: "Ben-David et al. CAS [4]",
 		// C = ⟨value, owner id, seq⟩ plus the N×N help matrix of seqs.
 		SharedBits:         valueBits + log2(n) + s + n*n*s,
 		SharedBeyondValue:  log2(n) + s + n*n*s,
