@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -9,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,13 +60,29 @@ type manifest struct {
 }
 
 // SessionState is one recovered session: its identity, leased process
-// slot, and persisted outcome window.
+// slot, high-water request ID and persisted outcome window.
 type SessionState struct {
 	SID   uint64
 	PID   int
 	MaxID uint64
-	// Window maps request ID → the encoded reply released for it.
-	Window map[uint64][]byte
+	// Window is the window's outcomes in request order.
+	Window []Outcome
+}
+
+// Outcome is one released verdict: a request ID and the encoded reply.
+type Outcome struct {
+	ID    uint64
+	Reply []byte
+}
+
+// Reply returns the reply s's window holds for id, nil if none.
+func (s SessionState) Reply(id uint64) []byte {
+	for _, o := range s.Window {
+		if o.ID == id {
+			return o.Reply
+		}
+	}
+	return nil
 }
 
 // shardFile is one shard's durable state: the key table (internal/keytab),
@@ -104,9 +121,15 @@ type entry struct {
 // it is released.
 type sessionsFile struct {
 	mu      sync.Mutex
-	state   map[uint64]*SessionState
+	state   map[uint64]mirrored // by session ID
 	nextSID uint64
 	window  int
+}
+
+// mirrored is one live session of the mirror.
+type mirrored struct {
+	pid    int
+	window *Window
 }
 
 // DB is one open durable data directory: the write-ahead log and the mirrors
@@ -168,7 +191,7 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	db.gc.cond.L = &db.gc.mu
 	db.gen.Store(gen)
 	db.view.gen.Store(1) // a fresh entry's zero viewGen is never current
-	db.sessions = sessionsFile{state: make(map[uint64]*SessionState), window: window}
+	db.sessions = sessionsFile{state: make(map[uint64]mirrored), window: window}
 	for i := 0; i < shards; i++ {
 		db.shards = append(db.shards, &shardFile{})
 	}
@@ -443,7 +466,7 @@ func (ss *sessionsFile) apply(rec []byte) error {
 	case recHello:
 		ss.nextSID = max(ss.nextSID, sid)
 		if _, ok := ss.state[sid]; !ok {
-			ss.state[sid] = &SessionState{SID: sid, PID: pid, Window: make(map[uint64][]byte)}
+			ss.state[sid] = mirrored{pid: pid, window: NewWindow(ss.window)}
 		}
 	case recNextSID:
 		ss.nextSID = max(ss.nextSID, sid)
@@ -457,46 +480,38 @@ func (ss *sessionsFile) apply(rec []byte) error {
 	return nil
 }
 
-// noteOutcome folds one (sid, reqID, reply) verdict into the mirror:
-// window insert, high-water bump, eviction past the window bound. The
-// single definition keeps live commits and recovery replay in lockstep. The
-// bound is a distance below the high-water mark, so an ID near 2^64 cannot
-// wrap past it and evict the high-water outcome itself — a compaction, which
-// writes the window and not the mark, would lose the mark with it. Must be
-// called with ss.mu held.
+// noteOutcome folds one (sid, reqID, reply) verdict into the session's
+// window (Window states the rules). The single definition keeps live
+// commits, recovery replay and the standby in lockstep. Must be called with
+// ss.mu held.
 func (ss *sessionsFile) noteOutcome(sid, reqID uint64, reply []byte) {
-	s, ok := ss.state[sid]
-	if !ok {
-		return
-	}
-	s.Window[reqID] = append([]byte(nil), reply...)
-	if reqID > s.MaxID {
-		s.MaxID = reqID
-	}
-	for id := range s.Window {
-		if s.MaxID-id >= uint64(ss.window) {
-			delete(s.Window, id)
-		}
+	if s, ok := ss.state[sid]; ok {
+		s.window.Note(reqID, reply, false)
 	}
 }
 
-// Sessions returns a deep copy of every recovered live session, sorted by
-// session ID.
+// Sessions returns every live session of the mirror, sorted by session ID.
+// The replies alias the mirror's windows: they hold until the session's
+// next outcome, so read them while the DB commits nothing (recovery,
+// promotion, a test between steps).
 func (db *DB) Sessions() []SessionState {
 	ss := &db.sessions
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	out := make([]SessionState, 0, len(ss.state))
-	for _, s := range ss.state {
-		cp := SessionState{SID: s.SID, PID: s.PID, MaxID: s.MaxID, Window: make(map[uint64][]byte, len(s.Window))}
-		for id, reply := range s.Window {
-			cp.Window[id] = append([]byte(nil), reply...)
+	for _, sid := range slices.Sorted(maps.Keys(ss.state)) {
+		s := ss.state[sid]
+		st := SessionState{SID: sid, PID: s.pid, MaxID: s.window.Max()}
+		for id, reply := range s.window.All() {
+			st.Window = append(st.Window, Outcome{id, reply})
 		}
-		out = append(out, cp)
+		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
 	return out
 }
+
+// WindowSize returns the outcome window bound the DB was opened with.
+func (db *DB) WindowSize() int { return db.sessions.window }
 
 // NextSID returns the session-ID high-water mark: every ID ever issued is
 // ≤ it, so the server resumes numbering above it.
@@ -634,13 +649,13 @@ func (ss *sessionsFile) emit(fn func(rec []byte) error) error {
 	for _, sid := range slices.Sorted(maps.Keys(ss.state)) {
 		s := ss.state[sid]
 		enc = append(enc[:0], recHello)
-		enc = binary.BigEndian.AppendUint64(enc, s.SID)
-		enc = binary.BigEndian.AppendUint64(enc, uint64(int64(s.PID)))
+		enc = binary.BigEndian.AppendUint64(enc, sid)
+		enc = binary.BigEndian.AppendUint64(enc, uint64(int64(s.pid)))
 		if err := fn(enc); err != nil {
 			return err
 		}
-		for _, id := range slices.Sorted(maps.Keys(s.Window)) {
-			enc = appendOutcomeRec(enc[:0], s.SID, id, s.Window[id])
+		for id, reply := range s.window.All() {
+			enc = appendOutcomeRec(enc[:0], sid, id, reply)
 			if err := fn(enc); err != nil {
 				return err
 			}
@@ -700,6 +715,33 @@ func (db *DB) emitState(fn func(rec []byte) error) error {
 		}
 	}
 	return db.sessions.emit(fn)
+}
+
+// StateHash returns a canonical SHA-256 digest of everything recovery
+// produces from a data directory: every shard's key→value mirror, every
+// live session with its leased slot and outcome window (whose last ID is
+// its high-water mark), and the session-ID high-water mark. It hashes the
+// records a compaction would write (emitState), in their fixed order, each
+// length-prefixed so distinct states can never collide by concatenation.
+//
+// This is the deterministic-step/state-hash idiom (Cannon's MIPS state
+// root, transplanted to recovery): because the hash is a pure function of
+// the logical state, "recovery is a pure function of the byte image" and
+// "replay is idempotent" become single hash comparisons instead of
+// spot-checks. The crash-prefix sweep (internal/simio) recovers every crash
+// image twice and re-recovers the recovered image, requiring all three
+// hashes equal; the restart harnesses compare hashes across real process
+// incarnations.
+func (db *DB) StateHash() string {
+	h, size := sha256.New(), make([]byte, 4)
+	defer db.lockAll()()
+	db.emitState(func(rec []byte) error { //nolint:errcheck // fn never fails
+		binary.BigEndian.PutUint32(size, uint32(len(rec)))
+		h.Write(size)
+		h.Write(rec)
+		return nil
+	})
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Sync is the durability barrier without a record: every mutation

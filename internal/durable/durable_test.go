@@ -207,7 +207,7 @@ func TestRecoveryIdempotence(t *testing.T) {
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("session recovery not idempotent: %v then %v", s1, s2)
 	}
-	if len(s1) != 1 || s1[0].SID != 3 || string(s1[0].Window[9]) != "reply-nine" {
+	if len(s1) != 1 || s1[0].SID != 3 || string(s1[0].Reply(9)) != "reply-nine" {
 		t.Fatalf("recovered sessions %v", s1)
 	}
 }
@@ -530,8 +530,8 @@ func TestSessionWindowEvictionAndEnd(t *testing.T) {
 		t.Fatalf("window maxID=%d len=%d, want 6 and 3", ss[0].MaxID, len(ss[0].Window))
 	}
 	for req := uint64(4); req <= 6; req++ {
-		if string(ss[0].Window[req]) != string([]byte{byte(req)}) {
-			t.Fatalf("window[%d] = %q", req, ss[0].Window[req])
+		if string(ss[0].Reply(req)) != string([]byte{byte(req)}) {
+			t.Fatalf("window[%d] = %q", req, ss[0].Reply(req))
 		}
 	}
 	if db2.NextSID() != 2 {
@@ -720,7 +720,7 @@ func TestCommitOutcomeOrdering(t *testing.T) {
 	db2, _ := Open(dir, 2, 2, 4)
 	defer db2.Close()
 	ss := db2.Sessions()
-	if len(ss) != 1 || string(ss[0].Window[5]) != "ok" {
+	if len(ss) != 1 || string(ss[0].Reply(5)) != "ok" {
 		t.Fatalf("outcome window lost: %v", ss)
 	}
 }

@@ -70,9 +70,9 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if len(ss) != 1 || len(ss[0].Window) != workers*per {
 		t.Fatalf("recovered %d sessions / %d outcomes, want 1 / %d", len(ss), len(ss[0].Window), workers*per)
 	}
-	for req, reply := range ss[0].Window {
-		if len(reply) != 1 || reply[0] != byte(req) {
-			t.Fatalf("outcome %d recovered as %v", req, reply)
+	for _, o := range ss[0].Window {
+		if len(o.Reply) != 1 || o.Reply[0] != byte(o.ID) {
+			t.Fatalf("outcome %d recovered as %v", o.ID, o.Reply)
 		}
 	}
 }
@@ -209,7 +209,8 @@ func TestGroupCommitTornEpochTail(t *testing.T) {
 			db2.RangeShard(i, func(k string, v int64) { effects[k] = v })
 		}
 		for _, s := range db2.Sessions() {
-			for req := range s.Window {
+			for _, o := range s.Window {
+				req := o.ID
 				if got, ok := effects[keyFor(req)]; !ok || got != int64(req) {
 					t.Fatalf("cut %d: outcome %d recovered without its effect (got %d, present %v)", cut, req, got, ok)
 				}

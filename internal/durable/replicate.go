@@ -731,7 +731,7 @@ func (db *DB) install(framed []byte, stage []viewPut) ([]viewPut, error) {
 			e.inLog = false
 		}
 	}
-	db.sessions.state, db.sessions.nextSID = make(map[uint64]*SessionState), 0
+	db.sessions.state, db.sessions.nextSID = make(map[uint64]mirrored), 0
 	records := 0
 	if err := eachFrame(framed, func(rec []byte) error {
 		records++

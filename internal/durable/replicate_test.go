@@ -468,7 +468,7 @@ func TestBootstrapInstalledAtItsBarrier(t *testing.T) {
 	check := func(db *durable.DB, when string) {
 		t.Helper()
 		ss := db.Sessions()
-		if len(ss) != 1 || ss[0].SID != 9 || string(ss[0].Window[1]) != "verdict" {
+		if len(ss) != 1 || ss[0].SID != 9 || string(ss[0].Reply(1)) != "verdict" {
 			t.Fatalf("%s: sessions %+v, want exactly sid 9 holding its verdict", when, ss)
 		}
 		for i := 0; i < testShards; i++ {

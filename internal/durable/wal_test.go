@@ -105,13 +105,13 @@ func TestWALRecoveryDispatch(t *testing.T) {
 		}
 		return Open(dir, 2, 2, 4)
 	}
-	state := func(db *DB) (kv map[string]int64, window map[uint64][]byte) {
+	state := func(db *DB) (kv map[string]int64, window SessionState) {
 		kv = map[string]int64{}
 		for i := 0; i < db.NumShards(); i++ {
 			db.RangeShard(i, func(k string, v int64) { kv[k] = v })
 		}
 		for _, s := range db.Sessions() {
-			window = s.Window
+			window = s
 		}
 		return kv, window
 	}
@@ -122,7 +122,7 @@ func TestWALRecoveryDispatch(t *testing.T) {
 	}
 	kv, window := state(db)
 	db.Close()
-	if !reflect.DeepEqual(kv, map[string]int64{"k": 2, "j": 5}) || string(window[1]) != "k=2" {
+	if !reflect.DeepEqual(kv, map[string]int64{"k": 2, "j": 5}) || string(window.Reply(1)) != "k=2" {
 		t.Fatalf("intact log recovered %v / %q", kv, window)
 	}
 
@@ -133,7 +133,7 @@ func TestWALRecoveryDispatch(t *testing.T) {
 	kv, window = state(db)
 	size := db.wal.Appended() // never rewritten: the whole recovered log
 	db.Close()
-	if !reflect.DeepEqual(kv, map[string]int64{"k": 2, "j": 5}) || len(window) != 0 {
+	if !reflect.DeepEqual(kv, map[string]int64{"k": 2, "j": 5}) || len(window.Window) != 0 {
 		t.Fatalf("torn epoch tail recovered %v / %q, want both puts and no outcome", kv, window)
 	}
 	if want := int64(len(wal) - len(outcome)); size != want {
@@ -238,9 +238,10 @@ func TestAppendDoesNotWaitForTheBarrier(t *testing.T) {
 
 // TestAllocPinCommitOutcomeSyncSubscriber pins the allocations of a warm
 // CommitOutcome on the path every served mutation takes — an epoch gated by
-// a sync subscriber's ack. It reads 1, the window's copy of the reply: the
-// epoch is recycled with its buffer, and waiting for the ack allocates
-// nothing (no slice of subscribers, no timer per wait).
+// a sync subscriber's ack. It reads 0: the window copies the reply into its
+// slot's reused buffer, the epoch is recycled with its buffer, and waiting
+// for the ack allocates nothing (no slice of subscribers, no timer per
+// wait).
 func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on channel hand-off")

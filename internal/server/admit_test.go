@@ -204,7 +204,7 @@ func (n *matrixNode) openSessions(t *testing.T) {
 			if n.srv.role() != RoleStandby || kind(k) != kindData {
 				t.Fatalf("%s HELLO refused: %x", kindNames[k], reply)
 			}
-			sess = &session{id: 1 << 40, pid: 0, kind: kindData, gen: 1, cache: make(map[uint64][]byte)}
+			sess = &session{id: 1 << 40, pid: 0, kind: kindData, gen: 1, window: durable.NewWindow(Window)}
 		}
 		n.sess[k] = sess
 	}
@@ -233,7 +233,10 @@ type nodeState struct {
 }
 
 func (n *matrixNode) state(sess *session) nodeState {
-	st := nodeState{Live: n.srv.Sessions(), Window: len(sess.cache), MaxID: sess.maxID}
+	st := nodeState{Live: n.srv.Sessions(), MaxID: sess.window.Max()}
+	for range sess.window.All() {
+		st.Window++
+	}
 	if n.store != nil {
 		st.Stats, st.Free = n.store.TotalStats(), n.store.FreeSlots()
 	}
@@ -411,13 +414,13 @@ func (n *matrixNode) checkServed(t *testing.T, op, role byte, k kind, reqID uint
 	// handle commits iff the class is write: the verdict is in the durable
 	// window before it is released, and nothing else ever is.
 	if c, _ := classOf(op); n.db != nil && role == RolePrimary && k == kindData && op != OpClose {
-		var window map[uint64][]byte
+		var window durable.SessionState
 		for _, ss := range n.db.Sessions() {
 			if ss.SID == n.sess[k].id {
-				window = ss.Window
+				window = ss
 			}
 		}
-		if committed, isWrite := bytes.Equal(window[reqID], reply), c == classWrite; committed != isWrite {
+		if committed, isWrite := bytes.Equal(window.Reply(reqID), reply), c == classWrite; committed != isWrite {
 			t.Fatalf("op 0x%02x: committed to the durable window = %v, want %v", op, committed, isWrite)
 		}
 	}

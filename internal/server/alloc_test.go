@@ -72,22 +72,21 @@ func TestAllocPinReadFrameInto(t *testing.T) {
 	}
 }
 
-// The reply path: encoding an outcome reply into connection scratch and
-// recording it into a warm session window must allocate at most the
-// bookkeeping Go's map rehashing occasionally costs — pinned at ≤ 1
-// amortized, 0 in the common case.
+// The reply path: recording an outcome reply into a warm session window
+// copies it into the reused buffer of the ID's slot, so it allocates
+// nothing once every slot has held a reply; the pin stays at ≤ 1.
 func TestAllocPinRecordRecyclesWindowEntries(t *testing.T) {
-	sess := &session{cache: make(map[uint64][]byte, Window+1)}
+	sess := &session{window: durable.NewWindow(Window)}
 	reply := append([]byte{StatusOK}, make([]byte, 12)...)
 	reqID := uint64(0)
-	// Fill the window so eviction (and recycling) is active.
+	// Two laps of the window, so every slot's buffer is grown and reused.
 	for i := 0; i < Window*2; i++ {
 		reqID++
-		sess.record(reqID, reply)
+		sess.window.Note(reqID, reply, false)
 	}
 	if allocs := testing.AllocsPerRun(500, func() {
 		reqID++
-		sess.record(reqID, reply)
+		sess.window.Note(reqID, reply, false)
 	}); allocs > 1 {
 		t.Fatalf("steady-state record allocates %v/op, want ≤ 1", allocs)
 	}

@@ -3,7 +3,7 @@ package server
 import "encoding/binary"
 
 // LoopbackSession drives the server's full request path — header decode,
-// classify, execute, reply encode, outcome-window record — without a
+// outcome-window check, execute, reply encode, outcome-window record — without a
 // socket. Benchmarks and allocation pins use it to measure exactly the
 // per-request serving cost (TestAllocPinServedMultiPut pins the MPUT path
 // at zero allocations per op with it); the framing layer it skips is

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -445,5 +446,63 @@ func TestRecoveryDropsSupersededSession(t *testing.T) {
 	ss := db2.Sessions()
 	if len(ss) != 1 || ss[0].SID != 2 {
 		t.Fatalf("sessions after degraded recovery = %v, want only sid 2", ss)
+	}
+}
+
+// TestAttachDurableRefusesOtherWindow: a DB opened with a window other than
+// Window would restore its sessions' windows into differently sized ones,
+// so AttachDurable refuses it and names both sizes.
+func TestAttachDurableRefusesOtherWindow(t *testing.T) {
+	db, err := durable.Open(t.TempDir(), 2, 2, 2*Window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	err = New(shardkv.New(2, 2, shardkv.Durable(db))).AttachDurable(db)
+	if want := fmt.Sprintf("window %d, sessions hold server.Window = %d", 2*Window, Window); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("AttachDurable over a window-%d DB: %v, want an error naming %q", 2*Window, err, want)
+	}
+}
+
+// TestRecoveredReplaysCountsExactly: every replay of a verdict restored
+// from the durable window counts once, and a slot that a live request
+// takes over stops counting — the recovered bit goes with the ID, not the
+// slot.
+func TestRecoveredReplaysCountsExactly(t *testing.T) {
+	dir := t.TempDir()
+	addr := reserveAddr(t)
+	st1 := startDurable(t, dir, addr)
+	rc := dialRaw(t, addr)
+	sid, _ := rc.hello(t, 0)
+	put := AppendPut(nil, 1, 0, "alpha", 1)
+	if reply := rc.roundTrip(t, put); reply[0] != StatusOK {
+		t.Fatalf("PUT rejected: %v", reply)
+	}
+	rc.c.Close()
+	st1.kill(t)
+
+	st2 := startDurable(t, dir, addr)
+	defer st2.kill(t)
+	rc2 := dialRaw(t, addr)
+	defer rc2.c.Close()
+	if _, resumed := rc2.hello(t, sid); !resumed {
+		t.Fatal("session did not resume")
+	}
+	rc2.roundTrip(t, put)
+	rc2.roundTrip(t, put)
+	if n := st2.srv.RecoveredReplays(); n != 2 {
+		t.Fatalf("RecoveredReplays = %d after replaying one recovered ID twice, want 2", n)
+	}
+	// ID 1+Window shares ID 1's slot: recorded live, then replayed.
+	live := AppendPut(nil, 1+Window, 0, "alpha", 2)
+	first := rc2.roundTrip(t, live)
+	if first[0] != StatusOK {
+		t.Fatalf("PUT %d rejected: %v", 1+Window, first)
+	}
+	if again := rc2.roundTrip(t, live); !bytes.Equal(again, first) {
+		t.Fatalf("replay of %d = %x, want %x", 1+Window, again, first)
+	}
+	if n := st2.srv.RecoveredReplays(); n != 2 {
+		t.Fatalf("RecoveredReplays = %d after replaying a live verdict in a recovered slot, want 2", n)
 	}
 }

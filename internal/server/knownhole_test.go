@@ -153,7 +153,7 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 	survived := func(rdb *durable.DB) bool {
 		val, _ := rdb.MirrorGet(shard, hole1AKey)
 		for _, s := range rdb.Sessions() {
-			if _, verdict := s.Window[2]; s.SID == sid && len(s.Window[1]) > 0 && verdict == !c.torn {
+			if verdict := s.Reply(2) != nil; s.SID == sid && len(s.Reply(1)) > 0 && verdict == !c.torn {
 				return linearizes && val == 0 || !linearizes && val == 100
 			}
 		}

@@ -216,11 +216,15 @@ func (st *standbyState) stopReplication() {
 // every barrier, reconnect with backoff on any error (each reconnect
 // begins with a fresh bootstrap, which replaces whatever this node held).
 // The loop stops at Promote/Close, or permanently if the primary turns out
-// to be stale (lower generation than this replica).
+// to be stale (lower generation than this replica). The standby's DB must
+// have been opened with window Window.
 func (srv *Server) StartReplication(addr string) error {
 	st := srv.standby.Load()
 	if st == nil {
 		return errors.New("server: StartReplication on a non-standby server")
+	}
+	if err := checkWindow(st.db); err != nil {
+		return err
 	}
 	st.wg.Add(1)
 	go func() {

@@ -7,6 +7,8 @@ package server
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -333,4 +335,21 @@ func TestReapThenResumeRefusedOnPromotedReplica(t *testing.T) {
 		t.Fatalf("sid watermark regressed across failover: %d after %d", sid2, sid)
 	}
 	rc3.c.Close()
+}
+
+// TestStartReplicationRefusesOtherWindow: a standby over a DB opened with a
+// window other than Window would promote into differently sized session
+// windows, so StartReplication refuses it and names both sizes.
+func TestStartReplicationRefusesOtherWindow(t *testing.T) {
+	db, err := durable.Open(t.TempDir(), 2, 2, Window/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := NewStandby(db, func() *shardkv.Store { return shardkv.New(2, 2, shardkv.Durable(db)) })
+	defer srv.Close()
+	err = srv.StartReplication(reserveAddr(t))
+	if want := fmt.Sprintf("window %d, sessions hold server.Window = %d", Window/2, Window); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("StartReplication over a window-%d DB: %v, want an error naming %q", Window/2, err, want)
+	}
 }

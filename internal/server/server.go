@@ -94,12 +94,16 @@ func (srv *Server) SetIdleTimeout(d time.Duration) { srv.idleTTL = d }
 // restarted. Call before Listen. From then on, session creation and every
 // released verdict are fsynced through db before the client sees them, so
 // a client that reconnects after a whole-process crash and re-issues its
-// in-flight request ID receives the original verdict.
+// in-flight request ID receives the original verdict. db must have been
+// opened with window Window.
 func (srv *Server) AttachDurable(db *durable.DB) error {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	if srv.ln != nil || len(srv.sessions) > 0 {
 		return errors.New("server: AttachDurable must run before Listen")
+	}
+	if err := checkWindow(db); err != nil {
+		return err
 	}
 	if err := srv.recoverSessionsLocked(db, srv.store.Load()); err != nil {
 		return err
@@ -108,6 +112,15 @@ func (srv *Server) AttachDurable(db *durable.DB) error {
 		srv.nextSID = next
 	}
 	srv.db.Store(db)
+	return nil
+}
+
+// checkWindow refuses a DB whose outcome windows are not the sessions'
+// size: a recovered window wider than Window would not fit a session's.
+func checkWindow(db *durable.DB) error {
+	if n := db.WindowSize(); n != Window {
+		return fmt.Errorf("server: durable DB opened with window %d, sessions hold server.Window = %d", n, Window)
+	}
 	return nil
 }
 
@@ -135,14 +148,12 @@ func (srv *Server) recoverSessionsLocked(db *durable.DB, store *shardkv.Store) e
 		sess := &session{
 			id: ss.SID, pid: ss.PID,
 			detachedAt:   time.Now(),
-			maxID:        ss.MaxID,
+			window:       durable.NewWindow(Window),
 			recoveredMax: ss.MaxID,
-			cache:        make(map[uint64][]byte, Window+1),
-			recovered:    make(map[uint64]struct{}, len(ss.Window)),
 		}
-		for reqID, reply := range ss.Window {
-			sess.cache[reqID] = append([]byte(nil), reply...)
-			sess.recovered[reqID] = struct{}{}
+		// The window's mark is held, so noting the outcomes restores it.
+		for _, o := range ss.Window {
+			sess.window.Note(o.ID, o.Reply, true)
 		}
 		srv.sessions[ss.SID] = sess
 	}
@@ -379,7 +390,7 @@ func (srv *Server) newSession(k kind) (*session, error) {
 		pid = p
 	}
 	srv.nextSID++
-	sess := &session{id: srv.nextSID, pid: pid, kind: k, gen: 1, cache: make(map[uint64][]byte, Window+1)}
+	sess := &session{id: srv.nextSID, pid: pid, kind: k, gen: 1, window: durable.NewWindow(Window)}
 	if db := srv.db.Load(); db != nil {
 		// The session must be durable before the client learns its ID:
 		// a restart may otherwise greet the resume with unknown-session
@@ -504,14 +515,14 @@ func (srv *Server) retire(sess *session) {
 }
 
 // handle processes one request frame under the session lock. The
-// classify-execute-record sequence is atomic per session, which is what
+// check-execute-record sequence is atomic per session, which is what
 // makes a re-issued request ID exactly-once even when a kicked half-dead
 // connection races its replacement over the same ID.
 //
 // Fresh replies are encoded into *scratch (the connection's pooled buffer)
 // and remain valid until the next handle call; successful replies are
-// copied into the session's outcome window, recycling evicted entries.
-// Replayed replies alias the window entry itself.
+// copied into the session's outcome window, into the reused buffer of the
+// ID's slot. Replayed replies are copied out of the slot into *scratch.
 func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply []byte, closing, fatal bool) {
 	r := NewReader(payload)
 	op := r.U8()
@@ -542,8 +553,8 @@ func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
-	if cached, class := sess.classify(reqID); class == idReplay {
-		if _, ok := sess.recovered[reqID]; ok {
+	if cached, recovered, ok := sess.window.Lookup(reqID); ok {
+		if recovered {
 			// This verdict crossed a process boundary: recovered from the
 			// durable window (restart, or a promoted replica's shipped
 			// state) and now served to its original requester.
@@ -551,13 +562,13 @@ func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply
 		}
 		// Copy into the connection scratch: the write to the socket happens
 		// after the session lock is released, and a racing replacement
-		// connection may recycle the window entry in the meantime.
+		// connection may reuse the window slot in the meantime.
 		reply = append((*scratch)[:0], cached...)
 		if cap(reply) > cap(*scratch) {
 			*scratch = reply
 		}
 		return reply, false, false
-	} else if class == idStale {
+	} else if !sess.fresh(reqID) {
 		return appendErr((*scratch)[:0], ErrStaleRequest, "request ID fell out of the outcome window"), false, false
 	}
 
@@ -581,7 +592,7 @@ func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply
 				return appendErr((*scratch)[:0], ErrBadRequest, "durable outcome commit failed"), false, true
 			}
 		}
-		sess.record(reqID, reply)
+		sess.window.Note(reqID, reply, false)
 	}
 	return reply, closing, fatal
 }

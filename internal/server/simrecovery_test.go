@@ -100,7 +100,7 @@ func TestSimBackedServerRecoveryHash(t *testing.T) {
 				if sess == nil {
 					t.Fatalf("point %d: session %d lost after acked request %d", k, sid, a.req)
 				}
-				if a.req+uint64(Window) > sess.MaxID && len(sess.Window[a.req]) == 0 {
+				if a.req+uint64(Window) > sess.MaxID && len(sess.Reply(a.req)) == 0 {
 					t.Fatalf("point %d: acked verdict req=%d missing from recovered window", k, a.req)
 				}
 			}

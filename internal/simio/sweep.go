@@ -331,16 +331,16 @@ func checkImage(cfg SweepConfig, img Image, rel []released, k int) *Violation {
 	// (2) outcome-implies-effect, for every recovered outcome whether or
 	// not it was ever released.
 	for _, s := range sessions {
-		for req, reply := range s.Window {
-			key, val, ok := decodeReply(reply)
+		for _, o := range s.Window {
+			key, val, ok := decodeReply(o.Reply)
 			if !ok {
 				db1.Close()
-				return fail(h1, "recovered outcome sid=%d req=%d has undecodable reply %q", s.SID, req, reply)
+				return fail(h1, "recovered outcome sid=%d req=%d has undecodable reply %q", s.SID, o.ID, o.Reply)
 			}
 			if got, present := kv[key]; !present || got < val {
 				db1.Close()
 				return fail(h1, "outcome without effect: sid=%d req=%d promises %s=%d, shard has %d (present=%v)",
-					s.SID, req, key, val, got, present)
+					s.SID, o.ID, key, val, got, present)
 			}
 		}
 	}
@@ -363,10 +363,10 @@ func checkImage(cfg SweepConfig, img Image, rel []released, k int) *Violation {
 		if r.req+uint64(cfg.Window) <= s.MaxID {
 			continue // evicted past the window bound: the client has advanced
 		}
-		if string(s.Window[r.req]) != string(encodeReply(r.key, r.val)) {
+		if got := s.Reply(r.req); string(got) != string(encodeReply(r.key, r.val)) {
 			db1.Close()
 			return fail(h1, "released verdict lost: sid=%d req=%d recovered as %q, want %q",
-				r.sid, r.req, s.Window[r.req], encodeReply(r.key, r.val))
+				r.sid, r.req, got, encodeReply(r.key, r.val))
 		}
 	}
 	db1.Close()
