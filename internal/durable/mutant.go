@@ -1,10 +1,11 @@
 package durable
 
-// Mutation hooks, following the internal/rcas / internal/rw / internal/queue
-// pattern: each deliberately breaks one step whose necessity the durability
-// argument depends on, so the crash-prefix sweep (internal/simio) can prove
-// it actually detects the bug class it exists for. Production code never
-// sets them; cmd/simsweep -mutant and the mutation tests do.
+// Mutation hooks, one exported bool per seeded bug as internal/rcas,
+// internal/rw and internal/queue have them: each deliberately breaks one
+// step whose necessity the durability argument depends on, so the
+// crash-prefix sweep (internal/simio) can prove it actually detects the bug
+// class it exists for. Production code never sets them; `check sweep
+// -mutant` (cmd/check) and the mutation tests do.
 
 // MutantOutcomeFirst inverts the commit protocol's ordering: the anchor
 // holds the staged puts back, writes and syncs its outcome records in front

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func TestExhaustiveCrashFree(t *testing.T) {
 			// The counter's inc expands to a read/CAS retry loop, so its
 			// schedule space keeps deepening well past where the others
 			// exhaust; cap it at bound 3 and assert completeness there
-			// (full exhaustion for it is a cmd/explore -preempt -1 job).
+			// (full exhaustion for it is a `check explore -preempt -1` job).
 			maxPreempt := -1
 			if h.Name == "counter" {
 				maxPreempt = 3
@@ -158,7 +159,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		Program: h.DefaultProgram(2, 2),
 		Note:    "round-trip fixture",
 	}
-	b, err := trace.Marshal()
+	b, err := json.Marshal(trace)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,10 +79,10 @@ var mutOpt = explore.Options{
 func TestMutantRCASDropRDPersist(t *testing.T) {
 	prog := explore.Program{{spec.NewOp(spec.MethodCAS, 0, 1), spec.NewOp(spec.MethodRead)}}
 
-	rcas.SetMutant(rcas.MutantDropRDPersist)
-	t.Cleanup(func() { rcas.SetMutant(rcas.MutantNone) }) // survive a mid-hunt Fatal
+	rcas.MutantDropRDPersist = true
+	t.Cleanup(func() { rcas.MutantDropRDPersist = false }) // survive a mid-hunt Fatal
 	cx := hunt(t, "rcas", prog, mutOpt)
-	rcas.SetMutant(rcas.MutantNone)
+	rcas.MutantDropRDPersist = false
 
 	// The same trace on the healthy algorithm is explainable.
 	rr, err := explore.Replay(*cx)
@@ -107,10 +107,10 @@ func TestMutantRWSkipToggleClear(t *testing.T) {
 		{spec.NewOp(spec.MethodWrite, 2), spec.NewOp(spec.MethodWrite, 3)},
 	}
 
-	rw.SetMutant(rw.MutantSkipToggleClear)
-	t.Cleanup(func() { rw.SetMutant(rw.MutantNone) }) // survive a mid-hunt Fatal
+	rw.MutantSkipToggleClear = true
+	t.Cleanup(func() { rw.MutantSkipToggleClear = false }) // survive a mid-hunt Fatal
 	hunt(t, "rw", prog, mutOpt)
-	rw.SetMutant(rw.MutantNone)
+	rw.MutantSkipToggleClear = false
 
 	clean(t, "rw", prog, mutOpt)
 }
@@ -126,10 +126,10 @@ func TestMutantQueueDropDeqTargetPersist(t *testing.T) {
 		spec.NewOp(spec.MethodDeq),
 	}}
 
-	queue.SetMutant(queue.MutantDropDeqTargetPersist)
-	t.Cleanup(func() { queue.SetMutant(queue.MutantNone) }) // survive a mid-hunt Fatal
+	queue.MutantDropDeqTargetPersist = true
+	t.Cleanup(func() { queue.MutantDropDeqTargetPersist = false }) // survive a mid-hunt Fatal
 	hunt(t, "queue", prog, mutOpt)
-	queue.SetMutant(queue.MutantNone)
+	queue.MutantDropDeqTargetPersist = false
 
 	clean(t, "queue", prog, mutOpt)
 }
@@ -140,8 +140,8 @@ func TestMutantQueueDropDeqTargetPersist(t *testing.T) {
 // use it.
 func TestSleepPruningPreservesBugs(t *testing.T) {
 	prog := explore.Program{{spec.NewOp(spec.MethodCAS, 0, 1), spec.NewOp(spec.MethodRead)}}
-	rcas.SetMutant(rcas.MutantDropRDPersist)
-	defer rcas.SetMutant(rcas.MutantNone)
+	rcas.MutantDropRDPersist = true
+	defer func() { rcas.MutantDropRDPersist = false }()
 
 	withSleep := mutOpt
 	withSleep.MaxPreemptions = -1

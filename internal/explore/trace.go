@@ -31,12 +31,7 @@ func (t Trace) String() string {
 	return fmt.Sprintf("%s %dp: %s", t.Object, t.Procs, strings.Join(parts, " "))
 }
 
-// Marshal encodes the trace as indented JSON (the CLI's artifact format).
-func (t Trace) Marshal() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
-}
-
-// UnmarshalTrace decodes a trace produced by Marshal.
+// UnmarshalTrace decodes a JSON-encoded trace.
 func UnmarshalTrace(b []byte) (Trace, error) {
 	var t Trace
 	if err := json.Unmarshal(b, &t); err != nil {

@@ -123,8 +123,8 @@ func TestCrossRegisterCrashSweep(t *testing.T) {
 // shared announcement still holds A's response and checkpoint when B's
 // operation crashes early, and recovery answers from them.
 func TestCrossRegisterSweepConvictsSkippedAnnounceReset(t *testing.T) {
-	rw.SetMutant(rw.MutantSkipAnnounceReset)
-	defer rw.SetMutant(rw.MutantNone)
+	rw.MutantSkipAnnounceReset = true
+	defer func() { rw.MutantSkipAnnounceReset = false }()
 	violations := crossSweep(t)
 	if len(violations) == 0 {
 		t.Fatalf("sweep found no violation under MutantSkipAnnounceReset")

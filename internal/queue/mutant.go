@@ -1,26 +1,11 @@
 package queue
 
-// Mutant selects a seeded detectability bug. The mutation smoke-check in
-// internal/explore enables one, asserts the schedule explorer produces a
-// counterexample, and restores MutantNone — validating that the checker
-// catches real protocol violations. Production code never sets a mutant.
-type Mutant int
-
-// Seeded bugs.
-const (
-	// MutantNone is the unmutated algorithm.
-	MutantNone Mutant = iota
-	// MutantDropDeqTargetPersist skips the persist of deqTarget[p] before a
-	// dequeue claims its node. A crash after the claim CAS then leaves
-	// recovery with no announced target, so it returns fail for a dequeue
-	// that removed a value — the value is lost, which a subsequent dequeue
-	// exposes as an unexplainable Empty.
-	MutantDropDeqTargetPersist
-)
-
-// mutant is read on the operation path; it is written only by tests, before
-// any operation runs (the write happens-before the goroutines that read it).
-var mutant Mutant
-
-// SetMutant installs m until the next call. Tests must restore MutantNone.
-func SetMutant(m Mutant) { mutant = m }
+// MutantDropDeqTargetPersist seeds a detectability bug, as durable's
+// Mutant* bools do: the mutation tests of internal/explore set it, require
+// a counterexample and restore it, before and after any operation runs;
+// production code never sets it. It skips the persist of deqTarget[p]
+// before a dequeue claims its node. A crash after the claim CAS then leaves
+// recovery with no announced target, so it returns fail for a dequeue that
+// removed a value — the value is lost, which a subsequent dequeue exposes
+// as an unexplainable Empty.
+var MutantDropDeqTargetPersist bool

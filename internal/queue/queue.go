@@ -184,7 +184,7 @@ func (q *Queue) DeqOp(pid int) runtime.Op[int] {
 					q.tail.CompareAndSwap(ctx, last, next) // help
 					continue
 				}
-				if mutant != MutantDropDeqTargetPersist {
+				if !MutantDropDeqTargetPersist {
 					q.deqTarget[pid].Store(ctx, next) // persist the target
 				}
 				ann.SetCP(ctx, 1)

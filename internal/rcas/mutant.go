@@ -1,26 +1,11 @@
 package rcas
 
-// Mutant selects a seeded detectability bug. The mutation smoke-check in
-// internal/explore enables one, asserts the schedule explorer produces a
-// counterexample, and restores MutantNone — validating that the checker
-// catches real protocol violations. Production code never sets a mutant.
-type Mutant int
-
-// Seeded bugs.
-const (
-	// MutantNone is the unmutated algorithm.
-	MutantNone Mutant = iota
-	// MutantDropRDPersist skips line 33's persist of RD_p (the flipped
-	// vec[p] value) before the CAS attempt. Recovery's line 43 then
-	// compares the live bit against a stale RD_p: a CAS that succeeded
-	// right before the crash is reported as fail, yet its new value is
-	// visible — exactly the violation Lemma 2's invariant rules out.
-	MutantDropRDPersist
-)
-
-// mutant is read on the operation path; it is written only by tests, before
-// any operation runs (the write happens-before the goroutines that read it).
-var mutant Mutant
-
-// SetMutant installs m until the next call. Tests must restore MutantNone.
-func SetMutant(m Mutant) { mutant = m }
+// MutantDropRDPersist seeds a detectability bug, as durable's Mutant* bools
+// do: the mutation tests of internal/explore set it, require a
+// counterexample and restore it, before and after any operation runs;
+// production code never sets it. It skips line 33's persist of RD_p (the
+// flipped vec[p] value) before the CAS attempt. Recovery's line 43 then
+// compares the live bit against a stale RD_p: a CAS that succeeded right
+// before the crash is reported as fail, yet its new value is visible —
+// exactly the violation Lemma 2's invariant rules out.
+var MutantDropRDPersist bool

@@ -143,7 +143,7 @@ func (o *CAS[V]) makeCasBody(pid int) func(*nvm.Ctx) bool {
 			return false              // line 31
 		}
 		newvec := cur.Vec ^ 1<<uint(pid) // line 32: flip vec[p]
-		if mutant != MutantDropRDPersist {
+		if !MutantDropRDPersist {
 			o.rd[pid].Store(ctx, newvec>>uint(pid)&1 == 1) // line 33
 		}
 		ann.SetCP(ctx, 1)                                                   // line 34

@@ -232,7 +232,7 @@ func NewProcs(sys *runtime.System) *Procs {
 
 // announce is the caller-side announcement (see MutantSkipAnnounceReset).
 func announce(ctx *nvm.Ctx, ann *runtime.Ann[int], op string) {
-	if mutant == MutantSkipAnnounceReset {
+	if MutantSkipAnnounceReset {
 		ann.Op.Store(ctx, op)
 		return
 	}
@@ -396,7 +396,7 @@ func (p *proc) writeBody(ctx *nvm.Ctx) int {
 	reg, pid, dom := p.reg(), int(p.pid), p.c.procs.dom
 	r, bits := reg.r(), reg.bits()
 	w := r.Load(ctx, reg.i) // line 1
-	if mutant != MutantSkipToggleClear {
+	if !MutantSkipToggleClear {
 		t := dom.unpack(w)
 		bits.Store(ctx, reg.toggle(pid, int(t.Q), int(1-t.Toggle)), false) // line 2
 	}

@@ -156,7 +156,7 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 				req := binary.BigEndian.Uint64(rec[9:])
 				if key, val, ok := decodeReply(rec[21:]); ok {
 					pending = append(pending, released{
-						sid: sid, req: req, key: key, val: val, endedAt: math.MaxInt,
+						Verdict: Verdict{SID: sid, Req: req, Key: key, Val: val}, endedAt: math.MaxInt,
 					})
 				}
 			case sessRecEnd:
@@ -179,7 +179,7 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 		pending = pending[:0]
 		for sid := range endPending {
 			for j := range rel {
-				if rel[j].sid == sid && rel[j].endedAt == math.MaxInt {
+				if rel[j].SID == sid && rel[j].endedAt == math.MaxInt {
 					rel[j].endedAt = preOps
 				}
 			}
@@ -202,10 +202,11 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 	}
 	images := 0
 	for k := 0; k <= len(journal); k++ {
+		must := mustSurvive(rel, k)
 		EnumerateImages(journal, k, RecordAwareCuts, 6, func(img Image) bool {
 			images++
-			if v := checkImage(cfg, img, rel, k); v != nil {
-				t.Errorf("backup crash point %d: %s", k, v.Detail)
+			if detail := checkImage(cfg, img, must); detail != "" {
+				t.Errorf("backup crash point %d: %s", k, detail)
 				return false
 			}
 			return true
@@ -306,13 +307,13 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 				case sessRecOutcome:
 					if key, val, ok := decodeReply(rec[21:]); ok {
 						rel = append(rel, released{
-							sid: binary.BigEndian.Uint64(rec[1:]), req: binary.BigEndian.Uint64(rec[9:]),
-							key: key, val: val, endedAt: math.MaxInt,
+							Verdict: Verdict{SID: binary.BigEndian.Uint64(rec[1:]), Req: binary.BigEndian.Uint64(rec[9:]), Key: key, Val: val},
+							endedAt: math.MaxInt,
 						})
 					}
 				case sessRecEnd:
 					for j := range rel {
-						if rel[j].sid == binary.BigEndian.Uint64(rec[1:]) {
+						if rel[j].SID == binary.BigEndian.Uint64(rec[1:]) {
 							rel[j].endedAt = 0
 						}
 					}
@@ -334,10 +335,10 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 			disk.Close()
 
 			// Continuation A: promote the standby from its disk as it is.
-			at := bfs.Ops()
-			EnumerateImages(bfs.Journal(), at, RecordAwareCuts, 6, func(img Image) bool {
-				if v := checkImage(cfg, img, rel, at); v != nil {
-					report("%s: promoted standby: %s", when, v.Detail)
+			must := mustSurvive(rel, bfs.Ops())
+			EnumerateImages(bfs.Journal(), bfs.Ops(), RecordAwareCuts, 6, func(img Image) bool {
+				if detail := checkImage(cfg, img, must); detail != "" {
+					report("%s: promoted standby: %s", when, detail)
 				}
 				return true
 			})
@@ -374,8 +375,8 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 					sjournal := sfs.Journal()
 					for kk := from; kk <= len(sjournal); kk++ {
 						EnumerateImages(sjournal, kk, RecordAwareCuts, 4, func(img Image) bool {
-							if v := checkImage(cfg, img, nil, kk); v != nil {
-								report("%s: standby crash point %d: %s", then, kk, v.Detail)
+							if detail := checkImage(cfg, img, nil); detail != "" {
+								report("%s: standby crash point %d: %s", then, kk, detail)
 							}
 							return true
 						})

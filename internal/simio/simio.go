@@ -397,8 +397,8 @@ func (f *Fs) Lock(dir string) (func(), error) {
 // Image is one complete byte image a crash could leave behind: the
 // reachable directories and every reachable file's content.
 type Image struct {
-	Dirs  []string
-	Files map[string][]byte
+	Dirs  []string          `json:"dirs"`
+	Files map[string][]byte `json:"files"`
 }
 
 // Clone deep-copies the image (violation reports retain images after the

@@ -35,31 +35,46 @@ import (
 
 // SweepConfig parameterizes one sweep.
 type SweepConfig struct {
-	Dir    string // data directory path inside the simulated fs
-	Shards int
-	Procs  int
-	Window int
-	Ops    int // committed mutations in the main workload phase
-	Keys   int // distinct keys per shard (values stay monotone per key)
+	Dir    string `json:"dir"` // data directory path inside the simulated fs
+	Shards int    `json:"shards"`
+	Procs  int    `json:"procs"`
+	Window int    `json:"window"`
+	Ops    int    `json:"ops"`  // committed mutations in the main workload phase
+	Keys   int    `json:"keys"` // distinct keys per shard (values stay monotone per key)
 	// EpochBatch > 1 adds a multi-member epoch phase: that many concurrent
 	// commits share one anchor, so crash points inside the anchor's one
 	// write and one fsync carry several parked verdicts at once, and its
 	// torn variants cut between them.
-	EpochBatch int
-	CompactAt  int64         // compaction threshold; 0 keeps the durable default
-	MaxImages  int           // per-crash-point image cap; 0 = unlimited
-	Budget     time.Duration // wall-clock budget; 0 = unlimited
-	Logf       func(format string, args ...any)
+	EpochBatch int                              `json:"epoch_batch"`
+	CompactAt  int64                            `json:"compact_at"` // compaction threshold; 0 keeps the durable default
+	MaxImages  int                              `json:"max_images"` // per-crash-point image cap; 0 = unlimited
+	Budget     time.Duration                    `json:"budget"`     // wall-clock budget; 0 = unlimited
+	Logf       func(format string, args ...any) `json:"-"`
 }
 
-// Violation is one detected crash-consistency failure, carrying the exact
-// byte image that reproduces it.
-type Violation struct {
-	Point  int
-	Hash   string // StateHash of the first recovery, "" if recovery failed
-	Detail string
-	Image  Image
+// Trace is one convicted crash image, self-contained: the sweep's config,
+// the crash point, what the checks found, the byte image and the verdicts
+// that must survive there. Replay re-checks it without re-running the
+// workload, so a trace found once reproduces its Detail anywhere.
+type Trace struct {
+	Config      SweepConfig `json:"config"`
+	Point       int         `json:"point"`
+	Detail      string      `json:"detail"`
+	Image       Image       `json:"image"`
+	MustSurvive []Verdict   `json:"must_survive"`
 }
+
+// Verdict is one outcome the workload released: the reply of request Req of
+// session SID, promising Key=Val.
+type Verdict struct {
+	SID uint64 `json:"sid"`
+	Req uint64 `json:"req"`
+	Key string `json:"key"`
+	Val int64  `json:"val"`
+}
+
+// MaxReport bounds SweepResult.Violations; Found counts past it.
+const MaxReport = 32
 
 // SweepResult summarizes a sweep.
 type SweepResult struct {
@@ -68,17 +83,28 @@ type SweepResult struct {
 	Images       int // images recovered (each at least twice, plus replay)
 	CappedPoints int // points where MaxImages truncated enumeration
 	BudgetHit    bool
-	Violations   []Violation
+	Found        int     // images that failed a check
+	Violations   []Trace // the first MaxReport of them
 }
 
 // released is one verdict the workload released, with the journal indices
 // bracketing its validity.
 type released struct {
-	sid, req   uint64
-	key        string
-	val        int64
+	Verdict
 	releasedAt int // journal length when CommitOutcome returned
 	endedAt    int // journal length when the session's END began; MaxInt if never
+}
+
+// mustSurvive returns the verdicts of rel a crash at point k must keep:
+// released by then, and not legitimately ended.
+func mustSurvive(rel []released, k int) []Verdict {
+	var must []Verdict
+	for _, r := range rel {
+		if r.releasedAt <= k && k < r.endedAt {
+			must = append(must, r.Verdict)
+		}
+	}
+	return must
 }
 
 // Sweep runs the workload and the full crash-point × image enumeration.
@@ -124,13 +150,15 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 			break
 		}
 		res.Points++
+		must := mustSurvive(rel, k)
 		n, capped := EnumerateImages(journal, k, RecordAwareCuts, cfg.MaxImages, func(img Image) bool {
 			res.Images++
-			if v := checkImage(cfg, img, rel, k); v != nil {
-				v.Point = k
-				res.Violations = append(res.Violations, *v)
+			if detail := checkImage(cfg, img, must); detail != "" {
+				if res.Found++; len(res.Violations) < MaxReport {
+					res.Violations = append(res.Violations, Trace{Config: cfg, Point: k, Detail: detail, Image: img.Clone(), MustSurvive: must})
+				}
 			}
-			return len(res.Violations) < 32 // keep sweeping, but bound the report
+			return true
 		})
 		if capped {
 			res.CappedPoints++
@@ -180,7 +208,7 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		rel = append(rel, released{
-			sid: sid, req: req, key: key, val: val,
+			Verdict:    Verdict{SID: sid, Req: req, Key: key, Val: val},
 			releasedAt: fsim.Ops(), endedAt: math.MaxInt,
 		})
 		return nil
@@ -215,7 +243,7 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 			return nil, err
 		}
 		for j := range rel {
-			if rel[j].sid == 3 {
+			if rel[j].SID == 3 {
 				rel[j].endedAt = endStart
 			}
 		}
@@ -305,96 +333,102 @@ func decodeReply(reply []byte) (key string, val int64, ok bool) {
 	return s[:eq], v, true
 }
 
-// checkImage recovers one byte image (twice, plus a replay of the
-// recovered state) and evaluates every invariant. A nil return is a pass.
-func checkImage(cfg SweepConfig, img Image, rel []released, k int) *Violation {
-	fail := func(hash, format string, args ...any) *Violation {
-		return &Violation{Hash: hash, Detail: fmt.Sprintf(format, args...), Image: img.Clone()}
-	}
+// Replay recovers t's byte image and re-runs every check against t's
+// must-survive verdicts, as Sweep did at t.Point. It returns the violation
+// it finds, "" when the image passes.
+func Replay(t Trace) string {
+	return checkImage(t.Config, t.Image, t.MustSurvive)
+}
 
+// checkImage recovers one byte image (twice, plus a replay of the
+// recovered state) and evaluates every invariant, with must the verdicts
+// released before the crash. It returns what failed, "" on a pass.
+func checkImage(cfg SweepConfig, img Image, must []Verdict) string {
 	f1 := FromImage(img)
 	db1, err := durable.OpenFs(f1, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
 	if err != nil {
-		return fail("", "recovery failed: %v", err)
+		return fmt.Sprintf("recovery failed: %v", err)
 	}
 	h1 := db1.StateHash()
+	detail := checkVerdicts(db1, cfg, must)
+	db1.Close()
+	if detail != "" {
+		return detail
+	}
 
+	// (4) purity: same image, fresh recovery, same hash.
+	if h2, err := recoverHash(cfg, img); err != nil {
+		return fmt.Sprintf("second recovery of the same image failed: %v", err)
+	} else if h2 != h1 {
+		return fmt.Sprintf("recovery is not a pure function of the image: hash %s then %s", h1, h2)
+	}
+
+	// (5) idempotence: recover what recovery left behind; nothing changes.
+	if h3, err := recoverHash(cfg, f1.LiveImage()); err != nil {
+		return fmt.Sprintf("replay of the recovered state failed: %v", err)
+	} else if h3 != h1 {
+		return fmt.Sprintf("recovery replay not idempotent: hash %s then %s", h1, h3)
+	}
+	return ""
+}
+
+// recoverHash recovers img and returns the recovered StateHash.
+func recoverHash(cfg SweepConfig, img Image) (string, error) {
+	db, err := durable.OpenFs(FromImage(img), cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
+	if err != nil {
+		return "", err
+	}
+	defer db.Close()
+	return db.StateHash(), nil
+}
+
+// checkVerdicts checks a recovered store's outcomes against its shards:
+// every outcome carries its effect, and every verdict of must survives.
+func checkVerdicts(db *durable.DB, cfg SweepConfig, must []Verdict) string {
 	kv := map[string]int64{}
 	for s := 0; s < cfg.Shards; s++ {
-		db1.RangeShard(s, func(key string, val int64) { kv[key] = val })
+		db.RangeShard(s, func(key string, val int64) { kv[key] = val })
 	}
+	recovered := db.Sessions() // in SID order, so a replay finds the same failure first
 	sessions := map[uint64]durable.SessionState{}
-	for _, s := range db1.Sessions() {
+	for _, s := range recovered {
 		sessions[s.SID] = s
 	}
 
 	// (2) outcome-implies-effect, for every recovered outcome whether or
 	// not it was ever released.
-	for _, s := range sessions {
+	for _, s := range recovered {
 		for _, o := range s.Window {
 			key, val, ok := decodeReply(o.Reply)
 			if !ok {
-				db1.Close()
-				return fail(h1, "recovered outcome sid=%d req=%d has undecodable reply %q", s.SID, o.ID, o.Reply)
+				return fmt.Sprintf("recovered outcome sid=%d req=%d has undecodable reply %q", s.SID, o.ID, o.Reply)
 			}
 			if got, present := kv[key]; !present || got < val {
-				db1.Close()
-				return fail(h1, "outcome without effect: sid=%d req=%d promises %s=%d, shard has %d (present=%v)",
+				return fmt.Sprintf("outcome without effect: sid=%d req=%d promises %s=%d, shard has %d (present=%v)",
 					s.SID, o.ID, key, val, got, present)
 			}
 		}
 	}
 
 	// (3) released-verdict survival.
-	for _, r := range rel {
-		if r.releasedAt > k || k >= r.endedAt {
-			continue // not yet released at the crash, or legitimately ended
+	for _, r := range must {
+		if got, present := kv[r.Key]; !present || got < r.Val {
+			return fmt.Sprintf("released effect lost: sid=%d req=%d put %s=%d, shard has %d (present=%v)",
+				r.SID, r.Req, r.Key, r.Val, got, present)
 		}
-		if got, present := kv[r.key]; !present || got < r.val {
-			db1.Close()
-			return fail(h1, "released effect lost: sid=%d req=%d put %s=%d, shard has %d (present=%v)",
-				r.sid, r.req, r.key, r.val, got, present)
-		}
-		s, ok := sessions[r.sid]
+		s, ok := sessions[r.SID]
 		if !ok {
-			db1.Close()
-			return fail(h1, "released verdict lost: session %d gone (req=%d)", r.sid, r.req)
+			return fmt.Sprintf("released verdict lost: session %d gone (req=%d)", r.SID, r.Req)
 		}
-		if r.req+uint64(cfg.Window) <= s.MaxID {
+		if r.Req+uint64(cfg.Window) <= s.MaxID {
 			continue // evicted past the window bound: the client has advanced
 		}
-		if got := s.Reply(r.req); string(got) != string(encodeReply(r.key, r.val)) {
-			db1.Close()
-			return fail(h1, "released verdict lost: sid=%d req=%d recovered as %q, want %q",
-				r.sid, r.req, got, encodeReply(r.key, r.val))
+		if got := s.Reply(r.Req); string(got) != string(encodeReply(r.Key, r.Val)) {
+			return fmt.Sprintf("released verdict lost: sid=%d req=%d recovered as %q, want %q",
+				r.SID, r.Req, got, encodeReply(r.Key, r.Val))
 		}
 	}
-	db1.Close()
-
-	// (4) purity: same image, fresh recovery, same hash.
-	f2 := FromImage(img)
-	db2, err := durable.OpenFs(f2, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
-	if err != nil {
-		return fail(h1, "second recovery of the same image failed: %v", err)
-	}
-	h2 := db2.StateHash()
-	db2.Close()
-	if h2 != h1 {
-		return fail(h1, "recovery is not a pure function of the image: hash %s then %s", h1, h2)
-	}
-
-	// (5) idempotence: recover what recovery left behind; nothing changes.
-	f3 := FromImage(f1.LiveImage())
-	db3, err := durable.OpenFs(f3, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
-	if err != nil {
-		return fail(h1, "replay of the recovered state failed: %v", err)
-	}
-	h3 := db3.StateHash()
-	db3.Close()
-	if h3 != h1 {
-		return fail(h1, "recovery replay not idempotent: hash %s then %s", h1, h3)
-	}
-	return nil
+	return ""
 }
 
 // RecordAwareCuts is the CutFunc for durable's file formats: for framed

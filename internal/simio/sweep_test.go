@@ -2,6 +2,7 @@ package simio
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
@@ -16,8 +17,8 @@ func runSweep(t *testing.T, cfg SweepConfig) *SweepResult {
 	if err != nil {
 		t.Fatalf("Sweep workload: %v", err)
 	}
-	t.Logf("sweep: %d fs ops, %d points, %d images, %d capped points",
-		res.Ops, res.Points, res.Images, res.CappedPoints)
+	t.Logf("sweep: %d fs ops, %d points, %d images, %d capped points, %d violations found",
+		res.Ops, res.Points, res.Images, res.CappedPoints, res.Found)
 	return res
 }
 
@@ -110,6 +111,7 @@ func TestCompactionSweepReachesBothLogs(t *testing.T) {
 			renamed++
 		}
 		for k := start + 1; k <= end; k++ {
+			must := mustSurvive(rel, k)
 			EnumerateImages(journal, k, RecordAwareCuts, 0, func(img Image) bool {
 				images++
 				switch got := img.Files[wal]; {
@@ -122,8 +124,8 @@ func TestCompactionSweepReachesBothLogs(t *testing.T) {
 					t.Errorf("crash point %d (compaction %d–%d): wal.log is neither the old log nor the new:\n got %x\n old %x\n new %x",
 						k, start, end, got, before, after)
 				}
-				if v := checkImage(cfg, img, rel, k); v != nil {
-					t.Errorf("crash point %d (compaction %d–%d): %s", k, start, end, v.Detail)
+				if detail := checkImage(cfg, img, must); detail != "" {
+					t.Errorf("crash point %d (compaction %d–%d): %s", k, start, end, detail)
 				}
 				return !t.Failed()
 			})
@@ -185,10 +187,18 @@ func TestSweepCatchesMutant(t *testing.T) {
 	if !sawEffectLoss {
 		t.Fatalf("mutant convicted, but not for effect loss: %v", res.Violations[0].Detail)
 	}
-	// The convicting image must reproduce: recover it and re-check.
-	v := res.Violations[0]
-	if len(v.Image.Files) == 0 {
-		t.Fatal("violation carries no reproducing image")
+	// The convicting trace must reproduce from its JSON alone: recover its
+	// image and re-check it against its must-survive verdicts.
+	b, err := json.Marshal(res.Violations[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr Trace
+	if err := json.Unmarshal(b, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Replay(tr), res.Violations[0].Detail; got != want {
+		t.Fatalf("trace replays to %q, want %q", got, want)
 	}
 }
 
@@ -214,6 +224,12 @@ func TestSweepCatchesRewriteWithoutDirSync(t *testing.T) {
 	res := runSweep(t, SweepConfig{Ops: 4, Shards: 2, Window: 64, CompactAt: 1, MaxImages: 2048})
 	if len(res.Violations) == 0 {
 		t.Fatal("the rewrite without a directory sync survived the sweep undetected")
+	}
+	// Past the report bound the sweep still checks every image at every
+	// point: it keeps MaxReport traces and counts the rest.
+	if len(res.Violations) != MaxReport || res.Found <= MaxReport || res.CappedPoints != 0 {
+		t.Fatalf("%d violations found, %d kept, %d points cut short: want all found, %d kept, none cut short",
+			res.Found, len(res.Violations), res.CappedPoints, MaxReport)
 	}
 	for _, v := range res.Violations {
 		if !strings.Contains(v.Detail, "released effect lost") && !strings.Contains(v.Detail, "released verdict lost") {

@@ -33,8 +33,9 @@ func TestMainsSmoke(t *testing.T) {
 		{"kvserverd", []string{"run", "./cmd/kvserverd", "-addr", "127.0.0.1:0", "-shards", "2", "-procs", "2", "-dur", "300ms"}},
 		{"kvbench", []string{"run", "./cmd/kvbench", "-selftest", "-shards", "2", "-conns", "1,2", "-dur", "150ms", "-keys", "32"}},
 		{"loadgen-remote", []string{"run", "./cmd/loadgen", "-remote", "self", "-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8", "-dur", "300ms"}},
-		{"explore", []string{"run", "./cmd/explore", "-objects", "rcas,maxreg", "-procs", "2", "-ops", "1", "-crashes", "1", "-preempt", "1", "-budget", "10s"}},
-		{"explore-list", []string{"run", "./cmd/explore", "-list"}},
+		{"explore", []string{"run", "./cmd/check", "explore", "-objects", "rcas,maxreg", "-procs", "2", "-ops", "1", "-crashes", "1", "-preempt", "1", "-budget", "10s"}},
+		{"explore-list", []string{"run", "./cmd/check", "explore", "-list"}},
+		{"sweep", []string{"run", "./cmd/check", "sweep", "-ops", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
