@@ -98,8 +98,8 @@ type shardFile struct {
 }
 
 // entry is what one key of one shard holds. Code that needs the key's name
-// as well (viewPut) holds the entry's number in the table and asks the table
-// for both.
+// as well (the read view's stage, view.go) holds the entry's number in the
+// table and asks the table for both.
 type entry struct {
 	// journaled is the value last appended to the write-ahead log for the
 	// key (or recovered from disk), meaningful once inLog is set: what
@@ -108,7 +108,7 @@ type entry struct {
 	journaled int64
 	// applied is the value the replica read view shows for the key, valid
 	// while viewGen equals the view's generation (view.go). Written only by
-	// Replica.publishThrough, at a commit mark.
+	// DB.publishThrough, at a commit mark.
 	applied atomic.Int64
 	viewGen atomic.Uint32
 	inLog   bool // journaled holds a value; guarded by the shard's mu
@@ -226,13 +226,12 @@ func (db *DB) replay(rec []byte) error {
 // epoch it made durable with sessions.mu held, and a put — only a standby's
 // epochs carry puts, each checked on arrival — takes its shard's lock.
 func (db *DB) fold(rec []byte) error {
-	if rec[0] != recPutAt {
-		return db.sessions.apply(rec)
+	if rec[0] == recPutAt {
+		sf := db.shards[binary.BigEndian.Uint32(rec[1:])]
+		sf.mu.Lock()
+		defer sf.mu.Unlock()
 	}
-	sf := db.shards[binary.BigEndian.Uint32(rec[1:])]
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	return db.replay(rec)
+	return db.foldLocked(rec)
 }
 
 // checkManifest creates the geometry manifest on first open and verifies
@@ -272,19 +271,14 @@ func (db *DB) Procs() int { return db.procs }
 // for tests that want compactions after a handful of records.
 func (db *DB) SetCompactThreshold(bytes int64) { db.compactAt = bytes }
 
-// entryOf returns key's entry and its number, inserting it on the key's
-// first use. Called with sf.mu held (recovery runs before the DB is shared).
-func (sf *shardFile) entryOf(key string) (uint32, *entry) {
-	if n, e := sf.tab.Lookup(key); e != nil {
-		return n, e
-	}
-	return sf.tab.Insert(key, entry{})
-}
-
-// set mirrors key := val and returns the number of key's entry. Called with
-// sf.mu held.
+// set mirrors key := val and returns the number of key's entry, inserting
+// it on the key's first use. Called with sf.mu held (recovery runs before
+// the DB is shared).
 func (sf *shardFile) set(key string, val int64) uint32 {
-	n, e := sf.entryOf(key)
+	n, e := sf.tab.Lookup(key)
+	if e == nil {
+		n, e = sf.tab.Insert(key, entry{})
+	}
 	e.journaled, e.inLog = val, true
 	return n
 }

@@ -127,7 +127,7 @@ func TestBootstrapLogsOnce(t *testing.T) {
 	if err := pdb.AppendHello(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	sub.Close()
 	msgs := streamOf(t, sub)
 	records, size := 0, 0

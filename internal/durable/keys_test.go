@@ -134,7 +134,7 @@ func TestSpacePinBytesPerKey(t *testing.T) {
 
 	t.Run("standby", func(t *testing.T) {
 		pdb := openQuiet(t, shards)
-		sub := pdb.Subscribe(0, false)
+		sub := pdb.Subscribe(0)
 		journalAll(t, pdb, warm)
 		journalAll(t, pdb, names)
 		sub.Close()
@@ -225,7 +225,7 @@ func TestSnapshotStageReleased(t *testing.T) {
 	const shards, keys = 4, 4096
 	names := tableKeys(keys)
 	pdb := openQuiet(t, shards)
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	journalAll(t, pdb, names)
 	if err := pdb.Sync(); err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestSnapshotStageReleased(t *testing.T) {
 	sub.Close()
 	live := streamOf(t, sub) // an empty bootstrap, then every key in epochs of 128
 	liveSeq, _, _ := pdb.ReplStatus()
-	sub = pdb.Subscribe(0, false)
+	sub = pdb.Subscribe(0)
 	sub.Close()
 	snap := streamOf(t, sub) // every key between SnapBegin and its barrier, one commit mark
 	if n := len(snap); n < 4 || snap[0][0] != ReplSnapBegin || snap[1][0] != ReplLog || snap[n-2][0] != ReplBarrier || snap[n-1][0] != ReplCommit {
@@ -266,8 +266,8 @@ func TestSnapshotStageReleased(t *testing.T) {
 	if bootstrapped > fedLive+2048 {
 		t.Errorf("a bootstrapped standby holds %d B, one fed the same keys live %d B: more than a chunk apart", bootstrapped, fedLive)
 	}
-	if cap(rp.viewStage) > 128 {
-		t.Errorf("the stage keeps room for %d puts after the bootstrap was published", cap(rp.viewStage))
+	if cap(rp.db.view.stage) > 128 {
+		t.Errorf("the stage keeps room for %d puts after the bootstrap was published", cap(rp.db.view.stage))
 	}
 
 	epoch, _ := epochOfOne(t, rp, names[1], seq+1)
@@ -364,5 +364,25 @@ func TestViewPublishesWholeEpochs(t *testing.T) {
 			time.Sleep(time.Millisecond) // let the readers look at the empty view
 			phase.Add(1)
 		}
+	}
+}
+
+// TestRefusedMessageLeavesNoKey: a LOG message is checked whole before any
+// of it is kept, so one refused part-way — a put of a new key, then a put
+// outside the value domain — leaves the key table as it found it: the
+// first put's key is resolved only when an epoch that carries it is folded.
+func TestRefusedMessageLeavesNoKey(t *testing.T) {
+	db, err := Open(t.TempDir(), 2, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	msg := appendFrame([]byte{ReplLog}, encodePutAt(nil, 1, "leak", 1))
+	msg = appendFrame(msg, encodePutAt(nil, 1, "wide", 1<<62))
+	if _, _, err := db.NewReplica().Apply(msg); err == nil {
+		t.Fatal("a message holding a value outside the register domain was accepted")
+	}
+	if n, e := db.shards[1].tab.Lookup("leak"); e != nil {
+		t.Fatalf("a refused message left key %q in the table as entry %d", "leak", n)
 	}
 }

@@ -40,7 +40,7 @@ func TestReplicationLockstep(t *testing.T) {
 	journalAll(t, pdb, keys)
 	must(pdb.CommitOutcome(1, 1, []byte("warm")))
 
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	point := pdb.wal.length()
 	rp := bdb.NewReplica()
 	apply := func(msgs [][]byte) {

@@ -96,7 +96,7 @@ func TestViewNeverAheadOfPrimaryFsync(t *testing.T) {
 		t.Fatalf("OpenFs: %v", err)
 	}
 	defer pdb.Close()
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	defer sub.Close()
 	bdb := openSim(t, simio.New())
 	defer bdb.Close()
@@ -179,7 +179,7 @@ func TestBootstrapReplacesStandbyState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFs: %v", err)
 	}
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	bfs := simio.New()
 	bdb := openSim(t, bfs)
 	rep := bdb.NewReplica()
@@ -225,7 +225,7 @@ func TestBootstrapReplacesStandbyState(t *testing.T) {
 		t.Fatalf("restarted primary holds n=%d: the test's crash did not lose the epoch", v)
 	}
 
-	sub2 := pdb2.Subscribe(0, false)
+	sub2 := pdb2.Subscribe(0)
 	sub2.Close()
 	rep2 := bdb.NewReplica()
 	acked := false

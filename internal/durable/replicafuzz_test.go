@@ -18,11 +18,11 @@ import (
 // duplicated and corrupted variants of them, and hand-made shapes.
 func FuzzReplicaApply(f *testing.F) {
 	pdb := openSim(f, simio.New())
-	live := pdb.Subscribe(0, false)
+	live := pdb.Subscribe(0)
 	workload(f, pdb)
 	live.Close()
 	msgs := drain(f, live)
-	snap := pdb.Subscribe(0, false)
+	snap := pdb.Subscribe(0)
 	snap.Close()
 	resync := drain(f, snap)
 	pdb.Close()

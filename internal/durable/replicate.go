@@ -17,18 +17,20 @@ package durable
 // every record reaches the stream in file order. An epoch's batch and its
 // barrier go out *before* the primary's own fsync starts, and a commit mark
 // once that fsync has returned: the two nodes' fsyncs of one epoch run side
-// by side. The standby checks every frame and decodes every record, stages
-// the bytes as they are in an epoch of its own at the barrier — one write,
-// one fsync — and acknowledges it; the epoch's puts reach its read view
-// (view.go) at the commit mark. With compaction off, its log past the
-// bootstrap is the primary's past the bootstrap point, byte for byte.
+// by side. The standby checks every frame and decodes every record as it
+// arrives, stages the bytes as they are in an epoch of its own at the
+// barrier — one write, one fsync — folds the epoch's puts into its key
+// table once that fsync has returned, and acknowledges it; the puts reach
+// its read view (view.go) at the commit mark. With compaction off, its log
+// past the bootstrap is the primary's past the bootstrap point, byte for
+// byte.
 //
-// A synchronous subscriber gates verdict release: DB.anchor waits for its
-// ack of the epoch's barrier, so a verdict is released only once its epoch
-// is durable on both nodes. It gates only once its bootstrap barrier is
-// acked, a laggard past the ack timeout is dropped (replication degrades;
-// the primary's durability never does), and bootstrap bytes are exempt from
-// the backlog limit, so a state larger than the limit still bootstraps.
+// A subscriber gates verdict release once it has acked its bootstrap
+// barrier: from then on DB.anchor waits for its ack of each epoch's barrier,
+// so a verdict is released only once its epoch is durable on both nodes. A
+// laggard past the ack timeout is dropped (replication degrades; the
+// primary's durability never does), and bootstrap bytes are exempt from the
+// backlog limit, so a state larger than the limit still bootstraps.
 
 import (
 	"encoding/binary"
@@ -78,7 +80,7 @@ const MaxReplMsg = 1 << 20
 // stalling the primary's memory. Bootstrap bytes are exempt (ReplSub.stage).
 const DefaultReplSubLimit = 64 << 20
 
-// DefaultReplAckTimeout bounds how long a commit waits for a synchronous
+// DefaultReplAckTimeout bounds how long a commit waits for a gating
 // subscriber's barrier ack before dropping it and degrading to
 // unreplicated operation.
 const DefaultReplAckTimeout = 10 * time.Second
@@ -96,7 +98,7 @@ var replLogKind = []byte{ReplLog}
 // replState is the primary-side replication hub embedded in DB.
 type replState struct {
 	nsubs      atomic.Int32  // registered subscribers (fast-path gate for taps)
-	nsync      atomic.Int32  // gating subscribers: sync subs whose bootstrap barrier is acked
+	nsync      atomic.Int32  // gating subscribers: subs whose bootstrap barrier is acked
 	seq        atomic.Uint64 // barrier sequence; bumped only under sessions.mu
 	committed  atomic.Uint64 // last sequence fsynced here; stored only under sessions.mu
 	ackTimeout atomic.Int64  // nanoseconds; 0 = DefaultReplAckTimeout
@@ -109,9 +111,8 @@ type replState struct {
 // messages the serving goroutine drains with Next, and the ack high-water
 // mark the backup raises with Ack.
 type ReplSub struct {
-	r       *replState
-	syncAck bool
-	limit   int
+	r     *replState
+	limit int
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -119,7 +120,7 @@ type ReplSub struct {
 	spare     []byte // the buffer Next handed out last time, recycled
 	snapBytes int    // bytes of buf staged by the bootstrap, exempt from limit
 	snapSeq   uint64 // barrier sequence of this sub's bootstrap (0 until staged)
-	gating    bool   // syncAck sub whose bootstrap barrier is acked; counted in nsync
+	gating    bool   // the bootstrap barrier is acked; counted in nsync
 	acked     uint64
 	closed    bool
 	err       error
@@ -129,15 +130,14 @@ type ReplSub struct {
 
 // Subscribe registers a replication subscriber and stages a bootstrap of
 // the current state followed by the live tap. limit bounds the pending
-// live-tap backlog (≤ 0 means DefaultReplSubLimit). With syncAck, commits
-// wait for the subscriber's barrier acks once it has acknowledged its
-// bootstrap — the semi-synchronous mode the server uses; without, the
-// subscription is a passive tap (tests, tooling).
-func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
+// live-tap backlog (≤ 0 means DefaultReplSubLimit). Once the subscriber has
+// acknowledged its bootstrap's barrier, commits wait for its barrier acks
+// (Ack); a subscriber that never acks is a passive tap.
+func (db *DB) Subscribe(limit int) *ReplSub {
 	if limit <= 0 {
 		limit = DefaultReplSubLimit
 	}
-	sub := &ReplSub{r: &db.repl, syncAck: syncAck, limit: limit}
+	sub := &ReplSub{r: &db.repl, limit: limit}
 	sub.cond = sync.NewCond(&sub.mu)
 
 	// Under lockAll nothing is journaled, anchored or tapped, so the live
@@ -158,8 +158,8 @@ func (db *DB) Subscribe(limit int, syncAck bool) *ReplSub {
 		return sub
 	}
 	// The bootstrap's barrier sequence is allocated under sessions.mu like
-	// every other, and acking it is what turns a syncAck subscription into
-	// a commit gate (Ack). The bootstrap is durable here, so its commit
+	// every other, and acking it is what turns the subscription into a
+	// commit gate (Ack). The bootstrap is durable here, so its commit
 	// mark follows at once.
 	r := &db.repl
 	seq := r.seq.Add(1)
@@ -214,16 +214,16 @@ func seqMsg(kind byte, seq uint64) []byte {
 	return msg[:]
 }
 
-// SetReplAckTimeout overrides how long commits wait for a synchronous
+// SetReplAckTimeout overrides how long commits wait for a gating
 // subscriber's barrier ack before dropping it (0 restores the default).
 func (db *DB) SetReplAckTimeout(d time.Duration) { db.repl.ackTimeout.Store(int64(d)) }
 
 // ReplStatus reports the replication high-water marks: the latest barrier
 // sequence anchored on this node (its own fsync returned — not merely
 // allocated and streamed), the lowest sequence acknowledged by every
-// synchronous subscriber (0 when there are none; a standby fsyncs an epoch
-// beside the primary, so this may run one ahead of seq), and the subscriber
-// count.
+// gating subscriber — one that has acked its bootstrap (0 when there are
+// none; a standby fsyncs an epoch beside the primary, so this may run one
+// ahead of seq) — and the subscriber count.
 func (db *DB) ReplStatus() (seq, acked uint64, subs int) {
 	r := &db.repl
 	r.mu.Lock()
@@ -232,7 +232,7 @@ func (db *DB) ReplStatus() (seq, acked uint64, subs int) {
 	for sub := range r.subs {
 		subs++
 		sub.mu.Lock()
-		if sub.syncAck && (!synced || sub.acked < acked) {
+		if sub.gating && (!synced || sub.acked < acked) {
 			acked, synced = sub.acked, true
 		}
 		sub.mu.Unlock()
@@ -321,15 +321,15 @@ func (r *replState) dropLocked(sub *ReplSub) {
 		"cause", cause, "seq", r.seq.Load(), "acked", sub.acked, "backlog_bytes", len(sub.buf)-sub.snapBytes)
 }
 
-// waitBarrier blocks until every gating subscriber — a synchronous one
-// whose bootstrap barrier has been acked — has acknowledged barrier seq,
-// closed, or stalled past the ack timeout, which drops it: one dead replica
-// cannot wedge the primary, whose durability is unaffected. A sync
-// subscriber still transferring or installing its bootstrap is not waited
-// on: its first ack may legitimately take longer than the ack timeout, and
-// dropping it for that would re-bootstrap large replicas forever. Called
-// with no DB locks held — commit paths release sessions.mu first, so the
-// backup's ack path can never deadlock against the primary's commit path.
+// waitBarrier blocks until every gating subscriber — one whose bootstrap
+// barrier has been acked — has acknowledged barrier seq, closed, or stalled
+// past the ack timeout, which drops it: one dead replica cannot wedge the
+// primary, whose durability is unaffected. A subscriber still transferring
+// or installing its bootstrap is not waited on: its first ack may
+// legitimately take longer than the ack timeout, and dropping it for that
+// would re-bootstrap large replicas forever. Called with no DB locks held —
+// commit paths release sessions.mu first, so the backup's ack path can
+// never deadlock against the primary's commit path.
 func (r *replState) waitBarrier(seq uint64) {
 	if r.nsync.Load() == 0 {
 		return
@@ -409,7 +409,7 @@ func (s *ReplSub) Next() ([]byte, error) {
 // Ack raises the subscriber's acknowledged barrier sequence, releasing any
 // commit waiting on it. The ack that first covers the subscription's
 // bootstrap barrier also engages commit gating: from then on — and only
-// then — a syncAck subscription counts toward nsync, so a replica still
+// then — the subscription counts toward nsync, so a replica still
 // bootstrapping never stalls (or gets dropped by) the primary's commits.
 func (s *ReplSub) Ack(seq uint64) {
 	s.mu.Lock()
@@ -418,7 +418,7 @@ func (s *ReplSub) Ack(seq uint64) {
 		s.acked = seq
 		s.cond.Broadcast()
 	}
-	if s.syncAck && !s.gating && !s.closed && s.snapSeq != 0 && s.acked >= s.snapSeq {
+	if !s.gating && !s.closed && s.snapSeq != 0 && s.acked >= s.snapSeq {
 		// A sub is closed before it is dropped, so engaging here, on an
 		// open one, pairs exactly once with the disengage in dropLocked.
 		s.gating = true
@@ -548,35 +548,18 @@ func (db *DB) SetGeneration(gen uint64) error {
 
 // ---- replica (apply side) ----
 
-// Replica applies a replication stream to a warm-standby DB. Records are
-// checked as they arrive and gathered until their barrier, which installs a
-// bootstrap in place of the backup's log (DB.install) or anchors an epoch
-// that stages the live records in it as they are; only then is the barrier
-// acknowledged. An anchored epoch's puts wait in viewStage for its commit
-// mark. Not safe for concurrent use; feed it one stream.
+// Replica turns a replication stream into this warm standby's log records.
+// Records are checked as they arrive and gathered until their barrier, which
+// installs a bootstrap in place of the backup's log (DB.install) or anchors
+// an epoch that stages the live records in it as they are; only then is the
+// barrier acknowledged. Each put is resolved in the key table once, when its
+// epoch is folded (DB.foldLocked), and shown at the epoch's commit mark
+// (DB.publishThrough). Not safe for concurrent use; feed it one stream.
 type Replica struct {
 	db      *DB
 	batch   []byte // records since the last barrier, framed as the primary's log holds them
 	booting bool   // batch is a bootstrap: a SnapBegin came after the last barrier
-	// viewStage holds, in stream order, the shard puts not yet published to
-	// the read view; held marks where each anchored, not yet committed epoch
-	// ends in it. The primary sends an epoch's commit mark before the next
-	// barrier, so held rarely exceeds one entry; both slices are reused.
-	viewStage []viewPut
-	held      []heldEpoch
 }
-
-// heldEpoch is one epoch anchored and acknowledged here whose commit mark
-// has not arrived: viewStage[:end] is what publishing it shows.
-type heldEpoch struct {
-	seq uint64
-	end int
-}
-
-// maxStage bounds the view stage a publication keeps for the epochs after
-// it: one that grew for a bootstrap — a put per key — or a wide epoch grows
-// back to what they need instead.
-const maxStage = maxSpare / 16
 
 // NewReplica returns an applier feeding db. The DB must not be serving —
 // it is the warm standby's.
@@ -612,9 +595,8 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		}
 		// A torn previous stream's records never apply.
 		rp.booting, rp.batch = true, rp.batch[:0]
-		rp.viewStage, rp.held = rp.viewStage[:0], rp.held[:0]
-		// The bootstrap supersedes the read view; until its commit mark
-		// publishes it, the applied mark is 0 and staleness-bounded readers
+		// The bootstrap supersedes the read view and its stage; until its commit
+		// mark publishes it, the applied mark is 0 and staleness-bounded readers
 		// fall back to the primary rather than read a mid-bootstrap state.
 		rp.db.ResetView()
 		return 0, false, nil
@@ -622,28 +604,17 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 	case ReplLog:
 		// Every record is decoded before any is kept: a malformed one, or a
 		// value outside the register domain, must never reach this node's
-		// log, where it would fail every later open. A live put is staged
-		// for the read view — the key aliases msg; the key table copies it
-		// if it is new, so a put of a key this node already has allocates
-		// nothing — and published only when the covering epoch is durable
-		// here and committed on the primary.
-		mark := len(rp.viewStage)
+		// log, where it would fail every later open. Nothing is resolved in
+		// the key table yet, so a message refused part-way leaves nothing
+		// behind.
 		if err := eachFrame(body, func(rec []byte) error {
 			if rec[0] != recPutAt {
 				_, _, _, _, _, err := parseSessRec(rec)
 				return err
 			}
-			shard, key, val, err := decodePutAt(rec, len(rp.db.shards), rp.db.procs)
-			if err == nil && !rp.booting {
-				sf := rp.db.shards[shard]
-				sf.mu.Lock()
-				n, _ := sf.entryOf(key)
-				sf.mu.Unlock()
-				rp.viewStage = append(rp.viewStage, viewPut{shard: uint32(shard), n: n, val: val})
-			}
+			_, _, _, err := decodePutAt(rec, len(rp.db.shards), rp.db.procs)
 			return err
 		}); err != nil {
-			rp.viewStage = rp.viewStage[:mark]
 			return 0, false, fmt.Errorf("durable: replicated %w", err)
 		}
 		rp.batch = append(rp.batch, body...)
@@ -654,14 +625,15 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 			return 0, false, fmt.Errorf("durable: malformed barrier")
 		}
 		if rp.booting {
-			if rp.viewStage, err = rp.db.install(rp.batch, rp.viewStage); err != nil {
+			if err := rp.db.install(rp.batch); err != nil {
 				return 0, false, err
 			}
 			rp.batch, rp.booting = nil, false // as large as the state: not kept
 		} else {
 			// The backup is itself a tappable primary: anchoring here also
 			// feeds its own subscribers (a chained replica) the same records,
-			// a barrier and — once it is durable here — a commit mark.
+			// a barrier and — once it is durable here — a commit mark. The
+			// anchor folds the epoch's puts once its fsync has returned.
 			if err := rp.db.commit(func(recs []byte) []byte { return append(recs, rp.batch...) }); err != nil {
 				return 0, false, err
 			}
@@ -671,9 +643,9 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		// The epoch is durable on this node and is acknowledged now, but the
 		// primary's own fsync of it may still be running — or may fail. Its
 		// puts stay out of the read view until the commit mark.
-		rp.held = append(rp.held, heldEpoch{seq: seq, end: len(rp.viewStage)})
+		rp.db.holdView(seq)
 		if MutantPublishAtBarrier {
-			rp.publishThrough(seq)
+			rp.db.publishThrough(seq)
 		}
 		return seq, true, nil
 
@@ -681,7 +653,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		if len(body) != 8 {
 			return 0, false, fmt.Errorf("durable: malformed commit mark")
 		}
-		rp.publishThrough(binary.BigEndian.Uint64(body))
+		rp.db.publishThrough(binary.BigEndian.Uint64(body))
 		return 0, false, nil
 
 	default:
@@ -689,42 +661,18 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 	}
 }
 
-// publishThrough publishes to the read view every held epoch whose sequence
-// is at most seq — one atomic step, so a reader sees whole epochs only — and
-// keeps what was staged behind them for the epochs to come.
-func (rp *Replica) publishThrough(seq uint64) {
-	n := 0
-	for n < len(rp.held) && rp.held[n].seq <= seq {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	last := rp.held[n-1]
-	rp.db.publishView(rp.viewStage[:last.end], last.seq)
-	if rest := rp.viewStage[last.end:]; cap(rp.viewStage) > maxStage {
-		rp.viewStage = append([]viewPut(nil), rest...)
-	} else {
-		rp.viewStage = rp.viewStage[:copy(rp.viewStage, rest)]
-	}
-	rp.held = rp.held[:copy(rp.held, rp.held[n:])]
-	for i := range rp.held {
-		rp.held[i].end -= last.end
-	}
-}
-
 // install replaces this node's log and mirrors with a bootstrap — framed
-// records, what a compaction on the primary would have written — and
-// appends to stage the view put of every key it holds. The log is replaced
-// by Log.Rewrite, so a crash leaves the old log or the bootstrap, and the
+// records, what a compaction on the primary would have written — and stages
+// the view put of every key it holds (foldLocked). The log is replaced by
+// Log.Rewrite, so a crash leaves the old log or the bootstrap, and the
 // mirrors are rebuilt from the records, under lockAll; its own subscribers
 // are dropped first, to bootstrap again from the new log.
-func (db *DB) install(framed []byte, stage []viewPut) ([]viewPut, error) {
+func (db *DB) install(framed []byte) error {
 	start := time.Now()
 	db.repl.dropAll(errReplaced)
 	defer db.lockAll()()
 	if err := db.wal.Rewrite(func(add func(rec []byte) error) error { return eachFrame(framed, add) }); err != nil {
-		return stage, err
+		return err
 	}
 	for _, sf := range db.shards {
 		for _, e := range sf.tab.All() {
@@ -735,18 +683,11 @@ func (db *DB) install(framed []byte, stage []viewPut) ([]viewPut, error) {
 	records := 0
 	if err := eachFrame(framed, func(rec []byte) error {
 		records++
-		if rec[0] != recPutAt {
-			return db.replay(rec)
-		}
-		shard, key, val, err := decodePutAt(rec, len(db.shards), db.procs)
-		if err == nil {
-			stage = append(stage, viewPut{shard: uint32(shard), n: db.shards[shard].set(key, val), val: val})
-		}
-		return err
+		return db.foldLocked(rec)
 	}); err != nil {
-		return stage, err
+		return err
 	}
 	slog.Info("durable: bootstrap installed", "path", db.wal.path, "generation", db.gen.Load(),
 		"records", records, "bytes", len(framed), "duration", time.Since(start))
-	return stage, nil
+	return nil
 }

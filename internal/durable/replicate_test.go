@@ -106,7 +106,7 @@ func applyAll(t *testing.T, rep *durable.Replica, msgs [][]byte) {
 // be a no-op (applies are idempotent).
 func TestReplicationLiveTapConverges(t *testing.T) {
 	pdb := openSim(t, simio.New())
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	workload(t, pdb)
 	sub.Close()
 	msgs := drain(t, sub)
@@ -139,7 +139,7 @@ func TestReplicationLiveTapConverges(t *testing.T) {
 // has ended must be gone.
 func TestReplicationSnapshotResync(t *testing.T) {
 	pdb := openSim(t, simio.New())
-	sub1 := pdb.Subscribe(0, false)
+	sub1 := pdb.Subscribe(0)
 	workload(t, pdb) // ends session 3
 	sub1.Close()
 
@@ -156,7 +156,7 @@ func TestReplicationSnapshotResync(t *testing.T) {
 	}
 
 	// Reconnect: bootstrap-only stream (no records tapped after Close).
-	sub2 := pdb.Subscribe(0, false)
+	sub2 := pdb.Subscribe(0)
 	sub2.Close()
 	snap := drain(t, sub2)
 	applyAll(t, bdb.NewReplica(), snap)
@@ -193,7 +193,7 @@ func db2More(db *durable.DB) error {
 // boundaries covers every byte.
 func TestReplicationKillAtEveryFrame(t *testing.T) {
 	pdb := openSim(t, simio.New())
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	workload(t, pdb)
 	sub.Close()
 	msgs := drain(t, sub)
@@ -201,7 +201,7 @@ func TestReplicationKillAtEveryFrame(t *testing.T) {
 
 	// One resync bootstrap reused for every cut: the primary is quiescent,
 	// so each subscription would stage identical state.
-	rsub := pdb.Subscribe(0, false)
+	rsub := pdb.Subscribe(0)
 	rsub.Close()
 	resync := drain(t, rsub)
 
@@ -229,13 +229,13 @@ func TestReplicationKillAtEveryFrame(t *testing.T) {
 }
 
 // TestSyncAckGatesCommit pins the semi-synchronous contract: once a
-// syncAck subscriber has acknowledged its bootstrap barrier, a commit does
+// subscriber has acknowledged its bootstrap barrier, a commit does
 // not return until the commit's barrier is acknowledged; acking (or
 // closing the subscription) releases it.
 func TestSyncAckGatesCommit(t *testing.T) {
 	db := openSim(t, simio.New())
 	defer db.Close()
-	sub := db.Subscribe(0, true)
+	sub := db.Subscribe(0)
 	defer sub.Close()
 	sub.Ack(sub.SnapSeq()) // bootstrap complete: the sub gates from here on
 
@@ -257,7 +257,7 @@ func TestSyncAckGatesCommit(t *testing.T) {
 	}
 
 	// A closed subscription must release waiters too.
-	sub2 := db.Subscribe(0, true)
+	sub2 := db.Subscribe(0)
 	sub2.Ack(sub2.SnapSeq())
 	go func() { done <- db.NoteSID(7) }()
 	time.Sleep(20 * time.Millisecond)
@@ -280,7 +280,7 @@ func TestSyncAckTimeoutDropsLaggard(t *testing.T) {
 	db := openSim(t, simio.New())
 	defer db.Close()
 	db.SetReplAckTimeout(100 * time.Millisecond)
-	sub := db.Subscribe(0, true)
+	sub := db.Subscribe(0)
 	sub.Ack(sub.SnapSeq()) // bootstrapped, then never acks again
 
 	start := time.Now()
@@ -304,7 +304,7 @@ func TestSyncAckTimeoutDropsLaggard(t *testing.T) {
 }
 
 // TestBootstrappingSubscriberDoesNotGate pins the gating threshold: a
-// syncAck subscriber that has not yet acknowledged its bootstrap barrier
+// subscriber that has not yet acknowledged its bootstrap barrier
 // neither delays commits nor gets dropped as a laggard — a replica whose
 // bootstrap transfer outlives the ack timeout must stay attached and become
 // the commit gate only once its bootstrap ack arrives.
@@ -312,7 +312,7 @@ func TestBootstrappingSubscriberDoesNotGate(t *testing.T) {
 	db := openSim(t, simio.New())
 	defer db.Close()
 	db.SetReplAckTimeout(100 * time.Millisecond)
-	sub := db.Subscribe(0, true) // bootstrap staged, nothing acked yet
+	sub := db.Subscribe(0) // bootstrap staged, nothing acked yet
 	defer sub.Close()
 
 	start := time.Now()
@@ -362,7 +362,7 @@ func TestSnapshotLargerThanSubLimit(t *testing.T) {
 	}
 
 	const limit = 1 << 10 // far below the staged bootstrap's size
-	sub := pdb.Subscribe(limit, false)
+	sub := pdb.Subscribe(limit)
 	sub.Close()
 	msgs := drain(t, sub)
 	if n := len(msgs); n < 4 || msgs[n-2][0] != durable.ReplBarrier || msgs[n-1][0] != durable.ReplCommit {
@@ -435,7 +435,7 @@ func TestBootstrapInstalledAtItsBarrier(t *testing.T) {
 	// The standby holds a primary's workload, then receives a bootstrap of
 	// a different state and crashes before its barrier.
 	pdb := openSim(t, simio.New())
-	live := pdb.Subscribe(0, false)
+	live := pdb.Subscribe(0)
 	workload(t, pdb)
 	live.Close()
 	pdb.Close()
@@ -573,7 +573,7 @@ func widenLastPut(msgs [][]byte) (out [][]byte, at int) {
 // so the standby's directory still opens.
 func TestReplicaRefusesOutOfDomainValue(t *testing.T) {
 	pdb := openSim(t, simio.New())
-	live := pdb.Subscribe(0, false)
+	live := pdb.Subscribe(0)
 	workload(t, pdb)
 	live.Close()
 	msgs, at := widenLastPut(drain(t, live))
@@ -609,7 +609,7 @@ func TestCompactionShipsStagedPuts(t *testing.T) {
 	pdb := openSim(t, simio.New())
 	defer pdb.Close()
 	pdb.SetCompactThreshold(256)
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	must(pdb.AppendHello(1, 0))
 	for i := 0; i < 48; i++ {
 		pdb.ShardBacking(i%testShards).Persist(fmt.Sprintf("staged-%d", i), int64(i+1))
@@ -641,7 +641,7 @@ func TestCompactionShipsStagedPuts(t *testing.T) {
 func TestLargeBatchSplitsAtRecords(t *testing.T) {
 	pdb := openSim(t, simio.New())
 	defer pdb.Close()
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	long := fmt.Sprintf("%01000d", 0)
 	for i := 0; i < 1500; i++ { // 1.5 MB of records in one batch
 		pdb.ShardBacking(i%testShards).Persist(fmt.Sprintf("%s-%d", long, i), int64(i))
@@ -650,7 +650,7 @@ func TestLargeBatchSplitsAtRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub.Close()
-	boot := pdb.Subscribe(0, false)
+	boot := pdb.Subscribe(0)
 	boot.Close()
 	for name, msgs := range map[string][][]byte{"epoch": drain(t, sub), "bootstrap": drain(t, boot)} {
 		logs := 0
@@ -681,12 +681,12 @@ func TestBootstrapDropsChainedSubscribers(t *testing.T) {
 	pdb := openSim(t, simio.New())
 	defer pdb.Close()
 	workload(t, pdb)
-	boot := pdb.Subscribe(0, false)
+	boot := pdb.Subscribe(0)
 	boot.Close()
 
 	bdb := openSim(t, simio.New())
 	defer bdb.Close()
-	chained := bdb.Subscribe(0, false)
+	chained := bdb.Subscribe(0)
 	applyAll(t, bdb.NewReplica(), drain(t, boot))
 	if _, _, subs := bdb.ReplStatus(); subs != 0 {
 		t.Fatalf("%d subscribers still attached to the bootstrapped standby", subs)

@@ -8,13 +8,13 @@ package durable
 // still running, and that fsync can fail, or the primary can crash under it
 // and come back without the epoch. So a key's entry (db.go) holds two
 // values: the one last journaled, and the one applied — what a GET reads.
-// Streamed puts accumulate in a per-stream stage as (shard, entry number,
-// value) and are stored into the applied words only when the epoch that
-// covers them — a barrier's, or a whole bootstrap's — is durable here *and*
-// its commit mark says it is durable on the primary
-// (Replica.publishThrough). Between commit marks the view is immutable, so
-// every read observes a prefix of the primary's commit order:
-// bounded-stale, never torn, never a value the primary failed to commit.
+// A streamed put is staged as (shard, entry number, value) when its epoch
+// is folded here (DB.foldLocked), and stored into the applied words only
+// when the epoch that covers it — a barrier's, or a whole bootstrap's — is
+// durable here *and* its commit mark says it is durable on the primary
+// (publishThrough). Between commit marks the view is immutable, so every
+// read observes a prefix of the primary's commit order: bounded-stale,
+// never torn, never a value the primary failed to commit.
 //
 // A publication is one step to readers without a lock they would have to
 // write: the stores sit inside a sequence counter's odd phase, and a GET
@@ -43,39 +43,101 @@ type viewPut struct {
 
 // viewState is what the applied view keeps beside the entries.
 type viewState struct {
-	mu  sync.Mutex    // serializes publishView and ResetView; readers never take it
+	mu  sync.Mutex    // guards stage and held, serializes publications and resets; readers never take it
 	ver atomic.Uint64 // odd while a publication or a reset is storing
 	// gen is the view's generation. An entry's applied value counts only
 	// while the entry's viewGen equals it, so raising it empties the view.
 	gen atomic.Uint32
 	seq atomic.Uint64 // primary barrier sequence applied through
+	// stage holds the puts folded here and not yet published, in stream
+	// order; held marks where each anchored, uncommitted epoch ends in it.
+	// A commit mark precedes the next barrier, so held rarely exceeds one.
+	stage []viewPut
+	held  []heldEpoch
 }
 
-// publishView stores the staged puts of the epochs committed through seq
-// into their entries and raises the applied mark to seq, as one step to
-// readers. The mark is stored after the values, so a reader that observes
-// ViewSeq() ≥ seq also observes every put those epochs covered.
-func (db *DB) publishView(stage []viewPut, seq uint64) {
+// heldEpoch is one epoch anchored and acknowledged here whose commit mark
+// has not arrived: stage[:end] is what publishing it shows.
+type heldEpoch struct {
+	seq uint64
+	end int
+}
+
+// maxStage bounds the stage a publication keeps for the epochs after it:
+// one that grew for a bootstrap — a put per key — or a wide epoch grows
+// back to what they need instead.
+const maxStage = maxSpare / 16
+
+// foldLocked is replay that also stages a put for the read view as (shard,
+// entry number, value): the one place a standby resolves a replicated put to
+// its entry, for a live epoch once its fsync has returned (fold) and for a
+// bootstrap (install). Called with the put's shard's mu held.
+func (db *DB) foldLocked(rec []byte) error {
+	if rec[0] != recPutAt {
+		return db.sessions.apply(rec)
+	}
+	shard, key, val, err := decodePutAt(rec, len(db.shards), db.procs)
+	if err == nil {
+		n, v := db.shards[shard].set(key, val), &db.view
+		v.mu.Lock()
+		v.stage = append(v.stage, viewPut{shard: uint32(shard), n: n, val: val})
+		v.mu.Unlock()
+	}
+	return err
+}
+
+// holdView marks the end of epoch seq, durable and acknowledged here, in the
+// stage: its puts wait there for the epoch's commit mark.
+func (db *DB) holdView(seq uint64) {
 	v := &db.view
 	v.mu.Lock()
+	v.held = append(v.held, heldEpoch{seq: seq, end: len(v.stage)})
+	v.mu.Unlock()
+}
+
+// publishThrough stores the staged puts of every held epoch whose sequence
+// is at most seq into their entries and raises the applied mark to the last
+// of them, as one step to readers, and keeps what was staged behind them for
+// the epochs to come. The mark is stored after the values, so a reader that
+// observes ViewSeq() ≥ n also observes every put through barrier n.
+func (db *DB) publishThrough(seq uint64) {
+	v := &db.view
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	n := 0
+	for n < len(v.held) && v.held[n].seq <= seq {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	last := v.held[n-1]
 	v.ver.Add(1)
 	gen := v.gen.Load()
-	for _, p := range stage {
+	for _, p := range v.stage[:last.end] {
 		e := db.shards[p.shard].tab.At(p.n)
 		e.applied.Store(p.val)
 		e.viewGen.Store(gen)
 	}
-	v.seq.Store(seq)
+	v.seq.Store(last.seq)
 	v.ver.Add(1)
-	v.mu.Unlock()
+	if rest := v.stage[last.end:]; cap(v.stage) > maxStage {
+		v.stage = append([]viewPut(nil), rest...)
+	} else {
+		v.stage = v.stage[:copy(v.stage, rest)]
+	}
+	v.held = v.held[:copy(v.held, v.held[n:])]
+	for i := range v.held {
+		v.held[i].end -= last.end
+	}
 }
 
-// ResetView empties the read view and zeroes the applied mark. Called when
-// a bootstrap begins: it supersedes whatever the view held, and until its
-// commit mark publishes, the replica has no consistent state to serve — a
-// zero applied mark is what trips the client's staleness fallback to the
-// primary for the duration. And called
-// at promotion: the node's reads come from its store from then on.
+// ResetView empties the read view and its stage and zeroes the applied
+// mark. Called when a bootstrap begins: it supersedes whatever the view
+// held, and until its commit mark publishes, the replica has no consistent
+// state to serve — a zero applied mark is what trips the client's staleness
+// fallback to the primary for the duration. And called at promotion: the
+// node's reads come from its store from then on.
 func (db *DB) ResetView() {
 	v := &db.view
 	v.mu.Lock()
@@ -83,6 +145,7 @@ func (db *DB) ResetView() {
 	v.seq.Store(0)
 	v.gen.Add(1)
 	v.ver.Add(1)
+	v.stage, v.held = v.stage[:0], v.held[:0]
 	v.mu.Unlock()
 }
 

@@ -23,7 +23,7 @@ import (
 func TestViewBarrierAtomicityAndSeqMonotonic(t *testing.T) {
 	const rounds = 300
 	pdb := openSim(t, simio.New())
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	if err := pdb.AppendHello(1, 0); err != nil {
 		t.Fatalf("AppendHello: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestViewBarrierAtomicityAndSeqMonotonic(t *testing.T) {
 // rebuilt view is republished at the bootstrap's commit mark.
 func TestViewResetOnSnapshot(t *testing.T) {
 	pdb := openSim(t, simio.New())
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	if err := pdb.AppendHello(1, 0); err != nil {
 		t.Fatalf("AppendHello: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestViewResetOnSnapshot(t *testing.T) {
 
 	// Reconnect: a second full stream from a fresh subscription (bootstrap
 	// included). Mid-bootstrap the view must read empty at mark zero.
-	sub2 := pdb.Subscribe(0, false)
+	sub2 := pdb.Subscribe(0)
 	sub2.Close()
 	msgs2 := drain(t, sub2)
 	rp := rdb.NewReplica()

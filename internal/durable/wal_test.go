@@ -251,7 +251,7 @@ func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	sub := db.Subscribe(0, true)
+	sub := db.Subscribe(0)
 	defer sub.Close()
 	go func() { // the standby: acknowledge every barrier
 		for {

@@ -183,7 +183,7 @@ func streamedStandby(t *testing.T, shards, procs, keys int) (*Server, *durable.D
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	if err := pdb.AppendHello(1, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 	fsim := simio.New()
 	addr := reserveAddr(t)
 	db, srv := hole1AServe(t, fsim, addr)
-	sub := db.Subscribe(0, false) // the stream a standby would have been fed
+	sub := db.Subscribe(0) // the stream a standby would have been fed
 	rc := dialRaw(t, addr)
 	sid, _ := rc.hello(t, 0)
 	if out := hole1AOutcome(t, rc.roundTrip(t, AppendPut(nil, 1, 0, hole1AKey, 100))); out.Status != runtime.StatusOK {

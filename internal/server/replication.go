@@ -356,7 +356,7 @@ func (srv *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.W
 		return
 	}
 
-	sub := db.Subscribe(0, true)
+	sub := db.Subscribe(0)
 	srv.mu.Lock()
 	if srv.closed {
 		srv.mu.Unlock()

@@ -360,7 +360,7 @@ type ServerStatus struct {
 	Generation       uint64 // fencing generation from the MANIFEST
 	RecoveredReplays uint64 // replays served from a recovered outcome window
 	ReplSeq          uint64 // last epoch anchored on this node's own disk (its committed mark)
-	ReplAcked        uint64 // min barrier acked across sync subscribers; may run one ahead of ReplSeq
+	ReplAcked        uint64 // min barrier acked across gating subscribers; may run one ahead of ReplSeq
 	Replicas         uint64 // currently attached replica streams
 	// ReplApplied is the node's applied mark: on a standby, the primary
 	// barrier sequence its read view has applied through; on a primary,

@@ -59,7 +59,7 @@ func runReplicatedWorkload(t *testing.T, cfg SweepConfig) (pfs *Fs, pdb *durable
 	if err != nil {
 		t.Fatalf("primary open: %v", err)
 	}
-	sub := pdb.Subscribe(0, false)
+	sub := pdb.Subscribe(0)
 	step := func(op func() error) {
 		t.Helper()
 		st := replStep{pre: pfs.Ops()}
@@ -114,7 +114,7 @@ func splitFrames(chunk []byte) (msgs [][]byte) {
 // stream a re-connecting standby would receive.
 func drainBootstrap(t *testing.T, db *durable.DB) (msgs [][]byte) {
 	t.Helper()
-	sub := db.Subscribe(0, false)
+	sub := db.Subscribe(0)
 	sub.Close()
 	for {
 		chunk, err := sub.Next()
