@@ -11,10 +11,10 @@ import (
 
 // runFailoverStorm is the primary/backup failover mode: it launches a
 // durable kvserverd primary plus a warm standby replicating from it
-// (docs/REPLICATION.md), drives the usual per-process expected-value
-// workload through failover-aware clients, and repeatedly SIGKILLs the
-// primary mid-workload, promotes the standby and brings up a fresh
-// standby behind the new primary. Workers ride each failover on the
+// (docs/REPLICATION.md), drives the usual verified workload through
+// failover-aware clients, and repeatedly SIGKILLs the primary
+// mid-workload, promotes the standby and brings up a fresh standby behind
+// the new primary. Workers ride each failover on the
 // client's multi-address redial path: the resumed session lands on the
 // promoted replica and replays its replicated outcome window
 // byte-identically, so the bar is unchanged — zero detectability
@@ -61,7 +61,7 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 		c.SetCallTimeout(2 * time.Second)
 		return c, nil
 	}
-	st, err := dialStorm(cfg, cfg.shared(), newClient)
+	st, err := dialStorm(cfg, newClient)
 	if err != nil {
 		return err
 	}

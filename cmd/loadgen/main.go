@@ -2,31 +2,31 @@
 // detectable key-value store (internal/shardkv) and reports aggregate and
 // per-shard throughput.
 //
-// With the default uniform distribution each process owns a disjoint slice
-// of the key space and tracks, in volatile memory, the value every one of
-// its keys must hold given the detectable verdict of each operation: a
-// linearized put/del updates the expectation, a definite fail leaves it
-// unchanged. Reads and a final sweep compare the store against the
-// expectation, so any lost or duplicated effect — a detectability
-// violation — is counted and fails the run. The crash-storm mix
-// additionally fails random single shards from a storm goroutine and
-// injects planned crashes into individual operations; the run still must
-// end with zero violations: every crashed operation resolves to a definite
-// outcome.
+// Every key is checked as a register, on its own (linearizability is
+// local), by an online linearizability check (linearize.Sweep): each
+// operation's invocation is fed before its request is sent and its
+// detectable verdict after the reply arrives — a failed verdict takes the
+// operation out of the history, a linearized one must fit in its
+// interval. Every written value is unique and every run first zeroes its
+// key space, so any lost or duplicated effect — a detectability violation
+// — is convicted at the operation that shows it, counted and explained,
+// and fails the run; a final sweep reads every key once through its check.
+// The crash-storm mix additionally fails random single shards from a storm
+// goroutine and injects planned crashes into individual operations; the
+// run still must end with zero violations: every crashed operation
+// resolves to a definite outcome.
 //
-// With -dist zipf every process draws from the FULL key space through a
-// seeded Zipfian chooser (-theta sets the skew; rank 0 is the hottest
-// key), so processes genuinely contend on shared hot keys — the regime the
-// lock-free key table and striped telemetry exist for. Exact expectations
-// are impossible under sharing, so verification switches to a per-key
-// write registry (see sharedTracker in dist.go) that still convicts every
-// phantom value, every visible failed write and every provably stale zero;
-// the bar stays zero violations. -mput N turns the write side of any mix
-// into N-entry MultiPut batches (the large-mutation mix), each entry
-// verified individually.
+// -dist picks only the key chooser. With the default uniform distribution
+// each process owns a disjoint slice of the key space; with -dist zipf
+// every process draws from the FULL key space through a seeded Zipfian
+// chooser (-theta sets the skew; rank 0 is the hottest key), so processes
+// genuinely contend on shared hot keys — the regime the lock-free key
+// table and striped telemetry exist for. -mput N turns the write side of
+// any mix into N-entry MultiPut batches (the large-mutation mix), each
+// entry checked individually.
 //
-// With -remote the same workload and the same expected-value verification
-// run against a live kvserverd over TCP instead of the in-process store.
+// With -remote the same workload and the same verification run against a
+// live kvserverd over TCP instead of the in-process store.
 // The crash-storm mix then additionally injects connection kills: workers
 // randomly sever their own TCP connection (including right after sending a
 // request, so the reply is lost mid-operation) and rely on session
@@ -83,7 +83,7 @@ func main() {
 	mix := flag.String("mix", "mixed", "workload mix: read-heavy, write-heavy, mixed or crash-storm")
 	procs := flag.Int("procs", 4, "concurrent processes (per shard system)")
 	shards := flag.Int("shards", 4, "number of independent shards")
-	keys := flag.Int("keys", 64, "total key-space size (split across processes)")
+	keys := flag.Int("keys", 64, "total key-space size (split across processes under -dist uniform)")
 	dur := flag.Duration("dur", time.Second, "run duration")
 	seed := flag.Int64("seed", 1, "randomness seed")
 	verbose := flag.Bool("v", false, "print the per-shard breakdown")
@@ -146,7 +146,7 @@ func run(cfg *wlCfg) error {
 	for pid := range targets {
 		targets[pid] = storeTarget{s, pid}
 	}
-	st, err := newStorm(cfg, targets, cfg.shared())
+	st, err := newStorm(cfg, targets)
 	if err != nil {
 		return err
 	}

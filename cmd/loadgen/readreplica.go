@@ -11,11 +11,11 @@ import (
 
 // runReadReplicaStorm is the read-replica mode: a durable primary takes
 // the write load while a replicating standby serves GET traffic through
-// read-only sessions (docs/REPLICATION.md §read replicas). Writers verify
-// their mutations with the shared write registry exactly as in the other
-// storms; readers verify every replica-served value under the
-// bounded-staleness contract — a read may be stale, but a phantom value or
-// a resurrected failed write convicts (checkReadStale). Mid-run the storm
+// read-only sessions (docs/REPLICATION.md §read replicas). Writers' mutations
+// are checked exactly as in the other storms; readers check every
+// replica-served value under the bounded-staleness contract — a read may
+// be stale, but a phantom value or a resurrected failed write convicts
+// (linearize.Sweep.ReadStale). Mid-run the storm
 // SIGKILLs the primary and promotes the standby with all readers still
 // connected: writers fail over on the client's replica-aware redial path,
 // readers ride the ReadClient's lag-bounded routing, and a fresh standby
@@ -48,10 +48,7 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	// found in the replica block.
 	addrA, addrB := cluster.Addrs()
 	primaries, replicas := []string{addrA}, []string{addrB}
-	// The registry is unconditional here: readers share every key with
-	// every writer regardless of the distribution, so per-process exact
-	// expectations cannot exist.
-	st, err := dialStorm(cfg, true, func() (*client.Client, error) {
+	st, err := dialStorm(cfg, func() (*client.Client, error) {
 		c, err := client.DialFailoverWithReplicas(primaries, replicas)
 		if err != nil {
 			return nil, err
@@ -63,6 +60,7 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	if err != nil {
 		return err
 	}
+	st.violations.armStale()
 
 	// Readers: GET-only sessions routed replica-first, each response
 	// verified under bounded staleness. Readers never dial a mutation, so
@@ -85,7 +83,7 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 				default:
 				}
 				k := rng.Intn(cfg.keys)
-				out, err := rc.Get(st.names[k])
+				out, err := rc.Get(st.violations.names[k])
 				if err != nil {
 					// Mid-failover both nodes can refuse for a moment; retry
 					// rather than convict — a persistently dead cluster fails
@@ -93,9 +91,7 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 					time.Sleep(20 * time.Millisecond)
 					continue
 				}
-				if why := st.tracker.checkReadStale(k, out.Resp); why != "" {
-					st.violations.convict(k, "GET by reader %d (on a replica: %v) got %d: %s", rid, rc.OnReplica(), out.Resp, why)
-				}
+				st.violations.stale(k, out.Resp, rid, rc.OnReplica())
 				readOps.Add(1)
 				if rc.OnReplica() {
 					replicaReads.Add(1)

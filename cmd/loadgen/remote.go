@@ -8,10 +8,10 @@ import (
 	"detectable/internal/shardkv"
 )
 
-// runRemote is run over the wire: the same mixes and the same per-process
-// expected-value verification, but every operation travels through a
-// client session to a live kvserverd, and the crash-storm mix additionally
-// severs worker connections so session resumption is exercised under load.
+// runRemote is run over the wire: the same mixes and the same per-key
+// verification, but every operation travels through a client session to a
+// live kvserverd, and the crash-storm mix additionally severs worker
+// connections so session resumption is exercised under load.
 func runRemote(addr string, cfg *wlCfg) error {
 	if addr == "self" {
 		srv := server.New(shardkv.New(cfg.shards, cfg.procs))
@@ -36,7 +36,7 @@ func runRemote(addr string, cfg *wlCfg) error {
 	}
 	numShards := len(before) // the server's real shard count, whatever -shards says
 
-	st, err := dialStorm(cfg, cfg.shared(), func() (*client.Client, error) { return client.Dial(addr) })
+	st, err := dialStorm(cfg, func() (*client.Client, error) { return client.Dial(addr) })
 	if err != nil {
 		return err
 	}

@@ -10,13 +10,12 @@ import (
 
 // runRestartStorm is the whole-process crash mode: it launches a real
 // kvserverd binary with a durable -data directory, drives the usual
-// per-process expected-value workload over TCP, and meanwhile repeatedly
-// SIGKILLs the server and restarts it from the same directory. Workers ride
-// the kills on the client's session-resume path: after each restart they
-// reconnect, resume their (durably recovered) session and re-issue the
-// in-flight request ID — receiving the original persisted verdict when the
-// server had released one, or a fresh exactly-once execution when it had
-// not. The bar is unchanged from every other mix: zero detectability
+// verified workload over TCP, and meanwhile repeatedly SIGKILLs the server
+// and restarts it from the same directory. Workers ride the kills on the
+// client's session-resume path: after each restart they reconnect, resume
+// their (durably recovered) session and re-issue the in-flight request ID —
+// receiving the original persisted verdict when the server had released
+// one, or a fresh exactly-once execution when it had not. The bar is unchanged from every other mix: zero detectability
 // violations, now across whole-process crash/restart boundaries.
 func runRestartStorm(bin, dataDir string, cfg *wlCfg,
 	restarts int, restartEvery time.Duration) (err error) {
@@ -39,7 +38,7 @@ func runRestartStorm(bin, dataDir string, cfg *wlCfg,
 
 	// Workers: one durable session each, redial policy sized to out-wait a
 	// full kill+restart cycle.
-	st, err := dialStorm(cfg, cfg.shared(), func() (*client.Client, error) {
+	st, err := dialStorm(cfg, func() (*client.Client, error) {
 		c, err := client.Dial(addr)
 		if err == nil {
 			c.SetRedialPolicy(300, 100*time.Millisecond)

@@ -94,42 +94,28 @@ type storm struct {
 	cfg        *wlCfg
 	targets    []target         // one per worker process
 	clients    []*client.Client // the same, when the targets are wire sessions
-	names      []string
-	tracker    *sharedTracker // nil: per-process exact expectations
 	violations *violationLog
-	indefinite atomic.Uint64
-	expected   []map[string]int // uniform mode: each worker's final expectation
 
 	ops     atomic.Uint64 // operations the workers completed
 	elapsed time.Duration // the measured window: worker start to last worker done
 }
 
-// newStorm is the shared prologue: key names, the violation log and — when
-// keys are shared between workers (zipf, or registry forced by the mode) —
-// the write registry over a zeroed key space. Registry verification
-// classifies every observed value, so a value left by an earlier run
-// against the same store, server or data directory would read as a phantom.
-func newStorm(cfg *wlCfg, targets []target, registry bool) (*storm, error) {
-	s := &storm{
-		cfg:      cfg,
-		targets:  targets,
-		names:    keyNames(cfg.keys),
-		expected: make([]map[string]int, len(targets)),
-	}
-	s.violations = newViolationLog(s.names)
-	if registry {
-		s.tracker = newSharedTracker(cfg.keys)
-		for _, key := range s.names {
-			if _, err := targets[0].PutRetry(key, 0); err != nil {
-				return nil, fmt.Errorf("zeroing %s: %w", key, err)
-			}
+// newStorm is the shared prologue: key names, the violation log and a
+// zeroed key space. Every key's check starts from 0, so a value left by an
+// earlier run against the same store, server or data directory would read
+// as a phantom.
+func newStorm(cfg *wlCfg, targets []target) (*storm, error) {
+	s := &storm{cfg: cfg, targets: targets, violations: newViolationLog(keyNames(cfg.keys))}
+	for _, key := range s.violations.names {
+		if _, err := targets[0].PutRetry(key, 0); err != nil {
+			return nil, fmt.Errorf("zeroing %s: %w", key, err)
 		}
 	}
 	return s, nil
 }
 
 // dialStorm is newStorm over the wire: one session per worker process.
-func dialStorm(cfg *wlCfg, registry bool, dial func() (*client.Client, error)) (*storm, error) {
+func dialStorm(cfg *wlCfg, dial func() (*client.Client, error)) (*storm, error) {
 	clients := make([]*client.Client, cfg.procs)
 	targets := make([]target, cfg.procs)
 	for p := range clients {
@@ -139,7 +125,7 @@ func dialStorm(cfg *wlCfg, registry bool, dial func() (*client.Client, error)) (
 		}
 		clients[p], targets[p] = c, c
 	}
-	s, err := newStorm(cfg, targets, registry)
+	s, err := newStorm(cfg, targets)
 	if err == nil {
 		s.clients = clients
 	}
@@ -203,19 +189,18 @@ func (s *storm) runWorkers(spec mixSpec, faults func(deadline time.Time) error, 
 
 // work is one worker: a stream that is a pure function of (seed, procs,
 // pid), the mix and whether the target can kill its own connection, every
-// detectable verdict folded into the verifier, until stop closes or the
-// target stops answering.
+// operation fed to its key's check, until stop closes or the target stops
+// answering.
 func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}) error {
-	cfg, t, names := s.cfg, s.targets[pid], s.names
+	cfg, t, log := s.cfg, s.targets[pid], s.violations
+	names := log.names
 	killer, _ := t.(connKiller)
 	rng := cfg.workerRNG(pid)
 	ch := cfg.chooserFor(pid, rng)
-	v := newVerify(pid, s.tracker, s.violations, &s.indefinite)
-	defer func() { s.expected[pid] = v.exp }()
 	nextVal := 0
 	newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
 	var entries []shardkv.KV
-	var ki []int
+	var ps []pending
 	putBelow := spec.getPct + spec.putPct // GET below getPct, PUT/MPUT below this, DEL above
 	for {
 		select {
@@ -244,37 +229,36 @@ func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}) error {
 		)
 		switch r := rng.Intn(100); {
 		case r < spec.getPct:
-			pre := v.readBegin(k)
+			p := log.begin(k, false, 0)
 			if out, err = t.Get(key, plan...); err == nil {
-				v.get(k, key, pre, out)
+				log.settle(p, opRecord{worker: pid, op: "GET", out: out})
 			}
 		case r < putBelow:
 			if cfg.mput > 0 {
-				entries, ki = entries[:0], ki[:0]
+				entries, ps = entries[:0], ps[:0]
 				for j := 0; j < cfg.mput; j++ {
 					kk := ch.next()
 					val := newVal()
 					entries = append(entries, shardkv.KV{Key: names[kk], Val: val})
-					ki = append(ki, kk)
-					v.beginPut(kk, val)
+					ps = append(ps, log.begin(kk, true, val))
 				}
 				var outs []runtime.Outcome[int]
 				if outs, err = t.MultiPut(entries); err == nil {
 					for j, out := range outs {
-						v.settle(ki[j], entries[j].Key, "PUT", entries[j].Val, out)
+						log.settle(ps[j], opRecord{worker: pid, op: "PUT", val: entries[j].Val, out: out})
 					}
 				}
 			} else {
 				val := newVal()
-				v.beginPut(k, val)
+				p := log.begin(k, true, val)
 				if out, err = t.Put(key, val, plan...); err == nil {
-					v.settle(k, key, "PUT", val, out)
+					log.settle(p, opRecord{worker: pid, op: "PUT", val: val, out: out})
 				}
 			}
 		default:
-			v.beginDel(k)
+			p := log.begin(k, true, 0)
 			if out, err = t.Del(key, plan...); err == nil {
-				v.settle(k, key, "DEL", 0, out)
+				log.settle(p, opRecord{worker: pid, op: "DEL", out: out})
 			}
 		}
 		if err != nil {
@@ -306,19 +290,16 @@ func shardCrashes(cfg *wlCfg, shards int, crash func(shard int) error) func(time
 }
 
 // finish is the shared epilogue, entered once runWorkers returned nil: the
-// final sweep (every owner's expectation must hold exactly, or every key's
-// settled value must be explained by the write registry — crashes, kills
-// and failovers included), the mode's report, then the verdict: no
+// final sweep (every key's settled value must pass its check — crashes,
+// kills and failovers included), the mode's report, then the verdict: no
 // indefinite outcome, no violation, every post-condition (see require), and
 // the closing line.
 func (s *storm) finish(report func(), verdict string, post ...error) error {
-	if err := finalSweep(s.violations, s.tracker, s.expected, func(pid int, key string) (int, error) {
-		return s.targets[pid].GetRetry(key)
-	}); err != nil {
+	if err := finalSweep(s.violations, s.targets[0].GetRetry); err != nil {
 		return err
 	}
 	report()
-	if n := s.indefinite.Load(); n > 0 {
+	if n := s.violations.indefinite.Load(); n > 0 {
 		return fmt.Errorf("%d operations ended without a definite outcome", n)
 	}
 	if n := s.violations.Load(); n > 0 {

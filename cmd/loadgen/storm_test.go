@@ -131,7 +131,7 @@ func fakeStorm(t *testing.T, cfg wlCfg, want int, fault func(*fakeStore)) (st *s
 	if fault != nil {
 		fault(store)
 	}
-	st, err := newStorm(&cfg, targets, cfg.shared())
+	st, err := newStorm(&cfg, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,5 +210,40 @@ func TestWorkerLoopMustConvict(t *testing.T) {
 	st, _, printed := fakeStorm(t, wlCfg{mixName: "mixed", dist: "zipf", theta: 0.99, procs: 2, shards: 1, keys: 4, seed: 1}, 400, nil)
 	if err := st.finish(func() {}, "every operation resolved to a definite outcome, zero violations"); err != nil {
 		t.Errorf("honest fake: finish = %v\n%s", err, printed)
+	}
+}
+
+// TestUniformStormOverEarlierValues: a uniform run against a store that an
+// earlier run left nonzero values in convicts nothing, because every run
+// zeroes its key space before its checks start from 0.
+func TestUniformStormOverEarlierValues(t *testing.T) {
+	cfg := wlCfg{mixName: "mixed", dist: "uniform", procs: 2, shards: 1, keys: 8, seed: 1}
+	st, _, printed := fakeStorm(t, cfg, 400, func(s *fakeStore) {
+		for i, key := range keyNames(cfg.keys) {
+			s.vals[key] = 1_000_000_000 + i
+		}
+	})
+	if err := st.finish(func() {}, "every operation resolved to a definite outcome, zero violations"); err != nil {
+		t.Errorf("finish = %v\n%s", err, printed)
+	}
+}
+
+// TestValidateBoundsInFlightPerKey: a run whose processes could hold more
+// operations in flight on one key than its check follows is refused up
+// front, not by a panic mid-storm.
+func TestValidateBoundsInFlightPerKey(t *testing.T) {
+	for _, tc := range []struct {
+		cfg wlCfg
+		ok  bool
+	}{
+		{wlCfg{dist: "zipf", procs: 8, mput: 8}, true},
+		{wlCfg{dist: "zipf", procs: 16, mput: 8}, false},
+		{wlCfg{dist: "uniform", procs: 16, mput: 64}, true},
+		{wlCfg{dist: "uniform", procs: 16, mput: 65}, false},
+	} {
+		tc.cfg.mixName, tc.cfg.shards, tc.cfg.keys = "mixed", 1, 32
+		if err := tc.cfg.validate(); (err == nil) != tc.ok {
+			t.Errorf("%s procs=%d mput=%d: validate = %v, want ok=%v", tc.cfg.dist, tc.cfg.procs, tc.cfg.mput, err, tc.ok)
+		}
 	}
 }

@@ -8,33 +8,40 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"detectable/internal/linearize"
 	"detectable/internal/runtime"
 )
 
 // trailLen is how many of a key's most recent operations a violation prints.
 const trailLen = 8
 
-// violationLog counts a run's detectability violations and explains each
-// one on stderr as it is found: the key, what was read or claimed against
-// what the verifier could accept, the convicting operation's verdict and
-// crash count, and the key's last trailLen operations by any worker — so a
-// failed storm says which operation lied instead of only how many did.
+// violationLog is a run's verifier. Every key is a register checked online
+// by its own linearize.Sweep, fed each operation's invocation before the
+// request is sent and its verdict after the reply arrives (linearizability
+// is local, so keys are checked apart). A violation is counted and
+// explained on stderr as it is found: the key, the operation and what the
+// check could have accepted, and the key's last trailLen operations by any
+// worker — so a failed storm says which operation lied instead of only how
+// many did.
 type violationLog struct {
-	n      atomic.Uint64
-	w      io.Writer // os.Stderr
-	names  []string
-	trails []keyTrail
+	n          atomic.Uint64
+	indefinite atomic.Uint64 // operations whose verdict was not definite
+	w          io.Writer     // os.Stderr
+	names      []string
+	keys       []keyLog
 }
 
-// keyTrail is one key's ring of settled operations, oldest overwritten.
-type keyTrail struct {
+// keyLog is one key's check and its ring of settled operations, oldest
+// overwritten, under one lock.
+type keyLog struct {
 	mu  sync.Mutex
+	reg linearize.Sweep
 	ops [trailLen]opRecord
 	n   int
 }
 
 type opRecord struct {
-	worker int
+	worker int    // -1: the final sweep
 	op     string // GET, PUT, DEL
 	val    int    // the value written (PUT)
 	out    runtime.Outcome[int]
@@ -42,6 +49,9 @@ type opRecord struct {
 
 func (r opRecord) String() string {
 	s := fmt.Sprintf("w%d %s", r.worker, r.op)
+	if r.worker < 0 {
+		s = "final sweep " + r.op
+	}
 	if r.op == "PUT" {
 		s += fmt.Sprintf(" %d", r.val)
 	}
@@ -52,67 +62,89 @@ func (r opRecord) String() string {
 	return fmt.Sprintf("%s (crashes %d)", s, r.out.Crashes)
 }
 
+// pending is an operation invoked on key k and not yet settled.
+type pending struct{ k, op int }
+
 func newViolationLog(names []string) *violationLog {
-	return &violationLog{w: os.Stderr, names: names, trails: make([]keyTrail, len(names))}
+	return &violationLog{w: os.Stderr, names: names, keys: make([]keyLog, len(names))}
 }
 
 // Load returns the number of violations so far.
 func (l *violationLog) Load() uint64 { return l.n.Load() }
 
-// note appends a settled operation to key k's trail.
-func (l *violationLog) note(k int, r opRecord) {
-	t := &l.trails[k]
-	t.mu.Lock()
-	t.ops[t.n%trailLen] = r
-	t.n++
-	t.mu.Unlock()
+// definite reports whether a verdict says for certain if the operation
+// linearized — the paper's contract for every crashed operation.
+func definite(s runtime.Status) bool {
+	return s.Linearized() || s == runtime.StatusFailed || s == runtime.StatusNotInvoked
 }
 
-// convict counts one violation on key k and prints it with the key's trail.
+// begin invokes a write of val (a DEL writes 0) or a read on key k.
+func (l *violationLog) begin(k int, write bool, val int) pending {
+	kl := &l.keys[k]
+	kl.mu.Lock()
+	defer kl.mu.Unlock()
+	return pending{k, kl.reg.Invoke(write, val)}
+}
+
+// settle feeds p's outcome to its key's check and appends it to the key's
+// trail.
+func (l *violationLog) settle(p pending, r opRecord) {
+	if !definite(r.out.Status) {
+		l.indefinite.Add(1)
+	}
+	kl := &l.keys[p.k]
+	kl.mu.Lock()
+	defer kl.mu.Unlock()
+	kl.ops[kl.n%trailLen] = r
+	kl.n++
+	if why := kl.reg.Return(p.op, r.out); why != "" {
+		l.convict(p.k, "%s: %s", r, why)
+	}
+}
+
+// armStale readies every key's check for reads from a bounded-stale view,
+// before the first write: from here on each records its writes' values.
+func (l *violationLog) armStale() {
+	for i := range l.keys {
+		l.keys[i].reg.ReadStale(0)
+	}
+}
+
+// stale checks reader rid's read of key k served from a replica's
+// bounded-stale view.
+func (l *violationLog) stale(k, resp, rid int, onReplica bool) {
+	kl := &l.keys[k]
+	kl.mu.Lock()
+	defer kl.mu.Unlock()
+	if why := kl.reg.ReadStale(resp); why != "" {
+		l.convict(k, "GET by reader %d (on a replica: %v) got %d: %s", rid, onReplica, resp, why)
+	}
+}
+
+// convict counts one violation on key k and prints it with the key's
+// trail. The caller holds the key's lock.
 func (l *violationLog) convict(k int, format string, args ...any) {
 	l.n.Add(1)
-	t := &l.trails[k]
-	t.mu.Lock()
+	t := &l.keys[k]
 	var b strings.Builder
 	fmt.Fprintf(&b, "violation: %s: %s\n  last %d of %d operations on %s, oldest first:\n",
 		l.names[k], fmt.Sprintf(format, args...), min(t.n, trailLen), t.n, l.names[k])
 	for i := max(0, t.n-trailLen); i < t.n; i++ {
 		fmt.Fprintf(&b, "    %s\n", t.ops[i%trailLen])
 	}
-	t.mu.Unlock()
 	io.WriteString(l.w, b.String()) //nolint:errcheck
 }
 
-// finalSweep reads every key after all verdicts have settled: each owner's
-// expectation must hold exactly (uniform mode: expected[pid] is worker
-// pid's map over its own keys), or every key's value must be explained by
-// the write registry (shared mode). get reads key with retries as worker
-// pid.
-func finalSweep(log *violationLog, tracker *sharedTracker, expected []map[string]int, get func(pid int, key string) (int, error)) error {
-	if tracker != nil {
-		for k, key := range log.names {
-			got, err := get(0, key)
-			if err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
-			if why := tracker.checkFinal(k, got); why != "" {
-				log.convict(k, "final sweep read %d: %s", got, why)
-			}
+// finalSweep reads every key once through its check after all verdicts
+// have settled; get reads a key with retries.
+func finalSweep(log *violationLog, get func(key string) (int, error)) error {
+	for k, key := range log.names {
+		p := log.begin(k, false, 0)
+		got, err := get(key)
+		if err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
-		return nil
-	}
-	procs := len(expected)
-	for pid, exp := range expected {
-		for k := pid; k < len(log.names); k += procs {
-			key := log.names[k]
-			got, err := get(pid, key)
-			if err != nil {
-				return fmt.Errorf("sweep worker %d: %w", pid, err)
-			}
-			if got != exp[key] {
-				log.convict(k, "final sweep by its owner w%d read %d, want %d (the owner's last linearized write)", pid, got, exp[key])
-			}
-		}
+		log.settle(p, opRecord{worker: -1, op: "GET", out: runtime.Outcome[int]{Status: runtime.StatusOK, Resp: got}})
 	}
 	return nil
 }

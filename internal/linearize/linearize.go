@@ -15,8 +15,12 @@
 //   - an operation still pending when the history ends may be linearized
 //     with any response, or not at all.
 //
-// The search is the classic Wing & Gong / Lowe algorithm with memoization
-// on (set of linearized operations, object state).
+// Check is the classic Wing & Gong / Lowe search with memoization on (set
+// of linearized operations, object state), for any spec.Object and at most
+// MaxOps operations. Sweep applies the same rules to one register online,
+// one event at a time, with no bound on the history's length: it is how
+// the load generator checks a storm's every key (linearizability is local,
+// so keys are checked apart).
 package linearize
 
 import (
