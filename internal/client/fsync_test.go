@@ -1,8 +1,10 @@
 package client_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,15 +16,19 @@ import (
 )
 
 // countingFs counts the file fsyncs a node issues through the durable.Fs
-// seam (directory syncs are not fsyncs of data and are not counted). Once
-// hold is armed, the next fsync is counted, reports on held and waits for
-// release before it reaches the disk.
+// seam (directory syncs are not fsyncs of data and are not counted), and the
+// records and their framed bytes it writes to its write-ahead log (the pad
+// behind them is not counted). Once hold is armed, the next fsync is
+// counted, reports on held and waits for release before it reaches the
+// disk.
 type countingFs struct {
 	durable.Fs
-	fsyncs  atomic.Int64
-	hold    atomic.Bool
-	held    chan struct{}
-	release chan struct{}
+	fsyncs     atomic.Int64
+	records    atomic.Int64
+	recordSize atomic.Int64
+	hold       atomic.Bool
+	held       chan struct{}
+	release    chan struct{}
 }
 
 func (c *countingFs) OpenFile(path string, flag int, perm os.FileMode) (durable.File, error) {
@@ -36,6 +42,21 @@ func (c *countingFs) OpenFile(path string, flag int, perm os.FileMode) (durable.
 type countingFile struct {
 	durable.File
 	fs *countingFs
+}
+
+func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
+	if filepath.Base(f.Name()) == "wal.log" {
+		for b := p; len(b) >= durable.FrameHeader; {
+			n := durable.FrameHeader + int(binary.BigEndian.Uint32(b))
+			if n == durable.FrameHeader || n > durable.FrameHeader+durable.MaxRecord || n > len(b) {
+				break // the pad, or what a barrier writes of it
+			}
+			f.fs.records.Add(1)
+			f.fs.recordSize.Add(int64(n))
+			b = b[n:]
+		}
+	}
+	return f.File.WriteAt(p, off)
 }
 
 func (f countingFile) Sync() error {
@@ -242,5 +263,45 @@ func TestPreloadFsyncCount(t *testing.T) {
 	}
 	if got := p.fs.fsyncs.Load(); got < commits || got > commits+2 {
 		t.Fatalf("open + hello + %d MPUT×%d commits issued %d fsyncs, want %d to %d", commits, width, got, commits, commits+2)
+	}
+}
+
+// TestWALRecordPins pins what one acknowledged operation writes to a durable
+// primary's write-ahead log, one request in flight: a PUT and a DEL are one
+// record each, their put-at stamped with the request's ID and verdict, which
+// is the verdict; an MPUT of 16 is its 16 stamped put-at records and the
+// outcome record. It logs the bytes per operation.
+func TestWALRecordPins(t *testing.T) {
+	p := startPinPrimary(t)
+	c, err := client.Dial(p.srv.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close() //nolint:errcheck
+	mput := make([]shardkv.KV, 16)
+	for i := range mput {
+		mput[i] = shardkv.KV{Key: fmt.Sprintf("pin-%02d", i), Val: i + 1}
+	}
+	const ops = 8
+	for _, op := range []struct {
+		name    string
+		records int64
+		run     func(i int) error
+	}{
+		{"PUT", 1, func(i int) error { _, err := c.Put(fmt.Sprintf("pin-%02d", i), i+1); return err }},
+		{"DEL", 1, func(i int) error { _, err := c.Del(fmt.Sprintf("pin-%02d", i)); return err }},
+		{"MPUT×16", 17, func(int) error { _, err := c.MultiPut(mput); return err }},
+	} {
+		records, size := p.fs.records.Load(), p.fs.recordSize.Load()
+		for i := range ops {
+			if err := op.run(i); err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+		}
+		records, size = p.fs.records.Load()-records, p.fs.recordSize.Load()-size
+		if records != ops*op.records {
+			t.Fatalf("%d acknowledged %ss wrote %d WAL records, want %d each", ops, op.name, records, op.records)
+		}
+		t.Logf("%s: %d WAL record(s), %d bytes per acknowledged op", op.name, records/ops, size/ops)
 	}
 }

@@ -18,7 +18,10 @@ import (
 	"unsafe"
 
 	"detectable/internal/keytab"
+	"detectable/internal/nvm"
+	"detectable/internal/runtime"
 	"detectable/internal/rw"
+	"detectable/internal/spec"
 )
 
 // DefaultCompactAt is the write-ahead log's compaction threshold: the anchor
@@ -30,19 +33,54 @@ const DefaultCompactAt = 1 << 20
 // manifestVersion is the on-disk layout this package reads and writes: a
 // data directory is MANIFEST, LOCK and wal.log. Version 1 kept one
 // shard-NNN.log per shard and a sessions.log, version 2 compacted into
-// shard-NNN.snap and sessions.snap beside the log; both are refused at open,
-// not upgraded.
-const manifestVersion = 3
+// shard-NNN.snap and sessions.snap beside the log, version 3's put-at record
+// carried no stamp; all are refused at open, not upgraded.
+const manifestVersion = 4
 
 // Record kinds. The write-ahead log holds recPutAt and the four session
 // kinds.
 const (
-	recPut     = 0x01 // u16 key, i64 val — one durable root persisted; only inside a recPutAt
 	recHello   = 0x02 // u64 sid, i64 pid — session opened
 	recOutcome = 0x03 // u64 sid, u64 reqID, u32 len, reply — verdict persisted
 	recEnd     = 0x04 // u64 sid — session closed
 	recNextSID = 0x05 // u64 next — session-ID high-water mark
-	recPutAt   = 0x06 // u32 shard, then a recPut record — a put journaled for that shard
+	recPutAt   = 0x06 // the putAt* layout below — a put journaled for a shard, stamped
+)
+
+// The put-at record: the shard the put was journaled for, the stamp that
+// says whose effect it is, and the put, key then value. The stamp is the
+// writer's request ID (0 for a put no request stamped — a compaction's, a
+// test's — whose other stamp fields are 0 too), its process, the status and
+// crash count of its verdict, and for an entry of an MPUT the entry's index
+// and the batch's length (0 for a single PUT or DEL). Encoding, decoding and
+// the replication stream's size check read these offsets and nothing else.
+const (
+	putAtSizeKind    = 1
+	putAtSizeShard   = 4
+	putAtSizeReqID   = 8
+	putAtSizePID     = 4
+	putAtSizeStatus  = 1
+	putAtSizeCrashes = 4
+	putAtSizeEntry   = 2
+	putAtSizeBatch   = 2
+	putAtSizeKeyLen  = 2
+	putAtSizeVal     = 8
+)
+
+const (
+	putAtOffsetKind    = 0
+	putAtOffsetShard   = putAtOffsetKind + putAtSizeKind
+	putAtOffsetReqID   = putAtOffsetShard + putAtSizeShard
+	putAtOffsetPID     = putAtOffsetReqID + putAtSizeReqID
+	putAtOffsetStatus  = putAtOffsetPID + putAtSizePID
+	putAtOffsetCrashes = putAtOffsetStatus + putAtSizeStatus
+	putAtOffsetEntry   = putAtOffsetCrashes + putAtSizeCrashes
+	putAtOffsetBatch   = putAtOffsetEntry + putAtSizeEntry
+	putAtOffsetKeyLen  = putAtOffsetBatch + putAtSizeBatch
+	putAtOffsetKey     = putAtOffsetKeyLen + putAtSizeKeyLen
+	// PutAtOverhead is a put-at record's size besides its key: the value
+	// follows the key.
+	PutAtOverhead = putAtOffsetKey + putAtSizeVal
 )
 
 // manifest pins the layout version and store geometry a data directory was
@@ -116,14 +154,20 @@ type entry struct {
 
 // sessionsFile is the session layer's durable state. mu is the anchor lock:
 // session records are appended to the write-ahead log, streamed to the
-// standby, made durable and folded into the mirror under it, so the mirror
-// holds durable records only and no session record is ever left staged when
-// it is released.
+// standby, made durable and folded into the mirror under it — and so are the
+// stamps of the put-at records an epoch made durable — so the mirror holds
+// durable records only and no session record is ever left staged when it is
+// released.
 type sessionsFile struct {
-	mu      sync.Mutex
-	state   map[uint64]mirrored // by session ID
+	mu    sync.Mutex
+	state map[uint64]mirrored // by session ID
+	// holders is, by pid, the session whose hello last leased the slot in
+	// log order (0: none): the session a stamp of that pid belongs to, if
+	// it has not ended.
+	holders []uint64
 	nextSID uint64
 	window  int
+	reply   []byte // noteStamp's scratch
 }
 
 // mirrored is one live session of the mirror.
@@ -135,9 +179,11 @@ type mirrored struct {
 // DB is one open durable data directory: the write-ahead log and the mirrors
 // of what it holds. It implements the commit protocol of
 // docs/DURABILITY.md: mutations are journaled into the log as they
-// linearize, an outcome record is appended behind the puts it depends on,
-// and recovery accepts only a valid prefix of the log — so no released
-// verdict can outlive its effect across a crash.
+// linearize, each put-at record stamped with its writer's request and
+// verdict, an outcome record — a failed verdict, an MPUT's — is appended
+// behind the puts it depends on, and recovery accepts only a valid prefix of
+// the log — so no released verdict can outlive its effect across a crash,
+// and no surviving effect loses its verdict.
 type DB struct {
 	fs        Fs
 	dir       string
@@ -145,6 +191,7 @@ type DB struct {
 	wal       *Log
 	shards    []*shardFile
 	sessions  sessionsFile
+	calls     []atomic.Uint64 // by pid: the request ID its puts are stamped with (BeginRequest)
 	procs     int
 	compactAt int64
 	gc        groupCommit
@@ -191,7 +238,8 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	db.gc.cond.L = &db.gc.mu
 	db.gen.Store(gen)
 	db.view.gen.Store(1) // a fresh entry's zero viewGen is never current
-	db.sessions = sessionsFile{state: make(map[uint64]mirrored), window: window}
+	db.sessions = sessionsFile{state: make(map[uint64]mirrored), holders: make([]uint64, procs), window: window}
+	db.calls = make([]atomic.Uint64, procs)
 	for i := 0; i < shards; i++ {
 		db.shards = append(db.shards, &shardFile{})
 	}
@@ -210,16 +258,28 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 }
 
 // replay folds one write-ahead-log record into the mirrors, dispatching by
-// kind. Called where nothing else touches them: at open, and under lockAll.
+// kind. Called where nothing else touches them: at open.
 func (db *DB) replay(rec []byte) error {
 	if rec[0] != recPutAt {
 		return db.sessions.apply(rec)
 	}
-	shard, key, val, err := decodePutAt(rec, len(db.shards), db.procs)
-	if err == nil {
-		db.shards[shard].set(key, val)
-	}
+	_, _, err := db.foldPut(rec)
 	return err
+}
+
+// foldPut folds one put-at record into the mirrors — its value into its
+// shard's, its stamp into its writer's window (noteStamp) — and returns it
+// decoded with its entry's number: replay at open, and on a standby the fold
+// of an epoch or a bootstrap (foldLocked). Called with the put's shard's mu
+// and sessions.mu held, or before the DB is shared.
+func (db *DB) foldPut(rec []byte) (putAt, uint32, error) {
+	p, err := decodePutAt(rec, len(db.shards), db.procs)
+	if err != nil {
+		return p, 0, err
+	}
+	n := db.shards[p.shard].set(p.key, p.val)
+	db.sessions.noteStamp(p.stamp)
+	return p, n, nil
 }
 
 // fold is replay for a DB in service: DB.anchor folds the records of the
@@ -227,7 +287,7 @@ func (db *DB) replay(rec []byte) error {
 // epochs carry puts, each checked on arrival — takes its shard's lock.
 func (db *DB) fold(rec []byte) error {
 	if rec[0] == recPutAt {
-		sf := db.shards[binary.BigEndian.Uint32(rec[1:])]
+		sf := db.shards[binary.BigEndian.Uint32(rec[putAtOffsetShard:])]
 		sf.mu.Lock()
 		defer sf.mu.Unlock()
 	}
@@ -251,7 +311,7 @@ func checkManifest(fsys Fs, dir string, shards, procs int) (uint64, error) {
 		return 0, fmt.Errorf("durable: corrupt MANIFEST in %s: %w", dir, err)
 	}
 	if m.Version != manifestVersion {
-		return 0, fmt.Errorf("durable: %s is a version %d data directory, this build reads and writes version %d only (every record in one wal.log; versions 1 and 2 kept some in other files) and has no upgrader",
+		return 0, fmt.Errorf("durable: %s is a version %d data directory, this build reads and writes version %d only (every record in one wal.log, each put stamped with whose effect it is; versions 1 and 2 kept some records in other files, version 3 stamped no put) and has no upgrader",
 			dir, m.Version, manifestVersion)
 	}
 	if m.Shards != shards || m.Procs != procs {
@@ -283,45 +343,99 @@ func (sf *shardFile) set(key string, val int64) uint32 {
 	return n
 }
 
-// encodePutAt appends the write-ahead-log form of a put: the shard it was
-// journaled for, then the put itself.
-func encodePutAt(dst []byte, shard int, key string, val int64) []byte {
-	dst = append(dst, recPutAt)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(shard))
-	dst = append(dst, recPut)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(key)))
+// stamp is a put-at record's stamp: the request ID its writer's session
+// published (BeginRequest) and what nvm.Stamp says of the write. The zero
+// stamp stamps nothing.
+type stamp struct {
+	reqID uint64
+	nvm.Stamp
+}
+
+// putAt is a decoded put-at record.
+type putAt struct {
+	shard int
+	key   string
+	val   int64
+	stamp
+}
+
+// encodePutAt appends the write-ahead-log form of a put: the putAt* layout.
+func encodePutAt(dst []byte, shard int, key string, val int64, s stamp) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, putAtOffsetKey)...)
+	h := dst[start:]
+	h[putAtOffsetKind] = recPutAt
+	binary.BigEndian.PutUint32(h[putAtOffsetShard:], uint32(shard))
+	binary.BigEndian.PutUint64(h[putAtOffsetReqID:], s.reqID)
+	binary.BigEndian.PutUint32(h[putAtOffsetPID:], uint32(s.PID))
+	h[putAtOffsetStatus] = byte(s.Status)
+	binary.BigEndian.PutUint32(h[putAtOffsetCrashes:], uint32(s.Crashes))
+	binary.BigEndian.PutUint16(h[putAtOffsetEntry:], uint16(s.Entry))
+	binary.BigEndian.PutUint16(h[putAtOffsetBatch:], uint16(s.Batch))
+	binary.BigEndian.PutUint16(h[putAtOffsetKeyLen:], uint16(len(key)))
 	dst = append(dst, key...)
 	return binary.BigEndian.AppendUint64(dst, uint64(val))
+}
+
+// readStamp reads the stamp of a put-at record this node encoded or
+// decodePutAt accepted.
+func readStamp(rec []byte) stamp {
+	return stamp{
+		reqID: binary.BigEndian.Uint64(rec[putAtOffsetReqID:]),
+		Stamp: nvm.Stamp{
+			PID:     int(binary.BigEndian.Uint32(rec[putAtOffsetPID:])),
+			Status:  int(rec[putAtOffsetStatus]),
+			Crashes: int(binary.BigEndian.Uint32(rec[putAtOffsetCrashes:])),
+			Entry:   int(binary.BigEndian.Uint16(rec[putAtOffsetEntry:])),
+			Batch:   int(binary.BigEndian.Uint16(rec[putAtOffsetBatch:])),
+		},
+	}
 }
 
 // decodePutAt decodes a put-at record and checks it against the geometry:
 // a record for a shard this store does not have is refused, and so is a
 // value no register of a procs-process store can hold (rw.DomainOf) — a
-// build that accepted any int64 may have journaled one — at recovery as on
-// the replication stream, so neither reaches a log or a restore. It does
-// not copy: key aliases rec and is valid only as long as rec's bytes are.
-// Every caller hands it to the key table, which copies the bytes of a key
-// it inserts.
-func decodePutAt(rec []byte, shards, procs int) (shard int, key string, val int64, err error) {
-	if len(rec) < 8 || rec[0] != recPutAt || rec[5] != recPut {
-		return 0, "", 0, fmt.Errorf("malformed put-at record")
+// build that accepted any int64 may have journaled one — and a stamp no
+// verdict can be rebuilt from, at recovery as on the replication stream, so
+// none of them reaches a log or a restore. It does not copy: key aliases rec
+// and is valid only as long as rec's bytes are. Every caller hands it to the
+// key table, which copies the bytes of a key it inserts.
+func decodePutAt(rec []byte, shards, procs int) (p putAt, err error) {
+	if len(rec) < PutAtOverhead || rec[putAtOffsetKind] != recPutAt {
+		return p, fmt.Errorf("malformed put-at record")
 	}
-	s := binary.BigEndian.Uint32(rec[1:])
+	n := int(binary.BigEndian.Uint16(rec[putAtOffsetKeyLen:]))
+	if len(rec) != PutAtOverhead+n {
+		return p, fmt.Errorf("malformed put-at record")
+	}
+	s := binary.BigEndian.Uint32(rec[putAtOffsetShard:])
 	if s >= uint32(shards) {
-		return 0, "", 0, fmt.Errorf("put-at record for shard %d of %d", s, shards)
+		return p, fmt.Errorf("put-at record for shard %d of %d", s, shards)
 	}
-	n := int(binary.BigEndian.Uint16(rec[6:]))
-	if len(rec) != 8+n+8 {
-		return 0, "", 0, fmt.Errorf("malformed put-at record")
-	}
+	p.shard = int(s)
 	if n > 0 {
-		key = unsafe.String(&rec[8], n)
+		p.key = unsafe.String(&rec[putAtOffsetKey], n)
 	}
-	val = int64(binary.BigEndian.Uint64(rec[8+n:]))
-	if dom := rw.DomainOf(procs); !dom.Contains(int(val)) {
-		return 0, "", 0, fmt.Errorf("put-at record holds %d for key %q, outside the value domain %v of a %d-process store", val, key, dom, procs)
+	p.val = int64(binary.BigEndian.Uint64(rec[putAtOffsetKey+n:]))
+	if dom := rw.DomainOf(procs); !dom.Contains(int(p.val)) {
+		return p, fmt.Errorf("put-at record holds %d for key %q, outside the value domain %v of a %d-process store", p.val, p.key, dom, procs)
 	}
-	return int(s), key, val, nil
+	p.stamp = readStamp(rec)
+	switch st := runtime.Status(p.Status); {
+	case p.reqID == 0 && p.Stamp != nvm.Stamp{}:
+		err = fmt.Errorf("carries stamp fields %+v without a request ID", p.Stamp)
+	case p.reqID == 0:
+	case p.PID >= procs:
+		err = fmt.Errorf("is stamped by process %d of %d", p.PID, procs)
+	case !st.Linearized():
+		err = fmt.Errorf("is stamped %v, a verdict that journals nothing", st)
+	case p.Batch == 0 && p.Entry != 0 || p.Batch > 0 && p.Entry >= p.Batch:
+		err = fmt.Errorf("is stamped as entry %d of a batch of %d", p.Entry, p.Batch)
+	}
+	if err != nil {
+		return p, fmt.Errorf("put-at record for key %q %w", p.key, err)
+	}
+	return p, nil
 }
 
 // RangeShard calls fn for every durable root recovered in shard i, in
@@ -338,9 +452,9 @@ func (db *DB) RangeShard(i int, fn func(key string, val int64)) {
 }
 
 // ShardBacking adapts one shard's share of the write-ahead log to
-// internal/nvm's Backing seam: Persist journals one durable root, Sync is
-// the log's durability barrier. Obtain one from DB.ShardBacking and hand it
-// to nvm.Space.SetBacking.
+// internal/nvm's Backing seam: Journal journals one durable root, stamped,
+// Sync is the log's durability barrier. Obtain one from DB.ShardBacking and
+// hand it to nvm.Space.SetBacking.
 type ShardBacking struct {
 	db *DB
 	i  int
@@ -349,9 +463,29 @@ type ShardBacking struct {
 // ShardBacking returns the backing-store view of shard i.
 func (db *DB) ShardBacking(i int) ShardBacking { return ShardBacking{db: db, i: i} }
 
-// Persist implements nvm.Backing: it appends one persisted root to the
-// write-ahead log, buffered until the next Sync or CommitOutcome barrier.
-func (b ShardBacking) Persist(key string, val int64) { b.db.journalPut(b.i, key, val) }
+// Journal implements nvm.Backing: it appends one persisted root to the
+// write-ahead log, buffered until the next barrier, stamped with by and the
+// request by.PID's session published (BeginRequest) — unstamped if it
+// published none.
+func (b ShardBacking) Journal(key string, val int64, by nvm.Stamp) {
+	s := stamp{reqID: b.db.calls[by.PID].Load()}
+	if s.reqID != 0 {
+		s.Stamp = by
+	}
+	b.db.journalPut(b.i, key, val, s)
+}
+
+// Persist appends one persisted root to the write-ahead log with no stamp —
+// no request's verdict rides it — buffered until the next barrier: a put
+// journaled outside a session, as the benchmark ladder and tests do.
+func (b ShardBacking) Persist(key string, val int64) { b.db.journalPut(b.i, key, val, stamp{}) }
+
+// BeginRequest publishes the ID of the request process pid is about to
+// execute: the puts it journals until the next call are stamped with it, so
+// the record of an effect says whose effect it is and recovery rebuilds the
+// request's verdict from it (noteStamp). 0 stamps nothing. Called by the
+// session that holds pid, before it executes the request.
+func (db *DB) BeginRequest(pid int, reqID uint64) { db.calls[pid].Store(reqID) }
 
 // Sync implements nvm.Backing.
 func (b ShardBacking) Sync() error { return b.db.Sync() }
@@ -362,12 +496,12 @@ func (b ShardBacking) Sync() error { return b.db.Sync() }
 // held across I/O. The caller's key may alias a transient buffer (the server
 // decodes keys zero-copy out of the connection frame); only the key table
 // retains a key, as bytes it copies at the key's first put.
-func (db *DB) journalPut(i int, key string, val int64) uint32 {
+func (db *DB) journalPut(i int, key string, val int64, s stamp) uint32 {
 	sf := db.shards[i]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	n := sf.set(key, val)
-	sf.enc = encodePutAt(sf.enc[:0], i, key, val)
+	sf.enc = encodePutAt(sf.enc[:0], i, key, val, s)
 	if err := db.wal.Append(sf.enc); err != nil {
 		// The append never reached the log: the mirror and the log disagree
 		// and no later Sync can make the verdict durable. This is the one
@@ -405,7 +539,7 @@ func (sf *shardFile) sorted() []root {
 // with sf.mu held; fn must not retain rec.
 func (sf *shardFile) emit(i int, fn func(rec []byte) error) error {
 	for _, r := range sf.sorted() {
-		sf.enc = encodePutAt(sf.enc[:0], i, r.key, r.val)
+		sf.enc = encodePutAt(sf.enc[:0], i, r.key, r.val, stamp{})
 		if err := fn(sf.enc); err != nil {
 			return err
 		}
@@ -459,8 +593,13 @@ func (ss *sessionsFile) apply(rec []byte) error {
 	switch kind {
 	case recHello:
 		ss.nextSID = max(ss.nextSID, sid)
-		if _, ok := ss.state[sid]; !ok {
-			ss.state[sid] = mirrored{pid: pid, window: NewWindow(ss.window)}
+		s, ok := ss.state[sid]
+		if !ok {
+			s = mirrored{pid: pid, window: NewWindow(ss.window)}
+			ss.state[sid] = s
+		}
+		if s.pid >= 0 && s.pid < len(ss.holders) {
+			ss.holders[s.pid] = sid
 		}
 	case recNextSID:
 		ss.nextSID = max(ss.nextSID, sid)
@@ -472,6 +611,62 @@ func (ss *sessionsFile) apply(rec []byte) error {
 		delete(ss.state, sid)
 	}
 	return nil
+}
+
+// noteStamp rebuilds the verdict a stamped put-at record carries into the
+// window of the session that held its pid at that point of the log — the
+// last hello for the pid ahead of it; a stamp no hello stands ahead of is
+// ignored, like an outcome for an absent session. A PUT or DEL gets its
+// reply back byte for byte (a write responds spec.Ack). An MPUT entry's
+// verdict goes into its slot of the request's reply, which the first of
+// its stamps to arrive starts as every entry failed: an MPUT whose outcome
+// record was torn off answers its stamped entries' verdicts and failed for
+// the rest, at the request's length, and the outcome record, where it
+// survived, follows its stamps and overrides them. Must be called with
+// ss.mu held.
+func (ss *sessionsFile) noteStamp(s stamp) {
+	if s.reqID == 0 {
+		return
+	}
+	sid := ss.holders[s.PID]
+	m, ok := ss.state[sid]
+	if !ok {
+		return
+	}
+	v := runtime.Outcome[int]{Status: runtime.Status(s.Status), Resp: spec.Ack, Crashes: s.Crashes}
+	if s.Batch == 0 {
+		ss.reply = AppendReply(ss.reply[:0], v)
+		ss.noteOutcome(sid, s.reqID, ss.reply)
+		return
+	}
+	reply, _, held := m.window.Lookup(s.reqID)
+	if !held || len(reply) != batchReplyHeader+VerdictSize*s.Batch {
+		ss.reply = binary.BigEndian.AppendUint16(append(ss.reply[:0], ReplyOK), uint16(s.Batch))
+		for range s.Batch {
+			ss.reply = AppendVerdict(ss.reply, runtime.Outcome[int]{Status: runtime.StatusFailed})
+		}
+		ss.noteOutcome(sid, s.reqID, ss.reply)
+		if reply, _, held = m.window.Lookup(s.reqID); !held {
+			return // fell out of the window at once
+		}
+	}
+	// The entry's verdict goes into the window's own copy of the reply, in
+	// place: a batch's stamps cost a verdict each, not a reply each.
+	AppendVerdict(reply[:batchReplyHeader+VerdictSize*s.Entry], v)
+}
+
+// foldStamps folds the stamps of the put-at records in framed — puts
+// journaled here, already in their shards' mirrors (journalPut) — into the
+// sessions' windows. framed is frames this node wrote, whose checksums
+// need no checking. Called with sessions.mu held.
+func (ss *sessionsFile) foldStamps(framed []byte) {
+	for len(framed) > 0 {
+		n := frameHeader + int(binary.BigEndian.Uint32(framed))
+		if rec := framed[frameHeader:n]; rec[0] == recPutAt {
+			ss.noteStamp(readStamp(rec))
+		}
+		framed = framed[n:]
+	}
 }
 
 // noteOutcome folds one (sid, reqID, reply) verdict into the session's
@@ -535,10 +730,11 @@ func stageSID(dst []byte, kind byte, sid uint64) []byte {
 // fsync. Recovery accepts only a valid prefix of the log, so an outcome on
 // disk implies the puts ahead of it are on disk. The batch and the epoch's
 // barrier go to the replication tap before the fsync starts, so a standby
-// fsyncs the epoch while this node does, and the commit mark after it; only
-// then are the records folded into the mirrors, and anchor returns once
-// every gating standby has acknowledged the barrier. The anchor that finds
-// the threshold's worth of bytes appended to the log compacts it.
+// fsyncs the epoch while this node does; once the fsync has returned, the
+// batch is folded into the mirrors (foldEpoch) and the commit mark follows,
+// and anchor returns once every gating standby has acknowledged the barrier.
+// The anchor that finds the threshold's worth of bytes appended to the log
+// compacts it.
 func (db *DB) anchor(recs []byte) error {
 	ss := &db.sessions
 	ss.mu.Lock()
@@ -546,23 +742,28 @@ func (db *DB) anchor(recs []byte) error {
 	if MutantOutcomeFirst {
 		held = db.wal.holdBack()
 	}
-	err := db.wal.stageFramed(recs)
+	off, err := db.wal.stageFramed(recs)
 	var seq uint64
+	var batch []byte
 	if err == nil {
 		// Every barrier sequence is allocated under ss.mu, so barriers sit on
 		// the stream in sequence order, each behind its batch and followed by
 		// its commit mark.
 		seq = db.repl.seq.Add(1)
-		err = db.wal.syncMarked(func() { db.repl.tapBarrier(seq) })
+		batch, err = db.wal.syncMarked(func() { db.repl.tapBarrier(seq) })
+	}
+	if err == nil {
+		err = db.foldEpoch(batch, off, recs)
 	}
 	if MutantOutcomeFirst && err == nil {
-		if err = db.wal.stageFramed(held); err == nil {
-			err = db.wal.Sync()
+		if _, err = db.wal.stageFramed(held); err == nil {
+			if batch, err = db.wal.syncMarked(nil); err == nil {
+				err = db.foldEpoch(batch, 0, nil)
+			}
 		}
 	}
 	if err == nil {
 		db.repl.tapCommit(seq)
-		err = eachFrame(recs, db.fold)
 	}
 	if err != nil {
 		ss.mu.Unlock()
@@ -578,6 +779,21 @@ func (db *DB) anchor(recs []byte) error {
 		}
 	}
 	db.repl.waitBarrier(seq)
+	return nil
+}
+
+// foldEpoch folds a batch an anchor made durable into the mirrors, in log
+// order. The records the epoch's members staged stand in it at off, where
+// stageFramed put them, and are folded whole; around them stand the puts
+// journaled here, already in their shards' mirrors (journalPut), whose
+// stamps are all there is left to fold. The batch is intact until the next
+// barrier, which needs sessions.mu, held here.
+func (db *DB) foldEpoch(batch []byte, off int, recs []byte) error {
+	db.sessions.foldStamps(batch[:off])
+	if err := eachFrame(recs, db.fold); err != nil {
+		return err
+	}
+	db.sessions.foldStamps(batch[off+len(recs):])
 	return nil
 }
 
@@ -673,6 +889,9 @@ func (db *DB) compact(threshold int64) error {
 		return nil
 	}
 	start, before := time.Now(), db.wal.length()
+	// The new log's puts carry no stamps: the verdicts of the staged ones go
+	// into the windows first, to be written as outcome records.
+	db.sessions.foldStamps(db.wal.staged())
 	if err := db.wal.Rewrite(db.emitState); err != nil {
 		return err
 	}

@@ -230,8 +230,8 @@ func TestShardCompaction(t *testing.T) {
 	// The state as a log: the roots in key order, then the sessions' records
 	// (here only the session-ID mark).
 	want := bytes.Join([][]byte{
-		frame(encodePutAt(nil, 0, "cold", -1)),
-		frame(encodePutAt(nil, 0, "hot", 99)),
+		frame(encodePutAt(nil, 0, "cold", -1, stamp{})),
+		frame(encodePutAt(nil, 0, "hot", 99, stamp{})),
 		frame(binary.BigEndian.AppendUint64([]byte{recNextSID}, 0)),
 	}, nil)
 	tree := readTree(t, dir)
@@ -270,7 +270,7 @@ func TestTruncatedCompactedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The compacted state is sorted (aa, bb): the last byte of bb's frame.
-	aa := len(frame(encodePutAt(nil, 0, "aa", 1)))
+	aa := len(frame(encodePutAt(nil, 0, "aa", 1, stamp{})))
 	data[2*aa-1] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
 
@@ -415,7 +415,7 @@ func TestCompactThresholdCountsAppendedBytes(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	rec := int64(len(frame(encodePutAt(nil, 0, "k00", 1))))
+	rec := int64(len(frame(encodePutAt(nil, 0, "k00", 1, stamp{}))))
 	if st, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil || st.Size() < 20*rec {
 		t.Fatalf("the compacted log: %v, %v; want a state of at least %d bytes", st, err, 20*rec)
 	}
@@ -494,7 +494,7 @@ func TestOpenRemovesLeftoverTemporaries(t *testing.T) {
 	db.Sync()
 	db.Close()
 	for _, name := range []string{"wal.log.tmp", "MANIFEST.tmp"} {
-		if err := os.WriteFile(filepath.Join(dir, name), frame(encodePutAt(nil, 0, "k", 9)), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), frame(encodePutAt(nil, 0, "k", 9, stamp{})), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

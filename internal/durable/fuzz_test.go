@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"detectable/internal/nvm"
+	"detectable/internal/runtime"
 )
 
 // frame builds one valid log frame for seeding.
@@ -91,24 +94,37 @@ func FuzzOpenLog(f *testing.F) {
 // or CRC-bad frame (and then the recovered state is stable: an immediate
 // reopen yields the same StateHash), or refuses with an error.
 func FuzzOpenDB(f *testing.F) {
-	putAt := func(shard int, key string, val int64) []byte {
-		return frame(encodePutAt(nil, shard, key, val))
+	// The seed head holds session 1 on process 0 and no hello for process
+	// 1; a stamp is request 1 of process 0 unless a seed says otherwise.
+	putAt := func(shard int, key string, val int64, s stamp) []byte {
+		return frame(encodePutAt(nil, shard, key, val, s))
+	}
+	put := stamp{reqID: 1, Stamp: nvm.Stamp{Status: int(runtime.StatusOK)}}
+	entry := func(i int) stamp {
+		return stamp{reqID: 2, Stamp: nvm.Stamp{Status: int(runtime.StatusRecovered), Crashes: 1, Entry: i, Batch: 3}}
 	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 	f.Add([]byte{})
-	f.Add(cat(putAt(0, "k", 7), validSessionsLog()))
-	mut := putAt(0, "k", 7)
+	f.Add(cat(putAt(0, "k", 7, put), validSessionsLog()))
+	mut := putAt(0, "k", 7, put)
 	mut[len(mut)-1] ^= 0x01
 	f.Add(cat(mut, validSessionsLog()[:9]))
 	f.Add(cat(binary.BigEndian.AppendUint32(nil, 0xffffffff), frame([]byte{recHello})))
 	// A well-framed put-at for a shard the store does not have.
-	f.Add(cat(putAt(0, "k", 7), putAt(2, "k", 8)))
+	f.Add(cat(putAt(0, "k", 7, put), putAt(2, "k", 8, stamp{})))
 	// Session records between two puts: one scan dispatches by kind.
-	f.Add(cat(putAt(0, "k", 7), validSessionsLog(), putAt(1, "j", 9)))
-	// A torn epoch tail: the puts of an epoch, then its outcome cut short.
-	epoch := cat(validSessionsLog()[:25], putAt(0, "k", 1), putAt(1, "j", 1), frame(appendOutcomeRec(nil, 1, 2, []byte("k=1"))))
+	f.Add(cat(putAt(0, "k", 7, put), validSessionsLog(), putAt(1, "j", 9, stamp{})))
+	// A torn epoch tail: an MPUT's puts, then its outcome cut short.
+	epoch := cat(putAt(0, "k", 1, entry(0)), putAt(1, "j", 1, entry(1)), frame(appendOutcomeRec(nil, 1, 2, []byte("k=1"))))
 	f.Add(epoch[:len(epoch)-7])
+	// A stamped PUT's epoch: its put-at record is its verdict.
+	f.Add(putAt(1, "j", 3, put))
+	// A stamped MPUT whose outcome record was torn off whole: entries 0 and
+	// 2 of 3 survived, entry 1 failed.
+	f.Add(cat(putAt(0, "k", 4, entry(0)), putAt(1, "j", 4, entry(2))))
+	// A stamp of a process no hello ahead of it leased.
+	f.Add(putAt(0, "k", 5, stamp{reqID: 1, Stamp: nvm.Stamp{PID: 1, Status: int(runtime.StatusOK)}}))
 
 	f.Fuzz(func(t *testing.T, walBytes []byte) {
 		dir := t.TempDir()

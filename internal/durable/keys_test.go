@@ -64,7 +64,7 @@ func openQuiet(t *testing.T, shards int) *DB {
 func journalAll(t *testing.T, db *DB, names []string) {
 	t.Helper()
 	for i, k := range names {
-		db.journalPut(i%len(db.shards), k, int64(i+1))
+		db.journalPut(i%len(db.shards), k, int64(i+1), stamp{})
 		if i%128 == 127 {
 			if err := db.Sync(); err != nil {
 				t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSpacePinBytesPerKey(t *testing.T) {
 func epochOfOne(t *testing.T, rp *Replica, key string, first uint64) (epoch func(), seq *uint64) {
 	seq = new(uint64)
 	*seq = first - 1
-	put := appendFrame([]byte{ReplLog}, encodePutAt(nil, 1, key, 0))
+	put := appendFrame([]byte{ReplLog}, encodePutAt(nil, 1, key, 0, stamp{}))
 	barrier, commit := []byte{ReplBarrier, 8: 0}, []byte{ReplCommit, 8: 0}
 	return func() {
 		*seq++
@@ -336,7 +336,7 @@ func TestViewPublishesWholeEpochs(t *testing.T) {
 
 	var msg, rec []byte
 	put := func(key string, val int64) {
-		rec = encodePutAt(rec[:0], int(key[0]-'a'), key, val)
+		rec = encodePutAt(rec[:0], int(key[0]-'a'), key, val, stamp{})
 		msg = appendFrame(append(msg[:0], ReplLog), rec)
 		if _, _, err := rp.Apply(msg); err != nil {
 			t.Fatal(err)
@@ -377,8 +377,8 @@ func TestRefusedMessageLeavesNoKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	msg := appendFrame([]byte{ReplLog}, encodePutAt(nil, 1, "leak", 1))
-	msg = appendFrame(msg, encodePutAt(nil, 1, "wide", 1<<62))
+	msg := appendFrame([]byte{ReplLog}, encodePutAt(nil, 1, "leak", 1, stamp{}))
+	msg = appendFrame(msg, encodePutAt(nil, 1, "wide", 1<<62, stamp{}))
 	if _, _, err := db.NewReplica().Apply(msg); err == nil {
 		t.Fatal("a message holding a value outside the register domain was accepted")
 	}

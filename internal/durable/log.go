@@ -254,16 +254,26 @@ func (l *Log) Append(payload []byte) error {
 }
 
 // stageFramed stages records that are framed already — an epoch's records,
-// a replicated batch — as they are. The caller framed them itself or checked
+// a replicated batch — as they are, and returns where they begin in the
+// batch the next barrier takes. The caller framed them itself or checked
 // every frame.
-func (l *Log) stageFramed(framed []byte) error {
+func (l *Log) stageFramed(framed []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
-		return l.err
+		return 0, l.err
 	}
+	off := len(l.buf)
 	l.buf = append(l.buf, framed...)
-	return nil
+	return off, nil
+}
+
+// staged returns the records staged since the last barrier, aliasing the
+// staging buffer: for a caller that has shut every appender and barrier out.
+func (l *Log) staged() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf
 }
 
 // checkRecord refuses a payload recovery could not read back.
@@ -312,27 +322,32 @@ func eachFrame(framed []byte, fn func(rec []byte) error) error {
 // flushed in one coalesced write, then fsynced. A clean log (no appends
 // since the last barrier) syncs nothing. A failed barrier poisons the log
 // permanently — see the Log doc comment.
-func (l *Log) Sync() error { return l.syncMarked(nil) }
+func (l *Log) Sync() error {
+	_, err := l.syncMarked(nil)
+	return err
+}
 
 // syncMarked is Sync that calls mark once the batch has gone to the tap and
 // before it is written, a clean log included: where DB.anchor puts an
-// epoch's barrier on the replication stream, ahead of its own fsync.
-func (l *Log) syncMarked(mark func()) error {
+// epoch's barrier on the replication stream, ahead of its own fsync. It
+// returns the batch it made durable, which stays intact until the next
+// barrier takes its own.
+func (l *Log) syncMarked(mark func()) ([]byte, error) {
 	l.bmu.Lock()
 	defer l.bmu.Unlock()
 	return l.barrier(mark)
 }
 
 // barrier takes the staged batch, hands it to the tap, calls mark (when not
-// nil) and makes the batch durable: one WriteAt, a second one of pad when
-// the batch ends past alloc, one fsync, none of them under mu. Called with
-// l.bmu held.
-func (l *Log) barrier(mark func()) error {
+// nil), makes the batch durable — one WriteAt, a second one of pad when the
+// batch ends past alloc, one fsync, none of them under mu — and returns it.
+// Called with l.bmu held.
+func (l *Log) barrier(mark func()) ([]byte, error) {
 	l.mu.Lock()
 	if l.err != nil {
 		err := l.err
 		l.mu.Unlock()
-		return err
+		return nil, err
 	}
 	batch, off := l.buf, l.size
 	if len(batch) > 0 {
@@ -347,7 +362,7 @@ func (l *Log) barrier(mark func()) error {
 		mark()
 	}
 	if len(batch) == 0 {
-		return nil
+		return nil, nil
 	}
 
 	// A failed write may have left part of the batch at its offset, and the
@@ -368,12 +383,12 @@ func (l *Log) barrier(mark func()) error {
 	defer l.mu.Unlock()
 	if err != nil {
 		l.poison(err)
-		return l.err
+		return nil, l.err
 	}
 	if cap(batch) <= maxSpare {
 		l.spare = batch[:0]
 	}
-	return nil
+	return batch, nil
 }
 
 // poison records the first write/fsync failure; every later Append, Sync
@@ -495,7 +510,7 @@ func (l *Log) Reset() error {
 func (l *Log) Close() error {
 	l.bmu.Lock()
 	defer l.bmu.Unlock()
-	err := l.barrier(nil)
+	_, err := l.barrier(nil)
 	if err == nil && l.alloc > l.size {
 		err = l.f.Truncate(l.size)
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"detectable/internal/durable"
+	"detectable/internal/nvm"
+	"detectable/internal/runtime"
 	"detectable/internal/simio"
 )
 
@@ -84,6 +86,25 @@ func FuzzReplicaApply(f *testing.F) {
 		b = b[n:]
 	}
 	f.Add(stream(append(split, resync[2:]...)...))
+	// The stamped shapes, each a primary's stream from its bootstrap on: a
+	// PUT's epoch, its put-at record its verdict; an MPUT whose outcome
+	// record was torn off, its stamped entries ahead of it; and a stamp of a
+	// process no hello ahead of it leased.
+	for _, shape := range []func(db *durable.DB){
+		func(db *durable.DB) { stampedPuts(f, db, 0, 1, 0, "put") },
+		func(db *durable.DB) { stampedPuts(f, db, 0, 2, 3, "mput-0", "mput-1") },
+		func(db *durable.DB) { stampedPuts(f, db, 1, 3, 0, "orphan") },
+	} {
+		sdb := openSim(f, simio.New())
+		if err := sdb.AppendHello(1, 0); err != nil {
+			f.Fatal(err)
+		}
+		sub := sdb.Subscribe(0)
+		shape(sdb)
+		sub.Close()
+		f.Add(stream(drain(f, sub)...))
+		sdb.Close()
+	}
 	// The kinds an older stream carried a record in, one record each.
 	f.Add(stream(resync[0], []byte{0x02, 0x06}, []byte{0x03, 0x04, 0, 0, 0, 0, 0, 0, 0, 1}, []byte{0x04, 0, 0, 0, 0, 0, 0, 0, 1}))
 
@@ -118,4 +139,20 @@ func FuzzReplicaApply(f *testing.F) {
 			t.Fatalf("reopened standby hash %s, live standby %s", got, want)
 		}
 	})
+}
+
+// stampedPuts journals keys as process pid running request req — the first
+// entries of an MPUT of n when n > 0, a PUT or DEL of one key when n is 0 —
+// each put-at record
+// stamped with an ok verdict, and makes them durable with a bare barrier,
+// as a served request does before its outcome record, if any.
+func stampedPuts(t testing.TB, db *durable.DB, pid int, req uint64, n int, keys ...string) {
+	t.Helper()
+	db.BeginRequest(pid, req)
+	for i, k := range keys {
+		db.ShardBacking(i%testShards).Journal(k, int64(req), nvm.Stamp{PID: pid, Status: int(runtime.StatusOK), Entry: i, Batch: n})
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -143,11 +143,13 @@ func (db *DB) Subscribe(limit int) *ReplSub {
 	// Under lockAll nothing is journaled, anchored or tapped, so the live
 	// tap starts where the bootstrap ends. The staged records are synced
 	// first (free on a clean log), their batch going to the subscribers
-	// already attached: the bootstrap vouches for what is durable here.
+	// already attached and its stamps into the windows: the bootstrap
+	// vouches for what is durable here, and its puts carry no stamps.
 	defer db.lockAll()()
 	var boot []byte
-	err := db.wal.Sync()
+	batch, err := db.wal.syncMarked(nil)
 	if err == nil {
+		db.sessions.foldStamps(batch)
 		err = db.emitState(func(rec []byte) error {
 			boot = appendFrame(boot, rec)
 			return nil
@@ -612,7 +614,7 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 				_, _, _, _, _, err := parseSessRec(rec)
 				return err
 			}
-			_, _, _, err := decodePutAt(rec, len(rp.db.shards), rp.db.procs)
+			_, err := decodePutAt(rec, len(rp.db.shards), rp.db.procs)
 			return err
 		}); err != nil {
 			return 0, false, fmt.Errorf("durable: replicated %w", err)
@@ -680,6 +682,7 @@ func (db *DB) install(framed []byte) error {
 		}
 	}
 	db.sessions.state, db.sessions.nextSID = make(map[uint64]mirrored), 0
+	clear(db.sessions.holders)
 	records := 0
 	if err := eachFrame(framed, func(rec []byte) error {
 		records++

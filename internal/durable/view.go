@@ -70,17 +70,18 @@ const maxStage = maxSpare / 16
 
 // foldLocked is replay that also stages a put for the read view as (shard,
 // entry number, value): the one place a standby resolves a replicated put to
-// its entry, for a live epoch once its fsync has returned (fold) and for a
-// bootstrap (install). Called with the put's shard's mu held.
+// its entry and its stamp to its writer's window, for a live epoch once its
+// fsync has returned (fold) and for a bootstrap (install). Called with the
+// put's shard's mu and sessions.mu held.
 func (db *DB) foldLocked(rec []byte) error {
 	if rec[0] != recPutAt {
 		return db.sessions.apply(rec)
 	}
-	shard, key, val, err := decodePutAt(rec, len(db.shards), db.procs)
+	p, n, err := db.foldPut(rec)
 	if err == nil {
-		n, v := db.shards[shard].set(key, val), &db.view
+		v := &db.view
 		v.mu.Lock()
-		v.stage = append(v.stage, viewPut{shard: uint32(shard), n: n, val: val})
+		v.stage = append(v.stage, viewPut{shard: uint32(p.shard), n: n, val: p.val})
 		v.mu.Unlock()
 	}
 	return err

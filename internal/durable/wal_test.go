@@ -32,15 +32,23 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 
 // TestOpenRefusesVersion1Directory builds, by hand, a data directory as each
 // older layout left it — version 1: one log per shard and a sessions log;
-// version 2: one write-ahead log with shard and sessions snapshots beside it
-// — and checks that Open refuses it by naming both versions and leaves every
-// byte of it alone: there is no upgrader and no second reader to fall into.
+// version 2: one write-ahead log with shard and sessions snapshots beside
+// it; version 3: the one log, its put-at records unstamped — and checks that
+// Open refuses it by naming both versions and leaves every byte of it alone:
+// there is no upgrader and no second reader to fall into.
 func TestOpenRefusesVersion1Directory(t *testing.T) {
 	hello := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{recHello}, 1), 0)
 	outcome := frame(appendOutcomeRec(nil, 1, 1, []byte("k=7")))
-	// A bare put, the record of the older layouts' per-shard files: what a
-	// put-at record holds behind its kind byte and shard index.
-	encodePut := func(key string, val int64) []byte { return encodePutAt(nil, 0, key, val)[5:] }
+	// A bare put, the record of the older layouts' per-shard files: kind
+	// 0x01, u16 key length, key, i64 value. Up to version 3 a put-at record
+	// was the kind, a u32 shard index and a bare put.
+	encodePut := func(key string, val int64) []byte {
+		put := binary.BigEndian.AppendUint16([]byte{0x01}, uint16(len(key)))
+		return binary.BigEndian.AppendUint64(append(put, key...), uint64(val))
+	}
+	encodeV3PutAt := func(key string, val int64) []byte {
+		return append(binary.BigEndian.AppendUint32([]byte{recPutAt}, 0), encodePut(key, val)...)
+	}
 	for version, old := range map[int]map[string][]byte{
 		1: {
 			"MANIFEST":      []byte(`{"version":1,"shards":2,"procs":2}` + "\n"),
@@ -54,8 +62,13 @@ func TestOpenRefusesVersion1Directory(t *testing.T) {
 			"LOCK":           {},
 			"shard-000.snap": frame(encodePut("k", 6)),
 			"sessions.snap":  frame(hello),
-			"wal.log":        append(frame(encodePutAt(nil, 0, "k", 7)), outcome...),
+			"wal.log":        append(frame(encodeV3PutAt("k", 7)), outcome...),
 			"wal.log.tmp":    frame(hello), // not even a leftover temporary is touched
+		},
+		3: {
+			"MANIFEST": []byte(`{"version":3,"shards":2,"procs":2}` + "\n"),
+			"LOCK":     {},
+			"wal.log":  append(append(frame(hello), frame(encodeV3PutAt("k", 7))...), outcome...),
 		},
 	} {
 		dir := t.TempDir()
@@ -69,8 +82,8 @@ func TestOpenRefusesVersion1Directory(t *testing.T) {
 			db.Close()
 			t.Fatalf("Open accepted a version %d data directory", version)
 		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("version %d ", version)) || !strings.Contains(err.Error(), "version 3") {
-			t.Fatalf("refusal %q does not name version %d and version 3", err, version)
+		if !strings.Contains(err.Error(), fmt.Sprintf("version %d ", version)) || !strings.Contains(err.Error(), "version 4") {
+			t.Fatalf("refusal %q does not name version %d and version 4", err, version)
 		}
 		if got := readTree(t, dir); !reflect.DeepEqual(got, old) {
 			t.Fatalf("the refused version %d directory was modified:\n got %q\nwant %q", version, got, old)
@@ -86,10 +99,10 @@ func TestWALRecoveryDispatch(t *testing.T) {
 	hello := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{recHello}, 1), 0)
 	outcome := frame(appendOutcomeRec(nil, 1, 1, []byte("k=2")))
 	wal := bytes.Join([][]byte{
-		frame(encodePutAt(nil, 0, "k", 1)),
+		frame(encodePutAt(nil, 0, "k", 1, stamp{})),
 		frame(hello), // a session record between two puts
-		frame(encodePutAt(nil, 1, "j", 5)),
-		frame(encodePutAt(nil, 0, "k", 2)),
+		frame(encodePutAt(nil, 1, "j", 5, stamp{})),
+		frame(encodePutAt(nil, 0, "k", 2, stamp{})),
 		outcome,
 	}, nil)
 
@@ -140,7 +153,7 @@ func TestWALRecoveryDispatch(t *testing.T) {
 		t.Fatalf("torn tail left %d log bytes, want the %d-byte valid prefix", size, want)
 	}
 
-	if db, err = open(append(wal, frame(encodePutAt(nil, 2, "k", 9))...)); err == nil {
+	if db, err = open(append(wal, frame(encodePutAt(nil, 2, "k", 9, stamp{}))...)); err == nil {
 		db.Close()
 		t.Fatal("Open accepted a put-at record for shard 2 of 2")
 	}
@@ -169,7 +182,7 @@ func TestOpenRefusesOutOfDomainValue(t *testing.T) {
 		}
 		return dir
 	}
-	dir := build(encodePutAt(nil, 0, "narrow", 1<<59-1), encodePutAt(nil, 1, "wide", 1<<62))
+	dir := build(encodePutAt(nil, 0, "narrow", 1<<59-1, stamp{}), encodePutAt(nil, 1, "wide", 1<<62, stamp{}))
 	before := readTree(t, dir)
 	for try := 0; try < 2; try++ { // the refusal released the directory's lock
 		db, err := Open(dir, 2, procs, 4)
@@ -185,7 +198,7 @@ func TestOpenRefusesOutOfDomainValue(t *testing.T) {
 		t.Fatal("the refused directory was modified")
 	}
 
-	if db, err := Open(build(encodePutAt(nil, 1, "wide", -1<<62), encodePutAt(nil, 1, "wide", -1<<59)), 2, procs, 4); err == nil {
+	if db, err := Open(build(encodePutAt(nil, 1, "wide", -1<<62, stamp{}), encodePutAt(nil, 1, "wide", -1<<59, stamp{})), 2, procs, 4); err == nil {
 		db.Close()
 		t.Fatal("Open accepted a replaced journaled value outside the register domain")
 	}

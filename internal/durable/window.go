@@ -1,6 +1,11 @@
 package durable
 
-import "iter"
+import (
+	"encoding/binary"
+	"iter"
+
+	"detectable/internal/runtime"
+)
 
 // Window is one session's outcome window — request ID → the encoded reply
 // released for it, the paper's Ann_p lifted to the session layer — and its
@@ -67,4 +72,42 @@ func (w *Window) All() iter.Seq2[uint64, []byte] {
 			}
 		}
 	}
+}
+
+// A write's reply, as the wire carries it (docs/PROTOCOL.md) and a window
+// holds it: the OK status, then one verdict — status, response, crashes —
+// or, for a batch, a u16 count and one verdict per entry. The server encodes
+// its replies with these, and noteStamp rebuilds a reply from a stamp with
+// them, byte for byte.
+const (
+	// ReplyOK is a success reply's status byte (server.StatusOK).
+	ReplyOK byte = 0x00
+	// VerdictSize is one encoded verdict.
+	VerdictSize = 13
+	// batchReplyHeader is a batch reply's bytes ahead of its verdicts.
+	batchReplyHeader = 3
+)
+
+// AppendVerdict appends one operation's verdict to dst: its runtime.Status
+// as a byte, its response as an i64 and the crash interruptions it observed
+// as a u32.
+func AppendVerdict(dst []byte, out runtime.Outcome[int]) []byte {
+	dst = append(dst, byte(out.Status))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(out.Resp)))
+	return binary.BigEndian.AppendUint32(dst, uint32(out.Crashes))
+}
+
+// AppendReply appends a single operation's success reply to dst.
+func AppendReply(dst []byte, out runtime.Outcome[int]) []byte {
+	return AppendVerdict(append(dst, ReplyOK), out)
+}
+
+// AppendBatchReply appends a batch's success reply to dst, aligned with the
+// request.
+func AppendBatchReply(dst []byte, outs []runtime.Outcome[int]) []byte {
+	dst = binary.BigEndian.AppendUint16(append(dst, ReplyOK), uint16(len(outs)))
+	for _, o := range outs {
+		dst = AppendVerdict(dst, o)
+	}
+	return dst
 }

@@ -16,14 +16,27 @@ package nvm
 // (internal/server) recovers those from its own durable outcome windows.
 // What must survive is the linearized state of each root, which the owning
 // layer journals via Space.Journal at the moment an operation's verdict
-// becomes linearized.
+// becomes linearized — together with whose effect it is, as the paper's
+// register R persists ⟨v, q, b⟩ and not v alone, so that recovery can tell
+// the writer its verdict from the persisted value itself.
 type Backing interface {
-	// Persist journals the persisted value of the durable root named key.
-	// Appends may be buffered; they are durable only after Sync.
-	Persist(key string, val int64)
+	// Journal journals the persisted value of the durable root named key
+	// and the Stamp of the operation that persisted it. Appends may be
+	// buffered; they are durable only after Sync.
+	Journal(key string, val int64, by Stamp)
 	// Sync is the durability barrier: it returns once every previously
 	// journaled persist is physically durable.
 	Sync() error
+}
+
+// Stamp says whose effect a persist is: the process that wrote it and the
+// detectable verdict of its operation — a runtime.Status and the crashes it
+// observed, as integers, since this package sits below runtime — and, for
+// an entry of a batch, the entry's index and the batch's length (Batch 0
+// for a single operation).
+type Stamp struct {
+	PID, Status, Crashes int
+	Entry, Batch         int
 }
 
 // SetBacking attaches the persistence substrate. Like SetHistory, call it
@@ -34,12 +47,12 @@ func (s *Space) SetBacking(b Backing) { s.backing = b }
 // Backing returns the attached substrate, or nil for a heap-backed space.
 func (s *Space) Backing() Backing { return s.backing }
 
-// Journal forwards one logical persist to the backing store. On a
-// heap-backed space it is a no-op, keeping the non-durable hot path free
-// of any cost beyond a nil check.
-func (s *Space) Journal(key string, val int64) {
+// Journal forwards one logical persist and its stamp to the backing store.
+// On a heap-backed space it is a no-op, keeping the non-durable hot path
+// free of any cost beyond a nil check.
+func (s *Space) Journal(key string, val int64, by Stamp) {
 	if s.backing != nil {
-		s.backing.Persist(key, val)
+		s.backing.Journal(key, val, by)
 	}
 }
 

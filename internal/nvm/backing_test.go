@@ -7,12 +7,14 @@ import "testing"
 type memBacking struct {
 	keys  []string
 	vals  []int64
+	by    []Stamp
 	syncs int
 }
 
-func (b *memBacking) Persist(key string, val int64) {
+func (b *memBacking) Journal(key string, val int64, by Stamp) {
 	b.keys = append(b.keys, key)
 	b.vals = append(b.vals, val)
+	b.by = append(b.by, by)
 }
 
 func (b *memBacking) Sync() error {
@@ -23,7 +25,7 @@ func (b *memBacking) Sync() error {
 func TestSpaceJournalForwardsToBacking(t *testing.T) {
 	sp := NewSpace()
 	// Heap-backed: journaling is a no-op and syncing succeeds vacuously.
-	sp.Journal("k", 1)
+	sp.Journal("k", 1, Stamp{})
 	if err := sp.SyncBacking(); err != nil {
 		t.Fatalf("SyncBacking without backing: %v", err)
 	}
@@ -33,13 +35,16 @@ func TestSpaceJournalForwardsToBacking(t *testing.T) {
 
 	b := &memBacking{}
 	sp.SetBacking(b)
-	sp.Journal("k", 41)
-	sp.Journal("j", 42)
+	sp.Journal("k", 41, Stamp{PID: 1, Status: 1})
+	sp.Journal("j", 42, Stamp{PID: 2, Status: 2, Crashes: 1, Entry: 3, Batch: 4})
 	if err := sp.SyncBacking(); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.keys) != 2 || b.keys[0] != "k" || b.vals[0] != 41 || b.keys[1] != "j" || b.vals[1] != 42 {
 		t.Fatalf("journaled %v %v", b.keys, b.vals)
+	}
+	if b.by[0] != (Stamp{PID: 1, Status: 1}) || b.by[1] != (Stamp{PID: 2, Status: 2, Crashes: 1, Entry: 3, Batch: 4}) {
+		t.Fatalf("journaled stamps %+v", b.by)
 	}
 	if b.syncs != 1 {
 		t.Fatalf("syncs = %d, want 1", b.syncs)
@@ -54,7 +59,7 @@ func TestBackingSurvivesEpochCrash(t *testing.T) {
 	b := &memBacking{}
 	sp.SetBacking(b)
 	sp.Crash()
-	sp.Journal("k", 7)
+	sp.Journal("k", 7, Stamp{})
 	if len(b.keys) != 1 {
 		t.Fatalf("journal after crash recorded %d persists, want 1", len(b.keys))
 	}

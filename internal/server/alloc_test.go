@@ -261,7 +261,7 @@ func TestAllocPinReplicaGet(t *testing.T) {
 		get()
 	}
 	// The reply is the value streamed from the primary, so the view served it.
-	want := appendOutcomeReply(nil, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: 8})
+	want := durable.AppendReply(nil, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: 8})
 	if reply := get(); !bytes.Equal(reply, want) {
 		t.Fatalf("replica GET pin-7 = %x, want %x", reply, want)
 	}

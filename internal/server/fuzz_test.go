@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"detectable/internal/durable"
 	"detectable/internal/runtime"
 	"detectable/internal/shardkv"
 )
@@ -73,8 +74,8 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDecodeReply(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{StatusOK})
-	f.Add(appendOutcomeReply(nil, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: 7}))
-	f.Add(appendOutcomesReply(nil, []runtime.Outcome[int]{{Status: runtime.StatusRecovered, Resp: -1, Crashes: 2}}))
+	f.Add(durable.AppendReply(nil, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: 7}))
+	f.Add(durable.AppendBatchReply(nil, []runtime.Outcome[int]{{Status: runtime.StatusRecovered, Resp: -1, Crashes: 2}}))
 	f.Add(appendHelloOK(nil, 42, 3, true))
 	f.Add(appendErr(nil, ErrStaleRequest, "stale"))
 	f.Add([]byte{StatusOK, 0xff, 0xff}) // batched reply claiming 65535 entries

@@ -12,8 +12,9 @@ import (
 	"detectable/internal/simio"
 )
 
-// The open hole of docs/DURABILITY.md §"Open:" (ROADMAP item 1, Stage A),
-// as deterministic traces through a real server on the simulated filesystem:
+// ROADMAP item 1, Stage A — a retransmitted mutation answering failed over
+// its own surviving effect — as deterministic traces through a real server
+// on the simulated filesystem:
 //
 //	PUT k := 100 → ok / DEL k [crash plan] / the node dies / recovery /
 //	the session resumes and sends the DEL's request ID again / GET k
@@ -30,8 +31,10 @@ import (
 //     journals nothing), one before primitive 11 just behind it (the DEL
 //     linearizes, is recovered and journaled);
 //   - what of the DEL's epoch survives the node's death: all of it, or
-//     everything up to its outcome record — the put-at record k := 0, where
-//     there is one, is kept and the verdict behind it is torn off;
+//     everything up to its outcome record. A DEL that failed journals
+//     nothing and has an outcome record to lose; one that linearized has
+//     none — its put-at record k := 0, stamped with the DEL's request ID and
+//     verdict, is the verdict — so its image is cut after that record;
 //   - what the client re-sends under the DEL's ID: the same bytes, crash plan
 //     included (what a real client's retransmission is), or a DEL without a
 //     plan;
@@ -40,11 +43,13 @@ import (
 //     (standbyFrom) and is promoted.
 //
 // A recovered session that holds the verdict replays it, whatever bytes
-// arrive. One that does not runs the request as fresh, and there the hole
-// is: behind line 7, torn, same bytes. The restored register's R is
-// ⟨0, process 0, toggle 0⟩, process 0's first write after recovery stores
-// the identical triple, the plan crashes it behind line 7, recovery reads "R
-// unchanged" and honestly answers failed — over an effect that is there.
+// arrive; one that does not runs the request as fresh. Before put-at records
+// were stamped, a linearized DEL's verdict was an outcome record behind its
+// put-at record, and the hole was the image between the two, re-sent with
+// the same bytes: the restored register's R is ⟨0, process 0, toggle 0⟩,
+// process 0's first write after recovery stores the identical triple, the
+// plan crashes it behind line 7, and recovery read "R unchanged" and
+// honestly answered failed — over an effect that was there.
 const (
 	hole1AKey       = "k"
 	planBeforeLine7 = 10
@@ -52,16 +57,14 @@ const (
 )
 
 // hole1ACase is one row of the table: the three things that decide the
-// answer, and the answer the contract requires — or, for the open cells,
-// the answer that reproduces the hole.
+// answer, and the answer the contract requires.
 type hole1ACase struct {
 	plan      uint32 // the first DEL's crash plan
-	torn      bool   // the DEL's outcome record did not survive
+	torn      bool   // the DEL's outcome record, if it has one, did not survive
 	sameBytes bool   // the re-send repeats the plan
 	status    runtime.Status
 	crashes   int
 	get       int
-	hole      bool // answers failed over k = 0: open, ROADMAP 1A
 }
 
 var hole1ATable = []hole1ACase{
@@ -72,14 +75,16 @@ var hole1ATable = []hole1ACase{
 	{plan: planBeforeLine7, torn: false, sameBytes: false, status: runtime.StatusFailed, crashes: 1, get: 100},
 	{plan: planBehindLine7, torn: false, sameBytes: true, status: runtime.StatusRecovered, crashes: 1, get: 0},
 	{plan: planBehindLine7, torn: false, sameBytes: false, status: runtime.StatusRecovered, crashes: 1, get: 0},
-	// The verdict was torn off: the re-send runs as fresh, over k = 0 where
-	// the first DEL linearized and over k = 100 where it did not.
+	// The image is cut after the DEL's last record. Where the DEL
+	// linearized, that is its stamped put-at record, and the verdict
+	// rebuilt from it is replayed; where it failed, the outcome record was
+	// torn off and the re-send runs as fresh over k = 100.
 	{plan: 0, torn: true, sameBytes: true, status: runtime.StatusOK, get: 0},
 	{plan: 0, torn: true, sameBytes: false, status: runtime.StatusOK, get: 0},
 	{plan: planBeforeLine7, torn: true, sameBytes: true, status: runtime.StatusFailed, crashes: 1, get: 100},
 	{plan: planBeforeLine7, torn: true, sameBytes: false, status: runtime.StatusOK, get: 0},
-	{plan: planBehindLine7, torn: true, sameBytes: true, status: runtime.StatusFailed, crashes: 1, get: 0, hole: true},
-	{plan: planBehindLine7, torn: true, sameBytes: false, status: runtime.StatusOK, get: 0},
+	{plan: planBehindLine7, torn: true, sameBytes: true, status: runtime.StatusRecovered, crashes: 1, get: 0},
+	{plan: planBehindLine7, torn: true, sameBytes: false, status: runtime.StatusRecovered, crashes: 1, get: 0},
 }
 
 func (c hole1ACase) String() string {
@@ -149,11 +154,12 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 
 	// survived reports whether a recovered node holds what the case says
 	// survived: the PUT's verdict, the DEL's effect if it had one, and the
-	// DEL's verdict or not.
+	// DEL's verdict or not — a linearized DEL's verdict is its stamped
+	// put-at record, which survives with the effect.
 	survived := func(rdb *durable.DB) bool {
 		val, _ := rdb.MirrorGet(shard, hole1AKey)
 		for _, s := range rdb.Sessions() {
-			if verdict := s.Reply(2) != nil; s.SID == sid && len(s.Reply(1)) > 0 && verdict == !c.torn {
+			if verdict := s.Reply(2) != nil; s.SID == sid && len(s.Reply(1)) > 0 && verdict == (!c.torn || linearizes) {
 				return linearizes && val == 0 || !linearizes && val == 100
 			}
 		}
@@ -163,10 +169,10 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 	var db2 *durable.DB
 	var srv2 *Server
 	if promote {
-		// The DEL's outcome is the stream's last session record. Torn off
-		// the batch that carries it, the standby anchors the DEL's put-at
-		// record, if any, and no verdict for it — the standby's image of the
-		// primary's torn tail.
+		// A failed DEL's outcome is the stream's last record. Torn off the
+		// batch that carries it, the standby anchors no verdict for it — the
+		// standby's image of the primary's torn tail. A linearized DEL's last
+		// record is its stamped put-at, which the standby anchors whole.
 		msgs := streamOf(t, sub)
 		if c.torn {
 			msgs = dropLastOutcome(msgs)
@@ -182,9 +188,10 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 			t.Fatal("the promoted standby does not hold what the case says survived")
 		}
 	} else {
-		// The DEL's anchor is the log's last write: the put-at record, if
-		// any, and the outcome record in one batch. Crash with that write
-		// issued and not yet synced, and take the tear the case asks for.
+		// The DEL's anchor is the log's last write: its stamped put-at
+		// record, or the outcome record of a DEL that failed. Crash with that
+		// write issued and not yet synced, and take the tear the case asks
+		// for.
 		journal := fsim.Journal()
 		last := -1
 		for i, op := range journal {
@@ -226,28 +233,18 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 	return resent, got
 }
 
-// TestKnownHole1AMatrix runs the table through both recoveries. A cell that
-// is not marked open must answer what the table says, and what it says is
-// checked against the contract first. An open cell skips, naming itself,
-// while it reproduces, and fails once it does not: the change that closes
-// Stage A turns its row into "recovered over k = 0" and deletes the mark.
-// ci.yml's must-convict step requires the skip line.
+// TestKnownHole1AMatrix runs the table through both recoveries. Every cell
+// must answer what the table says, and what the table says is checked
+// against the contract first.
 func TestKnownHole1AMatrix(t *testing.T) {
 	for _, c := range hole1ATable {
-		if effect := c.get == 0; c.status.Linearized() != effect && !c.hole {
+		if effect := c.get == 0; c.status.Linearized() != effect {
 			t.Fatalf("%v: the table asks for %v over k = %d, which the contract forbids", c, c.status, c.get)
 		}
 		for _, recovery := range []string{"restart", "promote"} {
 			t.Run(fmt.Sprintf("%v/%s", c, recovery), func(t *testing.T) {
 				resent, got := hole1ARun(t, c, recovery == "promote")
-				matches := resent.Status == c.status && resent.Crashes == c.crashes && got.Resp == c.get
-				switch {
-				case c.hole && matches:
-					t.Skipf("known hole, ROADMAP 1A: %v/%s: re-sent DEL → failed (crashes 1) / GET → 0", c, recovery)
-				case c.hole:
-					t.Fatalf("1A no longer reproduces in this cell (re-sent DEL → %v, crashes %d; GET → %d): unmark it, here and in DURABILITY.md §Open",
-						resent.Status, resent.Crashes, got.Resp)
-				case !matches:
+				if resent.Status != c.status || resent.Crashes != c.crashes || got.Resp != c.get {
 					t.Fatalf("re-sent DEL → %v (crashes %d), GET → %d; want %v (crashes %d), %d",
 						resent.Status, resent.Crashes, got.Resp, c.status, c.crashes, c.get)
 				}
@@ -257,29 +254,30 @@ func TestKnownHole1AMatrix(t *testing.T) {
 }
 
 // TestKnownHole1AResendAnswersFailedOverItsEffect is the storms' one rare
-// trace (the verify skill's gotcha), the open row of the table on a
-// restarted primary:
+// trace of the hole, on a restarted primary, which used to end
 //
 //	PUT 100 → ok / DEL → failed (crashes 1) / GET → 0
 //
-// The hole is open, so the test skips when the trace reproduces and fails
-// when it does not: the change that closes Stage A deletes the skip, turns
-// the expectations into "the re-sent DEL answers ok", and removes the
-// "Open:" section. ci.yml's must-convict step requires the skip line.
+// The DEL crashes behind line 7, is recovered and journaled, and the node
+// dies before anything behind its put-at record is durable. That record is
+// stamped with the DEL's request ID and verdict, so the resumed session
+// holds the verdict and the re-sent DEL replays it.
 func TestKnownHole1AResendAnswersFailedOverItsEffect(t *testing.T) {
 	resent, got := hole1ARun(t, hole1ACase{plan: planBehindLine7, torn: true, sameBytes: true}, false)
-	if resent.Status == runtime.StatusFailed && resent.Crashes == 1 && got.Resp == 0 {
-		t.Skipf("known hole, ROADMAP 1A: PUT 100 → ok / DEL → recovered, journaled, outcome lost in the crash / resume, re-sent DEL → failed (crashes 1) / GET → 0")
+	if resent.Status != runtime.StatusRecovered || resent.Crashes != 1 || got.Resp != 0 {
+		t.Fatalf("re-sent DEL → %v (crashes %d), GET → %d; want recovered (crashes 1), 0",
+			resent.Status, resent.Crashes, got.Resp)
 	}
-	t.Fatalf("1A no longer reproduces (re-sent DEL → %v, crashes %d; GET → %d): delete this skip and DURABILITY.md §Open",
-		resent.Status, resent.Crashes, got.Resp)
 }
 
-// dropLastOutcome returns a copy of a replication stream whose last outcome
-// record is cut out of the ReplLog message carrying it; the frames around it
-// keep their own checksums.
+// dropLastOutcome returns a copy of a replication stream cut behind its
+// last record of an effect or a verdict: an outcome record standing behind
+// every put-at record is cut out of the ReplLog message carrying it, the
+// frames around it keeping their own checksums; a stream whose last such
+// record is a put-at — a linearized PUT or DEL, stamped with its verdict —
+// has nothing to tear and is returned whole.
 func dropLastOutcome(msgs [][]byte) [][]byte {
-	const recOutcome = 0x03
+	const recOutcome, recPutAt = 0x03, 0x06
 	out := append([][]byte{}, msgs...)
 	for i := len(out) - 1; i >= 0; i-- {
 		m := out[i]
@@ -288,16 +286,19 @@ func dropLastOutcome(msgs [][]byte) [][]byte {
 		}
 		last := -1
 		for off := 1; off < len(m); off += 8 + int(binary.BigEndian.Uint32(m[off:])) {
-			if m[off+8] == recOutcome {
+			if k := m[off+8]; k == recOutcome || k == recPutAt {
 				last = off
 			}
 		}
-		if last < 0 {
+		switch {
+		case last < 0:
 			continue
+		case m[last+8] == recPutAt:
+			return out
 		}
 		end := last + 8 + int(binary.BigEndian.Uint32(m[last:]))
 		out[i] = append(append([]byte(nil), m[:last]...), m[end:]...)
 		return out
 	}
-	panic("stream holds no outcome record")
+	panic("stream holds no put-at and no outcome record")
 }

@@ -51,13 +51,12 @@ const standbySIDBase = uint64(1) << 63
 // Every stream message fits one wire frame, and every record a node
 // journals fits one message, framed, behind its kind byte. The largest is
 // an MPUT's outcome: 21 B of kind, sid, reqID and reply length, then a
-// status, a u16 count and 13 B per entry. A put-at record is 8 B of kinds,
-// shard and key length, the key and an 8 B value. A negative difference
-// would not compile.
+// status, a u16 count and a verdict per entry. A put-at record is its key
+// and durable.PutAtOverhead. A negative difference would not compile.
 const (
 	_ = uint(MaxFrame - durable.MaxReplMsg)
-	_ = uint(durable.MaxReplMsg - 1 - durable.FrameHeader - (21 + 3 + 13*MaxBatch))
-	_ = uint(durable.MaxReplMsg - 1 - durable.FrameHeader - (8 + MaxKey + 8))
+	_ = uint(durable.MaxReplMsg - 1 - durable.FrameHeader - (21 + 3 + durable.VerdictSize*MaxBatch))
+	_ = uint(durable.MaxReplMsg - 1 - durable.FrameHeader - (durable.PutAtOverhead + MaxKey))
 )
 
 // replicaDialTimeout bounds the standby's dial + handshake with the

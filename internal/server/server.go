@@ -573,22 +573,37 @@ func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply
 	}
 
 	c, _ := classOf(op) // an op of no class gets no further than execute's decode
+	db := srv.db.Load()
+	if db != nil && c == classWrite && sess.kind == kindData {
+		// The puts this request journals are stamped with its ID: the
+		// record of each effect says whose effect it is.
+		db.BeginRequest(sess.pid, reqID)
+	}
 	reply, closing, fatal = srv.execute(sess, op, c, r, (*scratch)[:0])
 	if cap(reply) > cap(*scratch) {
 		*scratch = reply // keep the grown buffer for the next frame
 	}
 	if !fatal && len(reply) > 0 && reply[0] == StatusOK && !closing {
-		if db := srv.db.Load(); db != nil && c == classWrite {
-			// The durability barrier before release: the outcome record goes
-			// into the write-ahead log behind this request's linearized
-			// mutations and the log is synced — in that order, so a replayed
-			// verdict can never outlive its effect. Only then may the reply
-			// leave.
+		if db != nil && c == classWrite {
+			// The durability barrier before release: the verdict goes into
+			// the write-ahead log and the log is synced, and only then may
+			// the reply leave. A linearized PUT or DEL journaled its put-at
+			// record stamped with this request's ID and verdict, which is
+			// the verdict: a bare barrier makes it durable. Any other verdict
+			// — a failed one, an MPUT's — is an outcome record behind this
+			// request's puts, so a replayed verdict can never outlive its
+			// effect.
 			// Read-only replies skip it: they have no effect to anchor, a
 			// never-delivered read simply re-executes fresh after a
 			// restart, and the in-memory window still covers
 			// connection-level resume — so reads cost no fsync.
-			if err := db.CommitOutcome(sess.id, reqID, reply); err != nil {
+			var err error
+			if op != OpMPut && runtime.Status(reply[1]).Linearized() {
+				err = db.Sync()
+			} else {
+				err = db.CommitOutcome(sess.id, reqID, reply)
+			}
+			if err != nil {
 				return appendErr((*scratch)[:0], ErrBadRequest, "durable outcome commit failed"), false, true
 			}
 		}
@@ -648,30 +663,30 @@ func (srv *Server) execute(sess *session, op byte, c class, r *Reader, dst []byt
 	switch op {
 	case OpGet:
 		if sess.kind == kindData {
-			return appendOutcomeReply(dst, store.Get(sess.pid, key, planOf(plan)...)), false, false
+			return durable.AppendReply(dst, store.Get(sess.pid, key, planOf(plan)...)), false, false
 		}
 		if plan != 0 {
 			// Crash plans drive a shard's recovery machinery, which needs a
 			// process identity; a slotless read has none.
 			return appendErr(dst, ErrObserver, "crash plan on a slotless session"), false, false
 		}
-		return appendOutcomeReply(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(key)}), false, false
+		return durable.AppendReply(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(key)}), false, false
 	case OpMGet:
 		if sess.kind == kindData {
-			return appendOutcomesReply(dst, store.MultiGetWith(&sess.batch, sess.pid, sess.keys)), false, false
+			return durable.AppendBatchReply(dst, store.MultiGetWith(&sess.batch, sess.pid, sess.keys)), false, false
 		}
 		dst = append(dst, StatusOK)
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(sess.keys)))
 		for _, k := range sess.keys {
-			dst = appendOutcome(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(k)})
+			dst = durable.AppendVerdict(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(k)})
 		}
 		return dst, false, false
 	case OpPut:
-		return appendOutcomeReply(dst, store.Put(sess.pid, key, val, planOf(plan)...)), false, false
+		return durable.AppendReply(dst, store.Put(sess.pid, key, val, planOf(plan)...)), false, false
 	case OpDel:
-		return appendOutcomeReply(dst, store.Del(sess.pid, key, planOf(plan)...)), false, false
+		return durable.AppendReply(dst, store.Del(sess.pid, key, planOf(plan)...)), false, false
 	case OpMPut:
-		return appendOutcomesReply(dst, store.MultiPutWith(&sess.batch, sess.pid, sess.entries)), false, false
+		return durable.AppendBatchReply(dst, store.MultiPutWith(&sess.batch, sess.pid, sess.entries)), false, false
 	case OpCrash:
 		if shard == CrashAllShards {
 			store.Crash()

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"detectable/internal/durable"
 	"detectable/internal/runtime"
 	"detectable/internal/rw"
 	"detectable/internal/shardkv"
@@ -50,7 +51,7 @@ const (
 // Reply status codes. StatusOK prefixes a successful reply body; every
 // other value is an error reply whose body is a u16-length message.
 const (
-	StatusOK          byte = 0x00
+	StatusOK          byte = durable.ReplyOK
 	ErrBadRequest     byte = 0x01 // malformed frame or field (connection-fatal)
 	ErrUnknownSession byte = 0x02 // HELLO named a session the server does not hold
 	ErrStaleRequest   byte = 0x03 // reqID older than the session's outcome window
@@ -306,30 +307,6 @@ func appendHelloOK(dst []byte, session uint64, pid int, resumed bool) []byte {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
-}
-
-// appendOutcome appends one detectable outcome: verdict byte (the
-// runtime.Status value), response value, crash-interruption count.
-func appendOutcome(b []byte, out runtime.Outcome[int]) []byte {
-	b = append(b, byte(out.Status))
-	b = binary.BigEndian.AppendUint64(b, uint64(int64(out.Resp)))
-	return binary.BigEndian.AppendUint32(b, uint32(out.Crashes))
-}
-
-// appendOutcomeReply appends a single-operation success reply.
-func appendOutcomeReply(dst []byte, out runtime.Outcome[int]) []byte {
-	return appendOutcome(append(dst, StatusOK), out)
-}
-
-// appendOutcomesReply appends a batched success reply, aligned with the
-// request.
-func appendOutcomesReply(dst []byte, outs []runtime.Outcome[int]) []byte {
-	dst = append(dst, StatusOK)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(outs)))
-	for _, o := range outs {
-		dst = appendOutcome(dst, o)
-	}
-	return dst
 }
 
 // appendAck appends a body-less success reply (CRASH, CLOSE).

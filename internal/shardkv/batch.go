@@ -63,7 +63,7 @@ func (s *Store) MultiPutWith(sc *BatchScratch, pid int, entries []KV, plans ...S
 	plan, outs := sc.begin(len(entries), plans)
 	for i, e := range entries {
 		n := s.ShardFor(e.Key)
-		outs[i] = s.shards[n].put(pid, e.Key, e.Val, plan[n])
+		outs[i] = s.shards[n].put(pid, e.Key, e.Val, i, len(entries), plan[n])
 	}
 	return outs
 }

@@ -1,7 +1,6 @@
 package shardkv
 
 import (
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -87,9 +86,8 @@ func TestMultiPutJournalsInEntryOrder(t *testing.T) {
 
 	var journaled []string
 	wal, err := durable.OpenLog(filepath.Join(dir, "wal.log"), func(rec []byte) error {
-		if rec[0] == 0x06 { // put-at: u32 shard, 0x01, u16 key length, key, i64 value
-			n := int(binary.BigEndian.Uint16(rec[6:]))
-			journaled = append(journaled, string(rec[8:8+n]))
+		if rec[0] == 0x06 { // put-at: a fixed header, the key, an i64 value
+			journaled = append(journaled, string(rec[durable.PutAtOverhead-8:len(rec)-8]))
 		}
 		return nil
 	})

@@ -62,8 +62,8 @@ func FullHistory() Option {
 // space a file-backed persistent space: linearized mutations are journaled
 // at verdict time) and restores each shard's recovered state before the
 // store serves its first operation. db's geometry must match the store's
-// shard count; durable.Open enforces it against the data directory's
-// manifest, and New panics on a mismatched db.
+// shard and process counts; durable.Open enforces it against the data
+// directory's manifest, and New panics on a mismatched db.
 func Durable(db *durable.DB) Option {
 	return func(o *options) { o.db = db }
 }
@@ -77,13 +77,15 @@ type shard struct {
 }
 
 // journal records a linearized mutation's persisted value with the shard
-// space's backing store — a no-op on heap-backed shards. It runs at
-// verdict time: after this call the value is queued for the shard's next
-// durability barrier (the server's CommitOutcome syncs it before the
-// verdict is released to a client).
-func (sh *shard) journal(out runtime.Outcome[int], key string, val int) {
+// space's backing store — a no-op on heap-backed shards — stamped with its
+// writer pid, its verdict and, for entry entry of a batch of n, where it
+// stands in the batch (n = 0 for a single operation). It runs at verdict
+// time: after this call the value is queued for the shard's next durability
+// barrier, which the server syncs before the verdict is released to a
+// client.
+func (sh *shard) journal(pid int, out runtime.Outcome[int], key string, val, entry, n int) {
 	if out.Status.Linearized() {
-		sh.sys.Space().Journal(key, int64(val))
+		sh.sys.Space().Journal(key, int64(val), nvm.Stamp{PID: pid, Status: int(out.Status), Crashes: out.Crashes, Entry: entry, Batch: n})
 	}
 }
 
@@ -96,16 +98,17 @@ func (sh *shard) get(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcom
 	return out
 }
 
-func (sh *shard) put(pid int, key string, val int, plans ...nvm.CrashPlan) runtime.Outcome[int] {
+// put is entry entry of a batch of n puts (0 and 0 for a single put).
+func (sh *shard) put(pid int, key string, val, entry, n int, plans ...nvm.CrashPlan) runtime.Outcome[int] {
 	out := sh.store.Put(pid, key, val, plans...)
-	sh.journal(out, key, val)
+	sh.journal(pid, out, key, val, entry, n)
 	sh.stats.note(pid, opPut, outcomeOf(out.Status), out.Crashes)
 	return out
 }
 
 func (sh *shard) del(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome[int] {
 	out := sh.store.Del(pid, key, plans...)
-	sh.journal(out, key, 0)
+	sh.journal(pid, out, key, 0, 0, 0)
 	sh.stats.note(pid, opDel, outcomeOf(out.Status), out.Crashes)
 	return out
 }
@@ -115,7 +118,7 @@ func (sh *shard) del(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcom
 // number of invocations.
 func (sh *shard) putRetry(pid int, key string, val int) int {
 	for n := 1; ; n++ {
-		if sh.put(pid, key, val).Status.Linearized() {
+		if sh.put(pid, key, val, 0, 0).Status.Linearized() {
 			sh.stats.noteRetries(pid, n)
 			return n
 		}
@@ -152,7 +155,7 @@ func New(shards, procs int, opts ...Option) *Store {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.db != nil && o.db.NumShards() != shards {
+	if o.db != nil && (o.db.NumShards() != shards || o.db.Procs() != procs) {
 		panic("shardkv: durable store geometry does not match the shard count")
 	}
 	s := &Store{procs: procs, slots: newSlotPool(procs)}
@@ -210,7 +213,7 @@ func (s *Store) System(i int) *runtime.System { return s.shards[i].sys }
 // detectable outcome. plans inject deterministic crashes into that shard
 // only.
 func (s *Store) Put(pid int, key string, val int, plans ...nvm.CrashPlan) runtime.Outcome[int] {
-	return s.shards[s.ShardFor(key)].put(pid, key, val, plans...)
+	return s.shards[s.ShardFor(key)].put(pid, key, val, 0, 0, plans...)
 }
 
 // Get reads key as process pid and returns the detectable outcome.
@@ -231,7 +234,7 @@ func (s *Store) Del(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome
 func (s *Store) PutArmed(pid int, key string, val int, plan nvm.CrashPlan) runtime.Outcome[int] {
 	sh := s.shards[s.ShardFor(key)]
 	out := sh.store.PutArmed(pid, key, val, plan)
-	sh.journal(out, key, val)
+	sh.journal(pid, out, key, val, 0, 0)
 	sh.stats.note(pid, opPut, outcomeOf(out.Status), out.Crashes)
 	return out
 }

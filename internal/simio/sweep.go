@@ -1,6 +1,7 @@
 package simio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"detectable/internal/durable"
+	"detectable/internal/nvm"
+	"detectable/internal/runtime"
 )
 
 // The crash-prefix sweep: run a durable workload against the simulated
@@ -20,11 +23,12 @@ import (
 // with durable.OpenFs and check
 //
 //  1. recovery succeeds (a crash may never brick the store),
-//  2. outcome-implies-effect: every recovered outcome's journaled put is
-//     present in its shard mirror (the paper's detectability contract — a
-//     replayed verdict never promises a lost write),
-//  3. released-verdict survival: every verdict the workload released
-//     (CommitOutcome returned) before the crash point is recovered, with
+//  2. outcome-implies-effect: every recovered outcome record's journaled put
+//     is present in its shard mirror (the paper's detectability contract — a
+//     replayed verdict never promises a lost write); a verdict rebuilt from
+//     a stamped put-at record is its effect's own record,
+//  3. released-verdict survival: every verdict the workload released (its
+//     commit returned) before the crash point is recovered, with
 //     byte-identical reply and surviving effect,
 //  4. purity: recovering the same image twice yields the same StateHash —
 //     recovery is a pure function of the byte image,
@@ -65,13 +69,20 @@ type Trace struct {
 }
 
 // Verdict is one outcome the workload released: the reply of request Req of
-// session SID, promising Key=Val.
+// session SID, promising Key=Val. A stamped verdict rode its put-at record
+// and a bare barrier, and its reply is the one rebuilt from the stamp
+// (stampedReply); any other is an outcome record whose reply names Key=Val.
 type Verdict struct {
-	SID uint64 `json:"sid"`
-	Req uint64 `json:"req"`
-	Key string `json:"key"`
-	Val int64  `json:"val"`
+	SID     uint64 `json:"sid"`
+	Req     uint64 `json:"req"`
+	Key     string `json:"key"`
+	Val     int64  `json:"val"`
+	Stamped bool   `json:"stamped,omitempty"`
 }
+
+// stampedReply is the reply recovery rebuilds for a stamped workload
+// commit: a PUT that answered ok.
+var stampedReply = durable.AppendReply(nil, runtime.Outcome[int]{Status: runtime.StatusOK})
 
 // MaxReport bounds SweepResult.Violations; Found counts past it.
 const MaxReport = 32
@@ -91,7 +102,7 @@ type SweepResult struct {
 // bracketing its validity.
 type released struct {
 	Verdict
-	releasedAt int // journal length when CommitOutcome returned
+	releasedAt int // journal length when the commit returned
 	endedAt    int // journal length when the session's END began; MaxInt if never
 }
 
@@ -169,9 +180,12 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 }
 
 // runWorkload drives the commit protocol through every durability-relevant
-// path: session hellos, journaled puts, epochs of one commit, a multi-member
+// path: session hellos, journaled puts, epochs of one commit — every other
+// one a stamped put-at record behind a bare barrier (a PUT's verdict), the
+// rest an outcome record behind its put (an MPUT's, whose outcome record
+// the sweep's outcome-first mutant moves ahead of it) — a multi-member
 // epoch, observer-ID burns, a session end, compaction (when CompactAt is
-// small), and a clean close.
+// small), and a clean close. Session s holds process s − 1.
 func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 	gate := &gateFs{Fs: fsim, entered: make(chan struct{}), release: make(chan struct{})}
 	db, err := durable.OpenFs(gate, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
@@ -197,18 +211,33 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 		shard := i % cfg.Shards
 		key := fmt.Sprintf("s%d-k%d", shard, (i/cfg.Shards)%cfg.Keys)
 		val := int64(i + 1) // monotone per key: i strictly increases
-		db.ShardBacking(shard).Persist(key, val)
+		stamped := i%2 == 0
+		// The epoch batch commits one session's requests concurrently, so a
+		// request's ID is published and its put stamped under mu.
 		mu.Lock()
 		reqs[sid]++
 		req := reqs[sid]
+		if stamped {
+			pid := int(sid - 1)
+			db.BeginRequest(pid, req)
+			db.ShardBacking(shard).Journal(key, val, nvm.Stamp{PID: pid, Status: int(runtime.StatusOK)})
+		} else {
+			db.ShardBacking(shard).Persist(key, val)
+		}
 		mu.Unlock()
-		if err := db.CommitOutcome(sid, req, encodeReply(key, val)); err != nil {
+		var err error
+		if stamped {
+			err = db.Sync()
+		} else {
+			err = db.CommitOutcome(sid, req, encodeReply(key, val))
+		}
+		if err != nil {
 			return fmt.Errorf("simio: workload commit %d: %w", i, err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		rel = append(rel, released{
-			Verdict:    Verdict{SID: sid, Req: req, Key: key, Val: val},
+			Verdict:    Verdict{SID: sid, Req: req, Key: key, Val: val, Stamped: stamped},
 			releasedAt: fsim.Ops(), endedAt: math.MaxInt,
 		})
 		return nil
@@ -395,10 +424,13 @@ func checkVerdicts(db *durable.DB, cfg SweepConfig, must []Verdict) string {
 		sessions[s.SID] = s
 	}
 
-	// (2) outcome-implies-effect, for every recovered outcome whether or
-	// not it was ever released.
+	// (2) outcome-implies-effect, for every recovered outcome record whether
+	// or not it was ever released.
 	for _, s := range recovered {
 		for _, o := range s.Window {
+			if bytes.Equal(o.Reply, stampedReply) {
+				continue // rebuilt from a stamped put-at record: its own effect
+			}
 			key, val, ok := decodeReply(o.Reply)
 			if !ok {
 				return fmt.Sprintf("recovered outcome sid=%d req=%d has undecodable reply %q", s.SID, o.ID, o.Reply)
@@ -423,9 +455,13 @@ func checkVerdicts(db *durable.DB, cfg SweepConfig, must []Verdict) string {
 		if r.Req+uint64(cfg.Window) <= s.MaxID {
 			continue // evicted past the window bound: the client has advanced
 		}
-		if got := s.Reply(r.Req); string(got) != string(encodeReply(r.Key, r.Val)) {
+		want := encodeReply(r.Key, r.Val)
+		if r.Stamped {
+			want = stampedReply
+		}
+		if got := s.Reply(r.Req); !bytes.Equal(got, want) {
 			return fmt.Sprintf("released verdict lost: sid=%d req=%d recovered as %q, want %q",
-				r.SID, r.Req, got, encodeReply(r.Key, r.Val))
+				r.SID, r.Req, got, want)
 		}
 	}
 	return ""
