@@ -82,22 +82,22 @@ func FindDoublyPerturbing(obj spec.Object, domain, maxDepth int) Result {
 	states, saturated := reachable(obj, obj.Init(), ops, maxDepth)
 
 	res := Result{Exhaustive: saturated, StatesExplored: len(states)}
-	for s1, path1 := range states {
+	for _, h1 := range states {
 		for _, a := range ops {
-			b, ok := perturbingAfter(obj, s1, a, ops)
+			b, ok := perturbingAfter(obj, h1.state, a, ops)
 			if !ok {
 				continue
 			}
 			// Reach H2 via any extension of H1◦a◦b.
-			sA, _ := obj.Apply(s1, a)
+			sA, _ := obj.Apply(h1.state, a)
 			sB, _ := obj.Apply(sA, b)
 			ext, extSat := reachable(obj, sB, ops, maxDepth)
-			for s3, path3 := range ext {
-				if b2, ok := perturbingAfter(obj, s3, a, ops); ok {
+			for _, h3 := range ext {
+				if b2, ok := perturbingAfter(obj, h3.state, a, ops); ok {
 					res.Doubly = true
 					res.Witness = Witness{
-						Op: a, H1: path1, OpPrime: b,
-						Extension: path3, OpPrime2: b2,
+						Op: a, H1: h1.path, OpPrime: b,
+						Extension: h3.path, OpPrime2: b2,
 					}
 					res.Exhaustive = res.Exhaustive && extSat
 					return res
@@ -123,37 +123,38 @@ func perturbingAfter(obj spec.Object, state string, op spec.Operation, probes []
 	return spec.Operation{}, false
 }
 
+// reached is a reachable state and a shortest history that reaches it.
+type reached struct {
+	state string
+	path  []spec.Operation
+}
+
 // reachable returns every state reachable from start within maxDepth
-// operations, each mapped to a shortest witness path. saturated reports
+// operations, each with a shortest witness path, in breadth-first order, so
+// a search over them finds the same witness on every run. saturated reports
 // that no new states appeared at the final depth — i.e. the enumeration
 // covers the entire reachable state space.
-func reachable(obj spec.Object, start string, ops []spec.Operation, maxDepth int) (map[string][]spec.Operation, bool) {
-	paths := map[string][]spec.Operation{start: {}}
-	frontier := []string{start}
-	saturated := false
-	for d := 0; d < maxDepth; d++ {
-		var next []string
-		for _, s := range frontier {
-			base := paths[s]
+func reachable(obj spec.Object, start string, ops []spec.Operation, maxDepth int) ([]reached, bool) {
+	states := []reached{{start, nil}}
+	seen := map[string]bool{start: true}
+	for d, from := 0, 0; d < maxDepth; d++ {
+		to := len(states)
+		for _, s := range states[from:to] {
 			for _, op := range ops {
-				ns, _ := obj.Apply(s, op)
-				if _, seen := paths[ns]; seen {
+				ns, _ := obj.Apply(s.state, op)
+				if seen[ns] {
 					continue
 				}
-				path := make([]spec.Operation, len(base)+1)
-				copy(path, base)
-				path[len(base)] = op
-				paths[ns] = path
-				next = append(next, ns)
+				seen[ns] = true
+				states = append(states, reached{ns, append(s.path[:len(s.path):len(s.path)], op)})
 			}
 		}
-		if len(next) == 0 {
-			saturated = true
-			break
+		if len(states) == to {
+			return states, true
 		}
-		frontier = next
+		from = to
 	}
-	return paths, saturated
+	return states, false
 }
 
 // PerturbationDepth measures how many times successive instances of an

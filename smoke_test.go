@@ -26,9 +26,7 @@ func TestMainsSmoke(t *testing.T) {
 		{"kvstore", []string{"run", "./examples/kvstore"}},
 		{"bankcounter", []string{"run", "./examples/bankcounter"}},
 		{"jobqueue", []string{"run", "./examples/jobqueue"}},
-		{"configspace", []string{"run", "./cmd/configspace", "-maxn", "3"}},
-		{"perturb", []string{"run", "./cmd/perturb", "-domain", "2", "-depth", "4"}},
-		{"spacetable", []string{"run", "./cmd/spacetable"}},
+		{"bounds", []string{"run", "./cmd/bounds", "spacetable"}},
 		{"loadgen", []string{"run", "./cmd/loadgen", "-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8", "-dur", "200ms"}},
 		{"kvserverd", []string{"run", "./cmd/kvserverd", "-addr", "127.0.0.1:0", "-shards", "2", "-procs", "2", "-dur", "300ms"}},
 		{"kvbench", []string{"run", "./cmd/kvbench", "-selftest", "-shards", "2", "-conns", "1,2", "-dur", "150ms", "-keys", "32"}},
