@@ -26,45 +26,25 @@ import (
 // so its definite outcome can only come from the promoted replica's
 // recovered window — the run requires the replicas' recovered-replay
 // counters to end above zero, proving at least one verdict was served
-// from replicated state.
+// from replicated state. -failovers 0 kills and promotes nothing: a durable
+// primary gated by its sync standby, under load.
 func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 	failovers int, failoverEvery time.Duration) (err error) {
-	if failovers < 1 {
-		return fmt.Errorf("need -failovers ≥ 1 (got %d)", failovers)
+	if failovers < 0 {
+		return fmt.Errorf("need -failovers ≥ 0 (got %d)", failovers)
 	}
-	if baseDir, err = serverFlags("failover-storm", bin, baseDir); err != nil {
-		return err
-	}
-	fmt.Printf("failover-storm: data=%s server=%s failovers≥%d every=%s\n", baseDir, bin, failovers, failoverEvery)
+	dial := func(addrs []string) (*client.Client, error) { return ridesFailover(client.DialFailover(addrs)) }
 	// Two slots beyond the workload's: one for each cycle's canary session
 	// and one for the storm's persistent prober.
-	cluster, err := harness.Start(harness.Config{
-		Name: "failover-storm", Bin: bin, Dir: baseDir,
-		Shards: cfg.shards, Procs: cfg.procs + 2,
-	}, true)
+	st, cluster, done, err := spawn(cfg, "failover-storm", bin, baseDir, 2, true,
+		fmt.Sprintf("failovers≥%d every=%s", failovers, failoverEvery), dial)
 	if err != nil {
 		return err
 	}
-	defer cluster.Close(&err)
-
+	defer done(&err)
 	// The two addresses stay through every failover; only the roles swap.
 	addrA, addrB := cluster.Addrs()
-	addrs := []string{addrA, addrB}
-	newClient := func() (*client.Client, error) {
-		c, err := client.DialFailover(addrs)
-		if err != nil {
-			return nil, err
-		}
-		// Redial budget sized to out-wait a kill+promote cycle; the call
-		// timeout turns a wedged node into a redial instead of a hang.
-		c.SetRedialPolicy(600, 100*time.Millisecond)
-		c.SetCallTimeout(2 * time.Second)
-		return c, nil
-	}
-	st, err := dialStorm(cfg, newClient)
-	if err != nil {
-		return err
-	}
+	newClient := func() (*client.Client, error) { return dial([]string{addrA, addrB}) }
 	// The prober confirms each canary's commit is visible (and therefore,
 	// with the synchronous subscription, acked by the standby) before the
 	// storm pulls the trigger.
@@ -84,7 +64,7 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 		replicaServed uint64
 	)
 	if err := st.runWorkers(cfg.spec, func(deadline time.Time) error {
-		for {
+		for failovers > 0 {
 			time.Sleep(failoverEvery)
 			if time.Now().After(deadline) && cycles >= failovers {
 				replicaServed += sampleReplays(cluster)
@@ -109,6 +89,8 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 				fmt.Printf("failover %d: promoted %s generation=%d\n", cycle, promoted, gen)
 			}
 		}
+		time.Sleep(time.Until(deadline))
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -117,13 +99,20 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 		fmt.Printf("failover-storm: %s elapsed=%s\n", cfg.descr(cfg.shards), st.elapsed.Round(time.Millisecond))
 		fmt.Printf("aggregate: %d ops (%.0f ops/sec) across %d kill+promote cycles, %d session resumes, replica-served=%d\n",
 			st.ops.Load(), float64(st.ops.Load())/st.elapsed.Seconds(), cycles, st.resumes(), replicaServed)
-		if cfg.verbose {
-			fmt.Printf("data dirs: %s (kept for inspection)\n", baseDir)
-		}
-		st.closeClients()
 	}, "every operation resolved to a definite outcome across failovers, zero violations",
 		require(cycles >= failovers, "only %d failover cycles completed (wanted ≥ %d)", cycles, failovers),
-		require(replicaServed > 0, "no verdict was served from a replica's recovered outcome window (expected at least the canaries)"))
+		require(failovers == 0 || replicaServed > 0, "no verdict was served from a replica's recovered outcome window (expected at least the canaries)"))
+}
+
+// ridesFailover sizes a freshly dialed session's redial budget to out-wait
+// a kill+promote cycle; its call timeout turns a wedged node into a redial
+// instead of a hang.
+func ridesFailover(c *client.Client, err error) (*client.Client, error) {
+	if err == nil {
+		c.SetRedialPolicy(600, 100*time.Millisecond)
+		c.SetCallTimeout(2 * time.Second)
+	}
+	return c, err
 }
 
 // canary is one failover cycle's deterministic witness: a PUT whose reply

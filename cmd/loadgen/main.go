@@ -39,19 +39,30 @@
 // kvserverd processes (through internal/harness) and break them beside the
 // workload. Every mode runs the one worker loop of storm.go beside its
 // fault schedule; docs/TESTING.md tabulates what each mode declares.
+// -restarts 0 and -failovers 0 break nothing: a spawned durable server, or
+// a primary gated by its sync standby, under the checked load.
+//
+// Every run prints the machine it ran on (CPUs, GOMAXPROCS, Go version and,
+// for the spawning modes, the data directory's filesystem). Over wire
+// sessions each worker also times every request, an MPUT as one, and the
+// run prints their p50, p99 and max; -rate R paces each worker at R
+// requests/s and counts each latency from the request's slot.
 //
 // Usage:
 //
 //	loadgen [-mix read-heavy|write-heavy|mixed|crash-storm] [-procs 4]
 //	        [-shards 4] [-keys 64] [-dur 1s] [-seed 1] [-v]
 //	        [-dist uniform|zipf] [-theta 0.99] [-mput 0]
-//	        [-remote host:port | -remote self]
+//	        [-remote host:port | -remote self] [-rate 0]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"detectable/internal/shardkv"
@@ -92,42 +103,41 @@ func main() {
 	mput := flag.Int("mput", 0, "batch the write side of the mix into MultiPuts of this many entries (0 = single-key puts)")
 	remote := flag.String("remote", "", "drive a kvserverd at host:port instead of the in-process store (\"self\" starts one on a loopback port)")
 	restartStorm := flag.Bool("restart-storm", false, "whole-process crash mode: spawn a durable kvserverd (-server-bin, -data) and SIGKILL/restart it mid-workload")
-	serverBin := flag.String("server-bin", "", "kvserverd binary for -restart-storm")
-	dataDir := flag.String("data", "", "durable data directory for -restart-storm (empty = fresh temp dir)")
-	restarts := flag.Int("restarts", 5, "minimum SIGKILL/restart cycles for -restart-storm")
+	serverBin := flag.String("server-bin", "", "kvserverd binary for -restart-storm, -failover-storm and -read-replica")
+	dataDir := flag.String("data", "", "durable data directory for the spawning modes (empty = a fresh temp dir, removed after a passing run)")
+	restarts := flag.Int("restarts", 5, "minimum SIGKILL/restart cycles for -restart-storm (0 = none: a spawned durable server under load)")
 	restartEvery := flag.Duration("restart-every", 700*time.Millisecond, "delay between SIGKILLs for -restart-storm")
 	failoverStorm := flag.Bool("failover-storm", false, "primary/backup failover mode: spawn a durable primary plus a replicating standby (-server-bin, -data) and SIGKILL/promote mid-workload")
-	failovers := flag.Int("failovers", 3, "minimum SIGKILL/promote cycles for -failover-storm")
+	failovers := flag.Int("failovers", 3, "minimum SIGKILL/promote cycles for -failover-storm (0 = none: a primary gated by its sync standby under load)")
 	failoverEvery := flag.Duration("failover-every", 900*time.Millisecond, "delay between primary SIGKILLs for -failover-storm")
 	readReplica := flag.Bool("read-replica", false, "read-replica mode: writes at a durable primary, bounded-stale verified reads at a replicating standby (-server-bin, -data), one SIGKILL+promote mid-run with readers live")
 	readerProcs := flag.Int("readers", 2, "GET-only reader goroutines for -read-replica")
 	maxLag := flag.Uint64("max-lag", 64, "reader staleness bound in commit barriers for -read-replica (0 = unbounded)")
+	rate := flag.Float64("rate", 0, "pace each worker at this many requests/s, latency counted from each request's slot (0 = closed loop)")
 	flag.Parse()
 	cfg := wlCfg{
-		mixName: *mix, dist: *dist, theta: *theta, mput: *mput,
+		mixName: *mix, dist: *dist, theta: *theta, mput: *mput, rate: *rate,
 		procs: *procs, shards: *shards, keys: *keys,
 		dur: *dur, seed: *seed, verbose: *verbose,
 	}
-	err := cfg.validate()
-	nServerModes := 0
-	for _, on := range []bool{*restartStorm, *failoverStorm, *readReplica} {
-		if on {
-			nServerModes++
-		}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	mode, err := modeOf(map[string]bool{
+		"remote": *remote != "", "restart-storm": *restartStorm,
+		"failover-storm": *failoverStorm, "read-replica": *readReplica,
+	}, set)
+	if err == nil {
+		err = cfg.validate()
 	}
 	switch {
 	case err != nil:
-	case nServerModes > 1:
-		err = fmt.Errorf("pick one of -restart-storm, -failover-storm and -read-replica")
-	case nServerModes > 0 && *remote != "":
-		err = fmt.Errorf("-restart-storm/-failover-storm/-read-replica spawn their own servers; drop -remote")
-	case *readReplica:
+	case mode == "read-replica":
 		err = runReadReplicaStorm(*serverBin, *dataDir, &cfg, *readerProcs, *maxLag)
-	case *failoverStorm:
+	case mode == "failover-storm":
 		err = runFailoverStorm(*serverBin, *dataDir, &cfg, *failovers, *failoverEvery)
-	case *restartStorm:
+	case mode == "restart-storm":
 		err = runRestartStorm(*serverBin, *dataDir, &cfg, *restarts, *restartEvery)
-	case *remote != "":
+	case mode == "remote":
 		err = runRemote(*remote, &cfg)
 	default:
 		err = run(&cfg)
@@ -136,6 +146,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
+}
+
+// modeOnly names the modes each mode-only flag serves.
+var modeOnly = map[string]string{
+	"server-bin":     "restart-storm failover-storm read-replica",
+	"data":           "restart-storm failover-storm read-replica",
+	"restarts":       "restart-storm",
+	"restart-every":  "restart-storm",
+	"failovers":      "failover-storm",
+	"failover-every": "failover-storm",
+	"readers":        "read-replica",
+	"max-lag":        "read-replica",
+}
+
+// modeOf returns the one mode that on marks ("" = in process). It refuses
+// two at once, and a mode-only flag given (set holds every flag given)
+// without a mode it serves, which would be ignored.
+func modeOf(on, set map[string]bool) (string, error) {
+	mode := ""
+	for _, m := range []string{"remote", "restart-storm", "failover-storm", "read-replica"} {
+		if on[m] && mode != "" {
+			return "", fmt.Errorf("-%s and -%s are two modes; pick one", mode, m)
+		} else if on[m] {
+			mode = m
+		}
+	}
+	for _, f := range slices.Sorted(maps.Keys(set)) {
+		if serves, ok := modeOnly[f]; ok && !slices.Contains(strings.Fields(serves), mode) {
+			return "", fmt.Errorf("-%s is for -%s only", f, strings.ReplaceAll(serves, " ", ", -"))
+		}
+	}
+	return mode, nil
 }
 
 // run is the in-process mode: every worker drives the store directly as

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"detectable/internal/client"
-	"detectable/internal/harness"
 )
 
 // runReadReplicaStorm is the read-replica mode: a durable primary takes
@@ -28,38 +27,21 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	if readers < 1 {
 		return fmt.Errorf("need -readers ≥ 1 (got %d)", readers)
 	}
-	if baseDir, err = serverFlags("read-replica", bin, baseDir); err != nil {
-		return err
-	}
-	fmt.Printf("read-replica: data=%s server=%s writers=%d readers=%d max-lag=%d\n",
-		baseDir, bin, cfg.procs, readers, maxLag)
-	cluster, err := harness.Start(harness.Config{
-		Name: "read-replica", Bin: bin, Dir: baseDir,
-		Shards: cfg.shards, Procs: cfg.procs,
-	}, true)
-	if err != nil {
-		return err
-	}
-	defer cluster.Close(&err)
-
 	// Writers dial the primary block with the standby as a promotion
 	// candidate only: a mutation is never rotated onto a live standby
 	// (guaranteed ErrNotPrimary), but after the kill the promoted node is
 	// found in the replica block.
-	addrA, addrB := cluster.Addrs()
-	primaries, replicas := []string{addrA}, []string{addrB}
-	st, err := dialStorm(cfg, func() (*client.Client, error) {
-		c, err := client.DialFailoverWithReplicas(primaries, replicas)
-		if err != nil {
-			return nil, err
-		}
-		c.SetRedialPolicy(600, 100*time.Millisecond)
-		c.SetCallTimeout(2 * time.Second)
-		return c, nil
-	})
+	st, cluster, done, err := spawn(cfg, "read-replica", bin, baseDir, 0, true,
+		fmt.Sprintf("writers=%d readers=%d max-lag=%d", cfg.procs, readers, maxLag),
+		func(addrs []string) (*client.Client, error) {
+			return ridesFailover(client.DialFailoverWithReplicas(addrs[:1], addrs[1:]))
+		})
 	if err != nil {
 		return err
 	}
+	defer done(&err)
+	addrA, addrB := cluster.Addrs()
+	primaries, replicas := []string{addrA}, []string{addrB}
 	st.violations.armStale()
 
 	// Readers: GET-only sessions routed replica-first, each response
@@ -128,7 +110,6 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	// (non-stale) check — the write tier's state is the authority the
 	// replicas were a bounded-stale prefix of.
 	return st.finish(func() {
-		st.closeClients()
 		fmt.Printf("read-replica: writers=%d readers=%d elapsed=%s\n", cfg.procs, readers, st.elapsed.Round(time.Millisecond))
 		fmt.Printf("aggregate: %d writes, %d reads (%d served by a replica, %.0f%%)\n",
 			st.ops.Load(), readOps.Load(), replicaReads.Load(),

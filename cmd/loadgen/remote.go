@@ -40,7 +40,6 @@ func runRemote(addr string, cfg *wlCfg) error {
 	if err != nil {
 		return err
 	}
-	defer st.closeClients()
 	if err := st.runWorkers(cfg.spec, shardCrashes(cfg, numShards, obs.CrashShard)); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"detectable/internal/client"
+	"detectable/internal/harness"
 	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 	"detectable/internal/shardkv"
@@ -74,16 +75,45 @@ func (t storeTarget) PutRetry(key string, val int) (int, error) {
 	return t.s.PutRetry(t.pid, key, val), nil
 }
 
-// serverFlags checks what every server-spawning mode needs — a kvserverd
-// binary — and resolves its data directory (empty = a fresh temp dir).
-func serverFlags(mode, bin, dir string) (string, error) {
+// spawn is the spawning modes' prologue: it starts the cluster — a lone
+// durable kvserverd, or with standby a primary and its sync standby — with
+// extra process slots beyond the workers', in dir or else a fresh temp
+// directory, announces it with detail, and dials one session per worker
+// with dial over the cluster's addresses (primary first). done closes the
+// cluster, then removes a temp directory once the run has succeeded (a
+// failed run's Close says where its data was retained): defer it.
+func spawn(cfg *wlCfg, mode, bin, dir string, extra int, standby bool, detail string,
+	dial func(addrs []string) (*client.Client, error)) (st *storm, c *harness.Cluster, done func(errp *error), err error) {
 	if bin == "" {
-		return "", fmt.Errorf("-%s needs -server-bin pointing at a kvserverd binary (go build -o kvserverd ./cmd/kvserverd)", mode)
+		return nil, nil, nil, fmt.Errorf("-%s needs -server-bin pointing at a kvserverd binary (go build -o kvserverd ./cmd/kvserverd)", mode)
 	}
-	if dir == "" {
-		return os.MkdirTemp("", mode+"-data-")
+	temp := dir == ""
+	if temp {
+		if dir, err = os.MkdirTemp("", mode+"-data-"); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	return dir, nil
+	fmt.Printf("%s: data=%s server=%s %s\n", mode, dir, bin, detail)
+	c, err = harness.Start(harness.Config{
+		Name: mode, Bin: bin, Dir: dir,
+		Shards: cfg.shards, Procs: cfg.procs + extra,
+	}, standby)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	done = func(errp *error) {
+		c.Close(errp)
+		if temp && *errp == nil {
+			os.RemoveAll(dir)
+		}
+	}
+	a, b := c.Addrs()
+	if st, err = dialStorm(cfg, func() (*client.Client, error) { return dial([]string{a, b}) }); err != nil {
+		done(&err)
+		return nil, nil, nil, err
+	}
+	st.dataDir = dir
+	return st, c, done, nil
 }
 
 // storm is the one harness every mode runs in: a prologue (newStorm or
@@ -95,6 +125,8 @@ type storm struct {
 	targets    []target         // one per worker process
 	clients    []*client.Client // the same, when the targets are wire sessions
 	violations *violationLog
+	lats       [][]time.Duration // per worker: each request's latency, wire sessions only
+	dataDir    string            // a spawned server's data directory, for the machine line
 
 	ops     atomic.Uint64 // operations the workers completed
 	elapsed time.Duration // the measured window: worker start to last worker done
@@ -127,7 +159,7 @@ func dialStorm(cfg *wlCfg, dial func() (*client.Client, error)) (*storm, error) 
 	}
 	s, err := newStorm(cfg, targets)
 	if err == nil {
-		s.clients = clients
+		s.clients, s.lats = clients, make([][]time.Duration, len(clients))
 	}
 	return s, err
 }
@@ -138,13 +170,6 @@ func (s *storm) resumes() (n uint64) {
 		n += c.Resumes()
 	}
 	return n
-}
-
-// closeClients ends the workers' sessions, releasing their process slots.
-func (s *storm) closeClients() {
-	for _, c := range s.clients {
-		c.Close() //nolint:errcheck
-	}
 }
 
 // runWorkers is the worker loop, the only one: for cfg.dur, worker pid draws
@@ -163,7 +188,7 @@ func (s *storm) runWorkers(spec mixSpec, faults func(deadline time.Time) error, 
 		return faults(start.Add(s.cfg.dur))
 	}}
 	for pid := range s.targets {
-		loops = append(loops, func() error { return s.work(pid, spec, stop) })
+		loops = append(loops, func() error { return s.work(pid, spec, start, stop) })
 	}
 	for _, loop := range side {
 		loops = append(loops, func() error { return loop(stop) })
@@ -190,8 +215,9 @@ func (s *storm) runWorkers(spec mixSpec, faults func(deadline time.Time) error, 
 // work is one worker: a stream that is a pure function of (seed, procs,
 // pid), the mix and whether the target can kill its own connection, every
 // operation fed to its key's check, until stop closes or the target stops
-// answering.
-func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}) error {
+// answering. Over wire sessions each request's latency is recorded, an MPUT
+// as one request.
+func (s *storm) work(pid int, spec mixSpec, start time.Time, stop <-chan struct{}) error {
 	cfg, t, log := s.cfg, s.targets[pid], s.violations
 	names := log.names
 	killer, _ := t.(connKiller)
@@ -202,11 +228,33 @@ func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}) error {
 	var entries []shardkv.KV
 	var ps []pending
 	putBelow := spec.getPct + spec.putPct // GET below getPct, PUT/MPUT below this, DEL above
-	for {
+	var interval time.Duration
+	if cfg.rate > 0 {
+		interval = time.Duration(float64(time.Second) / cfg.rate)
+	}
+	for slot := 0; ; slot++ {
 		select {
 		case <-stop:
 			return nil
 		default:
+		}
+		// A request's latency counts from its intended start: its slot on
+		// the paced schedule, which a slow predecessor never pushes back —
+		// late slots go out back to back and are charged the queueing, so
+		// the run does not stop sampling while the server is at its worst
+		// (coordinated omission) — and now in a closed loop.
+		var intended time.Time
+		if interval > 0 {
+			intended = start.Add(time.Duration(slot) * interval)
+			if d := time.Until(intended); d > 0 {
+				select {
+				case <-stop:
+					return nil
+				case <-time.After(d):
+				}
+			}
+		} else if s.lats != nil {
+			intended = time.Now()
 		}
 		k := ch.next()
 		key := names[k]
@@ -264,6 +312,9 @@ func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}) error {
 		if err != nil {
 			return fmt.Errorf("worker %d: %w", pid, err)
 		}
+		if s.lats != nil {
+			s.lats[pid] = append(s.lats[pid], time.Since(intended))
+		}
 		s.ops.Add(1)
 	}
 }
@@ -291,14 +342,20 @@ func shardCrashes(cfg *wlCfg, shards int, crash func(shard int) error) func(time
 
 // finish is the shared epilogue, entered once runWorkers returned nil: the
 // final sweep (every key's settled value must pass its check — crashes,
-// kills and failovers included), the mode's report, then the verdict: no
+// kills and failovers included), the workers' sessions closed, the machine
+// line, the mode's report and the request latencies, then the verdict: no
 // indefinite outcome, no violation, every post-condition (see require), and
 // the closing line.
 func (s *storm) finish(report func(), verdict string, post ...error) error {
 	if err := finalSweep(s.violations, s.targets[0].GetRetry); err != nil {
 		return err
 	}
+	for _, c := range s.clients {
+		c.Close() //nolint:errcheck // releases its process slot
+	}
+	fmt.Println(machineLine(s.dataDir))
 	report()
+	fmt.Println(s.latencyLine())
 	if n := s.violations.indefinite.Load(); n > 0 {
 		return fmt.Errorf("%d operations ended without a definite outcome", n)
 	}
@@ -323,11 +380,12 @@ func require(ok bool, format string, args ...any) error {
 	return fmt.Errorf(format, args...)
 }
 
-// descr is the report lines' "mix=… dist=… mput=… procs=… shards=…" prefix.
+// descr is the report lines' "mix=… dist=… mput=… rate=… procs=… shards=…"
+// prefix; mput=0 and rate=0 are unbatched and closed-loop.
 func (w *wlCfg) descr(shards int) string {
 	dist := w.dist
 	if w.shared() {
 		dist = fmt.Sprintf("zipf(theta=%g)", w.theta)
 	}
-	return fmt.Sprintf("mix=%s dist=%s mput=%d procs=%d shards=%d", w.mixName, dist, w.mput, w.procs, shards)
+	return fmt.Sprintf("mix=%s dist=%s mput=%d rate=%g procs=%d shards=%d", w.mixName, dist, w.mput, w.rate, w.procs, shards)
 }

@@ -22,7 +22,7 @@
 // internal/client serve it over TCP while preserving detectability across
 // the network boundary: a dropped connection plays the role of a crash,
 // and a reconnecting session recovers the original verdict of its
-// interrupted operation (cmd/kvserverd, cmd/kvbench, cmd/loadgen -remote).
+// interrupted operation (cmd/kvserverd, cmd/loadgen -remote).
 //
 // # Detectability
 //

@@ -281,7 +281,7 @@ func (r *replState) dropAll(err error) {
 	subs := slices.Collect(maps.Keys(r.subs))
 	r.mu.Unlock()
 	for _, sub := range subs {
-		sub.fail(err)
+		sub.Fail(err)
 	}
 }
 
@@ -298,10 +298,11 @@ func (r *replState) tapMsg(hdr, rec []byte) {
 }
 
 // dropLocked forgets sub, closed already, and says so when it was gating
-// commits: after an ack timeout, a backlog overflow or its connection going
-// away, verdicts are released on this node's fsync alone until a standby
-// has bootstrapped again. Called with r.mu held; r.mu → s.mu is the tap
-// path's lock order.
+// commits and failed: after an ack timeout, a backlog overflow or its
+// stream breaking, verdicts are released on this node's fsync alone until a
+// standby has bootstrapped again. A clean Close — this node shutting down —
+// degrades nothing and logs nothing. Called with r.mu held; r.mu → s.mu is
+// the tap path's lock order.
 func (r *replState) dropLocked(sub *ReplSub) {
 	if _, ok := r.subs[sub]; !ok {
 		return
@@ -315,12 +316,11 @@ func (r *replState) dropLocked(sub *ReplSub) {
 	}
 	sub.gating = false
 	r.nsync.Add(-1)
-	cause := "subscription closed"
-	if sub.err != nil {
-		cause = sub.err.Error()
+	if sub.err == nil {
+		return
 	}
 	slog.Warn("replication degraded: sync standby no longer gates commits",
-		"cause", cause, "seq", r.seq.Load(), "acked", sub.acked, "backlog_bytes", len(sub.buf)-sub.snapBytes)
+		"cause", sub.err.Error(), "seq", r.seq.Load(), "acked", sub.acked, "backlog_bytes", len(sub.buf)-sub.snapBytes)
 }
 
 // waitBarrier blocks until every gating subscriber — one whose bootstrap
@@ -353,7 +353,7 @@ func (r *replState) waitBarrier(seq uint64) {
 	}
 	for _, sub := range gating {
 		if !sub.awaitAck(seq, timeout) {
-			sub.fail(fmt.Errorf("durable: replication ack for barrier %d timed out after %v", seq, timeout))
+			sub.Fail(fmt.Errorf("durable: replication ack for barrier %d timed out after %v", seq, timeout))
 		}
 	}
 }
@@ -479,10 +479,12 @@ func (s *ReplSub) wake() {
 // Close cleanly tears the subscription down: pending bytes already staged
 // remain drainable via Next, no new records are staged, and any commit
 // waiting on this subscriber is released.
-func (s *ReplSub) Close() { s.fail(nil) }
+func (s *ReplSub) Close() { s.Fail(nil) }
 
-// fail closes the subscription with err (nil: cleanly) and drops it.
-func (s *ReplSub) fail(err error) {
+// Fail closes the subscription because its stream broke (err nil: cleanly,
+// as Close) and drops it; a gating one logs the degradation with err as its
+// cause. The first close wins.
+func (s *ReplSub) Fail(err error) {
 	s.mu.Lock()
 	s.closeLocked(err)
 	s.mu.Unlock()

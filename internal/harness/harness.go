@@ -1,5 +1,5 @@
 // Package harness owns the lifecycle of spawned kvserverd processes for
-// the storm and bench binaries (cmd/loadgen, cmd/kvbench). It is the only
+// the spawning modes of cmd/loadgen. It is the only
 // package that may exec a kvserverd: a node is one daemon on a fixed
 // loopback address and data directory, and a Cluster is a primary
 // plus an optional warm standby with the operations the storms are made of

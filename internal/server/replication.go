@@ -376,7 +376,10 @@ func (srv *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.W
 		srv.mu.Unlock()
 	}()
 
-	// Ack reader: the only frames the replica sends are barrier acks.
+	// Ack reader: the only frames the replica sends are barrier acks. A
+	// stream that breaks fails the subscription with its cause; after this
+	// node's own Close, which closed the subscription first, that is a
+	// no-op.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -384,12 +387,12 @@ func (srv *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.W
 		for {
 			payload, err := ReadFrameInto(br, &buf)
 			if err != nil {
-				sub.Close()
+				sub.Fail(fmt.Errorf("server: replication ack stream from %s: %w", conn.RemoteAddr(), err))
 				return
 			}
 			seq, ok := durable.ParseReplAck(payload)
 			if !ok {
-				sub.Close()
+				sub.Fail(fmt.Errorf("server: bad replication ack from %s (%d bytes)", conn.RemoteAddr(), len(payload)))
 				return
 			}
 			sub.Ack(seq)
@@ -405,6 +408,7 @@ func (srv *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.W
 			break
 		}
 		if _, err := conn.Write(chunk); err != nil {
+			sub.Fail(fmt.Errorf("server: replication stream to %s: %w", conn.RemoteAddr(), err))
 			break
 		}
 	}

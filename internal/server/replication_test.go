@@ -7,8 +7,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -352,4 +355,88 @@ func TestStartReplicationRefusesOtherWindow(t *testing.T) {
 	if want := fmt.Sprintf("window %d, sessions hold server.Window = %d", Window/2, Window); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartReplication over a window-%d DB: %v, want an error naming %q", Window/2, err, want)
 	}
+}
+
+// degradedLines routes the default slog logger into a buffer for the rest of
+// the test and returns a function that decodes every "replication degraded"
+// line logged so far, from any goroutine.
+func degradedLines(t *testing.T) func() []map[string]any {
+	t.Helper()
+	var (
+		mu  sync.Mutex
+		buf bytes.Buffer
+	)
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.Write(p)
+	}), nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	return func() []map[string]any {
+		mu.Lock()
+		defer mu.Unlock()
+		var lines []map[string]any
+		for _, l := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var m map[string]any
+			if l == "" || json.Unmarshal([]byte(l), &m) != nil {
+				continue
+			}
+			if msg, _ := m["msg"].(string); strings.Contains(msg, "replication degraded") {
+				lines = append(lines, m)
+			}
+		}
+		return lines
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestDegradationLoggedOnlyWhenStandbyDeparts: the primary's own orderly
+// shutdown is not a degradation and logs none, while a gating standby whose
+// connection goes away logs exactly one WARN naming why the stream ended.
+func TestDegradationLoggedOnlyWhenStandbyDeparts(t *testing.T) {
+	t.Run("primary-close", func(t *testing.T) {
+		lines := degradedLines(t)
+		addr := reserveAddr(t)
+		pst := startDurable(t, t.TempDir(), addr)
+		sb := startStandby(t, t.TempDir(), addr)
+		defer func() {
+			sb.srv.Close()
+			sb.db.Close()
+		}()
+		waitSynced(t, pst.db)
+		pst.kill(t)
+		if got := lines(); len(got) != 0 {
+			t.Fatalf("the primary's own Close logged %d degradations, want none: %v", len(got), got)
+		}
+	})
+	t.Run("standby-severed", func(t *testing.T) {
+		lines := degradedLines(t)
+		addr := reserveAddr(t)
+		pst := startDurable(t, t.TempDir(), addr)
+		defer pst.kill(t)
+		sb := startStandby(t, t.TempDir(), addr)
+		defer func() {
+			sb.srv.Close()
+			sb.db.Close()
+		}()
+		waitSynced(t, pst.db)
+		sb.srv.StopReplication()
+		for deadline := time.Now().Add(5 * time.Second); len(lines()) == 0; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the severed standby was never reported")
+			}
+		}
+		time.Sleep(50 * time.Millisecond) // room for a second line, which must not come
+		got := lines()
+		if len(got) != 1 {
+			t.Fatalf("%d degradation lines, want exactly 1: %v", len(got), got)
+		}
+		if l := got[0]; l["level"] != "WARN" || l["cause"] == "subscription closed" || l["cause"] == "" || l["cause"] == nil {
+			t.Fatalf("degradation line %v: want level WARN and the stream's own cause", l)
+		}
+	})
 }

@@ -1,5 +1,5 @@
 // Package workload generates the key-access distributions the load
-// generator, kvbench, bench/ and the root benchmarks share:
+// generator (cmd/loadgen), bench/ and the root benchmarks share:
 // seeded, replayable Zipfian hot-key skew plus uniform traffic as its
 // theta=0 degenerate case, and splitmix-style seed derivation so every
 // worker of every sweep configuration draws from an independent stream.

@@ -29,7 +29,7 @@ func TestMainsSmoke(t *testing.T) {
 		{"bounds", []string{"run", "./cmd/bounds", "spacetable"}},
 		{"loadgen", []string{"run", "./cmd/loadgen", "-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8", "-dur", "200ms"}},
 		{"kvserverd", []string{"run", "./cmd/kvserverd", "-addr", "127.0.0.1:0", "-shards", "2", "-procs", "2", "-dur", "300ms"}},
-		{"kvbench", []string{"run", "./cmd/kvbench", "-selftest", "-shards", "2", "-conns", "1,2", "-dur", "150ms", "-keys", "32"}},
+		{"loadgen-rate", []string{"run", "./cmd/loadgen", "-remote", "self", "-rate", "1000", "-procs", "2", "-shards", "2", "-keys", "32", "-dur", "150ms"}},
 		{"loadgen-remote", []string{"run", "./cmd/loadgen", "-remote", "self", "-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8", "-dur", "300ms"}},
 		{"explore", []string{"run", "./cmd/check", "explore", "-objects", "rcas,maxreg", "-procs", "2", "-ops", "1", "-crashes", "1", "-preempt", "1", "-budget", "10s"}},
 		{"explore-list", []string{"run", "./cmd/check", "explore", "-list"}},
@@ -86,9 +86,9 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// storm runs one loadgen storm mode against the shared kvserverd and
-// requires its zero-violations verdict.
-func storm(t *testing.T, args ...string) {
+// storm runs one loadgen storm mode against the shared kvserverd, requires
+// its zero-violations verdict and returns what it printed.
+func storm(t *testing.T, args ...string) string {
 	t.Helper()
 	args = append([]string{"run", "./cmd/loadgen", "-server-bin", kvserverd(t), "-data", filepath.Join(t.TempDir(), "data")}, args...)
 	out, err := exec.Command("go", args...).CombinedOutput()
@@ -98,6 +98,7 @@ func storm(t *testing.T, args ...string) {
 	if !strings.Contains(string(out), "zero violations") {
 		t.Fatalf("go %v did not report zero violations:\n%s", args, out)
 	}
+	return string(out)
 }
 
 // TestRestartStormSmoke runs a short whole-process crash-restart cycle:
@@ -114,6 +115,17 @@ func TestRestartStormSmoke(t *testing.T) {
 			"-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8",
 			"-dur", "1s", "-restarts", "2", "-restart-every", "400ms")
 	})
+	// -restarts 0: a spawned durable server under the checked load, with
+	// nothing killed.
+	t.Run("no-faults", func(t *testing.T) {
+		out := storm(t, "-restart-storm", "-mix", "mixed", "-procs", "2", "-shards", "2", "-keys", "8",
+			"-dur", "300ms", "-restarts", "0")
+		for _, want := range []string{"across 0 SIGKILL/restart cycles", "data-fs=", "latency: requests="} {
+			if !strings.Contains(out, want) {
+				t.Errorf("output lacks %q:\n%s", want, out)
+			}
+		}
+	})
 }
 
 // TestFailoverStormSmoke runs a short primary/backup failover cycle:
@@ -123,9 +135,20 @@ func TestRestartStormSmoke(t *testing.T) {
 // window. The CI wire-smoke job runs the full-length version; this pins
 // the mode into the ordinary test gate.
 func TestFailoverStormSmoke(t *testing.T) {
-	storm(t, "-failover-storm",
-		"-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8",
-		"-dur", "2s", "-failovers", "2", "-failover-every", "500ms")
+	t.Run("default", func(t *testing.T) {
+		storm(t, "-failover-storm",
+			"-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8",
+			"-dur", "2s", "-failovers", "2", "-failover-every", "500ms")
+	})
+	// -failovers 0: a primary gated by its sync standby under the checked
+	// load, with nothing killed and no replica-served verdict owed.
+	t.Run("no-faults", func(t *testing.T) {
+		out := storm(t, "-failover-storm", "-mix", "mixed", "-procs", "2", "-shards", "2", "-keys", "8",
+			"-dur", "300ms", "-failovers", "0")
+		if !strings.Contains(out, "across 0 kill+promote cycles") {
+			t.Errorf("output lacks the zero-cycle count:\n%s", out)
+		}
+	})
 }
 
 // TestReadReplicaStormSmoke runs a short read-replica storm: writers at the
