@@ -10,7 +10,7 @@ import (
 )
 
 // wlCfg bundles one run's workload shape: the operation mix, the key
-// distribution, the batching knob and the pacing, shared by every mode.
+// distribution and the batching knob, shared by every mode.
 type wlCfg struct {
 	mixName string
 	spec    mixSpec
@@ -26,10 +26,6 @@ type wlCfg struct {
 	// that many entries (the large-mutation mix): each entry's detectable
 	// outcome is verified individually, exactly like a single put.
 	mput int
-
-	// rate > 0 paces every worker at that many requests/s on a fixed
-	// schedule; its latencies then count from each request's slot.
-	rate float64
 
 	procs, shards, keys int
 	dur                 time.Duration
@@ -55,9 +51,9 @@ func (w *wlCfg) validate() error {
 	default:
 		return fmt.Errorf("unknown -dist %q (want uniform or zipf)", w.dist)
 	}
-	if w.procs < 1 || w.shards < 1 || w.keys < 1 || w.mput < 0 || w.rate < 0 {
-		return fmt.Errorf("need procs ≥ 1, shards ≥ 1, keys ≥ 1, -mput ≥ 0 and -rate ≥ 0 (got procs=%d shards=%d keys=%d mput=%d rate=%g)",
-			w.procs, w.shards, w.keys, w.mput, w.rate)
+	if w.procs < 1 || w.shards < 1 || w.keys < 1 || w.mput < 0 {
+		return fmt.Errorf("need procs ≥ 1, shards ≥ 1, keys ≥ 1 and -mput ≥ 0 (got procs=%d shards=%d keys=%d mput=%d)",
+			w.procs, w.shards, w.keys, w.mput)
 	}
 	// A key's check follows its operations in flight: one batch at a time
 	// per process that writes it, each entry possibly on that one key.

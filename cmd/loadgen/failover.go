@@ -12,12 +12,11 @@ import (
 // runFailoverStorm is the primary/backup failover mode: it launches a
 // durable kvserverd primary plus a warm standby replicating from it
 // (docs/REPLICATION.md), drives the usual verified workload through
-// failover-aware clients, and repeatedly SIGKILLs the primary
-// mid-workload, promotes the standby and brings up a fresh standby behind
-// the new primary. Workers ride each failover on the
-// client's multi-address redial path: the resumed session lands on the
-// promoted replica and replays its replicated outcome window
-// byte-identically, so the bar is unchanged — zero detectability
+// failover-aware clients, and repeatedly SIGKILLs the primary, promotes the
+// standby and brings up a fresh standby behind the new primary. Workers
+// ride each failover on the client's multi-address redial path: the resumed
+// session lands on the promoted replica and replays its replicated outcome
+// window byte-identically, so the bar is unchanged — zero detectability
 // violations, now across node failures rather than process restarts.
 //
 // Each cycle also runs a deterministic canary: a client that severs its
@@ -54,53 +53,41 @@ func runFailoverStorm(bin, baseDir string, cfg *wlCfg,
 	}
 	defer prober.Close() //nolint:errcheck
 
-	// The storm: arm a canary whose reply dies with the primary, fail over,
-	// verify the canary's verdict was recovered on the new primary. It keeps
-	// failing over until both the duration has elapsed and the minimum cycle
-	// count is met. replicaServed sums recovered-window replays, sampled
-	// once per node, right before it dies (or the run ends).
-	var (
-		cycles        int
-		replicaServed uint64
-	)
-	if err := st.runWorkers(cfg.spec, func(deadline time.Time) error {
-		for failovers > 0 {
-			time.Sleep(failoverEvery)
-			if time.Now().After(deadline) && cycles >= failovers {
-				replicaServed += sampleReplays(cluster)
-				return nil
-			}
-			cycle := cycles + 1
+	// The storm (see schedule): arm a canary whose reply dies with the
+	// primary, fail over, verify the canary's verdict was recovered on the
+	// new primary. replicaServed sums recovered-window replays, sampled once
+	// per node, right before it dies (or the run ends).
+	var replicaServed uint64
+	if failovers == 0 {
+		failoverEvery = 0
+	}
+	if err := st.runWorkers(cfg.spec, func(deadline time.Time) (int, error) {
+		return schedule("failover", deadline, failoverEvery, failovers, func(cycle int) error {
 			canary, err := armCanary(newClient, prober, cycle)
 			if err != nil {
-				return fmt.Errorf("failover %d: %w", cycle, err)
+				return err
 			}
 			replicaServed += sampleReplays(cluster)
 			gen, err := cluster.Failover()
 			if err != nil {
-				return fmt.Errorf("failover %d: %w", cycle, err)
+				return err
 			}
-			if err := canary.check(); err != nil {
-				return fmt.Errorf("failover %d: %w", cycle, err)
-			}
-			cycles++
 			if cfg.verbose {
 				promoted, _ := cluster.Addrs()
 				fmt.Printf("failover %d: promoted %s generation=%d\n", cycle, promoted, gen)
 			}
-		}
-		time.Sleep(time.Until(deadline))
-		return nil
+			return canary.check()
+		})
 	}); err != nil {
 		return err
 	}
-
-	return st.finish(func() {
-		fmt.Printf("failover-storm: %s elapsed=%s\n", cfg.descr(cfg.shards), st.elapsed.Round(time.Millisecond))
-		fmt.Printf("aggregate: %d ops (%.0f ops/sec) across %d kill+promote cycles, %d session resumes, replica-served=%d\n",
-			st.ops.Load(), float64(st.ops.Load())/st.elapsed.Seconds(), cycles, st.resumes(), replicaServed)
-	}, "every operation resolved to a definite outcome across failovers, zero violations",
-		require(cycles >= failovers, "only %d failover cycles completed (wanted ≥ %d)", cycles, failovers),
+	if failovers > 0 {
+		replicaServed += sampleReplays(cluster)
+	}
+	return st.finish("failover-storm: "+cfg.descr(),
+		fmt.Sprintf("across %d kill+promote cycles, replica-served=%d", st.cycles, replicaServed),
+		"every operation resolved to a definite outcome across failovers, zero violations",
+		require(st.cycles >= failovers, "only %d failover cycles completed (wanted ≥ %d)", st.cycles, failovers),
 		require(failovers == 0 || replicaServed > 0, "no verdict was served from a replica's recovered outcome window (expected at least the canaries)"))
 }
 

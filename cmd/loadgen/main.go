@@ -1,6 +1,6 @@
 // Command loadgen drives a configurable workload against the sharded
-// detectable key-value store (internal/shardkv) and reports aggregate and
-// per-shard throughput.
+// detectable key-value store (internal/shardkv), checks every operation and
+// reports what its workers ran.
 //
 // Every key is checked as a register, on its own (linearizability is
 // local), by an online linearizability check (linearize.Sweep): each
@@ -42,18 +42,18 @@
 // -restarts 0 and -failovers 0 break nothing: a spawned durable server, or
 // a primary gated by its sync standby, under the checked load.
 //
-// Every run prints the machine it ran on (CPUs, GOMAXPROCS, Go version and,
-// for the spawning modes, the data directory's filesystem). Over wire
-// sessions each worker also times every request, an MPUT as one, and the
-// run prints their p50, p99 and max; -rate R paces each worker at R
-// requests/s and counts each latency from the request's slot.
+// Every mode prints one report, counted by its own workers and readers in
+// the measured window (not the key zeroing before it nor the final sweep):
+// the mode's header, the ops (an MPUT entry is one) and the requests that
+// carried them, their verdicts, the mode's faults, the same per shard with
+// -v, the machine, and over wire sessions the requests' latency.
 //
 // Usage:
 //
 //	loadgen [-mix read-heavy|write-heavy|mixed|crash-storm] [-procs 4]
 //	        [-shards 4] [-keys 64] [-dur 1s] [-seed 1] [-v]
 //	        [-dist uniform|zipf] [-theta 0.99] [-mput 0]
-//	        [-remote host:port | -remote self] [-rate 0]
+//	        [-remote host:port | -remote self]
 package main
 
 import (
@@ -113,10 +113,9 @@ func main() {
 	readReplica := flag.Bool("read-replica", false, "read-replica mode: writes at a durable primary, bounded-stale verified reads at a replicating standby (-server-bin, -data), one SIGKILL+promote mid-run with readers live")
 	readerProcs := flag.Int("readers", 2, "GET-only reader goroutines for -read-replica")
 	maxLag := flag.Uint64("max-lag", 64, "reader staleness bound in commit barriers for -read-replica (0 = unbounded)")
-	rate := flag.Float64("rate", 0, "pace each worker at this many requests/s, latency counted from each request's slot (0 = closed loop)")
 	flag.Parse()
 	cfg := wlCfg{
-		mixName: *mix, dist: *dist, theta: *theta, mput: *mput, rate: *rate,
+		mixName: *mix, dist: *dist, theta: *theta, mput: *mput,
 		procs: *procs, shards: *shards, keys: *keys,
 		dur: *dur, seed: *seed, verbose: *verbose,
 	}
@@ -192,41 +191,12 @@ func run(cfg *wlCfg) error {
 	if err != nil {
 		return err
 	}
-	if err := st.runWorkers(cfg.spec, shardCrashes(cfg, cfg.shards, func(i int) error {
+	if err := st.runWorkers(cfg.spec, shardCrashes(cfg, func(i int) error {
 		s.CrashShard(i)
 		return nil
 	})); err != nil {
 		return err
 	}
-	// Snapshot throughput over the measured window only; the verification
-	// sweep in finish is bookkeeping, not serving.
-	snaps := s.Snapshots()
-	return st.finish(func() { report(snaps, cfg, st.elapsed) },
+	return st.finish(cfg.descr(), fmt.Sprintf("%d shard crashes", st.cycles),
 		"every operation resolved to a definite outcome, zero violations")
-}
-
-func report(snaps []shardkv.StatsSnapshot, cfg *wlCfg, elapsed time.Duration) {
-	secs := elapsed.Seconds()
-	if secs == 0 {
-		secs = 1 // a -dur=0 run serves no measured window at all
-	}
-	var total shardkv.StatsSnapshot
-	for _, st := range snaps {
-		total = total.Add(st)
-	}
-	fmt.Printf("%s elapsed=%s\n", cfg.descr(len(snaps)), elapsed.Round(time.Millisecond))
-	fmt.Printf("aggregate: %d ops (%.0f ops/sec) — gets=%d puts=%d dels=%d\n",
-		total.Ops(), float64(total.Ops())/secs, total.Gets, total.Puts, total.Dels)
-	fmt.Printf("verdicts:  ok=%d recovered=%d failed=%d not-invoked=%d retries=%d\n",
-		total.OK, total.Recovered, total.Failed, total.NotInvoked, total.Retries)
-	fmt.Printf("crashes:   injected=%d interruptions-observed=%d\n",
-		total.CrashesInjected, total.CrashesSeen)
-	if !cfg.verbose {
-		return
-	}
-	fmt.Printf("%6s %10s %12s %10s %8s %8s %8s\n", "shard", "ops", "ops/sec", "recovered", "failed", "crashes", "retries")
-	for i, st := range snaps {
-		fmt.Printf("%6d %10d %12.0f %10d %8d %8d %8d\n",
-			i, st.Ops(), float64(st.Ops())/secs, st.Recovered, st.Failed, st.CrashesInjected, st.Retries)
-	}
 }

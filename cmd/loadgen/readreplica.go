@@ -47,10 +47,10 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	// Readers: GET-only sessions routed replica-first, each response
 	// verified under bounded staleness. Readers never dial a mutation, so
 	// a kill+promote costs them at most a reconnect sweep.
-	var readOps, replicaReads atomic.Uint64
-	readLoops := make([]func(stop <-chan struct{}) error, readers)
+	var replicaReads atomic.Uint64
+	readLoops := make([]func(stop <-chan struct{}, t *tally) error, readers)
 	for rid := range readLoops {
-		readLoops[rid] = func(stop <-chan struct{}) error {
+		readLoops[rid] = func(stop <-chan struct{}, t *tally) error {
 			rc, err := client.DialReadPreference(primaries, replicas,
 				client.WithMaxLag(maxLag), client.WithLagInterval(50*time.Millisecond))
 			if err != nil {
@@ -74,7 +74,8 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 					continue
 				}
 				st.violations.stale(k, out.Resp, rid, rc.OnReplica())
-				readOps.Add(1)
+				t.note(st.shardOf[k], "GET", out)
+				t.requests++
 				if rc.OnReplica() {
 					replicaReads.Add(1)
 				}
@@ -83,25 +84,22 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	}
 
 	// Writers run the one worker loop on a put/del mix: reads stay out of
-	// the write tier — that is the point. The storm is one SIGKILL+promote
-	// cycle a third of the way in, readers live throughout, with a fresh
-	// standby on the freed address so the ReadClient can route back onto a
-	// replica (exercising the snapshot resync path — the rebuilt view reports
-	// applied=0 until its first barrier, which the lag bound treats as
-	// maximally stale); the remaining window is served with the rebuilt
-	// replica in play.
-	if err := st.runWorkers(mixSpec{getPct: 0, putPct: 80}, func(deadline time.Time) error {
+	// the write tier. The storm is one SIGKILL+promote a third of the way in,
+	// readers live throughout; the fresh standby on the freed address lets
+	// the ReadClient route back onto a replica (the snapshot resync path: a
+	// rebuilt view reports applied=0, maximally stale, until its first
+	// barrier).
+	if err := st.runWorkers(mixSpec{getPct: 0, putPct: 80}, func(deadline time.Time) (int, error) {
 		time.Sleep(cfg.dur / 3) // let both tiers serve steady-state first
 		gen, err := cluster.Failover()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if cfg.verbose {
 			promoted, _ := cluster.Addrs()
 			fmt.Printf("read-replica: promoted %s generation=%d\n", promoted, gen)
 		}
-		time.Sleep(time.Until(deadline))
-		return nil
+		return 1, nil
 	}, readLoops...); err != nil {
 		return err
 	}
@@ -109,11 +107,10 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	// The sweep in finish reads at the promoted primary with the strict
 	// (non-stale) check — the write tier's state is the authority the
 	// replicas were a bounded-stale prefix of.
-	return st.finish(func() {
-		fmt.Printf("read-replica: writers=%d readers=%d elapsed=%s\n", cfg.procs, readers, st.elapsed.Round(time.Millisecond))
-		fmt.Printf("aggregate: %d writes, %d reads (%d served by a replica, %.0f%%)\n",
-			st.ops.Load(), readOps.Load(), replicaReads.Load(),
-			100*float64(replicaReads.Load())/float64(max(readOps.Load(), 1)))
-	}, "zero violations — every replica read bounded-stale, never phantom",
+	_, reads := merge(st.tallies[cfg.procs:], cfg.shards)
+	return st.finish(fmt.Sprintf("read-replica: writers=%d readers=%d", cfg.procs, readers),
+		fmt.Sprintf("across %d kill+promote cycles, %d of %d reads served by a replica (%.0f%%)",
+			st.cycles, replicaReads.Load(), reads.Gets, 100*float64(replicaReads.Load())/float64(max(reads.Gets, 1))),
+		"zero violations — every replica read bounded-stale, never phantom",
 		require(replicaReads.Load() > 0, "no read was served by a replica (the mode under test never engaged)"))
 }

@@ -23,38 +23,27 @@ func runRemote(addr string, cfg *wlCfg) error {
 		fmt.Printf("self-hosted server: addr=%s shards=%d procs=%d\n", addr, cfg.shards, cfg.procs)
 	}
 
-	// An observer session (no process slot) for the stats window and, in
-	// between, the shard-crash storm.
+	// An observer session (no process slot) for the shard-crash storm. One
+	// STATS reply tells it the server's real shard count, whatever -shards
+	// says.
 	obs, err := client.DialObserver(addr)
 	if err != nil {
 		return fmt.Errorf("dial observer: %w", err)
 	}
 	defer obs.Close()
-	before, err := obs.Stats()
+	snaps, err := obs.Stats()
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
-	numShards := len(before) // the server's real shard count, whatever -shards says
+	cfg.shards = len(snaps)
 
 	st, err := dialStorm(cfg, func() (*client.Client, error) { return client.Dial(addr) })
 	if err != nil {
 		return err
 	}
-	if err := st.runWorkers(cfg.spec, shardCrashes(cfg, numShards, obs.CrashShard)); err != nil {
+	if err := st.runWorkers(cfg.spec, shardCrashes(cfg, obs.CrashShard)); err != nil {
 		return err
 	}
-	// Snapshot the measured window now: the verification sweep in finish is
-	// bookkeeping, not serving (mirrors the in-process run).
-	after, err := obs.Stats()
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-	snaps := make([]shardkv.StatsSnapshot, numShards)
-	for i := range snaps {
-		snaps[i] = after[i].Sub(before[i])
-	}
-	return st.finish(func() {
-		report(snaps, cfg, st.elapsed)
-		fmt.Printf("sessions:  workers=%d connection-resumes=%d\n", cfg.procs, st.resumes())
-	}, "every operation resolved to a definite outcome across reconnects, zero violations")
+	return st.finish(cfg.descr(), fmt.Sprintf("%d shard crashes", st.cycles),
+		"every operation resolved to a definite outcome across reconnects, zero violations")
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"detectable/internal/client"
@@ -118,18 +117,64 @@ func spawn(cfg *wlCfg, mode, bin, dir string, extra int, standby bool, detail st
 
 // storm is the one harness every mode runs in: a prologue (newStorm or
 // dialStorm), the worker loop beside a fault schedule (runWorkers), and an
-// epilogue (finish). A runner declares what differs — the targets, the mix,
-// the fault schedule and the post-conditions — and nothing else.
+// epilogue (finish) that checks and reports the run. A runner declares what
+// differs — targets, mix, fault schedule, report header and faults line,
+// post-conditions — and nothing else.
 type storm struct {
 	cfg        *wlCfg
 	targets    []target         // one per worker process
 	clients    []*client.Client // the same, when the targets are wire sessions
 	violations *violationLog
+	shardOf    []int             // each key's shard: shardkv.ShardIndex over cfg.shards
 	lats       [][]time.Duration // per worker: each request's latency, wire sessions only
 	dataDir    string            // a spawned server's data directory, for the machine line
 
-	ops     atomic.Uint64 // operations the workers completed
+	tallies []*tally      // what each worker, then each side loop, ran in the window
+	cycles  int           // the cycles the fault schedule ran
 	elapsed time.Duration // the measured window: worker start to last worker done
+}
+
+// tally is one loop's own count of what it ran inside the window, in the
+// unit of the checker and of the server's STATS (an MPUT entry is one PUT),
+// by the key's shard, and of the requests that carried it.
+type tally struct {
+	requests uint64
+	shards   []shardkv.StatsSnapshot
+}
+
+func (t *tally) note(shard int, op string, out runtime.Outcome[int]) {
+	c := &t.shards[shard]
+	switch op {
+	case "GET":
+		c.Gets++
+	case "PUT":
+		c.Puts++
+	default:
+		c.Dels++
+	}
+	switch out.Status {
+	case runtime.StatusOK:
+		c.OK++
+	case runtime.StatusRecovered:
+		c.Recovered++
+	case runtime.StatusFailed:
+		c.Failed++
+	case runtime.StatusNotInvoked:
+		c.NotInvoked++
+	}
+	c.CrashesSeen += uint64(out.Crashes)
+}
+
+// merge sums tallies, per shard and in total.
+func merge(ts []*tally, shards int) (m tally, total shardkv.StatsSnapshot) {
+	m.shards = make([]shardkv.StatsSnapshot, shards)
+	for _, t := range ts {
+		m.requests += t.requests
+		for i, c := range t.shards {
+			m.shards[i], total = m.shards[i].Add(c), total.Add(c)
+		}
+	}
+	return m, total
 }
 
 // newStorm is the shared prologue: key names, the violation log and a
@@ -142,6 +187,7 @@ func newStorm(cfg *wlCfg, targets []target) (*storm, error) {
 		if _, err := targets[0].PutRetry(key, 0); err != nil {
 			return nil, fmt.Errorf("zeroing %s: %w", key, err)
 		}
+		s.shardOf = append(s.shardOf, shardkv.ShardIndex(key, cfg.shards))
 	}
 	return s, nil
 }
@@ -164,34 +210,35 @@ func dialStorm(cfg *wlCfg, dial func() (*client.Client, error)) (*storm, error) 
 	return s, err
 }
 
-// resumes is how many connection resumes the workers rode in total.
-func (s *storm) resumes() (n uint64) {
-	for _, c := range s.clients {
-		n += c.Resumes()
-	}
-	return n
-}
-
 // runWorkers is the worker loop, the only one: for cfg.dur, worker pid draws
 // its replayable operation stream against targets[pid] (see work) beside
-// the fault schedule. faults is handed the window's deadline and breaks
-// things until then — or for longer, when it owes a minimum number of
-// cycles; everything else stops when it returns. Side loops (the
-// read-replica mode's readers) run under the same stop. Every goroutine's
-// panic becomes its error: nothing may take the process down while it has
-// kvserverd children. The workers' hard errors outrank the schedule's own.
-func (s *storm) runWorkers(spec mixSpec, faults func(deadline time.Time) error, side ...func(stop <-chan struct{}) error) error {
+// the fault schedule, which is handed the window's deadline, breaks things
+// until then — or longer, when it owes a minimum number of cycles — and
+// returns the cycles it ran. Side loops (the read-replica mode's readers)
+// run under the same stop; every loop counts into a tally of its own.
+// Every goroutine's panic becomes its error: nothing may take the process
+// down while it has kvserverd children. The workers' hard errors outrank
+// the schedule's own.
+func (s *storm) runWorkers(spec mixSpec, faults func(deadline time.Time) (int, error), side ...func(stop <-chan struct{}, t *tally) error) error {
 	stop := make(chan struct{})
 	start := time.Now()
-	loops := []func() error{func() error {
+	deadline := start.Add(s.cfg.dur)
+	s.tallies = make([]*tally, len(s.targets)+len(side))
+	for i := range s.tallies {
+		s.tallies[i] = &tally{shards: make([]shardkv.StatsSnapshot, s.cfg.shards)}
+	}
+	loops := []func() error{func() (err error) {
 		defer close(stop)
-		return faults(start.Add(s.cfg.dur))
+		if s.cycles, err = faults(deadline); err == nil {
+			time.Sleep(time.Until(deadline))
+		}
+		return err
 	}}
 	for pid := range s.targets {
-		loops = append(loops, func() error { return s.work(pid, spec, start, stop) })
+		loops = append(loops, func() error { return s.work(pid, spec, stop, s.tallies[pid]) })
 	}
-	for _, loop := range side {
-		loops = append(loops, func() error { return loop(stop) })
+	for i, loop := range side {
+		loops = append(loops, func() error { return loop(stop, s.tallies[len(s.targets)+i]) })
 	}
 	errs := make([]error, len(loops))
 	var wg sync.WaitGroup
@@ -214,47 +261,33 @@ func (s *storm) runWorkers(spec mixSpec, faults func(deadline time.Time) error, 
 
 // work is one worker: a stream that is a pure function of (seed, procs,
 // pid), the mix and whether the target can kill its own connection, every
-// operation fed to its key's check, until stop closes or the target stops
-// answering. Over wire sessions each request's latency is recorded, an MPUT
-// as one request.
-func (s *storm) work(pid int, spec mixSpec, start time.Time, stop <-chan struct{}) error {
-	cfg, t, log := s.cfg, s.targets[pid], s.violations
+// operation fed to its key's check and counted in t, until stop closes or
+// the target stops answering. Over wire sessions each request's latency is
+// recorded, an MPUT as one request.
+func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}, t *tally) error {
+	cfg, tg, log := s.cfg, s.targets[pid], s.violations
 	names := log.names
-	killer, _ := t.(connKiller)
+	killer, _ := tg.(connKiller)
 	rng := cfg.workerRNG(pid)
 	ch := cfg.chooserFor(pid, rng)
 	nextVal := 0
 	newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
+	settle := func(p pending, r opRecord) {
+		log.settle(p, r)
+		t.note(s.shardOf[p.k], r.op, r.out)
+	}
 	var entries []shardkv.KV
 	var ps []pending
 	putBelow := spec.getPct + spec.putPct // GET below getPct, PUT/MPUT below this, DEL above
-	var interval time.Duration
-	if cfg.rate > 0 {
-		interval = time.Duration(float64(time.Second) / cfg.rate)
-	}
-	for slot := 0; ; slot++ {
+	for {
 		select {
 		case <-stop:
 			return nil
 		default:
 		}
-		// A request's latency counts from its intended start: its slot on
-		// the paced schedule, which a slow predecessor never pushes back —
-		// late slots go out back to back and are charged the queueing, so
-		// the run does not stop sampling while the server is at its worst
-		// (coordinated omission) — and now in a closed loop.
-		var intended time.Time
-		if interval > 0 {
-			intended = start.Add(time.Duration(slot) * interval)
-			if d := time.Until(intended); d > 0 {
-				select {
-				case <-stop:
-					return nil
-				case <-time.After(d):
-				}
-			}
-		} else if s.lats != nil {
-			intended = time.Now()
+		var began time.Time
+		if s.lats != nil {
+			began = time.Now()
 		}
 		k := ch.next()
 		key := names[k]
@@ -278,8 +311,8 @@ func (s *storm) work(pid int, spec mixSpec, start time.Time, stop <-chan struct{
 		switch r := rng.Intn(100); {
 		case r < spec.getPct:
 			p := log.begin(k, false, 0)
-			if out, err = t.Get(key, plan...); err == nil {
-				log.settle(p, opRecord{worker: pid, op: "GET", out: out})
+			if out, err = tg.Get(key, plan...); err == nil {
+				settle(p, opRecord{worker: pid, op: "GET", out: out})
 			}
 		case r < putBelow:
 			if cfg.mput > 0 {
@@ -291,70 +324,98 @@ func (s *storm) work(pid int, spec mixSpec, start time.Time, stop <-chan struct{
 					ps = append(ps, log.begin(kk, true, val))
 				}
 				var outs []runtime.Outcome[int]
-				if outs, err = t.MultiPut(entries); err == nil {
+				if outs, err = tg.MultiPut(entries); err == nil {
 					for j, out := range outs {
-						log.settle(ps[j], opRecord{worker: pid, op: "PUT", val: entries[j].Val, out: out})
+						settle(ps[j], opRecord{worker: pid, op: "PUT", val: entries[j].Val, out: out})
 					}
 				}
 			} else {
 				val := newVal()
 				p := log.begin(k, true, val)
-				if out, err = t.Put(key, val, plan...); err == nil {
-					log.settle(p, opRecord{worker: pid, op: "PUT", val: val, out: out})
+				if out, err = tg.Put(key, val, plan...); err == nil {
+					settle(p, opRecord{worker: pid, op: "PUT", val: val, out: out})
 				}
 			}
 		default:
 			p := log.begin(k, true, 0)
-			if out, err = t.Del(key, plan...); err == nil {
-				log.settle(p, opRecord{worker: pid, op: "DEL", out: out})
+			if out, err = tg.Del(key, plan...); err == nil {
+				settle(p, opRecord{worker: pid, op: "DEL", out: out})
 			}
 		}
 		if err != nil {
 			return fmt.Errorf("worker %d: %w", pid, err)
 		}
 		if s.lats != nil {
-			s.lats[pid] = append(s.lats[pid], time.Since(intended))
+			s.lats[pid] = append(s.lats[pid], time.Since(began))
 		}
-		s.ops.Add(1)
+		t.requests++
 	}
 }
 
-// shardCrashes is the fault schedule of the modes that keep the server
-// process alive: until the deadline, fail one random shard every tick (the
-// others keep serving), or nothing at all for a mix without a storm. A
-// crash that errors means the server is gone; the workers report that.
-func shardCrashes(cfg *wlCfg, shards int, crash func(shard int) error) func(time.Time) error {
-	return func(deadline time.Time) error {
-		if every := cfg.spec.stormEvery; every > 0 {
-			rng := rand.New(rand.NewSource(cfg.seed ^ 0x5707))
-			tick := time.NewTicker(every)
-			defer tick.Stop()
-			for now := range tick.C {
-				if !now.Before(deadline) || crash(rng.Intn(shards)) != nil {
-					break
-				}
-			}
+// schedule is the one fault loop: every `every` it runs fault(cycle),
+// cycles numbered from 1, until the deadline has passed and no fewer than
+// least cycles have run, so a window shorter than least × every still
+// delivers them; every = 0 runs nothing. It returns the cycles run; a
+// fault's error ends it and is returned with them, as "<what> <cycle>: …".
+func schedule(what string, deadline time.Time, every time.Duration, least int, fault func(cycle int) error) (n int, err error) {
+	for ; every > 0; n++ {
+		time.Sleep(every)
+		if !time.Now().Before(deadline) && n >= least {
+			break
 		}
-		time.Sleep(time.Until(deadline))
-		return nil
+		if err = fault(n + 1); err != nil {
+			return n, fmt.Errorf("%s %d: %w", what, n+1, err)
+		}
+	}
+	return n, nil
+}
+
+// shardCrashes is the fault schedule of the modes that keep the server
+// process alive: fail one random shard of cfg.shards on the mix's storm
+// period until the deadline (the others keep serving), or nothing at all
+// for a mix without a storm.
+func shardCrashes(cfg *wlCfg, crash func(shard int) error) func(time.Time) (int, error) {
+	rng := rand.New(rand.NewSource(cfg.seed ^ 0x5707))
+	return func(deadline time.Time) (int, error) {
+		return schedule("shard crash", deadline, cfg.spec.stormEvery, 0, func(int) error { return crash(rng.Intn(cfg.shards)) })
 	}
 }
 
 // finish is the shared epilogue, entered once runWorkers returned nil: the
 // final sweep (every key's settled value must pass its check — crashes,
-// kills and failovers included), the workers' sessions closed, the machine
-// line, the mode's report and the request latencies, then the verdict: no
-// indefinite outcome, no violation, every post-condition (see require), and
-// the closing line.
-func (s *storm) finish(report func(), verdict string, post ...error) error {
+// kills and failovers included), the workers' sessions closed, the run's
+// one report — every mode alike, from the loops' own tallies: the header,
+// what ran and its verdicts, the faults (and the sessions' resumes), with -v
+// the same per shard, the machine and the request latencies — then the
+// verdict: no indefinite outcome, no violation, every post-condition (see
+// require), and the closing line.
+func (s *storm) finish(header, faults, verdict string, post ...error) error {
 	if err := finalSweep(s.violations, s.targets[0].GetRetry); err != nil {
 		return err
 	}
-	for _, c := range s.clients {
-		c.Close() //nolint:errcheck // releases its process slot
+	if s.clients != nil {
+		var resumes uint64
+		for _, c := range s.clients {
+			resumes += c.Resumes()
+			c.Close() //nolint:errcheck // releases its process slot
+		}
+		faults += fmt.Sprintf(", %d session resumes", resumes)
+	}
+	secs := s.elapsed.Seconds()
+	all, c := merge(s.tallies, s.cfg.shards)
+	fmt.Printf("%s elapsed=%s\n", header, s.elapsed.Round(time.Millisecond))
+	fmt.Printf("aggregate: %d ops (%.0f ops/sec) in %d requests — gets=%d puts=%d dels=%d\n",
+		c.Ops(), float64(c.Ops())/secs, all.requests, c.Gets, c.Puts, c.Dels)
+	fmt.Printf("verdicts:  ok=%d recovered=%d failed=%d not-invoked=%d crashes-observed=%d\n",
+		c.OK, c.Recovered, c.Failed, c.NotInvoked, c.CrashesSeen)
+	fmt.Println("faults:    " + faults)
+	if s.cfg.verbose {
+		fmt.Printf("%6s %10s %12s %10s %8s %8s\n", "shard", "ops", "ops/sec", "recovered", "failed", "crashes")
+		for i, c := range all.shards {
+			fmt.Printf("%6d %10d %12.0f %10d %8d %8d\n", i, c.Ops(), float64(c.Ops())/secs, c.Recovered, c.Failed, c.CrashesSeen)
+		}
 	}
 	fmt.Println(machineLine(s.dataDir))
-	report()
 	fmt.Println(s.latencyLine())
 	if n := s.violations.indefinite.Load(); n > 0 {
 		return fmt.Errorf("%d operations ended without a definite outcome", n)
@@ -380,12 +441,11 @@ func require(ok bool, format string, args ...any) error {
 	return fmt.Errorf(format, args...)
 }
 
-// descr is the report lines' "mix=… dist=… mput=… rate=… procs=… shards=…"
-// prefix; mput=0 and rate=0 are unbatched and closed-loop.
-func (w *wlCfg) descr(shards int) string {
+// descr is a report header's "mix=… dist=… mput=… procs=… shards=…".
+func (w *wlCfg) descr() string {
 	dist := w.dist
 	if w.shared() {
 		dist = fmt.Sprintf("zipf(theta=%g)", w.theta)
 	}
-	return fmt.Sprintf("mix=%s dist=%s mput=%d rate=%g procs=%d shards=%d", w.mixName, dist, w.mput, w.rate, w.procs, shards)
+	return fmt.Sprintf("mix=%s dist=%s mput=%d procs=%d shards=%d", w.mixName, dist, w.mput, w.procs, w.shards)
 }

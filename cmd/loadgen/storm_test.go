@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -137,9 +138,9 @@ func fakeStorm(t *testing.T, cfg wlCfg, want int, fault func(*fakeStore)) (st *s
 	}
 	var buf lockedBuffer
 	st.violations.w = &buf
-	if err := st.runWorkers(cfg.spec, func(time.Time) error {
+	if err := st.runWorkers(cfg.spec, func(time.Time) (int, error) {
 		store.reached.Wait()
-		return nil
+		return 0, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestWorkerLoopMustConvict(t *testing.T) {
 			// read-heavy has no DELs, which could explain away a served zero.
 			cfg := wlCfg{mixName: "read-heavy", dist: dist, theta: 0.99, procs: 2, shards: 1, keys: 4, seed: 1}
 			st, _, printed := fakeStorm(t, cfg, 400, fault)
-			err := st.finish(func() {}, "unreachable")
+			err := st.finish("", "", "unreachable")
 			if st.violations.Load() == 0 || err == nil || !strings.Contains(err.Error(), "detectability violations") {
 				t.Errorf("%s (%s): %d violations, finish = %v; want a conviction", name, dist, st.violations.Load(), err)
 				continue
@@ -208,7 +209,7 @@ func TestWorkerLoopMustConvict(t *testing.T) {
 	}
 	// The same loop over an honest fake convicts nothing.
 	st, _, printed := fakeStorm(t, wlCfg{mixName: "mixed", dist: "zipf", theta: 0.99, procs: 2, shards: 1, keys: 4, seed: 1}, 400, nil)
-	if err := st.finish(func() {}, "every operation resolved to a definite outcome, zero violations"); err != nil {
+	if err := st.finish("", "", "every operation resolved to a definite outcome, zero violations"); err != nil {
 		t.Errorf("honest fake: finish = %v\n%s", err, printed)
 	}
 }
@@ -223,8 +224,108 @@ func TestUniformStormOverEarlierValues(t *testing.T) {
 			s.vals[key] = 1_000_000_000 + i
 		}
 	})
-	if err := st.finish(func() {}, "every operation resolved to a definite outcome, zero violations"); err != nil {
+	if err := st.finish("", "", "every operation resolved to a definite outcome, zero violations"); err != nil {
 		t.Errorf("finish = %v\n%s", err, printed)
+	}
+}
+
+// TestTallyCountsWhatWorkersRan: each worker's tally is exactly the stream
+// its target was asked to run — an MPUT of k entries is k PUTs in one
+// request — and neither the key zeroing before the window nor the final
+// sweep after it is counted.
+func TestTallyCountsWhatWorkersRan(t *testing.T) {
+	const k = 3
+	cfg := wlCfg{mixName: "mixed", dist: "uniform", mput: k, procs: 2, shards: 4, keys: 16, seed: 1}
+	st, _, _ := fakeStorm(t, cfg, 300, nil)
+	check := func(when string) {
+		for pid, tg := range st.targets {
+			var want shardkv.StatsSnapshot
+			stream := tg.(*fakeTarget).log
+			for _, op := range stream {
+				switch strings.Fields(op)[0] {
+				case "GET":
+					want.Gets++
+				case "PUT":
+					want.Puts++
+				case "MPUT":
+					want.Puts += k
+				case "DEL":
+					want.Dels++
+				}
+			}
+			want.OK = want.Ops()
+			tl := st.tallies[pid]
+			if _, got := merge([]*tally{tl}, cfg.shards); got != want || tl.requests != uint64(len(stream)) {
+				t.Errorf("%s: worker %d tallied %+v in %d requests; its target ran %+v in %d", when, pid, got, tl.requests, want, len(stream))
+			}
+		}
+	}
+	check("after the window")
+	if err := st.finish("", "", "zero violations"); err != nil {
+		t.Fatal(err)
+	}
+	check("after the final sweep")
+}
+
+// TestSchedule: the one fault loop runs nothing when every is 0, delivers
+// its minimum cycles past a deadline, otherwise faults only before the
+// deadline and stops at the first tick past it, and ends at a fault's
+// error with the cycles it ran.
+func TestSchedule(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name       string
+		every      time.Duration
+		least      int
+		window     time.Duration
+		failAt     int // the cycle whose fault errs (0 = none)
+		minN, maxN int
+	}{
+		{"every 0 runs nothing", 0, 3, time.Hour, 0, 0, 0},
+		{"a short window still runs the minimum", 5 * time.Millisecond, 4, 0, 0, 4, 4},
+		{"stops at the first tick past the deadline", 10 * time.Millisecond, 1, 45 * time.Millisecond, 0, 1, 4},
+		{"a fault's error ends it", time.Millisecond, 10, 0, 3, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			deadline := time.Now().Add(tc.window)
+			var at []time.Time
+			n, err := schedule("fault", deadline, tc.every, tc.least, func(cycle int) error {
+				at = append(at, time.Now())
+				if cycle != len(at) {
+					t.Errorf("fault %d was handed cycle %d", len(at), cycle)
+				}
+				if cycle == tc.failAt {
+					return boom
+				}
+				return nil
+			})
+			ended := time.Now()
+			if n < tc.minN || n > tc.maxN || (err != nil) != (tc.failAt > 0) || err != nil && !errors.Is(err, boom) {
+				t.Fatalf("schedule = %d, %v; want %d..%d cycles, error %v", n, err, tc.minN, tc.maxN, tc.failAt > 0)
+			}
+			if want := n + min(tc.failAt, 1); len(at) != want {
+				t.Errorf("%d faults ran for %d cycles, want %d", len(at), n, want)
+			}
+			if tc.failAt > 0 || tc.every == 0 {
+				return
+			}
+			// The first tick past both the deadline and the last cycle ends
+			// it; a sleep only overshoots, and the slack is for a loaded
+			// machine.
+			last := deadline
+			if at[n-1].After(last) {
+				last = at[n-1]
+			}
+			if ended.Before(deadline) || ended.After(last.Add(tc.every+250*time.Millisecond)) {
+				t.Errorf("returned %s after the deadline and %s after the last cycle, want the first tick past both",
+					ended.Sub(deadline), ended.Sub(at[n-1]))
+			}
+			for i, a := range at[tc.least:] {
+				if !a.Before(deadline) {
+					t.Errorf("cycle %d, beyond the minimum %d, ran %s past the deadline", tc.least+i+1, tc.least, a.Sub(deadline))
+				}
+			}
+		})
 	}
 }
 

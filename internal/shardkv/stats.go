@@ -98,10 +98,7 @@ func (s *Stats) noteRetries(pid, n int) {
 func (s *Stats) noteInjected() { s.crashesInjected.Add(1) }
 
 // StatsSnapshot is a point-in-time copy of a shard's counters, aggregated
-// across the pid stripes. Snapshots of a striped Stats remain
-// Sub-compatible: every counter is monotone, so the element-wise
-// difference of two aggregated snapshots is exactly the activity of the
-// window between them.
+// across the pid stripes.
 type StatsSnapshot struct {
 	Gets, Puts, Dels uint64
 
@@ -129,23 +126,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		out.Retries += st.retries.Load()
 	}
 	return out
-}
-
-// Sub returns the element-wise difference a − b: the activity of the
-// window between two snapshots of the same shard (or total).
-func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Gets:            a.Gets - b.Gets,
-		Puts:            a.Puts - b.Puts,
-		Dels:            a.Dels - b.Dels,
-		OK:              a.OK - b.OK,
-		Recovered:       a.Recovered - b.Recovered,
-		Failed:          a.Failed - b.Failed,
-		NotInvoked:      a.NotInvoked - b.NotInvoked,
-		CrashesSeen:     a.CrashesSeen - b.CrashesSeen,
-		CrashesInjected: a.CrashesInjected - b.CrashesInjected,
-		Retries:         a.Retries - b.Retries,
-	}
 }
 
 // Add returns the element-wise sum of two snapshots.

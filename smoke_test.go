@@ -29,7 +29,6 @@ func TestMainsSmoke(t *testing.T) {
 		{"bounds", []string{"run", "./cmd/bounds", "spacetable"}},
 		{"loadgen", []string{"run", "./cmd/loadgen", "-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8", "-dur", "200ms"}},
 		{"kvserverd", []string{"run", "./cmd/kvserverd", "-addr", "127.0.0.1:0", "-shards", "2", "-procs", "2", "-dur", "300ms"}},
-		{"loadgen-rate", []string{"run", "./cmd/loadgen", "-remote", "self", "-rate", "1000", "-procs", "2", "-shards", "2", "-keys", "32", "-dur", "150ms"}},
 		{"loadgen-remote", []string{"run", "./cmd/loadgen", "-remote", "self", "-mix", "crash-storm", "-procs", "2", "-shards", "2", "-keys", "8", "-dur", "300ms"}},
 		{"explore", []string{"run", "./cmd/check", "explore", "-objects", "rcas,maxreg", "-procs", "2", "-ops", "1", "-crashes", "1", "-preempt", "1", "-budget", "10s"}},
 		{"explore-list", []string{"run", "./cmd/check", "explore", "-list"}},
