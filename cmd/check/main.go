@@ -320,8 +320,8 @@ func replaySweep(raw []byte) int {
 		fmt.Fprintf(os.Stderr, "replay: bad sweep trace (%v): config %+v\n", err, t.Config)
 		return exitError
 	}
-	fmt.Printf("replaying sweep crash point %d: %d files, %d verdicts that must survive\nrecorded: %s\n",
-		t.Point, len(t.Image.Files), len(t.MustSurvive), t.Detail)
+	fmt.Printf("replaying sweep crash point %d: %d files, %d writes of the workload\nrecorded: %s\n",
+		t.Point, len(t.Image.Files), len(t.Written), t.Detail)
 	if detail := simio.Replay(t); detail != "" {
 		fmt.Printf("verdict: %s — violation reproduced\n", detail)
 		return exitViolation

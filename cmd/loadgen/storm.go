@@ -401,13 +401,19 @@ func (s *storm) finish(header, faults, verdict string, post ...error) error {
 		}
 		faults += fmt.Sprintf(", %d session resumes", resumes)
 	}
+	// How often the keys' checks merged families past their cap: 0 if
+	// every verdict was checked exactly.
+	merges := 0
+	for i := range s.violations.keys {
+		merges += s.violations.keys[i].reg.Merges()
+	}
 	secs := s.elapsed.Seconds()
 	all, c := merge(s.tallies, s.cfg.shards)
 	fmt.Printf("%s elapsed=%s\n", header, s.elapsed.Round(time.Millisecond))
 	fmt.Printf("aggregate: %d ops (%.0f ops/sec) in %d requests — gets=%d puts=%d dels=%d\n",
 		c.Ops(), float64(c.Ops())/secs, all.requests, c.Gets, c.Puts, c.Dels)
-	fmt.Printf("verdicts:  ok=%d recovered=%d failed=%d not-invoked=%d crashes-observed=%d\n",
-		c.OK, c.Recovered, c.Failed, c.NotInvoked, c.CrashesSeen)
+	fmt.Printf("verdicts:  ok=%d recovered=%d failed=%d not-invoked=%d crashes-observed=%d merges=%d\n",
+		c.OK, c.Recovered, c.Failed, c.NotInvoked, c.CrashesSeen, merges)
 	fmt.Println("faults:    " + faults)
 	if s.cfg.verbose {
 		fmt.Printf("%6s %10s %12s %10s %8s %8s\n", "shard", "ops", "ops/sec", "recovered", "failed", "crashes")

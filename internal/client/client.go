@@ -147,49 +147,28 @@ func dial(addrs []string, flags byte, nprimary int) (*Client, error) {
 // standby just to hear a guaranteed ErrNotPrimary — but after a failover
 // the promoted replica still answers the sweep's tail.
 func (c *Client) connect() error {
-	var lastErr error
-	try := func(idx int) (ok, fatal bool, err error) {
-		err = c.connectTo(c.addrs[idx])
-		if err == nil {
-			c.addrIdx = idx
-			return true, false, nil
-		}
-		if we, isWire := err.(*WireError); isWire && we.Code != server.ErrNotPrimary {
-			return false, true, err
-		}
-		return false, false, err
-	}
 	np := c.nprimary
 	if np <= 0 || np > len(c.addrs) {
 		np = len(c.addrs)
 	}
-	for i := 0; i < np; i++ {
-		idx := i
-		if c.addrIdx < np {
-			idx = (c.addrIdx + i) % np
+	var lastErr error
+	for _, block := range [][2]int{{0, np}, {np, len(c.addrs)}} { // primaries, then replicas
+		lo, n := block[0], block[1]-block[0]
+		for i := range n {
+			idx := lo + i
+			if c.addrIdx >= lo && c.addrIdx < block[1] {
+				idx = lo + (c.addrIdx-lo+i)%n
+			}
+			err := c.connectTo(c.addrs[idx])
+			if err == nil {
+				c.addrIdx = idx
+				return nil
+			}
+			if we, isWire := err.(*WireError); isWire && we.Code != server.ErrNotPrimary {
+				return err
+			}
+			lastErr = err
 		}
-		ok, fatal, err := try(idx)
-		if ok {
-			return nil
-		}
-		if fatal {
-			return err
-		}
-		lastErr = err
-	}
-	for i := 0; i < len(c.addrs)-np; i++ {
-		idx := np + i
-		if c.addrIdx >= np {
-			idx = np + (c.addrIdx-np+i)%(len(c.addrs)-np)
-		}
-		ok, fatal, err := try(idx)
-		if ok {
-			return nil
-		}
-		if fatal {
-			return err
-		}
-		lastErr = err
 	}
 	return lastErr
 }

@@ -269,8 +269,9 @@ func TestPreloadFsyncCount(t *testing.T) {
 // TestWALRecordPins pins what one acknowledged operation writes to a durable
 // primary's write-ahead log, one request in flight: a PUT and a DEL are one
 // record each, their put-at stamped with the request's ID and verdict, which
-// is the verdict; an MPUT of 16 is its 16 stamped put-at records and the
-// outcome record. It logs the bytes per operation.
+// is the verdict; an MPUT of 16 whose entries all linearized is its 16
+// stamped put-at records, which carry every entry's verdict, and no outcome
+// record; an empty MPUT writes nothing. It logs the bytes per operation.
 func TestWALRecordPins(t *testing.T) {
 	p := startPinPrimary(t)
 	c, err := client.Dial(p.srv.Addr().String())
@@ -290,7 +291,8 @@ func TestWALRecordPins(t *testing.T) {
 	}{
 		{"PUT", 1, func(i int) error { _, err := c.Put(fmt.Sprintf("pin-%02d", i), i+1); return err }},
 		{"DEL", 1, func(i int) error { _, err := c.Del(fmt.Sprintf("pin-%02d", i)); return err }},
-		{"MPUT×16", 17, func(int) error { _, err := c.MultiPut(mput); return err }},
+		{"MPUT×16", 16, func(int) error { _, err := c.MultiPut(mput); return err }},
+		{"MPUT×0", 0, func(int) error { _, err := c.MultiPut(nil); return err }},
 	} {
 		records, size := p.fs.records.Load(), p.fs.recordSize.Load()
 		for i := range ops {

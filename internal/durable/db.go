@@ -180,10 +180,11 @@ type mirrored struct {
 // of what it holds. It implements the commit protocol of
 // docs/DURABILITY.md: mutations are journaled into the log as they
 // linearize, each put-at record stamped with its writer's request and
-// verdict, an outcome record — a failed verdict, an MPUT's — is appended
-// behind the puts it depends on, and recovery accepts only a valid prefix of
-// the log — so no released verdict can outlive its effect across a crash,
-// and no surviving effect loses its verdict.
+// verdict; a reply those stamps carry (StampsCarry) commits by a bare
+// barrier, any other is an outcome record appended behind the puts it
+// depends on; and recovery accepts only a valid prefix of the log — so no
+// released verdict can outlive its effect across a crash, and no surviving
+// effect loses its verdict.
 type DB struct {
 	fs        Fs
 	dir       string
@@ -453,8 +454,8 @@ func (db *DB) RangeShard(i int, fn func(key string, val int64)) {
 
 // ShardBacking adapts one shard's share of the write-ahead log to
 // internal/nvm's Backing seam: Journal journals one durable root, stamped,
-// Sync is the log's durability barrier. Obtain one from DB.ShardBacking and
-// hand it to nvm.Space.SetBacking.
+// and DB.Sync is its durability barrier. Obtain one from DB.ShardBacking
+// and hand it to nvm.Space.SetBacking.
 type ShardBacking struct {
 	db *DB
 	i  int
@@ -486,9 +487,6 @@ func (b ShardBacking) Persist(key string, val int64) { b.db.journalPut(b.i, key,
 // request's verdict from it (noteStamp). 0 stamps nothing. Called by the
 // session that holds pid, before it executes the request.
 func (db *DB) BeginRequest(pid int, reqID uint64) { db.calls[pid].Store(reqID) }
-
-// Sync implements nvm.Backing.
-func (b ShardBacking) Sync() error { return b.db.Sync() }
 
 // journalPut appends one persisted root to shard i's mirror and, as a
 // put-at record, to the write-ahead log, and returns the number of the key's
@@ -653,6 +651,27 @@ func (ss *sessionsFile) noteStamp(s stamp) {
 	// The entry's verdict goes into the window's own copy of the reply, in
 	// place: a batch's stamps cost a verdict each, not a reply each.
 	AppendVerdict(reply[:batchReplyHeader+VerdictSize*s.Entry], v)
+}
+
+// StampsCarry reports whether the stamps of the put-at records a write
+// journaled carry reply, its AppendReply or AppendBatchReply, so a bare
+// barrier commits it (Sync) and noteStamp rebuilds it byte for byte. They do
+// when every verdict in it linearized: a PUT's or DEL's one, each entry's of
+// an MPUT, none of an empty MPUT, which leaves nothing to replay and runs
+// fresh to the same reply. A failed operation journals nothing and its crash
+// count is in no stamp, so its reply commits as an outcome record
+// (CommitOutcome).
+func StampsCarry(reply []byte) bool {
+	verdicts := reply[1:] // a PUT's or DEL's one verdict
+	if len(reply) != 1+VerdictSize {
+		verdicts = reply[batchReplyHeader:] // an MPUT's, behind the count
+	}
+	for ; len(verdicts) > 0; verdicts = verdicts[VerdictSize:] {
+		if !runtime.Status(verdicts[0]).Linearized() {
+			return false
+		}
+	}
+	return true
 }
 
 // foldStamps folds the stamps of the put-at records in framed — puts

@@ -5,11 +5,12 @@ import (
 	"time"
 )
 
-// Group commit is a leader chain. Every durable step — CommitOutcome,
-// AppendHello, NoteSID, AppendEnd, Sync, a standby's replicated batch —
-// stages its records into the open epoch. The step that opens an epoch leads
-// it: it waits until the previous epoch's anchor has returned, closes its
-// epoch to joiners, runs DB.anchor once for every member and wakes them.
+// Group commit is a leader chain. Every durable step — Sync (the bare
+// barrier of a write whose stamps carry its reply), CommitOutcome,
+// AppendHello, NoteSID, AppendEnd, a standby's replicated batch — stages
+// its records, if any, into the open epoch. The step that opens an epoch
+// leads it: it waits until the previous epoch's anchor has returned, closes
+// its epoch to joiners, runs DB.anchor once for every member and wakes them.
 // Whatever arrives while an anchor is in flight joins the next epoch, so a
 // lone writer pays one write and one fsync and concurrent writers share one.
 // A verdict is released only after the anchor of its epoch has returned.

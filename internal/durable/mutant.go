@@ -9,11 +9,13 @@ package durable
 
 // MutantOutcomeFirst inverts the commit protocol's ordering: the anchor
 // holds the staged puts back, writes and syncs its outcome records in front
-// of them, and only then lets the puts follow. A crash in the inverted
-// window leaves a durable verdict whose write is gone — on recovery the
-// client would be promised an effect the store lost, the exact violation
-// "an outcome sits behind the puts it depends on" rules out. The simio sweep
-// must catch this within its crash-point enumeration.
+// of them, and only then lets the puts follow. The outcome record it moves
+// is that of an MPUT with a failed entry, the one reply that still commits
+// as a record behind puts: it promises its other entries' stamped puts. A
+// crash in the inverted window leaves a durable verdict whose write is gone
+// — on recovery the client would be promised an effect the store lost, the
+// exact violation "an outcome sits behind the puts it depends on" rules
+// out. The simio sweep must catch this within its crash-point enumeration.
 var MutantOutcomeFirst bool
 
 // MutantPublishAtBarrier drops the commit gate of the replica's read view:

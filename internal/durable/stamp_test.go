@@ -2,6 +2,7 @@ package durable_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"detectable/internal/durable"
@@ -27,49 +28,112 @@ func replyOf(db *durable.DB, sid, req uint64) []byte {
 	return nil
 }
 
-// TestStampedPutIsItsVerdict: a PUT and a DEL that linearized journal one
-// put-at record each, stamped with the request and its verdict, and a bare
-// barrier makes them durable. Recovery rebuilds the reply the server
-// released, byte for byte — after a restart, on the node's own mirror,
-// through a compaction that took the records' stamps off (the record still
-// staged, or durable already), and on a standby.
+// TestStampedPutIsItsVerdict: a write journals a put-at record per
+// linearized entry, stamped with the request and its verdict, and commits
+// its reply as the server does — by a bare barrier where the stamps carry
+// it (durable.StampsCarry), as its outcome record otherwise. A PUT, a DEL
+// and an MPUT of 16 whose entries all linearized write no outcome record; a
+// failed DEL and an MPUT with a failed entry write exactly one; an empty
+// MPUT writes nothing and leaves no verdict, so its re-send runs fresh to
+// the same three bytes. Recovery rebuilds the reply the server released,
+// byte for byte — after a restart, on the node's own mirror, through a
+// compaction that took the records' stamps off (the records still staged,
+// or durable already), and on a standby, the node a promotion serves from.
 func TestStampedPutIsItsVerdict(t *testing.T) {
-	put := runtime.Outcome[int]{Status: runtime.StatusOK}
-	del := runtime.Outcome[int]{Status: runtime.StatusRecovered, Crashes: 1}
-	for _, compact := range []string{"none", "staged", "durable"} {
-		fsim := simio.New()
-		db := openSim(t, fsim)
-		must(t, db.AppendHello(1, 2))
-		sub := db.Subscribe(0)
-		db.BeginRequest(2, 5)
-		db.ShardBacking(0).Journal("k", 100, nvm.Stamp{PID: 2, Status: int(put.Status)})
-		must(t, db.Sync())
-		db.BeginRequest(2, 6)
-		db.ShardBacking(0).Journal("k", 0, nvm.Stamp{PID: 2, Status: int(del.Status), Crashes: del.Crashes})
-		if compact == "durable" {
-			must(t, db.Sync())
+	ok := runtime.Outcome[int]{Status: runtime.StatusOK}
+	rec := runtime.Outcome[int]{Status: runtime.StatusRecovered, Crashes: 1}
+	failed := runtime.Outcome[int]{Status: runtime.StatusFailed, Crashes: 1}
+	var mput16 []runtime.Outcome[int]
+	for e := range 16 {
+		mput16 = append(mput16, []runtime.Outcome[int]{ok, rec}[e%2])
+	}
+	for _, c := range []struct {
+		name     string
+		outs     []runtime.Outcome[int] // the reply's verdicts, an MPUT's by entry
+		mput     bool
+		val      int64 // what each linearized entry writes
+		outcomes int   // outcome records the commit writes
+	}{
+		{"PUT", []runtime.Outcome[int]{ok}, false, 100, 0},
+		{"DEL", []runtime.Outcome[int]{rec}, false, 0, 0},
+		{"failed DEL", []runtime.Outcome[int]{failed}, false, 0, 1},
+		{"MPUT×16", mput16, true, 7, 0},
+		{"MPUT with a failed entry", []runtime.Outcome[int]{ok, failed, rec}, true, 7, 1},
+		{"empty MPUT", nil, true, 0, 0},
+	} {
+		var reply []byte
+		if c.mput {
+			reply = durable.AppendBatchReply(nil, c.outs)
+		} else {
+			reply = durable.AppendReply(nil, c.outs[0])
 		}
-		if compact != "none" {
-			must(t, db.Compact())
+		want := reply
+		if len(c.outs) == 0 {
+			want = nil // no verdict held: the re-send runs fresh
 		}
-		must(t, db.Sync())
-		sub.Close()
-		msgs := drain(t, sub)
-		for name, rdb := range map[string]*durable.DB{"live": db, "recovered": crashImage(t, fsim), "standby": standbyFed(t, msgs)} {
-			for req, out := range map[uint64]runtime.Outcome[int]{5: put, 6: del} {
-				if got, want := replyOf(rdb, 1, req), durable.AppendReply(nil, out); !bytes.Equal(got, want) {
-					t.Errorf("compaction %s, %s: request %d's verdict is %x, want %x", compact, name, req, got, want)
+		for _, compact := range []string{"none", "staged", "durable"} {
+			name := c.name + ", compaction " + compact
+			fsim := simio.New()
+			db := openSim(t, fsim)
+			must(t, db.AppendHello(1, 2))
+			sub := db.Subscribe(0)
+			db.BeginRequest(2, 5)
+			for e, out := range c.outs {
+				if stamp := (nvm.Stamp{PID: 2, Status: int(out.Status), Crashes: out.Crashes}); out.Status.Linearized() {
+					if c.mput {
+						stamp.Entry, stamp.Batch = e, len(c.outs)
+					}
+					db.ShardBacking(e%testShards).Journal(fmt.Sprint("k", e), c.val, stamp)
 				}
 			}
-			if v, _ := rdb.MirrorGet(0, "k"); v != 0 {
-				t.Errorf("compaction %s, %s: k = %d, want 0", compact, name, v)
+			if compact == "staged" {
+				must(t, db.Compact())
 			}
-			if rdb != db {
-				rdb.Close()
+			if durable.StampsCarry(reply) {
+				must(t, db.Sync())
+			} else {
+				must(t, db.CommitOutcome(1, 5, reply))
 			}
+			if compact == "durable" {
+				must(t, db.Compact())
+			}
+			if n := outcomeRecords(t, fsim); compact == "none" && n != c.outcomes {
+				t.Errorf("%s: the commit wrote %d outcome records, want %d", name, n, c.outcomes)
+			}
+			sub.Close()
+			msgs := drain(t, sub)
+			for node, rdb := range map[string]*durable.DB{"live": db, "recovered": crashImage(t, fsim), "standby": standbyFed(t, msgs)} {
+				if got := replyOf(rdb, 1, 5); !bytes.Equal(got, want) {
+					t.Errorf("%s, %s: the verdict is %x, want %x", name, node, got, want)
+				}
+				for e, out := range c.outs {
+					if v, in := rdb.MirrorGet(e%testShards, fmt.Sprint("k", e)); out.Status.Linearized() && (!in || v != c.val) {
+						t.Errorf("%s, %s: k%d = %d, want %d", name, node, e, v, c.val)
+					}
+				}
+				if rdb != db {
+					rdb.Close()
+				}
+			}
+			db.Close()
 		}
-		db.Close()
 	}
+}
+
+// outcomeRecords counts the outcome records fsim's write-ahead log holds.
+func outcomeRecords(t *testing.T, fsim *simio.Fs) (n int) {
+	t.Helper()
+	l, err := durable.OpenLogFs(simio.FromImage(fsim.LiveImage()), "/data/wal.log", func(rec []byte) error {
+		if rec[0] == 0x03 { // the outcome record's kind (docs/DURABILITY.md)
+			n++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	return n
 }
 
 // standbyFed returns a standby's DB that applied msgs, a primary's stream.

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"detectable/internal/nvm"
+	"detectable/internal/runtime"
 )
 
 // readTree returns every file of the flat directory dir by name.
@@ -250,11 +253,13 @@ func TestAppendDoesNotWaitForTheBarrier(t *testing.T) {
 }
 
 // TestAllocPinCommitOutcomeSyncSubscriber pins the allocations of a warm
-// CommitOutcome on the path every served mutation takes — an epoch gated by
-// a sync subscriber's ack. It reads 0: the window copies the reply into its
-// slot's reused buffer, the epoch is recycled with its buffer, and waiting
-// for the ack allocates nothing (no slice of subscribers, no timer per
-// wait).
+// commit in an epoch gated by a sync subscriber's ack, on both paths a
+// served write takes: the bare barrier behind stamped put-at records that
+// every linearized write rides, and CommitOutcome, the outcome record of a
+// reply holding a failed verdict. Each reads 0: the window copies the reply
+// into its slot's reused buffer, the epoch is recycled with its buffer, and
+// waiting for the ack allocates nothing (no slice of subscribers, no timer
+// per wait).
 func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on channel hand-off")
@@ -308,5 +313,19 @@ func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, commit); got > 3 {
 		t.Fatalf("warm CommitOutcome with a sync subscriber: %.1f allocs/op, want ≤ 3", got)
+	}
+	stamped := func() {
+		req++
+		db.BeginRequest(0, req)
+		db.ShardBacking(int(req%2)).Journal("key", int64(req), nvm.Stamp{Status: int(runtime.StatusOK)})
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		stamped()
+	}
+	if got := testing.AllocsPerRun(200, stamped); got > 3 {
+		t.Fatalf("warm stamped put and bare barrier with a sync subscriber: %.1f allocs/op, want ≤ 3", got)
 	}
 }

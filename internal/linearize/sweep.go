@@ -25,9 +25,10 @@ import (
 // concurrent writes cost a family per value they may leave current, not
 // one per order. An empty frontier is a violation: the check adopts the
 // return's claim and goes on. Past maxFamilies families merge, which may
-// hide a violation but never invents one. ReadStale adds the one weaker
-// read a replica serves (docs/REPLICATION.md §read replicas). The zero
-// value is a register holding 0.
+// hide a violation but never invents one; Merges says how often that
+// happened, so a check that merged nothing was exact. ReadStale adds the
+// one weaker read a replica serves (docs/REPLICATION.md §read replicas).
+// The zero value is a register holding 0.
 type Sweep struct {
 	ops   []sweepOp // by slot: the in-flight operation that owns bit slot
 	used  uint64    // slots holding an in-flight operation
@@ -37,6 +38,7 @@ type Sweep struct {
 	front, next       []family
 	arena, spare, tmp []int
 	vals              map[int]uint8 // from the first ReadStale on: every nonzero value a write carried
+	merges            int           // flips that merged families past maxFamilies
 }
 
 type sweepOp struct {
@@ -282,6 +284,7 @@ func (s *Sweep) flip() {
 	if len(s.front) <= maxFamilies {
 		return
 	}
+	s.merges++
 	for i, f := range s.front {
 		if slices.ContainsFunc(s.front[:i], func(g family) bool { return g.val == f.val }) {
 			continue
@@ -300,6 +303,10 @@ func (s *Sweep) flip() {
 	s.front, s.next = s.next, s.front[:0]
 	s.arena, s.spare = s.spare, s.arena[:0]
 }
+
+// Merges returns how many times the frontier passed maxFamilies and its
+// families merged: 0 means every verdict so far was exact.
+func (s *Sweep) Merges() int { return s.merges }
 
 // edit returns seen without read gone's pairs and with (r, val) for every
 // read r in add, built in tmp. Pair lists are kept sorted.

@@ -331,47 +331,68 @@ func BenchmarkSweep(b *testing.B) {
 
 // TestSweepPastTheCapConvictsNothing runs linearizable histories with 16
 // processes, concurrent enough to pass maxFamilies, and requires that the
-// collapse there never invents a violation.
+// collapse there never invents a violation, and that the check counts the
+// merges it did.
 func TestSweepPastTheCapConvictsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	capped := false
-	for round := 0; round < 20; round++ {
-		type proc struct {
-			op          int // the Sweep's handle; -1 when idle
-			write, done bool
-			val, resp   int
+	merges := 0
+	for range 20 {
+		merges += linearizableHistory(t, rng, 16).Merges()
+	}
+	if merges == 0 {
+		t.Fatal("no history merged families past the cap")
+	}
+}
+
+// TestSweepBelowTheCapIsExact: histories of four processes stay below
+// maxFamilies, so the check merges nothing and says so — its verdicts were
+// exact.
+func TestSweepBelowTheCapIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := range 20 {
+		if n := linearizableHistory(t, rng, 4).Merges(); n != 0 {
+			t.Fatalf("round %d: %d merges with four processes, want 0", round, n)
 		}
-		var s Sweep
-		ps := make([]proc, 16)
-		for i := range ps {
-			ps[i].op = -1
-		}
-		reg, val := 0, 0
-		for step := 0; step < 5000; step++ {
-			p := &ps[rng.Intn(len(ps))]
-			switch {
-			case p.op < 0:
-				p.write, p.done = rng.Intn(3) > 0, false
-				if p.val = 0; p.write && rng.Intn(10) > 0 {
-					val++
-					p.val = val
-				}
-				p.op = s.Invoke(p.write, p.val)
-			case !p.done:
-				p.done, p.resp = true, reg
-				if p.write {
-					reg = p.val
-				}
-			default:
-				if why := s.Return(p.op, ok(p.resp)); why != "" {
-					t.Fatalf("round %d step %d: a linearizable history convicted: %s", round, step, why)
-				}
-				p.op = -1
+	}
+}
+
+// linearizableHistory checks 5000 random steps of procs processes on one
+// register, each operation returning what the register held at its
+// linearization point, and returns the check. A conviction fails t.
+func linearizableHistory(t *testing.T, rng *rand.Rand, procs int) *Sweep {
+	t.Helper()
+	type proc struct {
+		op          int // the Sweep's handle; -1 when idle
+		write, done bool
+		val, resp   int
+	}
+	var s Sweep
+	ps := make([]proc, procs)
+	for i := range ps {
+		ps[i].op = -1
+	}
+	reg, val := 0, 0
+	for step := 0; step < 5000; step++ {
+		p := &ps[rng.Intn(len(ps))]
+		switch {
+		case p.op < 0:
+			p.write, p.done = rng.Intn(3) > 0, false
+			if p.val = 0; p.write && rng.Intn(10) > 0 {
+				val++
+				p.val = val
 			}
-			capped = capped || len(s.front) == maxFamilies
+			p.op = s.Invoke(p.write, p.val)
+		case !p.done:
+			p.done, p.resp = true, reg
+			if p.write {
+				reg = p.val
+			}
+		default:
+			if why := s.Return(p.op, ok(p.resp)); why != "" {
+				t.Fatalf("step %d: a linearizable history of %d processes convicted: %s", step, procs, why)
+			}
+			p.op = -1
 		}
 	}
-	if !capped {
-		t.Fatal("no history reached the family cap")
-	}
+	return &s
 }

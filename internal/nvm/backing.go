@@ -5,9 +5,10 @@ package nvm
 // cell values survive simulated epoch crashes but evaporate when the
 // process exits. A file-backed persistent space carries a Backing
 // (internal/durable supplies one per shard) that journals every logical
-// persist handed to it into an append-only record log whose Sync is a
-// physical fsync — so the paper's persist ordering maps onto write+sync
-// ordering, and a whole-process crash becomes one more survivable failure.
+// persist handed to it into an append-only record log, which the owning
+// layer's durability barrier (durable.DB.Sync) makes physically durable —
+// so the paper's persist ordering maps onto write+sync ordering, and a
+// whole-process crash becomes one more survivable failure.
 //
 // The granularity is the durable root, not the individual simulated cell:
 // an algorithm's internal cells (toggle bits, announcement slots) exist to
@@ -22,11 +23,8 @@ package nvm
 type Backing interface {
 	// Journal journals the persisted value of the durable root named key
 	// and the Stamp of the operation that persisted it. Appends may be
-	// buffered; they are durable only after Sync.
+	// buffered; they are durable only after the owner's barrier.
 	Journal(key string, val int64, by Stamp)
-	// Sync is the durability barrier: it returns once every previously
-	// journaled persist is physically durable.
-	Sync() error
 }
 
 // Stamp says whose effect a persist is: the process that wrote it and the
@@ -44,9 +42,6 @@ type Stamp struct {
 // synchronization on the journal path.
 func (s *Space) SetBacking(b Backing) { s.backing = b }
 
-// Backing returns the attached substrate, or nil for a heap-backed space.
-func (s *Space) Backing() Backing { return s.backing }
-
 // Journal forwards one logical persist and its stamp to the backing store.
 // On a heap-backed space it is a no-op, keeping the non-durable hot path
 // free of any cost beyond a nil check.
@@ -54,12 +49,4 @@ func (s *Space) Journal(key string, val int64, by Stamp) {
 	if s.backing != nil {
 		s.backing.Journal(key, val, by)
 	}
-}
-
-// SyncBacking is the space's durability barrier, a no-op without backing.
-func (s *Space) SyncBacking() error {
-	if s.backing != nil {
-		return s.backing.Sync()
-	}
-	return nil
 }

@@ -5,10 +5,9 @@ import "testing"
 // memBacking records journaled persists, standing in for the file-backed
 // implementation in internal/durable.
 type memBacking struct {
-	keys  []string
-	vals  []int64
-	by    []Stamp
-	syncs int
+	keys []string
+	vals []int64
+	by   []Stamp
 }
 
 func (b *memBacking) Journal(key string, val int64, by Stamp) {
@@ -17,37 +16,20 @@ func (b *memBacking) Journal(key string, val int64, by Stamp) {
 	b.by = append(b.by, by)
 }
 
-func (b *memBacking) Sync() error {
-	b.syncs++
-	return nil
-}
-
 func TestSpaceJournalForwardsToBacking(t *testing.T) {
 	sp := NewSpace()
-	// Heap-backed: journaling is a no-op and syncing succeeds vacuously.
+	// Heap-backed: journaling is a no-op.
 	sp.Journal("k", 1, Stamp{})
-	if err := sp.SyncBacking(); err != nil {
-		t.Fatalf("SyncBacking without backing: %v", err)
-	}
-	if sp.Backing() != nil {
-		t.Fatal("fresh space has a backing")
-	}
 
 	b := &memBacking{}
 	sp.SetBacking(b)
 	sp.Journal("k", 41, Stamp{PID: 1, Status: 1})
 	sp.Journal("j", 42, Stamp{PID: 2, Status: 2, Crashes: 1, Entry: 3, Batch: 4})
-	if err := sp.SyncBacking(); err != nil {
-		t.Fatal(err)
-	}
 	if len(b.keys) != 2 || b.keys[0] != "k" || b.vals[0] != 41 || b.keys[1] != "j" || b.vals[1] != 42 {
 		t.Fatalf("journaled %v %v", b.keys, b.vals)
 	}
 	if b.by[0] != (Stamp{PID: 1, Status: 1}) || b.by[1] != (Stamp{PID: 2, Status: 2, Crashes: 1, Entry: 3, Batch: 4}) {
 		t.Fatalf("journaled stamps %+v", b.by)
-	}
-	if b.syncs != 1 {
-		t.Fatalf("syncs = %d, want 1", b.syncs)
 	}
 }
 

@@ -587,18 +587,18 @@ func (srv *Server) handle(sess *session, payload []byte, scratch *[]byte) (reply
 		if db != nil && c == classWrite {
 			// The durability barrier before release: the verdict goes into
 			// the write-ahead log and the log is synced, and only then may
-			// the reply leave. A linearized PUT or DEL journaled its put-at
-			// record stamped with this request's ID and verdict, which is
-			// the verdict: a bare barrier makes it durable. Any other verdict
-			// — a failed one, an MPUT's — is an outcome record behind this
-			// request's puts, so a replayed verdict can never outlive its
-			// effect.
+			// the reply leave. Every linearized put journaled its put-at
+			// record stamped with this request's ID and verdict; where the
+			// stamps carry the whole reply, a bare barrier makes it durable.
+			// A reply holding a failed verdict is an outcome record behind
+			// this request's puts, so a replayed verdict can never outlive
+			// its effect.
 			// Read-only replies skip it: they have no effect to anchor, a
 			// never-delivered read simply re-executes fresh after a
 			// restart, and the in-memory window still covers
 			// connection-level resume — so reads cost no fsync.
 			var err error
-			if op != OpMPut && runtime.Status(reply[1]).Linearized() {
+			if durable.StampsCarry(reply) {
 				err = db.Sync()
 			} else {
 				err = db.CommitOutcome(sess.id, reqID, reply)

@@ -234,13 +234,6 @@ func DurableImage(journal []Op, k int) (img Image) {
 	return img
 }
 
-// CountImages returns how many images EnumerateImages would visit at crash
-// point k with no cap.
-func CountImages(journal []Op, k int, cuts CutFunc) int {
-	n, _ := EnumerateImages(journal, k, cuts, 0, func(Image) bool { return true })
-	return n
-}
-
 // materialize builds the byte image for one choice combination: each dirty
 // directory's entries get its chosen staged prefix, each dirty file's
 // content gets its chosen staged prefix plus optional torn tail, then the

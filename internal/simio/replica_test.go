@@ -20,13 +20,10 @@ import (
 	"detectable/internal/durable"
 )
 
-// Session record kinds as they appear inside ReplLog messages. Mirrored
-// here because the on-disk kinds are internal to durable; they are a stable
-// format (docs/DURABILITY.md).
-const (
-	sessRecOutcome = 0x03
-	sessRecEnd     = 0x04
-)
+// sessRecEnd is the end record's kind as it appears inside ReplLog
+// messages. Mirrored here because the on-disk kinds are internal to
+// durable; they are a stable format (docs/DURABILITY.md).
+const sessRecEnd = 0x04
 
 // eachRec calls fn for every record a ReplLog message carries; other
 // messages carry none.
@@ -42,10 +39,20 @@ func eachRec(m []byte, fn func(rec []byte)) {
 }
 
 // replStep is one anchoring operation of the replicated workload: the
-// primary's journal length around it and what it put on the stream.
+// primary's journal length around it, what it put on the stream and the
+// write it committed, if any.
 type replStep struct {
 	pre, post int
 	msgs      [][]byte
+	written   []Verdict
+}
+
+// writtenIn returns every write steps committed.
+func writtenIn(steps []replStep) (written []Verdict) {
+	for _, st := range steps {
+		written = append(written, st.written...)
+	}
+	return written
 }
 
 // runReplicatedWorkload drives a primary with a live-tap subscription opened
@@ -78,16 +85,15 @@ func runReplicatedWorkload(t *testing.T, cfg SweepConfig) (pfs *Fs, pdb *durable
 	step(func() error { return nil })
 	step(func() error { return pdb.AppendHello(1, 0) })
 	step(func() error { return pdb.AppendHello(2, 1) })
-	reqs := map[uint64]uint64{}
+	reqs, val := map[uint64]uint64{}, int64(0)
 	commit := func(sid uint64, i int) {
-		shard := i % cfg.Shards
-		key := fmt.Sprintf("s%d-k%d", shard, (i/cfg.Shards)%2)
-		val := int64(i + 1)
+		var v Verdict
 		step(func() error {
-			pdb.ShardBacking(shard).Persist(key, val)
 			reqs[sid]++
-			return pdb.CommitOutcome(sid, reqs[sid], encodeReply(key, val))
+			v = journalWrite(pdb, cfg, sid, reqs[sid], i, &val)
+			return commitWrite(pdb, v)
 		})
+		steps[len(steps)-1].written = []Verdict{v}
 	}
 	i := 0
 	for ; i < 8; i++ {
@@ -129,12 +135,9 @@ func drainBootstrap(t *testing.T, db *durable.DB) (msgs [][]byte) {
 }
 
 func TestReplicaApplyCrashPrefixes(t *testing.T) {
-	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8}
+	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8, Keys: 2}
 	_, pdb, steps := runReplicatedWorkload(t, cfg)
-	var msgs [][]byte
-	for _, st := range steps {
-		msgs = append(msgs, st.msgs...)
-	}
+	written := writtenIn(steps)
 
 	// Backup: apply the stream, tracking each verdict's release point in
 	// the BACKUP's journal — a verdict counts as released (ackable) only
@@ -146,44 +149,38 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 		t.Fatalf("backup open: %v", err)
 	}
 	rep := bdb.NewReplica()
-	var rel, pending []released
+	var rel, pending []Verdict
 	endPending := map[uint64]bool{}
-	for _, m := range msgs {
-		eachRec(m, func(rec []byte) {
-			switch rec[0] {
-			case sessRecOutcome:
-				sid := binary.BigEndian.Uint64(rec[1:])
-				req := binary.BigEndian.Uint64(rec[9:])
-				if key, val, ok := decodeReply(rec[21:]); ok {
-					pending = append(pending, released{
-						Verdict: Verdict{SID: sid, Req: req, Key: key, Val: val}, endedAt: math.MaxInt,
-					})
+	for _, st := range steps {
+		pending = append(pending, st.written...)
+		for _, m := range st.msgs {
+			eachRec(m, func(rec []byte) {
+				if rec[0] == sessRecEnd {
+					endPending[binary.BigEndian.Uint64(rec[1:])] = true
 				}
-			case sessRecEnd:
-				endPending[binary.BigEndian.Uint64(rec[1:])] = true
+			})
+			preOps := bfs.Ops()
+			_, barrier, err := rep.Apply(m)
+			if err != nil {
+				t.Fatalf("Apply (kind 0x%02x): %v", m[0], err)
 			}
-		})
-		preOps := bfs.Ops()
-		_, barrier, err := rep.Apply(m)
-		if err != nil {
-			t.Fatalf("Apply (kind 0x%02x): %v", m[0], err)
-		}
-		if !barrier {
-			continue
-		}
-		at := bfs.Ops()
-		for j := range pending {
-			pending[j].releasedAt = at
-		}
-		rel = append(rel, pending...)
-		pending = pending[:0]
-		for sid := range endPending {
-			for j := range rel {
-				if rel[j].SID == sid && rel[j].endedAt == math.MaxInt {
-					rel[j].endedAt = preOps
+			if !barrier {
+				continue
+			}
+			at := bfs.Ops()
+			for j := range pending {
+				pending[j].ReleasedAt = at
+			}
+			rel = append(rel, pending...)
+			pending = pending[:0]
+			for sid := range endPending {
+				for j := range rel {
+					if rel[j].SID == sid && rel[j].EndedAt == math.MaxInt {
+						rel[j].EndedAt = preOps
+					}
 				}
+				delete(endPending, sid)
 			}
-			delete(endPending, sid)
 		}
 	}
 	if got, want := bdb.StateHash(), pdb.StateHash(); got != want {
@@ -205,7 +202,7 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 		must := mustSurvive(rel, k)
 		EnumerateImages(journal, k, RecordAwareCuts, 6, func(img Image) bool {
 			images++
-			if detail := checkImage(cfg, img, must); detail != "" {
+			if detail := checkImage(cfg, img, written, must); detail != "" {
 				t.Errorf("backup crash point %d: %s", k, detail)
 				return false
 			}
@@ -237,10 +234,10 @@ func TestReplicaApplyCrashPrefixes(t *testing.T) {
 // Violations go to report.
 func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 	t.Helper()
-	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8}
+	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8, Keys: 2}
 	pfs, pdb, steps := runReplicatedWorkload(t, cfg)
 	pdb.Close()
-	pjournal := pfs.Journal()
+	pjournal, written := pfs.Journal(), writtenIn(steps)
 
 	open := func(fsim *Fs) *durable.DB {
 		t.Helper()
@@ -299,23 +296,17 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 	bfs := New()
 	bdb := open(bfs)
 	rep := bdb.NewReplica()
-	var rel []released
+	var rel []Verdict
 	for n, st := range steps {
+		rel = append(rel, st.written...)
 		for _, m := range st.msgs {
 			eachRec(m, func(rec []byte) {
-				switch rec[0] {
-				case sessRecOutcome:
-					if key, val, ok := decodeReply(rec[21:]); ok {
-						rel = append(rel, released{
-							Verdict: Verdict{SID: binary.BigEndian.Uint64(rec[1:]), Req: binary.BigEndian.Uint64(rec[9:]), Key: key, Val: val},
-							endedAt: math.MaxInt,
-						})
-					}
-				case sessRecEnd:
-					for j := range rel {
-						if rel[j].SID == binary.BigEndian.Uint64(rec[1:]) {
-							rel[j].endedAt = 0
-						}
+				if rec[0] != sessRecEnd {
+					return
+				}
+				for j := range rel {
+					if rel[j].SID == binary.BigEndian.Uint64(rec[1:]) {
+						rel[j].EndedAt = 0
 					}
 				}
 			})
@@ -337,7 +328,7 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 			// Continuation A: promote the standby from its disk as it is.
 			must := mustSurvive(rel, bfs.Ops())
 			EnumerateImages(bfs.Journal(), bfs.Ops(), RecordAwareCuts, 6, func(img Image) bool {
-				if detail := checkImage(cfg, img, must); detail != "" {
+				if detail := checkImage(cfg, img, written, must); detail != "" {
 					report("%s: promoted standby: %s", when, detail)
 				}
 				return true
@@ -375,7 +366,7 @@ func standbyAheadSweep(t *testing.T, report func(format string, args ...any)) {
 					sjournal := sfs.Journal()
 					for kk := from; kk <= len(sjournal); kk++ {
 						EnumerateImages(sjournal, kk, RecordAwareCuts, 4, func(img Image) bool {
-							if detail := checkImage(cfg, img, nil); detail != "" {
+							if detail := checkImage(cfg, img, written, nil); detail != "" {
 								report("%s: standby crash point %d: %s", then, kk, detail)
 							}
 							return true
@@ -424,7 +415,7 @@ func TestStandbyAheadSweepConvictsPublishAtBarrier(t *testing.T) {
 // a mix; and no acknowledgement leaves before the directory sync: from the
 // point the barrier is acknowledged on, every image recovers the bootstrap.
 func TestBootstrapCrashImages(t *testing.T) {
-	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8}
+	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8, Keys: 2}
 	open := func(fsim *Fs) *durable.DB {
 		t.Helper()
 		db, err := durable.OpenFs(fsim, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
@@ -455,7 +446,7 @@ func TestBootstrapCrashImages(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		qdb.ShardBacking(i%cfg.Shards).Persist(fmt.Sprintf("other-%d", i), int64(100+i))
 	}
-	if err := qdb.CommitOutcome(7, 1, encodeReply("other-5", 105)); err != nil {
+	if err := qdb.CommitOutcome(7, 1, []byte("other-5=105")); err != nil {
 		t.Fatal(err)
 	}
 	boot := drainBootstrap(t, qdb)

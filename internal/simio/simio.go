@@ -62,24 +62,12 @@ const (
 	OpSyncDir
 )
 
+var opNames = [...]string{OpMkdir: "mkdir", OpCreate: "create", OpWrite: "write", OpTruncate: "truncate",
+	OpFsync: "fsync", OpRename: "rename", OpRemove: "remove", OpSyncDir: "syncdir"}
+
 func (k OpKind) String() string {
-	switch k {
-	case OpMkdir:
-		return "mkdir"
-	case OpCreate:
-		return "create"
-	case OpWrite:
-		return "write"
-	case OpTruncate:
-		return "truncate"
-	case OpFsync:
-		return "fsync"
-	case OpRename:
-		return "rename"
-	case OpRemove:
-		return "remove"
-	case OpSyncDir:
-		return "syncdir"
+	if k > 0 && int(k) < len(opNames) {
+		return opNames[k]
 	}
 	return fmt.Sprintf("op(%d)", uint8(k))
 }

@@ -213,7 +213,7 @@ func TestEnumerateCap(t *testing.T) {
 		h.WriteAt([]byte("x"), 0)
 	}
 	j := f.Journal()
-	if n := CountImages(j, len(j), nil); n < 8 {
+	if n, _ := EnumerateImages(j, len(j), nil, 0, func(Image) bool { return true }); n < 8 {
 		t.Fatalf("3 dirty files + 3 staged entries admit %d images, want ≥ 8", n)
 	}
 	n, capped := EnumerateImages(j, len(j), nil, 2, func(Image) bool { return true })

@@ -2,13 +2,12 @@ package simio
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,10 +22,11 @@ import (
 // with durable.OpenFs and check
 //
 //  1. recovery succeeds (a crash may never brick the store),
-//  2. outcome-implies-effect: every recovered outcome record's journaled put
-//     is present in its shard mirror (the paper's detectability contract — a
-//     replayed verdict never promises a lost write); a verdict rebuilt from
-//     a stamped put-at record is its effect's own record,
+//  2. outcome-implies-effect: every entry a recovered verdict answers
+//     linearized has its put in its shard mirror (the paper's detectability
+//     contract — a replayed verdict never promises a lost write): the
+//     entry's own stamped put-at record where the verdict was rebuilt from
+//     stamps, the puts in front of it where it is an outcome record,
 //  3. released-verdict survival: every verdict the workload released (its
 //     commit returned) before the crash point is recovered, with
 //     byte-identical reply and surviving effect,
@@ -57,32 +57,35 @@ type SweepConfig struct {
 }
 
 // Trace is one convicted crash image, self-contained: the sweep's config,
-// the crash point, what the checks found, the byte image and the verdicts
-// that must survive there. Replay re-checks it without re-running the
+// the crash point, what the checks found, the byte image and every write
+// the workload committed. Replay re-checks it without re-running the
 // workload, so a trace found once reproduces its Detail anywhere.
 type Trace struct {
-	Config      SweepConfig `json:"config"`
-	Point       int         `json:"point"`
-	Detail      string      `json:"detail"`
-	Image       Image       `json:"image"`
-	MustSurvive []Verdict   `json:"must_survive"`
+	Config  SweepConfig `json:"config"`
+	Point   int         `json:"point"`
+	Detail  string      `json:"detail"`
+	Image   Image       `json:"image"`
+	Written []Verdict   `json:"written"`
 }
 
-// Verdict is one outcome the workload released: the reply of request Req of
-// session SID, promising Key=Val. A stamped verdict rode its put-at record
-// and a bare barrier, and its reply is the one rebuilt from the stamp
-// (stampedReply); any other is an outcome record whose reply names Key=Val.
+// Verdict is one write the workload committed: request Req of session SID,
+// the put of each of its entries (a PUT's one; a failed entry journaled
+// nothing and promises nothing), the reply released for it, and the journal
+// indices bracketing that reply's validity.
 type Verdict struct {
-	SID     uint64 `json:"sid"`
-	Req     uint64 `json:"req"`
-	Key     string `json:"key"`
-	Val     int64  `json:"val"`
-	Stamped bool   `json:"stamped,omitempty"`
+	SID        uint64 `json:"sid"`
+	Req        uint64 `json:"req"`
+	Puts       []Put  `json:"puts"`
+	Reply      []byte `json:"reply"`
+	ReleasedAt int    `json:"released_at"` // journal length when the commit returned
+	EndedAt    int    `json:"ended_at"`    // journal length when the session's END began; MaxInt if never
 }
 
-// stampedReply is the reply recovery rebuilds for a stamped workload
-// commit: a PUT that answered ok.
-var stampedReply = durable.AppendReply(nil, runtime.Outcome[int]{Status: runtime.StatusOK})
+// Put is one entry's effect: Key holds Val or a later value.
+type Put struct {
+	Key string `json:"key"`
+	Val int64  `json:"val"`
+}
 
 // MaxReport bounds SweepResult.Violations; Found counts past it.
 const MaxReport = 32
@@ -98,21 +101,13 @@ type SweepResult struct {
 	Violations   []Trace // the first MaxReport of them
 }
 
-// released is one verdict the workload released, with the journal indices
-// bracketing its validity.
-type released struct {
-	Verdict
-	releasedAt int // journal length when the commit returned
-	endedAt    int // journal length when the session's END began; MaxInt if never
-}
-
-// mustSurvive returns the verdicts of rel a crash at point k must keep:
+// mustSurvive returns the verdicts of written a crash at point k must keep:
 // released by then, and not legitimately ended.
-func mustSurvive(rel []released, k int) []Verdict {
+func mustSurvive(written []Verdict, k int) []Verdict {
 	var must []Verdict
-	for _, r := range rel {
-		if r.releasedAt <= k && k < r.endedAt {
-			must = append(must, r.Verdict)
+	for _, v := range written {
+		if v.ReleasedAt <= k && k < v.EndedAt {
+			must = append(must, v)
 		}
 	}
 	return must
@@ -123,35 +118,23 @@ func mustSurvive(rel []released, k int) []Verdict {
 // store's crash-free path); consistency failures are reported as
 // Violations.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
-	if cfg.Dir == "" {
-		cfg.Dir = "/data"
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Procs == 0 {
-		cfg.Procs = 3
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 64
-	}
-	if cfg.Keys == 0 {
-		cfg.Keys = 2
-	}
+	cfg.Dir = cmp.Or(cfg.Dir, "/data")
+	cfg.Shards, cfg.Procs = cmp.Or(cfg.Shards, 2), cmp.Or(cfg.Procs, 3)
+	cfg.Window, cfg.Keys = cmp.Or(cfg.Window, 64), cmp.Or(cfg.Keys, 2)
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 
 	fsim := New()
-	rel, err := runWorkload(fsim, cfg)
+	written, err := runWorkload(fsim, cfg)
 	if err != nil {
 		return nil, err
 	}
 	journal := fsim.Journal()
 	res := &SweepResult{Ops: len(journal)}
 	logf("workload journaled %d fs ops (%d crash points), %d released verdicts",
-		len(journal), len(journal)+1, len(rel))
+		len(journal), len(journal)+1, len(written))
 
 	start := time.Now()
 	for k := 0; k <= len(journal); k++ {
@@ -161,12 +144,12 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 			break
 		}
 		res.Points++
-		must := mustSurvive(rel, k)
+		must := mustSurvive(written, k)
 		n, capped := EnumerateImages(journal, k, RecordAwareCuts, cfg.MaxImages, func(img Image) bool {
 			res.Images++
-			if detail := checkImage(cfg, img, must); detail != "" {
+			if detail := checkImage(cfg, img, written, must); detail != "" {
 				if res.Found++; len(res.Violations) < MaxReport {
-					res.Violations = append(res.Violations, Trace{Config: cfg, Point: k, Detail: detail, Image: img.Clone(), MustSurvive: must})
+					res.Violations = append(res.Violations, Trace{Config: cfg, Point: k, Detail: detail, Image: img.Clone(), Written: written})
 				}
 			}
 			return true
@@ -180,13 +163,13 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 }
 
 // runWorkload drives the commit protocol through every durability-relevant
-// path: session hellos, journaled puts, epochs of one commit — every other
-// one a stamped put-at record behind a bare barrier (a PUT's verdict), the
-// rest an outcome record behind its put (an MPUT's, whose outcome record
-// the sweep's outcome-first mutant moves ahead of it) — a multi-member
-// epoch, observer-ID burns, a session end, compaction (when CompactAt is
-// small), and a clean close. Session s holds process s − 1.
-func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
+// path: session hellos, epochs of one write each (journalWrite: stamped
+// put-at records behind a bare barrier, or, for an MPUT with a failed entry,
+// behind its outcome record, which the sweep's outcome-first mutant moves
+// ahead of them), a multi-member epoch, observer-ID burns, a session end,
+// compaction (when CompactAt is small), and a clean close. Session s holds
+// process s − 1.
+func runWorkload(fsim *Fs, cfg SweepConfig) ([]Verdict, error) {
 	gate := &gateFs{Fs: fsim, entered: make(chan struct{}), release: make(chan struct{})}
 	db, err := durable.OpenFs(gate, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
 	if err != nil {
@@ -203,43 +186,25 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 	}
 
 	var (
-		mu   sync.Mutex // the epoch batch commits from several goroutines
-		rel  []released
-		reqs = map[uint64]uint64{}
+		mu      sync.Mutex // the epoch batch commits from several goroutines
+		written []Verdict
+		reqs    = map[uint64]uint64{}
+		val     int64
 	)
 	commit := func(sid uint64, i int) error {
-		shard := i % cfg.Shards
-		key := fmt.Sprintf("s%d-k%d", shard, (i/cfg.Shards)%cfg.Keys)
-		val := int64(i + 1) // monotone per key: i strictly increases
-		stamped := i%2 == 0
 		// The epoch batch commits one session's requests concurrently, so a
-		// request's ID is published and its put stamped under mu.
+		// request's ID is published and its puts stamped under mu.
 		mu.Lock()
 		reqs[sid]++
-		req := reqs[sid]
-		if stamped {
-			pid := int(sid - 1)
-			db.BeginRequest(pid, req)
-			db.ShardBacking(shard).Journal(key, val, nvm.Stamp{PID: pid, Status: int(runtime.StatusOK)})
-		} else {
-			db.ShardBacking(shard).Persist(key, val)
-		}
+		v := journalWrite(db, cfg, sid, reqs[sid], i, &val)
 		mu.Unlock()
-		var err error
-		if stamped {
-			err = db.Sync()
-		} else {
-			err = db.CommitOutcome(sid, req, encodeReply(key, val))
-		}
-		if err != nil {
+		if err := commitWrite(db, v); err != nil {
 			return fmt.Errorf("simio: workload commit %d: %w", i, err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		rel = append(rel, released{
-			Verdict:    Verdict{SID: sid, Req: req, Key: key, Val: val, Stamped: stamped},
-			releasedAt: fsim.Ops(), endedAt: math.MaxInt,
-		})
+		v.ReleasedAt = fsim.Ops()
+		written = append(written, v)
 		return nil
 	}
 
@@ -271,9 +236,9 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 		if err := db.AppendEnd(3); err != nil {
 			return nil, err
 		}
-		for j := range rel {
-			if rel[j].SID == 3 {
-				rel[j].endedAt = endStart
+		for j := range written {
+			if written[j].SID == 3 {
+				written[j].EndedAt = endStart
 			}
 		}
 	}
@@ -309,7 +274,7 @@ func runWorkload(fsim *Fs, cfg SweepConfig) ([]released, error) {
 	if err := db.Close(); err != nil {
 		return nil, fmt.Errorf("simio: workload close: %w", err)
 	}
-	return rel, nil
+	return written, nil
 }
 
 // gateFs is the simulated filesystem with a one-shot gate on the write-ahead
@@ -343,43 +308,89 @@ func (f gateFile) Sync() error {
 	return f.File.Sync()
 }
 
-// encodeReply encodes the (key, value) a commit promised, parseable so the
-// checker can tie any recovered outcome back to its required effect.
-func encodeReply(key string, val int64) []byte {
-	return []byte(key + "=" + strconv.FormatInt(val, 10))
+// journalWrite journals write i of the workload as request req of session
+// sid (process sid − 1) and returns its verdict, not yet released. Writes
+// rotate through what a server commits: a PUT (even i); an MPUT of two
+// whose entries both linearized (i % 4 = 1); an MPUT of two whose second
+// entry failed with one crash, journaling only its first (i % 4 = 3). *val
+// numbers the puts in journal order, so every key's values rise along the
+// log.
+func journalWrite(db *durable.DB, cfg SweepConfig, sid, req uint64, i int, val *int64) Verdict {
+	outs := []runtime.Outcome[int]{{Status: runtime.StatusOK}}
+	switch i % 4 {
+	case 1:
+		outs = append(outs, runtime.Outcome[int]{Status: runtime.StatusRecovered, Crashes: 1})
+	case 3:
+		outs = append(outs, runtime.Outcome[int]{Status: runtime.StatusFailed, Crashes: 1})
+	}
+	v, pid, batch := Verdict{SID: sid, Req: req, EndedAt: math.MaxInt}, int(sid-1), len(outs)
+	if batch == 1 {
+		batch, v.Reply = 0, durable.AppendReply(nil, outs[0])
+	} else {
+		v.Reply = durable.AppendBatchReply(nil, outs)
+	}
+	db.BeginRequest(pid, req)
+	for e, out := range outs {
+		shard := (i + e) % cfg.Shards
+		p := Put{Key: fmt.Sprintf("s%d-k%d", shard, (i+e)/cfg.Shards%cfg.Keys)}
+		if out.Status.Linearized() {
+			*val++
+			p.Val = *val
+			db.ShardBacking(shard).Journal(p.Key, p.Val, nvm.Stamp{PID: pid, Status: int(out.Status), Crashes: out.Crashes, Entry: e, Batch: batch})
+		}
+		v.Puts = append(v.Puts, p)
+	}
+	return v
 }
 
-func decodeReply(reply []byte) (key string, val int64, ok bool) {
-	s := string(reply)
-	eq := strings.LastIndexByte(s, '=')
-	if eq < 0 {
-		return "", 0, false
+// commitWrite makes v durable as the server commits a write's reply: by a
+// bare barrier where its stamps carry it, as its outcome record otherwise.
+func commitWrite(db *durable.DB, v Verdict) error {
+	if durable.StampsCarry(v.Reply) {
+		return db.Sync()
 	}
-	v, err := strconv.ParseInt(s[eq+1:], 10, 64)
-	if err != nil {
-		return "", 0, false
+	return db.CommitOutcome(v.SID, v.Req, v.Reply)
+}
+
+// promised returns the puts of v that reply — v's released reply, or one
+// recovery rebuilt for v — answers linearized, and false if reply does not
+// answer as many entries as v has.
+func promised(v Verdict, reply []byte) ([]Put, bool) {
+	at := 1 // a PUT's reply: the status byte, then its verdict
+	if len(reply) != 1+durable.VerdictSize {
+		at = 3 // an MPUT's: the status byte and the count, then a verdict per entry
 	}
-	return s[:eq], v, true
+	if len(reply) != at+len(v.Puts)*durable.VerdictSize {
+		return nil, false
+	}
+	var puts []Put
+	for e, p := range v.Puts {
+		if runtime.Status(reply[at+e*durable.VerdictSize]).Linearized() {
+			puts = append(puts, p)
+		}
+	}
+	return puts, true
 }
 
 // Replay recovers t's byte image and re-runs every check against t's
-// must-survive verdicts, as Sweep did at t.Point. It returns the violation
-// it finds, "" when the image passes.
+// writes and the verdicts of them that must survive at t.Point, as Sweep
+// did. It returns the violation it finds, "" when the image passes.
 func Replay(t Trace) string {
-	return checkImage(t.Config, t.Image, t.MustSurvive)
+	return checkImage(t.Config, t.Image, t.Written, mustSurvive(t.Written, t.Point))
 }
 
 // checkImage recovers one byte image (twice, plus a replay of the
-// recovered state) and evaluates every invariant, with must the verdicts
-// released before the crash. It returns what failed, "" on a pass.
-func checkImage(cfg SweepConfig, img Image, must []Verdict) string {
+// recovered state) and evaluates every invariant, with written every write
+// of the workload and must the verdicts released before the crash. It
+// returns what failed, "" on a pass.
+func checkImage(cfg SweepConfig, img Image, written, must []Verdict) string {
 	f1 := FromImage(img)
 	db1, err := durable.OpenFs(f1, cfg.Dir, cfg.Shards, cfg.Procs, cfg.Window)
 	if err != nil {
 		return fmt.Sprintf("recovery failed: %v", err)
 	}
 	h1 := db1.StateHash()
-	detail := checkVerdicts(db1, cfg, must)
+	detail := checkVerdicts(db1, cfg, written, must)
 	db1.Close()
 	if detail != "" {
 		return detail
@@ -411,42 +422,51 @@ func recoverHash(cfg SweepConfig, img Image) (string, error) {
 	return db.StateHash(), nil
 }
 
-// checkVerdicts checks a recovered store's outcomes against its shards:
-// every outcome carries its effect, and every verdict of must survives.
-func checkVerdicts(db *durable.DB, cfg SweepConfig, must []Verdict) string {
+// checkVerdicts checks a recovered store's verdicts against its shards:
+// every verdict carries its effects, and every verdict of must survives.
+func checkVerdicts(db *durable.DB, cfg SweepConfig, written, must []Verdict) string {
 	kv := map[string]int64{}
 	for s := 0; s < cfg.Shards; s++ {
 		db.RangeShard(s, func(key string, val int64) { kv[key] = val })
+	}
+	// missing returns the first of puts the shards lack, if any.
+	missing := func(puts []Put) (Put, string, bool) {
+		for _, p := range puts {
+			if got, present := kv[p.Key]; !present || got < p.Val {
+				return p, fmt.Sprintf("shard has %d (present=%v)", got, present), true
+			}
+		}
+		return Put{}, "", false
 	}
 	recovered := db.Sessions() // in SID order, so a replay finds the same failure first
 	sessions := map[uint64]durable.SessionState{}
 	for _, s := range recovered {
 		sessions[s.SID] = s
 	}
+	byReq := map[[2]uint64]Verdict{}
+	for _, v := range written {
+		byReq[[2]uint64{v.SID, v.Req}] = v
+	}
 
-	// (2) outcome-implies-effect, for every recovered outcome record whether
-	// or not it was ever released.
+	// (2) outcome-implies-effect, for every recovered verdict whether or not
+	// it was ever released.
 	for _, s := range recovered {
 		for _, o := range s.Window {
-			if bytes.Equal(o.Reply, stampedReply) {
-				continue // rebuilt from a stamped put-at record: its own effect
-			}
-			key, val, ok := decodeReply(o.Reply)
+			puts, ok := promised(byReq[[2]uint64{s.SID, o.ID}], o.Reply)
 			if !ok {
-				return fmt.Sprintf("recovered outcome sid=%d req=%d has undecodable reply %q", s.SID, o.ID, o.Reply)
+				return fmt.Sprintf("recovered verdict sid=%d req=%d is %x, the reply of no write the workload made", s.SID, o.ID, o.Reply)
 			}
-			if got, present := kv[key]; !present || got < val {
-				return fmt.Sprintf("outcome without effect: sid=%d req=%d promises %s=%d, shard has %d (present=%v)",
-					s.SID, o.ID, key, val, got, present)
+			if p, has, lost := missing(puts); lost {
+				return fmt.Sprintf("outcome without effect: sid=%d req=%d promises %s=%d, %s", s.SID, o.ID, p.Key, p.Val, has)
 			}
 		}
 	}
 
 	// (3) released-verdict survival.
 	for _, r := range must {
-		if got, present := kv[r.Key]; !present || got < r.Val {
-			return fmt.Sprintf("released effect lost: sid=%d req=%d put %s=%d, shard has %d (present=%v)",
-				r.SID, r.Req, r.Key, r.Val, got, present)
+		puts, _ := promised(r, r.Reply)
+		if p, has, lost := missing(puts); lost {
+			return fmt.Sprintf("released effect lost: sid=%d req=%d put %s=%d, %s", r.SID, r.Req, p.Key, p.Val, has)
 		}
 		s, ok := sessions[r.SID]
 		if !ok {
@@ -455,13 +475,8 @@ func checkVerdicts(db *durable.DB, cfg SweepConfig, must []Verdict) string {
 		if r.Req+uint64(cfg.Window) <= s.MaxID {
 			continue // evicted past the window bound: the client has advanced
 		}
-		want := encodeReply(r.Key, r.Val)
-		if r.Stamped {
-			want = stampedReply
-		}
-		if got := s.Reply(r.Req); !bytes.Equal(got, want) {
-			return fmt.Sprintf("released verdict lost: sid=%d req=%d recovered as %q, want %q",
-				r.SID, r.Req, got, want)
+		if got := s.Reply(r.Req); !bytes.Equal(got, r.Reply) {
+			return fmt.Sprintf("released verdict lost: sid=%d req=%d recovered as %x, want %x", r.SID, r.Req, got, r.Reply)
 		}
 	}
 	return ""

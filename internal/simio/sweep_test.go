@@ -94,7 +94,7 @@ func compactions(t *testing.T, journal []Op, tmp string) (spans [][2]int) {
 func TestCompactionSweepReachesBothLogs(t *testing.T) {
 	cfg := SweepConfig{Dir: "/data", Shards: 2, Procs: 3, Window: 8, Ops: 6, Keys: 2, CompactAt: 1}
 	fsim := New()
-	rel, err := runWorkload(fsim, cfg)
+	written, err := runWorkload(fsim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCompactionSweepReachesBothLogs(t *testing.T) {
 			renamed++
 		}
 		for k := start + 1; k <= end; k++ {
-			must := mustSurvive(rel, k)
+			must := mustSurvive(written, k)
 			EnumerateImages(journal, k, RecordAwareCuts, 0, func(img Image) bool {
 				images++
 				switch got := img.Files[wal]; {
@@ -124,7 +124,7 @@ func TestCompactionSweepReachesBothLogs(t *testing.T) {
 					t.Errorf("crash point %d (compaction %d–%d): wal.log is neither the old log nor the new:\n got %x\n old %x\n new %x",
 						k, start, end, got, before, after)
 				}
-				if detail := checkImage(cfg, img, must); detail != "" {
+				if detail := checkImage(cfg, img, written, must); detail != "" {
 					t.Errorf("crash point %d (compaction %d–%d): %s", k, start, end, detail)
 				}
 				return !t.Failed()
