@@ -76,31 +76,18 @@ func (w *wlCfg) workerRNG(pid int) *rand.Rand {
 	return rand.New(rand.NewSource(workload.WorkerSeed(w.seed, w.procs, pid)))
 }
 
-// chooser draws worker pid's next key index into the global key list:
-// Zipfian over the full space in shared mode, uniform over the worker's
-// own disjoint slice otherwise.
-type chooser struct {
-	rng  *rand.Rand
-	zipf *workload.Zipf // nil in uniform mode
-	own  []int          // uniform mode: pid's global key indices
-}
-
-func (w *wlCfg) chooserFor(pid int, rng *rand.Rand) *chooser {
+// chooserFor returns worker pid's key chooser, drawing an index into the
+// global key list: Zipfian over the full space in shared mode, uniform
+// over the worker's own disjoint slice otherwise.
+func (w *wlCfg) chooserFor(pid int, rng *rand.Rand) func() int {
 	if w.shared() {
-		return &chooser{rng: rng, zipf: workload.NewZipf(rng, w.keys, w.theta)}
+		return workload.NewZipf(rng, w.keys, w.theta).Next
 	}
 	var own []int
 	for k := pid; k < w.keys; k += w.procs {
 		own = append(own, k)
 	}
-	return &chooser{rng: rng, own: own}
-}
-
-func (c *chooser) next() int {
-	if c.zipf != nil {
-		return c.zipf.Next()
-	}
-	return c.own[c.rng.Intn(len(c.own))]
+	return func() int { return own[rng.Intn(len(own))] }
 }
 
 // keyNames materializes the global key list ("key-0" is Zipf rank 0, the

@@ -6,41 +6,30 @@
 // local), by an online linearizability check (linearize.Sweep): each
 // operation's invocation is fed before its request is sent and its
 // detectable verdict after the reply arrives — a failed verdict takes the
-// operation out of the history, a linearized one must fit in its
-// interval. Every written value is unique and every run first zeroes its
-// key space, so any lost or duplicated effect — a detectability violation
-// — is convicted at the operation that shows it, counted and explained,
-// and fails the run; a final sweep reads every key once through its check.
-// The crash-storm mix additionally fails random single shards from a storm
-// goroutine and injects planned crashes into individual operations; the
-// run still must end with zero violations: every crashed operation
-// resolves to a definite outcome.
+// operation out of the history, a linearized one must fit in its interval.
+// Written values are unique and every run first zeroes its key space, so a
+// lost or duplicated effect — a detectability violation — is convicted at
+// the operation that shows it, explained, and fails the run; a final sweep
+// reads every key once through its check.
 //
-// -dist picks only the key chooser. With the default uniform distribution
-// each process owns a disjoint slice of the key space; with -dist zipf
-// every process draws from the FULL key space through a seeded Zipfian
-// chooser (-theta sets the skew; rank 0 is the hottest key), so processes
-// genuinely contend on shared hot keys — the regime the lock-free key
-// table and striped telemetry exist for. -mput N turns the write side of
-// any mix into N-entry MultiPut batches (the large-mutation mix), each
-// entry checked individually.
+// A worker's stream is a pure function of (-seed, -procs, pid) and the
+// flags, faults included, so its calls replay. The crash-storm mix crashes
+// a random shard before 1 in 32 requests and plans a crash into 1 in 8
+// operations; every crashed operation must still resolve to a definite
+// outcome. -dist uniform gives each process a disjoint slice of the keys;
+// -dist zipf makes every process draw from the full key space (-theta sets
+// the skew; key-0 is the hottest), so processes contend on hot keys. -mput
+// N turns the write side of any mix into N-entry MultiPuts, each entry
+// checked.
 //
-// With -remote the same workload and the same verification run against a
-// live kvserverd over TCP instead of the in-process store.
-// The crash-storm mix then additionally injects connection kills: workers
-// randomly sever their own TCP connection (including right after sending a
-// request, so the reply is lost mid-operation) and rely on session
-// resumption to recover the original persisted verdict — the bar is still
-// zero violations. `-remote self` starts an in-process server on a
-// loopback port first, so the full wire path is exercised with no external
-// daemon.
-//
-// -restart-storm, -failover-storm and -read-replica spawn their own durable
-// kvserverd processes (through internal/harness) and break them beside the
-// workload. Every mode runs the one worker loop of storm.go beside its
-// fault schedule; docs/TESTING.md tabulates what each mode declares.
-// -restarts 0 and -failovers 0 break nothing: a spawned durable server, or
-// a primary gated by its sync standby, under the checked load.
+// -remote runs the same workload and check against a live kvserverd over
+// TCP (`self` starts one on a loopback port). Its crash-storm mix also has
+// workers sever their own connection, half the time right after sending a
+// request, and recover the verdict by session resumption. -restart-storm,
+// -failover-storm and -read-replica spawn durable kvserverd processes
+// (internal/harness) and break them on a wall-clock schedule beside the
+// workload; -restarts 0 and -failovers 0 break nothing. docs/TESTING.md
+// tabulates what each mode declares.
 //
 // Every mode prints one report, counted by its own workers and readers in
 // the measured window (not the key zeroing before it nor the final sweep):
@@ -71,23 +60,21 @@ import (
 // mixSpec is a workload mix as cumulative percentages plus crash knobs.
 type mixSpec struct {
 	getPct, putPct int // remainder is del
+	// Each knob is a draw of the worker's seeded stream, 0 = never.
 	// planEvery injects a planned crash into roughly one in planEvery
-	// operations (0 = never); stormEvery crashes one random shard on that
-	// period (0 = no storm), time-based so the crash rate is comparable
-	// across machines. killEvery severs the worker's own TCP connection on
-	// roughly one in killEvery operations (remote mode only, 0 = never) —
-	// half the kills fire after the request is sent but before the reply
-	// is read, forcing the session-resume path mid-operation.
-	planEvery  int
-	stormEvery time.Duration
-	killEvery  int
+	// operations; crashEvery crashes one random shard before roughly one in
+	// crashEvery requests. killEvery severs the worker's own TCP connection
+	// on roughly one in killEvery operations (remote mode only) — half the
+	// kills fire after the request is sent but before the reply is read,
+	// forcing the session-resume path mid-operation.
+	planEvery, crashEvery, killEvery int
 }
 
 var mixes = map[string]mixSpec{
 	"read-heavy":  {getPct: 90, putPct: 10},
 	"write-heavy": {getPct: 10, putPct: 80},
 	"mixed":       {getPct: 50, putPct: 40},
-	"crash-storm": {getPct: 40, putPct: 50, planEvery: 8, stormEvery: time.Millisecond, killEvery: 24},
+	"crash-storm": {getPct: 40, putPct: 50, planEvery: 8, crashEvery: 32, killEvery: 24},
 }
 
 func main() {
@@ -180,7 +167,7 @@ func modeOf(on, set map[string]bool) (string, error) {
 }
 
 // run is the in-process mode: every worker drives the store directly as
-// its own process, beside the per-shard crash storm of the crash-storm mix.
+// its own process, crashing shards as its stream draws them.
 func run(cfg *wlCfg) error {
 	s := shardkv.New(cfg.shards, cfg.procs)
 	targets := make([]target, cfg.procs)
@@ -191,12 +178,9 @@ func run(cfg *wlCfg) error {
 	if err != nil {
 		return err
 	}
-	if err := st.runWorkers(cfg.spec, shardCrashes(cfg, func(i int) error {
-		s.CrashShard(i)
-		return nil
-	})); err != nil {
+	if err := st.runWorkers(cfg.spec, nil); err != nil {
 		return err
 	}
-	return st.finish(cfg.descr(), fmt.Sprintf("%d shard crashes", st.cycles),
+	return st.finish(cfg.descr(), st.shardCrashLine(),
 		"every operation resolved to a definite outcome, zero violations")
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"time"
@@ -17,9 +16,10 @@ import (
 
 // target is what one worker drives: a process's handle on the store. The
 // optional plan step p > 0 injects one crash before the operation's p-th
-// primitive step. *client.Client is a target as it stands (every operation
-// travels through its session to a live kvserverd); storeTarget binds the
-// in-process store to a pid.
+// primitive step; CrashShard crashes shard i of the whole store.
+// *client.Client is a target as it stands (every operation travels through
+// its session to a live kvserverd); storeTarget binds the in-process store
+// to a pid.
 type target interface {
 	Get(key string, plan ...uint32) (runtime.Outcome[int], error)
 	Put(key string, val int, plan ...uint32) (runtime.Outcome[int], error)
@@ -27,6 +27,7 @@ type target interface {
 	MultiPut(entries []shardkv.KV) ([]runtime.Outcome[int], error)
 	GetRetry(key string) (int, error)
 	PutRetry(key string, val int) (int, error)
+	CrashShard(i int) error
 }
 
 // connKiller is the capability of a target that sits behind a connection it
@@ -74,18 +75,25 @@ func (t storeTarget) PutRetry(key string, val int) (int, error) {
 	return t.s.PutRetry(t.pid, key, val), nil
 }
 
+func (t storeTarget) CrashShard(i int) error {
+	t.s.CrashShard(i)
+	return nil
+}
+
 // spawn is the spawning modes' prologue: it starts the cluster — a lone
 // durable kvserverd, or with standby a primary and its sync standby — with
 // extra process slots beyond the workers', in dir or else a fresh temp
 // directory, announces it with detail, and dials one session per worker
 // with dial over the cluster's addresses (primary first). done closes the
 // cluster, then removes a temp directory once the run has succeeded (a
-// failed run's Close says where its data was retained): defer it.
+// failed run's Close says where its data was retained): defer it. These
+// modes break processes, not shards: the mix's shard crashes are off.
 func spawn(cfg *wlCfg, mode, bin, dir string, extra int, standby bool, detail string,
 	dial func(addrs []string) (*client.Client, error)) (st *storm, c *harness.Cluster, done func(errp *error), err error) {
 	if bin == "" {
 		return nil, nil, nil, fmt.Errorf("-%s needs -server-bin pointing at a kvserverd binary (go build -o kvserverd ./cmd/kvserverd)", mode)
 	}
+	cfg.spec.crashEvery = 0
 	temp := dir == ""
 	if temp {
 		if dir, err = os.MkdirTemp("", mode+"-data-"); err != nil {
@@ -116,10 +124,10 @@ func spawn(cfg *wlCfg, mode, bin, dir string, extra int, standby bool, detail st
 }
 
 // storm is the one harness every mode runs in: a prologue (newStorm or
-// dialStorm), the worker loop beside a fault schedule (runWorkers), and an
-// epilogue (finish) that checks and reports the run. A runner declares what
-// differs — targets, mix, fault schedule, report header and faults line,
-// post-conditions — and nothing else.
+// dialStorm), the worker loop beside a spawning mode's fault schedule
+// (runWorkers), and an epilogue (finish) that checks and reports the run.
+// A runner declares what differs — targets, mix, fault schedule, report
+// header and faults line, post-conditions — and nothing else.
 type storm struct {
 	cfg        *wlCfg
 	targets    []target         // one per worker process
@@ -136,10 +144,11 @@ type storm struct {
 
 // tally is one loop's own count of what it ran inside the window, in the
 // unit of the checker and of the server's STATS (an MPUT entry is one PUT),
-// by the key's shard, and of the requests that carried it.
+// by the key's shard, of the requests that carried it, and of the shard
+// crashes it drew (neither a request nor an op).
 type tally struct {
-	requests uint64
-	shards   []shardkv.StatsSnapshot
+	requests, crashes uint64
+	shards            []shardkv.StatsSnapshot
 }
 
 func (t *tally) note(shard int, op string, out runtime.Outcome[int]) {
@@ -170,6 +179,7 @@ func merge(ts []*tally, shards int) (m tally, total shardkv.StatsSnapshot) {
 	m.shards = make([]shardkv.StatsSnapshot, shards)
 	for _, t := range ts {
 		m.requests += t.requests
+		m.crashes += t.crashes
 		for i, c := range t.shards {
 			m.shards[i], total = m.shards[i].Add(c), total.Add(c)
 		}
@@ -212,9 +222,9 @@ func dialStorm(cfg *wlCfg, dial func() (*client.Client, error)) (*storm, error) 
 
 // runWorkers is the worker loop, the only one: for cfg.dur, worker pid draws
 // its replayable operation stream against targets[pid] (see work) beside
-// the fault schedule, which is handed the window's deadline, breaks things
-// until then — or longer, when it owes a minimum number of cycles — and
-// returns the cycles it ran. Side loops (the read-replica mode's readers)
+// the fault schedule, if any, which is handed the window's deadline, breaks
+// things until then — or longer, when it owes a minimum number of cycles —
+// and returns the cycles it ran. Side loops (the read-replica mode's readers)
 // run under the same stop; every loop counts into a tally of its own.
 // Every goroutine's panic becomes its error: nothing may take the process
 // down while it has kvserverd children. The workers' hard errors outrank
@@ -229,7 +239,10 @@ func (s *storm) runWorkers(spec mixSpec, faults func(deadline time.Time) (int, e
 	}
 	loops := []func() error{func() (err error) {
 		defer close(stop)
-		if s.cycles, err = faults(deadline); err == nil {
+		if faults != nil {
+			s.cycles, err = faults(deadline)
+		}
+		if err == nil {
 			time.Sleep(time.Until(deadline))
 		}
 		return err
@@ -262,14 +275,15 @@ func (s *storm) runWorkers(spec mixSpec, faults func(deadline time.Time) (int, e
 // work is one worker: a stream that is a pure function of (seed, procs,
 // pid), the mix and whether the target can kill its own connection, every
 // operation fed to its key's check and counted in t, until stop closes or
-// the target stops answering. Over wire sessions each request's latency is
-// recorded, an MPUT as one request.
+// the target stops answering. A shard crash is a draw of the same stream,
+// made before a request and counted in t apart from it. Over wire sessions
+// each request's latency is recorded, an MPUT as one request.
 func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}, t *tally) error {
 	cfg, tg, log := s.cfg, s.targets[pid], s.violations
 	names := log.names
 	killer, _ := tg.(connKiller)
 	rng := cfg.workerRNG(pid)
-	ch := cfg.chooserFor(pid, rng)
+	next := cfg.chooserFor(pid, rng)
 	nextVal := 0
 	newVal := func() int { nextVal++; return pid*1_000_000_000 + nextVal }
 	settle := func(p pending, r opRecord) {
@@ -285,11 +299,18 @@ func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}, t *tally) erro
 			return nil
 		default:
 		}
+		if spec.crashEvery > 0 && rng.Intn(spec.crashEvery) == 0 {
+			shard := rng.Intn(cfg.shards)
+			if err := tg.CrashShard(shard); err != nil {
+				return fmt.Errorf("worker %d: crash shard %d: %w", pid, shard, err)
+			}
+			t.crashes++
+		}
 		var began time.Time
 		if s.lats != nil {
 			began = time.Now()
 		}
-		k := ch.next()
+		k := next()
 		key := names[k]
 		var plan []uint32
 		if spec.planEvery > 0 && rng.Intn(spec.planEvery) == 0 {
@@ -318,7 +339,7 @@ func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}, t *tally) erro
 			if cfg.mput > 0 {
 				entries, ps = entries[:0], ps[:0]
 				for j := 0; j < cfg.mput; j++ {
-					kk := ch.next()
+					kk := next()
 					val := newVal()
 					entries = append(entries, shardkv.KV{Key: names[kk], Val: val})
 					ps = append(ps, log.begin(kk, true, val))
@@ -352,11 +373,12 @@ func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}, t *tally) erro
 	}
 }
 
-// schedule is the one fault loop: every `every` it runs fault(cycle),
-// cycles numbered from 1, until the deadline has passed and no fewer than
-// least cycles have run, so a window shorter than least × every still
-// delivers them; every = 0 runs nothing. It returns the cycles run; a
-// fault's error ends it and is returned with them, as "<what> <cycle>: …".
+// schedule is the spawning modes' fault loop: every `every` it runs
+// fault(cycle), cycles numbered from 1, until the deadline has passed and
+// no fewer than least cycles have run, so a window shorter than least ×
+// every still delivers them; every = 0 runs nothing. It returns the cycles
+// run; a fault's error ends it and is returned with them, as "<what>
+// <cycle>: …".
 func schedule(what string, deadline time.Time, every time.Duration, least int, fault func(cycle int) error) (n int, err error) {
 	for ; every > 0; n++ {
 		time.Sleep(every)
@@ -370,15 +392,15 @@ func schedule(what string, deadline time.Time, every time.Duration, least int, f
 	return n, nil
 }
 
-// shardCrashes is the fault schedule of the modes that keep the server
-// process alive: fail one random shard of cfg.shards on the mix's storm
-// period until the deadline (the others keep serving), or nothing at all
-// for a mix without a storm.
-func shardCrashes(cfg *wlCfg, crash func(shard int) error) func(time.Time) (int, error) {
-	rng := rand.New(rand.NewSource(cfg.seed ^ 0x5707))
-	return func(deadline time.Time) (int, error) {
-		return schedule("shard crash", deadline, cfg.spec.stormEvery, 0, func(int) error { return crash(rng.Intn(cfg.shards)) })
+// shardCrashLine is the in-process and -remote faults line: the shard
+// crashes the workers drew, and at what rate.
+func (s *storm) shardCrashLine() string {
+	all, _ := merge(s.tallies, s.cfg.shards)
+	line := fmt.Sprintf("%d shard crashes", all.crashes)
+	if every := s.cfg.spec.crashEvery; every > 0 {
+		line += fmt.Sprintf(" (1 in %d requests)", every)
 	}
+	return line
 }
 
 // finish is the shared epilogue, entered once runWorkers returned nil: the

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -27,8 +30,8 @@ type fakeStore struct {
 	reached sync.WaitGroup // one Done per target
 }
 
-// fakeTarget is one worker's handle; log is the operation stream it was
-// asked to run.
+// fakeTarget is one worker's handle; log is the stream it was asked to
+// run, its shard crashes included.
 type fakeTarget struct {
 	st  *fakeStore
 	log []string
@@ -96,6 +99,11 @@ func (t *fakeTarget) MultiPut(entries []shardkv.KV) ([]runtime.Outcome[int], err
 	return outs, nil
 }
 
+func (t *fakeTarget) CrashShard(i int) error {
+	t.note("CRASH %d", i)
+	return nil
+}
+
 func (t *fakeTarget) GetRetry(key string) (int, error) {
 	t.st.mu.Lock()
 	defer t.st.mu.Unlock()
@@ -151,20 +159,24 @@ func fakeStorm(t *testing.T, cfg wlCfg, want int, fault func(*fakeStore)) (st *s
 }
 
 // TestWorkerStreamIsPureFunctionOfSeedProcsPid: the operations a worker is
-// asked to run — op, key, value, planned crash step, batch contents — depend
-// on (seed, procs, pid) and the workload flags alone, so a failing storm
-// replays; and each of the three actually keys the stream.
+// asked to run — op, key, value, planned crash step, batch contents — and
+// the shard crashes between them depend on (seed, procs, pid) and the
+// workload flags alone, so a failing storm replays; and each of the three
+// actually keys the stream.
 func TestWorkerStreamIsPureFunctionOfSeedProcsPid(t *testing.T) {
 	const want = 300
 	for _, cfg := range []wlCfg{
-		{mixName: "crash-storm", dist: "uniform", procs: 2, shards: 1, keys: 16, seed: 7},
-		{mixName: "crash-storm", dist: "zipf", theta: 0.99, mput: 3, procs: 3, shards: 1, keys: 16, seed: 7},
+		{mixName: "crash-storm", dist: "uniform", procs: 2, shards: 4, keys: 16, seed: 7},
+		{mixName: "crash-storm", dist: "zipf", theta: 0.99, mput: 3, procs: 3, shards: 4, keys: 16, seed: 7},
 	} {
 		_, first, _ := fakeStorm(t, cfg, want, nil)
 		_, again, _ := fakeStorm(t, cfg, want, nil)
 		for pid := range first {
 			if !slices.Equal(first[pid], again[pid]) {
 				t.Errorf("%s/%s: worker %d drew two different streams from one (seed, procs, pid)", cfg.mixName, cfg.dist, pid)
+			}
+			if crashes(first[pid]) == 0 {
+				t.Errorf("%s/%s: worker %d drew no shard crash in %d records", cfg.mixName, cfg.dist, pid, want)
 			}
 		}
 		if slices.Equal(first[0], first[1]) {
@@ -229,13 +241,23 @@ func TestUniformStormOverEarlierValues(t *testing.T) {
 	}
 }
 
+// crashes counts the shard crashes in a target's log.
+func crashes(log []string) (n int) {
+	for _, rec := range log {
+		if strings.HasPrefix(rec, "CRASH ") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTallyCountsWhatWorkersRan: each worker's tally is exactly the stream
 // its target was asked to run — an MPUT of k entries is k PUTs in one
-// request — and neither the key zeroing before the window nor the final
-// sweep after it is counted.
+// request, a shard crash is neither a request nor an op — and neither the
+// key zeroing before the window nor the final sweep after it is counted.
 func TestTallyCountsWhatWorkersRan(t *testing.T) {
 	const k = 3
-	cfg := wlCfg{mixName: "mixed", dist: "uniform", mput: k, procs: 2, shards: 4, keys: 16, seed: 1}
+	cfg := wlCfg{mixName: "crash-storm", dist: "uniform", mput: k, procs: 2, shards: 4, keys: 16, seed: 1}
 	st, _, _ := fakeStorm(t, cfg, 300, nil)
 	check := func(when string) {
 		for pid, tg := range st.targets {
@@ -254,9 +276,10 @@ func TestTallyCountsWhatWorkersRan(t *testing.T) {
 				}
 			}
 			want.OK = want.Ops()
-			tl := st.tallies[pid]
-			if _, got := merge([]*tally{tl}, cfg.shards); got != want || tl.requests != uint64(len(stream)) {
-				t.Errorf("%s: worker %d tallied %+v in %d requests; its target ran %+v in %d", when, pid, got, tl.requests, want, len(stream))
+			tl, drawn := st.tallies[pid], crashes(stream)
+			if _, got := merge([]*tally{tl}, cfg.shards); got != want || tl.requests != uint64(len(stream)-drawn) || tl.crashes != uint64(drawn) {
+				t.Errorf("%s: worker %d tallied %+v in %d requests and %d crashes; its target ran %+v in %d and %d",
+					when, pid, got, tl.requests, tl.crashes, want, len(stream)-drawn, drawn)
 			}
 		}
 	}
@@ -345,6 +368,174 @@ func TestValidateBoundsInFlightPerKey(t *testing.T) {
 		tc.cfg.mixName, tc.cfg.shards, tc.cfg.keys = "mixed", 1, 32
 		if err := tc.cfg.validate(); (err == nil) != tc.ok {
 			t.Errorf("%s procs=%d mput=%d: validate = %v, want ok=%v", tc.cfg.dist, tc.cfg.procs, tc.cfg.mput, err, tc.ok)
+		}
+	}
+}
+
+// stdoutOf returns what f printed to os.Stdout.
+func stdoutOf(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	f()
+	w.Close()
+	return <-printed
+}
+
+// TestFaultsLineIsTheStreamsCount: a crash-storm run's faults line prints
+// the shard crashes its workers' targets were asked for, and the rate.
+func TestFaultsLineIsTheStreamsCount(t *testing.T) {
+	cfg := wlCfg{mixName: "crash-storm", dist: "zipf", theta: 0.99, procs: 3, shards: 4, keys: 16, seed: 3}
+	st, _, _ := fakeStorm(t, cfg, 400, nil)
+	asked := 0
+	for _, tg := range st.targets {
+		asked += crashes(tg.(*fakeTarget).log)
+	}
+	var err error
+	printed := stdoutOf(t, func() { err = st.finish("", st.shardCrashLine(), "zero violations") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("faults:    %d shard crashes (1 in 32 requests)\n", asked); asked == 0 || !strings.Contains(printed, want) {
+		t.Errorf("targets were asked for %d shard crashes; want the line %q in:\n%s", asked, want, printed)
+	}
+}
+
+// recTarget is the in-process store as one worker, recording each call it
+// is asked to make in the window — op and arguments, or the shard crashed —
+// and what the store answered.
+type recTarget struct {
+	storeTarget
+	calls, outs []string
+	want        int
+	reached     *sync.WaitGroup
+}
+
+func (t *recTarget) rec(out any, format string, args ...any) {
+	t.calls = append(t.calls, fmt.Sprintf(format, args...))
+	t.outs = append(t.outs, fmt.Sprintf("%+v", out))
+	if len(t.calls) == t.want {
+		t.reached.Done()
+	}
+}
+
+func (t *recTarget) Get(key string, plan ...uint32) (runtime.Outcome[int], error) {
+	out, err := t.storeTarget.Get(key, plan...)
+	t.rec(out, "GET %s %v", key, plan)
+	return out, err
+}
+
+func (t *recTarget) Put(key string, val int, plan ...uint32) (runtime.Outcome[int], error) {
+	out, err := t.storeTarget.Put(key, val, plan...)
+	t.rec(out, "PUT %s %d %v", key, val, plan)
+	return out, err
+}
+
+func (t *recTarget) Del(key string, plan ...uint32) (runtime.Outcome[int], error) {
+	out, err := t.storeTarget.Del(key, plan...)
+	t.rec(out, "DEL %s %v", key, plan)
+	return out, err
+}
+
+func (t *recTarget) MultiPut(entries []shardkv.KV) ([]runtime.Outcome[int], error) {
+	outs, err := t.storeTarget.MultiPut(entries)
+	t.rec(outs, "MPUT %v", entries)
+	return outs, err
+}
+
+func (t *recTarget) CrashShard(i int) error {
+	t.rec(nil, "CRASH %d", i)
+	return t.storeTarget.CrashShard(i)
+}
+
+// recordedStorm runs cfg's storm on the real in-process store until every
+// worker has made want calls, convicting nothing, and returns each worker's
+// first want calls and the store's answers to them.
+func recordedStorm(t *testing.T, cfg wlCfg, want int) (calls, outs [][]string) {
+	t.Helper()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := shardkv.New(cfg.shards, cfg.procs)
+	var reached sync.WaitGroup
+	reached.Add(cfg.procs)
+	targets := make([]target, cfg.procs)
+	for pid := range targets {
+		targets[pid] = &recTarget{storeTarget: storeTarget{s, pid}, want: want, reached: &reached}
+	}
+	st, err := newStorm(&cfg, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf lockedBuffer
+	st.violations.w = &buf
+	if err := st.runWorkers(cfg.spec, func(time.Time) (int, error) {
+		reached.Wait()
+		return 0, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.violations.Load(); n > 0 {
+		t.Fatalf("%d violations:\n%s", n, buf.buf.String())
+	}
+	for _, tg := range targets {
+		rt := tg.(*recTarget)
+		calls, outs = append(calls, rt.calls[:want]), append(outs, rt.outs[:want])
+	}
+	return calls, outs
+}
+
+// TestCrashStormReplays: an in-process crash storm is a function of its
+// seed. With one worker, two runs make the same calls — shard crashes
+// included — and get the same answers, whatever GOMAXPROCS; another seed
+// makes other calls. With four, each worker's calls, and so where its
+// shard crashes fall and which shards, are the same run to run.
+func TestCrashStormReplays(t *testing.T) {
+	const want = 5000
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	for _, cfg := range []wlCfg{
+		{mixName: "crash-storm", dist: "uniform", procs: 1, shards: 4, keys: 16, seed: 5},
+		{mixName: "crash-storm", dist: "zipf", theta: 0.99, mput: 4, procs: 1, shards: 4, keys: 16, seed: 5},
+	} {
+		var calls, outs [][]string
+		for _, procs := range []int{1, 2} {
+			goruntime.GOMAXPROCS(procs)
+			c, o := recordedStorm(t, cfg, want)
+			if calls == nil {
+				calls, outs = c, o
+			}
+			for i := range want {
+				if c[0][i] != calls[0][i] || o[0][i] != outs[0][i] {
+					t.Fatalf("%s at GOMAXPROCS %d: record %d is %s → %s, was %s → %s",
+						cfg.dist, procs, i, c[0][i], o[0][i], calls[0][i], outs[0][i])
+				}
+			}
+		}
+		if crashes(calls[0]) == 0 {
+			t.Errorf("%s: no shard crash in %d records", cfg.dist, want)
+		}
+		reseeded := cfg
+		reseeded.seed++
+		if c, _ := recordedStorm(t, reseeded, want); slices.Equal(c[0], calls[0]) {
+			t.Errorf("%s: seeds %d and %d made the same calls", cfg.dist, cfg.seed, reseeded.seed)
+		}
+	}
+	cfg := wlCfg{mixName: "crash-storm", dist: "zipf", theta: 0.99, procs: 4, shards: 4, keys: 16, seed: 5}
+	first, _ := recordedStorm(t, cfg, want)
+	again, _ := recordedStorm(t, cfg, want)
+	for pid := range first {
+		if !slices.Equal(first[pid], again[pid]) {
+			t.Errorf("worker %d made different calls, shard crashes included, in two runs of one seed", pid)
 		}
 	}
 }

@@ -228,3 +228,33 @@ func TestRunRejectsOversizedPrograms(t *testing.T) {
 		t.Fatal("expected an oversized-program error")
 	}
 }
+
+// TestRCASIdentityCASLeavesOthersAlone: a Cas(0, 0) that succeeds
+// concurrently with a Cas(0, 1) must not make the latter fail while C's
+// value stays 0 throughout. Algorithm 2 as printed flips the identity
+// CAS's own bit of vec, so the other CAS's swap on ⟨val, vec⟩ failed on
+// the vector alone, and no linearization explains its false; an identity
+// CAS writes nothing.
+func TestRCASIdentityCASLeavesOthersAlone(t *testing.T) {
+	h, err := explore.ByName("rcas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := explore.Program{{spec.NewOp(spec.MethodCAS, 0, 1)}, {spec.NewOp(spec.MethodCAS, 0, 0)}}
+	res := explore.Run(h, prog, explore.Options{
+		MaxCrashes:     1,
+		MaxPreemptions: -1,
+		MaxExecutions:  testExecs,
+		Budget:         testBudget,
+	})
+	if res.Err != nil {
+		t.Fatalf("explorer error: %v", res.Err)
+	}
+	if res.Counterexample != nil {
+		t.Fatalf("counterexample after %d executions:\n%s", res.Stats.Executions, res.Counterexample)
+	}
+	if !res.Exhausted {
+		t.Fatalf("space not exhausted: %+v", res.Stats)
+	}
+	t.Logf("exhausted after %d executions in %v", res.Stats.Executions, res.Elapsed)
+}

@@ -165,8 +165,12 @@ func rcasHarness() Harness {
 		},
 		DefaultProgram: func(procs, ops int) Program {
 			// Every CAS targets old value 0, so the processes race for the
-			// first swap; later CASes exercise the failure path.
+			// first swap, process 1's an identity Cas(0, 0); later CASes
+			// exercise the failure path.
 			return mix(procs, ops, func(p, k int) spec.Operation {
+				if p == 1 && k == 0 {
+					return spec.NewOp(spec.MethodCAS, 0, 0)
+				}
 				return spec.NewOp(spec.MethodCAS, 0, val(p, ops, k))
 			}, read)
 		},

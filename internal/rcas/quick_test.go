@@ -60,7 +60,8 @@ func TestQuickSoloCASConsistency(t *testing.T) {
 }
 
 // TestQuickVecFlipInvariant: the Lemma 2 invariant — vec[p] flips exactly
-// on p's successful CAS — holds along any generated execution.
+// on p's successful CAS with old ≠ new (a Cas(x, x) writes nothing) —
+// holds along any generated execution.
 func TestQuickVecFlipInvariant(t *testing.T) {
 	f := func(ops []quickOp) bool {
 		if len(ops) > 10 {
@@ -70,8 +71,9 @@ func TestQuickVecFlipInvariant(t *testing.T) {
 		o := NewInt(sys, 0)
 		bit := false
 		for _, op := range ops {
-			out := o.Cas(0, int(op.Old%3), int(op.New%3), op.plan()...)
-			if out.Status.Linearized() && out.Resp {
+			old, new := int(op.Old%3), int(op.New%3)
+			out := o.Cas(0, old, new, op.plan()...)
+			if out.Status.Linearized() && out.Resp && old != new {
 				bit = !bit
 			}
 			if o.PeekPair().Bit(0) != bit {

@@ -13,7 +13,8 @@
 // CAS, and the bit stays flipped until p's next successful CAS. Upon
 // recovery, "vec[p] == RDp" therefore certifies that the crashed CAS
 // succeeded (return true); otherwise it either failed or never executed
-// (return fail).
+// (return fail). A Cas(x, x) succeeds by reading x and writes nothing:
+// flipping its bit would fail a concurrent Cas(x, y) on the vector alone.
 //
 // The object uses Θ(N) shared bits beyond the value — which Theorem 1
 // (reproduced in internal/model) proves asymptotically optimal.
@@ -138,9 +139,9 @@ func (o *CAS[V]) makeCasBody(pid int) func(*nvm.Ctx) bool {
 	return func(ctx *nvm.Ctx) bool {
 		old, new := o.casArgs[pid].old, o.casArgs[pid].new // staged arguments
 		cur := o.c.Load(ctx)                               // line 28
-		if cur.Val != old {                                // line 29
-			ann.SetResult(ctx, false) // line 30
-			return false              // line 31
+		if cur.Val != old || old == new {                  // line 29, and Cas(x, x)
+			ann.SetResult(ctx, cur.Val == old) // line 30
+			return cur.Val == old              // line 31
 		}
 		newvec := cur.Vec ^ 1<<uint(pid) // line 32: flip vec[p]
 		if !MutantDropRDPersist {
