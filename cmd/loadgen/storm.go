@@ -342,7 +342,7 @@ func (s *storm) work(pid int, spec mixSpec, stop <-chan struct{}, t *tally) erro
 					kk := next()
 					val := newVal()
 					entries = append(entries, shardkv.KV{Key: names[kk], Val: val})
-					ps = append(ps, log.begin(kk, true, val))
+					ps = append(ps, log.begin(kk, true, val, ps...))
 				}
 				var outs []runtime.Outcome[int]
 				if outs, err = tg.MultiPut(entries); err == nil {

@@ -78,12 +78,19 @@ func definite(s runtime.Status) bool {
 	return s.Linearized() || s == runtime.StatusFailed || s == runtime.StatusNotInvoked
 }
 
-// begin invokes a write of val (a DEL writes 0) or a read on key k.
-func (l *violationLog) begin(k int, write bool, val int) pending {
+// begin invokes a write of val (a DEL writes 0) or a read on key k, after
+// the writes of k among earlier, its request's entries the server runs first.
+func (l *violationLog) begin(k int, write bool, val int, earlier ...pending) pending {
 	kl := &l.keys[k]
 	kl.mu.Lock()
 	defer kl.mu.Unlock()
-	return pending{k, kl.reg.Invoke(write, val)}
+	p := pending{k, kl.reg.Invoke(write, val)}
+	for _, e := range earlier {
+		if e.k == k {
+			kl.reg.Before(e.op, p.op)
+		}
+	}
+	return p
 }
 
 // settle feeds p's outcome to its key's check and appends it to the key's

@@ -26,6 +26,7 @@ package linearize
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 
 	"detectable/internal/history"
@@ -56,6 +57,10 @@ type OpRecord struct {
 	// Crashed reports that the operation's interval contains at least one
 	// system-wide crash.
 	Crashed bool
+	// After is the set of records (bit i for recs[i]) this operation
+	// follows if both linearize, as a server runs a later write of one
+	// request after an earlier one on the same register.
+	After uint64
 }
 
 // String renders the record for diagnostics.
@@ -171,13 +176,15 @@ func Explain(obj spec.Object, recs []OpRecord) (bool, []OpRecord) {
 	if len(recs) > MaxOps {
 		panic(fmt.Sprintf("linearize: %d operations exceed the %d-op search limit; segment the history", len(recs), MaxOps))
 	}
-	mandatory := uint64(0)
+	s := &searcher{obj: obj, recs: recs, succ: make([]uint64, len(recs)), memo: map[string]bool{}}
 	for i, r := range recs {
 		if !r.Optional {
-			mandatory |= 1 << uint(i)
+			s.mandatory |= 1 << uint(i)
+		}
+		for ws := r.After; ws != 0; ws &= ws - 1 {
+			s.succ[bits.TrailingZeros64(ws)] |= 1 << uint(i)
 		}
 	}
-	s := &searcher{obj: obj, recs: recs, mandatory: mandatory, memo: map[string]bool{}}
 	var witness []OpRecord
 	if s.dfs(0, obj.Init(), &witness) {
 		return true, witness
@@ -214,6 +221,7 @@ func CheckLog(obj spec.Object, log *history.Log) (bool, Report, error) {
 type searcher struct {
 	obj       spec.Object
 	recs      []OpRecord
+	succ      []uint64 // by record: the records that follow it (After)
 	mandatory uint64
 	memo      map[string]bool
 }
@@ -246,6 +254,9 @@ func (s *searcher) dfs(done uint64, state string, witness *[]OpRecord) bool {
 		}
 		if r.Inv > minRet {
 			continue // some completed op must precede r
+		}
+		if r.After&s.mandatory&^done != 0 || s.succ[i]&done != 0 {
+			continue // a record r follows is still to come, or one following r came
 		}
 		next, resp := s.obj.Apply(state, r.Op)
 		if r.HasResp && resp != r.Resp {

@@ -59,6 +59,38 @@ func TestOverlappingWritesEitherOrder(t *testing.T) {
 	}
 }
 
+// TestOrderedWrites: two writes of one request, w1 ordered before w2, both
+// overlapping two reads. Reads of 1 then 2 are linearizable; 2 then 1 is
+// only without the order. A pending w1 may be left out, but not placed
+// after w2.
+func TestOrderedWrites(t *testing.T) {
+	reg := spec.Register{}
+	history := func(first, second int, pending bool) []OpRecord {
+		w1 := mandatoryOp(0, spec.NewOp(spec.MethodWrite, 1), spec.Ack, 0, 9)
+		if pending {
+			w1 = OpRecord{PID: 0, Op: w1.Op, Inv: 0, Ret: math.MaxInt, Optional: true}
+		}
+		w2 := mandatoryOp(1, spec.NewOp(spec.MethodWrite, 2), spec.Ack, 1, 8)
+		w2.After = 1 << 0
+		return []OpRecord{w1, w2,
+			mandatoryOp(2, spec.NewOp(spec.MethodRead), first, 2, 3),
+			mandatoryOp(2, spec.NewOp(spec.MethodRead), second, 4, 5),
+		}
+	}
+	for _, pending := range []bool{false, true} {
+		if !Check(reg, history(1, 2, pending)) {
+			t.Errorf("pending=%v: reads of 1 then 2 rejected", pending)
+		}
+		recs := history(2, 1, pending)
+		if Check(reg, recs) {
+			t.Errorf("pending=%v: reads of 2 then 1 accepted against the order", pending)
+		}
+		if recs[1].After = 0; !Check(reg, recs) {
+			t.Errorf("pending=%v: reads of 2 then 1 rejected without the order", pending)
+		}
+	}
+}
+
 func TestCASAtMostOneWinner(t *testing.T) {
 	cas := spec.CAS{}
 	// Two overlapping cas(0,1); both returning True is impossible.

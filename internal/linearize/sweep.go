@@ -19,9 +19,11 @@ import (
 // The frontier holds the configurations the history so far admits, in
 // families: one history of values, with each in-flight write live (not
 // linearized yet), maybe (if linearized, overwritten just before the
-// current value was written) or linearized. A read carries the values it
-// may have returned. A return keeps the families in which its operation
-// can linearize, reached by first linearizing other in-flight writes, so
+// current value was written), held (if linearized, just before a write
+// Before orders after it, as a server runs one request's writes; its
+// verdict says whether) or linearized. A read carries the values it may
+// have returned. A return keeps the families in which its operation can
+// linearize, reached by first linearizing other in-flight writes, so
 // concurrent writes cost a family per value they may leave current, not
 // one per order. An empty frontier is a violation: the check adopts the
 // return's claim and goes on. Past maxFamilies families merge, which may
@@ -42,16 +44,18 @@ type Sweep struct {
 }
 
 type sweepOp struct {
-	write bool
-	val   int // a write's value (0 for a DEL)
+	write      bool
+	val        int    // a write's value (0 for a DEL)
+	pred, succ uint64 // the in-flight writes ordered before and after it (Before)
 }
 
 // family is a set of configurations that share one history of values.
 type family struct {
 	val         int    // the current value
 	live, maybe uint64 // in-flight writes linearized in none, or in some, of its configurations
+	held        uint64 // in-flight writes linearized or never; read r may have seen w: pair ((w+1)<<6 | r, w's value)
 	crossed     uint64 // in-flight reads invoked before val was written
-	lo, hi      int    // seen: sorted (read slot, value) pairs in arena[lo:hi]
+	lo, hi      int32  // seen: sorted (read slot, value) pairs in arena[lo:hi]
 }
 
 // What ReadStale knows of a written value.
@@ -81,7 +85,7 @@ func (s *Sweep) Invoke(write bool, val int) int {
 	if op == len(s.ops) {
 		s.ops = append(s.ops, sweepOp{})
 	}
-	s.ops[op] = sweepOp{write, val}
+	s.ops[op] = sweepOp{write: write, val: val}
 	bit := uint64(1) << op
 	s.used |= bit
 	if !write {
@@ -101,6 +105,16 @@ func (s *Sweep) Invoke(write bool, val int) int {
 	return op
 }
 
+// Before orders write a before write b, as a server runs one request's
+// writes: if both linearize, a does first (transitively). Call it right
+// after b's Invoke, before any other event; the verdicts may come in any order.
+func (s *Sweep) Before(a, b int) {
+	s.ops[b].pred |= s.ops[a].pred | 1<<a
+	for ws := s.ops[b].pred; ws != 0; ws &= ws - 1 {
+		s.ops[bits.TrailingZeros64(ws)].succ |= 1 << b
+	}
+}
+
 // Return closes op with its outcome: linearized (a read with out.Resp),
 // failed or not invoked (no effect), or no verdict (a write stays in
 // flight for good, a read leaves). It returns "" or why the history is no
@@ -112,15 +126,20 @@ func (s *Sweep) Return(op int, out runtime.Outcome[int]) (why string) {
 		return "" // no verdict: in flight for good
 	}
 	defer func() { s.used &^= bit; s.reads &^= bit }()
+	for ws := o.pred | o.succ; ws != 0; ws &= ws - 1 { // unlink op; o keeps its masks
+		w := &s.ops[bits.TrailingZeros64(ws)]
+		w.pred, w.succ = w.pred&^bit, w.succ&^bit
+	}
 	if f := &s.front[0]; len(s.front) == 1 && lin && s.reads&^bit == 0 {
 		// One family and no other read in flight: a live write becomes
-		// current, and one linearized already, or a read of the current
-		// value, changes nothing else.
-		switch {
+		// current (see change), and one linearized already, or a read of
+		// the current value, changes nothing else.
+		switch open := (f.live | f.maybe) &^ bit; {
 		case o.write && f.live&bit != 0:
-			*f = family{val: o.val, maybe: (f.live | f.maybe) &^ bit}
+			*f = family{val: o.val, live: open & o.succ, maybe: open &^ o.succ &^ o.pred, held: f.held | open&o.pred}
 			return ""
-		case o.write && f.maybe&bit == 0:
+		case o.write && (f.live|f.maybe)&bit == 0:
+			f.held &^= bit
 			return ""
 		case !o.write && f.val == out.Resp:
 			f.crossed, f.hi = 0, f.lo
@@ -136,7 +155,10 @@ func (s *Sweep) Return(op int, out runtime.Outcome[int]) (why string) {
 			case f.maybe&bit != 0:
 				s.change(f, bit, o.val, -1)
 				f.maybe &^= bit // or it was overwritten already
-				s.emit(f, s.edit(s.seen(f), -1, f.crossed, o.val))
+				s.settle(f, s.edit(s.seen(f), -1, f.crossed, o.val), o.pred&f.maybe, f.crossed)
+			case f.held&bit != 0:
+				f.held &^= bit
+				s.emit(f, firm(s.seen(f), op, true))
 			default:
 				s.emit(f, s.seen(f))
 			}
@@ -149,9 +171,9 @@ func (s *Sweep) Return(op int, out runtime.Outcome[int]) (why string) {
 			s.vals[o.val] = failed
 		}
 		for _, f := range s.front {
-			if (f.live|f.maybe)&bit != 0 || why != "" {
-				f.live, f.maybe = f.live&^bit, f.maybe&^bit
-				s.emit(f, s.seen(f))
+			if (f.live|f.maybe|f.held)&bit != 0 || why != "" {
+				f.live, f.maybe, f.held = f.live&^bit, f.maybe&^bit, f.held&^bit
+				s.emit(f, firm(s.seen(f), op, false))
 			}
 		}
 		if len(s.next) == 0 {
@@ -182,12 +204,19 @@ func (s *Sweep) read(op, resp int) (why string) {
 		g.crossed &^= bit
 		if hasPair(seen, op, resp) {
 			s.emit(g, s.edit(seen, op, 0, 0))
-		} else if f.crossed&bit != 0 {
-			for ws := f.maybe; ws != 0; ws &= ws - 1 {
+		} else {
+			for ws := f.held; ws != 0; ws &= ws - 1 {
+				if w := bits.TrailingZeros64(ws); hasPair(seen, (w+1)<<6|op, resp) {
+					h := g // a held write op may have seen linearized
+					h.held &^= 1 << w
+					s.emit(h, s.edit(firm(seen, w, true), op, 0, 0))
+				}
+			}
+			for ws := f.maybe; ws != 0 && f.crossed&bit != 0; ws &= ws - 1 {
 				if y := bits.TrailingZeros64(ws); s.ops[y].val == resp {
-					h := g
+					h := g // a maybe write overwritten after op was invoked
 					h.maybe &^= 1 << y
-					s.emit(h, s.edit(seen, op, g.crossed, resp))
+					s.settle(h, s.edit(seen, op, g.crossed, resp), s.ops[y].pred&h.maybe, g.crossed)
 				}
 			}
 		}
@@ -236,16 +265,60 @@ func (s *Sweep) ReadStale(v int) (why string) {
 	return ""
 }
 
-// change emits f after linearizing write x (a bit) of value val now: every
-// other live write may be overwritten first, and every in-flight read but
-// gone has seen val.
+// change emits f after linearizing write x (a bit) of value val now:
+// every other live write may be overwritten first, but those ordered after
+// x stay live and those ordered before it are held; every in-flight read
+// but gone has seen val. No write ordered after a live or maybe one has
+// linearized: it held that one when it did.
 func (s *Sweep) change(f family, x uint64, val, gone int) {
+	o := &s.ops[bits.TrailingZeros64(x)]
 	rs := s.reads
 	if gone >= 0 {
 		rs &^= 1 << gone
 	}
-	g := family{val: val, maybe: (f.live | f.maybe) &^ x, crossed: rs}
-	s.emit(g, s.edit(s.seen(f), gone, rs, val))
+	open := (f.live | f.maybe) &^ x
+	g := family{val: val, live: open & o.succ, maybe: open &^ o.succ, held: f.held, crossed: rs}
+	seen := s.edit(s.seen(f), gone, rs, val)
+	if o.pred&open != 0 { // settle, without its call in the common case
+		g, seen = s.hold(g, seen, o.pred&open, rs)
+	}
+	s.emit(g, seen)
+}
+
+// settle emits g with the writes in ws, ordered before one that has just
+// linearized, held: each linearized just before it, where the reads in rs
+// may have seen it, or never, as its verdict will say.
+func (s *Sweep) settle(g family, seen []int, ws, rs uint64) {
+	if ws != 0 {
+		g, seen = s.hold(g, seen, ws, rs)
+	}
+	s.emit(g, seen)
+}
+
+func (s *Sweep) hold(g family, seen []int, ws, rs uint64) (family, []int) {
+	g.live, g.maybe, g.held = g.live&^ws, g.maybe&^ws, g.held|ws
+	var maySee []int
+	for ; ws != 0 && rs != 0; ws &= ws - 1 {
+		w := bits.TrailingZeros64(ws)
+		for r := rs; r != 0; r &= r - 1 {
+			maySee = append(maySee, (w+1)<<6|bits.TrailingZeros64(r), s.ops[w].val)
+		}
+	}
+	return g, union(seen, maySee)
+}
+
+// firm returns seen with the pairs of held write w's readers made those of
+// a linearized write, or dropped.
+func firm(seen []int, w int, lin bool) (keep []int) {
+	var made []int
+	for i := 0; i < len(seen); i += 2 {
+		if seen[i]>>6 != w+1 {
+			keep = append(keep, seen[i], seen[i+1])
+		} else if lin {
+			made = append(made, seen[i]&63, seen[i+1])
+		}
+	}
+	return union(keep, made)
 }
 
 func (s *Sweep) seen(f family) []int { return s.arena[f.lo:f.hi] }
@@ -257,7 +330,7 @@ func (s *Sweep) seen(f family) []int { return s.arena[f.lo:f.hi] }
 func (s *Sweep) emit(f family, seen []int) {
 	for i := 0; i < len(s.next); i++ {
 		g := &s.next[i]
-		if g.val != f.val || g.live != f.live || g.maybe != f.maybe {
+		if g.val != f.val || g.live != f.live || g.maybe != f.maybe || g.held != f.held {
 			continue
 		}
 		had := s.spare[g.lo:g.hi]
@@ -269,9 +342,9 @@ func (s *Sweep) emit(f family, seen []int) {
 			i--
 		}
 	}
-	f.lo = len(s.spare)
+	f.lo = int32(len(s.spare))
 	s.spare = append(s.spare, seen...)
-	f.hi = len(s.spare)
+	f.hi = int32(len(s.spare))
 	s.next = append(s.next, f)
 }
 
@@ -289,14 +362,17 @@ func (s *Sweep) flip() {
 		if slices.ContainsFunc(s.front[:i], func(g family) bool { return g.val == f.val }) {
 			continue
 		}
-		seen := slices.Clone(s.seen(f))
+		seen, held := slices.Clone(s.seen(f)), f.held
 		for _, g := range s.front[i+1:] {
 			if g.val == f.val {
-				all := f.live | f.maybe | g.live | g.maybe
-				f.live &= g.live
-				f.maybe, f.crossed = all&^f.live, f.crossed|g.crossed
+				all := f.live | f.maybe | f.held | g.live | g.maybe | g.held
+				f.live, f.held, held = f.live&g.live, f.held&g.held, held|g.held
+				f.maybe, f.crossed = all&^f.live&^f.held, f.crossed|g.crossed
 				seen = union(seen, s.seen(g))
 			}
+		}
+		for ws := held &^ f.held; ws != 0; ws &= ws - 1 {
+			seen = firm(seen, bits.TrailingZeros64(ws), true)
 		}
 		s.emit(f, seen)
 	}
@@ -313,8 +389,8 @@ func (s *Sweep) Merges() int { return s.merges }
 func (s *Sweep) edit(seen []int, gone int, add uint64, val int) []int {
 	out := s.tmp[:0]
 	for i := 0; i < len(seen) || add != 0; {
-		r := bits.TrailingZeros64(add) // 64 once add is empty
-		if i < len(seen) && seen[i] < r {
+		r := bits.TrailingZeros64(add) // 64 once add is empty, below held writes' readers' keys
+		if i < len(seen) && (seen[i] < r || add == 0) {
 			r = seen[i]
 		}
 		in := add&(1<<r) != 0
@@ -325,7 +401,7 @@ func (s *Sweep) edit(seen []int, gone int, add uint64, val int) []int {
 				}
 				in = false
 			}
-			if r != gone {
+			if r&63 != gone {
 				out = append(out, r, seen[i+1])
 			}
 		}
@@ -363,6 +439,9 @@ func subset(a, b []int) bool {
 
 // union returns the pairs of a and of b.
 func union(a, b []int) []int {
+	if len(b) == 0 {
+		return a
+	}
 	out := make([]int, 0, len(a)+len(b))
 	for len(a) > 0 || len(b) > 0 {
 		switch {

@@ -57,7 +57,8 @@ type CASConfig struct {
 	// Adversary bookkeeping (not memory; part of the exploration state).
 	OpIdx     [MaxProcs]int8
 	InOp      [MaxProcs]bool
-	Succeeded [MaxProcs]bool // ground truth: current op's CAS succeeded
+	Succeeded [MaxProcs]bool // ground truth: current op linearized true (its CAS succeeded, or C held Old at an identity CAS's load)
+	Differed  [MaxProcs]bool // ground truth: C's value differed from the current op's Old at some point of it
 	Crashes   int8
 }
 
@@ -80,6 +81,9 @@ type CASMachine struct {
 	// Ann.result and Ann.CP (Theorem 2's hypothetical). With this flag the
 	// explorer is expected to find detectability violations.
 	NoAux bool
+	// AsPrinted runs a Cas(x, x) through lines 32–37, flipping vec[p], as
+	// Algorithm 2 prints them; else line 29 sends it to line 30, as rcas does.
+	AsPrinted bool
 }
 
 // Init returns the initial configuration.
@@ -134,6 +138,7 @@ func (m *CASMachine) step(c CASConfig, p int) (CASConfig, bool, error) {
 		// machine leaves the stale values in place.
 		c.InOp[p] = true
 		c.Succeeded[p] = false
+		c.Differed[p] = c.Val != m.op(c, p).Old
 		if !m.NoAux {
 			c.AnnRes[p] = resBot
 			c.AnnCP[p] = 0
@@ -144,16 +149,20 @@ func (m *CASMachine) step(c CASConfig, p int) (CASConfig, bool, error) {
 	case pc28: // ⟨val, vec⟩ := C
 		c.LVal[p], c.LVec[p] = c.Val, c.Vec
 		op := m.op(c, p)
-		if c.LVal[p] != op.Old {
+		if c.LVal[p] != op.Old || op.Old == op.New && !m.AsPrinted {
 			c.PC[p] = pc30
 		} else {
 			c.PC[p] = pc33
 		}
 		return c, true, nil
 
-	case pc30: // Ann.result := false; return false
-		c.AnnRes[p] = resFalse
-		return m.complete(c, p, resFalse, false)
+	case pc30: // Ann.result := (val = old); return it — true only for an identity CAS
+		res := resFalse
+		if c.LVal[p] == m.op(c, p).Old {
+			res, c.Succeeded[p] = resTrue, true
+		}
+		c.AnnRes[p] = res
+		return m.complete(c, p, res)
 
 	case pc33: // RDp := newvec[p]
 		c.RD[p] = c.LVec[p]&bit == 0 // flipped bit value
@@ -172,6 +181,9 @@ func (m *CASMachine) step(c CASConfig, p int) (CASConfig, bool, error) {
 			c.Vec = c.LVec[p] ^ bit
 			c.Succeeded[p] = true
 			c.Res[p] = resTrue
+			for q := 0; q < m.N; q++ {
+				c.Differed[q] = c.Differed[q] || c.InOp[q] && m.op(c, q).Old != op.New
+			}
 		} else {
 			c.Res[p] = resFalse
 		}
@@ -180,62 +192,50 @@ func (m *CASMachine) step(c CASConfig, p int) (CASConfig, bool, error) {
 
 	case pc36: // Ann.result := res; return res
 		c.AnnRes[p] = c.Res[p]
-		return m.complete(c, p, c.Res[p], false)
+		return m.complete(c, p, c.Res[p])
 
 	case pc38: // recovery: persisted result?
 		if c.AnnRes[p] != resBot {
-			return m.complete(c, p, c.AnnRes[p], true)
+			return m.complete(c, p, c.AnnRes[p])
 		}
 		c.PC[p] = pc40
 		return c, true, nil
 
 	case pc40: // recovery: CP = 0 → fail
 		if c.AnnCP[p] == 0 {
-			return m.completeFail(c, p)
+			return m.complete(c, p, resBot)
 		}
 		c.PC[p] = pc42
 		return c, true, nil
 
 	case pc42: // recovery: ⟨val,vec⟩ := C; vec[p] ≠ RDp → fail
 		if (c.Vec&bit != 0) != c.RD[p] {
-			return m.completeFail(c, p)
+			return m.complete(c, p, resBot)
 		}
 		c.PC[p] = pc45
 		return c, true, nil
 
 	case pc45: // recovery: Ann.result := true; return true
 		c.AnnRes[p] = resTrue
-		return m.complete(c, p, resTrue, true)
+		return m.complete(c, p, resTrue)
 
 	default:
 		return c, false, fmt.Errorf("model: p%d at unknown pc %d", p, c.PC[p])
 	}
 }
 
-// complete finishes p's current operation with the given verdict, checking
-// it against the ground truth.
-func (m *CASMachine) complete(c CASConfig, p int, verdict int8, recovered bool) (CASConfig, bool, error) {
-	switch verdict {
-	case resTrue:
-		if !c.Succeeded[p] {
-			return c, false, Violation{PID: p, Verdict: "true", Detail: "its CAS never succeeded"}
-		}
-	case resFalse:
-		if c.Succeeded[p] {
-			return c, false, Violation{PID: p, Verdict: "false", Detail: "its CAS succeeded"}
-		}
-	}
-	_ = recovered
-	c.InOp[p] = false
-	c.OpIdx[p]++
-	c.PC[p] = pcIdle
-	return c, true, nil
-}
-
-// completeFail finishes p's operation with the fail verdict: the operation
-// must not have taken effect.
-func (m *CASMachine) completeFail(c CASConfig, p int) (CASConfig, bool, error) {
-	if c.Succeeded[p] {
+// complete finishes p's current operation with the given verdict (resBot:
+// fail, which must have had no effect), checking it against the ground
+// truth.
+func (m *CASMachine) complete(c CASConfig, p int, verdict int8) (CASConfig, bool, error) {
+	switch {
+	case verdict == resTrue && !c.Succeeded[p]:
+		return c, false, Violation{PID: p, Verdict: "true", Detail: "its CAS never succeeded"}
+	case verdict == resFalse && c.Succeeded[p]:
+		return c, false, Violation{PID: p, Verdict: "false", Detail: "its CAS succeeded"}
+	case verdict == resFalse && !c.Differed[p]:
+		return c, false, Violation{PID: p, Verdict: "false", Detail: "C held its old value throughout"}
+	case verdict == resBot && c.Succeeded[p]:
 		return c, false, Violation{PID: p, Verdict: "fail", Detail: "its CAS succeeded (operation was linearized)"}
 	}
 	c.InOp[p] = false
@@ -273,14 +273,15 @@ func CheckCAS(m *CASMachine, limit int) (states int, sharedConfigs int, err erro
 	return states, len(shared), err
 }
 
-// ConfigCount runs the Theorem 1 experiment: N processes each perform one
-// Cas(0, 0) (a value-preserving successful CAS that flips the process's
-// vector bit); exploring all interleavings realizes every subset of flipped
+// ConfigCount runs the Theorem 1 experiment: N processes each perform
+// Cas(0, 1) then Cas(1, 0). Each successful CAS flips its process's vector
+// bit, so vec[p] is the parity of p's successes and Val their total
+// parity; exploring all interleavings realizes every subset of flipped
 // bits, so the count of memory-distinct configurations must reach 2^N.
 func ConfigCount(n int) (int, error) {
 	scripts := make([][]OpCAS, n)
 	for p := range scripts {
-		scripts[p] = []OpCAS{{Old: 0, New: 0}}
+		scripts[p] = []OpCAS{{Old: 0, New: 1}, {Old: 1, New: 0}}
 	}
 	m := &CASMachine{N: n, Scripts: scripts}
 	_, sharedConfigs, err := CheckCAS(m, 1<<22)

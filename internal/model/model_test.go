@@ -53,6 +53,26 @@ func TestCASExhaustiveDetectability(t *testing.T) {
 	}
 }
 
+// TestIdentityCASFlipConvicted: Algorithm 2 as printed runs a Cas(0, 0)
+// through the swap, flipping vec[p], so a concurrent Cas(0, 1) can fail on
+// the vector alone while C holds 0 throughout; checking a false verdict
+// against the CAS specification convicts that. Sending the identity CAS to
+// line 30, as internal/rcas does, explores cleanly.
+func TestIdentityCASFlipConvicted(t *testing.T) {
+	scripts := [][]OpCAS{{{0, 1}}, {{0, 0}}}
+	m := &CASMachine{N: 2, Scripts: scripts, MaxCrashes: 1, AsPrinted: true}
+	states, _, err := CheckCAS(m, 1<<22)
+	var v Violation
+	if !errors.As(err, &v) || v.Verdict != "false" {
+		t.Fatalf("as printed: no false-verdict violation after %d states (err=%v)", states, err)
+	}
+	t.Logf("as printed, after %d states: %v", states, v)
+	m.AsPrinted = false
+	if _, _, err := CheckCAS(m, 1<<22); err != nil {
+		t.Fatalf("identity CAS to line 30: %v", err)
+	}
+}
+
 // TestTheorem2CASAblation removes the auxiliary state (the caller's reset
 // of Ann.result and Ann.CP between invocations) and checks the explorer
 // finds a detectability violation — the concrete counterpart of the

@@ -179,7 +179,7 @@ func (m *RWMachine) step(c RWConfig, p int) (RWConfig, bool, error) {
 
 	case rw12: // Ann.result := ack; return
 		c.AnnRes[p] = 1
-		return m.completeAck(c, p)
+		return m.complete(c, p, true)
 
 	case rw14: // recovery: ⟨mtoggle, qval, q, qtoggle⟩ := RDp
 		c.DMT[p], c.DVal[p], c.DQ[p], c.DT[p] = c.RDmt[p], c.RDqval[p], c.RDq[p], c.RDqt[p]
@@ -188,7 +188,7 @@ func (m *RWMachine) step(c RWConfig, p int) (RWConfig, bool, error) {
 
 	case rw15: // recovery: result persisted → ack
 		if c.AnnRes[p] != 0 {
-			return m.completeAck(c, p)
+			return m.complete(c, p, true)
 		}
 		c.PC[p] = rw17
 		return c, true, nil
@@ -196,7 +196,7 @@ func (m *RWMachine) step(c RWConfig, p int) (RWConfig, bool, error) {
 	case rw17: // recovery: CP = 0 → fail; CP = 1 → line 20; CP = 2 → line 22
 		switch c.AnnCP[p] {
 		case 0:
-			return m.completeFail(c, p)
+			return m.complete(c, p, false)
 		case 1:
 			c.PC[p] = rw20
 		default:
@@ -214,7 +214,7 @@ func (m *RWMachine) step(c RWConfig, p int) (RWConfig, bool, error) {
 
 	case rw21: // recovery: A[p][q][1-qtoggle] = 0 → fail
 		if !c.A[p][c.DQ[p]][1-c.DT[p]] {
-			return m.completeFail(c, p)
+			return m.complete(c, p, false)
 		}
 		c.PC[p] = rw22
 		return c, true, nil
@@ -240,32 +240,24 @@ func (m *RWMachine) step(c RWConfig, p int) (RWConfig, bool, error) {
 
 	case rw26: // recovery: Ann.result := ack; return
 		c.AnnRes[p] = 1
-		return m.completeAck(c, p)
+		return m.complete(c, p, true)
 
 	default:
 		return c, false, fmt.Errorf("model: p%d at unknown pc %d", p, c.PC[p])
 	}
 }
 
-// completeAck finishes p's write with the ack verdict: the write must be
-// linearizable, i.e. p stored to R itself, or some store to R happened
-// after p's invocation (so the write linearizes immediately before that
-// overwriting operation — claim 1 in the proof of Lemma 1).
-func (m *RWMachine) completeAck(c RWConfig, p int) (RWConfig, bool, error) {
-	if !c.WroteR[p] && c.RVer == c.VerAtStart[p] {
+// complete finishes p's write with its verdict, as the proof of Lemma 1
+// requires: an ack needs p's own store to R, or a store to R after p's
+// invocation (claim 1: the write linearizes immediately before that
+// overwriting operation); a fail needs the write to have had no effect
+// (claim 2).
+func (m *RWMachine) complete(c RWConfig, p int, ack bool) (RWConfig, bool, error) {
+	switch {
+	case ack && !c.WroteR[p] && c.RVer == c.VerAtStart[p]:
 		return c, false, Violation{PID: p, Verdict: "ack",
 			Detail: "it never wrote R and no other write was linearized in its interval"}
-	}
-	c.InOp[p] = false
-	c.OpIdx[p]++
-	c.PC[p] = rwIdle
-	return c, true, nil
-}
-
-// completeFail finishes p's write with the fail verdict: the write must not
-// have taken effect (claim 2 in the proof of Lemma 1).
-func (m *RWMachine) completeFail(c RWConfig, p int) (RWConfig, bool, error) {
-	if c.WroteR[p] {
+	case !ack && c.WroteR[p]:
 		return c, false, Violation{PID: p, Verdict: "fail", Detail: "it wrote R (operation was linearized)"}
 	}
 	c.InOp[p] = false
