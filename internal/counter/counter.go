@@ -19,13 +19,12 @@ import (
 
 // Counter is an N-process recoverable counter with exactly-once increments.
 type Counter struct {
-	sys *runtime.System
 	cas *rcas.CAS[int]
 }
 
 // New allocates a counter (initially 0) in sys's memory space.
 func New(sys *runtime.System) *Counter {
-	return &Counter{sys: sys, cas: rcas.NewInt(sys, 0)}
+	return &Counter{cas: rcas.NewInt(sys, 0)}
 }
 
 // Inc increments the counter exactly once as process pid and returns the
@@ -49,24 +48,6 @@ func (c *Counter) Inc(pid int, plans ...nvm.CrashPlan) int {
 		}
 		// StatusFailed / StatusNotInvoked: not linearized, safe to retry.
 		// Linearized false: lost a race, reread and retry.
-	}
-}
-
-// IncArmed is Inc with plan armed on every Execute of the retry loop — the
-// reads, the CAS attempts and all of their recovery re-entries — so a
-// controlled scheduler (internal/explore) observes every primitive of the
-// composed operation. It returns the new value.
-func (c *Counter) IncArmed(pid int, plan nvm.CrashPlan) int {
-	for {
-		rd := runtime.ExecuteArmed(c.sys, pid, c.cas.ReadOp(pid), plan)
-		if !rd.Status.Linearized() {
-			continue
-		}
-		cur := rd.Resp
-		out := runtime.ExecuteArmed(c.sys, pid, c.cas.CasOp(pid, cur, cur+1), plan)
-		if out.Status.Linearized() && out.Resp {
-			return cur + 1
-		}
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // the hooks: a primitive has one body, so the same operation sequence must
 // behave identically with a nil plan and with a NeverCrash plan consulted
 // before every primitive. Each harness runs a deterministic round-robin
-// sequence over 3 processes on two fresh instances, one armed and one not,
-// and the test demands identical per-operation
-// responses and statuses, an event-identical history, and equal
-// linearizability verdicts and detectability reports.
+// sequence over 3 processes on two fresh instances, one armed (Sys.Arm)
+// and one not, and the test demands identical per-operation responses and
+// statuses, an event-identical history, and equal linearizability verdicts
+// and detectability reports.
 func TestDifferentialFastVsArmed(t *testing.T) {
 	for _, h := range explore.Harnesses() {
 		t.Run(h.Name, func(t *testing.T) {
@@ -25,14 +25,17 @@ func TestDifferentialFastVsArmed(t *testing.T) {
 			prog := h.DefaultProgram(procs, ops)
 			fast := h.Build(procs)
 			armed := h.Build(procs)
+			for p := 0; p < procs; p++ {
+				armed.Sys.Arm(p, nvm.NeverCrash())
+			}
 			for k := 0; k < ops; k++ {
 				for p := 0; p < procs; p++ {
 					if k >= len(prog[p]) {
 						continue
 					}
 					op := prog[p][k]
-					fResp, fSt := fast.Run(p, op, nil)
-					aResp, aSt := armed.Run(p, op, nvm.NeverCrash())
+					fResp, fSt := fast.Run(p, op)
+					aResp, aSt := armed.Run(p, op)
 					if fResp != aResp || fSt != aSt {
 						t.Fatalf("p%d %s diverged: fast (%d, %s) vs armed (%d, %s)",
 							p, op, fResp, fSt, aResp, aSt)

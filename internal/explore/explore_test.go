@@ -22,9 +22,12 @@ const (
 // including crashes during recovery re-entries of the interrupted attempt),
 // and every schedule with at most 1 preemption — executed literally, since
 // finite-bound searches forgo sleep-set pruning. The search must complete
-// (not stop on budget), find no counterexample, and report no
-// infrastructure error.
+// (not stop on budget), find no counterexample, report no infrastructure
+// error, and run exactly the pinned number of executions: the schedule
+// space of each object's shipped methods at this bound.
 func TestBoundedComplete(t *testing.T) {
+	want := map[string]int{"counter": 6802, "maxreg": 624, "queue": 4790,
+		"rcas": 1327, "rw": 3620, "shardkv": 3620, "tas": 2184}
 	for _, h := range explore.Harnesses() {
 		t.Run(h.Name, func(t *testing.T) {
 			prog := h.DefaultProgram(2, 2)
@@ -42,6 +45,9 @@ func TestBoundedComplete(t *testing.T) {
 			}
 			if !res.Complete {
 				t.Fatalf("search stopped before completing the bound: %+v", res.Stats)
+			}
+			if res.Stats.Executions != want[h.Name] {
+				t.Fatalf("%d executions, want %d", res.Stats.Executions, want[h.Name])
 			}
 			t.Logf("%d executions (%d cutoffs, %d sleep skips) in %v",
 				res.Stats.Executions, res.Stats.Cutoffs, res.Stats.SleepSkips, res.Elapsed)

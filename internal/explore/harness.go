@@ -6,7 +6,6 @@ import (
 
 	"detectable/internal/counter"
 	"detectable/internal/maxreg"
-	"detectable/internal/nvm"
 	"detectable/internal/queue"
 	"detectable/internal/rcas"
 	"detectable/internal/runtime"
@@ -34,17 +33,17 @@ func (p Program) NumOps() int {
 }
 
 // Instance is one freshly built system under exploration: the runtime
-// system whose history log is checked, the sequential specification to
-// check it against, a Run function executing one program operation with a
-// scheduler plan armed on every attempt, and a crash injector.
+// system whose history log is checked (and on which the scheduler arms its
+// processes), the sequential specification to check it against, a Run
+// function executing one program operation through the object's own
+// method, and a crash injector.
 type Instance struct {
 	Sys *runtime.System
 	Obj spec.Object
-	// Run executes one program operation as pid with plan armed on every
-	// attempt (pass nil to run without hooks, as production does and the
-	// differential tests do). It returns the operation's encoded response
-	// and detectable status.
-	Run   func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status)
+	// Run executes one program operation as pid and returns its encoded
+	// response and detectable status. Whatever plan Sys has armed for pid
+	// is consulted on every attempt; an unarmed pid runs as production does.
+	Run   func(pid int, op spec.Operation) (int, runtime.Status)
 	Crash func()
 }
 
@@ -81,11 +80,48 @@ func mix(procs, ops int, mutate func(p, k int) spec.Operation, observe func(p, k
 
 func read(int, int) spec.Operation { return spec.NewOp(spec.MethodRead) }
 
+// writesAndReads is the program of a register-like object: method with a
+// distinct value, alternating with reads.
+func writesAndReads(method string) func(procs, ops int) Program {
+	return func(procs, ops int) Program {
+		return mix(procs, ops, func(p, k int) spec.Operation {
+			return spec.NewOp(method, val(p, ops, k))
+		}, read)
+	}
+}
+
 // must panics on operations a harness does not understand — a programming
 // error in the Program, not a checkable property.
 func must(op spec.Operation, cond bool) {
 	if !cond {
 		panic(fmt.Sprintf("explore: harness cannot run operation %s", op))
+	}
+}
+
+// methods maps a program operation's method to the object method that runs
+// it, returning the encoded response and the detectable status.
+type methods map[string]func(pid int, args []int) (int, runtime.Status)
+
+// run executes op through its method in ms.
+func (ms methods) run(pid int, op spec.Operation) (int, runtime.Status) {
+	m, ok := ms[op.Method]
+	must(op, ok)
+	return m(pid, op.Args)
+}
+
+// ints is the result of a method with an integer response.
+func ints(out runtime.Outcome[int]) (int, runtime.Status) { return out.Resp, out.Status }
+
+// object is the harness of one object allocated in a fresh system of its
+// own: build allocates it and returns its method table.
+func object(name string, obj spec.Object, build func(sys *runtime.System) methods, prog func(procs, ops int) Program) Harness {
+	return Harness{
+		Name: name,
+		Build: func(procs int) *Instance {
+			sys := runtime.NewSystem(procs)
+			return &Instance{Sys: sys, Obj: obj, Run: build(sys).run, Crash: sys.Crash}
+		},
+		DefaultProgram: prog,
 	}
 }
 
@@ -108,207 +144,93 @@ func ByName(name string) (Harness, error) {
 }
 
 func rwHarness() Harness {
-	return Harness{
-		Name: "rw",
-		Build: func(procs int) *Instance {
-			sys := runtime.NewSystem(procs)
-			reg := rw.NewInt(sys, 0)
-			return &Instance{
-				Sys: sys, Obj: spec.Register{},
-				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {
-					switch op.Method {
-					case spec.MethodWrite:
-						out := runtime.ExecuteArmed(sys, pid, reg.WriteOp(pid, op.Args[0]), plan)
-						return out.Resp, out.Status
-					case spec.MethodRead:
-						out := runtime.ExecuteArmed(sys, pid, reg.ReadOp(pid), plan)
-						return out.Resp, out.Status
-					default:
-						must(op, false)
-						return 0, 0
-					}
-				},
-				Crash: func() { sys.Crash() },
-			}
-		},
-		DefaultProgram: func(procs, ops int) Program {
-			return mix(procs, ops, func(p, k int) spec.Operation {
-				return spec.NewOp(spec.MethodWrite, val(p, ops, k))
-			}, read)
-		},
-	}
+	return object("rw", spec.Register{}, func(sys *runtime.System) methods {
+		reg := rw.NewInt(sys, 0)
+		return methods{
+			spec.MethodWrite: func(pid int, a []int) (int, runtime.Status) { return ints(reg.Write(pid, a[0])) },
+			spec.MethodRead:  func(pid int, _ []int) (int, runtime.Status) { return ints(reg.Read(pid)) },
+		}
+	}, writesAndReads(spec.MethodWrite))
 }
 
 func rcasHarness() Harness {
-	return Harness{
-		Name: "rcas",
-		Build: func(procs int) *Instance {
-			sys := runtime.NewSystem(procs)
-			cas := rcas.NewInt(sys, 0)
-			return &Instance{
-				Sys: sys, Obj: spec.CAS{},
-				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {
-					switch op.Method {
-					case spec.MethodCAS:
-						out := runtime.ExecuteArmed(sys, pid, cas.CasOp(pid, op.Args[0], op.Args[1]), plan)
-						return runtime.EncodeBool(out.Resp), out.Status
-					case spec.MethodRead:
-						out := runtime.ExecuteArmed(sys, pid, cas.ReadOp(pid), plan)
-						return out.Resp, out.Status
-					default:
-						must(op, false)
-						return 0, 0
-					}
-				},
-				Crash: func() { sys.Crash() },
+	return object("rcas", spec.CAS{}, func(sys *runtime.System) methods {
+		cas := rcas.NewInt(sys, 0)
+		return methods{
+			spec.MethodCAS: func(pid int, a []int) (int, runtime.Status) {
+				out := cas.Cas(pid, a[0], a[1])
+				return runtime.EncodeBool(out.Resp), out.Status
+			},
+			spec.MethodRead: func(pid int, _ []int) (int, runtime.Status) { return ints(cas.Read(pid)) },
+		}
+	}, func(procs, ops int) Program {
+		// Every CAS targets old value 0, so the processes race for the
+		// first swap, process 1's an identity Cas(0, 0); later CASes
+		// exercise the failure path.
+		return mix(procs, ops, func(p, k int) spec.Operation {
+			if p == 1 && k == 0 {
+				return spec.NewOp(spec.MethodCAS, 0, 0)
 			}
-		},
-		DefaultProgram: func(procs, ops int) Program {
-			// Every CAS targets old value 0, so the processes race for the
-			// first swap, process 1's an identity Cas(0, 0); later CASes
-			// exercise the failure path.
-			return mix(procs, ops, func(p, k int) spec.Operation {
-				if p == 1 && k == 0 {
-					return spec.NewOp(spec.MethodCAS, 0, 0)
-				}
-				return spec.NewOp(spec.MethodCAS, 0, val(p, ops, k))
-			}, read)
-		},
-	}
+			return spec.NewOp(spec.MethodCAS, 0, val(p, ops, k))
+		}, read)
+	})
 }
 
 func tasHarness() Harness {
-	return Harness{
-		Name: "tas",
-		Build: func(procs int) *Instance {
-			sys := runtime.NewSystem(procs)
-			t := tas.New(sys)
-			return &Instance{
-				Sys: sys, Obj: spec.TAS{},
-				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {
-					switch op.Method {
-					case spec.MethodTAS:
-						out := runtime.ExecuteArmed(sys, pid, t.TestAndSetOp(pid), plan)
-						return out.Resp, out.Status
-					case spec.MethodReset:
-						out := runtime.ExecuteArmed(sys, pid, t.ResetOp(pid), plan)
-						return out.Resp, out.Status
-					default:
-						must(op, false)
-						return 0, 0
-					}
-				},
-				Crash: func() { sys.Crash() },
-			}
-		},
-		DefaultProgram: func(procs, ops int) Program {
-			return mix(procs, ops, func(int, int) spec.Operation {
-				return spec.NewOp(spec.MethodTAS)
-			}, func(int, int) spec.Operation {
-				return spec.NewOp(spec.MethodReset)
-			})
-		},
-	}
+	return object("tas", spec.TAS{}, func(sys *runtime.System) methods {
+		t := tas.New(sys)
+		return methods{
+			spec.MethodTAS:   func(pid int, _ []int) (int, runtime.Status) { return ints(t.TestAndSet(pid)) },
+			spec.MethodReset: func(pid int, _ []int) (int, runtime.Status) { return ints(t.Reset(pid)) },
+		}
+	}, func(procs, ops int) Program {
+		return mix(procs, ops, func(int, int) spec.Operation {
+			return spec.NewOp(spec.MethodTAS)
+		}, func(int, int) spec.Operation {
+			return spec.NewOp(spec.MethodReset)
+		})
+	})
 }
 
 func maxregHarness() Harness {
-	return Harness{
-		Name: "maxreg",
-		Build: func(procs int) *Instance {
-			sys := runtime.NewSystem(procs)
-			m := maxreg.New(sys)
-			return &Instance{
-				Sys: sys, Obj: spec.MaxRegister{},
-				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {
-					switch op.Method {
-					case spec.MethodWriteMax:
-						out := runtime.ExecuteArmed(sys, pid, m.WriteMaxOp(pid, op.Args[0]), plan)
-						return out.Resp, out.Status
-					case spec.MethodRead:
-						out := runtime.ExecuteArmed(sys, pid, m.ReadOp(pid), plan)
-						return out.Resp, out.Status
-					default:
-						must(op, false)
-						return 0, 0
-					}
-				},
-				Crash: func() { sys.Crash() },
-			}
-		},
-		DefaultProgram: func(procs, ops int) Program {
-			return mix(procs, ops, func(p, k int) spec.Operation {
-				return spec.NewOp(spec.MethodWriteMax, val(p, ops, k))
-			}, read)
-		},
-	}
+	return object("maxreg", spec.MaxRegister{}, func(sys *runtime.System) methods {
+		m := maxreg.New(sys)
+		return methods{
+			spec.MethodWriteMax: func(pid int, a []int) (int, runtime.Status) { return ints(m.WriteMax(pid, a[0])) },
+			spec.MethodRead:     func(pid int, _ []int) (int, runtime.Status) { return ints(m.Read(pid)) },
+		}
+	}, writesAndReads(spec.MethodWriteMax))
 }
 
 func queueHarness() Harness {
-	return Harness{
-		Name: "queue",
-		Build: func(procs int) *Instance {
-			sys := runtime.NewSystem(procs)
-			q := queue.New(sys)
-			return &Instance{
-				Sys: sys, Obj: spec.Queue{},
-				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {
-					switch op.Method {
-					case spec.MethodEnq:
-						out := runtime.ExecuteArmed(sys, pid, q.EnqOp(pid, op.Args[0]), plan)
-						return out.Resp, out.Status
-					case spec.MethodDeq:
-						out := runtime.ExecuteArmed(sys, pid, q.DeqOp(pid), plan)
-						return out.Resp, out.Status
-					default:
-						must(op, false)
-						return 0, 0
-					}
-				},
-				Crash: func() { sys.Crash() },
-			}
-		},
-		DefaultProgram: func(procs, ops int) Program {
-			return mix(procs, ops, func(p, k int) spec.Operation {
-				return spec.NewOp(spec.MethodEnq, val(p, ops, k))
-			}, func(int, int) spec.Operation {
-				return spec.NewOp(spec.MethodDeq)
-			})
-		},
-	}
+	return object("queue", spec.Queue{}, func(sys *runtime.System) methods {
+		q := queue.New(sys)
+		return methods{
+			spec.MethodEnq: func(pid int, a []int) (int, runtime.Status) { return ints(q.Enq(pid, a[0])) },
+			spec.MethodDeq: func(pid int, _ []int) (int, runtime.Status) { return ints(q.Deq(pid)) },
+		}
+	}, func(procs, ops int) Program {
+		return mix(procs, ops, func(p, k int) spec.Operation {
+			return spec.NewOp(spec.MethodEnq, val(p, ops, k))
+		}, func(int, int) spec.Operation {
+			return spec.NewOp(spec.MethodDeq)
+		})
+	})
 }
 
-// MethodInc is the counter harness's program-level operation: it expands to
-// the read/CAS retry loop of counter.Counter.IncArmed, so the history the
-// checker sees consists of the underlying detectable CAS operations.
-const MethodInc = spec.MethodInc
-
+// counterHarness runs a program of incs, each through counter.Counter.Inc:
+// its read/CAS retry loop is what lands in the history, so the checker sees
+// the underlying detectable CAS operations against the CAS specification.
 func counterHarness() Harness {
-	return Harness{
-		Name: "counter",
-		Build: func(procs int) *Instance {
-			sys := runtime.NewSystem(procs)
-			c := counter.New(sys)
-			return &Instance{
-				// The history records the read/cas ops of the composition,
-				// so it is checked against the CAS specification.
-				Sys: sys, Obj: spec.CAS{},
-				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {
-					must(op, op.Method == MethodInc)
-					return c.IncArmed(pid, plan), runtime.StatusOK
-				},
-				Crash: func() { sys.Crash() },
-			}
-		},
-		DefaultProgram: func(procs, ops int) Program {
-			prog := make(Program, procs)
-			for p := 0; p < procs; p++ {
-				for k := 0; k < ops; k++ {
-					prog[p] = append(prog[p], spec.NewOp(MethodInc))
-				}
-			}
-			return prog
-		},
-	}
+	return object("counter", spec.CAS{}, func(sys *runtime.System) methods {
+		c := counter.New(sys)
+		return methods{
+			spec.MethodInc: func(pid int, _ []int) (int, runtime.Status) { return c.Inc(pid), runtime.StatusOK },
+		}
+	}, func(procs, ops int) Program {
+		inc := func(int, int) spec.Operation { return spec.NewOp(spec.MethodInc) }
+		return mix(procs, ops, inc, inc)
+	})
 }
 
 // shardkvKey is the single key the shardkv harness exercises: exploration
@@ -323,26 +245,13 @@ func shardkvHarness() Harness {
 			store := shardkv.New(1, procs, shardkv.FullHistory())
 			return &Instance{
 				Sys: store.System(0), Obj: spec.Register{},
-				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {
-					switch op.Method {
-					case spec.MethodWrite:
-						out := store.PutArmed(pid, shardkvKey, op.Args[0], plan)
-						return out.Resp, out.Status
-					case spec.MethodRead:
-						out := store.GetArmed(pid, shardkvKey, plan)
-						return out.Resp, out.Status
-					default:
-						must(op, false)
-						return 0, 0
-					}
-				},
+				Run: methods{
+					spec.MethodWrite: func(pid int, a []int) (int, runtime.Status) { return ints(store.Put(pid, shardkvKey, a[0])) },
+					spec.MethodRead:  func(pid int, _ []int) (int, runtime.Status) { return ints(store.Get(pid, shardkvKey)) },
+				}.run,
 				Crash: func() { store.CrashShard(0) },
 			}
 		},
-		DefaultProgram: func(procs, ops int) Program {
-			return mix(procs, ops, func(p, k int) spec.Operation {
-				return spec.NewOp(spec.MethodWrite, val(p, ops, k))
-			}, read)
-		},
+		DefaultProgram: writesAndReads(spec.MethodWrite),
 	}
 }

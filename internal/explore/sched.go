@@ -13,17 +13,19 @@ import (
 // entirely by an explicit sequence of Decisions instead of by the Go
 // scheduler.
 //
-// Mechanism: every operation is executed via runtime.ExecuteArmed with a
-// per-process schedPlan. Every primitive of every attempt goes through
-// Ctx.pre, which consults the plan while no cell lock is held, and is
-// otherwise the code an unarmed attempt runs — the explorer checks the
-// cells that ship. The plan parks the process there — before the primitive executes, which is
-// exactly the crash-point granularity of the paper's model — and waits for
-// the scheduler to resume it. Processes additionally park once before each
-// operation of their program, so invocation logging is serialized too. At
-// any instant at most one process goroutine is running; everything between
-// two parks happens atomically with respect to the other processes, which
-// makes an execution a deterministic function of its decision sequence.
+// Mechanism: each process is armed once on the instance's system
+// (runtime.System.Arm) with a per-process schedPlan, and every operation
+// runs through the object's own method, the call that ships. Every
+// primitive of every attempt goes through Ctx.pre, which consults the plan
+// while no cell lock is held, and is otherwise the code an unarmed attempt
+// runs. The plan parks the process there — before the primitive executes,
+// which is exactly the crash-point granularity of the paper's model — and
+// waits for the scheduler to resume it. Processes additionally park once
+// before each operation of their program, so invocation logging is
+// serialized too. At any instant at most one process goroutine is running;
+// everything between two parks happens atomically with respect to the
+// other processes, which makes an execution a deterministic function of its
+// decision sequence.
 
 // Decision is one scheduling choice: either resume process Pid until its
 // next park (executing exactly the one primitive it is parked before, plus
@@ -130,7 +132,8 @@ const (
 // abortExec is the panic payload used to unwind aborted processes.
 type abortExec struct{}
 
-// schedPlan is the nvm.CrashPlan armed on every attempt of every operation.
+// schedPlan is the nvm.CrashPlan armed for one process on the instance's
+// system, so every attempt of every operation consults it.
 // It injects no crash itself (crashes are injected by the scheduler calling
 // Instance.Crash between steps); its job is to park the process at every
 // primitive so the step becomes a visible scheduling point.
@@ -183,6 +186,7 @@ func newExecution(inst *Instance, prog Program) *execution {
 	}
 	for pid := range prog {
 		e.resume[pid] = make(chan resumeMsg)
+		inst.Sys.Arm(pid, &schedPlan{e: e, pid: pid})
 	}
 	for pid, ops := range prog {
 		go e.runProc(pid, ops)
@@ -207,10 +211,9 @@ func (e *execution) runProc(pid int, ops []spec.Operation) {
 			e.parkedCh <- parkInfo{pid: pid, kind: parkDone, err: fmt.Errorf("explore: process %d panicked: %v", pid, r)}
 		}
 	}()
-	plan := &schedPlan{e: e, pid: pid}
 	for _, op := range ops {
 		e.park(parkInfo{pid: pid, kind: parkOpStart})
-		e.inst.Run(pid, op, plan)
+		e.inst.Run(pid, op)
 	}
 }
 

@@ -24,13 +24,13 @@ func rwModelHarness(model nvm.Model) explore.Harness {
 			reg := rw.NewInt(sys, 0)
 			return &explore.Instance{
 				Sys: sys, Obj: spec.Register{},
-				Run: func(pid int, op spec.Operation, plan nvm.CrashPlan) (int, runtime.Status) {
+				Run: func(pid int, op spec.Operation) (int, runtime.Status) {
 					switch op.Method {
 					case spec.MethodWrite:
-						out := runtime.ExecuteArmed(sys, pid, reg.WriteOp(pid, op.Args[0]), plan)
+						out := reg.Write(pid, op.Args[0])
 						return out.Resp, out.Status
 					default:
-						out := runtime.ExecuteArmed(sys, pid, reg.ReadOp(pid), plan)
+						out := reg.Read(pid)
 						return out.Resp, out.Status
 					}
 				},

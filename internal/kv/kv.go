@@ -88,19 +88,6 @@ func (s *Store) Get(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome
 	return s.reg(key).Read(pid, plans...)
 }
 
-// PutArmed writes key := val with plan armed on every attempt (body and all
-// recovery re-entries), for controlled-scheduler harnesses; see
-// runtime.ExecuteArmed.
-func (s *Store) PutArmed(pid int, key string, val int, plan nvm.CrashPlan) runtime.Outcome[int] {
-	reg := s.reg(key)
-	return runtime.ExecuteArmed(s.sys, pid, reg.WriteOp(pid, val), plan)
-}
-
-// GetArmed reads key with plan armed on every attempt.
-func (s *Store) GetArmed(pid int, key string, plan nvm.CrashPlan) runtime.Outcome[int] {
-	return runtime.ExecuteArmed(s.sys, pid, s.reg(key).ReadOp(pid), plan)
-}
-
 // Restore installs key with val as its register's initial state without
 // executing a recoverable operation: it is the recovery half of a durable
 // restart, where the recovered value plays the role a register's initial

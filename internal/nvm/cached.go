@@ -1,9 +1,6 @@
 package nvm
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // CachedCell is an atomic memory word in the shared-cache model of
 // Izraelevitz et al.: primitives are applied to a volatile shared cache and
@@ -26,7 +23,6 @@ type CachedCell[T comparable] struct {
 	mu        sync.RWMutex
 	cached    word[T]
 	persisted T // guarded by mu (exclusive)
-	dirty     atomic.Bool
 	id        int
 }
 
@@ -82,7 +78,6 @@ func (c *CachedCell[T]) Store(ctx *Ctx, v T) {
 	ctx.pre(KindStore, c.id)
 	c.rlock(ctx)
 	c.cached.store(v)
-	c.dirty.Store(true)
 	c.mu.RUnlock()
 	ctx.count(KindStore, 1)
 }
@@ -94,9 +89,6 @@ func (c *CachedCell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
 	ctx.pre(KindCAS, c.id)
 	c.rlock(ctx)
 	ok := c.cached.cas(old, new)
-	if ok {
-		c.dirty.Store(true)
-	}
 	c.mu.RUnlock()
 	ctx.count(KindCAS, 1)
 	return ok
@@ -109,7 +101,6 @@ func (c *CachedCell[T]) Flush(ctx *Ctx) {
 	defer c.mu.Unlock()
 	ctx.enter(KindFlush)
 	c.persisted = c.cached.load()
-	c.dirty.Store(false)
 }
 
 // onCrash reverts the cell to its last persisted value. Called by the Space
@@ -120,7 +111,6 @@ func (c *CachedCell[T]) onCrash() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cached.store(c.persisted)
-	c.dirty.Store(false)
 }
 
 // Peek returns the cell's cached (current logical) value without a Ctx,

@@ -101,6 +101,7 @@ type System struct {
 	space *nvm.Space
 	n     int
 	log   *history.Log
+	armed []nvm.CrashPlan // armed[pid] replaces pid's per-call plans; nil until Arm
 }
 
 // NewSystem returns a system of n processes with a fresh memory space
@@ -147,30 +148,25 @@ func (s *System) Crash() {
 	s.space.Crash()
 }
 
+// Arm makes every attempt of process pid consult plan: the announcement
+// and body, and every recovery re-entry, however many crashes interrupt
+// it. The armed plan replaces any per-call plans. A controlled scheduler
+// (internal/explore) arms each process once, before any process runs, so
+// that every primitive the objects' own methods execute is a point where
+// it can park the process; Arm must not race with a running operation.
+func (s *System) Arm(pid int, plan nvm.CrashPlan) {
+	if s.armed == nil {
+		s.armed = make([]nvm.CrashPlan, s.n)
+	}
+	s.armed[pid] = plan
+}
+
 // Execute runs op as process pid following the crash-recovery protocol.
 // plans supplies deterministic crash plans per attempt: plans[0] drives the
 // announcement+body attempt, plans[i] the i-th recovery attempt. Missing
 // entries mean no planned crash (crashes from other processes still
-// interrupt the attempt).
+// interrupt the attempt). A plan armed for pid (Arm) replaces plans.
 func Execute[R comparable](s *System, pid int, op Op[R], plans ...nvm.CrashPlan) Outcome[R] {
-	return execute(s, pid, op, plans, nil)
-}
-
-// ExecuteArmed runs op as process pid with plan armed on every attempt: the
-// announcement+body attempt and every recovery re-entry, however many
-// crashes interrupt it. Controlled-scheduler harnesses (internal/explore)
-// use it so that every primitive of every attempt consults the plan — an
-// attempt with a nil plan runs the same primitives but has no hook for the
-// scheduler to park it at.
-func ExecuteArmed[R comparable](s *System, pid int, op Op[R], plan nvm.CrashPlan) Outcome[R] {
-	return execute(s, pid, op, nil, plan)
-}
-
-// execute is the shared core of Execute and ExecuteArmed. Exactly one of
-// plans/every is non-nil-ish: per-attempt plans, or one plan for all
-// attempts. Passing both as parameters (rather than a plan-picking closure)
-// keeps the crash-free Execute path allocation-free.
-func execute[R comparable](s *System, pid int, op Op[R], plans []nvm.CrashPlan, every nvm.CrashPlan) Outcome[R] {
 	if op.Encode == nil {
 		// Capture only the description: closing over op itself would force
 		// the whole Op (and its closures) to escape on every call.
@@ -178,7 +174,7 @@ func execute[R comparable](s *System, pid int, op Op[R], plans []nvm.CrashPlan, 
 		op.Encode = func(R) int { panic(fmt.Sprintf("runtime: op %s has no response encoder", desc)) }
 	}
 
-	ctx := s.space.AcquireCtx(pid, planAt(plans, 0, every))
+	ctx := s.space.AcquireCtx(pid, s.planAt(pid, plans, 0))
 	defer s.space.ReleaseCtx(ctx)
 
 	// Phase 1: caller-side announcement (auxiliary state).
@@ -204,7 +200,7 @@ func execute[R comparable](s *System, pid int, op Op[R], plans []nvm.CrashPlan, 
 	}
 	crashes := 1
 	for attempt := 1; ; attempt++ {
-		rctx := s.space.AcquireCtx(pid, planAt(plans, attempt, every))
+		rctx := s.space.AcquireCtx(pid, s.planAt(pid, plans, attempt))
 		var (
 			r  R
 			ok bool
@@ -258,9 +254,11 @@ func runPhase(f func()) (crashed bool) {
 	return false
 }
 
-func planAt(plans []nvm.CrashPlan, i int, every nvm.CrashPlan) nvm.CrashPlan {
-	if every != nil {
-		return every
+// planAt is the plan of attempt i of pid's operation: its armed plan if
+// it has one, else plans[i].
+func (s *System) planAt(pid int, plans []nvm.CrashPlan, i int) nvm.CrashPlan {
+	if s.armed != nil && s.armed[pid] != nil {
+		return s.armed[pid]
 	}
 	if i < len(plans) {
 		return plans[i]

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -155,6 +156,56 @@ func TestExecuteNotInvoked(t *testing.T) {
 	evs := sys.Log().Events()
 	if len(evs) != 1 || evs[0].Kind != history.KindCrash {
 		t.Fatalf("log = %v, want a single crash event", evs)
+	}
+}
+
+// stepLog is a crash plan that counts the primitives consulting it, attempt
+// by attempt (a new attempt starts at step 1), and crashes before the
+// listed {attempt, step} points.
+type stepLog struct {
+	crash    map[[2]int]bool
+	attempts []int
+}
+
+func (l *stepLog) CrashBefore(ctx *nvm.Ctx, _ nvm.OpKind) bool {
+	if ctx.Steps() == 1 {
+		l.attempts = append(l.attempts, 0)
+	}
+	a := len(l.attempts) - 1
+	l.attempts[a]++
+	return l.crash[[2]int{a, int(ctx.Steps())}]
+}
+
+// TestArm pins System.Arm: an armed plan is consulted on the announcement,
+// the body and every recovery re-entry, in place of the per-call plans,
+// while a pid that is not armed follows its per-call plans.
+func TestArm(t *testing.T) {
+	sys := NewSystem(2)
+	toy := newToy(sys)
+	// Crash once in the body, after CP:=1 (step 5), and once at the first
+	// step of the first recovery.
+	armed := &stepLog{crash: map[[2]int]bool{{0, 5}: true, {1, 1}: true}}
+	sys.Arm(0, armed)
+	// The per-call plan would fail the operation before its checkpoint;
+	// the armed plan replaces it.
+	out := Execute(sys, 0, toy.storeOp(0, 3), nvm.CrashAtStep(4))
+	if out.Status != StatusRecovered || out.Crashes != 2 {
+		t.Fatalf("armed outcome = %+v, want recovered after 2 crashes", out)
+	}
+
+	// pid 1 is not armed: the same crashes, planned per call.
+	body := &stepLog{crash: map[[2]int]bool{{0, 5}: true}}
+	rec1 := &stepLog{crash: map[[2]int]bool{{0, 1}: true}}
+	rec2 := &stepLog{}
+	out = Execute(sys, 1, toy.storeOp(1, 4), body, rec1, rec2)
+	if out.Status != StatusRecovered || out.Crashes != 2 {
+		t.Fatalf("per-call outcome = %+v, want recovered after 2 crashes", out)
+	}
+	if !slices.Equal(body.attempts, []int{5}) || !slices.Equal(rec1.attempts, []int{1}) || len(rec2.attempts) != 1 {
+		t.Fatalf("per-call consultations = %v %v %v, want [5] [1] [k]", body.attempts, rec1.attempts, rec2.attempts)
+	}
+	if want := []int{5, 1, rec2.attempts[0]}; !slices.Equal(armed.attempts, want) {
+		t.Fatalf("armed consultations per attempt = %v, want %v", armed.attempts, want)
 	}
 }
 

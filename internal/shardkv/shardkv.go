@@ -227,26 +227,6 @@ func (s *Store) Del(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome
 	return s.shards[s.ShardFor(key)].del(pid, key, plans...)
 }
 
-// PutArmed writes key := val with plan armed on every attempt of the
-// underlying detectable write, for controlled-scheduler harnesses
-// (internal/explore drives single-shard stores this way so that every
-// primitive of every recovery re-entry is a visible scheduling point).
-func (s *Store) PutArmed(pid int, key string, val int, plan nvm.CrashPlan) runtime.Outcome[int] {
-	sh := s.shards[s.ShardFor(key)]
-	out := sh.store.PutArmed(pid, key, val, plan)
-	sh.journal(pid, out, key, val, 0, 0)
-	sh.stats.note(pid, opPut, outcomeOf(out.Status), out.Crashes)
-	return out
-}
-
-// GetArmed reads key with plan armed on every attempt.
-func (s *Store) GetArmed(pid int, key string, plan nvm.CrashPlan) runtime.Outcome[int] {
-	sh := s.shards[s.ShardFor(key)]
-	out := sh.store.GetArmed(pid, key, plan)
-	sh.stats.note(pid, opGet, outcomeOf(out.Status), out.Crashes)
-	return out
-}
-
 // PutRetry writes key := val, re-invoking on fail verdicts until the write
 // is linearized (NRL semantics). It returns the number of invocations;
 // every invocation is recorded in the shard's stats.
