@@ -273,18 +273,6 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 
-// readReply reads one reply frame, bounded by the call timeout when set.
-func (c *Client) readReply() ([]byte, error) {
-	if c.callTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.callTimeout))
-	}
-	payload, err := server.ReadFrameInto(c.br, &c.readBuf)
-	if err == nil && c.callTimeout > 0 {
-		c.conn.SetReadDeadline(time.Time{})
-	}
-	return payload, err
-}
-
 // SessionID returns the server-assigned session ID.
 func (c *Client) SessionID() uint64 { return c.session }
 
@@ -338,22 +326,26 @@ func replyBody(payload []byte) (server.Reader, error) {
 	return *r, nil
 }
 
-// resumable runs attempt — frames written and their replies read on the
-// current connection — until it succeeds, transparently reconnecting and
-// resuming the session on connection failure. An ErrNotPrimary reply —
-// the node was demoted under this session — rotates to the next failover
-// address and retries there; any other error reply is the answer. Retries
-// back off exponentially (jittered, capped at the redial wait) BEFORE each
-// attempt, so a failed final attempt returns immediately instead of
-// sleeping one last time.
+// call sends one pre-encoded request and returns a reader over the body of
+// its successful reply. On connection failure it reconnects, resumes the
+// session and re-issues the same bytes (same request ID). An ErrNotPrimary
+// reply — the node was demoted under this session — rotates to the next
+// failover address and retries there; any other error reply is the answer.
+// Retries back off exponentially (jittered, capped at the redial wait)
+// BEFORE each attempt, so a failed final attempt returns immediately
+// instead of sleeping one last time.
 //
 // An op the session's kind can never be served (server.RefusedByKind)
 // fails here with the error the server would send, before any bytes leave:
 // a read-only client never rotates a doomed mutation through its failover
 // set burning redial budget on guaranteed rejections.
-func (c *Client) resumable(op byte, attempt func() error) error {
-	if server.RefusedByKind(c.flags, op) {
-		return &WireError{Code: server.ErrObserver, Msg: "refused locally: not allowed on this session kind"}
+func (c *Client) call(req []byte) (r server.Reader, err error) {
+	if len(req) > server.MaxFrame {
+		// Deterministic local failure: redialing cannot shrink the frame.
+		return r, fmt.Errorf("client: request of %d bytes exceeds the %d-byte frame limit", len(req), server.MaxFrame)
+	}
+	if server.RefusedByKind(c.flags, req[0]) {
+		return r, &WireError{Code: server.ErrObserver, Msg: "refused locally: not allowed on this session kind"}
 	}
 	var lastErr error
 	for n := 0; n <= c.maxRedials; n++ {
@@ -363,56 +355,52 @@ func (c *Client) resumable(op byte, attempt func() error) error {
 		if c.conn == nil {
 			if err := c.connect(); err != nil {
 				if we, ok := err.(*WireError); ok && we.Code != server.ErrNotPrimary {
-					return err // protocol rejection: retrying cannot help
+					return r, err // protocol rejection: retrying cannot help
 				}
 				// ErrNotPrimary is retryable: a standby not yet promoted.
 				lastErr = err
 				continue
 			}
 		}
-		err := attempt()
-		if err == nil {
-			return nil
+		if r, err = c.send(req); err == nil {
+			return r, nil
 		}
 		if we, ok := err.(*WireError); ok {
 			if we.Code != server.ErrNotPrimary {
-				return err
+				return r, err
 			}
 			c.nextAddr() // demoted (fenced) under us: fail over and re-issue
 		}
 		c.KillConn()
 		lastErr = err
 	}
-	return fmt.Errorf("client: request not resumable after %d redials: %w", c.maxRedials, lastErr)
+	return r, fmt.Errorf("client: request not resumable after %d redials: %w", c.maxRedials, lastErr)
 }
 
-// call sends one pre-encoded request, re-issuing the same bytes (same
-// request ID) across resumes, and returns a reader over the body of its
-// successful reply.
-func (c *Client) call(req []byte) (r server.Reader, err error) {
-	if len(req) > server.MaxFrame {
-		// Deterministic local failure: redialing cannot shrink the frame.
-		return r, fmt.Errorf("client: request of %d bytes exceeds the %d-byte frame limit", len(req), server.MaxFrame)
+// send writes req on the current connection and reads its reply, bounded
+// by the call timeout when set.
+func (c *Client) send(req []byte) (server.Reader, error) {
+	if err := server.WriteFrame(c.bw, req); err != nil {
+		return server.Reader{}, err
 	}
-	err = c.resumable(req[0], func() error {
-		if err := server.WriteFrame(c.bw, req); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		if c.killNext {
-			c.killNext = false
-			c.conn.Close() // reply is lost; the resume path recovers it
-		}
-		payload, err := c.readReply()
-		if err != nil {
-			return err
-		}
-		r, err = replyBody(payload)
-		return err
-	})
-	return r, err
+	if err := c.bw.Flush(); err != nil {
+		return server.Reader{}, err
+	}
+	if c.killNext {
+		c.killNext = false
+		c.conn.Close() // reply is lost; the resume path recovers it
+	}
+	if c.callTimeout > 0 {
+		c.conn.SetReadDeadline(time.Now().Add(c.callTimeout))
+	}
+	payload, err := server.ReadFrameInto(c.br, &c.readBuf)
+	if err != nil {
+		return server.Reader{}, err
+	}
+	if c.callTimeout > 0 {
+		c.conn.SetReadDeadline(time.Time{})
+	}
+	return replyBody(payload)
 }
 
 // callOutcome runs a single-operation request and decodes its verdict.
@@ -562,59 +550,6 @@ func (c *Client) MultiPut(entries []shardkv.KV) ([]runtime.Outcome[int], error) 
 	return c.callOutcomes(c.enc)
 }
 
-// PipelinePut issues one PUT frame per entry back-to-back before reading
-// any reply, then collects the replies in order — at most server.Window
-// entries, the session's outcome-window budget for outstanding requests.
-// All frames are encoded into the session scratch and leave in one
-// buffered Write; the server coalesces the replies symmetrically. On
-// connection loss the unanswered suffix is re-issued after resume, so
-// every entry still gets a definite exactly-once verdict.
-func (c *Client) PipelinePut(entries []shardkv.KV) ([]runtime.Outcome[int], error) {
-	if len(entries) > server.Window {
-		return nil, fmt.Errorf("client: pipeline of %d exceeds the %d-request window", len(entries), server.Window)
-	}
-	c.enc = c.enc[:0]
-	offs := make([]int, len(entries)+1)
-	for i, e := range entries {
-		if err := checkKey(e.Key); err != nil {
-			return nil, err
-		}
-		c.enc = server.AppendPut(c.enc, c.id(), 0, e.Key, e.Val)
-		offs[i+1] = len(c.enc)
-	}
-	outs := make([]runtime.Outcome[int], len(entries))
-	done := 0
-	err := c.resumable(server.OpPut, func() error {
-		for i := done; i < len(entries); i++ {
-			if err := server.WriteFrame(c.bw, c.enc[offs[i]:offs[i+1]]); err != nil {
-				return err
-			}
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		// A lost connection — or a demotion mid-pipeline — re-issues the
-		// unanswered suffix from done.
-		for done < len(entries) {
-			payload, err := c.readReply()
-			if err != nil {
-				return err
-			}
-			r, err := replyBody(payload)
-			if err != nil {
-				return err
-			}
-			outs[done] = r.Outcome()
-			done++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
 // CrashShard injects a crash into shard i, or into every shard when i < 0
 // — the over-the-wire form of shardkv.CrashShard / Crash.
 func (c *Client) CrashShard(i int) error {
@@ -628,7 +563,7 @@ func (c *Client) CrashShard(i int) error {
 
 // Stats fetches a point-in-time snapshot of every shard's counters.
 func (c *Client) Stats() ([]shardkv.StatsSnapshot, error) {
-	r, err := c.call(server.AppendStats(nil, c.id()))
+	r, err := c.call(server.AppendBare(nil, server.OpStats, c.id()))
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +584,7 @@ func (c *Client) Stats() ([]shardkv.StatsSnapshot, error) {
 // fences the node (ErrNotPrimary for every later data op). Admin tools
 // issue it over an observer session.
 func (c *Client) Promote() (uint64, error) {
-	r, err := c.call(server.AppendPromote(nil, c.id()))
+	r, err := c.call(server.AppendBare(nil, server.OpPromote, c.id()))
 	if err != nil {
 		return 0, err
 	}
@@ -665,7 +600,7 @@ type ServerStatus = server.ServerStatus
 
 // ServerStats fetches the node's replication status.
 func (c *Client) ServerStats() (ServerStatus, error) {
-	r, err := c.call(server.AppendServerStats(nil, c.id()))
+	r, err := c.call(server.AppendBare(nil, server.OpServerStats, c.id()))
 	if err != nil {
 		return ServerStatus{}, err
 	}
@@ -685,7 +620,7 @@ func (c *Client) Close() error {
 			return nil // session unreachable; nothing left to release cleanly
 		}
 	}
-	_, err := c.call(server.AppendClose(nil, c.id()))
+	_, err := c.call(server.AppendBare(nil, server.OpClose, c.id()))
 	c.KillConn()
 	if _, ok := err.(*WireError); err != nil && !ok {
 		return err

@@ -57,45 +57,6 @@ func TestTransparentResume(t *testing.T) {
 	}
 }
 
-// TestPipelinePutSurvivesKill issues a full window of pipelined writes with
-// the connection severed mid-pipeline: every entry must still get a
-// definite exactly-once verdict.
-func TestPipelinePutSurvivesKill(t *testing.T) {
-	srv, store := startServer(t, 4, 1)
-	c, err := client.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-
-	entries := make([]shardkv.KV, server.Window)
-	for i := range entries {
-		entries[i] = shardkv.KV{Key: fmt.Sprintf("p-%d", i), Val: i + 100}
-	}
-	c.KillAfterNextSend() // severed after the first frame of the pipeline
-	outs, err := c.PipelinePut(entries)
-	if err != nil {
-		t.Fatalf("pipeline: %v", err)
-	}
-	for i, out := range outs {
-		if !out.Status.Linearized() {
-			t.Fatalf("entry %d verdict %v, want linearized", i, out.Status)
-		}
-		if got := store.Peek(entries[i].Key); got != entries[i].Val {
-			t.Fatalf("entry %d: store holds %d, want %d", i, got, entries[i].Val)
-		}
-	}
-	if puts := store.TotalStats().Puts; puts != uint64(len(entries)) {
-		t.Fatalf("put executions = %d, want %d exactly-once", puts, len(entries))
-	}
-
-	// One entry past the window budget is a client-side error, not a
-	// silent loss of resumability.
-	if _, err := c.PipelinePut(make([]shardkv.KV, server.Window+1)); err == nil {
-		t.Fatal("oversized pipeline accepted")
-	}
-}
-
 // TestRaceStressWire drives concurrent sessions, an observer crash storm
 // and connection kills through one server under the race detector.
 func TestRaceStressWire(t *testing.T) {

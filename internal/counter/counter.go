@@ -69,13 +69,12 @@ func (c *Counter) read(pid int) int {
 // FetchAdd is an N-process recoverable fetch-and-add with exactly-once
 // addition, built the same way.
 type FetchAdd struct {
-	sys *runtime.System
 	cas *rcas.CAS[int]
 }
 
 // NewFetchAdd allocates a fetch-and-add object (initially 0).
 func NewFetchAdd(sys *runtime.System) *FetchAdd {
-	return &FetchAdd{sys: sys, cas: rcas.NewInt(sys, 0)}
+	return &FetchAdd{cas: rcas.NewInt(sys, 0)}
 }
 
 // Add atomically adds delta exactly once as process pid and returns the

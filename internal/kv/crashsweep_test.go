@@ -117,7 +117,7 @@ func TestDelThenGetReadsZero(t *testing.T) {
 	if out := s.Get(0, "k"); out.Resp != 0 {
 		t.Fatalf("get after del = %d, want 0", out.Resp)
 	}
-	if n := s.DelRetry(0, "never-written"); n < 1 {
-		t.Fatalf("DelRetry invocations = %d", n)
+	if n := s.PutRetry(0, "never-written", 0); n < 1 {
+		t.Fatalf("PutRetry of zero: invocations = %d", n)
 	}
 }

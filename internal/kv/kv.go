@@ -77,12 +77,6 @@ func (s *Store) Del(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome
 	return s.Put(pid, key, 0, plans...)
 }
 
-// DelRetry removes key, re-invoking on fail verdicts until the deletion is
-// linearized (NRL semantics). It returns the number of invocations.
-func (s *Store) DelRetry(pid int, key string) int {
-	return s.PutRetry(pid, key, 0)
-}
-
 // Get reads key as process pid and returns the detectable outcome.
 func (s *Store) Get(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome[int] {
 	return s.reg(key).Read(pid, plans...)

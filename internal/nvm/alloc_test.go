@@ -70,7 +70,7 @@ func TestWordsAreCells(t *testing.T) {
 			ints := NewWords(sp, 5, int64(0))
 			strs := NewWords(sp, 5, "")
 			var seen []int
-			ctx := sp.Ctx(0, planFunc(func(ctx *Ctx, _ OpKind) bool { seen = append(seen, ctx.CellID()); return false }))
+			ctx := sp.AcquireCtx(0, planFunc(func(ctx *Ctx, _ OpKind) bool { seen = append(seen, ctx.CellID()); return false }))
 			for i := 0; i < 5; i++ {
 				for w, prims := range map[int]func(){
 					base + i: func() {
@@ -118,13 +118,14 @@ func TestWordsShareOneBox(t *testing.T) {
 				t.Fatalf("CellCount = %d, want 3", got)
 			}
 			ws.Init(1, "restored")
-			ctx := sp.Ctx(0, nil)
+			ctx := sp.AcquireCtx(0, nil)
 			ws.Store(ctx, 2, "stored")
 			for i, want := range []string{"init", "restored", "stored"} {
 				if got := ws.Load(ctx, i); got != want {
 					t.Errorf("word %d = %q, want %q", i, got, want)
 				}
 			}
+			sp.ReleaseCtx(ctx)
 			if st := sp.Stats(); st.Stores() != 1 {
 				t.Errorf("Init counted as a primitive: %d stores, want 1", st.Stores())
 			}

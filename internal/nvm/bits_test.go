@@ -19,7 +19,7 @@ func TestBitsCrashPerModel(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			sp := NewSpaceModel(m)
 			b := NewBits(sp, 130) // three words
-			ctx := sp.Ctx(0, nil)
+			ctx := sp.AcquireCtx(0, nil)
 			b.Store(ctx, 3, true)
 			b.Flush(ctx, 3) // 3: flushed 1
 			b.Store(ctx, 4, true)
@@ -43,7 +43,7 @@ func TestBitsCrashPerModel(t *testing.T) {
 				}
 			}
 			// The array stays usable in the new epoch.
-			ctx = sp.Ctx(0, nil)
+			ctx = sp.AcquireCtx(0, nil)
 			b.Store(ctx, 6, true)
 			if !b.Load(ctx, 6) {
 				t.Fatalf("store after crash lost")
@@ -69,7 +69,7 @@ func TestBitsAreCells(t *testing.T) {
 
 			var seen []int
 			rec := planFunc(func(ctx *Ctx, _ OpKind) bool { seen = append(seen, ctx.CellID()); return false })
-			ctx := sp.Ctx(0, rec)
+			ctx := sp.AcquireCtx(0, rec)
 			before.Load(ctx)
 			for i := 0; i < n; i++ {
 				b.Load(ctx, i)
@@ -98,7 +98,7 @@ func TestBitsAreCells(t *testing.T) {
 			}
 			const k = 5
 			sp.Stats().Reset()
-			ctx = sp.Ctx(0, CrashAtStep(perStore*(k-1)+1))
+			ctx = sp.AcquireCtx(0, CrashAtStep(perStore*(k-1)+1))
 			func() {
 				defer func() {
 					if _, ok := recover().(Crashed); !ok {
@@ -109,6 +109,7 @@ func TestBitsAreCells(t *testing.T) {
 					b.Store(ctx, i, true)
 				}
 			}()
+			sp.ReleaseCtx(ctx)
 			if got := sp.Stats().Stores(); got != k-1 {
 				t.Fatalf("stores = %d, want %d", got, k-1)
 			}
@@ -153,7 +154,7 @@ func TestBitsNeighboursUndisturbed(t *testing.T) {
 									}
 								}
 							}()
-							ctx := sp.Ctx(w, nil)
+							ctx := sp.AcquireCtx(w, nil)
 							v := !b.Load(ctx, 2*w)
 							b.Store(ctx, 2*w, v)
 							if r%3 == 0 {
@@ -173,7 +174,7 @@ func TestBitsNeighboursUndisturbed(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			ctx := sp.Ctx(0, nil)
+			ctx := sp.AcquireCtx(0, nil)
 			for w := 0; w < writers; w++ {
 				b.Store(ctx, 2*w, w%2 == 0)
 			}
@@ -194,7 +195,7 @@ func TestBitsIndexOutOfRange(t *testing.T) {
 			t.Fatalf("Store past Len did not panic")
 		}
 	}()
-	b.Store(sp.Ctx(0, nil), 10, true) // inside the word, outside the array
+	b.Store(sp.AcquireCtx(0, nil), 10, true) // inside the word, outside the array
 }
 
 // mustPanicOutOfRange runs f and fails unless it panics.
@@ -215,8 +216,8 @@ func TestBitsFlushIndexOutOfRange(t *testing.T) {
 	for _, m := range allModels {
 		sp := NewSpaceModel(m)
 		b := NewBits(sp, 10)
-		mustPanicOutOfRange(t, m.String()+": Flush", func() { b.Flush(sp.Ctx(0, nil), 10) })
-		mustPanicOutOfRange(t, m.String()+": Flush", func() { b.Flush(sp.Ctx(0, nil), -1) })
+		mustPanicOutOfRange(t, m.String()+": Flush", func() { b.Flush(sp.AcquireCtx(0, nil), 10) })
+		mustPanicOutOfRange(t, m.String()+": Flush", func() { b.Flush(sp.AcquireCtx(0, nil), -1) })
 	}
 }
 
@@ -243,18 +244,19 @@ func TestSetRun(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			sp := NewSpaceModel(m)
 			b := NewBits(sp, 130)
-			ctx := sp.Ctx(0, nil)
+			ctx := sp.AcquireCtx(0, nil)
 			b.SetRun(ctx, 60, 8)
 			for i := 0; i < 130; i++ {
 				if want := i >= 60 && i < 68; b.Peek(i) != want {
 					t.Errorf("bit %d = %v, want %v", i, b.Peek(i), want)
 				}
 			}
-			if got := sp.Stats().Stores(); got != 8 {
-				t.Errorf("stores = %d, want 8", got)
-			}
 			if got := ctx.Steps(); m != ModelSharedCacheAuto && got != 8 {
 				t.Errorf("steps = %d, want 8", got)
+			}
+			sp.ReleaseCtx(ctx)
+			if got := sp.Stats().Stores(); got != 8 {
+				t.Errorf("stores = %d, want 8", got)
 			}
 		})
 	}

@@ -5,7 +5,7 @@ import "testing"
 func TestCachedCellCrashLosesUnflushedStore(t *testing.T) {
 	sp := NewSpace()
 	c := NewCachedCell(sp, 1)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	c.Store(ctx, 2)
 	if got := c.Load(ctx); got != 2 {
 		t.Fatalf("Load = %d, want 2 (stores visible through the cache)", got)
@@ -22,7 +22,7 @@ func TestCachedCellCrashLosesUnflushedStore(t *testing.T) {
 func TestCachedCellFlushPersists(t *testing.T) {
 	sp := NewSpace()
 	c := NewCachedCell(sp, 1)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	c.Store(ctx, 2)
 	c.Flush(ctx)
 	sp.Crash()
@@ -34,7 +34,7 @@ func TestCachedCellFlushPersists(t *testing.T) {
 func TestCachedCellCASIsVolatileUntilFlushed(t *testing.T) {
 	sp := NewSpace()
 	c := NewCachedCell(sp, 1)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	if !c.CompareAndSwap(ctx, 1, 9) {
 		t.Fatal("CAS(1,9) failed")
 	}
@@ -47,7 +47,7 @@ func TestCachedCellCASIsVolatileUntilFlushed(t *testing.T) {
 func TestCachedCellFailedCAS(t *testing.T) {
 	sp := NewSpace()
 	c := NewCachedCell(sp, 1)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	if c.CompareAndSwap(ctx, 5, 9) {
 		t.Fatal("CAS(5,9) on value 1 succeeded")
 	}
@@ -60,7 +60,7 @@ func TestAutoPersistSurvivesCrash(t *testing.T) {
 	sp := NewSpace()
 	raw := NewCachedCell(sp, 0)
 	c := NewAutoPersist[int](raw)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 
 	c.Store(ctx, 3)
 	sp.Crash()
@@ -68,7 +68,7 @@ func TestAutoPersistSurvivesCrash(t *testing.T) {
 		t.Fatalf("persisted after AutoPersist.Store = %d, want 3", got)
 	}
 
-	ctx = sp.Ctx(0, nil)
+	ctx = sp.AcquireCtx(0, nil)
 	if !c.CompareAndSwap(ctx, 3, 4) {
 		t.Fatal("CAS(3,4) failed")
 	}
@@ -81,10 +81,11 @@ func TestAutoPersistSurvivesCrash(t *testing.T) {
 func TestAutoPersistFlushCount(t *testing.T) {
 	sp := NewSpace()
 	c := NewAutoPersist[int](NewCachedCell(sp, 0))
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	c.Store(ctx, 1)
 	c.CompareAndSwap(ctx, 1, 2)
 	c.Load(ctx)
+	sp.ReleaseCtx(ctx)
 	if got := sp.Stats().Flushes(); got != 2 {
 		t.Fatalf("flushes = %d, want 2 (one per store, one per CAS, none for load)", got)
 	}

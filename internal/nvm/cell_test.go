@@ -9,7 +9,7 @@ import (
 func TestCellLoadStore(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, 7)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	if got := c.Load(ctx); got != 7 {
 		t.Fatalf("Load = %d, want 7", got)
 	}
@@ -22,7 +22,7 @@ func TestCellLoadStore(t *testing.T) {
 func TestCellCAS(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, "a")
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	if !c.CompareAndSwap(ctx, "a", "b") {
 		t.Fatal("CAS(a,b) on value a failed")
 	}
@@ -37,7 +37,7 @@ func TestCellCAS(t *testing.T) {
 func TestCellSurvivesCrash(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, 10)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	c.Store(ctx, 20)
 	sp.Crash()
 	if got := c.Peek(); got != 20 {
@@ -51,7 +51,7 @@ func TestCellStructValues(t *testing.T) {
 	}
 	sp := NewSpace()
 	c := NewCell(sp, triple{1, 0, 0})
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	if !c.CompareAndSwap(ctx, triple{1, 0, 0}, triple{2, 3, 1}) {
 		t.Fatal("struct CAS with equal old failed")
 	}
@@ -66,7 +66,7 @@ func TestCellStructValues(t *testing.T) {
 func TestStaleEpochPanics(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, 0)
-	ctx := sp.Ctx(3, nil)
+	ctx := sp.AcquireCtx(3, nil)
 	sp.Crash()
 	defer func() {
 		r := recover()
@@ -87,7 +87,7 @@ func TestStaleEpochPanics(t *testing.T) {
 
 func TestCheckAlive(t *testing.T) {
 	sp := NewSpace()
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	ctx.CheckAlive() // must not panic before a crash
 	sp.Crash()
 	defer func() {
@@ -101,7 +101,7 @@ func TestCheckAlive(t *testing.T) {
 func TestCrashAtStepPlan(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, 0)
-	ctx := sp.Ctx(0, CrashAtStep(3))
+	ctx := sp.AcquireCtx(0, CrashAtStep(3))
 
 	crashed := func() (crashed bool) {
 		defer func() {
@@ -135,12 +135,12 @@ func TestCrashAtStepFiresOnce(t *testing.T) {
 
 	func() {
 		defer func() { recover() }()
-		c.Store(sp.Ctx(0, plan), 1)
+		c.Store(sp.AcquireCtx(0, plan), 1)
 		t.Fatal("first attempt did not crash")
 	}()
 
 	// A new attempt with the same plan object must run to completion.
-	ctx := sp.Ctx(0, plan)
+	ctx := sp.AcquireCtx(0, plan)
 	c.Store(ctx, 5)
 	if got := c.Load(ctx); got != 5 {
 		t.Fatalf("Load = %d, want 5", got)
@@ -150,11 +150,12 @@ func TestCrashAtStepFiresOnce(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, 0)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	c.Store(ctx, 1)
 	c.Load(ctx)
 	c.Load(ctx)
 	c.CompareAndSwap(ctx, 1, 2)
+	sp.ReleaseCtx(ctx)
 	st := sp.Stats()
 	if st.Stores() != 1 || st.Loads() != 2 || st.CASes() != 1 {
 		t.Fatalf("stats = %d stores / %d loads / %d cas, want 1/2/1",
@@ -182,7 +183,7 @@ func TestCellConcurrentCAS(t *testing.T) {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
-			ctx := sp.Ctx(pid, nil)
+			ctx := sp.AcquireCtx(pid, nil)
 			for i := 0; i < incs; i++ {
 				for {
 					v := c.Load(ctx)
@@ -210,7 +211,7 @@ func TestCellMatchesSequentialModel(t *testing.T) {
 	f := func(init uint8, ops []op) bool {
 		sp := NewSpace()
 		c := NewCell(sp, init)
-		ctx := sp.Ctx(0, nil)
+		ctx := sp.AcquireCtx(0, nil)
 		model := init
 		for _, o := range ops {
 			switch o.Kind % 3 {

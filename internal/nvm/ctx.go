@@ -2,7 +2,8 @@ package nvm
 
 // Ctx is the execution context of a single operation (or recovery-function)
 // attempt by one process. It is not safe for concurrent use: each attempt
-// gets a fresh Ctx bound to the epoch at which the attempt started.
+// gets a fresh Ctx from Space.AcquireCtx, bound to the epoch at which the
+// attempt started.
 //
 // Every primitive on a Cell or CachedCell calls into the Ctx before touching
 // memory. The Ctx:
@@ -11,28 +12,18 @@ package nvm
 //     Crashed if a crash happened since the attempt began;
 //   - consults the crash plan (if any) so deterministic tests can inject a
 //     system-wide crash immediately before a chosen primitive step;
-//   - counts primitive steps and statistics: a context from NewCtx or
-//     Space.Ctx adds each primitive to the shared Stats as it happens, one
-//     from Space.AcquireCtx keeps its counts and Space.ReleaseCtx adds
-//     them once, so an operation makes no shared read-modify-write for its
-//     bookkeeping.
+//   - counts primitive steps and statistics in the context itself;
+//     Space.ReleaseCtx adds them to the space's Stats once, so an
+//     operation makes no shared read-modify-write for its bookkeeping.
 type Ctx struct {
 	pid   int
 	epoch *Epoch
 	start uint64
 	plan  CrashPlan
-	stats *Stats
 
 	steps  uint64
 	cell   int
-	local  bool      // counts wait in counts for ReleaseCtx
-	counts [4]uint64 // primitives so far, indexed by OpKind-1; see local
-}
-
-// NewCtx returns a context for one attempt by process pid, bound to the
-// current epoch. Both plan and stats may be nil.
-func NewCtx(pid int, epoch *Epoch, plan CrashPlan, stats *Stats) *Ctx {
-	return &Ctx{pid: pid, epoch: epoch, start: epoch.Current(), plan: plan, stats: stats}
+	counts [4]uint64 // primitives so far, indexed by OpKind-1; added to Stats at ReleaseCtx
 }
 
 // PID returns the process identifier the context belongs to.
@@ -97,13 +88,7 @@ func (c *Ctx) alive() bool { return c.epoch.Current() == c.start }
 
 // count records n primitives of one kind, after the atomic operation;
 // Flush records inside enter instead.
-func (c *Ctx) count(kind OpKind, n uint64) {
-	if c.local {
-		c.counts[kind-1] += n
-	} else if c.stats != nil {
-		c.stats.add(kind, n)
-	}
-}
+func (c *Ctx) count(kind OpKind, n uint64) { c.counts[kind-1] += n }
 
 // CrashPlan decides whether a system-wide crash should be injected
 // immediately before a primitive step. Implementations must be safe for use

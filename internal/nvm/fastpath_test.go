@@ -58,13 +58,13 @@ func TestFastPathCellsHonorEveryCrashStep(t *testing.T) {
 	// Total length first, from a crash-free run.
 	total := func() int {
 		sp := NewSpace()
-		return cellProgram(sp.Ctx(0, nil), NewCell(sp, 0), NewCell(sp, ""), NewCell(sp, [2]int{}))
+		return cellProgram(sp.AcquireCtx(0, nil), NewCell(sp, 0), NewCell(sp, ""), NewCell(sp, [2]int{}))
 	}()
 
 	for step := 1; step <= total; step++ {
 		sp := NewSpace()
 		ci, cs, ct := NewCell(sp, 0), NewCell(sp, ""), NewCell(sp, [2]int{})
-		ctx := sp.Ctx(0, CrashAtStep(uint64(step)))
+		ctx := sp.AcquireCtx(0, CrashAtStep(uint64(step)))
 		crashed := func() (crashed bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -115,13 +115,13 @@ func TestFastPathCachedCellVolatileUntilFlush(t *testing.T) {
 
 	total := func() int {
 		sp := NewSpace()
-		return program(sp.Ctx(0, nil), NewCachedCell(sp, 0))
+		return program(sp.AcquireCtx(0, nil), NewCachedCell(sp, 0))
 	}()
 
 	for step := 1; step <= total; step++ {
 		sp := NewSpace()
 		c := NewCachedCell(sp, 0)
-		ctx := sp.Ctx(0, &StepHook{Step: uint64(step), Fn: func() { sp.Crash() }})
+		ctx := sp.AcquireCtx(0, &StepHook{Step: uint64(step), Fn: func() { sp.Crash() }})
 		crashed := func() (crashed bool) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -169,7 +169,7 @@ func TestFastPathConcurrentMixedPlans(t *testing.T) {
 				if pid%2 == 1 {
 					plan = NeverCrash()
 				}
-				ctx := sp.Ctx(pid, plan)
+				ctx := sp.AcquireCtx(pid, plan)
 				for {
 					v := c.Load(ctx)
 					if c.CompareAndSwap(ctx, v, v+1) {
@@ -224,7 +224,7 @@ func TestPackRoundTrip(t *testing.T) {
 func TestPtrWordValueCache(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, "idle")
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	c.Store(ctx, "read")
 	c.Store(ctx, "idle")
 	allocs := testing.AllocsPerRun(100, func() {
@@ -241,10 +241,11 @@ func TestPtrWordValueCache(t *testing.T) {
 func TestFastPathStatsStillCount(t *testing.T) {
 	sp := NewSpace()
 	c := NewCell(sp, 0)
-	ctx := sp.Ctx(0, nil)
+	ctx := sp.AcquireCtx(0, nil)
 	c.Store(ctx, 1)
 	c.Load(ctx)
 	c.CompareAndSwap(ctx, 1, 2)
+	sp.ReleaseCtx(ctx)
 	if st := sp.Stats(); st.Stores() != 1 || st.Loads() != 1 || st.CASes() != 1 {
 		t.Fatalf("stats = %d/%d/%d, want 1/1/1", st.Stores(), st.Loads(), st.CASes())
 	}

@@ -14,7 +14,7 @@ func TestPrivateCrashPerModel(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			sp := NewSpaceModel(m)
 			p := NewPrivate(sp, privRec{A: 1})
-			ctx := sp.Ctx(0, nil)
+			ctx := sp.AcquireCtx(0, nil)
 			p.Store(ctx, privRec{A: 2})
 			p.Flush(ctx)
 			p.Store(ctx, privRec{A: 3}) // unflushed
@@ -30,7 +30,7 @@ func TestPrivateCrashPerModel(t *testing.T) {
 			if got := p.Peek(); got.A != want {
 				t.Fatalf("Peek after crash = %+v, want A=%d", got, want)
 			}
-			ctx = sp.Ctx(0, nil)
+			ctx = sp.AcquireCtx(0, nil)
 			if got := p.Load(ctx); got.A != want {
 				t.Fatalf("Load after crash = %+v, want A=%d", got, want)
 			}
@@ -42,7 +42,7 @@ func TestPrivateCrashPerModel(t *testing.T) {
 				t.Fatalf("after flush+crash = %+v, want A=%d", got, want)
 			}
 			// A store in the new epoch without a prior load replaces it.
-			ctx = sp.Ctx(0, nil)
+			ctx = sp.AcquireCtx(0, nil)
 			p.Store(ctx, privRec{A: 9})
 			if got := p.Load(ctx); got.A != 9 {
 				t.Fatalf("Load = %+v, want A=9", got)
@@ -60,7 +60,7 @@ func TestPrivateIsACell(t *testing.T) {
 			sp := NewSpaceModel(m)
 			a, p := NewWord(sp, 0), NewPrivate(sp, privRec{})
 			var seen []int
-			ctx := sp.Ctx(0, planFunc(func(ctx *Ctx, _ OpKind) bool { seen = append(seen, ctx.CellID()); return false }))
+			ctx := sp.AcquireCtx(0, planFunc(func(ctx *Ctx, _ OpKind) bool { seen = append(seen, ctx.CellID()); return false }))
 			a.Load(ctx)
 			p.Load(ctx)
 			if len(seen) != 2 || seen[0] == seen[1] || seen[1] != sp.CellCount() {
@@ -68,7 +68,7 @@ func TestPrivateIsACell(t *testing.T) {
 			}
 
 			sp.Stats().Reset()
-			ctx = sp.Ctx(0, CrashAtStep(2))
+			ctx = sp.AcquireCtx(0, CrashAtStep(2))
 			p.Load(ctx) // step 1
 			func() {
 				defer func() {
@@ -78,6 +78,7 @@ func TestPrivateIsACell(t *testing.T) {
 				}()
 				p.Store(ctx, privRec{A: 5}) // step 2: dies before storing
 			}()
+			sp.ReleaseCtx(ctx)
 			if got := p.Peek(); got.A != 0 {
 				t.Fatalf("store landed despite the crash before it: %+v", got)
 			}
@@ -85,7 +86,7 @@ func TestPrivateIsACell(t *testing.T) {
 				t.Fatalf("stats loads=%d stores=%d, want 1/0", st.Loads(), st.Stores())
 			}
 
-			ctx = sp.Ctx(0, nil)
+			ctx = sp.AcquireCtx(0, nil)
 			i := 0
 			if allocs := testing.AllocsPerRun(200, func() {
 				i++
@@ -96,6 +97,7 @@ func TestPrivateIsACell(t *testing.T) {
 			}); allocs != 0 {
 				t.Fatalf("store of a fresh struct allocates %v/op, want 0", allocs)
 			}
+			sp.ReleaseCtx(ctx)
 			wantFlushes := uint64(0)
 			if m == ModelSharedCacheAuto {
 				wantFlushes = 201 // AllocsPerRun runs the function once to warm up

@@ -84,25 +84,20 @@ func (s *Space) Epoch() *Epoch { return &s.epoch }
 // Stats returns the space's primitive-operation statistics.
 func (s *Space) Stats() *Stats { return &s.stats }
 
-// Ctx returns a fresh execution context for one operation attempt by
-// process pid, bound to the current epoch. plan may be nil.
-func (s *Space) Ctx(pid int, plan CrashPlan) *Ctx {
-	return NewCtx(pid, &s.epoch, plan, &s.stats)
-}
-
 // ctxPool recycles the per-attempt contexts of crash-free operations, so
 // the operation hot path allocates nothing. Plan-armed contexts are never
 // pooled: a CrashPlan's hooks may retain the context (schedule-driven
 // tests do arbitrary things), and injection runs are not hot paths.
 var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
 
-// AcquireCtx is Ctx drawing from a pool; pair it with ReleaseCtx once the
-// attempt has completed, crashed or not, and the context can no longer be
-// referenced. The context counts its primitives itself: they reach Stats
-// at ReleaseCtx, not before.
+// AcquireCtx returns a fresh execution context for one operation attempt
+// by process pid, bound to the current epoch; plan may be nil. Pair it with
+// ReleaseCtx once the attempt has completed, crashed or not, and the
+// context can no longer be referenced. The context counts its primitives
+// itself: they reach Stats at ReleaseCtx, not before.
 func (s *Space) AcquireCtx(pid int, plan CrashPlan) *Ctx {
 	c := ctxPool.Get().(*Ctx)
-	*c = Ctx{pid: pid, epoch: &s.epoch, start: s.epoch.Current(), plan: plan, stats: &s.stats, local: true}
+	*c = Ctx{pid: pid, epoch: &s.epoch, start: s.epoch.Current(), plan: plan}
 	return c
 }
 

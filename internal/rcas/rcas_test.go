@@ -221,7 +221,7 @@ func TestRecoverReturnsPersistedResult(t *testing.T) {
 	if out.Status != runtime.StatusOK || out.Resp {
 		t.Fatalf("outcome %+v, want completed false", out)
 	}
-	r, ok := op.Recover(sys.Space().Ctx(0, nil))
+	r, ok := op.Recover(sys.Space().AcquireCtx(0, nil))
 	if !ok || r {
 		t.Fatalf("Recover = (%v, %v), want persisted false", r, ok)
 	}
@@ -233,7 +233,7 @@ func TestRecoverReturnsPersistedResult(t *testing.T) {
 	if out.Status != runtime.StatusRecovered || !out.Resp {
 		t.Fatalf("outcome %+v, want recovered true", out)
 	}
-	r, ok = op2.Recover(sys.Space().Ctx(0, nil))
+	r, ok = op2.Recover(sys.Space().AcquireCtx(0, nil))
 	if !ok || !r {
 		t.Fatalf("Recover = (%v, %v), want persisted true", r, ok)
 	}

@@ -118,7 +118,7 @@ func TestExecuteRecoveredResponseFromAnn(t *testing.T) {
 		t.Fatalf("outcome = %+v", out)
 	}
 	// And the response is now persisted for idempotent re-recovery.
-	ctx := sys.Space().Ctx(0, nil)
+	ctx := sys.Space().AcquireCtx(0, nil)
 	if r := toy.ann[0].Result(ctx); !r.Set || r.Val != spec.Ack {
 		t.Fatalf("persisted result = %+v", r)
 	}
@@ -261,7 +261,7 @@ func TestStatusString(t *testing.T) {
 func TestAnnAnnounceResets(t *testing.T) {
 	sys := NewSystem(1)
 	ann := NewAnn[int](sys.Space())
-	ctx := sys.Space().Ctx(0, nil)
+	ctx := sys.Space().AcquireCtx(0, nil)
 	ann.SetCP(ctx, 2)
 	ann.SetResult(ctx, 42)
 	ann.Announce(ctx, "write:1")

@@ -61,10 +61,11 @@ func TestChunkNeighbourEquivalence(t *testing.T) {
 								sys *runtime.System
 								reg Register
 							}{{chunked, a[j]}, {alone, b[j]}} {
-								ctx := side.sys.Space().Ctx(pid, nil)
+								ctx := side.sys.Space().AcquireCtx(pid, nil)
 								side.reg.r().Flush(ctx, side.reg.i)
 								side.reg.bits().Flush(ctx, side.reg.toggle(i, p, bit))
 								side.reg.bits().Flush(ctx, side.reg.tp(p))
+								side.sys.Space().ReleaseCtx(ctx)
 							}
 						default:
 							val := rng.Intn(1000)

@@ -260,10 +260,10 @@ var matrixOps = []struct {
 		return AppendMPut(nil, id, []shardkv.KV{{Key: "w1", Val: 1}, {Key: "w2", Val: 2}})
 	}},
 	{"CRASH", OpCrash, func(id uint64) []byte { return AppendCrash(nil, id, 0) }},
-	{"STATS", OpStats, func(id uint64) []byte { return AppendStats(nil, id) }},
-	{"CLOSE", OpClose, func(id uint64) []byte { return AppendClose(nil, id) }},
-	{"PROMOTE", OpPromote, func(id uint64) []byte { return AppendPromote(nil, id) }},
-	{"SERVER-STATS", OpServerStats, func(id uint64) []byte { return AppendServerStats(nil, id) }},
+	{"STATS", OpStats, func(id uint64) []byte { return AppendBare(nil, OpStats, id) }},
+	{"CLOSE", OpClose, func(id uint64) []byte { return AppendBare(nil, OpClose, id) }},
+	{"PROMOTE", OpPromote, func(id uint64) []byte { return AppendBare(nil, OpPromote, id) }},
+	{"SERVER-STATS", OpServerStats, func(id uint64) []byte { return AppendBare(nil, OpServerStats, id) }},
 }
 
 // eachCell runs fn on a fresh node for every (node, kind) pair.
@@ -304,7 +304,7 @@ func TestAdmitMatrix(t *testing.T) {
 			if after := n.state(sess); !reflect.DeepEqual(before, after) {
 				t.Fatalf("%s: refused, yet the node moved:\n before %+v\n after  %+v", mo.name, before, after)
 			}
-			if next, _, _ := n.drive(sess, AppendServerStats(nil, reqID+1)); next[0] != StatusOK {
+			if next, _, _ := n.drive(sess, AppendBare(nil, OpServerStats, reqID+1)); next[0] != StatusOK {
 				t.Fatalf("%s: the request after a refusal answered %x, want it served", mo.name, next)
 			}
 		}
@@ -502,7 +502,7 @@ func TestAdmitOverTCP(t *testing.T) {
 			case RoleStandby: // the read replica: the applied view serves, mutations go elsewhere
 				k, served, refused = kindReadOnly, AppendGet(nil, 0, 0, "pin-7"), AppendDel(nil, 0, 0, "pin-7")
 			case RoleFenced: // an observer may still inspect a fenced node, not drive it
-				k, served, refused = kindObserver, AppendServerStats(nil, 0), AppendStats(nil, 0)
+				k, served, refused = kindObserver, AppendBare(nil, OpServerStats, 0), AppendBare(nil, OpStats, 0)
 			}
 			rc := open[k]
 			c, _ := classOf(refused[0])

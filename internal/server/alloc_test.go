@@ -29,7 +29,7 @@ func TestAllocPinAppendEncoders(t *testing.T) {
 		buf = AppendGet(buf[:0], 10, 0, "pin-key")
 		buf = AppendMPut(buf[:0], 11, entries)
 		buf = AppendMGet(buf[:0], 12, keys)
-		buf = AppendStats(buf[:0], 13)
+		buf = AppendBare(buf[:0], OpStats, 13)
 	}); allocs != 0 {
 		t.Fatalf("append encoders allocate %v/iteration, want 0", allocs)
 	}

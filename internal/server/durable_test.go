@@ -309,7 +309,7 @@ func TestRestartSlotAccounting(t *testing.T) {
 	if _, resumed := rc2.hello(t, sidA); !resumed {
 		t.Fatal("recovered session did not resume")
 	}
-	rc2.roundTrip(t, AppendClose(nil, 1))
+	rc2.roundTrip(t, AppendBare(nil, OpClose, 1))
 	// The CLOSE reply is flushed before the handler runs endSession; wait
 	// for the slot release rather than racing it.
 	deadline := time.Now().Add(2 * time.Second)
@@ -370,6 +370,73 @@ func TestResumedPipelinedReadNotStale(t *testing.T) {
 	reply = rc2.roundTrip(t, AppendGet(nil, 2, 0, "gamma"))
 	if reply[0] != ErrStaleRequest {
 		t.Fatalf("evicted ID: code %d, want stale", reply[0])
+	}
+}
+
+// TestPipelinedPutsSurviveKill: a full window of PUTs leaves in one write,
+// the connection is severed after the first reply, and the resumed session
+// re-sends every request that has no reply, byte for byte. Every entry
+// gets a linearized verdict and each put runs exactly once.
+func TestPipelinedPutsSurviveKill(t *testing.T) {
+	store := shardkv.New(4, 1)
+	srv := New(store)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addr := srv.Addr().String()
+
+	key := func(id uint64) string { return fmt.Sprintf("p-%d", id) }
+	val := func(id uint64) int { return int(id) + 100 }
+	// send writes the PUTs with request IDs from..Window in one write.
+	send := func(rc *rawConn, from uint64) {
+		var frames bytes.Buffer
+		for id := from; id <= Window; id++ {
+			if err := WriteFrame(&frames, AppendPut(nil, id, 0, key(id), val(id))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := rc.c.Write(frames.Bytes()); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+	// recv reads the reply of request id and checks its verdict.
+	recv := func(rc *rawConn, id uint64) {
+		payload, err := ReadFrameInto(rc.br, &rc.buf)
+		if err != nil {
+			t.Fatalf("request %d: read reply: %v", id, err)
+		}
+		r := NewReader(payload)
+		if code := r.U8(); code != StatusOK {
+			t.Fatalf("request %d: code %d (%q)", id, code, r.Key())
+		}
+		if out := r.Outcome(); !out.Status.Linearized() {
+			t.Fatalf("request %d: verdict %v, want linearized", id, out.Status)
+		}
+	}
+
+	rc := dialRaw(t, addr)
+	sid, _ := rc.hello(t, 0)
+	send(rc, 1)
+	recv(rc, 1)
+	rc.c.Close() // the other Window−1 replies are lost
+
+	rc2 := dialRaw(t, addr)
+	defer rc2.c.Close()
+	if _, resumed := rc2.hello(t, sid); !resumed {
+		t.Fatal("session did not resume")
+	}
+	send(rc2, 2)
+	for id := uint64(2); id <= Window; id++ {
+		recv(rc2, id)
+	}
+	for id := uint64(1); id <= Window; id++ {
+		if got := store.Peek(key(id)); got != val(id) {
+			t.Fatalf("%s = %d, want %d", key(id), got, val(id))
+		}
+	}
+	if puts := store.TotalStats().Puts; puts != Window {
+		t.Fatalf("put executions = %d, want %d exactly-once", puts, Window)
 	}
 }
 

@@ -41,7 +41,7 @@ func getOutcome(t *testing.T, rc *rawConn, reqID uint64, key string) runtime.Out
 // statsApplied drives SERVER-STATS and returns (role, seq, applied).
 func statsApplied(t *testing.T, rc *rawConn, reqID uint64) (role byte, seq, applied uint64) {
 	t.Helper()
-	reply := rc.roundTrip(t, AppendServerStats(nil, reqID))
+	reply := rc.roundTrip(t, AppendBare(nil, OpServerStats, reqID))
 	r := NewReader(reply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("SERVER-STATS rejected: %s", ErrName(code))

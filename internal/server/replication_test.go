@@ -62,7 +62,7 @@ func waitSynced(t *testing.T, pdb *durable.DB) {
 // serverStats drives OP-SERVER-STATS on an open raw connection.
 func serverStats(t *testing.T, rc *rawConn, reqID uint64) (role byte, gen, replays uint64) {
 	t.Helper()
-	reply := rc.roundTrip(t, AppendServerStats(nil, reqID))
+	reply := rc.roundTrip(t, AppendBare(nil, OpServerStats, reqID))
 	r := NewReader(reply)
 	if code := r.U8(); code != StatusOK {
 		t.Fatalf("SERVER-STATS rejected: %s", ErrName(code))

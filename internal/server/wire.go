@@ -265,27 +265,10 @@ func AppendCrash(dst []byte, reqID uint64, shard uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, shard)
 }
 
-// AppendStats appends a per-shard stats request.
-func AppendStats(dst []byte, reqID uint64) []byte {
-	dst = append(dst, OpStats)
-	return binary.BigEndian.AppendUint64(dst, reqID)
-}
-
-// AppendClose appends a session-close request.
-func AppendClose(dst []byte, reqID uint64) []byte {
-	dst = append(dst, OpClose)
-	return binary.BigEndian.AppendUint64(dst, reqID)
-}
-
-// AppendPromote appends a promotion request.
-func AppendPromote(dst []byte, reqID uint64) []byte {
-	dst = append(dst, OpPromote)
-	return binary.BigEndian.AppendUint64(dst, reqID)
-}
-
-// AppendServerStats appends a node-status request.
-func AppendServerStats(dst []byte, reqID uint64) []byte {
-	dst = append(dst, OpServerStats)
+// AppendBare appends a request that is its opcode and request ID alone:
+// OpStats, OpClose, OpPromote or OpServerStats.
+func AppendBare(dst []byte, op byte, reqID uint64) []byte {
+	dst = append(dst, op)
 	return binary.BigEndian.AppendUint64(dst, reqID)
 }
 

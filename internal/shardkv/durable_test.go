@@ -31,7 +31,7 @@ func TestDurableRestoreAcrossReopen(t *testing.T) {
 			t.Fatalf("PutRetry returned %d", n)
 		}
 	}
-	s.DelRetry(1, key(t, 3))
+	s.PutRetry(1, key(t, 3), 0)
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}

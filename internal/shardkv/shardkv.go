@@ -125,16 +125,6 @@ func (sh *shard) putRetry(pid int, key string, val int) int {
 	}
 }
 
-// delRetry is putRetry for deletions, so attempts are recorded as dels.
-func (sh *shard) delRetry(pid int, key string) int {
-	for n := 1; ; n++ {
-		if sh.del(pid, key).Status.Linearized() {
-			sh.stats.noteRetries(pid, n)
-			return n
-		}
-	}
-}
-
 // Store is a hash-partitioned detectable key-value store over S shards,
 // each serving up to procs processes. Distinct processes may operate
 // concurrently on any mix of shards; a single process must not run two
@@ -232,12 +222,6 @@ func (s *Store) Del(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome
 // every invocation is recorded in the shard's stats.
 func (s *Store) PutRetry(pid int, key string, val int) int {
 	return s.shards[s.ShardFor(key)].putRetry(pid, key, val)
-}
-
-// DelRetry removes key with NRL always-succeeds semantics, returning the
-// number of invocations.
-func (s *Store) DelRetry(pid int, key string) int {
-	return s.shards[s.ShardFor(key)].delRetry(pid, key)
 }
 
 // GetRetry reads key, re-invoking until a linearized response is obtained

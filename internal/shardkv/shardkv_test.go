@@ -241,12 +241,12 @@ func TestStatsAccounting(t *testing.T) {
 func TestRetryCountsAsOneOp(t *testing.T) {
 	s := New(1, 1)
 	s.PutRetry(0, "a", 1)
-	s.DelRetry(0, "a")
+	s.PutRetry(0, "a", 0)
 	if v := s.GetRetry(0, "a"); v != 0 {
 		t.Fatalf("GetRetry = %d, want 0", v)
 	}
 	st := s.StatsFor(0)
-	if st.Puts != 1 || st.Dels != 1 || st.Gets != 1 {
+	if st.Puts != 2 || st.Dels != 0 || st.Gets != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
