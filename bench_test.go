@@ -1,6 +1,6 @@
 // Benchmarks of the objects and of the composed structures, one family per
-// question (the E-numbers are the experiments internal/model/explore.go and
-// the cmd/ doc comments name). Run with:
+// question (the E-numbers are the experiments as cmd/bounds,
+// docs/PERFORMANCE.md and the package comments name them). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -18,10 +18,10 @@ import (
 	"testing"
 
 	"detectable/internal/counter"
+	"detectable/internal/explore"
 	"detectable/internal/history"
 	"detectable/internal/linearize"
 	"detectable/internal/maxreg"
-	"detectable/internal/model"
 	"detectable/internal/nvm"
 	"detectable/internal/perturb"
 	"detectable/internal/queue"
@@ -303,13 +303,13 @@ func BenchmarkSharedCacheOverhead(b *testing.B) {
 
 // --- E3: Theorem 1 configuration-space exploration ---
 
-// BenchmarkConfigSpace times Theorem 1's configuration count, a model
-// experiment with no object to serve.
+// BenchmarkConfigSpace times Theorem 1's configuration count, an explorer
+// experiment on rcas with no object to serve.
 func BenchmarkConfigSpace(b *testing.B) {
 	for _, n := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := model.ConfigCount(n); err != nil {
+				if _, err := explore.ConfigCount(n); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -317,20 +317,22 @@ func BenchmarkConfigSpace(b *testing.B) {
 	}
 }
 
-// --- E4: Theorem 2 exhaustive check (with auxiliary state, clean) ---
+// --- E4: exhaustive detectability check (with auxiliary state, clean) ---
 
-// BenchmarkExhaustiveDetectabilityCheck times Theorem 2's model check of a
-// 2-process CAS machine with up to two crashes.
+// BenchmarkExhaustiveDetectabilityCheck times the explorer exhausting every
+// schedule of two processes' Cas(0, 1) on rcas with one crash (with two,
+// exhausting takes about 17 s on 2 CPUs).
 func BenchmarkExhaustiveDetectabilityCheck(b *testing.B) {
-	m := &model.CASMachine{
-		N:          2,
-		Scripts:    [][]model.OpCAS{{{Old: 0, New: 1}}, {{Old: 0, New: 1}}},
-		MaxCrashes: 2,
+	h, err := explore.ByName("rcas")
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ResetTimer()
+	cas := spec.NewOp(spec.MethodCAS, 0, 1)
+	prog := explore.Program{{cas}, {cas}}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := model.CheckCAS(m, 1<<22); err != nil {
-			b.Fatal(err)
+		res := explore.Run(h, prog, explore.Options{MaxCrashes: 1, MaxPreemptions: -1})
+		if res.Err != nil || res.Counterexample != nil || !res.Exhausted {
+			b.Fatalf("err %v, counterexample %v, exhausted %v", res.Err, res.Counterexample, res.Exhausted)
 		}
 	}
 }

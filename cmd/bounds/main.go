@@ -1,24 +1,29 @@
 // Command bounds prints the paper's lower-bound tables and checks every row
 // against the paper:
 //
-//	bounds configspace [-maxn 4] [-ablate]   Theorem 1 (E3): detectable CAS reaches 2^N − 1 memory-distinct configurations; -ablate adds Theorem 2 (E4), the same machines without auxiliary state
+//	bounds configspace [-maxn 4] [-ablate]   Theorem 1 (E3): detectable CAS reaches 2^N − 1 memory-distinct configurations; -ablate adds Theorem 2 (E4), rcas and rw without auxiliary state
 //	bounds perturb [-domain 3] [-depth 5]    Lemmas 3–8 (E6): which objects are doubly-perturbing, and their perturbation depth
 //	bounds spacetable [-valuebits 64]        E7: shared bits beyond the value, bounded algorithms against sequence-number baselines
 //
 // Exit status, for every subcommand: 0 every row agrees with the paper, 1 a
 // row contradicts it (a configuration count below 2^N − 1, an ablation that
-// finds no violation, a doubly-perturbing verdict other than its lemma's),
-// 2 a usage error.
+// finds no violation or whose healthy object does not explore cleanly, a
+// doubly-perturbing verdict other than its lemma's), 2 a usage error.
+//
+// Both theorems run on the objects that ship, under internal/explore's
+// scheduler.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"detectable/internal/model"
+	"detectable/internal/explore"
 	"detectable/internal/perturb"
+	"detectable/internal/runtime"
 	"detectable/internal/space"
 	"detectable/internal/spec"
 )
@@ -77,9 +82,13 @@ func theorem1(n, got int) (verdict string, exit int) {
 	return "OK", exitAgree
 }
 
+// maxProcs bounds configspace's N: the count's schedule space grows
+// steeply with N (N = 3 takes milliseconds, N = 4 seconds).
+const maxProcs = 4
+
 func configspace(w io.Writer, maxN int, ablate bool) int {
-	if maxN < 1 || maxN > model.MaxProcs {
-		fmt.Fprintf(os.Stderr, "bounds configspace: maxn must be in [1, %d]\n", model.MaxProcs)
+	if maxN < 1 || maxN > maxProcs {
+		fmt.Fprintf(os.Stderr, "bounds configspace: maxn must be in [1, %d]\n", maxProcs)
 		return exitUsage
 	}
 
@@ -87,7 +96,7 @@ func configspace(w io.Writer, maxN int, ablate bool) int {
 	fmt.Fprintf(w, "%4s %16s %16s %8s\n", "N", "configs found", "2^N - 1 bound", "verdict")
 	exit := exitAgree
 	for n := 1; n <= maxN; n++ {
-		got, err := model.ConfigCount(n)
+		got, err := explore.ConfigCount(n)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bounds configspace: N=%d: %v\n", n, err)
 			return exitContradict
@@ -101,28 +110,48 @@ func configspace(w io.Writer, maxN int, ablate bool) int {
 		return exit
 	}
 
+	// One process, one crash, every schedule. The trailing read is what
+	// convicts: the explorer checks responses, and a recovery that answers
+	// from the previous operation's leftovers shows in what the read sees.
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Theorem 2 (E4): detectability without auxiliary state")
-	for _, ablation := range []struct {
-		name  string
-		check func() (int, int, error)
+	fmt.Fprintln(w, "Theorem 2 (E4): detectability without auxiliary state (Announce skips its reset)")
+	for _, a := range []struct {
+		object string
+		prog   explore.Program
 	}{
-		{"CAS", func() (int, int, error) {
-			return model.CheckCAS(&model.CASMachine{N: 1, Scripts: [][]model.OpCAS{{{Old: 0, New: 1}, {Old: 1, New: 0}}}, MaxCrashes: 1, NoAux: true}, 1<<22)
-		}},
-		{"R/W", func() (int, int, error) {
-			return model.CheckRW(&model.RWMachine{N: 1, Scripts: [][]int8{{1, 2}}, MaxCrashes: 1, NoAux: true}, 1<<22)
-		}},
+		{"rcas", explore.Program{{spec.NewOp(spec.MethodCAS, 0, 1), spec.NewOp(spec.MethodCAS, 1, 0), spec.NewOp(spec.MethodRead)}}},
+		{"rw", explore.Program{{spec.NewOp(spec.MethodWrite, 1), spec.NewOp(spec.MethodWrite, 2), spec.NewOp(spec.MethodRead)}}},
 	} {
-		_, _, err := ablation.check()
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "bounds configspace: %s ablation found no violation — unexpected\n", ablation.name)
+		runtime.MutantSkipReset = true
+		ablated := exhaust(a.object, a.prog)
+		runtime.MutantSkipReset = false
+		healthy := exhaust(a.object, a.prog)
+		switch {
+		case ablated.Err != nil || healthy.Err != nil:
+			fmt.Fprintf(os.Stderr, "bounds configspace: %s ablation: %v\n", a.object, errors.Join(ablated.Err, healthy.Err))
+			return exitContradict
+		case ablated.Counterexample == nil:
+			fmt.Fprintf(os.Stderr, "bounds configspace: %s ablation found no violation in %d executions\n", a.object, ablated.Stats.Executions)
+			return exitContradict
+		case healthy.Counterexample != nil || !healthy.Exhausted:
+			fmt.Fprintf(os.Stderr, "bounds configspace: %s with auxiliary state did not explore cleanly: %v\n", a.object, healthy.Counterexample)
 			return exitContradict
 		}
-		fmt.Fprintf(w, "  %s  without aux state: %v\n", ablation.name, err)
+		fmt.Fprintf(w, "  %-4s without aux state: %s (%s, execution %d)\n",
+			a.object, ablated.Counterexample, ablated.Counterexample.Note, ablated.Stats.Executions)
+		fmt.Fprintf(w, "  %-4s with aux state:    clean, exhausted in %d executions\n", a.object, healthy.Stats.Executions)
 	}
-	fmt.Fprintln(w, "  (with the announcement in place, the same scripts explore cleanly)")
 	return exit
+}
+
+// exhaust explores prog on the named object with one crash until every
+// schedule has run.
+func exhaust(object string, prog explore.Program) explore.Result {
+	h, err := explore.ByName(object)
+	if err != nil {
+		return explore.Result{Err: err}
+	}
+	return explore.Run(h, prog, explore.Options{MaxCrashes: 1, MaxPreemptions: -1})
 }
 
 // object is one perturb row: the object, the operations that drive its

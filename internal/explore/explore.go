@@ -9,11 +9,11 @@
 // sample the schedule space, the explorer walks it: a seeded bug that needs
 // one specific interleaving plus a crash at one specific step is found, and
 // reported as a minimal, replayable Trace that reproduces the violation
-// byte-for-byte (Replay). internal/model plays the same role for abstract
-// step machines of Algorithms 1 and 2; this package checks the *real*
-// implementations — goroutines, the runtime.Execute protocol, recovery
-// re-entries, composed objects — by driving them under a controlled
-// scheduler (see sched.go).
+// byte-for-byte (Replay). It checks the implementations that ship —
+// goroutines, the runtime.Execute protocol, recovery re-entries, composed
+// objects — by driving them under a controlled scheduler (see sched.go),
+// and the paper's lower-bound tables (cmd/bounds) are computed the same
+// way: ConfigCount for Theorem 1, runtime.MutantSkipReset for Theorem 2.
 //
 // Tractability comes from two classic model-checking techniques:
 //
@@ -254,10 +254,11 @@ type runner struct {
 	sleepOn  bool
 	deadline time.Time
 	res      *Result
+	observed bool // an Instance's Observe asked to stop
 }
 
 func (r *runner) stopNow() bool {
-	if r.opt.MaxExecutions > 0 && r.res.Stats.Executions >= r.opt.MaxExecutions {
+	if r.observed || r.opt.MaxExecutions > 0 && r.res.Stats.Executions >= r.opt.MaxExecutions {
 		return true
 	}
 	return !r.deadline.IsZero() && time.Now().After(r.deadline)
@@ -274,6 +275,9 @@ func (r *runner) pass(bound int) bool {
 		r.runOne(&stack, bound)
 		if r.res.Counterexample != nil || r.res.Err != nil {
 			return false
+		}
+		if r.observed {
+			return true // stopped mid-execution: the pass is not finished
 		}
 		// Backtrack to the deepest point with an unexplored viable sibling.
 		advanced := false
@@ -348,6 +352,11 @@ func (r *runner) runOne(stack *[]*point, bound int) {
 		decisions = append(decisions, d)
 		lastInfo = info
 		depth++
+		if obs := exec.inst.Observe; obs != nil && obs() {
+			r.observed = true
+			exec.abort()
+			return
+		}
 	}
 	if depth < len(*stack) {
 		fail(fmt.Errorf("explore: execution finished at depth %d but the replay stack holds %d points (nondeterminism)", depth, len(*stack)))

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"detectable/internal/explore"
+	"detectable/internal/rcas"
+	"detectable/internal/runtime"
+	"detectable/internal/rw"
 	"detectable/internal/spec"
 )
 
@@ -120,6 +123,85 @@ func TestSoloCrashSweep(t *testing.T) {
 			}
 			t.Logf("exhausted after %d executions in %v", res.Stats.Executions, res.Elapsed)
 		})
+	}
+}
+
+// TestAlgorithmScripts runs Algorithms 1 and 2 on hand-picked scripts —
+// conflicting and chained CASes, same-value and ABA writes (q's third
+// write restores the initial value while p is down), three processes, up
+// to three crashes — exhaustively where that is cheap (bound -1) and to a
+// preemption bound where it is not. The nightly workflow runs three
+// processes with a crash to bound 2. The explorer checks responses only,
+// and a write always answers Ack, so every rw process ends with a read:
+// without it a write's verdict is never held against the register. Each
+// script must first convict the seeded bugs it names, then run clean.
+func TestAlgorithmScripts(t *testing.T) {
+	c := func(old, new int) spec.Operation { return spec.NewOp(spec.MethodCAS, old, new) }
+	w := func(v int) spec.Operation { return spec.NewOp(spec.MethodWrite, v) }
+	r := spec.NewOp(spec.MethodRead)
+	type ops = []spec.Operation
+	rdPersist, skipReset, toggleClear := &rcas.MutantDropRDPersist, &runtime.MutantSkipReset, &rw.MutantSkipToggleClear
+	scripts := []struct {
+		object, name   string
+		prog           explore.Program
+		crashes, bound int
+		convicts       []*bool
+	}{
+		{"rcas", "2proc-1op-1crash", explore.Program{ops{c(0, 1)}, ops{c(0, 1)}}, 1, -1, []*bool{rdPersist}},
+		{"rcas", "2proc-1op-2crashes", explore.Program{ops{c(0, 1)}, ops{c(0, 1)}}, 2, 1, []*bool{rdPersist}},
+		{"rcas", "2proc-conflict-1crash", explore.Program{ops{c(0, 1), c(1, 0)}, ops{c(0, 1)}}, 1, 1, []*bool{rdPersist, skipReset}},
+		{"rcas", "2proc-chain-1crash", explore.Program{ops{c(0, 1)}, ops{c(1, 2)}}, 1, -1, []*bool{rdPersist}},
+		{"rcas", "3proc-1op-1crash", explore.Program{ops{c(0, 1)}, ops{c(0, 1)}, ops{c(0, 1)}}, 1, 1, []*bool{rdPersist}},
+		{"rcas", "3proc-2crashes", explore.Program{ops{c(0, 1)}, ops{c(0, 2)}, ops{c(1, 0)}}, 2, 0, []*bool{rdPersist}},
+		{"rcas", "1proc-3ops-3crashes", explore.Program{ops{c(0, 1), c(1, 0), c(0, 1), r}}, 3, -1, []*bool{rdPersist, skipReset}},
+		{"rw", "1proc-2ops-2crashes", explore.Program{ops{w(1), w(2), r}}, 2, -1, []*bool{skipReset}},
+		{"rw", "2proc-1op-1crash", explore.Program{ops{w(1), r}, ops{w(2), r}}, 1, 1, nil},
+		{"rw", "2proc-samevalue-1crash", explore.Program{ops{w(1), r}, ops{w(1), r}}, 1, 1, nil},
+		{"rw", "2proc-2+1ops-1crash", explore.Program{ops{w(1), w(2), r}, ops{w(3), r}}, 1, 1, []*bool{skipReset, toggleClear}},
+		{"rw", "2proc-aba-1crash", explore.Program{ops{w(5), r}, ops{w(7), w(8), w(0), r}}, 1, 1, []*bool{skipReset, toggleClear}},
+		{"rw", "3proc-nocrash", explore.Program{ops{w(1), r}, ops{w(2), r}, ops{w(3), r}}, 0, 1, nil},
+	}
+	for _, object := range []string{"rcas", "rw"} {
+		t.Run(object, func(t *testing.T) {
+			for _, tc := range scripts {
+				if tc.object != object {
+					continue
+				}
+				t.Run(tc.name, func(t *testing.T) {
+					opt := explore.Options{MaxCrashes: tc.crashes, MaxPreemptions: tc.bound, MaxExecutions: testExecs, Budget: testBudget}
+					for _, m := range tc.convicts {
+						*m = true
+						t.Cleanup(func() { *m = false }) // survive a mid-hunt Fatal
+						hunt(t, tc.object, tc.prog, opt)
+						*m = false
+					}
+					res := clean(t, tc.object, tc.prog, opt)
+					if tc.bound < 0 && !res.Exhausted {
+						t.Fatalf("space not exhausted: %+v", res.Stats)
+					}
+					t.Logf("%d executions to bound %d in %v", res.Stats.Executions, res.Stats.Bound, res.Elapsed)
+				})
+			}
+		})
+	}
+}
+
+// TestObserveStopIsIncomplete: an Observe that asks to stop ends the run
+// incomplete, even when it stops the only schedule there is.
+func TestObserveStopIsIncomplete(t *testing.T) {
+	h, err := explore.ByName("rw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopping := explore.Harness{Name: h.Name, Build: func(procs int) *explore.Instance {
+		inst := h.Build(procs)
+		inst.Observe = func() bool { return true }
+		return inst
+	}}
+	res := explore.Run(stopping, explore.Program{{spec.NewOp(spec.MethodWrite, 1)}}, explore.Options{MaxPreemptions: -1})
+	if res.Err != nil || res.Complete || res.Exhausted || res.Stats.Executions != 1 {
+		t.Fatalf("observed stop: err %v, complete %v, exhausted %v, %d executions",
+			res.Err, res.Complete, res.Exhausted, res.Stats.Executions)
 	}
 }
 

@@ -45,6 +45,9 @@ type Instance struct {
 	// is consulted on every attempt; an unarmed pid runs as production does.
 	Run   func(pid int, op spec.Operation) (int, runtime.Status)
 	Crash func()
+	// Observe, if set, runs after every applied decision of Run's
+	// executions; returning true stops the run as the budget does.
+	Observe func() (stop bool)
 }
 
 // Harness builds Instances and default Programs for one object type.
@@ -153,16 +156,19 @@ func rwHarness() Harness {
 	}, writesAndReads(spec.MethodWrite))
 }
 
+func rcasMethods(cas *rcas.CAS[int]) methods {
+	return methods{
+		spec.MethodCAS: func(pid int, a []int) (int, runtime.Status) {
+			out := cas.Cas(pid, a[0], a[1])
+			return runtime.EncodeBool(out.Resp), out.Status
+		},
+		spec.MethodRead: func(pid int, _ []int) (int, runtime.Status) { return ints(cas.Read(pid)) },
+	}
+}
+
 func rcasHarness() Harness {
 	return object("rcas", spec.CAS{}, func(sys *runtime.System) methods {
-		cas := rcas.NewInt(sys, 0)
-		return methods{
-			spec.MethodCAS: func(pid int, a []int) (int, runtime.Status) {
-				out := cas.Cas(pid, a[0], a[1])
-				return runtime.EncodeBool(out.Resp), out.Status
-			},
-			spec.MethodRead: func(pid int, _ []int) (int, runtime.Status) { return ints(cas.Read(pid)) },
-		}
+		return rcasMethods(rcas.NewInt(sys, 0))
 	}, func(procs, ops int) Program {
 		// Every CAS targets old value 0, so the processes race for the
 		// first swap, process 1's an identity Cas(0, 0); later CASes
@@ -254,4 +260,35 @@ func shardkvHarness() Harness {
 		},
 		DefaultProgram: writesAndReads(spec.MethodWrite),
 	}
+}
+
+// ConfigCount is Theorem 1's experiment on the shipped rcas object: n
+// processes each run Cas(0, 1) then Cas(1, 0), crash-free, and it counts
+// the distinct values of C = ⟨val, vec⟩ the schedules reach, deepening the
+// preemption bound 0, 1, 2. A successful CAS of these scripts flips its
+// process's bit of vec and toggles val, so val is always popcount(vec) mod
+// 2 and exactly 2^n values are possible: the search stops as soon as it
+// has seen them all, and Theorem 1 wants at least 2^n − 1.
+func ConfigCount(n int) (int, error) {
+	seen := map[rcas.Pair[int]]bool{}
+	h := Harness{Name: "rcas", Build: func(procs int) *Instance {
+		sys := runtime.NewSystem(procs)
+		cas := rcas.NewInt(sys, 0)
+		return &Instance{Sys: sys, Obj: spec.CAS{}, Run: rcasMethods(cas).run, Crash: sys.Crash,
+			Observe: func() bool {
+				seen[cas.PeekPair()] = true
+				return len(seen) == 1<<n
+			}}
+	}}
+	prog := make(Program, n)
+	for p := range prog {
+		prog[p] = []spec.Operation{spec.NewOp(spec.MethodCAS, 0, 1), spec.NewOp(spec.MethodCAS, 1, 0)}
+	}
+	switch res := Run(h, prog, Options{MaxPreemptions: 2}); {
+	case res.Err != nil:
+		return len(seen), res.Err
+	case res.Counterexample != nil:
+		return len(seen), fmt.Errorf("explore: rcas counterexample: %s", res.Counterexample)
+	}
+	return len(seen), nil
 }

@@ -7,6 +7,7 @@ import (
 	"detectable/internal/explore"
 	"detectable/internal/queue"
 	"detectable/internal/rcas"
+	"detectable/internal/runtime"
 	"detectable/internal/rw"
 	"detectable/internal/spec"
 )
@@ -47,7 +48,7 @@ func hunt(t *testing.T, object string, prog explore.Program, opt explore.Options
 
 // clean re-runs the identical search on the healthy algorithm and demands
 // silence.
-func clean(t *testing.T, object string, prog explore.Program, opt explore.Options) {
+func clean(t *testing.T, object string, prog explore.Program, opt explore.Options) explore.Result {
 	t.Helper()
 	h, err := explore.ByName(object)
 	if err != nil {
@@ -63,6 +64,7 @@ func clean(t *testing.T, object string, prog explore.Program, opt explore.Option
 	if !res.Complete {
 		t.Fatalf("healthy search did not complete: %+v", res.Stats)
 	}
+	return res
 }
 
 var mutOpt = explore.Options{
@@ -132,6 +134,67 @@ func TestMutantQueueDropDeqTargetPersist(t *testing.T) {
 	queue.MutantDropDeqTargetPersist = false
 
 	clean(t, "queue", prog, mutOpt)
+}
+
+// TestMutantSkipResetConvicted is Theorem 2's ablation as bounds
+// configspace -ablate runs it: with Announce leaving Resp and CP as the
+// previous operation left them, a crash early in the second mutator makes
+// recovery answer from the first one's leftovers, which the trailing read
+// contradicts. The explorer checks responses, so without that read neither
+// object is convicted. With the reset in place, every schedule of one
+// crash runs clean.
+func TestMutantSkipResetConvicted(t *testing.T) {
+	opt := explore.Options{MaxCrashes: 1, MaxPreemptions: -1, MaxExecutions: testExecs, Budget: time.Minute}
+	for _, tc := range []struct {
+		object string
+		prog   explore.Program
+	}{
+		{"rcas", explore.Program{{spec.NewOp(spec.MethodCAS, 0, 1), spec.NewOp(spec.MethodCAS, 1, 0), spec.NewOp(spec.MethodRead)}}},
+		{"rw", explore.Program{{spec.NewOp(spec.MethodWrite, 1), spec.NewOp(spec.MethodWrite, 2), spec.NewOp(spec.MethodRead)}}},
+	} {
+		t.Run(tc.object, func(t *testing.T) {
+			t.Run("mutant", func(t *testing.T) {
+				runtime.MutantSkipReset = true
+				t.Cleanup(func() { runtime.MutantSkipReset = false })
+				hunt(t, tc.object, tc.prog, opt)
+			})
+			t.Run("clean", func(t *testing.T) {
+				if res := clean(t, tc.object, tc.prog, opt); !res.Exhausted {
+					t.Fatalf("healthy search not exhausted: %+v", res.Stats)
+				}
+			})
+		})
+	}
+}
+
+// TestMutantRCASIdentityFlip: Algorithm 2 as printed runs a Cas(0, 0)
+// through the swap, flipping its bit of vec, so a concurrent Cas(0, 1)
+// fails on the vector alone while C holds 0 throughout — crash-free, on
+// TestRCASIdentityCASLeavesOthersAlone's program.
+func TestMutantRCASIdentityFlip(t *testing.T) {
+	prog := explore.Program{{spec.NewOp(spec.MethodCAS, 0, 1)}, {spec.NewOp(spec.MethodCAS, 0, 0)}}
+	opt := explore.Options{MaxPreemptions: -1, MaxExecutions: testExecs, Budget: time.Minute}
+
+	rcas.MutantIdentityFlip = true
+	t.Cleanup(func() { rcas.MutantIdentityFlip = false }) // survive a mid-hunt Fatal
+	hunt(t, "rcas", prog, opt)
+	rcas.MutantIdentityFlip = false
+
+	clean(t, "rcas", prog, opt)
+}
+
+// TestConfigCount is Theorem 1 on rcas: N processes reach exactly 2^N
+// memory-distinct configurations, one more than the bound's 2^N − 1.
+func TestConfigCount(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		got, err := explore.ConfigCount(n)
+		if err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		if got != 1<<n {
+			t.Fatalf("N=%d: %d configurations, want %d", n, got, 1<<n)
+		}
+	}
 }
 
 // TestSleepPruningPreservesBugs validates the sleep-set pruning against an

@@ -6,7 +6,6 @@ import (
 
 	"detectable/internal/nvm"
 	"detectable/internal/runtime"
-	"detectable/internal/rw"
 )
 
 // The registers of a store share one RD_p and one announcement pair per
@@ -123,11 +122,11 @@ func TestCrossRegisterCrashSweep(t *testing.T) {
 // shared announcement still holds A's response and checkpoint when B's
 // operation crashes early, and recovery answers from them.
 func TestCrossRegisterSweepConvictsSkippedAnnounceReset(t *testing.T) {
-	rw.MutantSkipAnnounceReset = true
-	defer func() { rw.MutantSkipAnnounceReset = false }()
+	runtime.MutantSkipReset = true
+	defer func() { runtime.MutantSkipReset = false }()
 	violations := crossSweep(t)
 	if len(violations) == 0 {
-		t.Fatalf("sweep found no violation under MutantSkipAnnounceReset")
+		t.Fatalf("sweep found no violation under MutantSkipReset")
 	}
 	t.Logf("convicted: %d disagreements, first: %s", len(violations), violations[0])
 }

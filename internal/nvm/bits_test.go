@@ -289,27 +289,42 @@ func TestSetRunCrashesBetweenBits(t *testing.T) {
 	}
 }
 
-// TestAcquiredCtxCountsAtRelease: a pooled context's primitives reach the
-// shared Stats at ReleaseCtx, all of them and only once.
+// TestAcquiredCtxCountsAtRelease: every primitive records its statistic,
+// and a pooled context's primitives reach the shared Stats at ReleaseCtx,
+// all of them and only once; Reset zeroes them.
 func TestAcquiredCtxCountsAtRelease(t *testing.T) {
 	sp := NewSpace()
-	c := NewCell(sp, 0)
-	b := NewBits(sp, 64)
-	ctx := sp.AcquireCtx(0, nil)
-	c.Store(ctx, 1)
-	c.Load(ctx)
-	c.CompareAndSwap(ctx, 1, 2)
-	b.SetRun(ctx, 0, 5)
-	if got := sp.Stats().Total(); got != 0 {
-		t.Fatalf("Stats counted %d primitives before ReleaseCtx", got)
-	}
-	sp.ReleaseCtx(ctx)
-	if st := sp.Stats(); st.Stores() != 6 || st.Loads() != 1 || st.CASes() != 1 {
-		t.Fatalf("stats = %d/%d/%d, want 6 stores, 1 load, 1 CAS", st.Stores(), st.Loads(), st.CASes())
-	}
-	again := sp.AcquireCtx(0, nil)
-	sp.ReleaseCtx(again)
-	if got := sp.Stats().Total(); got != 8 {
-		t.Fatalf("a recycled context added its predecessor's counts again: total %d, want 8", got)
-	}
+	t.Run("primitives", func(t *testing.T) {
+		c := NewCell(sp, 0)
+		b := NewBits(sp, 64)
+		ctx := sp.AcquireCtx(0, nil)
+		c.Store(ctx, 1)
+		c.Load(ctx)
+		c.CompareAndSwap(ctx, 1, 2)
+		b.SetRun(ctx, 0, 5)
+		if got := sp.Stats().Total(); got != 0 {
+			t.Fatalf("Stats counted %d primitives before ReleaseCtx", got)
+		}
+		sp.ReleaseCtx(ctx)
+		if st := sp.Stats(); st.Stores() != 6 || st.Loads() != 1 || st.CASes() != 1 {
+			t.Fatalf("stats = %d/%d/%d, want 6 stores, 1 load, 1 CAS", st.Stores(), st.Loads(), st.CASes())
+		}
+		again := sp.AcquireCtx(0, nil)
+		sp.ReleaseCtx(again)
+		if got := sp.Stats().Total(); got != 8 {
+			t.Fatalf("a recycled context added its predecessor's counts again: total %d, want 8", got)
+		}
+	})
+	t.Run("reset", func(t *testing.T) {
+		ctx := sp.AcquireCtx(0, nil)
+		NewCell(sp, 0).Store(ctx, 1)
+		sp.ReleaseCtx(ctx)
+		if sp.Stats().Total() == 0 {
+			t.Fatal("nothing counted to reset")
+		}
+		sp.Stats().Reset()
+		if got := sp.Stats().Total(); got != 0 {
+			t.Fatalf("Total after Reset = %d, want 0", got)
+		}
+	})
 }

@@ -147,29 +147,6 @@ func TestCrashAtStepFiresOnce(t *testing.T) {
 	}
 }
 
-func TestStatsCounting(t *testing.T) {
-	sp := NewSpace()
-	c := NewCell(sp, 0)
-	ctx := sp.AcquireCtx(0, nil)
-	c.Store(ctx, 1)
-	c.Load(ctx)
-	c.Load(ctx)
-	c.CompareAndSwap(ctx, 1, 2)
-	sp.ReleaseCtx(ctx)
-	st := sp.Stats()
-	if st.Stores() != 1 || st.Loads() != 2 || st.CASes() != 1 {
-		t.Fatalf("stats = %d stores / %d loads / %d cas, want 1/2/1",
-			st.Stores(), st.Loads(), st.CASes())
-	}
-	if st.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", st.Total())
-	}
-	st.Reset()
-	if st.Total() != 0 {
-		t.Fatalf("Total after Reset = %d, want 0", st.Total())
-	}
-}
-
 func TestCellConcurrentCAS(t *testing.T) {
 	// Concurrent increments via CAS loops must not lose updates.
 	const (

@@ -236,21 +236,6 @@ func TestPtrWordValueCache(t *testing.T) {
 	}
 }
 
-// TestFastPathStatsStillCount pins that every primitive records its
-// statistic.
-func TestFastPathStatsStillCount(t *testing.T) {
-	sp := NewSpace()
-	c := NewCell(sp, 0)
-	ctx := sp.AcquireCtx(0, nil)
-	c.Store(ctx, 1)
-	c.Load(ctx)
-	c.CompareAndSwap(ctx, 1, 2)
-	sp.ReleaseCtx(ctx)
-	if st := sp.Stats(); st.Stores() != 1 || st.Loads() != 1 || st.CASes() != 1 {
-		t.Fatalf("stats = %d/%d/%d, want 1/1/1", st.Stores(), st.Loads(), st.CASes())
-	}
-}
-
 // TestCtxPoolReuse pins that pooled contexts reset correctly.
 func TestCtxPoolReuse(t *testing.T) {
 	sp := NewSpace()

@@ -17,7 +17,8 @@
 // flipping its bit would fail a concurrent Cas(x, y) on the vector alone.
 //
 // The object uses Θ(N) shared bits beyond the value — which Theorem 1
-// (reproduced in internal/model) proves asymptotically optimal.
+// proves asymptotically optimal; explore.ConfigCount counts the 2^N
+// configurations this object reaches.
 package rcas
 
 import (
@@ -137,9 +138,9 @@ func (o *CAS[V]) makeCasAnnounce(pid int) func(*nvm.Ctx) {
 func (o *CAS[V]) makeCasBody(pid int) func(*nvm.Ctx) bool {
 	ann := o.cAnn[pid]
 	return func(ctx *nvm.Ctx) bool {
-		old, new := o.casArgs[pid].old, o.casArgs[pid].new // staged arguments
-		cur := o.c.Load(ctx)                               // line 28
-		if cur.Val != old || old == new {                  // line 29, and Cas(x, x)
+		old, new := o.casArgs[pid].old, o.casArgs[pid].new       // staged arguments
+		cur := o.c.Load(ctx)                                     // line 28
+		if cur.Val != old || old == new && !MutantIdentityFlip { // line 29, and Cas(x, x)
 			ann.SetResult(ctx, cur.Val == old) // line 30
 			return cur.Val == old              // line 31
 		}

@@ -51,6 +51,9 @@ func NewAnn[R comparable](sp *nvm.Space) *Ann[R] {
 // a stale response.
 func (a *Ann[R]) Announce(ctx *nvm.Ctx, opKey string) {
 	a.Op.Store(ctx, opKey)
+	if MutantSkipReset {
+		return
+	}
 	a.Resp.Store(ctx, nvm.None[R]())
 	a.CP.Store(ctx, 0)
 }

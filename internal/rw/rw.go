@@ -213,14 +213,14 @@ func NewProcs(sys *runtime.System) *Procs {
 		}
 		p.write = runtime.Op[int]{
 			Desc:     spec.NewOp(spec.MethodWrite, 0),
-			Announce: func(ctx *nvm.Ctx) { announce(ctx, p.wAnn, "write") },
+			Announce: func(ctx *nvm.Ctx) { p.wAnn.Announce(ctx, "write") },
 			Body:     p.writeBody,
 			Recover:  p.writeRecover,
 			Encode:   runtime.EncodeInt,
 		}
 		p.read = runtime.Op[int]{
 			Desc:     spec.NewOp(spec.MethodRead),
-			Announce: func(ctx *nvm.Ctx) { announce(ctx, p.rAnn, "read") },
+			Announce: func(ctx *nvm.Ctx) { p.rAnn.Announce(ctx, "read") },
 			Body:     p.readBody,
 			Recover:  p.readRecover,
 			Encode:   runtime.EncodeInt,
@@ -228,15 +228,6 @@ func NewProcs(sys *runtime.System) *Procs {
 		ps.p = append(ps.p, p)
 	}
 	return ps
-}
-
-// announce is the caller-side announcement (see MutantSkipAnnounceReset).
-func announce(ctx *nvm.Ctx, ann *runtime.Ann[int], op string) {
-	if MutantSkipAnnounceReset {
-		ann.Op.Store(ctx, op)
-		return
-	}
-	ann.Announce(ctx, op)
 }
 
 // Register is an N-process detectable read/write register over the values
