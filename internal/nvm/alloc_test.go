@@ -41,7 +41,7 @@ func TestAllocPinCellObjects(t *testing.T) {
 		t.Errorf("a Cell of a three-field struct is %d B, want ≤ 32", size)
 	}
 	ws := NewWords(sp, 64, int64(0))
-	if ws.packed == nil || ws.cells != nil || ws.cached != nil {
+	if ws.packed == nil || ws.boxed != nil || ws.cache != nil {
 		t.Fatal("NewWords of a packable kind under the private-cache model is not stored as bare bits")
 	}
 	var before, after runtime.MemStats

@@ -10,48 +10,6 @@ var allModels = []Model{ModelPrivateCache, ModelSharedCacheRaw, ModelSharedCache
 // keeps reports whether an unflushed store survives a crash under m.
 func keeps(m Model) bool { return m != ModelSharedCacheRaw }
 
-// TestBitsCrashPerModel: each bit reverts, on its own, to its last flushed
-// value. Raw loses unflushed bits — set or cleared — and keeps flushed
-// ones; the private-cache model and the flush-after-write transformation
-// keep everything.
-func TestBitsCrashPerModel(t *testing.T) {
-	for _, m := range allModels {
-		t.Run(m.String(), func(t *testing.T) {
-			sp := NewSpaceModel(m)
-			b := NewBits(sp, 130) // three words
-			ctx := sp.AcquireCtx(0, nil)
-			b.Store(ctx, 3, true)
-			b.Flush(ctx, 3) // 3: flushed 1
-			b.Store(ctx, 4, true)
-			b.Flush(ctx, 4)
-			b.Store(ctx, 4, false)  // 4: flushed 1, then cleared unflushed
-			b.Store(ctx, 5, true)   // 5: set unflushed, same word as the flushed 3
-			b.Store(ctx, 129, true) // 129: set unflushed, last word
-			for _, i := range []int{3, 5, 129} {
-				if !b.Load(ctx, i) {
-					t.Fatalf("bit %d not visible through the cache", i)
-				}
-			}
-			sp.Crash()
-			want := map[int]bool{3: true, 4: !keeps(m), 5: keeps(m), 129: keeps(m), 6: false, 128: false}
-			for i, w := range want {
-				if got := b.Peek(i); got != w {
-					t.Errorf("bit %d = %v after crash, want %v", i, got, w)
-				}
-				if got := b.PeekPersisted(i); got != w {
-					t.Errorf("bit %d persisted = %v after crash, want %v", i, got, w)
-				}
-			}
-			// The array stays usable in the new epoch.
-			ctx = sp.AcquireCtx(0, nil)
-			b.Store(ctx, 6, true)
-			if !b.Load(ctx, 6) {
-				t.Fatalf("store after crash lost")
-			}
-		})
-	}
-}
-
 // TestBitsAreCells: every bit is a cell of its own — a distinct CellID from
 // one contiguous reservation, visible to a crash plan at the primitive —
 // and every primitive on a bit is a step, a statistic and a crash point.

@@ -2,11 +2,12 @@ package nvm
 
 import "sync/atomic"
 
-// Register is the read/write primitive interface shared by both memory
-// models. Algorithms are written against Register (or CASRegister) so the
-// same code runs under the private-cache model (Cell), the raw shared-cache
-// model (CachedCell, correct only with explicit flushes) and the
-// flush-after-write transformation of Izraelevitz et al. (AutoPersist).
+// Register is the read/write primitive interface shared by every memory
+// model. Algorithms are written against Register (or CASRegister) so the
+// same code runs under the private-cache model, the raw shared-cache model
+// (correct only with explicit flushes) and the flush-after-write
+// transformation of Izraelevitz et al.; NewWord picks the word for the
+// Space's model.
 type Register[T comparable] interface {
 	// Load atomically reads the register.
 	Load(ctx *Ctx) T
@@ -28,24 +29,14 @@ type CASRegister[T comparable] interface {
 	// is intended for test assertions and checkers; algorithm code must use
 	// Load.
 	Peek() T
-	// Init sets the register's initial value — cached and persisted alike —
-	// without a Ctx: no primitive runs and nothing is counted. It belongs
-	// to allocation (a word handed out of a NewWords array that must start
-	// on another value than the array's); call it before the register is
-	// shared.
-	Init(v T)
 }
 
 // NewWord allocates a CAS-capable memory word in sp according to sp's
 // memory model:
 //
 //   - ModelPrivateCache: a Cell — every primitive persists immediately.
-//   - ModelSharedCacheAuto: a CachedCell wrapped in the flush-after-write
-//     transformation of Izraelevitz et al. (Section 6 of the paper).
-//   - ModelSharedCacheRaw: a bare CachedCell — primitives are volatile
-//     until flushed, which breaks algorithms written for the private-cache
-//     model (used by tests that demonstrate why the transformation is
-//     needed).
+//   - ModelSharedCacheAuto and ModelSharedCacheRaw: a one-word Words array,
+//     which follows the model as every Words array does.
 //
 // All algorithm packages allocate their shared and private non-volatile
 // variables through NewWord or NewWords, so the same algorithm code runs
@@ -54,138 +45,168 @@ func NewWord[T comparable](sp *Space, init T) CASRegister[T] {
 	if sp.Model() == ModelPrivateCache {
 		return NewCell(sp, init)
 	}
-	ws := NewWords(sp, 1, init)
-	return ws.cell(0)
+	return &oneWord[T]{NewWords(sp, 1, init)}
+}
+
+// oneWord is NewWord's word under the shared-cache models: word 0 of a
+// one-word array.
+type oneWord[T comparable] struct{ ws Words[T] }
+
+func (o *oneWord[T]) Load(ctx *Ctx) T     { return o.ws.Load(ctx, 0) }
+func (o *oneWord[T]) Store(ctx *Ctx, v T) { o.ws.Store(ctx, 0, v) }
+func (o *oneWord[T]) Flush(ctx *Ctx)      { o.ws.Flush(ctx, 0) }
+func (o *oneWord[T]) Peek() T             { return o.ws.Peek(0) }
+func (o *oneWord[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
+	return o.ws.CompareAndSwap(ctx, 0, old, new)
 }
 
 // Words is one NewWords array, addressed by index: word i is cell base+i,
 // as bit i of a Bits array is, and its primitives are the methods below
-// with i as their first argument. It holds the model's concrete storage,
-// one field per representation, and no interface or identity per word, so
-// an object whose words are elements of a chunk (rw.Procs) keeps one Words
-// per chunk and an index per object.
+// with i as their first argument. It holds no interface or identity per
+// word, so an object whose words are elements of a chunk (rw.Procs) keeps
+// one Words per chunk and an index per object.
+//
+// The words hold the value every primitive reads and writes: a packable T
+// as its bits alone, one atomic.Int64 per word, any other T as a boxed
+// word. The array follows its Space's memory model as Bits does: under the
+// shared-cache models the words are the volatile cache, a plane holds each
+// word's last flushed value and a crash reverts the words to it, and under
+// ModelSharedCacheAuto every Store and CompareAndSwap is followed by a
+// Flush of that word.
 type Words[T comparable] struct {
-	packed []atomic.Int64  // a packable T under ModelPrivateCache: the bits alone
-	cells  []Cell[T]       // any other T under ModelPrivateCache
-	cached *cachedCells[T] // the words under the shared-cache models
-	base   int             // CellID of word 0
+	packed []atomic.Int64 // a packable T: the bits alone
+	boxed  []word[T]      // any other T
+	base   int            // CellID of word 0
+	cache  *plane         // nil under the private-cache model
 }
 
 // NewWords allocates n words as NewWord does, all holding init, in one
-// piece: one array of the model's storage, one reservation of n contiguous
-// cell identities, one crash registration and — for a boxed T — one
-// immutable box of init that every word starts on. A word that must start
-// on another value takes it through Init. Under ModelPrivateCache a
-// packable T is stored as its bits alone, 8 bytes a word; the
-// representation follows from T alone.
+// piece: one array of the words, one reservation of n contiguous cell
+// identities, one crash registration and — for a boxed T — one immutable
+// box of init that every word starts on. A word that must start on another
+// value takes it through Init. The representation follows from T alone.
 func NewWords[T comparable](sp *Space, n int, init T) Words[T] {
-	base := sp.noteCells(n)
-	if sp.Model() == ModelPrivateCache && packable[T]() {
-		words := make([]atomic.Int64, n)
-		for i := range words {
-			words[i].Store(pack(init))
+	w := Words[T]{base: sp.noteCells(n)}
+	if packable[T]() {
+		w.packed = make([]atomic.Int64, n)
+		for i := range w.packed {
+			w.packed[i].Store(pack(init))
 		}
-		return Words[T]{packed: words, base: base}
-	}
-	box := newBox(init)
-	if sp.Model() == ModelPrivateCache {
-		cells := make([]Cell[T], n)
-		for i := range cells {
-			cells[i].id = base + i
-			cells[i].w.start(init, box)
-		}
-		return Words[T]{cells: cells, base: base}
-	}
-	cs := &cachedCells[T]{cells: make([]CachedCell[T], n)}
-	for i := range cs.cells {
-		c := &cs.cells[i]
-		c.id, c.persisted = base+i, init
-		c.cached.start(init, box)
-	}
-	sp.register(cs)
-	if sp.Model() == ModelSharedCacheAuto {
-		cs.auto = make([]AutoPersist[T], n)
-		for i := range cs.auto {
-			cs.auto[i].inner = &cs.cells[i]
+	} else {
+		w.boxed = make([]word[T], n)
+		box := newBox(init)
+		for i := range w.boxed {
+			w.boxed[i].start(init, box)
 		}
 	}
-	return Words[T]{cached: cs, base: base}
+	if sp.Model() != ModelPrivateCache {
+		persisted := make([]T, n)
+		for i := range persisted {
+			persisted[i] = init
+		}
+		ws := w // the words the plane reverts; w itself is returned by value
+		w.cache = newPlane(sp, persisted, func() {
+			for i, v := range persisted {
+				ws.set(i, v)
+			}
+		})
+	}
+	return w
 }
 
-// cell returns word i of a boxed or shared-cache array: a cell of its own
-// that carries its identity.
-func (w *Words[T]) cell(i int) CASRegister[T] {
-	switch {
-	case w.cells != nil:
-		return &w.cells[i]
-	case w.cached.auto != nil:
-		return &w.cached.auto[i]
+// get, set and cas are word i's atomic instruction for Load, Store and
+// CompareAndSwap. For a packed kind bitwise equality is value equality, so
+// the hardware CAS is the value CAS.
+func (w *Words[T]) get(i int) T {
+	if w.packed != nil {
+		return unpack[T](w.packed[i].Load())
 	}
-	return &w.cached.cells[i]
+	return w.boxed[i].load()
 }
 
-// Load atomically reads word i. A packed word's primitives are a Cell's —
-// Ctx.pre, one atomic instruction, the count — on bits whose identity is
-// base+i.
+func (w *Words[T]) set(i int, v T) {
+	if w.packed != nil {
+		w.packed[i].Store(pack(v))
+		return
+	}
+	w.boxed[i].store(v)
+}
+
+func (w *Words[T]) cas(i int, old, new T) bool {
+	if w.packed != nil {
+		return w.packed[i].CompareAndSwap(pack(old), pack(new))
+	}
+	return w.boxed[i].cas(old, new)
+}
+
+// Load atomically reads word i.
 func (w *Words[T]) Load(ctx *Ctx, i int) T {
-	if w.packed == nil {
-		return w.cell(i).Load(ctx)
-	}
-	ctx.pre(KindLoad, w.base+i)
-	v := unpack[T](w.packed[i].Load())
-	ctx.count(KindLoad, 1)
+	ctx.pre(KindLoad, w.base+i, w.cache)
+	v := w.get(i)
+	w.cache.end(ctx, KindLoad)
 	return v
 }
 
-// Store atomically writes word i.
+// Store atomically writes word i. Under the raw shared-cache model the
+// value is volatile until flushed.
 func (w *Words[T]) Store(ctx *Ctx, i int, v T) {
-	if w.packed == nil {
-		w.cell(i).Store(ctx, v)
-		return
+	ctx.pre(KindStore, w.base+i, w.cache)
+	w.set(i, v)
+	w.cache.end(ctx, KindStore)
+	if c := w.cache; c != nil && c.auto {
+		w.Flush(ctx, i)
 	}
-	ctx.pre(KindStore, w.base+i)
-	w.packed[i].Store(pack(v))
-	ctx.count(KindStore, 1)
 }
 
 // CompareAndSwap atomically replaces word i's value with new if it equals
-// old, reporting whether the swap happened. For a packed kind bitwise
-// equality is value equality, so the hardware CAS is the value CAS.
+// old, reporting whether the swap happened. Like Store, the effect is
+// volatile until flushed under the raw shared-cache model.
 func (w *Words[T]) CompareAndSwap(ctx *Ctx, i int, old, new T) bool {
-	if w.packed == nil {
-		return w.cell(i).CompareAndSwap(ctx, old, new)
+	ctx.pre(KindCAS, w.base+i, w.cache)
+	ok := w.cas(i, old, new)
+	w.cache.end(ctx, KindCAS)
+	if c := w.cache; c != nil && c.auto {
+		w.Flush(ctx, i)
 	}
-	ctx.pre(KindCAS, w.base+i)
-	ok := w.packed[i].CompareAndSwap(pack(old), pack(new))
-	ctx.count(KindCAS, 1)
 	return ok
 }
 
-// Flush persists word i: a no-op that validates the epoch under the
-// private-cache model, like Cell.Flush.
+// Flush persists word i's current value. Under the private-cache model it
+// only validates the epoch, like Cell.Flush.
 func (w *Words[T]) Flush(ctx *Ctx, i int) {
-	if w.packed == nil {
-		w.cell(i).Flush(ctx)
+	c := w.cache
+	if c == nil {
+		ctx.CheckAlive()
 		return
 	}
-	ctx.CheckAlive()
+	ctx.pre(KindFlush, w.base+i, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ctx.enter(KindFlush)
+	c.settle(ctx.start)
+	c.persisted.([]T)[i] = w.get(i)
 }
 
-// Peek returns word i's current value without a Ctx; see CASRegister.
+// Peek returns word i's current logical value without a Ctx, for test
+// assertions and checkers; algorithm code must use Load.
 func (w *Words[T]) Peek(i int) T {
-	if w.packed == nil {
-		return w.cell(i).Peek()
+	if w.cache != nil {
+		w.cache.onCrash()
 	}
-	return unpack[T](w.packed[i].Load())
+	return w.get(i)
 }
 
-// Init sets word i's initial value without a Ctx; see CASRegister.
+// Init sets word i's initial value — current and persisted alike — without
+// a Ctx: no primitive runs and nothing is counted. It belongs to allocation
+// (a word handed out of an array that must start on another value than the
+// array's); call it before the word is shared.
 func (w *Words[T]) Init(i int, v T) {
-	if w.packed == nil {
-		w.cell(i).Init(v)
-		return
+	if c := w.cache; c != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.persisted.([]T)[i] = v
 	}
-	w.packed[i].Store(pack(v))
+	w.set(i, v)
 }
 
 // Cell is an atomic non-volatile memory word in the private-cache model:
@@ -216,7 +237,7 @@ var _ CASRegister[int] = (*Cell[int])(nil)
 
 // Load atomically reads the cell.
 func (c *Cell[T]) Load(ctx *Ctx) T {
-	ctx.pre(KindLoad, c.id)
+	ctx.pre(KindLoad, c.id, nil)
 	v := c.w.load()
 	ctx.count(KindLoad, 1)
 	return v
@@ -225,7 +246,7 @@ func (c *Cell[T]) Load(ctx *Ctx) T {
 // Store atomically writes the cell. In the private-cache model the value is
 // persisted immediately.
 func (c *Cell[T]) Store(ctx *Ctx, v T) {
-	ctx.pre(KindStore, c.id)
+	ctx.pre(KindStore, c.id, nil)
 	c.w.store(v)
 	ctx.count(KindStore, 1)
 }
@@ -233,7 +254,7 @@ func (c *Cell[T]) Store(ctx *Ctx, v T) {
 // CompareAndSwap atomically replaces the cell's value with new if it equals
 // old, reporting whether the swap happened.
 func (c *Cell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
-	ctx.pre(KindCAS, c.id)
+	ctx.pre(KindCAS, c.id, nil)
 	ok := c.w.cas(old, new)
 	ctx.count(KindCAS, 1)
 	return ok
@@ -250,9 +271,4 @@ func (c *Cell[T]) Flush(ctx *Ctx) {
 // must use Load.
 func (c *Cell[T]) Peek() T {
 	return c.w.load()
-}
-
-// Init implements CASRegister.
-func (c *Cell[T]) Init(v T) {
-	c.w.store(v)
 }

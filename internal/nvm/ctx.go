@@ -5,8 +5,8 @@ package nvm
 // gets a fresh Ctx from Space.AcquireCtx, bound to the epoch at which the
 // attempt started.
 //
-// Every primitive on a Cell or CachedCell calls into the Ctx before touching
-// memory. The Ctx:
+// Every primitive on a cell calls into the Ctx before touching memory. The
+// Ctx:
 //
 //   - checks the operation's epoch against the system epoch and panics with
 //     Crashed if a crash happened since the attempt began;
@@ -37,18 +37,21 @@ func (c *Ctx) StartEpoch() uint64 { return c.start }
 func (c *Ctx) Steps() uint64 { return c.steps }
 
 // CellID identifies the memory cell the pending primitive targets: the
-// space-local allocation index of the Cell or CachedCell, set immediately
-// before the crash plan is consulted. Schedule explorers use it to decide
-// whether two processes' pending primitives commute (disjoint cells, or two
-// loads of the same cell). It is 0 outside a CrashPlan.CrashBefore call.
+// space-local allocation index of the Cell, Private, word of a Words array
+// or bit of a Bits array, set immediately before the crash plan is
+// consulted. Schedule explorers use it to decide whether two processes'
+// pending primitives commute (disjoint cells, or two loads of the same
+// cell). It is 0 outside a CrashPlan.CrashBefore call.
 func (c *Ctx) CellID() int { return c.cell }
 
 // pre runs the bookkeeping that precedes every primitive of every attempt,
 // plan or no plan, while NO cell lock is held: it advances the step counter,
 // consults the crash plan (whose hooks may run arbitrary code, including
 // other processes' operations — the deterministic-interleaving mechanism
-// used by schedule-driven tests) and fails fast on a stale epoch.
-func (c *Ctx) pre(kind OpKind, cell int) {
+// used by schedule-driven tests) and fails fast on a stale epoch. Given the
+// plane of a shared-cache array, it then takes the read-lock the primitive
+// runs under, until plane.end (see plane.rlock).
+func (c *Ctx) pre(kind OpKind, cell int, lock *plane) {
 	c.steps++
 	c.cell = cell
 	if c.plan != nil && c.plan.CrashBefore(c, kind) {
@@ -58,6 +61,9 @@ func (c *Ctx) pre(kind OpKind, cell int) {
 	}
 	c.cell = 0
 	c.CheckAlive()
+	if lock != nil {
+		lock.rlock(c)
+	}
 }
 
 // enter validates the epoch while a cell's exclusive lock is held (Flush)

@@ -91,62 +91,6 @@ func TestFastPathCellsHonorEveryCrashStep(t *testing.T) {
 	}
 }
 
-// TestFastPathCachedCellVolatileUntilFlush sweeps every crash step of a
-// store→flush→store program on CachedCells and asserts the shared-cache
-// semantics hold on the atomic word: unflushed effects are lost,
-// flushed effects persist, and the cached value reverts on crash. The
-// crash is a full system crash (Space.Crash, which reverts caches)
-// injected deterministically before step k via a StepHook — exactly the
-// injection point a CrashAtStep plan uses.
-func TestFastPathCachedCellVolatileUntilFlush(t *testing.T) {
-	program := func(ctx *Ctx, c *CachedCell[int]) int {
-		c.Store(ctx, 1)             // step 1 (volatile)
-		c.Flush(ctx)                // step 2 (persists 1)
-		c.Store(ctx, 2)             // step 3 (volatile)
-		c.CompareAndSwap(ctx, 2, 3) // step 4 (volatile)
-		c.Flush(ctx)                // step 5 (persists 3)
-		c.Store(ctx, 4)             // step 6 (volatile)
-		return 6
-	}
-	// persistedAfter[k] is the expected persisted value after the first k
-	// steps complete and the system then crashes.
-	persistedAfter := []int{0, 0, 1, 1, 1, 3, 3}
-	cachedIsPersisted := true // after a crash the cache reverts
-
-	total := func() int {
-		sp := NewSpace()
-		return program(sp.AcquireCtx(0, nil), NewCachedCell(sp, 0))
-	}()
-
-	for step := 1; step <= total; step++ {
-		sp := NewSpace()
-		c := NewCachedCell(sp, 0)
-		ctx := sp.AcquireCtx(0, &StepHook{Step: uint64(step), Fn: func() { sp.Crash() }})
-		crashed := func() (crashed bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(Crashed); !ok {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
-			program(ctx, c)
-			return false
-		}()
-		if !crashed {
-			t.Fatalf("step %d: plan did not fire", step)
-		}
-		want := persistedAfter[step-1]
-		if got := c.PeekPersisted(); got != want {
-			t.Fatalf("step %d: persisted = %d, want %d", step, got, want)
-		}
-		if cachedIsPersisted && c.Peek() != want {
-			t.Fatalf("step %d: cached = %d, want reverted %d", step, c.Peek(), want)
-		}
-	}
-}
-
 // TestFastPathConcurrentMixedPlans runs plan-armed and plan-free operations
 // on the same cells concurrently: both are the same atomic instruction on
 // the same word, so no update may be lost.

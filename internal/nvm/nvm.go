@@ -1,18 +1,22 @@
 // Package nvm simulates byte-addressable non-volatile main memory for the
 // crash-recovery model of Ben-Baruch, Hendler and Rusanovsky (PODC 2020).
 //
-// The package provides two memory models:
+// The package provides the three memory models of Section 6 of the paper
+// (Model), and every cell follows its Space's model through one code path:
 //
-//   - The private-cache model: Cell[T] applies every primitive directly to
-//     simulated NVM. A system-wide crash preserves every Cell.
-//   - The shared-cache model: CachedCell[T] applies primitives to a volatile
-//     cache. Values reach NVM only via Flush (or a CAS, which persists by
-//     definition in our simulation). A crash reverts unflushed stores.
+//   - The private-cache model: every primitive applies directly to
+//     simulated NVM. A system-wide crash preserves every cell.
+//   - The shared-cache model: primitives apply to a volatile cache, and a
+//     value reaches NVM only via Flush. A crash — Space.Crash or one a
+//     plan injects — reverts every unflushed store and CAS.
+//   - The shared-cache model under the flush-after-write transformation of
+//     Izraelevitz et al.: every store and CAS is followed by a Flush.
 //
-// Two further cell shapes store state at the paper's granularity, under
-// either model: Bits packs an array of one-bit cells (Algorithm 1's toggle
-// bits) 64 to a word, and Private is a word with a single owning process
-// (the announcement structure Ann_p, RD_p), stored without atomics.
+// NewWord allocates a Cell under the private-cache model and a one-word
+// Words array under the shared-cache ones; NewWords allocates a Words array
+// under every model. Bits packs an array of one-bit cells (Algorithm 1's
+// toggle bits) 64 to a word, and Private is a word with a single owning
+// process (the announcement structure Ann_p, RD_p), stored without atomics.
 //
 // Every primitive operation takes a *Ctx, the per-operation execution
 // context. The Ctx carries the epoch at which the operation started; when

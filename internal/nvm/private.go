@@ -47,7 +47,7 @@ func (p *Private[T]) settle(now uint64) {
 
 // Load reads the word.
 func (p *Private[T]) Load(ctx *Ctx) T {
-	ctx.pre(KindLoad, p.id)
+	ctx.pre(KindLoad, p.id, nil)
 	p.settle(ctx.start)
 	ctx.count(KindLoad, 1)
 	return p.v
@@ -56,7 +56,7 @@ func (p *Private[T]) Load(ctx *Ctx) T {
 // Store writes the word. Under the raw shared-cache model the value is
 // volatile until flushed.
 func (p *Private[T]) Store(ctx *Ctx, v T) {
-	ctx.pre(KindStore, p.id)
+	ctx.pre(KindStore, p.id, nil)
 	p.v, p.at = v, ctx.start
 	ctx.count(KindStore, 1)
 	if p.auto {
@@ -71,7 +71,7 @@ func (p *Private[T]) Flush(ctx *Ctx) {
 		ctx.CheckAlive()
 		return
 	}
-	ctx.pre(KindFlush, p.id)
+	ctx.pre(KindFlush, p.id, nil)
 	p.settle(ctx.start)
 	p.persisted = p.v
 	ctx.count(KindFlush, 1)

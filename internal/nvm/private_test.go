@@ -4,53 +4,6 @@ import "testing"
 
 type privRec struct{ A, B, C int }
 
-// TestPrivateCrashPerModel: the owner-only word reverts to its last flushed
-// value exactly where a CachedCell would — raw loses an unflushed store,
-// the private-cache model and the flush-after-write transformation keep it
-// — although no other goroutine ever touches it: the owner applies the
-// revert at its next primitive in a later epoch.
-func TestPrivateCrashPerModel(t *testing.T) {
-	for _, m := range allModels {
-		t.Run(m.String(), func(t *testing.T) {
-			sp := NewSpaceModel(m)
-			p := NewPrivate(sp, privRec{A: 1})
-			ctx := sp.AcquireCtx(0, nil)
-			p.Store(ctx, privRec{A: 2})
-			p.Flush(ctx)
-			p.Store(ctx, privRec{A: 3}) // unflushed
-			if got := p.Load(ctx); got.A != 3 {
-				t.Fatalf("Load = %+v, want the unflushed store visible", got)
-			}
-			sp.Crash()
-			sp.Crash() // a second crash before the owner runs again changes nothing
-			want := 2
-			if keeps(m) {
-				want = 3
-			}
-			if got := p.Peek(); got.A != want {
-				t.Fatalf("Peek after crash = %+v, want A=%d", got, want)
-			}
-			ctx = sp.AcquireCtx(0, nil)
-			if got := p.Load(ctx); got.A != want {
-				t.Fatalf("Load after crash = %+v, want A=%d", got, want)
-			}
-			// A flush in the new epoch persists the reverted value, not the
-			// lost one.
-			p.Flush(ctx)
-			sp.Crash()
-			if got := p.Peek(); got.A != want {
-				t.Fatalf("after flush+crash = %+v, want A=%d", got, want)
-			}
-			// A store in the new epoch without a prior load replaces it.
-			ctx = sp.AcquireCtx(0, nil)
-			p.Store(ctx, privRec{A: 9})
-			if got := p.Load(ctx); got.A != 9 {
-				t.Fatalf("Load = %+v, want A=9", got)
-			}
-		})
-	}
-}
-
 // TestPrivateIsACell: an owner-only word's primitives are steps, statistics
 // and crash points like any cell's, it has a CellID of its own, and storing
 // a struct it has never held allocates nothing.

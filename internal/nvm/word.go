@@ -6,10 +6,10 @@ import (
 	"unsafe"
 )
 
-// word is the lock-free storage engine inside Cell and CachedCell. It holds
-// one value of T and supports atomic load / store / compare-and-swap with
-// *value* semantics (CAS compares by ==, exactly like the mutex-guarded
-// field it replaces).
+// word is the lock-free storage engine inside Cell and a boxed Words
+// array. It holds one value of T and supports atomic load / store /
+// compare-and-swap with *value* semantics (CAS compares by ==, exactly like
+// the mutex-guarded field it replaces).
 //
 // It is one struct with two representations, fixed when the word is
 // initialized and told apart by p (p == nil ⇔ packed):
@@ -27,11 +27,12 @@ import (
 //     allocation-free after warm-up.
 //
 // The word lives in its cell, not behind it: a cell is one object, plus the
-// boxes of a boxed T. The word itself never checks epochs or plans —
-// Cell/CachedCell drive the Ctx bookkeeping around it. Algorithm 1's R
-// needs no box: internal/rw packs its triple ⟨v, q, b⟩ into one int64, and
-// under ModelPrivateCache NewWords stores a packable T as its bits alone,
-// one atomic.Int64 per word, its identity implied by its index.
+// boxes of a boxed T. The word itself never checks epochs or plans — Cell
+// and Words drive the Ctx bookkeeping around it. Algorithm 1's R needs no
+// box: internal/rw packs its triple ⟨v, q, b⟩ into one int64, and NewWords
+// stores a packable T as its bits alone, one atomic.Int64 per word, its
+// identity implied by its index, so only Cell uses the packed
+// representation.
 type word[T comparable] struct {
 	bits    atomic.Int64
 	p, prev atomic.Pointer[T]
