@@ -46,7 +46,6 @@ package explore
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"detectable/internal/linearize"
@@ -136,23 +135,19 @@ func newPoint(e *execution, inherited map[int]parkView, preempt, maxCrashes int)
 		parked:  make(map[int]parkView, len(e.parked)),
 		preempt: preempt,
 	}
-	pids := make([]int, 0, len(e.parked))
-	midOp := false
-	for pid, info := range e.parked {
-		pt.parked[pid] = info.view()
-		pids = append(pids, pid)
-		if info.kind == parkPrimitive {
-			midOp = true
-		}
-	}
-	sort.Ints(pids)
 	// Continuation first (free), then switches in pid order, then a crash.
-	_, contParked := e.parked[e.lastPid]
+	contParked := e.isParked(e.lastPid)
 	if contParked {
 		pt.options = append(pt.options, Decision{Pid: e.lastPid})
 		pt.costs = append(pt.costs, 0)
 	}
-	for _, pid := range pids {
+	midOp := false
+	for pid, info := range e.parked {
+		if !e.isParked(pid) {
+			continue
+		}
+		pt.parked[pid] = info.view()
+		midOp = midOp || info.kind == parkPrimitive
 		if pid == e.lastPid {
 			continue
 		}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"iter"
 
 	"detectable/internal/nvm"
 	"detectable/internal/spec"
@@ -13,19 +14,20 @@ import (
 // entirely by an explicit sequence of Decisions instead of by the Go
 // scheduler.
 //
-// Mechanism: each process is armed once on the instance's system
-// (runtime.System.Arm) with a per-process schedPlan, and every operation
-// runs through the object's own method, the call that ships. Every
-// primitive of every attempt goes through Ctx.pre, which consults the plan
-// while no cell lock is held, and is otherwise the code an unarmed attempt
-// runs. The plan parks the process there — before the primitive executes,
-// which is exactly the crash-point granularity of the paper's model — and
-// waits for the scheduler to resume it. Processes additionally park once
-// before each operation of their program, so invocation logging is
-// serialized too. At any instant at most one process goroutine is running;
-// everything between two parks happens atomically with respect to the
-// other processes, which makes an execution a deterministic function of its
-// decision sequence.
+// Mechanism: each process runs as a coroutine (iter.Pull) and is armed
+// once on the instance's system (runtime.System.Arm) with a per-process
+// schedPlan, and every operation runs through the object's own method, the
+// call that ships. Every primitive of every attempt goes through Ctx.pre,
+// which consults the plan while no cell lock is held, and is otherwise the
+// code an unarmed attempt runs. The plan parks the process there — before
+// the primitive executes, which is exactly the crash-point granularity of
+// the paper's model — by yielding to the scheduler, which resumes it with
+// the coroutine's next and unwinds it with stop. Processes additionally
+// park once before each operation of their program, so invocation logging
+// is serialized too. Only the scheduler or the one process it resumed
+// runs; everything between two parks happens atomically with respect to
+// the other processes, which makes an execution a deterministic function
+// of its decision sequence.
 
 // Decision is one scheduling choice: either resume process Pid until its
 // next park (executing exactly the one primitive it is parked before, plus
@@ -54,17 +56,13 @@ const (
 	// parkPrimitive: the process is inside Ctx.pre, immediately before
 	// executing one shared-memory primitive.
 	parkPrimitive
-	// parkDone: the process finished its program (or died; see err).
-	parkDone
 )
 
 // parkInfo is what a process reports when parking.
 type parkInfo struct {
-	pid  int
 	kind parkKind
 	op   nvm.OpKind // parkPrimitive: the pending primitive's kind
 	cell int        // parkPrimitive: the pending primitive's cell identity
-	err  error      // parkDone: non-nil if the process panicked
 }
 
 // parkView is the scheduler's snapshot of a parked process, kept in choice
@@ -118,17 +116,6 @@ func indep(s parkView, c stepInfo) bool {
 	return s.load && c.load
 }
 
-// resumeMsg is the scheduler→process half of the park handshake.
-type resumeMsg int
-
-const (
-	resumeGo resumeMsg = iota + 1
-	// resumeAbort unwinds the process with an abortExec panic so the
-	// scheduler can drain a half-finished execution (budget cutoffs, step
-	// caps, internal errors) without leaking goroutines.
-	resumeAbort
-)
-
 // abortExec is the panic payload used to unwind aborted processes.
 type abortExec struct{}
 
@@ -138,20 +125,26 @@ type abortExec struct{}
 // Instance.Crash between steps); its job is to park the process at every
 // primitive so the step becomes a visible scheduling point.
 type schedPlan struct {
-	e   *execution
-	pid int
+	yield func(parkInfo) bool // the process coroutine's yield
 }
 
 // CrashBefore implements nvm.CrashPlan.
 func (p *schedPlan) CrashBefore(ctx *nvm.Ctx, kind nvm.OpKind) bool {
-	p.e.park(parkInfo{pid: p.pid, kind: parkPrimitive, op: kind, cell: ctx.CellID()})
+	p.park(parkInfo{kind: parkPrimitive, op: kind, cell: ctx.CellID()})
 	return false
+}
+
+// park hands control to the scheduler and returns when resumed. A process
+// the scheduler stopped instead unwinds with an abortExec panic.
+func (p *schedPlan) park(info parkInfo) {
+	if !p.yield(info) {
+		panic(abortExec{})
+	}
 }
 
 // execution drives one run of a Program over a fresh Instance.
 type execution struct {
-	inst  *Instance
-	procs int
+	inst *Instance
 	// crashAnywhere: the memory model keeps volatile shared-cache state, so
 	// a crash between operations has an effect of its own (reverting
 	// unflushed stores) and must be explored even while no primitive is in
@@ -159,10 +152,10 @@ type execution struct {
 	// volatile, such a crash is indistinguishable from one a step earlier.
 	crashAnywhere bool
 
-	parkedCh chan parkInfo
-	resume   []chan resumeMsg
+	next []func() (parkInfo, bool) // per pid: run the process to its next park
+	stop []func()                  // per pid: unwind the process
 
-	parked map[int]parkInfo
+	parked []parkInfo // per pid; kind 0: running or done (see isParked)
 	done   int
 	failed error // first process panic, if any
 
@@ -172,79 +165,68 @@ type execution struct {
 	steps        int
 }
 
-// newExecution builds a fresh instance and launches the process goroutines;
-// on return every process is parked (or done, for empty programs).
+// newExecution builds a fresh instance and starts one coroutine per
+// process; on return every process is parked (or done, for empty programs).
 func newExecution(inst *Instance, prog Program) *execution {
 	e := &execution{
 		inst:          inst,
-		procs:         len(prog),
 		crashAnywhere: inst.Sys.Space().Model() != nvm.ModelPrivateCache,
-		parkedCh:      make(chan parkInfo),
-		resume:        make([]chan resumeMsg, len(prog)),
-		parked:        make(map[int]parkInfo, len(prog)),
+		next:          make([]func() (parkInfo, bool), len(prog)),
+		stop:          make([]func(), len(prog)),
+		parked:        make([]parkInfo, len(prog)),
 		lastPid:       -1,
 	}
-	for pid := range prog {
-		e.resume[pid] = make(chan resumeMsg)
-		inst.Sys.Arm(pid, &schedPlan{e: e, pid: pid})
-	}
 	for pid, ops := range prog {
-		go e.runProc(pid, ops)
-	}
-	for i := 0; i < e.procs; i++ {
-		e.note(<-e.parkedCh)
+		plan := &schedPlan{}
+		inst.Sys.Arm(pid, plan)
+		e.next[pid], e.stop[pid] = iter.Pull(func(yield func(parkInfo) bool) {
+			plan.yield = yield
+			e.runProc(pid, ops, plan)
+		})
+		e.resume(pid)
 	}
 	return e
 }
 
 // runProc executes one process's program, parking before each operation.
-func (e *execution) runProc(pid int, ops []spec.Operation) {
+// A panic other than an abort is recorded as the execution's failure; either
+// way the process ends, and its coroutine with it.
+func (e *execution) runProc(pid int, ops []spec.Operation, plan *schedPlan) {
 	defer func() {
-		switch r := recover(); {
-		case r == nil:
-			e.parkedCh <- parkInfo{pid: pid, kind: parkDone}
-		default:
-			if _, ok := r.(abortExec); ok {
-				e.parkedCh <- parkInfo{pid: pid, kind: parkDone}
-				return
+		if r := recover(); r != nil {
+			if _, ok := r.(abortExec); !ok && e.failed == nil {
+				e.failed = fmt.Errorf("explore: process %d panicked: %v", pid, r)
 			}
-			e.parkedCh <- parkInfo{pid: pid, kind: parkDone, err: fmt.Errorf("explore: process %d panicked: %v", pid, r)}
 		}
 	}()
 	for _, op := range ops {
-		e.park(parkInfo{pid: pid, kind: parkOpStart})
+		plan.park(parkInfo{kind: parkOpStart})
 		e.inst.Run(pid, op)
 	}
 }
 
-// park hands control to the scheduler and blocks until resumed.
-func (e *execution) park(info parkInfo) {
-	e.parkedCh <- info
-	if <-e.resume[info.pid] == resumeAbort {
-		panic(abortExec{})
+// resume runs pid until it parks again or finishes.
+func (e *execution) resume(pid int) {
+	var ok bool
+	if e.parked[pid], ok = e.next[pid](); !ok {
+		e.done++
 	}
 }
 
-func (e *execution) note(info parkInfo) {
-	if info.kind == parkDone {
-		e.done++
-		if info.err != nil && e.failed == nil {
-			e.failed = info.err
-		}
-		return
-	}
-	e.parked[info.pid] = info
+// isParked reports whether pid names a process waiting to be resumed.
+func (e *execution) isParked(pid int) bool {
+	return pid >= 0 && pid < len(e.parked) && e.parked[pid].kind != 0
 }
 
 // finished reports whether every process has completed its program.
-func (e *execution) finished() bool { return e.done == e.procs }
+func (e *execution) finished() bool { return e.done == len(e.parked) }
 
 // apply performs one Decision and returns its observed effects. The caller
 // must only pass applicable decisions: a Step of a parked pid, or a Crash.
 func (e *execution) apply(d Decision) (stepInfo, error) {
 	e.steps++
 	if d.Crash {
-		if len(e.parked) == 0 {
+		if e.finished() {
 			return stepInfo{}, fmt.Errorf("explore: crash decision with no process parked")
 		}
 		e.inst.Crash()
@@ -253,14 +235,12 @@ func (e *execution) apply(d Decision) (stepInfo, error) {
 		e.lastWasCrash = true
 		return stepInfo{crash: true}, nil
 	}
-	info, ok := e.parked[d.Pid]
-	if !ok {
+	if !e.isParked(d.Pid) {
 		return stepInfo{}, fmt.Errorf("explore: decision %s targets a process that is not parked", d)
 	}
-	delete(e.parked, d.Pid)
+	info := e.parked[d.Pid]
 	before := e.inst.Sys.Log().Appended()
-	e.resume[d.Pid] <- resumeGo
-	e.note(<-e.parkedCh) // only d.Pid can send: all other processes are parked or done
+	e.resume(d.Pid)
 	e.lastPid = d.Pid
 	e.lastWasCrash = false
 	if e.failed != nil {
@@ -274,12 +254,10 @@ func (e *execution) apply(d Decision) (stepInfo, error) {
 	}, nil
 }
 
-// abort unwinds every still-parked process so the execution's goroutines
-// exit, leaving nothing blocked on the scheduler.
+// abort unwinds every still-parked process, so no coroutine of the
+// execution outlives it. Stopping a finished process does nothing.
 func (e *execution) abort() {
-	for pid := range e.parked {
-		e.resume[pid] <- resumeAbort
-		e.note(<-e.parkedCh)
+	for _, stop := range e.stop {
+		stop()
 	}
-	e.parked = nil
 }

@@ -110,14 +110,13 @@ func ReplayWith(h Harness, t Trace) (ReplayResult, error) {
 // defaultDecision picks the deterministic continuation: the last stepped
 // process if still parked, otherwise the lowest parked pid.
 func (e *execution) defaultDecision() Decision {
-	if _, ok := e.parked[e.lastPid]; ok {
+	if e.isParked(e.lastPid) {
 		return Decision{Pid: e.lastPid}
 	}
-	best := -1
 	for pid := range e.parked {
-		if best < 0 || pid < best {
-			best = pid
+		if e.isParked(pid) {
+			return Decision{Pid: pid}
 		}
 	}
-	return Decision{Pid: best}
+	return Decision{Pid: -1}
 }
