@@ -144,9 +144,9 @@ type entry struct {
 	// compaction, the bootstrap, RangeShard, StateHash and MirrorGet read.
 	// Guarded by the shard's mu, like the append.
 	journaled int64
-	// applied is the value the replica read view shows for the key, valid
-	// while viewGen equals the view's generation (view.go). Written only by
-	// DB.publishThrough, at a commit mark.
+	// applied is the value the read view shows for the key, valid while
+	// viewGen equals the view's generation (view.go). Written only by
+	// DB.publishThrough and DB.Lead.
 	applied atomic.Int64
 	viewGen atomic.Uint32
 	inLog   bool // journaled holds a value; guarded by the shard's mu
@@ -197,7 +197,7 @@ type DB struct {
 	compactAt int64
 	gc        groupCommit
 	repl      replState     // primary/backup replication hub (replicate.go)
-	view      viewState     // replica read view, published per commit mark (view.go)
+	view      viewState     // the read view every GET on this node reads (view.go)
 	gen       atomic.Uint64 // fencing generation mirrored from the MANIFEST
 }
 
@@ -676,13 +676,22 @@ func StampsCarry(reply []byte) bool {
 
 // foldStamps folds the stamps of the put-at records in framed — puts
 // journaled here, already in their shards' mirrors (journalPut) — into the
-// sessions' windows. framed is frames this node wrote, whose checksums
-// need no checking. Called with sessions.mu held.
-func (ss *sessionsFile) foldStamps(framed []byte) {
+// sessions' windows and, on a node that leads, stages each put for the next
+// anchor to publish. framed is frames this node wrote, whose checksums need
+// no checking. Called with sessions.mu held.
+func (db *DB) foldStamps(framed []byte) {
+	v := &db.view
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	for len(framed) > 0 {
 		n := frameHeader + int(binary.BigEndian.Uint32(framed))
 		if rec := framed[frameHeader:n]; rec[0] == recPutAt {
-			ss.noteStamp(readStamp(rec))
+			p, _ := decodePutAt(rec, len(db.shards), db.procs) // this node encoded it
+			db.sessions.noteStamp(p.stamp)
+			if v.lead {
+				e, _ := db.shards[p.shard].tab.Lookup(p.key)
+				v.stage = append(v.stage, viewPut{shard: uint32(p.shard), n: e, val: p.val})
+			}
 		}
 		framed = framed[n:]
 	}
@@ -751,12 +760,14 @@ func stageSID(dst []byte, kind byte, sid uint64) []byte {
 // barrier go to the replication tap before the fsync starts, so a standby
 // fsyncs the epoch while this node does; once the fsync has returned, the
 // batch is folded into the mirrors (foldEpoch) and the commit mark follows,
-// and anchor returns once every gating standby has acknowledged the barrier.
-// The anchor that finds the threshold's worth of bytes appended to the log
-// compacts it.
+// and anchor returns once every gating standby has acknowledged the barrier,
+// publishing the epoch to readers then on a node that leads (in sequence
+// order: anchors run one at a time). The anchor that finds the threshold's
+// worth of bytes appended to the log compacts it.
 func (db *DB) anchor(recs []byte) error {
 	ss := &db.sessions
 	ss.mu.Lock()
+	lead := db.view.lead
 	var held []byte
 	if MutantOutcomeFirst {
 		held = db.wal.holdBack()
@@ -782,6 +793,9 @@ func (db *DB) anchor(recs []byte) error {
 		}
 	}
 	if err == nil {
+		if lead {
+			db.holdView(seq)
+		}
 		db.repl.tapCommit(seq)
 	}
 	if err != nil {
@@ -798,6 +812,9 @@ func (db *DB) anchor(recs []byte) error {
 		}
 	}
 	db.repl.waitBarrier(seq)
+	if lead {
+		db.publishThrough(seq)
+	}
 	return nil
 }
 
@@ -808,11 +825,11 @@ func (db *DB) anchor(recs []byte) error {
 // stamps are all there is left to fold. The batch is intact until the next
 // barrier, which needs sessions.mu, held here.
 func (db *DB) foldEpoch(batch []byte, off int, recs []byte) error {
-	db.sessions.foldStamps(batch[:off])
+	db.foldStamps(batch[:off])
 	if err := eachFrame(recs, db.fold); err != nil {
 		return err
 	}
-	db.sessions.foldStamps(batch[off+len(recs):])
+	db.foldStamps(batch[off+len(recs):])
 	return nil
 }
 
@@ -910,7 +927,7 @@ func (db *DB) compact(threshold int64) error {
 	start, before := time.Now(), db.wal.length()
 	// The new log's puts carry no stamps: the verdicts of the staged ones go
 	// into the windows first, to be written as outcome records.
-	db.sessions.foldStamps(db.wal.staged())
+	db.foldStamps(db.wal.staged())
 	if err := db.wal.Rewrite(db.emitState); err != nil {
 		return err
 	}

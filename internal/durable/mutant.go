@@ -18,12 +18,13 @@ package durable
 // out. The simio sweep must catch this within its crash-point enumeration.
 var MutantOutcomeFirst bool
 
-// MutantPublishAtBarrier drops the commit gate of the replica's read view:
-// an epoch's puts are published the moment its barrier is anchored on the
-// standby, without waiting for the commit mark. The standby fsyncs an epoch
-// while the primary does, so a reader then sees values the primary has not
-// fsynced — and, if the primary crashes there and restarts, never had. The
-// simio replica sweep must catch this.
+// MutantPublishAtBarrier drops the gate of the read view: an epoch's puts
+// are published the moment it is held — on a standby at its barrier, before
+// the commit mark, showing values the primary has not fsynced and, if it
+// crashes there and restarts, never had (the simio replica sweep must catch
+// this); on the node that leads at the fold, before the gating ack, showing
+// values a promoted standby never had (the Stage B test's promote column
+// must catch that).
 var MutantPublishAtBarrier bool
 
 // MutantRewriteNoDirSync drops the last step of a compaction: the rewritten

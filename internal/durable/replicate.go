@@ -149,7 +149,7 @@ func (db *DB) Subscribe(limit int) *ReplSub {
 	var boot []byte
 	batch, err := db.wal.syncMarked(nil)
 	if err == nil {
-		db.sessions.foldStamps(batch)
+		db.foldStamps(batch)
 		err = db.emitState(func(rec []byte) error {
 			boot = appendFrame(boot, rec)
 			return nil
@@ -648,9 +648,6 @@ func (rp *Replica) Apply(msg []byte) (seq uint64, barrier bool, err error) {
 		// primary's own fsync of it may still be running — or may fail. Its
 		// puts stay out of the read view until the commit mark.
 		rp.db.holdView(seq)
-		if MutantPublishAtBarrier {
-			rp.db.publishThrough(seq)
-		}
 		return seq, true, nil
 
 	case ReplCommit:

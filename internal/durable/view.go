@@ -1,20 +1,19 @@
 package durable
 
-// The replica's applied-state read view (docs/REPLICATION.md §read
-// replicas).
+// The applied-state read view (docs/REPLICATION.md §"The applied view"):
+// what every GET on a durable node reads.
 //
-// A standby serving GET traffic must never expose an epoch only this node
-// has fsynced: it anchors an epoch while the primary's own fsync of it is
-// still running, and that fsync can fail, or the primary can crash under it
-// and come back without the epoch. So a key's entry (db.go) holds two
-// values: the one last journaled, and the one applied — what a GET reads.
-// A streamed put is staged as (shard, entry number, value) when its epoch
-// is folded here (DB.foldLocked), and stored into the applied words only
-// when the epoch that covers it — a barrier's, or a whole bootstrap's — is
-// durable here *and* its commit mark says it is durable on the primary
-// (publishThrough). Between commit marks the view is immutable, so every
-// read observes a prefix of the primary's commit order: bounded-stale,
-// never torn, never a value the primary failed to commit.
+// A read must never expose an epoch a crash can still undo: a primary's
+// store holds a put as soon as it linearizes, and a standby anchors an epoch
+// while the primary's own fsync of it may still fail. So a key's entry
+// (db.go) holds two values: the one last journaled, and the one applied —
+// what a GET reads. A put is staged as (shard, entry number, value) when its
+// epoch is folded (foldLocked on a standby, foldStamps on a node that leads)
+// and stored into the applied words once the epoch is durable on every node
+// that gates it (publishThrough): at its commit mark on a standby, after the
+// gating ack on the node that leads (DB.anchor). So every read observes a
+// prefix of the log in log order, the order recovery replays: never torn,
+// never a value a crash can roll back.
 //
 // A publication is one step to readers without a lock they would have to
 // write: the stores sit inside a sequence counter's odd phase, and a GET
@@ -22,10 +21,11 @@ package durable
 // A reader that has seen any put of an epoch therefore read it after the
 // epoch's last store, and sees all of it from then on.
 //
-// ViewSeq is the primary-stream barrier sequence the view has applied
-// through — the replica's "applied" mark that OpServerStats reports next
-// to the primary's committed mark, giving clients a replication-lag bound
-// to check against their staleness budget. It never exceeds that mark.
+// ViewSeq is the barrier sequence the view has applied through — on a
+// standby the primary's: the replica's "applied" mark that OpServerStats
+// reports next to the primary's committed mark, giving clients a
+// replication-lag bound to check against their staleness budget; it never
+// exceeds that mark.
 
 import (
 	"runtime"
@@ -54,10 +54,11 @@ type viewState struct {
 	// A commit mark precedes the next barrier, so held rarely exceeds one.
 	stage []viewPut
 	held  []heldEpoch
+	lead  bool // anchors publish their own epochs (DB.Lead); guarded by sessions.mu
 }
 
-// heldEpoch is one epoch anchored and acknowledged here whose commit mark
-// has not arrived: stage[:end] is what publishing it shows.
+// heldEpoch is one epoch durable here that awaits its commit mark, or its
+// gating acks on a node that leads: stage[:end] is what publishing it shows.
 type heldEpoch struct {
 	seq uint64
 	end int
@@ -69,7 +70,7 @@ type heldEpoch struct {
 const maxStage = maxSpare / 16
 
 // foldLocked is replay that also stages a put for the read view as (shard,
-// entry number, value): the one place a standby resolves a replicated put to
+// entry number, value): the place a standby resolves a replicated put to
 // its entry and its stamp to its writer's window, for a live epoch once its
 // fsync has returned (fold) and for a bootstrap (install). Called with the
 // put's shard's mu and sessions.mu held.
@@ -87,13 +88,16 @@ func (db *DB) foldLocked(rec []byte) error {
 	return err
 }
 
-// holdView marks the end of epoch seq, durable and acknowledged here, in the
-// stage: its puts wait there for the epoch's commit mark.
+// holdView marks the end of epoch seq, durable here, in the stage: its puts
+// wait there for the epoch's commit mark or gating acks.
 func (db *DB) holdView(seq uint64) {
 	v := &db.view
 	v.mu.Lock()
 	v.held = append(v.held, heldEpoch{seq: seq, end: len(v.stage)})
 	v.mu.Unlock()
+	if MutantPublishAtBarrier {
+		db.publishThrough(seq)
+	}
 }
 
 // publishThrough stores the staged puts of every held epoch whose sequence
@@ -133,12 +137,34 @@ func (db *DB) publishThrough(seq uint64) {
 	}
 }
 
+// Lead publishes every key's journaled value at once and makes each later
+// anchor publish its own epoch (DB.anchor). Called where every journaled
+// value is durable: on what recovery found, and at promotion, whose store
+// holds every epoch the standby held.
+func (db *DB) Lead() {
+	defer db.lockAll()()
+	v := &db.view
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.ver.Add(1)
+	gen := v.gen.Add(1)
+	for _, sf := range db.shards {
+		for _, e := range sf.tab.All() {
+			if e.inLog {
+				e.applied.Store(e.journaled)
+				e.viewGen.Store(gen)
+			}
+		}
+	}
+	v.ver.Add(1)
+	v.stage, v.held, v.lead = v.stage[:0], v.held[:0], true
+}
+
 // ResetView empties the read view and its stage and zeroes the applied
-// mark. Called when a bootstrap begins: it supersedes whatever the view
-// held, and until its commit mark publishes, the replica has no consistent
-// state to serve — a zero applied mark is what trips the client's staleness
-// fallback to the primary for the duration. And called at promotion: the
-// node's reads come from its store from then on.
+// mark. Called on a standby when a bootstrap begins: it supersedes whatever
+// the view held, and until its commit mark publishes, the replica has no
+// consistent state to serve — a zero applied mark is what trips the
+// client's staleness fallback to the primary for the duration.
 func (db *DB) ResetView() {
 	v := &db.view
 	v.mu.Lock()
@@ -175,17 +201,17 @@ func (db *DB) ViewGet(i int, key string) (int64, bool) {
 	}
 }
 
-// ViewSeq returns the primary-stream barrier sequence the read view has
-// applied through: 0 until the bootstrap's commit mark publishes,
-// monotone within one stream. OpServerStats reports it as the
+// ViewSeq returns the barrier sequence the read view has applied through:
+// on a standby the primary's, 0 until the bootstrap's commit mark
+// publishes, monotone within one stream. OpServerStats reports it as the
 // standby's applied mark.
 func (db *DB) ViewSeq() uint64 { return db.view.seq.Load() }
 
 // MirrorGet reads the value last journaled for key in shard i: the state a
 // reopen of this directory would recover once the log is synced. Nothing
-// serves from it — a primary's read-only sessions Peek the store, a
-// standby's read ViewGet; it is the reader the replica and crash-image tests
-// compare a view, a peer or a recovered image with.
+// serves from it — every GET on a durable node reads ViewGet; it is the
+// reader the replica and crash-image tests compare a view, a peer or a
+// recovered image with.
 func (db *DB) MirrorGet(i int, key string) (int64, bool) {
 	sf := db.shards[i]
 	sf.mu.Lock()

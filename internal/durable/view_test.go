@@ -6,6 +6,7 @@ package durable_test
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -150,4 +151,75 @@ func TestViewResetOnSnapshot(t *testing.T) {
 	if got := rdb.ViewSeq(); got == 0 {
 		t.Fatal("applied mark not republished after resync")
 	}
+}
+
+// TestLeadViewPublishesBeforeSyncReturns: a DB that leads publishes what
+// recovery found at Lead, and each epoch's puts before the commit that rode
+// it returns, in log order, while writers commit concurrently, compactions
+// fold staged puts and a tap subscribes mid-run. Each writer owns a key and
+// writes 1, 2, …: after its Sync returns the view holds its last value, and
+// no reader ever sees a key's value go down.
+func TestLeadViewPublishesBeforeSyncReturns(t *testing.T) {
+	const writers, rounds = 3, 200
+	pdb := openSim(t, simio.New())
+	defer pdb.Close()
+	pdb.SetCompactThreshold(4 << 10)
+	shardOf := func(key string) int { return shardkv.ShardIndex(key, testShards) }
+	pdb.ShardBacking(shardOf("pre")).Persist("pre", 5)
+	if err := pdb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pdb.ViewGet(shardOf("pre"), "pre"); ok {
+		t.Fatal("a DB that does not lead publishes its own puts")
+	}
+	pdb.Lead()
+	if v, ok := pdb.ViewGet(shardOf("pre"), "pre"); !ok || v != 5 {
+		t.Fatalf("after Lead, view pre = %d (present %v), want 5", v, ok)
+	}
+
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := make([]int64, writers)
+			for !stop.Load() {
+				for w := range writers {
+					key := fmt.Sprintf("w%d", w)
+					if v, _ := pdb.ViewGet(shardOf(key), key); v < last[w] {
+						t.Errorf("view %s went from %d down to %d", key, last[w], v)
+						return
+					} else {
+						last[w] = v
+					}
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := fmt.Sprintf("w%d", w)
+			for j := int64(1); j <= rounds; j++ {
+				pdb.ShardBacking(shardOf(key)).Persist(key, j)
+				if err := pdb.Sync(); err != nil {
+					t.Errorf("Sync: %v", err)
+					return
+				}
+				if v, _ := pdb.ViewGet(shardOf(key), key); v != j {
+					t.Errorf("after the Sync of %s = %d returned, the view reads %d", key, j, v)
+					return
+				}
+				if w == 0 && j == rounds/2 {
+					pdb.Subscribe(0).Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	readers.Wait()
 }

@@ -129,11 +129,12 @@ type point struct {
 }
 
 // newPoint snapshots the execution's scheduling state into a choice point.
+// A nil inherited sleep set means sleep sets are off: nothing then reads
+// the snapshot of parked processes, and none is taken.
 func newPoint(e *execution, inherited map[int]parkView, preempt, maxCrashes int) *point {
-	pt := &point{
-		sleep:   inherited,
-		parked:  make(map[int]parkView, len(e.parked)),
-		preempt: preempt,
+	pt := &point{sleep: inherited, preempt: preempt}
+	if inherited != nil {
+		pt.parked = make(map[int]parkView, len(e.parked))
 	}
 	// Continuation first (free), then switches in pid order, then a crash.
 	contParked := e.isParked(e.lastPid)
@@ -146,7 +147,9 @@ func newPoint(e *execution, inherited map[int]parkView, preempt, maxCrashes int)
 		if !e.isParked(pid) {
 			continue
 		}
-		pt.parked[pid] = info.view()
+		if pt.parked != nil {
+			pt.parked[pid] = info.view()
+		}
 		midOp = midOp || info.kind == parkPrimitive
 		if pid == e.lastPid {
 			continue
@@ -319,9 +322,12 @@ func (r *runner) runOne(stack *[]*point, bound int) {
 		if depth < len(*stack) {
 			pt = (*stack)[depth]
 		} else {
-			inherited := map[int]parkView{}
-			if depth > 0 {
-				inherited = filterSleep((*stack)[depth-1].sleep, lastInfo)
+			var inherited map[int]parkView
+			if r.sleepOn {
+				inherited = map[int]parkView{}
+				if depth > 0 {
+					inherited = filterSleep((*stack)[depth-1].sleep, lastInfo)
+				}
 			}
 			pre := 0
 			if depth > 0 {

@@ -12,6 +12,7 @@ import (
 
 	"detectable/internal/durable"
 	"detectable/internal/shardkv"
+	"detectable/internal/simio"
 )
 
 // durableStack is one server incarnation over a data directory.
@@ -571,5 +572,43 @@ func TestRecoveredReplaysCountsExactly(t *testing.T) {
 	}
 	if n := st2.srv.RecoveredReplays(); n != 2 {
 		t.Fatalf("RecoveredReplays = %d after replaying a live verdict in a recovered slot, want 2", n)
+	}
+}
+
+// TestDurableGetCountsInStats: a durable node answers a data session's GET
+// and MGET from its view, and they still count in the key's shard's gets
+// and ok over STATS, as the detectable Read did; a slotless GET counts
+// nowhere. A GET's crash plan is accepted and never fires: a view read
+// takes no primitive step.
+func TestDurableGetCountsInStats(t *testing.T) {
+	addr := reserveAddr(t)
+	db, srv := hole1AServe(t, simio.New(), 2, addr)
+	defer db.Close()
+	defer srv.Close()
+	rc, ro := dialRaw(t, addr), dialRaw(t, addr)
+	defer rc.c.Close()
+	defer ro.c.Close()
+	rc.hello(t, 0)
+	helloReadOnly(t, ro)
+
+	hole1AOutcome(t, rc.roundTrip(t, AppendPut(nil, 1, 0, "k", 5)))
+	if out := hole1AOutcome(t, rc.roundTrip(t, AppendGet(nil, 2, 3, "k"))); out.Resp != 5 || out.Crashes != 0 {
+		t.Fatalf("GET k with a crash plan → %d (crashes %d), want 5 (crashes 0)", out.Resp, out.Crashes)
+	}
+	rc.roundTrip(t, AppendMGet(nil, 3, []string{"k", "k"}))
+	if out := getOutcome(t, ro, 1, "k"); out.Resp != 5 {
+		t.Fatalf("slotless GET k → %d, want 5", out.Resp)
+	}
+
+	r := NewReader(rc.roundTrip(t, AppendBare(nil, OpStats, 4)))
+	if code := r.U8(); code != StatusOK {
+		t.Fatalf("STATS refused: code %d", code)
+	}
+	var total shardkv.StatsSnapshot
+	for n := r.U16(); n > 0; n-- {
+		total = total.Add(r.Snapshot())
+	}
+	if r.Err || total.Gets != 3 || total.Puts != 1 || total.OK != 4 || total.CrashesSeen != 0 {
+		t.Fatalf("STATS: gets=%d puts=%d ok=%d crashes=%d, want 3, 1, 4 and 0", total.Gets, total.Puts, total.OK, total.CrashesSeen)
 	}
 }

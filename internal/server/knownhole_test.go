@@ -99,13 +99,13 @@ func (c hole1ACase) String() string {
 	return plan + "/" + image + "/" + resend
 }
 
-func hole1AServe(t *testing.T, fsim *simio.Fs, addr string) (*durable.DB, *Server) {
+func hole1AServe(t *testing.T, fsys durable.Fs, procs int, addr string) (*durable.DB, *Server) {
 	t.Helper()
-	db, err := durable.OpenFs(fsim, "/data", 2, 2, Window)
+	db, err := durable.OpenFs(fsys, "/data", 2, procs, Window)
 	if err != nil {
 		t.Fatalf("durable.OpenFs(sim): %v", err)
 	}
-	srv := New(shardkv.New(2, 2, shardkv.Durable(db)))
+	srv := New(shardkv.New(2, procs, shardkv.Durable(db)))
 	if err := srv.AttachDurable(db); err != nil {
 		t.Fatalf("AttachDurable: %v", err)
 	}
@@ -136,7 +136,7 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 
 	fsim := simio.New()
 	addr := reserveAddr(t)
-	db, srv := hole1AServe(t, fsim, addr)
+	db, srv := hole1AServe(t, fsim, 2, addr)
 	sub := db.Subscribe(0) // the stream a standby would have been fed
 	rc := dialRaw(t, addr)
 	sid, _ := rc.hello(t, 0)
@@ -215,7 +215,7 @@ func hole1ARun(t *testing.T, c hole1ACase, promote bool) (resent, got runtime.Ou
 		if img == nil {
 			t.Fatal("no crash image holds what the case says survived")
 		}
-		db2, srv2 = hole1AServe(t, simio.FromImage(*img), addr)
+		db2, srv2 = hole1AServe(t, simio.FromImage(*img), 2, addr)
 	}
 	defer db2.Close()
 	defer srv2.Close()

@@ -171,11 +171,12 @@ func TestReadOnlyStandbyServesAppliedReads(t *testing.T) {
 // addr2OrSelf returns the standby's listen address.
 func addr2OrSelf(sb *standbyStack) string { return sb.srv.Addr().String() }
 
-// TestReadOnlyOnPrimaryServesLiveStore: a primary admits read-only
+// TestReadOnlyOnPrimaryServesCommittedView: a primary admits read-only
 // sessions too (the same client code works against either node), serving
-// from the live store, and refuses mutations with the observer error —
-// rotating addresses would not help, the session kind forbids them.
-func TestReadOnlyOnPrimaryServesLiveStore(t *testing.T) {
+// from its committed view, which holds every acknowledged write, and
+// refuses mutations with the observer error — rotating addresses would not
+// help, the session kind forbids them.
+func TestReadOnlyOnPrimaryServesCommittedView(t *testing.T) {
 	addr := reserveAddr(t)
 	st := startDurable(t, t.TempDir(), addr)
 	defer st.kill(t)

@@ -188,13 +188,9 @@ func (srv *Server) promoteStandby(st *standbyState) (uint64, error) {
 	}
 	srv.store.Store(store)
 	srv.db.Store(db)
+	db.Lead()
 	srv.wasStandby = st
 	srv.standby.Store(nil)
-	// Reads go to the store from here on (readKey); the applied view would
-	// otherwise stay reachable, a second copy of every key, for the rest of
-	// the node's life. Dropped after the role flips: readKey re-checks the
-	// role on a miss.
-	db.ResetView()
 	return gen, nil
 }
 

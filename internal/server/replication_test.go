@@ -150,10 +150,11 @@ func TestReplicationByteIdenticalReplayAcrossPromotion(t *testing.T) {
 	if g := sb.db.Generation(); g != gen {
 		t.Fatalf("MANIFEST generation %d, want %d", g, gen)
 	}
-	// Promotion drops the view — the store holds every key now — and the
-	// session born on the standby reads the promoted store instead.
-	if v, ok := sb.db.ViewGet(alphaShard, "alpha"); ok {
-		t.Fatalf("promoted node still holds a read view: alpha = %d", v)
+	// Promotion keeps the view — the node that leads now publishes it — and
+	// it holds every key the promoted store does; the session born on the
+	// standby goes on reading it.
+	if v, ok := sb.db.ViewGet(alphaShard, "alpha"); !ok || v != 41 {
+		t.Fatalf("promoted node's read view: alpha = %d (present %v), want 41", v, ok)
 	}
 	if out := getOutcome(t, rcRO, 2, "alpha"); out.Resp != 41 {
 		t.Fatalf("read-only GET alpha after promotion = %d, want 41", out.Resp)

@@ -111,6 +111,7 @@ func (srv *Server) AttachDurable(db *durable.DB) error {
 	if next := db.NextSID(); next > srv.nextSID {
 		srv.nextSID = next
 	}
+	db.Lead()
 	srv.db.Store(db)
 	return nil
 }
@@ -656,29 +657,31 @@ func (srv *Server) execute(sess *session, op byte, c class, r *Reader, dst []byt
 		return appendRefusal(dst, code, role), false, false
 	}
 
-	// Admitted. Only a read still looks at the kind: a slotless session
-	// reads committed state (readonly.go) where a data session runs the
-	// detectable operation as its process.
+	// Admitted. Only a read still looks at the kind and the node: a data
+	// session on an in-memory node runs the detectable operation as its
+	// process, every other read is of committed state (readonly.go), where
+	// a GET's crash plan never fires: a view read takes no primitive step.
 	store := srv.store.Load()
+	live := sess.kind == kindData && srv.db.Load() == nil
 	switch op {
 	case OpGet:
-		if sess.kind == kindData {
+		if live {
 			return durable.AppendReply(dst, store.Get(sess.pid, key, planOf(plan)...)), false, false
 		}
-		if plan != 0 {
+		if plan != 0 && sess.kind != kindData {
 			// Crash plans drive a shard's recovery machinery, which needs a
 			// process identity; a slotless read has none.
 			return appendErr(dst, ErrObserver, "crash plan on a slotless session"), false, false
 		}
-		return durable.AppendReply(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(key)}), false, false
+		return durable.AppendReply(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(sess, key)}), false, false
 	case OpMGet:
-		if sess.kind == kindData {
+		if live {
 			return durable.AppendBatchReply(dst, store.MultiGetWith(&sess.batch, sess.pid, sess.keys)), false, false
 		}
 		dst = append(dst, StatusOK)
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(sess.keys)))
 		for _, k := range sess.keys {
-			dst = durable.AppendVerdict(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(k)})
+			dst = durable.AppendVerdict(dst, runtime.Outcome[int]{Status: runtime.StatusOK, Resp: srv.readKey(sess, k)})
 		}
 		return dst, false, false
 	case OpPut:

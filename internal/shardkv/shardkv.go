@@ -211,6 +211,13 @@ func (s *Store) Get(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome
 	return s.shards[s.ShardFor(key)].get(pid, key, plans...)
 }
 
+// NoteGet counts a GET of key by pid that its caller answered without
+// running the detectable Read — a durable node reads its committed view —
+// in key's shard's stats, as a Get that linearized without a crash.
+func (s *Store) NoteGet(pid int, key string) {
+	s.shards[s.ShardFor(key)].stats.note(pid, opGet, outcomeOK, 0)
+}
+
 // Del removes key as process pid and returns the detectable outcome
 // (missing keys read as zero; see kv.Store.Del).
 func (s *Store) Del(pid int, key string, plans ...nvm.CrashPlan) runtime.Outcome[int] {
