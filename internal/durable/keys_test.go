@@ -33,6 +33,7 @@ func tableKeys(n int) []string {
 // internal/kv's space_test.go has the same helper for a register.
 func liveGrowth(build func() any) (bytes, objects int64) {
 	var before, after goruntime.MemStats
+	warmThreads()
 	goruntime.GC()
 	goruntime.GC()
 	goruntime.ReadMemStats(&before)
@@ -42,6 +43,27 @@ func liveGrowth(build func() any) (bytes, objects int64) {
 	goruntime.KeepAlive(keep)
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc),
 		int64(after.Mallocs-after.Frees) - int64(before.Mallocs-before.Frees)
+}
+
+// warmThreads runs a goroutine on every P at once, so the runtime has an OS
+// thread for each before liveGrowth's first reading. A thread the runtime
+// starts inside the window leaves its m and two g's on the heap, ≈ 5.3 KB:
+// 1.4 B a key in TestSpacePinBytesPerKey, which read 50.5–56 B at
+// GOMAXPROCS 8 as 0 to 4 threads happened to start during build.
+func warmThreads() {
+	n := int32(goruntime.GOMAXPROCS(0))
+	var running atomic.Int32
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			running.Add(1)
+			for running.Load() < n {
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // openQuiet opens a DB in a temporary directory whose fsyncs are no-ops and

@@ -8,39 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"detectable/internal/spec"
 )
-
-// TestAllocPinSlotLayout pins what the ring's space rests on: a slot is at
-// most 40 bytes and holds no pointer, so make([]slot, n) is a noscan span.
-func TestAllocPinSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got > 40 {
-		t.Fatalf("sizeof(slot) = %d, want <= 40", got)
-	}
-	if maxRingArgs >= 1<<metaArgcBits {
-		t.Fatalf("metaArgcBits = %d cannot count %d arguments", metaArgcBits, maxRingArgs)
-	}
-	if metaPIDShift+metaPIDBits > 64 {
-		t.Fatalf("meta bit fields end at bit %d, past the word", metaPIDShift+metaPIDBits)
-	}
-	var walk func(path string, ty reflect.Type)
-	walk = func(path string, ty reflect.Type) {
-		switch ty.Kind() {
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
-			}
-		case reflect.Array:
-			walk(path+"[]", ty.Elem())
-		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
-			reflect.Chan, reflect.Func, reflect.Interface:
-			t.Errorf("%s is a %s: the slot must be pointer-free", path, ty.Kind())
-		}
-	}
-	walk("slot", reflect.TypeOf(slot{}))
-}
 
 // TestAllocPinColdRingAppend pins that a ring on its first lap appends
 // without allocating: a slot owns no heap to set up. (AllocsPerRun's own
@@ -111,19 +81,22 @@ func randomStream(rng *rand.Rand, n int, logs ...*Log) {
 	}
 }
 
-// TestPackedRingMatchesFullLog is the packed record's round-trip property:
-// a single-stripe ring that holds a whole random stream reports exactly the
-// events a ModeFull log does, and past wrap-around exactly its tail.
+// TestPackedRingMatchesFullLog is the ring record's round-trip property: a
+// ring that holds a whole random stream reports exactly the events a
+// ModeFull log does, and past wrap-around exactly its tail — in the exact
+// append order across writers, however many stripes NewShardedRing is
+// asked for.
 func TestPackedRingMatchesFullLog(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		capacity, n int
+		name                 string
+		capacity, n, stripes int
 	}{
-		{"fits", 4096, 3000},
-		{"wrapped", 256, 3000},
+		{"fits", 4096, 3000, 1},
+		{"wrapped", 256, 3000, 1},
+		{"sharded", 256, 3000, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			full, ring := new(Log), NewRing(tc.capacity)
+			full, ring := new(Log), NewShardedRing(tc.capacity, tc.stripes)
 			randomStream(rand.New(rand.NewSource(16)), tc.n, full, ring)
 			want := full.Events()
 			if len(want) > tc.capacity {
@@ -222,7 +195,4 @@ func TestRingConcurrentInterning(t *testing.T) {
 	close(done)
 	readers.Wait()
 	check()
-	if got := len(*l.methods.Load()); got != writers*names {
-		t.Fatalf("interned %d method names, want %d (each exactly once)", got, writers*names)
-	}
 }

@@ -5,89 +5,6 @@ import (
 	"testing"
 )
 
-// TestShardedRingGeometry pins the stripe clamping and capacity split:
-// stripe counts round up to powers of two within [1, MaxRingStripes], and
-// each sub-ring gets at least 64 slots.
-func TestShardedRingGeometry(t *testing.T) {
-	cases := []struct {
-		capacity, stripes     int
-		wantStripes, wantSlot int
-	}{
-		{4096, 1, 1, 4096},
-		{4096, 2, 2, 2048},
-		{4096, 3, 4, 1024},
-		{4096, 8, 8, 512},
-		{4096, 100, MaxRingStripes, 256},
-		{64, 8, 8, 64}, // per-stripe minimum dominates
-	}
-	for _, c := range cases {
-		l := NewShardedRing(c.capacity, c.stripes)
-		if l.Stripes() != c.wantStripes {
-			t.Fatalf("NewShardedRing(%d,%d): stripes %d, want %d", c.capacity, c.stripes, l.Stripes(), c.wantStripes)
-		}
-		if got := l.Capacity() / l.Stripes(); got != c.wantSlot {
-			t.Fatalf("NewShardedRing(%d,%d): %d slots/stripe, want %d", c.capacity, c.stripes, got, c.wantSlot)
-		}
-	}
-	if l := NewRing(128); l.Stripes() != 1 || l.Capacity() != 128 {
-		t.Fatalf("NewRing(128) = %d stripes × %d total, want 1 × 128", l.Stripes(), l.Capacity())
-	}
-}
-
-// TestShardedRingWrapBoundaries mirrors the single-ring wrap pin per
-// stripe: one writer per stripe appends through several wraps; at each
-// boundary the snapshot restricted to that writer must be exactly its most
-// recent min(appended, stripeCapacity) events in its append order, and the
-// global Appended/Dropped accounting must sum the stripes.
-func TestShardedRingWrapBoundaries(t *testing.T) {
-	const stripes = 4
-	l := NewShardedRing(stripes*64, stripes)
-	stripeCap := l.Capacity() / l.Stripes() // 64
-	perWriterAt := func(pid int) []int {
-		var resps []int
-		for _, e := range l.Events() {
-			if e.PID == pid {
-				resps = append(resps, e.Resp)
-			}
-		}
-		return resps
-	}
-	boundaries := map[int]bool{stripeCap - 1: true, stripeCap: true, stripeCap + 1: true, 3 * stripeCap: true, 3*stripeCap + 1: true}
-	for n := 1; n <= 3*stripeCap+1; n++ {
-		for pid := 0; pid < stripes; pid++ {
-			l.Return(pid, n-1)
-		}
-		if !boundaries[n] {
-			continue
-		}
-		want := n
-		if want > stripeCap {
-			want = stripeCap
-		}
-		for pid := 0; pid < stripes; pid++ {
-			resps := perWriterAt(pid)
-			if len(resps) != want {
-				t.Fatalf("after %d appends: writer %d retained %d, want %d", n, pid, len(resps), want)
-			}
-			for i, r := range resps {
-				if wantResp := n - want + i; r != wantResp {
-					t.Fatalf("after %d appends: writer %d event %d has resp %d, want %d", n, pid, i, r, wantResp)
-				}
-			}
-		}
-		if got, want := l.Appended(), uint64(stripes*n); got != want {
-			t.Fatalf("Appended() = %d, want %d", got, want)
-		}
-		wantDropped := uint64(0)
-		if n > stripeCap {
-			wantDropped = uint64(stripes * (n - stripeCap))
-		}
-		if got := l.Dropped(); got != wantDropped {
-			t.Fatalf("Dropped() = %d, want %d", got, wantDropped)
-		}
-	}
-}
-
 // TestShardedRingPerWriterOrder pins the ordering contract Events keeps
 // under striping: cross-stripe interleaving is by sequence number, but
 // every process's own events appear in its append order even when several
