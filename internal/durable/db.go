@@ -124,11 +124,11 @@ func (s SessionState) Reply(id uint64) []byte {
 }
 
 // shardFile is one shard's durable state: the key table (internal/keytab),
-// whose journaled values are the live mirror the next compaction writes.
-// Everything this layer keeps per key is one entry
-// of that table, 32 pointer-free bytes with the reference to the key's name.
-// mu orders the shard's puts in the write-ahead log and serializes the
-// table's inserts.
+// whose journaled values are the mirror of the durable log — what a reopen
+// recovers and the next compaction writes. Everything this layer keeps per
+// key is one entry of that table, 32 pointer-free bytes with the reference to
+// the key's name. mu orders the shard's puts in the write-ahead log and
+// serializes the fold's writes to the table.
 type shardFile struct {
 	mu  sync.Mutex
 	tab keytab.Table[entry]
@@ -139,10 +139,10 @@ type shardFile struct {
 // as well (the read view's stage, view.go) holds the entry's number in the
 // table and asks the table for both.
 type entry struct {
-	// journaled is the value last appended to the write-ahead log for the
-	// key (or recovered from disk), meaningful once inLog is set: what
+	// journaled is the value of the key's last put-at record the fold has
+	// taken — durable, in log order — meaningful once inLog is set: what
 	// compaction, the bootstrap, RangeShard, StateHash and MirrorGet read.
-	// Guarded by the shard's mu, like the append.
+	// Guarded by the shard's mu.
 	journaled int64
 	// applied is the value the read view shows for the key, valid while
 	// viewGen equals the view's generation (view.go). Written only by
@@ -154,9 +154,9 @@ type entry struct {
 
 // sessionsFile is the session layer's durable state. mu is the anchor lock:
 // session records are appended to the write-ahead log, streamed to the
-// standby, made durable and folded into the mirror under it — and so are the
-// stamps of the put-at records an epoch made durable — so the mirror holds
-// durable records only and no session record is ever left staged when it is
+// standby, made durable and folded into the mirrors under it — and so is
+// every put-at record an epoch made durable — so the mirrors hold durable
+// records only and no session record is ever left staged when it is
 // released.
 type sessionsFile struct {
 	mu    sync.Mutex
@@ -250,7 +250,7 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 			return nil, err
 		}
 	}
-	if db.wal, err = OpenLogFs(fsys, filepath.Join(dir, "wal.log"), db.replay); err != nil {
+	if db.wal, err = OpenLogFs(fsys, filepath.Join(dir, "wal.log"), db.foldLocked); err != nil {
 		unlock()
 		return nil, err
 	}
@@ -258,34 +258,8 @@ func OpenFs(fsys Fs, dir string, shards, procs, window int) (*DB, error) {
 	return db, nil
 }
 
-// replay folds one write-ahead-log record into the mirrors, dispatching by
-// kind. Called where nothing else touches them: at open.
-func (db *DB) replay(rec []byte) error {
-	if rec[0] != recPutAt {
-		return db.sessions.apply(rec)
-	}
-	_, _, err := db.foldPut(rec)
-	return err
-}
-
-// foldPut folds one put-at record into the mirrors — its value into its
-// shard's, its stamp into its writer's window (noteStamp) — and returns it
-// decoded with its entry's number: replay at open, and on a standby the fold
-// of an epoch or a bootstrap (foldLocked). Called with the put's shard's mu
-// and sessions.mu held, or before the DB is shared.
-func (db *DB) foldPut(rec []byte) (putAt, uint32, error) {
-	p, err := decodePutAt(rec, len(db.shards), db.procs)
-	if err != nil {
-		return p, 0, err
-	}
-	n := db.shards[p.shard].set(p.key, p.val)
-	db.sessions.noteStamp(p.stamp)
-	return p, n, nil
-}
-
-// fold is replay for a DB in service: DB.anchor folds the records of the
-// epoch it made durable with sessions.mu held, and a put — only a standby's
-// epochs carry puts, each checked on arrival — takes its shard's lock.
+// fold is foldLocked for a DB in service: DB.anchor folds the batch it made
+// durable with sessions.mu held, and a put takes its shard's lock.
 func (db *DB) fold(rec []byte) error {
 	if rec[0] == recPutAt {
 		sf := db.shards[binary.BigEndian.Uint32(rec[putAtOffsetShard:])]
@@ -293,6 +267,31 @@ func (db *DB) fold(rec []byte) error {
 		defer sf.mu.Unlock()
 	}
 	return db.foldLocked(rec)
+}
+
+// foldLocked folds one durable record into the mirrors, the one path every
+// record takes, in log order: at open (OpenLogFs), after its barrier (fold,
+// compact, Subscribe) and in a bootstrap (install). A session record goes
+// into the sessions mirror; a put into its key, its stamp into its writer's
+// window (noteStamp) and, where view.stages is set, its entry into the stage.
+// Called with the put's shard's mu and sessions.mu held, or before the DB is
+// shared.
+func (db *DB) foldLocked(rec []byte) error {
+	if rec[0] != recPutAt {
+		return db.sessions.apply(rec)
+	}
+	p, err := decodePutAt(rec, len(db.shards), db.procs)
+	if err != nil {
+		return err
+	}
+	n := db.shards[p.shard].set(p.key, p.val)
+	db.sessions.noteStamp(p.stamp)
+	if v := &db.view; v.stages {
+		v.mu.Lock()
+		v.stage = append(v.stage, viewPut{shard: uint32(p.shard), n: n, val: p.val})
+		v.mu.Unlock()
+	}
+	return nil
 }
 
 // checkManifest creates the geometry manifest on first open and verifies
@@ -333,8 +332,8 @@ func (db *DB) Procs() int { return db.procs }
 func (db *DB) SetCompactThreshold(bytes int64) { db.compactAt = bytes }
 
 // set mirrors key := val and returns the number of key's entry, inserting
-// it on the key's first use. Called with sf.mu held (recovery runs before
-// the DB is shared).
+// it on the key's first use. Called by the fold, with sf.mu held (recovery
+// runs before the DB is shared).
 func (sf *shardFile) set(key string, val int64) uint32 {
 	n, e := sf.tab.Lookup(key)
 	if e == nil {
@@ -488,26 +487,22 @@ func (b ShardBacking) Persist(key string, val int64) { b.db.journalPut(b.i, key,
 // session that holds pid, before it executes the request.
 func (db *DB) BeginRequest(pid int, reqID uint64) { db.calls[pid].Store(reqID) }
 
-// journalPut appends one persisted root to shard i's mirror and, as a
-// put-at record, to the write-ahead log, and returns the number of the key's
-// entry. It only stages — no disk, no compaction — so the shard lock is never
-// held across I/O. The caller's key may alias a transient buffer (the server
-// decodes keys zero-copy out of the connection frame); only the key table
-// retains a key, as bytes it copies at the key's first put.
-func (db *DB) journalPut(i int, key string, val int64, s stamp) uint32 {
+// journalPut stages a put-at record for shard i in the write-ahead log — no
+// disk, no mirror: the put reaches its key when the fold after its barrier
+// takes it. sf.mu orders the shard's puts in the log and is what lockAll takes
+// to shut journaling out. The caller's key may alias a transient buffer (the
+// server decodes keys zero-copy out of the frame); the record copies it.
+func (db *DB) journalPut(i int, key string, val int64, s stamp) {
 	sf := db.shards[i]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	n := sf.set(key, val)
 	sf.enc = encodePutAt(sf.enc[:0], i, key, val, s)
 	if err := db.wal.Append(sf.enc); err != nil {
-		// The append never reached the log: the mirror and the log disagree
-		// and no later Sync can make the verdict durable. This is the one
-		// unrecoverable case; fail loudly rather than serve non-durable
-		// verdicts as durable.
+		// The append never reached the log, so no later Sync can make the
+		// verdict durable. This is the one unrecoverable case; fail loudly
+		// rather than serve non-durable verdicts as durable.
 		panic(fmt.Sprintf("durable: shard %d append failed: %v", i, err))
 	}
-	return n
 }
 
 // root is one key of the mirror and the value journaled for it. The key is
@@ -674,29 +669,6 @@ func StampsCarry(reply []byte) bool {
 	return true
 }
 
-// foldStamps folds the stamps of the put-at records in framed — puts
-// journaled here, already in their shards' mirrors (journalPut) — into the
-// sessions' windows and, on a node that leads, stages each put for the next
-// anchor to publish. framed is frames this node wrote, whose checksums need
-// no checking. Called with sessions.mu held.
-func (db *DB) foldStamps(framed []byte) {
-	v := &db.view
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for len(framed) > 0 {
-		n := frameHeader + int(binary.BigEndian.Uint32(framed))
-		if rec := framed[frameHeader:n]; rec[0] == recPutAt {
-			p, _ := decodePutAt(rec, len(db.shards), db.procs) // this node encoded it
-			db.sessions.noteStamp(p.stamp)
-			if v.lead {
-				e, _ := db.shards[p.shard].tab.Lookup(p.key)
-				v.stage = append(v.stage, viewPut{shard: uint32(p.shard), n: e, val: p.val})
-			}
-		}
-		framed = framed[n:]
-	}
-}
-
 // noteOutcome folds one (sid, reqID, reply) verdict into the session's
 // window (Window states the rules). The single definition keeps live
 // commits, recovery replay and the standby in lockstep. Must be called with
@@ -759,11 +731,12 @@ func stageSID(dst []byte, kind byte, sid uint64) []byte {
 // disk implies the puts ahead of it are on disk. The batch and the epoch's
 // barrier go to the replication tap before the fsync starts, so a standby
 // fsyncs the epoch while this node does; once the fsync has returned, the
-// batch is folded into the mirrors (foldEpoch) and the commit mark follows,
-// and anchor returns once every gating standby has acknowledged the barrier,
-// publishing the epoch to readers then on a node that leads (in sequence
-// order: anchors run one at a time). The anchor that finds the threshold's
-// worth of bytes appended to the log compacts it.
+// whole batch is folded into the mirrors in log order (fold) — it is intact
+// until the next barrier, which needs sessions.mu, held here — and the commit
+// mark follows, and anchor returns once every gating standby has acknowledged
+// the barrier, publishing the epoch to readers then on a node that leads (in
+// sequence order: anchors run one at a time). The anchor that finds the
+// threshold's worth of bytes appended to the log compacts it.
 func (db *DB) anchor(recs []byte) error {
 	ss := &db.sessions
 	ss.mu.Lock()
@@ -772,7 +745,7 @@ func (db *DB) anchor(recs []byte) error {
 	if MutantOutcomeFirst {
 		held = db.wal.holdBack()
 	}
-	off, err := db.wal.stageFramed(recs)
+	err := db.wal.stageFramed(recs)
 	var seq uint64
 	var batch []byte
 	if err == nil {
@@ -783,12 +756,12 @@ func (db *DB) anchor(recs []byte) error {
 		batch, err = db.wal.syncMarked(func() { db.repl.tapBarrier(seq) })
 	}
 	if err == nil {
-		err = db.foldEpoch(batch, off, recs)
+		err = eachFrame(batch, db.fold)
 	}
 	if MutantOutcomeFirst && err == nil {
-		if _, err = db.wal.stageFramed(held); err == nil {
+		if err = db.wal.stageFramed(held); err == nil {
 			if batch, err = db.wal.syncMarked(nil); err == nil {
-				err = db.foldEpoch(batch, 0, nil)
+				err = eachFrame(batch, db.fold)
 			}
 		}
 	}
@@ -815,21 +788,6 @@ func (db *DB) anchor(recs []byte) error {
 	if lead {
 		db.publishThrough(seq)
 	}
-	return nil
-}
-
-// foldEpoch folds a batch an anchor made durable into the mirrors, in log
-// order. The records the epoch's members staged stand in it at off, where
-// stageFramed put them, and are folded whole; around them stand the puts
-// journaled here, already in their shards' mirrors (journalPut), whose
-// stamps are all there is left to fold. The batch is intact until the next
-// barrier, which needs sessions.mu, held here.
-func (db *DB) foldEpoch(batch []byte, off int, recs []byte) error {
-	db.foldStamps(batch[:off])
-	if err := eachFrame(recs, db.fold); err != nil {
-		return err
-	}
-	db.foldStamps(batch[off+len(recs):])
 	return nil
 }
 
@@ -925,9 +883,11 @@ func (db *DB) compact(threshold int64) error {
 		return nil
 	}
 	start, before := time.Now(), db.wal.length()
-	// The new log's puts carry no stamps: the verdicts of the staged ones go
-	// into the windows first, to be written as outcome records.
-	db.foldStamps(db.wal.staged())
+	// The staged puts go with the old file: folded first, they are written
+	// with the mirror, their stamps' verdicts as outcome records.
+	if err := eachFrame(db.wal.staged(), db.foldLocked); err != nil {
+		return err
+	}
 	if err := db.wal.Rewrite(db.emitState); err != nil {
 		return err
 	}
@@ -936,19 +896,19 @@ func (db *DB) compact(threshold int64) error {
 	return nil
 }
 
-// lockAll takes every shard's lock in index order, then the sessions lock,
-// and returns the function that releases them: in between nothing is
-// journaled, anchored or tapped.
+// lockAll takes the sessions lock, then every shard's lock in index order —
+// the order DB.anchor's fold takes them in — and returns the function that
+// releases them: in between nothing is journaled, anchored, folded or tapped.
 func (db *DB) lockAll() (unlock func()) {
+	db.sessions.mu.Lock()
 	for _, sf := range db.shards {
 		sf.mu.Lock()
 	}
-	db.sessions.mu.Lock()
 	return func() {
-		db.sessions.mu.Unlock()
 		for _, sf := range db.shards {
 			sf.mu.Unlock()
 		}
+		db.sessions.mu.Unlock()
 	}
 }
 
@@ -972,6 +932,8 @@ func (db *DB) emitState(fn func(rec []byte) error) error {
 // its high-water mark), and the session-ID high-water mark. It hashes the
 // records a compaction would write (emitState), in their fixed order, each
 // length-prefixed so distinct states can never collide by concatenation.
+// The mirrors hold durable records only, so on a live DB it is the digest a
+// reopen of its durable image produces.
 //
 // This is the deterministic-step/state-hash idiom (Cannon's MIPS state
 // root, transplanted to recovery): because the hash is a pure function of

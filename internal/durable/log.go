@@ -254,18 +254,16 @@ func (l *Log) Append(payload []byte) error {
 }
 
 // stageFramed stages records that are framed already — an epoch's records,
-// a replicated batch — as they are, and returns where they begin in the
-// batch the next barrier takes. The caller framed them itself or checked
+// a replicated batch — as they are. The caller framed them itself or checked
 // every frame.
-func (l *Log) stageFramed(framed []byte) (int, error) {
+func (l *Log) stageFramed(framed []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
-		return 0, l.err
+		return l.err
 	}
-	off := len(l.buf)
 	l.buf = append(l.buf, framed...)
-	return off, nil
+	return nil
 }
 
 // staged returns the records staged since the last barrier, aliasing the

@@ -143,13 +143,15 @@ func (db *DB) Subscribe(limit int) *ReplSub {
 	// Under lockAll nothing is journaled, anchored or tapped, so the live
 	// tap starts where the bootstrap ends. The staged records are synced
 	// first (free on a clean log), their batch going to the subscribers
-	// already attached and its stamps into the windows: the bootstrap
+	// already attached and into the mirrors (foldLocked): the bootstrap
 	// vouches for what is durable here, and its puts carry no stamps.
 	defer db.lockAll()()
 	var boot []byte
 	batch, err := db.wal.syncMarked(nil)
 	if err == nil {
-		db.foldStamps(batch)
+		err = eachFrame(batch, db.foldLocked)
+	}
+	if err == nil {
 		err = db.emitState(func(rec []byte) error {
 			boot = appendFrame(boot, rec)
 			return nil
@@ -565,9 +567,14 @@ type Replica struct {
 	booting bool   // batch is a bootstrap: a SnapBegin came after the last barrier
 }
 
-// NewReplica returns an applier feeding db. The DB must not be serving —
-// it is the warm standby's.
-func (db *DB) NewReplica() *Replica { return &Replica{db: db} }
+// NewReplica returns an applier feeding db, whose fold stages puts for the
+// read view from now on. db must not be serving — it is the warm standby's.
+func (db *DB) NewReplica() *Replica {
+	db.sessions.mu.Lock()
+	db.view.stages = true
+	db.sessions.mu.Unlock()
+	return &Replica{db: db}
+}
 
 // Apply folds one stream message (a frame payload: kind byte + body) into
 // the backup. It returns barrier=true with the barrier's sequence when the

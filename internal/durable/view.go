@@ -7,13 +7,13 @@ package durable
 // store holds a put as soon as it linearizes, and a standby anchors an epoch
 // while the primary's own fsync of it may still fail. So a key's entry
 // (db.go) holds two values: the one last journaled, and the one applied —
-// what a GET reads. A put is staged as (shard, entry number, value) when its
-// epoch is folded (foldLocked on a standby, foldStamps on a node that leads)
-// and stored into the applied words once the epoch is durable on every node
-// that gates it (publishThrough): at its commit mark on a standby, after the
-// gating ack on the node that leads (DB.anchor). So every read observes a
-// prefix of the log in log order, the order recovery replays: never torn,
-// never a value a crash can roll back.
+// what a GET reads. A put is staged as (shard, entry number, value) when the
+// fold after its epoch's fsync takes it (foldLocked) and stored into the
+// applied words once the epoch is durable on every node that gates it
+// (publishThrough): at its commit mark on a standby, after the gating ack on
+// the node that leads (DB.anchor). So every read observes a prefix of the log
+// in log order, the order recovery replays: never torn, never a value a crash
+// can roll back.
 //
 // A publication is one step to readers without a lock they would have to
 // write: the stores sit inside a sequence counter's odd phase, and a GET
@@ -55,6 +55,9 @@ type viewState struct {
 	stage []viewPut
 	held  []heldEpoch
 	lead  bool // anchors publish their own epochs (DB.Lead); guarded by sessions.mu
+	// stages makes the fold stage each put (foldLocked): set by NewReplica
+	// and DB.Lead, on the nodes whose view publishes; guarded by sessions.mu.
+	stages bool
 }
 
 // heldEpoch is one epoch durable here that awaits its commit mark, or its
@@ -68,25 +71,6 @@ type heldEpoch struct {
 // one that grew for a bootstrap — a put per key — or a wide epoch grows
 // back to what they need instead.
 const maxStage = maxSpare / 16
-
-// foldLocked is replay that also stages a put for the read view as (shard,
-// entry number, value): the place a standby resolves a replicated put to
-// its entry and its stamp to its writer's window, for a live epoch once its
-// fsync has returned (fold) and for a bootstrap (install). Called with the
-// put's shard's mu and sessions.mu held.
-func (db *DB) foldLocked(rec []byte) error {
-	if rec[0] != recPutAt {
-		return db.sessions.apply(rec)
-	}
-	p, n, err := db.foldPut(rec)
-	if err == nil {
-		v := &db.view
-		v.mu.Lock()
-		v.stage = append(v.stage, viewPut{shard: uint32(p.shard), n: n, val: p.val})
-		v.mu.Unlock()
-	}
-	return err
-}
 
 // holdView marks the end of epoch seq, durable here, in the stage: its puts
 // wait there for the epoch's commit mark or gating acks.
@@ -138,8 +122,8 @@ func (db *DB) publishThrough(seq uint64) {
 }
 
 // Lead publishes every key's journaled value at once and makes each later
-// anchor publish its own epoch (DB.anchor). Called where every journaled
-// value is durable: on what recovery found, and at promotion, whose store
+// fold stage its puts and each later anchor publish its own epoch
+// (DB.anchor). Called on what recovery found, and at promotion, whose store
 // holds every epoch the standby held.
 func (db *DB) Lead() {
 	defer db.lockAll()()
@@ -157,7 +141,7 @@ func (db *DB) Lead() {
 		}
 	}
 	v.ver.Add(1)
-	v.stage, v.held, v.lead = v.stage[:0], v.held[:0], true
+	v.stage, v.held, v.lead, v.stages = v.stage[:0], v.held[:0], true, true
 }
 
 // ResetView empties the read view and its stage and zeroes the applied
@@ -207,11 +191,10 @@ func (db *DB) ViewGet(i int, key string) (int64, bool) {
 // standby's applied mark.
 func (db *DB) ViewSeq() uint64 { return db.view.seq.Load() }
 
-// MirrorGet reads the value last journaled for key in shard i: the state a
-// reopen of this directory would recover once the log is synced. Nothing
-// serves from it — every GET on a durable node reads ViewGet; it is the
-// reader the replica and crash-image tests compare a view, a peer or a
-// recovered image with.
+// MirrorGet reads the value of key's last durable put in shard i: the state
+// a reopen of this directory would recover. Nothing serves from it — every
+// GET on a durable node reads ViewGet; it is the reader the replica and
+// crash-image tests compare a view, a peer or a recovered image with.
 func (db *DB) MirrorGet(i int, key string) (int64, bool) {
 	sf := db.shards[i]
 	sf.mu.Lock()
