@@ -65,7 +65,6 @@ type ReadClient struct {
 	probeAddr string
 
 	nextCheck time.Time
-	fallbacks uint64 // replica→primary switches (staleness or failure)
 }
 
 // DialReadPreference opens a read-preferring GET router: reads go to the
@@ -203,7 +202,6 @@ func (rc *ReadClient) maybeRoute() {
 			return
 		}
 		// Staleness bound exceeded: fall back to the primary.
-		rc.fallbacks++
 		rc.dropCur()
 		rc.reconnect() //nolint:errcheck // next Get retries
 		return
@@ -239,9 +237,6 @@ func (rc *ReadClient) Get(key string) (runtime.Outcome[int], error) {
 	if err == nil {
 		return out, nil
 	}
-	if rc.onReplica {
-		rc.fallbacks++
-	}
 	if rerr := rc.reconnect(); rerr != nil {
 		return runtime.Outcome[int]{}, err
 	}
@@ -253,10 +248,6 @@ func (rc *ReadClient) OnReplica() bool { return rc.onReplica }
 
 // Target returns the address of the current read target.
 func (rc *ReadClient) Target() string { return rc.curAddr }
-
-// Fallbacks returns how many times the router abandoned a replica for the
-// primary (connect failure, call failure, or staleness bound exceeded).
-func (rc *ReadClient) Fallbacks() uint64 { return rc.fallbacks }
 
 // Close tears down the read session and the primary probe.
 func (rc *ReadClient) Close() error {

@@ -779,9 +779,11 @@ func (db *DB) anchor(recs []byte) error {
 	ss.mu.Unlock()
 	if full {
 		// An explicit Compact may rewrite the log before this one takes
-		// its locks; compact re-tests under them, so only one rewrites.
+		// its locks; compact re-tests under them, so only one rewrites. The
+		// epoch is durable already: a failed rewrite leaves the old log whole
+		// for the next full epoch to retry, or poisons it for the next commit.
 		if err := db.compact(db.compactAt); err != nil {
-			return err
+			slog.Warn("durable: write-ahead log compaction failed", "path", db.wal.path, "cause", err)
 		}
 	}
 	db.repl.waitBarrier(seq)
@@ -869,10 +871,11 @@ func (ss *sessionsFile) emit(fn func(rec []byte) error) error {
 }
 
 // Compact rewrites the write-ahead log as the state it adds up to
-// (emitState). It holds lockAll, so nothing is staged or anchored meanwhile
-// and the new log holds everything the old one did, and any put still staged
-// in memory. A crash on the way leaves the old log or the new one
-// (Log.Rewrite), and they recover to the same state.
+// (emitState). It holds lockAll, so nothing is staged or anchored meanwhile,
+// and it first makes any put still staged durable in the old log
+// (syncStaged), so the new log holds everything the old one did. A crash on
+// the way leaves the old log or the new one (Log.Rewrite), and they recover
+// to the same state.
 func (db *DB) Compact() error { return db.compact(0) }
 
 // compact is Compact once Log.Appended has reached threshold, tested under
@@ -883,9 +886,7 @@ func (db *DB) compact(threshold int64) error {
 		return nil
 	}
 	start, before := time.Now(), db.wal.length()
-	// The staged puts go with the old file: folded first, they are written
-	// with the mirror, their stamps' verdicts as outcome records.
-	if err := eachFrame(db.wal.staged(), db.foldLocked); err != nil {
+	if err := db.syncStaged(); err != nil {
 		return err
 	}
 	if err := db.wal.Rewrite(db.emitState); err != nil {
@@ -894,6 +895,19 @@ func (db *DB) compact(threshold int64) error {
 	slog.Info("durable: write-ahead log compacted", "path", db.wal.path,
 		"bytes_before", before, "bytes_after", db.wal.length(), "duration", time.Since(start))
 	return nil
+}
+
+// syncStaged is the barrier every holder of lockAll runs before it reads the
+// mirrors as the log's state (compact, Subscribe): the records staged since
+// the last barrier are synced — free on a clean log — and their batch goes to
+// the subscribers attached and into the mirrors, so nothing reaches the
+// mirrors before it is durable. Called under lockAll.
+func (db *DB) syncStaged() error {
+	batch, err := db.wal.syncMarked(nil)
+	if err == nil {
+		err = eachFrame(batch, db.foldLocked)
+	}
+	return err
 }
 
 // lockAll takes the sessions lock, then every shard's lock in index order —

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -392,6 +393,120 @@ func TestRewriteFailsAtEachStep(t *testing.T) {
 				t.Fatalf("recovered %v and sessions %v, want staged=7 and session 1", got, ss)
 			}
 		})
+	}
+}
+
+// TestFailedCompactionFoldsNothingUndurable: a compaction makes the put staged
+// before it durable before it folds it, so a rewrite that fails before its
+// rename leaves mirrors that are what recovery of the disk rebuilds, and a
+// leading node's view stage holds the put once: the next epoch finds nothing
+// staged to fold again.
+func TestFailedCompactionFoldsNothingUndurable(t *testing.T) {
+	for _, step := range []string{"write", "fsync", "rename"} {
+		t.Run(step, func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := &faultFs{Fs: OS}
+			db, err := OpenFs(fsys, dir, 1, 1, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			db.Lead()
+			sub := db.Subscribe(0)
+			defer sub.Close()
+			sub.Ack(sub.SnapSeq()) // a gating standby: an epoch is held until it acks
+			db.ShardBacking(0).Persist("staged", 7)
+
+			fsys.failAt = step
+			if err := db.Compact(); !errors.Is(err, errInjected) {
+				t.Fatalf("Compact = %v, want the injected error", err)
+			}
+			fsys.failAt = ""
+			image := t.TempDir()
+			copyTree(t, dir, image)
+			rec, err := Open(image, 1, 1, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rec.StateHash()
+			rec.Close()
+			if got := db.StateHash(); got != want {
+				t.Fatal("the live hash differs from the hash of what recovery of the disk rebuilds")
+			}
+
+			done := make(chan error, 1)
+			go func() { done <- db.Sync() }()
+			var staged []int64
+			for held := false; !held; runtime.Gosched() {
+				select {
+				case err := <-done:
+					t.Fatalf("Sync returned %v before its epoch was held", err)
+				default:
+				}
+				db.view.mu.Lock()
+				if held = len(db.view.held) > 0; held {
+					for _, p := range db.view.stage[:db.view.held[0].end] {
+						staged = append(staged, p.val)
+					}
+				}
+				db.view.mu.Unlock()
+			}
+			sub.Ack(1 << 60)
+			if err := <-done; err != nil {
+				t.Fatalf("Sync after a compaction that failed at its %s: %v", step, err)
+			}
+			if !slices.Equal(staged, []int64{7}) {
+				t.Fatalf("the held epoch stages %v, want the put once: [7]", staged)
+			}
+		})
+	}
+}
+
+// TestFailedCompactionKeepsItsEpoch: a compaction runs once its epoch is
+// durable, folded and streamed, so one that fails is logged and the epoch
+// commits all the same: Sync returns nil and the view of a node gated by a
+// standby publishes the put. The log stays whole, and the next full epoch
+// compacts.
+func TestFailedCompactionKeepsItsEpoch(t *testing.T) {
+	lines := captureLog(t)
+	fsys := &faultFs{Fs: OS}
+	db, err := OpenFs(fsys, t.TempDir(), 1, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.Lead()
+	sub := db.Subscribe(0)
+	defer sub.Close()
+	sub.Ack(sub.SnapSeq()) // gating from here on
+	sub.Ack(1 << 60)       // past any barrier this test issues
+	db.SetCompactThreshold(1)
+
+	fsys.failAt = "write"
+	db.ShardBacking(0).Persist("k", 1)
+	if err := db.Sync(); err != nil {
+		t.Fatalf("Sync with a failing compaction: %v", err)
+	}
+	if v, ok := db.ViewGet(0, "k"); !ok || v != 1 {
+		t.Fatalf("view k=%d (ok=%v), want 1", v, ok)
+	}
+	var warned []map[string]any
+	for _, l := range lines() {
+		if l["level"] == "WARN" {
+			warned = append(warned, l)
+		}
+	}
+	if len(warned) != 1 || !strings.Contains(warned[0]["cause"].(string), errInjected.Error()) {
+		t.Fatalf("WARN lines %v, want one naming the injected cause", warned)
+	}
+
+	fsys.failAt = ""
+	db.ShardBacking(0).Persist("k", 2)
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if fsys.rewrites != 1 {
+		t.Fatalf("%d rewrites once the fault is gone, want the next full epoch to compact", fsys.rewrites)
 	}
 }
 

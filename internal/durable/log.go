@@ -90,9 +90,9 @@ type Log struct {
 	// syncFn is the fsync implementation, replaceable by fault-injection
 	// tests; nil means File.Sync.
 	syncFn func(File) error
-	// tap, when set, receives every batch as it leaves the staging buffer,
-	// and the staged records a Rewrite takes into the new file instead:
-	// every record in file order, under bmu (replicate.go). Set at open.
+	// tap, when set, receives every batch as it leaves the staging buffer:
+	// every record in file order, under bmu (replicate.go). A Rewrite hands
+	// it nothing. Set at open.
 	tap func(framed []byte)
 
 	mu    sync.Mutex
@@ -266,14 +266,6 @@ func (l *Log) stageFramed(framed []byte) error {
 	return nil
 }
 
-// staged returns the records staged since the last barrier, aliasing the
-// staging buffer: for a caller that has shut every appender and barrier out.
-func (l *Log) staged() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.buf
-}
-
 // checkRecord refuses a payload recovery could not read back.
 func checkRecord(payload []byte) error {
 	switch {
@@ -439,14 +431,13 @@ const rewriteChunk = 64 << 10
 // crash leaves the old log or the new one, each a valid prefix of records,
 // never a mix.
 //
-// The caller has shut every appender out and emit covers every record staged
-// here, so what is staged is dropped with the old file — and handed to the
-// tap, which has not seen it in any batch. Rewrite holds both locks across
+// The caller has shut every appender out, and what is still staged is
+// dropped with the old file: a compaction syncs it first (DB.syncStaged), a
+// bootstrap replaces it, Reset discards it. Rewrite holds both locks across
 // its I/O: nothing can be appended, let alone made durable and acknowledged,
 // between the rename and the directory sync, where a crash may still
-// resurrect the old log. An error before the rename leaves the log
-// exactly as it was, staged records included, and the next Sync makes them
-// durable; an error at or after it poisons the log as a failed barrier does.
+// resurrect the old log. An error before the rename leaves the log exactly as
+// it was; an error at or after it poisons the log as a failed barrier does.
 func (l *Log) Rewrite(emit func(add func(rec []byte) error) error) error {
 	l.bmu.Lock()
 	defer l.bmu.Unlock()
@@ -487,9 +478,6 @@ func (l *Log) Rewrite(emit func(add func(rec []byte) error) error) error {
 		return l.err
 	}
 	l.f.Close() // the replaced file's handle
-	if l.tap != nil && len(l.buf) > 0 {
-		l.tap(l.buf)
-	}
 	l.f, l.size, l.base, l.alloc, l.buf = f, size, size, size, l.buf[:0]
 	return nil
 }

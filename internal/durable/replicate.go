@@ -12,8 +12,8 @@ package durable
 // then acknowledges the barrier: bootstrap replaces, it does not merge.
 //
 // From then on the stream is the log itself. The Log hands every batch of
-// framed records to the tap as it leaves the staging buffer, and a
-// compaction the staged records it took into the new file (Log.tap), so
+// framed records to the tap as it leaves the staging buffer (Log.tap), and a
+// compaction syncs what is staged before it rewrites (DB.syncStaged), so
 // every record reaches the stream in file order. An epoch's batch and its
 // barrier go out *before* the primary's own fsync starts, and a commit mark
 // once that fsync has returned: the two nodes' fsyncs of one epoch run side
@@ -142,15 +142,12 @@ func (db *DB) Subscribe(limit int) *ReplSub {
 
 	// Under lockAll nothing is journaled, anchored or tapped, so the live
 	// tap starts where the bootstrap ends. The staged records are synced
-	// first (free on a clean log), their batch going to the subscribers
-	// already attached and into the mirrors (foldLocked): the bootstrap
-	// vouches for what is durable here, and its puts carry no stamps.
+	// first, their batch going to the subscribers already attached
+	// (syncStaged): the bootstrap vouches for what is durable here, and its
+	// puts carry no stamps.
 	defer db.lockAll()()
 	var boot []byte
-	batch, err := db.wal.syncMarked(nil)
-	if err == nil {
-		err = eachFrame(batch, db.foldLocked)
-	}
+	err := db.syncStaged()
 	if err == nil {
 		err = db.emitState(func(rec []byte) error {
 			boot = appendFrame(boot, rec)
@@ -248,8 +245,7 @@ func (db *DB) ReplStatus() (seq, acked uint64, subs int) {
 
 // tapRecords stages a batch of framed records to every subscriber as ReplLog
 // messages. It is the log's tap (Log.tap): called under the log's barrier
-// lock with every batch before its write, and with the staged records a
-// compaction took into the new file.
+// lock with every batch before its write.
 func (r *replState) tapRecords(framed []byte) {
 	if r.nsubs.Load() != 0 {
 		eachMsg(framed, func(body []byte) { r.tapMsg(replLogKind, body) })

@@ -23,15 +23,6 @@ import (
 // operations are what lands in the history).
 type Program [][]spec.Operation
 
-// NumOps returns the total operation count across all processes.
-func (p Program) NumOps() int {
-	n := 0
-	for _, ops := range p {
-		n += len(ops)
-	}
-	return n
-}
-
 // Instance is one freshly built system under exploration: the runtime
 // system whose history log is checked (and on which the scheduler arms its
 // processes), the sequential specification to check it against, a Run
