@@ -145,8 +145,8 @@ func run(addr string, shards, procs int, data string, dur time.Duration, replica
 		fmt.Printf("kvserverd: standby addr=%s shards=%d procs=%d replicating-from=%s\n",
 			srv.Addr(), shards, procs, replicaOf)
 	} else {
-		fmt.Printf("kvserverd: serving addr=%s shards=%d procs=%d durable=%v group-commit=%v\n",
-			srv.Addr(), shards, procs, db != nil, db != nil)
+		fmt.Printf("kvserverd: serving addr=%s shards=%d procs=%d durable=%v\n",
+			srv.Addr(), shards, procs, db != nil)
 	}
 
 	if dur > 0 {

@@ -58,7 +58,6 @@ type ReadClient struct {
 	lagEvery  time.Duration
 
 	cur       *Client // current read-only session, nil when torn down
-	curAddr   string
 	onReplica bool
 
 	probe     *Client // observer session pinned to the current primary
@@ -100,7 +99,7 @@ func (rc *ReadClient) reconnect() error {
 			lastErr = fmt.Errorf("client: replica %s exceeds the staleness bound", addr)
 			continue
 		}
-		rc.cur, rc.curAddr, rc.onReplica = c, addr, true
+		rc.cur, rc.onReplica = c, true
 		rc.nextCheck = time.Now().Add(rc.lagEvery)
 		return nil
 	}
@@ -110,7 +109,7 @@ func (rc *ReadClient) reconnect() error {
 			lastErr = err
 			continue
 		}
-		rc.cur, rc.curAddr, rc.onReplica = c, addr, false
+		rc.cur, rc.onReplica = c, false
 		rc.nextCheck = time.Now().Add(rc.lagEvery)
 		return nil
 	}
@@ -185,7 +184,6 @@ func (rc *ReadClient) dropCur() {
 	if rc.cur != nil {
 		rc.cur.KillConn()
 		rc.cur = nil
-		rc.curAddr = ""
 	}
 }
 
@@ -217,7 +215,7 @@ func (rc *ReadClient) maybeRoute() {
 			continue
 		}
 		rc.dropCur()
-		rc.cur, rc.curAddr, rc.onReplica = c, addr, true
+		rc.cur, rc.onReplica = c, true
 		return
 	}
 }
@@ -245,9 +243,6 @@ func (rc *ReadClient) Get(key string) (runtime.Outcome[int], error) {
 
 // OnReplica reports whether reads are currently served by a replica.
 func (rc *ReadClient) OnReplica() bool { return rc.onReplica }
-
-// Target returns the address of the current read target.
-func (rc *ReadClient) Target() string { return rc.curAddr }
 
 // Close tears down the read session and the primary probe.
 func (rc *ReadClient) Close() error {

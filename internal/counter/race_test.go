@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -73,7 +74,7 @@ func TestRaceStress(t *testing.T) {
 
 func randomPlan(rng *rand.Rand) nvm.CrashPlan {
 	if rng.Intn(5) != 0 {
-		return nvm.NeverCrash()
+		return nvm.CrashAtStep(math.MaxUint64)
 	}
 	return nvm.CrashAtStep(uint64(1 + rng.Intn(10)))
 }

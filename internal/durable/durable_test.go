@@ -340,12 +340,14 @@ func (f faultFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestRewriteFailsAtEachStep fails a compaction at each of its steps. Up to
-// and including the rename the log is exactly as it was: the put staged
-// before the compaction is made durable by the next Sync, the temporary file
-// is gone, and a reopen recovers everything. From the directory sync on the
-// log is poisoned, as by a failed barrier — the new log is in place but may
-// not be durably so, and nothing more may be acknowledged on it.
+// TestRewriteFailsAtEachStep fails a compaction at each of its steps. The put
+// staged before the compaction is synced by the compaction's own barrier
+// (syncStaged) before the rewrite starts, so every step finds it durable. Up
+// to and including the rename the log is exactly as it was after that
+// barrier: the temporary file is gone, the next Sync succeeds, and a reopen
+// recovers everything. From the directory sync on the log is poisoned, as by
+// a failed barrier — the new log is in place but may not be durably so, and
+// nothing more may be acknowledged on it.
 func TestRewriteFailsAtEachStep(t *testing.T) {
 	for _, step := range []string{"write", "fsync", "rename", "syncdir"} {
 		t.Run(step, func(t *testing.T) {
@@ -396,6 +398,14 @@ func TestRewriteFailsAtEachStep(t *testing.T) {
 	}
 }
 
+// ackBootstrap acks sub's bootstrap barrier, which engages its commit
+// gating. Call it right after Subscribe: until the next commit, ReplStatus's
+// seq is that barrier.
+func ackBootstrap(db *DB, sub *ReplSub) {
+	seq, _, _ := db.ReplStatus()
+	sub.Ack(seq)
+}
+
 // TestFailedCompactionFoldsNothingUndurable: a compaction makes the put staged
 // before it durable before it folds it, so a rewrite that fails before its
 // rename leaves mirrors that are what recovery of the disk rebuilds, and a
@@ -414,7 +424,7 @@ func TestFailedCompactionFoldsNothingUndurable(t *testing.T) {
 			db.Lead()
 			sub := db.Subscribe(0)
 			defer sub.Close()
-			sub.Ack(sub.SnapSeq()) // a gating standby: an epoch is held until it acks
+			ackBootstrap(db, sub) // a gating standby: an epoch is held until it acks
 			db.ShardBacking(0).Persist("staged", 7)
 
 			fsys.failAt = step
@@ -478,8 +488,8 @@ func TestFailedCompactionKeepsItsEpoch(t *testing.T) {
 	db.Lead()
 	sub := db.Subscribe(0)
 	defer sub.Close()
-	sub.Ack(sub.SnapSeq()) // gating from here on
-	sub.Ack(1 << 60)       // past any barrier this test issues
+	ackBootstrap(db, sub) // gating from here on
+	sub.Ack(1 << 60)      // past any barrier this test issues
 	db.SetCompactThreshold(1)
 
 	fsys.failAt = "write"

@@ -428,15 +428,6 @@ func (s *ReplSub) Ack(seq uint64) {
 	}
 }
 
-// SnapSeq returns the barrier sequence of the subscription's bootstrap —
-// the ack that engages commit gating — or 0 if the bootstrap was never
-// staged.
-func (s *ReplSub) SnapSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapSeq
-}
-
 // awaitAck waits until acked ≥ seq or the timeout elapses. Returns whether
 // the ack arrived (a closed subscription counts only if it acked first).
 func (s *ReplSub) awaitAck(seq uint64, timeout time.Duration) bool {

@@ -33,6 +33,14 @@ func openSim(t testing.TB, fsim *simio.Fs) *durable.DB {
 	return db
 }
 
+// ackBootstrap acks sub's bootstrap barrier, which engages its commit
+// gating. Call it right after Subscribe: until the next commit, ReplStatus's
+// seq is that barrier.
+func ackBootstrap(db *durable.DB, sub *durable.ReplSub) {
+	seq, _, _ := db.ReplStatus()
+	sub.Ack(seq)
+}
+
 // workload drives a representative mix through db: two long-lived
 // sessions committing puts across both shards, an observer-ID burn, and
 // a third session that ends durably.
@@ -237,7 +245,7 @@ func TestSyncAckGatesCommit(t *testing.T) {
 	defer db.Close()
 	sub := db.Subscribe(0)
 	defer sub.Close()
-	sub.Ack(sub.SnapSeq()) // bootstrap complete: the sub gates from here on
+	ackBootstrap(db, sub) // bootstrap complete: the sub gates from here on
 
 	done := make(chan error, 1)
 	go func() { done <- db.AppendHello(1, 0) }()
@@ -258,7 +266,7 @@ func TestSyncAckGatesCommit(t *testing.T) {
 
 	// A closed subscription must release waiters too.
 	sub2 := db.Subscribe(0)
-	sub2.Ack(sub2.SnapSeq())
+	ackBootstrap(db, sub2)
 	go func() { done <- db.NoteSID(7) }()
 	time.Sleep(20 * time.Millisecond)
 	sub2.Close()
@@ -281,7 +289,7 @@ func TestSyncAckTimeoutDropsLaggard(t *testing.T) {
 	defer db.Close()
 	db.SetReplAckTimeout(100 * time.Millisecond)
 	sub := db.Subscribe(0)
-	sub.Ack(sub.SnapSeq()) // bootstrapped, then never acks again
+	ackBootstrap(db, sub) // bootstrapped, then never acks again
 
 	start := time.Now()
 	if err := db.AppendHello(1, 0); err != nil {
@@ -313,6 +321,7 @@ func TestBootstrappingSubscriberDoesNotGate(t *testing.T) {
 	defer db.Close()
 	db.SetReplAckTimeout(100 * time.Millisecond)
 	sub := db.Subscribe(0) // bootstrap staged, nothing acked yet
+	boot, _, _ := db.ReplStatus()
 	defer sub.Close()
 
 	start := time.Now()
@@ -328,7 +337,7 @@ func TestBootstrappingSubscriberDoesNotGate(t *testing.T) {
 
 	// Acking the bootstrap barrier engages the gate: the next commit blocks
 	// until its own barrier is acked.
-	sub.Ack(sub.SnapSeq())
+	sub.Ack(boot)
 	done := make(chan error, 1)
 	go func() { done <- db.NoteSID(50) }()
 	select {
@@ -595,10 +604,10 @@ func TestReplicaRefusesOutOfDomainValue(t *testing.T) {
 	openSim(t, fsim).Close()
 }
 
-// TestCompactionShipsStagedPuts: a compaction takes the puts staged since the
-// last barrier straight into the new file, in no batch of the old one; the
-// log hands them to the tap all the same, so a standby that applies the
-// stream of a primary compacting all the time still holds every one of them.
+// TestCompactionShipsStagedPuts: a compaction first syncs the puts staged
+// since the last barrier (syncStaged), and their batch goes to the tap as an
+// epoch's does, so a standby that applies the stream of a primary compacting
+// all the time still holds every one of them.
 func TestCompactionShipsStagedPuts(t *testing.T) {
 	must := func(err error) {
 		t.Helper()

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // TestDifferentialFastVsArmed pins that arming a plan changes nothing but
 // the hooks: a primitive has one body, so the same operation sequence must
-// behave identically with a nil plan and with a NeverCrash plan consulted
+// behave identically with a nil plan and with a never-firing plan consulted
 // before every primitive. Each harness runs a deterministic round-robin
 // sequence over 3 processes on two fresh instances, one armed (Sys.Arm)
 // and one not, and the test demands identical per-operation responses and
@@ -26,7 +27,7 @@ func TestDifferentialFastVsArmed(t *testing.T) {
 			fast := h.Build(procs)
 			armed := h.Build(procs)
 			for p := 0; p < procs; p++ {
-				armed.Sys.Arm(p, nvm.NeverCrash())
+				armed.Sys.Arm(p, nvm.CrashAtStep(math.MaxUint64))
 			}
 			for k := 0; k < ops; k++ {
 				for p := 0; p < procs; p++ {

@@ -116,9 +116,6 @@ func (m *MaxRegister) Peek() int {
 	return best
 }
 
-// N returns the number of processes the register was allocated for.
-func (m *MaxRegister) N() int { return m.n }
-
 func (m *MaxRegister) collect(ctx *nvm.Ctx) []int {
 	out := make([]int, m.n)
 	for i := 0; i < m.n; i++ {

@@ -228,7 +228,7 @@ func TestPeekAggregates(t *testing.T) {
 	if got := m.Peek(); got != 7 {
 		t.Fatalf("Peek = %d, want 7", got)
 	}
-	if m.N() != 3 {
-		t.Fatalf("N = %d", m.N())
+	if m.n != 3 {
+		t.Fatalf("n = %d", m.n)
 	}
 }

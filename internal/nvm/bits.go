@@ -44,9 +44,6 @@ func NewBits(sp *Space, n int) *Bits {
 	return b
 }
 
-// CellID returns the cell identity of bit i, as Ctx.CellID reports it.
-func (b *Bits) CellID(i int) int { return b.base + i }
-
 // check panics unless i names one of the array's bits. Every entry point
 // runs it: when several objects share an array (rw hands registers out of
 // one per chunk), a stray index is a neighbour's bit, not padding.
@@ -109,7 +106,7 @@ func (b *Bits) SetRun(ctx *Ctx, i, n int) {
 }
 
 // Flush persists bit i's current value. Under the private-cache model it
-// only validates the epoch, like Cell.Flush.
+// only validates the epoch.
 func (b *Bits) Flush(ctx *Ctx, i int) {
 	b.check(i)
 	c := b.cache

@@ -2,26 +2,17 @@ package nvm
 
 import "sync/atomic"
 
-// Register is the read/write primitive interface shared by every memory
-// model. Algorithms are written against Register (or CASRegister) so the
-// same code runs under the private-cache model, the raw shared-cache model
-// (correct only with explicit flushes) and the flush-after-write
-// transformation of Izraelevitz et al.; NewWord picks the word for the
-// Space's model.
-type Register[T comparable] interface {
+// CASRegister is the primitive interface of one NewWord word, shared by
+// every memory model. Algorithms are written against it so the same code
+// runs under the private-cache model, the raw shared-cache model (where
+// nothing flushes a word, so a crash reverts it to its initial value) and
+// the flush-after-write transformation of Izraelevitz et al.; NewWord picks
+// the word for the Space's model.
+type CASRegister[T comparable] interface {
 	// Load atomically reads the register.
 	Load(ctx *Ctx) T
 	// Store atomically writes the register.
 	Store(ctx *Ctx, v T)
-	// Flush persists the register's current value to NVM. It is a no-op in
-	// the private-cache model, where every primitive persists immediately.
-	Flush(ctx *Ctx)
-}
-
-// CASRegister is a Register that additionally supports the atomic
-// compare-and-swap primitive.
-type CASRegister[T comparable] interface {
-	Register[T]
 	// CompareAndSwap atomically replaces the register's value with new if
 	// it currently equals old, reporting whether the swap happened.
 	CompareAndSwap(ctx *Ctx, old, new T) bool
@@ -54,7 +45,6 @@ type oneWord[T comparable] struct{ ws Words[T] }
 
 func (o *oneWord[T]) Load(ctx *Ctx) T     { return o.ws.Load(ctx, 0) }
 func (o *oneWord[T]) Store(ctx *Ctx, v T) { o.ws.Store(ctx, 0, v) }
-func (o *oneWord[T]) Flush(ctx *Ctx)      { o.ws.Flush(ctx, 0) }
 func (o *oneWord[T]) Peek() T             { return o.ws.Peek(0) }
 func (o *oneWord[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
 	return o.ws.CompareAndSwap(ctx, 0, old, new)
@@ -172,7 +162,7 @@ func (w *Words[T]) CompareAndSwap(ctx *Ctx, i int, old, new T) bool {
 }
 
 // Flush persists word i's current value. Under the private-cache model it
-// only validates the epoch, like Cell.Flush.
+// only validates the epoch.
 func (w *Words[T]) Flush(ctx *Ctx, i int) {
 	c := w.cache
 	if c == nil {
@@ -258,12 +248,6 @@ func (c *Cell[T]) CompareAndSwap(ctx *Ctx, old, new T) bool {
 	ok := c.w.cas(old, new)
 	ctx.count(KindCAS, 1)
 	return ok
-}
-
-// Flush is a no-op: private-cache primitives persist immediately. It still
-// validates the epoch so crash points remain between primitives.
-func (c *Cell[T]) Flush(ctx *Ctx) {
-	ctx.CheckAlive()
 }
 
 // Peek returns the cell's value without a Ctx. It is intended for test

@@ -245,10 +245,10 @@ func TestSpaceSpare(t *testing.T) {
 	if got := sp.CellCount(); got != 4 {
 		t.Fatalf("CellCount = %d with three bits handed out, want 4", got)
 	}
-	if got := slab.CellID(0); got != 2 {
+	if got := slab.base; got != 2 {
 		t.Fatalf("slab bit 0 is cell %d, want 2", got)
 	}
-	if next := NewBits(sp, 1).CellID(0); next != 10 {
+	if next := NewBits(sp, 1).base; next != 10 {
 		t.Fatalf("the cell after the slab is cell %d, want 10", next)
 	}
 }

@@ -26,12 +26,6 @@ type Ctx struct {
 	counts [4]uint64 // primitives so far, indexed by OpKind-1; added to Stats at ReleaseCtx
 }
 
-// PID returns the process identifier the context belongs to.
-func (c *Ctx) PID() int { return c.pid }
-
-// StartEpoch returns the epoch at which this attempt began.
-func (c *Ctx) StartEpoch() uint64 { return c.start }
-
 // Steps returns the number of primitive operations performed so far under
 // this context.
 func (c *Ctx) Steps() uint64 { return c.steps }
@@ -128,14 +122,6 @@ func (p *crashAtStep) CrashBefore(ctx *Ctx, _ OpKind) bool {
 	p.fired = true
 	return true
 }
-
-// NeverCrash returns a plan that never injects a crash. It is equivalent to
-// a nil plan and exists for table-driven tests.
-func NeverCrash() CrashPlan { return neverCrash{} }
-
-type neverCrash struct{}
-
-func (neverCrash) CrashBefore(*Ctx, OpKind) bool { return false }
 
 // StepHook is a CrashPlan that injects no crash itself but runs Fn
 // immediately before the Step-th primitive (1-based) of the attempt, once.

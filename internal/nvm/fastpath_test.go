@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -111,7 +112,7 @@ func TestFastPathConcurrentMixedPlans(t *testing.T) {
 				// even ones take the lock-free path.
 				var plan CrashPlan
 				if pid%2 == 1 {
-					plan = NeverCrash()
+					plan = CrashAtStep(math.MaxUint64)
 				}
 				ctx := sp.AcquireCtx(pid, plan)
 				for {
@@ -188,8 +189,8 @@ func TestCtxPoolReuse(t *testing.T) {
 		if ctx.Steps() != 0 {
 			t.Fatalf("recycled ctx has %d steps", ctx.Steps())
 		}
-		if ctx.PID() != i%3 {
-			t.Fatalf("recycled ctx pid = %d, want %d", ctx.PID(), i%3)
+		if ctx.pid != i%3 {
+			t.Fatalf("recycled ctx pid = %d, want %d", ctx.pid, i%3)
 		}
 		NewCell(sp, 0).Store(ctx, i)
 		sp.ReleaseCtx(ctx)
@@ -200,7 +201,7 @@ func TestCtxPoolReuse(t *testing.T) {
 	sp.ReleaseCtx(armed)
 	clean := sp.AcquireCtx(1, nil)
 	defer sp.ReleaseCtx(clean)
-	if clean.Steps() != 0 || clean.PID() != 1 {
-		t.Fatalf("ctx after armed release: pid=%d steps=%d", clean.PID(), clean.Steps())
+	if clean.Steps() != 0 || clean.pid != 1 {
+		t.Fatalf("ctx after armed release: pid=%d steps=%d", clean.pid, clean.Steps())
 	}
 }

@@ -65,7 +65,7 @@ func (p *Private[T]) Store(ctx *Ctx, v T) {
 }
 
 // Flush persists the word's current value. Under the private-cache model
-// it only validates the epoch, like Cell.Flush.
+// it only validates the epoch.
 func (p *Private[T]) Flush(ctx *Ctx) {
 	if p.epoch == nil {
 		ctx.CheckAlive()

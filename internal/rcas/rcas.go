@@ -44,7 +44,6 @@ func (pr Pair[V]) Bit(p int) bool { return pr.Vec>>uint(p)&1 == 1 }
 // processes; a single process must not run two operations concurrently.
 type CAS[V comparable] struct {
 	sys *runtime.System
-	n   int
 	enc func(V) int
 
 	// c is the shared cell C = ⟨val, vec⟩, initially ⟨vinit, 0…0⟩.
@@ -80,7 +79,6 @@ func New[V comparable](sys *runtime.System, vinit V, enc func(V) int) *CAS[V] {
 	sp := sys.Space()
 	o := &CAS[V]{
 		sys: sys,
-		n:   n,
 		enc: enc,
 		c:   nvm.NewWord(sp, Pair[V]{Val: vinit}),
 	}
@@ -203,6 +201,3 @@ func (o *CAS[V]) makeReadOp(pid int) runtime.Op[V] {
 
 // PeekPair returns C's current pair without a Ctx, for tests and checkers.
 func (o *CAS[V]) PeekPair() Pair[V] { return o.c.Peek() }
-
-// N returns the number of processes the object was allocated for.
-func (o *CAS[V]) N() int { return o.n }

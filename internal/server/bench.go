@@ -58,10 +58,6 @@ func PatchReqID(payload []byte, reqID uint64) {
 	binary.BigEndian.PutUint64(payload[1:], reqID)
 }
 
-// PID returns the leased process slot, for benchmarks that pre-warm store
-// state.
-func (ls *LoopbackSession) PID() int { return ls.sess.pid }
-
 // Close releases the session's process slot (if any) and scratch buffer.
 func (ls *LoopbackSession) Close() {
 	if ls.sess.pid >= 0 {

@@ -558,7 +558,7 @@ func TestRecoveredReplaysCountsExactly(t *testing.T) {
 	}
 	rc2.roundTrip(t, put)
 	rc2.roundTrip(t, put)
-	if n := st2.srv.RecoveredReplays(); n != 2 {
+	if n := st2.srv.recoveredReplays.Load(); n != 2 {
 		t.Fatalf("RecoveredReplays = %d after replaying one recovered ID twice, want 2", n)
 	}
 	// ID 1+Window shares ID 1's slot: recorded live, then replayed.
@@ -570,7 +570,7 @@ func TestRecoveredReplaysCountsExactly(t *testing.T) {
 	if again := rc2.roundTrip(t, live); !bytes.Equal(again, first) {
 		t.Fatalf("replay of %d = %x, want %x", 1+Window, again, first)
 	}
-	if n := st2.srv.RecoveredReplays(); n != 2 {
+	if n := st2.srv.recoveredReplays.Load(); n != 2 {
 		t.Fatalf("RecoveredReplays = %d after replaying a live verdict in a recovered slot, want 2", n)
 	}
 }

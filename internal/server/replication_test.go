@@ -171,7 +171,7 @@ func TestReplicationByteIdenticalReplayAcrossPromotion(t *testing.T) {
 	if !bytes.Equal(replay, original) {
 		t.Fatalf("replayed reply %x differs from the primary's original %x", replay, original)
 	}
-	if n := sb.srv.RecoveredReplays(); n < 1 {
+	if n := sb.srv.recoveredReplays.Load(); n < 1 {
 		t.Fatalf("RecoveredReplays=%d after a recovered-window replay, want >=1", n)
 	}
 	role, gen2, replays := serverStats(t, rc2, 2)

@@ -165,11 +165,6 @@ func (srv *Server) recoverSessionsLocked(db *durable.DB, store *shardkv.Store) e
 // Nil on a standby that has not been promoted.
 func (srv *Server) Store() *shardkv.Store { return srv.store.Load() }
 
-// RecoveredReplays reports how many replies were served by replaying an
-// outcome recovered from the durable window — verdicts that provably
-// survived a process death (restart or failover to this node).
-func (srv *Server) RecoveredReplays() uint64 { return srv.recoveredReplays.Load() }
-
 // Listen binds addr (e.g. "127.0.0.1:0") and starts the accept loop in the
 // background. The bound address is available from Addr.
 func (srv *Server) Listen(addr string) error {

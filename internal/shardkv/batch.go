@@ -27,19 +27,13 @@ type BatchScratch struct {
 	outs []runtime.Outcome[int]
 }
 
-// MultiGet reads every key as process pid and returns the per-key
-// detectable outcomes, aligned with keys. A batch is a loop: entry i is one
-// detectable operation on its key's shard, run on the caller after entry
-// i−1 returned, as the model's process runs its operations one at a time. A
-// crash plan routed to one shard (or a concurrent CrashShard) interrupts
-// only that shard's entries.
-func (s *Store) MultiGet(pid int, keys []string, plans ...ShardPlans) []runtime.Outcome[int] {
-	var sc BatchScratch
-	return s.MultiGetWith(&sc, pid, keys, plans...)
-}
-
-// MultiGetWith is MultiGet over caller-owned scratch: the returned slice
-// aliases sc and stays valid only until sc's next batch.
+// MultiGetWith reads every key as process pid and returns the per-key
+// detectable outcomes, aligned with keys, in caller-owned scratch: the
+// returned slice aliases sc and stays valid only until sc's next batch. A
+// batch is a loop: entry i is one detectable operation on its key's shard,
+// run on the caller after entry i−1 returned, as the model's process runs
+// its operations one at a time. A crash plan routed to one shard (or a
+// concurrent CrashShard) interrupts only that shard's entries.
 func (s *Store) MultiGetWith(sc *BatchScratch, pid int, keys []string, plans ...ShardPlans) []runtime.Outcome[int] {
 	plan, outs := sc.begin(len(keys), plans)
 	for i, k := range keys {
@@ -51,7 +45,7 @@ func (s *Store) MultiGetWith(sc *BatchScratch, pid int, keys []string, plans ...
 
 // MultiPut writes every entry as process pid and returns the per-entry
 // detectable outcomes, aligned with entries. The puts linearize, and are
-// journaled, in entry order; crash routing follows MultiGet.
+// journaled, in entry order; crash routing follows MultiGetWith.
 func (s *Store) MultiPut(pid int, entries []KV, plans ...ShardPlans) []runtime.Outcome[int] {
 	var sc BatchScratch
 	return s.MultiPutWith(&sc, pid, entries, plans...)

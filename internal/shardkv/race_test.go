@@ -91,13 +91,13 @@ func TestRaceStress(t *testing.T) {
 						{Key: keys[rng.Intn(len(keys))], Val: i + 1},
 					}))
 				case 3:
-					ops += len(s.MultiGet(pid, keys[:4]))
+					ops += len(s.MultiGetWith(new(BatchScratch), pid, keys[:4]))
 				case 4: // every shard in one batch, each way
 					for j, k := range spanning {
 						span[j] = KV{Key: k, Val: pid*1000 + i}
 					}
 					ops += len(s.MultiPut(pid, span))
-					ops += len(s.MultiGet(pid, spanning))
+					ops += len(s.MultiGetWith(new(BatchScratch), pid, spanning))
 				default:
 					s.Put(pid, key, pid*1000+i, plan)
 					ops++

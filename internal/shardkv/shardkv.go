@@ -22,7 +22,7 @@
 // keep serving), while Crash storms every shard. Per-shard Stats record
 // operations, verdicts, crash interruptions and recoveries.
 //
-// A batch (MultiGet, MultiPut) is no new object: it is its process running
+// A batch (MultiGetWith, MultiPut) is no new object: it is its process running
 // one detectable operation per entry, in entry order, on the caller. A
 // durable store therefore journals an MPUT's puts in entry order, and a
 // process killed mid-batch leaves the effects of a prefix of its entries.

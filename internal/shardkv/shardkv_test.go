@@ -166,7 +166,7 @@ func TestMultiPutMultiGetAligned(t *testing.T) {
 			t.Fatalf("entry %d outcome %+v", i, out)
 		}
 	}
-	gets := s.MultiGet(1, keys)
+	gets := s.MultiGetWith(new(BatchScratch), 1, keys)
 	for i, out := range gets {
 		if !out.Status.Linearized() || out.Resp != i*7 {
 			t.Fatalf("key %d read %+v, want %d", i, out, i*7)

@@ -56,9 +56,6 @@ func NewZipf(rng *rand.Rand, n int, theta float64) *Zipf {
 	return &Zipf{rng: rng, cdf: cdf}
 }
 
-// N returns the rank-space size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // P returns rank r's exact probability, for tests and reporting.
 func (z *Zipf) P(r int) float64 {
 	if r == 0 {
