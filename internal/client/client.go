@@ -66,7 +66,6 @@ type Client struct {
 	bw   *bufio.Writer
 
 	session uint64
-	pid     int
 	nextID  uint64
 
 	// enc is the per-session request-encoding scratch and readBuf the
@@ -218,7 +217,7 @@ func (c *Client) connectTo(addr string) error {
 		return err
 	}
 	sid := r.U64()
-	pid := int(int32(r.U32()))
+	r.U32() // the leased process slot: the server keeps it
 	resumed := r.U8() == 1
 	if r.Err {
 		conn.Close()
@@ -227,7 +226,7 @@ func (c *Client) connectTo(addr string) error {
 	if resumed {
 		c.resumes++
 	}
-	c.session, c.pid = sid, pid
+	c.session = sid
 	c.conn, c.br, c.bw = conn, br, bw
 	return nil
 }
@@ -275,9 +274,6 @@ func (c *Client) backoff(attempt int) time.Duration {
 
 // SessionID returns the server-assigned session ID.
 func (c *Client) SessionID() uint64 { return c.session }
-
-// PID returns the leased process slot (-1 for observer sessions).
-func (c *Client) PID() int { return c.pid }
 
 // Resumes returns how many times the session was resumed after a lost
 // connection.

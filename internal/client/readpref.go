@@ -60,8 +60,7 @@ type ReadClient struct {
 	cur       *Client // current read-only session, nil when torn down
 	onReplica bool
 
-	probe     *Client // observer session pinned to the current primary
-	probeAddr string
+	probe *Client // observer session pinned to the current primary
 
 	nextCheck time.Time
 }
@@ -151,7 +150,7 @@ func (rc *ReadClient) primaryStats() (ServerStatus, bool) {
 			return st, true
 		}
 		rc.probe.KillConn()
-		rc.probe, rc.probeAddr = nil, ""
+		rc.probe = nil
 	}
 	for _, addr := range rc.primaries {
 		if st, ok := rc.tryProbe(addr); ok {
@@ -173,7 +172,7 @@ func (rc *ReadClient) tryProbe(addr string) (ServerStatus, bool) {
 	}
 	st, err := c.ServerStats()
 	if err == nil && st.Role == server.RolePrimary {
-		rc.probe, rc.probeAddr = c, addr
+		rc.probe = c
 		return st, true
 	}
 	c.Close() //nolint:errcheck

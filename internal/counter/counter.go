@@ -54,9 +54,6 @@ func (c *Counter) Inc(pid int, plans ...nvm.CrashPlan) int {
 // Value returns the counter's current value as observed by pid.
 func (c *Counter) Value(pid int) int { return c.read(pid) }
 
-// Peek returns the counter's value without a Ctx, for tests.
-func (c *Counter) Peek() int { return c.cas.PeekPair().Val }
-
 func (c *Counter) read(pid int) int {
 	for {
 		out := c.cas.Read(pid)
@@ -101,6 +98,3 @@ func (f *FetchAdd) Add(pid, delta int, plans ...nvm.CrashPlan) int {
 		}
 	}
 }
-
-// Peek returns the current value without a Ctx, for tests.
-func (f *FetchAdd) Peek() int { return f.cas.PeekPair().Val }

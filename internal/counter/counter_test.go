@@ -31,7 +31,7 @@ func TestIncExactlyOnceUnderCrashes(t *testing.T) {
 	for step := uint64(1); step <= 8; step++ {
 		c.Inc(0, nvm.CrashAtStep(step))
 		total++
-		if got := c.Peek(); got != total {
+		if got := c.cas.PeekPair().Val; got != total {
 			t.Fatalf("after crash-at-step-%d inc: value = %d, want %d", step, got, total)
 		}
 	}
@@ -49,7 +49,7 @@ func TestIncRandomCrashStorm(t *testing.T) {
 		}
 		c.Inc(0, plans...)
 	}
-	if got := c.Peek(); got != incs {
+	if got := c.cas.PeekPair().Val; got != incs {
 		t.Fatalf("value = %d, want %d", got, incs)
 	}
 }
@@ -72,7 +72,7 @@ func TestIncConcurrent(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	if got := c.Peek(); got != procs*each {
+	if got := c.cas.PeekPair().Val; got != procs*each {
 		t.Fatalf("value = %d, want %d", got, procs*each)
 	}
 }
@@ -115,7 +115,7 @@ func TestIncConcurrentWithStorm(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	storm.Wait()
-	if got := c.Peek(); got != procs*each {
+	if got := c.cas.PeekPair().Val; got != procs*each {
 		t.Fatalf("value = %d, want %d (exactly-once violated under storm)", got, procs*each)
 	}
 }
@@ -129,7 +129,7 @@ func TestFetchAddReturnsPrevious(t *testing.T) {
 	if got := f.Add(0, 3); got != 5 {
 		t.Fatalf("second Add = %d, want 5", got)
 	}
-	if got := f.Peek(); got != 8 {
+	if got := f.cas.PeekPair().Val; got != 8 {
 		t.Fatalf("value = %d, want 8", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestFetchAddExactlyOnceUnderCrashes(t *testing.T) {
 	for step := uint64(1); step <= 8; step++ {
 		f.Add(0, 2, nvm.CrashAtStep(step))
 		want += 2
-		if got := f.Peek(); got != want {
+		if got := f.cas.PeekPair().Val; got != want {
 			t.Fatalf("step %d: value = %d, want %d", step, got, want)
 		}
 	}
@@ -166,7 +166,7 @@ func TestFetchAddConcurrent(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	if got := f.Peek(); got != procs*each {
+	if got := f.cas.PeekPair().Val; got != procs*each {
 		t.Fatalf("value = %d, want %d", got, procs*each)
 	}
 	// Fetch-and-add(1) return values must be all distinct.

@@ -44,8 +44,8 @@ func TestRaceStress(t *testing.T) {
 				return
 			default:
 			}
-			_ = c.Peek()
-			_ = f.Peek()
+			_ = c.cas.PeekPair().Val
+			_ = f.cas.PeekPair().Val
 		}
 	}()
 

@@ -48,7 +48,7 @@ func TestPoisonLogsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("injected EIO")
-	db.wal.syncFn = func(File) error { return boom }
+	hookSync(db.wal, func(File) error { return boom })
 	for req := uint64(1); req <= 3; req++ {
 		if err := db.CommitOutcome(1, req, []byte("x")); !errors.Is(err, boom) {
 			t.Fatalf("commit %d = %v, want wrapped %v", req, err, boom)

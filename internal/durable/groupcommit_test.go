@@ -21,10 +21,10 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.wal.syncFn = func(f File) error {
+	hookSync(db.wal, func(f File) error {
 		time.Sleep(2 * time.Millisecond)
 		return f.Sync()
-	}
+	})
 	if err := db.AppendHello(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,12 @@ func TestLogSyncFailurePoisons(t *testing.T) {
 	defer l.Close()
 	boom := errors.New("injected EIO")
 	fail := true
-	l.syncFn = func(f File) error {
+	hookSync(l, func(f File) error {
 		if fail {
 			return boom
 		}
 		return f.Sync()
-	}
+	})
 	if err := l.Append([]byte("rec")); err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +128,10 @@ func TestGroupCommitEpochFailureFailsAllWaiters(t *testing.T) {
 	defer db.Close()
 	db.AppendHello(1, 0)
 	boom := errors.New("injected EIO")
-	db.wal.syncFn = func(File) error {
+	hookSync(db.wal, func(File) error {
 		time.Sleep(5 * time.Millisecond) // the other commits park meanwhile
 		return boom
-	}
+	})
 
 	const n = 4
 	errs := make(chan error, n)

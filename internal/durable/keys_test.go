@@ -76,7 +76,7 @@ func openQuiet(t *testing.T, shards int) *DB {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	db.wal.syncFn = func(File) error { return nil }
+	hookSync(db.wal, func(File) error { return nil })
 	db.SetCompactThreshold(math.MaxInt64)
 	return db
 }

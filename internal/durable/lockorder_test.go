@@ -26,7 +26,7 @@ func TestLockAllBesideFoldingAnchors(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	db.wal.syncFn = func(File) error { time.Sleep(200 * time.Microsecond); return nil }
+	hookSync(db.wal, func(File) error { time.Sleep(200 * time.Microsecond); return nil })
 	for pid := range writers {
 		if err := db.AppendHello(uint64(pid+1), pid); err != nil {
 			t.Fatal(err)

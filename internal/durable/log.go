@@ -87,9 +87,6 @@ type Log struct {
 	f     File  // replaced by Rewrite, under bmu and mu
 	alloc int64 // bytes of the file written, records and pad; guarded by bmu
 	path  string
-	// syncFn is the fsync implementation, replaceable by fault-injection
-	// tests; nil means File.Sync.
-	syncFn func(File) error
 	// tap, when set, receives every batch as it leaves the staging buffer:
 	// every record in file order, under bmu (replicate.go). A Rewrite hands
 	// it nothing. Set at open.
@@ -366,7 +363,7 @@ func (l *Log) barrier(mark func()) ([]byte, error) {
 		}
 	}
 	if err == nil {
-		err = l.fsync()
+		err = l.f.Sync()
 	}
 
 	l.mu.Lock()
@@ -389,14 +386,6 @@ func (l *Log) poison(cause error) {
 		l.err = fmt.Errorf("durable: log %s poisoned by failed barrier: %w", filepath.Base(l.path), cause)
 		slog.Error("durable: write-ahead log poisoned, every later commit fails", "path", l.path, "cause", cause)
 	}
-}
-
-// fsync calls the possibly-injected sync implementation.
-func (l *Log) fsync() error {
-	if l.syncFn != nil {
-		return l.syncFn(l.f)
-	}
-	return l.f.Sync()
 }
 
 // Appended returns how many bytes of records, staged ones included, the log

@@ -22,7 +22,7 @@ func TestConcurrentCommitsRaceFailingEpochs(t *testing.T) {
 		}
 		db.AppendHello(1, 0)
 		db.ShardBacking(0).Persist("k", 1) // whichever epoch is first has an fsync to fail
-		db.wal.syncFn = func(File) error { return boom }
+		hookSync(db.wal, func(File) error { return boom })
 		epochs0, _ := db.GroupCommitStats()
 
 		const n, per = 8, 3
@@ -79,12 +79,12 @@ func TestPoisonedLogRejectsAfterGroupCommitRestart(t *testing.T) {
 	db.AppendHello(1, 0)
 	boom := errors.New("injected EIO")
 	fail := true
-	db.wal.syncFn = func(f File) error {
+	hookSync(db.wal, func(f File) error {
 		if fail {
 			return boom
 		}
 		return f.Sync()
-	}
+	})
 	if err := db.CommitOutcome(1, 1, []byte("x")); !errors.Is(err, boom) {
 		t.Fatalf("poisoning commit = %v, want wrapped %v", err, boom)
 	}

@@ -15,6 +15,25 @@ import (
 	"detectable/internal/runtime"
 )
 
+// syncHook is the fault seam of a log's barrier: a test-file File whose
+// Sync calls sync with the file it wraps.
+type syncHook struct {
+	File
+	sync func(File) error
+}
+
+func (h syncHook) Sync() error { return h.sync(h.File) }
+
+// hookSync makes every later barrier of l fsync through sync, until a
+// rewrite replaces l's file.
+func hookSync(l *Log, sync func(File) error) {
+	l.bmu.Lock()
+	l.mu.Lock()
+	l.f = syncHook{l.f, sync}
+	l.mu.Unlock()
+	l.bmu.Unlock()
+}
+
 // readTree returns every file of the flat directory dir by name.
 func readTree(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
@@ -218,15 +237,15 @@ func TestAppendDoesNotWaitForTheBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	inFsync, release := make(chan struct{}), make(chan struct{})
-	first := true // syncFn runs under the log's barrier lock
-	l.syncFn = func(f File) error {
+	first := true // the hook runs under the log's barrier lock
+	hookSync(l, func(f File) error {
 		if first {
 			first = false
 			close(inFsync)
 			<-release
 		}
 		return f.Sync()
-	}
+	})
 	if err := l.Append([]byte("first")); err != nil {
 		t.Fatal(err)
 	}

@@ -95,9 +95,7 @@ type Stats struct {
 
 // Result is the outcome of one Run.
 type Result struct {
-	Object  string
-	Program Program
-	Stats   Stats
+	Stats Stats
 	// Complete: the search ran to the end of its final round (it was not
 	// stopped by Budget or MaxExecutions). Under a finite MaxPreemptions
 	// this is exhaustive at the bound: every schedule within MaxCrashes
@@ -211,7 +209,7 @@ func Run(h Harness, prog Program, opt Options) Result {
 	if opt.StepCap <= 0 {
 		opt.StepCap = 4096
 	}
-	res := Result{Object: h.Name, Program: prog}
+	var res Result
 	start := time.Now()
 	var deadline time.Time
 	if opt.Budget > 0 {

@@ -152,9 +152,6 @@ func NewShardedRing(capacity, stripes int) *Log { return NewRing(capacity) }
 // NewOff returns a ModeOff log that discards every event.
 func NewOff() *Log { return &Log{mode: ModeOff} }
 
-// Mode returns the log's retention mode.
-func (l *Log) Mode() Mode { return l.mode }
-
 // Capacity returns the ring's capacity (0 for full and off modes).
 func (l *Log) Capacity() int { return len(l.ring) }
 

@@ -9,8 +9,8 @@ import (
 
 func TestRingModeBasics(t *testing.T) {
 	l := NewRing(100)
-	if l.Mode() != ModeRing {
-		t.Fatalf("mode = %v, want ring", l.Mode())
+	if l.mode != ModeRing {
+		t.Fatalf("mode = %v, want ring", l.mode)
 	}
 	if l.Capacity() != 128 {
 		t.Fatalf("capacity = %d, want 128 (rounded up to a power of two)", l.Capacity())
@@ -67,8 +67,8 @@ func TestOffModeDiscards(t *testing.T) {
 
 func TestFullModeUnchanged(t *testing.T) {
 	var l Log // zero value: full mode
-	if l.Mode() != ModeFull || l.Capacity() != 0 {
-		t.Fatalf("zero log mode/capacity = %v/%d", l.Mode(), l.Capacity())
+	if l.mode != ModeFull || l.Capacity() != 0 {
+		t.Fatalf("zero log mode/capacity = %v/%d", l.mode, l.Capacity())
 	}
 	for i := 0; i < 1000; i++ {
 		l.Return(0, i)

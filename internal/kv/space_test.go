@@ -93,7 +93,7 @@ func TestSpaceShapeBitsNotCells(t *testing.T) {
 		p := space.RW(n, 64)
 		t.Logf("N=%2d: measured %4.0f B/key; accounting: shared %4d bits = %3d B per register, %3d bits = %2d B per process (whole system %4d B)",
 			n, measured[n], p.SharedBits, (p.SharedBits+7)/8,
-			p.PrivateBitsPerProc+p.AuxBitsPerProc, (p.PrivateBitsPerProc+p.AuxBitsPerProc+7)/8, (p.Total(n)+7)/8)
+			p.PrivateBitsPerProc+p.AuxBitsPerProc, (p.PrivateBitsPerProc+p.AuxBitsPerProc+7)/8, (p.SharedBits+n*(p.PrivateBitsPerProc+p.AuxBitsPerProc)+7)/8)
 	}
 	if grow := measured[16] - measured[2]; grow > 76+8 {
 		t.Fatalf("a key grows by %.0f B from N=2 to N=16; the bit array grows by 76", grow)

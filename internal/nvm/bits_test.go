@@ -55,7 +55,7 @@ func TestBitsAreCells(t *testing.T) {
 				perStore = 2
 			}
 			const k = 5
-			sp.Stats().Reset()
+			sp.stats = Stats{}
 			ctx = sp.AcquireCtx(0, CrashAtStep(perStore*(k-1)+1))
 			func() {
 				defer func() {
@@ -271,18 +271,6 @@ func TestAcquiredCtxCountsAtRelease(t *testing.T) {
 		sp.ReleaseCtx(again)
 		if got := sp.Stats().Total(); got != 8 {
 			t.Fatalf("a recycled context added its predecessor's counts again: total %d, want 8", got)
-		}
-	})
-	t.Run("reset", func(t *testing.T) {
-		ctx := sp.AcquireCtx(0, nil)
-		NewCell(sp, 0).Store(ctx, 1)
-		sp.ReleaseCtx(ctx)
-		if sp.Stats().Total() == 0 {
-			t.Fatal("nothing counted to reset")
-		}
-		sp.Stats().Reset()
-		if got := sp.Stats().Total(); got != 0 {
-			t.Fatalf("Total after Reset = %d, want 0", got)
 		}
 	})
 }

@@ -67,7 +67,7 @@ var crashShapes = []struct {
 			nil,
 			func(ctx *Ctx, c int) { ps[c].Flush(ctx) },
 			func(ctx *Ctx, c int) int { return ps[c].Load(ctx).A },
-			func(c int) int { return ps[c].Peek().A },
+			func(c int) int { return peekPrivate(ps[c]).A },
 		}
 	}},
 }

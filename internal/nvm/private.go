@@ -76,12 +76,3 @@ func (p *Private[T]) Flush(ctx *Ctx) {
 	p.persisted = p.v
 	ctx.count(KindFlush, 1)
 }
-
-// Peek returns the word's current logical value without a Ctx, for test
-// assertions; the owner must be quiescent.
-func (p *Private[T]) Peek() T {
-	if p.epoch != nil && p.at != p.epoch.Current() {
-		return p.persisted
-	}
-	return p.v
-}

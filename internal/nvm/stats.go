@@ -42,11 +42,3 @@ func (s *Stats) Flushes() uint64 { return s.flushes.Load() }
 func (s *Stats) Total() uint64 {
 	return s.Loads() + s.Stores() + s.CASes() + s.Flushes()
 }
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	s.loads.Store(0)
-	s.stores.Store(0)
-	s.cas.Store(0)
-	s.flushes.Store(0)
-}

@@ -155,7 +155,7 @@ func TestDeqEmptyCrashScheduleSweep(t *testing.T) {
 		if out.Status.Linearized() && out.Resp != spec.Empty {
 			t.Fatalf("step %d: dequeued %d from an empty queue", step, out.Resp)
 		}
-		if n := q.Len(); n != 0 {
+		if n := len(q.PeekAll()); n != 0 {
 			t.Fatalf("step %d: empty queue now has %d elements", step, n)
 		}
 		if out.Status == runtime.StatusOK {

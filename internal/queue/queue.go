@@ -232,6 +232,3 @@ func (q *Queue) PeekAll() []int {
 	}
 	return out
 }
-
-// Len returns the number of elements currently queued, for tests.
-func (q *Queue) Len() int { return len(q.PeekAll()) }

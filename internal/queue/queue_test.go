@@ -52,8 +52,8 @@ func TestEnqCrashBeforeLinkFails(t *testing.T) {
 	if out.Status != runtime.StatusFailed {
 		t.Fatalf("status %v, want failed (node never linked)", out.Status)
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue has %d elements after failed enq", q.Len())
+	if len(q.PeekAll()) != 0 {
+		t.Fatalf("queue has %d elements after failed enq", len(q.PeekAll()))
 	}
 	checkDL(t, sys)
 }

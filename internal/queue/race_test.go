@@ -42,7 +42,7 @@ func TestRaceStress(t *testing.T) {
 				return
 			default:
 			}
-			_ = q.Len()
+			_ = len(q.PeekAll())
 		}
 	}()
 

@@ -94,9 +94,6 @@ func DomainOf(n int) Domain { return Domain{tag: uint8(bits.Len(uint(n-1)) + 1)}
 // Contains reports whether v is in the domain.
 func (d Domain) Contains(v int) bool { return int64(v)<<d.tag>>d.tag == int64(v) }
 
-// Max returns the domain's largest value; its least is −Max()−1.
-func (d Domain) Max() int { return 1<<(63-d.tag) - 1 }
-
 // String returns the domain as a half-open interval, "[-2^59, 2^59)".
 func (d Domain) String() string { return fmt.Sprintf("[-2^%d, 2^%d)", 63-d.tag, 63-d.tag) }
 

@@ -29,8 +29,8 @@ func TestBasicOpsOverWire(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	if c.PID() < 0 {
-		t.Fatalf("worker session got observer pid %d", c.PID())
+	if got := store.FreeSlots(); got != 1 {
+		t.Fatalf("free slots = %d after one worker session on a 2-proc store, want 1", got)
 	}
 
 	out, err := c.Put("alpha", 7)
@@ -105,9 +105,7 @@ func TestSlotLeasing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial 2: %v", err)
 	}
-	if c1.PID() == c2.PID() {
-		t.Fatalf("two sessions share pid %d", c1.PID())
-	}
+	// Two sessions that shared a pid would leave one slot free.
 	if store.FreeSlots() != 0 {
 		t.Fatalf("free slots = %d, want 0", store.FreeSlots())
 	}

@@ -29,8 +29,6 @@
 package shardkv
 
 import (
-	"sort"
-
 	"detectable/internal/durable"
 	"detectable/internal/history"
 	"detectable/internal/kv"
@@ -280,16 +278,6 @@ func (s *Store) TotalStats() StatsSnapshot {
 		t = t.Add(s.StatsFor(i))
 	}
 	return t
-}
-
-// Keys returns every key ever written across all shards, sorted.
-func (s *Store) Keys() []string {
-	var out []string
-	for _, sh := range s.shards {
-		out = append(out, sh.store.Keys()...)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Peek returns key's current value without a Ctx, for tests.

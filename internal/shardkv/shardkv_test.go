@@ -103,8 +103,8 @@ func TestServedStoreRecordsNothing(t *testing.T) {
 	s.Put(0, k, 9, nvm.CrashAtStep(10))
 	s.CrashShard(2)
 	for i := 0; i < s.NumShards(); i++ {
-		if l := s.System(i).Log(); l.Mode() != history.ModeOff || l.Len() != 0 {
-			t.Fatalf("shard %d log is %v holding %d events, want off and empty", i, l.Mode(), l.Len())
+		if l := s.System(i).Log(); l.Len() != 0 || l.Appended() != 0 {
+			t.Fatalf("shard %d log holds %d of %d appended events, want none", i, l.Len(), l.Appended())
 		}
 	}
 
@@ -248,17 +248,6 @@ func TestRetryCountsAsOneOp(t *testing.T) {
 	st := s.StatsFor(0)
 	if st.Puts != 2 || st.Dels != 0 || st.Gets != 1 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestKeysMergedSorted(t *testing.T) {
-	s := New(4, 1)
-	s.Put(0, "b", 1)
-	s.Put(0, "a", 2)
-	s.Put(0, "c", 3)
-	keys := s.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Fatalf("Keys = %v", keys)
 	}
 }
 

@@ -40,11 +40,6 @@ type Profile struct {
 	Unbounded bool
 }
 
-// Total returns the system-wide bit count for n processes.
-func (p Profile) Total(n int) int {
-	return p.SharedBits + n*(p.PrivateBitsPerProc+p.AuxBitsPerProc)
-}
-
 // log2 returns ⌈log₂ x⌉ for x ≥ 1.
 func log2(x int) int {
 	if x <= 1 {

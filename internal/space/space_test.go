@@ -77,13 +77,6 @@ func TestDetectableAlgorithmsHaveAuxBits(t *testing.T) {
 	}
 }
 
-func TestTotal(t *testing.T) {
-	p := Profile{SharedBits: 100, PrivateBitsPerProc: 10, AuxBitsPerProc: 3}
-	if got := p.Total(4); got != 100+4*13 {
-		t.Fatalf("Total = %d", got)
-	}
-}
-
 func TestLog2(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 64: 6}
 	for x, want := range cases {

@@ -59,16 +59,6 @@ func NewOp(method string, args ...int) Operation {
 	return Operation{Method: method, Args: args}
 }
 
-// Key returns a canonical comparable encoding of the operation.
-func (o Operation) Key() string {
-	parts := make([]string, 0, len(o.Args)+1)
-	parts = append(parts, o.Method)
-	for _, a := range o.Args {
-		parts = append(parts, fmt.Sprint(a))
-	}
-	return strings.Join(parts, ":")
-}
-
 // String renders the operation like "cas(0,1)".
 func (o Operation) String() string {
 	args := make([]string, len(o.Args))

@@ -180,11 +180,8 @@ func TestOpsGenerators(t *testing.T) {
 	}
 }
 
-func TestOperationKeyAndString(t *testing.T) {
+func TestOperationString(t *testing.T) {
 	op := NewOp(MethodCAS, 0, 1)
-	if op.Key() != "cas:0:1" {
-		t.Fatalf("Key = %q", op.Key())
-	}
 	if op.String() != "cas(0,1)" {
 		t.Fatalf("String = %q", op.String())
 	}

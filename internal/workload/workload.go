@@ -56,14 +56,6 @@ func NewZipf(rng *rand.Rand, n int, theta float64) *Zipf {
 	return &Zipf{rng: rng, cdf: cdf}
 }
 
-// P returns rank r's exact probability, for tests and reporting.
-func (z *Zipf) P(r int) float64 {
-	if r == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[r] - z.cdf[r-1]
-}
-
 // Next draws the next rank.
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()

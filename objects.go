@@ -14,13 +14,12 @@ import (
 // values (the paper's Algorithm 1).
 type Register struct {
 	inner rw.Register
-	sys   *System
 }
 
 // NewRegister allocates a detectable register initialized to init, which
 // must lie in the domain Write states.
 func (s *System) NewRegister(init int) *Register {
-	return &Register{inner: rw.NewInt(s.inner, init), sys: s}
+	return &Register{inner: rw.NewInt(s.inner, init)}
 }
 
 // Write performs a detectable write as process pid. The register stores its
@@ -45,13 +44,12 @@ func (r *Register) Value() int { return r.inner.PeekTriple().Val }
 // the value — asymptotically optimal by Theorem 1.
 type CAS struct {
 	inner *rcas.CAS[int]
-	sys   *System
 }
 
 // NewCAS allocates a detectable CAS object initialized to init. The system
 // must have at most 64 processes.
 func (s *System) NewCAS(init int) *CAS {
-	return &CAS{inner: rcas.NewInt(s.inner, init), sys: s}
+	return &CAS{inner: rcas.NewInt(s.inner, init)}
 }
 
 // Cas performs a detectable compare-and-swap as process pid: if the value
@@ -73,12 +71,11 @@ func (c *CAS) Value() int { return c.inner.PeekPair().Val }
 // are always linearized, so outcomes always report Linearized.
 type MaxRegister struct {
 	inner *maxreg.MaxRegister
-	sys   *System
 }
 
 // NewMaxRegister allocates a max register initialized to 0.
 func (s *System) NewMaxRegister() *MaxRegister {
-	return &MaxRegister{inner: maxreg.New(s.inner), sys: s}
+	return &MaxRegister{inner: maxreg.New(s.inner)}
 }
 
 // WriteMax raises the register to val if val is larger, as process pid.
@@ -98,7 +95,6 @@ func (m *MaxRegister) Value() int { return m.inner.Peek() }
 // EmptyQueue when the queue was observed empty.
 type Queue struct {
 	inner *queue.Queue
-	sys   *System
 }
 
 // EmptyQueue is the Deq response for an empty queue.
@@ -106,7 +102,7 @@ const EmptyQueue = -1
 
 // NewQueue allocates an empty detectable queue.
 func (s *System) NewQueue() *Queue {
-	return &Queue{inner: queue.New(s.inner), sys: s}
+	return &Queue{inner: queue.New(s.inner)}
 }
 
 // Enq appends v as process pid.
