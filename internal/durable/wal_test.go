@@ -24,12 +24,29 @@ type syncHook struct {
 
 func (h syncHook) Sync() error { return h.sync(h.File) }
 
-// hookSync makes every later barrier of l fsync through sync, until a
-// rewrite replaces l's file.
+// hookFs opens the log's own path as a syncHook, so the file a rewrite
+// reopens keeps the hook; the rewrite's temporary file syncs for real.
+type hookFs struct {
+	Fs
+	path string
+	sync func(File) error
+}
+
+func (h hookFs) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
+	f, err := h.Fs.OpenFile(path, flag, perm)
+	if err == nil && path == h.path {
+		f = syncHook{f, h.sync}
+	}
+	return f, err
+}
+
+// hookSync makes every later barrier of l fsync through sync, across
+// rewrites too.
 func hookSync(l *Log, sync func(File) error) {
 	l.bmu.Lock()
 	l.mu.Lock()
 	l.f = syncHook{l.f, sync}
+	l.fs = hookFs{l.fs, l.path, sync}
 	l.mu.Unlock()
 	l.bmu.Unlock()
 }
@@ -268,6 +285,33 @@ func TestAppendDoesNotWaitForTheBarrier(t *testing.T) {
 	l.Close()
 	if got := collect(t, path); len(got) != 2 || string(got[0]) != "first" || string(got[1]) != "second" {
 		t.Fatalf("replayed %q, want first then second", got)
+	}
+}
+
+// TestSyncHookOutlivesRewrite: a rewrite reopens the log's file, and its
+// barriers still fsync through the hook; the rewrite's own temporary file
+// does not.
+func TestSyncHookOutlivesRewrite(t *testing.T) {
+	l, err := OpenLog(filepath.Join(t.TempDir(), "x.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	calls := 0
+	hookSync(l, func(f File) error { calls++; return f.Sync() })
+	for i, step := range []func() error{
+		func() error { return l.Append([]byte("a")) },
+		l.Sync,
+		l.Reset,
+		func() error { return l.Append([]byte("b")) },
+		l.Sync,
+	} {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("hooked fsyncs = %d, want 2: one per barrier, before and after the rewrite", calls)
 	}
 }
 

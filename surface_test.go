@@ -8,15 +8,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"io/fs"
 	"maps"
 	"os"
-	"os/exec"
 	"path"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -174,23 +171,9 @@ func unusedExported(root string) (unused map[string]token.Position, declared map
 	}
 
 	paths := slices.Sorted(maps.Keys(files))
-	std := map[string]bool{"fmt": true}
-	for _, ip := range paths {
-		for _, f := range files[ip] {
-			for _, spec := range f.Imports {
-				if p, _ := strconv.Unquote(spec.Path.Value); p != mod && !strings.HasPrefix(p, mod+"/") {
-					std[p] = true
-				}
-			}
-		}
-	}
-	stdImp, err := stdImporter(fset, std)
-	if err != nil {
-		return nil, nil, err
-	}
 	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{},
 		Uses: map[*ast.Ident]types.Object{}, Instances: map[*ast.Ident]types.Instance{}}
-	imp := &moduleImporter{mod: mod, fset: fset, files: files, std: stdImp, pkgs: map[string]*types.Package{}, info: info}
+	imp := &moduleImporter{mod: mod, fset: fset, files: files, std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*types.Package{}, info: info}
 	for _, ip := range paths {
 		if _, err := imp.Import(ip); err != nil {
 			return nil, nil, err
@@ -315,33 +298,6 @@ func (m *moduleImporter) Import(ip string) (*types.Package, error) {
 	}
 	m.pkgs[ip] = pkg
 	return pkg, nil
-}
-
-// stdImporter imports the given standard-library packages from the export
-// data that one `go list -export` reports for all of them; importer.Default
-// runs that command once for each package.
-func stdImporter(fset *token.FileSet, paths map[string]bool) (types.Importer, error) {
-	args := []string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
-	for p := range paths {
-		args = append(args, p)
-	}
-	cmd := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...)
-	cmd.Dir = build.Default.GOROOT
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list -export: %w", err)
-	}
-	export := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		p, file, _ := strings.Cut(line, " ")
-		export[p] = file
-	}
-	return importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
-		if export[p] == "" {
-			return nil, fmt.Errorf("%s: no export data", p)
-		}
-		return os.Open(export[p])
-	}), nil
 }
 
 // interfaceUses calls use(e, t) for each expression e in f that is
