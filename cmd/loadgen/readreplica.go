@@ -16,7 +16,7 @@ import (
 // be stale, but a phantom value or a resurrected failed write convicts
 // (linearize.Sweep.ReadStale). Mid-run the storm
 // SIGKILLs the primary and promotes the standby with all readers still
-// connected: writers fail over on the client's replica-aware redial path,
+// connected: writers fail over on the client's redial path,
 // readers ride the ReadClient's lag-bounded routing, and a fresh standby
 // is raised on the freed address so read traffic can move back off the
 // promoted node. The bar is the usual one — zero detectability violations
@@ -27,15 +27,12 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	if readers < 1 {
 		return fmt.Errorf("need -readers ≥ 1 (got %d)", readers)
 	}
-	// Writers dial the primary block with the standby as a promotion
-	// candidate only: a mutation is never rotated onto a live standby
-	// (guaranteed ErrNotPrimary), but after the kill the promoted node is
-	// found in the replica block.
+	// Writers dial the primary first and the standby second, as the
+	// failover storm's do: a live standby refuses a data session
+	// (ErrNotPrimary), and after the kill the promoted node admits it.
 	st, cluster, done, err := spawn(cfg, "read-replica", bin, baseDir, 0, true,
 		fmt.Sprintf("writers=%d readers=%d max-lag=%d", cfg.procs, readers, maxLag),
-		func(addrs []string) (*client.Client, error) {
-			return ridesFailover(client.DialFailoverWithReplicas(addrs[:1], addrs[1:]))
-		})
+		func(addrs []string) (*client.Client, error) { return ridesFailover(client.DialFailover(addrs)) })
 	if err != nil {
 		return err
 	}
@@ -51,8 +48,7 @@ func runReadReplicaStorm(bin, baseDir string, cfg *wlCfg,
 	readLoops := make([]func(stop <-chan struct{}, t *tally) error, readers)
 	for rid := range readLoops {
 		readLoops[rid] = func(stop <-chan struct{}, t *tally) error {
-			rc, err := client.DialReadPreference(primaries, replicas,
-				client.WithMaxLag(maxLag), client.WithLagInterval(50*time.Millisecond))
+			rc, err := client.DialReadPreference(primaries, replicas, maxLag)
 			if err != nil {
 				return fmt.Errorf("reader %d: dial: %w", rid, err)
 			}

@@ -43,13 +43,9 @@ type Client struct {
 	// addrs is the failover set: connect tries them round-robin starting
 	// at addrIdx, and a successful handshake pins addrIdx so the session
 	// sticks to the address that accepted it until it stops being primary.
-	// addrs[:nprimary] are primary candidates; the rest are known replicas,
-	// tried only after every primary refused — promotion candidates, never
-	// preferred targets (DialFailoverWithReplicas).
-	addrs    []string
-	addrIdx  int
-	nprimary int
-	flags    byte // the HELLO flags naming the session's kind, sent on every (re)connect
+	addrs   []string
+	addrIdx int
+	flags   byte // the HELLO flags naming the session's kind, sent on every (re)connect
 
 	// redial policy for transparent resumption. redialWait is the CAP of
 	// the capped-exponential backoff, not a fixed sleep.
@@ -80,32 +76,21 @@ type Client struct {
 }
 
 // Dial opens a new session against addr, leasing one process slot.
-func Dial(addr string) (*Client, error) { return dial([]string{addr}, 0, 1) }
+func Dial(addr string) (*Client, error) { return dial([]string{addr}, 0) }
 
 // DialFailover opens a session against the first address in addrs that
 // accepts it as primary. On later connection loss — or an ErrNotPrimary
 // rejection after a demotion — the redial loop rotates through the
 // remaining addresses, so a resumed session lands on the promoted replica
-// and replays its outcome window there.
-func DialFailover(addrs []string) (*Client, error) { return dial(addrs, 0, len(addrs)) }
-
-// DialFailoverWithReplicas opens a session like DialFailover, but marks
-// the second address set as known replicas: connect prefers the primary
-// addresses and tries replicas only after every primary refused, so a
-// mutation is never rotated onto a warm standby (guaranteed ErrNotPrimary)
-// while a primary is reachable — replicas are promotion candidates only.
-func DialFailoverWithReplicas(primaries, replicas []string) (*Client, error) {
-	addrs := make([]string, 0, len(primaries)+len(replicas))
-	addrs = append(addrs, primaries...)
-	addrs = append(addrs, replicas...)
-	return dial(addrs, 0, len(primaries))
-}
+// and replays its outcome window there. A standby refuses a data session
+// with ErrNotPrimary, so no mutation ever lands on one.
+func DialFailover(addrs []string) (*Client, error) { return dial(addrs, 0) }
 
 // DialObserver opens a slot-less observer session: it may only issue
 // CrashShard, Stats, ServerStats, Promote and Close. Storm drivers and
 // stats pollers use it so they do not occupy a process identity.
 func DialObserver(addr string) (*Client, error) {
-	return dial([]string{addr}, server.HelloFlagObserver, 1)
+	return dial([]string{addr}, server.HelloFlagObserver)
 }
 
 // DialReadOnly opens a slot-less GET-only session (HelloFlagReadOnly): it
@@ -117,15 +102,15 @@ func DialObserver(addr string) (*Client, error) {
 // observer session. DialReadPreference builds the replica-preferring,
 // staleness-bounded router on top of this.
 func DialReadOnly(addr string) (*Client, error) {
-	return dial([]string{addr}, server.HelloFlagReadOnly, 1)
+	return dial([]string{addr}, server.HelloFlagReadOnly)
 }
 
-func dial(addrs []string, flags byte, nprimary int) (*Client, error) {
+func dial(addrs []string, flags byte) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("client: no addresses to dial")
 	}
 	c := &Client{
-		addrs: addrs, nprimary: nprimary, flags: flags,
+		addrs: addrs, flags: flags,
 		maxRedials: 8, redialWait: 50 * time.Millisecond,
 	}
 	if err := c.connect(); err != nil {
@@ -135,39 +120,23 @@ func dial(addrs []string, flags byte, nprimary int) (*Client, error) {
 }
 
 // connect performs the HELLO handshake against each address in the
-// failover set and pins the first that accepts. A standby's ErrNotPrimary
-// moves on to the next address; any other protocol rejection is fatal
-// (another address cannot make a malformed or unknown session valid).
-//
-// Sweep order: the primary block first, then the replica block, each
-// rotated to start from the last address that worked when it lies in that
-// block. Replica addresses are promotion candidates only — while any
-// primary accepts, a session (and above all a mutation) never lands on a
-// standby just to hear a guaranteed ErrNotPrimary — but after a failover
-// the promoted replica still answers the sweep's tail.
+// failover set once, starting at addrIdx, and pins the first that accepts.
+// A standby's ErrNotPrimary moves on to the next address; any other
+// protocol rejection is fatal (another address cannot make a malformed or
+// unknown session valid).
 func (c *Client) connect() error {
-	np := c.nprimary
-	if np <= 0 || np > len(c.addrs) {
-		np = len(c.addrs)
-	}
 	var lastErr error
-	for _, block := range [][2]int{{0, np}, {np, len(c.addrs)}} { // primaries, then replicas
-		lo, n := block[0], block[1]-block[0]
-		for i := range n {
-			idx := lo + i
-			if c.addrIdx >= lo && c.addrIdx < block[1] {
-				idx = lo + (c.addrIdx-lo+i)%n
-			}
-			err := c.connectTo(c.addrs[idx])
-			if err == nil {
-				c.addrIdx = idx
-				return nil
-			}
-			if we, isWire := err.(*WireError); isWire && we.Code != server.ErrNotPrimary {
-				return err
-			}
-			lastErr = err
+	for i := range c.addrs {
+		idx := (c.addrIdx + i) % len(c.addrs)
+		err := c.connectTo(c.addrs[idx])
+		if err == nil {
+			c.addrIdx = idx
+			return nil
 		}
+		if we, isWire := err.(*WireError); isWire && we.Code != server.ErrNotPrimary {
+			return err
+		}
+		lastErr = err
 	}
 	return lastErr
 }

@@ -25,29 +25,9 @@ import (
 	"detectable/internal/server"
 )
 
-// DefaultLagInterval is how often the router re-checks replication lag
-// (and, while fallen back, retries the replicas).
-const DefaultLagInterval = 250 * time.Millisecond
-
-// ReadPrefOption configures DialReadPreference.
-type ReadPrefOption func(*ReadClient)
-
-// WithMaxLag bounds how many commit barriers a replica read may trail the
-// primary by; beyond it the router falls back to the primary until the
-// replica catches up. 0 (the default) disables the staleness check —
-// replicas serve regardless of lag.
-func WithMaxLag(barriers uint64) ReadPrefOption {
-	return func(rc *ReadClient) { rc.maxLag = barriers }
-}
-
-// WithLagInterval overrides how often the lag bound is re-checked.
-func WithLagInterval(d time.Duration) ReadPrefOption {
-	return func(rc *ReadClient) {
-		if d > 0 {
-			rc.lagEvery = d
-		}
-	}
-}
+// lagInterval is how often the router re-checks replication lag (and,
+// while fallen back, retries the replicas).
+const lagInterval = 50 * time.Millisecond
 
 // ReadClient is a GET-only client preferring read replicas. Like Client it
 // is NOT safe for concurrent use: one reader, one operation at a time.
@@ -55,7 +35,6 @@ type ReadClient struct {
 	primaries []string
 	replicas  []string
 	maxLag    uint64
-	lagEvery  time.Duration
 
 	cur       *Client // current read-only session, nil when torn down
 	onReplica bool
@@ -68,14 +47,15 @@ type ReadClient struct {
 // DialReadPreference opens a read-preferring GET router: reads go to the
 // first replica that accepts a read-only session, falling back to the
 // primaries when none does (or when the staleness bound trips later).
-func DialReadPreference(primaries, replicas []string, opts ...ReadPrefOption) (*ReadClient, error) {
+// maxLag bounds how many commit barriers a replica read may trail the
+// primary by; beyond it the router falls back to the primary until the
+// replica catches up. 0 disables the staleness check — replicas serve
+// regardless of lag.
+func DialReadPreference(primaries, replicas []string, maxLag uint64) (*ReadClient, error) {
 	if len(primaries) == 0 && len(replicas) == 0 {
 		return nil, fmt.Errorf("client: no addresses to dial")
 	}
-	rc := &ReadClient{primaries: primaries, replicas: replicas, lagEvery: DefaultLagInterval}
-	for _, opt := range opts {
-		opt(rc)
-	}
+	rc := &ReadClient{primaries: primaries, replicas: replicas, maxLag: maxLag}
 	if err := rc.reconnect(); err != nil {
 		return nil, err
 	}
@@ -86,6 +66,22 @@ func DialReadPreference(primaries, replicas []string, opts ...ReadPrefOption) (*
 // also pass the staleness bound before it is trusted — then primaries.
 func (rc *ReadClient) reconnect() error {
 	rc.dropCur()
+	c, err := rc.freshReplica()
+	rc.onReplica = c != nil
+	for i := 0; c == nil && i < len(rc.primaries); i++ {
+		c, err = DialReadOnly(rc.primaries[i])
+	}
+	if c == nil {
+		return err
+	}
+	rc.cur = c
+	rc.nextCheck = time.Now().Add(lagInterval)
+	return nil
+}
+
+// freshReplica returns a read-only session on the first replica that
+// accepts one and passes the staleness bound, or nil and the last error.
+func (rc *ReadClient) freshReplica() (*Client, error) {
 	var lastErr error
 	for _, addr := range rc.replicas {
 		c, err := DialReadOnly(addr)
@@ -98,21 +94,9 @@ func (rc *ReadClient) reconnect() error {
 			lastErr = fmt.Errorf("client: replica %s exceeds the staleness bound", addr)
 			continue
 		}
-		rc.cur, rc.onReplica = c, true
-		rc.nextCheck = time.Now().Add(rc.lagEvery)
-		return nil
+		return c, nil
 	}
-	for _, addr := range rc.primaries {
-		c, err := DialReadOnly(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		rc.cur, rc.onReplica = c, false
-		rc.nextCheck = time.Now().Add(rc.lagEvery)
-		return nil
-	}
-	return lastErr
+	return nil, lastErr
 }
 
 // freshEnough reports whether the target's applied state satisfies the lag
@@ -193,29 +177,19 @@ func (rc *ReadClient) maybeRoute() {
 	if rc.cur == nil || time.Now().Before(rc.nextCheck) {
 		return
 	}
-	rc.nextCheck = time.Now().Add(rc.lagEvery)
+	rc.nextCheck = time.Now().Add(lagInterval)
 	if rc.onReplica {
 		if rc.maxLag == 0 || rc.freshEnough(rc.cur) {
 			return
 		}
 		// Staleness bound exceeded: fall back to the primary.
-		rc.dropCur()
 		rc.reconnect() //nolint:errcheck // next Get retries
 		return
 	}
 	// On the primary: probe the replicas for one that is fresh again.
-	for _, addr := range rc.replicas {
-		c, err := DialReadOnly(addr)
-		if err != nil {
-			continue
-		}
-		if !rc.freshEnough(c) {
-			c.Close() //nolint:errcheck
-			continue
-		}
+	if c, _ := rc.freshReplica(); c != nil {
 		rc.dropCur()
 		rc.cur, rc.onReplica = c, true
-		return
 	}
 }
 

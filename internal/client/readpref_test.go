@@ -2,8 +2,8 @@ package client_test
 
 // Read-preference routing (readpref.go): reads ride the replica while it
 // is fresh, a stalled replication tap trips the MaxLag bound and the
-// router falls back to the primary, and DialFailoverWithReplicas treats
-// replica addresses strictly as promotion candidates.
+// router falls back to the primary, and DialFailover tries its addresses
+// in order, so a write lands on the first that admits it.
 
 import (
 	"testing"
@@ -94,10 +94,7 @@ func TestReadPreferenceStalledTapTripsMaxLag(t *testing.T) {
 		}
 	}
 
-	rc, err := client.DialReadPreference(
-		[]string{paddr}, []string{raddr},
-		client.WithMaxLag(2), client.WithLagInterval(10*time.Millisecond),
-	)
+	rc, err := client.DialReadPreference([]string{paddr}, []string{raddr}, 2)
 	if err != nil {
 		t.Fatalf("DialReadPreference: %v", err)
 	}
@@ -134,43 +131,39 @@ func TestReadPreferenceStalledTapTripsMaxLag(t *testing.T) {
 	}
 }
 
-// TestDialFailoverWithReplicasPrefersPrimaryBlock: with both blocks alive,
-// writes land on the primary-block node; replica addresses are promotion
-// candidates only, reached when every primary address is gone.
-func TestDialFailoverWithReplicasPrefersPrimaryBlock(t *testing.T) {
+// TestDialFailoverPrefersFirstAddress: with both nodes alive, writes land
+// on the first address; the second is reached when the first is gone.
+func TestDialFailoverPrefersFirstAddress(t *testing.T) {
 	srvA, storeA := startServer(t, 2, 1)
 	srvB, storeB := startServer(t, 2, 1)
+	addrs := []string{srvA.Addr().String(), srvB.Addr().String()}
 
-	c, err := client.DialFailoverWithReplicas(
-		[]string{srvA.Addr().String()}, []string{srvB.Addr().String()},
-	)
+	c, err := client.DialFailover(addrs)
 	if err != nil {
-		t.Fatalf("DialFailoverWithReplicas: %v", err)
+		t.Fatalf("DialFailover: %v", err)
 	}
 	defer c.Close()
 	if _, err := c.Put("k", 1); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if storeA.Peek("k") != 1 || storeB.Peek("k") != 0 {
-		t.Fatalf("write landed on the replica block: A=%d B=%d", storeA.Peek("k"), storeB.Peek("k"))
+		t.Fatalf("write landed on the second address: A=%d B=%d", storeA.Peek("k"), storeB.Peek("k"))
 	}
 
-	// Primary block gone: the dial sweeps past the dead primary address
-	// into the replica block, where the (promoted, here: standalone) node
-	// admits the session.
+	// First node gone: the dial sweeps past its dead address to the
+	// second, where the (promoted, here: standalone) node admits the
+	// session.
 	srvA.Close()
-	c2, err := client.DialFailoverWithReplicas(
-		[]string{srvA.Addr().String()}, []string{srvB.Addr().String()},
-	)
+	c2, err := client.DialFailover(addrs)
 	if err != nil {
-		t.Fatalf("DialFailoverWithReplicas after primary loss: %v", err)
+		t.Fatalf("DialFailover after primary loss: %v", err)
 	}
 	defer c2.Close()
 	if _, err := c2.Put("k", 2); err != nil {
 		t.Fatalf("Put after primary loss: %v", err)
 	}
 	if storeB.Peek("k") != 2 {
-		t.Fatalf("replica-block node holds %d, want 2", storeB.Peek("k"))
+		t.Fatalf("second node holds %d, want 2", storeB.Peek("k"))
 	}
 }
 

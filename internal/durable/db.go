@@ -18,7 +18,6 @@ import (
 	"unsafe"
 
 	"detectable/internal/keytab"
-	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 	"detectable/internal/rw"
 	"detectable/internal/spec"
@@ -82,6 +81,17 @@ const (
 	// follows the key.
 	PutAtOverhead = putAtOffsetKey + putAtSizeVal
 )
+
+// Stamp says whose effect a journaled put is, as the paper's register R
+// persists ⟨v, q, b⟩ and not v alone, so that recovery can tell the writer
+// its verdict from the persisted value itself: the process that wrote it
+// and the detectable verdict of its operation — a runtime.Status and the
+// crashes it observed, as integers — and, for an entry of a batch, the
+// entry's index and the batch's length (Batch 0 for a single operation).
+type Stamp struct {
+	PID, Status, Crashes int
+	Entry, Batch         int
+}
 
 // manifest pins the layout version and store geometry a data directory was
 // created with. A reopen under different geometry is refused: shard routing
@@ -344,11 +354,11 @@ func (sf *shardFile) set(key string, val int64) uint32 {
 }
 
 // stamp is a put-at record's stamp: the request ID its writer's session
-// published (BeginRequest) and what nvm.Stamp says of the write. The zero
+// published (BeginRequest) and what Stamp says of the write. The zero
 // stamp stamps nothing.
 type stamp struct {
 	reqID uint64
-	nvm.Stamp
+	Stamp
 }
 
 // putAt is a decoded put-at record.
@@ -382,7 +392,7 @@ func encodePutAt(dst []byte, shard int, key string, val int64, s stamp) []byte {
 func readStamp(rec []byte) stamp {
 	return stamp{
 		reqID: binary.BigEndian.Uint64(rec[putAtOffsetReqID:]),
-		Stamp: nvm.Stamp{
+		Stamp: Stamp{
 			PID:     int(binary.BigEndian.Uint32(rec[putAtOffsetPID:])),
 			Status:  int(rec[putAtOffsetStatus]),
 			Crashes: int(binary.BigEndian.Uint32(rec[putAtOffsetCrashes:])),
@@ -422,7 +432,7 @@ func decodePutAt(rec []byte, shards, procs int) (p putAt, err error) {
 	}
 	p.stamp = readStamp(rec)
 	switch st := runtime.Status(p.Status); {
-	case p.reqID == 0 && p.Stamp != nvm.Stamp{}:
+	case p.reqID == 0 && p.Stamp != Stamp{}:
 		err = fmt.Errorf("carries stamp fields %+v without a request ID", p.Stamp)
 	case p.reqID == 0:
 	case p.PID >= procs:
@@ -451,23 +461,21 @@ func (db *DB) RangeShard(i int, fn func(key string, val int64)) {
 	}
 }
 
-// ShardBacking adapts one shard's share of the write-ahead log to
-// internal/nvm's Backing seam: Journal journals one durable root, stamped,
-// and DB.Sync is its durability barrier. Obtain one from DB.ShardBacking
-// and hand it to nvm.Space.SetBacking.
+// ShardBacking is one shard's share of the write-ahead log: Journal
+// journals one durable root, stamped, and DB.Sync is its durability
+// barrier. shardkv's Durable option gives each shard its own.
 type ShardBacking struct {
 	db *DB
 	i  int
 }
 
-// ShardBacking returns the backing-store view of shard i.
+// ShardBacking returns shard i's share of the write-ahead log.
 func (db *DB) ShardBacking(i int) ShardBacking { return ShardBacking{db: db, i: i} }
 
-// Journal implements nvm.Backing: it appends one persisted root to the
-// write-ahead log, buffered until the next barrier, stamped with by and the
-// request by.PID's session published (BeginRequest) — unstamped if it
-// published none.
-func (b ShardBacking) Journal(key string, val int64, by nvm.Stamp) {
+// Journal appends one persisted root to the write-ahead log, buffered until
+// the next barrier, stamped with by and the request by.PID's session
+// published (BeginRequest) — unstamped if it published none.
+func (b ShardBacking) Journal(key string, val int64, by Stamp) {
 	s := stamp{reqID: b.db.calls[by.PID].Load()}
 	if s.reqID != 0 {
 		s.Stamp = by

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 )
 
@@ -99,9 +98,9 @@ func FuzzOpenDB(f *testing.F) {
 	putAt := func(shard int, key string, val int64, s stamp) []byte {
 		return frame(encodePutAt(nil, shard, key, val, s))
 	}
-	put := stamp{reqID: 1, Stamp: nvm.Stamp{Status: int(runtime.StatusOK)}}
+	put := stamp{reqID: 1, Stamp: Stamp{Status: int(runtime.StatusOK)}}
 	entry := func(i int) stamp {
-		return stamp{reqID: 2, Stamp: nvm.Stamp{Status: int(runtime.StatusRecovered), Crashes: 1, Entry: i, Batch: 3}}
+		return stamp{reqID: 2, Stamp: Stamp{Status: int(runtime.StatusRecovered), Crashes: 1, Entry: i, Batch: 3}}
 	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
@@ -124,7 +123,7 @@ func FuzzOpenDB(f *testing.F) {
 	// 2 of 3 survived, entry 1 failed.
 	f.Add(cat(putAt(0, "k", 4, entry(0)), putAt(1, "j", 4, entry(2))))
 	// A stamp of a process no hello ahead of it leased.
-	f.Add(putAt(0, "k", 5, stamp{reqID: 1, Stamp: nvm.Stamp{PID: 1, Status: int(runtime.StatusOK)}}))
+	f.Add(putAt(0, "k", 5, stamp{reqID: 1, Stamp: Stamp{PID: 1, Status: int(runtime.StatusOK)}}))
 
 	f.Fuzz(func(t *testing.T, walBytes []byte) {
 		dir := t.TempDir()

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 )
 
@@ -44,7 +43,7 @@ func TestLockAllBesideFoldingAnchors(t *testing.T) {
 			for req := uint64(1); !stop.Load(); req++ {
 				db.BeginRequest(pid, req)
 				for s := range shards {
-					db.ShardBacking(s).Journal(fmt.Sprintf("k%d-%d", pid, s), int64(req), nvm.Stamp{PID: pid, Status: int(runtime.StatusOK)})
+					db.ShardBacking(s).Journal(fmt.Sprintf("k%d-%d", pid, s), int64(req), Stamp{PID: pid, Status: int(runtime.StatusOK)})
 				}
 				if err := db.Sync(); err != nil {
 					errs <- err

@@ -6,13 +6,13 @@
 // process — not just a simulated epoch — can be killed and restarted
 // without losing a single detectable verdict.
 //
-// The layering is deliberate: internal/nvm defines the pluggable Backing
-// seam a Space forwards its logical persists through, this package supplies
-// the file-backed implementation, internal/shardkv journals every
-// linearized mutation through it, and internal/server makes each session's
-// request-ID→outcome window durable so a client that reconnects after a
-// whole-process crash still receives the original verdict. docs/DURABILITY.md
-// is the normative description of the format and the recovery procedure.
+// The layering is deliberate: internal/shardkv journals every linearized
+// mutation, stamped with its verdict, straight into its shard's share of
+// this package's log (ShardBacking.Journal), and internal/server makes each
+// session's request-ID→outcome window durable so a client that reconnects
+// after a whole-process crash still receives the original verdict.
+// docs/DURABILITY.md is the normative description of the format and the
+// recovery procedure.
 //
 // All I/O goes through the Fs seam (fs.go): the OS implementation by
 // default, internal/simio's simulated filesystem under the crash-prefix

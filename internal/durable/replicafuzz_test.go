@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"detectable/internal/durable"
-	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 	"detectable/internal/simio"
 )
@@ -150,7 +149,7 @@ func stampedPuts(t testing.TB, db *durable.DB, pid int, req uint64, n int, keys 
 	t.Helper()
 	db.BeginRequest(pid, req)
 	for i, k := range keys {
-		db.ShardBacking(i%testShards).Journal(k, int64(req), nvm.Stamp{PID: pid, Status: int(runtime.StatusOK), Entry: i, Batch: n})
+		db.ShardBacking(i%testShards).Journal(k, int64(req), durable.Stamp{PID: pid, Status: int(runtime.StatusOK), Entry: i, Batch: n})
 	}
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"detectable/internal/durable"
-	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 	"detectable/internal/simio"
 )
@@ -79,7 +78,7 @@ func TestStampedPutIsItsVerdict(t *testing.T) {
 			sub := db.Subscribe(0)
 			db.BeginRequest(2, 5)
 			for e, out := range c.outs {
-				if stamp := (nvm.Stamp{PID: 2, Status: int(out.Status), Crashes: out.Crashes}); out.Status.Linearized() {
+				if stamp := (durable.Stamp{PID: 2, Status: int(out.Status), Crashes: out.Crashes}); out.Status.Linearized() {
 					if c.mput {
 						stamp.Entry, stamp.Batch = e, len(c.outs)
 					}
@@ -180,7 +179,7 @@ func TestTornMPutRebuildsPerEntryVerdict(t *testing.T) {
 			entry int
 			out   runtime.Outcome[int]
 		}{{0, ok}, {1, rec}, {3, ok}} {
-			db.ShardBacking(e.entry%testShards).Journal(string(rune('a'+e.entry)), 9, nvm.Stamp{Status: int(e.out.Status), Crashes: e.out.Crashes, Entry: e.entry, Batch: 5})
+			db.ShardBacking(e.entry%testShards).Journal(string(rune('a'+e.entry)), 9, durable.Stamp{Status: int(e.out.Status), Crashes: e.out.Crashes, Entry: e.entry, Batch: 5})
 			if i+1 == c.synced {
 				must(t, db.Sync())
 			}
@@ -209,7 +208,7 @@ func TestStampWithoutHelloIsIgnored(t *testing.T) {
 	db := openSim(t, fsim)
 	must(t, db.AppendHello(1, 0))
 	db.BeginRequest(3, 4)
-	db.ShardBacking(1).Journal("orphan", 7, nvm.Stamp{PID: 3, Status: int(runtime.StatusOK)})
+	db.ShardBacking(1).Journal("orphan", 7, durable.Stamp{PID: 3, Status: int(runtime.StatusOK)})
 	must(t, db.Sync())
 	rdb := crashImage(t, fsim)
 	defer rdb.Close()

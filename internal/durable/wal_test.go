@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 )
 
@@ -380,7 +379,7 @@ func TestAllocPinCommitOutcomeSyncSubscriber(t *testing.T) {
 	stamped := func() {
 		req++
 		db.BeginRequest(0, req)
-		db.ShardBacking(int(req%2)).Journal("key", int64(req), nvm.Stamp{Status: int(runtime.StatusOK)})
+		db.ShardBacking(int(req%2)).Journal("key", int64(req), Stamp{Status: int(runtime.StatusOK)})
 		if err := db.Sync(); err != nil {
 			t.Fatal(err)
 		}

@@ -51,10 +51,9 @@ func (m Model) String() string {
 //
 // The zero value is ready to use.
 type Space struct {
-	epoch   Epoch
-	stats   Stats
-	model   Model
-	backing Backing
+	epoch Epoch
+	stats Stats
+	model Model
 
 	mu         sync.Mutex
 	crashables []crashable

@@ -21,7 +21,9 @@ func openDB(t *testing.T, dir string, shards, procs int) *durable.DB {
 
 // TestDurableRestoreAcrossReopen writes through a durable store, reopens
 // the directory into a fresh store (a simulated whole-process restart) and
-// checks every linearized value — including deletions — comes back.
+// checks every linearized value — including deletions — comes back. The
+// last put follows an epoch crash of its shard: a simulated crash discards
+// volatile state, not the shard's share of the log.
 func TestDurableRestoreAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	db := openDB(t, dir, 4, 2)
@@ -32,6 +34,8 @@ func TestDurableRestoreAcrossReopen(t *testing.T) {
 		}
 	}
 	s.PutRetry(1, key(t, 3), 0)
+	s.CrashShard(s.ShardFor(key(t, 40)))
+	s.PutRetry(0, key(t, 40), 140)
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +44,7 @@ func TestDurableRestoreAcrossReopen(t *testing.T) {
 	db2 := openDB(t, dir, 4, 2)
 	defer db2.Close()
 	s2 := New(4, 2, Durable(db2))
-	for i := 0; i < 40; i++ {
+	for i := 0; i <= 40; i++ {
 		want := 100 + i
 		if i == 3 {
 			want = 0

@@ -56,12 +56,12 @@ func FullHistory() Option {
 	return func(o *options) { o.fullHistory = true }
 }
 
-// Durable backs every shard's space with db's write-ahead log (making the
-// space a file-backed persistent space: linearized mutations are journaled
-// at verdict time) and restores each shard's recovered state before the
-// store serves its first operation. db's geometry must match the store's
-// shard and process counts; durable.Open enforces it against the data
-// directory's manifest, and New panics on a mismatched db.
+// Durable backs every shard with db's write-ahead log (linearized
+// mutations are journaled at verdict time) and restores each shard's
+// recovered state before the store serves its first operation. db's
+// geometry must match the store's shard and process counts; durable.Open
+// enforces it against the data directory's manifest, and New panics on a
+// mismatched db.
 func Durable(db *durable.DB) Option {
 	return func(o *options) { o.db = db }
 }
@@ -72,18 +72,21 @@ type shard struct {
 	sys   *runtime.System
 	store *kv.Store
 	stats Stats
+	// log is the shard's share of the write-ahead log under Durable, nil
+	// on a heap-backed shard.
+	log *durable.ShardBacking
 }
 
-// journal records a linearized mutation's persisted value with the shard
-// space's backing store — a no-op on heap-backed shards — stamped with its
-// writer pid, its verdict and, for entry entry of a batch of n, where it
-// stands in the batch (n = 0 for a single operation). It runs at verdict
-// time: after this call the value is queued for the shard's next durability
-// barrier, which the server syncs before the verdict is released to a
-// client.
+// journal records a linearized mutation's persisted value in the shard's
+// share of the write-ahead log — a no-op on heap-backed shards — stamped
+// with its writer pid, its verdict and, for entry entry of a batch of n,
+// where it stands in the batch (n = 0 for a single operation). It runs at
+// verdict time: after this call the value is queued for the shard's next
+// durability barrier, which the server syncs before the verdict is
+// released to a client.
 func (sh *shard) journal(pid int, out runtime.Outcome[int], key string, val, entry, n int) {
-	if out.Status.Linearized() {
-		sh.sys.Space().Journal(key, int64(val), nvm.Stamp{PID: pid, Status: int(out.Status), Crashes: out.Crashes, Entry: entry, Batch: n})
+	if sh.log != nil && out.Status.Linearized() {
+		sh.log.Journal(key, int64(val), durable.Stamp{PID: pid, Status: int(out.Status), Crashes: out.Crashes, Entry: entry, Batch: n})
 	}
 }
 
@@ -154,12 +157,13 @@ func New(shards, procs int, opts ...Option) *Store {
 		}
 		sh := &shard{sys: sys, store: kv.New(sys)}
 		if o.db != nil {
-			// Recovery first, backing second: replayed roots are register
+			// Recovery first, log second: replayed roots are register
 			// initial values, not fresh persists to re-journal.
 			o.db.RangeShard(i, func(key string, val int64) {
 				sh.store.Restore(key, int(val))
 			})
-			sys.Space().SetBacking(o.db.ShardBacking(i))
+			log := o.db.ShardBacking(i)
+			sh.log = &log
 		}
 		s.shards = append(s.shards, sh)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"detectable/internal/durable"
-	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 )
 
@@ -28,7 +27,7 @@ func TestMirrorIsWhatRecoveryRebuilds(t *testing.T) {
 	journal := func(req uint64) {
 		db.BeginRequest(0, req)
 		for i := range shards {
-			db.ShardBacking(i).Journal(fmt.Sprintf("k%d", i), int64(req*10)+int64(i), nvm.Stamp{PID: 0, Status: int(runtime.StatusOK)})
+			db.ShardBacking(i).Journal(fmt.Sprintf("k%d", i), int64(req*10)+int64(i), durable.Stamp{PID: 0, Status: int(runtime.StatusOK)})
 		}
 	}
 	check := func(when string) {

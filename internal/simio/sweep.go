@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"detectable/internal/durable"
-	"detectable/internal/nvm"
 	"detectable/internal/runtime"
 )
 
@@ -336,7 +335,7 @@ func journalWrite(db *durable.DB, cfg SweepConfig, sid, req uint64, i int, val *
 		if out.Status.Linearized() {
 			*val++
 			p.Val = *val
-			db.ShardBacking(shard).Journal(p.Key, p.Val, nvm.Stamp{PID: pid, Status: int(out.Status), Crashes: out.Crashes, Entry: e, Batch: batch})
+			db.ShardBacking(shard).Journal(p.Key, p.Val, durable.Stamp{PID: pid, Status: int(out.Status), Crashes: out.Crashes, Entry: e, Batch: batch})
 		}
 		v.Puts = append(v.Puts, p)
 	}
